@@ -46,14 +46,16 @@ impl BaselinePartitioner for MetisLike {
             return Partition::trivial(k, n);
         }
         let coarsen_config = CoarseningConfig {
-            rating: EdgeRating::Weight,
-            matcher: MatcherKind::Sequential(MatchingAlgorithm::Shem),
             stop_at_nodes: (self.coarsen_factor * k as usize).max(32),
-            min_shrink_factor: 0.02,
-            max_levels: 64,
             seed,
+            ..Default::default()
         };
-        let hierarchy = MultilevelHierarchy::build(graph.clone(), &coarsen_config);
+        let hierarchy = MultilevelHierarchy::build(
+            graph.clone(),
+            MatcherKind::Sequential(MatchingAlgorithm::Shem),
+            EdgeRating::Weight,
+            &coarsen_config,
+        );
 
         let coarsest = hierarchy.coarsest();
         let current = if coarsest.num_nodes() >= k as usize {

@@ -51,19 +51,19 @@ impl BaselinePartitioner for ParMetisLike {
         } else {
             self.num_parts
         };
+        let matcher = MatcherKind::Parallel {
+            local: MatchingAlgorithm::Greedy,
+            num_parts,
+        };
         let coarsen_config = CoarseningConfig {
-            rating: EdgeRating::Weight,
-            matcher: MatcherKind::Parallel {
-                local: MatchingAlgorithm::Greedy,
-                num_parts,
-            },
             // Aggressive: stop very early so little work remains.
             stop_at_nodes: (60 * k as usize).max(64),
-            min_shrink_factor: 0.02,
             max_levels: 48,
             seed,
+            ..Default::default()
         };
-        let hierarchy = MultilevelHierarchy::build(graph.clone(), &coarsen_config);
+        let hierarchy =
+            MultilevelHierarchy::build(graph.clone(), matcher, EdgeRating::Weight, &coarsen_config);
 
         let coarsest = hierarchy.coarsest();
         let current = if coarsest.num_nodes() >= k as usize {

@@ -55,14 +55,17 @@ impl ScotchLike {
 
         // Multilevel 2-way partition of the subgraph.
         let coarsen_config = CoarseningConfig {
-            rating: EdgeRating::ExpansionStar,
-            matcher: MatcherKind::Sequential(MatchingAlgorithm::Greedy),
             stop_at_nodes: self.coarsen_stop,
-            min_shrink_factor: 0.02,
             max_levels: 48,
             seed,
+            ..Default::default()
         };
-        let hierarchy = MultilevelHierarchy::build(sub_graph, &coarsen_config);
+        let hierarchy = MultilevelHierarchy::build(
+            sub_graph,
+            MatcherKind::Sequential(MatchingAlgorithm::Greedy),
+            EdgeRating::ExpansionStar,
+            &coarsen_config,
+        );
         let coarsest = hierarchy.coarsest();
         // Unequal target sizes are emulated by growing the first block to the
         // k_left share; greedy_graph_growing targets c(V)/2 for k = 2, so for

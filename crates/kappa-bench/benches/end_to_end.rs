@@ -5,11 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kappa_coarsen::{
-    contract_matching, contract_matching_reference, CoarseningConfig, MultilevelHierarchy,
+    contract_matching, contract_matching_reference, CoarseningConfig, MatcherKind,
+    MultilevelHierarchy,
 };
 use kappa_core::{ConfigPreset, KappaConfig, KappaPartitioner};
 use kappa_gen::{delaunay_like_graph, random_geometric_graph, rmat_graph, road_network_like};
-use kappa_matching::{gpa_matching, EdgeRating};
+use kappa_matching::{gpa_matching, EdgeRating, MatchingAlgorithm};
 
 fn bench_presets_end_to_end(c: &mut Criterion) {
     let graph = random_geometric_graph(1 << 13, 1);
@@ -53,7 +54,10 @@ fn bench_coarsening_only(c: &mut Criterion) {
             stop_at_nodes: 1024,
             ..Default::default()
         };
-        b.iter(|| MultilevelHierarchy::build(graph.clone(), &config));
+        let gpa = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
+        b.iter(|| {
+            MultilevelHierarchy::build(graph.clone(), gpa, EdgeRating::ExpansionStar2, &config)
+        });
     });
 }
 

@@ -13,18 +13,110 @@
 //! [`contract_matching_reference`] for every thread count because each coarse
 //! node's adjacency is derived only from its own fine nodes.
 
-use kappa_graph::{CsrGraph, EdgeWeight, GraphBuilder, NodeId, NodeWeight, INVALID_NODE};
+use kappa_graph::{
+    CsrGraph, EdgeWeight, GraphAccess, GraphBuilder, NodeId, NodeWeight, INVALID_NODE,
+};
 use kappa_matching::Matching;
 use rayon::prelude::*;
 
-/// The result of contracting a matching: the coarse graph plus the mapping
-/// from fine nodes to coarse nodes.
+/// The result of contracting a matching: the coarse graph, on whatever
+/// storage `G` the contraction wrote it to, plus the mapping from fine nodes
+/// to coarse nodes. One of these is one level of a
+/// [`MultilevelHierarchy`](crate::MultilevelHierarchy).
 #[derive(Clone, Debug)]
-pub struct Contraction {
+pub struct Contraction<G = CsrGraph> {
     /// The contracted (coarse) graph.
-    pub coarse_graph: CsrGraph,
+    pub coarse_graph: G,
     /// `coarse_of[v]` is the coarse node that fine node `v` was merged into.
     pub coarse_of: Vec<NodeId>,
+}
+
+/// The fine representatives `(v, partner-or-INVALID)` of one coarse node,
+/// `v` being the smaller fine id.
+pub(crate) type Reps = (NodeId, NodeId);
+
+/// Assigns coarse ids in ascending order of each coarse node's smallest fine
+/// node — matched pairs share one id, everything else keeps its own — and
+/// records every coarse node's fine representatives. Sequential, `O(n)`; the
+/// one definition of the fine → coarse numbering for every contraction.
+pub(crate) fn assign_coarse_ids<G: GraphAccess>(
+    graph: &G,
+    matching: &Matching,
+) -> (Vec<NodeId>, Vec<Reps>) {
+    let n = graph.num_nodes();
+    debug_assert_eq!(matching.num_nodes(), n);
+    let mut coarse_of = vec![NodeId::MAX; n];
+    let mut reps: Vec<Reps> = Vec::with_capacity(n);
+    for v in graph.nodes() {
+        if coarse_of[v as usize] != NodeId::MAX {
+            continue;
+        }
+        let next_id = reps.len() as NodeId;
+        coarse_of[v as usize] = next_id;
+        match matching.partner_of(v) {
+            Some(p) if p > v => {
+                coarse_of[p as usize] = next_id;
+                reps.push((v, p));
+            }
+            Some(_) => unreachable!("partner < v must already have been assigned"),
+            None => reps.push((v, INVALID_NODE)),
+        }
+    }
+    (coarse_of, reps)
+}
+
+/// Fills `row` with the adjacency of the coarse node merging `u` and `p`:
+/// the union of the fine lists mapped through `coarse_of`, sorted by target,
+/// parallel edges summed, self loops dropped. The sum is order-independent,
+/// so the row is deterministic even though equal targets may arrive in
+/// either order.
+pub(crate) fn merged_row<G: GraphAccess>(
+    graph: &G,
+    coarse_of: &[NodeId],
+    (u, p): Reps,
+    row: &mut Vec<(NodeId, EdgeWeight)>,
+) {
+    let c = coarse_of[u as usize];
+    row.clear();
+    let mut collect = |v: NodeId| {
+        graph.for_each_edge(v, |t, w| {
+            let ct = coarse_of[t as usize];
+            if ct != c {
+                row.push((ct, w));
+            }
+        })
+    };
+    collect(u);
+    if p != INVALID_NODE {
+        collect(p);
+    }
+    row.sort_unstable_by_key(|&(t, _)| t);
+    row.dedup_by(|next, kept| {
+        let parallel = next.0 == kept.0;
+        if parallel {
+            kept.1 += next.1;
+        }
+        parallel
+    });
+}
+
+/// Weight and (where `coords` are kept) position of the coarse node merging
+/// `u` and `p`. Coordinates are summed in ascending fine-node order, then
+/// divided — the float operation order of the sequential reference, so they
+/// are bit-identical on every path.
+pub(crate) fn merged_node<G: GraphAccess>(
+    graph: &G,
+    coords: Option<&[[f64; 2]]>,
+    (u, p): Reps,
+) -> (NodeWeight, Option<[f64; 2]>) {
+    if p == INVALID_NODE {
+        return (graph.node_weight(u), coords.map(|all| all[u as usize]));
+    }
+    let mean = coords.map(|all| {
+        let (cu, cp) = (all[u as usize], all[p as usize]);
+        [(cu[0] + cp[0]) / 2.0, (cu[1] + cp[1]) / 2.0]
+    });
+    (graph.node_weight(u) + graph.node_weight(p), mean)
 }
 
 /// One worker's share of the coarse CSR arrays: a contiguous coarse-id range.
@@ -64,42 +156,17 @@ struct CsrFragment {
 /// assert_eq!(c.coarse_graph.total_node_weight(), 4);
 /// ```
 pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
-    let n = graph.num_nodes();
-    debug_assert_eq!(matching.num_nodes(), n);
-
-    // Phase 1 (sequential, O(n)): assign coarse ids — matched pairs share one
-    // id, everything else keeps its own — and record each coarse node's fine
-    // representatives `(v, partner-or-INVALID)`.
-    let mut coarse_of = vec![NodeId::MAX; n];
-    let mut reps: Vec<(NodeId, NodeId)> = Vec::with_capacity(n);
-    for v in graph.nodes() {
-        if coarse_of[v as usize] != NodeId::MAX {
-            continue;
-        }
-        let next_id = reps.len() as NodeId;
-        match matching.partner_of(v) {
-            Some(p) if p > v => {
-                coarse_of[v as usize] = next_id;
-                coarse_of[p as usize] = next_id;
-                reps.push((v, p));
-            }
-            Some(_) => unreachable!("partner < v must already have been assigned"),
-            None => {
-                coarse_of[v as usize] = next_id;
-                reps.push((v, INVALID_NODE));
-            }
-        }
-    }
+    // Phase 1 (sequential, O(n)): coarse ids and fine representatives.
+    let (coarse_of, reps) = assign_coarse_ids(graph, matching);
     let coarse_n = reps.len();
 
     // Phase 2 (parallel): one contiguous coarse-id range per worker; each
     // builds its fragment of the coarse CSR arrays independently.
     let threads = rayon::current_num_threads().max(1);
     let chunk = coarse_n.div_ceil(threads).max(1);
-    let has_coords = graph.coords().is_some();
     let fragments: Vec<CsrFragment> = reps
         .par_chunks(chunk)
-        .map(|range| build_fragment(graph, &coarse_of, range, has_coords))
+        .map(|range| build_fragment(graph, &coarse_of, range))
         .collect();
 
     // Phase 3 (sequential, O(m) concatenation): ordered merge of the
@@ -110,7 +177,7 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
     let mut adjncy: Vec<NodeId> = Vec::with_capacity(total_half_edges);
     let mut adjwgt: Vec<EdgeWeight> = Vec::with_capacity(total_half_edges);
     let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
-    let mut coords: Option<Vec<[f64; 2]>> = has_coords.then(|| Vec::with_capacity(coarse_n));
+    let mut coords = graph.coords().map(|_| Vec::with_capacity(coarse_n));
     for fragment in fragments {
         let offset = adjncy.len();
         xadj.extend(fragment.ends.iter().map(|&e| offset + e));
@@ -132,69 +199,27 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
 /// node, the merged adjacency over its fine representatives (sorted by target,
 /// parallel edges summed, self loops dropped), its node weight, and its
 /// averaged coordinates.
-fn build_fragment(
-    graph: &CsrGraph,
-    coarse_of: &[NodeId],
-    range: &[(NodeId, NodeId)],
-    has_coords: bool,
-) -> CsrFragment {
+fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> CsrFragment {
+    let coords = graph.coords();
     let mut fragment = CsrFragment {
         ends: Vec::with_capacity(range.len()),
         adjncy: Vec::new(),
         adjwgt: Vec::new(),
         vwgt: Vec::with_capacity(range.len()),
-        coords: has_coords.then(|| Vec::with_capacity(range.len())),
+        coords: coords.map(|_| Vec::with_capacity(range.len())),
     };
-    let mut scratch: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for &(u, p) in range {
-        let c = coarse_of[u as usize];
-        scratch.clear();
-        for (v, w) in graph.edges_of(u) {
-            let cv = coarse_of[v as usize];
-            if cv != c {
-                scratch.push((cv, w));
-            }
-        }
-        if p != INVALID_NODE {
-            for (v, w) in graph.edges_of(p) {
-                let cv = coarse_of[v as usize];
-                if cv != c {
-                    scratch.push((cv, w));
-                }
-            }
-        }
-        // Sort by coarse target and merge parallel edges by summing; the sum
-        // is order-independent, so the merged list is deterministic even
-        // though equal targets may arrive in either order.
-        scratch.sort_unstable_by_key(|&(t, _)| t);
-        let start = fragment.adjncy.len();
-        for &(t, w) in scratch.iter() {
-            if fragment.adjncy.len() > start && *fragment.adjncy.last().unwrap() == t {
-                *fragment.adjwgt.last_mut().unwrap() += w;
-            } else {
-                fragment.adjncy.push(t);
-                fragment.adjwgt.push(w);
-            }
+    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+    for &reps in range {
+        merged_row(graph, coarse_of, reps, &mut row);
+        for &(t, w) in &row {
+            fragment.adjncy.push(t);
+            fragment.adjwgt.push(w);
         }
         fragment.ends.push(fragment.adjncy.len());
-        let mut weight = graph.node_weight(u);
-        if p != INVALID_NODE {
-            weight += graph.node_weight(p);
-        }
+        let (weight, coord) = merged_node(graph, coords, reps);
         fragment.vwgt.push(weight);
-        if let Some(frag_coords) = &mut fragment.coords {
-            let all = graph.coords().expect("has_coords implies coords");
-            let cu = all[u as usize];
-            // Sum in ascending fine-node order, then divide — the same float
-            // operation order as the sequential reference, so coordinates are
-            // bit-identical.
-            let (sum, count) = if p != INVALID_NODE {
-                let cp = all[p as usize];
-                ([cu[0] + cp[0], cu[1] + cp[1]], 2.0)
-            } else {
-                (cu, 1.0)
-            };
-            frag_coords.push([sum[0] / count, sum[1] / count]);
+        if let (Some(frag_coords), Some(coord)) = (&mut fragment.coords, coord) {
+            frag_coords.push(coord);
         }
     }
     fragment
@@ -207,30 +232,8 @@ fn build_fragment(
 /// against (parity tests, benches). Semantics are identical; prefer
 /// [`contract_matching`] everywhere else.
 pub fn contract_matching_reference(graph: &CsrGraph, matching: &Matching) -> Contraction {
-    let n = graph.num_nodes();
-    debug_assert_eq!(matching.num_nodes(), n);
-
-    // Assign coarse ids: matched pairs share one id, everything else keeps its own.
-    let mut coarse_of = vec![NodeId::MAX; n];
-    let mut next_id: NodeId = 0;
-    for v in graph.nodes() {
-        if coarse_of[v as usize] != NodeId::MAX {
-            continue;
-        }
-        match matching.partner_of(v) {
-            Some(p) if p > v => {
-                coarse_of[v as usize] = next_id;
-                coarse_of[p as usize] = next_id;
-                next_id += 1;
-            }
-            Some(_) => unreachable!("partner < v must already have been assigned"),
-            None => {
-                coarse_of[v as usize] = next_id;
-                next_id += 1;
-            }
-        }
-    }
-    let coarse_n = next_id as usize;
+    let (coarse_of, reps) = assign_coarse_ids(graph, matching);
+    let coarse_n = reps.len();
 
     // Coarse node weights and (optional) averaged coordinates.
     let mut weights = vec![0u64; coarse_n];

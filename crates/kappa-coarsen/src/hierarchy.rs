@@ -6,15 +6,26 @@
 //! as [`CoarseningConfig::stop_at_nodes`]. Coarsening also stops when a level
 //! fails to shrink the graph appreciably (e.g. on star-like graphs where
 //! matchings are tiny), which mirrors the usual multilevel safeguard.
+//!
+//! There is one hierarchy type and one coarsening loop for every graph
+//! store. [`MultilevelHierarchy::build_with`] is generic over
+//! [`GraphAccess`]; what a store contributes is *how a matching becomes the
+//! next level*, passed in beside the matcher:
+//! [`contract_matching`] for plain CSR in RAM,
+//! [`SpillConfig::contract`](crate::SpillConfig::contract) for the
+//! compact/paged tiers.
 
-use kappa_graph::{CsrGraph, NodeId, Partition, PartitionState};
+use std::convert::Infallible;
+
+use kappa_graph::{CsrGraph, GraphAccess, Partition, PartitionState};
 use kappa_matching::{
-    compute_matching, parallel_matching, EdgeRating, MatchingAlgorithm, ParallelMatchingConfig,
+    compute_matching, parallel_matching, EdgeRating, Matching, MatchingAlgorithm,
+    ParallelMatchingConfig,
 };
 
 use crate::contract::{contract_matching, Contraction};
 
-/// Which matcher drives the coarsening.
+/// Which matcher drives [`MultilevelHierarchy::build`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatcherKind {
     /// A sequential matcher run on the whole level.
@@ -28,13 +39,11 @@ pub enum MatcherKind {
     },
 }
 
-/// Configuration of the coarsening phase.
+/// When coarsening stops and how its per-level seeds are derived — the one
+/// copy of that policy, shared by every hierarchy build and by the
+/// distributed coarsening loop.
 #[derive(Clone, Copy, Debug)]
 pub struct CoarseningConfig {
-    /// Edge rating used to prioritise contractions.
-    pub rating: EdgeRating,
-    /// Matching algorithm.
-    pub matcher: MatcherKind,
     /// Stop once the coarsest graph has at most this many nodes.
     pub stop_at_nodes: usize,
     /// Stop if a level shrinks the node count by less than this factor
@@ -49,8 +58,6 @@ pub struct CoarseningConfig {
 impl Default for CoarseningConfig {
     fn default() -> Self {
         CoarseningConfig {
-            rating: EdgeRating::ExpansionStar2,
-            matcher: MatcherKind::Sequential(MatchingAlgorithm::Gpa),
             stop_at_nodes: 64,
             min_shrink_factor: 0.02,
             max_levels: 64,
@@ -59,92 +66,107 @@ impl Default for CoarseningConfig {
     }
 }
 
-/// One level of the hierarchy below the finest graph.
-#[derive(Clone, Debug)]
-struct Level {
-    /// The coarse graph of this level.
-    graph: CsrGraph,
-    /// Mapping from the *previous* (finer) level's nodes to this level's nodes.
-    coarse_of: Vec<NodeId>,
+impl CoarseningConfig {
+    /// The matcher seed of the `level`-th contraction (0 = finest graph).
+    pub fn level_seed(&self, level: usize) -> u64 {
+        self.seed
+            .wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(level as u64)
+    }
+
+    /// True if a matching of `matched_pairs` pairs on a graph of `nodes`
+    /// nodes shrinks it too little to be worth another level.
+    pub fn stalls(&self, matched_pairs: usize, nodes: usize) -> bool {
+        let shrink = matched_pairs as f64 / nodes.max(1) as f64;
+        matched_pairs == 0 || shrink < self.min_shrink_factor
+    }
 }
 
 /// The full multilevel hierarchy: the finest (input) graph plus every coarser
-/// level produced by match-and-contract.
+/// level produced by match-and-contract, all on graph store `G`.
 #[derive(Clone, Debug)]
-pub struct MultilevelHierarchy {
-    finest: CsrGraph,
-    levels: Vec<Level>,
+pub struct MultilevelHierarchy<G = CsrGraph> {
+    finest: G,
+    /// Level `i + 1`: its graph and the mapping from level `i`'s nodes to it.
+    levels: Vec<Contraction<G>>,
 }
 
 impl MultilevelHierarchy {
-    /// Builds the hierarchy by repeated matching and contraction, using the
-    /// matcher configured in `config`.
-    pub fn build(finest: CsrGraph, config: &CoarseningConfig) -> Self {
-        let matcher_config = *config;
-        Self::build_with(finest, config, move |graph, seed| {
-            match matcher_config.matcher {
-                MatcherKind::Sequential(alg) => {
-                    compute_matching(graph, alg, matcher_config.rating, seed)
-                }
-                MatcherKind::Parallel { local, num_parts } => {
-                    let pconfig = ParallelMatchingConfig {
-                        num_parts,
-                        local_algorithm: local,
-                        rating: matcher_config.rating,
-                        seed,
-                    };
-                    parallel_matching(graph, None, &pconfig)
-                }
+    /// Builds an in-RAM hierarchy with one of the stock matchers and the
+    /// parallel [`contract_matching`].
+    pub fn build(
+        finest: CsrGraph,
+        matcher: MatcherKind,
+        rating: EdgeRating,
+        config: &CoarseningConfig,
+    ) -> Self {
+        let matcher = |graph: &CsrGraph, seed| match matcher {
+            MatcherKind::Sequential(alg) => compute_matching(graph, alg, rating, seed),
+            MatcherKind::Parallel { local, num_parts } => {
+                let pconfig = ParallelMatchingConfig {
+                    num_parts,
+                    local_algorithm: local,
+                    rating,
+                    seed,
+                };
+                parallel_matching(graph, None, &pconfig)
             }
-        })
+        };
+        let Ok(hierarchy) = Self::build_with(finest, config, matcher, |graph, matching, _| {
+            Ok::<_, Infallible>(contract_matching(graph, matching))
+        });
+        hierarchy
+    }
+}
+
+impl<G: GraphAccess> MultilevelHierarchy<G> {
+    /// A hierarchy of the finest graph alone.
+    pub fn flat(finest: G) -> Self {
+        MultilevelHierarchy {
+            finest,
+            levels: Vec::new(),
+        }
     }
 
-    /// Builds the hierarchy with a caller-supplied matcher, called once per
-    /// level with the current graph and a per-level seed. This is how the core
-    /// partitioner plugs in the geometric pre-partitioning of §3.3 without this
-    /// crate needing to know about coordinates.
-    pub fn build_with<F>(finest: CsrGraph, config: &CoarseningConfig, mut matcher: F) -> Self
-    where
-        F: FnMut(&CsrGraph, u64) -> kappa_matching::Matching,
-    {
-        let mut levels: Vec<Level> = Vec::new();
-        for level_idx in 0..config.max_levels {
+    /// The coarsening loop. `matcher` is called once per level with the
+    /// current graph and a per-level seed (this is how the core partitioner
+    /// plugs in the geometric pre-partitioning of §3.3 without this crate
+    /// knowing about coordinates); `contract` turns the matching into the
+    /// next level on store `G` and is told which level (1 = first coarse
+    /// graph) it is producing.
+    pub fn build_with<E>(
+        finest: G,
+        config: &CoarseningConfig,
+        mut matcher: impl FnMut(&G, u64) -> Matching,
+        mut contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
+    ) -> Result<Self, E> {
+        let mut hierarchy = Self::flat(finest);
+        for level in 0..config.max_levels {
             // Borrow the current (finest or last coarse) graph in place — no
             // per-level clone of the whole graph.
-            let current = levels.last().map(|l| &l.graph).unwrap_or(&finest);
+            let current = hierarchy.coarsest();
             if current.num_nodes() <= config.stop_at_nodes {
                 break;
             }
-            let seed = config
-                .seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(level_idx as u64);
-            let matching = matcher(current, seed);
-            let shrink = matching.cardinality() as f64 / current.num_nodes().max(1) as f64;
-            if matching.cardinality() == 0 || shrink < config.min_shrink_factor {
+            let matching = matcher(current, config.level_seed(level));
+            if config.stalls(matching.cardinality(), current.num_nodes()) {
                 break;
             }
-            let Contraction {
-                coarse_graph,
-                coarse_of,
-            } = contract_matching(current, &matching);
-            levels.push(Level {
-                graph: coarse_graph,
-                coarse_of,
-            });
+            let next = contract(current, &matching, level + 1)?;
+            hierarchy.levels.push(next);
         }
-        MultilevelHierarchy { finest, levels }
+        Ok(hierarchy)
     }
 
     /// The input (finest) graph.
-    pub fn finest(&self) -> &CsrGraph {
+    pub fn finest(&self) -> &G {
         &self.finest
     }
 
     /// The coarsest graph of the hierarchy (the finest graph if no contraction
     /// happened).
-    pub fn coarsest(&self) -> &CsrGraph {
-        self.levels.last().map(|l| &l.graph).unwrap_or(&self.finest)
+    pub fn coarsest(&self) -> &G {
+        self.graph_at(self.levels.len())
     }
 
     /// Number of graphs in the hierarchy (finest included).
@@ -153,12 +175,16 @@ impl MultilevelHierarchy {
     }
 
     /// The graph at `level` (0 = finest, `num_levels() - 1` = coarsest).
-    pub fn graph_at(&self, level: usize) -> &CsrGraph {
-        if level == 0 {
-            &self.finest
-        } else {
-            &self.levels[level - 1].graph
+    pub fn graph_at(&self, level: usize) -> &G {
+        match level {
+            0 => &self.finest,
+            _ => &self.levels[level - 1].coarse_graph,
         }
+    }
+
+    /// Every graph of the hierarchy, finest first.
+    pub fn graphs(&self) -> impl Iterator<Item = &G> {
+        (0..self.num_levels()).map(|level| self.graph_at(level))
     }
 
     /// Projects a partition of the graph at `level` one step down, onto the
@@ -168,8 +194,7 @@ impl MultilevelHierarchy {
     /// Panics if `level == 0`.
     pub fn project_one_level(&self, level: usize, partition: &Partition) -> Partition {
         assert!(level > 0, "cannot project below the finest level");
-        let coarse_of = &self.levels[level - 1].coarse_of;
-        partition.project(coarse_of)
+        partition.project(&self.levels[level - 1].coarse_of)
     }
 
     /// Projects a full [`PartitionState`] one level down, onto the graph at
@@ -183,8 +208,7 @@ impl MultilevelHierarchy {
     /// Panics if `level == 0`.
     pub fn project_state_one_level(&self, level: usize, state: &PartitionState) -> PartitionState {
         assert!(level > 0, "cannot project below the finest level");
-        let coarse_of = &self.levels[level - 1].coarse_of;
-        state.project(self.graph_at(level - 1), coarse_of)
+        state.project(self.graph_at(level - 1), &self.levels[level - 1].coarse_of)
     }
 
     /// Projects a partition of the coarsest graph all the way down to the
@@ -201,7 +225,7 @@ impl MultilevelHierarchy {
     /// Total node weight is invariant across levels; expose it for assertions.
     pub fn node_weight_invariant_holds(&self) -> bool {
         let w = self.finest.total_node_weight();
-        (0..self.num_levels()).all(|l| self.graph_at(l).total_node_weight() == w)
+        self.graphs().all(|g| g.total_node_weight() == w)
     }
 }
 
@@ -211,6 +235,11 @@ mod tests {
     use kappa_gen::grid::grid2d;
     use kappa_gen::rmat::rmat_graph;
 
+    fn build(g: CsrGraph, config: &CoarseningConfig) -> MultilevelHierarchy {
+        let matcher = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
+        MultilevelHierarchy::build(g, matcher, EdgeRating::ExpansionStar2, config)
+    }
+
     #[test]
     fn hierarchy_shrinks_to_target() {
         let g = grid2d(32, 32);
@@ -218,7 +247,7 @@ mod tests {
             stop_at_nodes: 40,
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g, &config);
+        let h = build(g, &config);
         assert!(h.num_levels() > 3);
         assert!(h.coarsest().num_nodes() <= 80); // grids halve nicely
         assert!(h.node_weight_invariant_holds());
@@ -235,7 +264,7 @@ mod tests {
             stop_at_nodes: 30,
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g, &config);
+        let h = build(g, &config);
         let coarsest = h.coarsest();
         let p = Partition::from_assignment(
             2,
@@ -254,7 +283,7 @@ mod tests {
             stop_at_nodes: 30,
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g, &config);
+        let h = build(g, &config);
         let coarsest = h.coarsest();
         let p = Partition::from_assignment(
             3,
@@ -279,13 +308,13 @@ mod tests {
         let g = grid2d(24, 24);
         let config = CoarseningConfig {
             stop_at_nodes: 40,
-            matcher: MatcherKind::Parallel {
-                local: MatchingAlgorithm::Gpa,
-                num_parts: 4,
-            },
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g, &config);
+        let matcher = MatcherKind::Parallel {
+            local: MatchingAlgorithm::Gpa,
+            num_parts: 4,
+        };
+        let h = MultilevelHierarchy::build(g, matcher, EdgeRating::ExpansionStar2, &config);
         assert!(h.coarsest().num_nodes() < 200);
         assert!(h.node_weight_invariant_holds());
     }
@@ -304,7 +333,7 @@ mod tests {
             min_shrink_factor: 0.05,
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g, &config);
+        let h = build(g, &config);
         assert!(h.num_levels() < 10);
         assert!(h.coarsest().num_nodes() > 5);
     }
@@ -316,7 +345,7 @@ mod tests {
             stop_at_nodes: 100,
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g.clone(), &config);
+        let h = build(g.clone(), &config);
         assert_eq!(h.num_levels(), 1);
         assert_eq!(h.coarsest().num_nodes(), g.num_nodes());
     }
@@ -328,7 +357,7 @@ mod tests {
             stop_at_nodes: 64,
             ..Default::default()
         };
-        let h = MultilevelHierarchy::build(g, &config);
+        let h = build(g, &config);
         assert!(h.node_weight_invariant_holds());
         for l in 0..h.num_levels() {
             assert!(h.graph_at(l).validate().is_ok(), "level {l} invalid");

@@ -13,12 +13,14 @@
 //! for every thread count.
 //!
 //! ```
-//! use kappa_coarsen::{CoarseningConfig, MultilevelHierarchy};
+//! use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
 //! use kappa_gen::grid::grid2d;
+//! use kappa_matching::{EdgeRating, MatchingAlgorithm};
 //!
 //! let g = grid2d(16, 16);
 //! let config = CoarseningConfig { stop_at_nodes: 32, ..Default::default() };
-//! let hierarchy = MultilevelHierarchy::build(g, &config);
+//! let matcher = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
+//! let hierarchy = MultilevelHierarchy::build(g, matcher, EdgeRating::ExpansionStar2, &config);
 //! assert!(hierarchy.coarsest().num_nodes() <= 64); // may stop early if matchings stall
 //! assert!(hierarchy.num_levels() >= 2);
 //! ```
@@ -32,4 +34,4 @@ pub mod tiered;
 
 pub use contract::{contract_matching, contract_matching_reference, Contraction};
 pub use hierarchy::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-pub use tiered::{contract_to_tier, SpillConfig, TierSpec, TieredContraction, TieredHierarchy};
+pub use tiered::{contract_to_tier, SpillConfig, TierSpec};

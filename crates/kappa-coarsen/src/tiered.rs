@@ -1,36 +1,29 @@
-//! Tiered coarsening: match-and-contract where every level lives on the
-//! storage tier its size warrants (spill mode of the memory tier).
+//! Contraction onto a storage tier: the coarse graph is streamed node by
+//! node into compact RAM ([`kappa_mem::CompactCsr`]) or a paged file
+//! ([`kappa_mem::PagedGraph`]), so the plain-CSR form of a fine level never
+//! exists.
 //!
-//! The classic [`MultilevelHierarchy`](crate::MultilevelHierarchy) keeps all
-//! levels as plain CSR in RAM. For table-5-class instances the finest one or
-//! two levels dominate the footprint, so [`TieredHierarchy`] contracts
-//! **level by level from whatever tier the fine graph occupies** and writes
-//! each coarse graph either to disk ([`kappa_mem::PagedGraph`]) while it is still big,
-//! or into compact RAM ([`kappa_mem::CompactCsr`]) once it shrinks below a threshold —
-//! the full plain-CSR form of a fine level never exists.
-//!
-//! [`contract_to_tier`] replicates [`contract_matching`](crate::contract_matching)'s semantics exactly
-//! (same coarse-id assignment, same per-node merged adjacency, summed node
-//! weights, averaged coordinates where kept), so for the same matching the
-//! coarse graph decodes bit-identically on every tier — the workspace parity
-//! suite runs whole partitions across tiers to prove it.
+//! [`contract_to_tier`] is built from the same coarse-id assignment and row
+//! merge as [`contract_matching`](crate::contract_matching), so for the same
+//! matching the coarse graph decodes bit-identically on every tier — the
+//! workspace parity suite runs whole partitions across tiers to prove it.
+//! [`SpillConfig::contract`] is the contraction step a
+//! [`MultilevelHierarchy`](crate::MultilevelHierarchy) over
+//! [`TierGraph`] is built with: it sends each coarse level to disk while it
+//! is still big and to compact RAM once it has shrunk.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use kappa_graph::{
-    CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight, PartitionState, INVALID_NODE,
-};
+use kappa_graph::{EdgeWeight, GraphAccess, NodeId, NodeWeight};
 use kappa_matching::Matching;
 use kappa_mem::paged::PagedWriter;
 use kappa_mem::{CompactWriter, PageCacheConfig, TierGraph};
 
-use crate::hierarchy::CoarseningConfig;
+use crate::contract::{assign_coarse_ids, merged_node, merged_row, Contraction};
 
 /// Where a contraction result should be stored.
 pub enum TierSpec<'a> {
-    /// Plain CSR arrays in RAM.
-    Ram,
     /// Delta-varint arena in RAM.
     Compact,
     /// Paged file at the given path.
@@ -42,154 +35,64 @@ pub enum TierSpec<'a> {
     },
 }
 
-/// The result of a tiered contraction.
-pub struct TieredContraction {
-    /// The coarse graph, on the requested tier.
-    pub coarse: TierGraph,
-    /// `coarse_of[v]` is the coarse node fine node `v` merged into.
-    pub coarse_of: Vec<NodeId>,
-}
-
 /// Contracts `matching` in `fine`, emitting the coarse graph to `spec`.
 ///
-/// Mirrors [`contract_matching`](crate::contract_matching)(crate::contract_matching) node for node:
-/// matched pairs share the coarse id assigned at the smaller endpoint, each
-/// coarse node's adjacency is the merged (sorted, parallel-edges-summed,
-/// self-loops-dropped) union of its fine nodes' lists, node weights are
-/// summed and coordinates averaged. The `Paged` tier drops coordinates by
-/// contract; everything else is representation-independent.
+/// Node for node the graph [`contract_matching`](crate::contract_matching)
+/// builds: matched pairs share the coarse id assigned at the smaller
+/// endpoint, each coarse node's adjacency is the merged (sorted,
+/// parallel-edges-summed, self-loops-dropped) union of its fine nodes' lists,
+/// node weights are summed and coordinates averaged. The `Paged` tier drops
+/// coordinates by contract; everything else is representation-independent.
 pub fn contract_to_tier<G: GraphAccess>(
     fine: &G,
     matching: &Matching,
     spec: TierSpec<'_>,
-) -> io::Result<TieredContraction> {
-    let n = fine.num_nodes();
-    debug_assert_eq!(matching.num_nodes(), n);
-
-    // Phase 1: coarse-id assignment, identical to contract_matching.
-    let mut coarse_of = vec![NodeId::MAX; n];
-    let mut reps: Vec<(NodeId, NodeId)> = Vec::with_capacity(n);
-    for v in fine.nodes() {
-        if coarse_of[v as usize] != NodeId::MAX {
-            continue;
-        }
-        let next_id = reps.len() as NodeId;
-        match matching.partner_of(v) {
-            Some(p) if p > v => {
-                coarse_of[v as usize] = next_id;
-                coarse_of[p as usize] = next_id;
-                reps.push((v, p));
-            }
-            Some(_) => unreachable!("partner < v must already have been assigned"),
-            None => {
-                coarse_of[v as usize] = next_id;
-                reps.push((v, INVALID_NODE));
-            }
-        }
-    }
+) -> io::Result<Contraction<TierGraph>> {
+    let (coarse_of, reps) = assign_coarse_ids(fine, matching);
     let coarse_n = reps.len();
-    let fine_coords = fine.coords();
 
-    // Phase 2: stream coarse nodes in ascending id order into the sink.
-    // Coarse graphs are generically weighted (merged parallel edges), so the
-    // compact/paged encodings always store weights explicitly.
+    // Coarse nodes stream into the sink in ascending id order. Coarse graphs
+    // are generically weighted (merged parallel edges), so both encodings
+    // store weights explicitly.
     enum Sink {
-        Ram {
-            xadj: Vec<usize>,
-            adjncy: Vec<NodeId>,
-            adjwgt: Vec<EdgeWeight>,
-        },
         Compact(CompactWriter),
         Paged(PagedWriter, PageCacheConfig),
     }
-    let mut sink = match spec {
-        TierSpec::Ram => Sink::Ram {
-            xadj: {
-                let mut x = Vec::with_capacity(coarse_n + 1);
-                x.push(0);
-                x
-            },
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-        },
-        TierSpec::Compact => Sink::Compact(CompactWriter::new(coarse_n, true)),
-        TierSpec::Paged { path, cache } => {
-            Sink::Paged(PagedWriter::create(path, coarse_n, true)?, cache)
-        }
+    let (mut sink, kept_coords) = match spec {
+        TierSpec::Compact => (
+            Sink::Compact(CompactWriter::new(coarse_n, true)),
+            fine.coords(),
+        ),
+        TierSpec::Paged { path, cache } => (
+            Sink::Paged(PagedWriter::create(path, coarse_n, true)?, cache),
+            None,
+        ),
     };
 
     let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
-    let keep_coords = fine_coords.is_some() && !matches!(sink, Sink::Paged(..));
-    let mut coords: Option<Vec<[f64; 2]>> = keep_coords.then(|| Vec::with_capacity(coarse_n));
-    let mut scratch: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    let mut merged: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for &(u, p) in &reps {
-        let c = coarse_of[u as usize];
-        scratch.clear();
-        fine.for_each_edge(u, |v, w| {
-            let cv = coarse_of[v as usize];
-            if cv != c {
-                scratch.push((cv, w));
-            }
-        });
-        if p != INVALID_NODE {
-            fine.for_each_edge(p, |v, w| {
-                let cv = coarse_of[v as usize];
-                if cv != c {
-                    scratch.push((cv, w));
-                }
-            });
-        }
-        scratch.sort_unstable_by_key(|&(t, _)| t);
-        merged.clear();
-        for &(t, w) in scratch.iter() {
-            match merged.last_mut() {
-                Some(last) if last.0 == t => last.1 += w,
-                _ => merged.push((t, w)),
-            }
-        }
+    let mut coords = kept_coords.map(|_| Vec::with_capacity(coarse_n));
+    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+    for &reps in &reps {
+        merged_row(fine, &coarse_of, reps, &mut row);
         match &mut sink {
-            Sink::Ram {
-                xadj,
-                adjncy,
-                adjwgt,
-            } => {
-                for &(t, w) in &merged {
-                    adjncy.push(t);
-                    adjwgt.push(w);
-                }
-                xadj.push(adjncy.len());
-            }
-            Sink::Compact(w) => w.push_node(&merged),
-            Sink::Paged(w, _) => w.push_node(&merged)?,
+            Sink::Compact(w) => w.push_node(&row),
+            Sink::Paged(w, _) => w.push_node(&row)?,
         }
-        let mut weight = fine.node_weight(u);
-        if p != INVALID_NODE {
-            weight += fine.node_weight(p);
-        }
+        let (weight, coord) = merged_node(fine, kept_coords, reps);
         vwgt.push(weight);
-        if let (Some(out), Some(all)) = (&mut coords, fine_coords) {
-            let cu = all[u as usize];
-            let (sum, count) = if p != INVALID_NODE {
-                let cp = all[p as usize];
-                ([cu[0] + cp[0], cu[1] + cp[1]], 2.0)
-            } else {
-                (cu, 1.0)
-            };
-            out.push([sum[0] / count, sum[1] / count]);
+        if let (Some(out), Some(coord)) = (&mut coords, coord) {
+            out.push(coord);
         }
     }
 
-    let coarse = match sink {
-        Sink::Ram {
-            xadj,
-            adjncy,
-            adjwgt,
-        } => TierGraph::Ram(CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, coords)),
+    let coarse_graph = match sink {
         Sink::Compact(w) => TierGraph::Compact(w.finish(Some(vwgt), coords)),
         Sink::Paged(w, cache) => TierGraph::Paged(w.finish(Some(vwgt), cache)?),
     };
-    Ok(TieredContraction { coarse, coarse_of })
+    Ok(Contraction {
+        coarse_graph,
+        coarse_of,
+    })
 }
 
 /// Spill policy: where each coarse level goes.
@@ -216,125 +119,30 @@ impl SpillConfig {
             cache: PageCacheConfig::default(),
         }
     }
-}
 
-/// One coarse level of the tiered hierarchy.
-struct TieredLevel {
-    graph: TierGraph,
-    coarse_of: Vec<NodeId>,
-}
-
-/// A multilevel hierarchy whose levels live on mixed storage tiers.
-///
-/// The control flow — stop conditions, per-level seed mixing, shrink guard —
-/// is a line-for-line replica of
-/// [`MultilevelHierarchy::build_with`](crate::MultilevelHierarchy::build_with),
-/// so a tiered run performs the same matchings on the same graphs as the
-/// classic path and the hierarchies are structurally identical.
-pub struct TieredHierarchy {
-    finest: TierGraph,
-    levels: Vec<TieredLevel>,
-}
-
-impl TieredHierarchy {
-    /// Builds the hierarchy with a caller-supplied matcher (called once per
-    /// level with the current graph and a per-level seed), spilling each
-    /// coarse level per `spill`.
-    pub fn build_with<F>(
-        finest: TierGraph,
-        config: &CoarseningConfig,
-        spill: &SpillConfig,
-        mut matcher: F,
-    ) -> io::Result<Self>
-    where
-        F: FnMut(&TierGraph, u64) -> Matching,
-    {
-        std::fs::create_dir_all(&spill.spill_dir)?;
-        let mut levels: Vec<TieredLevel> = Vec::new();
-        for level_idx in 0..config.max_levels {
-            let current = levels.last().map(|l| &l.graph).unwrap_or(&finest);
-            if current.num_nodes() <= config.stop_at_nodes {
-                break;
-            }
-            let seed = config
-                .seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(level_idx as u64);
-            let matching = matcher(current, seed);
-            let shrink = matching.cardinality() as f64 / current.num_nodes().max(1) as f64;
-            if matching.cardinality() == 0 || shrink < config.min_shrink_factor {
-                break;
-            }
-            let spill_path = spill.spill_dir.join(format!("level-{}.kpg", level_idx + 1));
-            let spec = if current.num_half_edges() > spill.spill_above_half_edges {
-                TierSpec::Paged {
-                    path: &spill_path,
-                    cache: spill.cache,
-                }
-            } else {
-                TierSpec::Compact
-            };
-            let TieredContraction {
-                mut coarse,
-                coarse_of,
-            } = contract_to_tier(current, &matching, spec)?;
-            if let TierGraph::Paged(g) = &mut coarse {
-                g.set_delete_on_drop(true);
-            }
-            levels.push(TieredLevel {
-                graph: coarse,
-                coarse_of,
-            });
+    /// Contracts `matching` in `fine` into hierarchy level `level` on the
+    /// tier this policy assigns it: a delete-on-drop paged file
+    /// `level-<level>.kpg` while `fine` is above the threshold, compact RAM
+    /// below it.
+    pub fn contract(
+        &self,
+        fine: &TierGraph,
+        matching: &Matching,
+        level: usize,
+    ) -> io::Result<Contraction<TierGraph>> {
+        if fine.num_half_edges() <= self.spill_above_half_edges {
+            return contract_to_tier(fine, matching, TierSpec::Compact);
         }
-        Ok(TieredHierarchy { finest, levels })
-    }
-
-    /// The input (finest) graph.
-    pub fn finest(&self) -> &TierGraph {
-        &self.finest
-    }
-
-    /// The coarsest graph (the finest if no contraction happened).
-    pub fn coarsest(&self) -> &TierGraph {
-        self.levels.last().map(|l| &l.graph).unwrap_or(&self.finest)
-    }
-
-    /// Number of graphs in the hierarchy (finest included).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len() + 1
-    }
-
-    /// The graph at `level` (0 = finest).
-    pub fn graph_at(&self, level: usize) -> &TierGraph {
-        if level == 0 {
-            &self.finest
-        } else {
-            &self.levels[level - 1].graph
+        std::fs::create_dir_all(&self.spill_dir)?;
+        let spec = TierSpec::Paged {
+            path: &self.spill_dir.join(format!("level-{level}.kpg")),
+            cache: self.cache,
+        };
+        let mut contraction = contract_to_tier(fine, matching, spec)?;
+        if let TierGraph::Paged(g) = &mut contraction.coarse_graph {
+            g.set_delete_on_drop(true);
         }
-    }
-
-    /// Storage tier of every level, finest first — for logs and tests.
-    pub fn tier_names(&self) -> Vec<&'static str> {
-        (0..self.num_levels())
-            .map(|l| self.graph_at(l).tier_name())
-            .collect()
-    }
-
-    /// Projects a full [`PartitionState`] one level down (seeded index
-    /// projection, same as the classic hierarchy).
-    ///
-    /// # Panics
-    /// Panics if `level == 0`.
-    pub fn project_state_one_level(&self, level: usize, state: &PartitionState) -> PartitionState {
-        assert!(level > 0, "cannot project below the finest level");
-        let coarse_of = &self.levels[level - 1].coarse_of;
-        state.project(self.graph_at(level - 1), coarse_of)
-    }
-
-    /// Total node weight must be invariant across levels.
-    pub fn node_weight_invariant_holds(&self) -> bool {
-        let w = self.finest.total_node_weight();
-        (0..self.num_levels()).all(|l| self.graph_at(l).total_node_weight() == w)
+        Ok(contraction)
     }
 }
 
@@ -342,6 +150,7 @@ impl TieredHierarchy {
 mod tests {
     use super::*;
     use crate::contract::contract_matching;
+    use crate::hierarchy::{CoarseningConfig, MultilevelHierarchy};
     use kappa_matching::{compute_matching, EdgeRating, MatchingAlgorithm};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -356,15 +165,11 @@ mod tests {
         let m = compute_matching(&g, MatchingAlgorithm::Gpa, EdgeRating::ExpansionStar2, 5);
         let classic = contract_matching(&g, &m);
 
-        let ram = contract_to_tier(&g, &m, TierSpec::Ram).unwrap();
-        assert_eq!(ram.coarse_of, classic.coarse_of);
-        assert_eq!(ram.coarse.as_ram().unwrap(), &classic.coarse_graph);
-
         let compact = contract_to_tier(&g, &m, TierSpec::Compact).unwrap();
         assert_eq!(compact.coarse_of, classic.coarse_of);
         // Compact keeps coordinates; decoding must reproduce the classic
         // coarse graph including the averaged floats.
-        assert_eq!(compact.coarse.to_csr(), classic.coarse_graph);
+        assert_eq!(compact.coarse_graph.to_csr(), classic.coarse_graph);
 
         let dir = tmpdir("contract");
         std::fs::create_dir_all(&dir).unwrap();
@@ -382,10 +187,13 @@ mod tests {
         // Paged drops coordinates; everything else must decode identically.
         let mut want = classic.coarse_graph.clone();
         want.set_coords(None);
-        assert_eq!(paged.coarse.to_csr(), want);
+        assert_eq!(paged.coarse_graph.to_csr(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The cross-store check of the single coarsening loop: the same matcher
+    /// over plain CSR and over a paged finest graph with spilling levels
+    /// yields the same level count and the same decoded graphs.
     #[test]
     fn tiered_hierarchy_mirrors_classic_levels() {
         let g = kappa_gen::grid::grid2d(40, 40);
@@ -393,9 +201,13 @@ mod tests {
             stop_at_nodes: 50,
             ..Default::default()
         };
-        let classic = crate::MultilevelHierarchy::build_with(g.clone(), &config, |gr, seed| {
-            compute_matching(gr, MatchingAlgorithm::Gpa, config.rating, seed)
-        });
+        let rating = EdgeRating::ExpansionStar2;
+        let classic = MultilevelHierarchy::build(
+            g.clone(),
+            crate::MatcherKind::Sequential(MatchingAlgorithm::Gpa),
+            rating,
+            &config,
+        );
         let dir = tmpdir("hier");
         std::fs::create_dir_all(&dir).unwrap();
         let spill = SpillConfig {
@@ -407,24 +219,21 @@ mod tests {
                 cache_pages: 16,
             },
         };
-        let tiered = TieredHierarchy::build_with(
-            TierGraph::Paged(
-                kappa_mem::PagedGraph::from_graph(
-                    &g,
-                    &spill.spill_dir.join("finest.kpg"),
-                    spill.cache,
-                )
+        let finest = TierGraph::Paged(
+            kappa_mem::PagedGraph::from_graph(&g, &spill.spill_dir.join("finest.kpg"), spill.cache)
                 .unwrap(),
-            ),
+        );
+        let tiered = MultilevelHierarchy::build_with(
+            finest,
             &config,
-            &spill,
-            |gr, seed| compute_matching(gr, MatchingAlgorithm::Gpa, config.rating, seed),
+            |gr, seed| compute_matching(gr, MatchingAlgorithm::Gpa, rating, seed),
+            |gr, m, level| spill.contract(gr, m, level),
         )
         .unwrap();
 
         assert_eq!(tiered.num_levels(), classic.num_levels());
         assert!(tiered.node_weight_invariant_holds());
-        let tiers = tiered.tier_names();
+        let tiers: Vec<_> = tiered.graphs().map(TierGraph::tier_name).collect();
         assert_eq!(tiers[0], "paged");
         assert!(
             tiers.contains(&"compact"),

@@ -17,8 +17,10 @@
 //! depth 20, patience 30 %, many repetitions over three edge ratings (the
 //! repetition loop lives in the experiment harness, not here).
 
+use kappa_coarsen::CoarseningConfig;
+use kappa_initial::{InitialAlgorithm, InitialPartitionConfig};
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
-use kappa_refine::QueueSelection;
+use kappa_refine::{QueueSelection, RefinementConfig};
 use serde::{Deserialize, Serialize};
 
 /// Named parameter presets (Table 2).
@@ -196,6 +198,55 @@ impl KappaConfig {
     pub fn contraction_stop_nodes(&self, n: usize) -> usize {
         let per_pe = (n as f64 / (self.contraction_alpha * (self.k as f64).powi(2))).ceil();
         (self.k as usize) * (per_pe.max(20.0) as usize)
+    }
+
+    // The pipeline policy: how every driver — shared-memory, memory-tiered,
+    // distributed — derives its three phase configurations from this one.
+
+    /// Coarsening policy for an input of `n` nodes: stop at
+    /// [`contraction_stop_nodes`](Self::contraction_stop_nodes) but never
+    /// below `2k` nodes; the shrink guard and level cap are the defaults.
+    pub fn coarsening(&self, n: usize) -> CoarseningConfig {
+        CoarseningConfig {
+            stop_at_nodes: self
+                .contraction_stop_nodes(n)
+                .max(2 * self.k.max(1) as usize),
+            seed: self.seed,
+            ..Default::default()
+        }
+    }
+
+    /// Initial partitioning of the coarsest graph by a PE that runs `pes`
+    /// times the configured repeats and explores seed window number `window`.
+    /// The shared-memory pipeline is one PE with window 0 and `pes` = its
+    /// thread count; rank `r` of the distributed pipeline has `pes` = 1 and
+    /// window `r`, so rank 0 draws exactly the one-thread seeds.
+    pub fn initial_partitioning(&self, pes: usize, window: usize) -> InitialPartitionConfig {
+        let repeats = self.initial_repeats.max(1) * pes;
+        InitialPartitionConfig {
+            k: self.k.max(1),
+            epsilon: self.epsilon,
+            algorithm: InitialAlgorithm::GreedyGrowing,
+            repeats,
+            seed: self
+                .seed
+                .wrapping_add(0xC0A2)
+                .wrapping_add(window as u64 * repeats as u64),
+        }
+    }
+
+    /// Refinement configuration, identical on every level and every driver.
+    pub fn refinement(&self) -> RefinementConfig {
+        RefinementConfig {
+            epsilon: self.epsilon,
+            bfs_depth: self.bfs_depth,
+            max_global_iterations: self.max_global_iterations,
+            local_iterations: self.local_iterations,
+            stop_after_no_change: self.stop_after_no_change,
+            queue_selection: self.queue_selection,
+            patience_alpha: self.fm_patience,
+            seed: self.seed.wrapping_add(0x5EF1),
+        }
     }
 }
 

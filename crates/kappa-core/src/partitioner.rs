@@ -1,13 +1,20 @@
 //! The KaPPa multilevel pipeline: parallel coarsening → repeated initial
 //! partitioning → parallel pairwise refinement during uncoarsening.
+//!
+//! The scheme exists once, in the private `multilevel`, generic over the
+//! graph store. [`KappaPartitioner::partition`] and
+//! [`partition_tiered`](crate::partition_tiered) are its two callers; each
+//! supplies a matcher, a contraction step and a repeats multiplier.
 
+use std::borrow::Cow;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-use kappa_graph::{CsrGraph, Partition, PartitionState};
-use kappa_initial::{best_of_repeats, InitialAlgorithm, InitialPartitionConfig};
-use kappa_matching::{parallel_matching, ParallelMatchingConfig};
-use kappa_refine::{refine_partition, RefinementConfig, RefinementStats};
+use kappa_coarsen::{contract_matching, Contraction, MultilevelHierarchy};
+use kappa_graph::{CsrGraph, GraphAccess, Partition, PartitionState};
+use kappa_initial::best_of_repeats;
+use kappa_matching::{parallel_matching, Matching, ParallelMatchingConfig};
+use kappa_refine::{refine_partition, RefinementStats};
 
 use crate::config::KappaConfig;
 use crate::metrics::PartitionMetrics;
@@ -91,146 +98,146 @@ impl KappaPartitioner {
         }
     }
 
+    /// The in-RAM run: the parallel matcher of §3.3 over a geometric
+    /// pre-partition, the parallel fragment contraction, and initial
+    /// repeats multiplied by the number of PEs.
     fn partition_inner(&self, graph: &CsrGraph) -> PartitionResult {
         let config = &self.config;
-        // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
-        let start = Instant::now();
-        let k = config.k.max(1);
-        let n = graph.num_nodes();
-
-        // Degenerate inputs: fewer nodes than blocks, k == 1, empty graph.
-        if n == 0 || k == 1 {
-            let partition = Partition::trivial(k, n);
-            let runtime = start.elapsed();
-            return PartitionResult {
-                metrics: PartitionMetrics::measure(graph, &partition, config.epsilon, runtime),
-                partition,
-                timings: PhaseTimings::default(),
-                hierarchy_levels: 1,
-                coarsest_nodes: n,
-                refinement: RefinementStats::default(),
-                boundary_full_builds: 0,
-                quotient_full_scans: 0,
-            };
-        }
-
-        // --- Phase 1: contraction (parallel matching + contraction). ---
-        // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
-        let coarsen_start = Instant::now();
-        let num_parts = if config.num_threads > 0 {
-            config.num_threads
-        } else {
-            rayon::current_num_threads()
+        let num_parts = match config.num_threads {
+            0 => rayon::current_num_threads(),
+            threads => threads,
         };
-        let stop_at_nodes = config.contraction_stop_nodes(n).max(2 * k as usize);
-        let coarsen_config = CoarseningConfig {
-            rating: config.rating,
-            matcher: MatcherKind::Parallel {
-                local: config.matching,
+        let matcher = |level_graph: &CsrGraph, seed| {
+            // Geometric pre-partitioning (recursive coordinate bisection)
+            // when coordinates exist; index ranges otherwise (§3.3).
+            let prepart = coordinate_prepartition(level_graph, num_parts);
+            let pconfig = ParallelMatchingConfig {
                 num_parts,
-            },
-            stop_at_nodes,
-            min_shrink_factor: 0.02,
-            max_levels: 64,
-            seed: config.seed,
+                local_algorithm: config.matching,
+                rating: config.rating,
+                seed,
+            };
+            parallel_matching(level_graph, Some(&prepart), &pconfig)
         };
-        let matching_algorithm = config.matching;
-        let rating = config.rating;
-        let hierarchy = MultilevelHierarchy::build_with(
-            graph.clone(),
-            &coarsen_config,
-            move |level_graph, seed| {
-                // Geometric pre-partitioning (recursive coordinate bisection)
-                // when coordinates exist; index ranges otherwise (§3.3).
-                let prepart = coordinate_prepartition(level_graph, num_parts);
-                let pconfig = ParallelMatchingConfig {
-                    num_parts,
-                    local_algorithm: matching_algorithm,
-                    rating,
-                    seed,
-                };
-                parallel_matching(level_graph, Some(&prepart), &pconfig)
-            },
+        let contract = |level_graph: &CsrGraph, matching: &Matching, _level| {
+            Ok::<_, Infallible>(contract_matching(level_graph, matching))
+        };
+        let Ok((result, _)) = multilevel(
+            config,
+            || graph.clone(),
+            num_parts,
+            matcher,
+            contract,
+            |coarsest| Cow::Borrowed(coarsest),
         );
-        let coarsening_time = coarsen_start.elapsed();
-
-        // --- Phase 2: initial partitioning of the coarsest graph. ---
-        // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
-        let initial_start = Instant::now();
-        let coarsest = hierarchy.coarsest();
-        let initial_config = InitialPartitionConfig {
-            k,
-            epsilon: config.epsilon,
-            algorithm: InitialAlgorithm::GreedyGrowing,
-            repeats: config.initial_repeats.max(1) * num_parts,
-            seed: config.seed.wrapping_add(0xC0A2),
-        };
-        let current = best_of_repeats(coarsest, &initial_config);
-        let initial_time = initial_start.elapsed();
-
-        // --- Phase 3: uncoarsening with pairwise parallel refinement. ---
-        // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
-        let refine_start = Instant::now();
-        let refinement_config = RefinementConfig {
-            epsilon: config.epsilon,
-            bfs_depth: config.bfs_depth,
-            max_global_iterations: config.max_global_iterations,
-            local_iterations: config.local_iterations,
-            stop_after_no_change: config.stop_after_no_change,
-            queue_selection: config.queue_selection,
-            patience_alpha: config.fm_patience,
-            seed: config.seed.wrapping_add(0x5EF1),
-        };
-        let mut refinement = RefinementStats::default();
-
-        // One persistent PartitionState for the whole uncoarsening: built in
-        // full exactly once (here, at the coarsest level — the only O(n + m)
-        // boundary-index build of the run), then refined, projected with a
-        // seeded index, and refined again level by level. Refinement and
-        // rebalancing receive it current and return it current.
-        let coarsest_level = hierarchy.num_levels() - 1;
-        let mut state = PartitionState::build(hierarchy.graph_at(coarsest_level), current);
-        let stats = refine_partition(
-            hierarchy.graph_at(coarsest_level),
-            &mut state,
-            &refinement_config,
-        );
-        accumulate(&mut refinement, &stats);
-        for level in (1..hierarchy.num_levels()).rev() {
-            state = hierarchy.project_state_one_level(level, &state);
-            let fine_graph = hierarchy.graph_at(level - 1);
-            let stats = refine_partition(fine_graph, &mut state, &refinement_config);
-            accumulate(&mut refinement, &stats);
-        }
-        let refinement_time = refine_start.elapsed();
-
-        let runtime = start.elapsed();
-        let boundary_full_builds = state.full_builds();
-        let refinement_stats_scans = refinement.quotient_full_scans;
-        let current = state.into_partition();
-        PartitionResult {
-            metrics: PartitionMetrics::measure(graph, &current, config.epsilon, runtime),
-            partition: current,
-            timings: PhaseTimings {
-                coarsening: coarsening_time,
-                initial_partitioning: initial_time,
-                refinement: refinement_time,
-            },
-            hierarchy_levels: hierarchy.num_levels(),
-            coarsest_nodes: hierarchy.coarsest().num_nodes(),
-            refinement,
-            boundary_full_builds,
-            quotient_full_scans: refinement_stats_scans,
-        }
+        result
     }
 }
 
-fn accumulate(total: &mut RefinementStats, delta: &RefinementStats) {
-    total.total_gain += delta.total_gain;
-    total.global_iterations += delta.global_iterations;
-    total.pair_searches += delta.pair_searches;
-    total.nodes_moved += delta.nodes_moved;
-    total.quotient_full_scans += delta.quotient_full_scans;
+/// The multilevel scheme (paper §2–§5) on graph store `G`: contract by
+/// matchings until the graph is small, partition the coarsest graph
+/// repeatedly, then uncoarsen with pairwise refinement on every level.
+///
+/// The caller supplies what differs between stores and entry points:
+/// `matcher` (level graph, level seed → matching), `contract` (how a
+/// matching becomes the next level on `G`), `pes` (the multiplier of the
+/// configured initial repeats) and `as_csr` (the coarsest graph as plain CSR
+/// for the initial partitioner — borrowed where `G` already is one).
+/// `finest` is a closure so that producing the owned input (the RAM path
+/// clones its borrowed graph) stays inside the reported runtime. Returns the
+/// hierarchy beside the result so a caller can report on it.
+pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
+    config: &KappaConfig,
+    finest: impl FnOnce() -> G,
+    pes: usize,
+    matcher: impl FnMut(&G, u64) -> Matching,
+    contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
+    as_csr: impl Fn(&G) -> Cow<'_, CsrGraph>,
+) -> Result<(PartitionResult, MultilevelHierarchy<G>), E> {
+    // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
+    let start = Instant::now();
+    let finest = finest();
+    let k = config.k.max(1);
+    let n = finest.num_nodes();
+
+    // Degenerate inputs (empty graph, k == 1) have one trivial answer.
+    if n == 0 || k == 1 {
+        let partition = Partition::trivial(k, n);
+        let result = PartitionResult {
+            metrics: PartitionMetrics::measure(
+                &finest,
+                &partition,
+                config.epsilon,
+                start.elapsed(),
+            ),
+            partition,
+            timings: PhaseTimings::default(),
+            hierarchy_levels: 1,
+            coarsest_nodes: n,
+            refinement: RefinementStats::default(),
+            boundary_full_builds: 0,
+            quotient_full_scans: 0,
+        };
+        return Ok((result, MultilevelHierarchy::flat(finest)));
+    }
+
+    // --- Phase 1: contraction (matching + contraction per level). ---
+    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
+    let coarsen_start = Instant::now();
+    let hierarchy =
+        MultilevelHierarchy::build_with(finest, &config.coarsening(n), matcher, contract)?;
+    let coarsening = coarsen_start.elapsed();
+
+    // --- Phase 2: initial partitioning of the coarsest graph. ---
+    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
+    let initial_start = Instant::now();
+    let coarsest = hierarchy.coarsest();
+    let initial = best_of_repeats(&as_csr(coarsest), &config.initial_partitioning(pes, 0));
+    let initial_partitioning = initial_start.elapsed();
+
+    // --- Phase 3: uncoarsening with pairwise parallel refinement. ---
+    // One persistent PartitionState for the whole uncoarsening: built in
+    // full exactly once (here, at the coarsest level — the only O(n + m)
+    // boundary-index build of the run), then refined, projected with a
+    // seeded index, and refined again level by level. Refinement and
+    // rebalancing receive it current and return it current.
+    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
+    let refine_start = Instant::now();
+    let refinement_config = config.refinement();
+    let mut state = PartitionState::build(coarsest, initial);
+    let mut refinement = refine_partition(coarsest, &mut state, &refinement_config);
+    for level in (1..hierarchy.num_levels()).rev() {
+        state = hierarchy.project_state_one_level(level, &state);
+        refinement += refine_partition(
+            hierarchy.graph_at(level - 1),
+            &mut state,
+            &refinement_config,
+        );
+    }
+    let timings = PhaseTimings {
+        coarsening,
+        initial_partitioning,
+        refinement: refine_start.elapsed(),
+    };
+
+    let boundary_full_builds = state.full_builds();
+    let partition = state.into_partition();
+    let result = PartitionResult {
+        metrics: PartitionMetrics::measure(
+            hierarchy.finest(),
+            &partition,
+            config.epsilon,
+            start.elapsed(),
+        ),
+        partition,
+        timings,
+        hierarchy_levels: hierarchy.num_levels(),
+        coarsest_nodes: coarsest.num_nodes(),
+        refinement,
+        boundary_full_builds,
+        quotient_full_scans: refinement.quotient_full_scans,
+    };
+    Ok((result, hierarchy))
 }
 
 #[cfg(test)]
@@ -280,18 +287,6 @@ mod tests {
             strong <= minimal * 1.10,
             "strong {strong} much worse than minimal {minimal}"
         );
-    }
-
-    #[test]
-    fn k_one_and_tiny_graphs() {
-        let g = grid2d(3, 3);
-        let r = KappaPartitioner::new(KappaConfig::fast(1)).partition(&g);
-        assert_eq!(r.metrics.edge_cut, 0);
-        let r = KappaPartitioner::new(KappaConfig::fast(4)).partition(&g);
-        assert!(r.partition.validate(&g).is_ok());
-        let empty = CsrGraph::empty();
-        let r = KappaPartitioner::new(KappaConfig::fast(4)).partition(&empty);
-        assert_eq!(r.partition.num_nodes(), 0);
     }
 
     #[test]

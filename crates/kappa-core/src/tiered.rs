@@ -1,42 +1,37 @@
-//! The memory-tiered pipeline: the full multilevel partitioner running on
-//! compact or paged graph storage (`--memory-tier {ram,compact,paged}`).
+//! The memory-tiered entry point: the multilevel pipeline running on compact
+//! or paged graph storage (`--memory-tier {ram,compact,paged}`).
 //!
-//! [`partition_tiered`] mirrors the classic
-//! [`KappaPartitioner`](crate::KappaPartitioner) phase for phase — same stop
-//! threshold, same per-level seed mixing, same initial-partitioning repeats
-//! and seeds, same refinement configuration — with two deliberate
-//! differences:
+//! [`partition_tiered`] runs the same driver as
+//! [`KappaPartitioner`](crate::KappaPartitioner) and differs from it in what
+//! it hands that driver:
 //!
 //! 1. **Sequential matching.** The parallel matcher of §3.3 needs the whole
 //!    level's rated edge list and (optionally) coordinates; both clash with
 //!    out-of-core storage. The tiered path always matches sequentially,
-//!    which is *exactly* what the classic path does at `num_threads = 1`
+//!    which is *exactly* what the in-RAM path does at `num_threads = 1`
 //!    (the parallel matcher short-circuits to [`compute_matching`] for one
-//!    part). Hence the acceptance invariant, asserted in `tests/mem.rs`:
-//!    for the same seed and preset, a paged run is **bit-identical** to the
-//!    classic in-RAM run at one thread.
-//! 2. **Spilled hierarchy.** Fine levels live on disk, mid levels in compact
-//!    RAM ([`TieredHierarchy`]); only the coarsest level is decoded to plain
-//!    CSR for the initial partitioner.
+//!    part), and likewise runs the configured initial repeats once. Hence
+//!    the acceptance invariant, asserted in `tests/mem.rs`: for the same
+//!    seed and preset, a paged run is **bit-identical** to the in-RAM run
+//!    at one thread.
+//! 2. **Spilled hierarchy.** [`SpillConfig::contract`] puts fine levels on
+//!    disk and mid levels in compact RAM; only the coarsest level is decoded
+//!    to plain CSR for the initial partitioner.
 //!
 //! Refinement itself is tier-agnostic: it is generic over
 //! [`kappa_graph::GraphAccess`] and deterministic for every
 //! thread count, so it runs unchanged on paged levels.
 
+use std::borrow::Cow;
 use std::io;
 use std::path::PathBuf;
-use std::time::Instant;
 
-use kappa_coarsen::{CoarseningConfig, MatcherKind, SpillConfig, TieredHierarchy};
-use kappa_graph::{GraphAccess, Partition, PartitionState};
-use kappa_initial::{best_of_repeats, InitialAlgorithm, InitialPartitionConfig};
+use kappa_coarsen::SpillConfig;
 use kappa_matching::compute_matching;
 use kappa_mem::TierGraph;
-use kappa_refine::{refine_partition, RefinementConfig, RefinementStats};
 
 use crate::config::KappaConfig;
-use crate::metrics::PartitionMetrics;
-use crate::partitioner::{PartitionResult, PhaseTimings};
+use crate::partitioner::{multilevel, PartitionResult};
 
 /// The storage level a run keeps its graphs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,122 +85,17 @@ pub fn partition_tiered(
     config: &KappaConfig,
     spill: &SpillConfig,
 ) -> io::Result<TieredPartitionResult> {
-    // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
-    let start = Instant::now();
-    let k = config.k.max(1);
-    let n = finest.num_nodes();
-
-    if n == 0 || k == 1 {
-        let partition = Partition::trivial(k, n);
-        let runtime = start.elapsed();
-        return Ok(TieredPartitionResult {
-            result: PartitionResult {
-                metrics: PartitionMetrics::measure(&finest, &partition, config.epsilon, runtime),
-                partition,
-                timings: PhaseTimings::default(),
-                hierarchy_levels: 1,
-                coarsest_nodes: n,
-                refinement: RefinementStats::default(),
-                boundary_full_builds: 0,
-                quotient_full_scans: 0,
-            },
-            level_tiers: vec![finest.tier_name()],
-        });
-    }
-
-    // --- Phase 1: sequential matching + tiered contraction. ---
-    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
-    let coarsen_start = Instant::now();
-    let stop_at_nodes = config.contraction_stop_nodes(n).max(2 * k as usize);
-    let coarsen_config = CoarseningConfig {
-        rating: config.rating,
-        matcher: MatcherKind::Sequential(config.matching),
-        stop_at_nodes,
-        min_shrink_factor: 0.02,
-        max_levels: 64,
-        seed: config.seed,
-    };
-    let matching_algorithm = config.matching;
-    let rating = config.rating;
-    let hierarchy =
-        TieredHierarchy::build_with(finest, &coarsen_config, spill, move |level_graph, seed| {
-            compute_matching(level_graph, matching_algorithm, rating, seed)
-        })?;
-    let coarsening_time = coarsen_start.elapsed();
-
-    // --- Phase 2: initial partitioning of the coarsest graph. ---
-    // The coarsest level is small by construction; decode it to plain CSR for
-    // the initial partitioner. `num_parts = 1` semantics: repeats are not
-    // multiplied by a thread count, matching the classic path at one thread.
-    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
-    let initial_start = Instant::now();
-    let coarsest_csr = hierarchy.coarsest().to_csr();
-    let initial_config = InitialPartitionConfig {
-        k,
-        epsilon: config.epsilon,
-        algorithm: InitialAlgorithm::GreedyGrowing,
-        repeats: config.initial_repeats.max(1),
-        seed: config.seed.wrapping_add(0xC0A2),
-    };
-    let current = best_of_repeats(&coarsest_csr, &initial_config);
-    let initial_time = initial_start.elapsed();
-
-    // --- Phase 3: uncoarsening with pairwise refinement, tier-agnostic. ---
-    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
-    let refine_start = Instant::now();
-    let refinement_config = RefinementConfig {
-        epsilon: config.epsilon,
-        bfs_depth: config.bfs_depth,
-        max_global_iterations: config.max_global_iterations,
-        local_iterations: config.local_iterations,
-        stop_after_no_change: config.stop_after_no_change,
-        queue_selection: config.queue_selection,
-        patience_alpha: config.fm_patience,
-        seed: config.seed.wrapping_add(0x5EF1),
-    };
-    let mut refinement = RefinementStats::default();
-    let coarsest_level = hierarchy.num_levels() - 1;
-    let mut state = PartitionState::build(hierarchy.graph_at(coarsest_level), current);
-    let stats = refine_partition(
-        hierarchy.graph_at(coarsest_level),
-        &mut state,
-        &refinement_config,
-    );
-    accumulate(&mut refinement, &stats);
-    for level in (1..hierarchy.num_levels()).rev() {
-        state = hierarchy.project_state_one_level(level, &state);
-        let fine_graph = hierarchy.graph_at(level - 1);
-        let stats = refine_partition(fine_graph, &mut state, &refinement_config);
-        accumulate(&mut refinement, &stats);
-    }
-    let refinement_time = refine_start.elapsed();
-
-    let runtime = start.elapsed();
-    let boundary_full_builds = state.full_builds();
-    let quotient_full_scans = refinement.quotient_full_scans;
-    let current = state.into_partition();
-    let level_tiers = hierarchy.tier_names();
+    let (result, hierarchy) = multilevel(
+        config,
+        || finest,
+        1,
+        |level_graph, seed| compute_matching(level_graph, config.matching, config.rating, seed),
+        |level_graph, matching, level| spill.contract(level_graph, matching, level),
+        |coarsest| Cow::Owned(coarsest.to_csr()),
+    )?;
     Ok(TieredPartitionResult {
-        result: PartitionResult {
-            metrics: PartitionMetrics::measure(
-                hierarchy.finest(),
-                &current,
-                config.epsilon,
-                runtime,
-            ),
-            partition: current,
-            timings: PhaseTimings {
-                coarsening: coarsening_time,
-                initial_partitioning: initial_time,
-                refinement: refinement_time,
-            },
-            hierarchy_levels: hierarchy.num_levels(),
-            coarsest_nodes: hierarchy.coarsest().num_nodes(),
-            refinement,
-            boundary_full_builds,
-            quotient_full_scans,
-        },
-        level_tiers,
+        result,
+        level_tiers: hierarchy.graphs().map(TierGraph::tier_name).collect(),
     })
 }
 
@@ -221,19 +111,11 @@ pub fn default_spill_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn accumulate(total: &mut RefinementStats, delta: &RefinementStats) {
-    total.total_gain += delta.total_gain;
-    total.global_iterations += delta.global_iterations;
-    total.pair_searches += delta.pair_searches;
-    total.nodes_moved += delta.nodes_moved;
-    total.quotient_full_scans += delta.quotient_full_scans;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::KappaPartitioner;
-    use kappa_mem::{compact_from_source, paged_from_source, BuildOptions, PageCacheConfig};
+    use kappa_mem::{paged_from_source, BuildOptions, PageCacheConfig};
 
     fn spill(tag: &str) -> SpillConfig {
         SpillConfig::new(default_spill_dir(tag))
@@ -299,21 +181,5 @@ mod tests {
             tiered.level_tiers
         );
         std::fs::remove_dir_all(&sp.spill_dir).unwrap();
-    }
-
-    #[test]
-    fn degenerate_inputs_short_circuit() {
-        let g = kappa_gen::grid::grid2d(4, 4);
-        let edges: Vec<_> = g.undirected_edges().collect();
-        let src = kappa_graph::SliceEdgeSource::new(g.num_nodes(), &edges);
-        let compact = compact_from_source(&src, BuildOptions::default());
-        let r = partition_tiered(
-            TierGraph::Compact(compact),
-            &KappaConfig::fast(1),
-            &spill("degenerate"),
-        )
-        .unwrap();
-        assert_eq!(r.result.metrics.edge_cut, 0);
-        assert_eq!(r.level_tiers, vec!["compact"]);
     }
 }

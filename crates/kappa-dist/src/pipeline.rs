@@ -1,12 +1,15 @@
 //! The end-to-end distributed pipeline: coarsening → initial partitioning →
 //! uncoarsening, SPMD over a [`LocalCluster`].
 //!
-//! Mirrors `KappaPartitioner::partition` phase by phase:
+//! The same three phases as the shared-memory driver in `kappa-core`, with
+//! the phase configurations taken from the same [`KappaConfig`] policy
+//! methods, but as its own SPMD loop: every step is a fallible collective,
+//! and rank folding has to happen before the stop check.
 //!
 //! * **Coarsening** — repeated [`distributed_matching`] +
-//!   [`distributed_contraction`] with the same per-level seeds and the same
-//!   stop rules (node-count threshold, minimum shrink factor, level cap) as
-//!   the shared pipeline, evaluated on allreduced global counts.
+//!   [`distributed_contraction`] under [`KappaConfig::coarsening`]'s seeds
+//!   and stop rules (node-count threshold, minimum shrink factor, level
+//!   cap), evaluated on allreduced global counts.
 //! * **Initial partitioning** — the coarsest graph (a few hundred nodes by
 //!   construction) is allgathered; every rank runs its share of the
 //!   best-of-repeats protocol with rank-offset seeds, the winner is chosen
@@ -26,8 +29,8 @@
 
 use kappa_core::KappaConfig;
 use kappa_graph::{BlockId, BlockWeights, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition};
-use kappa_initial::{best_of_repeats, quality_key, InitialAlgorithm, InitialPartitionConfig};
-use kappa_refine::{RefinementConfig, RefinementStats};
+use kappa_initial::{best_of_repeats, quality_key};
+use kappa_refine::RefinementStats;
 
 use crate::comm::{
     Comm, CommError, CommErrorKind, CommResult, CommStats, LocalCluster, LocalClusterConfig,
@@ -108,58 +111,31 @@ pub fn partition_distributed_with(
     config: &DistConfig,
     cluster_config: LocalClusterConfig,
 ) -> CommResult<DistRunResult> {
-    let k = config.base.k.max(1);
-    let n = graph.num_nodes();
-    if n == 0 || k == 1 {
-        let partition = Partition::trivial(k, n);
-        return Ok(DistRunResult {
-            edge_cut: partition.edge_cut(graph),
-            partition,
-            hierarchy_levels: 1,
-            coarsest_nodes: n,
-            refinement: RefinementStats::default(),
-            boundary_full_builds_per_rank: vec![0; config.ranks],
-            comm_per_rank: vec![CommStats::default(); config.ranks],
-        });
-    }
-    // Locality-preserving layout (§3.3): with several ranks and available
-    // coordinates, re-order the nodes by recursive coordinate bisection so
-    // each rank owns a spatially contiguous block — otherwise a spatially
-    // random input ordering (e.g. rgg generation order) makes *every* rank
-    // boundary a random cut through the graph and starves the interior
-    // matching. The result is mapped back through the permutation.
-    let layout = spatial_layout(graph, config.ranks);
-    let (work_graph, range_starts): (&CsrGraph, Vec<NodeId>) = match &layout {
-        Some((permuted, ranges, _)) => (permuted, ranges.clone()),
-        None => (graph, crate::graph::even_ranges(n, config.ranks)),
-    };
-
-    let cluster = LocalCluster::with_config(config.ranks, cluster_config);
-    let outcomes = cluster.run(|comm| rank_main(comm, work_graph, &range_starts, config));
-    let mut rank_results = Vec::with_capacity(outcomes.len());
-    let mut errors = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok(r) => rank_results.push(r),
-            Err(e) => errors.push(e),
-        }
-    }
-    if !errors.is_empty() {
-        return Err(pick_diagnostic(errors));
-    }
-    let full_builds: Vec<usize> = rank_results.iter().map(|r| r.full_builds).collect();
-    let comm_per_rank: Vec<CommStats> = rank_results.iter().map(|r| r.comm.clone()).collect();
-    let mut first = rank_results.swap_remove(0);
-    first.partition = unpermute(k, first.partition, &layout);
-    Ok(DistRunResult {
-        partition: first.partition,
-        edge_cut: first.edge_cut,
-        hierarchy_levels: first.hierarchy_levels,
-        coarsest_nodes: first.coarsest_nodes,
-        refinement: first.refinement,
-        boundary_full_builds_per_rank: full_builds,
-        comm_per_rank,
-    })
+    run_on_layout(
+        graph,
+        config.ranks,
+        config.base.k,
+        |work_graph, range_starts| {
+            let cluster = LocalCluster::with_config(config.ranks, cluster_config);
+            let outcomes = cluster.run(|comm| rank_main(comm, work_graph, range_starts, config));
+            let mut rank_results = Vec::with_capacity(outcomes.len());
+            let mut errors = Vec::new();
+            for outcome in outcomes {
+                match outcome {
+                    Ok(r) => rank_results.push(r),
+                    Err(e) => errors.push(e),
+                }
+            }
+            if !errors.is_empty() {
+                return Err(pick_diagnostic(errors));
+            }
+            let trailers = rank_results
+                .iter()
+                .map(|r| (r.full_builds, r.comm.clone()))
+                .collect();
+            Ok((rank_results.swap_remove(0), trailers))
+        },
+    )
 }
 
 /// Runs one rank of the distributed pipeline over an arbitrary [`Comm`]
@@ -187,64 +163,70 @@ pub fn partition_with_comm<C: Comm>(
             )),
         });
     }
-    let k = config.base.k.max(1);
+    let result = run_on_layout(graph, ranks, config.base.k, |work_graph, range_starts| {
+        let result = rank_main(comm, work_graph, range_starts, config)?;
+        // One allgather for both trailers; the comm snapshot inside `result`
+        // was taken before it, so local and TCP runs report identical counters.
+        let trailers = comm.allgather((result.full_builds, result.comm.clone()))?;
+        Ok((result, trailers))
+    })?;
+    Ok((comm.rank() == 0).then_some(result))
+}
+
+/// What both entry points share around the SPMD body: the degenerate-input
+/// short-circuit, the choice of node layout, and the assembly of the run's
+/// result over the input's node ids. `run_ranks` gets the graph to partition
+/// and its ownership ranges and returns one rank's (replicated) output plus
+/// every rank's `(full index builds, comm counters)` trailer.
+fn run_on_layout(
+    graph: &CsrGraph,
+    ranks: usize,
+    k: BlockId,
+    run_ranks: impl FnOnce(&CsrGraph, &[NodeId]) -> CommResult<(RankResult, Vec<(usize, CommStats)>)>,
+) -> CommResult<DistRunResult> {
+    let k = k.max(1);
     let n = graph.num_nodes();
     if n == 0 || k == 1 {
-        return Ok((comm.rank() == 0).then(|| {
-            let partition = Partition::trivial(k, n);
-            DistRunResult {
-                edge_cut: partition.edge_cut(graph),
-                partition,
-                hierarchy_levels: 1,
-                coarsest_nodes: n,
-                refinement: RefinementStats::default(),
-                boundary_full_builds_per_rank: vec![0; ranks],
-                comm_per_rank: vec![CommStats::default(); ranks],
-            }
-        }));
+        let partition = Partition::trivial(k, n);
+        return Ok(DistRunResult {
+            edge_cut: partition.edge_cut(graph),
+            partition,
+            hierarchy_levels: 1,
+            coarsest_nodes: n,
+            refinement: RefinementStats::default(),
+            boundary_full_builds_per_rank: vec![0; ranks],
+            comm_per_rank: vec![CommStats::default(); ranks],
+        });
     }
+    // Locality-preserving layout (§3.3): with several ranks and available
+    // coordinates, re-order the nodes by recursive coordinate bisection so
+    // each rank owns a spatially contiguous block — otherwise a spatially
+    // random input ordering (e.g. rgg generation order) makes *every* rank
+    // boundary a random cut through the graph and starves the interior
+    // matching. The result is mapped back through the permutation.
     let layout = spatial_layout(graph, ranks);
-    let (work_graph, range_starts): (&CsrGraph, Vec<NodeId>) = match &layout {
-        Some((permuted, ranges, _)) => (permuted, ranges.clone()),
-        None => (graph, crate::graph::even_ranges(n, ranks)),
+    let (result, trailers) = match &layout {
+        Some((permuted, range_starts, _)) => run_ranks(permuted, range_starts)?,
+        None => run_ranks(graph, &even_ranges(n, ranks))?,
     };
-    let result = rank_main(comm, work_graph, &range_starts, config)?;
-    // One allgather for both trailers; the comm snapshot inside `result` was
-    // taken before it, so local and TCP runs report identical counters.
-    let trailers = comm.allgather((result.full_builds, result.comm.clone()))?;
-    if comm.rank() != 0 {
-        return Ok(None);
-    }
-    let (full_builds, comm_per_rank) = trailers.into_iter().unzip();
-    Ok(Some(DistRunResult {
-        partition: unpermute(k, result.partition, &layout),
+    let partition = match &layout {
+        Some((_, _, new_of_old)) => {
+            let permuted = result.partition.assignment();
+            let assignment = new_of_old.iter().map(|&new| permuted[new as usize]);
+            Partition::from_assignment(k, assignment.collect())
+        }
+        None => result.partition,
+    };
+    let (boundary_full_builds_per_rank, comm_per_rank) = trailers.into_iter().unzip();
+    Ok(DistRunResult {
+        partition,
         edge_cut: result.edge_cut,
         hierarchy_levels: result.hierarchy_levels,
         coarsest_nodes: result.coarsest_nodes,
         refinement: result.refinement,
-        boundary_full_builds_per_rank: full_builds,
+        boundary_full_builds_per_rank,
         comm_per_rank,
-    }))
-}
-
-/// Maps a partition over the spatially permuted graph back to the original
-/// node ids (identity when no layout was applied).
-fn unpermute(
-    k: BlockId,
-    partition: Partition,
-    layout: &Option<(CsrGraph, Vec<NodeId>, Vec<NodeId>)>,
-) -> Partition {
-    match layout {
-        Some((_, _, new_of_old)) => {
-            let permuted = partition.assignment();
-            let assignment: Vec<BlockId> = new_of_old
-                .iter()
-                .map(|&new| permuted[new as usize])
-                .collect();
-            Partition::from_assignment(k, assignment)
-        }
-        None => partition,
-    }
+    })
 }
 
 /// The most diagnostic error of a failed run: a timeout pinpoints the stuck
@@ -429,15 +411,14 @@ fn rank_main<C: Comm>(
 ) -> CommResult<RankResult> {
     let base = &config.base;
     let k = base.k.max(1);
-    let n = graph.num_nodes();
-    let stop_at_nodes = base.contraction_stop_nodes(n).max(2 * k as usize);
+    let coarsening = base.coarsening(graph.num_nodes());
 
     // --- Phase 1: distributed coarsening. ---
     comm.set_phase("coarsen");
     let mut levels: Vec<DistLevel> = Vec::new();
     let mut current = DistGraph::from_global_ranges(graph, range_starts.to_vec(), comm.rank());
     let mut active = comm.num_ranks();
-    for level_idx in 0..64u64 {
+    for level_idx in 0..coarsening.max_levels {
         let n_cur = current.num_global_nodes();
         // Coarse-level rank folding: concentrate a small level on fewer
         // ranks *before* matching it (and before the stop check, so the
@@ -448,17 +429,13 @@ fn rank_main<C: Comm>(
             current = fold_graph(comm, &current, target)?;
             active = target;
         }
-        if n_cur <= stop_at_nodes {
+        if n_cur <= coarsening.stop_at_nodes {
             break;
         }
-        let level_seed = base
-            .seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(level_idx);
+        let level_seed = coarsening.level_seed(level_idx);
         let matching =
             distributed_matching(comm, &current, base.matching, base.rating, level_seed)?;
-        let shrink = matching.matched_pairs as f64 / n_cur.max(1) as f64;
-        if matching.matched_pairs == 0 || shrink < 0.02 {
+        if coarsening.stalls(matching.matched_pairs, n_cur) {
             break;
         }
         let contraction = distributed_contraction(comm, &current, &matching)?;
@@ -474,20 +451,9 @@ fn rank_main<C: Comm>(
     // --- Phase 2: redundant initial partitioning of the coarsest graph. ---
     comm.set_phase("initial");
     let coarsest_full = allgather_graph(comm, &current)?;
-    let repeats = base.initial_repeats.max(1);
-    let initial_config = InitialPartitionConfig {
-        k,
-        epsilon: base.epsilon,
-        algorithm: InitialAlgorithm::GreedyGrowing,
-        repeats,
-        // Rank r explores its own seed window; rank 0's window equals the
-        // shared pipeline's (single-threaded) one.
-        seed: base
-            .seed
-            .wrapping_add(0xC0A2)
-            .wrapping_add(comm.rank() as u64 * repeats as u64),
-    };
-    let mine = best_of_repeats(&coarsest_full, &initial_config);
+    // Rank r explores its own seed window; rank 0's window equals the
+    // shared pipeline's (single-threaded) one.
+    let mine = best_of_repeats(&coarsest_full, &base.initial_partitioning(1, comm.rank()));
     // The same quality key best_of_repeats minimises internally, so the
     // cross-rank selection cannot drift from the per-rank one.
     let my_key = quality_key(&coarsest_full, &mine, base.epsilon);
@@ -509,16 +475,7 @@ fn rank_main<C: Comm>(
     let winner = comm.broadcast(winner_rank, (comm.rank() == winner_rank).then_some(mine))?;
 
     // --- Phase 3: uncoarsening with pairwise distributed refinement. ---
-    let refinement_config = RefinementConfig {
-        epsilon: base.epsilon,
-        bfs_depth: base.bfs_depth,
-        max_global_iterations: base.max_global_iterations,
-        local_iterations: base.local_iterations,
-        stop_after_no_change: base.stop_after_no_change,
-        queue_selection: base.queue_selection,
-        patience_alpha: base.fm_patience,
-        seed: base.seed.wrapping_add(0x5EF1),
-    };
+    let refinement_config = base.refinement();
     let mut stats = RefinementStats::default();
 
     // Coarsest-level state: the one full boundary-index build of the run.

@@ -217,29 +217,7 @@ fn refine_class_stepwise<C: Comm>(
 ) -> CommResult<i64> {
     let me = comm.rank();
     let ranks = comm.num_ranks();
-    let ln = dg.num_owned();
-
-    let mut pairs: Vec<PairRun> = class
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, b))| PairRun {
-            a,
-            b,
-            home: i % ranks,
-            active: true,
-            w_a: st.weights().weight(a),
-            w_b: st.weights().weight(b),
-            candidates: st
-                .index()
-                .pair_boundary_sorted(a, b)
-                .into_iter()
-                .filter(|&l| (l as usize) < ln)
-                .collect(),
-            moves: Vec::new(),
-            gain: 0,
-            searches: 0,
-        })
-        .collect();
+    let mut pairs = PairRun::start_class(dg, st, class, ranks);
 
     let mut scratch = FmScratch::new();
     for local_iter in 0..config.local_iterations {
@@ -248,22 +226,7 @@ fn refine_class_stepwise<C: Comm>(
         }
 
         // --- Superstep 1: seeds to the homes. ---
-        // A candidate is a live seed iff it is pair-boundary in the current
-        // view (same revalidation as IndexSeeder::seeds). The filtered lists
-        // double as the initial BFS frontier below.
-        let mut my_seeds: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
-        let mut seed_parts: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
-        for (pi, pair) in pairs.iter().enumerate() {
-            if !pair.active {
-                continue;
-            }
-            for &l in &pair.candidates {
-                if is_pair_boundary(dg, st, l, pair.a, pair.b) {
-                    my_seeds[pi].push(l);
-                    seed_parts[pair.home].push((pi as u32, dg.global_of(l)));
-                }
-            }
-        }
+        let (mut visited, mut frontier, seed_parts) = live_seeds(dg, st, &pairs, ranks);
         let seed_msgs = comm.alltoallv(seed_parts)?;
         // Home: per pair, seeds in ascending global order (rank segments are
         // ascending and ownership ranges are ordered, so concatenation in
@@ -278,16 +241,6 @@ fn refine_class_stepwise<C: Comm>(
         }
 
         // --- Superstep 2: level-synchronised distributed band BFS. ---
-        // visited[pi] = this rank's owned band members (as locals).
-        let mut visited: Vec<HashSet<NodeId>> = vec![HashSet::new(); pairs.len()];
-        let mut frontier: Vec<(usize, NodeId)> = Vec::new(); // (pair, owned local)
-        for (pi, seeds) in my_seeds.iter().enumerate() {
-            for &l in seeds {
-                if visited[pi].insert(l) {
-                    frontier.push((pi, l));
-                }
-            }
-        }
         for _hop in 0..config.bfs_depth {
             let mut next: Vec<(usize, NodeId)> = Vec::new();
             let mut remote: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
@@ -329,36 +282,7 @@ fn refine_class_stepwise<C: Comm>(
         }
 
         // --- Superstep 3: ship the band shards to the homes. ---
-        let mut band_parts: Vec<Vec<(u32, RegionNode)>> = vec![Vec::new(); ranks];
-        for (pi, members) in visited.iter().enumerate() {
-            let pair = &pairs[pi];
-            // Ship band members in ascending local order so the wire payload
-            // is identical run to run regardless of set insertion history.
-            let mut members: Vec<NodeId> = members.iter().copied().collect();
-            members.sort_unstable();
-            for l in members {
-                let record = RegionNode {
-                    gid: dg.global_of(l),
-                    weight: dg.local().node_weight(l),
-                    block: st.block_of_local(l),
-                    edges: dg
-                        .local()
-                        .edges_of(l)
-                        .filter(|&(t, _)| {
-                            let bt = st.block_of_local(t);
-                            bt == pair.a || bt == pair.b
-                        })
-                        .map(|(t, w)| RegionEdge {
-                            to: dg.global_of(t),
-                            weight: w,
-                            to_block: st.block_of_local(t),
-                            to_weight: dg.local().node_weight(t),
-                        })
-                        .collect(),
-                };
-                band_parts[pair.home].push((pi as u32, record));
-            }
-        }
+        let band_parts = band_records(dg, st, &pairs, &visited, ranks);
         let band_msgs = comm.alltoallv(band_parts)?;
         let mut region_of: Vec<Vec<RegionNode>> = vec![Vec::new(); pairs.len()];
         for part in band_msgs {
@@ -386,19 +310,7 @@ fn refine_class_stepwise<C: Comm>(
             }
             let records = std::mem::take(&mut region_of[pi]);
             let mut region = GatheredRegion::build(st.k(), &records);
-            let fm_config = FmConfig {
-                queue_selection: config.queue_selection,
-                patience_alpha: config.patience_alpha,
-                l_max,
-                seed: pair_search_seed(
-                    config.seed,
-                    global_iter,
-                    color_idx,
-                    local_iter,
-                    pair.a,
-                    pair.b,
-                ),
-            };
+            let fm_config = pair.fm_config(config, l_max, global_iter, color_idx, local_iter);
             let result = refine_gathered_band(
                 &mut region,
                 pair.a,
@@ -504,55 +416,14 @@ fn refine_class_batched<C: Comm>(
 ) -> CommResult<i64> {
     let me = comm.rank();
     let ranks = comm.num_ranks();
-    let ln = dg.num_owned();
+    let pairs = PairRun::start_class(dg, st, class, ranks);
 
-    let pairs: Vec<PairRun> = class
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, b))| PairRun {
-            a,
-            b,
-            home: i % ranks,
-            active: true,
-            w_a: st.weights().weight(a),
-            w_b: st.weights().weight(b),
-            candidates: st
-                .index()
-                .pair_boundary_sorted(a, b)
-                .into_iter()
-                .filter(|&l| (l as usize) < ln)
-                .collect(),
-            moves: Vec::new(),
-            gain: 0,
-            searches: 0,
-        })
-        .collect();
-
-    // Seeds: revalidate candidates in the live view, once per class. The
-    // local lists feed the BFS frontier; the per-home parts ride to the
+    // Seeds: revalidated once per class; the per-home parts ride to the
     // homes together with the band shards below.
-    let mut my_seeds: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
-    let mut seed_parts: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
-    for (pi, pair) in pairs.iter().enumerate() {
-        for &l in &pair.candidates {
-            if is_pair_boundary(dg, st, l, pair.a, pair.b) {
-                my_seeds[pi].push(l);
-                seed_parts[pair.home].push((pi as u32, dg.global_of(l)));
-            }
-        }
-    }
+    let (mut visited, mut frontier, mut seed_parts) = live_seeds(dg, st, &pairs, ranks);
 
     // Level-synchronised distributed band BFS — the one part of the schedule
     // that is inherently round-by-round (hop h+1 needs hop h's expansions).
-    let mut visited: Vec<HashSet<NodeId>> = vec![HashSet::new(); pairs.len()];
-    let mut frontier: Vec<(usize, NodeId)> = Vec::new();
-    for (pi, seeds) in my_seeds.iter().enumerate() {
-        for &l in seeds {
-            if visited[pi].insert(l) {
-                frontier.push((pi, l));
-            }
-        }
-    }
     for _hop in 0..config.bfs_depth {
         let mut next: Vec<(usize, NodeId)> = Vec::new();
         let mut crossings: Vec<(u32, NodeId)> = Vec::new();
@@ -601,36 +472,7 @@ fn refine_class_batched<C: Comm>(
     }
 
     // Band shards, shipped with the seeds: one coalesced frame per peer.
-    let mut band_parts: Vec<Vec<(u32, RegionNode)>> = vec![Vec::new(); ranks];
-    for (pi, members) in visited.iter().enumerate() {
-        let pair = &pairs[pi];
-        // Ship band members in ascending local order so the wire payload
-        // is identical run to run regardless of set insertion history.
-        let mut members: Vec<NodeId> = members.iter().copied().collect();
-        members.sort_unstable();
-        for l in members {
-            let record = RegionNode {
-                gid: dg.global_of(l),
-                weight: dg.local().node_weight(l),
-                block: st.block_of_local(l),
-                edges: dg
-                    .local()
-                    .edges_of(l)
-                    .filter(|&(t, _)| {
-                        let bt = st.block_of_local(t);
-                        bt == pair.a || bt == pair.b
-                    })
-                    .map(|(t, w)| RegionEdge {
-                        to: dg.global_of(t),
-                        weight: w,
-                        to_block: st.block_of_local(t),
-                        to_weight: dg.local().node_weight(t),
-                    })
-                    .collect(),
-            };
-            band_parts[pair.home].push((pi as u32, record));
-        }
-    }
+    let mut band_parts = band_records(dg, st, &pairs, &visited, ranks);
     comm.coalesce(|c| {
         for dst in 0..ranks {
             if dst != me {
@@ -695,19 +537,7 @@ fn refine_class_batched<C: Comm>(
             if cur_seeds.is_empty() {
                 break;
             }
-            let fm_config = FmConfig {
-                queue_selection: config.queue_selection,
-                patience_alpha: config.patience_alpha,
-                l_max,
-                seed: pair_search_seed(
-                    config.seed,
-                    global_iter,
-                    color_idx,
-                    local_iter,
-                    pair.a,
-                    pair.b,
-                ),
-            };
+            let fm_config = pair.fm_config(config, l_max, global_iter, color_idx, local_iter);
             // First pass: the exact gathered-band search. Follow-up passes
             // re-run the band BFS from the shifted boundary, clipped to the
             // gathered band (the frozen ring was never shipped for moving).
@@ -819,6 +649,137 @@ fn refine_class_batched<C: Comm>(
         }
     }
     Ok(class_gain)
+}
+
+impl PairRun {
+    /// FM configuration of this pair's search in one local iteration.
+    fn fm_config(
+        &self,
+        config: &RefinementConfig,
+        l_max: NodeWeight,
+        global_iter: usize,
+        color_idx: usize,
+        local_iter: usize,
+    ) -> FmConfig {
+        let (a, b) = (self.a, self.b);
+        FmConfig {
+            queue_selection: config.queue_selection,
+            patience_alpha: config.patience_alpha,
+            l_max,
+            seed: pair_search_seed(config.seed, global_iter, color_idx, local_iter, a, b),
+        }
+    }
+
+    /// The pairs of one colour class at class start: pair `i` homed on rank
+    /// `i mod R`, weights from the replicated state, candidates from this
+    /// rank's boundary-index shard.
+    fn start_class(
+        dg: &DistGraph,
+        st: &DistState,
+        class: &[(BlockId, BlockId)],
+        ranks: usize,
+    ) -> Vec<PairRun> {
+        let ln = dg.num_owned();
+        class
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| PairRun {
+                a,
+                b,
+                home: i % ranks,
+                active: true,
+                w_a: st.weights().weight(a),
+                w_b: st.weights().weight(b),
+                candidates: st
+                    .index()
+                    .pair_boundary_sorted(a, b)
+                    .into_iter()
+                    .filter(|&l| (l as usize) < ln)
+                    .collect(),
+                moves: Vec::new(),
+                gain: 0,
+                searches: 0,
+            })
+            .collect()
+    }
+}
+
+/// Revalidates every active pair's candidates in the live view: a candidate
+/// is a seed iff it is pair-boundary now (the same revalidation as
+/// `IndexSeeder::seeds`). Returns the start of the band BFS — `visited[pair]`,
+/// this rank's owned band members as locals, and the `(pair, owned local)`
+/// frontier, both holding exactly the seeds — and, per home rank, the seeds
+/// as `(pair, global id)`.
+#[allow(clippy::type_complexity)]
+fn live_seeds(
+    dg: &DistGraph,
+    st: &DistState,
+    pairs: &[PairRun],
+    ranks: usize,
+) -> (
+    Vec<HashSet<NodeId>>,
+    Vec<(usize, NodeId)>,
+    Vec<Vec<(u32, NodeId)>>,
+) {
+    let mut visited: Vec<HashSet<NodeId>> = vec![HashSet::new(); pairs.len()];
+    let mut frontier: Vec<(usize, NodeId)> = Vec::new();
+    let mut seed_parts: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
+    for (pi, pair) in pairs.iter().enumerate() {
+        if !pair.active {
+            continue;
+        }
+        for &l in &pair.candidates {
+            if is_pair_boundary(dg, st, l, pair.a, pair.b) {
+                seed_parts[pair.home].push((pi as u32, dg.global_of(l)));
+                if visited[pi].insert(l) {
+                    frontier.push((pi, l));
+                }
+            }
+        }
+    }
+    (visited, frontier, seed_parts)
+}
+
+/// This rank's shard of every pair's band as [`RegionNode`] records, grouped
+/// by the pair's home rank.
+fn band_records(
+    dg: &DistGraph,
+    st: &DistState,
+    pairs: &[PairRun],
+    visited: &[HashSet<NodeId>],
+    ranks: usize,
+) -> Vec<Vec<(u32, RegionNode)>> {
+    let mut band_parts: Vec<Vec<(u32, RegionNode)>> = vec![Vec::new(); ranks];
+    for (pi, members) in visited.iter().enumerate() {
+        let pair = &pairs[pi];
+        // Ship band members in ascending local order so the wire payload
+        // is identical run to run regardless of set insertion history.
+        let mut members: Vec<NodeId> = members.iter().copied().collect();
+        members.sort_unstable();
+        for l in members {
+            let record = RegionNode {
+                gid: dg.global_of(l),
+                weight: dg.local().node_weight(l),
+                block: st.block_of_local(l),
+                edges: dg
+                    .local()
+                    .edges_of(l)
+                    .filter(|&(t, _)| {
+                        let bt = st.block_of_local(t);
+                        bt == pair.a || bt == pair.b
+                    })
+                    .map(|(t, w)| RegionEdge {
+                        to: dg.global_of(t),
+                        weight: w,
+                        to_block: st.block_of_local(t),
+                        to_weight: dg.local().node_weight(t),
+                    })
+                    .collect(),
+            };
+            band_parts[pair.home].push((pi as u32, record));
+        }
+    }
+    band_parts
 }
 
 /// True if owned local `l` is on the `(a, b)` pair boundary in the live view.

@@ -104,6 +104,17 @@ pub struct RefinementStats {
     pub quotient_full_scans: usize,
 }
 
+impl std::ops::AddAssign for RefinementStats {
+    /// Adds one level's statistics to a run total.
+    fn add_assign(&mut self, level: RefinementStats) {
+        self.total_gain += level.total_gain;
+        self.global_iterations += level.global_iterations;
+        self.pair_searches += level.pair_searches;
+        self.nodes_moved += level.nodes_moved;
+        self.quotient_full_scans += level.quotient_full_scans;
+    }
+}
+
 /// The delta a single pair search hands back to the scheduler: the surviving
 /// moves, the cut gain they achieve, and the number of FM searches run.
 struct PairDelta {

@@ -301,10 +301,15 @@ fn main() -> ExitCode {
         }
     };
 
+    let config = KappaConfig::preset(cli.preset, cli.k)
+        .with_epsilon(cli.epsilon)
+        .with_seed(cli.seed)
+        .with_threads(cli.threads);
+
     // The memory-tiered pipeline builds the graph on its own storage tier
     // (streaming where the family supports it) — never through load_graph.
     if cli.memory_tier != MemoryTier::Ram {
-        return run_tiered(&cli);
+        return run_tiered(&cli, &config);
     }
 
     let (graph, name) = match load_graph(&cli) {
@@ -319,11 +324,6 @@ fn main() -> ExitCode {
         graph.num_nodes(),
         graph.num_edges()
     );
-
-    let config = KappaConfig::preset(cli.preset, cli.k)
-        .with_epsilon(cli.epsilon)
-        .with_seed(cli.seed)
-        .with_threads(cli.threads);
 
     // TCP worker mode: this process is one rank of a launched cluster.
     if let (Some(rank), Some(rendezvous)) = (cli.worker_rank, &cli.rendezvous) {
@@ -355,31 +355,17 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let metrics =
-            PartitionMetrics::measure(&graph, &result.partition, cli.epsilon, start.elapsed());
-        eprintln!(
-            "{} x{} ranks: cut = {}, balance = {:.3}, feasible = {}, time = {:.3} s",
-            cli.preset.name(),
-            ranks,
-            metrics.edge_cut,
-            metrics.balance,
-            metrics.feasible,
-            metrics.runtime_secs()
+        report_dist(
+            &cli,
+            &graph,
+            &result,
+            &format!(" x{ranks} ranks"),
+            start.elapsed(),
         );
-        if cli.stats {
-            print_comm_stats(&result);
-        }
         result.partition
     } else {
         let result = KappaPartitioner::new(config).partition(&graph);
-        eprintln!(
-            "{}: cut = {}, balance = {:.3}, feasible = {}, time = {:.3} s",
-            cli.preset.name(),
-            result.metrics.edge_cut,
-            result.metrics.balance,
-            result.metrics.feasible,
-            result.metrics.runtime_secs()
-        );
+        print_summary(&cli, "", &result.metrics);
         result.partition
     };
 
@@ -438,7 +424,7 @@ fn tier_from_csr(
 /// requested storage tier, partition with the tier-generic multilevel
 /// pipeline (sequential matching — bit-identical to `--threads 1` in RAM per
 /// seed), report which tier every hierarchy level ended up on.
-fn run_tiered(cli: &CliArgs) -> ExitCode {
+fn run_tiered(cli: &CliArgs, config: &KappaConfig) -> ExitCode {
     use kappa::coarsen::SpillConfig;
     use kappa::core::{default_spill_dir, partition_tiered};
     use kappa::graph::GraphAccess;
@@ -489,11 +475,7 @@ fn run_tiered(cli: &CliArgs) -> ExitCode {
         finest.tier_name()
     );
 
-    let config = KappaConfig::preset(cli.preset, cli.k)
-        .with_epsilon(cli.epsilon)
-        .with_seed(cli.seed)
-        .with_threads(cli.threads);
-    let tiered = match partition_tiered(finest, &config, &spill) {
+    let tiered = match partition_tiered(finest, config, &spill) {
         Ok(tiered) => tiered,
         Err(e) => {
             eprintln!("error: tiered run failed: {e}");
@@ -501,14 +483,10 @@ fn run_tiered(cli: &CliArgs) -> ExitCode {
         }
     };
     let result = &tiered.result;
-    eprintln!(
-        "{} [{}]: cut = {}, balance = {:.3}, feasible = {}, time = {:.3} s",
-        cli.preset.name(),
-        cli.memory_tier.name(),
-        result.metrics.edge_cut,
-        result.metrics.balance,
-        result.metrics.feasible,
-        result.metrics.runtime_secs()
+    print_summary(
+        cli,
+        &format!(" [{}]", cli.memory_tier.name()),
+        &result.metrics,
     );
     eprintln!(
         "hierarchy: {} levels on tiers [{}]",
@@ -519,6 +497,35 @@ fn run_tiered(cli: &CliArgs) -> ExitCode {
     // Spill files delete themselves on drop; clear the (now empty) directory.
     let _ = std::fs::remove_dir_all(&spill.spill_dir);
     status
+}
+
+/// The summary line every run path ends with: `<preset><path>: cut = …`,
+/// `path` naming what the preset ran on (`" x4 ranks"`, `" [paged]"`, …).
+fn print_summary(cli: &CliArgs, path: &str, metrics: &PartitionMetrics) {
+    eprintln!(
+        "{}{path}: cut = {}, balance = {:.3}, feasible = {}, time = {:.3} s",
+        cli.preset.name(),
+        metrics.edge_cut,
+        metrics.balance,
+        metrics.feasible,
+        metrics.runtime_secs()
+    );
+}
+
+/// Reports a distributed run — in-process, or rank 0 of a TCP cluster: the
+/// summary line over freshly measured metrics, then the `--stats` counters.
+fn report_dist(
+    cli: &CliArgs,
+    graph: &CsrGraph,
+    result: &kappa::dist::DistRunResult,
+    path: &str,
+    runtime: std::time::Duration,
+) {
+    let metrics = PartitionMetrics::measure(graph, &result.partition, cli.epsilon, runtime);
+    print_summary(cli, path, &metrics);
+    if cli.stats {
+        print_comm_stats(result);
+    }
 }
 
 /// Prints the per-rank communication counters of a distributed run to
@@ -592,20 +599,8 @@ fn run_tcp_worker(
     match partition_with_comm(&mut comm, graph, &dist_config) {
         Ok(None) => ExitCode::SUCCESS,
         Ok(Some(result)) => {
-            let metrics =
-                PartitionMetrics::measure(graph, &result.partition, cli.epsilon, start.elapsed());
-            eprintln!(
-                "{} x{} ranks over tcp: cut = {}, balance = {:.3}, feasible = {}, time = {:.3} s",
-                cli.preset.name(),
-                ranks,
-                metrics.edge_cut,
-                metrics.balance,
-                metrics.feasible,
-                metrics.runtime_secs()
-            );
-            if cli.stats {
-                print_comm_stats(&result);
-            }
+            let path = format!(" x{ranks} ranks over tcp");
+            report_dist(cli, graph, &result, &path, start.elapsed());
             let name = cli
                 .generate
                 .as_ref()

@@ -203,15 +203,99 @@ fn comm_stats_cover_every_phase_and_rank_1_sends_no_frames() {
     }
 }
 
+/// Degenerate inputs, one table: {n = 0, k = 1, n < k, n < 2k} through all
+/// four entry points. The single-PE paths (`partition` at one thread,
+/// `partition_tiered`, `partition_distributed` at one rank) must agree bit
+/// for bit, as must the two 2-rank paths (`partition_distributed` and
+/// `partition_with_comm` on a `LocalCluster`); where the input short-circuits
+/// (n = 0, k = 1) every path returns the one trivial partition.
 #[test]
-fn degenerate_inputs_are_handled_like_the_shared_pipeline() {
-    // k = 1, tiny graphs, more ranks than nodes.
-    let tiny = grid2d(3, 3);
-    let r = dist_run(&tiny, KappaConfig::fast(1), 4);
-    assert_eq!(r.edge_cut, 0);
-    let r = dist_run(&tiny, KappaConfig::fast(4).with_seed(2), 8);
-    assert!(r.partition.validate(&tiny).is_ok());
-    let empty = CsrGraph::empty();
-    let r = dist_run(&empty, KappaConfig::fast(4), 2);
-    assert_eq!(r.partition.num_nodes(), 0);
+fn degenerate_inputs_agree_across_all_entry_points() {
+    use kappa::coarsen::SpillConfig;
+    use kappa::core::{default_spill_dir, partition_tiered};
+    use kappa::dist::{partition_with_comm, LocalCluster};
+    use kappa::mem::{CompactCsr, TierGraph};
+
+    let path3 = kappa::graph::graph_from_edges(3, vec![(0, 1, 1), (1, 2, 1)]);
+    let table: [(&str, CsrGraph, u32); 5] = [
+        ("n = 0", CsrGraph::empty(), 4),
+        ("k = 1", grid2d(3, 3), 1),
+        ("n < k", path3, 4),
+        ("n < k, grid", grid2d(3, 3), 16),
+        ("n < 2k", grid2d(3, 3), 5),
+    ];
+    for (case, graph, k) in &table {
+        let config = KappaConfig::fast(*k).with_seed(2).with_threads(1);
+        let shared = KappaPartitioner::new(config).partition(graph);
+        let tiered = partition_tiered(
+            TierGraph::Compact(CompactCsr::from_graph(graph)),
+            &config,
+            &SpillConfig::new(default_spill_dir("degenerate")),
+        )
+        .expect("compact run");
+        let one_rank = dist_run(graph, config, 1);
+        let two_ranks = dist_run(graph, config, 2);
+        let with_comm = LocalCluster::new(2)
+            .run(|comm| partition_with_comm(comm, graph, &DistConfig::new(config, 2)))
+            .remove(0)
+            .expect("fault-free run must not fail")
+            .expect("rank 0 assembles the result");
+
+        let single_pe = [
+            ("partition", &shared.partition, shared.hierarchy_levels),
+            (
+                "partition_tiered",
+                &tiered.result.partition,
+                tiered.result.hierarchy_levels,
+            ),
+            (
+                "partition_distributed x1",
+                &one_rank.partition,
+                one_rank.hierarchy_levels,
+            ),
+        ];
+        let two_rank = [
+            (
+                "partition_distributed x2",
+                &two_ranks.partition,
+                two_ranks.hierarchy_levels,
+            ),
+            (
+                "partition_with_comm x2",
+                &with_comm.partition,
+                with_comm.hierarchy_levels,
+            ),
+        ];
+        for group in [&single_pe[..], &two_rank[..]] {
+            for (entry, partition, levels) in group {
+                assert!(partition.validate(graph).is_ok(), "{case}: {entry}");
+                assert_eq!(
+                    partition.assignment(),
+                    group[0].1.assignment(),
+                    "{case}: {entry} diverged from {}",
+                    group[0].0
+                );
+                // No input of this table is large enough to contract.
+                assert_eq!(*levels, 1, "{case}: {entry}");
+            }
+        }
+        if graph.num_nodes() == 0 || *k == 1 {
+            let trivial = Partition::trivial(*k, graph.num_nodes());
+            for (entry, partition, _) in single_pe.iter().chain(&two_rank) {
+                assert_eq!(
+                    partition.assignment(),
+                    trivial.assignment(),
+                    "{case}: {entry}"
+                );
+            }
+            assert_eq!(shared.metrics.edge_cut, 0, "{case}");
+            assert_eq!(two_ranks.edge_cut, 0, "{case}");
+            assert_eq!(tiered.level_tiers, vec!["compact"], "{case}");
+            assert_eq!(shared.boundary_full_builds, 0, "{case}");
+            assert_eq!(two_ranks.boundary_full_builds_per_rank, vec![0; 2]);
+        }
+        // More ranks than most blocks have nodes: still a valid partition.
+        let many = dist_run(graph, config, 8);
+        assert!(many.partition.validate(graph).is_ok(), "{case}: 8 ranks");
+    }
 }

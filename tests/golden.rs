@@ -1,0 +1,194 @@
+//! Golden fingerprints: the partition every entry point produced at the
+//! commit *before* the single-driver refactor, pinned per
+//! (instance, preset, k, path).
+//!
+//! Every other bit-identity suite compares two paths of the same commit;
+//! this table is the only thing that notices when all of them move together.
+//! A row is the FNV-1a-64 hash of `partition.assignment()` plus
+//! `hierarchy_levels`. A legitimate algorithmic change regenerates the table:
+//! the failure message prints every row in source form.
+
+use kappa::coarsen::SpillConfig;
+use kappa::core::{default_spill_dir, partition_tiered};
+use kappa::gen::{grid2d, random_geometric_graph, rmat_graph};
+use kappa::graph::CsrGraph;
+use kappa::mem::{CompactCsr, PageCacheConfig, PagedGraph, TierGraph};
+use kappa::prelude::*;
+
+const PATHS: [&str; 6] = [
+    "threads1", "threads2", "ranks1", "ranks2", "compact", "paged",
+];
+
+fn fnv1a64(blocks: &[u32]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in blocks.iter().flat_map(|b| b.to_le_bytes()) {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Runs one path and returns `(assignment hash, hierarchy_levels)`.
+fn run(graph: &CsrGraph, config: KappaConfig, path: &str, tag: &str) -> (u64, usize) {
+    let shared = |threads| {
+        let r = KappaPartitioner::new(config.with_threads(threads)).partition(graph);
+        (fnv1a64(r.partition.assignment()), r.hierarchy_levels)
+    };
+    let dist = |ranks| {
+        let r = partition_distributed(graph, &DistConfig::new(config, ranks)).expect("dist run");
+        (fnv1a64(r.partition.assignment()), r.hierarchy_levels)
+    };
+    let tiered = |paged: bool| {
+        // A forced spill threshold and a small cache, so several levels of
+        // even these small instances really live on disk.
+        let spill = SpillConfig {
+            spill_dir: default_spill_dir(&format!("golden-{}", tag.replace('/', "-"))),
+            spill_above_half_edges: 2000,
+            cache: PageCacheConfig {
+                page_size: 4096,
+                cache_pages: 16,
+            },
+        };
+        std::fs::create_dir_all(&spill.spill_dir).expect("spill dir");
+        let finest = if paged {
+            let file = spill.spill_dir.join("finest.kpg");
+            let mut g = PagedGraph::from_graph(graph, &file, spill.cache).expect("paged build");
+            g.set_delete_on_drop(true);
+            TierGraph::Paged(g)
+        } else {
+            TierGraph::Compact(CompactCsr::from_graph(graph))
+        };
+        let r = partition_tiered(finest, &config.with_threads(1), &spill).expect("tiered run");
+        if paged {
+            assert!(
+                r.level_tiers.iter().filter(|t| **t == "paged").count() >= 2,
+                "{tag}: levels did not spill: {:?}",
+                r.level_tiers
+            );
+        }
+        let _ = std::fs::remove_dir_all(&spill.spill_dir);
+        (
+            fnv1a64(r.result.partition.assignment()),
+            r.result.hierarchy_levels,
+        )
+    };
+    match path {
+        "threads1" => shared(1),
+        "threads2" => shared(2),
+        "ranks1" => dist(1),
+        "ranks2" => dist(2),
+        "compact" => tiered(false),
+        "paged" => tiered(true),
+        other => unreachable!("unknown path {other}"),
+    }
+}
+
+#[test]
+fn every_entry_point_reproduces_the_golden_table() {
+    let instances = [
+        ("rgg12", random_geometric_graph(1 << 12, 17)),
+        ("grid64", grid2d(64, 64)),
+        ("rmat11", rmat_graph(11, 8, 23)),
+    ];
+    let mut actual: Vec<(String, u64, usize)> = Vec::new();
+    for (name, graph) in &instances {
+        for preset in [ConfigPreset::Minimal, ConfigPreset::Fast] {
+            for k in [4u32, 16] {
+                let config = KappaConfig::preset(preset, k).with_seed(7);
+                for path in PATHS {
+                    let tag = format!("{name}/{}/k{k}/{path}", preset.name());
+                    let (hash, levels) = run(graph, config, path, &tag);
+                    actual.push((tag, hash, levels));
+                }
+            }
+        }
+    }
+    let matches = actual.len() == GOLDEN.len()
+        && actual
+            .iter()
+            .zip(GOLDEN)
+            .all(|(a, g)| (a.0.as_str(), a.1, a.2) == *g);
+    if !matches {
+        let table: String = actual
+            .iter()
+            .map(|(tag, hash, levels)| format!("    (\"{tag}\", {hash:#018x}, {levels}),\n"))
+            .collect();
+        panic!("golden table mismatch; the rows this commit produces:\n{table}");
+    }
+}
+
+/// `(instance/preset/k/path, FNV-1a-64 of the assignment, hierarchy_levels)`.
+const GOLDEN: &[(&str, u64, usize)] = &[
+    ("rgg12/KaPPa-Minimal/k4/threads1", 0xbb99c878717593b5, 9),
+    ("rgg12/KaPPa-Minimal/k4/threads2", 0xe27cc8e1eb7f3084, 9),
+    ("rgg12/KaPPa-Minimal/k4/ranks1", 0xbb99c878717593b5, 9),
+    ("rgg12/KaPPa-Minimal/k4/ranks2", 0x2a87ea0639effa44, 9),
+    ("rgg12/KaPPa-Minimal/k4/compact", 0xbb99c878717593b5, 9),
+    ("rgg12/KaPPa-Minimal/k4/paged", 0xbb99c878717593b5, 9),
+    ("rgg12/KaPPa-Minimal/k16/threads1", 0xb7b6686bd704ffd3, 6),
+    ("rgg12/KaPPa-Minimal/k16/threads2", 0x819a12e065cb1fd9, 6),
+    ("rgg12/KaPPa-Minimal/k16/ranks1", 0xb7b6686bd704ffd3, 6),
+    ("rgg12/KaPPa-Minimal/k16/ranks2", 0xac3776ac98e1f45d, 6),
+    ("rgg12/KaPPa-Minimal/k16/compact", 0xb7b6686bd704ffd3, 6),
+    ("rgg12/KaPPa-Minimal/k16/paged", 0xb7b6686bd704ffd3, 6),
+    ("rgg12/KaPPa-Fast/k4/threads1", 0x73777a1c75bd3a07, 9),
+    ("rgg12/KaPPa-Fast/k4/threads2", 0x7c5eb1a714d412e5, 9),
+    ("rgg12/KaPPa-Fast/k4/ranks1", 0x73777a1c75bd3a07, 9),
+    ("rgg12/KaPPa-Fast/k4/ranks2", 0xc5831bce43c26705, 9),
+    ("rgg12/KaPPa-Fast/k4/compact", 0x73777a1c75bd3a07, 9),
+    ("rgg12/KaPPa-Fast/k4/paged", 0x73777a1c75bd3a07, 9),
+    ("rgg12/KaPPa-Fast/k16/threads1", 0x9b0af1bea0e45af4, 6),
+    ("rgg12/KaPPa-Fast/k16/threads2", 0xf3c990ec6c1a256f, 6),
+    ("rgg12/KaPPa-Fast/k16/ranks1", 0x9b0af1bea0e45af4, 6),
+    ("rgg12/KaPPa-Fast/k16/ranks2", 0x17379289933f08b5, 6),
+    ("rgg12/KaPPa-Fast/k16/compact", 0x9b0af1bea0e45af4, 6),
+    ("rgg12/KaPPa-Fast/k16/paged", 0x9b0af1bea0e45af4, 6),
+    ("grid64/KaPPa-Minimal/k4/threads1", 0x695e4920c469d245, 8),
+    ("grid64/KaPPa-Minimal/k4/threads2", 0x6f114193aad658d5, 8),
+    ("grid64/KaPPa-Minimal/k4/ranks1", 0x695e4920c469d245, 8),
+    ("grid64/KaPPa-Minimal/k4/ranks2", 0x5b1c83f6dd55c157, 8),
+    ("grid64/KaPPa-Minimal/k4/compact", 0x695e4920c469d245, 8),
+    ("grid64/KaPPa-Minimal/k4/paged", 0x695e4920c469d245, 8),
+    ("grid64/KaPPa-Minimal/k16/threads1", 0xab8ab6c52437a239, 6),
+    ("grid64/KaPPa-Minimal/k16/threads2", 0x0b2f6b27789dc67a, 6),
+    ("grid64/KaPPa-Minimal/k16/ranks1", 0xab8ab6c52437a239, 6),
+    ("grid64/KaPPa-Minimal/k16/ranks2", 0xa0dcea60521db6af, 6),
+    ("grid64/KaPPa-Minimal/k16/compact", 0xab8ab6c52437a239, 6),
+    ("grid64/KaPPa-Minimal/k16/paged", 0xab8ab6c52437a239, 6),
+    ("grid64/KaPPa-Fast/k4/threads1", 0xe173b91dc0031d36, 8),
+    ("grid64/KaPPa-Fast/k4/threads2", 0xe2907592ef1d4935, 8),
+    ("grid64/KaPPa-Fast/k4/ranks1", 0xe173b91dc0031d36, 8),
+    ("grid64/KaPPa-Fast/k4/ranks2", 0x8c9f9a8751059755, 8),
+    ("grid64/KaPPa-Fast/k4/compact", 0xe173b91dc0031d36, 8),
+    ("grid64/KaPPa-Fast/k4/paged", 0xe173b91dc0031d36, 8),
+    ("grid64/KaPPa-Fast/k16/threads1", 0x2dac22a66d03196c, 6),
+    ("grid64/KaPPa-Fast/k16/threads2", 0x3ccc4676dafa69c2, 6),
+    ("grid64/KaPPa-Fast/k16/ranks1", 0x2dac22a66d03196c, 6),
+    ("grid64/KaPPa-Fast/k16/ranks2", 0x58a231e43f63ddd6, 6),
+    ("grid64/KaPPa-Fast/k16/compact", 0x2dac22a66d03196c, 6),
+    ("grid64/KaPPa-Fast/k16/paged", 0x2dac22a66d03196c, 6),
+    ("rmat11/KaPPa-Minimal/k4/threads1", 0x2c3e00d2d9de0547, 8),
+    ("rmat11/KaPPa-Minimal/k4/threads2", 0xd46e2f7bf1d987e5, 8),
+    ("rmat11/KaPPa-Minimal/k4/ranks1", 0x2c3e00d2d9de0547, 8),
+    ("rmat11/KaPPa-Minimal/k4/ranks2", 0x011bc5c1e2520aa7, 7),
+    ("rmat11/KaPPa-Minimal/k4/compact", 0x2c3e00d2d9de0547, 8),
+    ("rmat11/KaPPa-Minimal/k4/paged", 0x2c3e00d2d9de0547, 8),
+    ("rmat11/KaPPa-Minimal/k16/threads1", 0x5c8458a56d82b09d, 8),
+    ("rmat11/KaPPa-Minimal/k16/threads2", 0x38737bb8f24af84e, 8),
+    ("rmat11/KaPPa-Minimal/k16/ranks1", 0x5c8458a56d82b09d, 8),
+    ("rmat11/KaPPa-Minimal/k16/ranks2", 0x7bd06c98671e8b89, 7),
+    ("rmat11/KaPPa-Minimal/k16/compact", 0x5c8458a56d82b09d, 8),
+    ("rmat11/KaPPa-Minimal/k16/paged", 0x5c8458a56d82b09d, 8),
+    ("rmat11/KaPPa-Fast/k4/threads1", 0xff279f093dc0bc95, 8),
+    ("rmat11/KaPPa-Fast/k4/threads2", 0xc0fc63967205a354, 8),
+    ("rmat11/KaPPa-Fast/k4/ranks1", 0xff279f093dc0bc95, 8),
+    ("rmat11/KaPPa-Fast/k4/ranks2", 0x1010eb367fda8bf6, 7),
+    ("rmat11/KaPPa-Fast/k4/compact", 0xff279f093dc0bc95, 8),
+    ("rmat11/KaPPa-Fast/k4/paged", 0xff279f093dc0bc95, 8),
+    ("rmat11/KaPPa-Fast/k16/threads1", 0xd57526419d8f82d3, 8),
+    ("rmat11/KaPPa-Fast/k16/threads2", 0xdeabedc52b8e1e5f, 8),
+    ("rmat11/KaPPa-Fast/k16/ranks1", 0xd57526419d8f82d3, 8),
+    ("rmat11/KaPPa-Fast/k16/ranks2", 0x9fd05cafcd31b74d, 7),
+    ("rmat11/KaPPa-Fast/k16/compact", 0xd57526419d8f82d3, 8),
+    ("rmat11/KaPPa-Fast/k16/paged", 0xd57526419d8f82d3, 8),
+];

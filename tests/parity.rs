@@ -16,7 +16,8 @@
 use kappa::baselines::{greedy_kway_refinement, greedy_kway_refinement_indexed};
 use kappa::coarsen::SpillConfig;
 use kappa::coarsen::{
-    contract_matching, contract_matching_reference, CoarseningConfig, MultilevelHierarchy,
+    contract_matching, contract_matching_reference, CoarseningConfig, MatcherKind,
+    MultilevelHierarchy,
 };
 use kappa::core::{default_spill_dir, partition_tiered};
 use kappa::graph::boundary::{band_around_boundary, boundary_nodes, pair_boundary_nodes};
@@ -35,6 +36,7 @@ mod common;
 use common::{arbitrary_graph, xorshift};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const GPA: MatcherKind = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -222,7 +224,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = CoarseningConfig { stop_at_nodes: 24, ..Default::default() };
-        let hierarchy = MultilevelHierarchy::build(graph, &config);
+        let hierarchy = MultilevelHierarchy::build(graph, GPA, EdgeRating::ExpansionStar2, &config);
         let coarsest = hierarchy.coarsest();
         let start = random_partition(coarsest, k, seed);
         let mut state = PartitionState::build(coarsest, start);
@@ -252,7 +254,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = CoarseningConfig { stop_at_nodes: 24, ..Default::default() };
-        let hierarchy = MultilevelHierarchy::build(graph, &config);
+        let hierarchy = MultilevelHierarchy::build(graph, GPA, EdgeRating::ExpansionStar2, &config);
         let coarsest = hierarchy.coarsest();
         let start = random_partition(coarsest, k, seed);
         let refine_config = RefinementConfig {

@@ -3,7 +3,7 @@
 //! partitions returned by every stage are complete and consistent, and the
 //! quotient-graph colouring is always proper.
 
-use kappa::coarsen::{contract_matching, CoarseningConfig, MultilevelHierarchy};
+use kappa::coarsen::{contract_matching, CoarseningConfig, MatcherKind, MultilevelHierarchy};
 use kappa::graph::PartitionState;
 use kappa::graph::{GraphBuilder, Partition, QuotientGraph};
 use kappa::initial::greedy_graph_growing;
@@ -81,7 +81,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = CoarseningConfig { stop_at_nodes: 16, seed, ..Default::default() };
-        let h = MultilevelHierarchy::build(graph.clone(), &config);
+        let gpa = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
+        let h = MultilevelHierarchy::build(graph.clone(), gpa, EdgeRating::ExpansionStar2, &config);
         prop_assert!(h.node_weight_invariant_holds());
         for level in 0..h.num_levels() {
             prop_assert!(h.graph_at(level).validate().is_ok());
