@@ -5,13 +5,15 @@
 //! the 3 % balance constraint (its average balance in Tables 16/18/20 hovers
 //! around 1.047). This stand-in mimics those characteristics: parallel
 //! matching with the cheap weight rating, an aggressive coarsening stop, a
-//! single initial attempt, one refinement pass per level against a *relaxed*
-//! balance bound, and no final repair.
+//! single initial attempt, and one refinement pass per level against a
+//! *relaxed* balance bound. Only an output beyond even that relaxed bound is
+//! repaired: parMetis overshoots ε by a few per cent, not by tens.
 
 use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
 use kappa_graph::{CsrGraph, Partition, PartitionState};
 use kappa_initial::{greedy_graph_growing, random_partition};
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
+use kappa_refine::rebalance_state;
 
 use crate::kway_refine::greedy_kway_refinement_indexed;
 use crate::BaselinePartitioner;
@@ -72,7 +74,7 @@ impl BaselinePartitioner for ParMetisLike {
             random_partition(coarsest, k, seed)
         };
 
-        // Single cheap pass per level against the relaxed bound; no repair.
+        // Single cheap pass per level against the relaxed bound.
         // The state is derived in full once at the coarsest level and its
         // boundary index seeded through every projection below.
         let relaxed = epsilon + self.balance_slack;
@@ -82,6 +84,14 @@ impl BaselinePartitioner for ParMetisLike {
             let fine = hierarchy.graph_at(level - 1);
             let l_max = Partition::l_max(fine, k, relaxed);
             greedy_kway_refinement_indexed(fine, &mut state, l_max, 1);
+        }
+        // The cheap passes never move a node for balance alone, so skewed
+        // instances (rmat) can leave the finest level far past the relaxed
+        // bound; the tool being imitated does not. Outputs within the bound
+        // skip this and stay as they were.
+        let l_max = Partition::l_max(graph, k, relaxed);
+        if !state.is_balanced(l_max) {
+            rebalance_state(graph, &mut state, l_max);
         }
         state.into_partition()
     }

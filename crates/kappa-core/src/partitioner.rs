@@ -273,16 +273,22 @@ mod tests {
     #[test]
     fn all_presets_are_feasible_and_ordered_in_effort() {
         let g = random_geometric_graph(4000, 5);
-        let mut cuts = Vec::new();
+        // Every run is feasible; the effort ordering holds for the mean over
+        // seeds (one seed's strong run can lose to its minimal run by 20 %).
+        let seeds = 0..5u64;
+        let mut mean_cuts = Vec::new();
         for preset in ConfigPreset::all() {
-            let result =
-                KappaPartitioner::new(KappaConfig::preset(preset, 8).with_seed(3)).partition(&g);
-            assert!(result.metrics.feasible, "{:?} infeasible", preset);
-            cuts.push((preset, result.metrics.edge_cut));
+            let mut total = 0u64;
+            for seed in seeds.clone() {
+                let config = KappaConfig::preset(preset, 8).with_seed(seed);
+                let result = KappaPartitioner::new(config).partition(&g);
+                assert!(result.metrics.feasible, "{preset:?} seed {seed} infeasible");
+                total += result.metrics.edge_cut;
+            }
+            mean_cuts.push(total as f64 / seeds.clone().count() as f64);
         }
         // Strong must not be worse than Minimal by more than a whisker.
-        let minimal = cuts[0].1 as f64;
-        let strong = cuts[2].1 as f64;
+        let (minimal, strong) = (mean_cuts[0], mean_cuts[2]);
         assert!(
             strong <= minimal * 1.10,
             "strong {strong} much worse than minimal {minimal}"

@@ -22,8 +22,9 @@ use std::fmt;
 
 /// Version of the wire protocol (frames + handshake). Bump on any change to
 /// the frame layout or the [`Wire`] encodings of the pipeline's message types.
-/// Version 2 added coalesced pack frames (`::coal`).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Version 2 added coalesced pack frames (`::coal`); version 3 ships band
+/// shards as flat arrays (`band-recs` carries `kappa_refine::BandShard`).
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame magic, little-endian `b"KPF1"` on the wire.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"KPF1");
@@ -268,17 +269,15 @@ macro_rules! impl_wire_struct {
 // Wire encodings for the shared-crate types the distributed pipeline sends.
 // (`Wire` is local to kappa-dist, so coherence allows these impls here.)
 
-impl_wire_struct!(kappa_refine::RegionEdge {
+impl_wire_struct!(kappa_refine::BandShard {
+    gids,
+    weights,
+    blocks,
+    xadj,
     to,
-    weight,
+    edge_weight,
     to_block,
     to_weight
-});
-impl_wire_struct!(kappa_refine::RegionNode {
-    gid,
-    weight,
-    block,
-    edges
 });
 
 impl Wire for kappa_graph::Partition {

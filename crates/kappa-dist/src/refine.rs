@@ -13,10 +13,11 @@
 //!    active pair at once: seeds (pair-boundary candidates, maintained per
 //!    rank exactly like the shared `IndexSeeder`) are gathered to the homes,
 //!    a level-synchronised distributed BFS grows the depth-`d` bands, each
-//!    rank ships its shard of every band to the pair's home
-//!    ([`RegionNode`] records), the homes run the pooled FM of
-//!    `kappa-refine` on their gathered regions **in parallel across ranks**,
-//!    and the surviving moves are allgathered.
+//!    rank ships its share of every band to the pair's home (one flat
+//!    [`BandShard`] per pair, filled from the rank's dense `BandScratch`),
+//!    the homes assemble their regions from the shards and run the pooled FM
+//!    of `kappa-refine` on them **in parallel across ranks**, and the
+//!    surviving moves are allgathered.
 //! 3. Every rank applies every announced move to its live view immediately
 //!    (the distributed analogue of the shared scheduler's atomic mirror);
 //!    the boundary-index shards, replicated weights and partial cuts are
@@ -32,13 +33,13 @@
 //! `best_move_of` and an allreduce-min selects the unique global minimum
 //! candidate tuple.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use kappa_graph::{BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
 use kappa_refine::{
-    best_move_of, color_quotient_edges, fallback_move_of, fallback_target, pair_search_seed,
-    refine_gathered_band, refine_region_iteration, FmConfig, FmScratch, GatheredRegion,
-    RefinementConfig, RefinementStats, RegionEdge, RegionNode,
+    best_move_of, color_quotient_edges, fallback_move_of, fallback_target, merge_sorted_dedup,
+    pair_search_seed, refine_gathered_band, BandShard, FmConfig, FmScratch, GatheredRegion,
+    RefinementConfig, RefinementStats, ShardError,
 };
 
 use crate::comm::{allreduce_min_opt, Comm, CommError, CommErrorKind, CommResult};
@@ -107,6 +108,7 @@ pub fn dist_refine<C: Comm>(
         stats.nodes_moved += dist_rebalance(comm, dg, st, l_max)?;
     }
 
+    let mut bands = BandScratch::new(dg.num_owned());
     let mut no_change_streak = 0usize;
     for global_iter in 0..config.max_global_iterations {
         // Replicated quotient from the allgathered boundary-priced shares.
@@ -134,6 +136,7 @@ pub fn dist_refine<C: Comm>(
                 config,
                 l_max,
                 stats,
+                &mut bands,
             )?;
         }
 
@@ -174,6 +177,7 @@ fn refine_class<C: Comm>(
     config: &RefinementConfig,
     l_max: NodeWeight,
     stats: &mut RefinementStats,
+    bands: &mut BandScratch,
 ) -> CommResult<i64> {
     if comm.num_ranks() == 1 {
         refine_class_stepwise(
@@ -186,6 +190,7 @@ fn refine_class<C: Comm>(
             config,
             l_max,
             stats,
+            bands,
         )
     } else {
         refine_class_batched(
@@ -198,6 +203,7 @@ fn refine_class<C: Comm>(
             config,
             l_max,
             stats,
+            bands,
         )
     }
 }
@@ -214,6 +220,7 @@ fn refine_class_stepwise<C: Comm>(
     config: &RefinementConfig,
     l_max: NodeWeight,
     stats: &mut RefinementStats,
+    bands: &mut BandScratch,
 ) -> CommResult<i64> {
     let me = comm.rank();
     let ranks = comm.num_ranks();
@@ -226,7 +233,7 @@ fn refine_class_stepwise<C: Comm>(
         }
 
         // --- Superstep 1: seeds to the homes. ---
-        let (mut visited, mut frontier, seed_parts) = live_seeds(dg, st, &pairs, ranks);
+        let (mut frontier, seed_parts) = live_seeds(dg, st, &pairs, ranks, bands);
         let seed_msgs = comm.alltoallv(seed_parts)?;
         // Home: per pair, seeds in ascending global order (rank segments are
         // ascending and ownership ranges are ordered, so concatenation in
@@ -252,7 +259,7 @@ fn refine_class_stepwise<C: Comm>(
                         continue;
                     }
                     if dg.is_owned_local(t) {
-                        if visited[pi].insert(t) {
+                        if bands.insert(pi, t) {
                             next.push((pi, t));
                         }
                     } else {
@@ -273,7 +280,7 @@ fn refine_class_stepwise<C: Comm>(
                     })?;
                     let (a, b) = (pairs[pi].a, pairs[pi].b);
                     let bl = st.block_of_local(l);
-                    if (bl == a || bl == b) && visited[pi].insert(l) {
+                    if (bl == a || bl == b) && bands.insert(pi, l) {
                         next.push((pi, l));
                     }
                 }
@@ -282,13 +289,10 @@ fn refine_class_stepwise<C: Comm>(
         }
 
         // --- Superstep 3: ship the band shards to the homes. ---
-        let band_parts = band_records(dg, st, &pairs, &visited, ranks);
-        let band_msgs = comm.alltoallv(band_parts)?;
-        let mut region_of: Vec<Vec<RegionNode>> = vec![Vec::new(); pairs.len()];
-        for part in band_msgs {
-            for (pi, record) in part {
-                region_of[pi as usize].push(record);
-            }
+        let band_parts = band_shards(dg, st, &pairs, bands, ranks);
+        let mut gathered = GatheredBands::new(pairs.len());
+        for (src, part) in comm.alltoallv(band_parts)?.into_iter().enumerate() {
+            gathered.receive(me, src, part)?;
         }
 
         // --- Superstep 4: homes refine their pairs (parallel across ranks). --
@@ -308,8 +312,8 @@ fn refine_class_stepwise<C: Comm>(
                 });
                 continue;
             }
-            let records = std::mem::take(&mut region_of[pi]);
-            let mut region = GatheredRegion::build(st.k(), &records);
+            let mut region = gathered.assemble(me, st.k(), pi)?;
+            let blame = |e: ShardError| gathered.blame(me, pi, e);
             let fm_config = pair.fm_config(config, l_max, global_iter, color_idx, local_iter);
             let result = refine_gathered_band(
                 &mut region,
@@ -321,23 +325,11 @@ fn refine_class_stepwise<C: Comm>(
                 pair.w_b,
                 &fm_config,
                 &mut scratch,
-            );
+                false,
+            )
+            .map_err(blame)?;
             let done = result.moves.is_empty() || result.gain == 0;
-            // O(1) weight lookups for the surviving moves (every moved node
-            // is a band node, so its record exists).
-            let weight_of: HashMap<NodeId, NodeWeight> =
-                records.iter().map(|r| (r.gid, r.weight)).collect();
-            let moves: Vec<MoveRec> = result
-                .moves
-                .iter()
-                .map(|&(gid, to)| MoveRec {
-                    gid,
-                    from: if to == pair.a { pair.b } else { pair.a },
-                    to,
-                    // kappa-lint: allow(dist-no-panic) -- FM only ever moves band nodes, and every band node has a record; a miss is a local logic bug, not a peer failure.
-                    weight: *weight_of.get(&gid).expect("moved node is a band node"),
-                })
-                .collect();
+            let moves = pair.move_recs(&region, &result.moves).map_err(blame)?;
             my_reports.push(PairReport {
                 pair: pi,
                 searches: 1,
@@ -366,8 +358,8 @@ fn refine_class_stepwise<C: Comm>(
                     pair.w_b += rec.weight;
                     pair.w_a -= rec.weight;
                 }
-                extend_candidates(dg, &mut pair.candidates, rec.gid);
             }
+            extend_candidates(dg, &mut pair.candidates, &report.moves);
             pair.moves.extend(report.moves);
             if report.done {
                 pair.active = false;
@@ -413,6 +405,7 @@ fn refine_class_batched<C: Comm>(
     config: &RefinementConfig,
     l_max: NodeWeight,
     stats: &mut RefinementStats,
+    bands: &mut BandScratch,
 ) -> CommResult<i64> {
     let me = comm.rank();
     let ranks = comm.num_ranks();
@@ -420,7 +413,7 @@ fn refine_class_batched<C: Comm>(
 
     // Seeds: revalidated once per class; the per-home parts ride to the
     // homes together with the band shards below.
-    let (mut visited, mut frontier, mut seed_parts) = live_seeds(dg, st, &pairs, ranks);
+    let (mut frontier, mut seed_parts) = live_seeds(dg, st, &pairs, ranks, bands);
 
     // Level-synchronised distributed band BFS — the one part of the schedule
     // that is inherently round-by-round (hop h+1 needs hop h's expansions).
@@ -435,7 +428,7 @@ fn refine_class_batched<C: Comm>(
                     continue;
                 }
                 if dg.is_owned_local(t) {
-                    if visited[pi].insert(t) {
+                    if bands.insert(pi, t) {
                         next.push((pi, t));
                     }
                 } else {
@@ -463,7 +456,7 @@ fn refine_class_batched<C: Comm>(
                 let pi = pi as usize;
                 let (a, b) = (pairs[pi].a, pairs[pi].b);
                 let bl = st.block_of_local(l);
-                if (bl == a || bl == b) && visited[pi].insert(l) {
+                if (bl == a || bl == b) && bands.insert(pi, l) {
                     next.push((pi, l));
                 }
             }
@@ -472,7 +465,7 @@ fn refine_class_batched<C: Comm>(
     }
 
     // Band shards, shipped with the seeds: one coalesced frame per peer.
-    let mut band_parts = band_records(dg, st, &pairs, &visited, ranks);
+    let mut band_parts = band_shards(dg, st, &pairs, bands, ranks);
     comm.coalesce(|c| {
         for dst in 0..ranks {
             if dst != me {
@@ -485,7 +478,7 @@ fn refine_class_batched<C: Comm>(
     // Rank-order receipt keeps per-pair seed concatenation globally
     // ascending, exactly like the alltoallv it replaces.
     let mut seeds_of: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
-    let mut region_of: Vec<Vec<RegionNode>> = vec![Vec::new(); pairs.len()];
+    let mut gathered = GatheredBands::new(pairs.len());
     for src in 0..ranks {
         let (seed_part, band_part) = if src == me {
             (
@@ -495,15 +488,13 @@ fn refine_class_batched<C: Comm>(
         } else {
             (
                 comm.recv::<Vec<(u32, NodeId)>>(src, "band-seeds")?,
-                comm.recv::<Vec<(u32, RegionNode)>>(src, "band-recs")?,
+                comm.recv::<Vec<(u32, BandShard)>>(src, "band-recs")?,
             )
         };
         for (pi, gid) in seed_part {
             seeds_of[pi as usize].push(gid);
         }
-        for (pi, record) in band_part {
-            region_of[pi as usize].push(record);
-        }
+        gathered.receive(me, src, band_part)?;
     }
 
     // Home FM: all local iterations pooled on the gathered region.
@@ -524,10 +515,8 @@ fn refine_class_batched<C: Comm>(
             });
             continue;
         }
-        let records = std::mem::take(&mut region_of[pi]);
-        let mut region = GatheredRegion::build(st.k(), &records);
-        let weight_of: HashMap<NodeId, NodeWeight> =
-            records.iter().map(|r| (r.gid, r.weight)).collect();
+        let mut region = gathered.assemble(me, st.k(), pi)?;
+        let blame = |e: ShardError| gathered.blame(me, pi, e);
         let (mut w_a, mut w_b) = (pair.w_a, pair.w_b);
         let mut moves: Vec<MoveRec> = Vec::new();
         let mut gain = 0i64;
@@ -541,48 +530,29 @@ fn refine_class_batched<C: Comm>(
             // First pass: the exact gathered-band search. Follow-up passes
             // re-run the band BFS from the shifted boundary, clipped to the
             // gathered band (the frozen ring was never shipped for moving).
-            let result = if local_iter == 0 {
-                refine_gathered_band(
-                    &mut region,
-                    pair.a,
-                    pair.b,
-                    &cur_seeds,
-                    config.bfs_depth,
-                    w_a,
-                    w_b,
-                    &fm_config,
-                    &mut scratch,
-                )
-            } else {
-                refine_region_iteration(
-                    &mut region,
-                    pair.a,
-                    pair.b,
-                    &cur_seeds,
-                    config.bfs_depth,
-                    w_a,
-                    w_b,
-                    &fm_config,
-                    &mut scratch,
-                )
-            };
+            let result = refine_gathered_band(
+                &mut region,
+                pair.a,
+                pair.b,
+                &cur_seeds,
+                config.bfs_depth,
+                w_a,
+                w_b,
+                &fm_config,
+                &mut scratch,
+                local_iter > 0,
+            )
+            .map_err(blame)?;
             searches += 1;
-            for &(gid, to) in &result.moves {
-                // kappa-lint: allow(dist-no-panic) -- FM only ever moves band nodes, and every band node has a record; a miss is a local logic bug, not a peer failure.
-                let weight = *weight_of.get(&gid).expect("moved node is a band node");
-                if to == pair.a {
-                    w_a += weight;
-                    w_b -= weight;
+            for rec in pair.move_recs(&region, &result.moves).map_err(blame)? {
+                if rec.to == pair.a {
+                    w_a += rec.weight;
+                    w_b -= rec.weight;
                 } else {
-                    w_b += weight;
-                    w_a -= weight;
+                    w_b += rec.weight;
+                    w_a -= rec.weight;
                 }
-                moves.push(MoveRec {
-                    gid,
-                    from: if to == pair.a { pair.b } else { pair.a },
-                    to,
-                    weight,
-                });
+                moves.push(rec);
             }
             gain += result.gain;
             if result.moves.is_empty() || result.gain == 0 {
@@ -670,6 +640,24 @@ impl PairRun {
         }
     }
 
+    /// The surviving moves of one search on `region` as broadcastable
+    /// records, their weights read off the region.
+    fn move_recs(
+        &self,
+        region: &GatheredRegion,
+        moves: &[(NodeId, BlockId)],
+    ) -> Result<Vec<MoveRec>, ShardError> {
+        let record = |&(gid, to): &(NodeId, BlockId)| {
+            Ok(MoveRec {
+                gid,
+                from: if to == self.a { self.b } else { self.a },
+                to,
+                weight: region.weight_of(gid)?,
+            })
+        };
+        moves.iter().map(record).collect()
+    }
+
     /// The pairs of one colour class at class start: pair `i` homed on rank
     /// `i mod R`, weights from the replicated state, candidates from this
     /// rank's boundary-index shard.
@@ -704,24 +692,54 @@ impl PairRun {
     }
 }
 
+/// Which band each owned node is in, for one colour class on this rank.
+///
+/// The pairs of a class are block-disjoint, so a node is in at most one of
+/// their bands and one dense array serves the whole class; it is allocated
+/// once per level and handed from class to class, because
+/// [`band_shards`] clears exactly the entries the class set.
+struct BandScratch {
+    /// The pair whose band holds owned local node `l`, or `NO_PAIR`.
+    pair_of: Vec<u32>,
+    /// Per pair, this rank's band members (owned locals) as discovered.
+    members: Vec<Vec<NodeId>>,
+}
+
+const NO_PAIR: u32 = u32::MAX;
+
+impl BandScratch {
+    fn new(num_owned: usize) -> Self {
+        BandScratch {
+            pair_of: vec![NO_PAIR; num_owned],
+            members: Vec::new(),
+        }
+    }
+
+    /// Puts owned local `l` into pair `pi`'s band; false if it was there.
+    fn insert(&mut self, pi: usize, l: NodeId) -> bool {
+        let fresh = self.pair_of[l as usize] == NO_PAIR;
+        if fresh {
+            self.pair_of[l as usize] = pi as u32;
+            self.members[pi].push(l);
+        }
+        fresh
+    }
+}
+
 /// Revalidates every active pair's candidates in the live view: a candidate
 /// is a seed iff it is pair-boundary now (the same revalidation as
-/// `IndexSeeder::seeds`). Returns the start of the band BFS — `visited[pair]`,
-/// this rank's owned band members as locals, and the `(pair, owned local)`
-/// frontier, both holding exactly the seeds — and, per home rank, the seeds
-/// as `(pair, global id)`.
+/// `IndexSeeder::seeds`). Starts the band BFS — `bands` and the returned
+/// `(pair, owned local)` frontier hold exactly the seeds — and returns, per
+/// home rank, the seeds as `(pair, global id)`.
 #[allow(clippy::type_complexity)]
 fn live_seeds(
     dg: &DistGraph,
     st: &DistState,
     pairs: &[PairRun],
     ranks: usize,
-) -> (
-    Vec<HashSet<NodeId>>,
-    Vec<(usize, NodeId)>,
-    Vec<Vec<(u32, NodeId)>>,
-) {
-    let mut visited: Vec<HashSet<NodeId>> = vec![HashSet::new(); pairs.len()];
+    bands: &mut BandScratch,
+) -> (Vec<(usize, NodeId)>, Vec<Vec<(u32, NodeId)>>) {
+    bands.members.resize_with(pairs.len(), Vec::new);
     let mut frontier: Vec<(usize, NodeId)> = Vec::new();
     let mut seed_parts: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
     for (pi, pair) in pairs.iter().enumerate() {
@@ -731,55 +749,104 @@ fn live_seeds(
         for &l in &pair.candidates {
             if is_pair_boundary(dg, st, l, pair.a, pair.b) {
                 seed_parts[pair.home].push((pi as u32, dg.global_of(l)));
-                if visited[pi].insert(l) {
+                if bands.insert(pi, l) {
                     frontier.push((pi, l));
                 }
             }
         }
     }
-    (visited, frontier, seed_parts)
+    (frontier, seed_parts)
 }
 
-/// This rank's shard of every pair's band as [`RegionNode`] records, grouped
-/// by the pair's home rank.
-fn band_records(
+/// This rank's share of every pair's band as one [`BandShard`] per pair,
+/// grouped by the pair's home rank. Empties `bands` on the way.
+fn band_shards(
     dg: &DistGraph,
     st: &DistState,
     pairs: &[PairRun],
-    visited: &[HashSet<NodeId>],
+    bands: &mut BandScratch,
     ranks: usize,
-) -> Vec<Vec<(u32, RegionNode)>> {
-    let mut band_parts: Vec<Vec<(u32, RegionNode)>> = vec![Vec::new(); ranks];
-    for (pi, members) in visited.iter().enumerate() {
-        let pair = &pairs[pi];
-        // Ship band members in ascending local order so the wire payload
-        // is identical run to run regardless of set insertion history.
-        let mut members: Vec<NodeId> = members.iter().copied().collect();
-        members.sort_unstable();
-        for l in members {
-            let record = RegionNode {
-                gid: dg.global_of(l),
-                weight: dg.local().node_weight(l),
-                block: st.block_of_local(l),
-                edges: dg
-                    .local()
-                    .edges_of(l)
-                    .filter(|&(t, _)| {
-                        let bt = st.block_of_local(t);
-                        bt == pair.a || bt == pair.b
-                    })
-                    .map(|(t, w)| RegionEdge {
-                        to: dg.global_of(t),
-                        weight: w,
-                        to_block: st.block_of_local(t),
-                        to_weight: dg.local().node_weight(t),
-                    })
-                    .collect(),
-            };
-            band_parts[pair.home].push((pi as u32, record));
+) -> Vec<Vec<(u32, BandShard)>> {
+    let mut band_parts: Vec<Vec<(u32, BandShard)>> = vec![Vec::new(); ranks];
+    for (pi, members) in bands.members.iter_mut().enumerate() {
+        if members.is_empty() {
+            continue;
         }
+        let pair = &pairs[pi];
+        // Ascending local order is ascending global order, whatever order
+        // the BFS found the members in.
+        members.sort_unstable();
+        let degrees: usize = members.iter().map(|&l| dg.local().degree(l)).sum();
+        let mut shard = BandShard::with_capacity(members.len(), degrees);
+        for l in members.drain(..) {
+            bands.pair_of[l as usize] = NO_PAIR;
+            let edges = dg.local().edges_of(l).filter_map(|(t, w)| {
+                let bt = st.block_of_local(t);
+                (bt == pair.a || bt == pair.b)
+                    .then(|| (dg.global_of(t), w, bt, dg.local().node_weight(t)))
+            });
+            let weight = dg.local().node_weight(l);
+            shard.push_node(dg.global_of(l), weight, st.block_of_local(l), edges);
+        }
+        band_parts[pair.home].push((pi as u32, shard));
     }
     band_parts
+}
+
+/// Per pair, the band shards its home rank received and who sent each.
+struct GatheredBands {
+    shards: Vec<Vec<BandShard>>,
+    senders: Vec<Vec<usize>>,
+}
+
+impl GatheredBands {
+    fn new(pairs: usize) -> Self {
+        GatheredBands {
+            shards: vec![Vec::new(); pairs],
+            senders: vec![Vec::new(); pairs],
+        }
+    }
+
+    /// Files the `band-recs` part rank `src` sent to this rank.
+    fn receive(&mut self, me: usize, src: usize, part: Vec<(u32, BandShard)>) -> CommResult<()> {
+        for (pi, shard) in part {
+            let pairs = self.shards.len();
+            let Some(slot) = self.shards.get_mut(pi as usize) else {
+                return Err(CommError {
+                    rank: me,
+                    peer: src,
+                    tag: "band-recs".to_string(),
+                    kind: CommErrorKind::Protocol(format!(
+                        "rank {src} sent a band shard for pair {pi} of a {pairs}-pair class"
+                    )),
+                });
+            };
+            slot.push(shard);
+            self.senders[pi as usize].push(src);
+        }
+        Ok(())
+    }
+
+    /// Assembles pair `pi`'s region from its shards (consuming them).
+    fn assemble(&mut self, me: usize, k: BlockId, pi: usize) -> CommResult<GatheredRegion> {
+        let shards = std::mem::take(&mut self.shards[pi]);
+        GatheredRegion::assemble(k, &shards).map_err(|e| self.blame(me, pi, e))
+    }
+
+    /// A gather fault of pair `pi` as the protocol violation of the rank
+    /// whose shard is at fault (of the gather as a whole when none is).
+    fn blame(&self, me: usize, pi: usize, e: ShardError) -> CommError {
+        let sender = e.shard.and_then(|s| self.senders[pi].get(s).copied());
+        CommError {
+            rank: me,
+            peer: sender.unwrap_or(me),
+            tag: "band-recs".to_string(),
+            kind: CommErrorKind::Protocol(match sender {
+                Some(src) => format!("band of pair {pi}, shard from rank {src}: {e}"),
+                None => format!("band of pair {pi}: {e}"),
+            }),
+        }
+    }
 }
 
 /// True if owned local `l` is on the `(a, b)` pair boundary in the live view.
@@ -798,54 +865,25 @@ fn is_pair_boundary(dg: &DistGraph, st: &DistState, l: NodeId, a: BlockId, b: Bl
         .any(|&t| st.block_of_local(t) == other)
 }
 
-/// Adds the moved node and its neighbours (the rank-owned ones) to the
+/// Adds the moved nodes and their neighbours (the rank-owned ones) to the
 /// candidate list, keeping it sorted and deduplicated — the rank-local shard
 /// of `IndexSeeder::observe_moves`.
-fn extend_candidates(dg: &DistGraph, candidates: &mut Vec<NodeId>, moved_gid: NodeId) {
-    let Some(l) = dg.local_of(moved_gid) else {
-        return; // node not on this rank: none of its neighbours are owned here
-    };
-    let mut extra: Vec<NodeId> = Vec::new();
-    if dg.is_owned_local(l) {
-        extra.push(l);
+fn extend_candidates(dg: &DistGraph, candidates: &mut Vec<NodeId>, moves: &[MoveRec]) {
+    if moves.is_empty() {
+        return;
     }
-    for &t in dg.local().neighbors(l) {
-        if dg.is_owned_local(t) {
-            extra.push(t);
-        }
+    let mut extra: Vec<NodeId> = Vec::new();
+    for rec in moves {
+        // A node not on this rank has no neighbour owned here.
+        let Some(l) = dg.local_of(rec.gid) else {
+            continue;
+        };
+        let near = std::iter::once(l).chain(dg.local().neighbors(l).iter().copied());
+        extra.extend(near.filter(|&t| dg.is_owned_local(t)));
     }
     extra.sort_unstable();
     extra.dedup();
-    let mut merged = Vec::with_capacity(candidates.len() + extra.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < candidates.len() || j < extra.len() {
-        let next = match (candidates.get(i), extra.get(j)) {
-            (Some(&c), Some(&e)) if c < e => {
-                i += 1;
-                c
-            }
-            (Some(&c), Some(&e)) if c > e => {
-                j += 1;
-                e
-            }
-            (Some(&c), Some(_)) => {
-                i += 1;
-                j += 1;
-                c
-            }
-            (Some(&c), None) => {
-                i += 1;
-                c
-            }
-            (None, Some(&e)) => {
-                j += 1;
-                e
-            }
-            (None, None) => break,
-        };
-        merged.push(next);
-    }
-    *candidates = merged;
+    *candidates = merge_sorted_dedup(candidates, &extra);
 }
 
 /// Candidate tuple of the distributed rebalancer; ordered by
@@ -973,6 +1011,66 @@ mod tests {
             .collect();
         let weights = BlockWeights::compute(g, partition);
         DistState::build(dg, view, partition.k(), weights)
+    }
+
+    /// A class leaves no trace in the scratch — neither schedule, at any
+    /// rank count — so the next class's bands start from nothing.
+    #[test]
+    fn band_scratch_is_clean_after_a_class() {
+        let g = grid2d(16, 16);
+        // Four vertical stripes: (0, 1) and (2, 3) form one colour class.
+        let assignment: Vec<BlockId> = (0..256).map(|i| (i % 16 / 4) as u32).collect();
+        let partition = Partition::from_assignment(4, assignment);
+        let l_max = Partition::l_max(&g, 4, 0.03);
+        let config = RefinementConfig::default();
+        for ranks in [1usize, 2, 3] {
+            let searches = LocalCluster::new(ranks).run(|comm| {
+                let dg = DistGraph::from_global(&g, ranks, comm.rank());
+                let mut st = shard(&dg, &partition, &g);
+                let mut bands = BandScratch::new(dg.num_owned());
+                let mut stats = RefinementStats::default();
+                for class in [[(0, 1), (2, 3)], [(1, 2), (0, 3)]] {
+                    refine_class(
+                        comm, &dg, &mut st, &class, 0, 0, &config, l_max, &mut stats, &mut bands,
+                    )
+                    .unwrap();
+                    assert!(bands.pair_of.iter().all(|&p| p == NO_PAIR), "stale pair_of");
+                    assert!(bands.members.iter().all(Vec::is_empty), "stale members");
+                }
+                st.verify_exact(comm, &dg).unwrap();
+                stats.pair_searches
+            });
+            assert!(searches[0] >= 3, "ranks {ranks}: the classes were searched");
+        }
+    }
+
+    #[test]
+    fn malformed_shards_blame_their_sender_and_pair() {
+        let mut good = BandShard::with_capacity(0, 0);
+        good.push_node(4, 1, 0, [(9, 1, 1, 1)]);
+        let mut bad = good.clone();
+        bad.gids[0] = 5;
+        bad.xadj[1] = 7;
+        let mut gathered = GatheredBands::new(2);
+        gathered.receive(1, 0, vec![(1, good.clone())]).unwrap();
+        gathered.receive(1, 2, vec![(1, bad), (0, good)]).unwrap();
+        assert!(gathered.assemble(1, 2, 0).is_ok());
+        let e = gathered.assemble(1, 2, 1).unwrap_err();
+        assert_eq!((e.rank, e.peer, e.tag.as_str()), (1, 2, "band-recs"));
+        match &e.kind {
+            CommErrorKind::Protocol(detail) => {
+                assert!(detail.contains("pair 1"), "{detail}");
+                assert!(detail.contains("rank 2"), "{detail}");
+                assert!(detail.contains("xadj"), "{detail}");
+            }
+            other => panic!("expected a protocol violation, got {other:?}"),
+        }
+        // A shard for a pair the class does not have.
+        let e = gathered
+            .receive(1, 0, vec![(2, BandShard::with_capacity(0, 0))])
+            .unwrap_err();
+        assert_eq!(e.peer, 0);
+        assert!(matches!(&e.kind, CommErrorKind::Protocol(d) if d.contains("pair 2")));
     }
 
     #[test]

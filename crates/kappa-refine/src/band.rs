@@ -173,38 +173,25 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
         }
         extra.sort_unstable();
         extra.dedup();
-        // Sorted-merge the new candidates in, keeping the list deduplicated.
-        let mut merged = Vec::with_capacity(candidates.len() + extra.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < candidates.len() || j < extra.len() {
-            let next = match (candidates.get(i), extra.get(j)) {
-                (Some(&c), Some(&e)) if c < e => {
-                    i += 1;
-                    c
-                }
-                (Some(&c), Some(&e)) if c > e => {
-                    j += 1;
-                    e
-                }
-                (Some(&c), Some(_)) => {
-                    i += 1;
-                    j += 1;
-                    c
-                }
-                (Some(&c), None) => {
-                    i += 1;
-                    c
-                }
-                (None, Some(&e)) => {
-                    j += 1;
-                    e
-                }
-                (None, None) => break,
-            };
-            merged.push(next);
-        }
-        *candidates = merged;
+        *candidates = merge_sorted_dedup(candidates, &extra);
     }
+}
+
+/// The union of two ascending, duplicate-free id lists, ascending and
+/// duplicate-free again — how a seeder's candidate list takes in the
+/// neighbourhoods of moved nodes.
+pub fn merge_sorted_dedup(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += (a[i] == next) as usize;
+        j += (b[j] == next) as usize;
+        merged.push(next);
+    }
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    merged
 }
 
 #[cfg(test)]
@@ -219,6 +206,16 @@ mod tests {
             .map(|i| if i % side < side / 2 { 0 } else { 1 })
             .collect();
         (g, Partition::from_assignment(2, assignment))
+    }
+
+    #[test]
+    fn merge_sorted_dedup_is_the_set_union() {
+        assert_eq!(
+            merge_sorted_dedup(&[1, 4, 6, 9], &[0, 4, 5, 9, 12]),
+            vec![0, 1, 4, 5, 6, 9, 12]
+        );
+        assert_eq!(merge_sorted_dedup(&[], &[2, 3]), vec![2, 3]);
+        assert_eq!(merge_sorted_dedup(&[2, 3], &[]), vec![2, 3]);
     }
 
     #[test]

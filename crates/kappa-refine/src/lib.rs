@@ -73,14 +73,12 @@ pub mod scheduler;
 pub mod scratch;
 
 pub use balance::{best_move_of, fallback_move_of, fallback_target, rebalance, rebalance_state};
-pub use band::{pair_band, BandSeeder, FullScanSeeder, IndexSeeder};
+pub use band::{merge_sorted_dedup, pair_band, BandSeeder, FullScanSeeder, IndexSeeder};
 pub use coloring::{color_quotient_edges, EdgeColoring};
 pub use delta::{DeltaPairView, SharedAssignment};
 pub use fm::{pair_search_seed, patience_bound, two_way_fm, two_way_fm_in, FmConfig, FmResult};
 pub use gain::pair_gain;
-pub use gather::{
-    refine_gathered_band, refine_region_iteration, GatheredRegion, RegionEdge, RegionNode,
-};
+pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
 pub use local::{refine_local, LocalRefineConfig, LocalRefineStats};
 pub use queue_select::QueueSelection;
 pub use scheduler::{

@@ -666,25 +666,18 @@ proptest! {
         prop_assert_eq!(decoded.k(), p.k());
         prop_assert_eq!(decoded.assignment(), p.assignment());
 
-        // Band regions: RegionNode with nested RegionEdges.
-        let nodes: Vec<kappa::refine::RegionNode> = (0..n.min(12))
-            .map(|_| kappa::refine::RegionNode {
-                gid: next() as u32,
-                weight: next() % 50,
-                block: next() as u32 % k,
-                edges: (0..(next() % 4) as usize)
-                    .map(|_| kappa::refine::RegionEdge {
-                        to: next() as u32,
-                        weight: 1 + next() % 9,
-                        to_block: next() as u32 % k,
-                        to_weight: next() % 50,
-                    })
-                    .collect(),
-            })
-            .collect();
+        // Band shards: eight flat arrays per (sender, pair).
+        let mut shard = kappa::refine::BandShard::with_capacity(0, 0);
+        for _ in 0..n.min(12) {
+            let edges: Vec<(u32, u64, u32, u64)> = (0..(next() % 4) as usize)
+                .map(|_| (next() as u32, 1 + next() % 9, next() as u32 % k, next() % 50))
+                .collect();
+            shard.push_node(next() as u32, next() % 50, next() as u32 % k, edges);
+        }
+        let shards = vec![(3u32, shard), (7u32, kappa::refine::BandShard::with_capacity(0, 0))];
         prop_assert_eq!(
-            &Vec::<kappa::refine::RegionNode>::from_bytes(&nodes.to_bytes()).unwrap(),
-            &nodes
+            &Vec::<(u32, kappa::refine::BandShard)>::from_bytes(&shards.to_bytes()).unwrap(),
+            &shards
         );
     }
 

@@ -367,7 +367,11 @@ fn assert_tier_matches_classic(context: &str, graph: &CsrGraph, k: u32, seed: u6
     let config = KappaConfig::fast(k).with_seed(seed).with_threads(1);
     let classic = KappaPartitioner::new(config).partition(graph);
     let spill = {
-        let mut s = SpillConfig::new(default_spill_dir(&format!("parity-{tier}")));
+        // One directory per call: the tests of this binary run on parallel
+        // threads of one process, and each call removes its directory.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut s = SpillConfig::new(default_spill_dir(&format!("parity-{tier}-{call}")));
         // Force real spilling even on small instances.
         s.spill_above_half_edges = 500;
         s
