@@ -9,46 +9,50 @@
 //!    every rank) — no broadcast needed.
 //! 2. The pairs of one colour class are block-disjoint, so they refine
 //!    concurrently: pair `i` of a class is assigned to **home rank**
-//!    `i mod R`. Per local iteration, one batched superstep handles every
-//!    active pair at once: seeds (pair-boundary candidates, maintained per
-//!    rank exactly like the shared `IndexSeeder`) are gathered to the homes,
-//!    a level-synchronised distributed BFS grows the depth-`d` bands, each
-//!    rank ships its share of every band to the pair's home (one flat
-//!    [`BandShard`] per pair, filled from the rank's dense `BandScratch`),
-//!    the homes assemble their regions from the shards and run the pooled FM
-//!    of `kappa-refine` on them **in parallel across ranks**, and the
-//!    surviving moves are allgathered.
+//!    `i mod R`. One schedule, `refine_class`, serves every rank count; it
+//!    handles all active pairs of the class at once, in rounds. Per round the
+//!    seeds (pair-boundary candidates, maintained per rank exactly like the
+//!    shared `IndexSeeder`) are gathered to the homes, a level-synchronised
+//!    distributed BFS grows the depth-`d` bands, each rank ships its share of
+//!    every band to the pair's home (one flat [`BandShard`] per pair, filled
+//!    from the rank's dense `BandScratch`), the homes assemble their regions
+//!    from the shards and run the pooled FM of `kappa-refine` on them **in
+//!    parallel across ranks**, and the surviving moves are exchanged. The
+//!    **gathers per class** are the schedule's one degree of freedom: a real
+//!    cluster gathers once and pools all local iterations on the gathered
+//!    regions; one rank, where a gather crosses no wire, gathers once per
+//!    local iteration.
 //! 3. Every rank applies every announced move to its live view immediately
 //!    (the distributed analogue of the shared scheduler's atomic mirror);
 //!    the boundary-index shards, replicated weights and partial cuts are
 //!    caught up once per colour class by replaying the committed moves in
 //!    deterministic class order.
 //!
-//! For one rank the schedule degenerates to the shared scheduler's exact
-//! sequence of pair searches — same quotient, same colouring, same seeds,
-//! same FM searches (via [`GatheredRegion`]'s bit-parity) — which is the
-//! second half of the `--ranks 1` cut-parity argument. The distributed
-//! rebalancer picks the same moves as `rebalance_state` by construction:
-//! each rank scores its owned boundary candidates with the shared
-//! `best_move_of` and an allreduce-min selects the unique global minimum
-//! candidate tuple.
+//! With a gather per local iteration, one rank runs the shared scheduler's
+//! exact sequence of pair searches — same quotient, same colouring, same
+//! seeds, same FM searches (via [`GatheredRegion`]'s bit-parity, each on a
+//! freshly gathered band of the live view) — which is the second half of the
+//! `--ranks 1` cut-parity argument. The distributed rebalancer picks the
+//! same moves as `rebalance_state` by construction: each rank scores its
+//! owned boundary candidates with the shared `best_move_of` and an
+//! allreduce-min selects the unique global minimum candidate tuple.
 
 use std::collections::HashMap;
 
-use kappa_graph::{BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
+use kappa_graph::{is_pair_boundary, BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
 use kappa_refine::{
     best_move_of, color_quotient_edges, fallback_move_of, fallback_target, merge_sorted_dedup,
-    pair_search_seed, refine_gathered_band, BandShard, FmConfig, FmScratch, GatheredRegion,
-    RefinementConfig, RefinementStats, ShardError,
+    refine_gathered_band, BandShard, FmScratch, GatheredRegion, RefinementConfig, RefinementStats,
+    ShardError,
 };
 
 use crate::comm::{allreduce_min_opt, Comm, CommError, CommErrorKind, CommResult};
 use crate::graph::{DistGraph, LocalAssignment};
 use crate::state::{DistState, MoveRec};
 
-/// One pair's report from its home rank: a single iteration's outcome on the
-/// stepwise (rank-1) path, or the whole pooled local-iteration run on the
-/// batched path.
+/// One pair's report from its home rank for one gather: the pooled outcome
+/// of that round's FM passes. `done` says the pair's search has converged (no
+/// seeds, or a pass without moves or gain), so no later gather visits it.
 #[derive(Clone, Debug)]
 struct PairReport {
     pair: usize,
@@ -161,56 +165,35 @@ pub fn dist_refine<C: Comm>(
 /// Runs all pairs of one colour class to completion (their local iterations)
 /// and commits the surviving moves. Returns the class's total gain.
 ///
-/// One rank keeps the stepwise schedule — it is the exact sequence of the
-/// shared scheduler, which is what makes `--ranks 1` bit-identical to
-/// `--threads 1`. Real clusters take the batched schedule: one gather, the
-/// local iterations pooled on the home rank, one coalesced exchange per
-/// class instead of one allgather per superstep.
+/// The class is refined in `gathers` rounds of `passes` pooled FM passes
+/// each, `gathers · passes = local_iterations`. A round gathers every active
+/// pair's band to its home — seeds revalidated in the live view, a
+/// level-synchronised band BFS, one shard per rank and pair — lets the homes
+/// search their regions in parallel, and merges their reports into the
+/// replicated pair state. The number of gathers per class is the only thing
+/// that depends on the rank count:
+///
+/// * **one rank** gathers once per local iteration, so every search runs on
+///   a freshly gathered band of the live view — the shared scheduler's exact
+///   sequence, which is what makes `--ranks 1` bit-identical to
+///   `--threads 1`;
+/// * **real clusters** gather once and pool all local iterations on the home
+///   rank (follow-up passes re-seed from the region's own shifted boundary,
+///   clipped to the gathered band), so the class's whole move set crosses
+///   the wire in one exchange.
+///
+/// Message frugality and overlap:
+/// * the band BFS costs one allgather per hop — `2(R-1)` frames rather than
+///   an alltoallv's `R(R-1)` — and stops at the first hop every rank enters
+///   with nothing left to expand;
+/// * seeds and band shards travel to each peer **coalesced into a single
+///   frame** (one pack per peer instead of two all-to-all rounds);
+/// * reports are posted with `isend` the moment a rank's own FM work is
+///   done, so the transfer overlaps the slower homes' compute, and
+///   completion drains arrivals in whatever order they land — the merge
+///   re-sorts by pair, so arrival order never touches the result.
 #[allow(clippy::too_many_arguments)]
 fn refine_class<C: Comm>(
-    comm: &mut C,
-    dg: &DistGraph,
-    st: &mut DistState,
-    class: &[(BlockId, BlockId)],
-    global_iter: usize,
-    color_idx: usize,
-    config: &RefinementConfig,
-    l_max: NodeWeight,
-    stats: &mut RefinementStats,
-    bands: &mut BandScratch,
-) -> CommResult<i64> {
-    if comm.num_ranks() == 1 {
-        refine_class_stepwise(
-            comm,
-            dg,
-            st,
-            class,
-            global_iter,
-            color_idx,
-            config,
-            l_max,
-            stats,
-            bands,
-        )
-    } else {
-        refine_class_batched(
-            comm,
-            dg,
-            st,
-            class,
-            global_iter,
-            color_idx,
-            config,
-            l_max,
-            stats,
-            bands,
-        )
-    }
-}
-
-/// The legacy superstep-per-local-iteration schedule (see [`refine_class`]).
-#[allow(clippy::too_many_arguments)]
-fn refine_class_stepwise<C: Comm>(
     comm: &mut C,
     dg: &DistGraph,
     st: &mut DistState,
@@ -225,32 +208,29 @@ fn refine_class_stepwise<C: Comm>(
     let me = comm.rank();
     let ranks = comm.num_ranks();
     let mut pairs = PairRun::start_class(dg, st, class, ranks);
+    // At one rank a re-gather crosses no wire, so every local iteration gets
+    // its own; across ranks a gather is the expensive part, so one serves all.
+    let (gathers, passes) = if ranks == 1 {
+        (config.local_iterations, 1)
+    } else {
+        (1, config.local_iterations)
+    };
 
     let mut scratch = FmScratch::new();
-    for local_iter in 0..config.local_iterations {
+    for round in 0..gathers {
         if pairs.iter().all(|p| !p.active) {
             break;
         }
+        // Seeds: revalidated in the live view; the per-home parts ride to
+        // the homes together with the band shards below.
+        let (mut frontier, mut seed_parts) = live_seeds(dg, st, &pairs, ranks, bands);
 
-        // --- Superstep 1: seeds to the homes. ---
-        let (mut frontier, seed_parts) = live_seeds(dg, st, &pairs, ranks, bands);
-        let seed_msgs = comm.alltoallv(seed_parts)?;
-        // Home: per pair, seeds in ascending global order (rank segments are
-        // ascending and ownership ranges are ordered, so concatenation in
-        // rank order is globally ascending). `pi` is a dense index into
-        // `pairs`, so plain Vecs — not hash maps — carry the per-pair state
-        // through the supersteps in deterministic order.
-        let mut seeds_of: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
-        for part in seed_msgs {
-            for (pi, gid) in part {
-                seeds_of[pi as usize].push(gid);
-            }
-        }
-
-        // --- Superstep 2: level-synchronised distributed band BFS. ---
+        // Level-synchronised distributed band BFS — the one part of the
+        // schedule that is inherently round-by-round (hop h+1 needs hop h's
+        // expansions).
         for _hop in 0..config.bfs_depth {
             let mut next: Vec<(usize, NodeId)> = Vec::new();
-            let mut remote: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
+            let mut crossings: Vec<(u32, NodeId)> = Vec::new();
             for &(pi, l) in &frontier {
                 let (a, b) = (pairs[pi].a, pairs[pi].b);
                 for (t, _) in dg.local().edges_of(l) {
@@ -263,21 +243,26 @@ fn refine_class_stepwise<C: Comm>(
                             next.push((pi, t));
                         }
                     } else {
-                        remote[dg.owner_of(dg.global_of(t))].push((pi as u32, dg.global_of(t)));
+                        crossings.push((pi as u32, dg.global_of(t)));
                     }
                 }
             }
-            for part in comm.alltoallv(remote)? {
+            // Every rank sees every crossing and keeps the ones it owns, in
+            // rank order; the piggybacked frontier flag lets all ranks agree
+            // the band is exhausted and skip the remaining hops.
+            let all = comm.allgather((frontier.is_empty(), crossings))?;
+            if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
+                break;
+            }
+            for (_, part) in all {
                 for (pi, gid) in part {
+                    let Some(l) = dg.local_of(gid) else {
+                        continue; // another owner's crossing; it keeps it
+                    };
+                    if !dg.is_owned_local(l) {
+                        continue;
+                    }
                     let pi = pi as usize;
-                    let l = dg.local_of(gid).ok_or_else(|| CommError {
-                        rank: me,
-                        peer: dg.owner_of(gid),
-                        tag: "band-bfs".to_string(),
-                        kind: CommErrorKind::Protocol(format!(
-                            "band BFS expansion for global node {gid} landed on a non-owner"
-                        )),
-                    })?;
                     let (a, b) = (pairs[pi].a, pairs[pi].b);
                     let bl = st.block_of_local(l);
                     if (bl == a || bl == b) && bands.insert(pi, l) {
@@ -288,86 +273,154 @@ fn refine_class_stepwise<C: Comm>(
             frontier = next;
         }
 
-        // --- Superstep 3: ship the band shards to the homes. ---
-        let band_parts = band_shards(dg, st, &pairs, bands, ranks);
+        // Band shards, shipped with the seeds: one coalesced frame per peer.
+        let mut band_parts = band_shards(dg, st, &pairs, bands, ranks);
+        comm.coalesce(|c| {
+            for dst in 0..ranks {
+                if dst != me {
+                    c.isend(dst, "band-seeds", std::mem::take(&mut seed_parts[dst]))?;
+                    c.isend(dst, "band-recs", std::mem::take(&mut band_parts[dst]))?;
+                }
+            }
+            Ok(())
+        })?;
+        // Rank-order receipt keeps per-pair seed concatenation globally
+        // ascending (rank segments ascend and ownership ranges are ordered).
+        // `pi` is a dense index into `pairs`, so plain Vecs — not hash maps —
+        // carry the per-pair state in deterministic order.
+        let mut seeds_of: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
         let mut gathered = GatheredBands::new(pairs.len());
-        for (src, part) in comm.alltoallv(band_parts)?.into_iter().enumerate() {
-            gathered.receive(me, src, part)?;
+        for src in 0..ranks {
+            let (seed_part, band_part) = if src == me {
+                (
+                    std::mem::take(&mut seed_parts[me]),
+                    std::mem::take(&mut band_parts[me]),
+                )
+            } else {
+                (
+                    comm.recv::<Vec<(u32, NodeId)>>(src, "band-seeds")?,
+                    comm.recv::<Vec<(u32, BandShard)>>(src, "band-recs")?,
+                )
+            };
+            for (pi, gid) in seed_part {
+                seeds_of[pi as usize].push(gid);
+            }
+            gathered.receive(me, src, band_part)?;
         }
 
-        // --- Superstep 4: homes refine their pairs (parallel across ranks). --
+        // Home FM: this round's passes pooled on the gathered region.
         let mut my_reports: Vec<PairReport> = Vec::new();
         for (pi, pair) in pairs.iter().enumerate() {
             if !pair.active || pair.home != me {
                 continue;
             }
-            let seeds = std::mem::take(&mut seeds_of[pi]);
-            if seeds.is_empty() {
-                my_reports.push(PairReport {
-                    pair: pi,
-                    searches: 0,
-                    done: true,
-                    gain: 0,
-                    moves: Vec::new(),
-                });
-                continue;
-            }
-            let mut region = gathered.assemble(me, st.k(), pi)?;
-            let blame = |e: ShardError| gathered.blame(me, pi, e);
-            let fm_config = pair.fm_config(config, l_max, global_iter, color_idx, local_iter);
-            let result = refine_gathered_band(
-                &mut region,
-                pair.a,
-                pair.b,
-                &seeds,
-                config.bfs_depth,
-                pair.w_a,
-                pair.w_b,
-                &fm_config,
-                &mut scratch,
-                false,
-            )
-            .map_err(blame)?;
-            let done = result.moves.is_empty() || result.gain == 0;
-            let moves = pair.move_recs(&region, &result.moves).map_err(blame)?;
-            my_reports.push(PairReport {
+            let mut seeds = std::mem::take(&mut seeds_of[pi]);
+            let mut report = PairReport {
                 pair: pi,
-                searches: 1,
-                done,
-                gain: result.gain,
-                moves,
-            });
+                searches: 0,
+                done: seeds.is_empty(),
+                gain: 0,
+                moves: Vec::new(),
+            };
+            if !report.done {
+                let mut region = gathered.assemble(me, st.k(), pi)?;
+                let blame = |e: ShardError| gathered.blame(me, pi, e);
+                let (mut w_a, mut w_b) = (pair.w_a, pair.w_b);
+                for pass in 0..passes {
+                    // The first pass is the exact gathered-band search.
+                    // Follow-up passes re-seed from the shifted boundary and
+                    // clip the band BFS to the gathered band (the frozen
+                    // ring was never shipped for moving).
+                    let follow_up = pass > 0;
+                    if follow_up {
+                        seeds = region.boundary_seeds(pair.a, pair.b);
+                        if seeds.is_empty() {
+                            report.done = true;
+                            break;
+                        }
+                    }
+                    let local_iter = round * passes + pass;
+                    let fm_config =
+                        config.fm_config(l_max, global_iter, color_idx, local_iter, pair.a, pair.b);
+                    let result = refine_gathered_band(
+                        &mut region,
+                        pair.a,
+                        pair.b,
+                        &seeds,
+                        config.bfs_depth,
+                        w_a,
+                        w_b,
+                        &fm_config,
+                        &mut scratch,
+                        follow_up,
+                    )
+                    .map_err(blame)?;
+                    report.searches += 1;
+                    report.gain += result.gain;
+                    report.done = result.moves.is_empty() || result.gain == 0;
+                    for rec in pair.move_recs(&region, &result.moves).map_err(blame)? {
+                        shift_weight(&rec, pair.a, &mut w_a, &mut w_b);
+                        report.moves.push(rec);
+                    }
+                    if report.done {
+                        break;
+                    }
+                }
+            }
+            my_reports.push(report);
         }
 
-        // --- Superstep 5: allgather reports, update replicated state. ---
-        let all_reports = comm.allgather(my_reports)?;
-        let mut merged: Vec<PairReport> = all_reports.into_iter().flatten().collect();
-        merged.sort_unstable_by_key(|r| r.pair);
-        for report in merged {
+        // Batched move broadcast, split-phase: post now, complete in arrival
+        // order.
+        for dst in 0..ranks {
+            if dst != me {
+                comm.isend(dst, "class-reports", my_reports.clone())?;
+            }
+        }
+        let mut slots: Vec<Vec<PairReport>> = vec![Vec::new(); ranks];
+        slots[me] = my_reports;
+        let mut pending: Vec<usize> = (0..ranks).filter(|&s| s != me).collect();
+        while !pending.is_empty() {
+            let mut still = Vec::with_capacity(pending.len());
+            let mut progressed = false;
+            for src in pending {
+                match comm.try_recv::<Vec<PairReport>>(src, "class-reports")? {
+                    Some(part) => {
+                        slots[src] = part;
+                        progressed = true;
+                    }
+                    None => still.push(src),
+                }
+            }
+            pending = still;
+            if !progressed && !pending.is_empty() {
+                // Nothing in flight has landed: block on the lowest pending
+                // rank instead of spinning.
+                let src = pending.remove(0);
+                slots[src] = comm.recv(src, "class-reports")?;
+            }
+        }
+
+        // Every rank updates the replicated pair state from the merged
+        // reports, in pair order: the live view (the distributed
+        // shared-mirror write), the pair's weights, and the candidates the
+        // next gather revalidates (mirroring `IndexSeeder::observe_moves`).
+        for report in merge_reports(me, &pairs, slots)? {
             let pair = &mut pairs[report.pair];
             pair.searches += report.searches as usize;
             pair.gain += report.gain;
-            for &rec in &report.moves {
-                // Live view update (the distributed shared-mirror write);
-                // candidate extension mirrors IndexSeeder::observe_moves.
+            for rec in &report.moves {
                 st.observe_move(dg, rec.gid, rec.to);
-                if rec.to == pair.a {
-                    pair.w_a += rec.weight;
-                    pair.w_b -= rec.weight;
-                } else {
-                    pair.w_b += rec.weight;
-                    pair.w_a -= rec.weight;
-                }
+                shift_weight(rec, pair.a, &mut pair.w_a, &mut pair.w_b);
             }
             extend_candidates(dg, &mut pair.candidates, &report.moves);
             pair.moves.extend(report.moves);
-            if report.done {
-                pair.active = false;
-            }
+            pair.active = !report.done;
         }
     }
 
-    // --- Class commit: replay every pair's moves through the state. ---
+    // Class commit: replay every pair's moves through the state, in pair
+    // order, after every move of the class has been observed.
     let mut class_gain = 0i64;
     for pair in &pairs {
         stats.pair_searches += pair.searches;
@@ -380,266 +433,46 @@ fn refine_class_stepwise<C: Comm>(
     Ok(class_gain)
 }
 
-/// The batched schedule for real clusters (see [`refine_class`]): the pair
-/// boundaries are gathered **once** per class, each home rank pools all
-/// `local_iterations` FM passes on its gathered regions (follow-up passes
-/// re-seed from the region's own shifted boundary, clipped to the gathered
-/// band), and the class's whole move set crosses the wire in one split-phase
-/// exchange instead of one allgather per local iteration.
-///
-/// Message frugality and overlap:
-/// * seeds and band shards travel to each peer **coalesced into a single
-///   frame** (one pack per peer instead of two all-to-all rounds);
-/// * reports are posted with `isend` the moment a rank's own FM work is
-///   done, so the transfer overlaps the slower homes' compute, and
-///   completion drains arrivals in whatever order they land — the merge
-///   re-sorts by pair, so arrival order never touches the result.
-#[allow(clippy::too_many_arguments)]
-fn refine_class_batched<C: Comm>(
-    comm: &mut C,
-    dg: &DistGraph,
-    st: &mut DistState,
-    class: &[(BlockId, BlockId)],
-    global_iter: usize,
-    color_idx: usize,
-    config: &RefinementConfig,
-    l_max: NodeWeight,
-    stats: &mut RefinementStats,
-    bands: &mut BandScratch,
-) -> CommResult<i64> {
-    let me = comm.rank();
-    let ranks = comm.num_ranks();
-    let pairs = PairRun::start_class(dg, st, class, ranks);
-
-    // Seeds: revalidated once per class; the per-home parts ride to the
-    // homes together with the band shards below.
-    let (mut frontier, mut seed_parts) = live_seeds(dg, st, &pairs, ranks, bands);
-
-    // Level-synchronised distributed band BFS — the one part of the schedule
-    // that is inherently round-by-round (hop h+1 needs hop h's expansions).
-    for _hop in 0..config.bfs_depth {
-        let mut next: Vec<(usize, NodeId)> = Vec::new();
-        let mut crossings: Vec<(u32, NodeId)> = Vec::new();
-        for &(pi, l) in &frontier {
-            let (a, b) = (pairs[pi].a, pairs[pi].b);
-            for (t, _) in dg.local().edges_of(l) {
-                let bt = st.block_of_local(t);
-                if bt != a && bt != b {
-                    continue;
-                }
-                if dg.is_owned_local(t) {
-                    if bands.insert(pi, t) {
-                        next.push((pi, t));
-                    }
-                } else {
-                    crossings.push((pi as u32, dg.global_of(t)));
-                }
-            }
-        }
-        // One allgather per hop instead of an alltoallv: 2(R-1) frames per
-        // round rather than R(R-1). Every rank sees every crossing and keeps
-        // the ones it owns — same records, same rank-order arrival as the
-        // alltoallv this replaces — and the piggybacked frontier flag lets
-        // all ranks agree the band is exhausted and skip the remaining hops.
-        let all = comm.allgather((frontier.is_empty(), crossings))?;
-        if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
-            break;
-        }
-        for (_, part) in all {
-            for (pi, gid) in part {
-                let Some(l) = dg.local_of(gid) else {
-                    continue; // another owner's crossing; it keeps it
-                };
-                if !dg.is_owned_local(l) {
-                    continue;
-                }
-                let pi = pi as usize;
-                let (a, b) = (pairs[pi].a, pairs[pi].b);
-                let bl = st.block_of_local(l);
-                if (bl == a || bl == b) && bands.insert(pi, l) {
-                    next.push((pi, l));
-                }
-            }
-        }
-        frontier = next;
-    }
-
-    // Band shards, shipped with the seeds: one coalesced frame per peer.
-    let mut band_parts = band_shards(dg, st, &pairs, bands, ranks);
-    comm.coalesce(|c| {
-        for dst in 0..ranks {
-            if dst != me {
-                c.isend(dst, "band-seeds", std::mem::take(&mut seed_parts[dst]))?;
-                c.isend(dst, "band-recs", std::mem::take(&mut band_parts[dst]))?;
-            }
-        }
-        Ok(())
-    })?;
-    // Rank-order receipt keeps per-pair seed concatenation globally
-    // ascending, exactly like the alltoallv it replaces.
-    let mut seeds_of: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
-    let mut gathered = GatheredBands::new(pairs.len());
-    for src in 0..ranks {
-        let (seed_part, band_part) = if src == me {
-            (
-                std::mem::take(&mut seed_parts[me]),
-                std::mem::take(&mut band_parts[me]),
-            )
-        } else {
-            (
-                comm.recv::<Vec<(u32, NodeId)>>(src, "band-seeds")?,
-                comm.recv::<Vec<(u32, BandShard)>>(src, "band-recs")?,
-            )
-        };
-        for (pi, gid) in seed_part {
-            seeds_of[pi as usize].push(gid);
-        }
-        gathered.receive(me, src, band_part)?;
-    }
-
-    // Home FM: all local iterations pooled on the gathered region.
-    let mut scratch = FmScratch::new();
-    let mut my_reports: Vec<PairReport> = Vec::new();
-    for (pi, pair) in pairs.iter().enumerate() {
-        if pair.home != me {
-            continue;
-        }
-        let seeds = std::mem::take(&mut seeds_of[pi]);
-        if seeds.is_empty() {
-            my_reports.push(PairReport {
-                pair: pi,
-                searches: 0,
-                done: true,
-                gain: 0,
-                moves: Vec::new(),
+/// The class's reports in pair order, each checked against the rank it came
+/// from: a report must name a pair of this class that is homed on its
+/// sender. Anything else is that rank's protocol violation — not an index
+/// panic, and not a move list applied on a stranger's say-so.
+fn merge_reports(
+    me: usize,
+    pairs: &[PairRun],
+    slots: Vec<Vec<PairReport>>,
+) -> CommResult<Vec<PairReport>> {
+    let mut merged: Vec<PairReport> = Vec::new();
+    for (src, part) in slots.into_iter().enumerate() {
+        if let Some(stray) = part
+            .iter()
+            .find(|r| pairs.get(r.pair).map(|p| p.home) != Some(src))
+        {
+            return Err(CommError {
+                rank: me,
+                peer: src,
+                tag: "class-reports".to_string(),
+                kind: CommErrorKind::Protocol(format!(
+                    "rank {src} reported pair {} of a {}-pair class, which is not homed on it",
+                    stray.pair,
+                    pairs.len()
+                )),
             });
-            continue;
         }
-        let mut region = gathered.assemble(me, st.k(), pi)?;
-        let blame = |e: ShardError| gathered.blame(me, pi, e);
-        let (mut w_a, mut w_b) = (pair.w_a, pair.w_b);
-        let mut moves: Vec<MoveRec> = Vec::new();
-        let mut gain = 0i64;
-        let mut searches = 0u64;
-        let mut cur_seeds = seeds;
-        for local_iter in 0..config.local_iterations {
-            if cur_seeds.is_empty() {
-                break;
-            }
-            let fm_config = pair.fm_config(config, l_max, global_iter, color_idx, local_iter);
-            // First pass: the exact gathered-band search. Follow-up passes
-            // re-run the band BFS from the shifted boundary, clipped to the
-            // gathered band (the frozen ring was never shipped for moving).
-            let result = refine_gathered_band(
-                &mut region,
-                pair.a,
-                pair.b,
-                &cur_seeds,
-                config.bfs_depth,
-                w_a,
-                w_b,
-                &fm_config,
-                &mut scratch,
-                local_iter > 0,
-            )
-            .map_err(blame)?;
-            searches += 1;
-            for rec in pair.move_recs(&region, &result.moves).map_err(blame)? {
-                if rec.to == pair.a {
-                    w_a += rec.weight;
-                    w_b -= rec.weight;
-                } else {
-                    w_b += rec.weight;
-                    w_a -= rec.weight;
-                }
-                moves.push(rec);
-            }
-            gain += result.gain;
-            if result.moves.is_empty() || result.gain == 0 {
-                break;
-            }
-            cur_seeds = region.boundary_seeds(pair.a, pair.b);
-        }
-        my_reports.push(PairReport {
-            pair: pi,
-            searches,
-            done: true,
-            gain,
-            moves,
-        });
+        merged.extend(part);
     }
-
-    // Batched move broadcast, split-phase: post now, complete in arrival
-    // order.
-    for dst in 0..ranks {
-        if dst != me {
-            comm.isend(dst, "class-reports", my_reports.clone())?;
-        }
-    }
-    let mut slots: Vec<Option<Vec<PairReport>>> = (0..ranks).map(|_| None).collect();
-    slots[me] = Some(my_reports);
-    let mut pending: Vec<usize> = (0..ranks).filter(|&s| s != me).collect();
-    while !pending.is_empty() {
-        let mut still = Vec::with_capacity(pending.len());
-        let mut progressed = false;
-        for src in pending {
-            match comm.try_recv::<Vec<PairReport>>(src, "class-reports")? {
-                Some(part) => {
-                    slots[src] = Some(part);
-                    progressed = true;
-                }
-                None => still.push(src),
-            }
-        }
-        pending = still;
-        if !progressed && !pending.is_empty() {
-            // Nothing in flight has landed: block on the lowest pending rank
-            // instead of spinning.
-            let src = pending.remove(0);
-            slots[src] = Some(comm.recv(src, "class-reports")?);
-        }
-    }
-    let mut merged: Vec<PairReport> = slots.into_iter().flatten().flatten().collect();
     merged.sort_unstable_by_key(|r| r.pair);
+    Ok(merged)
+}
 
-    // Live-view catch-up first (the stepwise schedule observes every move
-    // before any commit), then the deterministic class-order commit replay.
-    let mut class_gain = 0i64;
-    for report in &merged {
-        stats.pair_searches += report.searches as usize;
-        stats.nodes_moved += report.moves.len();
-        class_gain += report.gain;
-        for &rec in &report.moves {
-            st.observe_move(dg, rec.gid, rec.to);
-        }
-    }
-    for report in &merged {
-        for &rec in &report.moves {
-            st.apply_committed(dg, rec);
-        }
-    }
-    Ok(class_gain)
+/// Tracks one move of the pair `(a, _)` in the pair's block weights.
+fn shift_weight(rec: &MoveRec, a: BlockId, w_a: &mut NodeWeight, w_b: &mut NodeWeight) {
+    let (onto, off) = if rec.to == a { (w_a, w_b) } else { (w_b, w_a) };
+    *onto += rec.weight;
+    *off -= rec.weight;
 }
 
 impl PairRun {
-    /// FM configuration of this pair's search in one local iteration.
-    fn fm_config(
-        &self,
-        config: &RefinementConfig,
-        l_max: NodeWeight,
-        global_iter: usize,
-        color_idx: usize,
-        local_iter: usize,
-    ) -> FmConfig {
-        let (a, b) = (self.a, self.b);
-        FmConfig {
-            queue_selection: config.queue_selection,
-            patience_alpha: config.patience_alpha,
-            l_max,
-            seed: pair_search_seed(config.seed, global_iter, color_idx, local_iter, a, b),
-        }
-    }
-
     /// The surviving moves of one search on `region` as broadcastable
     /// records, their weights read off the region.
     fn move_recs(
@@ -742,12 +575,13 @@ fn live_seeds(
     bands.members.resize_with(pairs.len(), Vec::new);
     let mut frontier: Vec<(usize, NodeId)> = Vec::new();
     let mut seed_parts: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
+    let view = LocalAssignment::new(st.view(), st.k());
     for (pi, pair) in pairs.iter().enumerate() {
         if !pair.active {
             continue;
         }
         for &l in &pair.candidates {
-            if is_pair_boundary(dg, st, l, pair.a, pair.b) {
+            if is_pair_boundary(dg.local(), &view, l, pair.a, pair.b) {
                 seed_parts[pair.home].push((pi as u32, dg.global_of(l)));
                 if bands.insert(pi, l) {
                     frontier.push((pi, l));
@@ -849,22 +683,6 @@ impl GatheredBands {
     }
 }
 
-/// True if owned local `l` is on the `(a, b)` pair boundary in the live view.
-fn is_pair_boundary(dg: &DistGraph, st: &DistState, l: NodeId, a: BlockId, b: BlockId) -> bool {
-    let bl = st.block_of_local(l);
-    let other = if bl == a {
-        b
-    } else if bl == b {
-        a
-    } else {
-        return false;
-    };
-    dg.local()
-        .neighbors(l)
-        .iter()
-        .any(|&t| st.block_of_local(t) == other)
-}
-
 /// Adds the moved nodes and their neighbours (the rank-owned ones) to the
 /// candidate list, keeping it sorted and deduplicated — the rank-local shard
 /// of `IndexSeeder::observe_moves`.
@@ -919,68 +737,50 @@ pub fn dist_rebalance<C: Comm>(
     st: &mut DistState,
     l_max: NodeWeight,
 ) -> CommResult<usize> {
+    type Scored = Option<(i64, NodeWeight, BlockId)>;
     let k = st.k();
     let ln = dg.num_owned();
     let mut moved = 0usize;
     let cap = dg.num_global_nodes().saturating_mul(2).max(8);
     for _ in 0..cap {
-        let Some(over_block) = (0..k).find(|&b| st.weights().weight(b) > l_max) else {
+        let (graph, weights) = (dg.local(), st.weights());
+        let Some(over_block) = (0..k).find(|&b| weights.weight(b) > l_max) else {
             break;
         };
         let assignment = LocalAssignment::new(st.view(), k);
-        let mut mine: Option<RebalanceCand> = None;
-        for &l in st.index().boundary_nodes_unordered() {
-            if (l as usize) >= ln || st.block_of_local(l) != over_block {
-                continue;
-            }
-            if let Some((delta, tw, to)) =
-                best_move_of(dg.local(), &assignment, st.weights(), over_block, l_max, l)
-            {
-                let cand = RebalanceCand {
-                    delta,
-                    target_weight: tw,
-                    gid: dg.global_of(l),
-                    to,
-                    weight: dg.local().node_weight(l),
-                };
-                if mine.map(|m| cand < m).unwrap_or(true) {
-                    mine = Some(cand);
-                }
-            }
-        }
-        let mut best = allreduce_min_opt(comm, mine, |c| (c.delta, c.target_weight, c.gid, c.to))?;
+        // This rank's best candidate among the owned `nodes` of the
+        // overloaded block, as `score` prices them.
+        let best_candidate = |nodes: &mut dyn Iterator<Item = NodeId>,
+                              score: &dyn Fn(NodeId) -> Scored| {
+            nodes
+                .filter(|&l| (l as usize) < ln && st.block_of_local(l) == over_block)
+                .filter_map(|l| {
+                    let (delta, target_weight, to) = score(l)?;
+                    Some(RebalanceCand {
+                        delta,
+                        target_weight,
+                        gid: dg.global_of(l),
+                        to,
+                        weight: graph.node_weight(l),
+                    })
+                })
+                .min()
+        };
+        let key = |c: &RebalanceCand| (c.delta, c.target_weight, c.gid, c.to);
+        let mine = best_candidate(
+            &mut st.index().boundary_nodes_unordered().iter().copied(),
+            &|l| best_move_of(graph, &assignment, weights, over_block, l_max, l),
+        );
+        let mut best = allreduce_min_opt(comm, mine, key)?;
         if best.is_none() {
             // Fallback: interior node of the overloaded block into the
             // globally lightest block (replicated weights → same target on
             // every rank).
-            if let Some(lightest) = fallback_target(k, st.weights(), over_block) {
-                let mut mine: Option<RebalanceCand> = None;
-                for l in 0..ln as NodeId {
-                    if st.block_of_local(l) != over_block {
-                        continue;
-                    }
-                    if let Some((delta, tw, to)) = fallback_move_of(
-                        dg.local(),
-                        &assignment,
-                        st.weights(),
-                        over_block,
-                        lightest,
-                        l_max,
-                        l,
-                    ) {
-                        let cand = RebalanceCand {
-                            delta,
-                            target_weight: tw,
-                            gid: dg.global_of(l),
-                            to,
-                            weight: dg.local().node_weight(l),
-                        };
-                        if mine.map(|m| cand < m).unwrap_or(true) {
-                            mine = Some(cand);
-                        }
-                    }
-                }
-                best = allreduce_min_opt(comm, mine, |c| (c.delta, c.target_weight, c.gid, c.to))?;
+            if let Some(lightest) = fallback_target(k, weights, over_block) {
+                let mine = best_candidate(&mut (0..ln as NodeId), &|l| {
+                    fallback_move_of(graph, &assignment, weights, over_block, lightest, l_max, l)
+                });
+                best = allreduce_min_opt(comm, mine, key)?;
             }
         }
         let Some(cand) = best else { break };
@@ -1013,8 +813,8 @@ mod tests {
         DistState::build(dg, view, partition.k(), weights)
     }
 
-    /// A class leaves no trace in the scratch — neither schedule, at any
-    /// rank count — so the next class's bands start from nothing.
+    /// A class leaves no trace in the scratch — however many gathers it
+    /// took, at any rank count — so the next class's bands start from nothing.
     #[test]
     fn band_scratch_is_clean_after_a_class() {
         let g = grid2d(16, 16);
@@ -1071,6 +871,42 @@ mod tests {
             .unwrap_err();
         assert_eq!(e.peer, 0);
         assert!(matches!(&e.kind, CommErrorKind::Protocol(d) if d.contains("pair 2")));
+    }
+
+    #[test]
+    fn misrouted_reports_blame_their_sender_and_pair() {
+        let g = grid2d(8, 8);
+        let assignment: Vec<BlockId> = (0..64).map(|i| (i % 8 / 2) as u32).collect();
+        let partition = Partition::from_assignment(4, assignment);
+        let dg = DistGraph::from_global(&g, 2, 1);
+        let st = shard(&dg, &partition, &g);
+        // Pair 0 is homed on rank 0, pair 1 on rank 1.
+        let pairs = PairRun::start_class(&dg, &st, &[(0, 1), (2, 3)], 2);
+        let report = |pair| PairReport {
+            pair,
+            searches: 1,
+            done: true,
+            gain: 0,
+            moves: Vec::new(),
+        };
+        let merged = merge_reports(1, &pairs, vec![vec![report(0)], vec![report(1)]]).unwrap();
+        assert_eq!(merged.iter().map(|r| r.pair).collect::<Vec<_>>(), [0, 1]);
+        // A pair outside the class, and a pair of the class homed elsewhere.
+        for (stray, sender) in [(2usize, 0usize), (1, 0), (0, 1)] {
+            let mut slots = vec![Vec::new(), Vec::new()];
+            slots[sender] = vec![report(stray)];
+            let e = merge_reports(1, &pairs, slots).unwrap_err();
+            assert_eq!(
+                (e.rank, e.peer, e.tag.as_str()),
+                (1, sender, "class-reports")
+            );
+            let expected = (format!("rank {sender}"), format!("pair {stray}"));
+            assert!(
+                matches!(&e.kind, CommErrorKind::Protocol(d)
+                    if d.contains(&expected.0) && d.contains(&expected.1)),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,30 @@ pub fn boundary_nodes<G: GraphAccess, A: BlockAssignment>(graph: &G, partition: 
         .collect()
 }
 
+/// True if `v` is on the boundary of the *pair* `{a, b}` under `partition`:
+/// in block `a` with a neighbour in block `b`, or the other way round. The
+/// one definition every band seeder — full scan, boundary index, gathered
+/// region, distributed rank — revalidates its candidates with.
+pub fn is_pair_boundary<G: GraphAccess, A: BlockAssignment>(
+    graph: &G,
+    partition: &A,
+    v: NodeId,
+    a: BlockId,
+    b: BlockId,
+) -> bool {
+    let bv = partition.block_of(v);
+    let other = if bv == a {
+        b
+    } else if bv == b {
+        a
+    } else {
+        return false;
+    };
+    graph
+        .edges_of(v)
+        .any(|(u, _)| partition.block_of(u) == other)
+}
+
 /// The boundary nodes of the *pair* `{a, b}`: nodes of block `a` with a
 /// neighbour in block `b`, and vice versa.
 pub fn pair_boundary_nodes<G: GraphAccess, A: BlockAssignment>(
@@ -31,16 +55,7 @@ pub fn pair_boundary_nodes<G: GraphAccess, A: BlockAssignment>(
     b: BlockId,
 ) -> Vec<NodeId> {
     GraphAccess::nodes(graph)
-        .filter(|&v| {
-            let bv = partition.block_of(v);
-            if bv == a {
-                graph.edges_of(v).any(|(u, _)| partition.block_of(u) == b)
-            } else if bv == b {
-                graph.edges_of(v).any(|(u, _)| partition.block_of(u) == a)
-            } else {
-                false
-            }
-        })
+        .filter(|&v| is_pair_boundary(graph, partition, v, a, b))
         .collect()
 }
 

@@ -27,8 +27,8 @@
 //! seeds and everything downstream are bit-identical (`tests/parity.rs`).
 
 use kappa_graph::{
-    band_around_boundary, pair_boundary_nodes, BlockAssignment, BlockId, BoundaryIndex,
-    GraphAccess, NodeId,
+    band_around_boundary, is_pair_boundary, pair_boundary_nodes, BlockAssignment, BlockId,
+    BoundaryIndex, GraphAccess, NodeId,
 };
 
 /// Computes the band of eligible nodes for refining the pair `(a, b)`:
@@ -102,61 +102,45 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for FullScanSeeder<'_, G>
 /// of `n` — and `observe_moves` grows it.
 pub struct IndexSeeder<'a, G> {
     graph: &'a G,
-    index: &'a BoundaryIndex,
     a: BlockId,
     b: BlockId,
-    /// Sorted, deduplicated candidate superset of the pair boundary;
-    /// `None` until the first `seeds` call draws it from the index.
-    candidates: Option<Vec<NodeId>>,
+    /// Sorted, deduplicated candidate superset of the pair boundary.
+    candidates: Vec<NodeId>,
 }
 
 impl<'a, G: GraphAccess> IndexSeeder<'a, G> {
     /// An index-backed seeder for the pair `(a, b)`. The index must mirror
     /// the state `view` had when the pair search started.
-    pub fn new(graph: &'a G, index: &'a BoundaryIndex, a: BlockId, b: BlockId) -> Self {
+    pub fn new(graph: &'a G, index: &BoundaryIndex, a: BlockId, b: BlockId) -> Self {
+        Self::with_candidates(graph, a, b, index.pair_boundary_sorted(a, b))
+    }
+
+    /// A seeder whose candidate list starts as `candidates` (ascending,
+    /// duplicate-free) instead of the index's pair boundary — the localized
+    /// refiner starts from its touched region.
+    pub(crate) fn with_candidates(
+        graph: &'a G,
+        a: BlockId,
+        b: BlockId,
+        candidates: Vec<NodeId>,
+    ) -> Self {
         IndexSeeder {
             graph,
-            index,
             a,
             b,
-            candidates: None,
+            candidates,
         }
-    }
-
-    /// True if `v` is on the pair boundary in the live `view`.
-    fn is_pair_boundary<P: BlockAssignment>(&self, view: &P, v: NodeId) -> bool {
-        let bv = view.block_of(v);
-        let other = if bv == self.a {
-            self.b
-        } else if bv == self.b {
-            self.a
-        } else {
-            return false;
-        };
-        self.graph
-            .edges_of(v)
-            .any(|(u, _)| view.block_of(u) == other)
-    }
-
-    /// Draws the initial candidate set from the index on first use.
-    fn ensure_candidates(&mut self) -> &mut Vec<NodeId> {
-        if self.candidates.is_none() {
-            self.candidates = Some(self.index.pair_boundary_sorted(self.a, self.b));
-        }
-        self.candidates.as_mut().expect("just initialised")
     }
 }
 
 impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
     fn seeds(&mut self, view: &P) -> Vec<NodeId> {
-        self.ensure_candidates();
-        let candidates = self.candidates.as_ref().expect("just initialised");
         // Filtering the sorted candidates against the live view keeps the
         // ascending order of the full scan and revalidates every membership.
-        candidates
+        self.candidates
             .iter()
             .copied()
-            .filter(|&v| self.is_pair_boundary(view, v))
+            .filter(|&v| is_pair_boundary(self.graph, view, v, self.a, self.b))
             .collect()
     }
 
@@ -164,8 +148,6 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
         if moves.is_empty() {
             return;
         }
-        self.ensure_candidates();
-        let candidates = self.candidates.as_mut().expect("just initialised");
         let mut extra: Vec<NodeId> = Vec::with_capacity(moves.len());
         for &(v, _) in moves {
             extra.push(v);
@@ -173,7 +155,7 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
         }
         extra.sort_unstable();
         extra.dedup();
-        *candidates = merge_sorted_dedup(candidates, &extra);
+        self.candidates = merge_sorted_dedup(&self.candidates, &extra);
     }
 }
 

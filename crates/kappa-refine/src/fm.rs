@@ -48,10 +48,9 @@ pub fn patience_bound(alpha: f64, band_count_a: usize, band_count_b: usize) -> u
 /// the search coordinates `(global iteration, colour index, local iteration,
 /// block pair)`.
 ///
-/// Factored out so the shared-memory scheduler and the distributed pairwise
-/// scheduler (kappa-dist) seed identical searches for identical coordinates —
-/// the keystone of the `--ranks 1` cut parity.
-pub fn pair_search_seed(
+/// Reached only through [`RefinementConfig::fm_config`](crate::RefinementConfig::fm_config),
+/// so every scheduler seeds identical searches for identical coordinates.
+pub(crate) fn pair_search_seed(
     base: u64,
     global_iter: usize,
     color_idx: usize,

@@ -35,7 +35,8 @@
 use std::fmt;
 
 use kappa_graph::{
-    band_around_boundary_in, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition,
+    band_around_boundary_in, is_pair_boundary, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight,
+    Partition,
 };
 
 use crate::fm::{two_way_fm_in, FmConfig, FmResult};
@@ -324,25 +325,12 @@ impl GatheredRegion {
     /// other block, under the region's current partition. This is the seed
     /// set for a follow-up search after moves shifted the boundary.
     pub fn boundary_seeds(&self, a: BlockId, b: BlockId) -> Vec<NodeId> {
-        let mut seeds = Vec::new();
-        for l in 0..self.gids.len() {
-            if !self.band_membership[l] {
-                continue;
-            }
-            let block = self.partition.block_of(l as NodeId);
-            if block != a && block != b {
-                continue;
-            }
-            let other = if block == a { b } else { a };
-            if self
-                .graph
-                .edges_of(l as NodeId)
-                .any(|(u, _)| self.partition.block_of(u) == other)
-            {
-                seeds.push(self.gids[l]);
-            }
-        }
-        seeds // ascending: the scan follows ascending gids by construction
+        let on_boundary = |l: NodeId| is_pair_boundary(&self.graph, &self.partition, l, a, b);
+        // Ascending: region ids follow ascending gids by construction.
+        (0..self.gids.len())
+            .filter(|&l| self.band_membership[l] && on_boundary(l as NodeId))
+            .map(|l| self.gids[l])
+            .collect()
     }
 }
 

@@ -76,7 +76,7 @@ pub use balance::{best_move_of, fallback_move_of, fallback_target, rebalance, re
 pub use band::{merge_sorted_dedup, pair_band, BandSeeder, FullScanSeeder, IndexSeeder};
 pub use coloring::{color_quotient_edges, EdgeColoring};
 pub use delta::{DeltaPairView, SharedAssignment};
-pub use fm::{pair_search_seed, patience_bound, two_way_fm, two_way_fm_in, FmConfig, FmResult};
+pub use fm::{patience_bound, two_way_fm, two_way_fm_in, FmConfig, FmResult};
 pub use gain::pair_gain;
 pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
 pub use local::{refine_local, LocalRefineConfig, LocalRefineStats};

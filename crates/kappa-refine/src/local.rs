@@ -9,14 +9,14 @@
 //! decided on the boundary, and a mutation can only degrade the boundary
 //! *near the mutation*.
 //!
-//! [`refine_local`] therefore re-runs the pooled 2-way FM of the static
-//! pipeline, but scoped: only block pairs adjacent to the touched region are
-//! searched, and each search's band is grown (bounded BFS, as always) from
-//! the pair boundary **within the region** rather than the global pair
-//! boundary. Moves are routed through [`PartitionState::apply_move`], so the
-//! state stays exact — the streaming test suite interleaves `refine_local`
-//! calls with mutations and still demands field-for-field equality with a
-//! from-scratch rebuild.
+//! [`refine_local`] therefore re-runs the pair search of the static pipeline
+//! (the scheduler's own local-iteration loop), but scoped: only block pairs
+//! adjacent to the touched region are searched, and each search's band is
+//! grown (bounded BFS, as always) from the pair boundary **within the
+//! region** rather than the global pair boundary. Moves are routed through
+//! [`PartitionState::apply_move`], so the state stays exact — the streaming
+//! test suite interleaves `refine_local` calls with mutations and still
+//! demands field-for-field equality with a from-scratch rebuild.
 //!
 //! FM itself runs against a `LocalView` (private): the state's partition plus a
 //! hash-map overlay of in-flight moves, so a search on a 50-node band does
@@ -26,13 +26,13 @@
 use std::collections::HashMap;
 
 use kappa_graph::{
-    band_around_boundary_in, BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, NodeId,
-    Partition, PartitionState,
+    BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, NodeId, Partition, PartitionState,
 };
 
 use crate::balance::rebalance_state;
-use crate::fm::{pair_search_seed, two_way_fm_in, FmConfig};
+use crate::band::IndexSeeder;
 use crate::queue_select::QueueSelection;
+use crate::scheduler::{search_pair, RefinementConfig};
 use crate::scratch::FmScratch;
 
 /// Configuration of a localized re-refinement pass. The defaults mirror the
@@ -66,6 +66,23 @@ impl Default for LocalRefineConfig {
             queue_selection: QueueSelection::TopGain,
             patience_alpha: 0.05,
             seed: 0,
+        }
+    }
+}
+
+impl LocalRefineConfig {
+    /// The knobs the scheduler's pair search reads, in its own config shape;
+    /// a round plays the part of a global iteration.
+    fn pair_search_config(&self) -> RefinementConfig {
+        RefinementConfig {
+            epsilon: self.epsilon,
+            bfs_depth: self.bfs_depth,
+            max_global_iterations: self.max_rounds,
+            local_iterations: self.local_iterations,
+            stop_after_no_change: 1,
+            queue_selection: self.queue_selection,
+            patience_alpha: self.patience_alpha,
+            seed: self.seed,
         }
     }
 }
@@ -200,6 +217,7 @@ pub fn refine_local(
 
     let mut region = region_closure(graph, touched);
     let mut scratch = FmScratch::new();
+    let search_config = config.pair_search_config();
 
     for round in 0..config.max_rounds {
         let pairs = affected_pairs(graph, state, &region);
@@ -215,75 +233,29 @@ pub fn refine_local(
                 base: state.partition(),
                 overlay: HashMap::new(),
             };
-            let mut w_a = state.weights().weight(a);
-            let mut w_b = state.weights().weight(b);
-            let mut pair_moves: Vec<(NodeId, BlockId)> = Vec::new();
             // Seed candidates: the region, extended by this pair's own moves.
-            let mut candidates = region.clone();
-
-            for local_iter in 0..config.local_iterations {
-                let seeds: Vec<NodeId> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|&v| is_pair_boundary(graph, &view, v, a, b))
-                    .collect();
-                if seeds.is_empty() {
-                    break;
-                }
-                let band = band_around_boundary_in(
-                    graph,
-                    &view,
-                    &seeds,
-                    (a, b),
-                    config.bfs_depth,
-                    scratch.bfs_dist(),
-                );
-                let fm_config = FmConfig {
-                    queue_selection: config.queue_selection,
-                    patience_alpha: config.patience_alpha,
-                    l_max,
-                    seed: pair_search_seed(config.seed, round, pair_idx, local_iter, a, b),
-                };
-                let result = two_way_fm_in(
-                    graph,
-                    &mut view,
-                    a,
-                    b,
-                    &band,
-                    w_a,
-                    w_b,
-                    &fm_config,
-                    &mut scratch,
-                );
-                stats.pair_searches += 1;
-                if result.moves.is_empty() {
-                    break;
-                }
-                for &(v, to) in &result.moves {
-                    let vw = graph.node_weight(v);
-                    if to == a {
-                        w_a += vw;
-                        w_b -= vw;
-                    } else {
-                        w_b += vw;
-                        w_a -= vw;
-                    }
-                    candidates.push(v);
-                    candidates.extend_from_slice(graph.neighbors(v));
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                round_gain += result.gain;
-                pair_moves.extend(result.moves);
-                if result.gain == 0 {
-                    break;
-                }
-            }
+            let mut seeder = IndexSeeder::with_candidates(graph, a, b, region.clone());
+            let delta = search_pair(
+                graph,
+                &mut view,
+                &mut seeder,
+                &mut scratch,
+                a,
+                b,
+                state.weights().weight(a),
+                state.weights().weight(b),
+                l_max,
+                &search_config,
+                round,
+                pair_idx,
+            );
+            stats.pair_searches += delta.searches;
+            round_gain += delta.gain;
 
             // Commit the pair's surviving moves through the state so the next
             // pair (and the caller) sees exact derived state.
-            stats.nodes_moved += pair_moves.len();
-            for (v, to) in pair_moves {
+            stats.nodes_moved += delta.moves.len();
+            for (v, to) in delta.moves {
                 state.apply_move(graph, v, to);
                 round_moves.push(v);
             }
@@ -312,28 +284,6 @@ pub fn refine_local(
     );
     stats.total_gain = cut_before - state.edge_cut() as i64;
     stats
-}
-
-/// True if `v` lies on the `(a, b)` pair boundary in the live `view`.
-fn is_pair_boundary<P: BlockAssignment>(
-    graph: &CsrGraph,
-    view: &P,
-    v: NodeId,
-    a: BlockId,
-    b: BlockId,
-) -> bool {
-    let bv = view.block_of(v);
-    let other = if bv == a {
-        b
-    } else if bv == b {
-        a
-    } else {
-        return false;
-    };
-    graph
-        .neighbors(v)
-        .iter()
-        .any(|&u| view.block_of(u) == other)
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use crate::balance::{rebalance, rebalance_state};
 use crate::band::{BandSeeder, FullScanSeeder, IndexSeeder};
 use crate::coloring::color_quotient_edges;
 use crate::delta::{DeltaPairView, SharedAssignment};
-use crate::fm::{two_way_fm_in, FmConfig};
+use crate::fm::{pair_search_seed, two_way_fm_in, FmConfig};
 use crate::queue_select::QueueSelection;
 use crate::scratch::{FmScratch, ScratchPool};
 
@@ -85,6 +85,30 @@ impl Default for RefinementConfig {
     }
 }
 
+impl RefinementConfig {
+    /// The FM configuration of the search at coordinates `(global iteration,
+    /// colour index, local iteration, block pair)`. Every scheduler — shared,
+    /// distributed, localized — derives its searches here, so equal
+    /// coordinates mean equal searches (the keystone of the `--ranks 1`
+    /// parity).
+    pub fn fm_config(
+        &self,
+        l_max: NodeWeight,
+        global_iter: usize,
+        color_idx: usize,
+        local_iter: usize,
+        a: BlockId,
+        b: BlockId,
+    ) -> FmConfig {
+        FmConfig {
+            queue_selection: self.queue_selection,
+            patience_alpha: self.patience_alpha,
+            l_max,
+            seed: pair_search_seed(self.seed, global_iter, color_idx, local_iter, a, b),
+        }
+    }
+}
+
 /// Statistics returned by [`refine_partition`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RefinementStats {
@@ -117,23 +141,27 @@ impl std::ops::AddAssign for RefinementStats {
 
 /// The delta a single pair search hands back to the scheduler: the surviving
 /// moves, the cut gain they achieve, and the number of FM searches run.
-struct PairDelta {
-    moves: Vec<(NodeId, BlockId)>,
-    gain: i64,
-    searches: usize,
+pub(crate) struct PairDelta {
+    pub(crate) moves: Vec<(NodeId, BlockId)>,
+    pub(crate) gain: i64,
+    pub(crate) searches: usize,
 }
 
 /// Runs the local iterations of one pair `(a, b)` — band seeding + BFS,
 /// 2-way FM, pair-local block-weight tracking — against `target` and returns
 /// the pair's delta.
 ///
-/// `target` is a [`DeltaPairView`] in the production scheduler and a snapshot
-/// clone in [`refine_partition_reference`]; `seeder` is an [`IndexSeeder`]
-/// over the shared [`BoundaryIndex`] in production and the full-scan
-/// reference otherwise. Sharing this body — and the seeders' identical
-/// outputs — is what keeps the two schedulers bit-identical.
+/// `target` is a [`DeltaPairView`] in the production scheduler, a snapshot
+/// clone in [`refine_partition_reference`] and an overlay on the state's
+/// partition in [`refine_local`](crate::refine_local); `seeder` is an
+/// [`IndexSeeder`] drawn from the shared [`BoundaryIndex`] in production, one
+/// started from the touched region in `refine_local`, and the full-scan
+/// reference otherwise. This is the only local-iteration loop of the crate;
+/// sharing it — and the seeders' identical outputs — is what keeps the
+/// schedulers bit-identical. `refine_local` passes `(round, pair index)` for
+/// `(global_iter, color_idx)`.
 #[allow(clippy::too_many_arguments)]
-fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
+pub(crate) fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
     graph: &G,
     target: &mut P,
     seeder: &mut S,
@@ -163,19 +191,7 @@ fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
             config.bfs_depth,
             scratch.bfs_dist(),
         );
-        let fm_config = FmConfig {
-            queue_selection: config.queue_selection,
-            patience_alpha: config.patience_alpha,
-            l_max,
-            seed: crate::fm::pair_search_seed(
-                config.seed,
-                global_iter,
-                color_idx,
-                local_iter,
-                a,
-                b,
-            ),
-        };
+        let fm_config = config.fm_config(l_max, global_iter, color_idx, local_iter, a, b);
         let result = two_way_fm_in(graph, target, a, b, &band, w_a, w_b, &fm_config, scratch);
         searches += 1;
         if result.moves.is_empty() {

@@ -299,3 +299,30 @@ fn degenerate_inputs_agree_across_all_entry_points() {
         assert!(many.partition.validate(graph).is_ok(), "{case}: 8 ranks");
     }
 }
+
+/// The message sequence in git, not in a CI cache: wire frames and
+/// collectives summed over the ranks, and the `refine` phase's share of the
+/// frames, as literals recorded before the two class schedules were merged.
+/// A schedule change that adds or drops a message moves them.
+#[test]
+fn refine_frames_are_pinned() {
+    let graph = random_geometric_graph(1 << 13, 4);
+    for (ranks, pinned) in [
+        (2usize, (1881u64, 2748u64, 1646u64)),
+        (4, (7869, 5752, 6582)),
+    ] {
+        let run = dist_run(&graph, KappaConfig::fast(8).with_seed(3), ranks);
+        let (mut frames, mut collectives, mut refine_frames) = (0, 0, 0);
+        for stats in &run.comm_per_rank {
+            frames += stats.total.frames;
+            collectives += stats.total.collectives;
+            let refine = stats.phases.iter().filter(|(name, _)| name == "refine");
+            refine_frames += refine.map(|(_, phase)| phase.frames).sum::<u64>();
+        }
+        assert_eq!(
+            (frames, collectives, refine_frames),
+            pinned,
+            "ranks {ranks}: (frames, collectives, refine-phase frames)"
+        );
+    }
+}

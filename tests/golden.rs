@@ -5,15 +5,20 @@
 //! Every other bit-identity suite compares two paths of the same commit;
 //! this table is the only thing that notices when all of them move together.
 //! A row is the FNV-1a-64 hash of `partition.assignment()` plus
-//! `hierarchy_levels`. A legitimate algorithmic change regenerates the table:
-//! the failure message prints every row in source form.
+//! `hierarchy_levels`. A second table pins the dynamic path (`DynamicSession`
+//! repairs through `refine_local`) the same way. A legitimate algorithmic
+//! change regenerates the tables: the failure message prints every row in
+//! source form.
 
 use kappa::coarsen::SpillConfig;
-use kappa::core::{default_spill_dir, partition_tiered};
+use kappa::core::{default_spill_dir, partition_tiered, DynamicConfig, DynamicSession};
 use kappa::gen::{grid2d, random_geometric_graph, rmat_graph};
 use kappa::graph::CsrGraph;
 use kappa::mem::{CompactCsr, PageCacheConfig, PagedGraph, TierGraph};
 use kappa::prelude::*;
+
+mod common;
+use common::xorshift;
 
 const PATHS: [&str; 6] = [
     "threads1", "threads2", "ranks1", "ranks2", "compact", "paged",
@@ -116,6 +121,104 @@ fn every_entry_point_reproduces_the_golden_table() {
         panic!("golden table mismatch; the rows this commit produces:\n{table}");
     }
 }
+
+/// The dynamic path, which nothing else pins: `tests/dynamic.rs` checks that
+/// the maintained state stays exact, not which moves `refine_local` makes.
+/// One seeded mutation stream per row — cross-cut chords, reweights, deletes
+/// and node inserts — with a manual `refine_now` every 40 mutations; the row
+/// is the final assignment's hash plus the summed repair statistics.
+#[test]
+fn dynamic_sessions_reproduce_the_golden_table() {
+    let instances = [
+        ("rgg12", random_geometric_graph(1 << 12, 17)),
+        ("grid64", grid2d(64, 64)),
+    ];
+    let mut actual: Vec<(String, u64, usize, usize, i64)> = Vec::new();
+    for (name, graph) in &instances {
+        for k in [4u32, 16] {
+            let kappa = KappaConfig::fast(k).with_seed(7).with_threads(1);
+            for (label, config) in [
+                ("default", DynamicConfig::default()),
+                ("matching", DynamicConfig::matching(&kappa)),
+            ] {
+                let mut session = DynamicSession::bootstrap(
+                    graph.clone(),
+                    &kappa,
+                    config.with_auto_refine(false),
+                );
+                let mut next = xorshift(0x9e37_79b9_7f4a_7c15 ^ (u64::from(k) << 32));
+                let (mut searches, mut moved, mut gain) = (0usize, 0usize, 0i64);
+                for step in 0..480 {
+                    let n = session.graph().num_nodes() as u64;
+                    let (u, v) = ((next() % n) as u32, (next() % n) as u32);
+                    match next() % 8 {
+                        0..=3 if u != v => {
+                            let _ = session.insert_edge(u, v, 1 + next() % 9);
+                        }
+                        4 | 5 => {
+                            let edges = session.graph().edges_of_collected(u);
+                            if !edges.is_empty() {
+                                let (t, _) = edges[(next() % edges.len() as u64) as usize];
+                                if step % 2 == 0 {
+                                    session
+                                        .update_edge(u, t, 1 + next() % 20)
+                                        .expect("live edge");
+                                } else {
+                                    session.delete_edge(u, t).expect("live edge");
+                                }
+                            }
+                        }
+                        6 => {
+                            let id = session.insert_node(1 + next() % 3, None).expect("insert");
+                            if session.graph().is_alive(u) {
+                                let _ = session.insert_edge(id, u, 1 + next() % 9);
+                            }
+                        }
+                        _ => {}
+                    }
+                    if step % 40 == 39 {
+                        let stats = session.refine_now();
+                        searches += stats.pair_searches;
+                        moved += stats.nodes_moved;
+                        gain += stats.total_gain;
+                    }
+                }
+                session.verify().expect("maintained state is exact");
+                let hash = fnv1a64(session.state().partition().assignment());
+                actual.push((format!("{name}/k{k}/{label}"), hash, searches, moved, gain));
+            }
+        }
+    }
+    let matches = actual.len() == GOLDEN_DYNAMIC.len()
+        && actual
+            .iter()
+            .zip(GOLDEN_DYNAMIC)
+            .all(|(a, g)| (a.0.as_str(), a.1, a.2, a.3, a.4) == *g);
+    if !matches {
+        let table: String = actual
+            .iter()
+            .map(|(tag, hash, searches, moved, gain)| {
+                format!("    (\"{tag}\", {hash:#018x}, {searches}, {moved}, {gain}),\n")
+            })
+            .collect();
+        panic!("dynamic golden table mismatch; the rows this commit produces:\n{table}");
+    }
+}
+
+/// `(instance/k/refine config, FNV-1a-64 of the final assignment,
+/// pair_searches, nodes_moved, total_gain)` — the last three summed over the
+/// session's repairs. Generated at the commit before `refine_local` was
+/// rebased onto the scheduler's `search_pair`.
+const GOLDEN_DYNAMIC: &[(&str, u64, usize, usize, i64)] = &[
+    ("rgg12/k4/default", 0x8f09503c9cb60656, 199, 145, 364),
+    ("rgg12/k4/matching", 0x9090d822448b4834, 205, 151, 364),
+    ("rgg12/k16/default", 0x72294022cebbddd1, 1819, 260, 575),
+    ("rgg12/k16/matching", 0xfc5be74c84f5e2b3, 1826, 271, 567),
+    ("grid64/k4/default", 0xcfe0d261e1faff45, 224, 393, 608),
+    ("grid64/k4/matching", 0x5f2307198e33c826, 264, 467, 609),
+    ("grid64/k16/default", 0x467f2bc1b5e68279, 1803, 396, 806),
+    ("grid64/k16/matching", 0x8a281671f4bbdab4, 1875, 363, 804),
+];
 
 /// `(instance/preset/k/path, FNV-1a-64 of the assignment, hierarchy_levels)`.
 const GOLDEN: &[(&str, u64, usize)] = &[
