@@ -1,98 +1,95 @@
-//! Minimal command-line argument parsing for the experiment binaries.
+//! Command-line parsing for the `exp` binary: `exp <experiment> [flags]` or
+//! `exp --list`.
 //!
-//! All experiment binaries accept the same small set of flags:
+//! Every experiment accepts
 //!
-//! * `--scale <f64>`   — instance size multiplier (default 0.1, i.e. the paper's
-//!   instances scaled down to run the whole sweep in seconds);
-//! * `--reps <usize>`  — repetitions per configuration (paper: 10; default 3);
+//! * `--scale <f64>`   — instance size multiplier (> 0; the paper's instances
+//!   scaled down so a whole sweep runs in seconds);
+//! * `--reps <usize>`  — repetitions per configuration (paper: 10);
 //! * `--seed <u64>`    — master seed (default 42);
 //! * `--k <list>`      — comma-separated list of block counts;
 //! * `--threads <n>`   — worker threads (0 = all cores);
 //! * `--json`          — additionally emit one JSON line per aggregated row;
-//! * binary-specific flags such as `--config` or `--tool` are read via
-//!   [`Args::get`].
+//!
+//! and two take a selector of their own (`--config`, `--tool`). Anything else
+//! — an unknown flag, a missing, unparsable or empty value, a second
+//! positional word — is an error, which `exp` reports with its usage and exit
+//! status 2.
 
-use std::collections::HashMap;
+use std::str::FromStr;
+
+/// Usage text printed with every command-line error.
+pub const USAGE: &str = "\
+usage: exp <experiment> [--scale <f64>] [--reps <n>] [--seed <u64>] [--k <list>]
+           [--threads <n>] [--json] [--config <preset> | --tool <baseline>]
+       exp --list        names, default parameters and own flag of all experiments";
 
 /// Parsed command-line arguments.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
-    flags: HashMap<String, String>,
-    switches: Vec<String>,
+    /// The experiment name (the one positional word), if given.
+    pub experiment: Option<String>,
+    /// `--list` was given.
+    pub list: bool,
+    /// Whether to emit JSON record lines.
+    pub json: bool,
+    /// Master seed (default 42).
+    pub seed: u64,
+    /// Worker threads (default 0 = all cores).
+    pub threads: usize,
+    /// `--scale`, if given; the default is per experiment.
+    pub scale: Option<f64>,
+    /// `--reps`, if given (at least 1); the default is per experiment.
+    pub reps: Option<usize>,
+    /// `--k`, if given; the default is per experiment.
+    pub ks: Option<Vec<u32>>,
+    /// `--config <value>` or `--tool <value>` as (flag name, value), if given.
+    pub selector: Option<(String, String)>,
+}
+
+fn parsed<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
+    let invalid = format!("`{flag} {value}` is not valid");
+    value.trim().parse().map_err(|_| invalid)
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit iterator of arguments (used in tests).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut flags = HashMap::new();
-        let mut switches = Vec::new();
-        let mut iter = args.into_iter().peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        flags.insert(name.to_string(), iter.next().unwrap());
+    /// Parses the arguments after the program name.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut args = args.into_iter();
+        let mut out = Args {
+            seed: 42,
+            ..Args::default()
+        };
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("`{arg}` needs a value"));
+            match arg.as_str() {
+                "--list" => out.list = true,
+                "--json" => out.json = true,
+                "--seed" => out.seed = parsed(&arg, value()?)?,
+                "--threads" => out.threads = parsed(&arg, value()?)?,
+                "--reps" => out.reps = Some(parsed::<usize>(&arg, value()?)?.max(1)),
+                "--scale" => {
+                    let scale: f64 = parsed(&arg, value()?)?;
+                    if !(scale.is_finite() && scale > 0.0) {
+                        return Err(format!("`--scale {scale}` is not a positive number"));
                     }
-                    _ => switches.push(name.to_string()),
+                    out.scale = Some(scale);
                 }
+                "--k" => {
+                    let list = value()?;
+                    let ks = list.split(',').map(|k| parsed(&arg, k.to_string()));
+                    out.ks = Some(ks.collect::<Result<_, _>>()?);
+                }
+                "--config" | "--tool" if out.selector.is_none() => {
+                    out.selector = Some((arg[2..].to_string(), value()?));
+                }
+                "--config" | "--tool" => return Err("more than one --config / --tool".into()),
+                flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+                _ if out.experiment.is_none() => out.experiment = Some(arg),
+                _ => return Err(format!("unexpected argument `{arg}`")),
             }
         }
-        Args { flags, switches }
-    }
-
-    /// Raw string value of `--name`, if given.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
-    }
-
-    /// Parsed value of `--name`, falling back to `default`.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// True if the bare switch `--name` was given.
-    pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-
-    /// Comma-separated list of `u32` (e.g. `--k 2,4,8`), with a default.
-    pub fn get_u32_list(&self, name: &str, default: &[u32]) -> Vec<u32> {
-        match self.get(name) {
-            Some(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-            None => default.to_vec(),
-        }
-    }
-
-    /// Instance scale (default 0.1).
-    pub fn scale(&self) -> f64 {
-        self.get_or("scale", 0.1)
-    }
-
-    /// Repetitions per configuration (default 3).
-    pub fn reps(&self) -> usize {
-        self.get_or("reps", 3).max(1)
-    }
-
-    /// Master seed (default 42).
-    pub fn seed(&self) -> u64 {
-        self.get_or("seed", 42)
-    }
-
-    /// Worker threads (default 0 = ambient Rayon pool).
-    pub fn threads(&self) -> usize {
-        self.get_or("threads", 0)
-    }
-
-    /// Whether to emit JSON record lines.
-    pub fn json(&self) -> bool {
-        self.has("json")
+        Ok(out)
     }
 }
 
@@ -100,36 +97,71 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Args {
+    fn args(s: &[&str]) -> Result<Args, String> {
         Args::parse(s.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn parses_flags_and_switches() {
+    fn parses_experiment_flags_and_switches() {
         let a = args(&[
-            "--scale", "0.5", "--json", "--k", "2,4,8", "--config", "strong",
-        ]);
-        assert!((a.scale() - 0.5).abs() < 1e-12);
-        assert!(a.json());
-        assert_eq!(a.get_u32_list("k", &[64]), vec![2, 4, 8]);
-        assert_eq!(a.get("config"), Some("strong"));
-        assert_eq!(a.reps(), 3);
-        assert_eq!(a.seed(), 42);
+            "tables6-14-kappa",
+            "--scale",
+            "0.5",
+            "--json",
+            "--k",
+            "2, 4,8",
+            "--config",
+            "strong",
+        ])
+        .unwrap();
+        assert_eq!(a.experiment.as_deref(), Some("tables6-14-kappa"));
+        assert_eq!(a.scale, Some(0.5));
+        assert!(a.json && !a.list);
+        assert_eq!(a.ks, Some(vec![2, 4, 8]));
+        assert_eq!(a.selector, Some(("config".into(), "strong".into())));
+        assert_eq!((a.reps, a.seed, a.threads), (None, 42, 0));
     }
 
     #[test]
     fn defaults_apply_when_missing() {
-        let a = args(&[]);
-        assert!((a.scale() - 0.1).abs() < 1e-12);
-        assert!(!a.json());
-        assert_eq!(a.get_u32_list("k", &[16, 32, 64]), vec![16, 32, 64]);
-        assert_eq!(a.threads(), 0);
+        let a = args(&["--list"]).unwrap();
+        assert!(a.list && !a.json && a.experiment.is_none() && a.selector.is_none());
+        assert_eq!((a.scale, a.reps, a.ks.clone()), (None, None, None));
+        assert_eq!(args(&["x", "--reps", "0"]).unwrap().reps, Some(1));
     }
 
     #[test]
-    fn malformed_values_fall_back() {
-        let a = args(&["--scale", "abc", "--reps", "0"]);
-        assert!((a.scale() - 0.1).abs() < 1e-12);
-        assert_eq!(a.reps(), 1);
+    fn unknown_flags_and_stray_words_are_rejected() {
+        let unknown = args(&["x", "--sclae", "0.01"]).unwrap_err();
+        assert!(unknown.contains("--sclae"), "{unknown}");
+        assert!(args(&["x", "--jsno"]).is_err());
+        assert!(args(&["x", "--tries", "3"]).is_err(), "retired flag");
+        assert!(args(&["x", "y"]).unwrap_err().contains("`y`"));
+        assert!(args(&["x", "--scale"])
+            .unwrap_err()
+            .contains("needs a value"));
+        assert!(args(&["x", "--config", "fast", "--tool", "kmetis-like"]).is_err());
+    }
+
+    #[test]
+    fn unparsable_values_are_rejected() {
+        for bad in [
+            ["--scale", "abc"],
+            ["--scale", "0"],
+            ["--scale", "nan"],
+            ["--reps", "-1"],
+            ["--seed", "1.5"],
+            ["--threads", "two"],
+        ] {
+            assert!(args(&bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn k_lists_must_be_non_empty_and_fully_numeric() {
+        for bad in ["x", "", ",", "2,x", "2,,4", "-2"] {
+            assert!(args(&["t", "--k", bad]).is_err(), "--k {bad:?}");
+        }
+        assert_eq!(args(&["t", "--k", "16"]).unwrap().ks, Some(vec![16]));
     }
 }

@@ -9,32 +9,96 @@ use kappa_core::{ConfigPreset, KappaConfig, KappaPartitioner, PartitionMetrics};
 use kappa_graph::CsrGraph;
 use serde::Serialize;
 
-/// A tool that can appear in a comparison table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Tool {
-    /// A KaPPa preset (minimal/fast/strong).
-    Kappa(ConfigPreset),
-    /// One of the baseline stand-ins.
+/// Imbalance tolerance of every comparison run (the paper's 3 %).
+const EPSILON: f64 = 0.03;
+
+type Tweak = Box<dyn Fn(KappaConfig) -> KappaConfig + Send + Sync>;
+
+/// One contender of a comparison: a KaPPa configuration or one of the
+/// baseline stand-ins.
+pub struct Variant {
+    /// Row / column label used in the tables.
+    pub name: &'static str,
+    kind: Kind,
+}
+
+enum Kind {
+    /// A preset with a change applied on top; JSON rows name the preset.
+    Kappa(ConfigPreset, Tweak),
     Baseline(BaselineKind),
 }
 
-impl Tool {
-    /// Display name used in the tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Tool::Kappa(p) => p.name(),
-            Tool::Baseline(b) => b.name(),
-        }
+impl Variant {
+    /// KaPPa-Fast with one setting changed (the rows of Tables 3 and 4 left).
+    pub fn fast(
+        name: &'static str,
+        tweak: impl Fn(KappaConfig) -> KappaConfig + Send + Sync + 'static,
+    ) -> Self {
+        let kind = Kind::Kappa(ConfigPreset::Fast, Box::new(tweak));
+        Variant { name, kind }
     }
 
-    /// The tool line-up of Table 4 (right): KaPPa variants then the baselines.
-    pub fn comparison_lineup() -> Vec<Tool> {
-        let mut tools: Vec<Tool> = ConfigPreset::all()
-            .iter()
-            .map(|&p| Tool::Kappa(p))
-            .collect();
-        tools.extend(BaselineKind::all().iter().map(|&b| Tool::Baseline(b)));
-        tools
+    /// A KaPPa preset (minimal/fast/strong).
+    pub fn preset(preset: ConfigPreset) -> Self {
+        let kind = Kind::Kappa(preset, Box::new(|config| config));
+        let name = preset.name();
+        Variant { name, kind }
+    }
+
+    /// One of the baseline stand-ins.
+    pub fn baseline(kind: BaselineKind) -> Self {
+        let name = kind.name();
+        let kind = Kind::Baseline(kind);
+        Variant { name, kind }
+    }
+
+    /// The tool line-up of Table 4 (right): KaPPa presets then the baselines.
+    pub fn comparison_lineup() -> Vec<Variant> {
+        let presets = ConfigPreset::all().into_iter().map(Self::preset);
+        presets
+            .chain(BaselineKind::all().into_iter().map(Self::baseline))
+            .collect()
+    }
+
+    /// Runs the variant `reps` times on `graph` with different seeds and
+    /// aggregates the way the paper does. `threads` (0 = all cores) sets
+    /// KaPPa's thread count; the baselines take none, so they run inside a
+    /// pool of that size.
+    pub fn run(
+        &self,
+        graph_name: &str,
+        graph: &CsrGraph,
+        k: u32,
+        seed: u64,
+        threads: usize,
+        reps: usize,
+    ) -> AggregatedRun {
+        let rep_seed = |rep: usize| seed.wrapping_add(rep as u64 * 7919);
+        let reps = 0..reps.max(1);
+        let (tool, metrics): (_, Vec<PartitionMetrics>) = match &self.kind {
+            Kind::Kappa(preset, tweak) => {
+                let config = tweak(KappaConfig::preset(*preset, k))
+                    .with_epsilon(EPSILON)
+                    .with_threads(threads);
+                let run = |rep| {
+                    let config = config.with_seed(rep_seed(rep));
+                    KappaPartitioner::new(config).partition(graph).metrics
+                };
+                (preset.name(), reps.map(run).collect())
+            }
+            Kind::Baseline(kind) => {
+                let tool = kind.build();
+                let run = |rep| {
+                    let start = Instant::now();
+                    let partition = tool.partition(graph, k, EPSILON, rep_seed(rep));
+                    PartitionMetrics::measure(graph, &partition, EPSILON, start.elapsed())
+                };
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+                let pool = pool.build().expect("a thread pool of a given size");
+                (self.name, pool.install(|| reps.map(run).collect()))
+            }
+        };
+        AggregatedRun::from_metrics(tool, graph_name, k, EPSILON, &metrics)
     }
 }
 
@@ -92,90 +156,10 @@ impl AggregatedRun {
     }
 }
 
-/// Runs a KaPPa configuration `reps` times with different seeds and aggregates.
-pub fn run_kappa(
-    graph: &CsrGraph,
-    graph_name: &str,
-    config: &KappaConfig,
-    reps: usize,
-) -> AggregatedRun {
-    let mut metrics = Vec::with_capacity(reps);
-    for rep in 0..reps.max(1) {
-        let cfg = config.with_seed(config.seed.wrapping_add(rep as u64 * 7919));
-        let result = KappaPartitioner::new(cfg).partition(graph);
-        metrics.push(result.metrics);
-    }
-    let preset_name = preset_name_for(config);
-    AggregatedRun::from_metrics(&preset_name, graph_name, config.k, config.epsilon, &metrics)
-}
-
-/// Runs a baseline tool `reps` times with different seeds and aggregates.
-pub fn run_baseline(
-    graph: &CsrGraph,
-    graph_name: &str,
-    kind: BaselineKind,
-    k: u32,
-    epsilon: f64,
-    seed: u64,
-    reps: usize,
-) -> AggregatedRun {
-    let tool = kind.build();
-    let mut metrics = Vec::with_capacity(reps);
-    for rep in 0..reps.max(1) {
-        let start = Instant::now();
-        let partition = tool.partition(graph, k, epsilon, seed.wrapping_add(rep as u64 * 7919));
-        let runtime = start.elapsed();
-        metrics.push(PartitionMetrics::measure(
-            graph, &partition, epsilon, runtime,
-        ));
-    }
-    AggregatedRun::from_metrics(tool.name(), graph_name, k, epsilon, &metrics)
-}
-
-/// Runs any [`Tool`] (KaPPa preset or baseline).
-pub fn run_tool(
-    graph: &CsrGraph,
-    graph_name: &str,
-    tool: Tool,
-    k: u32,
-    epsilon: f64,
-    seed: u64,
-    threads: usize,
-    reps: usize,
-) -> AggregatedRun {
-    match tool {
-        Tool::Kappa(preset) => {
-            let config = KappaConfig::preset(preset, k)
-                .with_epsilon(epsilon)
-                .with_seed(seed)
-                .with_threads(threads);
-            run_kappa(graph, graph_name, &config, reps)
-        }
-        Tool::Baseline(kind) => run_baseline(graph, graph_name, kind, k, epsilon, seed, reps),
-    }
-}
-
-/// Best-effort preset name for a config (used in table rows); configurations
-/// that match no preset are labelled "KaPPa-Custom".
-fn preset_name_for(config: &KappaConfig) -> String {
-    for preset in ConfigPreset::all() {
-        let reference = KappaConfig::preset(preset, config.k);
-        if reference.initial_repeats == config.initial_repeats
-            && reference.bfs_depth == config.bfs_depth
-            && (reference.fm_patience - config.fm_patience).abs() < 1e-12
-            && reference.local_iterations == config.local_iterations
-            && reference.max_global_iterations == config.max_global_iterations
-        {
-            return preset.name().to_string();
-        }
-    }
-    "KaPPa-Custom".to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kappa_gen::grid::grid2d;
+    use kappa_gen::grid2d;
 
     #[test]
     fn aggregation_math_is_correct() {
@@ -209,36 +193,31 @@ mod tests {
     }
 
     #[test]
-    fn run_tool_covers_kappa_and_baselines() {
+    fn variants_cover_kappa_and_baselines() {
         let g = grid2d(16, 16);
-        let kappa = run_tool(
-            &g,
-            "grid",
-            Tool::Kappa(ConfigPreset::Minimal),
-            4,
-            0.03,
-            1,
-            0,
-            1,
-        );
-        assert_eq!(kappa.tool, "KaPPa-Minimal");
+        let kappa = Variant::preset(ConfigPreset::Minimal).run("grid", &g, 4, 1, 0, 1);
+        assert_eq!((kappa.tool.as_str(), kappa.reps), ("KaPPa-Minimal", 1));
         assert!(kappa.avg_cut > 0.0);
-        let metis = run_tool(
-            &g,
-            "grid",
-            Tool::Baseline(BaselineKind::MetisLike),
-            4,
-            0.03,
-            1,
-            0,
-            1,
+        let greedy = Variant::fast("greedy", |c| {
+            c.with_matching(kappa_matching::MatchingAlgorithm::Greedy)
+        });
+        let greedy = greedy.run("grid", &g, 4, 1, 1, 1);
+        assert_eq!(
+            (greedy.tool.as_str(), greedy.graph.as_str()),
+            ("KaPPa-Fast", "grid")
         );
-        assert_eq!(metis.tool, "kmetis-like");
+        let metis = Variant::baseline(BaselineKind::MetisLike).run("grid", &g, 4, 1, 1, 2);
+        assert_eq!((metis.tool.as_str(), metis.reps), ("kmetis-like", 2));
         assert!(metis.avg_cut > 0.0);
     }
 
     #[test]
     fn comparison_lineup_has_six_tools() {
-        assert_eq!(Tool::comparison_lineup().len(), 6);
+        let names: Vec<&str> = Variant::comparison_lineup()
+            .iter()
+            .map(|v| v.name)
+            .collect();
+        assert_eq!(names.len(), 6);
+        assert_eq!((names[0], names[5]), ("KaPPa-Minimal", "parmetis-like"));
     }
 }

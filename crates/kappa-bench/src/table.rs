@@ -28,6 +28,11 @@ impl Table {
         self.rows.push(cells);
     }
 
+    /// The column headers.
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()

@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn exactly_one_full_boundary_index_build_per_run() {
-        // The acceptance criterion of the persistent-state refactor: the
+        // The acceptance test of the persistent-state refactor: the
         // coarsest level pays the one O(n + m) index build; every finer level
         // seeds from the projected coarse boundary.
         let g = random_geometric_graph(4000, 5);

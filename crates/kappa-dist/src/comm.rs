@@ -480,11 +480,6 @@ pub trait Comm {
     fn allreduce_sum(&mut self, value: u64) -> CommResult<u64> {
         self.allreduce(value, |a, b| a + b)
     }
-
-    /// Allreduce-max of a `u64`.
-    fn allreduce_max(&mut self, value: u64) -> CommResult<u64> {
-        self.allreduce(value, std::cmp::max)
-    }
 }
 
 /// Allreduce-min over optional keyed candidates: every rank contributes its
@@ -951,7 +946,7 @@ mod tests {
         let results = cluster(ranks).run(|comm| {
             let me = comm.rank() as u64;
             let sum = comm.allreduce_sum(me + 1).unwrap();
-            let max = comm.allreduce_max(me * 7).unwrap();
+            let max = comm.allreduce(me * 7, std::cmp::max).unwrap();
             let all = comm.allgather(me).unwrap();
             let bc = comm
                 .broadcast(2, (comm.rank() == 2).then(|| String::from("hello")))

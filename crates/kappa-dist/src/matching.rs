@@ -14,7 +14,7 @@
 //! (highest rating, ties broken by the global edge key); proposals travel to
 //! the other endpoint's owner; an edge is matched exactly when it was
 //! proposed from **both** sides — the "locally heaviest at both endpoints"
-//! criterion — which both owners detect independently, so no accept round is
+//! condition — which both owners detect independently, so no accept round is
 //! needed. Matched flags are refreshed over the ghost layer and rounds repeat
 //! until an `allreduce` reports no progress; the globally best remaining gap
 //! edge is matched every round, so termination is guaranteed.

@@ -4,7 +4,7 @@
 //! seed, the run is repeated a few times (1/3/5 times for the minimal/fast/
 //! strong configurations, Table 2), and the best result is broadcast. Here the
 //! repeats run as Rayon tasks — the shared-memory stand-in for "all PEs at
-//! once" — and the best partition is selected by the lexicographic criterion
+//! once" — and the best partition is selected by the lexicographic rule
 //! (feasible first, then smallest cut, then smallest imbalance).
 
 use kappa_graph::{CsrGraph, Partition};

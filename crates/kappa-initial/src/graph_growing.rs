@@ -85,7 +85,7 @@ pub fn greedy_graph_growing(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -
 }
 
 /// Gain of assigning `v` to `block`: edge weight towards the block minus edge
-/// weight towards still-unassigned territory (classical GGGP criterion).
+/// weight towards still-unassigned territory (classical GGGP rule).
 fn gain_into_block(graph: &CsrGraph, partition: &Partition, v: NodeId, block: u32) -> i64 {
     let mut inside = 0i64;
     let mut outside = 0i64;

@@ -166,7 +166,6 @@ const COLLECTIVE_METHODS: &[&str] = &[
     "alltoallv",
     "allreduce",
     "allreduce_sum",
-    "allreduce_max",
 ];
 
 /// Free functions with collective semantics.

@@ -40,7 +40,6 @@ const SHIMMED: &[&str] = &[
     "serde_derive",
     "serde_json",
     "proptest",
-    "criterion",
 ];
 
 /// `shim-drift`: every dependency in every manifest must be a workspace

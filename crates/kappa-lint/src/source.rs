@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(f.kind, FileKind::TestCode);
         assert_eq!(f.crate_name, "kappa");
 
-        let f = file("crates/kappa-bench/src/bin/bench_compare.rs", "");
+        let f = file("crates/kappa-bench/src/bin/exp.rs", "");
         assert!(f.is_crate_root);
         assert_eq!(f.crate_name, "kappa-bench");
 

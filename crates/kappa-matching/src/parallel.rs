@@ -9,7 +9,7 @@
 //! `{u, v}` whose rating exceeds the rating of the edges matched to `u` and `v`
 //! locally — is matched by iterated locally-heaviest-edge pointing: an edge is
 //! matched when it is the most attractive remaining gap edge at *both*
-//! endpoints, which is exactly the paper's criterion and needs no global
+//! endpoints, which is exactly the paper's condition and needs no global
 //! coordination.
 
 use kappa_graph::{CsrGraph, NodeId};

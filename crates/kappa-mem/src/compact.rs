@@ -6,7 +6,7 @@
 //! ([`segment`](crate::segment)) plus an `n + 1` offset table. Unit node
 //! weights are elided entirely. On the paper's geometric instances this cuts
 //! the resident edge footprint by roughly 4–6× versus the `usize`/`u64` CSR
-//! arrays; `benches/mem_kernels.rs` tracks the traversal cost of decoding.
+//! arrays; EXPERIMENTS.md (PR 10) records the traversal cost of decoding.
 
 use kappa_graph::{Adjacency, CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
 

@@ -82,7 +82,6 @@ pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
 pub use local::{refine_local, LocalRefineConfig, LocalRefineStats};
 pub use queue_select::QueueSelection;
 pub use scheduler::{
-    refine_partition, refine_partition_in_place, refine_partition_reference, RefinementConfig,
-    RefinementStats,
+    refine_partition, refine_partition_reference, RefinementConfig, RefinementStats,
 };
 pub use scratch::{FmScratch, ScratchPool};

@@ -375,25 +375,6 @@ pub fn refine_partition<G: GraphAccess + Sync>(
     stats
 }
 
-/// Convenience wrapper for one-off callers that hold a bare [`Partition`]:
-/// builds a fresh [`PartitionState`] (one full `O(n + m)` derivation),
-/// refines it with [`refine_partition`] and writes the result back.
-///
-/// Pipelines that refine across hierarchy levels should hold a
-/// `PartitionState` and call [`refine_partition`] directly — that is what
-/// keeps the boundary index's full build a once-per-run cost.
-pub fn refine_partition_in_place<G: GraphAccess + Sync>(
-    graph: &G,
-    partition: &mut Partition,
-    config: &RefinementConfig,
-) -> RefinementStats {
-    let owned = std::mem::replace(partition, Partition::unassigned(0, 0));
-    let mut state = PartitionState::build(graph, owned);
-    let stats = refine_partition(graph, &mut state, config);
-    *partition = state.into_partition();
-    stats
-}
-
 /// The snapshot-cloning, full-scanning reference scheduler: clones the
 /// partition once per colour class and once more per pair, and re-derives
 /// every band seed with an `O(n + m)` [`FullScanSeeder`] scan, exactly as
@@ -488,7 +469,21 @@ mod tests {
     use super::*;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
+    use kappa_graph::CsrGraph;
     use kappa_initial::{greedy_graph_growing, random_partition};
+
+    /// [`refine_partition`] on a bare [`Partition`]: a fresh state per call.
+    fn refine_partition_in_place(
+        graph: &CsrGraph,
+        partition: &mut Partition,
+        config: &RefinementConfig,
+    ) -> RefinementStats {
+        let owned = std::mem::replace(partition, Partition::unassigned(0, 0));
+        let mut state = PartitionState::build(graph, owned);
+        let stats = refine_partition(graph, &mut state, config);
+        *partition = state.into_partition();
+        stats
+    }
 
     #[test]
     fn improves_a_random_partition_substantially() {

@@ -328,6 +328,71 @@ mod barrier_synchronises {
     }
 }
 
+/// The superstep shape `dist_refine` emits: every superstep, every rank posts
+/// `MOVES` small move records to every peer, then drains its inbound queues.
+/// `coalesced` routes the posts through a [`Comm::coalesce`] scope — one pack
+/// frame per peer per superstep — instead of one frame per record. Returns
+/// this endpoint's total frame count.
+fn move_broadcast_frames<C: Comm>(comm: &mut C, coalesced: bool) -> u64 {
+    const SUPERSTEPS: usize = 8;
+    const MOVES: u64 = 24;
+    let (me, ranks) = (comm.rank(), comm.num_ranks());
+    let peers = move || (0..ranks).filter(move |&peer| peer != me);
+    for _ in 0..SUPERSTEPS {
+        let post_all = |comm: &mut C| {
+            for m in 0..MOVES {
+                for peer in peers() {
+                    if coalesced {
+                        comm.isend(peer, "mv", (me as u64, m))?;
+                    } else {
+                        comm.send(peer, "mv", (me as u64, m))?;
+                    }
+                }
+            }
+            Ok(())
+        };
+        if coalesced {
+            comm.coalesce(post_all).unwrap();
+        } else {
+            post_all(comm).unwrap();
+        }
+        for peer in peers() {
+            for m in 0..MOVES {
+                assert_eq!(
+                    comm.recv::<(u64, u64)>(peer, "mv").unwrap(),
+                    (peer as u64, m)
+                );
+            }
+        }
+    }
+    comm.stats()
+        .expect("both backends track stats")
+        .total
+        .frames
+}
+
+/// Exact cluster-wide frame totals of the 4-rank, 8-superstep × 24-move
+/// broadcast on both backends: 4 ranks × 3 peers × 8 supersteps = 96 packs
+/// against × 24 = 2 304 single frames. "Coalescing stopped packing" (or a
+/// protocol that grew chattier) fails here, whatever the runner's speed.
+#[test]
+fn coalescing_packs_each_superstep_into_one_frame_per_peer() {
+    for (coalesced, frames) in [(true, 96u64), (false, 2_304)] {
+        let local = local_cluster(4).run(|comm| move_broadcast_frames(comm, coalesced));
+        let tcp = tcp_cluster(4).run(|comm| move_broadcast_frames(comm, coalesced));
+        assert_eq!(
+            local.iter().sum::<u64>(),
+            frames,
+            "local, coalesced = {coalesced}"
+        );
+        assert_eq!(
+            tcp.iter().sum::<u64>(),
+            frames,
+            "tcp, coalesced = {coalesced}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection against the full distributed pipeline.
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //! cargo test --release --test mem -- --ignored --test-threads=1
 //! ```
 //!
-//! The headline budget comes straight from the issue's acceptance criterion:
+//! The headline budget comes straight from the issue's acceptance bar:
 //! the 2^20 in-RAM run measures 699 MiB peak RSS, so an in-RAM 2^22 run
 //! needs ≈ 2.8 GiB by linear extrapolation — the paged 2^22 run must stay
 //! under **half** of that (1.4 GiB). Wall/RSS figures per instance size are
@@ -170,7 +170,7 @@ fn mem_rgg_2e24_paged_within_budget() {
 
     if !cfg!(debug_assertions) {
         if let Some(rss) = run.peak_rss {
-            // The same criterion as 2^22: under half the ≈ 11.2 GiB an
+            // The same bar as 2^22: under half the ≈ 11.2 GiB an
             // in-RAM run needs (measured 4884 MiB).
             let budget = 56 * 1024 * 1024 * 1024 / 10; // 5.6 GiB
             assert!(
