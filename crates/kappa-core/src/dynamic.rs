@@ -28,7 +28,7 @@
 use kappa_graph::{
     BlockId, CsrGraph, DynamicGraph, EdgeWeight, NodeId, NodeWeight, Partition, PartitionState,
 };
-use kappa_refine::{refine_local, LocalRefineConfig, LocalRefineStats};
+use kappa_refine::{refine_local, LocalRefineStats, RefinementConfig};
 
 use crate::config::KappaConfig;
 use crate::partitioner::KappaPartitioner;
@@ -46,8 +46,9 @@ pub struct DynamicConfig {
     /// drive repairs manually via [`DynamicSession::refine_now`].
     pub auto_refine: bool,
     /// The localized refinement pass run on trigger (its `epsilon` is also
-    /// the session's balance tolerance).
-    pub refine: LocalRefineConfig,
+    /// the session's balance tolerance; `max_global_iterations` caps the
+    /// rounds over the affected pairs).
+    pub refine: RefinementConfig,
 }
 
 impl Default for DynamicConfig {
@@ -56,7 +57,10 @@ impl Default for DynamicConfig {
             cut_drift: 0.10,
             compact_overlay_fraction: 0.5,
             auto_refine: true,
-            refine: LocalRefineConfig::default(),
+            refine: RefinementConfig {
+                max_global_iterations: 3,
+                ..RefinementConfig::default()
+            },
         }
     }
 }
@@ -68,14 +72,14 @@ impl DynamicConfig {
     /// with.
     pub fn matching(config: &KappaConfig) -> Self {
         DynamicConfig {
-            refine: LocalRefineConfig {
-                epsilon: config.epsilon,
-                bfs_depth: config.bfs_depth,
-                local_iterations: config.local_iterations,
-                queue_selection: config.queue_selection,
-                patience_alpha: config.fm_patience,
+            // A repair is three rounds at most and stops at the first
+            // gain-free one, whatever the preset's global schedule; it draws
+            // from the bootstrap seed itself, not the pipeline's salted one.
+            refine: RefinementConfig {
                 seed: config.seed,
-                ..LocalRefineConfig::default()
+                max_global_iterations: 3,
+                stop_after_no_change: 1,
+                ..config.refinement()
             },
             ..Default::default()
         }

@@ -5,10 +5,10 @@
 //! operations the distributed pipeline needs (barrier, broadcast, gather,
 //! allgather, all-to-all-v, allreduce). Every collective is implemented on
 //! top of `send`/`recv` with a deterministic communication schedule
-//! (gather-to-rank-0 in ascending rank order, then broadcast), so a backend
-//! only supplies the two point-to-point primitives.
+//! (gather-to-rank-0 in ascending rank order, then broadcast).
 //!
-//! Two backends implement the trait:
+//! One type implements the trait — [`Endpoint`], which holds the whole
+//! point-to-point protocol — and it runs over two links:
 //!
 //! * [`LocalCluster`] — in-process, one `std::thread` per rank, one FIFO
 //!   channel per ordered rank pair, payloads moved as `Box<dyn Any>` with no
@@ -43,12 +43,12 @@
 //! process (see `tests/comm_conformance.rs`).
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{channel, Sender};
+use std::time::Duration;
 
 use crate::codec::Wire;
-use crate::fault::{Emission, FaultInjector, FaultPlan};
+use crate::endpoint::{run_ranks, Endpoint, Link, Packet};
+use crate::fault::FaultPlan;
 
 /// What went wrong inside a communication primitive.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,6 +89,23 @@ pub struct CommError {
     pub tag: String,
     /// The failure class.
     pub kind: CommErrorKind,
+}
+
+impl CommError {
+    /// `rank` failed talking to `peer` about `tag`, for the reason in `kind`.
+    pub fn new(rank: usize, peer: usize, tag: &str, kind: CommErrorKind) -> Self {
+        CommError {
+            rank,
+            peer,
+            tag: tag.to_string(),
+            kind,
+        }
+    }
+
+    /// A [`CommErrorKind::Protocol`] violation diagnosed by `rank`.
+    pub fn protocol(rank: usize, peer: usize, tag: &str, detail: impl Into<String>) -> Self {
+        CommError::new(rank, peer, tag, CommErrorKind::Protocol(detail.into()))
+    }
 }
 
 impl std::fmt::Display for CommError {
@@ -160,8 +177,9 @@ pub(crate) const ALLGATHER_TAG: &str = "::allgather";
 pub(crate) const ALLTOALLV_TAG: &str = "::alltoallv";
 
 /// Every reserved tag a [`Comm`] default implementation puts on the wire.
-/// The TCP transport's send-path check allows exactly these plus its own
-/// control frames; anything else starting with `::` is rejected.
+/// The endpoint's send-path check allows exactly these; anything else
+/// starting with `::` is rejected (the transport's own control frames never
+/// pass through `send`).
 pub(crate) const COLLECTIVE_TAGS: &[&str] = &[BARRIER_TAG, BCAST_TAG, ALLGATHER_TAG, ALLTOALLV_TAG];
 
 /// Tag of a coalesced pack: one wire frame carrying every message a rank
@@ -267,11 +285,12 @@ impl Wire for CommStats {
 
 /// The communication interface of one rank.
 ///
-/// All collectives have default implementations over [`send`](Comm::send) /
-/// [`recv`](Comm::recv) with a deterministic schedule; the whole cluster must
-/// call each collective collectively (SPMD style), in the same order on every
-/// rank. Every operation returns [`CommResult`]; callers propagate errors to
-/// the pipeline boundary instead of panicking.
+/// [`Endpoint`] supplies the point-to-point half once for every transport;
+/// the collectives are the default implementations here, over
+/// [`send`](Comm::send) / [`recv`](Comm::recv) with a deterministic schedule.
+/// The whole cluster must call each collective collectively (SPMD style), in
+/// the same order on every rank. Every operation returns [`CommResult`];
+/// callers propagate errors to the pipeline boundary instead of panicking.
 pub trait Comm {
     /// This rank's id, `0..num_ranks()`.
     fn rank(&self) -> usize;
@@ -292,30 +311,23 @@ pub trait Comm {
     /// waiting. Outside a [`coalesce`](Comm::coalesce) scope this is exactly
     /// [`send`](Comm::send); inside one, the message is buffered and packed
     /// with every other same-peer post into a single wire frame at flush.
-    fn isend<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        self.send(to, tag, value)
-    }
+    fn isend<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()>;
 
     /// Split-phase completion: returns the next already-arrived message from
     /// `from` carrying `tag`, or `Ok(None)` when nothing matching has arrived
-    /// yet. Both built-in backends drain their receive queues without
-    /// blocking; this default falls back to the blocking [`recv`](Comm::recv).
-    fn try_recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<Option<T>> {
-        self.recv(from, tag).map(Some)
-    }
+    /// yet. Drains the receive queue without blocking.
+    fn try_recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<Option<T>>;
 
     /// Opens a coalesce scope: subsequent [`isend`](Comm::isend)s are
     /// buffered per destination instead of hitting the wire. Plain `send`s
     /// and collectives are *not* buffered — they keep their immediate
     /// semantics even inside a scope. Scopes do not nest.
-    fn coalesce_begin(&mut self) {}
+    fn coalesce_begin(&mut self);
 
     /// Closes the coalesce scope: packs each peer's buffered messages into
     /// one frame (peers flushed in ascending rank order) and puts them on
     /// the wire. A no-op when no scope is open.
-    fn coalesce_flush(&mut self) -> CommResult<()> {
-        Ok(())
-    }
+    fn coalesce_flush(&mut self) -> CommResult<()>;
 
     /// Runs `f` inside a coalesce scope, flushing on the way out. The flush
     /// always runs (so a partial superstep is never silently swallowed), but
@@ -333,19 +345,14 @@ pub trait Comm {
         Ok(out)
     }
 
-    /// Comm-volume counters of this endpoint, on backends that track them.
-    fn stats(&self) -> Option<&CommStats> {
-        None
-    }
+    /// Comm-volume counters of this endpoint.
+    fn stats(&self) -> Option<&CommStats>;
 
     /// Mutable counters hook used by the default collectives and by
-    /// [`set_phase`](Comm::set_phase); backends that track stats override it.
-    fn stats_mut(&mut self) -> Option<&mut CommStats> {
-        None
-    }
+    /// [`set_phase`](Comm::set_phase).
+    fn stats_mut(&mut self) -> Option<&mut CommStats>;
 
-    /// Labels subsequent traffic with `phase` in the stats (no-op when the
-    /// backend tracks none).
+    /// Labels subsequent traffic with `phase` in the stats.
     fn set_phase(&mut self, phase: &'static str) {
         if let Some(stats) = self.stats_mut() {
             stats.set_phase(phase);
@@ -398,14 +405,12 @@ pub trait Comm {
         }
         if self.rank() == root {
             let Some(value) = value else {
-                return Err(CommError {
-                    rank: self.rank(),
-                    peer: root,
-                    tag: BCAST_TAG.to_string(),
-                    kind: CommErrorKind::Protocol(
-                        "broadcast root called without a value".to_string(),
-                    ),
-                });
+                return Err(CommError::protocol(
+                    self.rank(),
+                    root,
+                    BCAST_TAG,
+                    "broadcast root called without a value",
+                ));
             };
             for dst in 0..self.num_ranks() {
                 if dst != root {
@@ -433,15 +438,15 @@ pub trait Comm {
         }
         let (me, ranks) = (self.rank(), self.num_ranks());
         if parts.len() != ranks {
-            return Err(CommError {
-                rank: me,
-                peer: me,
-                tag: ALLTOALLV_TAG.to_string(),
-                kind: CommErrorKind::Protocol(format!(
+            return Err(CommError::protocol(
+                me,
+                me,
+                ALLTOALLV_TAG,
+                format!(
                     "alltoallv needs one part per rank: got {} parts for {ranks} ranks",
                     parts.len()
-                )),
-            });
+                ),
+            ));
         }
         // Post every send first (sends never block), then receive in rank
         // order — a deterministic, deadlock-free schedule.
@@ -510,68 +515,68 @@ where
     })
 }
 
-/// Per-peer receive buffer: reassembles the sequence-numbered stream from one
-/// peer, discarding duplicates, then serves tag-matched receives in stream
-/// order.
-///
-/// `accept` is fed raw arrivals in any order; `take` pops the earliest
-/// in-sequence message satisfying a predicate (tag match), leaving
-/// non-matching messages queued. Early arrivals (sequence gaps) wait in a
-/// side map bounded by the transport's reorder window.
-pub(crate) struct SeqInbox<M> {
-    next_seq: u64,
-    early: BTreeMap<u64, M>,
-    ready: VecDeque<M>,
-}
-
-impl<M> SeqInbox<M> {
-    pub(crate) fn new() -> Self {
-        SeqInbox {
-            next_seq: 0,
-            early: BTreeMap::new(),
-            ready: VecDeque::new(),
-        }
-    }
-
-    /// Accepts one arrival with its sequence number. Duplicates (already
-    /// delivered, or already waiting in the gap buffer) are discarded before
-    /// their payload is ever inspected.
-    pub(crate) fn accept(&mut self, seq: u64, msg: M) {
-        if seq < self.next_seq {
-            return; // duplicate of an already-delivered message
-        }
-        if seq == self.next_seq {
-            self.ready.push_back(msg);
-            self.next_seq += 1;
-            while let Some(next) = self.early.remove(&self.next_seq) {
-                self.ready.push_back(next);
-                self.next_seq += 1;
-            }
-        } else {
-            // Gap: park it. `or_insert` keeps the first copy, so a duplicate
-            // of an early arrival is discarded too.
-            self.early.entry(seq).or_insert(msg);
-        }
-    }
-
-    /// Removes and returns the earliest ready message matching `pred`.
-    pub(crate) fn take(&mut self, pred: impl Fn(&M) -> bool) -> Option<M> {
-        let idx = self.ready.iter().position(pred)?;
-        self.ready.remove(idx)
-    }
-}
-
 /// Payload of an injected duplicate twin: deliberately a type no receiver
 /// ever asks for, so a decoy escaping sequence-number dedup surfaces as a
 /// `TypeMismatch` instead of silently satisfying a `()` receive.
 struct DecoyPayload;
 
-/// A typed point-to-point message in flight inside a [`LocalCluster`].
-struct Envelope {
-    seq: u64,
-    tag: &'static str,
-    payload: Box<dyn Any + Send>,
+/// A typed message body moved between threads as is.
+type Boxed = Box<dyn Any + Send>;
+
+/// The in-process link: one FIFO channel to every rank, payloads moved as
+/// `Box<dyn Any>` and never encoded.
+pub struct ChannelLink {
+    txs: Vec<Sender<Packet<Boxed>>>,
 }
+
+impl Link for ChannelLink {
+    type Payload = Boxed;
+    type Arrival = Packet<Boxed>;
+
+    fn pack<T: Message>(value: T) -> Boxed {
+        Box::new(value)
+    }
+
+    fn unpack<T: Message>(payload: Boxed) -> Result<T, CommErrorKind> {
+        match payload.downcast::<T>() {
+            Ok(value) => Ok(*value),
+            Err(_) => Err(CommErrorKind::TypeMismatch),
+        }
+    }
+
+    fn bundle(inner: Vec<Packet<Boxed>>) -> Boxed {
+        Box::new(inner)
+    }
+
+    /// A pack's decoy twin (its payload is not a `Vec<Packet>`) carries
+    /// nothing.
+    fn unbundle(pack: Boxed) -> Result<Vec<Packet<Boxed>>, CommErrorKind> {
+        Ok(pack.downcast().map_or_else(|_| Vec::new(), |inner| *inner))
+    }
+
+    /// `Box<dyn Any>` is not `Clone`, and need not be: a decoy does.
+    fn twin(_: &Boxed) -> Boxed {
+        Box::new(DecoyPayload)
+    }
+
+    fn wire_bytes(_: &str, _: &Boxed) -> u64 {
+        0
+    }
+
+    fn put(&self, to: usize, packet: Packet<Boxed>) -> Result<(), CommErrorKind> {
+        // A channel send only fails when the receiver already exited.
+        self.txs[to]
+            .send(packet)
+            .map_err(|_| CommErrorKind::Disconnected)
+    }
+
+    fn open(arrival: Packet<Boxed>) -> Result<Packet<Boxed>, CommErrorKind> {
+        Ok(arrival)
+    }
+}
+
+/// One rank's endpoint inside a [`LocalCluster`].
+pub type LocalComm = Endpoint<ChannelLink>;
 
 /// Configuration of a [`LocalCluster`].
 #[derive(Clone, Copy, Debug)]
@@ -626,281 +631,39 @@ impl LocalCluster {
         R: Send,
         F: Fn(&mut LocalComm) -> R + Sync,
     {
-        let ranks = self.ranks;
-        // txs[src][dst] sends into rxs-of-dst[src].
-        let mut txs: Vec<Vec<Option<Sender<Envelope>>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
-        let mut rxs: Vec<Vec<Option<Receiver<Envelope>>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
-        for src in 0..ranks {
-            for dst in 0..ranks {
+        // tx_rows[src][dst] sends into rx_rows[dst][src].
+        let mut tx_rows: Vec<Vec<_>> = (0..self.ranks).map(|_| Vec::new()).collect();
+        let mut rx_rows: Vec<Vec<_>> = (0..self.ranks).map(|_| Vec::new()).collect();
+        for tx_row in &mut tx_rows {
+            for rx_row in &mut rx_rows {
                 let (tx, rx) = channel();
-                txs[src][dst] = Some(tx);
-                rxs[dst][src] = Some(rx);
+                tx_row.push(tx);
+                rx_row.push(rx);
             }
         }
-        let mut comms: Vec<LocalComm> = Vec::with_capacity(ranks);
-        for (rank, (tx_row, rx_row)) in txs.into_iter().zip(rxs).enumerate() {
-            comms.push(LocalComm {
-                rank,
-                ranks,
-                // kappa-lint: allow(dist-no-panic) -- the wiring loop above fills every (src, dst) slot before any endpoint is built
-                txs: tx_row.into_iter().map(|t| t.expect("wired")).collect(),
-                // kappa-lint: allow(dist-no-panic) -- same wiring invariant as the sender row
-                rxs: rx_row.into_iter().map(|r| r.expect("wired")).collect(),
-                send_seqs: vec![0; ranks],
-                inboxes: (0..ranks).map(|_| SeqInbox::new()).collect(),
-                injector: FaultInjector::new(self.config.fault, rank, ranks),
-                config: self.config,
-                pending: None,
-                stats: CommStats::default(),
-            });
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut comm| scope.spawn(move || f(&mut comm)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => std::panic::resume_unwind(e),
-                })
-                .collect()
-        })
-    }
-}
-
-/// One rank's endpoint inside a [`LocalCluster`].
-pub struct LocalComm {
-    rank: usize,
-    ranks: usize,
-    txs: Vec<Sender<Envelope>>,
-    rxs: Vec<Receiver<Envelope>>,
-    send_seqs: Vec<u64>,
-    inboxes: Vec<SeqInbox<Envelope>>,
-    injector: FaultInjector<Envelope>,
-    config: LocalClusterConfig,
-    /// `Some` while a coalesce scope is open: per-destination buffers of
-    /// posted-but-unflushed envelopes.
-    pending: Option<Vec<Vec<Envelope>>>,
-    stats: CommStats,
-}
-
-impl LocalComm {
-    fn error(&self, peer: usize, tag: &str, kind: CommErrorKind) -> CommError {
-        CommError {
-            rank: self.rank,
-            peer,
-            tag: tag.to_string(),
-            kind,
-        }
-    }
-
-    /// Fault-injector dispatch + channel emission of one envelope — the
-    /// shared tail of `send` and the coalesce flush.
-    fn emit(&mut self, to: usize, env: Envelope, tag: &'static str) -> CommResult<()> {
-        // A send can only fail when the receiver already exited — which, in a
-        // lock-step SPMD program, means that rank failed first; surface it.
-        let tx = &self.txs[to];
-        let mut receiver_gone = false;
-        self.injector.dispatch(
-            to,
-            env,
-            // The duplicate twin reuses the original's seq with a decoy
-            // payload (`Box<dyn Any>` is not Clone); the receiver's dedup
-            // discards it by seq before the payload is ever touched. The
-            // marker type can never downcast to a real payload, so a decoy
-            // that somehow survived dedup fails loudly instead of
-            // impersonating a `()` message.
-            |orig| Envelope {
-                seq: orig.seq,
-                tag: orig.tag,
-                payload: Box::new(DecoyPayload),
+        let LocalClusterConfig {
+            recv_timeout,
+            fault,
+        } = self.config;
+        run_ranks(
+            tx_rows.into_iter().zip(rx_rows).collect(),
+            |rank, (txs, rxs)| {
+                f(&mut Endpoint::new(
+                    rank,
+                    ChannelLink { txs },
+                    rxs,
+                    recv_timeout,
+                    fault,
+                ))
             },
-            // Only the primary envelope bouncing is an error: a receiver
-            // that exits right after consuming the real message may
-            // legitimately reject a trailing twin or a late-released
-            // reorder envelope.
-            |env, emission| {
-                if tx.send(env).is_err() && emission == Emission::Primary {
-                    receiver_gone = true;
-                }
-            },
-        );
-        if receiver_gone {
-            Err(self.error(to, tag, CommErrorKind::Disconnected))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Feeds one raw arrival into the per-peer inbox, unpacking coalesced
-    /// packs back into the ordinary per-message stream. Inner envelopes
-    /// carry their own stream sequence numbers, so dedup and reordering work
-    /// at the message level; a pack's decoy twin (payload is not a
-    /// `Vec<Envelope>`) carries nothing and is dropped here.
-    fn accept_envelope(&mut self, from: usize, env: Envelope) {
-        if env.tag == COALESCE_TAG {
-            if let Ok(inner) = env.payload.downcast::<Vec<Envelope>>() {
-                for e in *inner {
-                    let seq = e.seq;
-                    self.inboxes[from].accept(seq, e);
-                }
-            }
-            return;
-        }
-        let seq = env.seq;
-        self.inboxes[from].accept(seq, env);
-    }
-}
-
-impl Comm for LocalComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.ranks
-    }
-
-    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        let seq = self.send_seqs[to];
-        self.send_seqs[to] += 1;
-        let env = Envelope {
-            seq,
-            tag,
-            payload: Box::new(value),
-        };
-        // Frames are counted once per primary emission, before fault
-        // injection — the count is a property of the schedule, not of the
-        // injected fault pattern. The local backend never serialises, so
-        // bytes stay 0.
-        self.stats.note_frame(0);
-        self.emit(to, env, tag)
-    }
-
-    fn isend<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        if self.pending.is_some() {
-            let seq = self.send_seqs[to];
-            self.send_seqs[to] += 1;
-            let env = Envelope {
-                seq,
-                tag,
-                payload: Box::new(value),
-            };
-            // kappa-lint: allow(dist-no-panic) -- guarded by the is_some check above
-            self.pending.as_mut().expect("scope open")[to].push(env);
-            Ok(())
-        } else {
-            self.send(to, tag, value)
-        }
-    }
-
-    fn coalesce_begin(&mut self) {
-        debug_assert!(self.pending.is_none(), "coalesce scopes do not nest");
-        self.pending = Some((0..self.ranks).map(|_| Vec::new()).collect());
-    }
-
-    fn coalesce_flush(&mut self) -> CommResult<()> {
-        let Some(pending) = self.pending.take() else {
-            return Ok(());
-        };
-        for (to, buf) in pending.into_iter().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            // The pack rides under the first inner seq; that seq never
-            // reaches the inbox (the drain unpacks before `accept`), so the
-            // inner envelopes' own seqs keep the stream gapless.
-            let pack = Envelope {
-                seq: buf[0].seq,
-                tag: COALESCE_TAG,
-                payload: Box::new(buf),
-            };
-            self.stats.note_frame(0);
-            self.emit(to, pack, COALESCE_TAG)?;
-        }
-        Ok(())
-    }
-
-    fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T> {
-        // kappa-lint: allow(wall-clock) -- timeout bookkeeping only; the clock decides when to give up, never what a result contains
-        let deadline = Instant::now() + self.config.recv_timeout;
-        loop {
-            if let Some(env) = self.inboxes[from].take(|e| e.tag == tag) {
-                return env
-                    .payload
-                    .downcast::<T>()
-                    .map(|b| *b)
-                    .map_err(|_| self.error(from, tag, CommErrorKind::TypeMismatch));
-            }
-            // kappa-lint: allow(wall-clock) -- remaining-timeout arithmetic, same as above
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(self.error(
-                    from,
-                    tag,
-                    CommErrorKind::Timeout {
-                        waited: self.config.recv_timeout,
-                    },
-                ));
-            }
-            match self.rxs[from].recv_timeout(remaining) {
-                Ok(env) => {
-                    self.accept_envelope(from, env);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.error(
-                        from,
-                        tag,
-                        CommErrorKind::Timeout {
-                            waited: self.config.recv_timeout,
-                        },
-                    ));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(self.error(from, tag, CommErrorKind::Disconnected));
-                }
-            }
-        }
-    }
-
-    fn try_recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<Option<T>> {
-        loop {
-            match self.rxs[from].try_recv() {
-                Ok(env) => self.accept_envelope(from, env),
-                // A closed channel is not an error here: messages already
-                // drained into the inbox must still be claimable.
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        match self.inboxes[from].take(|e| e.tag == tag) {
-            Some(env) => env
-                .payload
-                .downcast::<T>()
-                .map(|b| Some(*b))
-                .map_err(|_| self.error(from, tag, CommErrorKind::TypeMismatch)),
-            None => Ok(None),
-        }
-    }
-
-    fn stats(&self) -> Option<&CommStats> {
-        Some(&self.stats)
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut CommStats> {
-        Some(&mut self.stats)
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::SeqInbox;
 
     fn cluster(ranks: usize) -> LocalCluster {
         LocalCluster::with_config(
@@ -910,21 +673,6 @@ mod tests {
                 fault: FaultPlan::default(),
             },
         )
-    }
-
-    #[test]
-    fn point_to_point_round_trip() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, "ping", 41u64).unwrap();
-                comm.recv::<u64>(1, "pong").unwrap()
-            } else {
-                let x = comm.recv::<u64>(0, "ping").unwrap();
-                comm.send(0, "pong", x + 1).unwrap();
-                x
-            }
-        });
-        assert_eq!(results, vec![42, 41]);
     }
 
     #[test]
@@ -958,24 +706,6 @@ mod tests {
             assert_eq!(max, 21);
             assert_eq!(all, vec![0, 1, 2, 3]);
             assert_eq!(bc, "hello");
-        }
-    }
-
-    #[test]
-    fn alltoallv_routes_every_segment_including_empty_ones() {
-        let ranks = 4;
-        let results = cluster(ranks).run(|comm| {
-            let me = comm.rank();
-            // Rank r sends [r*10 + dst; dst] to dst — so rank 0 sends empty
-            // segments everywhere, rank 1 singletons, and so on; every
-            // (src, dst) pair exercises a distinct length, including zero.
-            let parts: Vec<Vec<usize>> = (0..ranks).map(|dst| vec![me * 10 + dst; me]).collect();
-            comm.alltoallv(parts).unwrap()
-        });
-        for (dst, received) in results.into_iter().enumerate() {
-            for (src, part) in received.into_iter().enumerate() {
-                assert_eq!(part, vec![src * 10 + dst; src], "{src} -> {dst}");
-            }
         }
     }
 
@@ -1147,7 +877,10 @@ mod tests {
         let results = cluster.run(|comm| {
             if comm.rank() == 0 {
                 for v in 0..40u64 {
-                    comm.send(1, "seq", v).unwrap();
+                    // The receiver leaves after the 30th message, so the
+                    // tail may bounce off a closed peer.
+                    let sent = comm.send(1, "seq", v);
+                    assert!(sent.is_ok() || v >= 30, "{sent:?}");
                 }
                 Vec::new()
             } else {
@@ -1277,7 +1010,7 @@ mod tests {
                 // reorder window (the receiver only claims the packed 20).
                 for v in 0..10u64 {
                     // kappa-lint: allow(tag-pairing) -- deliberately unreceived filler: it only pushes held packs out of the reorder window
-                    comm.send(1, "tail", v).unwrap();
+                    let _ = comm.send(1, "tail", v); // the receiver may have left already
                 }
                 Vec::new()
             } else {

@@ -20,7 +20,7 @@
 
 use kappa_graph::{EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
 
-use crate::comm::{Comm, CommError, CommErrorKind, CommResult};
+use crate::comm::{Comm, CommError, CommResult};
 use crate::graph::DistGraph;
 use crate::matching::DistMatching;
 
@@ -28,12 +28,7 @@ use crate::matching::DistMatching;
 /// another rank shipped (or failed to ship) is inconsistent with the local
 /// matching. Diagnosed, not panicked: the caller learns which rank saw what.
 fn proto_err<C: Comm>(comm: &C, detail: String) -> CommError {
-    CommError {
-        rank: comm.rank(),
-        peer: comm.rank(),
-        tag: "contract".to_string(),
-        kind: CommErrorKind::Protocol(detail),
-    }
+    CommError::protocol(comm.rank(), comm.rank(), "contract", detail)
 }
 
 /// Result of one distributed contraction step.

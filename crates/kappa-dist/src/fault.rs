@@ -1,4 +1,5 @@
-//! Deterministic fault injection for any [`Comm`](crate::Comm) backend.
+//! Deterministic fault injection in the send path of the
+//! [`Comm`](crate::Comm) endpoint, whatever link it runs over.
 //!
 //! A [`FaultPlan`] decides, purely from `(seed, from, to, nth)`, what happens
 //! to the `nth` message a rank sends to a peer: delivered, dropped,
@@ -6,7 +7,7 @@
 //! channel. Determinism per seed means a faulted run is exactly
 //! reproducible regardless of thread or network timing.
 //!
-//! The backends apply the plan **below** sequence-number assignment (see
+//! The endpoint applies the plan **below** sequence-number assignment (see
 //! [`FaultInjector`]), which is what makes the non-lossy faults recoverable:
 //! a duplicate carries the seq of the original and is discarded by the
 //! receiver's dedup, a reordered pair is reassembled by the receiver's
@@ -14,7 +15,7 @@
 //! — and it must surface as a diagnosed
 //! [`CommError`](crate::CommError) naming the stuck rank, peer and tag,
 //! never as a hang or a wrong answer. `tests/comm_conformance.rs` holds the
-//! property tests pinning exactly that contract for both backends.
+//! property tests pinning exactly that contract over both links.
 
 /// Which message to target with a guaranteed drop (the classic regression
 /// shape: "the nth message from rank A to rank B vanishes").
@@ -142,13 +143,12 @@ pub enum Emission {
     Artifact,
 }
 
-/// Per-endpoint state applying a [`FaultPlan`] inside a backend's send path.
+/// Per-endpoint state applying a [`FaultPlan`] inside the send path.
 ///
-/// Generic over the backend's envelope type `E`: the injector tells the
-/// backend *what* to emit via the `emit` callback; `dup` produces the
-/// duplicate twin of an envelope (a byte-level clone for the TCP transport, a
-/// same-seq decoy for the in-process one — the receiver discards it by
-/// sequence number either way).
+/// Generic over the envelope type `E`: the injector tells the endpoint
+/// *what* to emit via the `emit` callback; `dup` produces the duplicate twin
+/// of an envelope (a byte-level clone over sockets, a same-seq decoy in
+/// process — the receiver discards it by sequence number either way).
 pub struct FaultInjector<E> {
     plan: FaultPlan,
     rank: usize,
@@ -176,11 +176,11 @@ impl<E> FaultInjector<E> {
     /// `emit` receives [`Emission::Primary`] exactly when it delivers the
     /// caller's own envelope for this send. Everything else — duplicate
     /// twins, held reorder envelopes released late — is an
-    /// [`Emission::Artifact`] of the fault plan. Backends must report a
-    /// delivery failure as a send error **only for the primary**: a receiver
-    /// that exits right after consuming the real message may legitimately
-    /// bounce a trailing twin, and a held envelope that can no longer be
-    /// delivered just degrades the reorder into a drop.
+    /// [`Emission::Artifact`] of the fault plan. A delivery failure is a send
+    /// error **only for the primary**: a receiver that exits right after
+    /// consuming the real message may legitimately bounce a trailing twin,
+    /// and a held envelope that can no longer be delivered just degrades the
+    /// reorder into a drop.
     pub fn dispatch(
         &mut self,
         to: usize,

@@ -20,7 +20,7 @@
 
 use kappa_graph::{BlockAssignment, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight};
 
-use crate::comm::{Comm, CommError, CommErrorKind, CommResult, Message};
+use crate::comm::{Comm, CommError, CommResult, Message};
 
 /// One rank's shard of a distributed graph.
 #[derive(Clone, Debug)]
@@ -110,15 +110,15 @@ impl DistGraph {
         let hi = range_starts[rank + 1];
         let ln = (hi - lo) as usize;
         if rows.len() != ln {
-            return Err(CommError {
+            return Err(CommError::protocol(
                 rank,
-                peer: rank,
-                tag: "assemble".to_string(),
-                kind: CommErrorKind::Protocol(format!(
+                rank,
+                "assemble",
+                format!(
                     "assemble needs one row per owned node: got {} rows for {ln} nodes",
                     rows.len()
-                )),
-            });
+                ),
+            ));
         }
         let owner_of = |gid: NodeId| -> usize { owner_in(&range_starts, gid) };
 
@@ -186,15 +186,15 @@ impl DistGraph {
         }
         vwgt.extend(ghost_weights(&ghost_global)?);
         if vwgt.len() != n_local {
-            return Err(CommError {
+            return Err(CommError::protocol(
                 rank,
-                peer: rank,
-                tag: "assemble".to_string(),
-                kind: CommErrorKind::Protocol(format!(
+                rank,
+                "assemble",
+                format!(
                     "ghost weight count mismatch: {} weights for {n_local} local nodes",
                     vwgt.len()
-                )),
-            });
+                ),
+            ));
         }
 
         // Contiguous ghost grouping per owner.
@@ -400,14 +400,13 @@ impl DistGraph {
         out.into_iter()
             .enumerate()
             .map(|(i, v)| {
-                v.ok_or_else(|| CommError {
-                    rank: self.rank,
-                    peer: self.owner_of(gids[i]),
-                    tag: "pull".to_string(),
-                    kind: CommErrorKind::Protocol(format!(
-                        "pull response missing for global node {}",
-                        gids[i]
-                    )),
+                v.ok_or_else(|| {
+                    CommError::protocol(
+                        self.rank,
+                        self.owner_of(gids[i]),
+                        "pull",
+                        format!("pull response missing for global node {}", gids[i]),
+                    )
                 })
             })
             .collect()

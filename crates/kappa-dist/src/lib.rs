@@ -7,10 +7,16 @@
 //! itself.
 //!
 //! * [`comm`] — the rank/message-passing runtime: the [`Comm`] trait (typed
-//!   point-to-point send/recv plus deterministic collectives) and the
-//!   [`LocalCluster`] backend (one thread per rank, FIFO channel per rank
-//!   pair, timeout-guarded receives that fail loudly instead of
-//!   deadlocking).
+//!   point-to-point send/recv plus deterministic collectives), its one
+//!   implementation [`Endpoint`] (sequence-numbered streams, tag matching,
+//!   timeout-guarded receives that fail loudly instead of deadlocking,
+//!   coalescing, fault injection — written once, over a crate-private link)
+//!   and the [`LocalCluster`] harness (one thread per rank, FIFO channel
+//!   per rank pair, payloads never serialised).
+//! * [`tcp`] — the socket link under the same endpoint: [`TcpCluster`]
+//!   (threads over loopback) and [`TcpComm::connect_worker`] (one process
+//!   per rank), with the [`codec`] wire format, the versioned handshake and
+//!   the launcher's rendezvous.
 //! * [`graph`] — [`DistGraph`]: 1D block distribution of the CSR with ghost
 //!   (halo) vertices, owner-computes update rules, ghost exchange and pull
 //!   protocols.
@@ -40,6 +46,7 @@
 pub mod codec;
 pub mod comm;
 pub mod contract;
+mod endpoint;
 pub mod fault;
 pub mod graph;
 pub mod matching;
@@ -54,6 +61,7 @@ pub use comm::{
     LocalClusterConfig, LocalComm, Message, PhaseCommStats,
 };
 pub use contract::distributed_contraction;
+pub use endpoint::Endpoint;
 pub use fault::{DropSpec, FaultAction, FaultPlan};
 pub use graph::{DistGraph, LocalAssignment};
 pub use matching::{distributed_matching, DistMatching};

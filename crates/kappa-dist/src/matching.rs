@@ -22,7 +22,7 @@
 use kappa_graph::{CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
 use kappa_matching::{compute_matching, rate_edge, EdgeRating, MatchingAlgorithm};
 
-use crate::comm::{Comm, CommError, CommErrorKind, CommResult};
+use crate::comm::{Comm, CommError, CommResult};
 use crate::graph::DistGraph;
 
 /// A distributed matching: partner *global* ids under the owner-computes
@@ -169,14 +169,12 @@ pub fn distributed_matching<C: Comm>(
         // longer run means a rank disagrees about the gap state — a protocol
         // failure to diagnose, not a panic.
         if rounds > dg.num_global_nodes() + 2 {
-            return Err(CommError {
-                rank: comm.rank(),
-                peer: comm.rank(),
-                tag: "gap-handshake".to_string(),
-                kind: CommErrorKind::Protocol(format!(
-                    "gap handshake failed to terminate after {rounds} rounds"
-                )),
-            });
+            return Err(CommError::protocol(
+                comm.rank(),
+                comm.rank(),
+                "gap-handshake",
+                format!("gap handshake failed to terminate after {rounds} rounds"),
+            ));
         }
         gap.retain(|e| {
             partner_owned[e.u_local as usize] == INVALID_NODE && !ghost_state[e.ghost_idx].matched

@@ -153,15 +153,15 @@ pub fn partition_with_comm<C: Comm>(
 ) -> CommResult<Option<DistRunResult>> {
     let ranks = comm.num_ranks();
     if ranks != config.ranks {
-        return Err(CommError {
-            rank: comm.rank(),
-            peer: comm.rank(),
-            tag: "pipeline".to_string(),
-            kind: CommErrorKind::Protocol(format!(
+        return Err(CommError::protocol(
+            comm.rank(),
+            comm.rank(),
+            "pipeline",
+            format!(
                 "cluster has {ranks} ranks but the config expects {}",
                 config.ranks
-            )),
-        });
+            ),
+        ));
     }
     let result = run_on_layout(graph, ranks, config.base.k, |work_graph, range_starts| {
         let result = rank_main(comm, work_graph, range_starts, config)?;
@@ -367,29 +367,27 @@ fn fold_graph<C: Comm>(comm: &mut C, dg: &DistGraph, active: usize) -> CommResul
     for (src, part) in incoming.into_iter().enumerate() {
         for (gid, weight, edges) in part {
             if gid != expected {
-                return Err(CommError {
-                    rank: comm.rank(),
-                    peer: src,
-                    tag: "fold".to_string(),
-                    kind: CommErrorKind::Protocol(format!(
-                        "fold rows out of order: got global node {gid}, expected {expected}"
-                    )),
-                });
+                return Err(CommError::protocol(
+                    comm.rank(),
+                    src,
+                    "fold",
+                    format!("fold rows out of order: got global node {gid}, expected {expected}"),
+                ));
             }
             expected += 1;
             rows.push((edges, weight));
         }
     }
     if expected != new_starts[comm.rank() + 1] {
-        return Err(CommError {
-            rank: comm.rank(),
-            peer: comm.rank(),
-            tag: "fold".to_string(),
-            kind: CommErrorKind::Protocol(format!(
+        return Err(CommError::protocol(
+            comm.rank(),
+            comm.rank(),
+            "fold",
+            format!(
                 "fold rows incomplete: got up to global node {expected}, range ends at {}",
                 new_starts[comm.rank() + 1]
-            )),
-        });
+            ),
+        ));
     }
     DistGraph::assemble_with(comm, comm.rank(), ranks, new_starts, rows)
 }

@@ -46,7 +46,7 @@ use kappa_refine::{
     ShardError,
 };
 
-use crate::comm::{allreduce_min_opt, Comm, CommError, CommErrorKind, CommResult};
+use crate::comm::{allreduce_min_opt, Comm, CommError, CommResult};
 use crate::graph::{DistGraph, LocalAssignment};
 use crate::state::{DistState, MoveRec};
 
@@ -448,16 +448,16 @@ fn merge_reports(
             .iter()
             .find(|r| pairs.get(r.pair).map(|p| p.home) != Some(src))
         {
-            return Err(CommError {
-                rank: me,
-                peer: src,
-                tag: "class-reports".to_string(),
-                kind: CommErrorKind::Protocol(format!(
+            return Err(CommError::protocol(
+                me,
+                src,
+                "class-reports",
+                format!(
                     "rank {src} reported pair {} of a {}-pair class, which is not homed on it",
                     stray.pair,
                     pairs.len()
-                )),
-            });
+                ),
+            ));
         }
         merged.extend(part);
     }
@@ -646,14 +646,12 @@ impl GatheredBands {
         for (pi, shard) in part {
             let pairs = self.shards.len();
             let Some(slot) = self.shards.get_mut(pi as usize) else {
-                return Err(CommError {
-                    rank: me,
-                    peer: src,
-                    tag: "band-recs".to_string(),
-                    kind: CommErrorKind::Protocol(format!(
-                        "rank {src} sent a band shard for pair {pi} of a {pairs}-pair class"
-                    )),
-                });
+                return Err(CommError::protocol(
+                    me,
+                    src,
+                    "band-recs",
+                    format!("rank {src} sent a band shard for pair {pi} of a {pairs}-pair class"),
+                ));
             };
             slot.push(shard);
             self.senders[pi as usize].push(src);
@@ -671,15 +669,11 @@ impl GatheredBands {
     /// whose shard is at fault (of the gather as a whole when none is).
     fn blame(&self, me: usize, pi: usize, e: ShardError) -> CommError {
         let sender = e.shard.and_then(|s| self.senders[pi].get(s).copied());
-        CommError {
-            rank: me,
-            peer: sender.unwrap_or(me),
-            tag: "band-recs".to_string(),
-            kind: CommErrorKind::Protocol(match sender {
-                Some(src) => format!("band of pair {pi}, shard from rank {src}: {e}"),
-                None => format!("band of pair {pi}: {e}"),
-            }),
-        }
+        let detail = match sender {
+            Some(src) => format!("band of pair {pi}, shard from rank {src}: {e}"),
+            None => format!("band of pair {pi}: {e}"),
+        };
+        CommError::protocol(me, sender.unwrap_or(me), "band-recs", detail)
     }
 }
 
@@ -800,7 +794,7 @@ pub fn dist_rebalance<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::LocalCluster;
+    use crate::comm::{CommErrorKind, LocalCluster};
     use kappa_gen::grid::grid2d;
     use kappa_graph::{BlockWeights, Partition, PartitionState};
     use kappa_refine::rebalance_state;

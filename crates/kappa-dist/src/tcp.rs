@@ -1,10 +1,11 @@
-//! The TCP transport: the [`Comm`] trait over real sockets.
+//! The TCP transport: the socket link under the one [`Comm`](crate::Comm)
+//! endpoint.
 //!
 //! Topology is a full mesh of duplex connections, one per unordered rank
 //! pair, built deterministically: every rank owns a listening socket, and the
 //! **lower** rank dials the **higher** rank's listener (with bounded retry and
 //! exponential backoff), so each pair establishes exactly one connection.
-//! Each direction of a connection carries [`Frame`]s (see
+//! Each direction of a connection carries [`Frame`](crate::codec::Frame)s (see
 //! [`codec`](crate::codec)); a version-checked handshake
 //! (`magic | PROTOCOL_VERSION | cluster size | rank`) runs on every
 //! connection before any frame, so mismatched builds are rejected with a
@@ -12,13 +13,15 @@
 //!
 //! A background reader thread per peer drains the socket into an unbounded
 //! in-process queue regardless of what the rank's main thread is doing — this
-//! is what makes the deterministic collective schedules of [`Comm`]
-//! deadlock-free over TCP: a writer can never be blocked by a peer that is
-//! itself mid-send, because every peer always reads. Receives then follow the
-//! exact [`LocalCluster`](crate::LocalCluster) semantics — per-peer
-//! `SeqInbox` reassembly and MPI-style tag matching — with the same
-//! timeout-guarded failure behaviour: a lost message or dead peer surfaces as
-//! a [`CommError`] naming the stuck rank, peer and tag.
+//! is what makes the deterministic collective schedules of
+//! [`Comm`](crate::Comm) deadlock-free over TCP: a writer can never be blocked
+//! by a peer that is itself mid-send, because every peer always reads.
+//! Everything above the
+//! queue — per-peer `SeqInbox` reassembly, MPI-style tag matching, the
+//! timeout-guarded failure behaviour, coalescing, fault injection — is the
+//! shared [`Endpoint`], the same code that runs a
+//! [`LocalCluster`](crate::LocalCluster); [`SocketLink`] only encodes
+//! payloads, counts wire bytes and writes frames.
 //!
 //! Shutdown is graceful: dropping a [`TcpComm`] sends a `::bye` control frame
 //! on every connection and half-closes it, so peers distinguish a drained,
@@ -37,22 +40,21 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::codec::{
-    encode_frame, read_frame, CodecError, Frame, Wire, FRAME_MAGIC, PROTOCOL_VERSION,
-};
-use crate::comm::{
-    Comm, CommError, CommErrorKind, CommResult, CommStats, Message, SeqInbox, COALESCE_TAG,
-    COLLECTIVE_TAGS,
-};
-use crate::fault::{Emission, FaultInjector, FaultPlan};
+use crate::codec::{encode_frame, read_frame, CodecError, Wire, FRAME_MAGIC, PROTOCOL_VERSION};
+use crate::comm::{CommError, CommErrorKind, CommResult, Message};
+use crate::endpoint::{run_ranks, Endpoint, Link, Packet};
+use crate::fault::FaultPlan;
 
 /// Control tag announcing a graceful shutdown; intercepted by the reader
 /// threads, never delivered to `recv`. User tags must not start with `::`.
 const BYE_TAG: &str = "::bye";
+
+/// Tag under which mesh-establishment failures are reported.
+const HANDSHAKE_TAG: &str = "::handshake";
 
 /// Configuration of a TCP cluster / worker endpoint.
 #[derive(Clone, Copy, Debug)]
@@ -81,7 +83,7 @@ impl Default for TcpClusterConfig {
 /// An in-process TCP cluster: one thread per rank, real loopback sockets in
 /// between. Exists so the conformance suite and the benches can drive the
 /// genuine wire path without spawning OS processes; the multi-process path
-/// shares every line of [`TcpComm`] below the rendezvous.
+/// shares every line below the rendezvous.
 pub struct TcpCluster {
     ranks: usize,
     config: TcpClusterConfig,
@@ -126,55 +128,35 @@ impl TcpCluster {
             .map(|l| l.local_addr().expect("listener address"))
             .collect();
         let config = self.config;
-        std::thread::scope(|scope| {
-            let f = &f;
-            let addrs = &addrs;
-            let handles: Vec<_> = listeners
-                .into_iter()
-                .enumerate()
-                .map(|(rank, listener)| {
-                    scope.spawn(move || {
-                        let mut comm = TcpComm::establish(rank, addrs, listener, config)
-                            // kappa-lint: allow(dist-no-panic) -- harness boundary by contract: establishment failures inside TcpCluster::run are harness bugs and abort the test run (see the doc comment); the multi-process path gets them as CommResult
-                            .unwrap_or_else(|e| panic!("rank {rank}: mesh establishment: {e}"));
-                        f(&mut comm)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => std::panic::resume_unwind(e),
-                })
-                .collect()
+        run_ranks(listeners, |rank, listener| {
+            let mut comm = TcpComm::establish(rank, &addrs, listener, config)
+                // kappa-lint: allow(dist-no-panic) -- harness boundary by contract: establishment failures inside TcpCluster::run are harness bugs and abort the test run (see the doc comment); the multi-process path gets them as CommResult
+                .unwrap_or_else(|e| panic!("rank {rank}: mesh establishment: {e}"));
+            f(&mut comm)
         })
     }
 }
 
+/// What a reader thread (or the loopback) puts on a per-peer queue.
+type Arrival = Result<Packet<Vec<u8>>, CodecError>;
+
 /// One peer's outgoing half: a socket, or the in-memory loopback for
 /// self-sends (a rank does not dial itself).
-enum Link {
-    Loopback(Sender<Result<Frame, CodecError>>),
+enum Peer {
+    Loopback(Sender<Arrival>),
     Remote(TcpStream),
 }
 
-/// One rank's endpoint in a TCP mesh.
-pub struct TcpComm {
-    rank: usize,
-    ranks: usize,
-    links: Vec<Link>,
-    frame_rx: Vec<Receiver<Result<Frame, CodecError>>>,
-    inboxes: Vec<SeqInbox<Frame>>,
-    send_seqs: Vec<u64>,
-    injector: FaultInjector<Frame>,
-    recv_timeout: Duration,
+/// The socket link: one duplex connection per peer, payloads encoded by the
+/// [`codec`](crate::codec) and written as [`Frame`](crate::codec::Frame)s.
+pub struct SocketLink {
+    rank: u32,
+    peers: Vec<Peer>,
     readers: Vec<JoinHandle<()>>,
-    /// `Some` while a coalesce scope is open: per-destination buffers of
-    /// posted-but-unflushed frames.
-    pending: Option<Vec<Vec<Frame>>>,
-    stats: CommStats,
 }
+
+/// One rank's endpoint in a TCP mesh.
+pub type TcpComm = Endpoint<SocketLink>;
 
 impl TcpComm {
     /// Builds the full mesh for `rank`: dials every higher rank's listener
@@ -188,16 +170,14 @@ impl TcpComm {
         config: TcpClusterConfig,
     ) -> CommResult<TcpComm> {
         let ranks = addrs.len();
-        let err = |peer: usize, kind: CommErrorKind| CommError {
-            rank,
-            peer,
-            tag: "::handshake".to_string(),
-            kind,
-        };
+        let err =
+            |peer: usize, kind: CommErrorKind| CommError::new(rank, peer, HANDSHAKE_TAG, kind);
         if rank >= ranks {
-            return Err(err(
+            return Err(CommError::protocol(
                 rank,
-                CommErrorKind::Protocol(format!("rank {rank} out of range for {ranks} ranks")),
+                rank,
+                HANDSHAKE_TAG,
+                format!("rank {rank} out of range for {ranks} ranks"),
             ));
         }
         // kappa-lint: allow(wall-clock) -- mesh-establishment deadline only; the clock bounds how long we dial and accept, never what a result contains
@@ -259,12 +239,7 @@ impl TcpComm {
         ranks: usize,
         config: TcpClusterConfig,
     ) -> CommResult<TcpComm> {
-        let err = |kind: CommErrorKind| CommError {
-            rank,
-            peer: 0,
-            tag: "::rendezvous".to_string(),
-            kind,
-        };
+        let err = |kind: CommErrorKind| CommError::new(rank, 0, "::rendezvous", kind);
         let addr: SocketAddr = rendezvous.parse().map_err(|e| {
             err(CommErrorKind::Handshake(format!(
                 "bad rendezvous address: {e}"
@@ -314,32 +289,27 @@ impl TcpComm {
         streams: Vec<Option<TcpStream>>,
         config: TcpClusterConfig,
     ) -> CommResult<TcpComm> {
-        let ranks = streams.len();
-        let io_err = |peer: usize, e: std::io::Error| CommError {
-            rank,
-            peer,
-            tag: "::handshake".to_string(),
-            kind: CommErrorKind::Io(e.to_string()),
+        let io_err = |peer: usize, e: std::io::Error| {
+            CommError::new(rank, peer, HANDSHAKE_TAG, CommErrorKind::Io(e.to_string()))
         };
-        let mut links = Vec::with_capacity(ranks);
-        let mut frame_rx = Vec::with_capacity(ranks);
-        let mut readers = Vec::new();
+        let mut link = SocketLink {
+            rank: rank as u32,
+            peers: Vec::with_capacity(streams.len()),
+            readers: Vec::new(),
+        };
+        let mut rxs = Vec::with_capacity(streams.len());
         for (peer, slot) in streams.into_iter().enumerate() {
             let (tx, rx) = channel();
-            frame_rx.push(rx);
+            rxs.push(rx);
             match slot {
+                None if peer == rank => link.peers.push(Peer::Loopback(tx)),
                 None => {
-                    if peer != rank {
-                        return Err(CommError {
-                            rank,
-                            peer,
-                            tag: "::handshake".to_string(),
-                            kind: CommErrorKind::Protocol(format!(
-                                "mesh is missing the connection to rank {peer}"
-                            )),
-                        });
-                    }
-                    links.push(Link::Loopback(tx));
+                    return Err(CommError::protocol(
+                        rank,
+                        peer,
+                        HANDSHAKE_TAG,
+                        format!("mesh is missing the connection to rank {peer}"),
+                    ));
                 }
                 Some(stream) => {
                     stream.set_nodelay(true).map_err(|e| io_err(peer, e))?;
@@ -347,288 +317,103 @@ impl TcpComm {
                         .set_write_timeout(Some(config.recv_timeout))
                         .map_err(|e| io_err(peer, e))?;
                     let reader = stream.try_clone().map_err(|e| io_err(peer, e))?;
-                    readers.push(std::thread::spawn(move || reader_loop(reader, tx)));
-                    links.push(Link::Remote(stream));
+                    link.readers
+                        .push(std::thread::spawn(move || reader_loop(reader, tx)));
+                    link.peers.push(Peer::Remote(stream));
                 }
             }
         }
-        Ok(TcpComm {
+        Ok(Endpoint::new(
             rank,
-            ranks,
-            links,
-            frame_rx,
-            inboxes: (0..ranks).map(|_| SeqInbox::new()).collect(),
-            send_seqs: vec![0; ranks],
-            injector: FaultInjector::new(config.fault, rank, ranks),
-            recv_timeout: config.recv_timeout,
-            readers,
-            pending: None,
-            stats: CommStats::default(),
-        })
-    }
-
-    fn error(&self, peer: usize, tag: &str, kind: CommErrorKind) -> CommError {
-        CommError {
-            rank: self.rank,
-            peer,
-            tag: tag.to_string(),
-            kind,
-        }
-    }
-
-    /// Fault-injector dispatch + socket emission of one frame — the shared
-    /// tail of `send` and the coalesce flush.
-    fn emit(&mut self, to: usize, frame: Frame, tag: &'static str) -> CommResult<()> {
-        let link = &self.links[to];
-        let mut failure: Option<CommErrorKind> = None;
-        self.injector.dispatch(
-            to,
-            frame,
-            |f| f.clone(),
-            // Only a primary-frame failure is a send error: the peer may
-            // close its socket right after consuming the real message,
-            // bouncing a trailing duplicate twin or a late-released reorder
-            // frame without any harm done.
-            |f, emission| {
-                if failure.is_some() {
-                    return;
-                }
-                match link {
-                    Link::Loopback(tx) => {
-                        // Own inbox receiver is owned by self — cannot be gone.
-                        let _ = tx.send(Ok(f));
-                    }
-                    Link::Remote(stream) => match encode_frame(f.src, f.seq, &f.tag, &f.payload) {
-                        Ok(bytes) => {
-                            if let Err(e) = write_all(stream, &bytes) {
-                                if emission == Emission::Primary {
-                                    failure = Some(CommErrorKind::Io(e.to_string()));
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            if emission == Emission::Primary {
-                                failure = Some(CommErrorKind::Codec(e.0));
-                            }
-                        }
-                    },
-                }
-            },
-        );
-        match failure {
-            Some(kind) => Err(self.error(to, tag, kind)),
-            None => Ok(()),
-        }
-    }
-
-    /// Feeds one raw arrival into the per-peer inbox, unpacking coalesced
-    /// packs back into the ordinary per-message stream. Inner frames carry
-    /// their own stream sequence numbers, so dedup and reordering of whole
-    /// packs heal at the message level.
-    fn accept_frame(&mut self, from: usize, frame: Frame) -> Result<(), CodecError> {
-        if frame.tag == COALESCE_TAG {
-            let inner: Vec<(String, u64, Vec<u8>)> = Wire::from_bytes(&frame.payload)?;
-            for (tag, seq, payload) in inner {
-                self.inboxes[from].accept(
-                    seq,
-                    Frame {
-                        src: frame.src,
-                        seq,
-                        tag,
-                        payload,
-                    },
-                );
-            }
-            return Ok(());
-        }
-        let seq = frame.seq;
-        self.inboxes[from].accept(seq, frame);
-        Ok(())
+            link,
+            rxs,
+            config.recv_timeout,
+            config.fault,
+        ))
     }
 }
 
-/// Encoded size of a frame on the wire: fixed header (22 bytes) + tag +
-/// payload + checksum. Used for the byte counters only.
-fn frame_wire_bytes(tag_len: usize, payload_len: usize) -> u64 {
-    (22 + tag_len + payload_len + 4) as u64
-}
+/// The inner messages of a coalesced pack as they cross the wire.
+type WirePack = Vec<(String, u64, Vec<u8>)>;
 
-impl Comm for TcpComm {
-    fn rank(&self) -> usize {
-        self.rank
+impl Link for SocketLink {
+    type Payload = Vec<u8>;
+    type Arrival = Arrival;
+
+    fn pack<T: Message>(value: T) -> Vec<u8> {
+        value.to_bytes()
     }
 
-    fn num_ranks(&self) -> usize {
-        self.ranks
+    fn unpack<T: Message>(payload: Vec<u8>) -> Result<T, CommErrorKind> {
+        T::from_bytes(&payload).map_err(codec_kind)
     }
 
-    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        // The `::` namespace belongs to the runtime: the collectives' own
-        // tags pass, anything else is a user tag trespassing on control
-        // traffic. The static side of this contract is the `tag-reserved`
-        // lint rule.
-        debug_assert!(
-            !tag.starts_with("::") || COLLECTIVE_TAGS.contains(&tag),
-            "tags starting with :: are reserved for the runtime"
-        );
-        let seq = self.send_seqs[to];
-        self.send_seqs[to] += 1;
-        let frame = Frame {
-            src: self.rank as u32,
-            seq,
-            tag: tag.to_string(),
-            payload: value.to_bytes(),
-        };
-        // Frames are counted once per primary emission, before fault
-        // injection — the count is a property of the schedule, not of the
-        // injected fault pattern.
-        self.stats
-            .note_frame(frame_wire_bytes(tag.len(), frame.payload.len()));
-        self.emit(to, frame, tag)
+    fn bundle(inner: Vec<Packet<Vec<u8>>>) -> Vec<u8> {
+        let inner: WirePack = inner
+            .into_iter()
+            .map(|p| (p.tag.into_owned(), p.seq, p.payload))
+            .collect();
+        inner.to_bytes()
     }
 
-    fn isend<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        if self.pending.is_some() {
-            debug_assert!(
-                !tag.starts_with("::") || COLLECTIVE_TAGS.contains(&tag),
-                "tags starting with :: are reserved for the runtime"
-            );
-            let seq = self.send_seqs[to];
-            self.send_seqs[to] += 1;
-            let frame = Frame {
-                src: self.rank as u32,
+    fn unbundle(pack: Vec<u8>) -> Result<Vec<Packet<Vec<u8>>>, CommErrorKind> {
+        let inner = WirePack::from_bytes(&pack).map_err(codec_kind)?;
+        Ok(inner
+            .into_iter()
+            .map(|(tag, seq, payload)| Packet {
                 seq,
-                tag: tag.to_string(),
-                payload: value.to_bytes(),
-            };
-            // kappa-lint: allow(dist-no-panic) -- guarded by the is_some check above
-            self.pending.as_mut().expect("scope open")[to].push(frame);
-            Ok(())
-        } else {
-            self.send(to, tag, value)
-        }
+                tag: tag.into(),
+                payload,
+            })
+            .collect())
     }
 
-    fn coalesce_begin(&mut self) {
-        debug_assert!(self.pending.is_none(), "coalesce scopes do not nest");
-        self.pending = Some((0..self.ranks).map(|_| Vec::new()).collect());
+    fn twin(orig: &Vec<u8>) -> Vec<u8> {
+        orig.clone()
     }
 
-    fn coalesce_flush(&mut self) -> CommResult<()> {
-        let Some(pending) = self.pending.take() else {
-            return Ok(());
-        };
-        for (to, buf) in pending.into_iter().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            // One wire frame per peer: the inner (tag, seq, payload) triples
-            // ride as the pack's payload, under the first inner seq. That
-            // seq never reaches the inbox (the drain unpacks before
-            // `accept`), so the inner frames' own seqs keep the stream
-            // gapless.
-            let first_seq = buf[0].seq;
-            let inner: Vec<(String, u64, Vec<u8>)> =
-                buf.into_iter().map(|f| (f.tag, f.seq, f.payload)).collect();
-            let pack = Frame {
-                src: self.rank as u32,
-                seq: first_seq,
-                tag: COALESCE_TAG.to_string(),
-                payload: inner.to_bytes(),
-            };
-            self.stats
-                .note_frame(frame_wire_bytes(COALESCE_TAG.len(), pack.payload.len()));
-            self.emit(to, pack, COALESCE_TAG)?;
-        }
-        Ok(())
+    /// Encoded size of a frame: fixed header (22 bytes) + tag + payload +
+    /// checksum.
+    fn wire_bytes(tag: &str, payload: &Vec<u8>) -> u64 {
+        (22 + tag.len() + payload.len() + 4) as u64
     }
 
-    fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T> {
-        // kappa-lint: allow(wall-clock) -- timeout bookkeeping only; the clock decides when to give up, never what a result contains
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            if let Some(frame) = self.inboxes[from].take(|f| f.tag == tag) {
-                return T::from_bytes(&frame.payload)
-                    .map_err(|e| self.error(from, tag, CommErrorKind::Codec(e.0)));
+    fn put(&self, to: usize, packet: Packet<Vec<u8>>) -> Result<(), CommErrorKind> {
+        match &self.peers[to] {
+            Peer::Loopback(tx) => {
+                // The endpoint owns the other end: it cannot be gone.
+                let _ = tx.send(Ok(packet));
+                Ok(())
             }
-            // kappa-lint: allow(wall-clock) -- remaining-timeout arithmetic, same as above
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(self.error(
-                    from,
-                    tag,
-                    CommErrorKind::Timeout {
-                        waited: self.recv_timeout,
-                    },
-                ));
-            }
-            match self.frame_rx[from].recv_timeout(remaining) {
-                Ok(Ok(frame)) => {
-                    self.accept_frame(from, frame)
-                        .map_err(|e| self.error(from, tag, CommErrorKind::Codec(e.0)))?;
-                }
-                Ok(Err(codec)) => {
-                    return Err(self.error(from, tag, CommErrorKind::Codec(codec.0)));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.error(
-                        from,
-                        tag,
-                        CommErrorKind::Timeout {
-                            waited: self.recv_timeout,
-                        },
-                    ));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(self.error(from, tag, CommErrorKind::Disconnected));
-                }
+            Peer::Remote(stream) => {
+                let bytes = encode_frame(self.rank, packet.seq, &packet.tag, &packet.payload)
+                    .map_err(codec_kind)?;
+                write_all(stream, &bytes).map_err(|e| CommErrorKind::Io(e.to_string()))
             }
         }
     }
 
-    fn try_recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<Option<T>> {
-        loop {
-            match self.frame_rx[from].try_recv() {
-                Ok(Ok(frame)) => {
-                    self.accept_frame(from, frame)
-                        .map_err(|e| self.error(from, tag, CommErrorKind::Codec(e.0)))?;
-                }
-                Ok(Err(codec)) => {
-                    return Err(self.error(from, tag, CommErrorKind::Codec(codec.0)));
-                }
-                // A closed channel is not an error here: frames already
-                // drained into the inbox must still be claimable.
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        match self.inboxes[from].take(|f| f.tag == tag) {
-            Some(frame) => T::from_bytes(&frame.payload)
-                .map(Some)
-                .map_err(|e| self.error(from, tag, CommErrorKind::Codec(e.0))),
-            None => Ok(None),
-        }
-    }
-
-    fn stats(&self) -> Option<&CommStats> {
-        Some(&self.stats)
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut CommStats> {
-        Some(&mut self.stats)
+    fn open(arrival: Arrival) -> Result<Packet<Vec<u8>>, CommErrorKind> {
+        arrival.map_err(codec_kind)
     }
 }
 
-impl Drop for TcpComm {
+fn codec_kind(e: CodecError) -> CommErrorKind {
+    CommErrorKind::Codec(e.0)
+}
+
+impl Drop for SocketLink {
     /// Graceful drain: announce `::bye` on every connection so peers see a
     /// clean shutdown (not a mid-frame cut), close both halves, and join the
     /// reader threads (which exit promptly on bye, EOF or the local
     /// shutdown).
     fn drop(&mut self) {
-        for (to, link) in self.links.iter().enumerate() {
-            if let Link::Remote(stream) = link {
+        for peer in &self.peers {
+            if let Peer::Remote(stream) = peer {
                 // Infallible in practice (short tag, empty payload); a drop
                 // path has nowhere to report anyway, so best-effort it is.
-                if let Ok(bye) = encode_frame(self.rank as u32, self.send_seqs[to], BYE_TAG, &[]) {
+                // Readers stop at the tag and never look at the seq.
+                if let Ok(bye) = encode_frame(self.rank, 0, BYE_TAG, &[]) {
                     let _ = write_all(stream, &bye);
                 }
                 let _ = stream.shutdown(Shutdown::Both);
@@ -644,14 +429,19 @@ impl Drop for TcpComm {
 /// decode failure is forwarded as a diagnosed value (the receive path turns
 /// it into [`CommErrorKind::Codec`]) and ends the stream — after corruption
 /// the frame boundary is unknown.
-fn reader_loop(mut stream: TcpStream, tx: Sender<Result<Frame, CodecError>>) {
+fn reader_loop(mut stream: TcpStream, tx: Sender<Arrival>) {
     loop {
         match read_frame(&mut stream) {
             Ok(Some(frame)) => {
                 if frame.tag == BYE_TAG {
                     return;
                 }
-                if tx.send(Ok(frame)).is_err() {
+                let packet = Packet {
+                    seq: frame.seq,
+                    tag: frame.tag.into(),
+                    payload: frame.payload,
+                };
+                if tx.send(Ok(packet)).is_err() {
                     return; // local endpoint dropped
                 }
             }
@@ -819,6 +609,7 @@ pub fn rendezvous_serve(listener: &TcpListener, ranks: usize) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Comm;
 
     fn cluster(ranks: usize) -> TcpCluster {
         TcpCluster::with_config(
@@ -829,21 +620,6 @@ mod tests {
                 fault: FaultPlan::default(),
             },
         )
-    }
-
-    #[test]
-    fn point_to_point_round_trip_over_sockets() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, "ping", 41u64).unwrap();
-                comm.recv::<u64>(1, "pong").unwrap()
-            } else {
-                let x = comm.recv::<u64>(0, "ping").unwrap();
-                comm.send(0, "pong", x + 1).unwrap();
-                x
-            }
-        });
-        assert_eq!(results, vec![42, 41]);
     }
 
     #[test]
@@ -916,7 +692,10 @@ mod tests {
         let results = cluster.run(|comm| {
             if comm.rank() == 0 {
                 for v in 0..40u64 {
-                    comm.send(1, "seq", v).unwrap();
+                    // The receiver leaves after the 30th message, so the
+                    // tail may bounce off a closed peer.
+                    let sent = comm.send(1, "seq", v);
+                    assert!(sent.is_ok() || v >= 30, "{sent:?}");
                 }
                 Vec::new()
             } else {
@@ -1003,7 +782,7 @@ mod tests {
                 }
                 for v in 0..10u64 {
                     // kappa-lint: allow(tag-pairing) -- deliberately unreceived filler: it only pushes held packs out of the reorder window
-                    comm.send(1, "tail", v).unwrap();
+                    let _ = comm.send(1, "tail", v); // the receiver may have left already
                 }
                 Vec::new()
             } else {

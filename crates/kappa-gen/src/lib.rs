@@ -36,3 +36,70 @@ pub use rmat::rmat_graph;
 pub use road::road_network_like;
 pub use stream::{Grid2dSource, RggSource};
 pub use suite::{large_suite, small_suite, Instance, InstanceFamily};
+
+/// Generates an instance of about `nodes` nodes by family name — the
+/// `--generate` of every command-line tool. `grid` is the nearest square
+/// (at least 2 × 2) and `rmat` the scale `⌊log2 nodes⌋` clamped to 4..=24 at
+/// edge factor 8; neither draws on `seed`. `None` for an unknown family.
+pub fn generate(family: &str, nodes: usize, seed: u64) -> Option<kappa_graph::CsrGraph> {
+    Some(match family {
+        "rgg" => random_geometric_graph(nodes, seed),
+        "delaunay" => delaunay_like_graph(nodes, seed),
+        "grid" => {
+            let side = ((nodes as f64).sqrt().round() as usize).max(2);
+            grid2d(side, side)
+        }
+        "road" => road_network_like(nodes, seed),
+        "rmat" => rmat_graph(nodes.max(16).ilog2().clamp(4, 24), 8, seed),
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::generate;
+
+    #[test]
+    fn rgg_family_is_the_seeded_generator() {
+        let g = generate("rgg", 500, 3).unwrap();
+        assert_eq!(g.num_nodes(), 500);
+        assert_eq!(
+            g.num_edges(),
+            super::random_geometric_graph(500, 3).num_edges()
+        );
+    }
+
+    #[test]
+    fn delaunay_family_is_the_seeded_generator() {
+        let g = generate("delaunay", 400, 2).unwrap();
+        assert_eq!(
+            g.num_edges(),
+            super::delaunay_like_graph(400, 2).num_edges()
+        );
+    }
+
+    #[test]
+    fn grid_family_is_the_nearest_square_and_at_least_two_wide() {
+        assert_eq!(generate("grid", 2500, 0).unwrap().num_nodes(), 50 * 50);
+        assert_eq!(generate("grid", 2600, 9).unwrap().num_nodes(), 51 * 51);
+        assert_eq!(generate("grid", 1, 0).unwrap().num_nodes(), 4);
+    }
+
+    #[test]
+    fn road_family_is_the_seeded_generator() {
+        let g = generate("road", 900, 4).unwrap();
+        assert_eq!(g.num_edges(), super::road_network_like(900, 4).num_edges());
+    }
+
+    #[test]
+    fn rmat_family_maps_nodes_to_a_clamped_scale() {
+        assert_eq!(generate("rmat", 5000, 1).unwrap().num_nodes(), 1 << 12);
+        assert_eq!(generate("rmat", 3, 1).unwrap().num_nodes(), 1 << 4);
+    }
+
+    #[test]
+    fn unknown_family_is_none() {
+        assert!(generate("torus", 100, 0).is_none());
+        assert!(generate("", 100, 0).is_none());
+    }
+}

@@ -11,9 +11,9 @@
 //!   keep each protocol exchange in one file, so an unpaired tag is either
 //!   a typo — two spellings of one tag — or a lost-message deadlock);
 //! * user tags stay out of the reserved `::` control namespace, which
-//!   belongs to the runtime (`comm.rs` collectives, `tcp.rs` control
-//!   frames) — the runtime itself cannot police this at the send entry
-//!   point, because collectives funnel through the same `send`;
+//!   belongs to the runtime (`comm.rs` collectives, `endpoint.rs` packs,
+//!   `tcp.rs` control frames) — the runtime's own send-path assertion only
+//!   runs in debug builds, and only once a message is actually sent;
 //! * no collective is called lexically inside a rank-conditioned branch —
 //!   a collective only completes when *every* rank reaches it, so a branch
 //!   on `rank` around one is the textbook MPI deadlock.
@@ -29,6 +29,7 @@ use crate::source::{FileKind, SourceFile};
 /// Files allowed to use the reserved `::` tag namespace: the runtime itself.
 const RUNTIME_FILES: &[&str] = &[
     "crates/kappa-dist/src/comm.rs",
+    "crates/kappa-dist/src/endpoint.rs",
     "crates/kappa-dist/src/tcp.rs",
 ];
 

@@ -79,7 +79,7 @@ pub use delta::{DeltaPairView, SharedAssignment};
 pub use fm::{patience_bound, two_way_fm, two_way_fm_in, FmConfig, FmResult};
 pub use gain::pair_gain;
 pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
-pub use local::{refine_local, LocalRefineConfig, LocalRefineStats};
+pub use local::{refine_local, LocalRefineStats};
 pub use queue_select::QueueSelection;
 pub use scheduler::{
     refine_partition, refine_partition_reference, RefinementConfig, RefinementStats,

@@ -31,61 +31,8 @@ use kappa_graph::{
 
 use crate::balance::rebalance_state;
 use crate::band::IndexSeeder;
-use crate::queue_select::QueueSelection;
 use crate::scheduler::{search_pair, RefinementConfig};
 use crate::scratch::FmScratch;
-
-/// Configuration of a localized re-refinement pass. The defaults mirror the
-/// `fast` preset of the static pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalRefineConfig {
-    /// Imbalance tolerance ε; `L_max` is derived from it per call.
-    pub epsilon: f64,
-    /// BFS depth of the band grown around the touched region's pair boundary.
-    pub bfs_depth: usize,
-    /// FM repetitions per block pair and round.
-    pub local_iterations: usize,
-    /// Maximum rounds over the affected pairs (the global-iteration
-    /// analogue; the pass stops early on a gain-free round).
-    pub max_rounds: usize,
-    /// Queue selection strategy for the FM searches.
-    pub queue_selection: QueueSelection,
-    /// FM patience α.
-    pub patience_alpha: f64,
-    /// Base seed.
-    pub seed: u64,
-}
-
-impl Default for LocalRefineConfig {
-    fn default() -> Self {
-        LocalRefineConfig {
-            epsilon: 0.03,
-            bfs_depth: 5,
-            local_iterations: 3,
-            max_rounds: 3,
-            queue_selection: QueueSelection::TopGain,
-            patience_alpha: 0.05,
-            seed: 0,
-        }
-    }
-}
-
-impl LocalRefineConfig {
-    /// The knobs the scheduler's pair search reads, in its own config shape;
-    /// a round plays the part of a global iteration.
-    fn pair_search_config(&self) -> RefinementConfig {
-        RefinementConfig {
-            epsilon: self.epsilon,
-            bfs_depth: self.bfs_depth,
-            max_global_iterations: self.max_rounds,
-            local_iterations: self.local_iterations,
-            stop_after_no_change: 1,
-            queue_selection: self.queue_selection,
-            patience_alpha: self.patience_alpha,
-            seed: self.seed,
-        }
-    }
-}
 
 /// Statistics returned by [`refine_local`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -175,6 +122,11 @@ fn affected_pairs(
 /// Moves are routed through the state, which is returned exact; the caller's
 /// graph must be the **compacted** CSR the state currently describes.
 ///
+/// `config` is the static pipeline's own refinement configuration: a round
+/// over the affected pairs plays the part of a global iteration, so
+/// `max_global_iterations` caps the rounds and `stop_after_no_change`
+/// gain-free rounds in a row end the pass early.
+///
 /// Cost is `O(rounds · Σ_pairs band-BFS + FM)` — independent of `n` and `m`
 /// except through the band sizes — plus one `O(k)` balance check and, only
 /// when the state arrives infeasible, a global rebalance.
@@ -182,7 +134,7 @@ fn affected_pairs(
 /// ```
 /// use kappa_gen::grid::grid2d;
 /// use kappa_graph::{Partition, PartitionState};
-/// use kappa_refine::{refine_local, LocalRefineConfig};
+/// use kappa_refine::{refine_local, RefinementConfig};
 ///
 /// let graph = grid2d(8, 8);
 /// // A ragged split: column 3 of row 0 left in the wrong block.
@@ -190,7 +142,7 @@ fn affected_pairs(
 /// assignment[3] = 1;
 /// let mut state = PartitionState::build(&graph, Partition::from_assignment(2, assignment));
 /// let before = state.edge_cut();
-/// let stats = refine_local(&graph, &mut state, &[3], &LocalRefineConfig::default());
+/// let stats = refine_local(&graph, &mut state, &[3], &RefinementConfig::default());
 /// assert!(state.edge_cut() < before);
 /// assert_eq!(stats.total_gain, before as i64 - state.edge_cut() as i64);
 /// assert!(state.verify_exact(&graph).is_ok());
@@ -199,7 +151,7 @@ pub fn refine_local(
     graph: &CsrGraph,
     state: &mut PartitionState,
     touched: &[NodeId],
-    config: &LocalRefineConfig,
+    config: &RefinementConfig,
 ) -> LocalRefineStats {
     let mut stats = LocalRefineStats::default();
     let k = state.k();
@@ -217,9 +169,9 @@ pub fn refine_local(
 
     let mut region = region_closure(graph, touched);
     let mut scratch = FmScratch::new();
-    let search_config = config.pair_search_config();
+    let mut no_change_streak = 0usize;
 
-    for round in 0..config.max_rounds {
+    for round in 0..config.max_global_iterations {
         let pairs = affected_pairs(graph, state, &region);
         if pairs.is_empty() {
             break;
@@ -245,7 +197,7 @@ pub fn refine_local(
                 state.weights().weight(a),
                 state.weights().weight(b),
                 l_max,
-                &search_config,
+                config,
                 round,
                 pair_idx,
             );
@@ -263,7 +215,12 @@ pub fn refine_local(
 
         stats.rounds += 1;
         if round_gain <= 0 {
-            break;
+            no_change_streak += 1;
+            if no_change_streak >= config.stop_after_no_change {
+                break;
+            }
+        } else {
+            no_change_streak = 0;
         }
         // Moves shift the boundary: widen the region so the next round sees
         // the pairs the moves may have created.
@@ -311,7 +268,7 @@ mod tests {
             state.apply_move(&g, v, 1 - state.block_of(v));
         }
         let before = state.edge_cut();
-        let stats = refine_local(&g, &mut state, &[7, 39, 71], &LocalRefineConfig::default());
+        let stats = refine_local(&g, &mut state, &[7, 39, 71], &RefinementConfig::default());
         assert!(state.edge_cut() < before, "no improvement");
         assert_eq!(stats.total_gain, before as i64 - state.edge_cut() as i64);
         assert!(stats.pair_searches > 0);
@@ -325,7 +282,7 @@ mod tests {
         // A touched node whose 2-hop neighbourhood (region closure plus the
         // pair scan) stays inside block 0: no pair is affected, nothing
         // moves. Node 26 is (row 2, col 2); the cut is at col 5|6.
-        let stats = refine_local(&g, &mut state, &[26], &LocalRefineConfig::default());
+        let stats = refine_local(&g, &mut state, &[26], &RefinementConfig::default());
         assert_eq!(stats.pairs_considered, 0);
         assert_eq!(stats.nodes_moved, 0);
         assert_eq!(state.partition().assignment(), &before[..]);
@@ -334,15 +291,15 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_no_ops() {
         let (g, mut state) = striped_state(6, 2);
-        let stats = refine_local(&g, &mut state, &[], &LocalRefineConfig::default());
+        let stats = refine_local(&g, &mut state, &[], &RefinementConfig::default());
         assert_eq!(stats.rounds, 0);
         // k = 1: nothing to refine.
         let g1 = grid2d(4, 4);
         let mut s1 = PartitionState::build(&g1, Partition::trivial(1, 16));
-        let stats = refine_local(&g1, &mut s1, &[0], &LocalRefineConfig::default());
+        let stats = refine_local(&g1, &mut s1, &[0], &RefinementConfig::default());
         assert_eq!(stats.pair_searches, 0);
         // Out-of-range touched ids are ignored, not a panic.
-        let stats = refine_local(&g, &mut state, &[9999], &LocalRefineConfig::default());
+        let stats = refine_local(&g, &mut state, &[9999], &RefinementConfig::default());
         assert_eq!(stats.pairs_considered, 0);
     }
 
@@ -368,7 +325,7 @@ mod tests {
             &compacted,
             &mut state,
             &touched,
-            &LocalRefineConfig::default(),
+            &RefinementConfig::default(),
         );
         assert!(state.edge_cut() <= before);
         state.verify_exact(&compacted).unwrap();

@@ -112,18 +112,9 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<CliArgs, String> {
 
 fn load_graph(cli: &CliArgs) -> Result<(CsrGraph, String), String> {
     if let Some(family) = &cli.generate {
-        let n = cli.nodes;
-        let graph = match family.as_str() {
-            "rgg" => kappa_gen::random_geometric_graph(n, cli.seed),
-            "delaunay" => kappa_gen::delaunay_like_graph(n, cli.seed),
-            "grid" => {
-                let side = (n as f64).sqrt().round() as usize;
-                kappa_gen::grid2d(side.max(2), side.max(2))
-            }
-            "road" => kappa_gen::road_network_like(n, cli.seed),
-            other => return Err(format!("unknown --generate family {other:?}")),
-        };
-        Ok((graph, format!("{family}-{n}")))
+        let graph = kappa_gen::generate(family, cli.nodes, cli.seed)
+            .ok_or_else(|| format!("unknown --generate family {family:?}"))?;
+        Ok((graph, format!("{family}-{}", cli.nodes)))
     } else {
         let path = cli.graph_path.as_ref().unwrap();
         let graph = kappa_graph::read_metis(std::path::Path::new(path))
@@ -148,7 +139,8 @@ USAGE:
 OPTIONS:
   --k <K>             number of blocks (required, >= 1)
   --graph <FILE>      METIS text-format input graph
-  --generate <F>      generate an instance instead: rgg | delaunay | grid | road
+  --generate <F>      generate an instance instead:
+                      rgg | delaunay | grid | road | rmat
   --nodes <N>         node count for --generate          [default: 10000]
   --preset <P>        bootstrap preset: minimal | fast | strong [default: fast]
   --epsilon <E>       imbalance tolerance                [default: 0.03]
@@ -162,7 +154,8 @@ Send 'help' on stdin for the protocol; 'quit' or EOF shuts down cleanly.
 Replies go to stdout (one line per command), diagnostics to stderr.
 ";
 
-const USAGE: &str = "usage: kappa-serve (--graph FILE.metis | --generate rgg|delaunay|grid|road \
+const USAGE: &str =
+    "usage: kappa-serve (--graph FILE.metis | --generate rgg|delaunay|grid|road|rmat \
                     [--nodes N]) --k K [--preset P] [--epsilon E] [--seed S] [--cut-drift D] \
                     [--band-depth B] [--no-auto-refine]\n\
                     run kappa-serve --help for the full flag reference";

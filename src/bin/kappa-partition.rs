@@ -195,22 +195,9 @@ fn parse_args() -> Result<CliArgs, String> {
 
 fn load_graph(cli: &CliArgs) -> Result<(CsrGraph, String), String> {
     if let Some(family) = &cli.generate {
-        let n = cli.nodes;
-        let graph = match family.as_str() {
-            "rgg" => kappa::gen::random_geometric_graph(n, cli.seed),
-            "delaunay" => kappa::gen::delaunay_like_graph(n, cli.seed),
-            "grid" => {
-                let side = (n as f64).sqrt().round() as usize;
-                kappa::gen::grid2d(side.max(2), side.max(2))
-            }
-            "road" => kappa::gen::road_network_like(n, cli.seed),
-            "rmat" => {
-                let scale = (usize::BITS - 1 - n.max(16).leading_zeros()).clamp(4, 24);
-                kappa::gen::rmat_graph(scale, 8, cli.seed)
-            }
-            other => return Err(format!("unknown --generate family {other:?}")),
-        };
-        Ok((graph, format!("{family}-{n}")))
+        let graph = kappa::gen::generate(family, cli.nodes, cli.seed)
+            .ok_or_else(|| format!("unknown --generate family {family:?}"))?;
+        Ok((graph, format!("{family}-{}", cli.nodes)))
     } else {
         let path = cli.graph_path.as_ref().unwrap();
         let graph = kappa::graph::read_metis(path)?;
@@ -312,6 +299,14 @@ fn main() -> ExitCode {
         return run_tiered(&cli, &config);
     }
 
+    // TCP parent mode: launch one worker process per rank, serve the
+    // rendezvous, and let rank 0 write the partition. The parent never needs
+    // the graph — every worker loads (or generates) its own copy.
+    if cli.transport == Transport::Tcp && cli.worker_rank.is_none() {
+        let ranks = cli.ranks.expect("checked in parse_args");
+        return launch_tcp_cluster(&cli, ranks);
+    }
+
     let (graph, name) = match load_graph(&cli) {
         Ok(g) => g,
         Err(msg) => {
@@ -319,22 +314,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
-        "graph {name}: {} nodes, {} edges",
-        graph.num_nodes(),
-        graph.num_edges()
-    );
+    // One banner per run: of a TCP cluster's workers only rank 0 speaks.
+    if cli.worker_rank.unwrap_or(0) == 0 {
+        eprintln!(
+            "graph {name}: {} nodes, {} edges",
+            graph.num_nodes(),
+            graph.num_edges()
+        );
+    }
 
     // TCP worker mode: this process is one rank of a launched cluster.
     if let (Some(rank), Some(rendezvous)) = (cli.worker_rank, &cli.rendezvous) {
         let ranks = cli.ranks.expect("worker implies --ranks");
-        return run_tcp_worker(&cli, &graph, config, ranks, rank, rendezvous);
-    }
-    // TCP parent mode: launch one worker process per rank, serve the
-    // rendezvous, and let rank 0 write the partition.
-    if cli.transport == Transport::Tcp {
-        let ranks = cli.ranks.expect("checked in parse_args");
-        return launch_tcp_cluster(&cli, ranks);
+        return run_tcp_worker(&cli, &graph, &name, config, ranks, rank, rendezvous);
     }
 
     let partition = if let Some(ranks) = cli.ranks {
@@ -579,6 +571,7 @@ fn write_partition(cli: &CliArgs, name: &str, partition: &kappa::graph::Partitio
 fn run_tcp_worker(
     cli: &CliArgs,
     graph: &CsrGraph,
+    name: &str,
     config: KappaConfig,
     ranks: usize,
     rank: usize,
@@ -601,12 +594,7 @@ fn run_tcp_worker(
         Ok(Some(result)) => {
             let path = format!(" x{ranks} ranks over tcp");
             report_dist(cli, graph, &result, &path, start.elapsed());
-            let name = cli
-                .generate
-                .as_ref()
-                .map(|family| format!("{family}-{}", cli.nodes))
-                .unwrap_or_default();
-            write_partition(cli, &name, &result.partition)
+            write_partition(cli, name, &result.partition)
         }
         Err(e) => {
             eprintln!("error: rank {rank} failed: {e}");
@@ -668,7 +656,28 @@ fn launch_tcp_cluster(cli: &CliArgs, ranks: usize) -> ExitCode {
             }
         }
     }
-    if let Err(e) = kappa::dist::tcp::rendezvous_serve(&listener, ranks) {
+    // The rendezvous completes once every worker has registered. A worker
+    // that dies first (it could not read or generate the graph) never will,
+    // so the children are watched while the server waits.
+    let server = std::thread::spawn(move || kappa::dist::tcp::rendezvous_serve(&listener, ranks));
+    let served = loop {
+        if server.is_finished() {
+            break server
+                .join()
+                .unwrap_or_else(|_| Err(std::io::Error::other("the rendezvous thread panicked")));
+        }
+        let failed = children
+            .iter_mut()
+            .position(|c| matches!(c.try_wait(), Ok(Some(status)) if !status.success()));
+        if let Some(rank) = failed {
+            // The server stays blocked in `accept`; leaving `main` ends it.
+            break Err(std::io::Error::other(format!(
+                "worker rank {rank} exited before joining the cluster"
+            )));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    if let Err(e) = served {
         eprintln!("error: rendezvous failed: {e}");
         for mut child in children {
             let _ = child.kill();

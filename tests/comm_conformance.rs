@@ -3,10 +3,12 @@
 //!
 //! Every conformance scenario is written once against the trait and executed
 //! against **both** backends — the in-process `LocalCluster` and the
-//! socket-backed `TcpCluster` — so the transports cannot drift apart in
-//! semantics: point-to-point FIFO per (peer, tag), barrier, broadcast,
-//! gather/allgather rank order, all-to-all-v with zero-length segments,
-//! allreduce determinism, self-sends.
+//! socket-backed `TcpCluster`, one endpoint over two links — so the
+//! transports cannot drift apart in semantics: point-to-point FIFO per
+//! (peer, tag), barrier, broadcast, gather/allgather rank order,
+//! all-to-all-v with zero-length segments, allreduce determinism,
+//! self-sends, the diagnosis of a wrong payload type or a mismatched tag,
+//! the reserved `::` tag namespace.
 //!
 //! The fault-injection half pins the failure contract of the whole
 //! distributed pipeline under a seeded `FaultPlan`:
@@ -325,6 +327,118 @@ mod barrier_synchronises {
     fn tcp() {
         let counter = std::sync::atomic::AtomicUsize::new(0);
         tcp_cluster(4).run(|comm| barrier_synchronises(comm, &counter));
+    }
+}
+
+/// A message that matches source and tag but not the asked-for type is a
+/// diagnosed error at the receiver — the kind is the link's (nothing to
+/// downcast to in process, undecodable bytes over sockets), the contract is
+/// the endpoint's.
+fn wrong_payload_type<C: Comm>(comm: &mut C) -> Option<CommErrorKind> {
+    if comm.rank() == 0 {
+        comm.send(1, "typed", vec![1u64, 2, 3]).unwrap();
+        None
+    } else {
+        let err = comm.recv::<String>(0, "typed").unwrap_err();
+        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "typed"));
+        Some(err.kind)
+    }
+}
+
+mod wrong_payload_type_is_diagnosed {
+    use super::*;
+    #[test]
+    fn local() {
+        let kinds = local_cluster(2).run(wrong_payload_type);
+        assert_eq!(kinds[1], Some(CommErrorKind::TypeMismatch));
+    }
+    #[test]
+    fn tcp() {
+        let kinds = tcp_cluster(2).run(wrong_payload_type);
+        assert!(
+            matches!(kinds[1], Some(CommErrorKind::Codec(_))),
+            "{kinds:?}"
+        );
+    }
+}
+
+/// MPI tag matching: "alpha" stays queued, so a receive for "beta" must give
+/// up with an error naming the stuck rank, the peer and the tag — a timeout
+/// while rank 0 is alive, a disconnect once it has left — never "alpha".
+fn mismatched_tag<C: Comm>(comm: &mut C) {
+    if comm.rank() == 0 {
+        // kappa-lint: allow(tag-pairing) -- the mismatch is the point: "alpha" must stay queued rather than satisfy the "beta" receive
+        comm.send(1, "alpha", 1u32).unwrap();
+    } else {
+        // kappa-lint: allow(tag-pairing) -- deliberately unmatched receive; it must end in a diagnosis
+        let err = comm.recv::<u32>(0, "beta").unwrap_err();
+        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "beta"));
+        assert!(
+            matches!(
+                err.kind,
+                CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
+            ),
+            "{err}"
+        );
+        let rendered = err.to_string();
+        assert!(rendered.contains("rank 1") && rendered.contains("\"beta\""));
+    }
+}
+
+mod mismatched_tag_is_diagnosed_with_rank_peer_and_tag {
+    use super::*;
+    const PATIENCE: Duration = Duration::from_millis(200);
+    #[test]
+    fn local() {
+        let config = LocalClusterConfig {
+            recv_timeout: PATIENCE,
+            fault: FaultPlan::default(),
+        };
+        LocalCluster::with_config(2, config).run(mismatched_tag);
+    }
+    #[test]
+    fn tcp() {
+        let config = TcpClusterConfig {
+            recv_timeout: PATIENCE,
+            ..TcpClusterConfig::default()
+        };
+        TcpCluster::with_config(2, config).run(mismatched_tag);
+    }
+}
+
+/// The `::` tag namespace is the runtime's: a user tag inside it trips the
+/// endpoint's send-path assertion on either link, on the plain and on the
+/// coalesced path (debug builds; the static side is the `tag-reserved` lint).
+#[cfg(debug_assertions)]
+mod reserved_user_tag_trips_the_debug_assertion {
+    use super::*;
+    fn trespass<C: Comm>(comm: &mut C) {
+        // kappa-lint: allow(tag-reserved, tag-pairing) -- the trespass is the point: the send must die on the assertion before anything is sent
+        let _ = comm.send(0, "::mine", 1u64);
+    }
+    fn trespass_coalesced<C: Comm>(comm: &mut C) {
+        // kappa-lint: allow(tag-reserved, tag-pairing) -- as above, through the buffered path
+        let _ = comm.coalesce(|c| c.isend(0, "::mine", 1u64));
+    }
+    #[test]
+    #[should_panic(expected = "reserved for the runtime")]
+    fn local() {
+        local_cluster(1).run(trespass);
+    }
+    #[test]
+    #[should_panic(expected = "reserved for the runtime")]
+    fn local_coalesced() {
+        local_cluster(1).run(trespass_coalesced);
+    }
+    #[test]
+    #[should_panic(expected = "reserved for the runtime")]
+    fn tcp() {
+        tcp_cluster(1).run(trespass);
+    }
+    #[test]
+    #[should_panic(expected = "reserved for the runtime")]
+    fn tcp_coalesced() {
+        tcp_cluster(1).run(trespass_coalesced);
     }
 }
 
