@@ -60,7 +60,6 @@ impl BaselinePartitioner for ParMetisLike {
         let coarsen_config = CoarseningConfig {
             // Aggressive: stop very early so little work remains.
             stop_at_nodes: (60 * k as usize).max(64),
-            max_levels: 48,
             seed,
             ..Default::default()
         };

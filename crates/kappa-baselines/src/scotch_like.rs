@@ -56,7 +56,6 @@ impl ScotchLike {
         // Multilevel 2-way partition of the subgraph.
         let coarsen_config = CoarseningConfig {
             stop_at_nodes: self.coarsen_stop,
-            max_levels: 48,
             seed,
             ..Default::default()
         };

@@ -34,4 +34,5 @@ pub mod tiered;
 
 pub use contract::{contract_matching, contract_matching_reference, Contraction};
 pub use hierarchy::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-pub use tiered::{contract_to_tier, SpillConfig, TierSpec};
+pub use kappa_mem::TierSpec;
+pub use tiered::{contract_to_tier, SpillConfig};

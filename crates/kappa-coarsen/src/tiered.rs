@@ -13,27 +13,13 @@
 //! is still big and to compact RAM once it has shrunk.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use kappa_graph::{EdgeWeight, GraphAccess, NodeId, NodeWeight};
 use kappa_matching::Matching;
-use kappa_mem::paged::PagedWriter;
-use kappa_mem::{CompactWriter, PageCacheConfig, TierGraph};
+use kappa_mem::{PageCacheConfig, TierGraph, TierSpec};
 
 use crate::contract::{assign_coarse_ids, merged_node, merged_row, Contraction};
-
-/// Where a contraction result should be stored.
-pub enum TierSpec<'a> {
-    /// Delta-varint arena in RAM.
-    Compact,
-    /// Paged file at the given path.
-    Paged {
-        /// File to create (truncated if present).
-        path: &'a Path,
-        /// Page-cache geometry of the opened graph.
-        cache: PageCacheConfig,
-    },
-}
 
 /// Contracts `matching` in `fine`, emitting the coarse graph to `spec`.
 ///
@@ -50,45 +36,26 @@ pub fn contract_to_tier<G: GraphAccess>(
 ) -> io::Result<Contraction<TierGraph>> {
     let (coarse_of, reps) = assign_coarse_ids(fine, matching);
     let coarse_n = reps.len();
+    let kept_coords = fine.coords().filter(|_| spec.keeps_coords());
 
-    // Coarse nodes stream into the sink in ascending id order. Coarse graphs
-    // are generically weighted (merged parallel edges), so both encodings
+    // Coarse nodes stream into the store in ascending id order. Coarse graphs
+    // are generically weighted (merged parallel edges), so their segments
     // store weights explicitly.
-    enum Sink {
-        Compact(CompactWriter),
-        Paged(PagedWriter, PageCacheConfig),
-    }
-    let (mut sink, kept_coords) = match spec {
-        TierSpec::Compact => (
-            Sink::Compact(CompactWriter::new(coarse_n, true)),
-            fine.coords(),
-        ),
-        TierSpec::Paged { path, cache } => (
-            Sink::Paged(PagedWriter::create(path, coarse_n, true)?, cache),
-            None,
-        ),
-    };
-
-    let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
-    let mut coords = kept_coords.map(|_| Vec::with_capacity(coarse_n));
-    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for &reps in &reps {
-        merged_row(fine, &coarse_of, reps, &mut row);
-        match &mut sink {
-            Sink::Compact(w) => w.push_node(&row),
-            Sink::Paged(w, _) => w.push_node(&row)?,
+    let coarse_graph = spec.build(coarse_n, true, |push| {
+        let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
+        let mut coords = kept_coords.map(|_| Vec::with_capacity(coarse_n));
+        let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+        for &reps in &reps {
+            merged_row(fine, &coarse_of, reps, &mut row);
+            push(&row)?;
+            let (weight, coord) = merged_node(fine, kept_coords, reps);
+            vwgt.push(weight);
+            if let (Some(out), Some(coord)) = (&mut coords, coord) {
+                out.push(coord);
+            }
         }
-        let (weight, coord) = merged_node(fine, kept_coords, reps);
-        vwgt.push(weight);
-        if let (Some(out), Some(coord)) = (&mut coords, coord) {
-            out.push(coord);
-        }
-    }
-
-    let coarse_graph = match sink {
-        Sink::Compact(w) => TierGraph::Compact(w.finish(Some(vwgt), coords)),
-        Sink::Paged(w, cache) => TierGraph::Paged(w.finish(Some(vwgt), cache)?),
-    };
+        Ok((Some(vwgt), coords))
+    })?;
     Ok(Contraction {
         coarse_graph,
         coarse_of,
@@ -139,9 +106,7 @@ impl SpillConfig {
             cache: self.cache,
         };
         let mut contraction = contract_to_tier(fine, matching, spec)?;
-        if let TierGraph::Paged(g) = &mut contraction.coarse_graph {
-            g.set_delete_on_drop(true);
-        }
+        contraction.coarse_graph.set_delete_on_drop(true);
         Ok(contraction)
     }
 }

@@ -24,11 +24,11 @@
 
 use std::borrow::Cow;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use kappa_coarsen::SpillConfig;
 use kappa_matching::compute_matching;
-use kappa_mem::TierGraph;
+use kappa_mem::{PageCacheConfig, TierGraph, TierSpec};
 
 use crate::config::KappaConfig;
 use crate::partitioner::{multilevel, PartitionResult};
@@ -61,6 +61,17 @@ impl MemoryTier {
             "compact" => Some(MemoryTier::Compact),
             "paged" => Some(MemoryTier::Paged),
             _ => None,
+        }
+    }
+
+    /// The store a tiered run builds its finest graph on — a paged file at
+    /// `path` read through `cache`, or compact RAM — or `None` for `Ram`,
+    /// which is the classic pipeline and never tiered.
+    pub fn spec(self, path: &Path, cache: PageCacheConfig) -> Option<TierSpec<'_>> {
+        match self {
+            MemoryTier::Ram => None,
+            MemoryTier::Compact => Some(TierSpec::Compact),
+            MemoryTier::Paged => Some(TierSpec::Paged { path, cache }),
         }
     }
 }
@@ -115,7 +126,6 @@ pub fn default_spill_dir(tag: &str) -> PathBuf {
 mod tests {
     use super::*;
     use crate::KappaPartitioner;
-    use kappa_mem::{paged_from_source, BuildOptions, PageCacheConfig};
 
     fn spill(tag: &str) -> SpillConfig {
         SpillConfig::new(default_spill_dir(tag))
@@ -163,14 +173,11 @@ mod tests {
         std::fs::create_dir_all(&sp.spill_dir).unwrap();
         let edges: Vec<_> = g.undirected_edges().collect();
         let src = kappa_graph::SliceEdgeSource::new(g.num_nodes(), &edges);
-        let paged = paged_from_source(
-            &src,
-            &sp.spill_dir.join("finest.kpg"),
-            BuildOptions::default(),
-            sp.cache,
-        )
-        .unwrap();
-        let tiered = partition_tiered(TierGraph::Paged(paged), &config, &sp).unwrap();
+        let file = sp.spill_dir.join("finest.kpg");
+        let spec = MemoryTier::Paged.spec(&file, sp.cache);
+        assert!(MemoryTier::Ram.spec(&file, sp.cache).is_none());
+        let paged = TierGraph::from_source(&src, spec.expect("paged is a tier")).unwrap();
+        let tiered = partition_tiered(paged, &config, &sp).unwrap();
         assert_eq!(
             tiered.result.partition.assignment(),
             classic.partition.assignment()

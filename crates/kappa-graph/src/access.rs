@@ -9,12 +9,13 @@
 //! written against the concrete graph generalise by changing only their
 //! signature — `&CsrGraph` becomes `&G` with `G: GraphAccess`.
 //!
-//! Implementors besides [`CsrGraph`] live in `kappa-mem`: `CompactCsr`
-//! (delta-varint in-RAM encoding at roughly half the footprint) and
-//! `PagedGraph` (on-disk CSR behind a fixed-budget page cache). Both encode
-//! the *same* adjacency structure — sorted neighbour lists, merged parallel
-//! edges — so generic algorithms produce bit-identical results on every
-//! storage level; `tests/parity.rs` asserts this end to end.
+//! The implementor besides [`CsrGraph`] lives in `kappa-mem`: one
+//! delta-varint `SegmentGraph` over two byte stores — `CompactCsr` (a RAM
+//! arena at roughly half the footprint) and `PagedGraph` (a file behind a
+//! fixed-budget page cache). Both encode the *same* adjacency structure —
+//! sorted neighbour lists, merged parallel edges — so generic algorithms
+//! produce bit-identical results on every storage level; `tests/parity.rs`
+//! asserts this end to end.
 //!
 //! Notably **not** on this trait: `neighbors(v) -> &[NodeId]`. A slice return
 //! would force every implementor to hold the adjacency of each node

@@ -4,8 +4,9 @@
 //! undirected edge twice (`2m` triples) before sorting — fine up to the
 //! mid-size stress tier, but it is the first allocation to blow past RAM on
 //! table-5-class instances. An [`EdgeSource`] inverts control: the producer
-//! (a generator, a file reader) replays its edge stream on demand, and the
-//! consumer decides how much to hold. `kappa-mem` builds its compact and
+//! (today the rgg and grid generators of `kappa-gen`; no file reader yet)
+//! replays its edge stream on demand, and the consumer decides how much to
+//! hold. `kappa-mem` builds its compact and
 //! paged storage levels with **two passes** over a source — one to count
 //! degrees, one to fill — so peak transient memory is one decoded adjacency
 //! list, not the whole edge list.

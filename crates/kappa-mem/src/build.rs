@@ -1,4 +1,4 @@
-//! Streaming construction: [`EdgeSource`] → compact or paged storage,
+//! Streaming construction: [`EdgeSource`] → a [`TierGraph`] on either store,
 //! without ever materialising the full edge list.
 //!
 //! [`GraphBuilder`](kappa_graph::GraphBuilder) buffers all `2m` half-edge
@@ -12,9 +12,9 @@
 //!    byte budget, and one replay *per chunk* fills, sorts and merges just
 //!    that chunk's adjacency before encoding it to the sink.
 //!
-//! Peak transient memory is `O(n + chunk_bytes)` instead of `O(m)`; the cost
-//! is `1 + ⌈fill bytes / chunk_bytes⌉` replays of the source, which is cheap
-//! for generators and buffered file readers alike.
+//! Peak transient memory is `O(n + CHUNK_BYTES)` instead of `O(m)`; the cost
+//! is `1 + ⌈fill bytes / CHUNK_BYTES⌉` replays of the source, which is cheap
+//! for generators.
 //!
 //! Duplicate `{u, v}` pairs in a **weighted** stream are merged by summing,
 //! exactly like `GraphBuilder`. In an all-unit stream a duplicate would have
@@ -23,28 +23,15 @@
 //! duplicates; weighted sources are unrestricted). Self-loops are rejected.
 
 use std::io;
-use std::path::Path;
 
 use kappa_graph::{EdgeSource, EdgeWeight, NodeId};
 
-use crate::compact::{CompactCsr, CompactWriter};
-use crate::paged::{PageCacheConfig, PagedGraph, PagedWriter};
+use crate::graph::{NodeData, PushRow};
+use crate::tier::{TierGraph, TierSpec};
 
-/// Knobs for the chunked streaming build.
-#[derive(Clone, Copy, Debug)]
-pub struct BuildOptions {
-    /// Byte budget for one chunk's fill arrays (default 128 MiB). Smaller
-    /// budgets mean lower peak RAM but more replays of the source.
-    pub chunk_bytes: usize,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            chunk_bytes: 128 << 20,
-        }
-    }
-}
+/// Byte budget for one chunk's fill arrays. A smaller budget would mean lower
+/// peak RAM but more replays of the source.
+const CHUNK_BYTES: usize = 128 << 20;
 
 /// First pass over the source: provisional degrees + weight detection.
 struct Plan {
@@ -76,11 +63,12 @@ fn plan<S: EdgeSource>(src: &S) -> Plan {
 
 /// Runs the chunked fill passes, handing each node's final merged, sorted
 /// incidence list to `emit` in ascending node order.
-fn for_each_node_list<S, E>(src: &S, plan: &Plan, chunk_bytes: usize, mut emit: E)
-where
-    S: EdgeSource,
-    E: FnMut(&[(NodeId, EdgeWeight)]),
-{
+fn for_each_node_list<S: EdgeSource>(
+    src: &S,
+    plan: &Plan,
+    chunk_bytes: usize,
+    emit: &mut PushRow<'_>,
+) -> io::Result<()> {
     let n = src.num_nodes();
     let weighted = !plan.all_unit;
     // Fill-array cost of one half-edge: u32 target, plus u64 weight if kept.
@@ -162,69 +150,53 @@ where
                 }
             }
             scratch.truncate(out);
-            emit(&scratch);
+            emit(&scratch)?;
         }
         lo = hi;
     }
+    Ok(())
 }
 
-/// Normalises a source's node weights: `Some` of all-ones collapses to
-/// `None`, matching what `from_graph` detects on a built CSR.
-fn normalized_vwgt<S: EdgeSource>(src: &S) -> Option<Vec<u64>> {
-    let vwgt = src.node_weights()?;
-    assert_eq!(vwgt.len(), src.num_nodes(), "node_weights length mismatch");
-    if vwgt.iter().all(|&c| c == 1) {
-        None
-    } else {
-        Some(vwgt)
-    }
-}
-
-/// Builds an in-RAM [`CompactCsr`] from a replayable edge stream.
-///
-/// Equivalent to `CompactCsr::from_graph(&GraphBuilder-built graph)` — the
-/// property tests assert exact equality — but with `O(n + chunk)` peak
-/// transient memory.
-pub fn compact_from_source<S: EdgeSource>(src: &S, opts: BuildOptions) -> CompactCsr {
-    let p = plan(src);
-    let mut writer = CompactWriter::new(src.num_nodes(), !p.all_unit);
-    for_each_node_list(src, &p, opts.chunk_bytes, |edges| writer.push_node(edges));
-    let coords = src.coords();
-    if let Some(c) = &coords {
-        assert_eq!(c.len(), src.num_nodes(), "coords length mismatch");
-    }
-    writer.finish(normalized_vwgt(src), coords)
-}
-
-/// Builds an on-disk [`PagedGraph`] at `path` from a replayable edge stream.
-///
-/// The graph never exists in RAM: segments stream to disk chunk by chunk.
-/// Coordinates are dropped (paged tier contract).
-pub fn paged_from_source<S: EdgeSource>(
-    src: &S,
-    path: &Path,
-    opts: BuildOptions,
-    cache: PageCacheConfig,
-) -> io::Result<PagedGraph> {
-    let p = plan(src);
-    let mut writer = PagedWriter::create(path, src.num_nodes(), !p.all_unit)?;
-    let mut write_err = None;
-    for_each_node_list(src, &p, opts.chunk_bytes, |edges| {
-        if write_err.is_none() {
-            if let Err(e) = writer.push_node(edges) {
-                write_err = Some(e);
-            }
-        }
+/// A source's node data: all-unit node weights collapse to `None`, matching
+/// what `from_graph` detects on a built CSR; coordinates are only asked for
+/// where the store keeps them.
+fn node_data<S: EdgeSource>(src: &S, keep_coords: bool) -> NodeData {
+    let vwgt = src.node_weights().filter(|vwgt| {
+        assert_eq!(vwgt.len(), src.num_nodes(), "node_weights length mismatch");
+        !vwgt.iter().all(|&c| c == 1)
     });
-    if let Some(e) = write_err {
-        return Err(e);
+    (vwgt, keep_coords.then(|| src.coords()).flatten())
+}
+
+impl TierGraph {
+    /// Builds a graph on the store `spec` names from a replayable edge
+    /// stream, with `O(n + chunk)` peak transient memory: on the paged store
+    /// the graph never exists in RAM, segments stream to disk chunk by chunk.
+    ///
+    /// Equivalent to [`from_graph`](TierGraph::from_graph) of the
+    /// `GraphBuilder`-built graph — the conformance tests assert exact
+    /// equality on both stores.
+    pub fn from_source<S: EdgeSource>(src: &S, spec: TierSpec<'_>) -> io::Result<TierGraph> {
+        from_source_with_chunk_bytes(src, spec, CHUNK_BYTES)
     }
-    writer.finish(normalized_vwgt(src), cache)
+}
+
+pub(crate) fn from_source_with_chunk_bytes<S: EdgeSource>(
+    src: &S,
+    spec: TierSpec<'_>,
+    chunk_bytes: usize,
+) -> io::Result<TierGraph> {
+    let p = plan(src);
+    spec.build(src.num_nodes(), !p.all_unit, |push| {
+        for_each_node_list(src, &p, chunk_bytes, push)?;
+        Ok(node_data(src, spec.keeps_coords()))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompactCsr, PageCacheConfig};
     use kappa_graph::{graph_from_edges, GraphAccess, SliceEdgeSource};
 
     fn edges() -> Vec<(NodeId, NodeId, EdgeWeight)> {
@@ -239,11 +211,18 @@ mod tests {
         ]
     }
 
+    fn compact_from_source(src: &SliceEdgeSource<'_>, chunk_bytes: usize) -> CompactCsr {
+        match from_source_with_chunk_bytes(src, TierSpec::Compact, chunk_bytes).unwrap() {
+            TierGraph::Compact(g) => g,
+            TierGraph::Paged(_) => panic!("asked for the compact store"),
+        }
+    }
+
     #[test]
     fn streamed_compact_equals_builder_then_encode() {
         let e = edges();
         let src = SliceEdgeSource::new(6, &e);
-        let streamed = compact_from_source(&src, BuildOptions::default());
+        let streamed = compact_from_source(&src, CHUNK_BYTES);
         let reference = CompactCsr::from_graph(&graph_from_edges(6, e.clone()));
         assert_eq!(streamed, reference);
     }
@@ -253,8 +232,8 @@ mod tests {
         let e = edges();
         let src = SliceEdgeSource::new(6, &e);
         // chunk_bytes = 1 forces one chunk per node — maximum replays.
-        let chunked = compact_from_source(&src, BuildOptions { chunk_bytes: 1 });
-        let whole = compact_from_source(&src, BuildOptions::default());
+        let chunked = compact_from_source(&src, 1);
+        let whole = compact_from_source(&src, CHUNK_BYTES);
         assert_eq!(chunked, whole);
     }
 
@@ -262,7 +241,7 @@ mod tests {
     fn unit_stream_stays_unweighted() {
         let e: Vec<_> = vec![(0, 1, 1), (1, 2, 1), (2, 0, 1)];
         let src = SliceEdgeSource::new(3, &e);
-        let c = compact_from_source(&src, BuildOptions::default());
+        let c = compact_from_source(&src, CHUNK_BYTES);
         assert!(!c.is_weighted());
         assert_eq!(c.to_csr(), graph_from_edges(3, e));
     }
@@ -272,7 +251,7 @@ mod tests {
     fn duplicate_in_unit_stream_is_rejected() {
         let e: Vec<_> = vec![(0, 1, 1), (1, 0, 1)];
         let src = SliceEdgeSource::new(2, &e);
-        compact_from_source(&src, BuildOptions::default());
+        compact_from_source(&src, CHUNK_BYTES);
     }
 
     #[test]
@@ -280,25 +259,23 @@ mod tests {
     fn self_loop_is_rejected() {
         let e: Vec<_> = vec![(1, 1, 1)];
         let src = SliceEdgeSource::new(2, &e);
-        compact_from_source(&src, BuildOptions::default());
+        compact_from_source(&src, CHUNK_BYTES);
     }
 
     #[test]
     fn streamed_paged_decodes_to_the_same_graph() {
         let e = edges();
         let src = SliceEdgeSource::new(6, &e);
-        let mut path = std::env::temp_dir();
-        path.push(format!("kappa-mem-build-{}.kpg", std::process::id()));
-        let mut p = paged_from_source(
-            &src,
-            &path,
-            BuildOptions { chunk_bytes: 16 },
-            PageCacheConfig::default(),
-        )
-        .unwrap();
+        let path = crate::graph::conformance::tmp("build");
+        let spec = TierSpec::Paged {
+            path: &path,
+            cache: PageCacheConfig::default(),
+        };
+        let mut p = from_source_with_chunk_bytes(&src, spec, 16).unwrap();
         p.set_delete_on_drop(true);
         let reference = graph_from_edges(6, e);
-        assert_eq!(GraphAccess::num_half_edges(&p), reference.num_half_edges());
+        assert_eq!(p.tier_name(), "paged");
+        assert_eq!(p.num_half_edges(), reference.num_half_edges());
         for v in reference.nodes() {
             let a: Vec<_> = reference.edges_of(v).collect();
             let b: Vec<_> = GraphAccess::edges_of(&p, v).collect();

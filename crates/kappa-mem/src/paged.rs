@@ -1,4 +1,4 @@
-//! `PagedGraph` — the out-of-core storage level.
+//! `PagedGraph` — the out-of-core store of the [`SegmentGraph`].
 //!
 //! The Θ(m) part of the graph (the per-node edge segments, same encoding as
 //! [`CompactCsr`](crate::CompactCsr)) lives in a file; RAM holds only the
@@ -17,21 +17,51 @@
 //! Coordinates are dropped by design: they are only consulted by the
 //! geometric pre-partition of the parallel matcher, which the tiered
 //! pipeline does not use (see `kappa-core::tiered`).
+//!
+//! # File format (`KMEMPGv1`, little-endian)
+//!
+//! ```text
+//! [0, 64)    header: magic "KMEMPGv1" | flags u32 (1 = edge weights stored,
+//!            2 = node weights stored) | 4 zero bytes | n | 2m | c(V) |
+//!            max c(v) | edge-region length (five u64) | 8 zero bytes
+//! [64, …)    edge region: one delta-varint segment per node
+//! then       offsets (n + 1) × u64, degrees n × u32, node weights n × u64
+//!            (only with flag 2)
+//! ```
+//!
+//! [`open`](SegmentGraph::open) trusts none of it: flags, lengths, offsets and
+//! sums are checked against the file before anything is allocated, and a
+//! mismatch is `InvalidData` naming the field. What it cannot see without
+//! per-page checksums (a later format) is damage *inside* the edge region,
+//! or a flipped edge-weights flag, which changes how segments are read but
+//! not how long they are.
 
 use std::cell::Cell;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use kappa_graph::{Adjacency, CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
+use kappa_graph::{CsrGraph, EdgeWeight, NodeId};
 
-use crate::segment::{decode_segment, encode_segment, SegmentIter};
+use crate::graph::{
+    csr_rows, is_weighted, weight_totals, Index, SegmentGraph, SegmentWriter, Store,
+};
+use crate::segment::{encode_segment, SegmentIter};
 
 const MAGIC: [u8; 8] = *b"KMEMPGv1";
 const HEADER_LEN: u64 = 64;
 const FLAG_WEIGHTED: u32 = 1;
 const FLAG_HAS_VWGT: u32 = 2;
+/// Byte position of the first of the header's five consecutive `u64` fields.
+const HEADER_FIELDS_AT: usize = 16;
+
+/// A frozen graph whose edge segments live on disk behind a page cache.
+pub type PagedGraph = SegmentGraph<PageFile>;
+
+/// Streaming builder of a [`PagedGraph`]: edge segments go straight to disk
+/// through a `BufWriter`, only the Θ(n) offset/degree tables stay in RAM.
+pub type PagedWriter = SegmentWriter<PageFile>;
 
 /// Page-cache geometry. The RAM ceiling of a paged graph's edge storage is
 /// `page_size * cache_pages` (default 64 MiB) — independent of graph size.
@@ -122,21 +152,24 @@ impl PageCache {
     }
 }
 
-/// A frozen graph whose edge segments live on disk behind a page cache.
-pub struct PagedGraph {
+/// The file store: a segment is copied out through the page cache into a
+/// per-thread scratch (so its edges are handed out owned — the slot can be
+/// evicted), degrees stay resident so `degree_of` never touches disk, and
+/// coordinates are dropped.
+pub struct PageFile {
     path: PathBuf,
     delete_on_drop: bool,
-    /// Edge-region byte offsets, length `n + 1`.
-    offsets: Vec<u64>,
-    /// Node degrees, kept in RAM so `degree_of` never touches disk.
     degrees: Vec<u32>,
-    /// Node weights; `None` ⇒ unit.
-    vwgt: Option<Vec<NodeWeight>>,
-    weighted: bool,
-    num_half_edges: usize,
-    total_node_weight: NodeWeight,
-    max_node_weight: NodeWeight,
     cache: Mutex<PageCache>,
+}
+
+/// A [`PageFile`] being written.
+pub struct PageFileSink {
+    path: PathBuf,
+    out: BufWriter<File>,
+    degrees: Vec<u32>,
+    segment: Vec<u8>,
+    cache: PageCacheConfig,
 }
 
 thread_local! {
@@ -146,126 +179,111 @@ thread_local! {
     static SEGMENT_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-impl PagedGraph {
-    /// Opens a graph file written by [`PagedWriter`].
-    pub fn open(path: &Path, config: PageCacheConfig) -> io::Result<PagedGraph> {
-        let mut file = File::open(path)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        file.read_exact(&mut header)?;
-        if header[..8] != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a kappa-mem paged graph", path.display()),
-            ));
-        }
-        let flags = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let read_u64 = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
-        let num_nodes = read_u64(16) as usize;
-        let num_half_edges = read_u64(24) as usize;
-        let total_node_weight = read_u64(32);
-        let max_node_weight = read_u64(40);
-        let region_len = read_u64(48);
+impl Store for PageFile {
+    type Sink = PageFileSink;
 
-        file.seek(SeekFrom::Start(HEADER_LEN + region_len))?;
-        let mut reader = io::BufReader::new(file);
-        let offsets = read_u64_vec(&mut reader, num_nodes + 1)?;
-        let degrees = read_u32_vec(&mut reader, num_nodes)?;
-        let vwgt = if flags & FLAG_HAS_VWGT != 0 {
-            Some(read_u64_vec(&mut reader, num_nodes)?)
-        } else {
-            None
-        };
-        let file = reader.into_inner();
-        Ok(PagedGraph {
-            path: path.to_path_buf(),
+    fn push(
+        sink: &mut PageFileSink,
+        edges: &[(NodeId, EdgeWeight)],
+        weighted: bool,
+    ) -> io::Result<usize> {
+        sink.segment.clear();
+        encode_segment(&mut sink.segment, edges, weighted);
+        sink.out.write_all(&sink.segment)?;
+        sink.degrees.push(edges.len() as u32);
+        Ok(sink.segment.len())
+    }
+
+    /// Writes the index regions after the edge region, back-fills the header
+    /// and syncs.
+    fn seal(
+        mut sink: PageFileSink,
+        index: &Index,
+        _coords: Option<Vec<[f64; 2]>>,
+    ) -> io::Result<PageFile> {
+        for &o in &index.offsets {
+            sink.out.write_all(&o.to_le_bytes())?;
+        }
+        for &d in &sink.degrees {
+            sink.out.write_all(&d.to_le_bytes())?;
+        }
+        for &w in index.vwgt.iter().flatten() {
+            sink.out.write_all(&w.to_le_bytes())?;
+        }
+        let region_len = index.offsets[sink.degrees.len()];
+        let mut flags = 0u32;
+        if index.weighted {
+            flags |= FLAG_WEIGHTED;
+        }
+        if index.vwgt.is_some() {
+            flags |= FLAG_HAS_VWGT;
+        }
+        let mut header = [0u8; HEADER_LEN as usize];
+        header[..8].copy_from_slice(&MAGIC);
+        header[8..12].copy_from_slice(&flags.to_le_bytes());
+        let fields = [
+            sink.degrees.len() as u64,
+            index.num_half_edges as u64,
+            index.total_node_weight,
+            index.max_node_weight,
+            region_len,
+        ];
+        for (field, at) in fields.iter().zip((HEADER_FIELDS_AT..).step_by(8)) {
+            header[at..at + 8].copy_from_slice(&field.to_le_bytes());
+        }
+        let mut file = sink.out.into_inner().map_err(|e| e.into_error())?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
+        file.sync_data()?;
+        Ok(PageFile {
+            path: sink.path,
             delete_on_drop: false,
-            offsets,
-            degrees,
-            vwgt,
-            weighted: flags & FLAG_WEIGHTED != 0,
-            num_half_edges,
-            total_node_weight,
-            max_node_weight,
-            cache: Mutex::new(PageCache::new(file, region_len, config)),
+            degrees: sink.degrees,
+            cache: Mutex::new(PageCache::new(file, region_len, sink.cache)),
         })
     }
 
-    /// Writes `graph` to `path` in paged form and opens it. Convenience for
-    /// tests and for spilling an in-RAM graph; large graphs should stream
-    /// through [`build::paged_from_source`](crate::build::paged_from_source)
-    /// instead of materialising the CSR first.
-    pub fn from_graph(
-        graph: &CsrGraph,
-        path: &Path,
-        config: PageCacheConfig,
-    ) -> io::Result<PagedGraph> {
-        let weighted = !graph.adjwgt().iter().all(|&w| w == 1);
-        let mut writer = PagedWriter::create(path, graph.num_nodes(), weighted)?;
-        let mut scratch: Vec<(NodeId, EdgeWeight)> = Vec::new();
-        for v in graph.nodes() {
-            scratch.clear();
-            scratch.extend(graph.edges_of(v));
-            writer.push_node(&scratch)?;
-        }
-        let vwgt = if graph.vwgt().iter().all(|&c| c == 1) {
-            None
-        } else {
-            Some(graph.vwgt().to_vec())
-        };
-        writer.finish(vwgt, config)
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// The backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// When set, the backing file is removed when the graph is dropped —
-    /// used for hierarchy spill files in temp directories.
-    pub fn set_delete_on_drop(&mut self, delete: bool) {
-        self.delete_on_drop = delete;
-    }
-
-    /// Snapshot of the page-cache hit/miss counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("page cache poisoned").stats
-    }
-
-    /// Resets the hit/miss counters to zero.
-    pub fn reset_cache_stats(&self) {
-        self.cache.lock().expect("page cache poisoned").stats = CacheStats::default();
-    }
-
-    /// RAM resident bytes of the per-node index (offsets + degrees + vwgt);
-    /// the page cache adds at most `page_size * cache_pages` on top.
-    pub fn index_bytes(&self) -> usize {
-        self.offsets.len() * 8
-            + self.degrees.len() * 4
-            + self.vwgt.as_ref().map_or(0, |v| v.len() * 8)
-    }
-
-    /// Reads the encoded segment of `v` into `out` (replacing its contents).
-    ///
     /// # Panics
     /// Panics on I/O failure: the partitioning pipeline cannot continue
-    /// without its graph, so disk errors are fatal by design.
-    fn read_segment_into(&self, v: NodeId, out: &mut Vec<u8>) {
-        let lo = self.offsets[v as usize];
-        let hi = self.offsets[v as usize + 1];
-        out.clear();
-        let mut cache = self.cache.lock().expect("page cache poisoned");
-        cache
-            .copy_range(lo, hi, out)
-            .unwrap_or_else(|e| panic!("paged graph read failed ({}): {e}", self.path.display()));
+    /// without its graph, so disk errors after a successful open are fatal by
+    /// design.
+    fn with_segment<R>(&self, lo: u64, hi: u64, f: impl FnOnce(&[u8]) -> R) -> R {
+        SEGMENT_SCRATCH.with(|cell| {
+            let mut buf = cell.take();
+            buf.clear();
+            self.cache
+                .lock()
+                .expect("page cache poisoned")
+                .copy_range(lo, hi, &mut buf)
+                .unwrap_or_else(|e| {
+                    panic!("paged graph read failed ({}): {e}", self.path.display())
+                });
+            let result = f(&buf);
+            cell.set(buf);
+            result
+        })
+    }
+
+    fn segment_edges(
+        &self,
+        lo: u64,
+        hi: u64,
+        weighted: bool,
+    ) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
+        // `SegmentIter` knows its length, so this allocates the degree once.
+        self.with_segment(lo, hi, |bytes| {
+            Vec::from_iter(SegmentIter::new(bytes, weighted))
+        })
+        .into_iter()
+    }
+
+    #[inline]
+    fn resident_degree(&self, v: NodeId) -> Option<usize> {
+        Some(self.degrees[v as usize] as usize)
     }
 }
 
-impl Drop for PagedGraph {
+impl Drop for PageFile {
     fn drop(&mut self) {
         if self.delete_on_drop {
             let _ = fs::remove_file(&self.path);
@@ -273,213 +291,178 @@ impl Drop for PagedGraph {
     }
 }
 
-impl Adjacency for PagedGraph {
-    #[inline]
-    fn degree_of(&self, v: NodeId) -> usize {
-        self.degrees[v as usize] as usize
-    }
-
-    #[inline]
-    fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-        match &self.vwgt {
-            Some(c) => c[v as usize],
-            None => 1,
-        }
-    }
-
-    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
-        SEGMENT_SCRATCH.with(|cell| {
-            let mut buf = cell.take();
-            self.read_segment_into(v, &mut buf);
-            decode_segment(&buf, self.weighted, f);
-            cell.set(buf);
-        });
-    }
-}
-
-impl GraphAccess for PagedGraph {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        PagedGraph::num_nodes(self)
-    }
-
-    #[inline]
-    fn num_half_edges(&self) -> usize {
-        self.num_half_edges
-    }
-
-    #[inline]
-    fn total_node_weight(&self) -> NodeWeight {
-        self.total_node_weight
-    }
-
-    #[inline]
-    fn max_node_weight(&self) -> NodeWeight {
-        self.max_node_weight
-    }
-
-    fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
-        // The iterator must own its data (the cache slot can be evicted),
-        // so decode the segment eagerly into a small Vec.
-        let mut edges: Vec<(NodeId, EdgeWeight)> = Vec::with_capacity(self.degree_of(v));
-        SEGMENT_SCRATCH.with(|cell| {
-            let mut buf = cell.take();
-            self.read_segment_into(v, &mut buf);
-            for pair in SegmentIter::new(&buf, self.weighted) {
-                edges.push(pair);
-            }
-            cell.set(buf);
-        });
-        edges.into_iter()
-    }
-}
-
-/// Streaming writer: nodes pushed in ascending id order with final merged,
-/// sorted incidence lists; edge segments go straight to disk through a
-/// `BufWriter`, only the Θ(n) offset/degree tables stay in RAM.
-pub struct PagedWriter {
-    path: PathBuf,
-    out: BufWriter<File>,
-    offsets: Vec<u64>,
-    degrees: Vec<u32>,
-    weighted: bool,
-    num_half_edges: usize,
-    buf: Vec<u8>,
-}
-
-impl PagedWriter {
-    /// Creates (truncates) `path` and positions the writer at the edge region.
-    pub fn create(path: &Path, nodes_hint: usize, weighted: bool) -> io::Result<PagedWriter> {
+impl SegmentWriter<PageFile> {
+    /// Creates (truncates) `path` and positions the writer at the edge
+    /// region; the finished graph reads through a cache shaped by `cache`.
+    pub fn create(
+        path: &Path,
+        nodes_hint: usize,
+        weighted: bool,
+        cache: PageCacheConfig,
+    ) -> io::Result<Self> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        // Header is back-filled in `finish`; reserve its bytes now.
+        // Header is back-filled by `seal`; reserve its bytes now.
         file.write_all(&[0u8; HEADER_LEN as usize])?;
-        let mut offsets = Vec::with_capacity(nodes_hint + 1);
-        offsets.push(0);
-        Ok(PagedWriter {
+        let sink = PageFileSink {
             path: path.to_path_buf(),
             out: BufWriter::with_capacity(1 << 20, file),
-            offsets,
             degrees: Vec::with_capacity(nodes_hint),
-            weighted,
-            num_half_edges: 0,
-            buf: Vec::new(),
+            segment: Vec::new(),
+            cache,
+        };
+        Ok(SegmentWriter::over(sink, nodes_hint, weighted))
+    }
+}
+
+fn invalid(path: &Path, what: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {what}", path.display()),
+    )
+}
+
+/// Reads `len` little-endian integers. `len` must already be bounded by the
+/// file's length.
+fn read_le_vec<T, const N: usize>(
+    r: &mut impl Read,
+    len: usize,
+    from_le: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(len);
+    let mut b = [0u8; N];
+    for _ in 0..len {
+        r.read_exact(&mut b)?;
+        out.push(from_le(b));
+    }
+    Ok(out)
+}
+
+impl SegmentGraph<PageFile> {
+    /// Opens a graph file written by [`PagedWriter`], validating its header
+    /// and index against the file's length before allocating for them.
+    ///
+    /// # Errors
+    /// `InvalidData` naming the offending field for anything that is not a
+    /// complete `KMEMPGv1` file; other kinds are the I/O errors underneath.
+    pub fn open(path: &Path, config: PageCacheConfig) -> io::Result<PagedGraph> {
+        let mut file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut header = [0u8; HEADER_LEN as usize];
+        if file_len < HEADER_LEN {
+            return Err(invalid(path, "shorter than a paged-graph header"));
+        }
+        file.read_exact(&mut header)?;
+        if header[..8] != MAGIC {
+            return Err(invalid(path, "not a kappa-mem paged graph"));
+        }
+        let flags = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        if flags & !(FLAG_WEIGHTED | FLAG_HAS_VWGT) != 0 {
+            return Err(invalid(path, format_args!("unknown flags {flags:#x}")));
+        }
+        let field = |i: usize| {
+            let at = HEADER_FIELDS_AT + 8 * i;
+            u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"))
+        };
+        let (num_nodes, num_half_edges, region_len) = (field(0), field(1), field(4));
+        // (n + 1) offsets, n degrees, n node weights if stored: nothing is
+        // allocated until these add up to the file's length.
+        let per_node = if flags & FLAG_HAS_VWGT != 0 { 20 } else { 12 };
+        let expected_len = num_nodes
+            .checked_mul(per_node)
+            .and_then(|index| index.checked_add(HEADER_LEN + 8))
+            .and_then(|rest| rest.checked_add(region_len));
+        if expected_len != Some(file_len) {
+            return Err(invalid(
+                path,
+                format_args!(
+                    "num_nodes {num_nodes} and region_len {region_len} do not add up to the \
+                     file's {file_len} bytes"
+                ),
+            ));
+        }
+        let n = num_nodes as usize;
+
+        file.seek(SeekFrom::Start(HEADER_LEN + region_len))?;
+        let mut reader = BufReader::new(file);
+        let offsets = read_le_vec(&mut reader, n + 1, u64::from_le_bytes)?;
+        let degrees = read_le_vec(&mut reader, n, u32::from_le_bytes)?;
+        let vwgt = if flags & FLAG_HAS_VWGT != 0 {
+            Some(read_le_vec(&mut reader, n, u64::from_le_bytes)?)
+        } else {
+            None
+        };
+        if offsets[0] != 0 || offsets[n] != region_len || offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(invalid(path, "offsets do not ascend from 0 to region_len"));
+        }
+        if degrees.iter().map(|&d| u64::from(d)).sum::<u64>() != num_half_edges {
+            return Err(invalid(path, "degrees do not sum to num_half_edges"));
+        }
+        let (total_node_weight, max_node_weight) = (field(2), field(3));
+        if weight_totals(vwgt.as_deref(), n) != Some((total_node_weight, max_node_weight)) {
+            return Err(invalid(
+                path,
+                "total_node_weight / max_node_weight disagree with the node weights",
+            ));
+        }
+        Ok(SegmentGraph {
+            index: Index {
+                offsets,
+                weighted: flags & FLAG_WEIGHTED != 0,
+                vwgt,
+                num_half_edges: num_half_edges as usize,
+                total_node_weight,
+                max_node_weight,
+            },
+            store: PageFile {
+                path: path.to_path_buf(),
+                delete_on_drop: false,
+                degrees,
+                cache: Mutex::new(PageCache::new(reader.into_inner(), region_len, config)),
+            },
         })
     }
 
-    /// Appends the next node's incidence list (sorted, merged).
-    pub fn push_node(&mut self, edges: &[(NodeId, EdgeWeight)]) -> io::Result<()> {
-        self.buf.clear();
-        encode_segment(&mut self.buf, edges, self.weighted);
-        self.out.write_all(&self.buf)?;
-        let last = *self.offsets.last().expect("offsets start non-empty");
-        self.offsets.push(last + self.buf.len() as u64);
-        self.degrees.push(edges.len() as u32);
-        self.num_half_edges += edges.len();
-        Ok(())
-    }
-
-    /// Number of nodes pushed so far.
-    pub fn nodes_pushed(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// Writes index + header and opens the finished graph.
-    pub fn finish(
-        mut self,
-        vwgt: Option<Vec<NodeWeight>>,
+    /// Writes `graph` to `path` in paged form and opens it. Convenience for
+    /// tests and for spilling an in-RAM graph; large graphs should stream
+    /// through [`TierGraph::from_source`](crate::TierGraph::from_source)
+    /// instead of materialising the CSR first.
+    pub fn from_graph(
+        graph: &CsrGraph,
+        path: &Path,
         config: PageCacheConfig,
     ) -> io::Result<PagedGraph> {
-        let n = self.degrees.len();
-        if let Some(c) = &vwgt {
-            assert_eq!(c.len(), n, "vwgt length mismatch");
-        }
-        let region_len = *self.offsets.last().expect("offsets non-empty");
-        // Index regions after the edge region.
-        for &o in &self.offsets {
-            self.out.write_all(&o.to_le_bytes())?;
-        }
-        for &d in &self.degrees {
-            self.out.write_all(&d.to_le_bytes())?;
-        }
-        if let Some(c) = &vwgt {
-            for &w in c {
-                self.out.write_all(&w.to_le_bytes())?;
-            }
-        }
-        let (total, max) = match &vwgt {
-            Some(c) => (c.iter().sum(), c.iter().copied().max().unwrap_or(0)),
-            None => (n as NodeWeight, if n == 0 { 0 } else { 1 }),
-        };
-        let mut flags = 0u32;
-        if self.weighted {
-            flags |= FLAG_WEIGHTED;
-        }
-        if vwgt.is_some() {
-            flags |= FLAG_HAS_VWGT;
-        }
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[..8].copy_from_slice(&MAGIC);
-        header[8..12].copy_from_slice(&flags.to_le_bytes());
-        header[16..24].copy_from_slice(&(n as u64).to_le_bytes());
-        header[24..32].copy_from_slice(&(self.num_half_edges as u64).to_le_bytes());
-        header[32..40].copy_from_slice(&total.to_le_bytes());
-        header[40..48].copy_from_slice(&max.to_le_bytes());
-        header[48..56].copy_from_slice(&region_len.to_le_bytes());
-        let mut file = self.out.into_inner().map_err(|e| e.into_error())?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header)?;
-        file.sync_data()?;
-        file.seek(SeekFrom::Start(0))?;
-        Ok(PagedGraph {
-            path: self.path,
-            delete_on_drop: false,
-            offsets: self.offsets,
-            degrees: self.degrees,
-            vwgt,
-            weighted: self.weighted,
-            num_half_edges: self.num_half_edges,
-            total_node_weight: total,
-            max_node_weight: max,
-            cache: Mutex::new(PageCache::new(file, region_len, config)),
-        })
+        PagedWriter::create(path, graph.num_nodes(), is_weighted(graph), config)?
+            .fill(|push| csr_rows(graph, false, push))
     }
-}
 
-fn read_u64_vec<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u64>> {
-    let mut out = Vec::with_capacity(len);
-    let mut b = [0u8; 8];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        out.push(u64::from_le_bytes(b));
+    /// When set, the backing file is removed when the graph is dropped —
+    /// used for hierarchy spill files in temp directories.
+    pub fn set_delete_on_drop(&mut self, delete: bool) {
+        self.store.delete_on_drop = delete;
     }
-    Ok(out)
-}
 
-fn read_u32_vec<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u32>> {
-    let mut out = Vec::with_capacity(len);
-    let mut b = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        out.push(u32::from_le_bytes(b));
+    /// Snapshot of the page-cache hit/miss counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.store.cache.lock().expect("page cache poisoned").stats
     }
-    Ok(out)
+
+    /// Resets the hit/miss counters to zero.
+    pub fn reset_cache_stats(&self) {
+        self.store.cache.lock().expect("page cache poisoned").stats = CacheStats::default();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kappa_graph::graph_from_edges;
-
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("kappa-mem-test-{}-{name}.kpg", std::process::id()));
-        p
-    }
+    use crate::graph::conformance::tmp;
+    use crate::TierSpec;
+    use kappa_graph::{graph_from_edges, Adjacency, GraphAccess, GraphBuilder};
 
     fn tiny_cache() -> PageCacheConfig {
         PageCacheConfig {
@@ -488,36 +471,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_matches_source_graph() {
-        let g = graph_from_edges(
-            5,
-            vec![
-                (0, 1, 2),
-                (1, 2, 3),
-                (2, 3, 4),
-                (3, 4, 5),
-                (0, 4, 6),
-                (1, 3, 7),
-            ],
-        );
-        let path = tmp("roundtrip");
-        let mut p = PagedGraph::from_graph(&g, &path, tiny_cache()).unwrap();
-        p.set_delete_on_drop(true);
-        assert_eq!(GraphAccess::num_nodes(&p), g.num_nodes());
-        assert_eq!(GraphAccess::num_half_edges(&p), g.num_half_edges());
-        assert_eq!(GraphAccess::total_node_weight(&p), g.total_node_weight());
-        assert!(GraphAccess::coords(&p).is_none());
-        for v in g.nodes() {
-            let a: Vec<_> = g.edges_of(v).collect();
-            let b: Vec<_> = GraphAccess::edges_of(&p, v).collect();
-            assert_eq!(a, b, "node {v}");
-            assert_eq!(p.degree_of(v), g.degree(v));
-            let mut c = Vec::new();
-            p.for_each_edge(v, |t, w| c.push((t, w)));
-            assert_eq!(a, c, "for_each_edge node {v}");
-        }
-    }
+    crate::graph::conformance::store_conformance!(|path| TierSpec::Paged {
+        path,
+        cache: tiny_cache(),
+    });
 
     #[test]
     fn reopen_from_disk_sees_identical_graph() {
@@ -578,5 +535,148 @@ mod tests {
         std::fs::write(&path, b"definitely not a graph").unwrap();
         assert!(PagedGraph::open(&path, PageCacheConfig::default()).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The graph `LITERAL_FILE` spells: a weighted path 0 –5– 1 –300– 2 with
+    /// node weights 2, 1, 4.
+    fn literal_graph() -> CsrGraph {
+        let mut b = GraphBuilder::with_node_weights(vec![2, 1, 4]);
+        b.add_edge(0, 1, 5);
+        b.add_edge(1, 2, 300);
+        b.build()
+    }
+
+    /// `KMEMPGv1` byte by byte, written out by hand from the layout in the
+    /// module docs — not produced by the writer, so writer and reader cannot
+    /// drift together.
+    #[rustfmt::skip]
+    const LITERAL_FILE: [u8; 145] = [
+        // header: magic, flags = weighted | has_vwgt, padding
+        b'K', b'M', b'E', b'M', b'P', b'G', b'v', b'1',   3, 0, 0, 0,   0, 0, 0, 0,
+        3, 0, 0, 0, 0, 0, 0, 0, // n
+        4, 0, 0, 0, 0, 0, 0, 0, // half-edges
+        7, 0, 0, 0, 0, 0, 0, 0, // total node weight
+        4, 0, 0, 0, 0, 0, 0, 0, // max node weight
+        13, 0, 0, 0, 0, 0, 0, 0, // edge-region length
+        0, 0, 0, 0, 0, 0, 0, 0, // padding
+        // edge region: degree, then (target delta, weight) pairs; 300 = AC 02
+        1,   1, 5,
+        2,   0, 5,   2, 0xAC, 0x02,
+        1,   1, 0xAC, 0x02,
+        // offsets (n + 1)
+        0, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 0, 0, 0, 0,
+        9, 0, 0, 0, 0, 0, 0, 0,
+        13, 0, 0, 0, 0, 0, 0, 0,
+        // degrees
+        1, 0, 0, 0,   2, 0, 0, 0,   1, 0, 0, 0,
+        // node weights
+        2, 0, 0, 0, 0, 0, 0, 0,
+        1, 0, 0, 0, 0, 0, 0, 0,
+        4, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
+    /// `open` on a scratch file holding `bytes` (unlinked again right away —
+    /// an opened graph keeps reading through its descriptor).
+    fn open_bytes(bytes: &[u8], what: &str) -> io::Result<PagedGraph> {
+        let path = tmp(&what.replace(' ', "-"));
+        std::fs::write(&path, bytes).unwrap();
+        let opened = PagedGraph::open(&path, tiny_cache());
+        std::fs::remove_file(&path).unwrap();
+        opened
+    }
+
+    #[test]
+    fn hand_assembled_file_pins_the_format() {
+        let g = literal_graph();
+        let p = open_bytes(&LITERAL_FILE, "literal").unwrap();
+        assert_eq!(p.to_csr(), g);
+        assert_eq!(p.total_node_weight(), 7);
+        assert_eq!(p.max_node_weight(), 4);
+        assert_eq!(p.degree_of(1), 2);
+        assert!(p.is_weighted());
+
+        let written = tmp("literal-written");
+        let mut w = PagedGraph::from_graph(&g, &written, tiny_cache()).unwrap();
+        w.set_delete_on_drop(true);
+        assert_eq!(std::fs::read(&written).unwrap(), LITERAL_FILE);
+    }
+
+    /// `open` on `bytes`: an error must be `InvalidData` (its message is
+    /// returned), a success must be the literal graph.
+    fn rejected_or_exact(bytes: &[u8], what: &str) -> Option<String> {
+        match open_bytes(bytes, what) {
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
+                Some(e.to_string())
+            }
+            Ok(p) => {
+                assert_eq!(p.to_csr(), literal_graph(), "{what}");
+                assert_eq!(p.total_node_weight(), 7, "{what}");
+                assert_eq!(p.max_node_weight(), 4, "{what}");
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_rejected() {
+        for cut in 0..LITERAL_FILE.len() {
+            let what = format!("prefix {cut}");
+            assert!(
+                rejected_or_exact(&LITERAL_FILE[..cut], &what).is_some(),
+                "{what} opened"
+            );
+        }
+    }
+
+    #[test]
+    fn every_header_bit_flip_is_rejected_or_harmless() {
+        for byte in 0..HEADER_LEN as usize {
+            for bit in 0..8 {
+                // The edge-weights flag changes how segments decode, not how
+                // long anything is: only per-page checksums could catch it.
+                if (byte, 1u32 << bit) == (8, FLAG_WEIGHTED) {
+                    continue;
+                }
+                let mut bad = LITERAL_FILE;
+                bad[byte] ^= 1 << bit;
+                rejected_or_exact(&bad, &format!("byte {byte} bit {bit}"));
+            }
+            let mut bad = LITERAL_FILE;
+            bad[byte] ^= 0xFF;
+            rejected_or_exact(&bad, &format!("byte {byte} inverted"));
+        }
+    }
+
+    #[test]
+    fn oversized_header_fields_do_not_allocate() {
+        // A header-only file claiming 2^60 nodes used to die in
+        // `Vec::with_capacity`; the largest counts must not overflow either.
+        for num_nodes in [1u64 << 60, u64::MAX, u64::MAX / 12] {
+            let mut bytes = LITERAL_FILE[..HEADER_LEN as usize].to_vec();
+            bytes[16..24].copy_from_slice(&num_nodes.to_le_bytes());
+            assert!(rejected_or_exact(&bytes, &format!("num_nodes {num_nodes}")).is_some());
+        }
+        let mut bytes = LITERAL_FILE;
+        bytes[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(rejected_or_exact(&bytes, "region_len max").is_some());
+    }
+
+    #[test]
+    fn inconsistent_index_is_rejected() {
+        let offsets_at = 64 + 13;
+        for (at, value, what, names) in [
+            (offsets_at, 1, "first offset", "offsets"),
+            (offsets_at + 8, 10, "descending offset", "offsets"),
+            (offsets_at + 24, 12, "last offset", "offsets"),
+            (offsets_at + 32, 2, "degree", "num_half_edges"),
+            (offsets_at + 44, 3, "node weight", "total_node_weight"),
+        ] {
+            let mut bad = LITERAL_FILE;
+            bad[at] = value;
+            let message = rejected_or_exact(&bad, what).expect(what);
+            assert!(message.contains(names), "{what}: {message}");
+        }
     }
 }

@@ -1,77 +1,114 @@
-//! [`TierGraph`] — one graph, any storage level.
+//! [`TierGraph`] — one graph, either store — and [`TierSpec`], the one place
+//! a store is chosen.
 //!
 //! The tiered multilevel pipeline works on whatever level a graph currently
 //! occupies: the finest levels of a table-5-class instance sit on disk
-//! ([`PagedGraph`]), mid levels in compact RAM ([`CompactCsr`]), and the
-//! coarsest level is decoded to a plain [`CsrGraph`] for the initial
+//! ([`PagedGraph`]), the levels below in compact RAM ([`CompactCsr`]), and
+//! the coarsest level is decoded to a plain [`CsrGraph`] for the initial
 //! partitioner. `TierGraph` erases the difference behind the same
 //! [`GraphAccess`] surface, so hierarchy and refinement code is written
-//! once. All three arms decode to the identical sorted adjacency, which is
-//! what keeps cross-tier runs bit-identical (`tests/parity.rs`).
+//! once. Both arms decode to the identical sorted adjacency, which is what
+//! keeps cross-tier runs bit-identical (`tests/parity.rs`).
+
+use std::io;
+use std::path::Path;
 
 use kappa_graph::{Adjacency, CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
 
-use crate::compact::CompactCsr;
-use crate::paged::PagedGraph;
+use crate::compact::{CompactCsr, CompactWriter};
+use crate::graph::{csr_rows, is_weighted, NodeData, PushRow};
+use crate::paged::{PageCacheConfig, PagedGraph, PagedWriter};
 
-/// A frozen graph at one of the three storage levels.
+/// A frozen segment-encoded graph on one of the two stores.
 pub enum TierGraph {
-    /// Plain CSR arrays (the classic representation).
-    Ram(CsrGraph),
-    /// Delta-varint arena in RAM at a fraction of the footprint.
+    /// Delta-varint arena in RAM at a fraction of the CSR footprint.
     Compact(CompactCsr),
     /// Edge segments on disk behind a fixed-budget page cache.
     Paged(PagedGraph),
 }
 
+/// Which store a graph is to be built on.
+#[derive(Clone, Copy, Debug)]
+pub enum TierSpec<'a> {
+    /// Delta-varint arena in RAM.
+    Compact,
+    /// Paged file at the given path.
+    Paged {
+        /// File to create (truncated if present).
+        path: &'a Path,
+        /// Page-cache geometry of the opened graph.
+        cache: PageCacheConfig,
+    },
+}
+
+impl TierSpec<'_> {
+    /// Whether a graph built on this store keeps planar coordinates (the
+    /// paged store drops them, so producers need not compute any).
+    pub fn keeps_coords(&self) -> bool {
+        matches!(self, TierSpec::Compact)
+    }
+
+    /// Builds a graph on this store from the rows `rows` pushes — every
+    /// node's final incidence list (sorted, merged) in ascending node order —
+    /// and the node data it returns. `weighted` says whether any edge weight
+    /// differs from 1. This is the one spec → writer → [`TierGraph`] path:
+    /// [`TierGraph::from_graph`], [`TierGraph::from_source`] and tiered
+    /// contraction all come through here.
+    pub fn build(
+        self,
+        nodes_hint: usize,
+        weighted: bool,
+        rows: impl FnOnce(&mut PushRow<'_>) -> io::Result<NodeData>,
+    ) -> io::Result<TierGraph> {
+        Ok(match self {
+            TierSpec::Compact => {
+                TierGraph::Compact(CompactWriter::new(nodes_hint, weighted).fill(rows)?)
+            }
+            TierSpec::Paged { path, cache } => TierGraph::Paged(
+                PagedWriter::create(path, nodes_hint, weighted, cache)?.fill(rows)?,
+            ),
+        })
+    }
+}
+
+/// Runs `$body` with `$g` bound to whichever graph `$tier` holds.
+macro_rules! on_tier {
+    ($tier:expr, $g:ident => $body:expr) => {
+        match $tier {
+            TierGraph::Compact($g) => $body,
+            TierGraph::Paged($g) => $body,
+        }
+    };
+}
+
 impl TierGraph {
+    /// Re-encodes a plain CSR graph onto the store `spec` names — the route
+    /// for inputs without a streaming source; the CSR exists meanwhile.
+    pub fn from_graph(graph: &CsrGraph, spec: TierSpec<'_>) -> io::Result<TierGraph> {
+        spec.build(graph.num_nodes(), is_weighted(graph), |push| {
+            csr_rows(graph, spec.keeps_coords(), push)
+        })
+    }
+
     /// Short name for logs and experiment tables.
     pub fn tier_name(&self) -> &'static str {
         match self {
-            TierGraph::Ram(_) => "ram",
             TierGraph::Compact(_) => "compact",
             TierGraph::Paged(_) => "paged",
         }
     }
 
-    /// Decodes to plain CSR (clones the `Ram` arm). Meant for the coarsest
-    /// level only — on a fine paged level this would defeat the tier.
+    /// Decodes to plain CSR. Meant for the coarsest level only — on a fine
+    /// paged level this would defeat the tier.
     pub fn to_csr(&self) -> CsrGraph {
-        match self {
-            TierGraph::Ram(g) => g.clone(),
-            TierGraph::Compact(g) => g.to_csr(),
-            TierGraph::Paged(g) => {
-                let n = GraphAccess::num_nodes(g);
-                let mut xadj = Vec::with_capacity(n + 1);
-                let mut adjncy = Vec::with_capacity(g.num_half_edges());
-                let mut adjwgt = Vec::with_capacity(g.num_half_edges());
-                xadj.push(0);
-                for v in 0..n as NodeId {
-                    g.for_each_edge(v, |t, w| {
-                        adjncy.push(t);
-                        adjwgt.push(w);
-                    });
-                    xadj.push(adjncy.len());
-                }
-                let vwgt = (0..n as NodeId).map(|v| g.node_weight_of(v)).collect();
-                CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None)
-            }
-        }
+        on_tier!(self, g => g.to_csr())
     }
 
-    /// The `Ram` arm, if that is where the graph lives.
-    pub fn as_ram(&self) -> Option<&CsrGraph> {
-        match self {
-            TierGraph::Ram(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The `Paged` arm, if that is where the graph lives.
-    pub fn as_paged(&self) -> Option<&PagedGraph> {
-        match self {
-            TierGraph::Paged(g) => Some(g),
-            _ => None,
+    /// Marks a paged graph's backing file for removal when the graph drops
+    /// (spill files in temp directories); a compact graph has none.
+    pub fn set_delete_on_drop(&mut self, delete: bool) {
+        if let TierGraph::Paged(g) = self {
+            g.set_delete_on_drop(delete);
         }
     }
 }
@@ -79,112 +116,67 @@ impl TierGraph {
 impl Adjacency for TierGraph {
     #[inline]
     fn degree_of(&self, v: NodeId) -> usize {
-        match self {
-            TierGraph::Ram(g) => g.degree_of(v),
-            TierGraph::Compact(g) => g.degree_of(v),
-            TierGraph::Paged(g) => g.degree_of(v),
-        }
+        on_tier!(self, g => g.degree_of(v))
     }
 
     #[inline]
     fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-        match self {
-            TierGraph::Ram(g) => g.node_weight_of(v),
-            TierGraph::Compact(g) => g.node_weight_of(v),
-            TierGraph::Paged(g) => g.node_weight_of(v),
-        }
+        on_tier!(self, g => g.node_weight_of(v))
     }
 
     #[inline]
     fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
-        match self {
-            TierGraph::Ram(g) => g.for_each_edge(v, f),
-            TierGraph::Compact(g) => g.for_each_edge(v, f),
-            TierGraph::Paged(g) => g.for_each_edge(v, f),
-        }
+        on_tier!(self, g => g.for_each_edge(v, f))
     }
 }
 
 impl GraphAccess for TierGraph {
     #[inline]
     fn num_nodes(&self) -> usize {
-        match self {
-            TierGraph::Ram(g) => GraphAccess::num_nodes(g),
-            TierGraph::Compact(g) => GraphAccess::num_nodes(g),
-            TierGraph::Paged(g) => GraphAccess::num_nodes(g),
-        }
+        on_tier!(self, g => g.num_nodes())
     }
 
     #[inline]
     fn num_half_edges(&self) -> usize {
-        match self {
-            TierGraph::Ram(g) => GraphAccess::num_half_edges(g),
-            TierGraph::Compact(g) => GraphAccess::num_half_edges(g),
-            TierGraph::Paged(g) => GraphAccess::num_half_edges(g),
-        }
+        on_tier!(self, g => g.num_half_edges())
     }
 
     #[inline]
     fn total_node_weight(&self) -> NodeWeight {
-        match self {
-            TierGraph::Ram(g) => GraphAccess::total_node_weight(g),
-            TierGraph::Compact(g) => GraphAccess::total_node_weight(g),
-            TierGraph::Paged(g) => GraphAccess::total_node_weight(g),
-        }
+        on_tier!(self, g => g.total_node_weight())
     }
 
     #[inline]
     fn max_node_weight(&self) -> NodeWeight {
-        match self {
-            TierGraph::Ram(g) => GraphAccess::max_node_weight(g),
-            TierGraph::Compact(g) => GraphAccess::max_node_weight(g),
-            TierGraph::Paged(g) => GraphAccess::max_node_weight(g),
-        }
+        on_tier!(self, g => g.max_node_weight())
     }
 
     fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
-        // The three arms return different iterator types; box to unify.
-        match self {
-            TierGraph::Ram(g) => {
-                Box::new(GraphAccess::edges_of(g, v)) as Box<dyn Iterator<Item = _> + '_>
-            }
-            TierGraph::Compact(g) => Box::new(GraphAccess::edges_of(g, v)),
-            TierGraph::Paged(g) => Box::new(GraphAccess::edges_of(g, v)),
-        }
+        // The two arms return different iterator types; box to unify.
+        on_tier!(self, g => Box::new(g.edges_of(v)) as Box<dyn Iterator<Item = _> + '_>)
     }
 
     #[inline]
     fn coords(&self) -> Option<&[[f64; 2]]> {
-        match self {
-            TierGraph::Ram(g) => g.coords(),
-            TierGraph::Compact(g) => GraphAccess::coords(g),
-            TierGraph::Paged(_) => None,
-        }
+        on_tier!(self, g => g.coords())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paged::PageCacheConfig;
     use kappa_graph::graph_from_edges;
-
-    fn sample() -> CsrGraph {
-        graph_from_edges(
-            5,
-            vec![(0, 1, 2), (1, 2, 1), (2, 3, 5), (3, 4, 1), (0, 4, 3)],
-        )
-    }
 
     #[test]
     fn all_tiers_expose_the_same_graph() {
-        let g = sample();
-        let mut path = std::env::temp_dir();
-        path.push(format!("kappa-mem-tier-{}.kpg", std::process::id()));
+        let g = graph_from_edges(
+            5,
+            vec![(0, 1, 2), (1, 2, 1), (2, 3, 5), (3, 4, 1), (0, 4, 3)],
+        );
+        let path = crate::graph::conformance::tmp("tier");
         let mut paged = PagedGraph::from_graph(&g, &path, PageCacheConfig::default()).unwrap();
         paged.set_delete_on_drop(true);
         let tiers = [
-            TierGraph::Ram(g.clone()),
             TierGraph::Compact(CompactCsr::from_graph(&g)),
             TierGraph::Paged(paged),
         ];
@@ -202,13 +194,10 @@ mod tests {
                 let got: Vec<_> = GraphAccess::edges_of(t, v).collect();
                 assert_eq!(want, got, "{} node {v}", t.tier_name());
             }
-            // Paged decodes without coords; the others keep the source's.
-            assert_eq!(t.to_csr().num_half_edges(), g.num_half_edges());
+            // Neither arm carries coordinates here: the source has none.
+            assert_eq!(t.to_csr(), g, "{}", t.tier_name());
         }
-        assert_eq!(tiers[0].tier_name(), "ram");
-        assert_eq!(tiers[1].tier_name(), "compact");
-        assert_eq!(tiers[2].tier_name(), "paged");
-        assert!(tiers[0].as_ram().is_some());
-        assert!(tiers[2].as_paged().is_some());
+        assert_eq!(tiers[0].tier_name(), "compact");
+        assert_eq!(tiers[1].tier_name(), "paged");
     }
 }

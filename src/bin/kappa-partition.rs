@@ -293,10 +293,10 @@ fn main() -> ExitCode {
         .with_seed(cli.seed)
         .with_threads(cli.threads);
 
-    // The memory-tiered pipeline builds the graph on its own storage tier
-    // (streaming where the family supports it) — never through load_graph.
-    if cli.memory_tier != MemoryTier::Ram {
-        return run_tiered(&cli, &config);
+    // The memory-tiered pipeline builds the graph on its own storage tier,
+    // streaming where the family supports it.
+    if let Some(status) = run_tiered(&cli, &config) {
+        return status;
     }
 
     // TCP parent mode: launch one worker process per rank, serve the
@@ -364,102 +364,58 @@ fn main() -> ExitCode {
     write_partition(&cli, &name, &partition)
 }
 
-/// Builds the finest graph on `tier` from a streaming
-/// [`EdgeSource`](kappa::graph::EdgeSource): the full edge list never
-/// exists in RAM.
-fn tier_from_source<S: kappa::graph::EdgeSource>(
-    src: &S,
-    tier: MemoryTier,
-    spill: &kappa::coarsen::SpillConfig,
-) -> std::io::Result<kappa::mem::TierGraph> {
-    use kappa::mem::{compact_from_source, paged_from_source, BuildOptions, TierGraph};
-    Ok(match tier {
-        MemoryTier::Compact => {
-            TierGraph::Compact(compact_from_source(src, BuildOptions::default()))
-        }
-        MemoryTier::Paged => {
-            let mut g = paged_from_source(
-                src,
-                &spill.spill_dir.join("finest.kpg"),
-                BuildOptions::default(),
-                spill.cache,
-            )?;
-            g.set_delete_on_drop(true);
-            TierGraph::Paged(g)
-        }
-        MemoryTier::Ram => unreachable!("ram runs never reach the tiered builder"),
-    })
-}
-
-/// Converts an in-RAM graph onto `tier` — the fallback for inputs without a
-/// streaming source (METIS files, the non-geometric generator families); the
-/// CSR exists transiently during conversion.
-fn tier_from_csr(
-    graph: &CsrGraph,
-    tier: MemoryTier,
-    spill: &kappa::coarsen::SpillConfig,
-) -> std::io::Result<kappa::mem::TierGraph> {
-    use kappa::mem::{CompactCsr, PagedGraph, TierGraph};
-    Ok(match tier {
-        MemoryTier::Compact => TierGraph::Compact(CompactCsr::from_graph(graph)),
-        MemoryTier::Paged => {
-            let mut g =
-                PagedGraph::from_graph(graph, &spill.spill_dir.join("finest.kpg"), spill.cache)?;
-            g.set_delete_on_drop(true);
-            TierGraph::Paged(g)
-        }
-        MemoryTier::Ram => unreachable!("ram runs never reach the tiered builder"),
-    })
-}
-
 /// The `--memory-tier compact|paged` pipeline: build the finest graph on the
 /// requested storage tier, partition with the tier-generic multilevel
 /// pipeline (sequential matching — bit-identical to `--threads 1` in RAM per
-/// seed), report which tier every hierarchy level ended up on.
-fn run_tiered(cli: &CliArgs, config: &KappaConfig) -> ExitCode {
+/// seed), report which tier every hierarchy level ended up on. `None` for
+/// `--memory-tier ram`, which is not a tiered run.
+fn run_tiered(cli: &CliArgs, config: &KappaConfig) -> Option<ExitCode> {
     use kappa::coarsen::SpillConfig;
     use kappa::core::{default_spill_dir, partition_tiered};
     use kappa::graph::GraphAccess;
+    use kappa::mem::TierGraph;
 
     let spill = SpillConfig::new(default_spill_dir("cli"));
+    let finest_file = spill.spill_dir.join("finest.kpg");
+    let spec = cli.memory_tier.spec(&finest_file, spill.cache)?;
     if let Err(e) = std::fs::create_dir_all(&spill.spill_dir) {
         eprintln!(
             "error: cannot create spill dir {}: {e}",
             spill.spill_dir.display()
         );
-        return ExitCode::FAILURE;
+        return Some(ExitCode::FAILURE);
     }
 
-    let built = match &cli.generate {
+    let built = match cli.generate.as_deref() {
         // Streaming families: the edge list is replayed from O(n) generator
-        // state straight into the tier encoding.
-        Some(family) if family == "rgg" => {
+        // state straight into the tier encoding, never held in RAM.
+        Some("rgg") => {
             let src = kappa::gen::RggSource::new(cli.nodes, cli.seed);
-            tier_from_source(&src, cli.memory_tier, &spill)
-                .map(|g| (g, format!("rgg-{}", cli.nodes)))
+            TierGraph::from_source(&src, spec).map(|g| (g, format!("rgg-{}", cli.nodes)))
         }
-        Some(family) if family == "grid" => {
+        Some("grid") => {
             let side = ((cli.nodes as f64).sqrt().round() as usize).max(2);
             let src = kappa::gen::Grid2dSource::new(side, side);
-            tier_from_source(&src, cli.memory_tier, &spill)
-                .map(|g| (g, format!("grid-{}", cli.nodes)))
+            TierGraph::from_source(&src, spec).map(|g| (g, format!("grid-{}", cli.nodes)))
         }
-        // Everything else goes through a transient in-RAM build.
+        // Everything else — METIS files and the families without a streaming
+        // source — is re-encoded from a transient in-RAM CSR.
         _ => match load_graph(cli) {
-            Ok((graph, name)) => tier_from_csr(&graph, cli.memory_tier, &spill).map(|g| (g, name)),
+            Ok((graph, name)) => TierGraph::from_graph(&graph, spec).map(|g| (g, name)),
             Err(msg) => {
                 eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
+                return Some(ExitCode::FAILURE);
             }
         },
     };
-    let (finest, name) = match built {
+    let (mut finest, name) = match built {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: building the {} tier: {e}", cli.memory_tier.name());
-            return ExitCode::FAILURE;
+            return Some(ExitCode::FAILURE);
         }
     };
+    finest.set_delete_on_drop(true);
     eprintln!(
         "graph {name}: {} nodes, {} edges ({} tier)",
         finest.num_nodes(),
@@ -471,7 +427,7 @@ fn run_tiered(cli: &CliArgs, config: &KappaConfig) -> ExitCode {
         Ok(tiered) => tiered,
         Err(e) => {
             eprintln!("error: tiered run failed: {e}");
-            return ExitCode::FAILURE;
+            return Some(ExitCode::FAILURE);
         }
     };
     let result = &tiered.result;
@@ -488,7 +444,7 @@ fn run_tiered(cli: &CliArgs, config: &KappaConfig) -> ExitCode {
     let status = write_partition(cli, &name, &result.partition);
     // Spill files delete themselves on drop; clear the (now empty) directory.
     let _ = std::fs::remove_dir_all(&spill.spill_dir);
-    status
+    Some(status)
 }
 
 /// The summary line every run path ends with: `<preset><path>: cut = …`,

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use kappa::coarsen::SpillConfig;
 use kappa::core::{default_spill_dir, partition_tiered};
 use kappa::gen::{random_geometric_graph, RggSource};
-use kappa::mem::{paged_from_source, BuildOptions, TierGraph};
+use kappa::mem::{TierGraph, TierSpec};
 use kappa::prelude::*;
 
 mod common;
@@ -49,18 +49,15 @@ fn run_paged_rgg(n: usize, gen_seed: u64, k: u32, part_seed: u64) -> TieredRun {
     reset_peak_rss();
     let start = Instant::now();
     let src = RggSource::new(n, gen_seed);
-    let mut finest = paged_from_source(
-        &src,
-        &spill.spill_dir.join("finest.kpg"),
-        BuildOptions::default(),
-        spill.cache,
-    )
-    .expect("paged build");
+    let spec = TierSpec::Paged {
+        path: &spill.spill_dir.join("finest.kpg"),
+        cache: spill.cache,
+    };
+    let mut finest = TierGraph::from_source(&src, spec).expect("paged build");
     finest.set_delete_on_drop(true);
     drop(src); // generator state (points + buckets) released before the run
     let config = KappaConfig::fast(k).with_seed(part_seed).with_threads(1);
-    let tiered =
-        partition_tiered(TierGraph::Paged(finest), &config, &spill).expect("tiered partition");
+    let tiered = partition_tiered(finest, &config, &spill).expect("tiered partition");
     let wall = start.elapsed();
     let peak_rss = peak_rss_bytes();
     let _ = std::fs::remove_dir_all(&spill.spill_dir);

@@ -24,7 +24,7 @@ use kappa::graph::boundary::{band_around_boundary, boundary_nodes, pair_boundary
 use kappa::graph::{BoundaryIndex, PartitionState};
 use kappa::initial::random_partition;
 use kappa::matching::{compute_matching, EdgeRating, MatchingAlgorithm};
-use kappa::mem::{compact_from_source, BuildOptions, CompactCsr, PagedGraph, TierGraph};
+use kappa::mem::{CompactCsr, PagedGraph, TierGraph, TierSpec};
 use kappa::prelude::*;
 use kappa::refine::{rebalance, rebalance_state};
 use kappa::refine::{refine_partition, refine_partition_reference, RefinementConfig};
@@ -328,7 +328,7 @@ proptest! {
         prop_assert_eq!(&compact.to_csr(), &graph, "to_csr round trip");
         let edges: Vec<_> = graph.undirected_edges().collect();
         let src = kappa::graph::SliceEdgeSource::new(graph.num_nodes(), &edges);
-        let streamed = compact_from_source(&src, BuildOptions::default());
+        let streamed = TierGraph::from_source(&src, TierSpec::Compact).expect("compact build");
         prop_assert_eq!(&streamed.to_csr(), &graph, "streamed-build round trip");
     }
 
