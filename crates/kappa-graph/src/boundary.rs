@@ -62,6 +62,11 @@ pub fn pair_boundary_nodes<G: GraphAccess, A: BlockAssignment>(
 /// Bounded BFS from `seeds`, restricted to nodes whose block is in
 /// `allowed_blocks`, up to `depth` hops (depth 0 returns just the seeds that
 /// are in an allowed block). Returns the visited nodes in BFS order.
+///
+/// This is the plain reference BFS — one `O(n)` distance array per call. The
+/// refinement hot path runs `kappa_refine::PairBand::around`, which visits
+/// the same nodes in the same order out of pooled buffers and takes each
+/// node's gain and boundary flag from the same row visit.
 pub fn band_around_boundary<G: GraphAccess, A: BlockAssignment>(
     graph: &G,
     partition: &A,
@@ -69,28 +74,8 @@ pub fn band_around_boundary<G: GraphAccess, A: BlockAssignment>(
     allowed_blocks: (BlockId, BlockId),
     depth: usize,
 ) -> Vec<NodeId> {
-    let mut dist = Vec::new();
-    band_around_boundary_in(graph, partition, seeds, allowed_blocks, depth, &mut dist)
-}
-
-/// [`band_around_boundary`] with a caller-provided distance scratch array, so
-/// repeated band extractions (one per pair per local refinement iteration)
-/// perform no `O(n)` allocation. `dist` is grown to `n` entries of `u32::MAX`
-/// on first use and left fully reset on return, at `O(|band|)` cost; the
-/// returned band is identical to [`band_around_boundary`]'s.
-pub fn band_around_boundary_in<G: GraphAccess, A: BlockAssignment>(
-    graph: &G,
-    partition: &A,
-    seeds: &[NodeId],
-    allowed_blocks: (BlockId, BlockId),
-    depth: usize,
-    dist: &mut Vec<u32>,
-) -> Vec<NodeId> {
     const UNSEEN: u32 = u32::MAX;
-    if dist.len() < graph.num_nodes() {
-        dist.resize(graph.num_nodes(), UNSEEN);
-    }
-    debug_assert!(dist.iter().all(|&d| d == UNSEEN), "dirty distance scratch");
+    let mut dist = vec![UNSEEN; graph.num_nodes()];
     let allowed = |v: NodeId| {
         let b = partition.block_of(v);
         b == allowed_blocks.0 || b == allowed_blocks.1
@@ -118,10 +103,6 @@ pub fn band_around_boundary_in<G: GraphAccess, A: BlockAssignment>(
                 queue.push_back(v);
             }
         });
-    }
-    // Reset only the touched entries so the scratch can be reused.
-    for &v in &order {
-        dist[v as usize] = UNSEEN;
     }
     order
 }

@@ -54,10 +54,7 @@ pub mod subgraph;
 pub mod types;
 
 pub use access::GraphAccess;
-pub use boundary::{
-    band_around_boundary, band_around_boundary_in, boundary_nodes, is_pair_boundary,
-    pair_boundary_nodes,
-};
+pub use boundary::{band_around_boundary, boundary_nodes, is_pair_boundary, pair_boundary_nodes};
 pub use boundary_index::BoundaryIndex;
 pub use builder::{graph_from_edges, GraphBuilder};
 pub use csr::{Adjacency, CsrGraph};

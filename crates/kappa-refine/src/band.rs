@@ -6,6 +6,24 @@
 //! band would have helped, a later global iteration will reach it because the
 //! boundary (and hence the band) will have shifted.
 //!
+//! ## One row visit per band node
+//!
+//! The BFS is the only pass of a pair search that reads the adjacency rows of
+//! unmoved nodes. While [`PairBand::around`] expands node `u` it classifies
+//! every neighbour's block anyway, so the same row visit also yields `u`'s
+//! pair gain (`Σω(other side) − Σω(own side)`) and whether `u` is on the pair
+//! boundary — the two things the FM search used to re-read every row for.
+//! Nodes of the last ring (distance = depth) are never expanded; they get
+//! the same visit once, without discovery. The result is a [`PairBand`]:
+//! the band in BFS order with its gains and boundary flags by band position,
+//! which [`two_way_fm_in`](crate::fm::two_way_fm_in) consumes as is. On the
+//! paged memory tier every row read is a page-cache lookup and a varint
+//! decode, so this is what the out-of-core refinement time is made of.
+//!
+//! [`band_around_boundary`] (plain BFS), [`pair_gain`](crate::gain::pair_gain)
+//! and [`is_pair_boundary`] stay as the oracles the fused visit is tested
+//! against.
+//!
 //! ## Seeding the band
 //!
 //! Finding the seeds — the pair boundary itself — used to be a full
@@ -16,20 +34,166 @@
 //!
 //! * [`FullScanSeeder`] is the retained reference — a fresh full scan every
 //!   time, exactly the historical behaviour;
-//! * [`IndexSeeder`] draws the initial seeds from the boundary index (built
-//!   per global iteration, `O(|boundary|)` per extraction) and then tracks
-//!   the worker's own FM moves: only nodes that were pair-boundary at class
-//!   start, were moved, or neighbour a moved node can ever be pair-boundary
-//!   during the worker's local iterations, so re-seeding re-examines just
-//!   this candidate set — never the whole graph.
+//! * [`IndexSeeder`] draws the initial seeds from the boundary index (kept
+//!   current by the persistent `PartitionState` across moves, classes and
+//!   hierarchy levels, never rebuilt; `O(|boundary|)` per extraction) and
+//!   then tracks the worker's own FM moves: only nodes that were
+//!   pair-boundary at class start, were moved, or neighbour a moved node can
+//!   ever be pair-boundary during the worker's local iterations, so
+//!   re-seeding re-examines just this candidate set — never the whole graph.
 //!
 //! Both seeders return the pair boundary in ascending node order, so band
 //! seeds and everything downstream are bit-identical (`tests/parity.rs`).
 
 use kappa_graph::{
     band_around_boundary, is_pair_boundary, pair_boundary_nodes, BlockAssignment, BlockId,
-    BoundaryIndex, GraphAccess, NodeId,
+    BoundaryIndex, GraphAccess, NodeId, INVALID_NODE,
 };
+
+use crate::scratch::FmScratch;
+
+/// The band of one pair search as the FM search consumes it: the movable
+/// nodes in band-BFS order, and by band position each node's pair gain and
+/// whether it is on the pair boundary — all three from one visit of each
+/// node's adjacency row, against one view at one instant.
+#[derive(Clone, Debug, Default)]
+pub struct PairBand {
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) gains: Vec<i64>,
+    pub(crate) on_boundary: Vec<bool>,
+}
+
+impl PairBand {
+    /// The depth-`depth` band of the pair `(a, b)` around `seeds`: the nodes
+    /// in exactly [`band_around_boundary`]'s order (seeds outside the pair
+    /// and repeated seeds are skipped; depth 0 keeps just the seeds), each
+    /// with its [`pair_gain`](crate::gain::pair_gain) and
+    /// [`is_pair_boundary`] flag under `view`.
+    ///
+    /// Reads every band node's row exactly once and no other row. The
+    /// band's buffers come out of `scratch` and return to it when the search
+    /// consumes the band; `scratch`'s node-indexed map serves as the BFS's
+    /// seen marker and is left reset.
+    pub fn around<G: GraphAccess, A: BlockAssignment>(
+        graph: &G,
+        view: &A,
+        seeds: &[NodeId],
+        (a, b): (BlockId, BlockId),
+        depth: usize,
+        scratch: &mut FmScratch,
+    ) -> PairBand {
+        let mut band = scratch.take_band(graph.num_nodes());
+        let PairBand {
+            nodes,
+            gains,
+            on_boundary,
+        } = &mut band;
+        let seen = &mut scratch.pos;
+        for &s in seeds {
+            let block = view.block_of(s);
+            if (block == a || block == b) && seen[s as usize] == INVALID_NODE {
+                seen[s as usize] = 0;
+                nodes.push(s);
+            }
+        }
+        // `nodes` is its own queue: BFS order is level order, so a level is
+        // the run of nodes appended while the previous one was visited. The
+        // last ring (level = depth) is visited like the rest, not expanded.
+        let (mut head, mut level, mut level_end) = (0, 0, nodes.len());
+        while head < nodes.len() {
+            if head == level_end {
+                level += 1;
+                level_end = nodes.len();
+            }
+            let expand = level < depth;
+            let (gain, boundary) = visit_row(graph, view, nodes[head], (a, b), |v| {
+                if expand && seen[v as usize] == INVALID_NODE {
+                    seen[v as usize] = 0;
+                    nodes.push(v);
+                }
+            });
+            gains.push(gain);
+            on_boundary.push(boundary);
+            head += 1;
+        }
+        for &v in nodes.iter() {
+            seen[v as usize] = INVALID_NODE;
+        }
+        band
+    }
+
+    /// The band nodes in BFS order.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// The pair gain of each band node, by band position.
+    pub fn gains(&self) -> &[i64] {
+        &self.gains
+    }
+
+    /// Whether each band node is on the pair boundary, by band position.
+    pub fn on_boundary(&self) -> &[bool] {
+        &self.on_boundary
+    }
+
+    /// Number of band nodes.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True when there is nothing to search.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Drops the nodes `keep` rejects, and their gains and flags with them;
+    /// the order of the rest is unchanged.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.nodes.len() {
+            if keep(self.nodes[i]) {
+                self.nodes[kept] = self.nodes[i];
+                self.gains[kept] = self.gains[i];
+                self.on_boundary[kept] = self.on_boundary[i];
+                kept += 1;
+            }
+        }
+        self.nodes.truncate(kept);
+        self.gains.truncate(kept);
+        self.on_boundary.truncate(kept);
+    }
+}
+
+/// One visit of `u`'s adjacency row for the pair `(a, b)` (`u` is in one of
+/// the two blocks): returns `u`'s pair gain and whether `u` has a neighbour
+/// on the other side, and reports every neighbour inside the pair to
+/// `in_pair`. The one place this crate's searches classify a neighbour as
+/// own side / other side / outside the pair.
+fn visit_row<G: GraphAccess, A: BlockAssignment>(
+    graph: &G,
+    view: &A,
+    u: NodeId,
+    (a, b): (BlockId, BlockId),
+    mut in_pair: impl FnMut(NodeId),
+) -> (i64, bool) {
+    let own = view.block_of(u);
+    debug_assert!(own == a || own == b, "node {u} not in the pair ({a}, {b})");
+    let other = if own == a { b } else { a };
+    let (mut gain, mut on_boundary) = (0i64, false);
+    graph.for_each_edge(u, |v, w| {
+        let block = view.block_of(v);
+        if block == other {
+            gain += w as i64;
+            on_boundary = true;
+            in_pair(v);
+        } else if block == own {
+            gain -= w as i64;
+            in_pair(v);
+        }
+    });
+    (gain, on_boundary)
+}
 
 /// Computes the band of eligible nodes for refining the pair `(a, b)`:
 /// a BFS of depth `depth` from the pair boundary, restricted to the two blocks.
@@ -177,10 +341,125 @@ pub fn merge_sorted_dedup(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::delta::{DeltaPairView, SharedAssignment};
+    use crate::gain::pair_gain;
     use kappa_gen::grid::grid2d;
-    use kappa_graph::{CsrGraph, Partition};
+    use kappa_graph::{BlockAssignmentMut, CsrGraph, GraphBuilder, Partition};
+    use proptest::prelude::*;
+
+    /// Every position of `band` against the public oracles: the gain is
+    /// [`pair_gain`]'s, the flag [`is_pair_boundary`]'s.
+    pub(crate) fn assert_gains_and_flags_match_oracles<A: BlockAssignment>(
+        graph: &CsrGraph,
+        view: &A,
+        band: &PairBand,
+        (a, b): (BlockId, BlockId),
+    ) {
+        assert_eq!(band.gains().len(), band.len());
+        assert_eq!(band.on_boundary().len(), band.len());
+        for (i, &v) in band.nodes().iter().enumerate() {
+            assert_eq!(
+                band.gains()[i],
+                pair_gain(graph, view, v, a, b),
+                "gain of node {v} at band position {i}"
+            );
+            assert_eq!(
+                band.on_boundary()[i],
+                is_pair_boundary(graph, view, v, a, b),
+                "boundary flag of node {v} at band position {i}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused band equals the three oracles it replaces in the hot
+        /// path — `band_around_boundary` (order), `pair_gain` (every
+        /// position), `is_pair_boundary` (every flag) — on a plain partition
+        /// and through a delta view with moves already applied, at every
+        /// depth class (seeds only, one ring, a few rings, the whole pair),
+        /// with stray and repeated seeds thrown in.
+        #[test]
+        fn fused_band_matches_the_bfs_gain_and_boundary_oracles(
+            n in 20usize..140,
+            seed in any::<u64>(),
+            k in 2u32..5,
+        ) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut builder =
+                GraphBuilder::with_node_weights((0..n).map(|_| 1 + next() % 5).collect());
+            for _ in 0..2 * n {
+                let (u, v) = ((next() % n as u64) as NodeId, (next() % n as u64) as NodeId);
+                builder.add_edge(u, v, 1 + next() % 20);
+            }
+            let graph = builder.build();
+            let partition =
+                Partition::from_assignment(k, (0..n).map(|_| (next() % k as u64) as u32).collect());
+            let a = (next() % k as u64) as u32;
+            let b = (a + 1 + (next() % (k as u64 - 1)) as u32) % k;
+
+            let shared = SharedAssignment::from_partition(&partition);
+            let mut view = DeltaPairView::new(&shared);
+            for _ in 0..n / 4 {
+                let v = (next() % n as u64) as NodeId;
+                let block = view.block_of(v);
+                if block == a || block == b {
+                    view.assign(v, a + b - block);
+                }
+            }
+
+            let strays: Vec<NodeId> = (0..4).map(|_| (next() % n as u64) as NodeId).collect();
+            let mut scratch = FmScratch::new();
+            assert_band_matches_oracles(&graph, &partition, (a, b), &strays, &mut scratch);
+            assert_band_matches_oracles(&graph, &view, (a, b), &strays, &mut scratch);
+        }
+    }
+
+    /// The body of the proptest above for one view.
+    fn assert_band_matches_oracles<A: BlockAssignment>(
+        graph: &CsrGraph,
+        view: &A,
+        (a, b): (BlockId, BlockId),
+        strays: &[NodeId],
+        scratch: &mut FmScratch,
+    ) {
+        let mut seeds = pair_boundary_nodes(graph, view, a, b);
+        seeds.extend_from_slice(strays);
+        for depth in [0usize, 1, 3, 100] {
+            let band = PairBand::around(graph, view, &seeds, (a, b), depth, scratch);
+            assert_eq!(
+                band.nodes(),
+                band_around_boundary(graph, view, &seeds, (a, b), depth),
+                "depth {depth}"
+            );
+            assert_gains_and_flags_match_oracles(graph, view, &band, (a, b));
+            // Hand the buffers back as the FM search would.
+            scratch.spare = band;
+        }
+    }
+
+    #[test]
+    fn retain_keeps_nodes_gains_and_flags_aligned() {
+        let (g, p) = half_split(8);
+        let seeds = pair_boundary_nodes(&g, &p, 0, 1);
+        let mut scratch = FmScratch::new();
+        let mut band = PairBand::around(&g, &p, &seeds, (0, 1), 2, &mut scratch);
+        let order_before = band.nodes().to_vec();
+        band.retain(|v| v % 3 != 0);
+        let expected: Vec<NodeId> = order_before.into_iter().filter(|v| v % 3 != 0).collect();
+        assert!(!expected.is_empty() && expected.len() < 48);
+        assert_eq!(band.nodes(), expected);
+        assert_gains_and_flags_match_oracles(&g, &p, &band, (0, 1));
+    }
 
     fn half_split(side: usize) -> (CsrGraph, Partition) {
         let g = grid2d(side, side);
@@ -225,9 +504,6 @@ mod tests {
 
     #[test]
     fn band_through_a_delta_view_matches_band_on_an_equal_partition() {
-        use crate::delta::{DeltaPairView, SharedAssignment};
-        use kappa_graph::BlockAssignmentMut;
-
         let (g, p) = half_split(12);
         let shared = SharedAssignment::from_partition(&p);
         let mut view = DeltaPairView::new(&shared);

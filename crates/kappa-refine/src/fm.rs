@@ -24,7 +24,7 @@ use kappa_graph::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::gain::pair_gain;
+use crate::band::PairBand;
 use crate::queue_select::QueueSelection;
 use crate::scratch::FmScratch;
 
@@ -184,9 +184,9 @@ impl LazyQueue {
 
 /// Runs one 2-way FM search on the pair `(block_a, block_b)`.
 ///
-/// * `eligible` — the band of movable nodes (all must currently be in one of
-///   the two blocks). Nodes outside the band are frozen but still contribute
-///   to gains.
+/// * `eligible` — the band of movable nodes (repeats and nodes outside the
+///   two blocks are skipped). Nodes outside the band are frozen but still
+///   contribute to gains.
 /// * `weight_a` / `weight_b` — the *full* current weights of the two blocks
 ///   (not just the band), needed for the balance bound.
 ///
@@ -197,10 +197,12 @@ impl LazyQueue {
 /// [`DeltaPairView`](crate::delta::DeltaPairView) so concurrent pair searches
 /// share one read-only base partition instead of cloning it.
 ///
-/// This convenience wrapper allocates a fresh [`FmScratch`] per call; hot
-/// paths (the refinement scheduler) use [`two_way_fm_in`] with a pooled
-/// scratch instead, which performs no per-call `O(n)` allocation. Both are
-/// bit-identical.
+/// This convenience wrapper takes a bare node list: it allocates a fresh
+/// [`FmScratch`] and builds the [`PairBand`] with a depth-0
+/// [`PairBand::around`] — one row visit per listed node. Hot paths (the
+/// refinement scheduler) already hold the band their BFS produced and call
+/// [`two_way_fm_in`] with a pooled scratch, which performs no per-call `O(n)`
+/// allocation.
 #[allow(clippy::too_many_arguments)]
 pub fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
     graph: &G,
@@ -213,12 +215,20 @@ pub fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
     config: &FmConfig,
 ) -> FmResult {
     let mut scratch = FmScratch::new();
+    let band = PairBand::around(
+        graph,
+        &*partition,
+        eligible,
+        (block_a, block_b),
+        0,
+        &mut scratch,
+    );
     two_way_fm_in(
         graph,
         partition,
         block_a,
         block_b,
-        eligible,
+        band,
         weight_a,
         weight_b,
         config,
@@ -226,36 +236,44 @@ pub fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
     )
 }
 
-/// [`two_way_fm`] with caller-provided scratch buffers.
+/// The 2-way FM search on a band that arrives with its gains and boundary
+/// flags ([`PairBand`]), with caller-provided scratch buffers.
 ///
-/// The search's working state (`gains` and `moved` indexed by *band
-/// position*, the node → band-position map, the band BFS distances) lives in
-/// `scratch`; the node-indexed arrays are grown to `n` once and reset at only
-/// the touched entries before returning, so a reused scratch makes the whole
-/// search allocate `O(|band|)` instead of `O(n)`. `eligible` must not contain
-/// duplicates (bands never do).
+/// `band` must describe `partition` as it is now: the search reads no
+/// adjacency row before its first move — initial gains and the initial
+/// queues come from the band — and afterwards only the rows of the nodes it
+/// moves. Its working state (`gains` and `moved` indexed by *band position*,
+/// the node → band-position map) lives in the band and in `scratch`; the
+/// node-indexed map is grown to `n` once and reset at only the touched
+/// entries before returning, and the band's buffers are parked in `scratch`
+/// for the next band, so a reused scratch makes the whole search allocate
+/// `O(|band|)` instead of `O(n)`.
 #[allow(clippy::too_many_arguments)]
 pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
     graph: &G,
     partition: &mut P,
     block_a: BlockId,
     block_b: BlockId,
-    eligible: &[NodeId],
+    band: PairBand,
     weight_a: NodeWeight,
     weight_b: NodeWeight,
     config: &FmConfig,
     scratch: &mut FmScratch,
 ) -> FmResult {
     let mut result = FmResult::default();
-    if eligible.is_empty() {
+    if band.is_empty() {
+        scratch.spare = band;
         return result;
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    scratch.prepare(graph.num_nodes(), eligible.len());
-    let FmScratch {
-        pos, gains, moved, ..
-    } = scratch;
+    scratch.prepare(graph.num_nodes(), band.len());
+    let FmScratch { pos, moved, spare } = scratch;
+    let PairBand {
+        nodes: eligible,
+        mut gains,
+        on_boundary,
+    } = band;
     for (i, &v) in eligible.iter().enumerate() {
         debug_assert!(
             partition.block_of(v) == block_a || partition.block_of(v) == block_b,
@@ -265,9 +283,6 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
         pos[v as usize] = i as NodeId;
     }
     // `pos[v] != INVALID_NODE` now means "v is in the band".
-    for (i, &v) in eligible.iter().enumerate() {
-        gains[i] = pair_gain(graph, partition, v, block_a, block_b);
-    }
 
     let mut queue_a = LazyQueue::new();
     let mut queue_b = LazyQueue::new();
@@ -275,14 +290,8 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
     // Initialise with boundary nodes of the band, in random order.
     let mut init: Vec<NodeId> = eligible
         .iter()
-        .copied()
-        .filter(|&v| {
-            let own = partition.block_of(v);
-            let other = if own == block_a { block_b } else { block_a };
-            graph
-                .edges_of(v)
-                .any(|(u, _)| partition.block_of(u) == other)
-        })
+        .zip(&on_boundary)
+        .filter_map(|(&v, &flagged)| flagged.then_some(v))
         .collect();
     // Fisher-Yates via rand.
     for i in (1..init.len()).rev() {
@@ -327,8 +336,8 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
         if since_best > patience {
             break;
         }
-        let ga = queue_a.peek_valid(pos, gains, moved, partition, block_a);
-        let gb = queue_b.peek_valid(pos, gains, moved, partition, block_b);
+        let ga = queue_a.peek_valid(pos, &gains, moved, partition, block_a);
+        let gb = queue_b.peek_valid(pos, &gains, moved, partition, block_b);
         let overloaded = w_a > config.l_max || w_b > config.l_max;
         let Some(from_a) = config
             .queue_selection
@@ -341,7 +350,7 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
         } else {
             (&mut queue_b, block_b, block_a)
         };
-        let Some(v) = queue.pop_valid(pos, gains, moved, partition, from) else {
+        let Some(v) = queue.pop_valid(pos, &gains, moved, partition, from) else {
             // The chosen queue was exhausted after all; try the other side
             // once more on the next iteration (the strategy will see `None`).
             last_was_a = from_a;
@@ -428,11 +437,16 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
         .map(|&(v, _from, to)| (v, to))
         .collect();
 
-    // Reset the node-indexed scratch at the touched entries only, restoring
-    // the reuse contract.
-    for &v in eligible {
+    // Reset the node-indexed scratch at the touched entries only and park
+    // the band's buffers, restoring the reuse contract.
+    for &v in &eligible {
         pos[v as usize] = INVALID_NODE;
     }
+    *spare = PairBand {
+        nodes: eligible,
+        gains,
+        on_boundary,
+    };
     result
 }
 
@@ -717,12 +731,13 @@ mod tests {
         for round in 0..3 {
             let mut p = Partition::from_assignment(2, assignment.clone());
             let weights = BlockWeights::compute(&g, &p);
+            let band = PairBand::around(&g, &p, &eligible, (0, 1), 0, &mut scratch);
             let r = two_way_fm_in(
                 &g,
                 &mut p,
                 0,
                 1,
-                &eligible,
+                band,
                 weights.weight(0),
                 weights.weight(1),
                 &config,
@@ -738,12 +753,13 @@ mod tests {
             let mut q = Partition::from_assignment(2, (0..100).map(|i| (i % 2) as u32).collect());
             let qw = BlockWeights::compute(&g, &q);
             let band: Vec<NodeId> = (20..60).collect();
+            let band = PairBand::around(&g, &q, &band, (1, 0), 0, &mut scratch);
             let _ = two_way_fm_in(
                 &g,
                 &mut q,
                 1,
                 0,
-                &band,
+                band,
                 qw.weight(1),
                 qw.weight(0),
                 &config,

@@ -29,16 +29,18 @@
 //!   tie-breaks) resolves the same way as on the full graph.
 //! * The band BFS is re-run from the same seeds on the region, whose
 //!   restriction to `a ∪ b` within `depth` hops equals the full graph's, so
-//!   the band's traversal order — and with it the whole FM trajectory — is
-//!   identical. `gathered_region_matches_direct_search` below proves it.
+//!   the band's traversal order is identical. The BFS is the fused one
+//!   ([`PairBand::around`]): it also yields every band node's gain and
+//!   boundary flag, from that node's region row — which holds all of the
+//!   node's `a ∪ b` edges, the only ones either number depends on. Order,
+//!   gains and flags being equal, so is the whole FM trajectory.
+//!   `gathered_region_matches_direct_search` below proves it.
 
 use std::fmt;
 
-use kappa_graph::{
-    band_around_boundary_in, is_pair_boundary, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight,
-    Partition,
-};
+use kappa_graph::{is_pair_boundary, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition};
 
+use crate::band::PairBand;
 use crate::fm::{two_way_fm_in, FmConfig, FmResult};
 use crate::scratch::FmScratch;
 
@@ -332,6 +334,47 @@ impl GatheredRegion {
             .map(|l| self.gids[l])
             .collect()
     }
+
+    /// The band of one search on this region, in region-local ids: the fused
+    /// BFS from `seeds` (global ids), which must stay inside the gathered
+    /// band on the first search and is clipped to it on a follow-up — see
+    /// [`refine_gathered_band`].
+    fn band(
+        &self,
+        a: BlockId,
+        b: BlockId,
+        seeds: &[NodeId],
+        depth: usize,
+        scratch: &mut FmScratch,
+        follow_up: bool,
+    ) -> Result<PairBand, ShardError> {
+        let not_gathered = |gid: NodeId, role: &str| ShardError {
+            shard: None,
+            reason: format!("{role} {gid} is not a gathered band node"),
+        };
+        let local_seeds = seeds
+            .iter()
+            .map(|&gid| match self.gids.binary_search(&gid) {
+                Ok(l) if self.band_membership[l] => Ok(l as NodeId),
+                _ => Err(not_gathered(gid, "seed")),
+            })
+            .collect::<Result<Vec<NodeId>, ShardError>>()?;
+        let mut band = PairBand::around(
+            &self.graph,
+            &self.partition,
+            &local_seeds,
+            (a, b),
+            depth,
+            scratch,
+        );
+        let gathered = |v: NodeId| self.band_membership[v as usize];
+        if follow_up {
+            band.retain(gathered);
+        } else if let Some(&v) = band.nodes().iter().find(|&&v| !gathered(v)) {
+            return Err(not_gathered(self.gids[v as usize], "band BFS node"));
+        }
+        Ok(band)
+    }
 }
 
 /// Brings `rows[start..]`, the row of region node `u`, into CSR form:
@@ -366,8 +409,8 @@ fn normalise_row(rows: &mut Vec<(NodeId, EdgeWeight)>, start: usize, u: NodeId) 
 /// `BandSeeder::seeds` produces); `depth` the band BFS depth; `w_a` / `w_b`
 /// the *full* current block weights. The first search of a region
 /// (`follow_up == false`) is bit-identical to running
-/// `band_around_boundary_in` + `two_way_fm_in` on the un-gathered graph with
-/// the same parameters; there a seed that is no gathered band node, or a BFS
+/// `PairBand::around` + `two_way_fm_in` on the un-gathered graph with the
+/// same parameters; there a seed that is no gathered band node, or a BFS
 /// that leaves the gathered band, means seeds and shards disagree — a
 /// [`ShardError`].
 ///
@@ -375,8 +418,10 @@ fn normalise_row(rows: &mut Vec<(NodeId, EdgeWeight)>, start: usize, u: NodeId) 
 /// originally gathered band set instead: after a first pass moved nodes, the
 /// shifted boundary can reach ring nodes the gather never shipped, and
 /// clipping keeps them frozen, exactly as they would be for the band that
-/// *was* gathered. The distributed scheduler pools `local_iterations`
-/// searches into one gather this way.
+/// *was* gathered (a ring node's region row is partial, so the gain the BFS
+/// computed for it is dropped with it; the kept nodes' rows are whole). The
+/// distributed scheduler pools `local_iterations` searches into one gather
+/// this way.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_gathered_band(
     region: &mut GatheredRegion,
@@ -390,36 +435,13 @@ pub fn refine_gathered_band(
     scratch: &mut FmScratch,
     follow_up: bool,
 ) -> Result<FmResult, ShardError> {
-    let not_gathered = |gid: NodeId, role: &str| ShardError {
-        shard: None,
-        reason: format!("{role} {gid} is not a gathered band node"),
-    };
-    let local_seeds = seeds
-        .iter()
-        .map(|&gid| match region.gids.binary_search(&gid) {
-            Ok(l) if region.band_membership[l] => Ok(l as NodeId),
-            _ => Err(not_gathered(gid, "seed")),
-        })
-        .collect::<Result<Vec<NodeId>, ShardError>>()?;
-    let mut band = band_around_boundary_in(
-        &region.graph,
-        &region.partition,
-        &local_seeds,
-        (a, b),
-        depth,
-        scratch.bfs_dist(),
-    );
-    if follow_up {
-        band.retain(|&v| region.band_membership[v as usize]);
-    } else if let Some(&v) = band.iter().find(|&&v| !region.band_membership[v as usize]) {
-        return Err(not_gathered(region.gids[v as usize], "band BFS node"));
-    }
+    let band = region.band(a, b, seeds, depth, scratch, follow_up)?;
     let mut result = two_way_fm_in(
         &region.graph,
         &mut region.partition,
         a,
         b,
-        &band,
+        band,
         w_a,
         w_b,
         fm_config,
@@ -434,9 +456,10 @@ pub fn refine_gathered_band(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::band::tests::assert_gains_and_flags_match_oracles;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
-    use kappa_graph::{pair_boundary_nodes, BlockWeights, GraphBuilder};
+    use kappa_graph::{band_around_boundary, pair_boundary_nodes, BlockWeights, GraphBuilder};
     use kappa_initial::greedy_graph_growing;
     use proptest::prelude::*;
 
@@ -451,8 +474,7 @@ mod tests {
         depth: usize,
     ) -> BandShard {
         let seeds = pair_boundary_nodes(graph, partition, a, b);
-        let mut dist = Vec::new();
-        let band = band_around_boundary_in(graph, partition, &seeds, (a, b), depth, &mut dist);
+        let band = band_around_boundary(graph, partition, &seeds, (a, b), depth);
         let mut shard = BandShard::with_capacity(0, 0);
         for &v in &band {
             let edges = graph.edges_of(v).filter_map(|(u, w)| {
@@ -738,22 +760,16 @@ mod tests {
                     };
                     // Direct search on the full graph.
                     let mut direct_partition = partition.clone();
-                    let mut dist = Vec::new();
-                    let band = band_around_boundary_in(
-                        &graph,
-                        &partition,
-                        &seeds,
-                        (a, b),
-                        depth,
-                        &mut dist,
-                    );
                     let mut scratch = FmScratch::new();
+                    let band =
+                        PairBand::around(&graph, &partition, &seeds, (a, b), depth, &mut scratch);
+                    let band_len = band.len();
                     let direct = two_way_fm_in(
                         &graph,
                         &mut direct_partition,
                         a,
                         b,
-                        &band,
+                        band,
                         weights.weight(a),
                         weights.weight(b),
                         &fm_config,
@@ -764,7 +780,7 @@ mod tests {
                     let mut region = GatheredRegion::assemble(k, &[shard]).unwrap();
                     assert_eq!(
                         region.band_membership.iter().filter(|&&b| b).count(),
-                        band.len()
+                        band_len
                     );
                     let mut scratch2 = FmScratch::new();
                     let gathered = refine_gathered_band(
@@ -837,6 +853,44 @@ mod tests {
         let again = region.boundary_seeds(a, b);
         assert!(again.windows(2).all(|w| w[0] < w[1]), "seeds ascend");
         if !again.is_empty() {
+            // The clipped band keeps nodes, gains and flags aligned: it is
+            // the region BFS minus the ring, and every kept position holds
+            // what the oracles say about that node — on the region and, the
+            // first search's moves replayed, on the full graph too (a band
+            // node's region row has all its `a ∪ b` edges).
+            let clipped = region.band(a, b, &again, 3, &mut scratch, true).unwrap();
+            let locals: Vec<NodeId> = again
+                .iter()
+                .map(|gid| region.gids.binary_search(gid).unwrap() as NodeId)
+                .collect();
+            let expected: Vec<NodeId> =
+                band_around_boundary(&region.graph, &region.partition, &locals, (a, b), 3)
+                    .into_iter()
+                    .filter(|&l| region.band_membership[l as usize])
+                    .collect();
+            assert_eq!(clipped.nodes(), expected);
+            assert!(clipped.len() <= shard.gids.len());
+            assert_gains_and_flags_match_oracles(
+                &region.graph,
+                &region.partition,
+                &clipped,
+                (a, b),
+            );
+            let mut moved = partition.clone();
+            for &(gid, to) in &first.moves {
+                moved.assign(gid, to);
+            }
+            let on_full_graph = PairBand {
+                nodes: clipped
+                    .nodes()
+                    .iter()
+                    .map(|&l| region.gids[l as usize])
+                    .collect(),
+                ..clipped.clone()
+            };
+            assert_gains_and_flags_match_oracles(&graph, &moved, &on_full_graph, (a, b));
+            scratch.spare = clipped;
+
             let second = refine_gathered_band(
                 &mut region,
                 a,

@@ -9,7 +9,10 @@
 //!   the lexicographically best `(imbalance, cut)` state;
 //! * **boundary bands** ([`band`], Figure 2): the search is restricted to a
 //!   bounded-BFS neighbourhood of the block-pair boundary so only a small
-//!   fraction of each block ever needs to be exchanged between PEs; band
+//!   fraction of each block ever needs to be exchanged between PEs; the
+//!   band BFS is the one pass that reads a band node's adjacency row, so it
+//!   also takes the node's gain and boundary flag from it ([`PairBand`]) and
+//!   the FM search starts without touching the graph; band
 //!   seeds come from an incremental
 //!   [`BoundaryIndex`](kappa_graph::BoundaryIndex) via [`IndexSeeder`]
 //!   (the full-scan [`FullScanSeeder`] is the retained reference), so seed
@@ -73,7 +76,7 @@ pub mod scheduler;
 pub mod scratch;
 
 pub use balance::{best_move_of, fallback_move_of, fallback_target, rebalance, rebalance_state};
-pub use band::{merge_sorted_dedup, pair_band, BandSeeder, FullScanSeeder, IndexSeeder};
+pub use band::{merge_sorted_dedup, pair_band, BandSeeder, FullScanSeeder, IndexSeeder, PairBand};
 pub use coloring::{color_quotient_edges, EdgeColoring};
 pub use delta::{DeltaPairView, SharedAssignment};
 pub use fm::{patience_bound, two_way_fm, two_way_fm_in, FmConfig, FmResult};

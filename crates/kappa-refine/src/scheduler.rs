@@ -35,13 +35,13 @@
 //! every call, and the rebalancer bypassed the index entirely.
 
 use kappa_graph::{
-    band_around_boundary_in, BlockAssignmentMut, BlockId, BlockWeights, GraphAccess, NodeId,
-    NodeWeight, Partition, PartitionState, QuotientGraph,
+    BlockAssignmentMut, BlockId, BlockWeights, GraphAccess, NodeId, NodeWeight, Partition,
+    PartitionState, QuotientGraph,
 };
 use rayon::prelude::*;
 
 use crate::balance::{rebalance, rebalance_state};
-use crate::band::{BandSeeder, FullScanSeeder, IndexSeeder};
+use crate::band::{BandSeeder, FullScanSeeder, IndexSeeder, PairBand};
 use crate::coloring::color_quotient_edges;
 use crate::delta::{DeltaPairView, SharedAssignment};
 use crate::fm::{pair_search_seed, two_way_fm_in, FmConfig};
@@ -183,16 +183,9 @@ pub(crate) fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P
         if seeds.is_empty() {
             break;
         }
-        let band = band_around_boundary_in(
-            graph,
-            target,
-            &seeds,
-            (a, b),
-            config.bfs_depth,
-            scratch.bfs_dist(),
-        );
+        let band = PairBand::around(graph, &*target, &seeds, (a, b), config.bfs_depth, scratch);
         let fm_config = config.fm_config(l_max, global_iter, color_idx, local_iter, a, b);
-        let result = two_way_fm_in(graph, target, a, b, &band, w_a, w_b, &fm_config, scratch);
+        let result = two_way_fm_in(graph, target, a, b, band, w_a, w_b, &fm_config, scratch);
         searches += 1;
         if result.moves.is_empty() {
             break;
@@ -467,10 +460,12 @@ pub fn refine_partition_reference<G: GraphAccess + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::band::pair_band;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
-    use kappa_graph::CsrGraph;
+    use kappa_graph::{Adjacency, BlockAssignment, CsrGraph, EdgeWeight};
     use kappa_initial::{greedy_graph_growing, random_partition};
+    use std::cell::{Cell, RefCell};
 
     /// [`refine_partition`] on a bare [`Partition`]: a fresh state per call.
     fn refine_partition_in_place(
@@ -615,6 +610,161 @@ mod tests {
             assert_eq!(stats.nodes_moved, expected_stats.nodes_moved);
             assert_eq!(stats.global_iterations, expected_stats.global_iterations);
             state.verify_exact(&g).unwrap();
+        }
+    }
+
+    /// A graph that counts how often each node's adjacency row is read,
+    /// before and after the first `assign` of the search it is handed to.
+    struct CountingGraph<'g> {
+        graph: &'g CsrGraph,
+        assigns: &'g Cell<usize>,
+        /// `(reads before the first move, reads after it)` per node.
+        reads: RefCell<Vec<(u32, u32)>>,
+    }
+
+    impl CountingGraph<'_> {
+        fn count(&self, v: NodeId) {
+            let reads = &mut self.reads.borrow_mut()[v as usize];
+            if self.assigns.get() == 0 {
+                reads.0 += 1;
+            } else {
+                reads.1 += 1;
+            }
+        }
+    }
+
+    impl Adjacency for CountingGraph<'_> {
+        fn degree_of(&self, v: NodeId) -> usize {
+            self.graph.degree(v)
+        }
+
+        fn node_weight_of(&self, v: NodeId) -> NodeWeight {
+            self.graph.node_weight(v)
+        }
+
+        fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
+            self.count(v);
+            self.graph.for_each_edge(v, f);
+        }
+    }
+
+    impl GraphAccess for CountingGraph<'_> {
+        fn num_nodes(&self) -> usize {
+            self.graph.num_nodes()
+        }
+
+        fn num_half_edges(&self) -> usize {
+            self.graph.num_half_edges()
+        }
+
+        fn total_node_weight(&self) -> NodeWeight {
+            self.graph.total_node_weight()
+        }
+
+        fn max_node_weight(&self) -> NodeWeight {
+            self.graph.max_node_weight()
+        }
+
+        fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
+            self.count(v);
+            self.graph.edges_of(v)
+        }
+    }
+
+    /// A partition that counts its `assign` calls (FM moves and rollbacks).
+    struct CountingView<'c> {
+        partition: Partition,
+        assigns: &'c Cell<usize>,
+    }
+
+    impl BlockAssignment for CountingView<'_> {
+        fn k(&self) -> BlockId {
+            self.partition.k()
+        }
+
+        fn block_of(&self, v: NodeId) -> BlockId {
+            self.partition.block_of(v)
+        }
+    }
+
+    impl BlockAssignmentMut for CountingView<'_> {
+        fn assign(&mut self, v: NodeId, b: BlockId) {
+            self.assigns.set(self.assigns.get() + 1);
+            self.partition.assign(v, b);
+        }
+    }
+
+    /// The property the fused band exists for: one local iteration of a pair
+    /// search reads the row of every band node exactly once — and no other
+    /// row — before its first move, and afterwards one row per move it makes
+    /// (the gain update), nothing else. The seeder is given the bare graph:
+    /// what it reads to find the pair boundary is not the search's.
+    #[test]
+    fn a_pair_search_reads_each_band_row_once_before_the_first_move() {
+        let instances = [
+            (random_geometric_graph(1 << 12, 5), 4u32, 5usize),
+            (grid2d(48, 48), 4, 3),
+            (grid2d(48, 48), 2, 0),
+        ];
+        for (graph, k, depth) in instances {
+            let partition = greedy_graph_growing(&graph, k, 0.03, 7);
+            let state = PartitionState::build(&graph, partition.clone());
+            let quotient = state.quotient(&graph);
+            let config = RefinementConfig {
+                bfs_depth: depth,
+                local_iterations: 1,
+                patience_alpha: 0.2,
+                ..Default::default()
+            };
+            let l_max = Partition::l_max(&graph, k, config.epsilon);
+            let mut searched = 0;
+            for &(a, b, _) in quotient.edges() {
+                let band = pair_band(&graph, &partition, a, b, depth);
+                let assigns = Cell::new(0);
+                let counting = CountingGraph {
+                    graph: &graph,
+                    assigns: &assigns,
+                    reads: RefCell::new(vec![(0, 0); graph.num_nodes()]),
+                };
+                let mut view = CountingView {
+                    partition: partition.clone(),
+                    assigns: &assigns,
+                };
+                let mut seeder = IndexSeeder::new(&graph, state.boundary(), a, b);
+                let delta = search_pair(
+                    &counting,
+                    &mut view,
+                    &mut seeder,
+                    &mut FmScratch::new(),
+                    a,
+                    b,
+                    state.weights().weight(a),
+                    state.weights().weight(b),
+                    l_max,
+                    &config,
+                    0,
+                    0,
+                );
+                assert_eq!(delta.searches, 1);
+                let reads = counting.reads.into_inner();
+                let mut in_band = vec![false; graph.num_nodes()];
+                for &v in &band {
+                    in_band[v as usize] = true;
+                }
+                for (v, &(before, after)) in reads.iter().enumerate() {
+                    assert_eq!(
+                        before, in_band[v] as u32,
+                        "pair ({a},{b}) depth {depth}: row {v} read {before}× before the first move"
+                    );
+                    assert!(after <= 1, "row {v} read {after}× after the first move");
+                }
+                // Every attempted move reads its node's row once; assigns =
+                // attempted moves + rollbacks, survivors = their difference.
+                let after: usize = reads.iter().map(|&(_, after)| after as usize).sum();
+                assert_eq!(2 * after, assigns.get() + delta.moves.len());
+                searched += (after > 0) as usize;
+            }
+            assert!(searched > 0, "no pair search of k = {k} moved anything");
         }
     }
 

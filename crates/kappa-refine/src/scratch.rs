@@ -3,11 +3,14 @@
 //! Every 2-way FM search used to allocate three `O(n)` vectors (`in_band`,
 //! `gains`, `moved`) and every band BFS one more (`dist`) — per pair, per
 //! local iteration, so refinement *allocation* scaled with total graph size
-//! even when the searchable band was tiny. [`FmScratch`] keeps those buffers
-//! alive between searches: the two node-indexed arrays (`pos`, `dist`) are
-//! grown once to `n` and reset only at the `O(|band|)` entries a search
-//! touched; the remaining buffers are indexed by *band position* and merely
-//! cleared (capacity retained). [`ScratchPool`] hands the buffers out to the
+//! even when the searchable band was tiny. [`FmScratch`] keeps the buffers
+//! alive between searches instead. One is node-indexed: `pos`, grown once to
+//! `n` and reset only at the `O(|band|)` entries a search touched — the band
+//! BFS uses it as its seen marker, the FM search as its node → band-position
+//! map. The rest are indexed by *band position* and merely cleared (capacity
+//! retained): `moved`, and the three vectors of a [`PairBand`] (`nodes`,
+//! `gains`, `on_boundary`), which leave the scratch when a band is built and
+//! come back when the search has consumed it. [`ScratchPool`] hands the buffers out to the
 //! scheduler's concurrent pair workers, so a refinement call performs at most
 //! `min(#workers, #pairs)` full-size allocations no matter how many pair
 //! searches run.
@@ -16,25 +19,24 @@ use std::sync::Mutex;
 
 use kappa_graph::{NodeId, INVALID_NODE};
 
-/// Reusable buffers for one 2-way FM search plus its band BFS.
+use crate::band::PairBand;
+
+/// Reusable buffers for one band BFS plus its 2-way FM search.
 ///
 /// Obtain one from a [`ScratchPool`] (or [`FmScratch::new`] for one-off
-/// calls) and pass it to
-/// [`two_way_fm_in`](crate::fm::two_way_fm_in). All buffers are
-/// reset by the search itself before it returns, so a scratch can be reused
-/// for any later search on any graph.
+/// calls) and pass it to [`PairBand::around`] and
+/// [`two_way_fm_in`](crate::fm::two_way_fm_in). Both leave every buffer
+/// reset, so a scratch can be reused for any later search on any graph.
 #[derive(Debug, Default)]
 pub struct FmScratch {
-    /// Node → position in the current band (`INVALID_NODE` when outside).
-    /// Node-indexed; reset entry-by-entry after each search.
+    /// Node-indexed, `INVALID_NODE` between uses: "seen" marks during the
+    /// band BFS, node → band position during the FM search. Reset
+    /// entry-by-entry by each.
     pub(crate) pos: Vec<NodeId>,
-    /// Gain of each band node, indexed by band position.
-    pub(crate) gains: Vec<i64>,
     /// Moved flag of each band node, indexed by band position.
     pub(crate) moved: Vec<bool>,
-    /// BFS distance scratch for the band extraction, node-indexed
-    /// (`u32::MAX` = unseen); reset entry-by-entry by the BFS.
-    pub(crate) dist: Vec<u32>,
+    /// The buffers of the last consumed band, parked for the next one.
+    pub(crate) spare: PairBand,
 }
 
 impl FmScratch {
@@ -43,26 +45,34 @@ impl FmScratch {
         FmScratch::default()
     }
 
-    /// Grows the node-indexed `pos` map to cover `n` nodes and clears the
-    /// band-indexed buffers. Called by the FM search on entry.
-    pub(crate) fn prepare(&mut self, n: usize, band_len: usize) {
+    /// Grows the node-indexed `pos` map to cover `n` nodes.
+    fn cover(&mut self, n: usize) {
         if self.pos.len() < n {
             self.pos.resize(n, INVALID_NODE);
         }
         debug_assert!(
             self.pos.iter().all(|&p| p == INVALID_NODE),
-            "dirty band-position scratch"
+            "dirty node-indexed scratch"
         );
-        self.gains.clear();
-        self.gains.resize(band_len, 0);
-        self.moved.clear();
-        self.moved.resize(band_len, false);
     }
 
-    /// The BFS distance scratch, for
-    /// [`band_around_boundary_in`](kappa_graph::band_around_boundary_in).
-    pub fn bfs_dist(&mut self) -> &mut Vec<u32> {
-        &mut self.dist
+    /// Hands out the parked band buffers, emptied, and makes `pos` cover `n`
+    /// nodes. Called by the band BFS on entry.
+    pub(crate) fn take_band(&mut self, n: usize) -> PairBand {
+        self.cover(n);
+        let mut band = std::mem::take(&mut self.spare);
+        band.nodes.clear();
+        band.gains.clear();
+        band.on_boundary.clear();
+        band
+    }
+
+    /// Makes `pos` cover `n` nodes and clears `moved` for a band of
+    /// `band_len` nodes. Called by the FM search on entry.
+    pub(crate) fn prepare(&mut self, n: usize, band_len: usize) {
+        self.cover(n);
+        self.moved.clear();
+        self.moved.resize(band_len, false);
     }
 }
 
@@ -133,11 +143,19 @@ mod tests {
     fn prepare_clears_band_buffers() {
         let mut s = FmScratch::new();
         s.prepare(8, 4);
-        s.gains[2] = 7;
         s.moved[3] = true;
         s.prepare(8, 6);
-        assert!(s.gains.iter().all(|&g| g == 0));
         assert!(s.moved.iter().all(|&m| !m));
-        assert_eq!(s.gains.len(), 6);
+        assert_eq!(s.moved.len(), 6);
+
+        let mut band = s.take_band(8);
+        band.nodes.extend([1, 2, 3]);
+        band.gains.extend([7, 8, 9]);
+        band.on_boundary.extend([true, false, true]);
+        let capacity = band.nodes.capacity();
+        s.spare = band;
+        let band = s.take_band(8);
+        assert!(band.is_empty() && band.gains.is_empty() && band.on_boundary.is_empty());
+        assert_eq!(band.nodes.capacity(), capacity, "buffer was not reused");
     }
 }

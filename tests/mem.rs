@@ -88,6 +88,78 @@ fn paged_matches_ram_on_small_instance() {
     assert_eq!(paged.edge_cut, classic.metrics.edge_cut);
 }
 
+/// Deterministic page-miss ceiling on the layer that thrashes (ROADMAP item
+/// 2): the last uncoarsening step of an rgg 2^15 — project a solved level-1
+/// state, `refine_partition` — straight on a `PagedGraph` whose cache (32
+/// pages = 128 KiB) holds about a ninth of the edge region, as
+/// `paged_rgg17_k8_thrash`'s does. At one worker the miss count is exact.
+///
+/// Since PR 22 the band BFS is the only pass of a pair search that reads the
+/// rows of unmoved nodes (`kappa_refine::PairBand`): this step takes
+/// **51 020** misses (51 338 in a debug build, whose assertions recount the
+/// cut by sweeping the file); at PR 22's parent, where the FM search re-read
+/// every band row for its gain and again for its queue, it took **134 403**
+/// (134 721). The ceiling is this PR's debug count, under half the parent's.
+#[test]
+fn paged_refinement_stays_under_the_page_miss_ceiling() {
+    use kappa::coarsen::contract_matching;
+    use kappa::graph::PartitionState;
+    use kappa::matching::compute_matching;
+    use kappa::mem::{PageCacheConfig, PagedGraph};
+    use kappa::refine::refine_partition;
+
+    const CEILING: u64 = 51_338;
+    const PARENT: u64 = 134_403;
+    const { assert!(2 * CEILING < PARENT) };
+
+    let graph = random_geometric_graph(1 << 15, 11);
+    let cfg = KappaConfig::fast(8).with_seed(7).with_threads(1);
+    let matching = compute_matching(&graph, cfg.matching, cfg.rating, cfg.seed);
+    let contraction = contract_matching(&graph, &matching);
+    let coarse = &contraction.coarse_graph;
+    let coarse_state = PartitionState::build(
+        coarse,
+        KappaPartitioner::new(cfg).partition(coarse).partition,
+    );
+
+    let dir = default_spill_dir("mem-refine-misses");
+    std::fs::create_dir_all(&dir).expect("spill dir");
+    let cache = PageCacheConfig {
+        page_size: 4096,
+        cache_pages: 32,
+    };
+    let paged = PagedGraph::from_graph(&graph, &dir.join("finest.kpg"), cache).expect("spill");
+
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builder does not fail");
+    let (in_ram, on_disk, misses) = one_worker.install(|| {
+        let mut in_ram = coarse_state.project(&graph, &contraction.coarse_of);
+        refine_partition(&graph, &mut in_ram, &cfg.refinement());
+        let mut on_disk = coarse_state.project(&paged, &contraction.coarse_of);
+        paged.reset_cache_stats();
+        refine_partition(&paged, &mut on_disk, &cfg.refinement());
+        (in_ram, on_disk, paged.cache_stats().misses)
+    });
+    drop(paged);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        in_ram.edge_cut() < coarse_state.edge_cut(),
+        "nothing refined"
+    );
+    assert_eq!(
+        on_disk.partition().assignment(),
+        in_ram.partition().assignment(),
+        "refining on the paged tier diverged from refining in RAM"
+    );
+    assert!(
+        misses <= CEILING,
+        "paged refinement of rgg 2^15 took {misses} page misses, ceiling {CEILING}"
+    );
+}
+
 #[test]
 #[ignore = "release-profile memory tier: 2^22-node instance, run via the CI mem job"]
 fn mem_rgg_2e22_paged_half_ram_and_bit_identical() {
