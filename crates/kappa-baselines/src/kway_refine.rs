@@ -4,27 +4,24 @@
 //! target block under the weight limit. No hill climbing, no rollback — which
 //! is exactly why it is fast and why its quality trails pairwise FM.
 //!
-//! Two implementations share the per-node move rule:
-//!
-//! * [`greedy_kway_refinement`] — the retained full-sweep reference: every
-//!   pass visits all `n` nodes in ascending order and skips interior ones by
-//!   inspecting their neighbourhoods, `O(n + m)` per pass regardless of how
-//!   small the boundary is.
-//! * [`greedy_kway_refinement_indexed`] — the production boundary sweep over
-//!   a [`PartitionState`]: each pass visits, in the same ascending order,
-//!   exactly the nodes that are boundary *at visit time* (the pass-start
-//!   boundary from the index, extended on the fly with higher-id neighbours
-//!   of moved nodes — the only nodes whose boundary status a move can
-//!   change), so a pass costs `O(|boundary| log |boundary| + Σ deg)` over
-//!   visited nodes. Moves go through [`PartitionState::apply_move`], keeping
-//!   index, weights and cached cut exact. Bit-identical to the reference
-//!   (unit + property tests): the reference's interior test "all neighbours
-//!   in my block" is precisely non-membership in the boundary index.
+//! [`greedy_kway_refinement_indexed`] is a boundary sweep over a
+//! [`PartitionState`]: each pass visits, in ascending order, exactly the
+//! nodes that are boundary *at visit time* (the pass-start boundary from the
+//! index, extended on the fly with higher-id neighbours of moved nodes — the
+//! only nodes whose boundary status a move can change), so a pass costs
+//! `O(|boundary| log |boundary| + Σ deg)` over visited nodes. Moves go
+//! through [`PartitionState::apply_move`], keeping index, weights and cached
+//! cut exact. Its test-only twin `greedy_kway_refinement` shares the per-node
+//! move rule and visits all `n` nodes per pass, skipping interior ones by
+//! inspecting their neighbourhoods (`O(n + m)` per pass however small the
+//! boundary); the two are bit-identical because that interior test — "all
+//! neighbours in my block" — is precisely non-membership in the boundary
+//! index.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use kappa_graph::{BlockId, BlockWeights, CsrGraph, NodeId, NodeWeight, Partition, PartitionState};
+use kappa_graph::{BlockId, BlockWeights, CsrGraph, NodeId, NodeWeight, PartitionState};
 
 /// The shared move rule: the best strictly-positive-gain move of `v` out of
 /// `from`, among the blocks adjacent to `v`, honouring `l_max`. `conn` is a
@@ -73,65 +70,16 @@ fn best_move_of(
     best
 }
 
-/// Runs `passes` greedy full sweeps; returns the total cut improvement.
-///
-/// The retained reference implementation: `O(n + m)` per pass. Production
-/// callers that hold a [`PartitionState`] use
-/// [`greedy_kway_refinement_indexed`], which is bit-identical.
-pub fn greedy_kway_refinement(
-    graph: &CsrGraph,
-    partition: &mut Partition,
-    l_max: NodeWeight,
-    passes: usize,
-) -> i64 {
-    let k = partition.k();
-    let mut weights = BlockWeights::compute(graph, partition);
-    let mut total_gain = 0i64;
-    let mut conn: Vec<i64> = vec![0; k as usize];
-    let mut touched: Vec<BlockId> = Vec::new();
-
-    for _ in 0..passes {
-        let mut pass_gain = 0i64;
-        for v in graph.nodes() {
-            let Some((gain, to)) = best_move_of(
-                graph,
-                |u| partition.block_of(u),
-                &weights,
-                l_max,
-                v,
-                &mut conn,
-                &mut touched,
-            ) else {
-                continue;
-            };
-            let from = partition.block_of(v);
-            let vw = graph.node_weight(v);
-            // Never drain a block completely.
-            if weights.weight(from) <= vw {
-                continue;
-            }
-            partition.assign(v, to);
-            weights.apply_move(from, to, vw);
-            pass_gain += gain;
-        }
-        total_gain += pass_gain;
-        if pass_gain == 0 {
-            break;
-        }
-    }
-    total_gain
-}
-
-/// [`greedy_kway_refinement`] as an index-backed boundary sweep over a
-/// [`PartitionState`]; returns the total cut improvement.
+/// Runs up to `passes` greedy sweeps over the boundary of a
+/// [`PartitionState`] (stopping at the first pass without gain); returns the
+/// total cut improvement.
 ///
 /// Each pass seeds a min-heap with the current boundary (from the state's
-/// index) and walks it in ascending node order — the reference's visit
-/// order. When a node moves, its higher-id neighbours are pushed: they are
-/// the only nodes later in the pass whose boundary status the move can
-/// change, so a node is boundary at visit time iff it is popped here and
-/// still boundary — exactly the nodes on which the reference's interior test
-/// fails. Interior nodes are never touched.
+/// index) and walks it in ascending node order. When a node moves, its
+/// higher-id neighbours are pushed: they are the only nodes later in the
+/// pass whose boundary status the move can change, so a node is boundary at
+/// visit time iff it is popped here and still boundary. Interior nodes are
+/// never touched.
 pub fn greedy_kway_refinement_indexed(
     graph: &CsrGraph,
     state: &mut PartitionState,
@@ -199,10 +147,64 @@ pub fn greedy_kway_refinement_indexed(
 }
 
 #[cfg(test)]
+use kappa_graph::Partition;
+
+#[cfg(test)]
+/// Runs `passes` greedy full sweeps over all `n` nodes, `O(n + m)` per pass;
+/// returns the total cut improvement. The full-sweep twin
+/// [`greedy_kway_refinement_indexed`] is checked against.
+pub(crate) fn greedy_kway_refinement(
+    graph: &CsrGraph,
+    partition: &mut Partition,
+    l_max: NodeWeight,
+    passes: usize,
+) -> i64 {
+    let k = partition.k();
+    let mut weights = BlockWeights::compute(graph, partition);
+    let mut total_gain = 0i64;
+    let mut conn: Vec<i64> = vec![0; k as usize];
+    let mut touched: Vec<BlockId> = Vec::new();
+
+    for _ in 0..passes {
+        let mut pass_gain = 0i64;
+        for v in graph.nodes() {
+            let Some((gain, to)) = best_move_of(
+                graph,
+                |u| partition.block_of(u),
+                &weights,
+                l_max,
+                v,
+                &mut conn,
+                &mut touched,
+            ) else {
+                continue;
+            };
+            let from = partition.block_of(v);
+            let vw = graph.node_weight(v);
+            // Never drain a block completely.
+            if weights.weight(from) <= vw {
+                continue;
+            }
+            partition.assign(v, to);
+            weights.apply_move(from, to, vw);
+            pass_gain += gain;
+        }
+        total_gain += pass_gain;
+        if pass_gain == 0 {
+            break;
+        }
+    }
+    total_gain
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary_graph::arbitrary_graph;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
+    use kappa_initial::random_partition;
+    use proptest::prelude::*;
 
     #[test]
     fn improves_a_noisy_partition() {
@@ -304,5 +306,30 @@ mod tests {
         let mut state = PartitionState::build(&g, Partition::from_assignment(2, assignment));
         assert_eq!(greedy_kway_refinement_indexed(&g, &mut state, 100, 0), 0);
         state.verify_exact(&g).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Satellite: the index-backed boundary sweep of the k-way baseline must
+    // be bit-identical to the retained full-sweep reference, including the
+    // mid-pass boundary growth caused by its own moves.
+    #[test]
+    fn indexed_kway_refinement_matches_the_full_sweep_reference(
+        graph in arbitrary_graph(250),
+        k in 2u32..7,
+        passes in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let start = random_partition(&graph, k, seed);
+        let l_max = Partition::l_max(&graph, k, 0.05);
+        let mut reference = start.clone();
+        let gain_ref = greedy_kway_refinement(&graph, &mut reference, l_max, passes);
+        let mut state = PartitionState::build(&graph, start);
+        let gain_idx = greedy_kway_refinement_indexed(&graph, &mut state, l_max, passes);
+        prop_assert_eq!(gain_idx, gain_ref);
+        prop_assert_eq!(state.partition().assignment(), reference.assignment());
+        prop_assert!(state.verify_exact(&graph).is_ok());
+    }
     }
 }

@@ -30,7 +30,7 @@ pub mod metis_like;
 pub mod parmetis_like;
 pub mod scotch_like;
 
-pub use kway_refine::{greedy_kway_refinement, greedy_kway_refinement_indexed};
+pub use kway_refine::greedy_kway_refinement_indexed;
 pub use metis_like::MetisLike;
 pub use parmetis_like::ParMetisLike;
 pub use scotch_like::ScotchLike;
@@ -114,3 +114,7 @@ mod tests {
         assert_eq!(names.len(), 3);
     }
 }
+
+#[cfg(test)]
+#[path = "../../../tests/common/arbitrary_graph.rs"]
+mod arbitrary_graph;

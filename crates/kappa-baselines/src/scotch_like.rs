@@ -12,7 +12,7 @@ use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
 use kappa_graph::{extract_subgraph, CsrGraph, NodeId, Partition, PartitionState};
 use kappa_initial::greedy_graph_growing;
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
-use kappa_refine::{rebalance, refine_partition, QueueSelection, RefinementConfig};
+use kappa_refine::{rebalance_state, refine_partition, QueueSelection, RefinementConfig};
 
 use crate::BaselinePartitioner;
 
@@ -236,7 +236,9 @@ impl BaselinePartitioner for ScotchLike {
         // Scotch's final balancing step does.
         let l_max = Partition::l_max(graph, k, epsilon);
         if !partition.is_balanced(graph, epsilon) {
-            rebalance(graph, &mut partition, l_max);
+            let mut state = PartitionState::build(graph, partition);
+            rebalance_state(graph, &mut state, l_max);
+            partition = state.into_partition();
         }
         partition
     }
@@ -274,6 +276,22 @@ mod tests {
         let p = ScotchLike::default().partition(&g, 2, 0.03, 3);
         // Optimal is 20; multilevel bisection with FM should land close.
         assert!(p.edge_cut(&g) <= 40, "cut {}", p.edge_cut(&g));
+    }
+
+    /// The instances `tests/golden.rs` pins (ε = 0.03, seed 1): on each the
+    /// bisection tree alone ends infeasible, so `partition` runs the final
+    /// balance repair and the golden rows cover it.
+    #[test]
+    fn final_repair_fires_on_the_golden_instances() {
+        let instances = [random_geometric_graph(1 << 12, 17), grid2d(64, 64)];
+        for g in &instances {
+            for k in [4u32, 8] {
+                let mut p = Partition::unassigned(k, g.num_nodes());
+                let all: Vec<NodeId> = g.nodes().collect();
+                ScotchLike::default().partition_recursive(g, &all, 0, k, 0.03, 1, &mut p);
+                assert!(!p.is_balanced(g, 0.03), "k = {k}: nothing to repair");
+            }
+        }
     }
 
     #[test]

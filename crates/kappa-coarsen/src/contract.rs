@@ -9,13 +9,11 @@
 //! partitioning the coarse-node id space into contiguous per-worker ranges,
 //! building each range's CSR fragment (adjacency, node weights, coordinates)
 //! independently, and concatenating the fragments with an ordered collect. The
-//! result is bit-identical to the sequential
-//! [`contract_matching_reference`] for every thread count because each coarse
-//! node's adjacency is derived only from its own fine nodes.
+//! result is the same for every thread count — and bit-identical to the
+//! test-only sequential `contract_matching_reference` below — because each
+//! coarse node's adjacency is derived only from its own fine nodes.
 
-use kappa_graph::{
-    CsrGraph, EdgeWeight, GraphAccess, GraphBuilder, NodeId, NodeWeight, INVALID_NODE,
-};
+use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight, INVALID_NODE};
 use kappa_matching::Matching;
 use rayon::prelude::*;
 
@@ -137,8 +135,7 @@ struct CsrFragment {
 /// working on coarser levels.
 ///
 /// The coarse graph is identical — bit for bit, including coordinate floats —
-/// to the one produced by [`contract_matching_reference`], for any worker
-/// count (see `tests/parity.rs` at the workspace root).
+/// for any worker count.
 ///
 /// ```
 /// use kappa_coarsen::contract_matching;
@@ -225,13 +222,14 @@ fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> Csr
     fragment
 }
 
+#[cfg(test)]
+use kappa_graph::GraphBuilder;
+
+#[cfg(test)]
 /// The sequential reference contraction: one global [`GraphBuilder`] fed every
-/// surviving fine edge.
-///
-/// Kept as the ground truth the parallel [`contract_matching`] is checked
-/// against (parity tests, benches). Semantics are identical; prefer
-/// [`contract_matching`] everywhere else.
-pub fn contract_matching_reference(graph: &CsrGraph, matching: &Matching) -> Contraction {
+/// surviving fine edge. The ground truth the parallel [`contract_matching`]
+/// is checked against, for every thread count.
+pub(crate) fn contract_matching_reference(graph: &CsrGraph, matching: &Matching) -> Contraction {
     let (coarse_of, reps) = assign_coarse_ids(graph, matching);
     let coarse_n = reps.len();
 
@@ -279,8 +277,14 @@ pub fn contract_matching_reference(graph: &CsrGraph, matching: &Matching) -> Con
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary_graph::arbitrary_graph;
     use kappa_graph::graph_from_edges;
     use kappa_graph::Partition;
+    use kappa_matching::{compute_matching, EdgeRating, MatchingAlgorithm};
+    use proptest::prelude::*;
+    use rayon::ThreadPoolBuilder;
+
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
     #[test]
     fn contracting_a_single_edge() {
@@ -395,5 +399,34 @@ mod tests {
         let c = contract_matching(&g, &m);
         assert_eq!(c.coarse_graph.num_nodes(), 0);
         assert!(c.coarse_of.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn parallel_contraction_is_bit_identical_to_sequential(
+        graph in arbitrary_graph(300),
+        seed in any::<u64>(),
+    ) {
+        let matching = compute_matching(
+            &graph,
+            MatchingAlgorithm::Gpa,
+            EdgeRating::ExpansionStar2,
+            seed,
+        );
+        let reference = contract_matching_reference(&graph, &matching);
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let parallel = pool.install(|| contract_matching(&graph, &matching));
+            prop_assert_eq!(&parallel.coarse_of, &reference.coarse_of, "threads {}", threads);
+            prop_assert_eq!(
+                &parallel.coarse_graph,
+                &reference.coarse_graph,
+                "threads {}",
+                threads
+            );
+        }
+    }
     }
 }

@@ -49,8 +49,6 @@ pub struct CoarseningConfig {
     /// Stop if a level shrinks the node count by less than this factor
     /// (e.g. 0.05 = must lose at least 5 % of nodes to continue).
     pub min_shrink_factor: f64,
-    /// Hard cap on the number of levels (safety against pathological inputs).
-    pub max_levels: usize,
     /// Seed for the randomised matchers (varied per level).
     pub seed: u64,
 }
@@ -60,13 +58,16 @@ impl Default for CoarseningConfig {
         CoarseningConfig {
             stop_at_nodes: 64,
             min_shrink_factor: 0.02,
-            max_levels: 64,
             seed: 0,
         }
     }
 }
 
 impl CoarseningConfig {
+    /// Hard cap on the number of levels of any hierarchy (safety against
+    /// pathological inputs; no real hierarchy gets near it).
+    pub const MAX_LEVELS: usize = 64;
+
     /// The matcher seed of the `level`-th contraction (0 = finest graph).
     pub fn level_seed(&self, level: usize) -> u64 {
         self.seed
@@ -141,7 +142,7 @@ impl<G: GraphAccess> MultilevelHierarchy<G> {
         mut contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
     ) -> Result<Self, E> {
         let mut hierarchy = Self::flat(finest);
-        for level in 0..config.max_levels {
+        for level in 0..CoarseningConfig::MAX_LEVELS {
             // Borrow the current (finest or last coarse) graph in place — no
             // per-level clone of the whole graph.
             let current = hierarchy.coarsest();

@@ -8,9 +8,8 @@
 //!
 //! Contraction runs in parallel per coarse-id range, mirroring the paper's
 //! per-PE contraction: [`contract_matching`] builds per-worker CSR fragments
-//! and concatenates them with an ordered collect, producing a coarse graph
-//! that is bit-identical to the sequential [`contract_matching_reference`]
-//! for every thread count.
+//! and concatenates them with an ordered collect, producing the same coarse
+//! graph for every thread count.
 //!
 //! ```
 //! use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
@@ -32,7 +31,11 @@ pub mod contract;
 pub mod hierarchy;
 pub mod tiered;
 
-pub use contract::{contract_matching, contract_matching_reference, Contraction};
+pub use contract::{contract_matching, Contraction};
 pub use hierarchy::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
 pub use kappa_mem::TierSpec;
 pub use tiered::{contract_to_tier, SpillConfig};
+
+#[cfg(test)]
+#[path = "../../../tests/common/arbitrary_graph.rs"]
+mod arbitrary_graph;

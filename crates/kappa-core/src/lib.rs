@@ -36,6 +36,8 @@ pub mod tiered;
 
 pub use config::{ConfigPreset, KappaConfig};
 pub use dynamic::{DynamicConfig, DynamicSession, DynamicStats};
+/// What [`KappaConfig::coarsening`] returns, for the drivers that hold one.
+pub use kappa_coarsen::CoarseningConfig;
 pub use metrics::{geometric_mean, PartitionMetrics};
 pub use partitioner::{KappaPartitioner, PartitionResult, PhaseTimings};
 pub use prepartition::{coordinate_prepartition, index_prepartition};

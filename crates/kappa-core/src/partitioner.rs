@@ -59,8 +59,8 @@ pub struct PartitionResult {
     pub boundary_full_builds: usize,
     /// Number of full `O(n + m)` quotient-graph scans the run performed.
     /// Exactly 0: every quotient is derived from the boundary index
-    /// (`PartitionState::quotient`); only the retained reference scheduler
-    /// still pays the full scan.
+    /// (`PartitionState::quotient`); only `kappa-refine`'s test-only
+    /// reference scheduler pays the full scan.
     pub quotient_full_scans: usize,
 }
 

@@ -337,7 +337,7 @@ pub fn encode_frame(src: u32, seq: u64, tag: &str, payload: &[u8]) -> Result<Vec
             payload.len()
         )));
     }
-    let mut head = Vec::with_capacity(22 + tag.len());
+    let mut head = Vec::with_capacity(HEADER_LEN + tag.len());
     src.encode(&mut head);
     seq.encode(&mut head);
     (tag.len() as u16).encode(&mut head);
@@ -352,21 +352,31 @@ pub fn encode_frame(src: u32, seq: u64, tag: &str, payload: &[u8]) -> Result<Vec
     Ok(out)
 }
 
-/// Decodes one frame from the front of `buf`, returning it and the number of
-/// bytes consumed. Truncated or corrupted input is a [`CodecError`].
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
-    let mut r = WireReader::new(buf);
-    let magic = u32::decode(&mut r).map_err(|_| CodecError("truncated frame header".into()))?;
+/// Bytes of the fixed frame header: magic(4) src(4) seq(8) tag_len(2)
+/// payload_len(4).
+const HEADER_LEN: usize = 22;
+
+/// The fields of a frame header, lengths already checked against the caps.
+struct FrameHeader {
+    src: u32,
+    seq: u64,
+    tag_len: usize,
+    payload_len: usize,
+}
+
+/// Parses the fixed header off the front of `r` — the one header parser
+/// behind [`decode_frame`] and [`read_frame`].
+fn parse_header(r: &mut WireReader<'_>) -> Result<FrameHeader, CodecError> {
+    let magic = u32::decode(r).map_err(|_| CodecError("truncated frame header".into()))?;
     if magic != FRAME_MAGIC {
         return Err(CodecError(format!(
             "bad frame magic {magic:#010x} (expected {FRAME_MAGIC:#010x})"
         )));
     }
-    let head_start = 4;
-    let src = u32::decode(&mut r)?;
-    let seq = u64::decode(&mut r)?;
-    let tag_len = u16::decode(&mut r)? as usize;
-    let payload_len = u32::decode(&mut r)? as usize;
+    let src = u32::decode(r)?;
+    let seq = u64::decode(r)?;
+    let tag_len = u16::decode(r)? as usize;
+    let payload_len = u32::decode(r)? as usize;
     if tag_len > MAX_TAG_LEN {
         return Err(CodecError(format!("tag length {tag_len} exceeds cap")));
     }
@@ -375,37 +385,53 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
             "payload length {payload_len} exceeds cap"
         )));
     }
-    let tag_bytes = r.take(tag_len)?;
-    let tag = std::str::from_utf8(tag_bytes)
+    Ok(FrameHeader {
+        src,
+        seq,
+        tag_len,
+        payload_len,
+    })
+}
+
+/// Parses `tag | payload | checksum` off the front of `body` and verifies
+/// the checksum in place, over the header bytes `head` (behind the magic)
+/// and the body bytes as they lie.
+fn parse_body(h: FrameHeader, head: &[u8], body: &[u8]) -> Result<Frame, CodecError> {
+    let mut r = WireReader::new(body);
+    let tag = std::str::from_utf8(r.take(h.tag_len)?)
         .map_err(|e| CodecError(format!("invalid utf-8 tag: {e}")))?
         .to_string();
-    let payload = r.take(payload_len)?.to_vec();
+    let payload = r.take(h.payload_len)?.to_vec();
     let claimed = u32::decode(&mut r)?;
-    let body_end = buf.len() - r.remaining() - 4;
-    let sum = checksum(&[&buf[head_start..body_end]]);
+    let sum = checksum(&[&head[4..], &body[..h.tag_len + h.payload_len]]);
+    let (src, seq) = (h.src, h.seq);
     if claimed != sum {
         return Err(CodecError(format!(
             "frame checksum mismatch: stored {claimed:#010x}, computed {sum:#010x} \
              (src {src}, seq {seq}, tag {tag:?})"
         )));
     }
-    let consumed = buf.len() - r.remaining();
-    Ok((
-        Frame {
-            src,
-            seq,
-            tag,
-            payload,
-        },
-        consumed,
-    ))
+    Ok(Frame {
+        src,
+        seq,
+        tag,
+        payload,
+    })
+}
+
+/// Decodes one frame from the front of `buf`, returning it and the number of
+/// bytes consumed. Truncated or corrupted input is a [`CodecError`].
+pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
+    let header = parse_header(&mut WireReader::new(buf))?;
+    let consumed = HEADER_LEN + header.tag_len + header.payload_len + 4;
+    let frame = parse_body(header, &buf[..HEADER_LEN], &buf[HEADER_LEN..])?;
+    Ok((frame, consumed))
 }
 
 /// Reads one frame from a stream. `Ok(None)` means clean EOF at a frame
 /// boundary (graceful shutdown); EOF mid-frame is a [`CodecError`].
 pub fn read_frame<R: std::io::Read>(reader: &mut R) -> Result<Option<Frame>, CodecError> {
-    // Fixed header: magic(4) src(4) seq(8) tag_len(2) payload_len(4).
-    let mut fixed = [0u8; 22];
+    let mut fixed = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < fixed.len() {
         match reader.read(&mut fixed[filled..]) {
@@ -416,40 +442,11 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> Result<Option<Frame>, Cod
             Err(e) => return Err(CodecError(format!("read error: {e}"))),
         }
     }
-    let mut r = WireReader::new(&fixed);
-    // kappa-lint: allow(dist-no-panic) -- `fixed` is exactly the 22-byte header the five sized decodes below consume; none can hit end-of-input
-    let magic = u32::decode(&mut r).expect("sized");
-    if magic != FRAME_MAGIC {
-        return Err(CodecError(format!(
-            "bad frame magic {magic:#010x} (expected {FRAME_MAGIC:#010x})"
-        )));
-    }
-    // kappa-lint: allow(dist-no-panic) -- sized header decode, see above
-    let _src = u32::decode(&mut r).expect("sized");
-    // kappa-lint: allow(dist-no-panic) -- sized header decode, see above
-    let _seq = u64::decode(&mut r).expect("sized");
-    // kappa-lint: allow(dist-no-panic) -- sized header decode, see above
-    let tag_len = u16::decode(&mut r).expect("sized") as usize;
-    // kappa-lint: allow(dist-no-panic) -- sized header decode, see above
-    let payload_len = u32::decode(&mut r).expect("sized") as usize;
-    if tag_len > MAX_TAG_LEN {
-        return Err(CodecError(format!("tag length {tag_len} exceeds cap")));
-    }
-    if payload_len > MAX_PAYLOAD_LEN {
-        return Err(CodecError(format!(
-            "payload length {payload_len} exceeds cap"
-        )));
-    }
-    let rest_len = tag_len + payload_len + 4;
-    let mut rest = vec![0u8; rest_len];
-    std::io::Read::read_exact(reader, &mut rest)
+    let header = parse_header(&mut WireReader::new(&fixed))?;
+    let mut body = vec![0u8; header.tag_len + header.payload_len + 4];
+    std::io::Read::read_exact(reader, &mut body)
         .map_err(|e| CodecError(format!("EOF mid frame body: {e}")))?;
-    let mut whole = Vec::with_capacity(fixed.len() + rest_len);
-    whole.extend_from_slice(&fixed);
-    whole.extend_from_slice(&rest);
-    let (frame, consumed) = decode_frame(&whole)?;
-    debug_assert_eq!(consumed, whole.len());
-    Ok(Some(frame))
+    parse_body(header, &fixed, &body).map(Some)
 }
 
 #[cfg(test)]

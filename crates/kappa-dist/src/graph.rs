@@ -139,36 +139,28 @@ impl DistGraph {
         // stay in ascending global order, which keeps the interior-edge
         // enumeration identical to the full graph's).
         let n_local = ln + ghost_global.len();
-        let mut xadj: Vec<usize> = Vec::with_capacity(n_local + 1);
-        let mut adjncy: Vec<NodeId> = Vec::new();
-        let mut adjwgt: Vec<EdgeWeight> = Vec::new();
-        let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(n_local);
-        xadj.push(0);
+        let mut local = CsrGraph::rows(n_local, 0);
         // Ghost reverse rows, built while scanning the owned rows (ascending
         // owned order keeps each ghost row ascending too).
         let mut ghost_rows: Vec<Vec<(NodeId, EdgeWeight)>> = vec![Vec::new(); ghost_global.len()];
         let mut send_marks: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];
-        for (u_local, (edges, weight)) in rows.iter().enumerate() {
+        for (u_local, (edges, _)) in rows.iter().enumerate() {
             let mut last_rank_sent = usize::MAX;
-            for &(t, w) in edges {
+            local.push_node(edges.iter().map(|&(t, w)| {
                 if t >= lo && t < hi {
-                    adjncy.push(t - lo);
-                } else {
-                    let g = ghost_of(t);
-                    adjncy.push(g);
-                    ghost_rows[g as usize - ln].push((u_local as NodeId, w));
-                    let owner = owner_of(t);
-                    // Mark u as a member of `owner`'s ghost set (dedup the
-                    // common consecutive case cheaply; full dedup below).
-                    if last_rank_sent != owner {
-                        send_marks[owner].push(u_local as NodeId);
-                        last_rank_sent = owner;
-                    }
+                    return (t - lo, w);
                 }
-                adjwgt.push(w);
-            }
-            xadj.push(adjncy.len());
-            vwgt.push(*weight);
+                let g = ghost_of(t);
+                ghost_rows[g as usize - ln].push((u_local as NodeId, w));
+                let owner = owner_of(t);
+                // Mark u as a member of `owner`'s ghost set (dedup the
+                // common consecutive case cheaply; full dedup below).
+                if last_rank_sent != owner {
+                    send_marks[owner].push(u_local as NodeId);
+                    last_rank_sent = owner;
+                }
+                (g, w)
+            }));
         }
         for list in &mut send_marks {
             list.sort_unstable();
@@ -178,12 +170,9 @@ impl DistGraph {
 
         // Append the ghost rows.
         for row in ghost_rows {
-            for (u, w) in row {
-                adjncy.push(u);
-                adjwgt.push(w);
-            }
-            xadj.push(adjncy.len());
+            local.push_node(row);
         }
+        let mut vwgt: Vec<NodeWeight> = rows.iter().map(|&(_, w)| w).collect();
         vwgt.extend(ghost_weights(&ghost_global)?);
         if vwgt.len() != n_local {
             return Err(CommError::protocol(
@@ -209,7 +198,7 @@ impl DistGraph {
             rank,
             ranks,
             range_starts,
-            local: CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None),
+            local: local.finish(vwgt, None),
             ln,
             ghost_global,
             send_lists: send_marks,
@@ -358,11 +347,6 @@ impl DistGraph {
             out.extend(part);
         }
         Ok(out)
-    }
-
-    /// The owned local ids whose values rank `r` mirrors (ascending).
-    pub fn send_list(&self, r: usize) -> &[NodeId] {
-        &self.send_lists[r]
     }
 
     /// Pull arbitrary per-node values for a set of **global** ids from their

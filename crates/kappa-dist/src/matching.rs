@@ -19,7 +19,7 @@
 //! until an `allreduce` reports no progress; the globally best remaining gap
 //! edge is matched every round, so termination is guaranteed.
 
-use kappa_graph::{CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
+use kappa_graph::{CsrGraph, EdgeWeight, NodeId, INVALID_NODE};
 use kappa_matching::{compute_matching, rate_edge, EdgeRating, MatchingAlgorithm};
 
 use crate::comm::{Comm, CommError, CommResult};
@@ -35,18 +35,6 @@ pub struct DistMatching {
     pub partner_ghost: Vec<NodeId>,
     /// Global number of matched pairs.
     pub matched_pairs: usize,
-}
-
-impl DistMatching {
-    /// Partner of local node `l` (owned or ghost), as a global id.
-    pub fn partner_of_local(&self, dg: &DistGraph, l: NodeId) -> Option<NodeId> {
-        let p = if dg.is_owned_local(l) {
-            self.partner_owned[l as usize]
-        } else {
-            self.partner_ghost[l as usize - dg.num_owned()]
-        };
-        (p != INVALID_NODE).then_some(p)
-    }
 }
 
 /// Per-ghost matching info exchanged after the interior phase.
@@ -253,23 +241,13 @@ pub fn distributed_matching<C: Comm>(
 /// owned, in the same relative order as the full graph (owned local ids are a
 /// monotone renumbering of the owned global range).
 fn interior_subgraph(dg: &DistGraph) -> CsrGraph {
+    let local = dg.local();
     let ln = dg.num_owned();
-    let mut xadj = Vec::with_capacity(ln + 1);
-    let mut adjncy: Vec<NodeId> = Vec::new();
-    let mut adjwgt: Vec<EdgeWeight> = Vec::new();
-    let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(ln);
-    xadj.push(0);
+    let mut rows = CsrGraph::rows(ln, 0);
     for u in 0..ln as NodeId {
-        for (t, w) in dg.local().edges_of(u) {
-            if dg.is_owned_local(t) {
-                adjncy.push(t);
-                adjwgt.push(w);
-            }
-        }
-        xadj.push(adjncy.len());
-        vwgt.push(dg.local().node_weight(u));
+        rows.push_node(local.edges_of(u).filter(|&(t, _)| dg.is_owned_local(t)));
     }
-    CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None)
+    rows.finish(local.vwgt()[..ln].to_vec(), None)
 }
 
 #[cfg(test)]

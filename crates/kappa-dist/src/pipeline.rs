@@ -27,7 +27,7 @@
 //! (same seeds, same kernels), which makes `--ranks 1` cut-bit-identical to
 //! `KappaPartitioner` at `--threads 1`; `tests/dist.rs` asserts it.
 
-use kappa_core::KappaConfig;
+use kappa_core::{CoarseningConfig, KappaConfig};
 use kappa_graph::{BlockId, BlockWeights, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition};
 use kappa_initial::{best_of_repeats, quality_key};
 use kappa_refine::RefinementStats;
@@ -277,14 +277,9 @@ fn spatial_layout(graph: &CsrGraph, ranks: usize) -> Option<(CsrGraph, Vec<NodeI
     for (old, &new) in new_of_old.iter().enumerate() {
         old_of_new[new as usize] = old as NodeId;
     }
-    let mut xadj = Vec::with_capacity(n + 1);
-    let mut adjncy: Vec<NodeId> = Vec::with_capacity(graph.num_half_edges());
-    let mut adjwgt = Vec::with_capacity(graph.num_half_edges());
-    let mut vwgt = Vec::with_capacity(n);
-    xadj.push(0usize);
+    let mut rows = CsrGraph::rows(n, graph.num_half_edges());
     let mut row: Vec<(NodeId, u64)> = Vec::new();
-    for new in 0..n {
-        let old = old_of_new[new];
+    for &old in &old_of_new {
         row.clear();
         row.extend(
             graph
@@ -292,18 +287,13 @@ fn spatial_layout(graph: &CsrGraph, ranks: usize) -> Option<(CsrGraph, Vec<NodeI
                 .map(|(t, w)| (new_of_old[t as usize], w)),
         );
         row.sort_unstable_by_key(|&(t, _)| t);
-        for &(t, w) in &row {
-            adjncy.push(t);
-            adjwgt.push(w);
-        }
-        xadj.push(adjncy.len());
-        vwgt.push(graph.node_weight(old));
+        rows.push_node(row.iter().copied());
     }
-    Some((
-        CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None),
-        range_starts,
-        new_of_old,
-    ))
+    let vwgt = old_of_new
+        .iter()
+        .map(|&old| graph.node_weight(old))
+        .collect();
+    Some((rows.finish(vwgt, None), range_starts, new_of_old))
 }
 
 /// Per-rank output of the SPMD body (the partition is replicated).
@@ -416,7 +406,7 @@ fn rank_main<C: Comm>(
     let mut levels: Vec<DistLevel> = Vec::new();
     let mut current = DistGraph::from_global_ranges(graph, range_starts.to_vec(), comm.rank());
     let mut active = comm.num_ranks();
-    for level_idx in 0..coarsening.max_levels {
+    for level_idx in 0..CoarseningConfig::MAX_LEVELS {
         let n_cur = current.num_global_nodes();
         // Coarse-level rank folding: concentrate a small level on fewer
         // ranks *before* matching it (and before the stop check, so the
@@ -558,19 +548,13 @@ fn allgather_graph<C: Comm>(comm: &mut C, dg: &DistGraph) -> CommResult<CsrGraph
         })
         .collect();
     let all = comm.allgather(rows)?;
-    let mut xadj = vec![0usize];
-    let mut adjncy = Vec::new();
-    let mut adjwgt = Vec::new();
+    let mut rows = CsrGraph::rows(0, 0);
     let mut vwgt = Vec::new();
     for (row, w) in all.into_iter().flatten() {
-        for (t, ew) in row {
-            adjncy.push(t);
-            adjwgt.push(ew);
-        }
-        xadj.push(adjncy.len());
+        rows.push_node(row);
         vwgt.push(w);
     }
-    Ok(CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None))
+    Ok(rows.finish(vwgt, None))
 }
 
 /// The balance bound `L_max` of one level, from allreduced totals — exactly

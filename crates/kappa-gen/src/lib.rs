@@ -37,12 +37,38 @@ pub use road::road_network_like;
 pub use stream::{Grid2dSource, RggSource};
 pub use suite::{large_suite, small_suite, Instance, InstanceFamily};
 
+/// Whether `--generate family --nodes nodes` can be served: `Err` names an
+/// unknown family, or the family and the smallest `nodes` its generator
+/// accepts when `nodes` is below that. [`generate`] starts with this; a
+/// caller that builds a family's streaming source ([`RggSource`],
+/// [`Grid2dSource`]) itself checks here first.
+pub fn check_request(family: &str, nodes: usize) -> Result<(), String> {
+    let min = match family {
+        "rgg" => 2,
+        "delaunay" => 4,
+        "road" => 8,
+        "grid" | "rmat" => 0,
+        _ => {
+            return Err(format!(
+                "unknown --generate family {family:?} (expected rgg, delaunay, grid, road or rmat)"
+            ))
+        }
+    };
+    if nodes < min {
+        return Err(format!(
+            "--generate {family} needs --nodes >= {min} (got {nodes})"
+        ));
+    }
+    Ok(())
+}
+
 /// Generates an instance of about `nodes` nodes by family name — the
 /// `--generate` of every command-line tool. `grid` is the nearest square
 /// (at least 2 × 2) and `rmat` the scale `⌊log2 nodes⌋` clamped to 4..=24 at
-/// edge factor 8; neither draws on `seed`. `None` for an unknown family.
-pub fn generate(family: &str, nodes: usize, seed: u64) -> Option<kappa_graph::CsrGraph> {
-    Some(match family {
+/// edge factor 8; neither draws on `seed`. `Err` as [`check_request`].
+pub fn generate(family: &str, nodes: usize, seed: u64) -> Result<kappa_graph::CsrGraph, String> {
+    check_request(family, nodes)?;
+    Ok(match family {
         "rgg" => random_geometric_graph(nodes, seed),
         "delaunay" => delaunay_like_graph(nodes, seed),
         "grid" => {
@@ -50,8 +76,8 @@ pub fn generate(family: &str, nodes: usize, seed: u64) -> Option<kappa_graph::Cs
             grid2d(side, side)
         }
         "road" => road_network_like(nodes, seed),
-        "rmat" => rmat_graph(nodes.max(16).ilog2().clamp(4, 24), 8, seed),
-        _ => return None,
+        // `check_request` admitted the family, so only rmat is left.
+        _ => rmat_graph(nodes.max(16).ilog2().clamp(4, 24), 8, seed),
     })
 }
 
@@ -99,7 +125,30 @@ mod tests {
 
     #[test]
     fn unknown_family_is_none() {
-        assert!(generate("torus", 100, 0).is_none());
-        assert!(generate("", 100, 0).is_none());
+        for family in ["torus", ""] {
+            let err = generate(family, 100, 0).unwrap_err();
+            assert!(err.contains("unknown --generate family"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_family_serves_its_minimum_and_refuses_less() {
+        for (family, min) in [
+            ("rgg", 2),
+            ("delaunay", 4),
+            ("grid", 0),
+            ("road", 8),
+            ("rmat", 0),
+        ] {
+            let g = generate(family, min, 1).unwrap_or_else(|e| panic!("{family} at {min}: {e}"));
+            assert!(g.validate().is_ok(), "{family} at {min}");
+            if min > 0 {
+                let err = generate(family, min - 1, 1).unwrap_err();
+                assert!(
+                    err.contains(family) && err.contains(&format!(">= {min}")),
+                    "{err}"
+                );
+            }
+        }
     }
 }

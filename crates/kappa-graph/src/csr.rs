@@ -117,6 +117,19 @@ impl CsrGraph {
         CsrGraph::from_parts(vec![0], Vec::new(), Vec::new(), Vec::new(), None)
     }
 
+    /// A row-push constructor expecting roughly `nodes` rows holding
+    /// `half_edges` entries in total: [`CsrRows::push_node`] every node's
+    /// row in ascending id order, then [`CsrRows::finish`].
+    pub fn rows(nodes: usize, half_edges: usize) -> CsrRows {
+        let mut xadj = Vec::with_capacity(nodes + 1);
+        xadj.push(0);
+        CsrRows {
+            xadj,
+            adjncy: Vec::with_capacity(half_edges),
+            adjwgt: Vec::with_capacity(half_edges),
+        }
+    }
+
     /// Number of nodes `n = |V|`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -357,6 +370,36 @@ impl CsrGraph {
             }
         }
         components
+    }
+}
+
+/// The arrays of a [`CsrGraph`] under construction, one finished row at a
+/// time (see [`CsrGraph::rows`]). Rows arrive as the graph will hold them:
+/// merged, in their final order, targets already in the graph's id space.
+pub struct CsrRows {
+    xadj: Vec<usize>,
+    adjncy: Vec<NodeId>,
+    adjwgt: Vec<EdgeWeight>,
+}
+
+impl CsrRows {
+    /// Appends the next node's `(target, weight)` row.
+    pub fn push_node(&mut self, row: impl IntoIterator<Item = (NodeId, EdgeWeight)>) {
+        for (t, w) in row {
+            self.adjncy.push(t);
+            self.adjwgt.push(w);
+        }
+        self.xadj.push(self.adjncy.len());
+    }
+
+    /// Seals the graph with one weight (and optionally one coordinate) per
+    /// pushed node.
+    ///
+    /// # Panics
+    /// As [`CsrGraph::from_parts`]: on a length mismatch or a target that is
+    /// not a pushed node.
+    pub fn finish(self, vwgt: Vec<NodeWeight>, coords: Option<Vec<[f64; 2]>>) -> CsrGraph {
+        CsrGraph::from_parts(self.xadj, self.adjncy, self.adjwgt, vwgt, coords)
     }
 }
 

@@ -57,7 +57,7 @@ pub use access::GraphAccess;
 pub use boundary::{band_around_boundary, boundary_nodes, is_pair_boundary, pair_boundary_nodes};
 pub use boundary_index::BoundaryIndex;
 pub use builder::{graph_from_edges, GraphBuilder};
-pub use csr::{Adjacency, CsrGraph};
+pub use csr::{Adjacency, CsrGraph, CsrRows};
 pub use dynamic::DynamicGraph;
 pub use io::{
     parse_metis, read_metis, to_metis_string, to_metis_string_fmt, write_metis, MetisError,

@@ -110,6 +110,9 @@ pub fn run_lint(ws: &Workspace, rule_filter: Option<&BTreeSet<String>>) -> LintR
         if enabled("unsafe-forbid") {
             rules::workspace_rules::unsafe_forbid(file, &mut raw);
         }
+        if enabled("oracle-in-production") {
+            rules::workspace_rules::oracle_in_production(file, &mut raw);
+        }
     }
     if enabled("shim-drift") {
         for m in &ws.manifests {

@@ -84,6 +84,12 @@ pub const ALL_RULES: &[RuleInfo] = &[
                   a registry version (the build environment is offline)",
     },
     RuleInfo {
+        id: "oracle-in-production",
+        summary: "a `*_reference` item, `FullScanSeeder` or a module called `oracle` defined \
+                  or named in non-test code (a kernel's slow twin is a test-only item beside \
+                  it; the shipped build has one implementation per kernel)",
+    },
+    RuleInfo {
         id: "unused-allow",
         summary: "a `kappa-lint: allow(…)` directive that suppressed nothing",
     },

@@ -1,8 +1,10 @@
-//! Workspace-shape rules: `unsafe-forbid` and `shim-drift`.
+//! Workspace-shape rules: `unsafe-forbid`, `shim-drift` and
+//! `oracle-in-production`.
 
+use crate::lexer::TokenKind;
 use crate::manifest::Manifest;
 use crate::rules::Finding;
-use crate::source::SourceFile;
+use crate::source::{FileKind, SourceFile};
 
 /// `unsafe-forbid`: every crate root and binary root — shims included —
 /// must carry `#![forbid(unsafe_code)]`. The whole workspace is pure safe
@@ -29,6 +31,44 @@ pub fn unsafe_forbid(file: &SourceFile, out: &mut Vec<Finding>) {
             line: 1,
             message: "crate/binary root lacks `#![forbid(unsafe_code)]`".to_string(),
         });
+    }
+}
+
+/// `oracle-in-production`: non-test code of a workspace crate may neither
+/// define nor name a `*_reference` item, `FullScanSeeder`, or a module
+/// called `oracle`. Every kernel ships one implementation; the slow twin it
+/// is checked against is a `cfg(test)` item beside it, so nothing a user
+/// links can call it — or pay for compiling it.
+///
+/// Lexical approximation: any identifier token of those shapes outside a
+/// test region (`oracle` only as `mod oracle` or as a path segment
+/// `oracle::`). Comments and strings are not tokens, so prose may mention
+/// the twins.
+pub fn oracle_in_production(file: &SourceFile, out: &mut Vec<Finding>) {
+    if file.kind != FileKind::Production {
+        return;
+    }
+    let toks = &file.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokenKind::Ident || file.in_test_region(t.line) {
+            continue;
+        }
+        let oracle_module = t.text == "oracle"
+            && (i > 0 && toks[i - 1].is_ident("mod")
+                || matches!(toks.get(i + 1..i + 3), Some([a, b]) if a.is_punct(':') && b.is_punct(':')));
+        if oracle_module || t.text == "FullScanSeeder" || t.text.ends_with("_reference") {
+            out.push(Finding {
+                rule: "oracle-in-production",
+                rel_path: file.rel_path.clone(),
+                line: t.line,
+                message: format!(
+                    "`{}` in non-test code: a reference twin is a `cfg(test)` item beside \
+                     the kernel it checks, never defined, exported or called in the shipped \
+                     build",
+                    t.text
+                ),
+            });
+        }
     }
 }
 
@@ -108,6 +148,42 @@ mod tests {
             "shim roots count"
         );
         assert_eq!(run("src/bin/kappa-partition.rs", "fn main() {}").len(), 1);
+    }
+
+    #[test]
+    fn oracle_in_production_flags_definitions_and_mentions_outside_tests() {
+        let run = |rel: &str, src: &str| {
+            let f = SourceFile::from_source(&PathBuf::from("/x").join(rel), rel, src);
+            let mut out = Vec::new();
+            oracle_in_production(&f, &mut out);
+            out.iter().map(|f| f.line).collect::<Vec<u32>>()
+        };
+        let src = "\
+pub use contract::{contract_matching, contract_matching_reference};
+pub mod oracle;
+fn f(g: &G) { let s = FullScanSeeder::new(g, 0, 1); oracle::check(s); }
+// refine_partition_reference is only prose here
+#[cfg(test)]
+pub(crate) fn refine_partition_reference() {}
+#[cfg(test)]
+mod tests {
+    mod oracle {}
+    fn t() { super::refine_partition_reference(); }
+}
+";
+        assert_eq!(run("crates/kappa-refine/src/lib.rs", src), vec![1, 2, 3, 3]);
+        assert!(
+            run("tests/parity.rs", src).is_empty(),
+            "test targets are exempt"
+        );
+        assert!(
+            run(
+                "crates/kappa-gen/src/lib.rs",
+                "fn f(oracle: u32) -> u32 { oracle }"
+            )
+            .is_empty(),
+            "`oracle` is only a module name"
+        );
     }
 
     #[test]

@@ -110,6 +110,15 @@ fn shim_drift_fixture() {
 }
 
 #[test]
+fn oracle_in_production_fixture() {
+    assert_fires("oracle-in-production");
+    // The re-export and the production call are both caught; the twin's
+    // `#[cfg(test)]` definition and its test caller are not.
+    let findings = lint_fixture("oracle-in-production", "violation");
+    assert_eq!(findings.len(), 2, "{findings:?}");
+}
+
+#[test]
 fn unused_allow_fixture() {
     assert_fires("unused-allow");
 }

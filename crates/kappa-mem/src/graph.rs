@@ -127,20 +127,12 @@ impl<S: Store> SegmentGraph<S> {
     /// fine level this would defeat the tier.
     pub fn to_csr(&self) -> CsrGraph {
         let n = self.num_nodes();
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::with_capacity(self.index.num_half_edges);
-        let mut adjwgt = Vec::with_capacity(self.index.num_half_edges);
-        xadj.push(0);
+        let mut rows = CsrGraph::rows(n, self.index.num_half_edges);
         for v in 0..n as NodeId {
-            self.for_each_edge(v, |t, w| {
-                adjncy.push(t);
-                adjwgt.push(w);
-            });
-            xadj.push(adjncy.len());
+            rows.push_node(self.edges_of(v));
         }
         let vwgt = self.index.vwgt.clone().unwrap_or_else(|| vec![1; n]);
-        let coords = self.store.coords().map(<[_]>::to_vec);
-        CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, coords)
+        rows.finish(vwgt, self.store.coords().map(<[_]>::to_vec))
     }
 
     #[inline]

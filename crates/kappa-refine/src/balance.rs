@@ -8,16 +8,14 @@
 //! node (smallest cut increase) out of an overloaded block into its lightest
 //! adjacent block until every block fits or no move helps.
 //!
-//! [`rebalance_state`] is the production entry point: it enumerates
-//! candidates from the [`PartitionState`]'s boundary index (only boundary
-//! nodes can move cheaply — interior nodes contribute no candidates in the
-//! full scan either, so the candidate *set* is identical) and routes every
+//! [`rebalance_state`] is the entry point: it enumerates candidates from the
+//! [`PartitionState`]'s boundary index (only boundary nodes can move cheaply
+//! — an interior node has no adjacent block to move to) and routes every
 //! move through [`PartitionState::apply_move`], so the index, weights and
-//! cached cut stay exact. Historically the rebalancer wrote raw
-//! `Partition::assign`s, silently invalidating any live boundary index — the
-//! desync this refactor closes. [`rebalance`] is the retained full-scan
-//! reference; both pick the minimum of the same candidate tuple set, so they
-//! are bit-identical (proven in `tests/parity.rs`).
+//! cached cut stay exact. Its test-only full-scan twin `rebalance` scans
+//! every node per move and writes a bare `Partition`; both pick the minimum
+//! of the same candidate tuple set, so they are bit-identical (this module's
+//! tests and `scheduler::tests`).
 
 use kappa_graph::{
     BlockAssignment, BlockId, BlockWeights, GraphAccess, NodeId, NodeWeight, Partition,
@@ -33,10 +31,10 @@ type Candidate = (i64, NodeWeight, NodeId, BlockId);
 /// returns the best as `(cut delta, resulting target weight, target block)`,
 /// or `None` when no adjacent block can take `v`.
 ///
-/// Shared verbatim by the full-scan reference, the index-driven production
-/// path and the distributed rebalancer (kappa-dist, which allreduce-mins the
-/// per-rank winners), so the three cannot drift: all pick the minimum of the
-/// same candidate tuples.
+/// Shared verbatim by [`rebalance_state`], its test-only full-scan twin and
+/// the distributed rebalancer (kappa-dist, which allreduce-mins the per-rank
+/// winners), so the three cannot drift: all pick the minimum of the same
+/// candidate tuples.
 pub fn best_move_of<G: GraphAccess, A: BlockAssignment>(
     graph: &G,
     assignment: &A,
@@ -139,55 +137,9 @@ fn fallback_candidate<G: GraphAccess>(
 /// Moves nodes out of overloaded blocks until all blocks obey `l_max` or no
 /// further progress is possible. Returns the number of nodes moved.
 ///
-/// This is the retained full-scan reference: it recomputes the block weights
-/// on entry and scans every node per move. Production code holds a
-/// [`PartitionState`] and uses [`rebalance_state`], which picks the exact
-/// same moves from the boundary index and keeps the state's invariants.
-pub fn rebalance<G: GraphAccess>(graph: &G, partition: &mut Partition, l_max: NodeWeight) -> usize {
-    let k = partition.k();
-    let mut weights = BlockWeights::compute(graph, partition);
-    let mut moved = 0usize;
-
-    // Each iteration moves one node; cap the total number of moves at 2n as a
-    // safety net against oscillation on pathological inputs.
-    for _ in 0..graph.num_nodes().saturating_mul(2).max(8) {
-        let Some(over_block) = (0..k).find(|&b| weights.weight(b) > l_max) else {
-            break;
-        };
-        // Candidate moves: boundary nodes of the overloaded block, scored by
-        // (cut increase, resulting target weight). Interior nodes have no
-        // foreign neighbours, so the full scan only ever collects candidates
-        // from boundary nodes.
-        let mut best: Option<Candidate> = None;
-        for v in graph.nodes() {
-            if partition.block_of(v) != over_block {
-                continue;
-            }
-            if let Some((delta, tw, to)) =
-                best_move_of(graph, partition, &weights, over_block, l_max, v)
-            {
-                fold_candidate(&mut best, (delta, tw, v, to));
-            }
-        }
-        if best.is_none() {
-            best = fallback_candidate(graph, partition, &weights, over_block, l_max);
-        }
-        let Some((_, _, v, to)) = best else { break };
-        let from = partition.block_of(v);
-        let vw = graph.node_weight(v);
-        partition.assign(v, to);
-        weights.apply_move(from, to, vw);
-        moved += 1;
-    }
-    moved
-}
-
-/// [`rebalance`] through a [`PartitionState`]: candidates come from the
-/// boundary index (`O(|boundary|)` per move instead of `O(n)`) and every move
-/// goes through [`PartitionState::apply_move`], keeping the index, weights
-/// and cached cut exact. Bit-identical to [`rebalance`] — the candidate sets
-/// coincide (interior nodes never produce candidates) and both take the
-/// unique minimum candidate tuple.
+/// Candidates come from the state's boundary index (`O(|boundary|)` per
+/// move) and every move goes through [`PartitionState::apply_move`], keeping
+/// the index, weights and cached cut exact.
 pub fn rebalance_state<G: GraphAccess>(
     graph: &G,
     state: &mut PartitionState,
@@ -221,6 +173,54 @@ pub fn rebalance_state<G: GraphAccess>(
         }
         let Some((_, _, v, to)) = best else { break };
         state.apply_move(graph, v, to);
+        moved += 1;
+    }
+    moved
+}
+
+#[cfg(test)]
+/// The full-scan twin of [`rebalance_state`] on a bare [`Partition`]: it
+/// recomputes the block weights on entry and scans every node per move.
+/// Bit-identical to it — the candidate sets coincide (interior nodes never
+/// produce candidates) and both take the unique minimum candidate tuple.
+pub(crate) fn rebalance<G: GraphAccess>(
+    graph: &G,
+    partition: &mut Partition,
+    l_max: NodeWeight,
+) -> usize {
+    let k = partition.k();
+    let mut weights = BlockWeights::compute(graph, partition);
+    let mut moved = 0usize;
+
+    // Each iteration moves one node; cap the total number of moves at 2n as a
+    // safety net against oscillation on pathological inputs.
+    for _ in 0..graph.num_nodes().saturating_mul(2).max(8) {
+        let Some(over_block) = (0..k).find(|&b| weights.weight(b) > l_max) else {
+            break;
+        };
+        // Candidate moves: boundary nodes of the overloaded block, scored by
+        // (cut increase, resulting target weight). Interior nodes have no
+        // foreign neighbours, so the full scan only ever collects candidates
+        // from boundary nodes.
+        let mut best: Option<Candidate> = None;
+        for v in graph.nodes() {
+            if partition.block_of(v) != over_block {
+                continue;
+            }
+            if let Some((delta, tw, to)) =
+                best_move_of(graph, partition, &weights, over_block, l_max, v)
+            {
+                fold_candidate(&mut best, (delta, tw, v, to));
+            }
+        }
+        if best.is_none() {
+            best = fallback_candidate(graph, partition, &weights, over_block, l_max);
+        }
+        let Some((_, _, v, to)) = best else { break };
+        let from = partition.block_of(v);
+        let vw = graph.node_weight(v);
+        partition.assign(v, to);
+        weights.apply_move(from, to, vw);
         moved += 1;
     }
     moved

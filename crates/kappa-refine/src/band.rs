@@ -20,8 +20,8 @@
 //! paged memory tier every row read is a page-cache lookup and a varint
 //! decode, so this is what the out-of-core refinement time is made of.
 //!
-//! [`band_around_boundary`] (plain BFS), [`pair_gain`](crate::gain::pair_gain)
-//! and [`is_pair_boundary`] stay as the oracles the fused visit is tested
+//! [`band_around_boundary`] (plain BFS), [`is_pair_boundary`] and the
+//! test-only `gain::pair_gain` are the oracles the fused visit is tested
 //! against.
 //!
 //! ## Seeding the band
@@ -32,18 +32,19 @@
 //! source so the scheduler can plug in the incremental [`BoundaryIndex`]
 //! instead:
 //!
-//! * [`FullScanSeeder`] is the retained reference — a fresh full scan every
-//!   time, exactly the historical behaviour;
 //! * [`IndexSeeder`] draws the initial seeds from the boundary index (kept
 //!   current by the persistent `PartitionState` across moves, classes and
 //!   hierarchy levels, never rebuilt; `O(|boundary|)` per extraction) and
 //!   then tracks the worker's own FM moves: only nodes that were
 //!   pair-boundary at class start, were moved, or neighbour a moved node can
 //!   ever be pair-boundary during the worker's local iterations, so
-//!   re-seeding re-examines just this candidate set — never the whole graph.
+//!   re-seeding re-examines just this candidate set — never the whole graph;
+//! * the test-only `FullScanSeeder` is that full scan, every time — the
+//!   reference `IndexSeeder` is compared with, and the example of the seam a
+//!   test substitutes its own seeder through.
 //!
-//! Both seeders return the pair boundary in ascending node order, so band
-//! seeds and everything downstream are bit-identical (`tests/parity.rs`).
+//! Both return the pair boundary in ascending node order, so band seeds and
+//! everything downstream are bit-identical (`band::tests`).
 
 use kappa_graph::{
     band_around_boundary, is_pair_boundary, pair_boundary_nodes, BlockAssignment, BlockId,
@@ -67,7 +68,7 @@ impl PairBand {
     /// The depth-`depth` band of the pair `(a, b)` around `seeds`: the nodes
     /// in exactly [`band_around_boundary`]'s order (seeds outside the pair
     /// and repeated seeds are skipped; depth 0 keeps just the seeds), each
-    /// with its [`pair_gain`](crate::gain::pair_gain) and
+    /// with its pair gain (`Σω(other side) − Σω(own side)`) and
     /// [`is_pair_boundary`] flag under `view`.
     ///
     /// Reads every band node's row exactly once and no other row. The
@@ -231,30 +232,6 @@ pub trait BandSeeder<P: BlockAssignment> {
     fn observe_moves(&mut self, moves: &[(NodeId, BlockId)]);
 }
 
-/// The reference seeder: a fresh `O(n + m)` [`pair_boundary_nodes`] scan on
-/// every call. Retained as the ground truth [`IndexSeeder`] is checked
-/// against; used by `refine_partition_reference`.
-pub struct FullScanSeeder<'g, G> {
-    graph: &'g G,
-    a: BlockId,
-    b: BlockId,
-}
-
-impl<'g, G: GraphAccess> FullScanSeeder<'g, G> {
-    /// A full-scan seeder for the pair `(a, b)`.
-    pub fn new(graph: &'g G, a: BlockId, b: BlockId) -> Self {
-        FullScanSeeder { graph, a, b }
-    }
-}
-
-impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for FullScanSeeder<'_, G> {
-    fn seeds(&mut self, view: &P) -> Vec<NodeId> {
-        pair_boundary_nodes(self.graph, view, self.a, self.b)
-    }
-
-    fn observe_moves(&mut self, _moves: &[(NodeId, BlockId)]) {}
-}
-
 /// Incremental seeder over a shared [`BoundaryIndex`].
 ///
 /// The index reflects the partition at class start; within the pair search
@@ -341,12 +318,41 @@ pub fn merge_sorted_dedup(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
 }
 
 #[cfg(test)]
+/// The reference seeder: a fresh `O(n + m)` [`pair_boundary_nodes`] scan on
+/// every call — the ground truth [`IndexSeeder`] is checked against, and what
+/// `refine_partition_reference` seeds with.
+pub(crate) struct FullScanSeeder<'g, G> {
+    graph: &'g G,
+    a: BlockId,
+    b: BlockId,
+}
+
+#[cfg(test)]
+impl<'g, G: GraphAccess> FullScanSeeder<'g, G> {
+    /// A full-scan seeder for the pair `(a, b)`.
+    pub(crate) fn new(graph: &'g G, a: BlockId, b: BlockId) -> Self {
+        FullScanSeeder { graph, a, b }
+    }
+}
+
+#[cfg(test)]
+impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for FullScanSeeder<'_, G> {
+    fn seeds(&mut self, view: &P) -> Vec<NodeId> {
+        pair_boundary_nodes(self.graph, view, self.a, self.b)
+    }
+
+    fn observe_moves(&mut self, _moves: &[(NodeId, BlockId)]) {}
+}
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::arbitrary_graph::{arbitrary_graph, xorshift};
     use crate::delta::{DeltaPairView, SharedAssignment};
     use crate::gain::pair_gain;
     use kappa_gen::grid::grid2d;
     use kappa_graph::{BlockAssignmentMut, CsrGraph, GraphBuilder, Partition};
+    use kappa_initial::random_partition;
     use proptest::prelude::*;
 
     /// Every position of `band` against the public oracles: the gain is
@@ -388,13 +394,7 @@ pub(crate) mod tests {
             seed in any::<u64>(),
             k in 2u32..5,
         ) {
-            let mut x = seed | 1;
-            let mut next = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
+            let mut next = xorshift(seed);
             let mut builder =
                 GraphBuilder::with_node_weights((0..n).map(|_| 1 + next() % 5).collect());
             for _ in 0..2 * n {
@@ -539,5 +539,59 @@ pub(crate) mod tests {
         assert!(band
             .iter()
             .all(|&v| p.block_of(v) == 0 || p.block_of(v) == 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Band seeds drawn from the boundary index must be bit-identical to the
+    // retained full-scan reference — initially and after every batch of
+    // simulated FM moves the seeder observes — and so must the bands grown
+    // from them.
+    #[test]
+    fn index_seeder_band_seeds_are_bit_identical_to_full_scan(
+        graph in arbitrary_graph(150),
+        k in 2u32..5,
+        seed in any::<u64>(),
+    ) {
+        let partition = random_partition(&graph, k, seed);
+        let index = BoundaryIndex::build(&graph, &partition);
+        let n = graph.num_nodes() as u64;
+        let (a, b) = (0u32, 1u32);
+        let mut with_index = IndexSeeder::new(&graph, &index, a, b);
+        let mut full_scan = FullScanSeeder::new(&graph, a, b);
+        // `view` plays the DeltaPairView: the pair's live state during the
+        // worker's local iterations, diverging from the index by exactly the
+        // observed moves.
+        let mut view = partition.clone();
+        let mut next = xorshift(seed);
+        for round in 0..6 {
+            let expected = BandSeeder::<Partition>::seeds(&mut full_scan, &view);
+            let got = BandSeeder::<Partition>::seeds(&mut with_index, &view);
+            prop_assert_eq!(&got, &expected, "seeds diverged in round {}", round);
+            for depth in [1usize, 3] {
+                prop_assert_eq!(
+                    band_around_boundary(&graph, &view, &got, (a, b), depth),
+                    band_around_boundary(&graph, &view, &expected, (a, b), depth),
+                    "band diverged in round {} depth {}",
+                    round,
+                    depth
+                );
+            }
+            // Simulate one FM result: a few nodes of the pair switch sides.
+            let mut moves = Vec::new();
+            for _ in 0..4 {
+                let v = (next() % n) as u32;
+                let bv = view.block_of(v);
+                if bv == a || bv == b {
+                    let to = if bv == a { b } else { a };
+                    view.assign(v, to);
+                    moves.push((v, to));
+                }
+            }
+            BandSeeder::<Partition>::observe_moves(&mut with_index, &moves);
+            BandSeeder::<Partition>::observe_moves(&mut full_scan, &moves);
+        }
+    }
     }
 }

@@ -76,8 +76,8 @@ impl SharedAssignment {
 /// One FM worker's handle on the [`SharedAssignment`] for its block pair.
 ///
 /// Implements [`BlockAssignment`] / [`BlockAssignmentMut`] so
-/// [`two_way_fm`](crate::fm::two_way_fm) and
-/// [`pair_band`](crate::band::pair_band) run on it unchanged; `assign` is a
+/// [`two_way_fm_in`](crate::fm::two_way_fm_in) and
+/// [`PairBand::around`](crate::band::PairBand::around) run on it unchanged; `assign` is a
 /// relaxed store into the worker's disjoint write set.
 #[derive(Debug)]
 pub struct DeltaPairView<'a> {

@@ -182,10 +182,11 @@ impl LazyQueue {
     }
 }
 
-/// Runs one 2-way FM search on the pair `(block_a, block_b)`.
+/// Runs one 2-way FM search on the pair `(block_a, block_b)`, on a band that
+/// arrives with its gains and boundary flags ([`PairBand`]), with
+/// caller-provided scratch buffers.
 ///
-/// * `eligible` — the band of movable nodes (repeats and nodes outside the
-///   two blocks are skipped). Nodes outside the band are frozen but still
+/// * `band` — the movable nodes. Nodes outside the band are frozen but still
 ///   contribute to gains.
 /// * `weight_a` / `weight_b` — the *full* current weights of the two blocks
 ///   (not just the band), needed for the balance bound.
@@ -196,48 +197,6 @@ impl LazyQueue {
 /// [`BlockAssignmentMut`]: the scheduler passes a
 /// [`DeltaPairView`](crate::delta::DeltaPairView) so concurrent pair searches
 /// share one read-only base partition instead of cloning it.
-///
-/// This convenience wrapper takes a bare node list: it allocates a fresh
-/// [`FmScratch`] and builds the [`PairBand`] with a depth-0
-/// [`PairBand::around`] — one row visit per listed node. Hot paths (the
-/// refinement scheduler) already hold the band their BFS produced and call
-/// [`two_way_fm_in`] with a pooled scratch, which performs no per-call `O(n)`
-/// allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
-    graph: &G,
-    partition: &mut P,
-    block_a: BlockId,
-    block_b: BlockId,
-    eligible: &[NodeId],
-    weight_a: NodeWeight,
-    weight_b: NodeWeight,
-    config: &FmConfig,
-) -> FmResult {
-    let mut scratch = FmScratch::new();
-    let band = PairBand::around(
-        graph,
-        &*partition,
-        eligible,
-        (block_a, block_b),
-        0,
-        &mut scratch,
-    );
-    two_way_fm_in(
-        graph,
-        partition,
-        block_a,
-        block_b,
-        band,
-        weight_a,
-        weight_b,
-        config,
-        &mut scratch,
-    )
-}
-
-/// The 2-way FM search on a band that arrives with its gains and boundary
-/// flags ([`PairBand`]), with caller-provided scratch buffers.
 ///
 /// `band` must describe `partition` as it is now: the search reads no
 /// adjacency row before its first move — initial gains and the initial
@@ -448,6 +407,44 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
         on_boundary,
     };
     result
+}
+
+#[cfg(test)]
+/// [`two_way_fm_in`] on a bare node list: allocates a fresh [`FmScratch`] and
+/// builds the [`PairBand`] with a depth-0 [`PairBand::around`] — one row
+/// visit per listed node (repeats and nodes outside the two blocks are
+/// skipped). What the unit tests below drive the search through.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
+    graph: &G,
+    partition: &mut P,
+    block_a: BlockId,
+    block_b: BlockId,
+    eligible: &[NodeId],
+    weight_a: NodeWeight,
+    weight_b: NodeWeight,
+    config: &FmConfig,
+) -> FmResult {
+    let mut scratch = FmScratch::new();
+    let band = PairBand::around(
+        graph,
+        &*partition,
+        eligible,
+        (block_a, block_b),
+        0,
+        &mut scratch,
+    );
+    two_way_fm_in(
+        graph,
+        partition,
+        block_a,
+        block_b,
+        band,
+        weight_a,
+        weight_b,
+        config,
+        &mut scratch,
+    )
 }
 
 #[cfg(test)]

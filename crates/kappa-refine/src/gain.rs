@@ -1,4 +1,7 @@
-//! Gain computation for pairwise (2-way) FM refinement.
+//! Gain computation for pairwise (2-way) FM refinement — test-only
+//! (`#[cfg(test)] mod gain;` in `lib.rs`): the per-node oracle the fused
+//! band visit ([`PairBand::around`](crate::band::PairBand::around)) is
+//! checked against.
 //!
 //! The gain of moving node `v` from its block to the partner block is the
 //! decrease in edge cut: `Σ ω(v, partner-block) − Σ ω(v, own-block)`. Edges to

@@ -14,9 +14,8 @@
 //!   also takes the node's gain and boundary flag from it ([`PairBand`]) and
 //!   the FM search starts without touching the graph; band
 //!   seeds come from an incremental
-//!   [`BoundaryIndex`](kappa_graph::BoundaryIndex) via [`IndexSeeder`]
-//!   (the full-scan [`FullScanSeeder`] is the retained reference), so seed
-//!   extraction costs `O(|boundary|)`, not `O(n + m)`;
+//!   [`BoundaryIndex`](kappa_graph::BoundaryIndex) via [`IndexSeeder`], so
+//!   seed extraction costs `O(|boundary|)`, not `O(n + m)`;
 //! * a **scratch pool** ([`scratch`]): FM and band-BFS buffers are pooled
 //!   per worker and indexed by band position, so a pair search performs no
 //!   `O(n)` allocation;
@@ -68,23 +67,25 @@ pub mod band;
 pub mod coloring;
 pub mod delta;
 pub mod fm;
-pub mod gain;
 pub mod gather;
 pub mod local;
 pub mod queue_select;
 pub mod scheduler;
 pub mod scratch;
 
-pub use balance::{best_move_of, fallback_move_of, fallback_target, rebalance, rebalance_state};
-pub use band::{merge_sorted_dedup, pair_band, BandSeeder, FullScanSeeder, IndexSeeder, PairBand};
+pub use balance::{best_move_of, fallback_move_of, fallback_target, rebalance_state};
+pub use band::{merge_sorted_dedup, pair_band, BandSeeder, IndexSeeder, PairBand};
 pub use coloring::{color_quotient_edges, EdgeColoring};
 pub use delta::{DeltaPairView, SharedAssignment};
-pub use fm::{patience_bound, two_way_fm, two_way_fm_in, FmConfig, FmResult};
-pub use gain::pair_gain;
+pub use fm::{patience_bound, two_way_fm_in, FmConfig, FmResult};
 pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
 pub use local::{refine_local, LocalRefineStats};
 pub use queue_select::QueueSelection;
-pub use scheduler::{
-    refine_partition, refine_partition_reference, RefinementConfig, RefinementStats,
-};
+pub use scheduler::{refine_partition, RefinementConfig, RefinementStats};
 pub use scratch::{FmScratch, ScratchPool};
+
+#[cfg(test)]
+#[path = "../../../tests/common/arbitrary_graph.rs"]
+mod arbitrary_graph;
+#[cfg(test)]
+mod gain;

@@ -21,27 +21,24 @@
 //! consistent. Each worker returns its surviving move list (the delta), which
 //! the scheduler applies to the real partition once per class — the
 //! shared-memory analogue of the paper's "the better partitioning of the two
-//! blocks is adopted" exchange. Earlier revisions cloned the entire partition
-//! once per colour class and once more per pair; the shared mirror cuts that
-//! `O(n·k)` copying out of the hot path entirely (see
-//! `refine_partition_reference`, kept as the bit-identical ground truth).
+//! blocks is adopted" exchange.
 //!
-//! Since the persistent-state refactor the scheduler operates on one
-//! [`PartitionState`] — assignment, incremental block weights, incremental
-//! boundary index and cached cut behind a single `apply_move` — that arrives
-//! current and is returned current. Nothing is rebuilt per call or per
-//! global iteration any more: earlier revisions rebuilt the boundary index
-//! and recomputed the block weights every global iteration and the edge cut
-//! every call, and the rebalancer bypassed the index entirely.
+//! The scheduler operates on one [`PartitionState`] — assignment,
+//! incremental block weights, incremental boundary index and cached cut
+//! behind a single `apply_move` — that arrives current and is returned
+//! current: nothing is rebuilt per call or per global iteration, and the
+//! rebalancer routes its moves through the same state. The test-only
+//! `refine_partition_reference` below — one partition clone per colour class
+//! and per pair, full-scan seeds, quotient and rebalancing — is the
+//! bit-identical ground truth.
 
 use kappa_graph::{
-    BlockAssignmentMut, BlockId, BlockWeights, GraphAccess, NodeId, NodeWeight, Partition,
-    PartitionState, QuotientGraph,
+    BlockAssignmentMut, BlockId, GraphAccess, NodeId, NodeWeight, Partition, PartitionState,
 };
 use rayon::prelude::*;
 
-use crate::balance::{rebalance, rebalance_state};
-use crate::band::{BandSeeder, FullScanSeeder, IndexSeeder, PairBand};
+use crate::balance::rebalance_state;
+use crate::band::{BandSeeder, IndexSeeder, PairBand};
 use crate::coloring::color_quotient_edges;
 use crate::delta::{DeltaPairView, SharedAssignment};
 use crate::fm::{pair_search_seed, two_way_fm_in, FmConfig};
@@ -120,11 +117,10 @@ pub struct RefinementStats {
     pub pair_searches: usize,
     /// Number of nodes moved (after rollbacks).
     pub nodes_moved: usize,
-    /// Number of full `O(n + m)` quotient-graph scans performed. The
-    /// production scheduler derives every quotient from the boundary index
-    /// (`PartitionState::quotient`), so this stays 0; only the full-scan
-    /// reference ([`refine_partition_reference`]) pays one per global
-    /// iteration.
+    /// Number of full `O(n + m)` quotient-graph scans performed.
+    /// [`refine_partition`] derives every quotient from the boundary index
+    /// (`PartitionState::quotient`), so this stays 0; only the test-only
+    /// full-scan reference scheduler pays one per global iteration.
     pub quotient_full_scans: usize,
 }
 
@@ -151,12 +147,12 @@ pub(crate) struct PairDelta {
 /// 2-way FM, pair-local block-weight tracking — against `target` and returns
 /// the pair's delta.
 ///
-/// `target` is a [`DeltaPairView`] in the production scheduler, a snapshot
-/// clone in [`refine_partition_reference`] and an overlay on the state's
-/// partition in [`refine_local`](crate::refine_local); `seeder` is an
-/// [`IndexSeeder`] drawn from the shared [`BoundaryIndex`] in production, one
-/// started from the touched region in `refine_local`, and the full-scan
-/// reference otherwise. This is the only local-iteration loop of the crate;
+/// `target` is a [`DeltaPairView`] in [`refine_partition`], an overlay on
+/// the state's partition in [`refine_local`](crate::refine_local) and a
+/// snapshot clone in the test-only reference scheduler; `seeder` is an
+/// [`IndexSeeder`] drawn from the shared [`BoundaryIndex`] in the first, one
+/// started from the touched region in the second, and the full-scan
+/// reference in the third. This is the only local-iteration loop of the crate;
 /// sharing it — and the seeders' identical outputs — is what keeps the
 /// schedulers bit-identical. `refine_local` passes `(round, pair index)` for
 /// `(global_iter, color_idx)`.
@@ -230,8 +226,7 @@ pub(crate) fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P
 /// moves the same way, so nothing ever mutates the assignment behind the
 /// index's back. The FM searches draw their buffers from a [`ScratchPool`],
 /// so neither boundary extraction nor FM performs per-search `O(n)` work.
-/// The result is bit-identical to the snapshot-cloning, full-scanning
-/// [`refine_partition_reference`] for every thread count.
+/// The result is the same for every thread count.
 ///
 /// ```
 /// use kappa_gen::grid::grid2d;
@@ -284,8 +279,7 @@ pub fn refine_partition<G: GraphAccess + Sync>(
     for global_iter in 0..config.max_global_iterations {
         // Boundary-priced quotient: derived from the state's boundary index
         // in O(Σ_{v ∈ boundary} deg v), bit-identical to the full-scan
-        // `QuotientGraph::build` the reference scheduler still performs —
-        // this was the last O(n + m) pass per global iteration.
+        // `QuotientGraph::build`.
         let quotient = state.quotient(graph);
         if quotient.num_edges() == 0 {
             break;
@@ -368,14 +362,21 @@ pub fn refine_partition<G: GraphAccess + Sync>(
     stats
 }
 
+#[cfg(test)]
+use {
+    crate::balance::rebalance,
+    crate::band::FullScanSeeder,
+    kappa_graph::{BlockWeights, QuotientGraph},
+};
+
+#[cfg(test)]
 /// The snapshot-cloning, full-scanning reference scheduler: clones the
-/// partition once per colour class and once more per pair, and re-derives
-/// every band seed with an `O(n + m)` [`FullScanSeeder`] scan, exactly as
-/// earlier revisions did.
-///
-/// Kept as the ground truth [`refine_partition`] is checked against (parity
-/// tests, benches). Use [`refine_partition`] everywhere else.
-pub fn refine_partition_reference<G: GraphAccess + Sync>(
+/// partition once per colour class and once more per pair, re-derives every
+/// band seed with an `O(n + m)` [`FullScanSeeder`] scan and every quotient
+/// with a full [`QuotientGraph::build`], and rebalances with the full-scan
+/// [`rebalance`]. The ground truth [`refine_partition`] is checked against,
+/// for every thread count.
+pub(crate) fn refine_partition_reference<G: GraphAccess + Sync>(
     graph: &G,
     partition: &mut Partition,
     config: &RefinementConfig,
@@ -460,12 +461,20 @@ pub fn refine_partition_reference<G: GraphAccess + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary_graph::arbitrary_graph;
     use crate::band::pair_band;
+    use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
     use kappa_graph::{Adjacency, BlockAssignment, CsrGraph, EdgeWeight};
     use kappa_initial::{greedy_graph_growing, random_partition};
+    use kappa_matching::{EdgeRating, MatchingAlgorithm};
+    use proptest::prelude::*;
+    use rayon::ThreadPoolBuilder;
     use std::cell::{Cell, RefCell};
+
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+    const GPA: MatcherKind = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
 
     /// [`refine_partition`] on a bare [`Partition`]: a fresh state per call.
     fn refine_partition_in_place(
@@ -777,5 +786,99 @@ mod tests {
         assert_eq!(stats.total_gain, before as i64 - p.edge_cut(&g) as i64);
         assert!(stats.global_iterations >= 1);
         assert!(stats.pair_searches >= 1);
+    }
+
+    // The delta-move scheduler against the snapshot reference, and — since
+    // `refine_partition` seeds its bands from the `BoundaryIndex` while the
+    // reference re-scans the whole graph — the end-to-end index-on vs.
+    // index-off parity proof; the interleaved-mutation property extends it to
+    // rebalance moves and seeded level projections.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn delta_move_refinement_is_bit_identical_to_snapshot_reference(
+        graph in arbitrary_graph(250),
+        k in 2u32..9,
+        seed in any::<u64>(),
+    ) {
+        let start = random_partition(&graph, k, seed);
+        let config = RefinementConfig {
+            max_global_iterations: 3,
+            seed,
+            ..Default::default()
+        };
+        let mut expected = start.clone();
+        let expected_stats = refine_partition_reference(&graph, &mut expected, &config);
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let mut state = PartitionState::build(&graph, start.clone());
+            let stats = pool.install(|| refine_partition(&graph, &mut state, &config));
+            prop_assert_eq!(
+                state.partition().assignment(),
+                expected.assignment(),
+                "threads {}",
+                threads
+            );
+            prop_assert_eq!(stats.total_gain, expected_stats.total_gain);
+            prop_assert_eq!(stats.pair_searches, expected_stats.pair_searches);
+            prop_assert_eq!(stats.nodes_moved, expected_stats.nodes_moved);
+            prop_assert!(state.verify_exact(&graph).is_ok(), "state not returned current");
+        }
+    }
+
+    // Tentpole property: arbitrary interleavings of FM delta-moves (through
+    // the parallel scheduler), rebalance moves and level projections keep the
+    // PartitionState exact — weights, boundary index AND cached cut match a
+    // fresh recomputation after every step, for every thread count — and the
+    // whole interleaving stays bit-identical to the reference pipeline that
+    // re-derives everything from scratch.
+    #[test]
+    fn partition_state_stays_exact_under_interleaved_mutations(
+        graph in arbitrary_graph(160),
+        k in 2u32..6,
+        seed in any::<u64>(),
+    ) {
+        let config = CoarseningConfig { stop_at_nodes: 24, ..Default::default() };
+        let hierarchy = MultilevelHierarchy::build(graph, GPA, EdgeRating::ExpansionStar2, &config);
+        let coarsest = hierarchy.coarsest();
+        let start = random_partition(coarsest, k, seed);
+        let refine_config = RefinementConfig {
+            max_global_iterations: 2,
+            seed,
+            ..Default::default()
+        };
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let mut state = PartitionState::build(coarsest, start.clone());
+            let mut reference = start.clone();
+            // FM on the coarsest level…
+            pool.install(|| refine_partition(coarsest, &mut state, &refine_config));
+            refine_partition_reference(coarsest, &mut reference, &refine_config);
+            prop_assert!(state.verify_exact(coarsest).is_ok(), "after coarsest FM");
+            prop_assert_eq!(state.partition().assignment(), reference.assignment());
+            for level in (1..hierarchy.num_levels()).rev() {
+                // …then, per level: project, rebalance against a tight bound
+                // (forcing repair moves), and run FM again.
+                state = hierarchy.project_state_one_level(level, &state);
+                reference = hierarchy.project_one_level(level, &reference);
+                let fine = hierarchy.graph_at(level - 1);
+                prop_assert!(state.verify_exact(fine).is_ok(), "after projection");
+
+                let l_max = Partition::l_max(fine, k, 0.0);
+                let moved_state = rebalance_state(fine, &mut state, l_max);
+                let moved_ref = rebalance(fine, &mut reference, l_max);
+                prop_assert_eq!(moved_state, moved_ref, "rebalance move counts");
+                prop_assert_eq!(state.partition().assignment(), reference.assignment());
+                prop_assert!(state.verify_exact(fine).is_ok(), "after rebalance");
+
+                pool.install(|| refine_partition(fine, &mut state, &refine_config));
+                refine_partition_reference(fine, &mut reference, &refine_config);
+                prop_assert_eq!(state.partition().assignment(), reference.assignment());
+                prop_assert!(state.verify_exact(fine).is_ok(), "after FM");
+            }
+            prop_assert_eq!(state.full_builds(), 1, "more than one full index build");
+        }
+    }
     }
 }

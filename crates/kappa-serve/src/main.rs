@@ -112,8 +112,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<CliArgs, String> {
 
 fn load_graph(cli: &CliArgs) -> Result<(CsrGraph, String), String> {
     if let Some(family) = &cli.generate {
-        let graph = kappa_gen::generate(family, cli.nodes, cli.seed)
-            .ok_or_else(|| format!("unknown --generate family {family:?}"))?;
+        let graph = kappa_gen::generate(family, cli.nodes, cli.seed)?;
         Ok((graph, format!("{family}-{}", cli.nodes)))
     } else {
         let path = cli.graph_path.as_ref().unwrap();

@@ -122,6 +122,20 @@ fn cli_parse_errors_exit_2_with_usage() {
 }
 
 #[test]
+fn generate_with_too_few_nodes_is_an_error_not_a_panic() {
+    let out = serve_cmd()
+        .args(["--generate", "road", "--nodes", "4", "--k", "2"])
+        .output()
+        .expect("run kappa-serve");
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: --generate road needs --nodes >= 8"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn help_prints_the_flag_reference_and_exits_0() {
     let out = serve_cmd().arg("--help").output().expect("run kappa-serve");
     assert!(out.status.success());

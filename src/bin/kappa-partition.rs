@@ -195,8 +195,7 @@ fn parse_args() -> Result<CliArgs, String> {
 
 fn load_graph(cli: &CliArgs) -> Result<(CsrGraph, String), String> {
     if let Some(family) = &cli.generate {
-        let graph = kappa::gen::generate(family, cli.nodes, cli.seed)
-            .ok_or_else(|| format!("unknown --generate family {family:?}"))?;
+        let graph = kappa::gen::generate(family, cli.nodes, cli.seed)?;
         Ok((graph, format!("{family}-{}", cli.nodes)))
     } else {
         let path = cli.graph_path.as_ref().unwrap();
@@ -378,6 +377,15 @@ fn run_tiered(cli: &CliArgs, config: &KappaConfig) -> Option<ExitCode> {
     let spill = SpillConfig::new(default_spill_dir("cli"));
     let finest_file = spill.spill_dir.join("finest.kpg");
     let spec = cli.memory_tier.spec(&finest_file, spill.cache)?;
+    // The streaming arms below construct a family's source themselves.
+    if let Some(Err(msg)) = cli
+        .generate
+        .as_deref()
+        .map(|family| kappa::gen::check_request(family, cli.nodes))
+    {
+        eprintln!("error: {msg}");
+        return Some(ExitCode::FAILURE);
+    }
     if let Err(e) = std::fs::create_dir_all(&spill.spill_dir) {
         eprintln!(
             "error: cannot create spill dir {}: {e}",

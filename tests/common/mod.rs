@@ -6,9 +6,12 @@
 #![allow(dead_code)] // each suite uses the subset it needs
 
 use kappa::gen::{delaunay_like_graph, grid2d, random_geometric_graph};
-use kappa::graph::{BlockWeights, BoundaryIndex, GraphBuilder, PartitionState};
+use kappa::graph::{BlockWeights, BoundaryIndex, PartitionState};
 use kappa::prelude::*;
-use proptest::prelude::*;
+
+mod arbitrary_graph;
+#[allow(unused_imports)] // as above
+pub use arbitrary_graph::{arbitrary_graph, xorshift};
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable.
@@ -31,39 +34,6 @@ pub fn format_peak_rss() -> String {
     peak_rss_bytes()
         .map(|b| format!("{:.0} MiB", b as f64 / (1024.0 * 1024.0)))
         .unwrap_or_else(|| "unavailable".to_string())
-}
-
-/// The deterministic xorshift64 stream used everywhere a test needs cheap
-/// reproducible randomness (`seed` is forced odd so the stream never
-/// collapses to zero).
-pub fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut state = seed | 1;
-    move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    }
-}
-
-/// Strategy: a random connected-ish weighted graph with up to `max_n` nodes
-/// (ring backbone plus random chords, weighted 1..=9).
-pub fn arbitrary_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
-    (2usize..max_n, any::<u64>()).prop_map(|(n, seed)| {
-        let mut builder = GraphBuilder::new(n);
-        let mut next = xorshift(seed);
-        for i in 0..n {
-            builder.add_edge(i as u32, ((i + 1) % n) as u32, 1 + next() % 9);
-        }
-        for _ in 0..n {
-            let u = (next() % n as u64) as u32;
-            let v = (next() % n as u64) as u32;
-            if u != v {
-                builder.add_edge(u, v, 1 + next() % 9);
-            }
-        }
-        builder.build()
-    })
 }
 
 /// The standard small instance trio (one per family of the paper's suite)

@@ -6,10 +6,12 @@
 //! this table is the only thing that notices when all of them move together.
 //! A row is the FNV-1a-64 hash of `partition.assignment()` plus
 //! `hierarchy_levels`. A second table pins the dynamic path (`DynamicSession`
-//! repairs through `refine_local`) the same way. A legitimate algorithmic
-//! change regenerates the tables: the failure message prints every row in
-//! source form.
+//! repairs through `refine_local`) the same way, a third the Scotch-like
+//! baseline (the one caller of the k-way balance repair outside the KaPPa
+//! pipeline). A legitimate algorithmic change regenerates the tables: the
+//! failure message prints every row in source form.
 
+use kappa::baselines::ScotchLike;
 use kappa::coarsen::SpillConfig;
 use kappa::core::{default_spill_dir, partition_tiered, DynamicConfig, DynamicSession};
 use kappa::gen::{grid2d, random_geometric_graph, rmat_graph};
@@ -204,6 +206,49 @@ fn dynamic_sessions_reproduce_the_golden_table() {
         panic!("dynamic golden table mismatch; the rows this commit produces:\n{table}");
     }
 }
+
+/// The Scotch-like baseline: recursive bisection, then the k-way balance
+/// repair — which every one of these four runs really performs
+/// (`scotch_like::tests::final_repair_fires_on_the_golden_instances` asserts
+/// that the bisection tree alone leaves them infeasible).
+#[test]
+fn scotch_like_reproduces_the_golden_table() {
+    let instances = [
+        ("rgg12", random_geometric_graph(1 << 12, 17)),
+        ("grid64", grid2d(64, 64)),
+    ];
+    let mut actual: Vec<(String, u64, u64)> = Vec::new();
+    for (name, graph) in &instances {
+        for k in [4u32, 8] {
+            let partition = ScotchLike::default().partition(graph, k, 0.03, 1);
+            assert!(partition.is_balanced(graph, 0.03), "{name}/k{k}");
+            let hash = fnv1a64(partition.assignment());
+            actual.push((format!("{name}/k{k}"), hash, partition.edge_cut(graph)));
+        }
+    }
+    let matches = actual.len() == GOLDEN_SCOTCH_LIKE.len()
+        && actual
+            .iter()
+            .zip(GOLDEN_SCOTCH_LIKE)
+            .all(|(a, g)| (a.0.as_str(), a.1, a.2) == *g);
+    if !matches {
+        let table: String = actual
+            .iter()
+            .map(|(tag, hash, cut)| format!("    (\"{tag}\", {hash:#018x}, {cut}),\n"))
+            .collect();
+        panic!("scotch-like golden table mismatch; the rows this commit produces:\n{table}");
+    }
+}
+
+/// `(instance/k, FNV-1a-64 of the assignment, edge cut)` at ε = 0.03, seed 1.
+/// Generated at the commit before the final repair moved from the full-scan
+/// rebalancer to `rebalance_state`.
+const GOLDEN_SCOTCH_LIKE: &[(&str, u64, u64)] = &[
+    ("rgg12/k4", 0x9b0c60a309b34cf7, 171),
+    ("rgg12/k8", 0xa6de2008938d7ff5, 282),
+    ("grid64/k4", 0xdfec1ad402c878d6, 193),
+    ("grid64/k8", 0x3b96132f08977433, 339),
+];
 
 /// `(instance/k/refine config, FNV-1a-64 of the final assignment,
 /// pair_searches, nodes_moved, total_gain)` — the last three summed over the

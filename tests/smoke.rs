@@ -2,7 +2,9 @@
 //! is wired together. Partitions a generated grid graph into k = 4 blocks and
 //! asserts the three properties every later PR must preserve: the cut is
 //! finite, the partition is feasible at the default 3 % tolerance, and every
-//! vertex is assigned to a valid block.
+//! vertex is assigned to a valid block. Plus one error path of the
+//! `kappa-partition` binary itself: a `--generate` request the family cannot
+//! serve is a diagnosed `error:`, not a panic.
 
 use kappa::prelude::*;
 
@@ -40,4 +42,39 @@ fn grid_into_four_parts_is_finite_feasible_and_complete() {
 
     // And the whole thing is internally consistent.
     result.partition.validate(&graph).expect("valid partition");
+}
+
+#[test]
+fn generate_with_too_few_nodes_is_an_error_not_a_panic() {
+    for args in [
+        &["--generate", "road", "--nodes", "4", "--k", "2"][..],
+        &["--generate", "delaunay", "--nodes", "3", "--k", "2"][..],
+        &["--generate", "rgg", "--nodes", "1", "--k", "2"][..],
+        &[
+            "--generate",
+            "rgg",
+            "--nodes",
+            "1",
+            "--k",
+            "2",
+            "--memory-tier",
+            "paged",
+        ][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kappa-partition"))
+            .args(args)
+            .output()
+            .expect("run kappa-partition");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "args {args:?}: {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: --generate") && stderr.contains("needs --nodes >="),
+            "args {args:?}: {stderr}"
+        );
+    }
 }
