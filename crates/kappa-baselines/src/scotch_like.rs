@@ -50,7 +50,7 @@ impl ScotchLike {
         left_out: &mut Vec<NodeId>,
         right_out: &mut Vec<NodeId>,
     ) {
-        let sub = extract_subgraph(graph, nodes, false);
+        let sub = extract_subgraph(graph, nodes);
         let sub_graph = sub.graph.clone();
 
         // Multilevel 2-way partition of the subgraph.

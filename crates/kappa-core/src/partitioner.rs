@@ -57,11 +57,6 @@ pub struct PartitionResult {
     /// Exactly 1 for any non-degenerate run: the coarsest level's; every
     /// finer level seeds its index from the projected coarse boundary.
     pub boundary_full_builds: usize,
-    /// Number of full `O(n + m)` quotient-graph scans the run performed.
-    /// Exactly 0: every quotient is derived from the boundary index
-    /// (`PartitionState::quotient`); only `kappa-refine`'s test-only
-    /// reference scheduler pays the full scan.
-    pub quotient_full_scans: usize,
 }
 
 /// The KaPPa graph partitioner (paper §2–§5 end to end).
@@ -176,7 +171,6 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
             coarsest_nodes: n,
             refinement: RefinementStats::default(),
             boundary_full_builds: 0,
-            quotient_full_scans: 0,
         };
         return Ok((result, MultilevelHierarchy::flat(finest)));
     }
@@ -235,7 +229,6 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
         coarsest_nodes: coarsest.num_nodes(),
         refinement,
         boundary_full_builds,
-        quotient_full_scans: refinement.quotient_full_scans,
     };
     Ok((result, hierarchy))
 }

@@ -6,30 +6,55 @@
 //! graphs. The 3-D grid covers the volumetric meshes (`m14b`, `598a`), the
 //! 2-D grid the planar ones.
 
-use kappa_graph::{CsrGraph, GraphBuilder, NodeId};
+use kappa_graph::{CsrGraph, EdgeSource, EdgeWeight, GraphBuilder, NodeId};
 
-/// A `width x height` 2-D grid graph with unit weights and grid coordinates.
-pub fn grid2d(width: usize, height: usize) -> CsrGraph {
-    assert!(width >= 1 && height >= 1);
-    let n = width * height;
-    let id = |x: usize, y: usize| (y * width + x) as NodeId;
-    let mut b = GraphBuilder::new(n);
-    b.reserve_edges(2 * n);
-    for y in 0..height {
-        for x in 0..width {
-            if x + 1 < width {
-                b.add_edge(id(x, y), id(x + 1, y), 1);
-            }
-            if y + 1 < height {
-                b.add_edge(id(x, y), id(x, y + 1), 1);
+use crate::stream::build;
+
+/// Streaming 2-D grid: the edges of [`grid2d`], `O(1)` resident memory.
+pub struct Grid2dSource {
+    width: usize,
+    height: usize,
+}
+
+impl Grid2dSource {
+    /// A `width x height` grid.
+    pub fn new(width: usize, height: usize) -> Self {
+        assert!(width >= 1 && height >= 1);
+        Grid2dSource { width, height }
+    }
+}
+
+impl EdgeSource for Grid2dSource {
+    fn num_nodes(&self) -> usize {
+        self.width * self.height
+    }
+
+    fn for_each_edge<F: FnMut(NodeId, NodeId, EdgeWeight)>(&self, mut f: F) {
+        let id = |x: usize, y: usize| (y * self.width + x) as NodeId;
+        for y in 0..self.height {
+            for x in 0..self.width {
+                if x + 1 < self.width {
+                    f(id(x, y), id(x + 1, y), 1);
+                }
+                if y + 1 < self.height {
+                    f(id(x, y), id(x, y + 1), 1);
+                }
             }
         }
     }
-    let coords = (0..n)
-        .map(|i| [(i % width) as f64, (i / width) as f64])
-        .collect();
-    b.set_coords(coords);
-    b.build()
+
+    fn coords(&self) -> Option<Vec<[f64; 2]>> {
+        Some(
+            (0..self.num_nodes())
+                .map(|i| [(i % self.width) as f64, (i / self.width) as f64])
+                .collect(),
+        )
+    }
+}
+
+/// A `width x height` 2-D grid graph with unit weights and grid coordinates.
+pub fn grid2d(width: usize, height: usize) -> CsrGraph {
+    build(&Grid2dSource::new(width, height))
 }
 
 /// A `width x height` 2-D torus (grid with wrap-around edges).

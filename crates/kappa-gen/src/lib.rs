@@ -26,15 +26,14 @@ pub mod grid;
 pub mod rgg;
 pub mod rmat;
 pub mod road;
-pub mod stream;
+mod stream;
 pub mod suite;
 
 pub use delaunay::delaunay_like_graph;
-pub use grid::{grid2d, grid3d, torus2d};
-pub use rgg::random_geometric_graph;
+pub use grid::{grid2d, grid3d, torus2d, Grid2dSource};
+pub use rgg::{random_geometric_graph, RggSource};
 pub use rmat::rmat_graph;
 pub use road::road_network_like;
-pub use stream::{Grid2dSource, RggSource};
 pub use suite::{large_suite, small_suite, Instance, InstanceFamily};
 
 /// Whether `--generate family --nodes nodes` can be served: `Err` names an

@@ -6,26 +6,27 @@
 //! is almost connected. Neighbour search uses a uniform grid with cells of the
 //! connection radius, so generation is `O(n + m)` in expectation.
 //!
-//! The cell scan lives in the crate-internal `RggLayout` so that both the
-//! in-RAM builder path
-//! ([`random_geometric_graph`]) and the streaming path
-//! ([`RggSource`](crate::stream::RggSource)) enumerate the *same* edge set —
-//! the tiered pipeline's bit-identity guarantee starts here.
+//! The family is written once, as the streaming [`RggSource`]: the in-RAM
+//! [`random_geometric_graph`] is one replay of it into `GraphBuilder`, so the
+//! tiered pipeline's bit-identity guarantee holds by construction.
 
-use kappa_graph::{CsrGraph, GraphBuilder, NodeId};
+use kappa_graph::{CsrGraph, EdgeSource, EdgeWeight, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::stream::build;
 
 /// The paper's connection radius for `n` nodes: `0.55 * sqrt(ln n / n)`.
 pub fn rgg_radius(n: usize) -> f64 {
     0.55 * ((n as f64).ln() / n as f64).sqrt()
 }
 
-/// Points plus the uniform cell grid used for neighbour search. Holds `O(n)`
-/// memory (16 B per point, ~8 B per node of bucket index) and replays the
-/// edge set on demand — never the `O(m)` edge list.
-pub(crate) struct RggLayout {
-    pub(crate) points: Vec<[f64; 2]>,
+/// Streaming random geometric graph: the points plus the uniform cell grid
+/// used for neighbour search. Holds `O(n)` memory (16 B per point, ~8 B per
+/// node of bucket index) and replays the edge set on demand — never the
+/// `O(m)` edge list.
+pub struct RggSource {
+    points: Vec<[f64; 2]>,
     /// CSR-style buckets: nodes of cell `c` are
     /// `cell_nodes[cell_start[c]..cell_start[c + 1]]`, in increasing id order.
     cell_start: Vec<u32>,
@@ -34,8 +35,15 @@ pub(crate) struct RggLayout {
     r2: f64,
 }
 
-impl RggLayout {
-    pub(crate) fn new(n: usize, radius: f64, seed: u64) -> Self {
+impl RggSource {
+    /// The paper's `rggX` instance with `n` nodes (radius
+    /// `0.55 * sqrt(ln n / n)`).
+    pub fn new(n: usize, seed: u64) -> Self {
+        Self::with_radius(n, rgg_radius(n), seed)
+    }
+
+    /// Explicit connection radius.
+    pub fn with_radius(n: usize, radius: f64, seed: u64) -> Self {
         assert!(n >= 2, "need at least two nodes");
         assert!(radius > 0.0 && radius < 1.0, "radius must be in (0, 1)");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -65,7 +73,7 @@ impl RggLayout {
             cursor[c] += 1;
         }
 
-        RggLayout {
+        RggSource {
             points,
             cell_start,
             cell_nodes,
@@ -80,10 +88,16 @@ impl RggLayout {
         let hi = self.cell_start[c + 1] as usize;
         &self.cell_nodes[lo..hi]
     }
+}
 
-    /// Calls `f(u, v)` once per edge with `u < v`, scanning the 3x3 cell
+impl EdgeSource for RggSource {
+    fn num_nodes(&self) -> usize {
+        self.points.len()
+    }
+
+    /// Emits every edge once with `u < v`, scanning the 3x3 cell
     /// neighbourhood of every node.
-    pub(crate) fn for_each_edge<F: FnMut(NodeId, NodeId)>(&self, mut f: F) {
+    fn for_each_edge<F: FnMut(NodeId, NodeId, EdgeWeight)>(&self, mut f: F) {
         let side = self.cells_per_side;
         for u in 0..self.points.len() {
             let pu = self.points[u];
@@ -104,28 +118,27 @@ impl RggLayout {
                         let dx = pu[0] - pv[0];
                         let dy = pu[1] - pv[1];
                         if dx * dx + dy * dy <= self.r2 {
-                            f(u as NodeId, v as NodeId);
+                            f(u as NodeId, v as NodeId, 1);
                         }
                     }
                 }
             }
         }
     }
+
+    fn coords(&self) -> Option<Vec<[f64; 2]>> {
+        Some(self.points.clone())
+    }
 }
 
 /// Generates the paper's random geometric graph family with `n` nodes.
 pub fn random_geometric_graph(n: usize, seed: u64) -> CsrGraph {
-    assert!(n >= 2, "need at least two nodes");
-    random_geometric_graph_with_radius(n, rgg_radius(n), seed)
+    build(&RggSource::new(n, seed))
 }
 
 /// Random geometric graph with an explicit connection radius.
 pub fn random_geometric_graph_with_radius(n: usize, radius: f64, seed: u64) -> CsrGraph {
-    let layout = RggLayout::new(n, radius, seed);
-    let mut builder = GraphBuilder::new(n);
-    layout.for_each_edge(|u, v| builder.add_edge(u, v, 1));
-    builder.set_coords(layout.points);
-    builder.build()
+    build(&RggSource::with_radius(n, radius, seed))
 }
 
 #[cfg(test)]
@@ -179,11 +192,11 @@ mod tests {
 
     #[test]
     fn layout_replays_the_same_edge_set() {
-        let layout = RggLayout::new(700, 0.06, 4);
+        let src = RggSource::with_radius(700, 0.06, 4);
         let mut a = Vec::new();
-        layout.for_each_edge(|u, v| a.push((u, v)));
+        src.for_each_edge(|u, v, w| a.push((u, v, w)));
         let mut b = Vec::new();
-        layout.for_each_edge(|u, v| b.push((u, v)));
+        src.for_each_edge(|u, v, w| b.push((u, v, w)));
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }

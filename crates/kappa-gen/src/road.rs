@@ -116,7 +116,7 @@ pub fn largest_component(graph: &CsrGraph) -> CsrGraph {
     let keep: Vec<NodeId> = (0..n as NodeId)
         .filter(|&v| comp[v as usize] == best)
         .collect();
-    let sub = kappa_graph::extract_subgraph(graph, &keep, false);
+    let sub = kappa_graph::extract_subgraph(graph, &keep);
     sub.graph
 }
 

@@ -1,128 +1,34 @@
 //! Streaming generator sources for the memory-tiered pipeline.
 //!
-//! These implement [`EdgeSource`] for the generator families used by the
-//! out-of-core experiments, so table-5-class instances can be encoded
-//! straight into compact or paged storage without ever holding the `O(m)`
-//! edge list: the source keeps only `O(n)` state (points, cell buckets) and
-//! replays the scan on each pass.
+//! The generator families the out-of-core experiments stream —
+//! [`RggSource`](crate::rgg::RggSource) and
+//! [`Grid2dSource`](crate::grid::Grid2dSource) — implement [`EdgeSource`],
+//! so table-5-class instances can be encoded straight into compact or paged
+//! storage without ever holding the `O(m)` edge list: a source keeps only
+//! `O(n)` state (points, cell buckets) and replays the scan on each pass.
 //!
-//! Every source is edge-set identical to its in-RAM counterpart — e.g.
-//! [`RggSource::new`]`(n, seed)` enumerates exactly the edges of
-//! [`random_geometric_graph`](crate::rgg::random_geometric_graph)`(n, seed)`
-//! because both drive the same [`RggLayout`](crate::rgg) cell scan. The
-//! parity tests in `kappa-mem` assert this per family.
+//! Each of these families is written once, as its source: the in-RAM
+//! generator ([`random_geometric_graph`](crate::rgg::random_geometric_graph),
+//! [`grid2d`](crate::grid::grid2d)) is one replay of it into
+//! [`GraphBuilder`] ([`build`]), so the streamed and the in-RAM graph are
+//! the same edge set by construction.
 
-use kappa_graph::{EdgeSource, EdgeWeight, NodeId};
+use kappa_graph::{CsrGraph, EdgeSource, GraphBuilder};
 
-use crate::rgg::{rgg_radius, RggLayout};
-
-/// Streaming random geometric graph: same family as
-/// [`random_geometric_graph`](crate::rgg::random_geometric_graph), `O(n)`
-/// resident memory.
-pub struct RggSource {
-    layout: RggLayout,
-}
-
-impl RggSource {
-    /// The paper's `rggX` instance with `n` nodes (radius
-    /// `0.55 * sqrt(ln n / n)`).
-    pub fn new(n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "need at least two nodes");
-        Self::with_radius(n, rgg_radius(n), seed)
+/// Replays `src` once into a [`GraphBuilder`], with its coordinates.
+pub(crate) fn build<S: EdgeSource>(src: &S) -> CsrGraph {
+    let mut b = GraphBuilder::new(src.num_nodes());
+    src.for_each_edge(|u, v, w| b.add_edge(u, v, w));
+    if let Some(coords) = src.coords() {
+        b.set_coords(coords);
     }
-
-    /// Explicit connection radius.
-    pub fn with_radius(n: usize, radius: f64, seed: u64) -> Self {
-        RggSource {
-            layout: RggLayout::new(n, radius, seed),
-        }
-    }
-}
-
-impl EdgeSource for RggSource {
-    fn num_nodes(&self) -> usize {
-        self.layout.points.len()
-    }
-
-    fn for_each_edge<F: FnMut(NodeId, NodeId, EdgeWeight)>(&self, mut f: F) {
-        self.layout.for_each_edge(|u, v| f(u, v, 1));
-    }
-
-    fn coords(&self) -> Option<Vec<[f64; 2]>> {
-        Some(self.layout.points.clone())
-    }
-}
-
-/// Streaming 2-D grid: same edge set as [`grid2d`](crate::grid::grid2d),
-/// `O(1)` resident memory.
-pub struct Grid2dSource {
-    width: usize,
-    height: usize,
-}
-
-impl Grid2dSource {
-    /// A `width x height` grid.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(width >= 1 && height >= 1);
-        Grid2dSource { width, height }
-    }
-}
-
-impl EdgeSource for Grid2dSource {
-    fn num_nodes(&self) -> usize {
-        self.width * self.height
-    }
-
-    fn for_each_edge<F: FnMut(NodeId, NodeId, EdgeWeight)>(&self, mut f: F) {
-        let id = |x: usize, y: usize| (y * self.width + x) as NodeId;
-        for y in 0..self.height {
-            for x in 0..self.width {
-                if x + 1 < self.width {
-                    f(id(x, y), id(x + 1, y), 1);
-                }
-                if y + 1 < self.height {
-                    f(id(x, y), id(x, y + 1), 1);
-                }
-            }
-        }
-    }
-
-    fn coords(&self) -> Option<Vec<[f64; 2]>> {
-        Some(
-            (0..self.num_nodes())
-                .map(|i| [(i % self.width) as f64, (i / self.width) as f64])
-                .collect(),
-        )
-    }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::grid::grid2d;
-    use crate::rgg::random_geometric_graph;
-    use kappa_graph::GraphBuilder;
-
-    fn build_from_source<S: EdgeSource>(src: &S) -> kappa_graph::CsrGraph {
-        let mut b = GraphBuilder::new(src.num_nodes());
-        src.for_each_edge(|u, v, w| b.add_edge(u, v, w));
-        if let Some(c) = src.coords() {
-            b.set_coords(c);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn rgg_source_matches_in_ram_generator() {
-        let src = RggSource::new(1024, 42);
-        assert_eq!(build_from_source(&src), random_geometric_graph(1024, 42));
-    }
-
-    #[test]
-    fn grid_source_matches_in_ram_generator() {
-        let src = Grid2dSource::new(13, 7);
-        assert_eq!(build_from_source(&src), grid2d(13, 7));
-    }
+    use crate::RggSource;
+    use kappa_graph::EdgeSource;
 
     #[test]
     fn sources_replay_identically() {

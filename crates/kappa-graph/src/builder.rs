@@ -1,13 +1,18 @@
-//! Incremental construction of [`CsrGraph`]s.
+//! Construction of [`CsrGraph`]s: [`GraphBuilder`] and the counting build
+//! behind it.
 //!
-//! The builder accepts edges in any order, ignores self loops, merges parallel
-//! edges by summing their weights (exactly the rule used when contracting an
-//! edge, §2 of the paper) and produces a CSR graph whose adjacency lists are
-//! sorted by target id.
+//! The counting build ([`count_degrees`] then [`fill_rows`]) is the one place
+//! an edge stream becomes rows: a degree pass, a cursor fill of every row, a
+//! sort of each row by target, and a merge that sums parallel edges (exactly
+//! the rule used when contracting an edge, §2 of the paper) and drops self
+//! loops. [`GraphBuilder`] runs it over all nodes at once; the memory tier's
+//! `TierGraph::from_source` runs it over one node range at a time, so a
+//! streamed graph never holds more than one chunk of rows.
 
-use rayon::prelude::*;
+use std::ops::Range;
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, CsrRows};
+use crate::stream::{EdgeSource, SliceEdgeSource};
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// Builder for [`CsrGraph`].
@@ -26,7 +31,8 @@ use crate::types::{EdgeWeight, NodeId, NodeWeight};
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     num_nodes: usize,
-    /// Half-edge list `(u, v, w)`; both directions are materialised at build time.
+    /// The undirected edges as added; [`build`](GraphBuilder::build) replays
+    /// them through the counting build.
     edges: Vec<(NodeId, NodeId, EdgeWeight)>,
     node_weights: Vec<NodeWeight>,
     coords: Option<Vec<[f64; 2]>>,
@@ -35,12 +41,7 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a graph with `num_nodes` nodes, all of unit weight.
     pub fn new(num_nodes: usize) -> Self {
-        GraphBuilder {
-            num_nodes,
-            edges: Vec::new(),
-            node_weights: vec![1; num_nodes],
-            coords: None,
-        }
+        Self::with_node_weights(vec![1; num_nodes])
     }
 
     /// Creates a builder with explicit node weights.
@@ -80,59 +81,123 @@ impl GraphBuilder {
 
     /// Adds an undirected edge `{u, v}` of weight `w`.
     ///
-    /// Self loops are silently dropped; parallel edges are merged (weights
-    /// summed) during [`GraphBuilder::build`]. Zero-weight edges are rejected.
+    /// [`build`](GraphBuilder::build) drops self loops, merges parallel edges
+    /// (weights summed) and panics on a zero weight or an endpoint
+    /// `>= num_nodes`.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: EdgeWeight) {
-        assert!(w > 0, "edge weights must be positive");
-        assert!(
-            (u as usize) < self.num_nodes && (v as usize) < self.num_nodes,
-            "edge endpoint out of range: {{{u}, {v}}} with n = {}",
-            self.num_nodes
-        );
-        if u == v {
-            return;
-        }
         self.edges.push((u, v, w));
     }
 
-    /// Builds the CSR graph, merging parallel edges and sorting adjacency lists.
+    /// Builds the CSR graph: the counting build over all nodes.
+    ///
+    /// # Panics
+    /// On a zero-weight edge or an endpoint out of range.
     pub fn build(self) -> CsrGraph {
-        let n = self.num_nodes;
-        // Materialise both directions, then sort by (source, target) and merge.
-        let mut half: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v, w) in &self.edges {
-            half.push((u, v, w));
-            half.push((v, u, w));
-        }
-        // Parallel chunk-sort + ordered merge. Equal (u, v) keys may land in
-        // any relative order, but the merge below *sums* their weights, so
-        // the built graph is identical for every thread count.
-        half.par_sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let src = SliceEdgeSource::new(self.num_nodes, &self.edges);
+        let (degrees, _) = count_degrees(&src);
+        fill_rows(&src, &degrees, 0..self.num_nodes).finish(self.node_weights, self.coords)
+    }
+}
 
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy: Vec<NodeId> = Vec::with_capacity(half.len());
-        let mut adjwgt: Vec<EdgeWeight> = Vec::with_capacity(half.len());
-        xadj.push(0);
-        let mut idx = 0usize;
-        for u in 0..n as NodeId {
-            while idx < half.len() && half[idx].0 == u {
-                let (_, v, w) = half[idx];
-                if let (Some(&last_v), Some(last_w)) = (adjncy.last(), adjwgt.last_mut()) {
-                    if adjncy.len() > *xadj.last().unwrap() && last_v == v {
-                        // Parallel edge: merge weights.
-                        *last_w += w;
-                        idx += 1;
-                        continue;
-                    }
-                }
-                adjncy.push(v);
-                adjwgt.push(w);
-                idx += 1;
+/// The degree pass of the counting build: every node's count of half-edges
+/// in `src` (parallel edges counted once per copy, self loops skipped), and
+/// whether every such edge has weight 1.
+///
+/// # Panics
+/// On a zero weight or an endpoint `>= src.num_nodes()`.
+pub fn count_degrees<S: EdgeSource>(src: &S) -> (Vec<u32>, bool) {
+    let n = src.num_nodes();
+    let mut degrees = vec![0u32; n];
+    let mut all_unit = true;
+    src.for_each_edge(|u, v, w| {
+        assert!(w > 0, "edge weights must be positive");
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "edge endpoint out of range: {{{u}, {v}}} with n = {n}"
+        );
+        if u != v {
+            degrees[u as usize] += 1;
+            degrees[v as usize] += 1;
+            all_unit &= w == 1;
+        }
+    });
+    (degrees, all_unit)
+}
+
+/// The fill, sort and merge of the counting build: the rows of the nodes
+/// `range` of `src`, row `v` pushed `v - range.start`-th, each sorted by
+/// target with parallel edges merged by summing their weights and self loops
+/// dropped. `degrees` is [`count_degrees`] of the same stream. Replays `src`
+/// once and holds one slot (12 bytes) per counted half-edge of `range`.
+///
+/// # Panics
+/// If the replay emits other half-edges into `range` than `degrees` counts.
+pub fn fill_rows<S: EdgeSource>(src: &S, degrees: &[u32], range: Range<usize>) -> CsrRows {
+    let lo = range.start;
+    let mut xadj = Vec::with_capacity(range.len() + 1);
+    xadj.push(0usize);
+    for v in range {
+        xadj.push(xadj[v - lo] + degrees[v] as usize);
+    }
+    let rows = xadj.len() - 1;
+    let mut cursor = xadj[..rows].to_vec();
+    let mut adjncy = vec![0 as NodeId; xadj[rows]];
+    let mut adjwgt = vec![0 as EdgeWeight; xadj[rows]];
+    src.for_each_edge(|u, v, w| {
+        if u == v {
+            return;
+        }
+        for (x, y) in [(u, v), (v, u)] {
+            let i = (x as usize).wrapping_sub(lo);
+            if i < rows {
+                let c = &mut cursor[i];
+                assert!(
+                    *c < xadj[i + 1],
+                    "EdgeSource emitted more edges on replay than it counted"
+                );
+                adjncy[*c] = y;
+                adjwgt[*c] = w;
+                *c += 1;
             }
-            xadj.push(adjncy.len());
         }
+    });
 
-        CsrGraph::from_parts(xadj, adjncy, adjwgt, self.node_weights, self.coords)
+    // Sort and merge each row, compacting leftwards in place: a merged row is
+    // never longer than its slots, so `out` never overtakes the next row.
+    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+    let mut out = 0usize;
+    for i in 0..rows {
+        let (start, end) = (xadj[i], xadj[i + 1]);
+        assert_eq!(
+            cursor[i], end,
+            "EdgeSource emitted fewer edges on replay than it counted"
+        );
+        row.clear();
+        row.extend(
+            adjncy[start..end]
+                .iter()
+                .copied()
+                .zip(adjwgt[start..end].iter().copied()),
+        );
+        row.sort_unstable_by_key(|&(t, _)| t);
+        xadj[i] = out;
+        for &(t, w) in &row {
+            if out > xadj[i] && adjncy[out - 1] == t {
+                adjwgt[out - 1] += w;
+            } else {
+                adjncy[out] = t;
+                adjwgt[out] = w;
+                out += 1;
+            }
+        }
+    }
+    xadj[rows] = out;
+    adjncy.truncate(out);
+    adjwgt.truncate(out);
+    CsrRows {
+        xadj,
+        adjncy,
+        adjwgt,
     }
 }
 
@@ -220,6 +285,7 @@ mod tests {
     fn zero_weight_edge_rejected() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0);
+        b.build();
     }
 
     #[test]
@@ -227,5 +293,6 @@ mod tests {
     fn out_of_range_edge_rejected() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 2, 1);
+        b.build();
     }
 }

@@ -377,12 +377,21 @@ impl CsrGraph {
 /// time (see [`CsrGraph::rows`]). Rows arrive as the graph will hold them:
 /// merged, in their final order, targets already in the graph's id space.
 pub struct CsrRows {
-    xadj: Vec<usize>,
-    adjncy: Vec<NodeId>,
-    adjwgt: Vec<EdgeWeight>,
+    pub(crate) xadj: Vec<usize>,
+    pub(crate) adjncy: Vec<NodeId>,
+    pub(crate) adjwgt: Vec<EdgeWeight>,
 }
 
 impl CsrRows {
+    /// The `i`-th pushed row as `(target, weight)` pairs.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
+        let range = self.xadj[i]..self.xadj[i + 1];
+        self.adjncy[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.adjwgt[range].iter().copied())
+    }
+
     /// Appends the next node's `(target, weight)` row.
     pub fn push_node(&mut self, row: impl IntoIterator<Item = (NodeId, EdgeWeight)>) {
         for (t, w) in row {

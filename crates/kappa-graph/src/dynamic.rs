@@ -341,7 +341,7 @@ impl DynamicGraph {
 
     /// Folds the overlay into a fresh CSR graph **preserving node ids**: dead
     /// slots become isolated nodes of weight 0, live nodes keep their weight
-    /// and edges. `O(n + m)` (plus the builder's sort).
+    /// and edges. `O(n + m)`, plus the builder's sort of each row.
     ///
     /// Because ids are stable, a [`Partition`](crate::Partition) or
     /// [`PartitionState`](crate::PartitionState) maintained alongside this

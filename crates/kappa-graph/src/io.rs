@@ -70,6 +70,15 @@ pub enum MetisError {
         /// 1-based upper endpoint.
         v: usize,
     },
+    /// In a file using the symmetric convention, an edge is not listed
+    /// exactly once by each endpoint with one weight: one endpoint omits it,
+    /// lists it twice, or gives it another weight.
+    Asymmetric {
+        /// 1-based lower endpoint.
+        u: usize,
+        /// 1-based upper endpoint.
+        v: usize,
+    },
     /// An underlying filesystem operation failed.
     Io {
         /// The file involved.
@@ -110,6 +119,10 @@ impl fmt::Display for MetisError {
             MetisError::Duplicate { u, v } => write!(
                 f,
                 "edge {{{u}, {v}}} is listed more than once in a once-listed METIS file"
+            ),
+            MetisError::Asymmetric { u, v } => write!(
+                f,
+                "edge {{{u}, {v}}} is not listed exactly once by each endpoint with one weight"
             ),
             MetisError::Io { path, message } => write!(f, "cannot access {path:?}: {message}"),
         }
@@ -155,9 +168,10 @@ fn parse_fmt(fmt: &str, line: usize) -> Result<FmtFlags, MetisError> {
 /// validated but ignored — this partitioner balances the first node-weight
 /// constraint only. `%` comment lines and blank lines are skipped anywhere.
 /// Both the symmetric convention (every undirected edge listed from both
-/// endpoints, `2m` half-edges) and the once-listed convention (`m`
-/// half-edges) are accepted; anything else is a typed [`MetisError`], never a
-/// panic.
+/// endpoints with the same weight, `2m` half-edges) and the once-listed
+/// convention (`m` half-edges) are accepted; anything else — including a
+/// `2m`-entry file that is not symmetric — is a typed [`MetisError`], never
+/// a panic.
 ///
 /// Blank lines are skipped everywhere (historical behaviour), so an isolated
 /// vertex cannot be written as an empty adjacency line — such a file is now
@@ -333,9 +347,10 @@ where
     if found < n {
         return Err(MetisError::Truncated { expected: n, found });
     }
-    if half_edges.len() == 2 * m {
-        // Symmetric convention: every undirected edge appears twice; add the
-        // lower-endpoint copy only.
+    let symmetric = half_edges.len() == 2 * m;
+    if symmetric {
+        // Symmetric convention: every undirected edge appears twice; build
+        // from the lower-endpoint copies, then check the listing below.
         for &(u, v, w) in &half_edges {
             if u < v {
                 builder.add_edge(u, v, w);
@@ -367,7 +382,44 @@ where
             listed: half_edges.len(),
         });
     }
-    Ok(builder.build())
+    let graph = builder.build();
+    if symmetric {
+        check_symmetric(&graph, &half_edges)?;
+    }
+    Ok(graph)
+}
+
+/// A symmetric file is what it claims iff every node's line lists exactly
+/// its row of the graph built from the lower-endpoint copies; otherwise the
+/// first entry where a line and its row part ways names the edge.
+fn check_symmetric(
+    graph: &CsrGraph,
+    half_edges: &[(NodeId, NodeId, u64)],
+) -> Result<(), MetisError> {
+    let mut line: Vec<(NodeId, u64)> = Vec::new();
+    let mut rest = half_edges;
+    for u in graph.nodes() {
+        let len = rest.iter().take_while(|e| e.0 == u).count();
+        line.clear();
+        line.extend(rest[..len].iter().map(|&(_, v, w)| (v, w)));
+        rest = &rest[len..];
+        line.sort_unstable();
+        let same = graph
+            .edges_of(u)
+            .zip(&line)
+            .take_while(|(a, b)| a == *b)
+            .count();
+        let listed = line.get(same).map(|e| e.0);
+        let built = graph.edges_of(u).nth(same).map(|e| e.0);
+        let Some(t) = listed.into_iter().chain(built).min() else {
+            continue;
+        };
+        return Err(MetisError::Asymmetric {
+            u: u.min(t) as usize + 1,
+            v: u.max(t) as usize + 1,
+        });
+    }
+    Ok(())
 }
 
 /// Which optional fields a METIS file carries — the writer-side mirror of the
@@ -797,6 +849,28 @@ mod tests {
             }) => {}
             other => panic!("expected a Line error with span, got {other:?}"),
         }
+    }
+
+    /// Three files with `2m` entries that are not symmetric, each parsed
+    /// without an error before the listing was checked.
+    #[test]
+    fn edge_listed_by_one_endpoint_only_is_rejected() {
+        // Node 2 does not list node 1 (and node 1 does not list node 3).
+        let err = parse_metis("3 2\n2\n3\n1 2\n").unwrap_err();
+        assert_eq!(err, MetisError::Asymmetric { u: 1, v: 2 });
+        assert!(err.to_string().contains("edge {1, 2}"), "{err}");
+    }
+
+    #[test]
+    fn edge_listed_with_two_weights_is_rejected() {
+        let err = parse_metis("2 1 001\n2 3\n1 5\n").unwrap_err();
+        assert_eq!(err, MetisError::Asymmetric { u: 1, v: 2 });
+    }
+
+    #[test]
+    fn edge_listed_twice_from_each_endpoint_is_rejected() {
+        let err = parse_metis("2 2\n2 2\n1 1\n").unwrap_err();
+        assert_eq!(err, MetisError::Asymmetric { u: 1, v: 2 });
     }
 
     #[test]

@@ -67,5 +67,5 @@ pub use partition::{BlockAssignment, BlockAssignmentMut, BlockWeights, Partition
 pub use partition_state::PartitionState;
 pub use quotient::QuotientGraph;
 pub use stream::{EdgeSource, SliceEdgeSource};
-pub use subgraph::{extract_block_pair, extract_subgraph, ExtractedSubgraph};
+pub use subgraph::{extract_subgraph, ExtractedSubgraph};
 pub use types::{BlockId, EdgeWeight, NodeId, NodeWeight, INVALID_BLOCK, INVALID_NODE};

@@ -1,15 +1,16 @@
 //! Streaming graph construction.
 //!
-//! [`GraphBuilder`](crate::builder::GraphBuilder) materialises every
-//! undirected edge twice (`2m` triples) before sorting — fine up to the
-//! mid-size stress tier, but it is the first allocation to blow past RAM on
-//! table-5-class instances. An [`EdgeSource`] inverts control: the producer
-//! (today the rgg and grid generators of `kappa-gen`; no file reader yet)
-//! replays its edge stream on demand, and the consumer decides how much to
-//! hold. `kappa-mem` builds its compact and
-//! paged storage levels with **two passes** over a source — one to count
-//! degrees, one to fill — so peak transient memory is one decoded adjacency
-//! list, not the whole edge list.
+//! An [`EdgeSource`] inverts control: the producer (today the rgg and grid
+//! generators of `kappa-gen`; no file reader yet) replays its edge stream on
+//! demand, and the consumer decides how much to hold. Every consumer runs
+//! the same counting build ([`count_degrees`](crate::builder::count_degrees)
+//! then [`fill_rows`](crate::builder::fill_rows)): a degree pass over the
+//! stream, then one fill pass per node range. [`GraphBuilder`] takes all
+//! nodes in one range; `kappa-mem` builds its compact and paged storage
+//! levels a chunk of nodes at a time, so peak transient memory is one chunk
+//! of rows, not the whole edge list.
+//!
+//! [`GraphBuilder`]: crate::builder::GraphBuilder
 
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
@@ -17,11 +18,11 @@ use crate::types::{EdgeWeight, NodeId, NodeWeight};
 ///
 /// Implementors must emit the *same* edge multiset on every call to
 /// [`for_each_edge`](EdgeSource::for_each_edge) — construction runs the
-/// stream twice and the two passes must agree. Emission order is free;
+/// stream at least twice and the passes must agree. Emission order is free;
 /// duplicate `{u, v}` pairs are merged by summing weights and self-loops are
-/// rejected, exactly as [`GraphBuilder`](crate::builder::GraphBuilder) does,
-/// so a graph built from a source is bit-identical to one built from the
-/// equivalent edge list.
+/// dropped — the source goes through the same counting build as
+/// [`GraphBuilder`](crate::builder::GraphBuilder), so a graph built from a
+/// source is bit-identical to one built from the equivalent edge list.
 pub trait EdgeSource {
     /// Number of nodes; emitted endpoints must be `< num_nodes()`.
     fn num_nodes(&self) -> usize;
@@ -41,9 +42,9 @@ pub trait EdgeSource {
     }
 }
 
-/// An [`EdgeSource`] over an in-memory edge list — the bridge for callers
-/// that already hold a `Vec` of edges, and the reference implementation the
-/// property tests replay generators against.
+/// An [`EdgeSource`] over an in-memory edge list — what
+/// [`GraphBuilder::build`](crate::builder::GraphBuilder::build) replays, and
+/// the bridge for other callers that already hold a `Vec` of edges.
 pub struct SliceEdgeSource<'a> {
     num_nodes: usize,
     edges: &'a [(NodeId, NodeId, EdgeWeight)],

@@ -1,36 +1,28 @@
 //! Induced subgraphs with mappings back to the parent graph.
 //!
-//! The parallel pairwise refinement of §5.2 extracts, for a pair of blocks, the
-//! *band* of nodes around their common boundary and runs a 2-way FM search on
-//! that subgraph only ("boundary exchange", Figure 2). Nodes outside the band
-//! but adjacent to it are represented by immovable *halo* nodes so that gains
-//! computed inside the subgraph are exact with respect to the full graph.
+//! Used where a whole part of the graph is partitioned on its own: the
+//! Scotch-like baseline bisects the subgraph of each block recursively, and
+//! the road-network generator keeps the giant component. The pairwise
+//! refinement of §5.2 never extracts a subgraph — it searches the band
+//! around a block pair in place (kappa-refine's `PairBand`, and
+//! `GatheredRegion` for a band gathered from several ranks).
 
 use std::collections::HashMap;
 
 use crate::csr::CsrGraph;
-use crate::partition::Partition;
-use crate::types::{BlockId, NodeId};
+use crate::types::NodeId;
 
 /// A subgraph induced by a node subset, plus the bookkeeping needed to map
 /// results back to the parent graph.
 #[derive(Clone, Debug)]
 pub struct ExtractedSubgraph {
-    /// The induced subgraph (halo nodes included if requested).
+    /// The induced subgraph.
     pub graph: CsrGraph,
     /// For every subgraph node, the corresponding node of the parent graph.
     pub to_parent: Vec<NodeId>,
-    /// Number of *core* nodes; nodes `core_count..` are immovable halo nodes.
-    pub core_count: usize,
 }
 
 impl ExtractedSubgraph {
-    /// True if subgraph node `v` is a halo (frozen) node.
-    #[inline]
-    pub fn is_halo(&self, v: NodeId) -> bool {
-        (v as usize) >= self.core_count
-    }
-
     /// Parent node of subgraph node `v`.
     #[inline]
     pub fn parent_of(&self, v: NodeId) -> NodeId {
@@ -38,12 +30,9 @@ impl ExtractedSubgraph {
     }
 }
 
-/// Extracts the subgraph induced by `nodes` from `graph`.
-///
-/// If `with_halo` is true, every node outside `nodes` that is adjacent to a
-/// member is added as a halo node (edges between two halo nodes are dropped —
-/// they can never influence a move of a core node).
-pub fn extract_subgraph(graph: &CsrGraph, nodes: &[NodeId], with_halo: bool) -> ExtractedSubgraph {
+/// Extracts the subgraph induced by `nodes` (duplicates ignored) from
+/// `graph`, numbering its nodes in order of first appearance.
+pub fn extract_subgraph(graph: &CsrGraph, nodes: &[NodeId]) -> ExtractedSubgraph {
     let mut to_local: HashMap<NodeId, NodeId> = HashMap::with_capacity(nodes.len() * 2);
     let mut to_parent: Vec<NodeId> = Vec::with_capacity(nodes.len());
     for &v in nodes {
@@ -52,35 +41,17 @@ pub fn extract_subgraph(graph: &CsrGraph, nodes: &[NodeId], with_halo: bool) -> 
             to_parent.push(v);
         }
     }
-    let core_count = to_parent.len();
-
-    if with_halo {
-        for &v in nodes {
-            for &u in graph.neighbors(v) {
-                if !to_local.contains_key(&u) {
-                    let local = to_parent.len() as NodeId;
-                    to_local.insert(u, local);
-                    to_parent.push(u);
-                }
-            }
-        }
-    }
 
     let mut builder = crate::builder::GraphBuilder::with_node_weights(
         to_parent.iter().map(|&v| graph.node_weight(v)).collect(),
     );
     for (local_u, &parent_u) in to_parent.iter().enumerate() {
         let local_u = local_u as NodeId;
-        let u_is_core = (local_u as usize) < core_count;
         for (parent_v, w) in graph.edges_of(parent_u) {
-            if let Some(&local_v) = to_local.get(&parent_v) {
-                // Keep each edge once and drop halo-halo edges.
-                if local_u < local_v {
-                    let v_is_core = (local_v as usize) < core_count;
-                    if u_is_core || v_is_core {
-                        builder.add_edge(local_u, local_v, w);
-                    }
-                }
+            // Keep each edge once.
+            match to_local.get(&parent_v) {
+                Some(&local_v) if local_u < local_v => builder.add_edge(local_u, local_v, w),
+                _ => {}
             }
         }
     }
@@ -94,26 +65,7 @@ pub fn extract_subgraph(graph: &CsrGraph, nodes: &[NodeId], with_halo: bool) -> 
     ExtractedSubgraph {
         graph: graph_out,
         to_parent,
-        core_count,
     }
-}
-
-/// Extracts the subgraph induced by all nodes of the two blocks `a` and `b`
-/// (no halo), as used when a PE adopts a whole pair of blocks.
-pub fn extract_block_pair(
-    graph: &CsrGraph,
-    partition: &Partition,
-    a: BlockId,
-    b: BlockId,
-) -> ExtractedSubgraph {
-    let nodes: Vec<NodeId> = graph
-        .nodes()
-        .filter(|&v| {
-            let blk = partition.block_of(v);
-            blk == a || blk == b
-        })
-        .collect();
-    extract_subgraph(graph, &nodes, false)
 }
 
 #[cfg(test)]
@@ -132,68 +84,21 @@ mod tests {
     #[test]
     fn extract_without_halo() {
         let g = path(6);
-        let sub = extract_subgraph(&g, &[1, 2, 3], false);
+        let sub = extract_subgraph(&g, &[1, 2, 3]);
         assert_eq!(sub.graph.num_nodes(), 3);
-        assert_eq!(sub.core_count, 3);
         assert_eq!(sub.graph.num_edges(), 2);
         // Edge {1,2} has weight 2, edge {2,3} has weight 3 in the parent.
         let w12 = sub.graph.edge_weight_between(0, 1).unwrap();
         let w23 = sub.graph.edge_weight_between(1, 2).unwrap();
         assert_eq!(w12 + w23, 5);
         assert_eq!(sub.parent_of(0), 1);
-        assert!(!sub.is_halo(2));
-    }
-
-    #[test]
-    fn extract_with_halo_adds_frontier_nodes() {
-        let g = path(6);
-        let sub = extract_subgraph(&g, &[2, 3], true);
-        // Core nodes 2, 3; halo nodes 1 and 4.
-        assert_eq!(sub.core_count, 2);
-        assert_eq!(sub.graph.num_nodes(), 4);
-        assert!(sub.is_halo(2));
-        assert!(sub.is_halo(3));
-        let halo_parents: Vec<_> = (2..4).map(|i| sub.parent_of(i as NodeId)).collect();
-        assert!(halo_parents.contains(&1) && halo_parents.contains(&4));
-        // Edges: {2,3} core-core, {1,2} and {3,4} core-halo -> 3 edges.
-        assert_eq!(sub.graph.num_edges(), 3);
-        assert!(sub.graph.validate().is_ok());
-    }
-
-    #[test]
-    fn halo_halo_edges_are_dropped() {
-        // Triangle 0-1-2 plus pendant 3 attached to 0. Core = {0}; halo = {1,2,3};
-        // the 1-2 edge must be dropped.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1);
-        b.add_edge(1, 2, 1);
-        b.add_edge(2, 0, 1);
-        b.add_edge(0, 3, 1);
-        let g = b.build();
-        let sub = extract_subgraph(&g, &[0], true);
-        assert_eq!(sub.core_count, 1);
-        assert_eq!(sub.graph.num_nodes(), 4);
-        assert_eq!(sub.graph.num_edges(), 3); // 0-1, 0-2, 0-3 only
-    }
-
-    #[test]
-    fn block_pair_extraction() {
-        let g = path(8);
-        let p = Partition::from_assignment(4, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        let sub = extract_block_pair(&g, &p, 1, 2);
-        assert_eq!(sub.graph.num_nodes(), 4);
-        assert_eq!(sub.core_count, 4);
-        let parents: Vec<_> = (0..4).map(|i| sub.parent_of(i)).collect();
-        assert_eq!(parents, vec![2, 3, 4, 5]);
-        // Edges inside {2,3,4,5}: {2,3}, {3,4}, {4,5}.
-        assert_eq!(sub.graph.num_edges(), 3);
     }
 
     #[test]
     fn coordinates_are_carried_over() {
         let mut g = path(4);
         g.set_coords(Some(vec![[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]));
-        let sub = extract_subgraph(&g, &[2, 3], false);
+        let sub = extract_subgraph(&g, &[2, 3]);
         assert_eq!(sub.graph.coord(0), Some([2.0, 0.0]));
         assert_eq!(sub.graph.coord(1), Some([3.0, 0.0]));
     }
@@ -201,7 +106,7 @@ mod tests {
     #[test]
     fn duplicate_input_nodes_are_deduplicated() {
         let g = path(4);
-        let sub = extract_subgraph(&g, &[1, 1, 2], false);
+        let sub = extract_subgraph(&g, &[1, 1, 2]);
         assert_eq!(sub.graph.num_nodes(), 2);
     }
 }

@@ -1,29 +1,29 @@
 //! Streaming construction: [`EdgeSource`] → a [`TierGraph`] on either store,
 //! without ever materialising the full edge list.
 //!
-//! [`GraphBuilder`](kappa_graph::GraphBuilder) buffers all `2m` half-edge
-//! triples (24 bytes each) and sorts them globally — the dominant transient
-//! allocation on table-5-class instances. The streaming builder replaces the
-//! global sort with **chunked two-pass** construction:
+//! The rows come from kappa-graph's counting build, the same code behind
+//! `GraphBuilder::build`, run chunk by chunk:
 //!
-//! 1. one replay counts provisional degrees (Θ(n) `u32`s) and detects
+//! 1. one replay counts degrees ([`count_degrees`], Θ(n) `u32`s) and detects
 //!    whether any weight differs from 1;
-//! 2. the node range is split into chunks whose fill arrays fit a fixed
-//!    byte budget, and one replay *per chunk* fills, sorts and merges just
-//!    that chunk's adjacency before encoding it to the sink.
+//! 2. the node range is split into chunks whose fill arrays (12 bytes per
+//!    counted half-edge) fit a fixed byte budget, and one replay *per chunk*
+//!    builds just that chunk's rows ([`fill_rows`]) before encoding them to
+//!    the sink.
 //!
 //! Peak transient memory is `O(n + CHUNK_BYTES)` instead of `O(m)`; the cost
 //! is `1 + ⌈fill bytes / CHUNK_BYTES⌉` replays of the source, which is cheap
 //! for generators.
 //!
-//! Duplicate `{u, v}` pairs in a **weighted** stream are merged by summing,
-//! exactly like `GraphBuilder`. In an all-unit stream a duplicate would have
-//! to merge to weight 2, contradicting the weightless encoding the first
-//! pass committed to — the builder panics on that (generators never emit
-//! duplicates; weighted sources are unrestricted). Self-loops are rejected.
+//! Duplicate `{u, v}` pairs are merged by summing and self-loops dropped,
+//! exactly like `GraphBuilder`. In an all-unit stream a duplicate would
+//! merge to weight 2, contradicting the weightless encoding the first pass
+//! committed to — the build panics on that (generators never emit
+//! duplicates; weighted sources are unrestricted).
 
 use std::io;
 
+use kappa_graph::builder::{count_degrees, fill_rows};
 use kappa_graph::{EdgeSource, EdgeWeight, NodeId};
 
 use crate::graph::{NodeData, PushRow};
@@ -33,124 +33,38 @@ use crate::tier::{TierGraph, TierSpec};
 /// peak RAM but more replays of the source.
 const CHUNK_BYTES: usize = 128 << 20;
 
-/// First pass over the source: provisional degrees + weight detection.
-struct Plan {
-    /// Per-node half-edge counts, duplicates still counted separately.
-    provisional_deg: Vec<u32>,
-    /// True if every emitted weight was 1 (weights then stay implicit).
-    all_unit: bool,
-}
-
-fn plan<S: EdgeSource>(src: &S) -> Plan {
-    let n = src.num_nodes();
-    let mut deg = vec![0u32; n];
-    let mut all_unit = true;
-    src.for_each_edge(|u, v, w| {
-        assert_ne!(u, v, "self-loop on node {u}");
-        assert!(
-            (u as usize) < n && (v as usize) < n,
-            "edge ({u}, {v}) out of range for {n} nodes"
-        );
-        deg[u as usize] += 1;
-        deg[v as usize] += 1;
-        all_unit &= w == 1;
-    });
-    Plan {
-        provisional_deg: deg,
-        all_unit,
-    }
-}
-
-/// Runs the chunked fill passes, handing each node's final merged, sorted
-/// incidence list to `emit` in ascending node order.
+/// Builds the rows of `src` chunk by chunk, handing each node's row to
+/// `emit` in ascending node order.
 fn for_each_node_list<S: EdgeSource>(
     src: &S,
-    plan: &Plan,
+    degrees: &[u32],
+    weighted: bool,
     chunk_bytes: usize,
     emit: &mut PushRow<'_>,
 ) -> io::Result<()> {
     let n = src.num_nodes();
-    let weighted = !plan.all_unit;
-    // Fill-array cost of one half-edge: u32 target, plus u64 weight if kept.
-    let entry_bytes = if weighted { 12 } else { 4 };
-    let chunk_budget = (chunk_bytes / entry_bytes).max(1) as u64;
-
-    let mut scratch: Vec<(NodeId, EdgeWeight)> = Vec::new();
+    // Fill-array cost of one half-edge: u32 target plus u64 weight.
+    let chunk_budget = (chunk_bytes / 12).max(1) as u64;
+    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
     let mut lo = 0usize;
     while lo < n {
-        // Grow the chunk until the provisional fill arrays hit the budget
-        // (always at least one node so huge hubs still go through).
+        // Grow the chunk until its fill arrays hit the budget (always at
+        // least one node so huge hubs still go through).
         let mut hi = lo;
         let mut slots = 0u64;
-        while hi < n && (hi == lo || slots + plan.provisional_deg[hi] as u64 <= chunk_budget) {
-            slots += plan.provisional_deg[hi] as u64;
+        while hi < n && (hi == lo || slots + degrees[hi] as u64 <= chunk_budget) {
+            slots += degrees[hi] as u64;
             hi += 1;
         }
-        let slots = slots as usize;
-
-        // Local CSR offsets for the chunk, then cursor-fill from a replay.
-        let mut local_off = Vec::with_capacity(hi - lo + 1);
-        local_off.push(0usize);
+        let rows = fill_rows(src, degrees, lo..hi);
         for v in lo..hi {
-            local_off.push(local_off[v - lo] + plan.provisional_deg[v] as usize);
-        }
-        let mut cursor = local_off.clone();
-        let mut targets = vec![0 as NodeId; slots];
-        let mut weights = if weighted {
-            vec![0 as EdgeWeight; slots]
-        } else {
-            Vec::new()
-        };
-        src.for_each_edge(|u, v, w| {
-            let mut place = |x: NodeId, y: NodeId| {
-                let xi = x as usize;
-                if xi >= lo && xi < hi {
-                    let c = &mut cursor[xi - lo];
-                    assert!(
-                        *c < local_off[xi - lo + 1],
-                        "EdgeSource emitted more edges on replay than it counted"
-                    );
-                    targets[*c] = y;
-                    if weighted {
-                        weights[*c] = w;
-                    }
-                    *c += 1;
-                }
-            };
-            place(u, v);
-            place(v, u);
-        });
-
-        for v in lo..hi {
-            let (s, e) = (local_off[v - lo], local_off[v - lo + 1]);
-            assert_eq!(
-                cursor[v - lo],
-                e,
-                "EdgeSource emitted fewer edges on replay than it counted"
+            row.clear();
+            row.extend(rows.row(v - lo));
+            assert!(
+                weighted || row.iter().all(|&(_, w)| w == 1),
+                "duplicate edge at node {v} in a unit-weight stream"
             );
-            scratch.clear();
-            for i in s..e {
-                let w = if weighted { weights[i] } else { 1 };
-                scratch.push((targets[i], w));
-            }
-            scratch.sort_unstable_by_key(|&(t, _)| t);
-            // Merge parallel edges in place by summing weights.
-            let mut out = 0usize;
-            for i in 0..scratch.len() {
-                if out > 0 && scratch[out - 1].0 == scratch[i].0 {
-                    assert!(
-                        weighted,
-                        "duplicate edge {{{v}, {}}} in a unit-weight stream",
-                        scratch[i].0
-                    );
-                    scratch[out - 1].1 += scratch[i].1;
-                } else {
-                    scratch[out] = scratch[i];
-                    out += 1;
-                }
-            }
-            scratch.truncate(out);
-            emit(&scratch)?;
+            emit(&row)?;
         }
         lo = hi;
     }
@@ -186,18 +100,21 @@ pub(crate) fn from_source_with_chunk_bytes<S: EdgeSource>(
     spec: TierSpec<'_>,
     chunk_bytes: usize,
 ) -> io::Result<TierGraph> {
-    let p = plan(src);
-    spec.build(src.num_nodes(), !p.all_unit, |push| {
-        for_each_node_list(src, &p, chunk_bytes, push)?;
+    let (degrees, all_unit) = count_degrees(src);
+    spec.build(src.num_nodes(), !all_unit, |push| {
+        for_each_node_list(src, &degrees, !all_unit, chunk_bytes, push)?;
         Ok(node_data(src, spec.keeps_coords()))
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::{CompactCsr, PageCacheConfig};
+    use crate::PageCacheConfig;
     use kappa_graph::{graph_from_edges, GraphAccess, SliceEdgeSource};
+    use proptest::prelude::*;
 
     fn edges() -> Vec<(NodeId, NodeId, EdgeWeight)> {
         vec![
@@ -211,39 +128,78 @@ mod tests {
         ]
     }
 
-    fn compact_from_source(src: &SliceEdgeSource<'_>, chunk_bytes: usize) -> CompactCsr {
-        match from_source_with_chunk_bytes(src, TierSpec::Compact, chunk_bytes).unwrap() {
-            TierGraph::Compact(g) => g,
-            TierGraph::Paged(_) => panic!("asked for the compact store"),
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `GraphBuilder` and the streamed compact store (one chunk per node
+        /// and the default budget) against a `BTreeMap` that sums weights,
+        /// on edge lists in any order with repeated pairs, self-loops and
+        /// isolated nodes; a quarter of the cases is a unit-weight stream
+        /// without repeats (the weightless encoding).
+        #[test]
+        fn every_build_equals_the_summed_edge_map(
+            n in 1usize..60,
+            m in 0usize..150,
+            seed in any::<u64>(),
+        ) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let unit = seed % 4 == 0;
+            let mut edges: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::new();
+            let mut expected: BTreeMap<(NodeId, NodeId), EdgeWeight> = BTreeMap::new();
+            for _ in 0..m {
+                // Half the draws come from a handful of nodes, so pairs repeat.
+                let span = if next() % 2 == 0 { n.min(6) } else { n } as u64;
+                let (u, v) = ((next() % span) as NodeId, (next() % span) as NodeId);
+                if unit && (expected.contains_key(&(u, v)) || expected.contains_key(&(v, u))) {
+                    continue;
+                }
+                let w = if unit { 1 } else { 1 + next() % 9 };
+                edges.push((u, v, w));
+                if u != v {
+                    *expected.entry((u, v)).or_default() += w;
+                    *expected.entry((v, u)).or_default() += w;
+                }
+            }
+            let mut xadj = vec![0usize; n + 1];
+            for &(u, _) in expected.keys() {
+                xadj[u as usize + 1] += 1;
+            }
+            for v in 0..n {
+                xadj[v + 1] += xadj[v];
+            }
+            let targets: Vec<NodeId> = expected.keys().map(|&(_, v)| v).collect();
+            let weights: Vec<EdgeWeight> = expected.values().copied().collect();
+
+            let built = graph_from_edges(n, edges.clone());
+            prop_assert_eq!(built.xadj(), &xadj[..]);
+            prop_assert_eq!(built.adjncy(), &targets[..]);
+            prop_assert_eq!(built.adjwgt(), &weights[..]);
+            let src = SliceEdgeSource::new(n, &edges);
+            for chunk_bytes in [1, CHUNK_BYTES] {
+                let streamed = from_source_with_chunk_bytes(&src, TierSpec::Compact, chunk_bytes)
+                    .unwrap();
+                let TierGraph::Compact(compact) = &streamed else {
+                    panic!("asked for the compact store");
+                };
+                prop_assert_eq!(compact.is_weighted(), weights.iter().any(|&w| w != 1));
+                prop_assert_eq!(&streamed.to_csr(), &built);
+            }
         }
-    }
-
-    #[test]
-    fn streamed_compact_equals_builder_then_encode() {
-        let e = edges();
-        let src = SliceEdgeSource::new(6, &e);
-        let streamed = compact_from_source(&src, CHUNK_BYTES);
-        let reference = CompactCsr::from_graph(&graph_from_edges(6, e.clone()));
-        assert_eq!(streamed, reference);
-    }
-
-    #[test]
-    fn tiny_chunks_change_nothing() {
-        let e = edges();
-        let src = SliceEdgeSource::new(6, &e);
-        // chunk_bytes = 1 forces one chunk per node — maximum replays.
-        let chunked = compact_from_source(&src, 1);
-        let whole = compact_from_source(&src, CHUNK_BYTES);
-        assert_eq!(chunked, whole);
     }
 
     #[test]
     fn unit_stream_stays_unweighted() {
         let e: Vec<_> = vec![(0, 1, 1), (1, 2, 1), (2, 0, 1)];
         let src = SliceEdgeSource::new(3, &e);
-        let c = compact_from_source(&src, CHUNK_BYTES);
-        assert!(!c.is_weighted());
-        assert_eq!(c.to_csr(), graph_from_edges(3, e));
+        let t = from_source_with_chunk_bytes(&src, TierSpec::Compact, CHUNK_BYTES).unwrap();
+        assert!(matches!(&t, TierGraph::Compact(c) if !c.is_weighted()));
+        assert_eq!(t.to_csr(), graph_from_edges(3, e));
     }
 
     #[test]
@@ -251,15 +207,7 @@ mod tests {
     fn duplicate_in_unit_stream_is_rejected() {
         let e: Vec<_> = vec![(0, 1, 1), (1, 0, 1)];
         let src = SliceEdgeSource::new(2, &e);
-        compact_from_source(&src, CHUNK_BYTES);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loop")]
-    fn self_loop_is_rejected() {
-        let e: Vec<_> = vec![(1, 1, 1)];
-        let src = SliceEdgeSource::new(2, &e);
-        compact_from_source(&src, CHUNK_BYTES);
+        let _ = from_source_with_chunk_bytes(&src, TierSpec::Compact, CHUNK_BYTES);
     }
 
     #[test]

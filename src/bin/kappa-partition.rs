@@ -17,6 +17,7 @@
 //!   --threads <T>         worker threads (0 = all)      [default: 0]
 //!   --memory-tier <M>     ram | compact | paged         [default: ram]
 //!   --ranks <R>           distributed pipeline over R ranks
+//!   --transport <T>       local | tcp (with --ranks)    [default: local]
 //!   --fold-threshold <N>  fold coarse levels of <= N nodes onto fewer ranks
 //!   --stats               print per-rank comm-volume counters (with --ranks)
 //!   --output <FILE>       partition output path         [default: <GRAPH>.part.<K>]
@@ -278,7 +279,8 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: kappa-partition <GRAPH.metis> --k <K> [--preset minimal|fast|strong] \
                      [--epsilon 0.03] [--seed 0] [--threads 0] [--memory-tier ram|compact|paged] \
-                     [--ranks R] [--output FILE] \
+                     [--ranks R [--transport local|tcp] [--fold-threshold N] [--stats]] \
+                     [--output FILE] \
                      [--generate rgg|delaunay|grid|road|rmat --nodes N]\n\
                      run kappa-partition --help for the full flag reference"
                 );

@@ -129,7 +129,7 @@ fn production_refinement_performs_zero_full_quotient_scans() {
     // O(n + m) scan per global iteration.
     let shared = KappaPartitioner::new(KappaConfig::fast(8).with_seed(1)).partition(&graph);
     assert!(shared.refinement.global_iterations > 0);
-    assert_eq!(shared.quotient_full_scans, 0);
+    assert_eq!(shared.refinement.quotient_full_scans, 0);
     // Distributed pipeline: quotients are merged from boundary-priced
     // per-rank shares — the same invariant holds per rank.
     for ranks in [1usize, 4] {
