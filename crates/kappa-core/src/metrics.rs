@@ -25,17 +25,33 @@ impl PartitionMetrics {
     /// Computes the metrics of `partition` on `graph` (runtime is supplied by
     /// the caller, since only it knows what was measured). Generic over the
     /// storage tier, so paged runs measure without decoding to plain CSR.
+    /// Cut and boundary count come from one `for_each_edge` sweep — equal to
+    /// [`Partition::edge_cut`] and [`Partition::num_boundary_nodes`], which
+    /// would read every row twice (and allocate one per row on a paged graph).
     pub fn measure<G: GraphAccess>(
         graph: &G,
         partition: &Partition,
         epsilon: f64,
         runtime: Duration,
     ) -> Self {
+        debug_assert_eq!(graph.num_nodes(), partition.num_nodes());
+        let (mut cut, mut boundary_nodes) = (0, 0);
+        for u in GraphAccess::nodes(graph) {
+            let bu = partition.block_of(u);
+            let mut on_boundary = false;
+            graph.for_each_edge(u, |v, w| {
+                if bu != partition.block_of(v) {
+                    cut += w;
+                    on_boundary = true;
+                }
+            });
+            boundary_nodes += usize::from(on_boundary);
+        }
         PartitionMetrics {
-            edge_cut: partition.edge_cut(graph),
+            edge_cut: cut / 2,
             balance: partition.balance(graph),
             feasible: partition.is_balanced(graph, epsilon),
-            boundary_nodes: partition.num_boundary_nodes(graph),
+            boundary_nodes,
             runtime,
         }
     }
@@ -75,6 +91,22 @@ mod tests {
         assert!(m.feasible);
         assert_eq!(m.boundary_nodes, 16);
         assert!((m.runtime_secs() - 0.005).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fused_sweep_equals_the_partition_counts() {
+        let g = kappa_gen::rgg::random_geometric_graph(2000, 3);
+        for k in [2u32, 7, 32] {
+            let p = Partition::from_assignment(
+                k,
+                (0..g.num_nodes() as u32)
+                    .map(|v| v.wrapping_mul(0x9E37_79B1) % k)
+                    .collect(),
+            );
+            let m = PartitionMetrics::measure(&g, &p, 0.03, Duration::ZERO);
+            assert_eq!(m.edge_cut, p.edge_cut(&g), "k = {k}");
+            assert_eq!(m.boundary_nodes, p.num_boundary_nodes(&g), "k = {k}");
+        }
     }
 
     #[test]

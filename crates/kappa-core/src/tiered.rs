@@ -187,6 +187,13 @@ mod tests {
             "levels did not spill: {:?}",
             tiered.level_tiers
         );
+        // The hierarchy dropped inside `partition_tiered`: every spill level
+        // is gone, only the caller's finest file (not delete-on-drop) stays.
+        let left: Vec<_> = std::fs::read_dir(&sp.spill_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["finest.kpg"]);
         std::fs::remove_dir_all(&sp.spill_dir).unwrap();
     }
 }
