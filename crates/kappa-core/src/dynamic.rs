@@ -6,7 +6,7 @@
 //! every mutation to **both** in lock step (graph mutation + the matching
 //! exact state hook), answers placement queries from the maintained
 //! assignment in `O(1)`, and decides *when quality repair is worth paying
-//! for* — the drift policy of the ISSUE's serving loop:
+//! for* — the drift policy of the serving loop:
 //!
 //! - the **cut baseline** is the best cut the session has seen; when the
 //!   cached cut exceeds `baseline · (1 + cut_drift)`, a localized
@@ -14,11 +14,10 @@
 //!   last repair;
 //! - the **balance trigger** fires when the maintained block weights violate
 //!   `L_max(ε)` (node inserts and deletes shift it);
-//! - a triggered repair first [`compact`](DynamicGraph::compact)s the graph
-//!   (`O(n + m)`, orders of magnitude below a pipeline re-run — see
-//!   EXPERIMENTS.md) because band BFS and FM are CSR-coupled, and *re-bases*
-//!   the overlay when it has grown past a configurable fraction of the live
-//!   edge set.
+//! - a triggered repair refines the live graph **in place**: band BFS, FM
+//!   and rebalancing read a [`GraphAccess`](kappa_graph::GraphAccess), which
+//!   [`DynamicGraph`] is, so a repair never folds the graph into a second,
+//!   `O(n + m)` copy.
 //!
 //! Node-id stability end to end means the session never rebuilds derived
 //! state: [`PartitionState::full_builds`] stays at its bootstrap value for
@@ -39,9 +38,6 @@ pub struct DynamicConfig {
     /// Relative cut drift that triggers a localized repair: refine when the
     /// cached cut exceeds `baseline · (1 + cut_drift)`.
     pub cut_drift: f64,
-    /// Re-base the overlay into a fresh CSR when its half-edge count exceeds
-    /// this fraction of the live half-edge count.
-    pub compact_overlay_fraction: f64,
     /// Check the drift/balance triggers after every mutation. Disable to
     /// drive repairs manually via [`DynamicSession::refine_now`].
     pub auto_refine: bool,
@@ -55,7 +51,6 @@ impl Default for DynamicConfig {
     fn default() -> Self {
         DynamicConfig {
             cut_drift: 0.10,
-            compact_overlay_fraction: 0.5,
             auto_refine: true,
             refine: RefinementConfig {
                 max_global_iterations: 3,
@@ -117,12 +112,6 @@ pub struct DynamicStats {
     pub queries: u64,
     /// Localized refinement passes run.
     pub local_refines: u64,
-    /// Overlay re-bases (compaction folded into a fresh base CSR).
-    pub rebases: u64,
-    /// `O(n + m)` CSR folds actually performed. Repairs and verifications
-    /// over an unchanged graph hit the version-keyed compaction cache, so
-    /// this stays below `local_refines` when repairs come in bursts.
-    pub compactions: u64,
     /// Total cut improvement across all localized refinements.
     pub refine_gain_total: i64,
     /// Nodes moved by localized refinements.
@@ -158,11 +147,6 @@ pub struct DynamicSession {
     /// Nodes touched by mutations since the last repair — the region the
     /// next [`refine_local`] pass is seeded from.
     touched: Vec<NodeId>,
-    /// Compacted CSR keyed by the graph version it was folded at. Repairs
-    /// and verifications reuse it until the next mutation bumps the version,
-    /// amortising the `O(n + m)` fold across batched updates (a burst of
-    /// `refine_now`/`verify` calls without interleaved mutations folds once).
-    compact_cache: Option<(u64, CsrGraph)>,
     /// Best cut seen; the drift trigger compares against it.
     baseline_cut: EdgeWeight,
     /// Cached balance bound; recomputed only after node mutations.
@@ -185,14 +169,13 @@ impl DynamicSession {
         let k = partition.k();
         let state = PartitionState::build(&graph, partition);
         let graph = DynamicGraph::new(graph);
-        let l_max = graph.l_max(k, config.refine.epsilon);
+        let l_max = Partition::l_max(&graph, k, config.refine.epsilon);
         let baseline_cut = state.edge_cut();
         Ok(DynamicSession {
             graph,
             state,
             config,
             touched: Vec::new(),
-            compact_cache: None,
             baseline_cut,
             l_max,
             l_max_dirty: false,
@@ -347,7 +330,7 @@ impl DynamicSession {
     /// only after node mutations).
     pub fn l_max(&mut self) -> NodeWeight {
         if self.l_max_dirty {
-            self.l_max = self.graph.l_max(self.k(), self.config.refine.epsilon);
+            self.l_max = Partition::l_max(&self.graph, self.k(), self.config.refine.epsilon);
             self.l_max_dirty = false;
         }
         self.l_max
@@ -376,35 +359,12 @@ impl DynamicSession {
         }
     }
 
-    /// Folds the graph if (and only if) the cache does not already hold a
-    /// fold of the current version.
-    fn ensure_compacted(&mut self) {
-        let version = self.graph.version();
-        if self.compact_cache.as_ref().map(|&(v, _)| v) != Some(version) {
-            self.compact_cache = Some((version, self.graph.compact()));
-            self.stats.compactions += 1;
-        }
-    }
-
-    /// Runs a localized repair now, regardless of the triggers: compacts the
-    /// graph (re-basing the overlay around the same fold if it has grown past
-    /// the configured fraction), re-refines around the touched region, and
-    /// resets the baseline to the repaired cut. The fold is cached by graph
-    /// version, so a burst of repairs without interleaved mutations pays for
-    /// it once.
+    /// Runs a localized repair now, regardless of the triggers: re-refines
+    /// the live graph around the touched region and resets the baseline to
+    /// the repaired cut.
     pub fn refine_now(&mut self) -> LocalRefineStats {
-        self.ensure_compacted();
-        if self.graph.overlay_half_edges()
-            >= ((2 * self.graph.num_edges()).max(64) as f64 * self.config.compact_overlay_fraction)
-                as usize
-        {
-            let (_, base) = self.compact_cache.as_ref().expect("just ensured");
-            self.graph = self.graph.rebase_with(base.clone());
-            self.stats.rebases += 1;
-        }
         let touched = std::mem::take(&mut self.touched);
-        let (_, compacted) = self.compact_cache.as_ref().expect("just ensured");
-        let stats = refine_local(compacted, &mut self.state, &touched, &self.config.refine);
+        let stats = refine_local(&self.graph, &mut self.state, &touched, &self.config.refine);
         self.stats.local_refines += 1;
         self.stats.refine_gain_total += stats.total_gain;
         self.stats.refine_nodes_moved += stats.nodes_moved as u64;
@@ -413,13 +373,9 @@ impl DynamicSession {
     }
 
     /// Checks the maintained state field for field against a from-scratch
-    /// rebuild on the compacted graph — the streaming-exactness ground truth.
-    /// Reuses the cached fold when it matches the current graph version.
+    /// rebuild on the live graph — the streaming-exactness ground truth.
     pub fn verify(&self) -> Result<(), String> {
-        match &self.compact_cache {
-            Some((v, g)) if *v == self.graph.version() => self.state.verify_exact(g),
-            _ => self.state.verify_exact(&self.graph.compact()),
-        }
+        self.state.verify_exact(&self.graph)
     }
 }
 
@@ -501,60 +457,6 @@ mod tests {
         assert_eq!(s.stats().local_refines, 1);
         assert!(!s.needs_refine());
         s.verify().unwrap();
-    }
-
-    #[test]
-    fn batched_repairs_fold_the_graph_once() {
-        let g = grid2d(10, 10);
-        let assignment = (0..100).map(|i| if i % 10 < 5 { 0 } else { 1 }).collect();
-        let mut s = DynamicSession::new(
-            g,
-            Partition::from_assignment(2, assignment),
-            DynamicConfig::default().with_auto_refine(false),
-        )
-        .unwrap();
-        for i in 0..5u32 {
-            s.update_edge(10 * i + 4, 10 * i + 5, 40).unwrap();
-        }
-        assert_eq!(s.stats().compactions, 0, "mutations alone must not fold");
-        s.refine_now();
-        assert_eq!(s.stats().compactions, 1);
-        // Repairs and verifications over the unchanged graph reuse the fold.
-        s.refine_now();
-        s.verify().unwrap();
-        s.refine_now();
-        assert_eq!(s.stats().local_refines, 3);
-        assert_eq!(s.stats().compactions, 1, "unchanged graph was re-folded");
-        // The next mutation invalidates the cache; the next repair folds anew
-        // and the state stays exact.
-        s.insert_edge(0, 99, 2).unwrap();
-        s.refine_now();
-        assert_eq!(s.stats().compactions, 2);
-        s.verify().unwrap();
-        assert_eq!(s.state().full_builds(), 1);
-    }
-
-    #[test]
-    fn rebase_reuses_the_cached_fold_and_stays_exact() {
-        let g = grid2d(10, 10);
-        let assignment = (0..100).map(|i| if i % 10 < 5 { 0 } else { 1 }).collect();
-        let mut config = DynamicConfig::default().with_auto_refine(false);
-        // Rebase on every repair: the rebase must ride the cached fold
-        // instead of folding a second time.
-        config.compact_overlay_fraction = 0.0;
-        let mut s =
-            DynamicSession::new(g, Partition::from_assignment(2, assignment), config).unwrap();
-        for i in 0..5u32 {
-            s.update_edge(10 * i + 4, 10 * i + 5, 40).unwrap();
-        }
-        s.refine_now();
-        assert!(s.stats().rebases >= 1, "fraction 0 must force a rebase");
-        assert_eq!(s.stats().compactions, 1, "rebase folded redundantly");
-        assert_eq!(s.graph().overlay_half_edges(), 0);
-        s.refine_now();
-        assert_eq!(s.stats().compactions, 1);
-        s.verify().unwrap();
-        assert_eq!(s.state().full_builds(), 1);
     }
 
     #[test]

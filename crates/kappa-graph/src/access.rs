@@ -1,21 +1,23 @@
-//! Generic read access to a frozen graph — the seam the memory tier plugs
-//! into.
+//! Generic read access to a graph — the seam the memory tier and the
+//! dynamic service plug into.
 //!
-//! [`Adjacency`] is deliberately tiny (one node's incidence list) because the
-//! incremental-maintenance code needs nothing more. The full pipeline needs
-//! more: node counts, cached totals, coordinate access and an *iterator* form
-//! of the incidence list. [`GraphAccess`] provides exactly that surface, with
-//! method names matching [`CsrGraph`]'s inherent methods so that algorithms
-//! written against the concrete graph generalise by changing only their
-//! signature — `&CsrGraph` becomes `&G` with `G: GraphAccess`.
+//! [`GraphAccess`] is the whole surface the multilevel pipeline and the
+//! incremental-maintenance code read a graph through: node counts, cached
+//! totals, coordinate access and one node's incidence list, as an iterator
+//! ([`edges_of`](GraphAccess::edges_of)) or a callback
+//! ([`for_each_edge`](GraphAccess::for_each_edge)). Method names match
+//! [`CsrGraph`]'s inherent methods so that algorithms written against the
+//! concrete graph generalise by changing only their signature — `&CsrGraph`
+//! becomes `&G` with `G: GraphAccess`.
 //!
-//! The implementor besides [`CsrGraph`] lives in `kappa-mem`: one
-//! delta-varint `SegmentGraph` over two byte stores — `CompactCsr` (a RAM
-//! arena at roughly half the footprint) and `PagedGraph` (a file behind a
-//! fixed-budget page cache). Both encode the *same* adjacency structure —
-//! sorted neighbour lists, merged parallel edges — so generic algorithms
-//! produce bit-identical results on every storage level; `tests/parity.rs`
-//! asserts this end to end.
+//! The implementors besides [`CsrGraph`]: the mutating
+//! [`DynamicGraph`](crate::DynamicGraph) of the dynamic service, and in
+//! `kappa-mem` one delta-varint `SegmentGraph` over two byte stores —
+//! `CompactCsr` (a RAM arena at roughly half the footprint) and `PagedGraph`
+//! (a file behind a fixed-budget page cache). All of them expose the *same*
+//! adjacency structure — sorted neighbour lists, merged parallel edges — so
+//! generic algorithms produce bit-identical results on every storage level;
+//! `tests/parity.rs` asserts this end to end.
 //!
 //! Notably **not** on this trait: `neighbors(v) -> &[NodeId]`. A slice return
 //! would force every implementor to hold the adjacency of each node
@@ -23,12 +25,13 @@
 //! paged tiers avoid. Code that wants the target list walks
 //! [`edges_of`](GraphAccess::edges_of) instead.
 
-use crate::csr::{Adjacency, CsrGraph};
+use crate::csr::CsrGraph;
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// Whole-graph read access: everything the multilevel pipeline (matching,
-/// contraction, refinement, balance accounting) needs from a frozen graph.
-pub trait GraphAccess: Adjacency {
+/// contraction, refinement, balance accounting) and the incremental state
+/// maintenance need from a graph.
+pub trait GraphAccess {
     /// Number of nodes `n = |V|`.
     fn num_nodes(&self) -> usize;
 
@@ -38,13 +41,30 @@ pub trait GraphAccess: Adjacency {
     /// Total node weight `c(V)` (cached by implementors; `O(1)`).
     fn total_node_weight(&self) -> NodeWeight;
 
-    /// The largest node weight `max_v c(v)` (cached by implementors; `O(1)`).
+    /// The largest node weight `max_v c(v)` (cached by the frozen
+    /// implementors; `O(1)` there).
     fn max_node_weight(&self) -> NodeWeight;
+
+    /// Degree of node `v`.
+    fn degree(&self, v: NodeId) -> usize;
+
+    /// Node weight `c(v)`.
+    fn node_weight(&self, v: NodeId) -> NodeWeight;
 
     /// The incidence list of `v` as `(target, weight)` pairs, sorted by
     /// ascending target id — the same order for every storage level, which
     /// is what makes cross-tier runs bit-identical.
     fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_;
+
+    /// Calls `f(u, w)` once for every edge `{v, u}` of weight `w`, in
+    /// [`edges_of`](Self::edges_of) order. Stores that decode a row in one
+    /// pass override it.
+    #[inline]
+    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, mut f: F) {
+        for (u, w) in self.edges_of(v) {
+            f(u, w);
+        }
+    }
 
     /// Planar coordinates, if the graph carries them.
     fn coords(&self) -> Option<&[[f64; 2]]> {
@@ -54,16 +74,6 @@ pub trait GraphAccess: Adjacency {
     /// Number of undirected edges `m = |E|`.
     fn num_edges(&self) -> usize {
         self.num_half_edges() / 2
-    }
-
-    /// Degree of node `v`.
-    fn degree(&self, v: NodeId) -> usize {
-        self.degree_of(v)
-    }
-
-    /// Node weight `c(v)`.
-    fn node_weight(&self, v: NodeId) -> NodeWeight {
-        self.node_weight_of(v)
     }
 
     /// Iterator over all node ids `0..n`.
@@ -117,6 +127,16 @@ impl GraphAccess for CsrGraph {
     #[inline]
     fn max_node_weight(&self) -> NodeWeight {
         CsrGraph::max_node_weight(self)
+    }
+
+    #[inline]
+    fn degree(&self, v: NodeId) -> usize {
+        CsrGraph::degree(self, v)
+    }
+
+    #[inline]
+    fn node_weight(&self, v: NodeId) -> NodeWeight {
+        CsrGraph::node_weight(self, v)
     }
 
     #[inline]

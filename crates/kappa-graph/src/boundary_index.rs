@@ -54,7 +54,6 @@
 //! still compare equal when their contents agree.
 
 use crate::access::GraphAccess;
-use crate::csr::Adjacency;
 use crate::partition::BlockAssignment;
 use crate::types::{BlockId, NodeId, INVALID_NODE};
 
@@ -157,14 +156,12 @@ impl BoundaryIndex {
         let mut slots = 0usize;
         for v in 0..n {
             start_offsets.push(slots);
-            slots += graph.degree_of(v as NodeId);
+            slots += graph.degree(v as NodeId);
         }
         let mut index = BoundaryIndex {
             k: partition.k(),
             block: (0..n as NodeId).map(|v| partition.block_of(v)).collect(),
-            cap: (0..n)
-                .map(|v| graph.degree_of(v as NodeId) as u32)
-                .collect(),
+            cap: (0..n).map(|v| graph.degree(v as NodeId) as u32).collect(),
             start: start_offsets,
             len: vec![0; n],
             counts: vec![(0, 0); slots],
@@ -316,10 +313,10 @@ impl BoundaryIndex {
     /// counters and boundary membership of `v` and all its neighbours in
     /// `O(deg(v) · log maxdeg)`. A no-op when `v` is already in `to`.
     ///
-    /// Generic over [`Adjacency`] so the same code path serves the frozen
+    /// Generic over [`GraphAccess`] so the same code path serves the frozen
     /// [`CsrGraph`](crate::csr::CsrGraph) and a mid-stream
     /// [`DynamicGraph`](crate::dynamic::DynamicGraph).
-    pub fn apply_move<G: Adjacency>(&mut self, graph: &G, v: NodeId, to: BlockId) {
+    pub fn apply_move<G: GraphAccess>(&mut self, graph: &G, v: NodeId, to: BlockId) {
         let from = self.block[v as usize];
         if from == to {
             return;
@@ -341,7 +338,7 @@ impl BoundaryIndex {
         });
 
         // `v`'s neighbour counts are unchanged, but its own block moved.
-        self.foreign[v as usize] = graph.degree_of(v) as u32 - self.count(v, to);
+        self.foreign[v as usize] = graph.degree(v) as u32 - self.count(v, to);
         self.update_membership(v);
     }
 
@@ -394,7 +391,7 @@ impl BoundaryIndex {
 
     /// Marks node `v` deleted. Ids stay stable — the node remains in every
     /// array as an isolated interior node, exactly what a fresh build on the
-    /// compacted graph produces for it — so the only work is checking the
+    /// mutated graph produces for it — so the only work is checking the
     /// precondition that all incident edges were deleted first.
     pub fn node_deleted(&mut self, v: NodeId) {
         debug_assert_eq!(self.len[v as usize], 0, "node {v} still has incident edges");
@@ -447,8 +444,7 @@ impl BoundaryIndex {
     /// Relocates node `v`'s segment to the end of the arena with doubled
     /// capacity (minimum 2) and returns the new start. The abandoned slots
     /// are zeroed; the arena never shrinks, but growth is amortised `O(1)`
-    /// per streaming insert and a [`compact`](crate::dynamic::DynamicGraph::
-    /// compact)-then-rebuild restores the tight layout.
+    /// per streaming insert and a fresh build restores the tight layout.
     fn grow_segment(&mut self, v: NodeId) -> usize {
         let vi = v as usize;
         let old_start = self.start[vi];

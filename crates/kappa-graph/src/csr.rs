@@ -5,48 +5,13 @@
 //! array storing node weights and the start of the relevant segment of the edge
 //! array. Every undirected edge `{u, v}` is stored twice, once in the adjacency
 //! list of `u` and once in that of `v`, with identical weight.
+//!
+//! The mutating half is [`DynamicGraph`](crate::DynamicGraph): the same sorted
+//! rows, one growable row per node, folded back into this form by
+//! [`to_csr`](crate::DynamicGraph::to_csr). Generic code reads either through
+//! [`GraphAccess`](crate::GraphAccess).
 
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
-
-/// Read access to the incidence structure of a weighted undirected graph.
-///
-/// [`CsrGraph`] is the canonical (frozen) implementor; the streaming
-/// [`DynamicGraph`](crate::dynamic::DynamicGraph) implements it over its
-/// base-CSR-plus-overlay view. Incremental maintenance code that only needs
-/// "the current neighbours of one node" —
-/// [`BoundaryIndex::apply_move`](crate::BoundaryIndex::apply_move) and
-/// [`PartitionState::apply_move`](crate::PartitionState::apply_move) — is
-/// generic over this trait, so a node move stays exact whether the graph is
-/// frozen or mid-mutation-stream.
-pub trait Adjacency {
-    /// Degree of node `v` (number of incident undirected edges).
-    fn degree_of(&self, v: NodeId) -> usize;
-
-    /// Node weight `c(v)`.
-    fn node_weight_of(&self, v: NodeId) -> NodeWeight;
-
-    /// Calls `f(u, w)` once for every edge `{v, u}` of weight `w`.
-    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F);
-}
-
-impl Adjacency for CsrGraph {
-    #[inline]
-    fn degree_of(&self, v: NodeId) -> usize {
-        self.degree(v)
-    }
-
-    #[inline]
-    fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-        self.node_weight(v)
-    }
-
-    #[inline]
-    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, mut f: F) {
-        for (u, w) in self.edges_of(v) {
-            f(u, w);
-        }
-    }
-}
 
 /// A weighted undirected graph in CSR form, optionally carrying 2-D coordinates
 /// (used by the geometric pre-partitioning of §3.3).

@@ -1,38 +1,29 @@
-//! Streaming mutations over a frozen CSR graph.
+//! The live graph of the dynamic repartitioning service: a mutating graph
+//! with stable node ids.
 //!
-//! The paper's tool class exists to serve workloads whose graphs change while
-//! the system runs; [`DynamicGraph`] is the repo's bridge from the frozen
-//! [`CsrGraph`] every pipeline stage consumes to such a workload. It is the
-//! "dynamic" half of the hybrid data structure sketched in §5.2: the frozen
-//! CSR stays untouched as the *base*, and all mutations accumulate in a
-//! per-node overlay —
+//! [`DynamicGraph`] keeps one incidence row per node slot, sorted by target
+//! and mirrored at both endpoints like a CSR's half-edges, in two flat arrays
+//! laid out like a CSR's but with room for each row to grow. An edge insert,
+//! delete or reweight shifts entries within its endpoints' rows in `O(deg)`;
+//! a full row moves to the end of the arrays with twice the room (amortised
+//! `O(1)` per insert; the slots it leaves are not reused), so refinement
+//! walks rows as contiguous as a freshly built CSR's.
 //!
-//! - `extra[v]`: edges inserted since the base was frozen (both endpoint
-//!   copies mirrored, like the CSR's half-edges),
-//! - `deleted[v]`: base targets whose edge has been deleted (sorted, binary
-//!   searched during traversal),
-//! - live degree / node weight / alive arrays covering base and appended
-//!   nodes alike.
+//! Node ids are **stable**: deleting a node marks its slot dead — an empty
+//! row of weight 0, exactly what [`to_csr`](DynamicGraph::to_csr) produces
+//! for it — so a [`PartitionState`](crate::PartitionState) maintained through
+//! any mutation stream compares *field-for-field* against a from-scratch
+//! rebuild on the fold, with no id translation to hide a bug in.
 //!
-//! Node ids are **stable for the lifetime of the overlay**: deleting a node
-//! never renumbers the others, it merely marks the slot dead (a dead node is
-//! an isolated node of weight 0 — the representation a fresh
-//! [`compact`](DynamicGraph::compact) produces for it). This is what lets a
-//! [`PartitionState`](crate::PartitionState) ride through an arbitrary
-//! mutation stream with `O(1)`/`O(deg)` hook calls and still compare
-//! *field-for-field* against a from-scratch rebuild on the compacted graph —
-//! no id translation exists to hide a bug in.
-//!
-//! Traversal ([`Adjacency`]) costs `O(deg · log |deleted|)` per node; a
-//! [`compact`](DynamicGraph::compact) folds the overlay into a fresh CSR in
-//! `O(n + m)` whenever the overlay fraction makes that worthwhile (the
-//! serving layer's compaction policy decides when).
+//! The graph implements [`GraphAccess`] and its rows are exactly the rows
+//! `to_csr()` builds, so band BFS, FM, rebalancing and localized refinement
+//! run on it in place and make the moves they would make on the fold.
 
-use crate::builder::GraphBuilder;
-use crate::csr::{Adjacency, CsrGraph};
+use crate::access::GraphAccess;
+use crate::csr::CsrGraph;
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
-/// A CSR base graph plus an insert/delete overlay with stable node ids.
+/// A mutating weighted graph with stable node ids.
 ///
 /// ```
 /// use kappa_graph::{graph_from_edges, DynamicGraph};
@@ -47,136 +38,79 @@ use crate::types::{EdgeWeight, NodeId, NodeWeight};
 /// assert_eq!(v, 3);
 /// g.insert_edge(v, 0, 1).unwrap();
 ///
-/// let frozen = g.compact(); // same ids, overlay folded in
+/// let frozen = g.to_csr(); // same ids, same rows
 /// assert_eq!(frozen.num_nodes(), 4);
 /// assert_eq!(frozen.edge_weight_between(0, 2), Some(5));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DynamicGraph {
-    base: CsrGraph,
-    /// Edges inserted since `base` was frozen: `extra[v]` holds `(u, w)` for
-    /// every inserted edge `{v, u}` (mirrored at both endpoints). Also holds
-    /// the live copy of reweighted base edges (whose base copy is masked via
-    /// `deleted`).
-    extra: Vec<Vec<(NodeId, EdgeWeight)>>,
-    /// Deleted base targets per node, sorted for binary search during
-    /// traversal. Mirrored at both endpoints like `extra`.
-    deleted: Vec<Vec<NodeId>>,
-    /// Live degree per node (base minus deletions plus insertions).
-    deg: Vec<u32>,
-    /// Live node weights; dead slots are zeroed.
+    /// Row `v` is `targets[start[v]..start[v] + len[v]]` with the parallel
+    /// `weights`: `(u, w)` for every live edge `{v, u}` of weight `w`, sorted
+    /// by `u`, inside `cap[v]` reserved slots.
+    start: Vec<usize>,
+    len: Vec<u32>,
+    cap: Vec<u32>,
+    targets: Vec<NodeId>,
+    weights: Vec<EdgeWeight>,
+    // Per slot: node weight (0 once dead) and liveness; then the live node
+    // count, half-edge count (`2m`) and total node weight.
     vwgt: Vec<NodeWeight>,
-    /// Liveness per node slot.
     alive: Vec<bool>,
-    /// Number of live nodes.
     live_nodes: usize,
-    /// Number of live undirected edges.
-    live_edges: usize,
-    /// Cached total node weight of live nodes.
+    half_edges: usize,
     total_node_weight: NodeWeight,
-    /// Half-edges resident in the overlay (`extra` entries plus masked base
-    /// entries) — the serving layer's compaction heuristic reads this.
-    overlay_half_edges: usize,
-    /// Mutation counter: bumped by every structural change, so callers can
-    /// key caches of derived state (e.g. a [`compact`](Self::compact) fold)
-    /// on it and reuse them across repeated reads of an unchanged graph.
-    version: u64,
 }
 
 impl DynamicGraph {
-    /// Wraps a frozen graph in an empty overlay.
-    pub fn new(base: CsrGraph) -> Self {
-        let n = base.num_nodes();
-        let deg = (0..n as NodeId).map(|v| base.degree(v) as u32).collect();
-        let vwgt = (0..n as NodeId).map(|v| base.node_weight(v)).collect();
-        let live_edges = base.num_edges();
-        let total_node_weight = base.total_node_weight();
-        DynamicGraph {
-            base,
-            extra: vec![Vec::new(); n],
-            deleted: vec![Vec::new(); n],
-            deg,
-            vwgt,
-            alive: vec![true; n],
-            live_nodes: n,
-            live_edges,
-            total_node_weight,
-            overlay_half_edges: 0,
-            version: 0,
+    /// Copies a frozen graph into live rows; every node starts live.
+    pub fn new(graph: CsrGraph) -> Self {
+        let half_edges = graph.num_half_edges();
+        let mut g = DynamicGraph {
+            targets: Vec::with_capacity(half_edges),
+            weights: Vec::with_capacity(half_edges),
+            half_edges,
+            ..DynamicGraph::default()
+        };
+        let mut row = Vec::new();
+        for v in graph.nodes() {
+            row.clear();
+            row.extend(graph.edges_of(v));
+            row.sort_unstable_by_key(|&(u, _)| u);
+            g.push_slot(graph.node_weight(v), &row);
         }
+        g
     }
 
-    /// Mutation counter: strictly increases across every successful mutation
-    /// (edge insert/delete/reweight, node insert/delete). Two reads of an
-    /// unchanged version see an identical graph, so derived state such as a
-    /// [`compact`](Self::compact) fold keyed on the version can be reused.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
+    /// Appends a live node slot of weight `weight` whose row is `row`.
+    fn push_slot(&mut self, weight: NodeWeight, row: &[(NodeId, EdgeWeight)]) -> NodeId {
+        let v = self.vwgt.len() as NodeId;
+        self.start.push(self.targets.len());
+        self.len.push(row.len() as u32);
+        self.cap.push(row.len() as u32);
+        self.targets.extend(row.iter().map(|&(u, _)| u));
+        self.weights.extend(row.iter().map(|&(_, w)| w));
+        self.vwgt.push(weight);
+        self.alive.push(true);
+        self.live_nodes += 1;
+        self.total_node_weight += weight;
+        v
     }
 
     /// Number of node slots (live and dead — ids are stable, so this only
     /// grows).
-    #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.alive.len()
+        self.vwgt.len()
     }
 
     /// Number of live nodes.
-    #[inline]
     pub fn num_live_nodes(&self) -> usize {
         self.live_nodes
-    }
-
-    /// Number of live undirected edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.live_edges
     }
 
     /// True if the node slot `v` exists and is live.
     #[inline]
     pub fn is_alive(&self, v: NodeId) -> bool {
         (v as usize) < self.alive.len() && self.alive[v as usize]
-    }
-
-    /// Live degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.deg[v as usize] as usize
-    }
-
-    /// Node weight `c(v)` (0 for dead slots).
-    #[inline]
-    pub fn node_weight(&self, v: NodeId) -> NodeWeight {
-        self.vwgt[v as usize]
-    }
-
-    /// Total node weight of the live graph.
-    #[inline]
-    pub fn total_node_weight(&self) -> NodeWeight {
-        self.total_node_weight
-    }
-
-    /// Maximum live node weight (`O(n)` scan; used only by the occasional
-    /// `L_max` recomputation, never per mutation).
-    pub fn max_node_weight(&self) -> NodeWeight {
-        self.vwgt.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Half-edges resident in the overlay — grows with every edge mutation
-    /// and resets to 0 after [`compact`](Self::compact) + [`new`](Self::new).
-    /// Compaction policies compare it against the live edge count.
-    #[inline]
-    pub fn overlay_half_edges(&self) -> usize {
-        self.overlay_half_edges
-    }
-
-    /// The balance bound `L_max = (1 + ε)·c(V)/k + max_v c(v)` of §2 over the
-    /// live graph.
-    pub fn l_max(&self, k: u32, epsilon: f64) -> NodeWeight {
-        let avg = self.total_node_weight as f64 / k as f64;
-        ((1.0 + epsilon) * avg).ceil() as NodeWeight + self.max_node_weight()
     }
 
     fn check_endpoint(&self, v: NodeId) -> Result<(), String> {
@@ -189,22 +123,67 @@ impl DynamicGraph {
         }
     }
 
+    /// Where `v`'s row lies in `targets` and `weights`.
+    #[inline]
+    fn range(&self, v: NodeId) -> std::ops::Range<usize> {
+        let start = self.start[v as usize];
+        start..start + self.len[v as usize] as usize
+    }
+
+    /// Where `v` sits (`Ok`) or would sit (`Err`) in `u`'s row.
+    fn find(&self, u: NodeId, v: NodeId) -> Result<usize, usize> {
+        self.targets[self.range(u)].binary_search(&v)
+    }
+
+    /// Positions of the live edge `{u, v}` in the rows of `u` and of `v`.
+    fn positions(&self, u: NodeId, v: NodeId) -> Result<(usize, usize), String> {
+        self.check_endpoint(u)?;
+        self.check_endpoint(v)?;
+        match (self.find(u, v), self.find(v, u)) {
+            (Ok(i), Ok(j)) => Ok((i, j)),
+            _ => Err(format!("edge {{{u}, {v}}} does not exist")),
+        }
+    }
+
+    /// Inserts `(t, w)` at position `i` of `v`'s row, first moving a full
+    /// row to the end of the arrays with twice the room.
+    fn insert_at(&mut self, v: NodeId, i: usize, t: NodeId, w: EdgeWeight) {
+        let (vi, row) = (v as usize, self.range(v));
+        if row.len() == self.cap[vi] as usize {
+            let cap = (2 * row.len()).max(4);
+            self.start[vi] = self.targets.len();
+            self.cap[vi] = cap as u32;
+            self.targets.extend_from_within(row.clone());
+            self.weights.extend_from_within(row.clone());
+            self.targets.resize(self.start[vi] + cap, 0);
+            self.weights.resize(self.start[vi] + cap, 0);
+        }
+        let (at, end) = (self.start[vi] + i, self.start[vi] + row.len());
+        self.targets.copy_within(at..end, at + 1);
+        self.weights.copy_within(at..end, at + 1);
+        self.targets[at] = t;
+        self.weights[at] = w;
+        self.len[vi] += 1;
+    }
+
+    /// Removes position `i` of `v`'s row and returns its weight.
+    fn remove_at(&mut self, v: NodeId, i: usize) -> EdgeWeight {
+        let row = self.range(v);
+        let at = row.start + i;
+        let w = self.weights[at];
+        self.targets.copy_within(at + 1..row.end, at);
+        self.weights.copy_within(at + 1..row.end, at);
+        self.len[v as usize] -= 1;
+        w
+    }
+
     /// Weight of the live edge `{u, v}`, if present.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<EdgeWeight> {
-        if u as usize >= self.alive.len() || v as usize >= self.alive.len() || u == v {
+        if u as usize >= self.num_nodes() {
             return None;
         }
-        if let Some(&(_, w)) = self.extra[u as usize].iter().find(|&&(t, _)| t == v) {
-            return Some(w);
-        }
-        let base_n = self.base.num_nodes();
-        if (u as usize) < base_n
-            && (v as usize) < base_n
-            && self.deleted[u as usize].binary_search(&v).is_err()
-        {
-            return self.base.edge_weight_between(u, v);
-        }
-        None
+        let i = self.find(u, v).ok()?;
+        Some(self.weights[self.start[u as usize] + i])
     }
 
     /// Inserts the edge `{u, v}` of weight `w`.
@@ -221,48 +200,22 @@ impl DynamicGraph {
         }
         self.check_endpoint(u)?;
         self.check_endpoint(v)?;
-        if self.edge_weight(u, v).is_some() {
+        let (Err(i), Err(j)) = (self.find(u, v), self.find(v, u)) else {
             return Err(format!("edge {{{u}, {v}}} already exists"));
-        }
-        self.extra[u as usize].push((v, w));
-        self.extra[v as usize].push((u, w));
-        self.deg[u as usize] += 1;
-        self.deg[v as usize] += 1;
-        self.live_edges += 1;
-        self.overlay_half_edges += 2;
-        self.version += 1;
+        };
+        self.insert_at(u, i, v, w);
+        self.insert_at(v, j, u, w);
+        self.half_edges += 2;
         Ok(())
     }
 
     /// Deletes the edge `{u, v}`, returning its weight. Errors when the edge
     /// does not exist.
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeWeight, String> {
-        self.check_endpoint(u)?;
-        self.check_endpoint(v)?;
-        let w = self
-            .edge_weight(u, v)
-            .ok_or_else(|| format!("edge {{{u}, {v}}} does not exist"))?;
-        if let Some(i) = self.extra[u as usize].iter().position(|&(t, _)| t == v) {
-            // Overlay edge: drop both mirrored copies.
-            self.extra[u as usize].swap_remove(i);
-            let j = self.extra[v as usize]
-                .iter()
-                .position(|&(t, _)| t == u)
-                .expect("overlay half-edges out of sync");
-            self.extra[v as usize].swap_remove(j);
-            self.overlay_half_edges -= 2;
-        } else {
-            // Base edge: mask it at both endpoints.
-            let iu = self.deleted[u as usize].binary_search(&v).unwrap_err();
-            self.deleted[u as usize].insert(iu, v);
-            let iv = self.deleted[v as usize].binary_search(&u).unwrap_err();
-            self.deleted[v as usize].insert(iv, u);
-            self.overlay_half_edges += 2;
-        }
-        self.deg[u as usize] -= 1;
-        self.deg[v as usize] -= 1;
-        self.live_edges -= 1;
-        self.version += 1;
+        let (i, j) = self.positions(u, v)?;
+        let w = self.remove_at(u, i);
+        self.remove_at(v, j);
+        self.half_edges -= 2;
         Ok(w)
     }
 
@@ -277,39 +230,16 @@ impl DynamicGraph {
         if new_w == 0 {
             return Err("edge weights must be positive".to_string());
         }
-        self.check_endpoint(u)?;
-        self.check_endpoint(v)?;
-        if let Some(i) = self.extra[u as usize].iter().position(|&(t, _)| t == v) {
-            let old = self.extra[u as usize][i].1;
-            self.extra[u as usize][i].1 = new_w;
-            let j = self.extra[v as usize]
-                .iter()
-                .position(|&(t, _)| t == u)
-                .expect("overlay half-edges out of sync");
-            self.extra[v as usize][j].1 = new_w;
-            self.version += 1;
-            return Ok(old);
-        }
-        // Base edge: mask the base copy and re-insert through the overlay.
-        let old = self.delete_edge(u, v)?;
-        self.insert_edge(u, v, new_w)
-            .expect("re-insert of a just-deleted edge");
-        Ok(old)
+        let (i, j) = self.positions(u, v)?;
+        self.weights[self.start[v as usize] + j] = new_w;
+        let at = self.start[u as usize] + i;
+        Ok(std::mem::replace(&mut self.weights[at], new_w))
     }
 
     /// Appends a new isolated node of weight `weight` and returns its id (the
     /// previous slot count).
     pub fn insert_node(&mut self, weight: NodeWeight) -> NodeId {
-        let v = self.alive.len() as NodeId;
-        self.extra.push(Vec::new());
-        self.deleted.push(Vec::new());
-        self.deg.push(0);
-        self.vwgt.push(weight);
-        self.alive.push(true);
-        self.live_nodes += 1;
-        self.total_node_weight += weight;
-        self.version += 1;
-        v
+        self.push_slot(weight, &[])
     }
 
     /// Deletes node `v`, returning its weight. The node must be isolated —
@@ -317,104 +247,75 @@ impl DynamicGraph {
     /// so that every derived structure sees edge deaths before the node's.
     pub fn delete_node(&mut self, v: NodeId) -> Result<NodeWeight, String> {
         self.check_endpoint(v)?;
-        if self.deg[v as usize] > 0 {
-            return Err(format!(
-                "node {v} still has {} incident edges",
-                self.deg[v as usize]
-            ));
+        let degree = self.len[v as usize];
+        if degree > 0 {
+            return Err(format!("node {v} still has {degree} incident edges"));
         }
-        let weight = self.vwgt[v as usize];
-        self.vwgt[v as usize] = 0;
+        let weight = std::mem::take(&mut self.vwgt[v as usize]);
         self.alive[v as usize] = false;
         self.live_nodes -= 1;
         self.total_node_weight -= weight;
-        self.version += 1;
         Ok(weight)
     }
 
-    /// The live neighbours of `v` as `(target, weight)` pairs, collected.
+    /// The live neighbours of `v` as `(target, weight)` pairs sorted by
+    /// target, collected.
     pub fn edges_of_collected(&self, v: NodeId) -> Vec<(NodeId, EdgeWeight)> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_edge(v, |u, w| out.push((u, w)));
-        out
+        self.edges_of(v).collect()
     }
 
-    /// Folds the overlay into a fresh CSR graph **preserving node ids**: dead
-    /// slots become isolated nodes of weight 0, live nodes keep their weight
-    /// and edges. `O(n + m)`, plus the builder's sort of each row.
-    ///
-    /// Because ids are stable, a [`Partition`](crate::Partition) or
-    /// [`PartitionState`](crate::PartitionState) maintained alongside this
-    /// graph is directly a partition of the compacted graph — the exactness
-    /// test suite rebuilds state from scratch on `compact()` output and
-    /// compares field for field.
-    pub fn compact(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_node_weights(self.vwgt.clone());
-        b.reserve_edges(self.live_edges);
-        for v in 0..self.alive.len() as NodeId {
-            self.for_each_edge(v, |u, w| {
-                if v < u {
-                    b.add_edge(v, u, w);
-                }
-            });
+    /// The rows as a fresh CSR graph **preserving node ids** (a dead slot is
+    /// an isolated node of weight 0), in `O(n + m)` — the ground truth the
+    /// exactness tests rebuild a [`PartitionState`](crate::PartitionState)
+    /// on and compare field for field.
+    pub fn to_csr(&self) -> CsrGraph {
+        let mut csr = CsrGraph::rows(self.num_nodes(), self.half_edges);
+        for v in self.nodes() {
+            csr.push_node(self.edges_of(v));
         }
-        b.build()
-    }
-
-    /// Folds the overlay into a fresh base and returns a new `DynamicGraph`
-    /// over it with an **empty** overlay, carrying liveness across — wrapping
-    /// [`compact`](Self::compact) output in [`new`](Self::new) directly would
-    /// resurrect dead slots (they are indistinguishable from live isolated
-    /// weight-0 nodes in the CSR). The serving layer re-bases when the
-    /// overlay fraction makes traversal masking more expensive than one
-    /// `O(n + m)` fold.
-    pub fn rebase(&self) -> DynamicGraph {
-        self.rebase_with(self.compact())
-    }
-
-    /// [`rebase`](Self::rebase) around an **already computed**
-    /// [`compact`](Self::compact) of this graph, saving the redundant fold
-    /// when the caller holds one (e.g. a version-keyed compaction cache).
-    ///
-    /// The result carries this graph's [`version`](Self::version): rebasing
-    /// changes the representation, not the graph, so caches keyed on the
-    /// version — including the `base` being passed in — stay valid.
-    ///
-    /// `base` must be `self.compact()` output (or equal to it); anything else
-    /// silently desynchronises liveness and derived state.
-    pub fn rebase_with(&self, base: CsrGraph) -> DynamicGraph {
-        let mut g = DynamicGraph::new(base);
-        g.alive = self.alive.clone();
-        g.live_nodes = self.live_nodes;
-        g.version = self.version;
-        g
+        csr.finish(self.vwgt.clone(), None)
     }
 }
 
-impl Adjacency for DynamicGraph {
+/// Every method is `O(1)` or a row walk except
+/// [`max_node_weight`](GraphAccess::max_node_weight), an `O(n)` scan here (a
+/// node delete would otherwise have to find the next heaviest node); callers
+/// that need it often cache `L_max` instead.
+impl GraphAccess for DynamicGraph {
     #[inline]
-    fn degree_of(&self, v: NodeId) -> usize {
-        self.degree(v)
+    fn num_nodes(&self) -> usize {
+        self.vwgt.len()
+    }
+
+    fn num_half_edges(&self) -> usize {
+        self.half_edges
+    }
+
+    fn total_node_weight(&self) -> NodeWeight {
+        self.total_node_weight
+    }
+
+    fn max_node_weight(&self) -> NodeWeight {
+        self.vwgt.iter().copied().max().unwrap_or(0)
     }
 
     #[inline]
-    fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-        self.node_weight(v)
+    fn degree(&self, v: NodeId) -> usize {
+        self.len[v as usize] as usize
     }
 
-    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, mut f: F) {
-        let vi = v as usize;
-        if vi < self.base.num_nodes() {
-            let masked = &self.deleted[vi];
-            for (u, w) in self.base.edges_of(v) {
-                if masked.binary_search(&u).is_err() {
-                    f(u, w);
-                }
-            }
-        }
-        for &(u, w) in &self.extra[vi] {
-            f(u, w);
-        }
+    #[inline]
+    fn node_weight(&self, v: NodeId) -> NodeWeight {
+        self.vwgt[v as usize]
+    }
+
+    #[inline]
+    fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
+        let row = self.range(v);
+        self.targets[row.clone()]
+            .iter()
+            .copied()
+            .zip(self.weights[row].iter().copied())
     }
 }
 
@@ -422,12 +323,6 @@ impl Adjacency for DynamicGraph {
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-
-    fn sorted_edges(g: &DynamicGraph, v: NodeId) -> Vec<(NodeId, EdgeWeight)> {
-        let mut e = g.edges_of_collected(v);
-        e.sort_unstable();
-        e
-    }
 
     #[test]
     fn overlay_tracks_inserts_and_deletes() {
@@ -437,8 +332,8 @@ mod tests {
         g.delete_edge(1, 2).unwrap();
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(1), 1);
-        assert_eq!(sorted_edges(&g, 0), vec![(1, 1), (3, 7)]);
-        assert_eq!(sorted_edges(&g, 2), vec![(3, 3)]);
+        assert_eq!(g.edges_of_collected(0), vec![(1, 1), (3, 7)]);
+        assert_eq!(g.edges_of_collected(2), vec![(3, 3)]);
         assert_eq!(g.edge_weight(1, 2), None);
         assert_eq!(g.edge_weight(3, 0), Some(7));
     }
@@ -448,10 +343,12 @@ mod tests {
         let mut g = DynamicGraph::new(graph_from_edges(3, vec![(0, 1, 1), (1, 2, 2)]));
         assert_eq!(g.update_edge(0, 1, 9).unwrap(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(9));
+        assert_eq!(g.edge_weight(1, 0), Some(9), "both copies reweighted");
         assert_eq!(g.num_edges(), 2);
-        // Reweighting the overlay copy again hits the in-place path.
+        // Reweighting again, from the other endpoint.
         assert_eq!(g.update_edge(1, 0, 4).unwrap(), 9);
         assert_eq!(g.edge_weight(0, 1), Some(4));
+        assert!(g.update_edge(0, 2, 3).is_err(), "absent edge");
     }
 
     #[test]
@@ -482,6 +379,7 @@ mod tests {
         assert!(g.insert_edge(0, 1, 0).is_err(), "zero weight");
         assert!(g.insert_edge(0, 9, 1).is_err(), "out of range");
         assert!(g.delete_edge(0, 9).is_err());
+        assert!(g.delete_edge(0, 0).is_err());
         assert!(g.delete_node(7).is_err());
         assert!(g.update_edge(0, 1, 0).is_err(), "zero reweight");
     }
@@ -498,7 +396,7 @@ mod tests {
         g.delete_edge(1, 2).unwrap();
         g.delete_node(1).unwrap();
 
-        let c = g.compact();
+        let c = g.to_csr();
         assert_eq!(c.num_nodes(), 5);
         assert_eq!(c.num_edges(), 3);
         assert_eq!(c.degree(1), 0, "dead slot is isolated");
@@ -509,61 +407,14 @@ mod tests {
         assert_eq!(c.total_node_weight(), g.total_node_weight());
         assert!(c.validate().is_ok());
 
-        // Round trip: re-wrapping the compacted graph yields the same live
-        // structure with an empty overlay.
+        // Round trip: re-wrapping the fold yields the same rows.
         let g2 = DynamicGraph::new(c);
-        assert_eq!(g2.overlay_half_edges(), 0);
         for n in 0..g.num_nodes() as NodeId {
-            assert_eq!(sorted_edges(&g, n), sorted_edges(&g2, n), "node {n}");
-        }
-    }
-
-    #[test]
-    fn rebase_keeps_dead_slots_dead() {
-        let mut g = DynamicGraph::new(graph_from_edges(3, vec![(0, 1, 1), (1, 2, 1)]));
-        g.delete_edge(1, 2).unwrap();
-        g.delete_node(2).unwrap();
-        let mut r = g.rebase();
-        assert_eq!(r.overlay_half_edges(), 0);
-        assert!(!r.is_alive(2), "rebase resurrected a dead slot");
-        assert_eq!(r.num_live_nodes(), 2);
-        assert!(r.insert_edge(0, 2, 1).is_err());
-    }
-
-    #[test]
-    fn version_ticks_on_every_mutation_and_survives_rebase() {
-        let mut g = DynamicGraph::new(graph_from_edges(3, vec![(0, 1, 1), (1, 2, 2)]));
-        assert_eq!(g.version(), 0);
-        g.insert_edge(0, 2, 4).unwrap();
-        let after_insert = g.version();
-        assert!(after_insert > 0);
-        // Failed mutations leave the version alone.
-        assert!(g.insert_edge(0, 2, 4).is_err());
-        assert_eq!(g.version(), after_insert);
-        g.update_edge(0, 2, 9).unwrap(); // overlay in-place reweight
-        assert!(g.version() > after_insert);
-        g.update_edge(0, 1, 7).unwrap(); // base mask + re-insert
-        g.delete_edge(1, 2).unwrap();
-        let v = g.insert_node(2);
-        let before_dead = g.version();
-        g.delete_node(v).unwrap();
-        assert!(g.version() > before_dead);
-        // Rebasing changes the representation, not the graph: the version is
-        // carried so caches keyed on it (including the fold being reused)
-        // stay valid.
-        let cached = g.compact();
-        let r = g.rebase_with(cached.clone());
-        assert_eq!(r.version(), g.version());
-        let refold = r.compact();
-        assert_eq!(refold.num_nodes(), cached.num_nodes());
-        assert_eq!(refold.num_edges(), cached.num_edges());
-        for n in 0..refold.num_nodes() as NodeId {
-            assert_eq!(refold.node_weight(n), cached.node_weight(n));
-            let mut a: Vec<_> = refold.edges_of(n).collect();
-            let mut b: Vec<_> = cached.edges_of(n).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "node {n}");
+            assert_eq!(
+                g.edges_of_collected(n),
+                g2.edges_of_collected(n),
+                "node {n}"
+            );
         }
     }
 
@@ -575,6 +426,6 @@ mod tests {
         g.insert_edge(1, 0, 5).unwrap();
         assert_eq!(g.edge_weight(0, 1), Some(5));
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.compact().edge_weight_between(0, 1), Some(5));
+        assert_eq!(g.to_csr().edge_weight_between(0, 1), Some(5));
     }
 }

@@ -6,9 +6,10 @@
 //! induced subgraphs with back-mappings, boundary/band utilities, an
 //! incrementally maintained [`BoundaryIndex`], the persistent
 //! [`PartitionState`] (assignment + weights + boundary index + cached cut
-//! behind one exact `apply_move`), the streaming [`DynamicGraph`] overlay
-//! (vertex/edge insert-delete with stable ids, compacting back to CSR on
-//! demand) and METIS-style text I/O.
+//! behind one exact `apply_move`), the mutating [`DynamicGraph`] of the
+//! dynamic service (vertex/edge insert-delete with stable ids, read through
+//! the same [`GraphAccess`] seam as every frozen graph) and METIS-style text
+//! I/O.
 //!
 //! The design follows Section 2 of Holtgrewe, Sanders and Schulz,
 //! *Engineering a Scalable High Quality Graph Partitioner* (2010): graphs are
@@ -57,7 +58,7 @@ pub use access::GraphAccess;
 pub use boundary::{band_around_boundary, boundary_nodes, is_pair_boundary, pair_boundary_nodes};
 pub use boundary_index::BoundaryIndex;
 pub use builder::{graph_from_edges, GraphBuilder};
-pub use csr::{Adjacency, CsrGraph, CsrRows};
+pub use csr::{CsrGraph, CsrRows};
 pub use dynamic::DynamicGraph;
 pub use io::{
     parse_metis, read_metis, to_metis_string, to_metis_string_fmt, write_metis, MetisError,

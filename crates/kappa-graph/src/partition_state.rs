@@ -23,7 +23,6 @@
 
 use crate::access::GraphAccess;
 use crate::boundary_index::BoundaryIndex;
-use crate::csr::Adjacency;
 use crate::partition::{BlockWeights, Partition};
 use crate::quotient::QuotientGraph;
 use crate::types::{BlockId, EdgeWeight, NodeId, NodeWeight};
@@ -166,11 +165,11 @@ impl PartitionState {
     /// boundary index and cached cut in `O(deg(v) · log maxdeg)`. Returns
     /// `false` (and does nothing) when `v` is already in `to`.
     ///
-    /// Generic over [`Adjacency`]: the frozen pipeline passes the level's
+    /// Generic over [`GraphAccess`]: the frozen pipeline passes the level's
     /// [`CsrGraph`](crate::csr::CsrGraph), the dynamic path passes a mid-stream
     /// [`DynamicGraph`](crate::dynamic::DynamicGraph) — the maintenance is
     /// identical because only `v`'s current incidence list matters.
-    pub fn apply_move<G: Adjacency>(&mut self, graph: &G, v: NodeId, to: BlockId) -> bool {
+    pub fn apply_move<G: GraphAccess>(&mut self, graph: &G, v: NodeId, to: BlockId) -> bool {
         let from = self.partition.block_of(v);
         if from == to {
             return false;
@@ -188,7 +187,7 @@ impl PartitionState {
             }
         });
         self.cut = self.cut + conn_from - conn_to;
-        self.weights.apply_move(from, to, graph.node_weight_of(v));
+        self.weights.apply_move(from, to, graph.node_weight(v));
         self.partition.assign(v, to);
         self.boundary.apply_move(graph, v, to);
         true
@@ -242,9 +241,9 @@ impl PartitionState {
     /// deleted (each via [`apply_edge_delete`](Self::apply_edge_delete)).
     ///
     /// Ids stay stable: `v` remains in the assignment with its last block —
-    /// exactly what [`compact`](crate::dynamic::DynamicGraph::compact)
-    /// produces for it (an isolated node of weight 0) — so a fresh
-    /// rebuild on the compacted graph matches field for field.
+    /// the graph keeps it as an isolated node of weight 0, which is also what
+    /// [`to_csr`](crate::dynamic::DynamicGraph::to_csr) produces for it — so
+    /// a fresh rebuild on the graph matches field for field.
     pub fn apply_node_delete(&mut self, v: NodeId, weight: NodeWeight) {
         let b = self.partition.block_of(v);
         self.weights.sub(b, weight);
@@ -418,7 +417,7 @@ mod tests {
         use crate::dynamic::DynamicGraph;
         let mut g = DynamicGraph::new(grid4());
         let p = Partition::from_assignment(2, (0..16).map(|i| (i / 8) as u32).collect());
-        let mut state = PartitionState::build(&g.compact(), p);
+        let mut state = PartitionState::build(&g, p);
 
         g.insert_edge(0, 15, 4).unwrap();
         state.apply_edge_insert(0, 15, 4);
@@ -441,7 +440,7 @@ mod tests {
         let wt = g.delete_node(3).unwrap();
         state.apply_node_delete(3, wt);
 
-        let compacted = g.compact();
+        let compacted = g.to_csr();
         state.verify_exact(&compacted).unwrap();
         let rebuilt = PartitionState::build(&compacted, state.partition().clone());
         assert_eq!(rebuilt.edge_cut(), state.edge_cut());

@@ -3,7 +3,7 @@
 //! Everything a delta-varint graph *is* lives here exactly once — the `n + 1`
 //! offset table, the `weighted` flag, unit-elided node weights, the cached
 //! totals, the writer that builds them row by row, `from_graph`'s row loop,
-//! `to_csr`, and the only [`Adjacency`] / [`GraphAccess`] impls. A store
+//! `to_csr`, and the only [`GraphAccess`] impl. A store
 //! contributes only where keeping the segment bytes in a RAM arena and
 //! keeping them in a file behind a page cache really differ, and that list is
 //! the whole [`Store`] trait: how a row is appended and the graph sealed, how
@@ -17,7 +17,7 @@
 
 use std::io;
 
-use kappa_graph::{Adjacency, CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
+use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
 
 use crate::segment::{decode_degree, decode_segment};
 
@@ -144,32 +144,6 @@ impl<S: Store> SegmentGraph<S> {
     }
 }
 
-impl<S: Store> Adjacency for SegmentGraph<S> {
-    #[inline]
-    fn degree_of(&self, v: NodeId) -> usize {
-        self.store.resident_degree(v).unwrap_or_else(|| {
-            let (lo, hi) = self.range(v);
-            self.store.with_segment(lo, hi, decode_degree)
-        })
-    }
-
-    #[inline]
-    fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-        match &self.index.vwgt {
-            Some(c) => c[v as usize],
-            None => 1,
-        }
-    }
-
-    #[inline]
-    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
-        let (lo, hi) = self.range(v);
-        let weighted = self.index.weighted;
-        self.store
-            .with_segment(lo, hi, |bytes| decode_segment(bytes, weighted, f));
-    }
-}
-
 impl<S: Store> GraphAccess for SegmentGraph<S> {
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -189,6 +163,30 @@ impl<S: Store> GraphAccess for SegmentGraph<S> {
     #[inline]
     fn max_node_weight(&self) -> NodeWeight {
         self.index.max_node_weight
+    }
+
+    #[inline]
+    fn degree(&self, v: NodeId) -> usize {
+        self.store.resident_degree(v).unwrap_or_else(|| {
+            let (lo, hi) = self.range(v);
+            self.store.with_segment(lo, hi, decode_degree)
+        })
+    }
+
+    #[inline]
+    fn node_weight(&self, v: NodeId) -> NodeWeight {
+        match &self.index.vwgt {
+            Some(c) => c[v as usize],
+            None => 1,
+        }
+    }
+
+    #[inline]
+    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
+        let (lo, hi) = self.range(v);
+        let weighted = self.index.weighted;
+        self.store
+            .with_segment(lo, hi, |bytes| decode_segment(bytes, weighted, f));
     }
 
     #[inline]
@@ -312,8 +310,7 @@ pub(crate) mod conformance {
     use std::path::PathBuf;
 
     use kappa_graph::{
-        graph_from_edges, Adjacency, CsrGraph, EdgeWeight, GraphAccess, GraphBuilder, NodeId,
-        SliceEdgeSource,
+        graph_from_edges, CsrGraph, EdgeWeight, GraphAccess, GraphBuilder, NodeId, SliceEdgeSource,
     };
     use proptest::prelude::*;
 
@@ -370,8 +367,8 @@ pub(crate) mod conformance {
             let mut pushed = Vec::new();
             t.for_each_edge(v, |u, w| pushed.push((u, w)));
             assert_eq!(pushed, want, "for_each_edge node {v}");
-            assert_eq!(t.degree_of(v), g.degree(v), "degree of node {v}");
-            assert_eq!(t.node_weight_of(v), g.node_weight(v), "weight of node {v}");
+            assert_eq!(t.degree(v), g.degree(v), "degree of node {v}");
+            assert_eq!(t.node_weight(v), g.node_weight(v), "weight of node {v}");
         }
         let mut want = g.clone();
         if !spec.keeps_coords() {
@@ -430,7 +427,7 @@ pub(crate) mod conformance {
         let g = graph_from_edges(7, vec![(1, 2, 4), (4, 5, 1), (2, 5, 2)]);
         let t = assert_same_graph(spec, &g);
         for v in [0, 3, 6] {
-            assert_eq!(t.degree_of(v), 0);
+            assert_eq!(t.degree(v), 0);
             assert_eq!(GraphAccess::edges_of(&t, v).count(), 0);
         }
     }
@@ -456,7 +453,7 @@ pub(crate) mod conformance {
         let leaves: NodeId = 1500;
         let edges: Vec<_> = (1..=leaves).map(|v| (0, v, 1000 + u64::from(v))).collect();
         let t = assert_same_graph(spec, &graph_from_edges(leaves as usize + 1, edges));
-        assert_eq!(t.degree_of(0), leaves as usize);
+        assert_eq!(t.degree(0), leaves as usize);
         let last: Vec<_> = GraphAccess::edges_of(&t, leaves).collect();
         assert_eq!(last, [(0, 1000 + u64::from(leaves))]);
     }

@@ -174,7 +174,7 @@ impl PageCache {
 
 /// The file store: a segment is copied out through the page cache into a
 /// per-thread scratch (so its edges are handed out owned — the slot can be
-/// evicted), degrees stay resident so `degree_of` never touches disk, and
+/// evicted), degrees stay resident so `degree` never touches disk, and
 /// coordinates are dropped.
 pub struct PageFile {
     path: PathBuf,
@@ -482,7 +482,7 @@ mod tests {
     use super::*;
     use crate::graph::conformance::tmp;
     use crate::TierSpec;
-    use kappa_graph::{graph_from_edges, Adjacency, GraphAccess, GraphBuilder};
+    use kappa_graph::{graph_from_edges, GraphAccess, GraphBuilder};
 
     fn tiny_cache() -> PageCacheConfig {
         PageCacheConfig {
@@ -613,7 +613,7 @@ mod tests {
         assert_eq!(p.to_csr(), g);
         assert_eq!(p.total_node_weight(), 7);
         assert_eq!(p.max_node_weight(), 4);
-        assert_eq!(p.degree_of(1), 2);
+        assert_eq!(p.degree(1), 2);
         assert!(p.is_weighted());
 
         let written = tmp("literal-written");

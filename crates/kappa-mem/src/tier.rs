@@ -13,7 +13,7 @@
 use std::io;
 use std::path::Path;
 
-use kappa_graph::{Adjacency, CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
+use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
 
 use crate::compact::{CompactCsr, CompactWriter};
 use crate::graph::{csr_rows, is_weighted, NodeData, PushRow};
@@ -113,23 +113,6 @@ impl TierGraph {
     }
 }
 
-impl Adjacency for TierGraph {
-    #[inline]
-    fn degree_of(&self, v: NodeId) -> usize {
-        on_tier!(self, g => g.degree_of(v))
-    }
-
-    #[inline]
-    fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-        on_tier!(self, g => g.node_weight_of(v))
-    }
-
-    #[inline]
-    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
-        on_tier!(self, g => g.for_each_edge(v, f))
-    }
-}
-
 impl GraphAccess for TierGraph {
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -149,6 +132,21 @@ impl GraphAccess for TierGraph {
     #[inline]
     fn max_node_weight(&self) -> NodeWeight {
         on_tier!(self, g => g.max_node_weight())
+    }
+
+    #[inline]
+    fn degree(&self, v: NodeId) -> usize {
+        on_tier!(self, g => g.degree(v))
+    }
+
+    #[inline]
+    fn node_weight(&self, v: NodeId) -> NodeWeight {
+        on_tier!(self, g => g.node_weight(v))
+    }
+
+    #[inline]
+    fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
+        on_tier!(self, g => g.for_each_edge(v, f))
     }
 
     fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use kappa_graph::{
-    BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, NodeId, Partition, PartitionState,
+    BlockAssignment, BlockAssignmentMut, BlockId, GraphAccess, NodeId, Partition, PartitionState,
 };
 
 use crate::balance::rebalance_state;
@@ -35,7 +35,7 @@ use crate::scheduler::{search_pair, RefinementConfig};
 use crate::scratch::FmScratch;
 
 /// Statistics returned by [`refine_local`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LocalRefineStats {
     /// Total cut improvement (rebalancing moves included, like the
     /// scheduler's accounting).
@@ -81,7 +81,7 @@ impl BlockAssignmentMut for LocalView<'_> {
 
 /// Sorted, deduplicated closed neighbourhood of `touched` (the nodes plus
 /// every neighbour) — the candidate pool seeds and pairs are drawn from.
-fn region_closure(graph: &CsrGraph, touched: &[NodeId]) -> Vec<NodeId> {
+fn region_closure<G: GraphAccess>(graph: &G, touched: &[NodeId]) -> Vec<NodeId> {
     let n = graph.num_nodes() as NodeId;
     let mut region: Vec<NodeId> = Vec::with_capacity(touched.len() * 4);
     for &v in touched {
@@ -89,7 +89,7 @@ fn region_closure(graph: &CsrGraph, touched: &[NodeId]) -> Vec<NodeId> {
             continue;
         }
         region.push(v);
-        region.extend_from_slice(graph.neighbors(v));
+        region.extend(graph.edges_of(v).map(|(u, _)| u));
     }
     region.sort_unstable();
     region.dedup();
@@ -97,15 +97,15 @@ fn region_closure(graph: &CsrGraph, touched: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// The block pairs with at least one cut edge inside the region, ascending.
-fn affected_pairs(
-    graph: &CsrGraph,
+fn affected_pairs<G: GraphAccess>(
+    graph: &G,
     state: &PartitionState,
     region: &[NodeId],
 ) -> Vec<(BlockId, BlockId)> {
     let mut pairs: Vec<(BlockId, BlockId)> = Vec::new();
     for &v in region {
         let bv = state.block_of(v);
-        for &u in graph.neighbors(v) {
+        for (u, _) in graph.edges_of(v) {
             let bu = state.block_of(u);
             if bu != bv {
                 pairs.push((bv.min(bu), bv.max(bu)));
@@ -119,8 +119,10 @@ fn affected_pairs(
 
 /// Re-refines the partition held by `state` only around `touched` (typically
 /// the endpoints of recently mutated edges and recently inserted nodes).
-/// Moves are routed through the state, which is returned exact; the caller's
-/// graph must be the **compacted** CSR the state currently describes.
+/// Moves are routed through the state, which is returned exact; `graph` must
+/// be the graph the state currently describes — a frozen CSR, or the
+/// mutating [`DynamicGraph`](kappa_graph::DynamicGraph) itself, which the
+/// dynamic service refines in place.
 ///
 /// `config` is the static pipeline's own refinement configuration: a round
 /// over the affected pairs plays the part of a global iteration, so
@@ -147,8 +149,8 @@ fn affected_pairs(
 /// assert_eq!(stats.total_gain, before as i64 - state.edge_cut() as i64);
 /// assert!(state.verify_exact(&graph).is_ok());
 /// ```
-pub fn refine_local(
-    graph: &CsrGraph,
+pub fn refine_local<G: GraphAccess>(
+    graph: &G,
     state: &mut PartitionState,
     touched: &[NodeId],
     config: &RefinementConfig,
@@ -228,7 +230,7 @@ pub fn refine_local(
         for &v in &round_moves {
             // `round_moves` aliases `region` growth, but only pre-extension
             // entries are neighbours-expanded here, which is all we need.
-            region.extend_from_slice(graph.neighbors(v));
+            region.extend(graph.edges_of(v).map(|(u, _)| u));
         }
         region.sort_unstable();
         region.dedup();
@@ -246,8 +248,10 @@ pub fn refine_local(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary_graph::{arbitrary_graph, xorshift};
     use kappa_gen::grid::grid2d;
-    use kappa_graph::DynamicGraph;
+    use kappa_graph::{CsrGraph, DynamicGraph};
+    use proptest::prelude::*;
 
     fn striped_state(side: usize, k: u32) -> (CsrGraph, PartitionState) {
         let g = grid2d(side, side);
@@ -308,7 +312,7 @@ mod tests {
         let (g, mut state) = striped_state(10, 2);
         let mut dyn_g = DynamicGraph::new(g);
         // Wire a handful of cross-cut chords in, absorbing each into the
-        // state, then repair the drift locally on the compacted graph.
+        // state, then repair the drift locally on the live graph itself.
         let mut touched = Vec::new();
         for (u, v) in [(4u32, 5u32), (24, 27), (44, 47), (64, 65)] {
             if dyn_g.edge_weight(u, v).is_none() {
@@ -318,16 +322,103 @@ mod tests {
                 touched.push(v);
             }
         }
-        let compacted = dyn_g.compact();
-        state.verify_exact(&compacted).unwrap();
+        state.verify_exact(&dyn_g.to_csr()).unwrap();
         let before = state.edge_cut();
-        refine_local(
-            &compacted,
-            &mut state,
-            &touched,
-            &RefinementConfig::default(),
-        );
+        refine_local(&dyn_g, &mut state, &touched, &RefinementConfig::default());
         assert!(state.edge_cut() <= before);
-        state.verify_exact(&compacted).unwrap();
+        state.verify_exact(&dyn_g.to_csr()).unwrap();
+    }
+
+    /// A live copy of `graph` after `ops` seeded mutations — edge inserts,
+    /// deletes and reweights, node inserts and (cascading) node deletes —
+    /// plus the endpoints the stream touched.
+    fn mutated(graph: CsrGraph, seed: u64, ops: usize) -> (DynamicGraph, Vec<NodeId>) {
+        let mut g = DynamicGraph::new(graph);
+        let mut next = xorshift(seed);
+        let mut touched = Vec::new();
+        for _ in 0..ops {
+            let n = g.num_nodes() as u64;
+            let (u, v) = ((next() % n) as NodeId, (next() % n) as NodeId);
+            let row = if g.is_alive(u) {
+                g.edges_of_collected(u)
+            } else {
+                Vec::new()
+            };
+            match next() % 6 {
+                0 | 1 => drop(g.insert_edge(u, v, 1 + next() % 9)),
+                2 if !row.is_empty() => {
+                    let (t, _) = row[(next() % row.len() as u64) as usize];
+                    g.delete_edge(u, t).unwrap();
+                }
+                3 if !row.is_empty() => {
+                    let (t, _) = row[(next() % row.len() as u64) as usize];
+                    g.update_edge(t, u, 1 + next() % 20).unwrap();
+                }
+                4 => {
+                    let id = g.insert_node(1 + next() % 3);
+                    let _ = g.insert_edge(id, v, 1 + next() % 9);
+                    touched.push(id);
+                }
+                5 if g.is_alive(u) && g.num_live_nodes() > 2 => {
+                    for (t, _) in row {
+                        g.delete_edge(u, t).unwrap();
+                    }
+                    g.delete_node(u).unwrap();
+                }
+                _ => {}
+            }
+            touched.extend([u, v]);
+        }
+        (g, touched)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Read through `GraphAccess`, the live graph is its own `to_csr()`
+        /// fold: counts, totals, weights and every row, in order.
+        #[test]
+        fn live_graph_reads_exactly_like_its_fold(
+            graph in arbitrary_graph(60),
+            seed in any::<u64>(),
+            ops in 0usize..200,
+        ) {
+            let (live, _) = mutated(graph, seed, ops);
+            let fold = live.to_csr();
+            prop_assert!(fold.validate().is_ok());
+            prop_assert_eq!(GraphAccess::num_nodes(&live), fold.num_nodes());
+            prop_assert_eq!(live.num_half_edges(), fold.num_half_edges());
+            prop_assert_eq!(live.total_node_weight(), fold.total_node_weight());
+            prop_assert_eq!(live.max_node_weight(), fold.max_node_weight());
+            for v in fold.nodes() {
+                prop_assert_eq!(live.degree(v), fold.degree(v));
+                prop_assert_eq!(live.node_weight(v), fold.node_weight(v));
+                let row: Vec<_> = live.edges_of(v).collect();
+                prop_assert_eq!(row, fold.edges_of(v).collect::<Vec<_>>(), "node {}", v);
+            }
+        }
+
+        /// Refining the live graph in place makes exactly the moves refining
+        /// its fold makes — the dynamic service relies on it to skip the fold.
+        #[test]
+        fn refine_local_on_the_live_graph_matches_its_fold(
+            graph in arbitrary_graph(80),
+            seed in any::<u64>(),
+            k in 2u32..6,
+        ) {
+            let (live, touched) = mutated(graph, seed, 120);
+            let fold = live.to_csr();
+            let mut next = xorshift(seed ^ 0x5eed);
+            let assignment = fold.nodes().map(|_| (next() % u64::from(k)) as BlockId).collect();
+            let partition = Partition::from_assignment(k, assignment);
+            let mut on_live = PartitionState::build(&live, partition.clone());
+            let mut on_fold = PartitionState::build(&fold, partition);
+            let config = RefinementConfig::default();
+            let live_stats = refine_local(&live, &mut on_live, &touched, &config);
+            let fold_stats = refine_local(&fold, &mut on_fold, &touched, &config);
+            prop_assert_eq!(live_stats, fold_stats);
+            prop_assert_eq!(on_live.partition().assignment(), on_fold.partition().assignment());
+            prop_assert!(on_live.verify_exact(&fold).is_ok());
+        }
     }
 }

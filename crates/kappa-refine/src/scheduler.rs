@@ -466,7 +466,7 @@ mod tests {
     use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
-    use kappa_graph::{Adjacency, BlockAssignment, CsrGraph, EdgeWeight};
+    use kappa_graph::{BlockAssignment, CsrGraph, EdgeWeight};
     use kappa_initial::{greedy_graph_growing, random_partition};
     use kappa_matching::{EdgeRating, MatchingAlgorithm};
     use proptest::prelude::*;
@@ -642,21 +642,6 @@ mod tests {
         }
     }
 
-    impl Adjacency for CountingGraph<'_> {
-        fn degree_of(&self, v: NodeId) -> usize {
-            self.graph.degree(v)
-        }
-
-        fn node_weight_of(&self, v: NodeId) -> NodeWeight {
-            self.graph.node_weight(v)
-        }
-
-        fn for_each_edge<F: FnMut(NodeId, EdgeWeight)>(&self, v: NodeId, f: F) {
-            self.count(v);
-            self.graph.for_each_edge(v, f);
-        }
-    }
-
     impl GraphAccess for CountingGraph<'_> {
         fn num_nodes(&self) -> usize {
             self.graph.num_nodes()
@@ -672,6 +657,14 @@ mod tests {
 
         fn max_node_weight(&self) -> NodeWeight {
             self.graph.max_node_weight()
+        }
+
+        fn degree(&self, v: NodeId) -> usize {
+            self.graph.degree(v)
+        }
+
+        fn node_weight(&self, v: NodeId) -> NodeWeight {
+            self.graph.node_weight(v)
         }
 
         fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {

@@ -16,7 +16,8 @@
 //! insert-node <w> [block]  -> ok <id>
 //! delete-node <v>          -> ok <w>
 //! cut                      -> cut <c> baseline <b>
-//! stats                    -> stats nodes <..> edges <..> cut <..> ...
+//! stats                    -> stats nodes <..> edges <..> cut <..> queries <..>
+//!                             (then per-kind mutation and repair counters)
 //! refine                   -> refined gain <g> moved <n> pairs <p>
 //! verify                   -> ok exact | err <mismatch>
 //! help                     -> the command list
@@ -36,7 +37,7 @@
 #![warn(missing_docs)]
 
 use kappa_core::DynamicSession;
-use kappa_graph::{BlockId, EdgeWeight, NodeId, NodeWeight};
+use kappa_graph::{BlockId, EdgeWeight, GraphAccess, NodeId, NodeWeight};
 
 /// What the serving loop should do with the reply to one input line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,7 +60,7 @@ commands:
   insert-node <w> [block]  add a node of weight w (lightest block if omitted)
   delete-node <v>          remove node v and its incident edges -> 'ok <w>'
   cut                      current cut and drift baseline
-  stats                    session counters
+  stats                    nodes, edges, cut, queries, mutations, repairs
   refine                   force a localized re-refinement now
   verify                   check state against a from-scratch rebuild
   help                     this list
@@ -206,14 +207,13 @@ impl ServeEngine {
         let g = self.session.graph();
         let s = self.session.stats();
         format!(
-            "stats nodes {} edges {} cut {} overlay {} queries {} \
+            "stats nodes {} edges {} cut {} queries {} \
              edge-inserts {} edge-deletes {} edge-reweights {} \
-             node-inserts {} node-deletes {} refines {} rebases {} \
+             node-inserts {} node-deletes {} refines {} \
              refine-gain {} refine-moved {}",
             g.num_live_nodes(),
             g.num_edges(),
             self.session.edge_cut(),
-            g.overlay_half_edges(),
             s.queries,
             s.edge_inserts,
             s.edge_deletes,
@@ -221,7 +221,6 @@ impl ServeEngine {
             s.node_inserts,
             s.node_deletes,
             s.local_refines,
-            s.rebases,
             s.refine_gain_total,
             s.refine_nodes_moved,
         )
@@ -303,6 +302,39 @@ mod tests {
         assert!(reply(&mut e, "delete-node 100000").starts_with("err "));
         // The session is still healthy and exact after all of that.
         assert_eq!(reply(&mut e, "verify"), "ok exact");
+    }
+
+    #[test]
+    fn stats_reply_pins_its_keys() {
+        let mut e = engine();
+        let stats = reply(&mut e, "stats");
+        let words: Vec<&str> = stats.split_whitespace().collect();
+        assert_eq!(words[0], "stats");
+        let keys: Vec<&str> = words[1..].iter().step_by(2).copied().collect();
+        assert_eq!(
+            keys,
+            [
+                "nodes",
+                "edges",
+                "cut",
+                "queries",
+                "edge-inserts",
+                "edge-deletes",
+                "edge-reweights",
+                "node-inserts",
+                "node-deletes",
+                "refines",
+                "refine-gain",
+                "refine-moved",
+            ]
+        );
+        for value in words[2..].iter().step_by(2) {
+            assert!(value.parse::<i64>().is_ok(), "{value:?} in {stats:?}");
+        }
+        assert!(
+            stats.starts_with("stats nodes 144 edges 264 cut "),
+            "{stats}"
+        );
     }
 
     #[test]

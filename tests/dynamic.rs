@@ -100,11 +100,11 @@ fn run_interleaving(
             }
         }
         if (step + 1) % check_every == 0 {
-            let compacted = session.graph().compact();
+            let compacted = session.graph().to_csr();
             assert_state_matches_rebuild(&format!("step {step}"), &compacted, session.state());
         }
     }
-    let compacted = session.graph().compact();
+    let compacted = session.graph().to_csr();
     assert_state_matches_rebuild("final", &compacted, session.state());
     assert_eq!(
         session.state().full_builds(),
@@ -211,7 +211,7 @@ fn suite_families_stay_exact_under_long_interleavings() {
                 }
             }
             if step % 100 == 99 {
-                let compacted = session.graph().compact();
+                let compacted = session.graph().to_csr();
                 assert_state_matches_rebuild(
                     &format!("{name} step {step}"),
                     &compacted,
@@ -242,7 +242,7 @@ fn maintained_state_equals_a_from_scratch_build_component_wise() {
             let _ = session.delete_edge(u, v);
         }
     }
-    let compacted = session.graph().compact();
+    let compacted = session.graph().to_csr();
     let rebuilt = PartitionState::build(&compacted, session.state().partition().clone());
     let state = session.state();
     assert_eq!(

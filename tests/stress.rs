@@ -103,9 +103,9 @@ fn stress_rgg_2e20_k16_within_budget() {
 #[test]
 #[ignore = "release-profile soak: long mutation/query stream, run via the CI stress job"]
 fn soak_dynamic_service_within_budget() {
-    // Measured on the reference container (2026-08-08): 0.6 s bootstrap +
-    // 22.9 s serving 40k ops (~0.6 ms/op amortised across 28 drift-triggered
-    // repairs), 128 MiB peak RSS.
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-16): 0.6-0.9 s
+    // bootstrap + 18.6-22.0 s serving 40k ops (~0.5 ms/op; the 28
+    // drift-triggered repairs are most of it), 97-103 MiB peak RSS.
     let _guard = STRESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     reset_peak_rss();
     let graph = random_geometric_graph(1 << 17, 13);
@@ -135,7 +135,8 @@ fn soak_dynamic_service_within_budget() {
             }
             6..=7 => {
                 let v = (next() % n) as u32;
-                let edges = session.graph().edges_of_collected(v);
+                let mut edges = session.graph().edges_of_collected(v);
+                edges.sort_unstable();
                 if !edges.is_empty() {
                     let (u, _) = edges[(next() % edges.len() as u64) as usize];
                     session.delete_edge(v, u).unwrap();
@@ -157,10 +158,9 @@ fn soak_dynamic_service_within_budget() {
     let stats = *session.stats();
     eprintln!(
         "soak dynamic: bootstrap {bootstrap_wall:.2?}, {ops} ops in {serve_wall:.2?} \
-         ({:.1} µs/op), {} refines, {} rebases, cut {}, peak RSS {}",
+         ({:.1} µs/op), {} refines, cut {}, peak RSS {}",
         serve_wall.as_micros() as f64 / ops as f64,
         stats.local_refines,
-        stats.rebases,
         session.edge_cut(),
         peak_rss_bytes()
             .map(|b| format!("{:.0} MiB", b as f64 / (1024.0 * 1024.0)))
@@ -187,7 +187,7 @@ fn soak_dynamic_service_within_budget() {
             bootstrap_wall + serve_wall
         );
         if let Some(rss) = peak_rss_bytes() {
-            let rss_budget = 2u64 * 1024 * 1024 * 1024;
+            let rss_budget = 512u64 * 1024 * 1024;
             assert!(
                 rss <= rss_budget,
                 "soak peak-RSS budget blown: {} MiB > {} MiB",
