@@ -8,7 +8,7 @@
 //! quality gap reported in Tables 4 and 15–20.
 
 use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-use kappa_graph::{CsrGraph, Partition, PartitionState};
+use kappa_graph::{CsrGraph, Partition};
 use kappa_initial::{greedy_graph_growing, random_partition};
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
 use kappa_refine::rebalance_state;
@@ -48,10 +48,9 @@ impl BaselinePartitioner for MetisLike {
         let coarsen_config = CoarseningConfig {
             stop_at_nodes: (self.coarsen_factor * k as usize).max(32),
             seed,
-            ..Default::default()
         };
         let hierarchy = MultilevelHierarchy::build(
-            graph.clone(),
+            graph,
             MatcherKind::Sequential(MatchingAlgorithm::Shem),
             EdgeRating::Weight,
             &coarsen_config,
@@ -64,23 +63,11 @@ impl BaselinePartitioner for MetisLike {
             random_partition(coarsest, k, seed)
         };
 
-        // One persistent state per run: full derivation at the coarsest
-        // level, seeded projection below, boundary sweeps from the index.
-        let coarsest_level = hierarchy.num_levels() - 1;
-        let l_max_coarse = Partition::l_max(hierarchy.graph_at(coarsest_level), k, epsilon);
-        let mut state = PartitionState::build(hierarchy.graph_at(coarsest_level), current);
-        greedy_kway_refinement_indexed(
-            hierarchy.graph_at(coarsest_level),
-            &mut state,
-            l_max_coarse,
-            self.refine_passes,
-        );
-        for level in (1..hierarchy.num_levels()).rev() {
-            state = hierarchy.project_state_one_level(level, &state);
-            let fine = hierarchy.graph_at(level - 1);
+        // Greedy boundary passes on every level, coarsest included.
+        let mut state = hierarchy.uncoarsen(current, |fine, state| {
             let l_max = Partition::l_max(fine, k, epsilon);
-            greedy_kway_refinement_indexed(fine, &mut state, l_max, self.refine_passes);
-        }
+            greedy_kway_refinement_indexed(fine, state, l_max, self.refine_passes);
+        });
         // kMetis honours the balance constraint reasonably well; emulate that
         // with a final repair pass.
         let l_max = Partition::l_max(graph, k, epsilon);

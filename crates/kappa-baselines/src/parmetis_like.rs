@@ -10,7 +10,7 @@
 //! repaired: parMetis overshoots ε by a few per cent, not by tens.
 
 use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-use kappa_graph::{CsrGraph, Partition, PartitionState};
+use kappa_graph::{CsrGraph, Partition};
 use kappa_initial::{greedy_graph_growing, random_partition};
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
 use kappa_refine::rebalance_state;
@@ -61,10 +61,9 @@ impl BaselinePartitioner for ParMetisLike {
             // Aggressive: stop very early so little work remains.
             stop_at_nodes: (60 * k as usize).max(64),
             seed,
-            ..Default::default()
         };
         let hierarchy =
-            MultilevelHierarchy::build(graph.clone(), matcher, EdgeRating::Weight, &coarsen_config);
+            MultilevelHierarchy::build(graph, matcher, EdgeRating::Weight, &coarsen_config);
 
         let coarsest = hierarchy.coarsest();
         let current = if coarsest.num_nodes() >= k as usize {
@@ -73,17 +72,15 @@ impl BaselinePartitioner for ParMetisLike {
             random_partition(coarsest, k, seed)
         };
 
-        // Single cheap pass per level against the relaxed bound.
-        // The state is derived in full once at the coarsest level and its
-        // boundary index seeded through every projection below.
+        // Single cheap pass per level against the relaxed bound, on every
+        // level but the coarsest.
         let relaxed = epsilon + self.balance_slack;
-        let mut state = PartitionState::build(coarsest, current);
-        for level in (1..hierarchy.num_levels()).rev() {
-            state = hierarchy.project_state_one_level(level, &state);
-            let fine = hierarchy.graph_at(level - 1);
-            let l_max = Partition::l_max(fine, k, relaxed);
-            greedy_kway_refinement_indexed(fine, &mut state, l_max, 1);
-        }
+        let mut state = hierarchy.uncoarsen(current, |fine, state| {
+            if !std::ptr::eq(fine, coarsest) {
+                let l_max = Partition::l_max(fine, k, relaxed);
+                greedy_kway_refinement_indexed(fine, state, l_max, 1);
+            }
+        });
         // The cheap passes never move a node for balance alone, so skewed
         // instances (rmat) can leave the finest level far past the relaxed
         // bound; the tool being imitated does not. Outputs within the bound

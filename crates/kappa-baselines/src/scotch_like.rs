@@ -51,16 +51,14 @@ impl ScotchLike {
         right_out: &mut Vec<NodeId>,
     ) {
         let sub = extract_subgraph(graph, nodes);
-        let sub_graph = sub.graph.clone();
 
         // Multilevel 2-way partition of the subgraph.
         let coarsen_config = CoarseningConfig {
             stop_at_nodes: self.coarsen_stop,
             seed,
-            ..Default::default()
         };
         let hierarchy = MultilevelHierarchy::build(
-            sub_graph,
+            &sub.graph,
             MatcherKind::Sequential(MatchingAlgorithm::Greedy),
             EdgeRating::ExpansionStar,
             &coarsen_config,
@@ -80,24 +78,11 @@ impl ScotchLike {
             patience_alpha: 0.03,
             seed,
         };
-        // One state per bisection run: full derivation at the bisection's
-        // coarsest level, seeded projections below.
-        let coarsest_level = hierarchy.num_levels() - 1;
-        let mut state = PartitionState::build(hierarchy.graph_at(coarsest_level), current);
-        refine_partition(
-            hierarchy.graph_at(coarsest_level),
-            &mut state,
-            &refinement_config,
-        );
-        for level in (1..hierarchy.num_levels()).rev() {
-            state = hierarchy.project_state_one_level(level, &state);
-            refine_partition(
-                hierarchy.graph_at(level - 1),
-                &mut state,
-                &refinement_config,
-            );
-        }
-        let mut current = state.into_partition();
+        let mut current = hierarchy
+            .uncoarsen(current, |fine, state| {
+                refine_partition(fine, state, &refinement_config);
+            })
+            .into_partition();
 
         // For uneven splits (k_left != k_right) shift boundary weight greedily:
         // the 2-way refinement above targeted a 50:50 split, so rebalance the

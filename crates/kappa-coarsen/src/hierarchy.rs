@@ -5,10 +5,11 @@
 //! `max(20, n / (α·k²))` per PE; the caller computes that bound and passes it
 //! as [`CoarseningConfig::stop_at_nodes`]. Coarsening also stops when a level
 //! fails to shrink the graph appreciably (e.g. on star-like graphs where
-//! matchings are tiny), which mirrors the usual multilevel safeguard.
+//! matchings are tiny) — [`CoarseningConfig::MIN_SHRINK`].
 //!
-//! There is one hierarchy type and one coarsening loop for every graph
-//! store. [`MultilevelHierarchy::build_with`] is generic over
+//! There is one hierarchy type, one coarsening loop and one upward loop
+//! ([`MultilevelHierarchy::uncoarsen`]) for every graph store and caller.
+//! [`MultilevelHierarchy::build_with`] is generic over
 //! [`GraphAccess`]; what a store contributes is *how a matching becomes the
 //! next level*, passed in beside the matcher:
 //! [`contract_matching`] for plain CSR in RAM,
@@ -46,9 +47,6 @@ pub enum MatcherKind {
 pub struct CoarseningConfig {
     /// Stop once the coarsest graph has at most this many nodes.
     pub stop_at_nodes: usize,
-    /// Stop if a level shrinks the node count by less than this factor
-    /// (e.g. 0.05 = must lose at least 5 % of nodes to continue).
-    pub min_shrink_factor: f64,
     /// Seed for the randomised matchers (varied per level).
     pub seed: u64,
 }
@@ -57,7 +55,6 @@ impl Default for CoarseningConfig {
     fn default() -> Self {
         CoarseningConfig {
             stop_at_nodes: 64,
-            min_shrink_factor: 0.02,
             seed: 0,
         }
     }
@@ -67,6 +64,10 @@ impl CoarseningConfig {
     /// Hard cap on the number of levels of any hierarchy (safety against
     /// pathological inputs; no real hierarchy gets near it).
     pub const MAX_LEVELS: usize = 64;
+
+    /// Coarsening stops once a level's matching shrinks the node count by
+    /// less than this fraction (0.02 = must lose at least 2 % to continue).
+    pub const MIN_SHRINK: f64 = 0.02;
 
     /// The matcher seed of the `level`-th contraction (0 = finest graph).
     pub fn level_seed(&self, level: usize) -> u64 {
@@ -79,24 +80,26 @@ impl CoarseningConfig {
     /// nodes shrinks it too little to be worth another level.
     pub fn stalls(&self, matched_pairs: usize, nodes: usize) -> bool {
         let shrink = matched_pairs as f64 / nodes.max(1) as f64;
-        matched_pairs == 0 || shrink < self.min_shrink_factor
+        matched_pairs == 0 || shrink < Self::MIN_SHRINK
     }
 }
 
 /// The full multilevel hierarchy: the finest (input) graph plus every coarser
-/// level produced by match-and-contract, all on graph store `G`.
+/// level produced by match-and-contract, all on graph store `G`. The finest
+/// graph is borrowed from the caller — a run never copies its input — and
+/// the coarse levels are owned.
 #[derive(Clone, Debug)]
-pub struct MultilevelHierarchy<G = CsrGraph> {
-    finest: G,
+pub struct MultilevelHierarchy<'g, G = CsrGraph> {
+    finest: &'g G,
     /// Level `i + 1`: its graph and the mapping from level `i`'s nodes to it.
     levels: Vec<Contraction<G>>,
 }
 
-impl MultilevelHierarchy {
+impl<'g> MultilevelHierarchy<'g> {
     /// Builds an in-RAM hierarchy with one of the stock matchers and the
     /// parallel [`contract_matching`].
     pub fn build(
-        finest: CsrGraph,
+        finest: &'g CsrGraph,
         matcher: MatcherKind,
         rating: EdgeRating,
         config: &CoarseningConfig,
@@ -120,9 +123,9 @@ impl MultilevelHierarchy {
     }
 }
 
-impl<G: GraphAccess> MultilevelHierarchy<G> {
+impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
     /// A hierarchy of the finest graph alone.
-    pub fn flat(finest: G) -> Self {
+    pub fn flat(finest: &'g G) -> Self {
         MultilevelHierarchy {
             finest,
             levels: Vec::new(),
@@ -136,7 +139,7 @@ impl<G: GraphAccess> MultilevelHierarchy<G> {
     /// next level on store `G` and is told which level (1 = first coarse
     /// graph) it is producing.
     pub fn build_with<E>(
-        finest: G,
+        finest: &'g G,
         config: &CoarseningConfig,
         mut matcher: impl FnMut(&G, u64) -> Matching,
         mut contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
@@ -160,8 +163,8 @@ impl<G: GraphAccess> MultilevelHierarchy<G> {
     }
 
     /// The input (finest) graph.
-    pub fn finest(&self) -> &G {
-        &self.finest
+    pub fn finest(&self) -> &'g G {
+        self.finest
     }
 
     /// The coarsest graph of the hierarchy (the finest graph if no contraction
@@ -178,7 +181,7 @@ impl<G: GraphAccess> MultilevelHierarchy<G> {
     /// The graph at `level` (0 = finest, `num_levels() - 1` = coarsest).
     pub fn graph_at(&self, level: usize) -> &G {
         match level {
-            0 => &self.finest,
+            0 => self.finest,
             _ => &self.levels[level - 1].coarse_graph,
         }
     }
@@ -212,15 +215,25 @@ impl<G: GraphAccess> MultilevelHierarchy<G> {
         state.project(self.graph_at(level - 1), &self.levels[level - 1].coarse_of)
     }
 
-    /// Projects a partition of the coarsest graph all the way down to the
-    /// finest graph (without any refinement — useful for testing and as the
-    /// baseline for "no refinement" ablations).
-    pub fn project_to_finest(&self, partition: &Partition) -> Partition {
-        let mut p = partition.clone();
+    /// The upward half of the V-cycle, the one loop every multilevel
+    /// partitioner runs: derives the [`PartitionState`] of `coarsest` (a
+    /// partition of the coarsest graph) on the coarsest level — the run's
+    /// only full `O(n + m)` boundary-index build — and hands it to `refine`,
+    /// then projects it one level down and refines again, until it describes
+    /// the finest graph. `refine` is told which graph the state describes; a
+    /// no-op `refine` makes this the plain projection to the finest level.
+    pub fn uncoarsen(
+        &self,
+        coarsest: Partition,
+        mut refine: impl FnMut(&G, &mut PartitionState),
+    ) -> PartitionState {
+        let mut state = PartitionState::build(self.coarsest(), coarsest);
+        refine(self.coarsest(), &mut state);
         for level in (1..self.num_levels()).rev() {
-            p = self.project_one_level(level, &p);
+            state = self.project_state_one_level(level, &state);
+            refine(self.graph_at(level - 1), &mut state);
         }
-        p
+        state
     }
 
     /// Total node weight is invariant across levels; expose it for assertions.
@@ -236,7 +249,7 @@ mod tests {
     use kappa_gen::grid::grid2d;
     use kappa_gen::rmat::rmat_graph;
 
-    fn build(g: CsrGraph, config: &CoarseningConfig) -> MultilevelHierarchy {
+    fn build<'g>(g: &'g CsrGraph, config: &CoarseningConfig) -> MultilevelHierarchy<'g> {
         let matcher = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
         MultilevelHierarchy::build(g, matcher, EdgeRating::ExpansionStar2, config)
     }
@@ -248,7 +261,7 @@ mod tests {
             stop_at_nodes: 40,
             ..Default::default()
         };
-        let h = build(g, &config);
+        let h = build(&g, &config);
         assert!(h.num_levels() > 3);
         assert!(h.coarsest().num_nodes() <= 80); // grids halve nicely
         assert!(h.node_weight_invariant_holds());
@@ -258,6 +271,9 @@ mod tests {
         }
     }
 
+    /// `uncoarsen` with a no-op refine is the level-by-level projection: it
+    /// visits every level once, coarsest first, preserves the cut and pays
+    /// one full index build.
     #[test]
     fn projection_preserves_cut_through_all_levels() {
         let g = grid2d(20, 20);
@@ -265,14 +281,26 @@ mod tests {
             stop_at_nodes: 30,
             ..Default::default()
         };
-        let h = build(g, &config);
+        let h = build(&g, &config);
         let coarsest = h.coarsest();
         let p = Partition::from_assignment(
             2,
             (0..coarsest.num_nodes()).map(|i| (i % 2) as u32).collect(),
         );
         let cut_coarse = p.edge_cut(coarsest);
-        let fine = h.project_to_finest(&p);
+        let mut projected = p.clone();
+        for level in (1..h.num_levels()).rev() {
+            projected = h.project_one_level(level, &projected);
+        }
+        let mut visited = Vec::new();
+        let state = h.uncoarsen(p, |graph, _| visited.push(graph.num_nodes()));
+        let levels = (0..h.num_levels()).rev();
+        let want: Vec<_> = levels.map(|l| h.graph_at(l).num_nodes()).collect();
+        assert_eq!(visited, want);
+        assert_eq!(state.full_builds(), 1);
+        state.verify_exact(h.finest()).unwrap();
+        let fine = state.into_partition();
+        assert_eq!(fine.assignment(), projected.assignment());
         assert_eq!(fine.edge_cut(h.finest()), cut_coarse);
         assert!(fine.validate(h.finest()).is_ok());
     }
@@ -284,7 +312,7 @@ mod tests {
             stop_at_nodes: 30,
             ..Default::default()
         };
-        let h = build(g, &config);
+        let h = build(&g, &config);
         let coarsest = h.coarsest();
         let p = Partition::from_assignment(
             3,
@@ -315,15 +343,16 @@ mod tests {
             local: MatchingAlgorithm::Gpa,
             num_parts: 4,
         };
-        let h = MultilevelHierarchy::build(g, matcher, EdgeRating::ExpansionStar2, &config);
+        let h = MultilevelHierarchy::build(&g, matcher, EdgeRating::ExpansionStar2, &config);
         assert!(h.coarsest().num_nodes() < 200);
         assert!(h.node_weight_invariant_holds());
     }
 
     #[test]
     fn stops_when_matching_stalls() {
-        // A star graph: only one edge can ever be matched per level, so the
-        // shrink-factor guard must terminate coarsening early.
+        // A star graph: only one edge can ever be matched per level (1 pair
+        // in 101 nodes is below `MIN_SHRINK`), so the shrink guard must
+        // terminate coarsening early.
         let mut b = kappa_graph::GraphBuilder::new(101);
         for i in 1..=100u32 {
             b.add_edge(0, i, 1);
@@ -331,10 +360,9 @@ mod tests {
         let g = b.build();
         let config = CoarseningConfig {
             stop_at_nodes: 5,
-            min_shrink_factor: 0.05,
             ..Default::default()
         };
-        let h = build(g, &config);
+        let h = build(&g, &config);
         assert!(h.num_levels() < 10);
         assert!(h.coarsest().num_nodes() > 5);
     }
@@ -346,7 +374,7 @@ mod tests {
             stop_at_nodes: 100,
             ..Default::default()
         };
-        let h = build(g.clone(), &config);
+        let h = build(&g, &config);
         assert_eq!(h.num_levels(), 1);
         assert_eq!(h.coarsest().num_nodes(), g.num_nodes());
     }
@@ -358,7 +386,7 @@ mod tests {
             stop_at_nodes: 64,
             ..Default::default()
         };
-        let h = build(g, &config);
+        let h = build(&g, &config);
         assert!(h.node_weight_invariant_holds());
         for l in 0..h.num_levels() {
             assert!(h.graph_at(l).validate().is_ok(), "level {l} invalid");

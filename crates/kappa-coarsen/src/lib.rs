@@ -19,7 +19,7 @@
 //! let g = grid2d(16, 16);
 //! let config = CoarseningConfig { stop_at_nodes: 32, ..Default::default() };
 //! let matcher = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
-//! let hierarchy = MultilevelHierarchy::build(g, matcher, EdgeRating::ExpansionStar2, &config);
+//! let hierarchy = MultilevelHierarchy::build(&g, matcher, EdgeRating::ExpansionStar2, &config);
 //! assert!(hierarchy.coarsest().num_nodes() <= 64); // may stop early if matchings stall
 //! assert!(hierarchy.num_levels() >= 2);
 //! ```

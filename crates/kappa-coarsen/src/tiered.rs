@@ -168,7 +168,7 @@ mod tests {
         };
         let rating = EdgeRating::ExpansionStar2;
         let classic = MultilevelHierarchy::build(
-            g.clone(),
+            &g,
             crate::MatcherKind::Sequential(MatchingAlgorithm::Gpa),
             rating,
             &config,
@@ -189,7 +189,7 @@ mod tests {
                 .unwrap(),
         );
         let tiered = MultilevelHierarchy::build_with(
-            finest,
+            &finest,
             &config,
             |gr, seed| compute_matching(gr, MatchingAlgorithm::Gpa, rating, seed),
             |gr, m, level| spill.contract(gr, m, level),

@@ -18,7 +18,7 @@
 //! repetition loop lives in the experiment harness, not here).
 
 use kappa_coarsen::CoarseningConfig;
-use kappa_initial::{InitialAlgorithm, InitialPartitionConfig};
+use kappa_initial::InitialPartitionConfig;
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
 use kappa_refine::{QueueSelection, RefinementConfig};
 use serde::{Deserialize, Serialize};
@@ -212,7 +212,6 @@ impl KappaConfig {
                 .contraction_stop_nodes(n)
                 .max(2 * self.k.max(1) as usize),
             seed: self.seed,
-            ..Default::default()
         }
     }
 
@@ -226,7 +225,6 @@ impl KappaConfig {
         InitialPartitionConfig {
             k: self.k.max(1),
             epsilon: self.epsilon,
-            algorithm: InitialAlgorithm::GreedyGrowing,
             repeats,
             seed: self
                 .seed

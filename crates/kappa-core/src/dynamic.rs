@@ -27,7 +27,7 @@
 use kappa_graph::{
     BlockId, CsrGraph, DynamicGraph, EdgeWeight, NodeId, NodeWeight, Partition, PartitionState,
 };
-use kappa_refine::{refine_local, LocalRefineStats, RefinementConfig};
+use kappa_refine::{refine_local, RefinementConfig, RefinementStats};
 
 use crate::config::KappaConfig;
 use crate::partitioner::KappaPartitioner;
@@ -362,7 +362,7 @@ impl DynamicSession {
     /// Runs a localized repair now, regardless of the triggers: re-refines
     /// the live graph around the touched region and resets the baseline to
     /// the repaired cut.
-    pub fn refine_now(&mut self) -> LocalRefineStats {
+    pub fn refine_now(&mut self) -> RefinementStats {
         let touched = std::mem::take(&mut self.touched);
         let stats = refine_local(&self.graph, &mut self.state, &touched, &self.config.refine);
         self.stats.local_refines += 1;

@@ -11,7 +11,7 @@ use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use kappa_coarsen::{contract_matching, Contraction, MultilevelHierarchy};
-use kappa_graph::{CsrGraph, GraphAccess, Partition, PartitionState};
+use kappa_graph::{CsrGraph, GraphAccess, Partition};
 use kappa_initial::best_of_repeats;
 use kappa_matching::{parallel_matching, Matching, ParallelMatchingConfig};
 use kappa_refine::{refine_partition, RefinementStats};
@@ -117,41 +117,35 @@ impl KappaPartitioner {
         let contract = |level_graph: &CsrGraph, matching: &Matching, _level| {
             Ok::<_, Infallible>(contract_matching(level_graph, matching))
         };
-        let Ok((result, _)) = multilevel(
-            config,
-            || graph.clone(),
-            num_parts,
-            matcher,
-            contract,
-            |coarsest| Cow::Borrowed(coarsest),
-        );
+        let Ok((result, _)) = multilevel(config, graph, num_parts, matcher, contract, |coarsest| {
+            Cow::Borrowed(coarsest)
+        });
         result
     }
 }
 
 /// The multilevel scheme (paper §2–§5) on graph store `G`: contract by
 /// matchings until the graph is small, partition the coarsest graph
-/// repeatedly, then uncoarsen with pairwise refinement on every level.
+/// repeatedly, then uncoarsen with pairwise refinement on every level
+/// ([`MultilevelHierarchy::uncoarsen`]).
 ///
 /// The caller supplies what differs between stores and entry points:
 /// `matcher` (level graph, level seed → matching), `contract` (how a
 /// matching becomes the next level on `G`), `pes` (the multiplier of the
 /// configured initial repeats) and `as_csr` (the coarsest graph as plain CSR
-/// for the initial partitioner — borrowed where `G` already is one).
-/// `finest` is a closure so that producing the owned input (the RAM path
-/// clones its borrowed graph) stays inside the reported runtime. Returns the
+/// for the initial partitioner — borrowed where `G` already is one). The
+/// hierarchy borrows `finest`, so no run copies its input. Returns the
 /// hierarchy beside the result so a caller can report on it.
-pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
+pub(crate) fn multilevel<'g, G: GraphAccess + Sync, E>(
     config: &KappaConfig,
-    finest: impl FnOnce() -> G,
+    finest: &'g G,
     pes: usize,
     matcher: impl FnMut(&G, u64) -> Matching,
     contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
     as_csr: impl Fn(&G) -> Cow<'_, CsrGraph>,
-) -> Result<(PartitionResult, MultilevelHierarchy<G>), E> {
+) -> Result<(PartitionResult, MultilevelHierarchy<'g, G>), E> {
     // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
     let start = Instant::now();
-    let finest = finest();
     let k = config.k.max(1);
     let n = finest.num_nodes();
 
@@ -159,12 +153,7 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     if n == 0 || k == 1 {
         let partition = Partition::trivial(k, n);
         let result = PartitionResult {
-            metrics: PartitionMetrics::measure(
-                &finest,
-                &partition,
-                config.epsilon,
-                start.elapsed(),
-            ),
+            metrics: PartitionMetrics::measure(finest, &partition, config.epsilon, start.elapsed()),
             partition,
             timings: PhaseTimings::default(),
             hierarchy_levels: 1,
@@ -190,24 +179,16 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     let initial_partitioning = initial_start.elapsed();
 
     // --- Phase 3: uncoarsening with pairwise parallel refinement. ---
-    // One persistent PartitionState for the whole uncoarsening: built in
-    // full exactly once (here, at the coarsest level — the only O(n + m)
-    // boundary-index build of the run), then refined, projected with a
-    // seeded index, and refined again level by level. Refinement and
+    // One persistent PartitionState, built in full once at the coarsest
+    // level and carried down by seeded projections; refinement and
     // rebalancing receive it current and return it current.
     // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
     let refine_start = Instant::now();
     let refinement_config = config.refinement();
-    let mut state = PartitionState::build(coarsest, initial);
-    let mut refinement = refine_partition(coarsest, &mut state, &refinement_config);
-    for level in (1..hierarchy.num_levels()).rev() {
-        state = hierarchy.project_state_one_level(level, &state);
-        refinement += refine_partition(
-            hierarchy.graph_at(level - 1),
-            &mut state,
-            &refinement_config,
-        );
-    }
+    let mut refinement = RefinementStats::default();
+    let state = hierarchy.uncoarsen(initial, |graph, state| {
+        refinement += refine_partition(graph, state, &refinement_config);
+    });
     let timings = PhaseTimings {
         coarsening,
         initial_partitioning,
@@ -217,12 +198,7 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     let boundary_full_builds = state.full_builds();
     let partition = state.into_partition();
     let result = PartitionResult {
-        metrics: PartitionMetrics::measure(
-            hierarchy.finest(),
-            &partition,
-            config.epsilon,
-            start.elapsed(),
-        ),
+        metrics: PartitionMetrics::measure(finest, &partition, config.epsilon, start.elapsed()),
         partition,
         timings,
         hierarchy_levels: hierarchy.num_levels(),

@@ -98,7 +98,7 @@ pub fn partition_tiered(
 ) -> io::Result<TieredPartitionResult> {
     let (result, hierarchy) = multilevel(
         config,
-        || finest,
+        &finest,
         1,
         |level_graph, seed| compute_matching(level_graph, config.matching, config.rating, seed),
         |level_graph, matching, level| spill.contract(level_graph, matching, level),

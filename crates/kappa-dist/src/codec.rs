@@ -280,6 +280,12 @@ impl_wire_struct!(kappa_refine::BandShard {
     to_weight
 });
 
+impl_wire_struct!(kappa_initial::QualityKey {
+    infeasible,
+    cut,
+    balance
+});
+
 impl Wire for kappa_graph::Partition {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.k().encode(buf);

@@ -258,11 +258,6 @@ impl DistGraph {
         self.ln
     }
 
-    /// Number of ghost nodes.
-    pub fn num_ghosts(&self) -> usize {
-        self.ghost_global.len()
-    }
-
     /// The local shard: owned rows (`0..num_owned()`), then ghost rows.
     pub fn local(&self) -> &CsrGraph {
         &self.local
@@ -469,7 +464,7 @@ mod tests {
     fn single_rank_shard_is_the_graph_itself() {
         let g = grid2d(10, 10);
         let dg = DistGraph::from_global(&g, 1, 0);
-        assert_eq!(dg.num_ghosts(), 0);
+        assert!(dg.ghosts().is_empty());
         // Identical CSR structure; only the coordinates are dropped (the
         // distributed pipeline partitions by ownership, not geometry).
         assert_eq!(dg.local().xadj(), g.xadj());
@@ -519,7 +514,7 @@ mod tests {
             let dg = DistGraph::from_global(&g, ranks, comm.rank());
             assert!(dg.num_owned() <= 1);
             let mirrors = dg.exchange_ghosts(comm, |l| l as u64).unwrap();
-            assert_eq!(mirrors.len(), dg.num_ghosts());
+            assert_eq!(mirrors.len(), dg.ghosts().len());
         });
     }
 }

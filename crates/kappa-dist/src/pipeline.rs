@@ -449,14 +449,7 @@ fn rank_main<C: Comm>(
     let winner_rank = keys
         .iter()
         .enumerate()
-        // total_cmp gives a total order even for NaN keys, so a degenerate
-        // balance value cannot abort the selection (and every rank still
-        // agrees on the winner).
-        .min_by(|(_, a), (_, b)| {
-            a.0.cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.total_cmp(&b.2))
-        })
+        .min_by_key(|&(_, key)| key)
         .map(|(r, _)| r)
         // kappa-lint: allow(dist-no-panic) -- allgather returns exactly one element per rank and clusters have at least one rank.
         .expect("at least one rank");

@@ -130,6 +130,7 @@ pub fn dist_refine<C: Comm>(
         let mut iteration_gain = 0i64;
 
         for (color_idx, class) in coloring.classes().enumerate() {
+            stats.pairs_considered += class.len();
             iteration_gain += refine_class(
                 comm,
                 dg,

@@ -57,26 +57,6 @@ pub fn grid2d(width: usize, height: usize) -> CsrGraph {
     build(&Grid2dSource::new(width, height))
 }
 
-/// A `width x height` 2-D torus (grid with wrap-around edges).
-pub fn torus2d(width: usize, height: usize) -> CsrGraph {
-    assert!(width >= 3 && height >= 3, "torus needs side length >= 3");
-    let n = width * height;
-    let id = |x: usize, y: usize| (y * width + x) as NodeId;
-    let mut b = GraphBuilder::new(n);
-    b.reserve_edges(2 * n);
-    for y in 0..height {
-        for x in 0..width {
-            b.add_edge(id(x, y), id((x + 1) % width, y), 1);
-            b.add_edge(id(x, y), id(x, (y + 1) % height), 1);
-        }
-    }
-    let coords = (0..n)
-        .map(|i| [(i % width) as f64, (i / width) as f64])
-        .collect();
-    b.set_coords(coords);
-    b.build()
-}
-
 /// A `wx x wy x wz` 3-D grid graph (6-connectivity). Coordinates are the
 /// projection onto the x/y plane, which is what the geometric pre-partitioner
 /// uses.
@@ -134,17 +114,6 @@ mod tests {
         let g = grid2d(5, 1);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.max_degree(), 2);
-    }
-
-    #[test]
-    fn torus_is_regular() {
-        let g = torus2d(4, 4);
-        assert_eq!(g.num_nodes(), 16);
-        assert_eq!(g.num_edges(), 32);
-        for v in g.nodes() {
-            assert_eq!(g.degree(v), 4);
-        }
-        assert!(g.validate().is_ok());
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod stream;
 pub mod suite;
 
 pub use delaunay::delaunay_like_graph;
-pub use grid::{grid2d, grid3d, torus2d, Grid2dSource};
+pub use grid::{grid2d, grid3d, Grid2dSource};
 pub use rgg::{random_geometric_graph, RggSource};
 pub use rmat::rmat_graph;
 pub use road::road_network_like;

@@ -136,11 +136,6 @@ pub fn random_geometric_graph(n: usize, seed: u64) -> CsrGraph {
     build(&RggSource::new(n, seed))
 }
 
-/// Random geometric graph with an explicit connection radius.
-pub fn random_geometric_graph_with_radius(n: usize, radius: f64, seed: u64) -> CsrGraph {
-    build(&RggSource::with_radius(n, radius, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,14 +168,14 @@ mod tests {
 
     #[test]
     fn explicit_radius_controls_density() {
-        let sparse = random_geometric_graph_with_radius(512, 0.02, 5);
-        let dense = random_geometric_graph_with_radius(512, 0.10, 5);
+        let sparse = build(&RggSource::with_radius(512, 0.02, 5));
+        let dense = build(&RggSource::with_radius(512, 0.10, 5));
         assert!(dense.num_edges() > sparse.num_edges());
     }
 
     #[test]
     fn edges_respect_radius() {
-        let g = random_geometric_graph_with_radius(256, 0.08, 11);
+        let g = build(&RggSource::with_radius(256, 0.08, 11));
         let coords = g.coords().unwrap();
         for (u, v, _) in g.undirected_edges() {
             let a = coords[u as usize];

@@ -270,12 +270,6 @@ impl BoundaryIndex {
         self.in_boundary[v as usize]
     }
 
-    /// Number of boundary nodes.
-    #[inline]
-    pub fn boundary_len(&self) -> usize {
-        self.list.len()
-    }
-
     /// The boundary set in unspecified (membership) order — `O(1)` access to
     /// the live list, for callers that sort or filter themselves.
     #[inline]
@@ -646,7 +640,7 @@ mod tests {
         let g = graph_from_edges(4, vec![(0, 1, 1), (1, 2, 1)]);
         // Node 3 is isolated; all nodes share one block.
         let index = BoundaryIndex::build(&g, &Partition::trivial(2, 4));
-        assert_eq!(index.boundary_len(), 0);
+        assert!(index.boundary_nodes_unordered().is_empty());
         assert!(!index.is_boundary(3));
         assert!(index.pair_boundary_sorted(0, 1).is_empty());
     }

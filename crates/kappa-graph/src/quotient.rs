@@ -117,11 +117,6 @@ impl QuotientGraph {
     pub fn total_cut(&self) -> EdgeWeight {
         self.edges.iter().map(|&(_, _, w)| w).sum()
     }
-
-    /// True if blocks `a` and `b` share a cut edge.
-    pub fn are_adjacent(&self, a: BlockId, b: BlockId) -> bool {
-        self.adj[a as usize].iter().any(|&(t, _)| t == b)
-    }
 }
 
 #[cfg(test)]
@@ -162,11 +157,8 @@ mod tests {
         let q = QuotientGraph::build(&g, &p);
         assert_eq!(q.num_blocks(), 4);
         // Quadrants: 0-1, 0-2, 1-3, 2-3 adjacent; 0-3 and 1-2 not (no diagonal edges).
-        assert_eq!(q.num_edges(), 4);
-        assert!(q.are_adjacent(0, 1));
-        assert!(q.are_adjacent(2, 3));
-        assert!(!q.are_adjacent(0, 3));
-        assert!(!q.are_adjacent(1, 2));
+        let pairs: Vec<_> = q.edges().iter().map(|&(a, b, _)| (a, b)).collect();
+        assert_eq!(pairs, [(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert_eq!(q.total_cut(), p.edge_cut(&g));
         assert_eq!(q.max_degree(), 2);
         assert_eq!(q.degree(0), 2);

@@ -7,10 +7,12 @@
 //! once" — and the best partition is selected by the lexicographic rule
 //! (feasible first, then smallest cut, then smallest imbalance).
 
+use std::cmp::Ordering;
+
 use kappa_graph::{CsrGraph, Partition};
 use rayon::prelude::*;
 
-use crate::{initial_partition, InitialAlgorithm};
+use crate::greedy_graph_growing;
 
 /// Configuration for the repeated initial partitioning.
 #[derive(Clone, Copy, Debug)]
@@ -19,8 +21,6 @@ pub struct InitialPartitionConfig {
     pub k: u32,
     /// Imbalance tolerance ε.
     pub epsilon: f64,
-    /// Algorithm used for every attempt.
-    pub algorithm: InitialAlgorithm,
     /// Number of independent attempts (PEs × repetitions in the paper).
     pub repeats: usize,
     /// Base seed; attempt `i` uses `seed + i`.
@@ -32,52 +32,74 @@ impl Default for InitialPartitionConfig {
         InitialPartitionConfig {
             k: 2,
             epsilon: 0.03,
-            algorithm: InitialAlgorithm::GreedyGrowing,
             repeats: 3,
             seed: 0,
         }
     }
 }
 
-/// Runs `config.repeats` independent attempts in parallel and returns the best.
+/// Runs `config.repeats` greedy-growing attempts in parallel and returns the
+/// one with the smallest [`quality_key`] (the first such on a tie).
 pub fn best_of_repeats(graph: &CsrGraph, config: &InitialPartitionConfig) -> Partition {
     assert!(config.repeats >= 1);
     let candidates: Vec<Partition> = (0..config.repeats)
         .into_par_iter()
         .map(|i| {
-            initial_partition(
-                graph,
-                config.k,
-                config.epsilon,
-                config.algorithm,
-                config.seed.wrapping_add(i as u64),
-            )
+            let seed = config.seed.wrapping_add(i as u64);
+            greedy_graph_growing(graph, config.k, config.epsilon, seed)
         })
         .collect();
     candidates
         .into_iter()
-        .min_by(|a, b| {
-            quality_key(graph, a, config.epsilon)
-                .partial_cmp(&quality_key(graph, b, config.epsilon))
-                .unwrap()
-        })
+        .min_by_key(|p| quality_key(graph, p, config.epsilon))
         .expect("at least one repeat")
 }
 
-/// The lexicographic quality key the best-of selection minimises:
-/// `(infeasible?, cut, imbalance)` — lower is better.
-///
-/// Public so that other best-of protocols (the distributed pipeline's
-/// redundant initial partitioning allreduces this key across ranks) rank
-/// candidates with exactly the same ordering and cannot drift from
-/// [`best_of_repeats`].
-pub fn quality_key(graph: &CsrGraph, p: &Partition, epsilon: f64) -> (u8, f64, f64) {
-    let feasible = p.is_balanced(graph, epsilon);
-    (
-        if feasible { 0 } else { 1 },
-        p.edge_cut(graph) as f64,
-        p.balance(graph),
-    )
+/// The key the best-of selection minimises: feasible before infeasible, then
+/// the smaller cut, then the smaller imbalance. Totally ordered — the
+/// imbalance compares by [`f64::total_cmp`] — so every selection that
+/// minimises it agrees on the winner.
+#[derive(Clone, Copy, Debug)]
+pub struct QualityKey {
+    /// Whether the partition violates the balance constraint.
+    pub infeasible: bool,
+    /// The edge cut.
+    pub cut: u64,
+    /// [`Partition::balance`]: the heaviest block over the average.
+    pub balance: f64,
+}
+
+impl Ord for QualityKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.infeasible, self.cut)
+            .cmp(&(other.infeasible, other.cut))
+            .then(self.balance.total_cmp(&other.balance))
+    }
+}
+
+impl PartialOrd for QualityKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for QualityKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for QualityKey {}
+
+/// The [`QualityKey`] of `p`. Public so that other best-of protocols (the
+/// distributed pipeline's redundant initial partitioning allgathers it across
+/// ranks) rank candidates exactly as [`best_of_repeats`] does.
+pub fn quality_key(graph: &CsrGraph, p: &Partition, epsilon: f64) -> QualityKey {
+    QualityKey {
+        infeasible: !p.is_balanced(graph, epsilon),
+        cut: p.edge_cut(graph),
+        balance: p.balance(graph),
+    }
 }
 
 #[cfg(test)]
@@ -111,20 +133,24 @@ mod tests {
 
     #[test]
     fn feasible_solutions_beat_infeasible_ones() {
-        // With the Random algorithm, most attempts are balanced on a grid; the
-        // ranking must never pick an infeasible one when a feasible one exists.
+        // Two rows against the other ten: a cut of 12 but far past ε. Random
+        // assignments cut far more yet are balanced; the key must rank every
+        // feasible one first, then by cut, then by imbalance.
         let g = grid2d(12, 12);
-        let p = best_of_repeats(
-            &g,
-            &InitialPartitionConfig {
-                k: 3,
-                epsilon: 0.10,
-                algorithm: InitialAlgorithm::Random,
-                repeats: 8,
-                seed: 5,
-            },
-        );
-        assert!(p.is_balanced(&g, 0.10));
+        let rows = (0..144).map(|v| u32::from(v >= 24)).collect();
+        let lopsided = Partition::from_assignment(2, rows);
+        let key = |p: &Partition| quality_key(&g, p, 0.10);
+        let bad = key(&lopsided);
+        assert!(bad.infeasible && bad.cut == 12);
+        let mut feasible: Vec<_> = (0..8)
+            .map(|seed| crate::random_partition(&g, 2, seed))
+            .filter(|p| p.is_balanced(&g, 0.10))
+            .map(|p| key(&p))
+            .collect();
+        assert!(!feasible.is_empty());
+        assert!(feasible.iter().all(|k| *k < bad && k.cut > bad.cut));
+        feasible.sort();
+        assert!(feasible.windows(2).all(|w| w[0].cut <= w[1].cut));
     }
 
     #[test]
@@ -140,22 +166,5 @@ mod tests {
             best_of_repeats(&g, &config).assignment(),
             best_of_repeats(&g, &config).assignment()
         );
-    }
-
-    #[test]
-    fn recursive_bisection_variant_works() {
-        let g = grid2d(16, 16);
-        let p = best_of_repeats(
-            &g,
-            &InitialPartitionConfig {
-                k: 8,
-                algorithm: InitialAlgorithm::RecursiveBisection,
-                repeats: 5,
-                seed: 2,
-                ..Default::default()
-            },
-        );
-        assert!(p.validate(&g).is_ok());
-        assert_eq!(p.num_nonempty_blocks(), 8);
     }
 }

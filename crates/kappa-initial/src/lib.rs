@@ -6,9 +6,10 @@
 //! partitioner *on every PE simultaneously with a different seed*, repeats it
 //! several times, and broadcasts the best result. Neither tool is available to
 //! this reproduction, so the crate provides its own sequential initial
-//! partitioners — greedy graph growing (GGGP) and recursive bisection — plus a
-//! random baseline, and reproduces the "repeat with different seeds, keep the
-//! best" protocol (in parallel over the repeats, standing in for the PEs).
+//! partitioner — greedy graph growing (GGGP) — and reproduces the "repeat
+//! with different seeds, keep the best" protocol (in parallel over the
+//! repeats, standing in for the PEs). A uniformly random assignment is the
+//! baselines' fallback for coarsest graphs with fewer than `k` nodes.
 //!
 //! Quality demands here are modest: the coarsest graph has only
 //! `max(20, n/(α·k²))` nodes and the refinement phase fixes most imperfections;
@@ -19,54 +20,13 @@
 
 pub mod best_of;
 pub mod graph_growing;
-pub mod recursive_bisection;
 
-pub use best_of::{best_of_repeats, quality_key, InitialPartitionConfig};
+pub use best_of::{best_of_repeats, quality_key, InitialPartitionConfig, QualityKey};
 pub use graph_growing::greedy_graph_growing;
-pub use recursive_bisection::recursive_bisection;
 
 use kappa_graph::{CsrGraph, Partition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The available initial partitioning algorithms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum InitialAlgorithm {
-    /// Greedy graph growing (GGGP): grow the blocks one after another by
-    /// repeatedly absorbing the boundary node with the best gain.
-    GreedyGrowing,
-    /// Recursive bisection: split the node set recursively with 2-way greedy
-    /// growing until `k` blocks exist.
-    RecursiveBisection,
-    /// Uniformly random assignment (baseline / fallback).
-    Random,
-}
-
-impl InitialAlgorithm {
-    /// Display name used in experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            InitialAlgorithm::GreedyGrowing => "greedy-growing",
-            InitialAlgorithm::RecursiveBisection => "recursive-bisection",
-            InitialAlgorithm::Random => "random",
-        }
-    }
-}
-
-/// Runs a single initial partitioning attempt.
-pub fn initial_partition(
-    graph: &CsrGraph,
-    k: u32,
-    epsilon: f64,
-    algorithm: InitialAlgorithm,
-    seed: u64,
-) -> Partition {
-    match algorithm {
-        InitialAlgorithm::GreedyGrowing => greedy_graph_growing(graph, k, epsilon, seed),
-        InitialAlgorithm::RecursiveBisection => recursive_bisection(graph, k, epsilon, seed),
-        InitialAlgorithm::Random => random_partition(graph, k, seed),
-    }
-}
 
 /// Uniformly random block assignment. Mostly useful as a baseline and as the
 /// fallback when a graph is so small or disconnected that structured growing
@@ -90,19 +50,5 @@ mod tests {
         let p = random_partition(&g, 4, 7);
         assert!(p.validate(&g).is_ok());
         assert_eq!(p.num_nonempty_blocks(), 4);
-    }
-
-    #[test]
-    fn dispatcher_runs_every_algorithm() {
-        let g = grid2d(12, 12);
-        for alg in [
-            InitialAlgorithm::GreedyGrowing,
-            InitialAlgorithm::RecursiveBisection,
-            InitialAlgorithm::Random,
-        ] {
-            let p = initial_partition(&g, 4, 0.03, alg, 1);
-            assert!(p.validate(&g).is_ok(), "{} invalid", alg.name());
-            assert_eq!(p.k(), 4);
-        }
     }
 }

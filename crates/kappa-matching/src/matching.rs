@@ -56,14 +56,6 @@ impl Matching {
         true
     }
 
-    /// Removes the matching edge incident to `v` (no-op if unmatched).
-    pub fn unmatch(&mut self, v: NodeId) {
-        if let Some(p) = self.partner_of(v) {
-            self.partner[p as usize] = INVALID_NODE;
-            self.partner[v as usize] = INVALID_NODE;
-        }
-    }
-
     /// Number of matched edges `|M|`.
     pub fn cardinality(&self) -> usize {
         self.partner.iter().filter(|&&p| p != INVALID_NODE).count() / 2
@@ -145,16 +137,6 @@ mod tests {
         let mut m = Matching::new(2);
         assert!(!m.try_match(1, 1));
         assert_eq!(m.cardinality(), 0);
-    }
-
-    #[test]
-    fn unmatch_frees_both_endpoints() {
-        let mut m = Matching::new(4);
-        m.try_match(0, 1);
-        m.unmatch(1);
-        assert!(!m.is_matched(0));
-        assert!(!m.is_matched(1));
-        assert!(m.try_match(0, 2));
     }
 
     #[test]

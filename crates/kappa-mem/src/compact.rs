@@ -81,15 +81,6 @@ impl SegmentGraph<Arena> {
             .fill(|push| csr_rows(graph, true, push))
             .expect("arena writes cannot fail")
     }
-
-    /// Resident heap footprint in bytes (arena + offsets + scalars) —
-    /// what the memory-tier experiments report.
-    pub fn heap_bytes(&self) -> usize {
-        self.store.bytes.len()
-            + self.index.offsets.len() * std::mem::size_of::<u64>()
-            + self.index.vwgt.as_ref().map_or(0, |v| v.len() * 8)
-            + self.store.coords.as_ref().map_or(0, |c| c.len() * 16)
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +97,10 @@ mod tests {
         let csr_bytes = (g.num_nodes() + 1) * 8  // xadj
             + g.num_half_edges() * (4 + 8)       // adjncy + adjwgt
             + g.num_nodes() * 8; // vwgt
-                                 // Coordinates cost the same in both; compare the structural part.
-        let compact_bytes = c.heap_bytes() - g.num_nodes() * 16;
+
+        // Coordinates cost the same in both and rgg node weights are unit
+        // (elided), so the compact side is its arena plus offsets.
+        let compact_bytes = c.store.bytes.len() + c.index.offsets.len() * 8;
         assert!(
             compact_bytes * 2 < csr_bytes,
             "compact {compact_bytes} B not < half of CSR {csr_bytes} B"

@@ -410,7 +410,8 @@ pub(crate) mod conformance {
         assert_eq!(t.max_node_weight(), 1);
         if let TierGraph::Compact(c) = &t {
             // 4 nodes, 6 half-edges: segments are 1 byte degree + ~1 byte/edge.
-            assert!(c.heap_bytes() < 64, "arena unexpectedly large");
+            let arena_bytes = c.index.offsets[c.num_nodes()];
+            assert!(arena_bytes < 64, "arena unexpectedly large");
         }
     }
 

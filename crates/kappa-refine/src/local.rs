@@ -31,24 +31,8 @@ use kappa_graph::{
 
 use crate::balance::rebalance_state;
 use crate::band::IndexSeeder;
-use crate::scheduler::{search_pair, RefinementConfig};
+use crate::scheduler::{search_pair, RefinementConfig, RefinementStats};
 use crate::scratch::FmScratch;
-
-/// Statistics returned by [`refine_local`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LocalRefineStats {
-    /// Total cut improvement (rebalancing moves included, like the
-    /// scheduler's accounting).
-    pub total_gain: i64,
-    /// Block pairs examined across all rounds.
-    pub pairs_considered: usize,
-    /// FM searches executed.
-    pub pair_searches: usize,
-    /// Nodes moved (after rollbacks; rebalancing moves included).
-    pub nodes_moved: usize,
-    /// Rounds executed.
-    pub rounds: usize,
-}
 
 /// The state's partition plus an overlay of in-flight FM moves — cheap to
 /// create per pair search, regardless of `n`.
@@ -127,7 +111,8 @@ fn affected_pairs<G: GraphAccess>(
 /// `config` is the static pipeline's own refinement configuration: a round
 /// over the affected pairs plays the part of a global iteration, so
 /// `max_global_iterations` caps the rounds and `stop_after_no_change`
-/// gain-free rounds in a row end the pass early.
+/// gain-free rounds in a row end the pass early; the returned
+/// [`RefinementStats`] counts rounds as global iterations.
 ///
 /// Cost is `O(rounds · Σ_pairs band-BFS + FM)` — independent of `n` and `m`
 /// except through the band sizes — plus one `O(k)` balance check and, only
@@ -154,8 +139,8 @@ pub fn refine_local<G: GraphAccess>(
     state: &mut PartitionState,
     touched: &[NodeId],
     config: &RefinementConfig,
-) -> LocalRefineStats {
-    let mut stats = LocalRefineStats::default();
+) -> RefinementStats {
+    let mut stats = RefinementStats::default();
     let k = state.k();
     if k < 2 || graph.num_nodes() == 0 || touched.is_empty() {
         return stats;
@@ -215,7 +200,7 @@ pub fn refine_local<G: GraphAccess>(
             }
         }
 
-        stats.rounds += 1;
+        stats.global_iterations += 1;
         if round_gain <= 0 {
             no_change_streak += 1;
             if no_change_streak >= config.stop_after_no_change {
@@ -296,7 +281,7 @@ mod tests {
     fn degenerate_inputs_are_no_ops() {
         let (g, mut state) = striped_state(6, 2);
         let stats = refine_local(&g, &mut state, &[], &RefinementConfig::default());
-        assert_eq!(stats.rounds, 0);
+        assert_eq!(stats.global_iterations, 0);
         // k = 1: nothing to refine.
         let g1 = grid2d(4, 4);
         let mut s1 = PartitionState::build(&g1, Partition::trivial(1, 16));

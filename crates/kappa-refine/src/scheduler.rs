@@ -106,16 +106,22 @@ impl RefinementConfig {
     }
 }
 
-/// Statistics returned by [`refine_partition`].
-#[derive(Clone, Copy, Debug, Default)]
+/// Statistics returned by [`refine_partition`] and
+/// [`refine_local`](crate::refine_local).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RefinementStats {
-    /// Total cut improvement over the whole refinement.
+    /// Total cut improvement over the whole refinement (rebalancing moves
+    /// included).
     pub total_gain: i64,
-    /// Number of global iterations executed.
+    /// Number of global iterations executed (rounds over the affected pairs
+    /// in `refine_local`).
     pub global_iterations: usize,
+    /// Block pairs examined: the summed colour-class sizes over all global
+    /// iterations.
+    pub pairs_considered: usize,
     /// Number of pairwise FM searches executed.
     pub pair_searches: usize,
-    /// Number of nodes moved (after rollbacks).
+    /// Number of nodes moved (after rollbacks; rebalancing moves included).
     pub nodes_moved: usize,
     /// Number of full `O(n + m)` quotient-graph scans performed.
     /// [`refine_partition`] derives every quotient from the boundary index
@@ -129,6 +135,7 @@ impl std::ops::AddAssign for RefinementStats {
     fn add_assign(&mut self, level: RefinementStats) {
         self.total_gain += level.total_gain;
         self.global_iterations += level.global_iterations;
+        self.pairs_considered += level.pairs_considered;
         self.pair_searches += level.pair_searches;
         self.nodes_moved += level.nodes_moved;
         self.quotient_full_scans += level.quotient_full_scans;
@@ -295,6 +302,7 @@ pub fn refine_partition<G: GraphAccess + Sync>(
             // live block weights; no clone, recompute or rebuild of anything.
             let boundary = state.boundary();
             let weights = state.weights();
+            stats.pairs_considered += class.len();
             let deltas: Vec<PairDelta> = class
                 .par_iter()
                 .map(|&(a, b)| {
@@ -407,6 +415,7 @@ pub(crate) fn refine_partition_reference<G: GraphAccess + Sync>(
         for (color_idx, class) in coloring.classes().enumerate() {
             let snapshot = partition.clone();
             let weights = BlockWeights::compute(graph, &snapshot);
+            stats.pairs_considered += class.len();
             let results: Vec<PairDelta> = class
                 .par_iter()
                 .map(|&(a, b)| {
@@ -614,10 +623,12 @@ mod tests {
                 expected.assignment(),
                 "threads {threads}"
             );
-            assert_eq!(stats.total_gain, expected_stats.total_gain);
-            assert_eq!(stats.pair_searches, expected_stats.pair_searches);
-            assert_eq!(stats.nodes_moved, expected_stats.nodes_moved);
-            assert_eq!(stats.global_iterations, expected_stats.global_iterations);
+            // Equal in every count but the reference's own quotient scans.
+            let expected = RefinementStats {
+                quotient_full_scans: 0,
+                ..expected_stats
+            };
+            assert_eq!(stats, expected, "threads {threads}");
             state.verify_exact(&g).unwrap();
         }
     }
@@ -833,7 +844,7 @@ mod tests {
         seed in any::<u64>(),
     ) {
         let config = CoarseningConfig { stop_at_nodes: 24, ..Default::default() };
-        let hierarchy = MultilevelHierarchy::build(graph, GPA, EdgeRating::ExpansionStar2, &config);
+        let hierarchy = MultilevelHierarchy::build(&graph, GPA, EdgeRating::ExpansionStar2, &config);
         let coarsest = hierarchy.coarsest();
         let start = random_partition(coarsest, k, seed);
         let refine_config = RefinementConfig {

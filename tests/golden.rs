@@ -8,10 +8,11 @@
 //! `hierarchy_levels`. A second table pins the dynamic path (`DynamicSession`
 //! repairs through `refine_local`) the same way, a third the Scotch-like
 //! baseline (the one caller of the k-way balance repair outside the KaPPa
-//! pipeline). A legitimate algorithmic change regenerates the tables: the
-//! failure message prints every row in source form.
+//! pipeline), a fourth the kMetis- and parMetis-like baselines. A legitimate
+//! algorithmic change regenerates the tables: the failure message prints
+//! every row in source form.
 
-use kappa::baselines::ScotchLike;
+use kappa::baselines::{BaselinePartitioner, MetisLike, ParMetisLike, ScotchLike};
 use kappa::coarsen::SpillConfig;
 use kappa::core::{default_spill_dir, partition_tiered, DynamicConfig, DynamicSession};
 use kappa::gen::{grid2d, random_geometric_graph, rmat_graph};
@@ -240,6 +241,72 @@ fn scotch_like_reproduces_the_golden_table() {
         panic!("scotch-like golden table mismatch; the rows this commit produces:\n{table}");
     }
 }
+
+/// The two k-way baselines, kMetis-like and parMetis-like (the latter with a
+/// fixed two matching parts, so the row does not depend on the machine's
+/// thread count), on the KaPPa table's three instances.
+#[test]
+fn metis_family_reproduces_the_golden_table() {
+    let instances = [
+        ("rgg12", random_geometric_graph(1 << 12, 17)),
+        ("grid64", grid2d(64, 64)),
+        ("rmat11", rmat_graph(11, 8, 23)),
+    ];
+    let tools: [(&str, &dyn BaselinePartitioner); 2] = [
+        ("kmetis", &MetisLike::default()),
+        (
+            "parmetis",
+            &ParMetisLike {
+                num_parts: 2,
+                ..Default::default()
+            },
+        ),
+    ];
+    let mut actual: Vec<(String, u64, u64)> = Vec::new();
+    for (tool, partitioner) in tools {
+        for (name, graph) in &instances {
+            for k in [4u32, 16] {
+                let partition = partitioner.partition(graph, k, 0.03, 7);
+                let hash = fnv1a64(partition.assignment());
+                actual.push((
+                    format!("{tool}/{name}/k{k}"),
+                    hash,
+                    partition.edge_cut(graph),
+                ));
+            }
+        }
+    }
+    let matches = actual.len() == GOLDEN_METIS_FAMILY.len()
+        && actual
+            .iter()
+            .zip(GOLDEN_METIS_FAMILY)
+            .all(|(a, g)| (a.0.as_str(), a.1, a.2) == *g);
+    if !matches {
+        let table: String = actual
+            .iter()
+            .map(|(tag, hash, cut)| format!("    (\"{tag}\", {hash:#018x}, {cut}),\n"))
+            .collect();
+        panic!("metis-family golden table mismatch; the rows this commit produces:\n{table}");
+    }
+}
+
+/// `(tool/instance/k, FNV-1a-64 of the assignment, edge cut)` at ε = 0.03,
+/// seed 7. Generated at the commit before the baselines' uncoarsening moved
+/// into `MultilevelHierarchy::uncoarsen`.
+const GOLDEN_METIS_FAMILY: &[(&str, u64, u64)] = &[
+    ("kmetis/rgg12/k4", 0x9919de3095a89195, 204),
+    ("kmetis/rgg12/k16", 0xbe277a38cd455b6b, 732),
+    ("kmetis/grid64/k4", 0x9c1be269b10e48e5, 237),
+    ("kmetis/grid64/k16", 0x7cade68cdcf49abe, 552),
+    ("kmetis/rmat11/k4", 0xad9276237cbeb2e5, 7809),
+    ("kmetis/rmat11/k16", 0xa1c1edf49a8887a6, 10118),
+    ("parmetis/rgg12/k4", 0x2583085d768df174, 278),
+    ("parmetis/rgg12/k16", 0x635dbecd67fbe72d, 1029),
+    ("parmetis/grid64/k4", 0xeffaa6068155f6d7, 175),
+    ("parmetis/grid64/k16", 0x122d63639927105b, 657),
+    ("parmetis/rmat11/k4", 0x64dde3a074f70747, 5951),
+    ("parmetis/rmat11/k16", 0xc01f3df30e5aad57, 9791),
+];
 
 /// `(instance/k, FNV-1a-64 of the assignment, edge cut)` at ε = 0.03, seed 1.
 /// Generated at the commit before the final repair moved from the full-scan

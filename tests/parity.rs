@@ -108,7 +108,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = CoarseningConfig { stop_at_nodes: 24, ..Default::default() };
-        let hierarchy = MultilevelHierarchy::build(graph, GPA, EdgeRating::ExpansionStar2, &config);
+        let hierarchy = MultilevelHierarchy::build(&graph, GPA, EdgeRating::ExpansionStar2, &config);
         let coarsest = hierarchy.coarsest();
         let start = random_partition(coarsest, k, seed);
         let mut state = PartitionState::build(coarsest, start);

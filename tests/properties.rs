@@ -80,9 +80,9 @@ proptest! {
         graph in arbitrary_graph(200),
         seed in any::<u64>(),
     ) {
-        let config = CoarseningConfig { stop_at_nodes: 16, seed, ..Default::default() };
+        let config = CoarseningConfig { stop_at_nodes: 16, seed };
         let gpa = MatcherKind::Sequential(MatchingAlgorithm::Gpa);
-        let h = MultilevelHierarchy::build(graph.clone(), gpa, EdgeRating::ExpansionStar2, &config);
+        let h = MultilevelHierarchy::build(&graph, gpa, EdgeRating::ExpansionStar2, &config);
         prop_assert!(h.node_weight_invariant_holds());
         for level in 0..h.num_levels() {
             prop_assert!(h.graph_at(level).validate().is_ok());
