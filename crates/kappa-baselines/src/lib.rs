@@ -79,9 +79,9 @@ impl BaselineKind {
     /// Instantiates the baseline.
     pub fn build(&self) -> Box<dyn BaselinePartitioner + Send + Sync> {
         match self {
-            BaselineKind::MetisLike => Box::new(MetisLike::default()),
+            BaselineKind::MetisLike => Box::new(MetisLike),
             BaselineKind::ParMetisLike => Box::new(ParMetisLike::default()),
-            BaselineKind::ScotchLike => Box::new(ScotchLike::default()),
+            BaselineKind::ScotchLike => Box::new(ScotchLike),
         }
     }
 }

@@ -16,23 +16,14 @@ use kappa_refine::rebalance_state;
 use crate::kway_refine::greedy_kway_refinement_indexed;
 use crate::BaselinePartitioner;
 
-/// Metis-like sequential multilevel k-way partitioner.
-#[derive(Clone, Copy, Debug)]
-pub struct MetisLike {
-    /// Coarsening stops at `coarsen_factor · k` nodes.
-    pub coarsen_factor: usize,
-    /// Number of greedy refinement passes per level.
-    pub refine_passes: usize,
-}
+/// Coarsening stops at `COARSEN_FACTOR · k` nodes.
+const COARSEN_FACTOR: usize = 30;
+/// Number of greedy refinement passes per level.
+const REFINE_PASSES: usize = 4;
 
-impl Default for MetisLike {
-    fn default() -> Self {
-        MetisLike {
-            coarsen_factor: 30,
-            refine_passes: 4,
-        }
-    }
-}
+/// Metis-like sequential multilevel k-way partitioner.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MetisLike;
 
 impl BaselinePartitioner for MetisLike {
     fn name(&self) -> &'static str {
@@ -46,7 +37,7 @@ impl BaselinePartitioner for MetisLike {
             return Partition::trivial(k, n);
         }
         let coarsen_config = CoarseningConfig {
-            stop_at_nodes: (self.coarsen_factor * k as usize).max(32),
+            stop_at_nodes: (COARSEN_FACTOR * k as usize).max(32),
             seed,
         };
         let hierarchy = MultilevelHierarchy::build(
@@ -66,7 +57,7 @@ impl BaselinePartitioner for MetisLike {
         // Greedy boundary passes on every level, coarsest included.
         let mut state = hierarchy.uncoarsen(current, |fine, state| {
             let l_max = Partition::l_max(fine, k, epsilon);
-            greedy_kway_refinement_indexed(fine, state, l_max, self.refine_passes);
+            greedy_kway_refinement_indexed(fine, state, l_max, REFINE_PASSES);
         });
         // kMetis honours the balance constraint reasonably well; emulate that
         // with a final repair pass.
@@ -87,7 +78,7 @@ mod tests {
     #[test]
     fn produces_feasible_partitions() {
         let g = grid2d(32, 32);
-        let p = MetisLike::default().partition(&g, 8, 0.03, 1);
+        let p = MetisLike.partition(&g, 8, 0.03, 1);
         assert!(p.validate(&g).is_ok());
         assert!(p.is_balanced(&g, 0.03), "balance {}", p.balance(&g));
         assert_eq!(p.num_nonempty_blocks(), 8);
@@ -96,7 +87,7 @@ mod tests {
     #[test]
     fn cut_is_sane_on_geometric_graphs() {
         let g = random_geometric_graph(3000, 2);
-        let p = MetisLike::default().partition(&g, 4, 0.03, 3);
+        let p = MetisLike.partition(&g, 4, 0.03, 3);
         assert!(p.validate(&g).is_ok());
         assert!(p.edge_cut(&g) < g.total_edge_weight() / 3);
     }
@@ -104,17 +95,17 @@ mod tests {
     #[test]
     fn handles_degenerate_inputs() {
         let g = grid2d(2, 2);
-        let p = MetisLike::default().partition(&g, 1, 0.03, 0);
+        let p = MetisLike.partition(&g, 1, 0.03, 0);
         assert_eq!(p.edge_cut(&g), 0);
-        let p = MetisLike::default().partition(&CsrGraph::empty(), 4, 0.03, 0);
+        let p = MetisLike.partition(&CsrGraph::empty(), 4, 0.03, 0);
         assert_eq!(p.num_nodes(), 0);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = grid2d(20, 20);
-        let a = MetisLike::default().partition(&g, 4, 0.03, 9);
-        let b = MetisLike::default().partition(&g, 4, 0.03, 9);
+        let a = MetisLike.partition(&g, 4, 0.03, 9);
+        let b = MetisLike.partition(&g, 4, 0.03, 9);
         assert_eq!(a.assignment(), b.assignment());
     }
 }

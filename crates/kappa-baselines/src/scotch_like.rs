@@ -16,23 +16,14 @@ use kappa_refine::{rebalance_state, refine_partition, QueueSelection, Refinement
 
 use crate::BaselinePartitioner;
 
-/// Scotch-like multilevel recursive-bisection partitioner.
-#[derive(Clone, Copy, Debug)]
-pub struct ScotchLike {
-    /// BFS band depth of the 2-way refinement.
-    pub band_depth: usize,
-    /// Coarsening stop per bisection (nodes).
-    pub coarsen_stop: usize,
-}
+/// BFS band depth of the 2-way refinement.
+const BAND_DEPTH: usize = 3;
+/// Coarsening stop per bisection (nodes).
+const COARSEN_STOP: usize = 120;
 
-impl Default for ScotchLike {
-    fn default() -> Self {
-        ScotchLike {
-            band_depth: 3,
-            coarsen_stop: 120,
-        }
-    }
-}
+/// Scotch-like multilevel recursive-bisection partitioner.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ScotchLike;
 
 impl ScotchLike {
     /// One multilevel 2-way bisection of the subgraph induced by `nodes`,
@@ -54,7 +45,7 @@ impl ScotchLike {
 
         // Multilevel 2-way partition of the subgraph.
         let coarsen_config = CoarseningConfig {
-            stop_at_nodes: self.coarsen_stop,
+            stop_at_nodes: COARSEN_STOP,
             seed,
         };
         let hierarchy = MultilevelHierarchy::build(
@@ -70,7 +61,7 @@ impl ScotchLike {
         let current = greedy_graph_growing(coarsest, 2, epsilon, seed);
         let refinement_config = RefinementConfig {
             epsilon,
-            bfs_depth: self.band_depth,
+            bfs_depth: BAND_DEPTH,
             max_global_iterations: 4,
             local_iterations: 1,
             stop_after_no_change: 1,
@@ -78,23 +69,21 @@ impl ScotchLike {
             patience_alpha: 0.03,
             seed,
         };
-        let mut current = hierarchy
-            .uncoarsen(current, |fine, state| {
-                refine_partition(fine, state, &refinement_config);
-            })
-            .into_partition();
+        let mut state = hierarchy.uncoarsen(current, |fine, state| {
+            refine_partition(fine, state, &refinement_config);
+        });
 
         // For uneven splits (k_left != k_right) shift boundary weight greedily:
         // the 2-way refinement above targeted a 50:50 split, so rebalance the
         // halves towards the k_left : k_right proportion by moving the cheapest
         // boundary nodes.
         if k_left != k_right {
-            rebalance_to_proportion(&sub.graph, &mut current, k_left, k_right, epsilon);
+            rebalance_to_proportion(&sub.graph, &mut state, k_left, k_right, epsilon);
         }
 
         for v in 0..sub.graph.num_nodes() as NodeId {
             let parent = sub.parent_of(v);
-            if current.block_of(v) == 0 {
+            if state.block_of(v) == 0 {
                 left_out.push(parent);
             } else {
                 right_out.push(parent);
@@ -148,58 +137,55 @@ impl ScotchLike {
 
 /// Moves the cheapest boundary nodes from the heavier-than-proportional side to
 /// the other until the `k_left : k_right` weight proportion is roughly met.
+/// In a 2-way partition a node with a neighbour on the other side is exactly
+/// a boundary node, so the candidates come from the state's boundary index.
 fn rebalance_to_proportion(
     graph: &CsrGraph,
-    partition: &mut Partition,
+    state: &mut PartitionState,
     k_left: u32,
     k_right: u32,
     epsilon: f64,
 ) {
     let total = graph.total_node_weight() as f64;
     let target_left = total * k_left as f64 / (k_left + k_right) as f64;
-    // Reuse the generic k-way rebalancer by expressing the proportion as a
-    // per-block L_max: the left block may hold at most target_left*(1+ε), the
-    // right block the rest.
+    // The left block may hold at most target_left*(1+ε), the right block the
+    // rest.
     let l_max_left = (target_left * (1.0 + epsilon)) as u64 + graph.max_node_weight();
     let l_max_right = (total - target_left) as u64
         + ((total - target_left) * epsilon) as u64
         + graph.max_node_weight();
-    // Simple loop: while a side exceeds its bound, move its cheapest boundary node.
+    // While a side exceeds its bound, move its cheapest boundary node.
     for _ in 0..graph.num_nodes() {
-        let weights = kappa_graph::BlockWeights::compute(graph, partition);
-        let (over, to, bound) = if weights.weight(0) > l_max_left {
-            (0u32, 1u32, l_max_left)
+        let weights = state.weights();
+        let (over, to) = if weights.weight(0) > l_max_left {
+            (0u32, 1u32)
         } else if weights.weight(1) > l_max_right {
-            (1u32, 0u32, l_max_right)
+            (1u32, 0u32)
         } else {
             break;
         };
-        let _ = bound;
-        // Cheapest boundary node of the overloaded side.
-        let mut best: Option<(i64, NodeId)> = None;
-        for v in graph.nodes() {
-            if partition.block_of(v) != over {
-                continue;
-            }
-            let mut to_own = 0i64;
-            let mut to_other = 0i64;
-            for (u, w) in graph.edges_of(v) {
-                if partition.block_of(u) == over {
-                    to_own += w as i64;
-                } else {
-                    to_other += w as i64;
-                }
-            }
-            if to_other == 0 {
-                continue;
-            }
-            let cost = to_own - to_other;
-            if best.map(|(c, _)| cost < c).unwrap_or(true) {
-                best = Some((cost, v));
-            }
-        }
-        let Some((_, v)) = best else { break };
-        partition.assign(v, to);
+        // Edge weight kept inside `over` minus edge weight cut.
+        let cost = |v: NodeId| -> i64 {
+            graph
+                .edges_of(v)
+                .map(|(u, w)| {
+                    if state.block_of(u) == over {
+                        w as i64
+                    } else {
+                        -(w as i64)
+                    }
+                })
+                .sum()
+        };
+        let best = state
+            .boundary()
+            .boundary_nodes_unordered()
+            .iter()
+            .copied()
+            .filter(|&v| state.block_of(v) == over)
+            .min_by_key(|&v| (cost(v), v));
+        let Some(v) = best else { break };
+        state.apply_move(graph, v, to);
     }
 }
 
@@ -239,7 +225,7 @@ mod tests {
     fn produces_feasible_partitions_for_powers_of_two() {
         let g = grid2d(24, 24);
         for k in [2u32, 4, 8] {
-            let p = ScotchLike::default().partition(&g, k, 0.03, 1);
+            let p = ScotchLike.partition(&g, k, 0.03, 1);
             assert!(p.validate(&g).is_ok(), "k = {k}");
             assert_eq!(p.num_nonempty_blocks() as u32, k);
             assert!(p.is_balanced(&g, 0.03), "k = {k} balance {}", p.balance(&g));
@@ -249,7 +235,7 @@ mod tests {
     #[test]
     fn handles_odd_k() {
         let g = random_geometric_graph(2000, 4);
-        let p = ScotchLike::default().partition(&g, 6, 0.05, 2);
+        let p = ScotchLike.partition(&g, 6, 0.05, 2);
         assert!(p.validate(&g).is_ok());
         assert_eq!(p.num_nonempty_blocks(), 6);
         assert!(p.balance(&g) < 1.35, "balance {}", p.balance(&g));
@@ -258,7 +244,7 @@ mod tests {
     #[test]
     fn two_way_grid_cut_is_near_optimal() {
         let g = grid2d(20, 20);
-        let p = ScotchLike::default().partition(&g, 2, 0.03, 3);
+        let p = ScotchLike.partition(&g, 2, 0.03, 3);
         // Optimal is 20; multilevel bisection with FM should land close.
         assert!(p.edge_cut(&g) <= 40, "cut {}", p.edge_cut(&g));
     }
@@ -273,7 +259,7 @@ mod tests {
             for k in [4u32, 8] {
                 let mut p = Partition::unassigned(k, g.num_nodes());
                 let all: Vec<NodeId> = g.nodes().collect();
-                ScotchLike::default().partition_recursive(g, &all, 0, k, 0.03, 1, &mut p);
+                ScotchLike.partition_recursive(g, &all, 0, k, 0.03, 1, &mut p);
                 assert!(!p.is_balanced(g, 0.03), "k = {k}: nothing to repair");
             }
         }
@@ -281,10 +267,10 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let p = ScotchLike::default().partition(&CsrGraph::empty(), 4, 0.03, 0);
+        let p = ScotchLike.partition(&CsrGraph::empty(), 4, 0.03, 0);
         assert_eq!(p.num_nodes(), 0);
         let g = grid2d(2, 2);
-        let p = ScotchLike::default().partition(&g, 1, 0.03, 0);
+        let p = ScotchLike.partition(&g, 1, 0.03, 0);
         assert_eq!(p.edge_cut(&g), 0);
     }
 }

@@ -7,13 +7,16 @@
 //!
 //! The paper runs contraction per PE; [`contract_matching`] mirrors that by
 //! partitioning the coarse-node id space into contiguous per-worker ranges,
-//! building each range's CSR fragment (adjacency, node weights, coordinates)
-//! independently, and concatenating the fragments with an ordered collect. The
+//! pushing each range's rows into a [`CsrRows`] of its own (plus node weights
+//! and coordinates) independently, and joining them in range order with
+//! [`CsrRows::append`]. The
 //! result is the same for every thread count — and bit-identical to the
 //! test-only sequential `contract_matching_reference` below — because each
 //! coarse node's adjacency is derived only from its own fine nodes.
 
-use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight, INVALID_NODE};
+use kappa_graph::{
+    merge_row, CsrGraph, CsrRows, EdgeWeight, GraphAccess, NodeId, NodeWeight, INVALID_NODE,
+};
 use kappa_matching::Matching;
 use rayon::prelude::*;
 
@@ -64,10 +67,8 @@ pub(crate) fn assign_coarse_ids<G: GraphAccess>(
 }
 
 /// Fills `row` with the adjacency of the coarse node merging `u` and `p`:
-/// the union of the fine lists mapped through `coarse_of`, sorted by target,
-/// parallel edges summed, self loops dropped. The sum is order-independent,
-/// so the row is deterministic even though equal targets may arrive in
-/// either order.
+/// the union of the fine lists mapped through `coarse_of`, self loops
+/// dropped, brought into form by [`merge_row`].
 pub(crate) fn merged_row<G: GraphAccess>(
     graph: &G,
     coarse_of: &[NodeId],
@@ -88,14 +89,8 @@ pub(crate) fn merged_row<G: GraphAccess>(
     if p != INVALID_NODE {
         collect(p);
     }
-    row.sort_unstable_by_key(|&(t, _)| t);
-    row.dedup_by(|next, kept| {
-        let parallel = next.0 == kept.0;
-        if parallel {
-            kept.1 += next.1;
-        }
-        parallel
-    });
+    let len = merge_row(row);
+    row.truncate(len);
 }
 
 /// Weight and (where `coords` are kept) position of the coarse node merging
@@ -117,15 +112,9 @@ pub(crate) fn merged_node<G: GraphAccess>(
     (graph.node_weight(u) + graph.node_weight(p), mean)
 }
 
-/// One worker's share of the coarse CSR arrays: a contiguous coarse-id range.
-struct CsrFragment {
-    /// Adjacency-list end offsets, cumulative *within this fragment*.
-    ends: Vec<usize>,
-    adjncy: Vec<NodeId>,
-    adjwgt: Vec<EdgeWeight>,
-    vwgt: Vec<NodeWeight>,
-    coords: Option<Vec<[f64; 2]>>,
-}
+/// One worker's share of the coarse graph, a contiguous coarse-id range: its
+/// rows, node weights and (where the fine graph has them) coordinates.
+type Fragment = (CsrRows, Vec<NodeWeight>, Option<Vec<[f64; 2]>>);
 
 /// Contracts every edge of `matching` in `graph`, in parallel over the coarse
 /// node ids.
@@ -158,68 +147,51 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
     let coarse_n = reps.len();
 
     // Phase 2 (parallel): one contiguous coarse-id range per worker; each
-    // builds its fragment of the coarse CSR arrays independently.
+    // builds its fragment of the coarse graph independently.
     let threads = rayon::current_num_threads().max(1);
     let chunk = coarse_n.div_ceil(threads).max(1);
-    let fragments: Vec<CsrFragment> = reps
+    let fragments: Vec<Fragment> = reps
         .par_chunks(chunk)
         .map(|range| build_fragment(graph, &coarse_of, range))
         .collect();
 
-    // Phase 3 (sequential, O(m) concatenation): ordered merge of the
-    // fragments into the final CSR arrays.
-    let total_half_edges: usize = fragments.iter().map(|f| f.adjncy.len()).sum();
-    let mut xadj = Vec::with_capacity(coarse_n + 1);
-    xadj.push(0usize);
-    let mut adjncy: Vec<NodeId> = Vec::with_capacity(total_half_edges);
-    let mut adjwgt: Vec<EdgeWeight> = Vec::with_capacity(total_half_edges);
+    // Phase 3 (sequential, O(m)): the fragments in coarse-id order.
+    let total_half_edges: usize = fragments.iter().map(|f| f.0.num_half_edges()).sum();
+    let mut rows = CsrGraph::rows(coarse_n, total_half_edges);
     let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
     let mut coords = graph.coords().map(|_| Vec::with_capacity(coarse_n));
-    for fragment in fragments {
-        let offset = adjncy.len();
-        xadj.extend(fragment.ends.iter().map(|&e| offset + e));
-        adjncy.extend_from_slice(&fragment.adjncy);
-        adjwgt.extend_from_slice(&fragment.adjwgt);
-        vwgt.extend_from_slice(&fragment.vwgt);
-        if let (Some(all), Some(frag)) = (&mut coords, &fragment.coords) {
-            all.extend_from_slice(frag);
+    for (fragment_rows, fragment_vwgt, fragment_coords) in fragments {
+        rows.append(fragment_rows);
+        vwgt.extend(fragment_vwgt);
+        if let (Some(all), Some(frag)) = (&mut coords, fragment_coords) {
+            all.extend(frag);
         }
     }
 
     Contraction {
-        coarse_graph: CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, coords),
+        coarse_graph: rows.finish(vwgt, coords),
         coarse_of,
     }
 }
 
-/// Builds the CSR fragment of one contiguous coarse-id range: for every coarse
-/// node, the merged adjacency over its fine representatives (sorted by target,
-/// parallel edges summed, self loops dropped), its node weight, and its
-/// averaged coordinates.
-fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> CsrFragment {
+/// Builds the fragment of one contiguous coarse-id range: for every coarse
+/// node, its [`merged_row`], its node weight and its averaged coordinates.
+fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> Fragment {
     let coords = graph.coords();
-    let mut fragment = CsrFragment {
-        ends: Vec::with_capacity(range.len()),
-        adjncy: Vec::new(),
-        adjwgt: Vec::new(),
-        vwgt: Vec::with_capacity(range.len()),
-        coords: coords.map(|_| Vec::with_capacity(range.len())),
-    };
+    let mut rows = CsrGraph::rows(range.len(), 0);
+    let mut vwgt = Vec::with_capacity(range.len());
+    let mut fragment_coords = coords.map(|_| Vec::with_capacity(range.len()));
     let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
     for &reps in range {
         merged_row(graph, coarse_of, reps, &mut row);
-        for &(t, w) in &row {
-            fragment.adjncy.push(t);
-            fragment.adjwgt.push(w);
-        }
-        fragment.ends.push(fragment.adjncy.len());
+        rows.push_node(row.iter().copied());
         let (weight, coord) = merged_node(graph, coords, reps);
-        fragment.vwgt.push(weight);
-        if let (Some(frag_coords), Some(coord)) = (&mut fragment.coords, coord) {
-            frag_coords.push(coord);
+        vwgt.push(weight);
+        if let (Some(out), Some(coord)) = (&mut fragment_coords, coord) {
+            out.push(coord);
         }
     }
-    fragment
+    (rows, vwgt, fragment_coords)
 }
 
 #[cfg(test)]

@@ -55,6 +55,9 @@ impl ConfigPreset {
     }
 }
 
+/// The α of the contraction stop `n / (α·k²)` per PE in every preset.
+const CONTRACTION_ALPHA: f64 = 60.0;
+
 /// Full configuration of a KaPPa run.
 #[derive(Clone, Copy, Debug)]
 pub struct KappaConfig {
@@ -66,9 +69,6 @@ pub struct KappaConfig {
     pub rating: EdgeRating,
     /// Sequential matching algorithm (used per part by the parallel matcher).
     pub matching: MatchingAlgorithm,
-    /// Contraction stops when the graph has at most
-    /// `k · max(20, n / (contraction_alpha · k²))` nodes.
-    pub contraction_alpha: f64,
     /// Number of independent initial-partitioning attempts.
     pub initial_repeats: usize,
     /// FM queue selection strategy.
@@ -98,7 +98,6 @@ impl KappaConfig {
             epsilon: 0.03,
             rating: EdgeRating::ExpansionStar2,
             matching: MatchingAlgorithm::Gpa,
-            contraction_alpha: 60.0,
             initial_repeats: 1,
             queue_selection: QueueSelection::TopGain,
             bfs_depth: 1,
@@ -194,9 +193,9 @@ impl KappaConfig {
     }
 
     /// The node-count threshold at which contraction stops for a graph of `n`
-    /// nodes: `k · max(20, n / (α·k²))` (§4 expressed per PE, ×k for the total).
+    /// nodes: `k · max(20, n / (60·k²))` (§4 per PE, ×k for the total).
     pub fn contraction_stop_nodes(&self, n: usize) -> usize {
-        let per_pe = (n as f64 / (self.contraction_alpha * (self.k as f64).powi(2))).ceil();
+        let per_pe = (n as f64 / (CONTRACTION_ALPHA * (self.k as f64).powi(2))).ceil();
         (self.k as usize) * (per_pe.max(20.0) as usize)
     }
 

@@ -18,7 +18,7 @@
 //!    partners to their anchor's owner;
 //! 4. coarse ghost node weights pulled inside [`DistGraph::assemble_with`].
 
-use kappa_graph::{EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
+use kappa_graph::{merge_row, CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
 
 use crate::comm::{Comm, CommError, CommResult};
 use crate::graph::DistGraph;
@@ -152,8 +152,8 @@ pub fn distributed_contraction<C: Comm>(
     }
 
     // --- 4. Build the owned coarse rows (ascending anchor order). ---
-    let mut rows: Vec<(Vec<(NodeId, EdgeWeight)>, NodeWeight)> =
-        Vec::with_capacity(my_anchors.len());
+    let mut rows = CsrGraph::rows(my_anchors.len(), 0);
+    let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(my_anchors.len());
     let mut scratch: Vec<(NodeId, EdgeWeight)> = Vec::new();
     for (i, &l) in my_anchors.iter().enumerate() {
         let cid = my_offset + i as NodeId;
@@ -201,20 +201,14 @@ pub fn distributed_contraction<C: Comm>(
                 weight += pw;
             }
         }
-        // Sort by coarse target and merge parallel edges (sum order is
-        // irrelevant — u64 addition commutes), mirroring `contract_matching`.
-        scratch.sort_unstable_by_key(|&(t, _)| t);
-        let mut merged: Vec<(NodeId, EdgeWeight)> = Vec::with_capacity(scratch.len());
-        for &(t, w) in &scratch {
-            match merged.last_mut() {
-                Some((last, lw)) if *last == t => *lw += w,
-                _ => merged.push((t, w)),
-            }
-        }
-        rows.push((merged, weight));
+        // The row rule of `contract_matching`: sort by coarse target, sum
+        // parallel edges.
+        let len = merge_row(&mut scratch);
+        rows.push_node(scratch[..len].iter().copied());
+        vwgt.push(weight);
     }
 
-    let coarse = DistGraph::assemble_with(comm, comm.rank(), ranks, coarse_starts, rows)?;
+    let coarse = DistGraph::assemble_with(comm, comm.rank(), ranks, coarse_starts, rows, vwgt)?;
     Ok(DistContraction {
         coarse,
         coarse_of_owned,
@@ -229,7 +223,6 @@ mod tests {
     use kappa_coarsen::contract_matching;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
-    use kappa_graph::CsrGraph;
     use kappa_matching::{EdgeRating, MatchingAlgorithm};
 
     /// Reassembles the global coarse graph + mapping from the per-rank shards.

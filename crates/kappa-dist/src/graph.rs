@@ -18,7 +18,7 @@
 //! `u` has a neighbour owned by `r` — knowledge both sides share, because the
 //! edge is stored on both sides of the cut.
 
-use kappa_graph::{BlockAssignment, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight};
+use kappa_graph::{BlockAssignment, BlockId, CsrGraph, CsrRows, EdgeWeight, NodeId, NodeWeight};
 
 use crate::comm::{Comm, CommError, CommResult, Message};
 
@@ -80,22 +80,20 @@ impl DistGraph {
         let ranks = range_starts.len() - 1;
         let lo = range_starts[rank] as usize;
         let hi = range_starts[rank + 1] as usize;
-        let rows: Vec<(Vec<(NodeId, EdgeWeight)>, NodeWeight)> = (lo..hi)
-            .map(|v| {
-                (
-                    graph.edges_of(v as NodeId).collect(),
-                    graph.node_weight(v as NodeId),
-                )
-            })
-            .collect();
-        Self::assemble(rank, ranks, range_starts, rows, |gids| {
+        let mut rows = CsrGraph::rows(hi - lo, graph.xadj()[hi] - graph.xadj()[lo]);
+        for v in lo..hi {
+            rows.push_node(graph.edges_of(v as NodeId));
+        }
+        let vwgt = graph.vwgt()[lo..hi].to_vec();
+        Self::assemble(rank, ranks, range_starts, rows, vwgt, |gids| {
             Ok(gids.iter().map(|&g| graph.node_weight(g)).collect())
         })
         // kappa-lint: allow(dist-no-panic) -- the ghost-weight closure above always returns Ok and assemble's row count is ln by construction, so no error path exists
         .expect("local assembly does not communicate")
     }
 
-    /// Assembles a shard from owned rows whose targets are **global** ids.
+    /// Assembles a shard from the owned rows, one per owned node in
+    /// ascending order with **global** targets, and their node weights `vwgt`.
     /// `ghost_weights` resolves the node weights of the ghost set (sorted
     /// ascending); [`Self::assemble_with`] provides the communicating variant
     /// used when no rank holds the global graph.
@@ -103,29 +101,31 @@ impl DistGraph {
         rank: usize,
         ranks: usize,
         range_starts: Vec<NodeId>,
-        rows: Vec<(Vec<(NodeId, EdgeWeight)>, NodeWeight)>,
+        rows: CsrRows,
+        mut vwgt: Vec<NodeWeight>,
         ghost_weights: impl FnOnce(&[NodeId]) -> CommResult<Vec<NodeWeight>>,
     ) -> CommResult<DistGraph> {
         let lo = range_starts[rank];
         let hi = range_starts[rank + 1];
         let ln = (hi - lo) as usize;
-        if rows.len() != ln {
+        if rows.num_rows() != ln || vwgt.len() != ln {
             return Err(CommError::protocol(
                 rank,
                 rank,
                 "assemble",
                 format!(
-                    "assemble needs one row per owned node: got {} rows for {ln} nodes",
-                    rows.len()
+                    "assemble needs one row and one weight per owned node: got {} rows and \
+                     {} weights for {ln} nodes",
+                    rows.num_rows(),
+                    vwgt.len()
                 ),
             ));
         }
         let owner_of = |gid: NodeId| -> usize { owner_in(&range_starts, gid) };
 
         // Ghost set: remote targets, ascending, deduplicated.
-        let mut ghost_global: Vec<NodeId> = rows
-            .iter()
-            .flat_map(|(edges, _)| edges.iter().map(|&(t, _)| t))
+        let mut ghost_global: Vec<NodeId> = (0..ln)
+            .flat_map(|i| rows.row(i).map(|(t, _)| t))
             .filter(|&t| t < lo || t >= hi)
             .collect();
         ghost_global.sort_unstable();
@@ -144,9 +144,9 @@ impl DistGraph {
         // owned order keeps each ghost row ascending too).
         let mut ghost_rows: Vec<Vec<(NodeId, EdgeWeight)>> = vec![Vec::new(); ghost_global.len()];
         let mut send_marks: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];
-        for (u_local, (edges, _)) in rows.iter().enumerate() {
+        for u_local in 0..ln {
             let mut last_rank_sent = usize::MAX;
-            local.push_node(edges.iter().map(|&(t, w)| {
+            local.push_node(rows.row(u_local).map(|(t, w)| {
                 if t >= lo && t < hi {
                     return (t - lo, w);
                 }
@@ -172,7 +172,6 @@ impl DistGraph {
         for row in ghost_rows {
             local.push_node(row);
         }
-        let mut vwgt: Vec<NodeWeight> = rows.iter().map(|&(_, w)| w).collect();
         vwgt.extend(ghost_weights(&ghost_global)?);
         if vwgt.len() != n_local {
             return Err(CommError::protocol(
@@ -213,11 +212,12 @@ impl DistGraph {
         rank: usize,
         ranks: usize,
         range_starts: Vec<NodeId>,
-        rows: Vec<(Vec<(NodeId, EdgeWeight)>, NodeWeight)>,
+        rows: CsrRows,
+        vwgt: Vec<NodeWeight>,
     ) -> CommResult<DistGraph> {
-        let owned_weights: Vec<NodeWeight> = rows.iter().map(|&(_, w)| w).collect();
+        let owned_weights = vwgt.clone();
         let lo = range_starts[rank];
-        Self::assemble(rank, ranks, range_starts.clone(), rows, |ghosts| {
+        Self::assemble(rank, ranks, range_starts.clone(), rows, vwgt, |ghosts| {
             // Ghost gids grouped by owner are already ascending per owner, so
             // the flattened responses line up with the ghost list.
             let mut requests: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];

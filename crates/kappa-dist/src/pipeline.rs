@@ -352,8 +352,9 @@ fn fold_graph<C: Comm>(comm: &mut C, dg: &DistGraph, active: usize) -> CommResul
     }
     let incoming = comm.alltoallv(parts)?;
     let mut expected = new_starts[comm.rank()];
-    let mut rows: Vec<(Vec<(NodeId, EdgeWeight)>, NodeWeight)> =
-        Vec::with_capacity((new_starts[comm.rank() + 1] - expected) as usize);
+    let owned = (new_starts[comm.rank() + 1] - expected) as usize;
+    let mut rows = CsrGraph::rows(owned, 0);
+    let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(owned);
     for (src, part) in incoming.into_iter().enumerate() {
         for (gid, weight, edges) in part {
             if gid != expected {
@@ -365,7 +366,8 @@ fn fold_graph<C: Comm>(comm: &mut C, dg: &DistGraph, active: usize) -> CommResul
                 ));
             }
             expected += 1;
-            rows.push((edges, weight));
+            rows.push_node(edges);
+            vwgt.push(weight);
         }
     }
     if expected != new_starts[comm.rank() + 1] {
@@ -379,7 +381,7 @@ fn fold_graph<C: Comm>(comm: &mut C, dg: &DistGraph, active: usize) -> CommResul
             ),
         ));
     }
-    DistGraph::assemble_with(comm, comm.rank(), ranks, new_starts, rows)
+    DistGraph::assemble_with(comm, comm.rank(), ranks, new_starts, rows, vwgt)
 }
 
 /// One level of the distributed hierarchy, as seen by one rank.
@@ -529,7 +531,8 @@ fn rank_main<C: Comm>(
 /// Allgathers the (small) coarsest graph so every rank can partition it
 /// redundantly.
 fn allgather_graph<C: Comm>(comm: &mut C, dg: &DistGraph) -> CommResult<CsrGraph> {
-    let rows: Vec<(Vec<(NodeId, EdgeWeight)>, NodeWeight)> = (0..dg.num_owned() as NodeId)
+    // The wire format: one (global row, node weight) pair per owned node.
+    let rows: Vec<(Vec<_>, _)> = (0..dg.num_owned() as NodeId)
         .map(|l| {
             (
                 dg.local()

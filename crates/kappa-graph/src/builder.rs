@@ -1,13 +1,11 @@
-//! Construction of [`CsrGraph`]s: [`GraphBuilder`] and the counting build
-//! behind it.
-//!
-//! The counting build ([`count_degrees`] then [`fill_rows`]) is the one place
-//! an edge stream becomes rows: a degree pass, a cursor fill of every row, a
-//! sort of each row by target, and a merge that sums parallel edges (exactly
-//! the rule used when contracting an edge, §2 of the paper) and drops self
-//! loops. [`GraphBuilder`] runs it over all nodes at once; the memory tier's
-//! `TierGraph::from_source` runs it over one node range at a time, so a
-//! streamed graph never holds more than one chunk of rows.
+//! Construction of [`CsrGraph`]s. [`merge_row`] is the one row rule (sort
+//! by target, sum equal targets, as when contracting an edge, §2 of the
+//! paper) that every producer runs before pushing a row into [`CsrRows`]. The
+//! counting build ([`count_degrees`] then [`fill_rows`]) is the one place an
+//! edge stream becomes rows: a degree pass, a cursor fill (self loops
+//! dropped) and [`merge_row`] on each row. [`GraphBuilder`] runs it over all
+//! nodes at once; the memory tier's `TierGraph::from_source` over one node
+//! range at a time, so a streamed graph never holds more than one chunk.
 
 use std::ops::Range;
 
@@ -124,11 +122,11 @@ pub fn count_degrees<S: EdgeSource>(src: &S) -> (Vec<u32>, bool) {
     (degrees, all_unit)
 }
 
-/// The fill, sort and merge of the counting build: the rows of the nodes
-/// `range` of `src`, row `v` pushed `v - range.start`-th, each sorted by
-/// target with parallel edges merged by summing their weights and self loops
-/// dropped. `degrees` is [`count_degrees`] of the same stream. Replays `src`
-/// once and holds one slot (12 bytes) per counted half-edge of `range`.
+/// The fill and merge of the counting build: the rows of the nodes `range`
+/// of `src`, row `v` pushed `v - range.start`-th, self loops dropped and each
+/// row brought into form by [`merge_row`]. `degrees` is [`count_degrees`] of
+/// the same stream. Replays `src` once and holds one slot (12 bytes) per
+/// counted half-edge of `range`.
 ///
 /// # Panics
 /// If the replay emits other half-edges into `range` than `degrees` counts.
@@ -162,8 +160,8 @@ pub fn fill_rows<S: EdgeSource>(src: &S, degrees: &[u32], range: Range<usize>) -
         }
     });
 
-    // Sort and merge each row, compacting leftwards in place: a merged row is
-    // never longer than its slots, so `out` never overtakes the next row.
+    // Merge each row, compacting leftwards in place: a merged row is never
+    // longer than its slots, so `out` never overtakes the next row.
     let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
     let mut out = 0usize;
     for i in 0..rows {
@@ -179,16 +177,12 @@ pub fn fill_rows<S: EdgeSource>(src: &S, degrees: &[u32], range: Range<usize>) -
                 .copied()
                 .zip(adjwgt[start..end].iter().copied()),
         );
-        row.sort_unstable_by_key(|&(t, _)| t);
+        let len = merge_row(&mut row);
         xadj[i] = out;
-        for &(t, w) in &row {
-            if out > xadj[i] && adjncy[out - 1] == t {
-                adjwgt[out - 1] += w;
-            } else {
-                adjncy[out] = t;
-                adjwgt[out] = w;
-                out += 1;
-            }
+        for &(t, w) in &row[..len] {
+            adjncy[out] = t;
+            adjwgt[out] = w;
+            out += 1;
         }
     }
     xadj[rows] = out;
@@ -199,6 +193,23 @@ pub fn fill_rows<S: EdgeSource>(src: &S, degrees: &[u32], range: Range<usize>) -
         adjncy,
         adjwgt,
     }
+}
+
+/// The one row rule: sorts `row` by target and sums the weights of equal
+/// targets into the merged row at the front of the slice, whose length it
+/// returns. Sums commute, so equal targets may arrive in any order.
+pub fn merge_row(row: &mut [(NodeId, EdgeWeight)]) -> usize {
+    row.sort_unstable_by_key(|&(t, _)| t);
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept > 0 && row[kept - 1].0 == row[i].0 {
+            row[kept - 1].1 += row[i].1;
+        } else {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// Convenience: build a graph directly from an undirected edge list with unit

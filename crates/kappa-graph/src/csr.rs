@@ -340,7 +340,8 @@ impl CsrGraph {
 
 /// The arrays of a [`CsrGraph`] under construction, one finished row at a
 /// time (see [`CsrGraph::rows`]). Rows arrive as the graph will hold them:
-/// merged, in their final order, targets already in the graph's id space.
+/// merged by the one row rule [`merge_row`](crate::merge_row), in their
+/// final order, targets already in the graph's id space.
 pub struct CsrRows {
     pub(crate) xadj: Vec<usize>,
     pub(crate) adjncy: Vec<NodeId>,
@@ -355,6 +356,25 @@ impl CsrRows {
             .iter()
             .copied()
             .zip(self.adjwgt[range].iter().copied())
+    }
+
+    /// Number of pushed rows.
+    pub fn num_rows(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    /// Number of entries over all pushed rows.
+    pub fn num_half_edges(&self) -> usize {
+        self.adjncy.len()
+    }
+
+    /// Appends every row of `other` after the rows pushed so far.
+    pub fn append(&mut self, other: CsrRows) {
+        let offset = self.adjncy.len();
+        self.xadj
+            .extend(other.xadj[1..].iter().map(|&e| offset + e));
+        self.adjncy.extend(other.adjncy);
+        self.adjwgt.extend(other.adjwgt);
     }
 
     /// Appends the next node's `(target, weight)` row.
@@ -462,6 +482,27 @@ mod tests {
     fn wrong_coordinate_length_panics() {
         let mut g = path_graph(3);
         g.set_coords(Some(vec![[0.0, 0.0]]));
+    }
+
+    #[test]
+    fn append_matches_pushing_every_row_into_one() {
+        let g = path_graph(7);
+        let mut one = CsrGraph::rows(0, 0);
+        let mut joined = CsrGraph::rows(0, 0);
+        // An empty fragment in the middle must not disturb the offsets.
+        for range in [0..3u32, 3..3, 3..7] {
+            let mut fragment = CsrGraph::rows(0, 0);
+            for v in range {
+                one.push_node(g.edges_of(v));
+                fragment.push_node(g.edges_of(v));
+            }
+            joined.append(fragment);
+        }
+        assert_eq!(joined.num_rows(), 7);
+        assert_eq!(joined.num_half_edges(), g.num_half_edges());
+        let joined = joined.finish(g.vwgt().to_vec(), None);
+        assert_eq!(joined, one.finish(g.vwgt().to_vec(), None));
+        assert_eq!(joined, g);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! whose adjacency lists contain exactly `m` half-edges is accepted as the
 //! "each edge listed once" convention some writers use. Every malformed input
 //! is reported as a typed [`MetisError`] — parsing never panics.
+//! Lines are rows: each adjacency line, sorted, is pushed in file order as its
+//! node's row of a [`CsrRows`](crate::CsrRows). A symmetric (`2m`-entry) file
+//! then costs the graph plus one line; a once-listed (`m`-entry) file also an
+//! edge list and a [`GraphBuilder`] build.
 
 use std::fmt;
 use std::fs;
@@ -24,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
-use crate::types::NodeId;
+use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// Everything that can go wrong reading or writing METIS text.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,7 +118,7 @@ impl fmt::Display for MetisError {
                 f,
                 "edge count mismatch: header declares {declared} edges but the file lists \
                  {listed} half-edges (expected {} or {declared})",
-                2 * declared
+                declared.saturating_mul(2)
             ),
             MetisError::Duplicate { u, v } => write!(
                 f,
@@ -252,10 +256,11 @@ where
         None => 1,
     };
 
-    let mut builder = GraphBuilder::new(n);
-    // Half-edges as listed; which convention the file uses (symmetric vs
-    // once-listed) is only decidable once all of them are counted.
-    let mut half_edges: Vec<(NodeId, NodeId, u64)> = Vec::new();
+    // Lines are rows. Nothing is sized from the header, so a hostile header
+    // allocates nothing.
+    let mut rows = CsrGraph::rows(0, 0);
+    let mut vwgt: Vec<NodeWeight> = Vec::new();
+    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
     let mut found = 0usize;
     for u in 0..n {
         let Some((line_no, line)) = next_content(&mut lines)? else {
@@ -263,163 +268,138 @@ where
         };
         found += 1;
         let node = u + 1; // 1-based, for error messages
+        let err = |message: String| MetisError::Line {
+            node,
+            line: line_no,
+            message,
+        };
         let mut tokens = line.as_ref().split_whitespace();
         if flags.has_vsize {
-            let tok = tokens.next().ok_or_else(|| MetisError::Line {
-                node,
-                line: line_no,
-                message: "missing vertex size".to_string(),
-            })?;
             // Parsed for validation; sizes are a communication-volume input
             // this partitioner does not use.
-            tok.parse::<u64>().map_err(|e| MetisError::Line {
-                node,
-                line: line_no,
-                message: format!("bad vertex size {tok:?}: {e}"),
-            })?;
+            let missing = || err("missing vertex size".into());
+            let tok = tokens.next().ok_or_else(missing)?;
+            tok.parse::<u64>()
+                .map_err(|e| err(format!("bad vertex size {tok:?}: {e}")))?;
         }
+        let mut weight = 1;
         if flags.has_vwgt {
             for c in 0..ncon {
-                let tok = tokens.next().ok_or_else(|| MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: format!("missing vertex weight {} of {ncon}", c + 1),
-                })?;
-                let w: u64 = tok.parse().map_err(|e| MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: format!("bad vertex weight {tok:?}: {e}"),
-                })?;
+                let missing = || err(format!("missing vertex weight {} of {ncon}", c + 1));
+                let tok = tokens.next().ok_or_else(missing)?;
+                let w: u64 = tok
+                    .parse()
+                    .map_err(|e| err(format!("bad vertex weight {tok:?}: {e}")))?;
                 // Only the first constraint is balanced.
                 if c == 0 {
-                    builder.set_node_weight(u as NodeId, w);
+                    weight = w;
                 }
             }
         }
+        vwgt.push(weight);
         let tokens: Vec<&str> = tokens.collect();
+        row.clear();
         let mut i = 0usize;
         while i < tokens.len() {
-            let v: usize = tokens[i].parse().map_err(|e| MetisError::Line {
-                node,
-                line: line_no,
-                message: format!("bad neighbour id {:?}: {e}", tokens[i]),
-            })?;
+            let v: usize = tokens[i]
+                .parse()
+                .map_err(|e| err(format!("bad neighbour id {:?}: {e}", tokens[i])))?;
             if v == 0 || v > n {
-                return Err(MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: format!("neighbour id {v} out of range 1..={n}"),
-                });
+                return Err(err(format!("neighbour id {v} out of range 1..={n}")));
             }
             if v == node {
-                return Err(MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: "self loops are not allowed in METIS graphs".to_string(),
-                });
+                return Err(err("self loops are not allowed in METIS graphs".into()));
             }
             let w = if flags.has_ewgt {
                 i += 1;
-                let tok = tokens.get(i).ok_or_else(|| MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: format!("missing edge weight after neighbour {v}"),
-                })?;
-                tok.parse::<u64>().map_err(|e| MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: format!("bad edge weight {tok:?}: {e}"),
-                })?
+                let missing = || err(format!("missing edge weight after neighbour {v}"));
+                let tok = tokens.get(i).ok_or_else(missing)?;
+                tok.parse::<u64>()
+                    .map_err(|e| err(format!("bad edge weight {tok:?}: {e}")))?
             } else {
                 1
             };
             if w == 0 {
-                return Err(MetisError::Line {
-                    node,
-                    line: line_no,
-                    message: format!("edge weight of neighbour {v} must be positive"),
-                });
+                return Err(err(format!(
+                    "edge weight of neighbour {v} must be positive"
+                )));
             }
             i += 1;
-            half_edges.push((u as NodeId, (v - 1) as NodeId, w));
+            row.push(((v - 1) as NodeId, w));
         }
+        row.sort_unstable_by_key(|&(t, _)| t);
+        rows.push_node(row.iter().copied());
     }
     if found < n {
         return Err(MetisError::Truncated { expected: n, found });
     }
-    let symmetric = half_edges.len() == 2 * m;
-    if symmetric {
-        // Symmetric convention: every undirected edge appears twice; build
-        // from the lower-endpoint copies, then check the listing below.
-        for &(u, v, w) in &half_edges {
-            if u < v {
+    let listed = rows.num_half_edges();
+    if m.checked_mul(2) == Some(listed) {
+        // Symmetric convention, one pass in node order: entry (u → v, w) with
+        // u < v claims the next entry of row v, which must be (v → u, w). A
+        // row departs at its first failed claim, else its first unclaimed
+        // lower entry, else its first repeat; the first row to depart fails.
+        let (xadj, adjncy, adjwgt) = (&rows.xadj, &rows.adjncy, &rows.adjwgt);
+        let mut next = xadj[..found].to_vec();
+        let mut departs = vec![NodeId::MAX; found];
+        for u in 0..found {
+            let (start, end) = (xadj[u], xadj[u + 1]);
+            let split = start + adjncy[start..end].partition_point(|&t| (t as usize) < u);
+            let repeat = (split + 1..end).find(|&i| adjncy[i - 1] == adjncy[i]);
+            let t = match (departs[u], next[u] < split) {
+                (NodeId::MAX, true) => Some(adjncy[next[u]]),
+                (NodeId::MAX, false) => repeat.map(|i| adjncy[i]),
+                (t, _) => Some(t),
+            };
+            if let Some(t) = t.map(|t| t as usize) {
+                let (u, v) = (u.min(t) + 1, u.max(t) + 1);
+                return Err(MetisError::Asymmetric { u, v });
+            }
+            for i in split..end {
+                let (v, j) = (adjncy[i] as usize, next[adjncy[i] as usize]);
+                if j < xadj[v + 1] && adjncy[j] as usize == u && adjwgt[j] == adjwgt[i] {
+                    next[v] += 1;
+                } else if departs[v] == NodeId::MAX {
+                    let listed = if j < xadj[v + 1] {
+                        adjncy[j]
+                    } else {
+                        NodeId::MAX
+                    };
+                    departs[v] = listed.min(u as NodeId);
+                }
+            }
+        }
+        rows.adjncy.shrink_to_fit();
+        rows.adjwgt.shrink_to_fit();
+        Ok(rows.finish(vwgt, None))
+    } else if listed == m {
+        // Once-listed convention: every entry is one edge, in either
+        // direction. Reject duplicates — the builder would sum them, silently
+        // corrupting the graph (a symmetric file with a miscounted header
+        // looks exactly like this).
+        let mut builder = GraphBuilder::with_node_weights(vwgt);
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(m);
+        for u in 0..found {
+            for (v, w) in rows.row(u) {
+                let u = u as NodeId;
+                pairs.push((u.min(v), u.max(v)));
                 builder.add_edge(u, v, w);
             }
         }
-    } else if half_edges.len() == m {
-        // Once-listed convention: every listed half-edge is one edge,
-        // whichever direction it was written in. Reject duplicates — the
-        // builder would merge them by summing weights, silently corrupting
-        // the graph (a symmetric file with a miscounted header looks exactly
-        // like this).
-        let mut normalized: Vec<(NodeId, NodeId)> = half_edges
-            .iter()
-            .map(|&(u, v, _)| (u.min(v), u.max(v)))
-            .collect();
-        normalized.sort_unstable();
-        if let Some(w) = normalized.windows(2).find(|w| w[0] == w[1]) {
+        pairs.sort_unstable();
+        if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
             return Err(MetisError::Duplicate {
                 u: w[0].0 as usize + 1,
                 v: w[0].1 as usize + 1,
             });
         }
-        for &(u, v, w) in &half_edges {
-            builder.add_edge(u, v, w);
-        }
+        Ok(builder.build())
     } else {
-        return Err(MetisError::EdgeCount {
+        Err(MetisError::EdgeCount {
             declared: m,
-            listed: half_edges.len(),
-        });
+            listed,
+        })
     }
-    let graph = builder.build();
-    if symmetric {
-        check_symmetric(&graph, &half_edges)?;
-    }
-    Ok(graph)
-}
-
-/// A symmetric file is what it claims iff every node's line lists exactly
-/// its row of the graph built from the lower-endpoint copies; otherwise the
-/// first entry where a line and its row part ways names the edge.
-fn check_symmetric(
-    graph: &CsrGraph,
-    half_edges: &[(NodeId, NodeId, u64)],
-) -> Result<(), MetisError> {
-    let mut line: Vec<(NodeId, u64)> = Vec::new();
-    let mut rest = half_edges;
-    for u in graph.nodes() {
-        let len = rest.iter().take_while(|e| e.0 == u).count();
-        line.clear();
-        line.extend(rest[..len].iter().map(|&(_, v, w)| (v, w)));
-        rest = &rest[len..];
-        line.sort_unstable();
-        let same = graph
-            .edges_of(u)
-            .zip(&line)
-            .take_while(|(a, b)| a == *b)
-            .count();
-        let listed = line.get(same).map(|e| e.0);
-        let built = graph.edges_of(u).nth(same).map(|e| e.0);
-        let Some(t) = listed.into_iter().chain(built).min() else {
-            continue;
-        };
-        return Err(MetisError::Asymmetric {
-            u: u.min(t) as usize + 1,
-            v: u.max(t) as usize + 1,
-        });
-    }
-    Ok(())
 }
 
 /// Which optional fields a METIS file carries — the writer-side mirror of the
@@ -871,6 +851,48 @@ mod tests {
     fn edge_listed_twice_from_each_endpoint_is_rejected() {
         let err = parse_metis("2 2\n2 2\n1 1\n").unwrap_err();
         assert_eq!(err, MetisError::Asymmetric { u: 1, v: 2 });
+    }
+
+    /// Two faults, `{1, 3}` (node 1 omits node 3) and `{2, 4}` (node 4
+    /// omits node 2). Node 2's line is what node 1's implies; node 3's line
+    /// lists node 1, which node 1's line does not: the first line that
+    /// departs is node 3's, at target 1 — the edge the reader named when it
+    /// rebuilt the graph from the lower-endpoint entries.
+    #[test]
+    fn first_departing_line_names_the_edge() {
+        let err = parse_metis("4 3\n2\n1 4\n1 4\n3\n").unwrap_err();
+        assert_eq!(err, MetisError::Asymmetric { u: 1, v: 3 });
+    }
+
+    #[test]
+    fn unsorted_lines_read_like_sorted_ones() {
+        // fmt 011: node weight, then (neighbour, edge weight) pairs; the
+        // same graph with every line in target order and shuffled.
+        let sorted = "4 4 011\n2 2 5 3 1\n1 1 5 3 2 4 1\n3 1 1 2 2\n5 2 1\n";
+        let shuffled = "4 4 011\n2 3 1 2 5\n1 4 1 1 5 3 2\n3 2 2 1 1\n5 2 1\n";
+        let g = parse_metis(sorted).unwrap();
+        assert_eq!(parse_metis(shuffled).unwrap(), g);
+        assert!(g.validate().is_ok());
+        assert_eq!(to_metis_string(&g), sorted);
+    }
+
+    #[test]
+    fn once_listed_weighted_edges_in_both_directions() {
+        // m = 4 entries: node 1 lists {1, 2}, node 3 lists {2, 3} and
+        // {3, 4}, node 4 lists {1, 4}; node 2 lists nothing but its weight.
+        let g = parse_metis("4 4 011\n1 2 4\n6\n1 2 7 4 1\n3 1 2\n").unwrap();
+        let mut b = GraphBuilder::with_node_weights(vec![1, 6, 1, 3]);
+        for (u, v, w) in [(0, 1, 4), (2, 1, 7), (2, 3, 1), (3, 0, 2)] {
+            b.add_edge(u, v, w);
+        }
+        assert_eq!(g, b.build());
+    }
+
+    #[test]
+    fn an_edge_count_past_half_the_address_space_is_an_error() {
+        let err = parse_metis("2 9223372036854775808\n2\n1\n").unwrap_err();
+        assert!(matches!(err, MetisError::EdgeCount { listed: 2, .. }));
+        assert!(err.to_string().contains("expected 18446744073709551615"));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod types;
 pub use access::GraphAccess;
 pub use boundary::{band_around_boundary, boundary_nodes, is_pair_boundary, pair_boundary_nodes};
 pub use boundary_index::BoundaryIndex;
-pub use builder::{graph_from_edges, GraphBuilder};
+pub use builder::{graph_from_edges, merge_row, GraphBuilder};
 pub use csr::{CsrGraph, CsrRows};
 pub use dynamic::DynamicGraph;
 pub use io::{

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use crate::csr::CsrGraph;
-use crate::types::NodeId;
+use crate::types::{EdgeWeight, NodeId};
 
 /// A subgraph induced by a node subset, plus the bookkeeping needed to map
 /// results back to the parent graph.
@@ -36,34 +36,33 @@ pub fn extract_subgraph(graph: &CsrGraph, nodes: &[NodeId]) -> ExtractedSubgraph
     let mut to_local: HashMap<NodeId, NodeId> = HashMap::with_capacity(nodes.len() * 2);
     let mut to_parent: Vec<NodeId> = Vec::with_capacity(nodes.len());
     for &v in nodes {
-        let local = to_parent.len() as NodeId;
-        if to_local.insert(v, local).is_none() {
+        // A repeat keeps its first local id.
+        let next = to_parent.len() as NodeId;
+        to_local.entry(v).or_insert_with(|| {
             to_parent.push(v);
-        }
+            next
+        });
     }
 
-    let mut builder = crate::builder::GraphBuilder::with_node_weights(
-        to_parent.iter().map(|&v| graph.node_weight(v)).collect(),
-    );
-    for (local_u, &parent_u) in to_parent.iter().enumerate() {
-        let local_u = local_u as NodeId;
-        for (parent_v, w) in graph.edges_of(parent_u) {
-            // Keep each edge once.
-            match to_local.get(&parent_v) {
-                Some(&local_v) if local_u < local_v => builder.add_edge(local_u, local_v, w),
-                _ => {}
-            }
-        }
+    // Each remapped row, sorted: the parent has no parallel edges to merge.
+    let mut rows = CsrGraph::rows(to_parent.len(), 0);
+    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+    for &parent_u in &to_parent {
+        row.clear();
+        row.extend(
+            graph
+                .edges_of(parent_u)
+                .filter_map(|(parent_v, w)| to_local.get(&parent_v).map(|&v| (v, w))),
+        );
+        row.sort_unstable_by_key(|&(t, _)| t);
+        rows.push_node(row.iter().copied());
     }
-    let mut graph_out = builder.build();
-    if let Some(coords) = graph.coords() {
-        graph_out.set_coords(Some(
-            to_parent.iter().map(|&v| coords[v as usize]).collect(),
-        ));
-    }
-
+    let vwgt = to_parent.iter().map(|&v| graph.node_weight(v)).collect();
+    let coords = graph
+        .coords()
+        .map(|coords| to_parent.iter().map(|&v| coords[v as usize]).collect());
     ExtractedSubgraph {
-        graph: graph_out,
+        graph: rows.finish(vwgt, coords),
         to_parent,
     }
 }
@@ -101,6 +100,41 @@ mod tests {
         let sub = extract_subgraph(&g, &[2, 3]);
         assert_eq!(sub.graph.coord(0), Some([2.0, 0.0]));
         assert_eq!(sub.graph.coord(1), Some([3.0, 0.0]));
+    }
+
+    #[test]
+    fn non_monotone_node_order_matches_a_builder_oracle() {
+        // A weighted 3x3 grid; the subset is listed out of id order, with a
+        // repeat.
+        let mut b = GraphBuilder::with_node_weights((1..=9).collect());
+        for (u, v, w) in [
+            (0, 1, 3),
+            (1, 2, 1),
+            (3, 4, 2),
+            (4, 5, 7),
+            (6, 7, 1),
+            (7, 8, 4),
+            (0, 3, 5),
+            (1, 4, 1),
+            (2, 5, 2),
+            (3, 6, 6),
+            (4, 7, 3),
+            (5, 8, 9),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let sub = extract_subgraph(&g, &[7, 2, 4, 1, 8, 4, 5]);
+        assert_eq!(sub.to_parent, vec![7, 2, 4, 1, 8, 5]);
+        let local = |p: NodeId| sub.to_parent.iter().position(|&x| x == p);
+        let weights = sub.to_parent.iter().map(|&v| g.node_weight(v)).collect();
+        let mut oracle = GraphBuilder::with_node_weights(weights);
+        for (u, v, w) in g.undirected_edges() {
+            if let (Some(lu), Some(lv)) = (local(u), local(v)) {
+                oracle.add_edge(lu as NodeId, lv as NodeId, w);
+            }
+        }
+        assert_eq!(sub.graph, oracle.build());
     }
 
     #[test]

@@ -38,7 +38,9 @@
 
 use std::fmt;
 
-use kappa_graph::{is_pair_boundary, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition};
+use kappa_graph::{
+    is_pair_boundary, merge_row, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition,
+};
 
 use crate::band::PairBand;
 use crate::fm::{two_way_fm_in, FmConfig, FmResult};
@@ -378,28 +380,18 @@ impl GatheredRegion {
 }
 
 /// Brings `rows[start..]`, the row of region node `u`, into CSR form:
-/// targets strictly ascending, parallel edges summed, self loops dropped.
+/// [`merge_row`], then the self loop a peer's shard may carry dropped.
 /// A row copied from a well-formed shard already is, so this is one scan.
 fn normalise_row(rows: &mut Vec<(NodeId, EdgeWeight)>, start: usize, u: NodeId) {
     let row = &mut rows[start..];
     if row.windows(2).all(|w| w[0].0 < w[1].0) && row.iter().all(|&(t, _)| t != u) {
         return;
     }
-    row.sort_unstable_by_key(|&(t, _)| t);
-    let mut kept = start;
-    for i in start..rows.len() {
-        let (t, w) = rows[i];
-        if t == u {
-            continue;
-        }
-        if kept > start && rows[kept - 1].0 == t {
-            rows[kept - 1].1 += w;
-        } else {
-            rows[kept] = (t, w);
-            kept += 1;
-        }
+    let len = merge_row(row);
+    rows.truncate(start + len);
+    if let Some(i) = rows[start..].iter().position(|&(t, _)| t == u) {
+        rows.remove(start + i);
     }
-    rows.truncate(kept);
 }
 
 /// Runs one banded 2-way FM search on a gathered region and returns the

@@ -210,9 +210,10 @@ fn dynamic_sessions_reproduce_the_golden_table() {
 }
 
 /// The Scotch-like baseline: recursive bisection, then the k-way balance
-/// repair — which every one of these four runs really performs
+/// repair — which every k = 4 and k = 8 run really performs
 /// (`scotch_like::tests::final_repair_fires_on_the_golden_instances` asserts
-/// that the bisection tree alone leaves them infeasible).
+/// that the bisection tree alone leaves them infeasible). The uneven splits
+/// of k = 3, 5 and 6 also run each bisection's proportion repair.
 #[test]
 fn scotch_like_reproduces_the_golden_table() {
     let instances = [
@@ -221,8 +222,8 @@ fn scotch_like_reproduces_the_golden_table() {
     ];
     let mut actual: Vec<(String, u64, u64)> = Vec::new();
     for (name, graph) in &instances {
-        for k in [4u32, 8] {
-            let partition = ScotchLike::default().partition(graph, k, 0.03, 1);
+        for k in [3u32, 4, 5, 6, 8] {
+            let partition = ScotchLike.partition(graph, k, 0.03, 1);
             assert!(partition.is_balanced(graph, 0.03), "{name}/k{k}");
             let hash = fnv1a64(partition.assignment());
             actual.push((format!("{name}/k{k}"), hash, partition.edge_cut(graph)));
@@ -253,14 +254,8 @@ fn metis_family_reproduces_the_golden_table() {
         ("rmat11", rmat_graph(11, 8, 23)),
     ];
     let tools: [(&str, &dyn BaselinePartitioner); 2] = [
-        ("kmetis", &MetisLike::default()),
-        (
-            "parmetis",
-            &ParMetisLike {
-                num_parts: 2,
-                ..Default::default()
-            },
-        ),
+        ("kmetis", &MetisLike),
+        ("parmetis", &ParMetisLike { num_parts: 2 }),
     ];
     let mut actual: Vec<(String, u64, u64)> = Vec::new();
     for (tool, partitioner) in tools {
@@ -311,10 +306,19 @@ const GOLDEN_METIS_FAMILY: &[(&str, u64, u64)] = &[
 /// `(instance/k, FNV-1a-64 of the assignment, edge cut)` at ε = 0.03, seed 1.
 /// Generated at the commit before the final repair moved from the full-scan
 /// rebalancer to `rebalance_state`.
+/// The uneven splits (k = 3, 5, 6), which run the bisection's proportion
+/// repair, were generated at the commit before that repair moved onto the
+/// bisection's `PartitionState`.
 const GOLDEN_SCOTCH_LIKE: &[(&str, u64, u64)] = &[
+    ("rgg12/k3", 0x5127af18dcbcc994, 248),
     ("rgg12/k4", 0x9b0c60a309b34cf7, 171),
+    ("rgg12/k5", 0x6bffbf152356ee62, 361),
+    ("rgg12/k6", 0x959847e5e2bfcd03, 325),
     ("rgg12/k8", 0xa6de2008938d7ff5, 282),
+    ("grid64/k3", 0x3ff7a4c4c7908684, 132),
     ("grid64/k4", 0xdfec1ad402c878d6, 193),
+    ("grid64/k5", 0xd4373b66a94bcbd5, 193),
+    ("grid64/k6", 0xf6adf8a6875d8751, 271),
     ("grid64/k8", 0x3b96132f08977433, 339),
 ];
 

@@ -191,4 +191,31 @@ proptest! {
         let back = parse_metis(&to_metis_string_fmt(&graph, minimal)).unwrap();
         prop_assert_eq!(back, graph);
     }
+
+    // The one row rule against the obvious oracle: a map from target to the
+    // sum of its weights, read back in key order. Few distinct targets force
+    // repeats; the row is tried both as generated and presorted.
+    #[test]
+    fn merge_row_sums_equal_targets_like_a_map(len in 0usize..40, seed in any::<u64>()) {
+        use std::collections::BTreeMap;
+        let mut state = seed | 1;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let row: Vec<(u32, u64)> = (0..len).map(|_| (next(12) as u32, 1 + next(49))).collect();
+        let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
+        for &(t, w) in &row {
+            *oracle.entry(t).or_default() += w;
+        }
+        let want: Vec<(u32, u64)> = oracle.into_iter().collect();
+        let mut sorted = row.clone();
+        sorted.sort_unstable();
+        for mut input in [row, sorted] {
+            let len = kappa::graph::merge_row(&mut input);
+            prop_assert_eq!(&input[..len], &want[..]);
+        }
+    }
 }
