@@ -18,7 +18,9 @@
 //! `u` has a neighbour owned by `r` — knowledge both sides share, because the
 //! edge is stored on both sides of the cut.
 
-use kappa_graph::{BlockAssignment, BlockId, CsrGraph, CsrRows, EdgeWeight, NodeId, NodeWeight};
+use kappa_graph::{
+    BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, CsrRows, EdgeWeight, NodeId, NodeWeight,
+};
 
 use crate::comm::{Comm, CommError, CommResult, Message};
 
@@ -393,21 +395,21 @@ impl DistGraph {
 }
 
 /// A `BlockAssignment` view over a local (owned + ghost) block vector, for
-/// running shared-memory kernels (boundary index, rebalance scoring) on a
-/// shard.
-pub struct LocalAssignment<'a> {
-    blocks: &'a [BlockId],
+/// running shared-memory kernels (boundary index, rebalance scoring, pair
+/// search through a `&mut` vector) on a shard.
+pub struct LocalAssignment<B> {
+    blocks: B,
     k: BlockId,
 }
 
-impl<'a> LocalAssignment<'a> {
+impl<B> LocalAssignment<B> {
     /// Wraps a local block vector.
-    pub fn new(blocks: &'a [BlockId], k: BlockId) -> Self {
+    pub fn new(blocks: B, k: BlockId) -> Self {
         LocalAssignment { blocks, k }
     }
 }
 
-impl BlockAssignment for LocalAssignment<'_> {
+impl<B: AsRef<[BlockId]>> BlockAssignment for LocalAssignment<B> {
     #[inline]
     fn k(&self) -> BlockId {
         self.k
@@ -415,7 +417,14 @@ impl BlockAssignment for LocalAssignment<'_> {
 
     #[inline]
     fn block_of(&self, v: NodeId) -> BlockId {
-        self.blocks[v as usize]
+        self.blocks.as_ref()[v as usize]
+    }
+}
+
+impl<B: AsRef<[BlockId]> + AsMut<[BlockId]>> BlockAssignmentMut for LocalAssignment<B> {
+    #[inline]
+    fn assign(&mut self, v: NodeId, b: BlockId) {
+        self.blocks.as_mut()[v as usize] = b;
     }
 }
 

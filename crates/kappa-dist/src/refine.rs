@@ -9,50 +9,43 @@
 //!    every rank) — no broadcast needed.
 //! 2. The pairs of one colour class are block-disjoint, so they refine
 //!    concurrently: pair `i` of a class is assigned to **home rank**
-//!    `i mod R`. One schedule, `refine_class`, serves every rank count; it
-//!    handles all active pairs of the class at once, in rounds. Per round the
-//!    seeds (pair-boundary candidates, maintained per rank exactly like the
-//!    shared `IndexSeeder`) are gathered to the homes, a level-synchronised
-//!    distributed BFS grows the depth-`d` bands, each rank ships its share of
-//!    every band to the pair's home (one flat [`BandShard`] per pair, filled
-//!    from the rank's dense `BandScratch`), the homes assemble their regions
-//!    from the shards and run the pooled FM of `kappa-refine` on them **in
-//!    parallel across ranks**, and the surviving moves are exchanged. The
-//!    **gathers per class** are the schedule's one degree of freedom: a real
-//!    cluster gathers once and pools all local iterations on the gathered
-//!    regions; one rank, where a gather crosses no wire, gathers once per
-//!    local iteration.
-//! 3. Every rank applies every announced move to its live view immediately
-//!    (the distributed analogue of the shared scheduler's atomic mirror);
-//!    the boundary-index shards, replicated weights and partial cuts are
-//!    caught up once per colour class by replaying the committed moves in
-//!    deterministic class order.
+//!    `i mod R`. At one rank every pair runs kappa-refine's own `search_pair`
+//!    on the live view. Across ranks the class is gathered once: the seeds
+//!    (pair-boundary candidates, kept per rank like the shared
+//!    `IndexSeeder`'s) go to the homes, a level-synchronised distributed BFS
+//!    grows the depth-`d` bands, each rank ships its share of every band to
+//!    the pair's home (one flat [`BandShard`] per pair, filled from its
+//!    dense `BandScratch`), the homes assemble their regions and pool all
+//!    local iterations of the FM search on them **in parallel across
+//!    ranks**, and the surviving moves are exchanged.
+//! 3. Every rank replays the class's moves through its state — live view,
+//!    boundary-index shard, replicated weights, partial cut — once per
+//!    class, in deterministic pair order.
 //!
-//! With a gather per local iteration, one rank runs the shared scheduler's
-//! exact sequence of pair searches — same quotient, same colouring, same
-//! seeds, same FM searches (via [`GatheredRegion`]'s bit-parity, each on a
-//! freshly gathered band of the live view) — which is the second half of the
-//! `--ranks 1` cut-parity argument. The distributed rebalancer picks the
-//! same moves as `rebalance_state` by construction: each rank scores its
-//! owned boundary candidates with the shared `best_move_of` and an
-//! allreduce-min selects the unique global minimum candidate tuple.
+//! One rank runs the shared scheduler's exact searches — same quotient,
+//! colouring, seeds and `search_pair` on an equal view — so `--ranks 1` is
+//! bit-identical to `--threads 1` by construction; that a gathered search
+//! equals the direct one is kappa-refine's `gathered_region_matches_direct_search`
+//! proptest. The distributed rebalancer picks `rebalance_state`'s moves by
+//! construction: each rank scores its owned boundary candidates with the
+//! shared `best_move_of` and an allreduce-min selects the unique global
+//! minimum candidate tuple.
 
 use std::collections::HashMap;
 
 use kappa_graph::{is_pair_boundary, BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
 use kappa_refine::{
-    best_move_of, color_quotient_edges, fallback_move_of, fallback_target, merge_sorted_dedup,
-    refine_gathered_band, BandShard, FmScratch, GatheredRegion, RefinementConfig, RefinementStats,
-    ShardError,
+    best_move_of, color_quotient_edges, fallback_move_of, fallback_target, refine_gathered_band,
+    search_pair, BandShard, FmScratch, GatheredRegion, IndexSeeder, RefinementConfig,
+    RefinementStats, ShardError,
 };
 
 use crate::comm::{allreduce_min_opt, Comm, CommError, CommResult};
 use crate::graph::{DistGraph, LocalAssignment};
 use crate::state::{DistState, MoveRec};
 
-/// One pair's report from its home rank for one gather: the pooled outcome
-/// of that round's FM passes. `done` says the pair's search has converged (no
-/// seeds, or a pass without moves or gain), so no later gather visits it.
+/// One pair's report from its home rank: the pooled outcome of its local
+/// iterations; `done` (converged before the passes ran out) is informational.
 #[derive(Clone, Debug)]
 struct PairReport {
     pair: usize,
@@ -70,25 +63,28 @@ crate::impl_wire_struct!(PairReport {
     moves,
 });
 
-/// Cluster-wide bookkeeping of one pair within a colour class; every rank
-/// tracks the replicated parts so no extra broadcasts are needed.
+/// One pair of a colour class at class start, as every rank sees it.
 struct PairRun {
     a: BlockId,
     b: BlockId,
     home: usize,
-    active: bool,
-    /// Block weights of the pair, tracked from class start + own moves
-    /// (replicated).
+    /// Block weights of the pair at class start (replicated).
     w_a: NodeWeight,
     w_b: NodeWeight,
     /// This rank's candidate superset of the pair boundary: owned local ids,
     /// ascending (the rank-local shard of the shared `IndexSeeder` candidate
     /// list).
     candidates: Vec<NodeId>,
-    /// All committed moves of the pair so far (replicated).
-    moves: Vec<MoveRec>,
-    gain: i64,
-    searches: usize,
+}
+
+/// One colour class and the coordinates its searches derive their FM
+/// configurations from.
+struct ClassCoords<'c> {
+    class: &'c [(BlockId, BlockId)],
+    global_iter: usize,
+    color_idx: usize,
+    config: &'c RefinementConfig,
+    l_max: NodeWeight,
 }
 
 /// Refines the distributed partition state on one level (collective call).
@@ -112,7 +108,9 @@ pub fn dist_refine<C: Comm>(
         stats.nodes_moved += dist_rebalance(comm, dg, st, l_max)?;
     }
 
-    let mut bands = BandScratch::new(dg.num_owned());
+    // One rank searches in place; only a gather needs band scratch.
+    let mut bands = (comm.num_ranks() > 1).then(|| BandScratch::new(dg.num_owned()));
+    let mut scratch = FmScratch::new();
     let mut no_change_streak = 0usize;
     for global_iter in 0..config.max_global_iterations {
         // Replicated quotient from the allgathered boundary-priced shares.
@@ -131,18 +129,15 @@ pub fn dist_refine<C: Comm>(
 
         for (color_idx, class) in coloring.classes().enumerate() {
             stats.pairs_considered += class.len();
-            iteration_gain += refine_class(
-                comm,
-                dg,
-                st,
+            let coords = ClassCoords {
                 class,
                 global_iter,
                 color_idx,
                 config,
                 l_max,
-                stats,
-                &mut bands,
-            )?;
+            };
+            iteration_gain +=
+                refine_class(comm, dg, st, &coords, stats, &mut scratch, bands.as_mut())?;
         }
 
         stats.global_iterations += 1;
@@ -164,24 +159,95 @@ pub fn dist_refine<C: Comm>(
 }
 
 /// Runs all pairs of one colour class to completion (their local iterations)
-/// and commits the surviving moves. Returns the class's total gain.
+/// and commits the surviving moves. Returns the class's total gain. `bands`
+/// is `None` exactly at one rank.
 ///
-/// The class is refined in `gathers` rounds of `passes` pooled FM passes
-/// each, `gathers · passes = local_iterations`. A round gathers every active
-/// pair's band to its home — seeds revalidated in the live view, a
-/// level-synchronised band BFS, one shard per rank and pair — lets the homes
-/// search their regions in parallel, and merges their reports into the
-/// replicated pair state. The number of gathers per class is the only thing
-/// that depends on the rank count:
-///
-/// * **one rank** gathers once per local iteration, so every search runs on
-///   a freshly gathered band of the live view — the shared scheduler's exact
-///   sequence, which is what makes `--ranks 1` bit-identical to
-///   `--threads 1`;
-/// * **real clusters** gather once and pool all local iterations on the home
-///   rank (follow-up passes re-seed from the region's own shifted boundary,
-///   clipped to the gathered band), so the class's whole move set crosses
-///   the wire in one exchange.
+/// * **One rank** runs each pair through kappa-refine's `search_pair` on the
+///   live view ([`search_in_place`]) — the shared scheduler's exact
+///   sequence, so `--ranks 1` is bit-identical to `--threads 1`.
+/// * **Across ranks** the class is gathered once ([`gather_and_search`]) and
+///   its whole move set crosses the wire in one exchange.
+fn refine_class<C: Comm>(
+    comm: &mut C,
+    dg: &DistGraph,
+    st: &mut DistState,
+    coords: &ClassCoords,
+    stats: &mut RefinementStats,
+    scratch: &mut FmScratch,
+    bands: Option<&mut BandScratch>,
+) -> CommResult<i64> {
+    let pairs = PairRun::start_class(dg, st, coords.class, comm.num_ranks());
+    let reports = match bands {
+        None => search_in_place(dg, st, pairs, coords, scratch),
+        Some(bands) => gather_and_search(comm, dg, st, &pairs, coords, scratch, bands)?,
+    };
+
+    // Class commit: replay every pair's moves through the state, in pair
+    // order.
+    let mut class_gain = 0i64;
+    for report in reports {
+        stats.pair_searches += report.searches as usize;
+        stats.nodes_moved += report.moves.len();
+        class_gain += report.gain;
+        for rec in report.moves {
+            st.apply_committed(dg, rec);
+        }
+    }
+    Ok(class_gain)
+}
+
+/// One rank: every pair of the class runs the shared `search_pair` on the
+/// live view — which its moves update as they are made, while the index
+/// stays at class start — seeded from the pair's index candidates.
+fn search_in_place(
+    dg: &DistGraph,
+    st: &mut DistState,
+    pairs: Vec<PairRun>,
+    coords: &ClassCoords,
+    scratch: &mut FmScratch,
+) -> Vec<PairReport> {
+    let graph = dg.local();
+    let mut reports = Vec::with_capacity(pairs.len());
+    for (pi, pair) in pairs.into_iter().enumerate() {
+        let (a, b) = (pair.a, pair.b);
+        let mut seeder = IndexSeeder::with_candidates(graph, a, b, pair.candidates);
+        let delta = search_pair(
+            graph,
+            &mut st.live_view(),
+            &mut seeder,
+            scratch,
+            a,
+            b,
+            pair.w_a,
+            pair.w_b,
+            coords.l_max,
+            coords.config,
+            coords.global_iter,
+            coords.color_idx,
+        );
+        let record = |(l, to): (NodeId, BlockId)| MoveRec {
+            gid: dg.global_of(l),
+            from: if to == a { b } else { a },
+            to,
+            weight: graph.node_weight(l),
+        };
+        reports.push(PairReport {
+            pair: pi,
+            searches: delta.searches as u64,
+            done: true, // never sent: one rank reports only to itself
+            gain: delta.gain,
+            moves: delta.moves.into_iter().map(record).collect(),
+        });
+    }
+    reports
+}
+
+/// Across ranks: gathers every pair's band to its home — seeds revalidated
+/// in the live view, a level-synchronised band BFS, one shard per rank and
+/// pair — runs this rank's home searches, each pooling all local iterations
+/// on its gathered region (follow-up passes re-seed from the region's own
+/// shifted boundary, clipped to the gathered band), and exchanges the
+/// reports. Returns every report of the class, in pair order.
 ///
 /// Message frugality and overlap:
 /// * the band BFS costs one allgather per hop — `2(R-1)` frames rather than
@@ -193,245 +259,201 @@ pub fn dist_refine<C: Comm>(
 ///   done, so the transfer overlaps the slower homes' compute, and
 ///   completion drains arrivals in whatever order they land — the merge
 ///   re-sorts by pair, so arrival order never touches the result.
-#[allow(clippy::too_many_arguments)]
-fn refine_class<C: Comm>(
+fn gather_and_search<C: Comm>(
     comm: &mut C,
     dg: &DistGraph,
-    st: &mut DistState,
-    class: &[(BlockId, BlockId)],
-    global_iter: usize,
-    color_idx: usize,
-    config: &RefinementConfig,
-    l_max: NodeWeight,
-    stats: &mut RefinementStats,
+    st: &DistState,
+    pairs: &[PairRun],
+    coords: &ClassCoords,
+    scratch: &mut FmScratch,
     bands: &mut BandScratch,
-) -> CommResult<i64> {
-    let me = comm.rank();
-    let ranks = comm.num_ranks();
-    let mut pairs = PairRun::start_class(dg, st, class, ranks);
-    // At one rank a re-gather crosses no wire, so every local iteration gets
-    // its own; across ranks a gather is the expensive part, so one serves all.
-    let (gathers, passes) = if ranks == 1 {
-        (config.local_iterations, 1)
-    } else {
-        (1, config.local_iterations)
-    };
+) -> CommResult<Vec<PairReport>> {
+    let (me, ranks) = (comm.rank(), comm.num_ranks());
+    let config = coords.config;
+    // Seeds: revalidated in the live view; the per-home parts ride to the
+    // homes together with the band shards below.
+    let (mut frontier, mut seed_parts) = live_seeds(dg, st, pairs, ranks, bands);
 
-    let mut scratch = FmScratch::new();
-    for round in 0..gathers {
-        if pairs.iter().all(|p| !p.active) {
+    // Level-synchronised distributed band BFS — the one part of the schedule
+    // that is inherently round-by-round (hop h+1 needs hop h's expansions).
+    for _hop in 0..config.bfs_depth {
+        let mut next: Vec<(usize, NodeId)> = Vec::new();
+        let mut crossings: Vec<(u32, NodeId)> = Vec::new();
+        for &(pi, l) in &frontier {
+            let (a, b) = (pairs[pi].a, pairs[pi].b);
+            for (t, _) in dg.local().edges_of(l) {
+                let bt = st.block_of_local(t);
+                if bt != a && bt != b {
+                    continue;
+                }
+                if dg.is_owned_local(t) {
+                    if bands.insert(pi, t) {
+                        next.push((pi, t));
+                    }
+                } else {
+                    crossings.push((pi as u32, dg.global_of(t)));
+                }
+            }
+        }
+        // Every rank sees every crossing and keeps the ones it owns, in rank
+        // order; the piggybacked frontier flag lets all ranks agree the band
+        // is exhausted and skip the remaining hops.
+        let all = comm.allgather((frontier.is_empty(), crossings))?;
+        if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
             break;
         }
-        // Seeds: revalidated in the live view; the per-home parts ride to
-        // the homes together with the band shards below.
-        let (mut frontier, mut seed_parts) = live_seeds(dg, st, &pairs, ranks, bands);
-
-        // Level-synchronised distributed band BFS — the one part of the
-        // schedule that is inherently round-by-round (hop h+1 needs hop h's
-        // expansions).
-        for _hop in 0..config.bfs_depth {
-            let mut next: Vec<(usize, NodeId)> = Vec::new();
-            let mut crossings: Vec<(u32, NodeId)> = Vec::new();
-            for &(pi, l) in &frontier {
+        for (_, part) in all {
+            for (pi, gid) in part {
+                let Some(l) = dg.local_of(gid) else {
+                    continue; // another owner's crossing; it keeps it
+                };
+                if !dg.is_owned_local(l) {
+                    continue;
+                }
+                let pi = pi as usize;
                 let (a, b) = (pairs[pi].a, pairs[pi].b);
-                for (t, _) in dg.local().edges_of(l) {
-                    let bt = st.block_of_local(t);
-                    if bt != a && bt != b {
-                        continue;
-                    }
-                    if dg.is_owned_local(t) {
-                        if bands.insert(pi, t) {
-                            next.push((pi, t));
-                        }
-                    } else {
-                        crossings.push((pi as u32, dg.global_of(t)));
-                    }
+                let bl = st.block_of_local(l);
+                if (bl == a || bl == b) && bands.insert(pi, l) {
+                    next.push((pi, l));
                 }
             }
-            // Every rank sees every crossing and keeps the ones it owns, in
-            // rank order; the piggybacked frontier flag lets all ranks agree
-            // the band is exhausted and skip the remaining hops.
-            let all = comm.allgather((frontier.is_empty(), crossings))?;
-            if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
-                break;
-            }
-            for (_, part) in all {
-                for (pi, gid) in part {
-                    let Some(l) = dg.local_of(gid) else {
-                        continue; // another owner's crossing; it keeps it
-                    };
-                    if !dg.is_owned_local(l) {
-                        continue;
-                    }
-                    let pi = pi as usize;
-                    let (a, b) = (pairs[pi].a, pairs[pi].b);
-                    let bl = st.block_of_local(l);
-                    if (bl == a || bl == b) && bands.insert(pi, l) {
-                        next.push((pi, l));
-                    }
-                }
-            }
-            frontier = next;
         }
+        frontier = next;
+    }
 
-        // Band shards, shipped with the seeds: one coalesced frame per peer.
-        let mut band_parts = band_shards(dg, st, &pairs, bands, ranks);
-        comm.coalesce(|c| {
-            for dst in 0..ranks {
-                if dst != me {
-                    c.isend(dst, "band-seeds", std::mem::take(&mut seed_parts[dst]))?;
-                    c.isend(dst, "band-recs", std::mem::take(&mut band_parts[dst]))?;
-                }
+    // Band shards, shipped with the seeds: one coalesced frame per peer.
+    let mut band_parts = band_shards(dg, st, pairs, bands, ranks);
+    comm.coalesce(|c| {
+        for dst in 0..ranks {
+            if dst != me {
+                c.isend(dst, "band-seeds", std::mem::take(&mut seed_parts[dst]))?;
+                c.isend(dst, "band-recs", std::mem::take(&mut band_parts[dst]))?;
             }
-            Ok(())
-        })?;
-        // Rank-order receipt keeps per-pair seed concatenation globally
-        // ascending (rank segments ascend and ownership ranges are ordered).
-        // `pi` is a dense index into `pairs`, so plain Vecs — not hash maps —
-        // carry the per-pair state in deterministic order.
-        let mut seeds_of: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
-        let mut gathered = GatheredBands::new(pairs.len());
-        for src in 0..ranks {
-            let (seed_part, band_part) = if src == me {
-                (
-                    std::mem::take(&mut seed_parts[me]),
-                    std::mem::take(&mut band_parts[me]),
-                )
-            } else {
-                (
-                    comm.recv::<Vec<(u32, NodeId)>>(src, "band-seeds")?,
-                    comm.recv::<Vec<(u32, BandShard)>>(src, "band-recs")?,
-                )
-            };
-            for (pi, gid) in seed_part {
-                seeds_of[pi as usize].push(gid);
-            }
-            gathered.receive(me, src, band_part)?;
         }
+        Ok(())
+    })?;
+    // Rank-order receipt keeps per-pair seed concatenation globally
+    // ascending (rank segments ascend and ownership ranges are ordered).
+    // `pi` is a dense index into `pairs`, so plain Vecs — not hash maps —
+    // carry the per-pair state in deterministic order.
+    let mut seeds_of: Vec<Vec<NodeId>> = vec![Vec::new(); pairs.len()];
+    let mut gathered = GatheredBands::new(pairs.len());
+    for src in 0..ranks {
+        let (seed_part, band_part) = if src == me {
+            (
+                std::mem::take(&mut seed_parts[me]),
+                std::mem::take(&mut band_parts[me]),
+            )
+        } else {
+            (
+                comm.recv::<Vec<(u32, NodeId)>>(src, "band-seeds")?,
+                comm.recv::<Vec<(u32, BandShard)>>(src, "band-recs")?,
+            )
+        };
+        for (pi, gid) in seed_part {
+            seeds_of[pi as usize].push(gid);
+        }
+        gathered.receive(me, src, band_part)?;
+    }
 
-        // Home FM: this round's passes pooled on the gathered region.
-        let mut my_reports: Vec<PairReport> = Vec::new();
-        for (pi, pair) in pairs.iter().enumerate() {
-            if !pair.active || pair.home != me {
-                continue;
-            }
-            let mut seeds = std::mem::take(&mut seeds_of[pi]);
-            let mut report = PairReport {
-                pair: pi,
-                searches: 0,
-                done: seeds.is_empty(),
-                gain: 0,
-                moves: Vec::new(),
-            };
-            if !report.done {
-                let mut region = gathered.assemble(me, st.k(), pi)?;
-                let blame = |e: ShardError| gathered.blame(me, pi, e);
-                let (mut w_a, mut w_b) = (pair.w_a, pair.w_b);
-                for pass in 0..passes {
-                    // The first pass is the exact gathered-band search.
-                    // Follow-up passes re-seed from the shifted boundary and
-                    // clip the band BFS to the gathered band (the frozen
-                    // ring was never shipped for moving).
-                    let follow_up = pass > 0;
-                    if follow_up {
-                        seeds = region.boundary_seeds(pair.a, pair.b);
-                        if seeds.is_empty() {
-                            report.done = true;
-                            break;
-                        }
-                    }
-                    let local_iter = round * passes + pass;
-                    let fm_config =
-                        config.fm_config(l_max, global_iter, color_idx, local_iter, pair.a, pair.b);
-                    let result = refine_gathered_band(
-                        &mut region,
-                        pair.a,
-                        pair.b,
-                        &seeds,
-                        config.bfs_depth,
-                        w_a,
-                        w_b,
-                        &fm_config,
-                        &mut scratch,
-                        follow_up,
-                    )
-                    .map_err(blame)?;
-                    report.searches += 1;
-                    report.gain += result.gain;
-                    report.done = result.moves.is_empty() || result.gain == 0;
-                    for rec in pair.move_recs(&region, &result.moves).map_err(blame)? {
-                        shift_weight(&rec, pair.a, &mut w_a, &mut w_b);
-                        report.moves.push(rec);
-                    }
-                    if report.done {
+    // Home FM: all local iterations pooled on the gathered region.
+    let mut my_reports: Vec<PairReport> = Vec::new();
+    for (pi, pair) in pairs.iter().enumerate() {
+        if pair.home != me {
+            continue;
+        }
+        let mut seeds = std::mem::take(&mut seeds_of[pi]);
+        let mut report = PairReport {
+            pair: pi,
+            searches: 0,
+            done: seeds.is_empty(),
+            gain: 0,
+            moves: Vec::new(),
+        };
+        if !report.done {
+            let mut region = gathered.assemble(me, st.k(), pi)?;
+            let blame = |e: ShardError| gathered.blame(me, pi, e);
+            let (mut w_a, mut w_b) = (pair.w_a, pair.w_b);
+            for local_iter in 0..config.local_iterations {
+                // The first pass is the exact gathered-band search. Follow-up
+                // passes re-seed from the shifted boundary and clip the band
+                // BFS to the gathered band (the frozen ring was never shipped
+                // for moving).
+                let follow_up = local_iter > 0;
+                if follow_up {
+                    seeds = region.boundary_seeds(pair.a, pair.b);
+                    if seeds.is_empty() {
+                        report.done = true;
                         break;
                     }
                 }
-            }
-            my_reports.push(report);
-        }
-
-        // Batched move broadcast, split-phase: post now, complete in arrival
-        // order.
-        for dst in 0..ranks {
-            if dst != me {
-                comm.isend(dst, "class-reports", my_reports.clone())?;
-            }
-        }
-        let mut slots: Vec<Vec<PairReport>> = vec![Vec::new(); ranks];
-        slots[me] = my_reports;
-        let mut pending: Vec<usize> = (0..ranks).filter(|&s| s != me).collect();
-        while !pending.is_empty() {
-            let mut still = Vec::with_capacity(pending.len());
-            let mut progressed = false;
-            for src in pending {
-                match comm.try_recv::<Vec<PairReport>>(src, "class-reports")? {
-                    Some(part) => {
-                        slots[src] = part;
-                        progressed = true;
-                    }
-                    None => still.push(src),
+                let fm_config = config.fm_config(
+                    coords.l_max,
+                    coords.global_iter,
+                    coords.color_idx,
+                    local_iter,
+                    pair.a,
+                    pair.b,
+                );
+                let result = refine_gathered_band(
+                    &mut region,
+                    pair.a,
+                    pair.b,
+                    &seeds,
+                    config.bfs_depth,
+                    w_a,
+                    w_b,
+                    &fm_config,
+                    scratch,
+                    follow_up,
+                )
+                .map_err(blame)?;
+                report.searches += 1;
+                report.gain += result.gain;
+                report.done = result.moves.is_empty() || result.gain == 0;
+                for rec in pair.move_recs(&region, &result.moves).map_err(blame)? {
+                    shift_weight(&rec, pair.a, &mut w_a, &mut w_b);
+                    report.moves.push(rec);
+                }
+                if report.done {
+                    break;
                 }
             }
-            pending = still;
-            if !progressed && !pending.is_empty() {
-                // Nothing in flight has landed: block on the lowest pending
-                // rank instead of spinning.
-                let src = pending.remove(0);
-                slots[src] = comm.recv(src, "class-reports")?;
-            }
         }
-
-        // Every rank updates the replicated pair state from the merged
-        // reports, in pair order: the live view (the distributed
-        // shared-mirror write), the pair's weights, and the candidates the
-        // next gather revalidates (mirroring `IndexSeeder::observe_moves`).
-        for report in merge_reports(me, &pairs, slots)? {
-            let pair = &mut pairs[report.pair];
-            pair.searches += report.searches as usize;
-            pair.gain += report.gain;
-            for rec in &report.moves {
-                st.observe_move(dg, rec.gid, rec.to);
-                shift_weight(rec, pair.a, &mut pair.w_a, &mut pair.w_b);
-            }
-            extend_candidates(dg, &mut pair.candidates, &report.moves);
-            pair.moves.extend(report.moves);
-            pair.active = !report.done;
-        }
+        my_reports.push(report);
     }
 
-    // Class commit: replay every pair's moves through the state, in pair
-    // order, after every move of the class has been observed.
-    let mut class_gain = 0i64;
-    for pair in &pairs {
-        stats.pair_searches += pair.searches;
-        stats.nodes_moved += pair.moves.len();
-        class_gain += pair.gain;
-        for &rec in &pair.moves {
-            st.apply_committed(dg, rec);
+    // Batched move broadcast, split-phase: post now, complete in arrival
+    // order.
+    for dst in 0..ranks {
+        if dst != me {
+            comm.isend(dst, "class-reports", my_reports.clone())?;
         }
     }
-    Ok(class_gain)
+    let mut slots: Vec<Vec<PairReport>> = vec![Vec::new(); ranks];
+    slots[me] = my_reports;
+    let mut pending: Vec<usize> = (0..ranks).filter(|&s| s != me).collect();
+    while !pending.is_empty() {
+        let mut still = Vec::with_capacity(pending.len());
+        let mut progressed = false;
+        for src in pending {
+            match comm.try_recv::<Vec<PairReport>>(src, "class-reports")? {
+                Some(part) => {
+                    slots[src] = part;
+                    progressed = true;
+                }
+                None => still.push(src),
+            }
+        }
+        pending = still;
+        if !progressed && !pending.is_empty() {
+            // Nothing in flight has landed: block on the lowest pending rank
+            // instead of spinning.
+            let src = pending.remove(0);
+            slots[src] = comm.recv(src, "class-reports")?;
+        }
+    }
+    merge_reports(me, pairs, slots)
 }
 
 /// The class's reports in pair order, each checked against the rank it came
@@ -509,7 +531,6 @@ impl PairRun {
                 a,
                 b,
                 home: i % ranks,
-                active: true,
                 w_a: st.weights().weight(a),
                 w_b: st.weights().weight(b),
                 candidates: st
@@ -518,9 +539,6 @@ impl PairRun {
                     .into_iter()
                     .filter(|&l| (l as usize) < ln)
                     .collect(),
-                moves: Vec::new(),
-                gain: 0,
-                searches: 0,
             })
             .collect()
     }
@@ -530,8 +548,9 @@ impl PairRun {
 ///
 /// The pairs of a class are block-disjoint, so a node is in at most one of
 /// their bands and one dense array serves the whole class; it is allocated
-/// once per level and handed from class to class, because
-/// [`band_shards`] clears exactly the entries the class set.
+/// once per level (across ranks only — one rank searches in place) and
+/// handed from class to class, because [`band_shards`] clears exactly the
+/// entries the class set.
 struct BandScratch {
     /// The pair whose band holds owned local node `l`, or `NO_PAIR`.
     pair_of: Vec<u32>,
@@ -560,7 +579,7 @@ impl BandScratch {
     }
 }
 
-/// Revalidates every active pair's candidates in the live view: a candidate
+/// Revalidates every pair's candidates in the live view: a candidate
 /// is a seed iff it is pair-boundary now (the same revalidation as
 /// `IndexSeeder::seeds`). Starts the band BFS — `bands` and the returned
 /// `(pair, owned local)` frontier hold exactly the seeds — and returns, per
@@ -578,9 +597,6 @@ fn live_seeds(
     let mut seed_parts: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); ranks];
     let view = LocalAssignment::new(st.view(), st.k());
     for (pi, pair) in pairs.iter().enumerate() {
-        if !pair.active {
-            continue;
-        }
         for &l in &pair.candidates {
             if is_pair_boundary(dg.local(), &view, l, pair.a, pair.b) {
                 seed_parts[pair.home].push((pi as u32, dg.global_of(l)));
@@ -676,27 +692,6 @@ impl GatheredBands {
         };
         CommError::protocol(me, sender.unwrap_or(me), "band-recs", detail)
     }
-}
-
-/// Adds the moved nodes and their neighbours (the rank-owned ones) to the
-/// candidate list, keeping it sorted and deduplicated — the rank-local shard
-/// of `IndexSeeder::observe_moves`.
-fn extend_candidates(dg: &DistGraph, candidates: &mut Vec<NodeId>, moves: &[MoveRec]) {
-    if moves.is_empty() {
-        return;
-    }
-    let mut extra: Vec<NodeId> = Vec::new();
-    for rec in moves {
-        // A node not on this rank has no neighbour owned here.
-        let Some(l) = dg.local_of(rec.gid) else {
-            continue;
-        };
-        let near = std::iter::once(l).chain(dg.local().neighbors(l).iter().copied());
-        extra.extend(near.filter(|&t| dg.is_owned_local(t)));
-    }
-    extra.sort_unstable();
-    extra.dedup();
-    *candidates = merge_sorted_dedup(candidates, &extra);
 }
 
 /// Candidate tuple of the distributed rebalancer; ordered by
@@ -808,8 +803,8 @@ mod tests {
         DistState::build(dg, view, partition.k(), weights)
     }
 
-    /// A class leaves no trace in the scratch — however many gathers it
-    /// took, at any rank count — so the next class's bands start from nothing.
+    /// A class leaves no trace in the scratch at any rank count, so the next
+    /// class's bands start from nothing; one rank has no band scratch at all.
     #[test]
     fn band_scratch_is_clean_after_a_class() {
         let g = grid2d(16, 16);
@@ -822,15 +817,31 @@ mod tests {
             let searches = LocalCluster::new(ranks).run(|comm| {
                 let dg = DistGraph::from_global(&g, ranks, comm.rank());
                 let mut st = shard(&dg, &partition, &g);
-                let mut bands = BandScratch::new(dg.num_owned());
+                let mut bands = (ranks > 1).then(|| BandScratch::new(dg.num_owned()));
+                let mut scratch = FmScratch::new();
                 let mut stats = RefinementStats::default();
                 for class in [[(0, 1), (2, 3)], [(1, 2), (0, 3)]] {
+                    let coords = ClassCoords {
+                        class: &class,
+                        global_iter: 0,
+                        color_idx: 0,
+                        config: &config,
+                        l_max,
+                    };
                     refine_class(
-                        comm, &dg, &mut st, &class, 0, 0, &config, l_max, &mut stats, &mut bands,
+                        comm,
+                        &dg,
+                        &mut st,
+                        &coords,
+                        &mut stats,
+                        &mut scratch,
+                        bands.as_mut(),
                     )
                     .unwrap();
-                    assert!(bands.pair_of.iter().all(|&p| p == NO_PAIR), "stale pair_of");
-                    assert!(bands.members.iter().all(Vec::is_empty), "stale members");
+                    if let Some(bands) = &bands {
+                        assert!(bands.pair_of.iter().all(|&p| p == NO_PAIR), "stale pair_of");
+                        assert!(bands.members.iter().all(Vec::is_empty), "stale members");
+                    }
                 }
                 st.verify_exact(comm, &dg).unwrap();
                 stats.pair_searches

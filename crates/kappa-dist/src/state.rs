@@ -5,8 +5,8 @@
 //! sharded by the owner-computes rule —
 //!
 //! * the **live local assignment** (`view`): block of every owned and ghost
-//!   node. Updated immediately whenever a move is broadcast, so band seeding
-//!   and BFS always see the cluster-wide current assignment (the distributed
+//!   node. One rank's pair search writes it as it moves nodes, and every
+//!   rank's class replay writes every committed move (the distributed
 //!   analogue of the shared scheduler's `SharedAssignment` atomic mirror);
 //! * a **boundary-index shard**: a [`BoundaryIndex`] over the local
 //!   (owned + ghost) graph. Ghost rows carry only their owned-side edges, so
@@ -167,14 +167,20 @@ impl DistState {
         self.weights.as_slice().iter().all(|&w| w <= l_max)
     }
 
-    /// Records a broadcast move in the live view only (no index / weight /
-    /// cut update) — the mid-class path: every rank calls this for every
-    /// move the moment it is announced, so seeds and bands always read the
-    /// current assignment, while the index stays at class-start.
+    /// Records a move in the live view only (no index / weight / cut
+    /// update) — the mid-class path: seeds and bands read the current
+    /// assignment while the index stays at class start.
     pub fn observe_move(&mut self, dg: &DistGraph, gid: NodeId, to: BlockId) {
         if let Some(l) = dg.local_of(gid) {
             self.view[l as usize] = to;
         }
+    }
+
+    /// The live view by local id, writable with
+    /// [`observe_move`](Self::observe_move)'s mid-class meaning: the view
+    /// changes, the index stays at class start.
+    pub(crate) fn live_view(&mut self) -> LocalAssignment<&mut [BlockId]> {
+        LocalAssignment::new(&mut self.view, self.k)
     }
 
     /// Applies a committed move to the derived state: boundary-index shard

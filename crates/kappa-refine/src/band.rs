@@ -258,13 +258,9 @@ impl<'a, G: GraphAccess> IndexSeeder<'a, G> {
 
     /// A seeder whose candidate list starts as `candidates` (ascending,
     /// duplicate-free) instead of the index's pair boundary — the localized
-    /// refiner starts from its touched region.
-    pub(crate) fn with_candidates(
-        graph: &'a G,
-        a: BlockId,
-        b: BlockId,
-        candidates: Vec<NodeId>,
-    ) -> Self {
+    /// refiner starts from its touched region, a distributed rank from its
+    /// shard of the index.
+    pub fn with_candidates(graph: &'a G, a: BlockId, b: BlockId, candidates: Vec<NodeId>) -> Self {
         IndexSeeder {
             graph,
             a,

@@ -9,7 +9,8 @@
 //! ([`GatheredRegion::assemble`]), re-runs the band BFS on it (to recover the
 //! *exact* traversal order of the shared-memory scheduler) and performs the
 //! pooled 2-way FM search. Surviving moves come back keyed by **global** node
-//! id, ready to broadcast.
+//! id, ready to broadcast. (One rank never gathers: it runs the shared
+//! [`search_pair`](crate::search_pair) on its live view.)
 //!
 //! A shard is a CSR slice in struct-of-arrays form — eight allocations
 //! however large the band, eight length-prefixed arrays on the wire — and
@@ -34,7 +35,10 @@
 //!   boundary flag, from that node's region row — which holds all of the
 //!   node's `a ∪ b` edges, the only ones either number depends on. Order,
 //!   gains and flags being equal, so is the whole FM trajectory.
-//!   `gathered_region_matches_direct_search` below proves it.
+//!
+//! The `gathered_region_matches_direct_search` proptest below proves it for
+//! random graphs, partitions, pairs, depths and sender splits — the proof a
+//! multi-rank search rests on, since `--ranks 1` never gathers.
 
 use std::fmt;
 
@@ -730,67 +734,115 @@ mod tests {
         assert!(e.reason.contains("band BFS node 20"), "{e}");
     }
 
-    /// The gathered-region search must reproduce the direct full-graph search
-    /// bit for bit: same moves (same order), same gain.
+    /// Searches pair `(a, b)` of `partition` at `depth` once on the whole
+    /// graph and once on the region assembled from `shards` (the pair's
+    /// band, dealt over any number of senders), and asserts the two searches
+    /// are one: same moves in the same order, same gain, same attempts.
+    fn assert_gathered_search_is_direct(
+        graph: &CsrGraph,
+        partition: &Partition,
+        (a, b): (BlockId, BlockId),
+        depth: usize,
+        shards: &[BandShard],
+    ) {
+        let seeds = pair_boundary_nodes(graph, partition, a, b);
+        if seeds.is_empty() {
+            return;
+        }
+        let k = partition.k();
+        let weights = BlockWeights::compute(graph, partition);
+        let fm_config = FmConfig {
+            l_max: Partition::l_max(graph, k, 0.03),
+            patience_alpha: 0.2,
+            seed: 0x5EED ^ ((a as u64) << 8 | b as u64),
+            ..Default::default()
+        };
+        let mut direct_partition = partition.clone();
+        let mut scratch = FmScratch::new();
+        let band = PairBand::around(graph, partition, &seeds, (a, b), depth, &mut scratch);
+        let band_len = band.len();
+        let (w_a, w_b) = (weights.weight(a), weights.weight(b));
+        let direct = two_way_fm_in(
+            graph,
+            &mut direct_partition,
+            a,
+            b,
+            band,
+            w_a,
+            w_b,
+            &fm_config,
+            &mut scratch,
+        );
+        let mut region = GatheredRegion::assemble(k, shards).unwrap();
+        assert_eq!(
+            region.band_membership.iter().filter(|&&b| b).count(),
+            band_len
+        );
+        let gathered = refine_gathered_band(
+            &mut region,
+            a,
+            b,
+            &seeds,
+            depth,
+            w_a,
+            w_b,
+            &fm_config,
+            &mut FmScratch::new(),
+            false,
+        )
+        .unwrap();
+        assert_eq!(gathered.moves, direct.moves, "pair ({a},{b}) depth {depth}");
+        assert_eq!(gathered.gain, direct.gain);
+        assert_eq!(gathered.attempted_moves, direct.attempted_moves);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The search on a gathered band is the direct full-graph search bit
+        /// for bit, for any weighted graph, partition, pair and depth, with
+        /// the band dealt over up to four senders at random — what a home
+        /// rank's search rests on at `R > 1` (one rank searches its live
+        /// view directly and never gathers).
+        #[test]
+        fn gathered_region_matches_direct_search(
+            n in 20usize..160,
+            seed in any::<u64>(),
+            k in 2u32..6,
+            senders in 1usize..5,
+        ) {
+            let mut next = crate::arbitrary_graph::xorshift(seed);
+            let mut builder =
+                GraphBuilder::with_node_weights((0..n).map(|_| 1 + next() % 9).collect());
+            for _ in 0..3 * n {
+                let (u, v) = ((next() % n as u64) as NodeId, (next() % n as u64) as NodeId);
+                builder.add_edge(u, v, 1 + next() % 20);
+            }
+            let graph = builder.build();
+            let partition =
+                Partition::from_assignment(k, (0..n).map(|_| (next() % k as u64) as u32).collect());
+            let a = (next() % k as u64) as u32;
+            let b = (a + 1 + (next() % (k as u64 - 1)) as u32) % k;
+            for depth in [1usize, 3, 8] {
+                let whole = extract_shard(&graph, &partition, a, b, depth);
+                let mut shards = vec![BandShard::with_capacity(0, 0); senders];
+                for i in 0..whole.gids.len() {
+                    append_row(&mut shards[(next() % senders as u64) as usize], &whole, i);
+                }
+                assert_gathered_search_is_direct(&graph, &partition, (a, b), depth, &shards);
+            }
+        }
+    }
+
+    /// The same on grown (not random) partitions of a grid and an rgg.
     #[test]
-    fn gathered_region_matches_direct_search() {
+    fn gathered_region_matches_direct_search_on_grown_partitions() {
         for (graph, k) in [(grid2d(20, 20), 4u32), (random_geometric_graph(3000, 7), 6)] {
             let partition = greedy_graph_growing(&graph, k, 0.03, 3);
-            let weights = BlockWeights::compute(&graph, &partition);
-            let l_max = Partition::l_max(&graph, k, 0.03);
-            for (&a, &b) in [(0u32, 1u32), (1, 2), (0, 3)].iter().map(|(a, b)| (a, b)) {
+            for (a, b) in [(0u32, 1u32), (1, 2), (0, 3)] {
                 for depth in [1usize, 3, 8] {
-                    let seeds = pair_boundary_nodes(&graph, &partition, a, b);
-                    if seeds.is_empty() {
-                        continue;
-                    }
-                    let fm_config = FmConfig {
-                        l_max,
-                        patience_alpha: 0.2,
-                        seed: 0x5EED ^ ((a as u64) << 8 | b as u64),
-                        ..Default::default()
-                    };
-                    // Direct search on the full graph.
-                    let mut direct_partition = partition.clone();
-                    let mut scratch = FmScratch::new();
-                    let band =
-                        PairBand::around(&graph, &partition, &seeds, (a, b), depth, &mut scratch);
-                    let band_len = band.len();
-                    let direct = two_way_fm_in(
-                        &graph,
-                        &mut direct_partition,
-                        a,
-                        b,
-                        band,
-                        weights.weight(a),
-                        weights.weight(b),
-                        &fm_config,
-                        &mut scratch,
-                    );
-                    // Gathered search on the extracted region.
                     let shard = extract_shard(&graph, &partition, a, b, depth);
-                    let mut region = GatheredRegion::assemble(k, &[shard]).unwrap();
-                    assert_eq!(
-                        region.band_membership.iter().filter(|&&b| b).count(),
-                        band_len
-                    );
-                    let mut scratch2 = FmScratch::new();
-                    let gathered = refine_gathered_band(
-                        &mut region,
-                        a,
-                        b,
-                        &seeds,
-                        depth,
-                        weights.weight(a),
-                        weights.weight(b),
-                        &fm_config,
-                        &mut scratch2,
-                        false,
-                    )
-                    .unwrap();
-                    assert_eq!(gathered.moves, direct.moves, "pair ({a},{b}) depth {depth}");
-                    assert_eq!(gathered.gain, direct.gain);
-                    assert_eq!(gathered.attempted_moves, direct.attempted_moves);
+                    assert_gathered_search_is_direct(&graph, &partition, (a, b), depth, &[shard]);
                 }
             }
         }

@@ -81,7 +81,7 @@ pub use fm::{patience_bound, two_way_fm_in, FmConfig, FmResult};
 pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
 pub use local::refine_local;
 pub use queue_select::QueueSelection;
-pub use scheduler::{refine_partition, RefinementConfig, RefinementStats};
+pub use scheduler::{refine_partition, search_pair, PairDelta, RefinementConfig, RefinementStats};
 pub use scratch::{FmScratch, ScratchPool};
 
 #[cfg(test)]

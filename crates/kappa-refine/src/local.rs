@@ -172,8 +172,11 @@ pub fn refine_local<G: GraphAccess>(
                 base: state.partition(),
                 overlay: HashMap::new(),
             };
-            // Seed candidates: the region, extended by this pair's own moves.
-            let mut seeder = IndexSeeder::with_candidates(graph, a, b, region.clone());
+            // Seed candidates: the region's nodes in `a` or `b` (no other can
+            // turn pair-boundary in this search), plus the pair's own moves.
+            let in_pair = |&v: &NodeId| [a, b].contains(&state.block_of(v));
+            let candidates = region.iter().copied().filter(in_pair).collect();
+            let mut seeder = IndexSeeder::with_candidates(graph, a, b, candidates);
             let delta = search_pair(
                 graph,
                 &mut view,

@@ -144,10 +144,13 @@ impl std::ops::AddAssign for RefinementStats {
 
 /// The delta a single pair search hands back to the scheduler: the surviving
 /// moves, the cut gain they achieve, and the number of FM searches run.
-pub(crate) struct PairDelta {
-    pub(crate) moves: Vec<(NodeId, BlockId)>,
-    pub(crate) gain: i64,
-    pub(crate) searches: usize,
+pub struct PairDelta {
+    /// Surviving moves `(node, new block)`, in the order they were made.
+    pub moves: Vec<(NodeId, BlockId)>,
+    /// Cut gain of the surviving moves.
+    pub gain: i64,
+    /// FM searches run (local iterations that found seeds).
+    pub searches: usize,
 }
 
 /// Runs the local iterations of one pair `(a, b)` — band seeding + BFS,
@@ -157,14 +160,16 @@ pub(crate) struct PairDelta {
 /// `target` is a [`DeltaPairView`] in [`refine_partition`], an overlay on
 /// the state's partition in [`refine_local`](crate::refine_local) and a
 /// snapshot clone in the test-only reference scheduler; `seeder` is an
-/// [`IndexSeeder`] drawn from the shared [`BoundaryIndex`] in the first, one
-/// started from the touched region in the second, and the full-scan
-/// reference in the third. This is the only local-iteration loop of the crate;
-/// sharing it — and the seeders' identical outputs — is what keeps the
-/// schedulers bit-identical. `refine_local` passes `(round, pair index)` for
-/// `(global_iter, color_idx)`.
+/// [`IndexSeeder`] drawn from the shared
+/// [`BoundaryIndex`](kappa_graph::BoundaryIndex) in the first, one started
+/// from the touched region in the second, and the full-scan reference in the
+/// third. This is the only local-iteration loop of the
+/// workspace — kappa-dist's one-rank refinement runs it on its live view,
+/// seeded by [`IndexSeeder::with_candidates`] — and sharing it, with the
+/// seeders' identical outputs, is what keeps the schedulers bit-identical.
+/// `refine_local` passes `(round, pair index)` for `(global_iter, color_idx)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
+pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
     graph: &G,
     target: &mut P,
     seeder: &mut S,

@@ -55,6 +55,31 @@ fn ranks_1_is_bit_identical_to_the_shared_memory_pipeline() {
     }
 }
 
+/// One rank runs the shared scheduler's searches — not merely ones that end
+/// in the same assignment: every refinement counter, pair searches and
+/// considered pairs included, equals the shared pipeline's at one thread.
+#[test]
+fn ranks_1_refinement_stats_match_the_shared_pipeline() {
+    for (name, graph) in suite_instances() {
+        for (preset, k, seed) in [
+            (ConfigPreset::Fast, 4u32, 1u64),
+            (ConfigPreset::Fast, 8, 3),
+            (ConfigPreset::Minimal, 8, 5),
+            (ConfigPreset::Strong, 4, 7),
+        ] {
+            let config = KappaConfig::preset(preset, k)
+                .with_seed(seed)
+                .with_threads(1);
+            let shared = KappaPartitioner::new(config).partition(&graph);
+            let dist = dist_run(&graph, config, 1);
+            assert_eq!(
+                dist.refinement, shared.refinement,
+                "{name} {preset:?} k={k} seed={seed}: refinement stats diverged"
+            );
+        }
+    }
+}
+
 #[test]
 fn every_rank_count_is_deterministic_per_seed() {
     let graph = random_geometric_graph(3000, 11);
@@ -325,4 +350,28 @@ fn refine_frames_are_pinned() {
             "ranks {ranks}: (frames, collectives, refine-phase frames)"
         );
     }
+}
+
+/// One rank searches its live view in place: no frame at all, and in the
+/// `refine` phase only the quotient allgathers, cut allreduces and
+/// rebalance selections, no band BFS hops. Measured on
+/// `refine_frames_are_pinned`'s instance; before the in-place search the
+/// refine phase ran 1 806 collectives here (1 934 in total).
+#[test]
+fn rank_1_refinement_runs_no_band_collectives() {
+    let graph = random_geometric_graph(1 << 13, 4);
+    let run = dist_run(&graph, KappaConfig::fast(8).with_seed(3), 1);
+    let stats = &run.comm_per_rank[0];
+    let refine: u64 = stats
+        .phases
+        .iter()
+        .filter(|(name, _)| name == "refine")
+        .map(|(_, phase)| phase.collectives)
+        .sum();
+    assert_eq!(stats.total.frames, 0, "one rank sends no frame");
+    assert_eq!(
+        (refine, stats.total.collectives),
+        (146, 274),
+        "(refine-phase, total) collectives"
+    );
 }
