@@ -23,8 +23,9 @@
 //!    class, in deterministic pair order.
 //!
 //! One rank runs the shared scheduler's exact searches — same quotient,
-//! colouring, seeds and `search_pair` on an equal view — so `--ranks 1` is
-//! bit-identical to `--threads 1` by construction; that a gathered search
+//! colouring, seeds, `search_pair` on an equal view and `IdleBands` reuse —
+//! so `--ranks 1` is bit-identical to `--threads 1` by construction, every
+//! `RefinementStats` counter included; that a gathered search
 //! equals the direct one is kappa-refine's `gathered_region_matches_direct_search`
 //! proptest. The distributed rebalancer picks `rebalance_state`'s moves by
 //! construction: each rank scores its owned boundary candidates with the
@@ -36,8 +37,8 @@ use std::collections::HashMap;
 use kappa_graph::{is_pair_boundary, BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
 use kappa_refine::{
     best_move_of, color_quotient_edges, fallback_move_of, fallback_target, refine_gathered_band,
-    search_pair, BandShard, FmScratch, GatheredRegion, IndexSeeder, RefinementConfig,
-    RefinementStats, ShardError,
+    search_pair, BandShard, FmScratch, GatheredRegion, IdleBands, IndexSeeder, PairSearch,
+    RefinementConfig, RefinementStats, ShardError,
 };
 
 use crate::comm::{allreduce_min_opt, Comm, CommError, CommResult};
@@ -71,10 +72,20 @@ struct PairRun {
     /// Block weights of the pair at class start (replicated).
     w_a: NodeWeight,
     w_b: NodeWeight,
-    /// This rank's candidate superset of the pair boundary: owned local ids,
-    /// ascending (the rank-local shard of the shared `IndexSeeder` candidate
-    /// list).
+    /// This rank's share of the pair boundary at class start: owned local
+    /// ids, ascending (the rank-local shard of the shared `IndexSeeder`
+    /// candidate list; at one rank, all of it).
     candidates: Vec<NodeId>,
+}
+
+/// How this rank searches the pairs of a colour class; one per level.
+enum ClassSearch {
+    /// One rank: in place, keeping the bands of idle searches for the pair's
+    /// next visit, as the shared scheduler does.
+    InPlace(IdleBands),
+    /// Across ranks: gathered, with the band scratch handed from class to
+    /// class.
+    Gathered(BandScratch),
 }
 
 /// One colour class and the coordinates its searches derive their FM
@@ -109,7 +120,11 @@ pub fn dist_refine<C: Comm>(
     }
 
     // One rank searches in place; only a gather needs band scratch.
-    let mut bands = (comm.num_ranks() > 1).then(|| BandScratch::new(dg.num_owned()));
+    let mut search = if comm.num_ranks() > 1 {
+        ClassSearch::Gathered(BandScratch::new(dg.num_owned()))
+    } else {
+        ClassSearch::InPlace(IdleBands::new(k))
+    };
     let mut scratch = FmScratch::new();
     let mut no_change_streak = 0usize;
     for global_iter in 0..config.max_global_iterations {
@@ -137,7 +152,7 @@ pub fn dist_refine<C: Comm>(
                 l_max,
             };
             iteration_gain +=
-                refine_class(comm, dg, st, &coords, stats, &mut scratch, bands.as_mut())?;
+                refine_class(comm, dg, st, &coords, stats, &mut scratch, &mut search)?;
         }
 
         stats.global_iterations += 1;
@@ -159,12 +174,12 @@ pub fn dist_refine<C: Comm>(
 }
 
 /// Runs all pairs of one colour class to completion (their local iterations)
-/// and commits the surviving moves. Returns the class's total gain. `bands`
-/// is `None` exactly at one rank.
+/// and commits the surviving moves. Returns the class's total gain.
 ///
 /// * **One rank** runs each pair through kappa-refine's `search_pair` on the
 ///   live view ([`search_in_place`]) — the shared scheduler's exact
-///   sequence, so `--ranks 1` is bit-identical to `--threads 1`.
+///   sequence, idle bands reused alike, so `--ranks 1` is bit-identical to
+///   `--threads 1`.
 /// * **Across ranks** the class is gathered once ([`gather_and_search`]) and
 ///   its whole move set crosses the wire in one exchange.
 fn refine_class<C: Comm>(
@@ -174,12 +189,17 @@ fn refine_class<C: Comm>(
     coords: &ClassCoords,
     stats: &mut RefinementStats,
     scratch: &mut FmScratch,
-    bands: Option<&mut BandScratch>,
+    search: &mut ClassSearch,
 ) -> CommResult<i64> {
     let pairs = PairRun::start_class(dg, st, coords.class, comm.num_ranks());
-    let reports = match bands {
-        None => search_in_place(dg, st, pairs, coords, scratch),
-        Some(bands) => gather_and_search(comm, dg, st, &pairs, coords, scratch, bands)?,
+    let reports = match search {
+        ClassSearch::InPlace(idle) => search_in_place(dg, st, pairs, coords, scratch, idle, stats),
+        ClassSearch::Gathered(bands) => {
+            let reports = gather_and_search(comm, dg, st, &pairs, coords, scratch, bands)?;
+            // Every gathered search grows its band.
+            stats.bands_built += reports.iter().map(|r| r.searches as usize).sum::<usize>();
+            reports
+        }
     };
 
     // Class commit: replay every pair's moves through the state, in pair
@@ -198,33 +218,48 @@ fn refine_class<C: Comm>(
 
 /// One rank: every pair of the class runs the shared `search_pair` on the
 /// live view — which its moves update as they are made, while the index
-/// stays at class start — seeded from the pair's index candidates.
+/// stays at class start — seeded exactly from the pair's boundary in the
+/// index, or on its kept band when the pair was idle and unchanged since.
+/// Counts the searches' bands into `stats`.
 fn search_in_place(
     dg: &DistGraph,
     st: &mut DistState,
     pairs: Vec<PairRun>,
     coords: &ClassCoords,
     scratch: &mut FmScratch,
+    idle: &mut IdleBands,
+    stats: &mut RefinementStats,
 ) -> Vec<PairReport> {
     let graph = dg.local();
+    let config = coords.config;
+    let keep = coords.global_iter + 1 < config.max_global_iterations;
     let mut reports = Vec::with_capacity(pairs.len());
     for (pi, pair) in pairs.into_iter().enumerate() {
         let (a, b) = (pair.a, pair.b);
-        let mut seeder = IndexSeeder::with_candidates(graph, a, b, pair.candidates);
-        let delta = search_pair(
+        let mut seeder = IndexSeeder::from_pair_boundary(graph, a, b, pair.candidates);
+        let search = PairSearch {
+            a,
+            b,
+            w_a: pair.w_a,
+            w_b: pair.w_b,
+            l_max: coords.l_max,
+            config,
+            global_iter: coords.global_iter,
+            color_idx: coords.color_idx,
+        };
+        let first = idle.first_band(a, b, keep);
+        let mut delta = search_pair(
             graph,
             &mut st.live_view(),
             &mut seeder,
             scratch,
-            a,
-            b,
-            pair.w_a,
-            pair.w_b,
-            coords.l_max,
-            coords.config,
-            coords.global_iter,
-            coords.color_idx,
+            &search,
+            first,
         );
+        let reused = delta.band_reused as usize;
+        stats.bands_built += delta.searches - reused;
+        stats.bands_reused += reused;
+        idle.settle(a, b, &mut delta);
         let record = |(l, to): (NodeId, BlockId)| MoveRec {
             gid: dg.global_of(l),
             from: if to == a { b } else { a },
@@ -515,8 +550,8 @@ impl PairRun {
     }
 
     /// The pairs of one colour class at class start: pair `i` homed on rank
-    /// `i mod R`, weights from the replicated state, candidates from this
-    /// rank's boundary-index shard.
+    /// `i mod R`, weights from the replicated state, candidates from one
+    /// pass over this rank's boundary-index shard.
     fn start_class(
         dg: &DistGraph,
         st: &DistState,
@@ -526,19 +561,19 @@ impl PairRun {
         let ln = dg.num_owned();
         class
             .iter()
+            .zip(st.index().class_boundaries_sorted(class))
             .enumerate()
-            .map(|(i, &(a, b))| PairRun {
-                a,
-                b,
-                home: i % ranks,
-                w_a: st.weights().weight(a),
-                w_b: st.weights().weight(b),
-                candidates: st
-                    .index()
-                    .pair_boundary_sorted(a, b)
-                    .into_iter()
-                    .filter(|&l| (l as usize) < ln)
-                    .collect(),
+            .map(|(i, (&(a, b), mut candidates))| {
+                // Ghosts sort after every owned local id.
+                candidates.truncate(candidates.partition_point(|&l| (l as usize) < ln));
+                PairRun {
+                    a,
+                    b,
+                    home: i % ranks,
+                    w_a: st.weights().weight(a),
+                    w_b: st.weights().weight(b),
+                    candidates,
+                }
             })
             .collect()
     }
@@ -817,7 +852,11 @@ mod tests {
             let searches = LocalCluster::new(ranks).run(|comm| {
                 let dg = DistGraph::from_global(&g, ranks, comm.rank());
                 let mut st = shard(&dg, &partition, &g);
-                let mut bands = (ranks > 1).then(|| BandScratch::new(dg.num_owned()));
+                let mut search = if ranks > 1 {
+                    ClassSearch::Gathered(BandScratch::new(dg.num_owned()))
+                } else {
+                    ClassSearch::InPlace(IdleBands::new(4))
+                };
                 let mut scratch = FmScratch::new();
                 let mut stats = RefinementStats::default();
                 for class in [[(0, 1), (2, 3)], [(1, 2), (0, 3)]] {
@@ -835,10 +874,10 @@ mod tests {
                         &coords,
                         &mut stats,
                         &mut scratch,
-                        bands.as_mut(),
+                        &mut search,
                     )
                     .unwrap();
-                    if let Some(bands) = &bands {
+                    if let ClassSearch::Gathered(bands) = &search {
                         assert!(bands.pair_of.iter().all(|&p| p == NO_PAIR), "stale pair_of");
                         assert!(bands.members.iter().all(Vec::is_empty), "stale members");
                     }

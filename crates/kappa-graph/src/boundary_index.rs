@@ -15,7 +15,12 @@
 //! set of all current boundary nodes. A single node move is absorbed in
 //! `O(deg(v) · log maxdeg)` by [`BoundaryIndex::apply_move`]; extracting the
 //! boundary of a block pair costs `O(|boundary| + |pair boundary| · log)` via
-//! [`BoundaryIndex::pair_boundary_sorted`] — independent of `n` and `m`.
+//! [`BoundaryIndex::pair_boundary_sorted`] — independent of `n` and `m`. The
+//! refinement schedulers extract the boundaries of a whole colour class at
+//! once with [`BoundaryIndex::class_boundaries_sorted`]: the class's pairs
+//! are block-disjoint, so one pass over the boundary list buckets every node
+//! to its pair, and a class costs `O(|boundary|)` plus the bucket sorts
+//! instead of `O(|boundary|)` per pair.
 //!
 //! The index stores its own copy of the node → block map so that it is
 //! self-contained: consistency with a partition only requires replaying the
@@ -301,6 +306,36 @@ impl BoundaryIndex {
             .collect();
         nodes.sort_unstable();
         nodes
+    }
+
+    /// The pair boundaries of a colour class, in class order, each sorted by
+    /// node id — one [`pair_boundary_sorted`](Self::pair_boundary_sorted)
+    /// per pair, from a single pass over the boundary list. The pairs of
+    /// `class` must be block-disjoint (the pairs of one colour of the
+    /// quotient's edge colouring are), so each boundary node belongs to the
+    /// bucket of at most one pair: the one holding its own block.
+    pub fn class_boundaries_sorted(&self, class: &[(BlockId, BlockId)]) -> Vec<Vec<NodeId>> {
+        // Per block: the index of its pair in `class` and the partner block.
+        let mut pair_of = vec![(u32::MAX, 0); self.k as usize];
+        for (i, &(a, b)) in class.iter().enumerate() {
+            debug_assert!(
+                pair_of[a as usize].0 == u32::MAX && pair_of[b as usize].0 == u32::MAX,
+                "class pairs share a block"
+            );
+            pair_of[a as usize] = (i as u32, b);
+            pair_of[b as usize] = (i as u32, a);
+        }
+        let mut buckets = vec![Vec::new(); class.len()];
+        for &v in &self.list {
+            let (i, partner) = pair_of[self.block[v as usize] as usize];
+            if i != u32::MAX && self.count(v, partner) > 0 {
+                buckets[i as usize].push(v);
+            }
+        }
+        for bucket in &mut buckets {
+            bucket.sort_unstable();
+        }
+        buckets
     }
 
     /// Moves `v` to block `to`, updating the neighbour counts, foreign-degree

@@ -6,20 +6,29 @@
 //! pipeline quietly re-derives global state. Historically every layer did:
 //! the scheduler rebuilt the [`BoundaryIndex`] and recomputed [`BlockWeights`]
 //! per global iteration, `edge_cut` was an `O(m)` rescan per refinement call,
-//! and the rebalancer mutated the partition behind the index's back.
+//! the quotient graph was re-read from every boundary row per global
+//! iteration, and the rebalancer mutated the partition behind the index's
+//! back.
 //!
-//! [`PartitionState`] bundles the four pieces of derived state — the block
-//! assignment, the per-block weights, the boundary index and the cached edge
-//! cut — behind one [`apply_move`](PartitionState::apply_move) that keeps all
-//! of them exact in `O(deg(v))`. Layers *thread the state through* instead of
-//! rebuilding it: the refinement scheduler receives it current and returns it
-//! current, the rebalancer routes its moves through it, and the uncoarsening
-//! loop carries it across hierarchy levels via
-//! [`project`](PartitionState::project), which seeds the fine level's index
-//! from the coarse boundary (the fine boundary is a subset of the image of
-//! the coarse boundary). The only full `O(n + m)` [`BoundaryIndex::build`] in
-//! a run is the coarsest level's — [`full_builds`](PartitionState::full_builds)
-//! counts them so tests can prove it.
+//! [`PartitionState`] bundles five pieces of derived state — the block
+//! assignment, the per-block weights, the boundary index, the cached edge
+//! cut and the per-pair cut weights of the quotient graph — behind one
+//! [`apply_move`](PartitionState::apply_move) that keeps all of them exact
+//! in `O(deg(v))`, in the one pass over `v`'s row that the cut delta needs
+//! anyway. Layers *thread the state through* instead of rebuilding it: the
+//! refinement scheduler receives it current and returns it current, the
+//! rebalancer routes its moves through it, and the uncoarsening loop carries
+//! it across hierarchy levels via [`project`](PartitionState::project),
+//! which seeds the fine level's index from the coarse boundary (the fine
+//! boundary is a subset of the image of the coarse boundary) and keeps the
+//! weights, the cut and every pair's cut weight, which contraction
+//! preserves. [`quotient`](PartitionState::quotient) therefore costs
+//! `O(|E_Q|)` and reads no row. The only full `O(n + m)`
+//! [`BoundaryIndex::build`] in a run is the coarsest level's —
+//! [`full_builds`](PartitionState::full_builds) counts them so tests can
+//! prove it.
+
+use std::collections::BTreeMap;
 
 use crate::access::GraphAccess;
 use crate::boundary_index::BoundaryIndex;
@@ -28,11 +37,12 @@ use crate::quotient::QuotientGraph;
 use crate::types::{BlockId, EdgeWeight, NodeId, NodeWeight};
 
 /// A partition plus its incrementally maintained derived state: block
-/// weights, boundary index and cached edge cut.
+/// weights, boundary index, cached edge cut and per-pair cut weights.
 ///
-/// Invariant (after every public call): `weights`, `boundary` and `cut` are
-/// exactly what [`BlockWeights::compute`], [`BoundaryIndex::build`] and
-/// [`Partition::edge_cut`] would recompute from `partition` — see
+/// Invariant (after every public call): `weights`, `boundary`, `cut` and
+/// `pair_cuts` are exactly what [`BlockWeights::compute`],
+/// [`BoundaryIndex::build`], [`Partition::edge_cut`] and
+/// [`QuotientGraph::build`] would recompute from `partition` — see
 /// [`verify_exact`](PartitionState::verify_exact), which tests use to assert
 /// it after arbitrary interleavings of moves and projections.
 ///
@@ -58,6 +68,10 @@ pub struct PartitionState {
     weights: BlockWeights,
     boundary: BoundaryIndex,
     cut: EdgeWeight,
+    /// The cut weight `ω(E_ab)` of every adjacent block pair `a < b`. Edge
+    /// weights are positive, so a pair is adjacent exactly while its weight
+    /// is.
+    pair_cuts: BTreeMap<(BlockId, BlockId), EdgeWeight>,
     /// Number of full `O(n + m)` boundary-index builds this state (and the
     /// coarse states it was projected from) has performed.
     full_builds: usize,
@@ -65,21 +79,27 @@ pub struct PartitionState {
 
 impl PartitionState {
     /// Builds the derived state from scratch: one `O(n + m)` pass each for
-    /// the weights, the boundary index and the cut. This is the *only* full
-    /// build a partitioning run should perform (at the coarsest level);
-    /// every finer level arrives via [`project`](PartitionState::project).
+    /// the weights, the boundary index and the quotient (whose total is the
+    /// cut). This is the *only* full build a partitioning run should perform
+    /// (at the coarsest level); every finer level arrives via
+    /// [`project`](PartitionState::project).
     ///
     /// `partition` must be a complete assignment for `graph`.
     pub fn build<G: GraphAccess>(graph: &G, partition: Partition) -> Self {
         debug_assert!(partition.is_complete(), "state over a partial assignment");
         let weights = BlockWeights::compute(graph, &partition);
         let boundary = BoundaryIndex::build(graph, &partition);
-        let cut = partition.edge_cut(graph);
+        let quotient = QuotientGraph::build(graph, &partition);
         PartitionState {
             partition,
             weights,
             boundary,
-            cut,
+            cut: quotient.total_cut(),
+            pair_cuts: quotient
+                .edges()
+                .iter()
+                .map(|&(a, b, w)| ((a, b), w))
+                .collect(),
             full_builds: 1,
         }
     }
@@ -87,7 +107,8 @@ impl PartitionState {
     /// Projects this state of a coarse graph onto the finer `fine_graph`,
     /// given the `coarse_of` map (for every fine node, its coarse image).
     ///
-    /// Contraction preserves block weights and the edge cut, so both carry
+    /// Contraction preserves block weights and the cut weight between every
+    /// two blocks, so the weights, the cut and the per-pair cut weights carry
     /// over unchanged; the fine boundary index is seeded by scanning **only**
     /// fine nodes whose coarse image is boundary (the fine boundary is a
     /// subset of the image of the coarse boundary), via
@@ -108,6 +129,7 @@ impl PartitionState {
             weights: self.weights.clone(),
             boundary,
             cut: self.cut,
+            pair_cuts: self.pair_cuts.clone(),
             full_builds: self.full_builds,
         }
     }
@@ -162,8 +184,9 @@ impl PartitionState {
     }
 
     /// Moves `v` to block `to`, updating the assignment, block weights,
-    /// boundary index and cached cut in `O(deg(v) · log maxdeg)`. Returns
-    /// `false` (and does nothing) when `v` is already in `to`.
+    /// boundary index, cached cut and per-pair cut weights in
+    /// `O(deg(v) · log maxdeg)`. Returns `false` (and does nothing) when `v`
+    /// is already in `to`.
     ///
     /// Generic over [`GraphAccess`]: the frozen pipeline passes the level's
     /// [`CsrGraph`](crate::csr::CsrGraph), the dynamic path passes a mid-stream
@@ -175,18 +198,25 @@ impl PartitionState {
             return false;
         }
         // Weighted connectivity of v to its old and new block decides the cut
-        // delta: edges into `from` become cut, edges into `to` stop being cut.
+        // delta: edges into `from` become cut, edges into `to` stop being cut
+        // — both between `from` and `to`. An edge into a third block `c`
+        // stays cut but moves from the pair (from, c) to the pair (to, c).
         let mut conn_from: EdgeWeight = 0;
         let mut conn_to: EdgeWeight = 0;
+        let (partition, pair_cuts) = (&self.partition, &mut self.pair_cuts);
         graph.for_each_edge(v, |u, w| {
-            let b = self.partition.block_of(u);
+            let b = partition.block_of(u);
             if b == from {
                 conn_from += w;
             } else if b == to {
                 conn_to += w;
+            } else {
+                shift_cut(pair_cuts, from, b, 0, w);
+                shift_cut(pair_cuts, to, b, w, 0);
             }
         });
         self.cut = self.cut + conn_from - conn_to;
+        shift_cut(&mut self.pair_cuts, from, to, conn_from, conn_to);
         self.weights.apply_move(from, to, graph.node_weight(v));
         self.partition.assign(v, to);
         self.boundary.apply_move(graph, v, to);
@@ -194,13 +224,15 @@ impl PartitionState {
     }
 
     /// Absorbs the insertion of edge `{v, u}` with weight `w`: the cached cut
-    /// grows by `w` when the endpoints are in different blocks, and the
-    /// boundary index absorbs the new incidence. Call *after* the graph
-    /// mutation (ordering is irrelevant — no adjacency scan is needed, the
-    /// update is purely endpoint-local).
+    /// and the endpoints' pair cut grow by `w` when the endpoints are in
+    /// different blocks, and the boundary index absorbs the new incidence.
+    /// Call *after* the graph mutation (ordering is irrelevant — no
+    /// adjacency scan is needed, the update is purely endpoint-local).
     pub fn apply_edge_insert(&mut self, v: NodeId, u: NodeId, w: EdgeWeight) {
-        if self.partition.block_of(v) != self.partition.block_of(u) {
+        let (bv, bu) = (self.partition.block_of(v), self.partition.block_of(u));
+        if bv != bu {
             self.cut += w;
+            shift_cut(&mut self.pair_cuts, bv, bu, w, 0);
         }
         self.boundary.edge_inserted(v, u);
     }
@@ -208,14 +240,17 @@ impl PartitionState {
     /// Absorbs the deletion of edge `{v, u}` whose weight was `w` — the exact
     /// inverse of [`apply_edge_insert`](Self::apply_edge_insert).
     pub fn apply_edge_delete(&mut self, v: NodeId, u: NodeId, w: EdgeWeight) {
-        if self.partition.block_of(v) != self.partition.block_of(u) {
+        let (bv, bu) = (self.partition.block_of(v), self.partition.block_of(u));
+        if bv != bu {
             self.cut -= w;
+            shift_cut(&mut self.pair_cuts, bv, bu, 0, w);
         }
         self.boundary.edge_deleted(v, u);
     }
 
     /// Absorbs a reweight of edge `{v, u}` from `old_w` to `new_w`. Only the
-    /// cached cut can change; boundary structure and weights are untouched.
+    /// cached cut and the endpoints' pair cut can change; boundary structure
+    /// and weights are untouched.
     pub fn apply_edge_reweight(
         &mut self,
         v: NodeId,
@@ -223,8 +258,10 @@ impl PartitionState {
         old_w: EdgeWeight,
         new_w: EdgeWeight,
     ) {
-        if self.partition.block_of(v) != self.partition.block_of(u) {
+        let (bv, bu) = (self.partition.block_of(v), self.partition.block_of(u));
+        if bv != bu {
             self.cut = self.cut - old_w + new_w;
+            shift_cut(&mut self.pair_cuts, bv, bu, new_w, old_w);
         }
     }
 
@@ -255,31 +292,12 @@ impl PartitionState {
         self.partition
     }
 
-    /// The quotient graph of the current partition, derived from the boundary
-    /// index in `O(Σ_{v ∈ boundary} deg(v))` — no `O(n + m)` full-graph scan.
-    ///
-    /// Every cut edge has **both** endpoints on the boundary, so scanning the
-    /// edges of boundary nodes and counting each cut edge at its smaller
-    /// endpoint visits every cut edge exactly once. Bit-identical to
-    /// [`QuotientGraph::build`] (proptested in `tests/parity.rs`): the per-pair
-    /// sums are order-independent and both constructors sort the edge list.
-    pub fn quotient<G: GraphAccess>(&self, graph: &G) -> QuotientGraph {
-        let mut cut_weights: std::collections::HashMap<(BlockId, BlockId), EdgeWeight> =
-            std::collections::HashMap::new();
-        for &v in self.boundary.boundary_nodes_unordered() {
-            let bv = self.partition.block_of(v);
-            for (u, w) in graph.edges_of(v) {
-                // Count each cut edge once, at its smaller endpoint (the
-                // larger endpoint is also boundary, so no edge is missed).
-                if u > v {
-                    let bu = self.partition.block_of(u);
-                    if bu != bv {
-                        *cut_weights.entry((bv.min(bu), bv.max(bu))).or_insert(0) += w;
-                    }
-                }
-            }
-        }
-        QuotientGraph::from_cut_weights(self.k(), cut_weights)
+    /// The quotient graph of the current partition, read off the maintained
+    /// per-pair cut weights in `O(k + |E_Q|)` — no graph row is read.
+    /// Equal to [`QuotientGraph::build`] (proptested in `tests/parity.rs`).
+    pub fn quotient(&self) -> QuotientGraph {
+        let edges = self.pair_cuts.iter().map(|(&(a, b), &w)| (a, b, w));
+        QuotientGraph::from_sorted_edges(self.k(), edges.collect())
     }
 
     /// Checks every piece of derived state against a fresh recomputation —
@@ -305,8 +323,32 @@ impl PartitionState {
         if !boundary.equivalent(&self.boundary) {
             return Err("boundary index diverged from a fresh build".to_string());
         }
+        let quotient = QuotientGraph::build(graph, &self.partition);
+        if quotient != self.quotient() {
+            return Err(format!(
+                "pair cut weights diverged: cached {:?}, recounted {:?}",
+                self.quotient().edges(),
+                quotient.edges()
+            ));
+        }
         Ok(())
     }
+}
+
+/// Adds `add` to and takes `sub` from the cut weight between blocks `x` and
+/// `y` (`x != y`), dropping the pair when its weight reaches zero.
+fn shift_cut(
+    cuts: &mut BTreeMap<(BlockId, BlockId), EdgeWeight>,
+    x: BlockId,
+    y: BlockId,
+    add: EdgeWeight,
+    sub: EdgeWeight,
+) {
+    let pair = (x.min(y), x.max(y));
+    match cuts.get(&pair).copied().unwrap_or(0) + add - sub {
+        0 => cuts.remove(&pair),
+        w => cuts.insert(pair, w),
+    };
 }
 
 #[cfg(test)]
@@ -406,7 +448,7 @@ mod tests {
         for (v, to) in [(0u32, 1u32), (5, 2), (10, 3), (10, 0), (3, 2)] {
             state.apply_move(&g, v, to);
             let reference = QuotientGraph::build(&g, state.partition());
-            let derived = state.quotient(&g);
+            let derived = state.quotient();
             assert_eq!(derived.edges(), reference.edges());
             assert_eq!(derived.num_blocks(), reference.num_blocks());
         }

@@ -13,7 +13,7 @@ use crate::partition::Partition;
 use crate::types::{BlockId, EdgeWeight};
 
 /// Quotient graph of a partition: the block-level connectivity structure.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QuotientGraph {
     k: BlockId,
     /// Adjacency: for every block, the (neighbor block, cut weight) pairs sorted
@@ -28,10 +28,10 @@ impl QuotientGraph {
     /// `O(n + m)` scan of every edge.
     ///
     /// This is the parity *reference*: pipelines that hold a
-    /// [`PartitionState`](crate::PartitionState) derive the identical quotient
-    /// from the boundary index via
+    /// [`PartitionState`](crate::PartitionState) read the identical quotient
+    /// off their maintained per-pair cut weights via
     /// [`PartitionState::quotient`](crate::PartitionState::quotient) in
-    /// `O(Σ_{v ∈ boundary} deg(v))` instead.
+    /// `O(k + |E_Q|)` instead.
     pub fn build<G: GraphAccess>(graph: &G, partition: &Partition) -> Self {
         let mut cut_weights: HashMap<(BlockId, BlockId), EdgeWeight> = HashMap::new();
         for u in GraphAccess::nodes(graph) {
@@ -52,10 +52,9 @@ impl QuotientGraph {
 
     /// Assembles a quotient graph from aggregated per-pair cut weights
     /// (`(a, b) → Σ ω`, keys normalised `a < b`). Shared by the full-scan
-    /// [`build`](Self::build), the boundary-priced
-    /// [`PartitionState::quotient`](crate::PartitionState::quotient) and the
-    /// distributed pipeline (which allgathers per-rank partial weights), so
-    /// all three produce bit-identical edge lists from equal weight maps.
+    /// [`build`](Self::build) and the distributed pipeline (which allgathers
+    /// per-rank partial weights), so both produce bit-identical edge lists
+    /// from equal weight maps.
     pub fn from_cut_weights(
         k: BlockId,
         cut_weights: HashMap<(BlockId, BlockId), EdgeWeight>,
@@ -66,6 +65,15 @@ impl QuotientGraph {
             .map(|((a, b), w)| (a, b, w))
             .collect();
         edges.sort_unstable();
+        Self::from_sorted_edges(k, edges)
+    }
+
+    /// Assembles a quotient graph from its edge list `(a, b, Σ ω)`, every
+    /// pair once with `a < b`, ascending — what
+    /// [`PartitionState::quotient`](crate::PartitionState::quotient) reads off
+    /// its maintained cut weights.
+    pub fn from_sorted_edges(k: BlockId, edges: Vec<(BlockId, BlockId, EdgeWeight)>) -> Self {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "unsorted edges");
         let mut adj = vec![Vec::new(); k as usize];
         for &(a, b, w) in &edges {
             debug_assert!(a < b && b < k, "malformed quotient edge ({a}, {b})");

@@ -29,28 +29,44 @@
 //! Finding the seeds — the pair boundary itself — used to be a full
 //! `O(n + m)` graph scan per pair per local iteration
 //! ([`pair_boundary_nodes`]). The [`BandSeeder`] trait abstracts the seed
-//! source so the scheduler can plug in the incremental [`BoundaryIndex`]
-//! instead:
+//! source so the scheduler can plug in the incremental
+//! [`BoundaryIndex`](kappa_graph::BoundaryIndex) instead:
 //!
 //! * [`IndexSeeder`] draws the initial seeds from the boundary index (kept
 //!   current by the persistent `PartitionState` across moves, classes and
-//!   hierarchy levels, never rebuilt; `O(|boundary|)` per extraction) and
-//!   then tracks the worker's own FM moves: only nodes that were
+//!   hierarchy levels, never rebuilt; one `O(|boundary|)` pass per colour
+//!   class) and then tracks the worker's own FM moves: only nodes that were
 //!   pair-boundary at class start, were moved, or neighbour a moved node can
 //!   ever be pair-boundary during the worker's local iterations, so
-//!   re-seeding re-examines just this candidate set — never the whole graph;
+//!   re-seeding re-examines just this candidate set — never the whole graph.
+//!   Until the first move the candidates *are* the pair boundary, so the
+//!   first seeding reads no row at all;
 //! * the test-only `FullScanSeeder` is that full scan, every time — the
 //!   reference `IndexSeeder` is compared with, and the example of the seam a
 //!   test substitutes its own seeder through.
 //!
 //! Both return the pair boundary in ascending node order, so band seeds and
 //! everything downstream are bit-identical (`band::tests`).
+//!
+//! ## Reusing an idle pair's band
+//!
+//! A band is a function of the node sets of its pair's two blocks: the seeds
+//! are their common boundary, the BFS stays inside them, and gains and flags
+//! count neighbours in them. A search that moves nothing leaves both sets as
+//! they were, so until a class commit changes block `a` or `b`, the next
+//! search of the pair would grow the very same band. [`IdleBands`] keeps the
+//! band of each pair's last idle search, stamped with per-block change
+//! counters, and hands it back as [`FirstBand::Reuse`] while both stamps
+//! still match — FM runs on it without a BFS.
+
+use std::collections::HashMap;
 
 use kappa_graph::{
     band_around_boundary, is_pair_boundary, pair_boundary_nodes, BlockAssignment, BlockId,
-    BoundaryIndex, GraphAccess, NodeId, INVALID_NODE,
+    GraphAccess, NodeId, INVALID_NODE,
 };
 
+use crate::scheduler::PairDelta;
 use crate::scratch::FmScratch;
 
 /// The band of one pair search as the FM search consumes it: the movable
@@ -232,7 +248,8 @@ pub trait BandSeeder<P: BlockAssignment> {
     fn observe_moves(&mut self, moves: &[(NodeId, BlockId)]);
 }
 
-/// Incremental seeder over a shared [`BoundaryIndex`].
+/// Incremental seeder over a shared
+/// [`BoundaryIndex`](kappa_graph::BoundaryIndex).
 ///
 /// The index reflects the partition at class start; within the pair search
 /// only this worker's own moves can change membership of blocks `a`/`b` (the
@@ -240,38 +257,52 @@ pub trait BandSeeder<P: BlockAssignment> {
 /// boundary is always a subset of: the index's pair boundary at class start,
 /// plus moved nodes, plus neighbours of moved nodes. `seeds` re-examines this
 /// candidate set against the live view — `O(Σ deg(candidate))`, independent
-/// of `n` — and `observe_moves` grows it.
+/// of `n` — and `observe_moves` grows it. A seeder started from the index's
+/// pair boundary is *exact* until it observes a move: its candidates are
+/// the pair boundary of the view, and `seeds` returns them without reading
+/// a row.
 pub struct IndexSeeder<'a, G> {
     graph: &'a G,
     a: BlockId,
     b: BlockId,
     /// Sorted, deduplicated candidate superset of the pair boundary.
     candidates: Vec<NodeId>,
+    /// True while `candidates` is exactly the pair boundary of the view.
+    exact: bool,
 }
 
 impl<'a, G: GraphAccess> IndexSeeder<'a, G> {
-    /// An index-backed seeder for the pair `(a, b)`. The index must mirror
-    /// the state `view` had when the pair search started.
-    pub fn new(graph: &'a G, index: &BoundaryIndex, a: BlockId, b: BlockId) -> Self {
-        Self::with_candidates(graph, a, b, index.pair_boundary_sorted(a, b))
+    /// A seeder whose candidates are `boundary`: the pair boundary of the
+    /// view at search start, ascending — one bucket of
+    /// [`BoundaryIndex::class_boundaries_sorted`](kappa_graph::BoundaryIndex::class_boundaries_sorted)
+    /// over an index that mirrors the view. Its first seeds are `boundary`
+    /// itself, revalidated against nothing.
+    pub fn from_pair_boundary(graph: &'a G, a: BlockId, b: BlockId, boundary: Vec<NodeId>) -> Self {
+        IndexSeeder {
+            exact: true,
+            ..Self::with_candidates(graph, a, b, boundary)
+        }
     }
 
     /// A seeder whose candidate list starts as `candidates` (ascending,
-    /// duplicate-free) instead of the index's pair boundary — the localized
-    /// refiner starts from its touched region, a distributed rank from its
-    /// shard of the index.
+    /// duplicate-free), a superset of the pair boundary that every seeding
+    /// revalidates — the localized refiner starts from its touched region.
     pub fn with_candidates(graph: &'a G, a: BlockId, b: BlockId, candidates: Vec<NodeId>) -> Self {
         IndexSeeder {
             graph,
             a,
             b,
             candidates,
+            exact: false,
         }
     }
 }
 
 impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
     fn seeds(&mut self, view: &P) -> Vec<NodeId> {
+        if self.exact {
+            return self.candidates.clone();
+        }
         // Filtering the sorted candidates against the live view keeps the
         // ascending order of the full scan and revalidates every membership.
         self.candidates
@@ -285,6 +316,7 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
         if moves.is_empty() {
             return;
         }
+        self.exact = false;
         let mut extra: Vec<NodeId> = Vec::with_capacity(moves.len());
         for &(v, _) in moves {
             extra.push(v);
@@ -311,6 +343,75 @@ pub fn merge_sorted_dedup(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     merged.extend_from_slice(&a[i..]);
     merged.extend_from_slice(&b[j..]);
     merged
+}
+
+/// How a pair search comes by the band of its first local iteration.
+#[derive(Debug)]
+pub enum FirstBand {
+    /// Grow it from the seeds and keep nothing — the paths that never reuse
+    /// a band.
+    Grow,
+    /// Grow it from the seeds and, if the search moves nothing, hand a copy
+    /// back as [`PairDelta::idle_band`].
+    GrowAndKeep,
+    /// Search this band instead of growing one, and hand it back again if
+    /// the search moves nothing: the band of the pair's last search, which
+    /// moved nothing, with neither block changed since ([`IdleBands`]).
+    Reuse(PairBand),
+}
+
+/// The bands of the idle pair searches of one refinement call.
+///
+/// Holds at most one band per block pair: the one the pair's last search
+/// searched and left unmoved, stamped with the change counts its two blocks
+/// had then. A class commit that moves nodes between `a` and `b` bumps both
+/// counts ([`settle`](Self::settle)), which retires every band stamped
+/// before. A store lives for one refinement call and starts after the entry
+/// rebalance, which is the only other source of moves before the exit
+/// rebalance.
+#[derive(Debug)]
+pub struct IdleBands {
+    /// Per block, how many searches have moved its nodes so far.
+    changes: Vec<u64>,
+    /// Per pair `(a, b)`: the stamps `(changes[a], changes[b])` and the band.
+    bands: HashMap<(BlockId, BlockId), ((u64, u64), PairBand)>,
+}
+
+impl IdleBands {
+    /// An empty store for a partition into `k` blocks.
+    pub fn new(k: BlockId) -> Self {
+        IdleBands {
+            changes: vec![0; k as usize],
+            bands: HashMap::new(),
+        }
+    }
+
+    /// The first band of the next search of the pair `(a, b)`: the kept band
+    /// if neither block changed since it was kept; otherwise one to grow,
+    /// and to keep if `keep` (false where no later search of the pair can
+    /// follow in this call).
+    pub fn first_band(&mut self, a: BlockId, b: BlockId, keep: bool) -> FirstBand {
+        match self.bands.remove(&(a, b)) {
+            Some((stamps, band)) if stamps == self.stamps(a, b) => FirstBand::Reuse(band),
+            _ if keep => FirstBand::GrowAndKeep,
+            _ => FirstBand::Grow,
+        }
+    }
+
+    /// Records the outcome of the pair's search: bumps both blocks if it
+    /// moved nodes, keeps its idle band (taken out of `delta`) otherwise.
+    pub fn settle(&mut self, a: BlockId, b: BlockId, delta: &mut PairDelta) {
+        if !delta.moves.is_empty() {
+            self.changes[a as usize] += 1;
+            self.changes[b as usize] += 1;
+        } else if let Some(band) = delta.idle_band.take() {
+            self.bands.insert((a, b), (self.stamps(a, b), band));
+        }
+    }
+
+    fn stamps(&self, a: BlockId, b: BlockId) -> (u64, u64) {
+        (self.changes[a as usize], self.changes[b as usize])
+    }
 }
 
 #[cfg(test)]
@@ -347,7 +448,7 @@ pub(crate) mod tests {
     use crate::delta::{DeltaPairView, SharedAssignment};
     use crate::gain::pair_gain;
     use kappa_gen::grid::grid2d;
-    use kappa_graph::{BlockAssignmentMut, CsrGraph, GraphBuilder, Partition};
+    use kappa_graph::{BlockAssignmentMut, BoundaryIndex, CsrGraph, GraphBuilder, Partition};
     use kappa_initial::random_partition;
     use proptest::prelude::*;
 
@@ -554,7 +655,8 @@ pub(crate) mod tests {
         let index = BoundaryIndex::build(&graph, &partition);
         let n = graph.num_nodes() as u64;
         let (a, b) = (0u32, 1u32);
-        let mut with_index = IndexSeeder::new(&graph, &index, a, b);
+        let mut with_index =
+            IndexSeeder::from_pair_boundary(&graph, a, b, index.pair_boundary_sorted(a, b));
         let mut full_scan = FullScanSeeder::new(&graph, a, b);
         // `view` plays the DeltaPairView: the pair's live state during the
         // worker's local iterations, diverging from the index by exactly the

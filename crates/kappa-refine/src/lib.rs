@@ -74,14 +74,18 @@ pub mod scheduler;
 pub mod scratch;
 
 pub use balance::{best_move_of, fallback_move_of, fallback_target, rebalance_state};
-pub use band::{merge_sorted_dedup, pair_band, BandSeeder, IndexSeeder, PairBand};
+pub use band::{
+    merge_sorted_dedup, pair_band, BandSeeder, FirstBand, IdleBands, IndexSeeder, PairBand,
+};
 pub use coloring::{color_quotient_edges, EdgeColoring};
 pub use delta::{DeltaPairView, SharedAssignment};
 pub use fm::{patience_bound, two_way_fm_in, FmConfig, FmResult};
 pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
 pub use local::refine_local;
 pub use queue_select::QueueSelection;
-pub use scheduler::{refine_partition, search_pair, PairDelta, RefinementConfig, RefinementStats};
+pub use scheduler::{
+    refine_partition, search_pair, PairDelta, PairSearch, RefinementConfig, RefinementStats,
+};
 pub use scratch::{FmScratch, ScratchPool};
 
 #[cfg(test)]

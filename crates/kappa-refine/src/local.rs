@@ -30,8 +30,8 @@ use kappa_graph::{
 };
 
 use crate::balance::rebalance_state;
-use crate::band::IndexSeeder;
-use crate::scheduler::{search_pair, RefinementConfig, RefinementStats};
+use crate::band::{FirstBand, IndexSeeder};
+use crate::scheduler::{search_pair, PairSearch, RefinementConfig, RefinementStats};
 use crate::scratch::FmScratch;
 
 /// The state's partition plus an overlay of in-flight FM moves — cheap to
@@ -177,26 +177,29 @@ pub fn refine_local<G: GraphAccess>(
             let in_pair = |&v: &NodeId| [a, b].contains(&state.block_of(v));
             let candidates = region.iter().copied().filter(in_pair).collect();
             let mut seeder = IndexSeeder::with_candidates(graph, a, b, candidates);
+            let search = PairSearch {
+                a,
+                b,
+                w_a: state.weights().weight(a),
+                w_b: state.weights().weight(b),
+                l_max,
+                config,
+                global_iter: round,
+                color_idx: pair_idx,
+            };
             let delta = search_pair(
                 graph,
                 &mut view,
                 &mut seeder,
                 &mut scratch,
-                a,
-                b,
-                state.weights().weight(a),
-                state.weights().weight(b),
-                l_max,
-                config,
-                round,
-                pair_idx,
+                &search,
+                FirstBand::Grow,
             );
-            stats.pair_searches += delta.searches;
+            stats.count_pair(&delta);
             round_gain += delta.gain;
 
             // Commit the pair's surviving moves through the state so the next
             // pair (and the caller) sees exact derived state.
-            stats.nodes_moved += delta.moves.len();
             for (v, to) in delta.moves {
                 state.apply_move(graph, v, to);
                 round_moves.push(v);

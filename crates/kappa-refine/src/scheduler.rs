@@ -24,13 +24,24 @@
 //! blocks is adopted" exchange.
 //!
 //! The scheduler operates on one [`PartitionState`] — assignment,
-//! incremental block weights, incremental boundary index and cached cut
-//! behind a single `apply_move` — that arrives current and is returned
-//! current: nothing is rebuilt per call or per global iteration, and the
-//! rebalancer routes its moves through the same state. The test-only
-//! `refine_partition_reference` below — one partition clone per colour class
-//! and per pair, full-scan seeds, quotient and rebalancing — is the
-//! bit-identical ground truth.
+//! incremental block weights, incremental boundary index, cached cut and
+//! per-pair cut weights behind a single `apply_move` — that arrives current
+//! and is returned current: nothing is rebuilt per call or per global
+//! iteration, and the rebalancer routes its moves through the same state.
+//! What a call does pay for is what changed:
+//!
+//! * the quotient of a global iteration is read off the maintained pair cut
+//!   weights in `O(|E_Q|)`;
+//! * the seeds of a colour class come from one pass over the boundary list
+//!   ([`BoundaryIndex::class_boundaries_sorted`](kappa_graph::BoundaryIndex::class_boundaries_sorted)),
+//!   and a first seeding reads no row ([`IndexSeeder::from_pair_boundary`]);
+//! * a pair whose last search moved nothing and whose blocks no commit has
+//!   changed since searches its kept band instead of growing it again
+//!   ([`IdleBands`]).
+//!
+//! The test-only `refine_partition_reference` below — one partition clone
+//! per colour class and per pair, full-scan seeds, quotient and rebalancing,
+//! a fresh band for every search — is the bit-identical ground truth.
 
 use kappa_graph::{
     BlockAssignmentMut, BlockId, GraphAccess, NodeId, NodeWeight, Partition, PartitionState,
@@ -38,7 +49,7 @@ use kappa_graph::{
 use rayon::prelude::*;
 
 use crate::balance::rebalance_state;
-use crate::band::{BandSeeder, IndexSeeder, PairBand};
+use crate::band::{BandSeeder, FirstBand, IdleBands, IndexSeeder, PairBand};
 use crate::coloring::color_quotient_edges;
 use crate::delta::{DeltaPairView, SharedAssignment};
 use crate::fm::{pair_search_seed, two_way_fm_in, FmConfig};
@@ -124,10 +135,27 @@ pub struct RefinementStats {
     /// Number of nodes moved (after rollbacks; rebalancing moves included).
     pub nodes_moved: usize,
     /// Number of full `O(n + m)` quotient-graph scans performed.
-    /// [`refine_partition`] derives every quotient from the boundary index
-    /// (`PartitionState::quotient`), so this stays 0; only the test-only
-    /// full-scan reference scheduler pays one per global iteration.
+    /// [`refine_partition`] reads every quotient off the state's maintained
+    /// cut weights (`PartitionState::quotient`), so this stays 0; only the
+    /// test-only full-scan reference scheduler pays one per global iteration.
     pub quotient_full_scans: usize,
+    /// Bands grown by a BFS, one per FM search that did not reuse one.
+    pub bands_built: usize,
+    /// FM searches that ran on the kept band of an idle pair
+    /// ([`IdleBands`]) instead of growing one.
+    pub bands_reused: usize,
+}
+
+impl RefinementStats {
+    /// Counts one pair search: its FM searches, the bands they grew or
+    /// reused, and its surviving moves.
+    pub fn count_pair(&mut self, delta: &PairDelta) {
+        let reused = delta.band_reused as usize;
+        self.pair_searches += delta.searches;
+        self.bands_built += delta.searches - reused;
+        self.bands_reused += reused;
+        self.nodes_moved += delta.moves.len();
+    }
 }
 
 impl std::ops::AddAssign for RefinementStats {
@@ -139,6 +167,8 @@ impl std::ops::AddAssign for RefinementStats {
         self.pair_searches += level.pair_searches;
         self.nodes_moved += level.nodes_moved;
         self.quotient_full_scans += level.quotient_full_scans;
+        self.bands_built += level.bands_built;
+        self.bands_reused += level.bands_reused;
     }
 }
 
@@ -151,9 +181,37 @@ pub struct PairDelta {
     pub gain: i64,
     /// FM searches run (local iterations that found seeds).
     pub searches: usize,
+    /// True when the first search ran on a [`FirstBand::Reuse`] band.
+    pub band_reused: bool,
+    /// The first search's band, when the search moved nothing and its
+    /// [`FirstBand`] asked to keep it.
+    pub idle_band: Option<PairBand>,
 }
 
-/// Runs the local iterations of one pair `(a, b)` — band seeding + BFS,
+/// One pair search's coordinates and bounds: the pair `(a, b)`, its block
+/// weights at search start, `L_max`, the configuration, and the
+/// `(global iteration, colour index)` its FM seeds derive from.
+#[derive(Clone, Copy, Debug)]
+pub struct PairSearch<'c> {
+    /// First block of the pair.
+    pub a: BlockId,
+    /// Second block of the pair.
+    pub b: BlockId,
+    /// Weight of block `a` at search start.
+    pub w_a: NodeWeight,
+    /// Weight of block `b` at search start.
+    pub w_b: NodeWeight,
+    /// Balance bound `L_max`.
+    pub l_max: NodeWeight,
+    /// The refinement configuration.
+    pub config: &'c RefinementConfig,
+    /// Global iteration (round, in [`refine_local`](crate::refine_local)).
+    pub global_iter: usize,
+    /// Colour index (pair index, in [`refine_local`](crate::refine_local)).
+    pub color_idx: usize,
+}
+
+/// Runs the local iterations of one pair search — band seeding + BFS,
 /// 2-way FM, pair-local block-weight tracking — against `target` and returns
 /// the pair's delta.
 ///
@@ -164,42 +222,69 @@ pub struct PairDelta {
 /// [`BoundaryIndex`](kappa_graph::BoundaryIndex) in the first, one started
 /// from the touched region in the second, and the full-scan reference in the
 /// third. This is the only local-iteration loop of the
-/// workspace — kappa-dist's one-rank refinement runs it on its live view,
-/// seeded by [`IndexSeeder::with_candidates`] — and sharing it, with the
-/// seeders' identical outputs, is what keeps the schedulers bit-identical.
-/// `refine_local` passes `(round, pair index)` for `(global_iter, color_idx)`.
-#[allow(clippy::too_many_arguments)]
+/// workspace — kappa-dist's one-rank refinement runs it on its live view —
+/// and sharing it, with the seeders' identical outputs, is what keeps the
+/// schedulers bit-identical. `first` says where the first local iteration's
+/// band comes from: [`FirstBand::Reuse`] skips seeding and BFS, and a band
+/// the caller asked to keep comes back as [`PairDelta::idle_band`] when the
+/// search moves nothing. Only a keeping caller ever copies a band.
 pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
     graph: &G,
     target: &mut P,
     seeder: &mut S,
     scratch: &mut FmScratch,
-    a: BlockId,
-    b: BlockId,
-    mut w_a: NodeWeight,
-    mut w_b: NodeWeight,
-    l_max: NodeWeight,
-    config: &RefinementConfig,
-    global_iter: usize,
-    color_idx: usize,
+    search: &PairSearch,
+    first: FirstBand,
 ) -> PairDelta {
-    let mut pair_gain_total = 0i64;
-    let mut all_moves = Vec::new();
-    let mut searches = 0usize;
+    let PairSearch {
+        a,
+        b,
+        mut w_a,
+        mut w_b,
+        l_max,
+        config,
+        global_iter,
+        color_idx,
+    } = *search;
+    let (keep, mut reuse) = match first {
+        FirstBand::Grow => (false, None),
+        FirstBand::GrowAndKeep => (true, None),
+        FirstBand::Reuse(band) => (true, Some(band)),
+    };
+    let mut delta = PairDelta {
+        moves: Vec::new(),
+        gain: 0,
+        searches: 0,
+        band_reused: reuse.is_some(),
+        idle_band: None,
+    };
     for local_iter in 0..config.local_iterations {
-        let seeds = seeder.seeds(target);
-        if seeds.is_empty() {
-            break;
-        }
-        let band = PairBand::around(graph, &*target, &seeds, (a, b), config.bfs_depth, scratch);
+        let band = match reuse.take() {
+            Some(band) => band,
+            None => {
+                let seeds = seeder.seeds(target);
+                if seeds.is_empty() {
+                    break;
+                }
+                PairBand::around(graph, &*target, &seeds, (a, b), config.bfs_depth, scratch)
+            }
+        };
+        let kept = (keep && local_iter == 0).then(|| band.clone());
         let fm_config = config.fm_config(l_max, global_iter, color_idx, local_iter, a, b);
         let result = two_way_fm_in(graph, target, a, b, band, w_a, w_b, &fm_config, scratch);
-        searches += 1;
+        delta.searches += 1;
         if result.moves.is_empty() {
+            delta.idle_band = kept;
             break;
         }
+        delta.gain += result.gain;
+        if result.gain == 0 || local_iter + 1 == config.local_iterations {
+            delta.moves.extend(result.moves);
+            break;
+        }
+        // Prepare the next local iteration: the seeder learns the moves, the
+        // pair's block weights follow them.
         seeder.observe_moves(&result.moves);
-        // Update the pair's block weights for the next local iteration.
         for &(v, to) in &result.moves {
             let vw = graph.node_weight(v);
             if to == a {
@@ -210,17 +295,9 @@ pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
                 w_a -= vw;
             }
         }
-        pair_gain_total += result.gain;
-        all_moves.extend(result.moves);
-        if result.gain == 0 {
-            break;
-        }
+        delta.moves.extend(result.moves);
     }
-    PairDelta {
-        moves: all_moves,
-        gain: pair_gain_total,
-        searches,
-    }
+    delta
 }
 
 /// Refines the partition held by `state` in place on one hierarchy level.
@@ -237,8 +314,10 @@ pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
 /// through [`PartitionState::apply_move`], and the rebalancer routes its
 /// moves the same way, so nothing ever mutates the assignment behind the
 /// index's back. The FM searches draw their buffers from a [`ScratchPool`],
-/// so neither boundary extraction nor FM performs per-search `O(n)` work.
-/// The result is the same for every thread count.
+/// so neither boundary extraction nor FM performs per-search `O(n)` work,
+/// and an [`IdleBands`] store that lives for this call lets an unchanged
+/// idle pair skip its band BFS. The result is the same for every thread
+/// count, and equal to growing every band afresh.
 ///
 /// ```
 /// use kappa_gen::grid::grid2d;
@@ -286,60 +365,67 @@ pub fn refine_partition<G: GraphAccess + Sync>(
     // Pooled FM/BFS scratch buffers, reused across all pair searches of this
     // refinement call (at most one live scratch per concurrent worker).
     let scratch_pool = ScratchPool::new();
+    // The bands of idle pair searches, for the pair's next visit.
+    let mut idle = IdleBands::new(k);
 
     let mut no_change_streak = 0usize;
     for global_iter in 0..config.max_global_iterations {
-        // Boundary-priced quotient: derived from the state's boundary index
-        // in O(Σ_{v ∈ boundary} deg v), bit-identical to the full-scan
-        // `QuotientGraph::build`.
-        let quotient = state.quotient(graph);
+        // Read off the state's maintained per-pair cut weights in O(|E_Q|),
+        // bit-identical to the full-scan `QuotientGraph::build`.
+        let quotient = state.quotient();
         if quotient.num_edges() == 0 {
             break;
         }
         let coloring =
             color_quotient_edges(&quotient, config.seed.wrapping_add(global_iter as u64));
         let mut iteration_gain = 0i64;
+        // No pair is searched after the last global iteration.
+        let keep = global_iter + 1 < config.max_global_iterations;
 
         for (color_idx, class) in coloring.classes().enumerate() {
             // All pairs of one colour are block-disjoint: each worker works
             // on the shared mirror through a pair-local delta view, seeds its
-            // band from the state's live boundary index and reads the state's
-            // live block weights; no clone, recompute or rebuild of anything.
-            let boundary = state.boundary();
+            // band from its bucket of one pass over the state's live boundary
+            // index (or reuses its idle band) and reads the state's live
+            // block weights; no clone, recompute or rebuild of anything.
             let weights = state.weights();
             stats.pairs_considered += class.len();
-            let deltas: Vec<PairDelta> = class
-                .par_iter()
-                .map(|&(a, b)| {
+            let jobs: Vec<_> = class
+                .iter()
+                .zip(state.boundary().class_boundaries_sorted(class))
+                .map(|(&(a, b), boundary)| (a, b, boundary, idle.first_band(a, b, keep)))
+                .collect();
+            let deltas: Vec<PairDelta> = jobs
+                .into_par_iter()
+                .map(|(a, b, boundary, first)| {
                     let mut view = DeltaPairView::new(&shared);
-                    let mut seeder = IndexSeeder::new(graph, boundary, a, b);
+                    let mut seeder = IndexSeeder::from_pair_boundary(graph, a, b, boundary);
                     let mut scratch = scratch_pool.take();
-                    let delta = search_pair(
-                        graph,
-                        &mut view,
-                        &mut seeder,
-                        &mut scratch,
+                    let search = PairSearch {
                         a,
                         b,
-                        weights.weight(a),
-                        weights.weight(b),
+                        w_a: weights.weight(a),
+                        w_b: weights.weight(b),
                         l_max,
                         config,
                         global_iter,
                         color_idx,
-                    );
+                    };
+                    let delta =
+                        search_pair(graph, &mut view, &mut seeder, &mut scratch, &search, first);
                     scratch_pool.put(scratch);
                     delta
                 })
                 .collect();
 
             // Apply the merged deltas once per class — one state call updates
-            // the partition, block weights, boundary index and cached cut, so
-            // the next class seeds from the committed state.
-            for delta in deltas {
-                stats.pair_searches += delta.searches;
+            // the partition, block weights, boundary index, cached cut and
+            // pair cut weights, so the next class seeds from the committed
+            // state.
+            for (&(a, b), mut delta) in class.iter().zip(deltas) {
+                stats.count_pair(&delta);
                 iteration_gain += delta.gain;
-                stats.nodes_moved += delta.moves.len();
+                idle.settle(a, b, &mut delta);
                 for (v, to) in delta.moves {
                     state.apply_move(graph, v, to);
                 }
@@ -426,28 +512,31 @@ pub(crate) fn refine_partition_reference<G: GraphAccess + Sync>(
                 .map(|&(a, b)| {
                     let mut local = snapshot.clone();
                     let mut seeder = FullScanSeeder::new(graph, a, b);
+                    let search = PairSearch {
+                        a,
+                        b,
+                        w_a: weights.weight(a),
+                        w_b: weights.weight(b),
+                        l_max,
+                        config,
+                        global_iter,
+                        color_idx,
+                    };
                     let mut scratch = FmScratch::new();
                     search_pair(
                         graph,
                         &mut local,
                         &mut seeder,
                         &mut scratch,
-                        a,
-                        b,
-                        weights.weight(a),
-                        weights.weight(b),
-                        l_max,
-                        config,
-                        global_iter,
-                        color_idx,
+                        &search,
+                        FirstBand::Grow,
                     )
                 })
                 .collect();
 
             for delta in results {
-                stats.pair_searches += delta.searches;
+                stats.count_pair(&delta);
                 iteration_gain += delta.gain;
-                stats.nodes_moved += delta.moves.len();
                 for (v, to) in delta.moves {
                     partition.assign(v, to);
                 }
@@ -628,12 +717,52 @@ mod tests {
                 expected.assignment(),
                 "threads {threads}"
             );
-            // Equal in every count but the reference's own quotient scans.
+            // Equal in every count but the reference's own quotient scans
+            // and the bands it grew where the scheduler reused one.
             let expected = RefinementStats {
                 quotient_full_scans: 0,
+                bands_built: expected_stats.bands_built - stats.bands_reused,
+                bands_reused: stats.bands_reused,
                 ..expected_stats
             };
             assert_eq!(stats, expected, "threads {threads}");
+            state.verify_exact(&g).unwrap();
+        }
+    }
+
+    /// Idle pairs whose blocks no commit changed search their kept band —
+    /// and the result is still the reference's, which grows every band: the
+    /// same assignment and the same counts, bands grown plus reused equal to
+    /// the reference's bands grown, at every thread count.
+    #[test]
+    fn unchanged_idle_pairs_reuse_their_band_and_match_the_reference() {
+        let g = random_geometric_graph(1 << 14, 3);
+        let start = greedy_graph_growing(&g, 32, 0.03, 5);
+        let config = RefinementConfig::default(); // the fast preset
+        let mut expected = start.clone();
+        let expected_stats = refine_partition_reference(&g, &mut expected, &config);
+        assert_eq!(expected_stats.bands_reused, 0);
+        assert_eq!(expected_stats.bands_built, expected_stats.pair_searches);
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut state = PartitionState::build(&g, start.clone());
+            let stats = pool.install(|| refine_partition(&g, &mut state, &config));
+            assert!(stats.bands_reused > 0, "threads {threads}: no band reused");
+            assert_eq!(
+                state.partition().assignment(),
+                expected.assignment(),
+                "threads {threads}"
+            );
+            assert_eq!(
+                stats.bands_built + stats.bands_reused,
+                expected_stats.bands_built,
+                "threads {threads}"
+            );
+            assert_eq!(stats.pair_searches, expected_stats.pair_searches);
+            assert_eq!(stats.total_gain, expected_stats.total_gain);
             state.verify_exact(&g).unwrap();
         }
     }
@@ -715,8 +844,9 @@ mod tests {
     /// The property the fused band exists for: one local iteration of a pair
     /// search reads the row of every band node exactly once — and no other
     /// row — before its first move, and afterwards one row per move it makes
-    /// (the gain update), nothing else. The seeder is given the bare graph:
-    /// what it reads to find the pair boundary is not the search's.
+    /// (the gain update), nothing else. The seeder reads through the counting
+    /// graph too: started from the index's pair boundary, the first local
+    /// iteration's seeding reads no row at all.
     #[test]
     fn a_pair_search_reads_each_band_row_once_before_the_first_move() {
         let instances = [
@@ -727,7 +857,7 @@ mod tests {
         for (graph, k, depth) in instances {
             let partition = greedy_graph_growing(&graph, k, 0.03, 7);
             let state = PartitionState::build(&graph, partition.clone());
-            let quotient = state.quotient(&graph);
+            let quotient = state.quotient();
             let config = RefinementConfig {
                 bfs_depth: depth,
                 local_iterations: 1,
@@ -748,20 +878,34 @@ mod tests {
                     partition: partition.clone(),
                     assigns: &assigns,
                 };
-                let mut seeder = IndexSeeder::new(&graph, state.boundary(), a, b);
+                let boundary = state.boundary().pair_boundary_sorted(a, b);
+                let mut seeder = IndexSeeder::from_pair_boundary(&counting, a, b, boundary);
+                let seeds = BandSeeder::<CountingView>::seeds(&mut seeder, &view);
+                let seeding: u32 = counting
+                    .reads
+                    .borrow()
+                    .iter()
+                    .map(|&(before, _)| before)
+                    .sum();
+                assert_eq!(seeding, 0, "pair ({a},{b}): the first seeding read rows");
+                assert_eq!(seeds, state.boundary().pair_boundary_sorted(a, b));
+                let search = PairSearch {
+                    a,
+                    b,
+                    w_a: state.weights().weight(a),
+                    w_b: state.weights().weight(b),
+                    l_max,
+                    config: &config,
+                    global_iter: 0,
+                    color_idx: 0,
+                };
                 let delta = search_pair(
                     &counting,
                     &mut view,
                     &mut seeder,
                     &mut FmScratch::new(),
-                    a,
-                    b,
-                    state.weights().weight(a),
-                    state.weights().weight(b),
-                    l_max,
-                    &config,
-                    0,
-                    0,
+                    &search,
+                    FirstBand::Grow,
                 );
                 assert_eq!(delta.searches, 1);
                 let reads = counting.reads.into_inner();

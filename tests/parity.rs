@@ -16,7 +16,7 @@ use kappa::coarsen::SpillConfig;
 use kappa::coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
 use kappa::core::{default_spill_dir, partition_tiered};
 use kappa::graph::boundary::{boundary_nodes, pair_boundary_nodes};
-use kappa::graph::{BoundaryIndex, PartitionState};
+use kappa::graph::{BoundaryIndex, DynamicGraph, PartitionState, QuotientGraph};
 use kappa::initial::random_partition;
 use kappa::matching::{EdgeRating, MatchingAlgorithm};
 use kappa::mem::{CompactCsr, PagedGraph, TierGraph, TierSpec};
@@ -48,7 +48,7 @@ proptest! {
             let v = (next() % n) as u32;
             let to = (next() % k as u64) as u32;
             state_struct.apply_move(&graph, v, to);
-            let derived = state_struct.quotient(&graph);
+            let derived = state_struct.quotient();
             let reference = kappa::graph::QuotientGraph::build(&graph, state_struct.partition());
             prop_assert_eq!(derived.edges(), reference.edges(), "edges diverged at step {}", step);
             prop_assert_eq!(derived.total_cut(), state_struct.edge_cut(), "cut at step {}", step);
@@ -95,6 +95,91 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    // One pass per colour class: bucketing the boundary list by pair gives
+    // every pair of a block-disjoint class exactly its own pair boundary, in
+    // the same order, before and after random moves.
+    #[test]
+    fn class_boundaries_equal_the_per_pair_boundaries(
+        graph in arbitrary_graph(150),
+        k in 2u32..9,
+        seed in any::<u64>(),
+    ) {
+        let mut partition = random_partition(&graph, k, seed);
+        let mut index = BoundaryIndex::build(&graph, &partition);
+        let n = graph.num_nodes() as u64;
+        let mut next = xorshift(seed);
+        for step in 0..8 {
+            // A random block-disjoint class: a shuffled block order paired
+            // off, then a random prefix of the pairs.
+            let mut blocks: Vec<u32> = (0..k).collect();
+            for i in (1..blocks.len()).rev() {
+                blocks.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let pairs: Vec<(u32, u32)> = blocks.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+            let class = &pairs[..(next() % (pairs.len() as u64 + 1)) as usize];
+            let buckets = index.class_boundaries_sorted(class);
+            prop_assert_eq!(buckets.len(), class.len());
+            for (&(a, b), bucket) in class.iter().zip(&buckets) {
+                prop_assert_eq!(
+                    bucket,
+                    &index.pair_boundary_sorted(a, b),
+                    "pair ({}, {}) at step {}",
+                    a,
+                    b,
+                    step
+                );
+            }
+            for _ in 0..5 {
+                let (v, to) = ((next() % n) as u32, (next() % k as u64) as u32);
+                partition.assign(v, to);
+                index.apply_move(&graph, v, to);
+            }
+        }
+    }
+
+    // The maintained quotient: after every node move, edge insert, delete
+    // and reweight absorbed by the state, its per-pair cut weights are the
+    // full scan's quotient of the mutated graph.
+    #[test]
+    fn maintained_quotient_equals_the_full_scan_after_every_mutation(
+        graph in arbitrary_graph(100),
+        k in 2u32..7,
+        seed in any::<u64>(),
+    ) {
+        let start = random_partition(&graph, k, seed);
+        let mut live = DynamicGraph::new(graph);
+        let mut state = PartitionState::build(&live, start);
+        let n = live.num_nodes() as u64;
+        let mut next = xorshift(seed);
+        for step in 0..60 {
+            let (v, u) = ((next() % n) as u32, (next() % n) as u32);
+            let w = 1 + next() % 9;
+            match next() % 4 {
+                0 => {
+                    state.apply_move(&live, v, (next() % k as u64) as u32);
+                }
+                1 => {
+                    if live.insert_edge(v, u, w).is_ok() {
+                        state.apply_edge_insert(v, u, w);
+                    }
+                }
+                2 => {
+                    if let Ok(old) = live.delete_edge(v, u) {
+                        state.apply_edge_delete(v, u, old);
+                    }
+                }
+                _ => {
+                    if let Ok(old) = live.update_edge(v, u, w) {
+                        state.apply_edge_reweight(v, u, old, w);
+                    }
+                }
+            }
+            let expected = QuotientGraph::build(&live, state.partition());
+            prop_assert_eq!(state.quotient(), expected, "step {}", step);
+            prop_assert_eq!(state.quotient().total_cut(), state.edge_cut(), "step {}", step);
         }
     }
 
