@@ -23,8 +23,9 @@ use std::fmt;
 /// Version of the wire protocol (frames + handshake). Bump on any change to
 /// the frame layout or the [`Wire`] encodings of the pipeline's message types.
 /// Version 2 added coalesced pack frames (`::coal`); version 3 ships band
-/// shards as flat arrays (`band-recs` carries `kappa_refine::BandShard`).
-pub const PROTOCOL_VERSION: u16 = 3;
+/// shards as flat arrays (`band-recs` carries `kappa_refine::BandShard`);
+/// version 4 drops the never-read `done` flag from `class-reports`.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame magic, little-endian `b"KPF1"` on the wire.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"KPF1");

@@ -15,30 +15,32 @@
 //!    `IndexSeeder`'s) go to the homes, a level-synchronised distributed BFS
 //!    grows the depth-`d` bands, each rank ships its share of every band to
 //!    the pair's home (one flat [`BandShard`] per pair, filled from its
-//!    dense `BandScratch`), the homes assemble their regions and pool all
-//!    local iterations of the FM search on them **in parallel across
-//!    ranks**, and the surviving moves are exchanged.
+//!    dense `BandScratch`), the homes run `search_pair` on their assembled
+//!    regions **in parallel across ranks**, and the surviving moves are
+//!    exchanged.
 //! 3. Every rank replays the class's moves through its state — live view,
 //!    boundary-index shard, replicated weights, partial cut — once per
 //!    class, in deterministic pair order.
 //!
-//! One rank runs the shared scheduler's exact searches — same quotient,
-//! colouring, seeds, `search_pair` on an equal view and `IdleBands` reuse —
-//! so `--ranks 1` is bit-identical to `--threads 1` by construction, every
-//! `RefinementStats` counter included; that a gathered search
-//! equals the direct one is kappa-refine's `gathered_region_matches_direct_search`
-//! proptest. The distributed rebalancer picks `rebalance_state`'s moves by
-//! construction: each rank scores its owned boundary candidates with the
-//! shared `best_move_of` and an allreduce-min selects the unique global
-//! minimum candidate tuple.
+//! So every rank count runs one local-iteration loop and one stop rule
+//! (`RefinementConfig::converged`). One rank runs the shared scheduler's
+//! exact searches — same quotient, colouring, seeds, `search_pair` on an
+//! equal view and `IdleBands` reuse — so `--ranks 1` is bit-identical to
+//! `--threads 1` by construction, every `RefinementStats` counter included;
+//! that a gathered search's first local iteration equals the direct one is
+//! kappa-refine's `gathered_region_matches_direct_search` proptest. The
+//! distributed rebalancer picks `rebalance_state`'s moves by construction:
+//! each rank scores its owned boundary candidates with the shared
+//! `best_move_of` and an allreduce-min selects the unique global minimum
+//! candidate tuple.
 
 use std::collections::HashMap;
 
 use kappa_graph::{is_pair_boundary, BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
 use kappa_refine::{
-    best_move_of, color_quotient_edges, fallback_move_of, fallback_target, refine_gathered_band,
-    search_pair, BandShard, FmScratch, GatheredRegion, IdleBands, IndexSeeder, PairSearch,
-    RefinementConfig, RefinementStats, ShardError,
+    best_move_of, color_quotient_edges, fallback_move_of, fallback_target, search_pair, BandShard,
+    FmScratch, GatheredRegion, IdleBands, IndexSeeder, PairSearch, RefinementConfig,
+    RefinementStats, ShardError,
 };
 
 use crate::comm::{allreduce_min_opt, Comm, CommError, CommResult};
@@ -46,12 +48,11 @@ use crate::graph::{DistGraph, LocalAssignment};
 use crate::state::{DistState, MoveRec};
 
 /// One pair's report from its home rank: the pooled outcome of its local
-/// iterations; `done` (converged before the passes ran out) is informational.
+/// iterations.
 #[derive(Clone, Debug)]
 struct PairReport {
     pair: usize,
     searches: u64,
-    done: bool,
     gain: i64,
     moves: Vec<MoveRec>,
 }
@@ -59,7 +60,6 @@ struct PairReport {
 crate::impl_wire_struct!(PairReport {
     pair,
     searches,
-    done,
     gain,
     moves,
 });
@@ -96,6 +96,23 @@ struct ClassCoords<'c> {
     color_idx: usize,
     config: &'c RefinementConfig,
     l_max: NodeWeight,
+}
+
+impl ClassCoords<'_> {
+    /// The search of `pair` at these coordinates, from its class-start
+    /// block weights.
+    fn search(&self, pair: &PairRun) -> PairSearch<'_> {
+        PairSearch {
+            a: pair.a,
+            b: pair.b,
+            w_a: pair.w_a,
+            w_b: pair.w_b,
+            l_max: self.l_max,
+            config: self.config,
+            global_iter: self.global_iter,
+            color_idx: self.color_idx,
+        }
+    }
 }
 
 /// Refines the distributed partition state on one level (collective call).
@@ -156,13 +173,8 @@ pub fn dist_refine<C: Comm>(
         }
 
         stats.global_iterations += 1;
-        if iteration_gain <= 0 {
-            no_change_streak += 1;
-            if no_change_streak >= config.stop_after_no_change {
-                break;
-            }
-        } else {
-            no_change_streak = 0;
+        if config.converged(&mut no_change_streak, iteration_gain) {
+            break;
         }
     }
 
@@ -234,19 +246,11 @@ fn search_in_place(
     let config = coords.config;
     let keep = coords.global_iter + 1 < config.max_global_iterations;
     let mut reports = Vec::with_capacity(pairs.len());
-    for (pi, pair) in pairs.into_iter().enumerate() {
+    for (pi, mut pair) in pairs.into_iter().enumerate() {
         let (a, b) = (pair.a, pair.b);
-        let mut seeder = IndexSeeder::from_pair_boundary(graph, a, b, pair.candidates);
-        let search = PairSearch {
-            a,
-            b,
-            w_a: pair.w_a,
-            w_b: pair.w_b,
-            l_max: coords.l_max,
-            config,
-            global_iter: coords.global_iter,
-            color_idx: coords.color_idx,
-        };
+        let search = coords.search(&pair);
+        let candidates = std::mem::take(&mut pair.candidates);
+        let mut seeder = IndexSeeder::from_pair_boundary(graph, a, b, candidates);
         let first = idle.first_band(a, b, keep);
         let mut delta = search_pair(
             graph,
@@ -260,16 +264,10 @@ fn search_in_place(
         stats.bands_built += delta.searches - reused;
         stats.bands_reused += reused;
         idle.settle(a, b, &mut delta);
-        let record = |(l, to): (NodeId, BlockId)| MoveRec {
-            gid: dg.global_of(l),
-            from: if to == a { b } else { a },
-            to,
-            weight: graph.node_weight(l),
-        };
+        let record = |(l, to)| pair.record(dg.global_of(l), to, graph.node_weight(l));
         reports.push(PairReport {
             pair: pi,
             searches: delta.searches as u64,
-            done: true, // never sent: one rank reports only to itself
             gain: delta.gain,
             moves: delta.moves.into_iter().map(record).collect(),
         });
@@ -279,10 +277,11 @@ fn search_in_place(
 
 /// Across ranks: gathers every pair's band to its home — seeds revalidated
 /// in the live view, a level-synchronised band BFS, one shard per rank and
-/// pair — runs this rank's home searches, each pooling all local iterations
-/// on its gathered region (follow-up passes re-seed from the region's own
-/// shifted boundary, clipped to the gathered band), and exchanges the
-/// reports. Returns every report of the class, in pair order.
+/// pair — runs this rank's home searches, each one `search_pair` on its
+/// gathered region ([`GatheredRegion::search`]: follow-up iterations
+/// re-seed from the region's own shifted boundary, clipped to the gathered
+/// band), and exchanges the reports. Returns every report of the class, in
+/// pair order.
 ///
 /// Message frugality and overlap:
 /// * the band BFS costs one allgather per hop — `2(R-1)` frames rather than
@@ -391,68 +390,29 @@ fn gather_and_search<C: Comm>(
         gathered.receive(me, src, band_part)?;
     }
 
-    // Home FM: all local iterations pooled on the gathered region.
+    // Home FM: the shared `search_pair` on each gathered region, all local
+    // iterations pooled on one gather. A pair without seeds assembles nothing.
     let mut my_reports: Vec<PairReport> = Vec::new();
     for (pi, pair) in pairs.iter().enumerate() {
         if pair.home != me {
             continue;
         }
-        let mut seeds = std::mem::take(&mut seeds_of[pi]);
         let mut report = PairReport {
             pair: pi,
             searches: 0,
-            done: seeds.is_empty(),
             gain: 0,
             moves: Vec::new(),
         };
-        if !report.done {
+        if !seeds_of[pi].is_empty() {
             let mut region = gathered.assemble(me, st.k(), pi)?;
-            let blame = |e: ShardError| gathered.blame(me, pi, e);
-            let (mut w_a, mut w_b) = (pair.w_a, pair.w_b);
-            for local_iter in 0..config.local_iterations {
-                // The first pass is the exact gathered-band search. Follow-up
-                // passes re-seed from the shifted boundary and clip the band
-                // BFS to the gathered band (the frozen ring was never shipped
-                // for moving).
-                let follow_up = local_iter > 0;
-                if follow_up {
-                    seeds = region.boundary_seeds(pair.a, pair.b);
-                    if seeds.is_empty() {
-                        report.done = true;
-                        break;
-                    }
-                }
-                let fm_config = config.fm_config(
-                    coords.l_max,
-                    coords.global_iter,
-                    coords.color_idx,
-                    local_iter,
-                    pair.a,
-                    pair.b,
-                );
-                let result = refine_gathered_band(
-                    &mut region,
-                    pair.a,
-                    pair.b,
-                    &seeds,
-                    config.bfs_depth,
-                    w_a,
-                    w_b,
-                    &fm_config,
-                    scratch,
-                    follow_up,
-                )
-                .map_err(blame)?;
-                report.searches += 1;
-                report.gain += result.gain;
-                report.done = result.moves.is_empty() || result.gain == 0;
-                for rec in pair.move_recs(&region, &result.moves).map_err(blame)? {
-                    shift_weight(&rec, pair.a, &mut w_a, &mut w_b);
-                    report.moves.push(rec);
-                }
-                if report.done {
-                    break;
-                }
+            let delta = region
+                .search(&seeds_of[pi], &coords.search(pair), scratch)
+                .map_err(|e| gathered.blame(me, pi, e))?;
+            report.searches = delta.searches as u64;
+            report.gain = delta.gain;
+            for (l, to) in delta.moves {
+                let (gid, weight) = region.node(l);
+                report.moves.push(pair.record(gid, to, weight));
             }
         }
         my_reports.push(report);
@@ -523,30 +483,15 @@ fn merge_reports(
     Ok(merged)
 }
 
-/// Tracks one move of the pair `(a, _)` in the pair's block weights.
-fn shift_weight(rec: &MoveRec, a: BlockId, w_a: &mut NodeWeight, w_b: &mut NodeWeight) {
-    let (onto, off) = if rec.to == a { (w_a, w_b) } else { (w_b, w_a) };
-    *onto += rec.weight;
-    *off -= rec.weight;
-}
-
 impl PairRun {
-    /// The surviving moves of one search on `region` as broadcastable
-    /// records, their weights read off the region.
-    fn move_recs(
-        &self,
-        region: &GatheredRegion,
-        moves: &[(NodeId, BlockId)],
-    ) -> Result<Vec<MoveRec>, ShardError> {
-        let record = |&(gid, to): &(NodeId, BlockId)| {
-            Ok(MoveRec {
-                gid,
-                from: if to == self.a { self.b } else { self.a },
-                to,
-                weight: region.weight_of(gid)?,
-            })
-        };
-        moves.iter().map(record).collect()
+    /// A surviving move of the pair's search as a broadcastable record.
+    fn record(&self, gid: NodeId, to: BlockId, weight: NodeWeight) -> MoveRec {
+        MoveRec {
+            gid,
+            from: if to == self.a { self.b } else { self.a },
+            to,
+            weight,
+        }
     }
 
     /// The pairs of one colour class at class start: pair `i` homed on rank
@@ -930,7 +875,6 @@ mod tests {
         let report = |pair| PairReport {
             pair,
             searches: 1,
-            done: true,
             gain: 0,
             moves: Vec::new(),
         };

@@ -5,12 +5,12 @@
 //! when coordinates exist, node-index ranges otherwise — the preliminary
 //! partition only affects locality, never the final result quality directly).
 //! Each part is matched *locally and in parallel* with a sequential algorithm
-//! restricted to intra-part edges. Then the *gap graph* — cross-part edges
-//! `{u, v}` whose rating exceeds the rating of the edges matched to `u` and `v`
-//! locally — is matched by iterated locally-heaviest-edge pointing: an edge is
-//! matched when it is the most attractive remaining gap edge at *both*
-//! endpoints, which is exactly the paper's condition and needs no global
-//! coordination.
+//! restricted to intra-part edges. Then the *gap graph* — the cross-part
+//! edges whose endpoints both stayed unmatched locally (locally matched nodes
+//! keep their match) — is matched by iterated locally-heaviest-edge pointing:
+//! an edge is matched when it is the most attractive remaining gap edge at
+//! *both* endpoints, which is exactly the paper's condition and needs no
+//! global coordination.
 
 use kappa_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
@@ -119,22 +119,10 @@ pub fn parallel_matching(
         matching.absorb(m);
     }
 
-    // Gap graph: cross-part edges more attractive than what their endpoints got
-    // locally.
-    let matched_rating: Vec<f64> = compute_matched_ratings(graph, &matching, config.rating);
-    let mut gap: Vec<RatedEdge> = cross_edges
-        .into_iter()
-        .filter(|e| {
-            e.rating > matched_rating[e.u as usize] && e.rating > matched_rating[e.v as usize]
-        })
-        .collect();
-
-    // Free the endpoints of gap edges that dominate their local match? No —
-    // the paper only matches *unmatched* gap endpoints; locally matched nodes
-    // stay matched. Keep only gap edges between unmatched nodes.
-    gap.retain(|e| !matching.is_matched(e.u) && !matching.is_matched(e.v));
-
-    locally_heaviest_matching(&mut matching, gap);
+    // Gap graph: locally matched nodes stay matched, so it is the cross-part
+    // edges between unmatched endpoints — exactly what the locally-heaviest
+    // matcher keeps of `cross_edges` before its first round.
+    locally_heaviest_matching(&mut matching, cross_edges);
     matching
 }
 
@@ -172,36 +160,6 @@ pub fn locally_heaviest_matching(matching: &mut Matching, mut edges: Vec<RatedEd
             break;
         }
     }
-}
-
-/// For every node, the rating of the edge it is matched along (or -inf).
-fn compute_matched_ratings(graph: &CsrGraph, matching: &Matching, rating: EdgeRating) -> Vec<f64> {
-    let mut out = vec![f64::NEG_INFINITY; graph.num_nodes()];
-    let need_degrees = rating == EdgeRating::InnerOuter;
-    let degrees: Vec<u64> = if need_degrees {
-        graph.nodes().map(|v| graph.weighted_degree(v)).collect()
-    } else {
-        Vec::new()
-    };
-    for (u, v) in matching.edges() {
-        let w = graph.edge_weight_between(u, v).unwrap_or(0);
-        let (ou, ov) = if need_degrees {
-            (degrees[u as usize], degrees[v as usize])
-        } else {
-            (0, 0)
-        };
-        let r = crate::rating::rate_edge(
-            rating,
-            w,
-            graph.node_weight(u),
-            graph.node_weight(v),
-            ou,
-            ov,
-        );
-        out[u as usize] = r;
-        out[v as usize] = r;
-    }
-    out
 }
 
 /// Fisher–Yates shuffle with a small deterministic xorshift generator (cheap,

@@ -235,17 +235,22 @@ pub fn pair_band<G: GraphAccess, A: BlockAssignment>(
 /// Source of band seeds (the pair boundary) for the local iterations of one
 /// pair search.
 ///
-/// [`seeds`](BandSeeder::seeds) must return exactly what a fresh
-/// [`pair_boundary_nodes`] scan of `view` would — ascending node order
-/// included; [`observe_moves`](BandSeeder::observe_moves) tells the seeder
-/// which surviving moves the FM search just applied to `view`, so an
-/// incremental implementation can keep up without rescanning.
+/// [`seeds`](BandSeeder::seeds) must return the pair boundary of `view`
+/// *within the seeder's movable set* — on a full graph, exactly what a fresh
+/// [`pair_boundary_nodes`] scan would, ascending node order included;
+/// [`observe_moves`](BandSeeder::observe_moves) tells the seeder which
+/// surviving moves the FM search just applied to `view`, so an incremental
+/// implementation can keep up without rescanning; [`clip`](BandSeeder::clip)
+/// restricts each band grown from the seeds to the movable set.
 pub trait BandSeeder<P: BlockAssignment> {
     /// The current boundary of the pair, ascending by node id.
     fn seeds(&mut self, view: &P) -> Vec<NodeId>;
 
     /// Records surviving FM moves `(node, new_block)` applied to the view.
     fn observe_moves(&mut self, moves: &[(NodeId, BlockId)]);
+
+    /// Restricts a band to the movable set; a no-op for a full graph's seeder.
+    fn clip(&mut self, _band: &mut PairBand) {}
 }
 
 /// Incremental seeder over a shared

@@ -1,16 +1,16 @@
-//! Gathered-band refinement: run one pair's banded FM search on a *gathered*
-//! copy of the band region instead of the full graph.
+//! Gathered-band refinement: run one pair search on a *gathered* copy of the
+//! band region instead of the full graph.
 //!
 //! This is the paper's "exchange only the band" step (§5.2, Figure 2) turned
 //! into an entry point the distributed scheduler can call: each rank extracts
 //! its share of the depth-`d` BFS region around the pair boundary as one flat
 //! [`BandShard`], ships it to the pair's home rank, and the home rank
 //! assembles a self-contained subgraph from the shards
-//! ([`GatheredRegion::assemble`]), re-runs the band BFS on it (to recover the
-//! *exact* traversal order of the shared-memory scheduler) and performs the
-//! pooled 2-way FM search. Surviving moves come back keyed by **global** node
-//! id, ready to broadcast. (One rank never gathers: it runs the shared
-//! [`search_pair`](crate::search_pair) on its live view.)
+//! ([`GatheredRegion::assemble`]) and runs the shared local-iteration loop,
+//! [`search_pair`], on it ([`GatheredRegion::search`]), re-running the band
+//! BFS on the region to recover the *exact* traversal order of the
+//! shared-memory scheduler. (One rank never gathers: it runs `search_pair`
+//! on its live view.)
 //!
 //! A shard is a CSR slice in struct-of-arrays form — eight allocations
 //! however large the band, eight length-prefixed arrays on the wire — and
@@ -39,6 +39,13 @@
 //! The `gathered_region_matches_direct_search` proptest below proves it for
 //! random graphs, partitions, pairs, depths and sender splits — the proof a
 //! multi-rank search rests on, since `--ranks 1` never gathers.
+//!
+//! That is the first local iteration. A follow-up re-seeds from the shifted
+//! boundary among the gathered band nodes and clips its band to them: moves
+//! can bring the boundary next to ring nodes the gather never shipped, and
+//! clipping keeps them frozen, as they are for the band that *was* gathered
+//! (a ring node's row is partial, so its gain goes with it; band rows are
+//! whole). So one gather serves all local iterations.
 
 use std::fmt;
 
@@ -46,8 +53,8 @@ use kappa_graph::{
     is_pair_boundary, merge_row, BlockId, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition,
 };
 
-use crate::band::PairBand;
-use crate::fm::{two_way_fm_in, FmConfig, FmResult};
+use crate::band::{BandSeeder, FirstBand, PairBand};
+use crate::scheduler::{search_pair, PairDelta, PairSearch};
 use crate::scratch::FmScratch;
 
 /// One sender's share of one pair's band, as flat CSR-style arrays: node `i`
@@ -166,7 +173,7 @@ impl fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 /// A gathered band region: a self-contained subgraph of band + ring nodes
-/// with a global-id back-mapping, ready for [`refine_gathered_band`].
+/// with a global-id back-mapping, ready for [`GatheredRegion::search`].
 #[derive(Debug)]
 pub struct GatheredRegion {
     graph: CsrGraph,
@@ -315,71 +322,100 @@ impl GatheredRegion {
         })
     }
 
-    /// Node weight of the region node with global id `gid` — how a search's
-    /// surviving moves get their weights back. FM moves gathered nodes only,
-    /// so a miss means the moves belong to another region.
-    pub fn weight_of(&self, gid: NodeId) -> Result<NodeWeight, ShardError> {
-        match self.gids.binary_search(&gid) {
-            Ok(l) => Ok(self.graph.node_weight(l as NodeId)),
-            Err(_) => Err(ShardError {
-                shard: None,
-                reason: format!("node {gid} is not in the gathered region"),
-            }),
-        }
+    /// Global id and node weight of region node `l`: what a search's move
+    /// of `l` is broadcast as.
+    pub fn node(&self, l: NodeId) -> (NodeId, NodeWeight) {
+        (self.gids[l as usize], self.graph.node_weight(l))
     }
 
-    /// The current pair boundary *within the band*: global ids (ascending) of
-    /// band nodes in block `a` or `b` with at least one neighbour in the
-    /// other block, under the region's current partition. This is the seed
-    /// set for a follow-up search after moves shifted the boundary.
-    pub fn boundary_seeds(&self, a: BlockId, b: BlockId) -> Vec<NodeId> {
-        let on_boundary = |l: NodeId| is_pair_boundary(&self.graph, &self.partition, l, a, b);
+    /// Runs [`search_pair`] on this region from `seeds`, the gathered pair
+    /// boundary (global ids, ascending), `search` carrying the *full* block
+    /// weights, and returns the delta, its moves in region ids. A seed, or a
+    /// first band node, that is no gathered band node means seeds and shards
+    /// disagree: a [`ShardError`].
+    pub fn search(
+        &mut self,
+        seeds: &[NodeId],
+        search: &PairSearch,
+        scratch: &mut FmScratch,
+    ) -> Result<PairDelta, ShardError> {
+        let (graph, gids, band_membership) = (&self.graph, &self.gids, &self.band_membership);
+        let first = seeds
+            .iter()
+            .map(|&gid| match gids.binary_search(&gid) {
+                Ok(l) if band_membership[l] => Ok(l as NodeId),
+                _ => Err(not_gathered(gid, "seed")),
+            })
+            .collect::<Result<_, _>>()?;
+        let mut seeder = RegionSeeder {
+            graph,
+            gids,
+            band_membership,
+            pair: (search.a, search.b),
+            first: Some(first),
+            follow_up: false,
+            error: None,
+        };
+        let partition = &mut self.partition;
+        let delta = search_pair(
+            graph,
+            partition,
+            &mut seeder,
+            scratch,
+            search,
+            FirstBand::Grow,
+        );
+        seeder.error.map_or(Ok(delta), Err)
+    }
+}
+
+/// The seeder of the searches on one gathered region, in region ids: the
+/// gathered seeds first, then the pair boundary among the gathered band
+/// nodes. Its clip refuses a first band that leaves the gathered band
+/// (recording the error, emptying the band) and clips follow-up bands to it.
+struct RegionSeeder<'r> {
+    graph: &'r CsrGraph,
+    gids: &'r [NodeId],
+    band_membership: &'r [bool],
+    pair: (BlockId, BlockId),
+    first: Option<Vec<NodeId>>,
+    follow_up: bool,
+    error: Option<ShardError>,
+}
+
+impl BandSeeder<Partition> for RegionSeeder<'_> {
+    fn seeds(&mut self, view: &Partition) -> Vec<NodeId> {
+        if let Some(first) = self.first.take() {
+            return first;
+        }
+        self.follow_up = true;
+        let (a, b) = self.pair;
         // Ascending: region ids follow ascending gids by construction.
-        (0..self.gids.len())
-            .filter(|&l| self.band_membership[l] && on_boundary(l as NodeId))
-            .map(|l| self.gids[l])
+        (0..self.gids.len() as NodeId)
+            .filter(|&l| {
+                self.band_membership[l as usize] && is_pair_boundary(self.graph, view, l, a, b)
+            })
             .collect()
     }
 
-    /// The band of one search on this region, in region-local ids: the fused
-    /// BFS from `seeds` (global ids), which must stay inside the gathered
-    /// band on the first search and is clipped to it on a follow-up — see
-    /// [`refine_gathered_band`].
-    fn band(
-        &self,
-        a: BlockId,
-        b: BlockId,
-        seeds: &[NodeId],
-        depth: usize,
-        scratch: &mut FmScratch,
-        follow_up: bool,
-    ) -> Result<PairBand, ShardError> {
-        let not_gathered = |gid: NodeId, role: &str| ShardError {
-            shard: None,
-            reason: format!("{role} {gid} is not a gathered band node"),
-        };
-        let local_seeds = seeds
-            .iter()
-            .map(|&gid| match self.gids.binary_search(&gid) {
-                Ok(l) if self.band_membership[l] => Ok(l as NodeId),
-                _ => Err(not_gathered(gid, "seed")),
-            })
-            .collect::<Result<Vec<NodeId>, ShardError>>()?;
-        let mut band = PairBand::around(
-            &self.graph,
-            &self.partition,
-            &local_seeds,
-            (a, b),
-            depth,
-            scratch,
-        );
+    fn observe_moves(&mut self, _moves: &[(NodeId, BlockId)]) {}
+
+    fn clip(&mut self, band: &mut PairBand) {
         let gathered = |v: NodeId| self.band_membership[v as usize];
-        if follow_up {
+        if self.follow_up {
             band.retain(gathered);
         } else if let Some(&v) = band.nodes().iter().find(|&&v| !gathered(v)) {
-            return Err(not_gathered(self.gids[v as usize], "band BFS node"));
+            self.error = Some(not_gathered(self.gids[v as usize], "band BFS node"));
+            band.retain(|_| false);
         }
-        Ok(band)
+    }
+}
+
+/// A node the search needs but the gather did not send as a band node.
+fn not_gathered(gid: NodeId, role: &str) -> ShardError {
+    ShardError {
+        shard: None,
+        reason: format!("{role} {gid} is not a gathered band node"),
     }
 }
 
@@ -398,61 +434,12 @@ fn normalise_row(rows: &mut Vec<(NodeId, EdgeWeight)>, start: usize, u: NodeId) 
     }
 }
 
-/// Runs one banded 2-way FM search on a gathered region and returns the
-/// surviving moves keyed by **global** node id, plus the achieved gain.
-///
-/// `seeds` is the pair boundary in ascending global-id order (exactly what
-/// `BandSeeder::seeds` produces); `depth` the band BFS depth; `w_a` / `w_b`
-/// the *full* current block weights. The first search of a region
-/// (`follow_up == false`) is bit-identical to running
-/// `PairBand::around` + `two_way_fm_in` on the un-gathered graph with the
-/// same parameters; there a seed that is no gathered band node, or a BFS
-/// that leaves the gathered band, means seeds and shards disagree — a
-/// [`ShardError`].
-///
-/// A *follow-up* search on the same region clips the band BFS to the
-/// originally gathered band set instead: after a first pass moved nodes, the
-/// shifted boundary can reach ring nodes the gather never shipped, and
-/// clipping keeps them frozen, exactly as they would be for the band that
-/// *was* gathered (a ring node's region row is partial, so the gain the BFS
-/// computed for it is dropped with it; the kept nodes' rows are whole). The
-/// distributed scheduler pools `local_iterations` searches into one gather
-/// this way.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_gathered_band(
-    region: &mut GatheredRegion,
-    a: BlockId,
-    b: BlockId,
-    seeds: &[NodeId],
-    depth: usize,
-    w_a: NodeWeight,
-    w_b: NodeWeight,
-    fm_config: &FmConfig,
-    scratch: &mut FmScratch,
-    follow_up: bool,
-) -> Result<FmResult, ShardError> {
-    let band = region.band(a, b, seeds, depth, scratch, follow_up)?;
-    let mut result = two_way_fm_in(
-        &region.graph,
-        &mut region.partition,
-        a,
-        b,
-        band,
-        w_a,
-        w_b,
-        fm_config,
-        scratch,
-    );
-    for (v, _) in result.moves.iter_mut() {
-        *v = region.gids[*v as usize];
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::band::tests::assert_gains_and_flags_match_oracles;
+    use crate::fm::two_way_fm_in;
+    use crate::scheduler::RefinementConfig;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
     use kappa_graph::{band_around_boundary, pair_boundary_nodes, BlockWeights, GraphBuilder};
@@ -636,8 +623,7 @@ mod tests {
         assert_eq!(region.graph.edge_weight_between(1, 2), Some(7));
         assert_eq!(region.graph.neighbors(1), &[0, 2]);
         assert_eq!(region.graph.neighbors(3), &[2], "ring row is the transpose");
-        assert_eq!(region.weight_of(40), Ok(4));
-        assert!(region.weight_of(50).is_err());
+        assert_eq!(region.node(3), (40, 4));
     }
 
     fn two_node_shard() -> BandShard {
@@ -698,46 +684,68 @@ mod tests {
         assert!(e.reason.contains("band node 20"), "{e}");
     }
 
+    /// The search of pair `(a, b)` under `config`, from the full block
+    /// weights `(w_a, w_b)`, at coordinates (0, 0).
+    fn pair_search(
+        config: &RefinementConfig,
+        (a, b): (BlockId, BlockId),
+        (w_a, w_b): (NodeWeight, NodeWeight),
+        l_max: NodeWeight,
+    ) -> PairSearch<'_> {
+        PairSearch {
+            a,
+            b,
+            w_a,
+            w_b,
+            l_max,
+            config,
+            global_iter: 0,
+            color_idx: 0,
+        }
+    }
+
+    /// Band depth, local iterations and seed as given, FM patience 0.2.
+    fn refinement_config(depth: usize, local_iterations: usize, seed: u64) -> RefinementConfig {
+        RefinementConfig {
+            bfs_depth: depth,
+            local_iterations,
+            patience_alpha: 0.2,
+            seed,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn seeds_and_searches_outside_the_gathered_band_are_errors() {
-        let fm_config = FmConfig {
-            l_max: 10,
-            ..Default::default()
-        };
         let mut scratch = FmScratch::new();
         let mut search = |shards: &[BandShard], seeds: &[NodeId], depth| {
             let mut region = GatheredRegion::assemble(2, shards).unwrap();
-            refine_gathered_band(
-                &mut region,
-                0,
-                1,
-                seeds,
-                depth,
-                3,
-                3,
-                &fm_config,
-                &mut scratch,
-                false,
-            )
+            let config = refinement_config(depth, 3, 0);
+            let search = pair_search(&config, (0, 1), (3, 3), 10);
+            region.search(seeds, &search, &mut scratch)
         };
         assert!(search(&[two_node_shard()], &[10, 20], 0).is_ok());
         // 30 is a ring node, 40 is not in the region at all.
         for stranger in [30, 40] {
-            let e = search(&[two_node_shard()], &[10, stranger], 0).unwrap_err();
+            let e = search(&[two_node_shard()], &[10, stranger], 0)
+                .err()
+                .unwrap();
             assert_eq!(e.shard, None);
             assert!(e.reason.contains(&format!("seed {stranger}")), "{e}");
         }
-        // A sender that withheld band node 20: the BFS from 10 walks into it.
+        // A sender that withheld band node 20: the BFS from 10 walks into it,
+        // and the first search refuses the band instead of clipping it.
         let mut withheld = BandShard::with_capacity(0, 0);
         withheld.push_node(10, 1, 0, [(20, 5, 1, 2)]);
-        let e = search(&[withheld], &[10], 1).unwrap_err();
+        let e = search(&[withheld], &[10], 1).err().unwrap();
         assert!(e.reason.contains("band BFS node 20"), "{e}");
     }
 
     /// Searches pair `(a, b)` of `partition` at `depth` once on the whole
     /// graph and once on the region assembled from `shards` (the pair's
-    /// band, dealt over any number of senders), and asserts the two searches
-    /// are one: same moves in the same order, same gain, same attempts.
+    /// band, dealt over any number of senders), one local iteration each, and
+    /// asserts the two searches are one: same moves in the same order, same
+    /// gain, and the same assignment of every region node afterwards.
     fn assert_gathered_search_is_direct(
         graph: &CsrGraph,
         partition: &Partition,
@@ -751,12 +759,8 @@ mod tests {
         }
         let k = partition.k();
         let weights = BlockWeights::compute(graph, partition);
-        let fm_config = FmConfig {
-            l_max: Partition::l_max(graph, k, 0.03),
-            patience_alpha: 0.2,
-            seed: 0x5EED ^ ((a as u64) << 8 | b as u64),
-            ..Default::default()
-        };
+        let l_max = Partition::l_max(graph, k, 0.03);
+        let config = refinement_config(depth, 1, 0x5EED ^ ((a as u64) << 8 | b as u64));
         let mut direct_partition = partition.clone();
         let mut scratch = FmScratch::new();
         let band = PairBand::around(graph, partition, &seeds, (a, b), depth, &mut scratch);
@@ -770,7 +774,7 @@ mod tests {
             band,
             w_a,
             w_b,
-            &fm_config,
+            &config.fm_config(l_max, 0, 0, 0, a, b),
             &mut scratch,
         );
         let mut region = GatheredRegion::assemble(k, shards).unwrap();
@@ -778,22 +782,24 @@ mod tests {
             region.band_membership.iter().filter(|&&b| b).count(),
             band_len
         );
-        let gathered = refine_gathered_band(
-            &mut region,
-            a,
-            b,
-            &seeds,
-            depth,
-            w_a,
-            w_b,
-            &fm_config,
-            &mut FmScratch::new(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(gathered.moves, direct.moves, "pair ({a},{b}) depth {depth}");
+        let search = pair_search(&config, (a, b), (w_a, w_b), l_max);
+        let gathered = region
+            .search(&seeds, &search, &mut FmScratch::new())
+            .unwrap();
+        assert_eq!(gathered.searches, 1);
+        let moves: Vec<_> = gathered
+            .moves
+            .iter()
+            .map(|&(l, to)| (region.node(l).0, to))
+            .collect();
+        assert_eq!(moves, direct.moves, "pair ({a},{b}) depth {depth}");
         assert_eq!(gathered.gain, direct.gain);
-        assert_eq!(gathered.attempted_moves, direct.attempted_moves);
+        for (l, &gid) in region.gids.iter().enumerate() {
+            assert_eq!(
+                region.partition.block_of(l as NodeId),
+                direct_partition.block_of(gid)
+            );
+        }
     }
 
     proptest! {
@@ -848,6 +854,35 @@ mod tests {
         }
     }
 
+    /// The seeder of a region's follow-up searches (its first seeds taken).
+    fn follow_up_seeder(region: &GatheredRegion, pair: (BlockId, BlockId)) -> RegionSeeder<'_> {
+        RegionSeeder {
+            graph: &region.graph,
+            gids: &region.gids,
+            band_membership: &region.band_membership,
+            pair,
+            first: None,
+            follow_up: false,
+            error: None,
+        }
+    }
+
+    #[test]
+    fn follow_up_seeds_skip_ring_nodes_on_the_pair_boundary() {
+        // Band 10 (block 0) – 20 (block 1); ring node 30 is in block 0 and
+        // next to 20, so it is on the pair boundary, but it was never sent.
+        let mut shard = BandShard::with_capacity(0, 0);
+        shard.push_node(10, 1, 0, [(20, 5, 1, 2)]);
+        shard.push_node(20, 2, 1, [(10, 5, 0, 1), (30, 1, 0, 1)]);
+        let region = GatheredRegion::assemble(2, &[shard]).unwrap();
+        assert_eq!(
+            pair_boundary_nodes(&region.graph, &region.partition, 0, 1),
+            [0, 1, 2]
+        );
+        let mut seeder = follow_up_seeder(&region, (0, 1));
+        assert_eq!(seeder.seeds(&region.partition), [0, 1]);
+    }
+
     #[test]
     fn follow_up_iterations_stay_inside_the_gathered_band() {
         let graph = random_geometric_graph(3000, 7);
@@ -859,102 +894,90 @@ mod tests {
         let seeds = pair_boundary_nodes(&graph, &partition, a, b);
         assert!(!seeds.is_empty());
         let shard = extract_shard(&graph, &partition, a, b, 3);
-        let mut region = GatheredRegion::assemble(k, std::slice::from_ref(&shard)).unwrap();
-        let fm_config = FmConfig {
-            l_max,
-            patience_alpha: 0.2,
-            seed: 0xBEEF,
-            ..Default::default()
-        };
+        let full_weights = (weights.weight(a), weights.weight(b));
+        let (once, twice) = (
+            refinement_config(3, 1, 0xBEEF),
+            refinement_config(3, 2, 0xBEEF),
+        );
         let mut scratch = FmScratch::new();
-        let (mut wa, mut wb) = (weights.weight(a), weights.weight(b));
-        let first = refine_gathered_band(
-            &mut region,
-            a,
-            b,
-            &seeds,
-            3,
-            wa,
-            wb,
-            &fm_config,
-            &mut scratch,
-            false,
-        )
-        .unwrap();
-        for &(gid, to) in &first.moves {
-            let w = graph.node_weight(gid);
-            if to == a {
-                wa += w;
-                wb -= w;
-            } else {
-                wb += w;
-                wa -= w;
-            }
-        }
-        // The shifted boundary re-seeds a second pass that must stay within
-        // the originally gathered band (every move targets a band gid) and
-        // never lose gain.
-        let again = region.boundary_seeds(a, b);
-        assert!(again.windows(2).all(|w| w[0] < w[1]), "seeds ascend");
-        if !again.is_empty() {
-            // The clipped band keeps nodes, gains and flags aligned: it is
-            // the region BFS minus the ring, and every kept position holds
-            // what the oracles say about that node — on the region and, the
-            // first search's moves replayed, on the full graph too (a band
-            // node's region row has all its `a ∪ b` edges).
-            let clipped = region.band(a, b, &again, 3, &mut scratch, true).unwrap();
-            let locals: Vec<NodeId> = again
-                .iter()
-                .map(|gid| region.gids.binary_search(gid).unwrap() as NodeId)
-                .collect();
-            let expected: Vec<NodeId> =
-                band_around_boundary(&region.graph, &region.partition, &locals, (a, b), 3)
-                    .into_iter()
-                    .filter(|&l| region.band_membership[l as usize])
-                    .collect();
-            assert_eq!(clipped.nodes(), expected);
-            assert!(clipped.len() <= shard.gids.len());
-            assert_gains_and_flags_match_oracles(
-                &region.graph,
-                &region.partition,
-                &clipped,
-                (a, b),
-            );
-            let mut moved = partition.clone();
-            for &(gid, to) in &first.moves {
-                moved.assign(gid, to);
-            }
-            let on_full_graph = PairBand {
-                nodes: clipped
-                    .nodes()
-                    .iter()
-                    .map(|&l| region.gids[l as usize])
-                    .collect(),
-                ..clipped.clone()
-            };
-            assert_gains_and_flags_match_oracles(&graph, &moved, &on_full_graph, (a, b));
-            scratch.spare = clipped;
-
-            let second = refine_gathered_band(
-                &mut region,
-                a,
-                b,
-                &again,
-                3,
-                wa,
-                wb,
-                &fm_config,
+        let mut region = GatheredRegion::assemble(k, std::slice::from_ref(&shard)).unwrap();
+        let first = region
+            .search(
+                &seeds,
+                &pair_search(&once, (a, b), full_weights, l_max),
                 &mut scratch,
-                true,
             )
             .unwrap();
-            assert!(second.gain >= 0);
-            for &(gid, _) in &second.moves {
-                assert!(
-                    shard.gids.contains(&gid),
-                    "iteration moved non-band node {gid}"
-                );
-            }
+        assert!(
+            first.gain > 0,
+            "the first search improves the grown partition"
+        );
+
+        // The shifted boundary re-seeds a follow-up search: the pair boundary
+        // among the gathered band nodes, ascending, and a band BFS clipped to
+        // the originally gathered band.
+        let mut seeder = follow_up_seeder(&region, (a, b));
+        let again = seeder.seeds(&region.partition);
+        let boundary = pair_boundary_nodes(&region.graph, &region.partition, a, b);
+        let in_band: Vec<NodeId> = boundary
+            .into_iter()
+            .filter(|&l| region.band_membership[l as usize])
+            .collect();
+        assert_eq!(again, in_band);
+        assert!(!again.is_empty());
+        // The clipped band keeps nodes, gains and flags aligned: it is the
+        // region BFS minus the ring, and every kept position holds what the
+        // oracles say about that node — on the region and, the first search's
+        // moves replayed, on the full graph too (a band node's region row has
+        // all its `a ∪ b` edges).
+        let mut clipped = PairBand::around(
+            &region.graph,
+            &region.partition,
+            &again,
+            (a, b),
+            3,
+            &mut scratch,
+        );
+        seeder.clip(&mut clipped);
+        assert!(seeder.error.is_none());
+        let expected: Vec<NodeId> =
+            band_around_boundary(&region.graph, &region.partition, &again, (a, b), 3)
+                .into_iter()
+                .filter(|&l| region.band_membership[l as usize])
+                .collect();
+        assert_eq!(clipped.nodes(), expected);
+        assert!(clipped.len() <= shard.gids.len());
+        assert_gains_and_flags_match_oracles(&region.graph, &region.partition, &clipped, (a, b));
+        let mut moved = partition.clone();
+        for &(l, to) in &first.moves {
+            moved.assign(region.node(l).0, to);
+        }
+        let on_full_graph = PairBand {
+            nodes: clipped
+                .nodes()
+                .iter()
+                .map(|&l| region.gids[l as usize])
+                .collect(),
+            ..clipped.clone()
+        };
+        assert_gains_and_flags_match_oracles(&graph, &moved, &on_full_graph, (a, b));
+        scratch.spare = clipped;
+
+        // Two local iterations on a fresh region: the first search's moves,
+        // then a follow-up that moves only gathered band nodes and never
+        // loses gain.
+        let mut region = GatheredRegion::assemble(k, std::slice::from_ref(&shard)).unwrap();
+        let search = pair_search(&twice, (a, b), full_weights, l_max);
+        let pooled = region.search(&seeds, &search, &mut scratch).unwrap();
+        assert_eq!(pooled.searches, 2);
+        assert_eq!(pooled.moves[..first.moves.len()], first.moves[..]);
+        assert!(pooled.gain >= first.gain);
+        for &(l, _) in &pooled.moves {
+            let gid = region.node(l).0;
+            assert!(
+                shard.gids.contains(&gid),
+                "iteration moved non-band node {gid}"
+            );
         }
     }
 

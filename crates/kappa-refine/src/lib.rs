@@ -80,7 +80,7 @@ pub use band::{
 pub use coloring::{color_quotient_edges, EdgeColoring};
 pub use delta::{DeltaPairView, SharedAssignment};
 pub use fm::{patience_bound, two_way_fm_in, FmConfig, FmResult};
-pub use gather::{refine_gathered_band, BandShard, GatheredRegion, ShardError};
+pub use gather::{BandShard, GatheredRegion, ShardError};
 pub use local::refine_local;
 pub use queue_select::QueueSelection;
 pub use scheduler::{

@@ -207,13 +207,8 @@ pub fn refine_local<G: GraphAccess>(
         }
 
         stats.global_iterations += 1;
-        if round_gain <= 0 {
-            no_change_streak += 1;
-            if no_change_streak >= config.stop_after_no_change {
-                break;
-            }
-        } else {
-            no_change_streak = 0;
+        if config.converged(&mut no_change_streak, round_gain) {
+            break;
         }
         // Moves shift the boundary: widen the region so the next round sees
         // the pairs the moves may have created.

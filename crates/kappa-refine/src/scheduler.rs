@@ -115,6 +115,14 @@ impl RefinementConfig {
             seed: pair_search_seed(self.seed, global_iter, color_idx, local_iter, a, b),
         }
     }
+
+    /// The stop rule of every scheduler's global iterations: counts an
+    /// iteration that gained `gain` into `streak`, the gain-free iterations
+    /// in a row, and says whether `stop_after_no_change` of them have run.
+    pub fn converged(&self, streak: &mut usize, gain: i64) -> bool {
+        *streak = if gain > 0 { 0 } else { *streak + 1 };
+        gain <= 0 && *streak >= self.stop_after_no_change
+    }
 }
 
 /// Statistics returned by [`refine_partition`] and
@@ -216,18 +224,22 @@ pub struct PairSearch<'c> {
 /// the pair's delta.
 ///
 /// `target` is a [`DeltaPairView`] in [`refine_partition`], an overlay on
-/// the state's partition in [`refine_local`](crate::refine_local) and a
-/// snapshot clone in the test-only reference scheduler; `seeder` is an
+/// the state's partition in [`refine_local`](crate::refine_local), a
+/// gathered region's partition in
+/// [`GatheredRegion::search`](crate::GatheredRegion::search) and a snapshot
+/// clone in the test-only reference scheduler; `seeder` is an
 /// [`IndexSeeder`] drawn from the shared
 /// [`BoundaryIndex`](kappa_graph::BoundaryIndex) in the first, one started
-/// from the touched region in the second, and the full-scan reference in the
-/// third. This is the only local-iteration loop of the
-/// workspace — kappa-dist's one-rank refinement runs it on its live view —
-/// and sharing it, with the seeders' identical outputs, is what keeps the
-/// schedulers bit-identical. `first` says where the first local iteration's
-/// band comes from: [`FirstBand::Reuse`] skips seeding and BFS, and a band
-/// the caller asked to keep comes back as [`PairDelta::idle_band`] when the
-/// search moves nothing. Only a keeping caller ever copies a band.
+/// from the touched region in the second, a region seeder that clips every
+/// band to the gathered band in the third, and the full-scan reference in
+/// the fourth. This is the only local-iteration loop of the workspace —
+/// kappa-dist runs it on its live view at one rank and on gathered regions
+/// across ranks — and sharing it, with the seeders' identical outputs, is
+/// what keeps the schedulers bit-identical. `first` says where the first
+/// local iteration's band comes from: [`FirstBand::Reuse`] skips seeding,
+/// BFS and clip, and a band the caller asked to keep comes back as
+/// [`PairDelta::idle_band`] when the search moves nothing. Only a keeping
+/// caller ever copies a band.
 pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
     graph: &G,
     target: &mut P,
@@ -266,7 +278,10 @@ pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
                 if seeds.is_empty() {
                     break;
                 }
-                PairBand::around(graph, &*target, &seeds, (a, b), config.bfs_depth, scratch)
+                let mut band =
+                    PairBand::around(graph, &*target, &seeds, (a, b), config.bfs_depth, scratch);
+                seeder.clip(&mut band);
+                band
             }
         };
         let kept = (keep && local_iter == 0).then(|| band.clone());
@@ -433,13 +448,8 @@ pub fn refine_partition<G: GraphAccess + Sync>(
         }
 
         stats.global_iterations += 1;
-        if iteration_gain <= 0 {
-            no_change_streak += 1;
-            if no_change_streak >= config.stop_after_no_change {
-                break;
-            }
-        } else {
-            no_change_streak = 0;
+        if config.converged(&mut no_change_streak, iteration_gain) {
+            break;
         }
     }
 
@@ -544,13 +554,8 @@ pub(crate) fn refine_partition_reference<G: GraphAccess + Sync>(
         }
 
         stats.global_iterations += 1;
-        if iteration_gain <= 0 {
-            no_change_streak += 1;
-            if no_change_streak >= config.stop_after_no_change {
-                break;
-            }
-        } else {
-            no_change_streak = 0;
+        if config.converged(&mut no_change_streak, iteration_gain) {
+            break;
         }
     }
 
@@ -590,6 +595,30 @@ mod tests {
         let stats = refine_partition(graph, &mut state, config);
         *partition = state.into_partition();
         stats
+    }
+
+    /// The stop rule counts gain-free iterations *in a row*: a gain resets
+    /// the streak, and a gaining iteration never stops the loop, not even
+    /// with `stop_after_no_change = 0`.
+    #[test]
+    fn the_stop_rule_counts_gain_free_iterations_in_a_row() {
+        let gains = [0i64, 5, -1, 3, 0, 0, 7];
+        for (stop_after_no_change, expected) in [
+            (2, [false, false, false, false, false, true, false]),
+            (1, [true, false, true, false, true, true, false]),
+            (0, [true, false, true, false, true, true, false]),
+        ] {
+            let config = RefinementConfig {
+                stop_after_no_change,
+                ..Default::default()
+            };
+            let mut streak = 0;
+            let stops = gains.map(|gain| config.converged(&mut streak, gain));
+            assert_eq!(
+                stops, expected,
+                "stop_after_no_change {stop_after_no_change}"
+            );
+        }
     }
 
     #[test]

@@ -352,6 +352,40 @@ fn refine_frames_are_pinned() {
     }
 }
 
+/// How many FM searches the home ranks run, and what they achieve: the
+/// summed refinement counters of `refine_frames_are_pinned`'s instance at
+/// `R ≥ 2`, where every pair search runs on a gathered region, as literals
+/// recorded while the home search still had a local-iteration loop of its
+/// own. The strong rows (depth-20 bands, five local iterations) are where
+/// follow-up searches clip their bands to the gathered band most.
+#[test]
+fn gathered_refinement_stats_are_pinned() {
+    let graph = random_geometric_graph(1 << 13, 4);
+    for (preset, ranks, pinned) in [
+        (
+            ConfigPreset::Fast,
+            2usize,
+            (318usize, 318usize, 158usize, 174i64),
+        ),
+        (ConfigPreset::Fast, 4, (294, 294, 145, 173)),
+        (ConfigPreset::Strong, 2, (562, 562, 306, 114)),
+        (ConfigPreset::Strong, 4, (401, 401, 198, 177)),
+    ] {
+        let config = KappaConfig::preset(preset, 8).with_seed(3);
+        let stats = dist_run(&graph, config, ranks).refinement;
+        assert_eq!(
+            (
+                stats.pair_searches,
+                stats.bands_built,
+                stats.nodes_moved,
+                stats.total_gain
+            ),
+            pinned,
+            "{preset:?} ranks {ranks}: (pair searches, bands built, nodes moved, total gain)"
+        );
+    }
+}
+
 /// One rank searches its live view in place: no frame at all, and in the
 /// `refine` phase only the quotient allgathers, cut allreduces and
 /// rebalance selections, no band BFS hops. Measured on
