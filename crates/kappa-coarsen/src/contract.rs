@@ -5,11 +5,19 @@
 //! their weights. Contracting a whole matching does this for every matched pair
 //! simultaneously, which at most halves the number of nodes per level.
 //!
+//! Every coarse row is built by one routine, `RowMerger::merged_row`, shared
+//! with [`contract_to_tier`](crate::contract_to_tier): it walks the fine
+//! rows of the coarse node's fine nodes and sums parallel edges on the fly
+//! through a slot array indexed by coarse id (one `u32` per coarse node,
+//! reset at the row's own entries), then hands the already merged, shorter
+//! row to [`merge_row`], the workspace's one row rule, to be sorted.
+//!
 //! The paper runs contraction per PE; [`contract_matching`] mirrors that by
 //! partitioning the coarse-node id space into contiguous per-worker ranges,
 //! pushing each range's rows into a [`CsrRows`] of its own (plus node weights
-//! and coordinates) independently, and joining them in range order with
-//! [`CsrRows::append`]. The
+//! and coordinates) independently, with a slot array per worker. A single
+//! range is the coarse graph as it stands; several are joined in range order
+//! with [`CsrRows::append`]. Either way the sealed arrays are exact-size. The
 //! result is the same for every thread count — and bit-identical to the
 //! test-only sequential `contract_matching_reference` below — because each
 //! coarse node's adjacency is derived only from its own fine nodes.
@@ -66,31 +74,69 @@ pub(crate) fn assign_coarse_ids<G: GraphAccess>(
     (coarse_of, reps)
 }
 
-/// Fills `row` with the adjacency of the coarse node merging `u` and `p`:
-/// the union of the fine lists mapped through `coarse_of`, self loops
-/// dropped, brought into form by [`merge_row`].
-pub(crate) fn merged_row<G: GraphAccess>(
-    graph: &G,
-    coarse_of: &[NodeId],
-    (u, p): Reps,
-    row: &mut Vec<(NodeId, EdgeWeight)>,
-) {
-    let c = coarse_of[u as usize];
-    row.clear();
-    let mut collect = |v: NodeId| {
-        graph.for_each_edge(v, |t, w| {
-            let ct = coarse_of[t as usize];
-            if ct != c {
-                row.push((ct, w));
-            }
-        })
-    };
-    collect(u);
-    if p != INVALID_NODE {
-        collect(p);
+/// Marks a coarse id that is not (yet) in the row [`RowMerger`] collects.
+const NOT_IN_ROW: u32 = u32::MAX;
+
+/// The reusable scratch of [`RowMerger::merged_row`]: one slot per coarse
+/// node and one row buffer. Each contraction worker owns one.
+pub(crate) struct RowMerger {
+    /// `slot[c]`: the position of coarse target `c` in `row` while the row
+    /// under construction holds it, [`NOT_IN_ROW`] otherwise.
+    slot: Vec<u32>,
+    row: Vec<(NodeId, EdgeWeight)>,
+}
+
+impl RowMerger {
+    /// Scratch for rows over `coarse_n` coarse nodes.
+    pub(crate) fn new(coarse_n: usize) -> Self {
+        RowMerger {
+            slot: vec![NOT_IN_ROW; coarse_n],
+            row: Vec::new(),
+        }
     }
-    let len = merge_row(row);
-    row.truncate(len);
+
+    /// The adjacency of the coarse node merging `u` and `p`: the union of
+    /// the fine lists mapped through `coarse_of`, self loops dropped.
+    ///
+    /// Parallel edges are summed while the entries are collected — the
+    /// slot of a target seen before points at its entry — so the row holds
+    /// each coarse target once, in first-seen order. That shorter row is
+    /// brought into form by [`merge_row`], the one row rule; the slots it
+    /// set are reset afterwards, so the cost is the row's, not `coarse_n`.
+    pub(crate) fn merged_row<G: GraphAccess>(
+        &mut self,
+        graph: &G,
+        coarse_of: &[NodeId],
+        (u, p): Reps,
+    ) -> &[(NodeId, EdgeWeight)] {
+        let c = coarse_of[u as usize];
+        let RowMerger { slot, row } = self;
+        row.clear();
+        let mut collect = |v: NodeId| {
+            graph.for_each_edge(v, |t, w| {
+                let ct = coarse_of[t as usize];
+                if ct == c {
+                    return;
+                }
+                let at = &mut slot[ct as usize];
+                if *at == NOT_IN_ROW {
+                    *at = row.len() as u32;
+                    row.push((ct, w));
+                } else {
+                    row[*at as usize].1 += w;
+                }
+            })
+        };
+        collect(u);
+        if p != INVALID_NODE {
+            collect(p);
+        }
+        for &(ct, _) in row.iter() {
+            slot[ct as usize] = NOT_IN_ROW;
+        }
+        let len = merge_row(row);
+        &row[..len]
+    }
 }
 
 /// Weight and (where `coords` are kept) position of the coarse node merging
@@ -152,10 +198,52 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
     let chunk = coarse_n.div_ceil(threads).max(1);
     let fragments: Vec<Fragment> = reps
         .par_chunks(chunk)
-        .map(|range| build_fragment(graph, &coarse_of, range))
+        .map(|range| build_fragment(graph, &coarse_of, coarse_n, range))
         .collect();
 
-    // Phase 3 (sequential, O(m)): the fragments in coarse-id order.
+    // Phase 3: a single fragment is the coarse graph, trimmed to exact size;
+    // several are joined in coarse-id order into exact-size arrays
+    // (sequential, O(m)).
+    let (rows, vwgt, coords) = match <[Fragment; 1]>::try_from(fragments) {
+        Ok([(mut rows, vwgt, coords)]) => {
+            rows.shrink_to_fit();
+            (rows, vwgt, coords)
+        }
+        Err(fragments) => join_fragments(graph, coarse_n, fragments),
+    };
+    Contraction {
+        coarse_graph: rows.finish(vwgt, coords),
+        coarse_of,
+    }
+}
+
+/// Builds the fragment of one contiguous coarse-id range: for every coarse
+/// node, its [merged row](RowMerger::merged_row), its node weight and its
+/// averaged coordinates.
+fn build_fragment(
+    graph: &CsrGraph,
+    coarse_of: &[NodeId],
+    coarse_n: usize,
+    range: &[Reps],
+) -> Fragment {
+    let coords = graph.coords();
+    let mut rows = CsrGraph::rows(range.len(), 0);
+    let mut vwgt = Vec::with_capacity(range.len());
+    let mut fragment_coords = coords.map(|_| Vec::with_capacity(range.len()));
+    let mut merger = RowMerger::new(coarse_n);
+    for &reps in range {
+        rows.push_node(merger.merged_row(graph, coarse_of, reps).iter().copied());
+        let (weight, coord) = merged_node(graph, coords, reps);
+        vwgt.push(weight);
+        if let (Some(out), Some(coord)) = (&mut fragment_coords, coord) {
+            out.push(coord);
+        }
+    }
+    (rows, vwgt, fragment_coords)
+}
+
+/// The fragments of consecutive coarse-id ranges as one, in range order.
+fn join_fragments(graph: &CsrGraph, coarse_n: usize, fragments: Vec<Fragment>) -> Fragment {
     let total_half_edges: usize = fragments.iter().map(|f| f.0.num_half_edges()).sum();
     let mut rows = CsrGraph::rows(coarse_n, total_half_edges);
     let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
@@ -167,31 +255,7 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
             all.extend(frag);
         }
     }
-
-    Contraction {
-        coarse_graph: rows.finish(vwgt, coords),
-        coarse_of,
-    }
-}
-
-/// Builds the fragment of one contiguous coarse-id range: for every coarse
-/// node, its [`merged_row`], its node weight and its averaged coordinates.
-fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> Fragment {
-    let coords = graph.coords();
-    let mut rows = CsrGraph::rows(range.len(), 0);
-    let mut vwgt = Vec::with_capacity(range.len());
-    let mut fragment_coords = coords.map(|_| Vec::with_capacity(range.len()));
-    let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for &reps in range {
-        merged_row(graph, coarse_of, reps, &mut row);
-        rows.push_node(row.iter().copied());
-        let (weight, coord) = merged_node(graph, coords, reps);
-        vwgt.push(weight);
-        if let (Some(out), Some(coord)) = (&mut fragment_coords, coord) {
-            out.push(coord);
-        }
-    }
-    (rows, vwgt, fragment_coords)
+    (rows, vwgt, coords)
 }
 
 #[cfg(test)]

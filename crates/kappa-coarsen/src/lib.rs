@@ -8,8 +8,8 @@
 //!
 //! Contraction runs in parallel per coarse-id range, mirroring the paper's
 //! per-PE contraction: [`contract_matching`] builds per-worker CSR fragments
-//! and concatenates them with an ordered collect, producing the same coarse
-//! graph for every thread count.
+//! and concatenates them in coarse-id order, producing the same coarse graph
+//! for every thread count.
 //!
 //! ```
 //! use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};

@@ -15,11 +15,11 @@
 use std::io;
 use std::path::PathBuf;
 
-use kappa_graph::{EdgeWeight, GraphAccess, NodeId, NodeWeight};
+use kappa_graph::{GraphAccess, NodeWeight};
 use kappa_matching::Matching;
 use kappa_mem::{PageCacheConfig, TierGraph, TierSpec};
 
-use crate::contract::{assign_coarse_ids, merged_node, merged_row, Contraction};
+use crate::contract::{assign_coarse_ids, merged_node, Contraction, RowMerger};
 
 /// Contracts `matching` in `fine`, emitting the coarse graph to `spec`.
 ///
@@ -44,10 +44,9 @@ pub fn contract_to_tier<G: GraphAccess>(
     let coarse_graph = spec.build(coarse_n, true, |push| {
         let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
         let mut coords = kept_coords.map(|_| Vec::with_capacity(coarse_n));
-        let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+        let mut merger = RowMerger::new(coarse_n);
         for &reps in &reps {
-            merged_row(fine, &coarse_of, reps, &mut row);
-            push(&row)?;
+            push(merger.merged_row(fine, &coarse_of, reps))?;
             let (weight, coord) = merged_node(fine, kept_coords, reps);
             vwgt.push(weight);
             if let (Some(out), Some(coord)) = (&mut coords, coord) {

@@ -104,15 +104,16 @@ impl KappaPartitioner {
         };
         let matcher = |level_graph: &CsrGraph, seed| {
             // Geometric pre-partitioning (recursive coordinate bisection)
-            // when coordinates exist; index ranges otherwise (§3.3).
-            let prepart = coordinate_prepartition(level_graph, num_parts);
+            // when coordinates exist; index ranges otherwise (§3.3). One
+            // part matches the whole level sequentially and reads none.
+            let prepart = (num_parts > 1).then(|| coordinate_prepartition(level_graph, num_parts));
             let pconfig = ParallelMatchingConfig {
                 num_parts,
                 local_algorithm: config.matching,
                 rating: config.rating,
                 seed,
             };
-            parallel_matching(level_graph, Some(&prepart), &pconfig)
+            parallel_matching(level_graph, prepart.as_deref(), &pconfig)
         };
         let contract = |level_graph: &CsrGraph, matching: &Matching, _level| {
             Ok::<_, Infallible>(contract_matching(level_graph, matching))

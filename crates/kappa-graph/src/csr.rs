@@ -386,6 +386,14 @@ impl CsrRows {
         self.xadj.push(self.adjncy.len());
     }
 
+    /// Releases the edge-array capacity beyond the pushed entries: rows
+    /// pushed without a size hint leave up to half of each array as growth
+    /// slack, which a graph that lives on should not keep.
+    pub fn shrink_to_fit(&mut self) {
+        self.adjncy.shrink_to_fit();
+        self.adjwgt.shrink_to_fit();
+    }
+
     /// Seals the graph with one weight (and optionally one coordinate) per
     /// pushed node.
     ///

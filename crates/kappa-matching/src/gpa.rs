@@ -8,8 +8,16 @@
 //! alternating sub-matchings. GPA keeps the ½-approximation guarantee of
 //! Greedy but is empirically considerably better — which is why the paper
 //! adopts it as the default matcher.
+//!
+//! The implementation pays per edge, not per path: phase 1 keeps, per node,
+//! the `u32` ids of its (at most two) selected edges and the nodes across
+//! them, plus a union-find for the odd-cycle test; phase 2 walks every path
+//! and cycle node to node through those links into one reused chain buffer
+//! and solves it in one reused set of DP buffers. Edges are scanned in list
+//! order and every float operation of the DP happens in a fixed order, so
+//! the matching is a pure function of the sorted edge list.
 
-use kappa_graph::{GraphAccess, NodeId};
+use kappa_graph::{GraphAccess, NodeId, INVALID_NODE};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -69,18 +77,50 @@ impl PathForest {
     }
 }
 
-/// GPA over an explicit pre-sorted (descending) edge list.
-pub fn gpa_on_edges(num_nodes: usize, edges_sorted_desc: &[RatedEdge]) -> Matching {
-    // Phase 1: grow paths and even cycles.
-    // selected[v] holds up to two incident selected edge indices.
-    let mut degree = vec![0u8; num_nodes];
-    let mut incident: Vec<[usize; 2]> = vec![[usize::MAX; 2]; num_nodes];
-    let mut forest = PathForest::new(num_nodes);
-    let mut selected: Vec<bool> = vec![false; edges_sorted_desc.len()];
+/// Marks an empty slot of a node's [`Links`].
+const NO_EDGE: u32 = u32::MAX;
 
+/// A node's place in the path/cycle structure GPA grows: its selected edges
+/// (ids into the sorted edge list) and the node across each. Slot 0 fills
+/// first, so the degree is the number of filled slots and a node has degree
+/// 2 iff slot 1 is filled. The node across a slot lets phase 2 walk a chain
+/// through these 16-byte records alone: the edge list is read for ratings,
+/// never to find the next node.
+#[derive(Clone, Copy)]
+struct Links {
+    edge: [u32; 2],
+    across: [NodeId; 2],
+}
+
+impl Links {
+    const NONE: Links = Links {
+        edge: [NO_EDGE; 2],
+        across: [INVALID_NODE; 2],
+    };
+}
+
+/// GPA over an explicit pre-sorted (descending) edge list.
+///
+/// Edges are referred to by their `u32` position in the list, so the list may
+/// hold at most `u32::MAX - 1` edges (panics above that — four billion
+/// edges, far beyond any graph with `u32` node ids that fits in RAM).
+///
+/// Phase 2 walks each path from its smaller end node and each cycle from its
+/// smallest node, clearing the links of every node it passes, and solves the
+/// walked chain with one reused set of DP buffers.
+pub fn gpa_on_edges(num_nodes: usize, edges_sorted_desc: &[RatedEdge]) -> Matching {
+    assert!(
+        edges_sorted_desc.len() < NO_EDGE as usize,
+        "GPA numbers edges with u32 ids; {} edges do not fit",
+        edges_sorted_desc.len()
+    );
+    // Phase 1: grow paths and even cycles.
+    let mut links = vec![Links::NONE; num_nodes];
+    let mut forest = PathForest::new(num_nodes);
     for (idx, e) in edges_sorted_desc.iter().enumerate() {
         let (u, v) = (e.u, e.v);
-        if u == v || degree[u as usize] >= 2 || degree[v as usize] >= 2 {
+        let full = |w: NodeId| links[w as usize].edge[1] != NO_EDGE;
+        if u == v || full(u) || full(v) {
             continue;
         }
         let (ru, rv) = (forest.find(u), forest.find(v));
@@ -89,145 +129,141 @@ pub fn gpa_on_edges(num_nodes: usize, edges_sorted_desc: &[RatedEdge]) -> Matchi
             // allowed (odd cycles cannot be decomposed into two alternating
             // matchings).
             let len = forest.edge_count[rv as usize];
-            if len % 2 == 0 {
+            if len.is_multiple_of(2) {
                 continue; // would close an odd cycle (len edges + 1 is odd)
             }
         }
-        selected[idx] = true;
         forest.union(u, v);
-        for &w in &[u, v] {
-            let slot = if incident[w as usize][0] == usize::MAX {
-                0
-            } else {
-                1
-            };
-            incident[w as usize][slot] = idx;
-            degree[w as usize] += 1;
+        for (w, across) in [(u, v), (v, u)] {
+            let node = &mut links[w as usize];
+            let slot = usize::from(node.edge[0] != NO_EDGE);
+            node.edge[slot] = idx as u32;
+            node.across[slot] = across;
         }
     }
 
     // Phase 2: decompose the selected structure into paths/cycles and solve
-    // each optimally by DP.
+    // each optimally by DP. Paths first, from their end nodes (degree 1);
+    // every node left with degree 2 afterwards lies on a cycle.
     let mut matching = Matching::new(num_nodes);
-    let mut edge_used = vec![false; edges_sorted_desc.len()];
-
-    // Walk from every endpoint (degree 1) first to enumerate paths, then sweep
-    // the remaining structure (cycles).
-    let visit_from = |start: NodeId, matching: &mut Matching, edge_used: &mut Vec<bool>| {
-        // Collect the chain of edge indices starting at `start`.
-        let mut chain: Vec<usize> = Vec::new();
-        let mut cur = start;
-        loop {
-            let mut next_edge = usize::MAX;
-            for &ei in &incident[cur as usize] {
-                if ei != usize::MAX && !edge_used[ei] {
-                    next_edge = ei;
-                    break;
-                }
-            }
-            if next_edge == usize::MAX {
-                break;
-            }
-            edge_used[next_edge] = true;
-            chain.push(next_edge);
-            let e = &edges_sorted_desc[next_edge];
-            cur = if e.u == cur { e.v } else { e.u };
-        }
-        if chain.is_empty() {
-            return;
-        }
-        apply_best_alternating(&chain, edges_sorted_desc, matching);
-    };
-
-    for v in 0..num_nodes as NodeId {
-        if degree[v as usize] == 1 {
-            visit_from(v, &mut matching, &mut edge_used);
-        }
-    }
-    // Remaining components are cycles: pick any node with an unused edge.
-    for v in 0..num_nodes as NodeId {
-        if degree[v as usize] == 2 {
-            let has_unused = incident[v as usize]
-                .iter()
-                .any(|&ei| ei != usize::MAX && !edge_used[ei]);
-            if has_unused {
-                visit_from(v, &mut matching, &mut edge_used);
+    let mut chain: Vec<RatedEdge> = Vec::new();
+    let mut dp = ChainDp::default();
+    for cycles in [false, true] {
+        for start in 0..num_nodes {
+            let [first, second] = links[start].edge;
+            let degree_matches = if cycles {
+                second != NO_EDGE
+            } else {
+                first != NO_EDGE && second == NO_EDGE
+            };
+            if degree_matches {
+                walk_chain(&mut links, edges_sorted_desc, start as NodeId, &mut chain);
+                dp.apply(&chain, &mut matching);
             }
         }
     }
     matching
 }
 
-/// Given a chain of edge indices forming a path or cycle (in traversal order),
-/// chooses the maximum-rating alternating subset and applies it to `matching`.
-///
-/// For a path the optimal matching is found by a linear DP; for a cycle we run
-/// the path DP twice (once excluding the first edge, once excluding the last)
-/// and keep the better result — the standard reduction.
-fn apply_best_alternating(chain: &[usize], edges: &[RatedEdge], matching: &mut Matching) {
-    let is_cycle = {
-        // A chain is a cycle iff the first and last edge share an endpoint and
-        // the chain has at least 3 edges (the traversal returns to the start).
-        if chain.len() < 3 {
-            false
-        } else {
-            let first = &edges[chain[0]];
-            let last = &edges[*chain.last().unwrap()];
+/// Collects into `chain` the edges of the path or cycle through `start`, in
+/// walking order, leaving `start` by its first slot. Every node passed has
+/// its links cleared, so the chain is walked once and a cycle ends when it
+/// reaches `start` again.
+fn walk_chain(links: &mut [Links], edges: &[RatedEdge], start: NodeId, chain: &mut Vec<RatedEdge>) {
+    chain.clear();
+    let (mut cur, mut arrived_by) = (start, NO_EDGE);
+    loop {
+        let node = std::mem::replace(&mut links[cur as usize], Links::NONE);
+        let slot = usize::from(node.edge[0] == arrived_by);
+        let next = node.edge[slot];
+        if next == NO_EDGE {
+            return;
+        }
+        chain.push(edges[next as usize]);
+        (cur, arrived_by) = (node.across[slot], next);
+    }
+}
+
+/// The DP buffers of phase 2, shared by every path and cycle of one GPA run.
+#[derive(Default)]
+struct ChainDp {
+    /// `take[i]`: best value of the chain prefix `..=i` taking edge `i`.
+    take: Vec<f64>,
+    /// `skip[i]`: best value of the chain prefix `..=i` not taking edge `i`.
+    skip: Vec<f64>,
+    /// Chain positions the last [`ChainDp::best_path_subset`] picked.
+    picked: Vec<u32>,
+    /// A cycle's other candidate subset.
+    other: Vec<u32>,
+}
+
+impl ChainDp {
+    /// Given the edges of a path or cycle (in traversal order), chooses the
+    /// maximum-rating alternating subset and applies it to `matching`.
+    ///
+    /// For a path the optimal matching is found by a linear DP; for a cycle
+    /// we run the path DP twice (once excluding the first edge, once
+    /// excluding the last) and keep the better result — the standard
+    /// reduction.
+    fn apply(&mut self, chain: &[RatedEdge], matching: &mut Matching) {
+        // A chain is a cycle iff it has at least 3 edges and the first and
+        // last edge share an endpoint (the traversal returned to the start).
+        let k = chain.len();
+        let is_cycle = k >= 3 && {
+            let (first, last) = (&chain[0], &chain[k - 1]);
             first.u == last.u || first.u == last.v || first.v == last.u || first.v == last.v
-        }
-    };
-
-    let pick = if is_cycle {
-        let without_last = best_path_subset(&chain[..chain.len() - 1], edges);
-        let without_first = best_path_subset(&chain[1..], edges);
-        if subset_value(&without_last, edges) >= subset_value(&without_first, edges) {
-            without_last
+        };
+        if is_cycle {
+            self.best_path_subset(chain, 1..k);
+            std::mem::swap(&mut self.picked, &mut self.other);
+            self.best_path_subset(chain, 0..k - 1);
+            let value =
+                |subset: &[u32]| -> f64 { subset.iter().map(|&i| chain[i as usize].rating).sum() };
+            if value(&self.picked) < value(&self.other) {
+                std::mem::swap(&mut self.picked, &mut self.other);
+            }
         } else {
-            without_first
+            self.best_path_subset(chain, 0..k);
         }
-    } else {
-        best_path_subset(chain, edges)
-    };
-
-    for idx in pick {
-        let e = &edges[idx];
-        matching.try_match(e.u, e.v);
-    }
-}
-
-/// Maximum-rating independent subset of consecutive chain edges (no two
-/// adjacent edges of the chain may both be picked) — the classic
-/// "maximum weight independent set on a path" DP.
-fn best_path_subset(chain: &[usize], edges: &[RatedEdge]) -> Vec<usize> {
-    let k = chain.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    // take[i] = best value of chain[..=i] taking edge i; skip[i] = not taking it.
-    let mut take = vec![0.0f64; k];
-    let mut skip = vec![0.0f64; k];
-    take[0] = edges[chain[0]].rating;
-    for i in 1..k {
-        take[i] = skip[i - 1] + edges[chain[i]].rating;
-        skip[i] = take[i - 1].max(skip[i - 1]);
-    }
-    // Backtrack: at index i, an optimal prefix solution either takes edge i
-    // (then continues at i - 2) or skips it (continues at i - 1).
-    let mut picked = Vec::new();
-    let mut i = k as isize - 1;
-    while i >= 0 {
-        if take[i as usize] >= skip[i as usize] {
-            picked.push(chain[i as usize]);
-            i -= 2;
-        } else {
-            i -= 1;
+        for &i in &self.picked {
+            let e = &chain[i as usize];
+            matching.try_match(e.u, e.v);
         }
     }
-    picked
-}
 
-fn subset_value(subset: &[usize], edges: &[RatedEdge]) -> f64 {
-    subset.iter().map(|&i| edges[i].rating).sum()
+    /// Fills `picked` with the positions of a maximum-rating independent
+    /// subset of the consecutive edges `chain[range]` (no two adjacent edges
+    /// may both be picked) — the classic "maximum weight independent set on
+    /// a path" DP — in backtracking order, last edge first.
+    fn best_path_subset(&mut self, chain: &[RatedEdge], range: std::ops::Range<usize>) {
+        self.picked.clear();
+        let (offset, path) = (range.start, &chain[range]);
+        let k = path.len();
+        if k == 0 {
+            return;
+        }
+        let (take, skip) = (&mut self.take, &mut self.skip);
+        take.clear();
+        take.resize(k, 0.0);
+        skip.clear();
+        skip.resize(k, 0.0);
+        take[0] = path[0].rating;
+        for i in 1..k {
+            take[i] = skip[i - 1] + path[i].rating;
+            skip[i] = take[i - 1].max(skip[i - 1]);
+        }
+        // Backtrack: at index i, an optimal prefix solution either takes edge
+        // i (then continues at i - 2) or skips it (continues at i - 1).
+        let mut i = k;
+        while i > 0 {
+            if take[i - 1] >= skip[i - 1] {
+                self.picked.push((offset + i - 1) as u32);
+                i = i.saturating_sub(2);
+            } else {
+                i -= 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -327,6 +363,61 @@ mod tests {
                 (gpa as f64) >= 0.95 * greedy as f64,
                 "seed {seed}: gpa {gpa} much worse than greedy {greedy}"
             );
+        }
+    }
+
+    /// The maximum weight of a set of pairwise non-adjacent edges of a path
+    /// (or, with `cycle`, a cycle) with edge weights `w`, by exhaustion.
+    fn brute_force_optimum(w: &[u64], cycle: bool) -> u64 {
+        let k = w.len();
+        (0u32..1 << k)
+            .filter(|set| set & (set >> 1) == 0)
+            .filter(|set| !cycle || (set & 1 == 0 || set >> (k - 1) & 1 == 0))
+            .map(|set| (0..k).filter(|i| set >> i & 1 == 1).map(|i| w[i]).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn optimal_on_a_union_of_paths_and_even_cycles() {
+        // Every node has degree ≤ 2 and every cycle is even, so phase 1
+        // keeps every edge and the DP alone decides. Long and short chains
+        // alternate, so each chain is solved in buffers a chain of another
+        // length used before.
+        let components: [(usize, bool); 12] = [
+            (7, false),
+            (1, false),
+            (10, true),
+            (2, false),
+            (4, true),
+            (9, false),
+            (3, false),
+            (8, true),
+            (5, false),
+            (6, true),
+            (12, true),
+            (4, false),
+        ];
+        let mut edges = Vec::new();
+        let mut optimum = 0;
+        let mut first = 0u32;
+        for (c, &(len, cycle)) in components.iter().enumerate() {
+            let w: Vec<u64> = (0..len)
+                .map(|i| 1 + (i as u64 * 7 + c as u64 * 3) % 5)
+                .collect();
+            optimum += brute_force_optimum(&w, cycle);
+            let nodes = if cycle { len } else { len + 1 } as u32;
+            for (i, &weight) in w.iter().enumerate() {
+                let (a, b) = (i as u32, (i as u32 + 1) % nodes);
+                edges.push((first + a, first + b, weight));
+            }
+            first += nodes;
+        }
+        let g = graph_from_edges(first as usize, edges);
+        for seed in 0..8 {
+            let m = gpa_matching(&g, EdgeRating::Weight, seed);
+            assert!(m.validate(Some(&g)).is_ok());
+            assert_eq!(m.total_weight(&g), optimum, "seed {seed}");
         }
     }
 

@@ -35,12 +35,12 @@ pub fn greedy_on_edges(num_nodes: usize, edges_sorted_desc: &[RatedEdge]) -> Mat
 
 /// Stable sort by descending rating (callers shuffle first for random
 /// tie-breaking).
+///
+/// Ordered by [`f64::total_cmp`], a total order on every float; on the
+/// values [`rate_edge`](crate::rate_edge) produces — finite and at least
+/// `+0.0` — it is the numeric order.
 pub fn sort_by_rating_desc(edges: &mut [RatedEdge]) {
-    edges.sort_by(|a, b| {
-        b.rating
-            .partial_cmp(&a.rating)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    edges.sort_by(|a, b| b.rating.total_cmp(&a.rating));
 }
 
 #[cfg(test)]

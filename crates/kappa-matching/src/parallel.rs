@@ -12,7 +12,7 @@
 //! *both* endpoints, which is exactly the paper's condition and needs no
 //! global coordination.
 
-use kappa_graph::{CsrGraph, NodeId};
+use kappa_graph::CsrGraph;
 use rayon::prelude::*;
 
 use crate::greedy::sort_by_rating_desc;
@@ -128,33 +128,39 @@ pub fn parallel_matching(
 
 /// Iterated locally-heaviest-edge matching on an explicit edge list
 /// (Manne–Bisseling / Preis style): repeatedly match every edge that is the
-/// highest-rated remaining edge at both of its endpoints.
+/// highest-rated remaining edge at both of its endpoints. Ties go to the
+/// earlier edge of the list.
 pub fn locally_heaviest_matching(matching: &mut Matching, mut edges: Vec<RatedEdge>) {
+    // best[v]: index into `edges` of v's most attractive remaining edge this
+    // round. Allocated once; each round resets only the entries it set.
+    let mut best: Vec<usize> = vec![usize::MAX; matching.num_nodes()];
     loop {
         edges.retain(|e| !matching.is_matched(e.u) && !matching.is_matched(e.v));
         if edges.is_empty() {
             break;
         }
-        // For every node, its most attractive incident remaining edge.
-        let mut best: std::collections::HashMap<NodeId, (f64, usize)> =
-            std::collections::HashMap::new();
         for (idx, e) in edges.iter().enumerate() {
-            for &v in &[e.u, e.v] {
-                let entry = best.entry(v).or_insert((f64::NEG_INFINITY, usize::MAX));
-                // Deterministic tie-break on the edge index.
-                if e.rating > entry.0 || (e.rating == entry.0 && idx < entry.1) {
-                    *entry = (e.rating, idx);
+            for v in [e.u, e.v] {
+                let current = &mut best[v as usize];
+                // Scanning in index order, an equal rating never displaces
+                // the earlier edge.
+                if *current == usize::MAX || e.rating > edges[*current].rating {
+                    *current = idx;
                 }
             }
         }
         let mut matched_any = false;
         for (idx, e) in edges.iter().enumerate() {
-            if best.get(&e.u).map(|&(_, i)| i) == Some(idx)
-                && best.get(&e.v).map(|&(_, i)| i) == Some(idx)
+            if best[e.u as usize] == idx
+                && best[e.v as usize] == idx
                 && matching.try_match(e.u, e.v)
             {
                 matched_any = true;
             }
+        }
+        for e in &edges {
+            best[e.u as usize] = usize::MAX;
+            best[e.v as usize] = usize::MAX;
         }
         if !matched_any {
             break;
@@ -302,19 +308,16 @@ mod tests {
             RatedEdge {
                 u: 0,
                 v: 1,
-                weight: 3,
                 rating: 3.0,
             },
             RatedEdge {
                 u: 1,
                 v: 2,
-                weight: 2,
                 rating: 2.0,
             },
             RatedEdge {
                 u: 2,
                 v: 3,
-                weight: 1,
                 rating: 1.0,
             },
         ];
@@ -322,6 +325,22 @@ mod tests {
         locally_heaviest_matching(&mut m, edges);
         assert_eq!(m.partner_of(0), Some(1));
         assert_eq!(m.partner_of(2), Some(3));
+    }
+
+    #[test]
+    fn locally_heaviest_breaks_ties_towards_the_earlier_edge() {
+        let star = |leaves: [NodeId; 3]| {
+            let edges = leaves.map(|v| RatedEdge {
+                u: 0,
+                v,
+                rating: 1.0,
+            });
+            let mut m = Matching::new(4);
+            locally_heaviest_matching(&mut m, edges.to_vec());
+            m.partner_of(0)
+        };
+        assert_eq!(star([1, 2, 3]), Some(1));
+        assert_eq!(star([3, 2, 1]), Some(3));
     }
 
     #[test]
@@ -342,5 +361,5 @@ mod tests {
         );
     }
 
-    use kappa_graph::CsrGraph;
+    use kappa_graph::{CsrGraph, NodeId};
 }

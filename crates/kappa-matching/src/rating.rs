@@ -58,15 +58,15 @@ impl EdgeRating {
 }
 
 /// An undirected edge together with its rating, as consumed by the matching
-/// algorithms.
+/// algorithms. The edge weight `ω` is folded into the rating and not kept:
+/// every matcher reads only the endpoints and the rating, and 16 bytes per
+/// edge keep the rate / shuffle / sort passes over all `m` edges cheap.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RatedEdge {
     /// Smaller endpoint.
     pub u: NodeId,
     /// Larger endpoint.
     pub v: NodeId,
-    /// Original edge weight `ω`.
-    pub weight: EdgeWeight,
     /// The rating value used for prioritisation.
     pub rating: f64,
 }
@@ -128,7 +128,6 @@ pub fn rated_edges<G: GraphAccess>(graph: &G, rating: EdgeRating) -> Vec<RatedEd
                 edges.push(RatedEdge {
                     u,
                     v,
-                    weight: w,
                     rating: rate_edge(rating, w, cu, graph.node_weight(v), ou, ov),
                 });
             }
@@ -201,6 +200,30 @@ mod tests {
         let e01 = edges.iter().find(|e| e.u == 0 && e.v == 1).unwrap();
         // Out(0) = 4, Out(1) = 6, denom = 4 + 6 - 8 = 2 -> rating 2.
         assert!((e01.rating - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_rating_is_finite_and_not_below_positive_zero() {
+        // `sort_by_rating_desc` orders by `f64::total_cmp`, which is the
+        // numeric order exactly on this range (it puts -0.0 below +0.0 and
+        // NaN above everything).
+        let big = u64::MAX / 4;
+        for rating in EdgeRating::all() {
+            for w in [0, 1, u32::MAX as u64, big] {
+                for c_u in [0, 1, u64::MAX] {
+                    for c_v in [0, 1, u64::MAX] {
+                        for (out_u, out_v) in [(w, w), (w, w + 1), (big + 1, big + 1)] {
+                            let r = rate_edge(rating, w, c_u, c_v, out_u, out_v);
+                            assert!(
+                                r.is_finite() && r.total_cmp(&0.0).is_ge(),
+                                "{} rates ({w}, {c_u}, {c_v}, {out_u}, {out_v}) as {r}",
+                                rating.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
