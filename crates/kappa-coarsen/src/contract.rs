@@ -8,19 +8,22 @@
 //! Every coarse row is built by one routine, `RowMerger::merged_row`, shared
 //! with [`contract_to_tier`](crate::contract_to_tier): it walks the fine
 //! rows of the coarse node's fine nodes and sums parallel edges on the fly
-//! through a slot array indexed by coarse id (one `u32` per coarse node,
-//! reset at the row's own entries), then hands the already merged, shorter
-//! row to [`merge_row`], the workspace's one row rule, to be sorted.
+//! through a slot array indexed by coarse id (one `u32` per coarse node of
+//! the merger's own id range, reset at the row's own entries), then hands the
+//! shorter row to [`merge_row`], the workspace's one row rule, which sorts it
+//! and sums the parallel edges into ids outside that range.
 //!
 //! The paper runs contraction per PE; [`contract_matching`] mirrors that by
 //! partitioning the coarse-node id space into contiguous per-worker ranges,
 //! pushing each range's rows into a [`CsrRows`] of its own (plus node weights
-//! and coordinates) independently, with a slot array per worker. A single
-//! range is the coarse graph as it stands; several are joined in range order
-//! with [`CsrRows::append`]. Either way the sealed arrays are exact-size. The
-//! result is the same for every thread count — and bit-identical to the
-//! test-only sequential `contract_matching_reference` below — because each
-//! coarse node's adjacency is derived only from its own fine nodes.
+//! and coordinates) independently, with a row merger whose slots cover the
+//! worker's own range — `coarse_n` slots in all, at any thread count. The
+//! first range's arrays become the coarse graph, the others are joined onto
+//! them in range order with [`CsrRows::append`], and the sealed arrays are
+//! trimmed to exact size. The result is the same for every thread count —
+//! and bit-identical to the test-only sequential `contract_matching_reference`
+//! below — because each coarse node's adjacency is derived only from its own
+//! fine nodes.
 
 use kappa_graph::{
     merge_row, CsrGraph, CsrRows, EdgeWeight, GraphAccess, NodeId, NodeWeight, INVALID_NODE,
@@ -78,19 +81,25 @@ pub(crate) fn assign_coarse_ids<G: GraphAccess>(
 const NOT_IN_ROW: u32 = u32::MAX;
 
 /// The reusable scratch of [`RowMerger::merged_row`]: one slot per coarse
-/// node and one row buffer. Each contraction worker owns one.
+/// node of the merger's own id range and one row buffer. Each contraction
+/// worker owns one, over the range of coarse nodes it builds, so the slots
+/// of all workers together number `coarse_n` whatever the thread count.
 pub(crate) struct RowMerger {
-    /// `slot[c]`: the position of coarse target `c` in `row` while the row
-    /// under construction holds it, [`NOT_IN_ROW`] otherwise.
+    /// The first coarse id with a slot.
+    first: NodeId,
+    /// `slot[c - first]`: the position of coarse target `c` in `row` while
+    /// the row under construction holds it, [`NOT_IN_ROW`] otherwise.
     slot: Vec<u32>,
     row: Vec<(NodeId, EdgeWeight)>,
 }
 
 impl RowMerger {
-    /// Scratch for rows over `coarse_n` coarse nodes.
-    pub(crate) fn new(coarse_n: usize) -> Self {
+    /// Scratch for rows whose targets `first..first + len` are summed on
+    /// the fly.
+    pub(crate) fn new(first: NodeId, len: usize) -> Self {
         RowMerger {
-            slot: vec![NOT_IN_ROW; coarse_n],
+            first,
+            slot: vec![NOT_IN_ROW; len],
             row: Vec::new(),
         }
     }
@@ -98,11 +107,14 @@ impl RowMerger {
     /// The adjacency of the coarse node merging `u` and `p`: the union of
     /// the fine lists mapped through `coarse_of`, self loops dropped.
     ///
-    /// Parallel edges are summed while the entries are collected — the
-    /// slot of a target seen before points at its entry — so the row holds
-    /// each coarse target once, in first-seen order. That shorter row is
-    /// brought into form by [`merge_row`], the one row rule; the slots it
-    /// set are reset afterwards, so the cost is the row's, not `coarse_n`.
+    /// Parallel edges into the merger's range are summed while the entries
+    /// are collected — the slot of a target seen before points at its
+    /// entry — so the row holds each such target once, in first-seen order;
+    /// targets outside the range are collected as they come. That shorter
+    /// row is brought into form by [`merge_row`], the one row rule, which
+    /// sums whatever is left. The slots the row set are reset afterwards,
+    /// so the cost is the row's, not the range's. Sums commute, so the row
+    /// is the same whatever the range.
     pub(crate) fn merged_row<G: GraphAccess>(
         &mut self,
         graph: &G,
@@ -110,7 +122,8 @@ impl RowMerger {
         (u, p): Reps,
     ) -> &[(NodeId, EdgeWeight)] {
         let c = coarse_of[u as usize];
-        let RowMerger { slot, row } = self;
+        let RowMerger { first, slot, row } = self;
+        let slot_of = |ct: NodeId| ct.wrapping_sub(*first) as usize;
         row.clear();
         let mut collect = |v: NodeId| {
             graph.for_each_edge(v, |t, w| {
@@ -118,12 +131,13 @@ impl RowMerger {
                 if ct == c {
                     return;
                 }
-                let at = &mut slot[ct as usize];
-                if *at == NOT_IN_ROW {
-                    *at = row.len() as u32;
-                    row.push((ct, w));
-                } else {
-                    row[*at as usize].1 += w;
+                match slot.get_mut(slot_of(ct)) {
+                    Some(at) if *at != NOT_IN_ROW => row[*at as usize].1 += w,
+                    Some(at) => {
+                        *at = row.len() as u32;
+                        row.push((ct, w));
+                    }
+                    None => row.push((ct, w)),
                 }
             })
         };
@@ -132,7 +146,9 @@ impl RowMerger {
             collect(p);
         }
         for &(ct, _) in row.iter() {
-            slot[ct as usize] = NOT_IN_ROW;
+            if let Some(at) = slot.get_mut(slot_of(ct)) {
+                *at = NOT_IN_ROW;
+            }
         }
         let len = merge_row(row);
         &row[..len]
@@ -198,19 +214,31 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
     let chunk = coarse_n.div_ceil(threads).max(1);
     let fragments: Vec<Fragment> = reps
         .par_chunks(chunk)
-        .map(|range| build_fragment(graph, &coarse_of, coarse_n, range))
+        .map(|range| build_fragment(graph, &coarse_of, range))
         .collect();
 
-    // Phase 3: a single fragment is the coarse graph, trimmed to exact size;
-    // several are joined in coarse-id order into exact-size arrays
-    // (sequential, O(m)).
-    let (rows, vwgt, coords) = match <[Fragment; 1]>::try_from(fragments) {
-        Ok([(mut rows, vwgt, coords)]) => {
-            rows.shrink_to_fit();
-            (rows, vwgt, coords)
+    // Phase 3: the first fragment becomes the coarse graph, grown once to
+    // the exact total; the others are appended to it in coarse-id order, and
+    // the edge arrays are trimmed of their growth slack — so a single
+    // fragment is sealed without a copy.
+    let mut fragments = fragments.into_iter();
+    let (mut rows, mut vwgt, mut coords) = fragments
+        .next()
+        .unwrap_or_else(|| build_fragment(graph, &coarse_of, &[]));
+    let rest_half_edges = fragments.as_slice().iter().map(|f| f.0.num_half_edges());
+    rows.reserve_exact(coarse_n - rows.num_rows(), rest_half_edges.sum());
+    vwgt.reserve_exact(coarse_n - vwgt.len());
+    if let Some(coords) = &mut coords {
+        coords.reserve_exact(coarse_n - coords.len());
+    }
+    for (fragment_rows, fragment_vwgt, fragment_coords) in fragments {
+        rows.append(fragment_rows);
+        vwgt.extend(fragment_vwgt);
+        if let (Some(all), Some(frag)) = (&mut coords, fragment_coords) {
+            all.extend(frag);
         }
-        Err(fragments) => join_fragments(graph, coarse_n, fragments),
-    };
+    }
+    rows.shrink_to_fit();
     Contraction {
         coarse_graph: rows.finish(vwgt, coords),
         coarse_of,
@@ -220,17 +248,13 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
 /// Builds the fragment of one contiguous coarse-id range: for every coarse
 /// node, its [merged row](RowMerger::merged_row), its node weight and its
 /// averaged coordinates.
-fn build_fragment(
-    graph: &CsrGraph,
-    coarse_of: &[NodeId],
-    coarse_n: usize,
-    range: &[Reps],
-) -> Fragment {
+fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> Fragment {
     let coords = graph.coords();
     let mut rows = CsrGraph::rows(range.len(), 0);
     let mut vwgt = Vec::with_capacity(range.len());
     let mut fragment_coords = coords.map(|_| Vec::with_capacity(range.len()));
-    let mut merger = RowMerger::new(coarse_n);
+    let first = range.first().map_or(0, |&(u, _)| coarse_of[u as usize]);
+    let mut merger = RowMerger::new(first, range.len());
     for &reps in range {
         rows.push_node(merger.merged_row(graph, coarse_of, reps).iter().copied());
         let (weight, coord) = merged_node(graph, coords, reps);
@@ -240,22 +264,6 @@ fn build_fragment(
         }
     }
     (rows, vwgt, fragment_coords)
-}
-
-/// The fragments of consecutive coarse-id ranges as one, in range order.
-fn join_fragments(graph: &CsrGraph, coarse_n: usize, fragments: Vec<Fragment>) -> Fragment {
-    let total_half_edges: usize = fragments.iter().map(|f| f.0.num_half_edges()).sum();
-    let mut rows = CsrGraph::rows(coarse_n, total_half_edges);
-    let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
-    let mut coords = graph.coords().map(|_| Vec::with_capacity(coarse_n));
-    for (fragment_rows, fragment_vwgt, fragment_coords) in fragments {
-        rows.append(fragment_rows);
-        vwgt.extend(fragment_vwgt);
-        if let (Some(all), Some(frag)) = (&mut coords, fragment_coords) {
-            all.extend(frag);
-        }
-    }
-    (rows, vwgt, coords)
 }
 
 #[cfg(test)]
@@ -350,6 +358,41 @@ mod tests {
         assert_eq!(c.coarse_graph.num_nodes(), 2);
         assert_eq!(c.coarse_graph.num_edges(), 1);
         assert_eq!(c.coarse_graph.edge_weight_between(0, 1), Some(2));
+    }
+
+    #[test]
+    fn merged_rows_do_not_depend_on_the_merger_range() {
+        // Path 0-…-5 plus chords; pairs {0,1}, {2,3}, {4,5}. Coarse node 0
+        // reaches coarse node 1 through three fine edges, which a merger
+        // sums on the fly when 1 is in its range and `merge_row` otherwise.
+        let g = graph_from_edges(
+            6,
+            vec![
+                (0, 1, 1),
+                (1, 2, 2),
+                (2, 3, 1),
+                (3, 4, 3),
+                (4, 5, 1),
+                (0, 3, 4),
+                (1, 3, 5),
+                (1, 4, 6),
+                (2, 5, 7),
+            ],
+        );
+        let mut m = Matching::new(6);
+        m.try_match(0, 1);
+        m.try_match(2, 3);
+        m.try_match(4, 5);
+        let (coarse_of, reps) = assign_coarse_ids(&g, &m);
+        let expected: [&[(NodeId, EdgeWeight)]; 3] =
+            [&[(1, 11), (2, 6)], &[(0, 11), (2, 10)], &[(0, 6), (1, 10)]];
+        for (first, len) in [(0, 3), (0, 0), (1, 1), (2, 1), (1, 2)] {
+            let mut merger = RowMerger::new(first, len);
+            for (c, &r) in reps.iter().enumerate() {
+                let row = merger.merged_row(&g, &coarse_of, r);
+                assert_eq!(row, expected[c], "range {first}+{len}, node {c}");
+            }
+        }
     }
 
     #[test]

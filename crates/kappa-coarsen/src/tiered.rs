@@ -44,7 +44,7 @@ pub fn contract_to_tier<G: GraphAccess>(
     let coarse_graph = spec.build(coarse_n, true, |push| {
         let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
         let mut coords = kept_coords.map(|_| Vec::with_capacity(coarse_n));
-        let mut merger = RowMerger::new(coarse_n);
+        let mut merger = RowMerger::new(0, coarse_n);
         for &reps in &reps {
             push(merger.merged_row(fine, &coarse_of, reps))?;
             let (weight, coord) = merged_node(fine, kept_coords, reps);

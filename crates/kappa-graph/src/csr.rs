@@ -377,6 +377,14 @@ impl CsrRows {
         self.adjwgt.extend(other.adjwgt);
     }
 
+    /// Makes room for exactly `rows` more rows holding `half_edges` more
+    /// entries, so that [`CsrRows::append`]ing them copies each entry once.
+    pub fn reserve_exact(&mut self, rows: usize, half_edges: usize) {
+        self.xadj.reserve_exact(rows);
+        self.adjncy.reserve_exact(half_edges);
+        self.adjwgt.reserve_exact(half_edges);
+    }
+
     /// Appends the next node's `(target, weight)` row.
     pub fn push_node(&mut self, row: impl IntoIterator<Item = (NodeId, EdgeWeight)>) {
         for (t, w) in row {
