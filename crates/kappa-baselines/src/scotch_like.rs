@@ -25,114 +25,105 @@ const COARSEN_STOP: usize = 120;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScotchLike;
 
-impl ScotchLike {
-    /// One multilevel 2-way bisection of the subgraph induced by `nodes`,
-    /// splitting it into `k_left : k_right` weight proportions. Appends the
-    /// node sets of the two sides to `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn bisect(
-        &self,
-        graph: &CsrGraph,
-        nodes: &[NodeId],
-        k_left: u32,
-        k_right: u32,
-        epsilon: f64,
-        seed: u64,
-        left_out: &mut Vec<NodeId>,
-        right_out: &mut Vec<NodeId>,
-    ) {
-        let sub = extract_subgraph(graph, nodes);
+/// One multilevel 2-way bisection of the subgraph induced by `nodes`,
+/// splitting it into `k_left : k_right` weight proportions. Returns the node
+/// sets of the two sides.
+fn bisect(
+    graph: &CsrGraph,
+    nodes: &[NodeId],
+    k_left: u32,
+    k_right: u32,
+    epsilon: f64,
+    seed: u64,
+) -> (Vec<NodeId>, Vec<NodeId>) {
+    let sub = extract_subgraph(graph, nodes);
 
-        // Multilevel 2-way partition of the subgraph.
-        let coarsen_config = CoarseningConfig {
-            stop_at_nodes: COARSEN_STOP,
-            seed,
-        };
-        let hierarchy = MultilevelHierarchy::build(
-            &sub.graph,
-            MatcherKind::Sequential(MatchingAlgorithm::Greedy),
-            EdgeRating::ExpansionStar,
-            &coarsen_config,
-        );
-        let coarsest = hierarchy.coarsest();
-        // Unequal target sizes are emulated by growing the first block to the
-        // k_left share; greedy_graph_growing targets c(V)/2 for k = 2, so for
-        // uneven splits we bias via epsilon on the lighter side.
-        let current = greedy_graph_growing(coarsest, 2, epsilon, seed);
-        let refinement_config = RefinementConfig {
-            epsilon,
-            bfs_depth: BAND_DEPTH,
-            max_global_iterations: 4,
-            local_iterations: 1,
-            stop_after_no_change: 1,
-            queue_selection: QueueSelection::Alternate,
-            patience_alpha: 0.03,
-            seed,
-        };
-        let mut state = hierarchy.uncoarsen(current, |fine, state| {
-            refine_partition(fine, state, &refinement_config);
-        });
+    // Multilevel 2-way partition of the subgraph.
+    let coarsen_config = CoarseningConfig {
+        stop_at_nodes: COARSEN_STOP,
+        seed,
+    };
+    let hierarchy = MultilevelHierarchy::build(
+        &sub.graph,
+        MatcherKind::Sequential(MatchingAlgorithm::Greedy),
+        EdgeRating::ExpansionStar,
+        &coarsen_config,
+    );
+    let coarsest = hierarchy.coarsest();
+    // Unequal target sizes are emulated by growing the first block to the
+    // k_left share; greedy_graph_growing targets c(V)/2 for k = 2, so for
+    // uneven splits we bias via epsilon on the lighter side.
+    let current = greedy_graph_growing(coarsest, 2, epsilon, seed);
+    let refinement_config = RefinementConfig {
+        epsilon,
+        bfs_depth: BAND_DEPTH,
+        max_global_iterations: 4,
+        local_iterations: 1,
+        stop_after_no_change: 1,
+        queue_selection: QueueSelection::Alternate,
+        patience_alpha: 0.03,
+        seed,
+    };
+    let mut state = hierarchy.uncoarsen(current, |fine, state| {
+        refine_partition(fine, state, &refinement_config);
+    });
 
-        // For uneven splits (k_left != k_right) shift boundary weight greedily:
-        // the 2-way refinement above targeted a 50:50 split, so rebalance the
-        // halves towards the k_left : k_right proportion by moving the cheapest
-        // boundary nodes.
-        if k_left != k_right {
-            rebalance_to_proportion(&sub.graph, &mut state, k_left, k_right, epsilon);
-        }
-
-        for v in 0..sub.graph.num_nodes() as NodeId {
-            let parent = sub.parent_of(v);
-            if state.block_of(v) == 0 {
-                left_out.push(parent);
-            } else {
-                right_out.push(parent);
-            }
-        }
+    // For uneven splits (k_left != k_right) shift boundary weight greedily:
+    // the 2-way refinement above targeted a 50:50 split, so rebalance the
+    // halves towards the k_left : k_right proportion by moving the cheapest
+    // boundary nodes.
+    if k_left != k_right {
+        rebalance_to_proportion(&sub.graph, &mut state, k_left, k_right, epsilon);
     }
 
-    fn partition_recursive(
-        &self,
-        graph: &CsrGraph,
-        nodes: &[NodeId],
-        first_block: u32,
-        num_blocks: u32,
-        epsilon: f64,
-        seed: u64,
-        partition: &mut Partition,
-    ) {
-        if num_blocks <= 1 {
-            for &v in nodes {
-                partition.assign(v, first_block);
-            }
-            return;
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for v in 0..sub.graph.num_nodes() as NodeId {
+        let parent = sub.parent_of(v);
+        if state.block_of(v) == 0 {
+            left.push(parent);
+        } else {
+            right.push(parent);
         }
-        let k_left = num_blocks / 2;
-        let k_right = num_blocks - k_left;
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        self.bisect(
-            graph, nodes, k_left, k_right, epsilon, seed, &mut left, &mut right,
-        );
-        self.partition_recursive(
-            graph,
-            &left,
-            first_block,
-            k_left,
-            epsilon,
-            seed.wrapping_add(1),
-            partition,
-        );
-        self.partition_recursive(
-            graph,
-            &right,
-            first_block + k_left,
-            k_right,
-            epsilon,
-            seed.wrapping_add(2),
-            partition,
-        );
     }
+    (left, right)
+}
+
+fn partition_recursive(
+    graph: &CsrGraph,
+    nodes: &[NodeId],
+    first_block: u32,
+    num_blocks: u32,
+    epsilon: f64,
+    seed: u64,
+    partition: &mut Partition,
+) {
+    if num_blocks <= 1 {
+        for &v in nodes {
+            partition.assign(v, first_block);
+        }
+        return;
+    }
+    let k_left = num_blocks / 2;
+    let k_right = num_blocks - k_left;
+    let (left, right) = bisect(graph, nodes, k_left, k_right, epsilon, seed);
+    partition_recursive(
+        graph,
+        &left,
+        first_block,
+        k_left,
+        epsilon,
+        seed.wrapping_add(1),
+        partition,
+    );
+    partition_recursive(
+        graph,
+        &right,
+        first_block + k_left,
+        k_right,
+        epsilon,
+        seed.wrapping_add(2),
+        partition,
+    );
 }
 
 /// Moves the cheapest boundary nodes from the heavier-than-proportional side to
@@ -202,7 +193,7 @@ impl BaselinePartitioner for ScotchLike {
         }
         let mut partition = Partition::unassigned(k, n);
         let all_nodes: Vec<NodeId> = graph.nodes().collect();
-        self.partition_recursive(graph, &all_nodes, 0, k, epsilon, seed, &mut partition);
+        partition_recursive(graph, &all_nodes, 0, k, epsilon, seed, &mut partition);
         // Recursive bisection can leave slight global imbalance; repair it like
         // Scotch's final balancing step does.
         let l_max = Partition::l_max(graph, k, epsilon);
@@ -259,7 +250,7 @@ mod tests {
             for k in [4u32, 8] {
                 let mut p = Partition::unassigned(k, g.num_nodes());
                 let all: Vec<NodeId> = g.nodes().collect();
-                ScotchLike.partition_recursive(g, &all, 0, k, 0.03, 1, &mut p);
+                partition_recursive(g, &all, 0, k, 0.03, 1, &mut p);
                 assert!(!p.is_balanced(g, 0.03), "k = {k}: nothing to repair");
             }
         }

@@ -5,8 +5,9 @@
 //! their weights. Contracting a whole matching does this for every matched pair
 //! simultaneously, which at most halves the number of nodes per level.
 //!
-//! Every coarse row is built by one routine, `RowMerger::merged_row`, shared
-//! with [`contract_to_tier`](crate::contract_to_tier): it walks the fine
+//! Every coarse row is built by one routine, [`RowMerger::merged_row`],
+//! shared with [`contract_to_tier`](crate::contract_to_tier) and with the
+//! distributed contraction, which runs it on a rank's shard: it walks the fine
 //! rows of the coarse node's fine nodes and sums parallel edges on the fly
 //! through a slot array indexed by coarse id (one `u32` per coarse node of
 //! the merger's own id range, reset at the row's own entries), then hands the
@@ -45,7 +46,7 @@ pub struct Contraction<G = CsrGraph> {
 
 /// The fine representatives `(v, partner-or-INVALID)` of one coarse node,
 /// `v` being the smaller fine id.
-pub(crate) type Reps = (NodeId, NodeId);
+pub type Reps = (NodeId, NodeId);
 
 /// Assigns coarse ids in ascending order of each coarse node's smallest fine
 /// node — matched pairs share one id, everything else keeps its own — and
@@ -83,8 +84,9 @@ const NOT_IN_ROW: u32 = u32::MAX;
 /// The reusable scratch of [`RowMerger::merged_row`]: one slot per coarse
 /// node of the merger's own id range and one row buffer. Each contraction
 /// worker owns one, over the range of coarse nodes it builds, so the slots
-/// of all workers together number `coarse_n` whatever the thread count.
-pub(crate) struct RowMerger {
+/// of all workers together number `coarse_n` whatever the thread count; in
+/// the distributed contraction each rank owns one over its coarse ids.
+pub struct RowMerger {
     /// The first coarse id with a slot.
     first: NodeId,
     /// `slot[c - first]`: the position of coarse target `c` in `row` while
@@ -96,7 +98,7 @@ pub(crate) struct RowMerger {
 impl RowMerger {
     /// Scratch for rows whose targets `first..first + len` are summed on
     /// the fly.
-    pub(crate) fn new(first: NodeId, len: usize) -> Self {
+    pub fn new(first: NodeId, len: usize) -> Self {
         RowMerger {
             first,
             slot: vec![NOT_IN_ROW; len],
@@ -115,7 +117,7 @@ impl RowMerger {
     /// sums whatever is left. The slots the row set are reset afterwards,
     /// so the cost is the row's, not the range's. Sums commute, so the row
     /// is the same whatever the range.
-    pub(crate) fn merged_row<G: GraphAccess>(
+    pub fn merged_row<G: GraphAccess>(
         &mut self,
         graph: &G,
         coarse_of: &[NodeId],

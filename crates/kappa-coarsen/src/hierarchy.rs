@@ -7,18 +7,21 @@
 //! fails to shrink the graph appreciably (e.g. on star-like graphs where
 //! matchings are tiny) — [`CoarseningConfig::MIN_SHRINK`].
 //!
-//! There is one hierarchy type, one coarsening loop and one upward loop
-//! ([`MultilevelHierarchy::uncoarsen`]) for every graph store and caller.
-//! [`MultilevelHierarchy::build_with`] is generic over
-//! [`GraphAccess`]; what a store contributes is *how a matching becomes the
-//! next level*, passed in beside the matcher:
-//! [`contract_matching`] for plain CSR in RAM,
+//! There is one hierarchy type and one upward walk,
+//! [`MultilevelHierarchy::walk_up`], for every graph store and caller — a
+//! whole graph or one rank's shard of it; [`MultilevelHierarchy::uncoarsen`]
+//! is that walk carrying a [`PartitionState`]. Whole graphs coarsen in
+//! [`MultilevelHierarchy::build_with`], generic over [`GraphAccess`]; what a
+//! store contributes is *how a matching becomes the next level*, passed in
+//! beside the matcher: [`contract_matching`] for plain CSR in RAM,
 //! [`SpillConfig::contract`](crate::SpillConfig::contract) for the
-//! compact/paged tiers.
+//! compact/paged tiers. Distributed shards are
+//! [`push`](MultilevelHierarchy::push)ed by the SPMD loop of `kappa-dist`,
+//! whose every step is a fallible collective.
 
 use std::convert::Infallible;
 
-use kappa_graph::{CsrGraph, GraphAccess, Partition, PartitionState};
+use kappa_graph::{CsrGraph, GraphAccess, NodeId, Partition, PartitionState};
 use kappa_matching::{
     compute_matching, parallel_matching, EdgeRating, Matching, MatchingAlgorithm,
     ParallelMatchingConfig,
@@ -123,7 +126,7 @@ impl<'g> MultilevelHierarchy<'g> {
     }
 }
 
-impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
+impl<'g, G> MultilevelHierarchy<'g, G> {
     /// A hierarchy of the finest graph alone.
     pub fn flat(finest: &'g G) -> Self {
         MultilevelHierarchy {
@@ -132,34 +135,10 @@ impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
         }
     }
 
-    /// The coarsening loop. `matcher` is called once per level with the
-    /// current graph and a per-level seed (this is how the core partitioner
-    /// plugs in the geometric pre-partitioning of §3.3 without this crate
-    /// knowing about coordinates); `contract` turns the matching into the
-    /// next level on store `G` and is told which level (1 = first coarse
-    /// graph) it is producing.
-    pub fn build_with<E>(
-        finest: &'g G,
-        config: &CoarseningConfig,
-        mut matcher: impl FnMut(&G, u64) -> Matching,
-        mut contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
-    ) -> Result<Self, E> {
-        let mut hierarchy = Self::flat(finest);
-        for level in 0..CoarseningConfig::MAX_LEVELS {
-            // Borrow the current (finest or last coarse) graph in place — no
-            // per-level clone of the whole graph.
-            let current = hierarchy.coarsest();
-            if current.num_nodes() <= config.stop_at_nodes {
-                break;
-            }
-            let matching = matcher(current, config.level_seed(level));
-            if config.stalls(matching.cardinality(), current.num_nodes()) {
-                break;
-            }
-            let next = contract(current, &matching, level + 1)?;
-            hierarchy.levels.push(next);
-        }
-        Ok(hierarchy)
+    /// Appends the next coarser level: `contraction` contracts the current
+    /// coarsest graph.
+    pub fn push(&mut self, contraction: Contraction<G>) {
+        self.levels.push(contraction);
     }
 
     /// The input (finest) graph.
@@ -191,14 +170,48 @@ impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
         (0..self.num_levels()).map(|level| self.graph_at(level))
     }
 
-    /// Projects a partition of the graph at `level` one step down, onto the
-    /// graph at `level - 1`.
-    ///
-    /// # Panics
-    /// Panics if `level == 0`.
-    pub fn project_one_level(&self, level: usize, partition: &Partition) -> Partition {
-        assert!(level > 0, "cannot project below the finest level");
-        partition.project(&self.levels[level - 1].coarse_of)
+    /// The upward half of the V-cycle as a walk: one `(fine, coarse,
+    /// coarse_of)` step per contraction, coarsest first, where `coarse_of`
+    /// maps `fine`'s nodes onto `coarse`'s. A state of the coarsest graph is
+    /// projected along every step and refined on `fine` — by
+    /// [`Self::uncoarsen`], or by a loop body where the steps are fallible.
+    pub fn walk_up(&self) -> impl Iterator<Item = (&G, &G, &[NodeId])> {
+        (1..self.num_levels()).rev().map(|level| {
+            let coarse_of = self.levels[level - 1].coarse_of.as_slice();
+            (self.graph_at(level - 1), self.graph_at(level), coarse_of)
+        })
+    }
+}
+
+impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
+    /// The coarsening loop. `matcher` is called once per level with the
+    /// current graph and a per-level seed (this is how the core partitioner
+    /// plugs in the geometric pre-partitioning of §3.3 without this crate
+    /// knowing about coordinates); `contract` turns the matching into the
+    /// next level on store `G` and is told which level (1 = first coarse
+    /// graph) it is producing.
+    pub fn build_with<E>(
+        finest: &'g G,
+        config: &CoarseningConfig,
+        mut matcher: impl FnMut(&G, u64) -> Matching,
+        mut contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
+    ) -> Result<Self, E> {
+        let mut hierarchy = Self::flat(finest);
+        for level in 0..CoarseningConfig::MAX_LEVELS {
+            // Borrow the current (finest or last coarse) graph in place — no
+            // per-level clone of the whole graph.
+            let current = hierarchy.coarsest();
+            if current.num_nodes() <= config.stop_at_nodes {
+                break;
+            }
+            let matching = matcher(current, config.level_seed(level));
+            if config.stalls(matching.cardinality(), current.num_nodes()) {
+                break;
+            }
+            let next = contract(current, &matching, level + 1)?;
+            hierarchy.push(next);
+        }
+        Ok(hierarchy)
     }
 
     /// Projects a full [`PartitionState`] one level down, onto the graph at
@@ -215,13 +228,13 @@ impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
         state.project(self.graph_at(level - 1), &self.levels[level - 1].coarse_of)
     }
 
-    /// The upward half of the V-cycle, the one loop every multilevel
-    /// partitioner runs: derives the [`PartitionState`] of `coarsest` (a
-    /// partition of the coarsest graph) on the coarsest level — the run's
-    /// only full `O(n + m)` boundary-index build — and hands it to `refine`,
-    /// then projects it one level down and refines again, until it describes
-    /// the finest graph. `refine` is told which graph the state describes; a
-    /// no-op `refine` makes this the plain projection to the finest level.
+    /// The upward half of the V-cycle on a [`PartitionState`]: derives the
+    /// state of `coarsest` (a partition of the coarsest graph) on the
+    /// coarsest level — the run's only full `O(n + m)` boundary-index build
+    /// — and hands it to `refine`, then follows [`Self::walk_up`], projecting
+    /// it one level down and refining again, until it describes the finest
+    /// graph. `refine` is told which graph the state describes; a no-op
+    /// `refine` makes this the plain projection to the finest level.
     pub fn uncoarsen(
         &self,
         coarsest: Partition,
@@ -229,9 +242,9 @@ impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
     ) -> PartitionState {
         let mut state = PartitionState::build(self.coarsest(), coarsest);
         refine(self.coarsest(), &mut state);
-        for level in (1..self.num_levels()).rev() {
-            state = self.project_state_one_level(level, &state);
-            refine(self.graph_at(level - 1), &mut state);
+        for (fine, _, coarse_of) in self.walk_up() {
+            state = state.project(fine, coarse_of);
+            refine(fine, &mut state);
         }
         state
     }
@@ -289,8 +302,8 @@ mod tests {
         );
         let cut_coarse = p.edge_cut(coarsest);
         let mut projected = p.clone();
-        for level in (1..h.num_levels()).rev() {
-            projected = h.project_one_level(level, &projected);
+        for (_, _, coarse_of) in h.walk_up() {
+            projected = projected.project(coarse_of);
         }
         let mut visited = Vec::new();
         let state = h.uncoarsen(p, |graph, _| visited.push(graph.num_nodes()));
@@ -320,10 +333,9 @@ mod tests {
         );
         let mut state = PartitionState::build(coarsest, p.clone());
         let mut partition = p;
-        for level in (1..h.num_levels()).rev() {
+        for (level, (fine, _, coarse_of)) in (1..h.num_levels()).rev().zip(h.walk_up()) {
             state = h.project_state_one_level(level, &state);
-            partition = h.project_one_level(level, &partition);
-            let fine = h.graph_at(level - 1);
+            partition = partition.project(coarse_of);
             assert_eq!(state.partition().assignment(), partition.assignment());
             // Seeded projection never performs another full build…
             assert_eq!(state.full_builds(), 1);

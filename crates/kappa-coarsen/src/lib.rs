@@ -31,7 +31,7 @@ pub mod contract;
 pub mod hierarchy;
 pub mod tiered;
 
-pub use contract::{contract_matching, Contraction};
+pub use contract::{contract_matching, Contraction, RowMerger};
 pub use hierarchy::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
 pub use kappa_mem::TierSpec;
 pub use tiered::{contract_to_tier, SpillConfig};

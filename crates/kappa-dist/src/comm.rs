@@ -359,7 +359,9 @@ pub trait Comm {
         }
     }
 
-    /// Synchronises all ranks.
+    /// Synchronises all ranks. No pipeline step needs it — every collective
+    /// already orders the ranks it involves — but it is public API and the
+    /// synchroniser of the transport conformance suite.
     fn barrier(&mut self) -> CommResult<()> {
         self.gather(0, BARRIER_TAG, ())?;
         self.broadcast::<()>(0, Some(()))?;
@@ -676,19 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn self_sends_are_ordinary_messages() {
-        let results = cluster(3).run(|comm| {
-            let me = comm.rank();
-            comm.send(me, "self", me as u64 * 10).unwrap();
-            comm.send(me, "self", me as u64 * 10 + 1).unwrap();
-            let a = comm.recv::<u64>(me, "self").unwrap();
-            let b = comm.recv::<u64>(me, "self").unwrap();
-            (a, b) // FIFO per channel, self included
-        });
-        assert_eq!(results, vec![(0, 1), (10, 11), (20, 21)]);
-    }
-
-    #[test]
     fn collectives_agree_on_every_rank() {
         let ranks = 4;
         let results = cluster(ranks).run(|comm| {
@@ -754,50 +743,6 @@ mod tests {
             (s, parts, all)
         });
         assert_eq!(results[0], (7, vec![vec![1, 2, 3]], vec![9]));
-    }
-
-    #[test]
-    fn mismatched_tag_times_out_instead_of_misdelivering() {
-        // The "alpha" message stays queued (MPI tag matching); the "beta"
-        // receive must time out with a diagnosed error, not deliver it.
-        let cluster = LocalCluster::with_config(
-            2,
-            LocalClusterConfig {
-                recv_timeout: Duration::from_millis(200),
-                fault: FaultPlan::default(),
-            },
-        );
-        let results = cluster.run(|comm| {
-            if comm.rank() == 0 {
-                // kappa-lint: allow(tag-pairing) -- the mismatch is the point: this test proves "alpha" stays queued rather than satisfying the "beta" receive
-                comm.send(1, "alpha", 1u32)
-            } else {
-                // kappa-lint: allow(tag-pairing) -- deliberately unmatched receive; must time out with a diagnosis (see above)
-                comm.recv::<u32>(0, "beta").map(|_| ())
-            }
-        });
-        assert_eq!(results[0], Ok(()));
-        let err = results[1].clone().unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "beta"));
-        // Timeout if rank 0 is still alive, Disconnected once it exited —
-        // either way a diagnosed error, never a misdelivered "alpha".
-        assert!(matches!(
-            err.kind,
-            CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
-        ));
-    }
-
-    #[test]
-    fn wrong_payload_type_is_a_type_mismatch_error() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, "x", 1u32)
-            } else {
-                comm.recv::<u64>(0, "x").map(|_| ())
-            }
-        });
-        let err = results[1].clone().unwrap_err();
-        assert_eq!(err.kind, CommErrorKind::TypeMismatch);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! sum of the per-rank anchor counts yields **globally ascending coarse ids
 //! by anchor** — exactly the id order of the shared-memory
 //! `contract_matching`, which is what makes the one-rank pipeline produce a
-//! bit-identical hierarchy.
+//! bit-identical hierarchy. The rows are built as there, too: by
+//! [`RowMerger::merged_row`] over the shard, with one coarse id per local
+//! node (owned, then ghosts) and slots for this rank's coarse ids; a pair
+//! split across ranks adds its partner's shipped row and is merged again.
 //!
 //! Communication (all collectives, deterministic):
 //! 1. allgather anchor counts → coarse ownership ranges;
@@ -18,6 +21,7 @@
 //!    partners to their anchor's owner;
 //! 4. coarse ghost node weights pulled inside [`DistGraph::assemble_with`].
 
+use kappa_coarsen::RowMerger;
 use kappa_graph::{merge_row, CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
 
 use crate::comm::{Comm, CommError, CommResult};
@@ -30,6 +34,10 @@ use crate::matching::DistMatching;
 fn proto_err<C: Comm>(comm: &C, detail: String) -> CommError {
     CommError::protocol(comm.rank(), comm.rank(), "contract", detail)
 }
+
+/// A cross-rank partner's row on its way to the anchor's owner: the anchor's
+/// global id, the partner's adjacency mapped to coarse ids, its node weight.
+type ShippedRow = (NodeId, Vec<(NodeId, EdgeWeight)>, NodeWeight);
 
 /// Result of one distributed contraction step.
 #[derive(Clone, Debug)]
@@ -58,29 +66,21 @@ pub fn distributed_contraction<C: Comm>(
     };
     let my_anchors: Vec<NodeId> = (0..ln as NodeId).filter(|&l| is_anchor(l)).collect();
     let counts = comm.allgather(my_anchors.len() as NodeId)?;
-    let mut coarse_starts: Vec<NodeId> = Vec::with_capacity(ranks + 1);
-    let mut acc: NodeId = 0;
-    coarse_starts.push(acc);
-    for c in &counts {
-        acc += c;
-        coarse_starts.push(acc);
+    let mut coarse_starts: Vec<NodeId> = vec![0; ranks + 1];
+    for (r, c) in counts.iter().enumerate() {
+        coarse_starts[r + 1] = coarse_starts[r] + c;
     }
     let my_offset = coarse_starts[comm.rank()];
 
     // --- 2. Coarse ids for owned nodes (two mirror rounds). ---
     let mut coarse_of_owned: Vec<NodeId> = vec![INVALID_NODE; ln];
     for (i, &l) in my_anchors.iter().enumerate() {
-        coarse_of_owned[l as usize] = my_offset + i as NodeId;
-    }
-    // Owned partners of local anchors inherit the anchor's id directly.
-    for &l in &my_anchors {
-        let p = matching.partner_owned[l as usize];
-        if p != INVALID_NODE {
-            if let Some(pl) = dg.local_of(p) {
-                if dg.is_owned_local(pl) {
-                    coarse_of_owned[pl as usize] = coarse_of_owned[l as usize];
-                }
-            }
+        let cid = my_offset + i as NodeId;
+        coarse_of_owned[l as usize] = cid;
+        // An owned partner inherits the anchor's id directly.
+        let partner = dg.local_of(matching.partner_owned[l as usize]);
+        if let Some(pl) = partner.filter(|&pl| dg.is_owned_local(pl)) {
+            coarse_of_owned[pl as usize] = cid;
         }
     }
     // Round 1: mirror what is known; owned nodes anchored remotely read
@@ -109,20 +109,15 @@ pub fn distributed_contraction<C: Comm>(
         }
     }
     // Round 2: now every owned id is final; mirror again for the ghosts.
+    // The coarse id of every local node: owned ids, then ghost ids.
     let ghost_coarse = dg.exchange_ghosts(comm, |l| coarse_of_owned[l as usize])?;
-    let coarse_of_local = |l: NodeId| -> NodeId {
-        if dg.is_owned_local(l) {
-            coarse_of_owned[l as usize]
-        } else {
-            ghost_coarse[l as usize - ln]
-        }
-    };
+    let mut coarse_of = coarse_of_owned;
+    coarse_of.extend(ghost_coarse);
 
     // --- 3. Ship mapped adjacency of cross-rank partners to the anchor. ---
     // For an owned node p matched to a *remote smaller* partner u, the coarse
     // node lives at owner(u): send (u_gid, p's row mapped to coarse ids).
-    let mut outgoing: Vec<Vec<(NodeId, Vec<(NodeId, EdgeWeight)>, NodeWeight)>> =
-        vec![Vec::new(); ranks];
+    let mut outgoing: Vec<Vec<ShippedRow>> = vec![Vec::new(); ranks];
     for l in 0..ln as NodeId {
         let p = matching.partner_owned[l as usize];
         if p == INVALID_NODE || p > lo + l {
@@ -134,16 +129,13 @@ pub fn distributed_contraction<C: Comm>(
         let mapped: Vec<(NodeId, EdgeWeight)> = dg
             .local()
             .edges_of(l)
-            .map(|(t, w)| (coarse_of_local(t), w))
+            .map(|(t, w)| (coarse_of[t as usize], w))
             .collect();
         outgoing[dg.owner_of(p)].push((p, mapped, dg.local().node_weight(l)));
     }
     let shipped = comm.alltoallv(outgoing)?;
     // Index shipped rows by anchor gid.
-    let mut shipped_rows: std::collections::HashMap<
-        NodeId,
-        (Vec<(NodeId, EdgeWeight)>, NodeWeight),
-    > = std::collections::HashMap::new();
+    let mut shipped_rows = std::collections::HashMap::new();
     for part in shipped {
         for (anchor, row, weight) in part {
             let prev = shipped_rows.insert(anchor, (row, weight));
@@ -152,66 +144,60 @@ pub fn distributed_contraction<C: Comm>(
     }
 
     // --- 4. Build the owned coarse rows (ascending anchor order). ---
+    // The merger's slots cover this rank's coarse ids; rows into other
+    // ranks' coarse nodes are summed by `merge_row`.
     let mut rows = CsrGraph::rows(my_anchors.len(), 0);
     let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(my_anchors.len());
-    let mut scratch: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for (i, &l) in my_anchors.iter().enumerate() {
-        let cid = my_offset + i as NodeId;
-        scratch.clear();
-        for (t, w) in dg.local().edges_of(l) {
-            let ct = coarse_of_local(t);
-            if ct != cid {
-                scratch.push((ct, w));
-            }
-        }
-        let mut weight = dg.local().node_weight(l);
+    let mut merger = RowMerger::new(my_offset, my_anchors.len());
+    let mut cross_row: Vec<(NodeId, EdgeWeight)> = Vec::new();
+    for &l in &my_anchors {
         let p = matching.partner_owned[l as usize];
-        if p != INVALID_NODE {
-            let pl = dg.local_of(p).ok_or_else(|| {
+        let partner = match p {
+            INVALID_NODE => None,
+            _ => Some(dg.local_of(p).ok_or_else(|| {
                 proto_err(
                     comm,
                     format!("matched partner {p} of anchor {} is not local", lo + l),
                 )
+            })?),
+        };
+        let owned_partner = partner.filter(|&pl| dg.is_owned_local(pl));
+        let reps = (l, owned_partner.unwrap_or(INVALID_NODE));
+        let row = merger.merged_row(dg.local(), &coarse_of, reps);
+        let mut weight = dg.local().node_weight(l);
+        weight += owned_partner.map_or(0, |pl| dg.local().node_weight(pl));
+        if partner == owned_partner {
+            rows.push_node(row.iter().copied());
+        } else {
+            // A cross-rank pair: the partner's shipped row joins the
+            // anchor's, and the two are merged again.
+            let (shipped, partner_weight) = shipped_rows.remove(&(lo + l)).ok_or_else(|| {
+                proto_err(
+                    comm,
+                    format!(
+                        "rank {} never received the shipped adjacency row for \
+                         anchor {} (partner {p})",
+                        comm.rank(),
+                        lo + l
+                    ),
+                )
             })?;
-            if dg.is_owned_local(pl) {
-                for (t, w) in dg.local().edges_of(pl) {
-                    let ct = coarse_of_local(t);
-                    if ct != cid {
-                        scratch.push((ct, w));
-                    }
-                }
-                weight += dg.local().node_weight(pl);
-            } else {
-                let (row, pw) = shipped_rows.remove(&(lo + l)).ok_or_else(|| {
-                    proto_err(
-                        comm,
-                        format!(
-                            "rank {} never received the shipped adjacency row for \
-                             anchor {} (partner {p})",
-                            comm.rank(),
-                            lo + l
-                        ),
-                    )
-                })?;
-                for (ct, w) in row {
-                    if ct != cid {
-                        scratch.push((ct, w));
-                    }
-                }
-                weight += pw;
-            }
+            let cid = coarse_of[l as usize];
+            cross_row.clear();
+            cross_row.extend_from_slice(row);
+            cross_row.extend(shipped.into_iter().filter(|&(ct, _)| ct != cid));
+            let len = merge_row(&mut cross_row);
+            rows.push_node(cross_row[..len].iter().copied());
+            weight += partner_weight;
         }
-        // The row rule of `contract_matching`: sort by coarse target, sum
-        // parallel edges.
-        let len = merge_row(&mut scratch);
-        rows.push_node(scratch[..len].iter().copied());
         vwgt.push(weight);
     }
 
     let coarse = DistGraph::assemble_with(comm, comm.rank(), ranks, coarse_starts, rows, vwgt)?;
+    coarse_of.truncate(ln);
     Ok(DistContraction {
         coarse,
-        coarse_of_owned,
+        coarse_of_owned: coarse_of,
     })
 }
 

@@ -132,6 +132,13 @@ impl DistGraph {
             .collect();
         ghost_global.sort_unstable();
         ghost_global.dedup();
+        // Rows may come from a peer: a target past the global node count
+        // has no owner. The ghost set is sorted, so its last element decides.
+        let n = range_starts[ranks];
+        if let Some(&t) = ghost_global.last().filter(|&&t| t >= n) {
+            let detail = format!("row target {t} is past the {n} global nodes");
+            return Err(CommError::protocol(rank, rank, "assemble", detail));
+        }
         let ghost_of = |gid: NodeId| -> NodeId {
             // kappa-lint: allow(dist-no-panic) -- ghost_global was built above from exactly the remote targets this closure is called on
             ln as NodeId + ghost_global.binary_search(&gid).expect("ghost") as NodeId
@@ -525,5 +532,18 @@ mod tests {
             let mirrors = dg.exchange_ghosts(comm, |l| l as u64).unwrap();
             assert_eq!(mirrors.len(), dg.ghosts().len());
         });
+    }
+
+    #[test]
+    fn a_row_target_past_the_global_node_count_is_diagnosed() {
+        // Rank 0 of 2 owns global nodes 0..2 of 4; node 1's row names node 4.
+        let mut rows = CsrGraph::rows(2, 0);
+        rows.push_node([(1, 1)]);
+        rows.push_node([(0, 1), (4, 1)]);
+        let assembled = DistGraph::assemble(0, 2, vec![0, 2, 4], rows, vec![1, 1], |ghosts| {
+            Ok(vec![1; ghosts.len()])
+        });
+        let err = assembled.expect_err("target 4 has no owner");
+        assert!(err.to_string().contains("row target 4"), "{err}");
     }
 }

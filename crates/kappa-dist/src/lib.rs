@@ -27,16 +27,19 @@
 //!   each rank's interior subgraph, then a propose/accept handshake
 //!   (locally-heaviest-edge pointing) across rank boundaries.
 //! * [`contract`] — distributed contraction with deterministic coarse-id
-//!   assignment, producing the next level's [`DistGraph`].
+//!   assignment, producing the next level's [`DistGraph`] with the coarse
+//!   rows of `kappa-coarsen`'s `RowMerger`.
 //! * [`refine`] — pairwise distributed refinement scheduled over the
 //!   quotient-graph edge colouring: each block pair's boundary band is
 //!   gathered to a home rank, refined with the pooled FM of `kappa-refine`,
 //!   and the surviving delta-moves broadcast back into every rank's state
 //!   shard.
 //! * [`pipeline`] — the end-to-end driver: [`partition_distributed`] runs
-//!   coarsening → initial partitioning → uncoarsening over a cluster and is
-//!   cut-bit-identical to the shared-memory [`KappaPartitioner`] for one
-//!   rank (`tests/dist.rs` at the workspace root proves it).
+//!   coarsening → initial partitioning → uncoarsening over a cluster, keeping
+//!   its levels in the shared `MultilevelHierarchy` and walking it up as the
+//!   shared pipeline does, and is cut-bit-identical to the shared-memory
+//!   [`KappaPartitioner`] for one rank (`tests/dist.rs` at the workspace
+//!   root proves it).
 //!
 //! [`KappaPartitioner`]: kappa_core::KappaPartitioner
 

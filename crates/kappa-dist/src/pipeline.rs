@@ -3,13 +3,16 @@
 //!
 //! The same three phases as the shared-memory driver in `kappa-core`, with
 //! the phase configurations taken from the same [`KappaConfig`] policy
-//! methods, but as its own SPMD loop: every step is a fallible collective,
-//! and rank folding has to happen before the stop check.
+//! methods and the levels kept in the same [`MultilevelHierarchy`], here of
+//! one rank's [`DistGraph`] shards. The coarsening loop is this module's own:
+//! every step is a fallible collective, and rank folding has to happen
+//! before the stop check.
 //!
 //! * **Coarsening** — repeated [`distributed_matching`] +
 //!   [`distributed_contraction`] under [`KappaConfig::coarsening`]'s seeds
 //!   and stop rules (node-count threshold, minimum shrink factor, level
-//!   cap), evaluated on allreduced global counts.
+//!   cap), evaluated on allreduced global counts; each contraction is
+//!   [pushed](MultilevelHierarchy::push) onto the hierarchy.
 //! * **Initial partitioning** — the coarsest graph (a few hundred nodes by
 //!   construction) is allgathered; every rank runs its share of the
 //!   best-of-repeats protocol with rank-offset seeds, the winner is chosen
@@ -17,17 +20,20 @@
 //!   assignment broadcast — the paper's "partition redundantly on every PE,
 //!   keep the best" step.
 //! * **Uncoarsening** — one [`DistState`] per rank threads through the
-//!   levels: refined with [`dist_refine`], projected with a *pulled* block /
-//!   boundary-flag exchange and a **seeded** boundary-index build (only fine
-//!   nodes whose coarse image is boundary are edge-scanned), so each rank
-//!   performs exactly one full index build per run — the per-rank version of
-//!   the shared pipeline's `boundary_full_builds == 1` invariant.
+//!   levels along [`MultilevelHierarchy::walk_up`], the walk of the shared
+//!   pipeline's `uncoarsen`: refined with [`dist_refine`], projected with a
+//!   *pulled* block / boundary-flag exchange and a **seeded** boundary-index
+//!   build (only fine nodes whose coarse image is boundary are edge-scanned),
+//!   so each rank performs exactly one full index build per run — the
+//!   per-rank version of the shared pipeline's `boundary_full_builds == 1`
+//!   invariant.
 //!
 //! With one rank every phase degenerates to the shared-memory code path
 //! (same seeds, same kernels), which makes `--ranks 1` cut-bit-identical to
 //! `KappaPartitioner` at `--threads 1`; `tests/dist.rs` asserts it.
 
-use kappa_core::{CoarseningConfig, KappaConfig};
+use kappa_coarsen::{CoarseningConfig, Contraction, MultilevelHierarchy};
+use kappa_core::KappaConfig;
 use kappa_graph::{BlockId, BlockWeights, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition};
 use kappa_initial::{best_of_repeats, quality_key};
 use kappa_refine::RefinementStats;
@@ -322,23 +328,38 @@ fn fold_active(n: usize, active: usize, threshold: usize) -> usize {
     active
 }
 
-/// Folds the distribution of `dg` onto the first `active` ranks: the new
-/// ownership ranges split the nodes evenly over the active ranks and give
-/// every parked rank an empty range. One `alltoallv` routes each owned row
-/// (global adjacency + node weight) to its new owner; old and new ranges are
-/// both contiguous and ascending by rank, so concatenating the incoming
-/// parts in rank order reproduces the owned rows in ascending global order
-/// (validated, not assumed). Parked ranks keep participating in every
-/// collective — they just own nothing, and since coarse ownership is derived
-/// from anchor counts, they own nothing on all coarser levels too.
-fn fold_graph<C: Comm>(comm: &mut C, dg: &DistGraph, active: usize) -> CommResult<DistGraph> {
+/// One row on its way to its new owner in a fold: global id, node weight,
+/// adjacency with global targets.
+type FoldRow = (NodeId, NodeWeight, Vec<(NodeId, EdgeWeight)>);
+
+/// Folds the distribution of `dg` onto fewer ranks once its global node
+/// count calls for it ([`fold_active`] of `*active`, which is updated), and
+/// returns `dg` unchanged otherwise. The new ownership ranges split the nodes
+/// evenly over the active ranks and give every parked rank an empty range.
+/// One `alltoallv` routes each owned row (global adjacency + node weight) to
+/// its new owner; old and new ranges are both contiguous and ascending by
+/// rank, so concatenating the incoming parts in rank order reproduces the
+/// owned rows in ascending global order (validated, not assumed). Parked
+/// ranks keep participating in every collective — they just own nothing,
+/// and since coarse ownership is derived from anchor counts, they own
+/// nothing on all coarser levels too.
+fn fold_graph<C: Comm>(
+    comm: &mut C,
+    dg: DistGraph,
+    active: &mut usize,
+    threshold: usize,
+) -> CommResult<DistGraph> {
     let n = dg.num_global_nodes();
+    let target = fold_active(n, *active, threshold);
+    if target == *active {
+        return Ok(dg);
+    }
+    *active = target;
     let ranks = dg.ranks();
-    let mut new_starts = even_ranges(n, active);
+    let mut new_starts = even_ranges(n, target);
     new_starts.resize(ranks + 1, n as NodeId);
     let (lo, _) = dg.owned_range();
-    let mut parts: Vec<Vec<(NodeId, NodeWeight, Vec<(NodeId, EdgeWeight)>)>> =
-        vec![Vec::new(); ranks];
+    let mut parts: Vec<Vec<FoldRow>> = vec![Vec::new(); ranks];
     for l in 0..dg.num_owned() as NodeId {
         let gid = lo + l;
         parts[owner_in(&new_starts, gid)].push((
@@ -384,15 +405,6 @@ fn fold_graph<C: Comm>(comm: &mut C, dg: &DistGraph, active: usize) -> CommResul
     DistGraph::assemble_with(comm, comm.rank(), ranks, new_starts, rows, vwgt)
 }
 
-/// One level of the distributed hierarchy, as seen by one rank.
-struct DistLevel {
-    /// The (finer) graph of this level.
-    graph: DistGraph,
-    /// Global coarse id of every owned fine node (mapping into the next
-    /// coarser level).
-    coarse_of_owned: Vec<NodeId>,
-}
-
 fn rank_main<C: Comm>(
     comm: &mut C,
     graph: &CsrGraph,
@@ -404,43 +416,43 @@ fn rank_main<C: Comm>(
     let coarsening = base.coarsening(graph.num_nodes());
 
     // --- Phase 1: distributed coarsening. ---
+    // Coarse-level rank folding concentrates a small level on fewer ranks
+    // *before* its stop check and its matching, so the coarsest level itself
+    // is folded too — below the threshold the per-rank seams cost more cut
+    // than the parked parallelism buys. The finest graph is folded before
+    // the hierarchy borrows it, every coarse graph before it is pushed.
     comm.set_phase("coarsen");
-    let mut levels: Vec<DistLevel> = Vec::new();
-    let mut current = DistGraph::from_global_ranges(graph, range_starts.to_vec(), comm.rank());
     let mut active = comm.num_ranks();
-    for level_idx in 0..CoarseningConfig::MAX_LEVELS {
+    let finest = DistGraph::from_global_ranges(graph, range_starts.to_vec(), comm.rank());
+    let finest = fold_graph(comm, finest, &mut active, config.fold_threshold)?;
+    let mut hierarchy = MultilevelHierarchy::flat(&finest);
+    for level in 0..CoarseningConfig::MAX_LEVELS {
+        let current = hierarchy.coarsest();
         let n_cur = current.num_global_nodes();
-        // Coarse-level rank folding: concentrate a small level on fewer
-        // ranks *before* matching it (and before the stop check, so the
-        // coarsest level itself is folded too) — below the threshold the
-        // per-rank seams cost more cut than the parked parallelism buys.
-        let target = fold_active(n_cur, active, config.fold_threshold);
-        if target < active {
-            current = fold_graph(comm, &current, target)?;
-            active = target;
-        }
         if n_cur <= coarsening.stop_at_nodes {
             break;
         }
-        let level_seed = coarsening.level_seed(level_idx);
-        let matching =
-            distributed_matching(comm, &current, base.matching, base.rating, level_seed)?;
+        let seed = coarsening.level_seed(level);
+        let matching = distributed_matching(comm, current, base.matching, base.rating, seed)?;
         if coarsening.stalls(matching.matched_pairs, n_cur) {
             break;
         }
-        let contraction = distributed_contraction(comm, &current, &matching)?;
-        levels.push(DistLevel {
-            graph: current,
-            coarse_of_owned: contraction.coarse_of_owned,
+        let contraction = distributed_contraction(comm, current, &matching)?;
+        let mut coarse_graph = contraction.coarse;
+        // The level cap's last coarse graph is never matched, so never folded.
+        if level + 1 < CoarseningConfig::MAX_LEVELS {
+            coarse_graph = fold_graph(comm, coarse_graph, &mut active, config.fold_threshold)?;
+        }
+        hierarchy.push(Contraction {
+            coarse_graph,
+            coarse_of: contraction.coarse_of_owned,
         });
-        current = contraction.coarse;
     }
-    let coarsest_nodes = current.num_global_nodes();
-    let hierarchy_levels = levels.len() + 1;
+    let coarsest = hierarchy.coarsest();
 
     // --- Phase 2: redundant initial partitioning of the coarsest graph. ---
     comm.set_phase("initial");
-    let coarsest_full = allgather_graph(comm, &current)?;
+    let coarsest_full = allgather_graph(comm, coarsest)?;
     // Rank r explores its own seed window; rank 0's window equals the
     // shared pipeline's (single-threaded) one.
     let mine = best_of_repeats(&coarsest_full, &base.initial_partitioning(1, comm.rank()));
@@ -458,56 +470,30 @@ fn rank_main<C: Comm>(
     let winner = comm.broadcast(winner_rank, (comm.rank() == winner_rank).then_some(mine))?;
 
     // --- Phase 3: uncoarsening with pairwise distributed refinement. ---
+    // The walk `MultilevelHierarchy::uncoarsen` takes, with one shard of the
+    // state per rank and every step a fallible collective.
     let refinement_config = base.refinement();
     let mut stats = RefinementStats::default();
-
+    let mut refine = |comm: &mut C, dg: &DistGraph, st: &mut DistState| {
+        comm.set_phase("refine");
+        let l_max = level_l_max(comm, dg, k, base.epsilon)?;
+        dist_refine(comm, dg, st, &refinement_config, l_max, &mut stats)
+    };
     // Coarsest-level state: the one full boundary-index build of the run.
-    let coarsest = current;
     let view: Vec<BlockId> = (0..coarsest.local().num_nodes() as NodeId)
         .map(|l| winner.block_of(coarsest.global_of(l)))
         .collect();
     let weights = BlockWeights::compute(&coarsest_full, &winner);
-    let mut st = DistState::build(&coarsest, view, k, weights);
-    comm.set_phase("refine");
-    let l_max = level_l_max(comm, &coarsest, k, base.epsilon)?;
-    dist_refine(
-        comm,
-        &coarsest,
-        &mut st,
-        &refinement_config,
-        l_max,
-        &mut stats,
-    )?;
-
-    for i in (0..levels.len()).rev() {
-        let coarse_dg: &DistGraph = if i + 1 < levels.len() {
-            &levels[i + 1].graph
-        } else {
-            &coarsest
-        };
+    let mut st = DistState::build(coarsest, view, k, weights);
+    refine(comm, coarsest, &mut st)?;
+    for (fine, coarse, coarse_of_owned) in hierarchy.walk_up() {
         comm.set_phase("project");
-        st = project_state(
-            comm,
-            &levels[i].graph,
-            coarse_dg,
-            &st,
-            &levels[i].coarse_of_owned,
-        )?;
-        comm.set_phase("refine");
-        let l_max = level_l_max(comm, &levels[i].graph, k, base.epsilon)?;
-        dist_refine(
-            comm,
-            &levels[i].graph,
-            &mut st,
-            &refinement_config,
-            l_max,
-            &mut stats,
-        )?;
+        st = project_state(comm, fine, coarse, &st, coarse_of_owned)?;
+        refine(comm, fine, &mut st)?;
     }
 
     // --- Gather the global assignment (replicated) and the exact cut. ---
     comm.set_phase("finish");
-    let finest = levels.first().map(|l| &l.graph).unwrap_or(&coarsest);
     let owned_blocks: Vec<BlockId> = st.view()[..finest.num_owned()].to_vec();
     let assignment: Vec<BlockId> = comm
         .allgather(owned_blocks)?
@@ -520,8 +506,8 @@ fn rank_main<C: Comm>(
     Ok(RankResult {
         partition,
         edge_cut,
-        hierarchy_levels,
-        coarsest_nodes,
+        hierarchy_levels: hierarchy.num_levels(),
+        coarsest_nodes: coarsest.num_global_nodes(),
         refinement: stats,
         full_builds: st.full_builds(),
         comm: comm.stats().cloned().unwrap_or_default(),
@@ -543,10 +529,21 @@ fn allgather_graph<C: Comm>(comm: &mut C, dg: &DistGraph) -> CommResult<CsrGraph
             )
         })
         .collect();
-    let all = comm.allgather(rows)?;
-    let mut rows = CsrGraph::rows(0, 0);
-    let mut vwgt = Vec::new();
-    for (row, w) in all.into_iter().flatten() {
+    let all: Vec<_> = comm.allgather(rows)?.into_iter().flatten().collect();
+    let n = all.len();
+    let mut targets = all.iter().flat_map(|(row, _)| row).map(|&(t, _)| t);
+    if let Some(t) = targets.find(|&t| t as usize >= n) {
+        let detail = format!("coarsest-graph row targets global node {t} of {n}");
+        return Err(CommError::protocol(
+            comm.rank(),
+            comm.rank(),
+            "initial",
+            detail,
+        ));
+    }
+    let mut rows = CsrGraph::rows(n, 0);
+    let mut vwgt = Vec::with_capacity(n);
+    for (row, w) in all {
         rows.push_node(row);
         vwgt.push(w);
     }
@@ -569,8 +566,7 @@ fn level_l_max<C: Comm>(
     let both = comm.allgather(local)?;
     let total: NodeWeight = both.iter().map(|&(s, _)| s).sum();
     let max = both.iter().map(|&(_, m)| m).max().unwrap_or(0);
-    let avg = total as f64 / k as f64;
-    Ok(((1.0 + epsilon) * avg).ceil() as NodeWeight + max)
+    Ok(Partition::l_max_of(total, max, k, epsilon))
 }
 
 /// Projects the coarse state one level down: pulls the block and boundary
@@ -599,22 +595,13 @@ fn project_state<C: Comm>(
         info[images.binary_search(&cid).expect("image present")]
     };
 
-    let ln = fine.num_owned();
-    let n_local = fine.local().num_nodes();
-    let mut view: Vec<BlockId> = vec![0; n_local];
-    let mut candidate: Vec<bool> = vec![false; n_local];
-    for l in 0..ln {
-        let (block, boundary) = lookup(coarse_of_owned[l]);
-        view[l] = block;
-        candidate[l] = boundary;
-    }
+    let (mut view, mut candidate): (Vec<BlockId>, Vec<bool>) =
+        coarse_of_owned.iter().map(|&cid| lookup(cid)).unzip();
     // Ghost mirrors of block + candidate flag come from the fine owners
     // (which just computed them for their owned nodes).
     let ghost_info = fine.exchange_ghosts(comm, |l| (view[l as usize], candidate[l as usize]))?;
-    for (g, (block, cand)) in ghost_info.into_iter().enumerate() {
-        view[ln + g] = block;
-        candidate[ln + g] = cand;
-    }
+    view.extend(ghost_info.iter().map(|&(block, _)| block));
+    candidate.extend(ghost_info.iter().map(|&(_, cand)| cand));
 
     Ok(DistState::build_seeded(
         fine,
@@ -628,7 +615,31 @@ fn project_state<C: Comm>(
 
 #[cfg(test)]
 mod tests {
-    use super::fold_active;
+    use super::{allgather_graph, fold_active};
+    use crate::comm::{Comm, LocalCluster};
+    use crate::graph::DistGraph;
+    use kappa_graph::graph_from_edges;
+
+    #[test]
+    fn a_peer_row_past_the_coarsest_graph_is_diagnosed() {
+        // The ranks disagree about the graph: rank 0 holds a 2-node graph
+        // alone, rank 1 the upper half of an 8-node path. Six rows are
+        // gathered, and rank 1's row of node 5 names node 6.
+        let pair = graph_from_edges(2, [(0, 1, 1)]);
+        let path = graph_from_edges(8, (0..7).map(|v| (v, v + 1, 1)));
+        let results = LocalCluster::new(2).run(|comm| {
+            let (graph, ranges) = match comm.rank() {
+                0 => (&pair, vec![0, 2, 2]),
+                _ => (&path, vec![0, 4, 8]),
+            };
+            let dg = DistGraph::from_global_ranges(graph, ranges, comm.rank());
+            allgather_graph(comm, &dg).map(|_| ())
+        });
+        for result in results {
+            let err = result.expect_err("target 6 is out of range");
+            assert!(err.to_string().contains("global node 6 of 6"), "{err}");
+        }
+    }
 
     #[test]
     fn fold_active_halves_through_the_threshold_cascade() {

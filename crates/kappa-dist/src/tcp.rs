@@ -257,7 +257,7 @@ impl TcpComm {
             .map_err(|e| err(CommErrorKind::Io(e.to_string())))?;
         // Registration: the hello preamble plus this worker's listener port.
         let mut msg = hello_bytes(rank, ranks);
-        (port as u16).encode(&mut msg);
+        port.encode(&mut msg);
         write_all(&stream, &msg).map_err(|e| err(CommErrorKind::Io(e.to_string())))?;
         // Reply: preamble (sanity) + the full port map.
         read_preamble(&stream, ranks).map_err(|d| err(CommErrorKind::Handshake(d)))?;
@@ -705,23 +705,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], (0..30).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn wrong_payload_type_is_a_codec_error() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, "x", vec![1u64, 2, 3]).map(|_| ())
-            } else {
-                comm.recv::<String>(0, "x").map(|_| ())
-            }
-        });
-        let err = results[1].clone().unwrap_err();
-        assert!(
-            matches!(err.kind, CommErrorKind::Codec(_)),
-            "got {:?}",
-            err.kind
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 /// dropped, so the realised count is a little lower). Uses the standard
 /// Graph500 quadrant probabilities (0.57, 0.19, 0.19, 0.05).
 pub fn rmat_graph(scale: u32, edge_factor: usize, seed: u64) -> CsrGraph {
-    assert!(scale >= 2 && scale < 31, "scale out of range");
+    assert!((2..31).contains(&scale), "scale out of range");
     let n = 1usize << scale;
     let target_edges = edge_factor * n;
     let (a, b, c) = (0.57, 0.19, 0.19);

@@ -219,10 +219,21 @@ impl Partition {
             .count()
     }
 
-    /// The balance bound `L_max = (1 + ε)·c(V)/k + max_v c(v)` from §2.
+    /// The balance bound `L_max = ⌈(1 + ε)·c(V)/k⌉ + max_v c(v)` from §2.
     pub fn l_max<G: GraphAccess>(graph: &G, k: BlockId, epsilon: f64) -> NodeWeight {
-        let avg = graph.total_node_weight() as f64 / k as f64;
-        ((1.0 + epsilon) * avg).ceil() as NodeWeight + graph.max_node_weight()
+        Self::l_max_of(
+            graph.total_node_weight(),
+            graph.max_node_weight(),
+            k,
+            epsilon,
+        )
+    }
+
+    /// [`Self::l_max`] from the total and the heaviest node weight, for
+    /// callers that hold those rather than the graph (a distributed level).
+    pub fn l_max_of(total: NodeWeight, max: NodeWeight, k: BlockId, epsilon: f64) -> NodeWeight {
+        let avg = total as f64 / k as f64;
+        ((1.0 + epsilon) * avg).ceil() as NodeWeight + max
     }
 
     /// The balance of the partition: `max_i c(V_i) / (c(V)/k)`. The paper reports

@@ -33,6 +33,6 @@ mod tests {
     fn sentinels_are_distinct_from_small_ids() {
         assert_ne!(INVALID_NODE, 0);
         assert_ne!(INVALID_BLOCK, 0);
-        assert!(INVALID_NODE > 1_000_000_000);
+        const { assert!(INVALID_NODE > 1_000_000_000) };
     }
 }

@@ -83,7 +83,7 @@ pub struct LintReport {
 
 /// Runs `rule_filter`-selected rules over the workspace. `None` runs all.
 pub fn run_lint(ws: &Workspace, rule_filter: Option<&BTreeSet<String>>) -> LintReport {
-    let enabled = |id: &str| rule_filter.map_or(true, |f| f.contains(id));
+    let enabled = |id: &str| rule_filter.is_none_or(|f| f.contains(id));
     let mut raw: Vec<Finding> = Vec::new();
     for file in &ws.files {
         if enabled("hash-iter") {

@@ -222,10 +222,7 @@ pub fn rank_branch_collective(file: &SourceFile, out: &mut Vec<Finding>) {
         let start = open;
         // Extend over the `else` / `else if` chain: once any branch of the
         // chain is rank-conditioned, every branch is rank-divergent.
-        loop {
-            let Some(next) = toks.get(close + 1) else {
-                break;
-            };
+        while let Some(next) = toks.get(close + 1) {
             if !next.is_ident("else") {
                 break;
             }
@@ -297,14 +294,13 @@ fn condition_is_rank_dependent(cond: &[crate::lexer::Token]) -> bool {
         if t.kind != TokenKind::Ident {
             continue;
         }
+        let member = k > 0 && cond[k - 1].is_punct('.');
+        let call = cond.get(k + 1).is_some_and(|u| u.is_punct('('));
         match t.text.as_str() {
-            // `x.rank()` — a method call reading this rank's id.
-            "rank" if k > 0 && cond[k - 1].is_punct('.') => {
-                if cond.get(k + 1).is_some_and(|u| u.is_punct('(')) {
-                    return true;
-                }
-            }
-            // The conventional names for a cached rank id.
+            // A field `x.rank` is not this rank's id…
+            "rank" if member && !call => {}
+            // …a method call `x.rank()` reading it is, and so are the
+            // conventional names for a cached rank id.
             "rank" | "me" | "my_rank" | "self_rank" => return true,
             _ => {}
         }

@@ -1039,12 +1039,11 @@ mod tests {
             refine_partition_reference(coarsest, &mut reference, &refine_config);
             prop_assert!(state.verify_exact(coarsest).is_ok(), "after coarsest FM");
             prop_assert_eq!(state.partition().assignment(), reference.assignment());
-            for level in (1..hierarchy.num_levels()).rev() {
+            for (fine, _, coarse_of) in hierarchy.walk_up() {
                 // …then, per level: project, rebalance against a tight bound
                 // (forcing repair moves), and run FM again.
-                state = hierarchy.project_state_one_level(level, &state);
-                reference = hierarchy.project_one_level(level, &reference);
-                let fine = hierarchy.graph_at(level - 1);
+                state = state.project(fine, coarse_of);
+                reference = reference.project(coarse_of);
                 prop_assert!(state.verify_exact(fine).is_ok(), "after projection");
 
                 let l_max = Partition::l_max(fine, k, 0.0);

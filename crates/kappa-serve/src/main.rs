@@ -82,7 +82,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<CliArgs, String> {
                 cli.cut_drift = value("--cut-drift")?
                     .parse()
                     .map_err(|e| format!("bad --cut-drift: {e}"))?;
-                if !(cli.cut_drift >= 0.0) {
+                if cli.cut_drift.is_nan() || cli.cut_drift < 0.0 {
                     return Err("--cut-drift must be >= 0".to_string());
                 }
             }

@@ -280,7 +280,7 @@ mod tests {
         #[test]
         fn prop_map_transforms(v in (1usize..10).prop_map(|x| x * 2)) {
             prop_assert_eq!(v % 2, 0);
-            prop_assert!(v >= 2 && v < 20);
+            prop_assert!((2..20).contains(&v));
         }
     }
 

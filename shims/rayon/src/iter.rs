@@ -168,9 +168,7 @@ where
             })
             .collect()
     });
-    partials
-        .into_iter()
-        .fold(identity(), |acc, part| op(acc, part))
+    partials.into_iter().fold(identity(), op)
 }
 
 /// Parallel chunked iteration over a borrowed slice, mirroring

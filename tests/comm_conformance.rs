@@ -719,7 +719,7 @@ fn duplicated_and_delayed_coalesced_packs_are_recovered_on_both_backends() {
                 fault,
             },
         )
-        .run(|comm| pack_stream_workload(comm));
+        .run(pack_stream_workload);
         assert_eq!(
             local[1].clone().unwrap(),
             expected_pack_stream(),
@@ -733,7 +733,7 @@ fn duplicated_and_delayed_coalesced_packs_are_recovered_on_both_backends() {
                 fault,
             },
         )
-        .run(|comm| pack_stream_workload(comm));
+        .run(pack_stream_workload);
         assert_eq!(
             tcp[1].clone().unwrap(),
             expected_pack_stream(),
@@ -758,7 +758,7 @@ fn dropped_coalesced_pack_is_diagnosed_not_hung() {
             fault: FaultPlan::drop_nth(0, 1, 2),
         },
     )
-    .run(|comm| pack_stream_workload(comm));
+    .run(pack_stream_workload);
     assert!(started.elapsed() < Duration::from_secs(30), "must not hang");
     let err = results[1].clone().unwrap_err();
     assert_eq!((err.rank, err.peer), (1, 0));
@@ -790,7 +790,7 @@ proptest! {
                 fault: FaultPlan::seeded(seed, 0.002, 0.0, 0.0, 0.05),
             },
         )
-        .run(|comm| pack_stream_workload(comm));
+        .run(pack_stream_workload);
         prop_assert!(started.elapsed() < Duration::from_secs(60), "must not hang");
         match results[1].clone() {
             Ok(got) => prop_assert_eq!(got, expected_pack_stream()),

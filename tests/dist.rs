@@ -352,6 +352,50 @@ fn refine_frames_are_pinned() {
     }
 }
 
+/// What a folded run produces, so moving the fold cannot change it
+/// unnoticed: `refine_frames_are_pinned`'s instance with every level of at
+/// most 2 048 global nodes folded onto half the active ranks (8 → 4 → 2 → 1
+/// as the hierarchy shrinks), and once with a threshold of 8 192, which
+/// folds the finest graph itself. Frames, collectives and refine-phase
+/// frames summed over the ranks, the cut and the hierarchy depth, as
+/// literals recorded at 82c7a8a, before the coarsening loop moved onto
+/// `MultilevelHierarchy`.
+#[test]
+fn folded_runs_are_pinned() {
+    let graph = random_geometric_graph(1 << 13, 4);
+    for (ranks, threshold, pinned) in [
+        (
+            4usize,
+            2048usize,
+            (8709u64, 6388u64, 7290u64, 351u64, 9usize),
+        ),
+        (8, 2048, (31745, 13520, 26236, 352, 8)),
+        (4, 8192, (8535, 6292, 7206, 381, 9)),
+    ] {
+        let config = KappaConfig::fast(8).with_seed(3);
+        let folded = DistConfig::new(config, ranks).with_fold_threshold(threshold);
+        let run = partition_distributed(&graph, &folded).expect("fold run");
+        let (mut frames, mut collectives, mut refine_frames) = (0, 0, 0);
+        for stats in &run.comm_per_rank {
+            frames += stats.total.frames;
+            collectives += stats.total.collectives;
+            let refine = stats.phases.iter().filter(|(name, _)| name == "refine");
+            refine_frames += refine.map(|(_, phase)| phase.frames).sum::<u64>();
+        }
+        assert_eq!(
+            (
+                frames,
+                collectives,
+                refine_frames,
+                run.edge_cut,
+                run.hierarchy_levels
+            ),
+            pinned,
+            "ranks {ranks}, threshold {threshold}: (frames, collectives, refine-phase frames, cut, levels)"
+        );
+    }
+}
+
 /// How many FM searches the home ranks run, and what they achieve: the
 /// summed refinement counters of `refine_frames_are_pinned`'s instance at
 /// `R ≥ 2`, where every pair search runs on a gathered region, as literals
