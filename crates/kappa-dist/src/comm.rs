@@ -678,44 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn collectives_agree_on_every_rank() {
-        let ranks = 4;
-        let results = cluster(ranks).run(|comm| {
-            let me = comm.rank() as u64;
-            let sum = comm.allreduce_sum(me + 1).unwrap();
-            let max = comm.allreduce(me * 7, std::cmp::max).unwrap();
-            let all = comm.allgather(me).unwrap();
-            let bc = comm
-                .broadcast(2, (comm.rank() == 2).then(|| String::from("hello")))
-                .unwrap();
-            (sum, max, all, bc)
-        });
-        for (sum, max, all, bc) in results {
-            assert_eq!(sum, 1 + 2 + 3 + 4);
-            assert_eq!(max, 21);
-            assert_eq!(all, vec![0, 1, 2, 3]);
-            assert_eq!(bc, "hello");
-        }
-    }
-
-    #[test]
-    fn barrier_tolerates_uneven_work() {
-        // Rank 0 sleeps before the barrier; afterwards every rank must still
-        // observe every pre-barrier increment of the shared counter.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let ranks = 4;
-        cluster(ranks).run(|comm| {
-            if comm.rank() == 0 {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier().unwrap();
-            assert_eq!(counter.load(Ordering::SeqCst), ranks);
-        });
-    }
-
-    #[test]
     fn allreduce_min_opt_picks_the_global_minimum_with_rank_tie_break() {
         let results = cluster(4).run(|comm| {
             // Ranks 1 and 3 tie on the key; rank 1 must win. Rank 2

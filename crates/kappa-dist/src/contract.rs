@@ -136,8 +136,10 @@ pub fn distributed_contraction<C: Comm>(
     let shipped = comm.alltoallv(outgoing)?;
     // Index shipped rows by anchor gid.
     let mut shipped_rows = std::collections::HashMap::new();
+    let mut shipped_half_edges = 0;
     for part in shipped {
         for (anchor, row, weight) in part {
+            shipped_half_edges += row.len();
             let prev = shipped_rows.insert(anchor, (row, weight));
             debug_assert!(prev.is_none(), "two partners shipped for one anchor");
         }
@@ -145,8 +147,11 @@ pub fn distributed_contraction<C: Comm>(
 
     // --- 4. Build the owned coarse rows (ascending anchor order). ---
     // The merger's slots cover this rank's coarse ids; rows into other
-    // ranks' coarse nodes are summed by `merge_row`.
-    let mut rows = CsrGraph::rows(my_anchors.len(), 0);
+    // ranks' coarse nodes are summed by `merge_row`. A coarse row holds at
+    // most the entries of its fine rows, so the owned rows plus the shipped
+    // ones bound the coarse half-edges and the rows never grow.
+    let half_edge_bound = dg.local().xadj()[ln] + shipped_half_edges;
+    let mut rows = CsrGraph::rows(my_anchors.len(), half_edge_bound);
     let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(my_anchors.len());
     let mut merger = RowMerger::new(my_offset, my_anchors.len());
     let mut cross_row: Vec<(NodeId, EdgeWeight)> = Vec::new();

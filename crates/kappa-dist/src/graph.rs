@@ -17,9 +17,22 @@
 //! communication: rank `s` must send owned node `u` to rank `r` exactly when
 //! `u` has a neighbour owned by `r` — knowledge both sides share, because the
 //! edge is stored on both sides of the cut.
+//!
+//! **Assembly in place.** [`DistGraph::assemble`] — behind the level-0 slice
+//! ([`DistGraph::from_global_ranges`]), every coarse level (the contraction's
+//! [`DistGraph::assemble_with`]) and every fold — rewrites the owned rows it
+//! is handed, in place ([`CsrRows::remap_targets`]): owned targets become
+//! `t − lo`, remote ones are recorded and become ghost ids once the sorted
+//! ghost set is known, and the ghost reverse rows are appended to the same
+//! rows. A shard therefore holds its edges once; at one rank, or on any rank
+//! whose rows name no remote node, there are no ghosts and the shard is the
+//! handed rows as they came. An owner checks every id a peer asks it about
+//! ([`DistGraph::pull`], the ghost weights of `assemble_with`) against its
+//! own range and answers a foreign id with a protocol error.
 
 use kappa_graph::{
-    BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, CsrRows, EdgeWeight, NodeId, NodeWeight,
+    BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, CsrRows, EdgeWeight, NodeId,
+    NodeWeight, INVALID_NODE,
 };
 
 use crate::comm::{Comm, CommError, CommResult, Message};
@@ -87,7 +100,7 @@ impl DistGraph {
             rows.push_node(graph.edges_of(v as NodeId));
         }
         let vwgt = graph.vwgt()[lo..hi].to_vec();
-        Self::assemble(rank, ranks, range_starts, rows, vwgt, |gids| {
+        Self::assemble(rank, ranks, range_starts, rows, vwgt, |gids, _| {
             Ok(gids.iter().map(|&g| graph.node_weight(g)).collect())
         })
         // kappa-lint: allow(dist-no-panic) -- the ghost-weight closure above always returns Ok and assemble's row count is ln by construction, so no error path exists
@@ -96,16 +109,19 @@ impl DistGraph {
 
     /// Assembles a shard from the owned rows, one per owned node in
     /// ascending order with **global** targets, and their node weights `vwgt`.
-    /// `ghost_weights` resolves the node weights of the ghost set (sorted
-    /// ascending); [`Self::assemble_with`] provides the communicating variant
-    /// used when no rank holds the global graph.
+    /// The rows are rewritten in place into the shard's local ids and the
+    /// ghost rows are appended to them, so a shard costs no second copy of
+    /// its edges. `ghost_weights` resolves the node weights of the ghost set
+    /// (sorted ascending), given the owned weights; [`Self::assemble_with`]
+    /// provides the communicating variant used when no rank holds the global
+    /// graph.
     pub fn assemble(
         rank: usize,
         ranks: usize,
         range_starts: Vec<NodeId>,
-        rows: CsrRows,
+        mut rows: CsrRows,
         mut vwgt: Vec<NodeWeight>,
-        ghost_weights: impl FnOnce(&[NodeId]) -> CommResult<Vec<NodeWeight>>,
+        ghost_weights: impl FnOnce(&[NodeId], &[NodeWeight]) -> CommResult<Vec<NodeWeight>>,
     ) -> CommResult<DistGraph> {
         let lo = range_starts[rank];
         let hi = range_starts[rank + 1];
@@ -123,13 +139,21 @@ impl DistGraph {
                 ),
             ));
         }
-        let owner_of = |gid: NodeId| -> usize { owner_in(&range_starts, gid) };
 
-        // Ghost set: remote targets, ascending, deduplicated.
-        let mut ghost_global: Vec<NodeId> = (0..ln)
-            .flat_map(|i| rows.row(i).map(|(t, _)| t))
-            .filter(|&t| t < lo || t >= hi)
-            .collect();
+        // Owned targets become local ids in place (order preserved: owned
+        // targets stay in ascending global order, which keeps the
+        // interior-edge enumeration identical to the full graph's). Every
+        // remote entry is recorded as `(target, owned row, weight)` in row
+        // order and marked, to become a ghost id once the ghost set is known.
+        let mut cut: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::new();
+        rows.remap_targets(|u, t, w| {
+            if t >= lo && t < hi {
+                return t - lo;
+            }
+            cut.push((t, u as NodeId, w));
+            INVALID_NODE
+        });
+        let mut ghost_global: Vec<NodeId> = cut.iter().map(|&(t, _, _)| t).collect();
         ghost_global.sort_unstable();
         ghost_global.dedup();
         // Rows may come from a peer: a target past the global node count
@@ -139,49 +163,42 @@ impl DistGraph {
             let detail = format!("row target {t} is past the {n} global nodes");
             return Err(CommError::protocol(rank, rank, "assemble", detail));
         }
-        let ghost_of = |gid: NodeId| -> NodeId {
-            // kappa-lint: allow(dist-no-panic) -- ghost_global was built above from exactly the remote targets this closure is called on
-            ln as NodeId + ghost_global.binary_search(&gid).expect("ghost") as NodeId
-        };
-
-        // Owned rows with remapped targets (order preserved: owned targets
-        // stay in ascending global order, which keeps the interior-edge
-        // enumeration identical to the full graph's).
-        let n_local = ln + ghost_global.len();
-        let mut local = CsrGraph::rows(n_local, 0);
-        // Ghost reverse rows, built while scanning the owned rows (ascending
-        // owned order keeps each ghost row ascending too).
-        let mut ghost_rows: Vec<Vec<(NodeId, EdgeWeight)>> = vec![Vec::new(); ghost_global.len()];
-        let mut send_marks: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];
-        for u_local in 0..ln {
-            let mut last_rank_sent = usize::MAX;
-            local.push_node(rows.row(u_local).map(|(t, w)| {
-                if t >= lo && t < hi {
-                    return (t - lo, w);
-                }
-                let g = ghost_of(t);
-                ghost_rows[g as usize - ln].push((u_local as NodeId, w));
-                let owner = owner_of(t);
-                // Mark u as a member of `owner`'s ghost set (dedup the
-                // common consecutive case cheaply; full dedup below).
-                if last_rank_sent != owner {
-                    send_marks[owner].push(u_local as NodeId);
-                    last_rank_sent = owner;
-                }
-                (g, w)
-            }));
+        let ghost_of = |t: NodeId| (ln + ghost_global.partition_point(|&g| g < t)) as NodeId;
+        if !cut.is_empty() {
+            let mut marked = cut.iter();
+            rows.remap_targets(|_, t, _| match t {
+                INVALID_NODE => marked.next().map_or(t, |&(remote, _, _)| ghost_of(remote)),
+                _ => t,
+            });
         }
-        for list in &mut send_marks {
+
+        // Sorted by target then owned row, each run of one target is that
+        // ghost's reverse row, ascending by owned id; the runs into one
+        // rank's range are the owned nodes that rank mirrors.
+        cut.sort_unstable_by_key(|&(t, u, _)| (t, u));
+        let mut ghost_of_rank = Vec::with_capacity(ranks + 1);
+        ghost_of_rank.push(0);
+        let mut send_lists: Vec<Vec<NodeId>> = Vec::with_capacity(ranks);
+        let mut cut_rest = &cut[..];
+        for r in 0..ranks {
+            let end = range_starts[r + 1];
+            ghost_of_rank.push(ghost_global.partition_point(|&g| g < end));
+            let (into_r, rest) = cut_rest.split_at(cut_rest.partition_point(|e| e.0 < end));
+            let mut list: Vec<NodeId> = into_r.iter().map(|&(_, u, _)| u).collect();
             list.sort_unstable();
             list.dedup();
+            send_lists.push(list);
+            cut_rest = rest;
         }
-        send_marks[rank].clear();
+        rows.reserve_exact(ghost_global.len(), cut.len());
+        for ghost_row in cut.chunk_by(|a, b| a.0 == b.0) {
+            rows.push_node(ghost_row.iter().map(|&(_, u, w)| (u, w)));
+        }
+        rows.shrink_to_fit();
 
-        // Append the ghost rows.
-        for row in ghost_rows {
-            local.push_node(row);
-        }
-        vwgt.extend(ghost_weights(&ghost_global)?);
+        let n_local = ln + ghost_global.len();
+        let ghost_vwgt = ghost_weights(&ghost_global, &vwgt)?;
+        vwgt.extend(ghost_vwgt);
         if vwgt.len() != n_local {
             return Err(CommError::protocol(
                 rank,
@@ -194,28 +211,21 @@ impl DistGraph {
             ));
         }
 
-        // Contiguous ghost grouping per owner.
-        let mut ghost_of_rank = Vec::with_capacity(ranks + 1);
-        ghost_of_rank.push(0);
-        for r in 0..ranks {
-            let end = ghost_global.partition_point(|&g| g < range_starts[r + 1]);
-            ghost_of_rank.push(end);
-        }
-
         Ok(DistGraph {
             rank,
             ranks,
             range_starts,
-            local: local.finish(vwgt, None),
+            local: rows.finish(vwgt, None),
             ln,
             ghost_global,
-            send_lists: send_marks,
+            send_lists,
             ghost_of_rank,
         })
     }
 
     /// [`Self::assemble`] when ghost node weights must be pulled from their
-    /// owners (two `alltoallv` rounds: gid requests, weight responses).
+    /// owners (two `alltoallv` rounds: gid requests, weight responses). A
+    /// request for a node this rank does not own is a peer's protocol error.
     pub fn assemble_with<C: Comm>(
         comm: &mut C,
         rank: usize,
@@ -224,24 +234,19 @@ impl DistGraph {
         rows: CsrRows,
         vwgt: Vec<NodeWeight>,
     ) -> CommResult<DistGraph> {
-        let owned_weights = vwgt.clone();
+        let owners = range_starts.clone();
         let lo = range_starts[rank];
-        Self::assemble(rank, ranks, range_starts.clone(), rows, vwgt, |ghosts| {
+        Self::assemble(rank, ranks, range_starts, rows, vwgt, |ghosts, owned| {
             // Ghost gids grouped by owner are already ascending per owner, so
             // the flattened responses line up with the ghost list.
             let mut requests: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];
             for &g in ghosts {
-                requests[owner_in(&range_starts, g)].push(g);
+                requests[owner_in(&owners, g)].push(g);
             }
             let incoming = comm.alltoallv(requests)?;
-            let responses: Vec<Vec<NodeWeight>> = incoming
-                .into_iter()
-                .map(|req| {
-                    req.into_iter()
-                        .map(|gid| owned_weights[(gid - lo) as usize])
-                        .collect()
-                })
-                .collect();
+            let responses = answer_requests(rank, lo, owned.len(), "assemble", incoming, |l| {
+                owned[l as usize]
+            })?;
             Ok(comm.alltoallv(responses)?.into_iter().flatten().collect())
         })
     }
@@ -356,7 +361,7 @@ impl DistGraph {
     /// Pull arbitrary per-node values for a set of **global** ids from their
     /// owners (two `alltoallv` rounds). `respond` maps an owned local id to
     /// the value. Returns the values parallel to `gids`.
-    pub fn pull<T, C, F>(&self, comm: &mut C, gids: &[NodeId], mut respond: F) -> CommResult<Vec<T>>
+    pub fn pull<T, C, F>(&self, comm: &mut C, gids: &[NodeId], respond: F) -> CommResult<Vec<T>>
     where
         T: Message,
         C: Comm,
@@ -372,10 +377,7 @@ impl DistGraph {
             slots[owner].push(i);
         }
         let incoming = comm.alltoallv(requests)?;
-        let responses: Vec<Vec<T>> = incoming
-            .into_iter()
-            .map(|req| req.into_iter().map(|gid| respond(gid - lo)).collect())
-            .collect();
+        let responses = answer_requests(self.rank, lo, self.ln, "pull", incoming, respond)?;
         let answers = comm.alltoallv(responses)?;
         let mut out: Vec<Option<T>> = (0..gids.len()).map(|_| None).collect();
         for (r, part) in answers.into_iter().enumerate() {
@@ -399,6 +401,39 @@ impl DistGraph {
             })
             .collect()
     }
+}
+
+/// The owner's side of a request round: `incoming[peer]` lists the global
+/// ids `peer` asked this rank (owning `lo .. lo + owned`) about, answered
+/// with `respond` of each id's owned local id. An id outside the owned range
+/// means the peer disagrees about ownership — diagnosed, naming the peer and
+/// the id, instead of indexing past the owned nodes.
+fn answer_requests<T>(
+    rank: usize,
+    lo: NodeId,
+    owned: usize,
+    tag: &str,
+    incoming: Vec<Vec<NodeId>>,
+    mut respond: impl FnMut(NodeId) -> T,
+) -> CommResult<Vec<Vec<T>>> {
+    let mut responses = Vec::with_capacity(incoming.len());
+    for (peer, request) in incoming.into_iter().enumerate() {
+        let mut answers = Vec::with_capacity(request.len());
+        for gid in request {
+            let l = gid.wrapping_sub(lo);
+            if l as usize >= owned {
+                let detail = format!(
+                    "rank {peer} asked about global node {gid}, which rank {rank} does not own \
+                     (it owns {lo}..{})",
+                    lo as usize + owned
+                );
+                return Err(CommError::protocol(rank, peer, tag, detail));
+            }
+            answers.push(respond(l));
+        }
+        responses.push(answers);
+    }
+    Ok(responses)
 }
 
 /// A `BlockAssignment` view over a local (owned + ghost) block vector, for
@@ -441,6 +476,7 @@ mod tests {
     use crate::comm::LocalCluster;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
+    use kappa_graph::graph_from_edges;
 
     #[test]
     fn shards_cover_the_graph_and_stay_symmetric() {
@@ -489,6 +525,125 @@ mod tests {
         assert_eq!(dg.local().vwgt(), g.vwgt());
     }
 
+    /// The shard invariants of one rank of `graph` under `ranges`.
+    fn check_shard(graph: &CsrGraph, ranges: &[NodeId], rank: usize) {
+        let ranks = ranges.len() - 1;
+        let dg = DistGraph::from_global_ranges(graph, ranges.to_vec(), rank);
+        let (lo, hi) = dg.owned_range();
+        let ln = dg.num_owned();
+        let owned = |t: NodeId| t >= lo && t < hi;
+        assert_eq!(ln, (hi - lo) as usize);
+        // Every owned row, mapped back, is the global row.
+        for l in 0..ln as NodeId {
+            let row: Vec<_> = dg
+                .local()
+                .edges_of(l)
+                .map(|(t, w)| (dg.global_of(t), w))
+                .collect();
+            assert_eq!(row, graph.edges_of(lo + l).collect::<Vec<_>>(), "row {l}");
+            assert_eq!(dg.local().node_weight(l), graph.node_weight(lo + l));
+        }
+        // The ghosts are exactly the remote neighbours, and each ghost row
+        // is exactly its reverse edges into the owned range.
+        let mut remote: Vec<NodeId> = (lo..hi)
+            .flat_map(|v| graph.neighbors(v).iter().copied())
+            .filter(|&t| !owned(t))
+            .collect();
+        remote.sort_unstable();
+        remote.dedup();
+        assert_eq!(dg.ghosts(), &remote[..]);
+        assert_eq!(dg.local().num_nodes(), ln + remote.len());
+        for (gi, &gid) in dg.ghosts().iter().enumerate() {
+            let l = (ln + gi) as NodeId;
+            let reverse: Vec<_> = graph
+                .edges_of(gid)
+                .filter(|&(t, _)| owned(t))
+                .map(|(t, w)| (t - lo, w))
+                .collect();
+            assert_eq!(dg.local().edges_of(l).collect::<Vec<_>>(), reverse);
+            assert_eq!(dg.local().node_weight(l), graph.node_weight(gid));
+        }
+        // Ghosts group by owner; each owner mirrors exactly the owned nodes
+        // with a neighbour in its range.
+        assert_eq!(dg.ghost_of_rank.len(), ranks + 1);
+        assert_eq!(
+            (dg.ghost_of_rank[0], dg.ghost_of_rank[ranks]),
+            (0, remote.len())
+        );
+        for r in 0..ranks {
+            for &gid in &dg.ghosts()[dg.ghost_of_rank[r]..dg.ghost_of_rank[r + 1]] {
+                assert_eq!(owner_in(ranges, gid), r);
+            }
+            let mirrored: Vec<NodeId> = (0..ln as NodeId)
+                .filter(|_| r != rank)
+                .filter(|&l| {
+                    graph
+                        .neighbors(lo + l)
+                        .iter()
+                        .any(|&t| owner_in(ranges, t) == r)
+                })
+                .collect();
+            assert_eq!(dg.send_lists[r], mirrored, "rank {rank} sends to {r}");
+        }
+        if ranks == 1 {
+            assert_eq!(dg.local().xadj(), graph.xadj());
+            assert_eq!(dg.local().adjncy(), graph.adjncy());
+            assert_eq!(dg.local().adjwgt(), graph.adjwgt());
+            assert_eq!(dg.local().vwgt(), graph.vwgt());
+        }
+    }
+
+    #[test]
+    fn an_assembled_shard_keeps_every_row_and_its_ghost_bookkeeping() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let weighted = |n: usize, m: usize, next: &mut dyn FnMut(u64) -> u64| {
+            let edges: Vec<_> = (0..m)
+                .map(|_| {
+                    (
+                        next(n as u64) as NodeId,
+                        next(n as u64) as NodeId,
+                        1 + next(9),
+                    )
+                })
+                .filter(|&(u, v, _)| u != v)
+                .collect();
+            graph_from_edges(n, edges)
+        };
+        let graphs = [
+            random_geometric_graph(400, 2),
+            weighted(150, 600, &mut next),
+            weighted(9, 12, &mut next),
+        ];
+        for graph in &graphs {
+            let n = graph.num_nodes() as u64;
+            // Empty first and last ranges around two uneven ones.
+            let third = (n / 3) as NodeId;
+            let fixed = [0, 0, third, n as NodeId, n as NodeId];
+            for rank in 0..4 {
+                check_shard(graph, &fixed, rank);
+            }
+            for ranks in 1..=4usize {
+                // Random cut points: uneven ranges, some of them empty.
+                for _ in 0..4 {
+                    let mut cuts: Vec<NodeId> = (1..ranks).map(|_| next(n + 1) as NodeId).collect();
+                    cuts.sort_unstable();
+                    let mut ranges = vec![0];
+                    ranges.extend(cuts);
+                    ranges.push(n as NodeId);
+                    for rank in 0..ranks {
+                        check_shard(graph, &ranges, rank);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn ghost_exchange_delivers_owner_values() {
         let g = grid2d(12, 12);
@@ -535,12 +690,59 @@ mod tests {
     }
 
     #[test]
+    fn a_pull_for_a_node_the_owner_does_not_own_is_diagnosed() {
+        // The ranks disagree about the ranges: rank 0 holds an 8-node path
+        // and sends node 5 to rank 1, which holds a 2-node graph alone.
+        let path = graph_from_edges(8, (0..7).map(|v| (v, v + 1, 1)));
+        let pair = graph_from_edges(2, [(0, 1, 1)]);
+        let results = LocalCluster::new(2).run(|comm| {
+            let (graph, ranges, gids) = match comm.rank() {
+                0 => (&path, vec![0, 2, 8], vec![5]),
+                _ => (&pair, vec![0, 0, 2], vec![]),
+            };
+            let dg = DistGraph::from_global_ranges(graph, ranges, comm.rank());
+            dg.pull(comm, &gids, |l| dg.local().node_weight(l))
+        });
+        let err = results[1].as_ref().expect_err("rank 1 does not own node 5");
+        assert!(
+            err.to_string().contains("rank 0 asked about global node 5"),
+            "{err}"
+        );
+        assert!(results[0].is_err(), "rank 0 gets no answer");
+    }
+
+    #[test]
+    fn a_ghost_weight_request_for_a_node_the_owner_does_not_own_is_diagnosed() {
+        // Rank 1 believes rank 0 owns 0..3 and asks it for node 2's weight;
+        // rank 0 owns only 0..2.
+        let results = LocalCluster::new(2).run(|comm| {
+            // One single-edge row per owned node: its one neighbour.
+            let (ranges, neighbours) = match comm.rank() {
+                0 => (vec![0, 2, 4], vec![1, 0]),
+                _ => (vec![0, 3, 4], vec![2]),
+            };
+            let mut rows = CsrGraph::rows(neighbours.len(), neighbours.len());
+            for &t in &neighbours {
+                rows.push_node([(t, 1)]);
+            }
+            let vwgt = vec![1; neighbours.len()];
+            DistGraph::assemble_with(comm, comm.rank(), 2, ranges, rows, vwgt).map(|_| ())
+        });
+        let err = results[0].as_ref().expect_err("rank 0 does not own node 2");
+        assert!(
+            err.to_string().contains("rank 1 asked about global node 2"),
+            "{err}"
+        );
+        assert!(results[1].is_err(), "rank 1 gets no answer");
+    }
+
+    #[test]
     fn a_row_target_past_the_global_node_count_is_diagnosed() {
         // Rank 0 of 2 owns global nodes 0..2 of 4; node 1's row names node 4.
         let mut rows = CsrGraph::rows(2, 0);
         rows.push_node([(1, 1)]);
         rows.push_node([(0, 1), (4, 1)]);
-        let assembled = DistGraph::assemble(0, 2, vec![0, 2, 4], rows, vec![1, 1], |ghosts| {
+        let assembled = DistGraph::assemble(0, 2, vec![0, 2, 4], rows, vec![1, 1], |ghosts, _| {
             Ok(vec![1; ghosts.len()])
         });
         let err = assembled.expect_err("target 4 has no owner");

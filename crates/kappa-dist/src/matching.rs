@@ -1,10 +1,13 @@
 //! Two-phase distributed matching (§3.3 of the paper, over real ranks).
 //!
-//! **Phase 1 — interior.** Each rank extracts its *interior subgraph* (owned
-//! nodes, edges with both endpoints owned) and matches it with the ordinary
-//! sequential matcher of `kappa-matching` under a rank-derived seed. For one
-//! rank the interior subgraph *is* the graph and the phase reduces exactly to
-//! `compute_matching` — the first half of the `--ranks 1` parity argument.
+//! **Phase 1 — interior.** Each rank matches its *interior subgraph* (owned
+//! nodes, edges with both endpoints owned) with the ordinary sequential
+//! matcher of `kappa-matching` under a rank-derived seed. A shard without
+//! ghosts — no owned row names a remote node, which always holds at one rank
+//! — *is* its interior, and is matched as it stands; only a shard with ghosts
+//! copies its interior out. For one rank the phase therefore reduces exactly
+//! to `compute_matching` on the graph — the first half of the `--ranks 1`
+//! parity argument.
 //!
 //! **Phase 2 — handshake across rank boundaries.** Cut edges between two
 //! locally-unmatched endpoints form the *gap graph*. It is matched by
@@ -18,6 +21,8 @@
 //! needed. Matched flags are refreshed over the ghost layer and rounds repeat
 //! until an `allreduce` reports no progress; the globally best remaining gap
 //! edge is matched every round, so termination is guaranteed.
+
+use std::borrow::Cow;
 
 use kappa_graph::{CsrGraph, EdgeWeight, NodeId, INVALID_NODE};
 use kappa_matching::{compute_matching, rate_edge, EdgeRating, MatchingAlgorithm};
@@ -88,8 +93,12 @@ pub fn distributed_matching<C: Comm>(
     // Rank 0's seed equals `seed` so a one-rank cluster reproduces the
     // shared-memory `compute_matching` call bit for bit.
     let rank_seed = seed.wrapping_add((comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    let interior = interior_subgraph(dg);
-    let interior_matching = compute_matching(&interior, algorithm, rating, rank_seed);
+    let interior: Cow<'_, CsrGraph> = if dg.ghosts().is_empty() {
+        Cow::Borrowed(dg.local())
+    } else {
+        Cow::Owned(interior_subgraph(dg))
+    };
+    let interior_matching = compute_matching(&*interior, algorithm, rating, rank_seed);
 
     let mut partner_owned: Vec<NodeId> = vec![INVALID_NODE; ln];
     for l in 0..ln as NodeId {
@@ -239,7 +248,8 @@ pub fn distributed_matching<C: Comm>(
 
 /// The interior subgraph: owned nodes with the edges whose both endpoints are
 /// owned, in the same relative order as the full graph (owned local ids are a
-/// monotone renumbering of the owned global range).
+/// monotone renumbering of the owned global range). Only built when the shard
+/// has ghosts; without them the shard itself is its interior.
 fn interior_subgraph(dg: &DistGraph) -> CsrGraph {
     let local = dg.local();
     let ln = dg.num_owned();

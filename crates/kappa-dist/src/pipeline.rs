@@ -21,8 +21,9 @@
 //!   keep the best" step.
 //! * **Uncoarsening** — one [`DistState`] per rank threads through the
 //!   levels along [`MultilevelHierarchy::walk_up`], the walk of the shared
-//!   pipeline's `uncoarsen`: refined with [`dist_refine`], projected with a
-//!   *pulled* block / boundary-flag exchange and a **seeded** boundary-index
+//!   pipeline's `uncoarsen`: refined with [`dist_refine`], projected by
+//!   reading each owned fine node's coarse block / boundary flag in place
+//!   (pulled only when another rank owns the image) and a **seeded** boundary-index
 //!   build (only fine nodes whose coarse image is boundary are edge-scanned),
 //!   so each rank performs exactly one full index build per run — the
 //!   per-rank version of the shared pipeline's `boundary_full_builds == 1`
@@ -569,12 +570,13 @@ fn level_l_max<C: Comm>(
     Ok(Partition::l_max_of(total, max, k, epsilon))
 }
 
-/// Projects the coarse state one level down: pulls the block and boundary
-/// flag of every owned fine node's coarse image from the image's owner,
-/// mirrors the fine blocks over the ghost layer, and seeds the fine
-/// boundary-index shard from the image of the coarse boundary (no full
-/// build). Weights carry over (contraction preserves them); the partial cut
-/// is recomputed from the local shard.
+/// Projects the coarse state one level down: reads the block and boundary
+/// flag of every owned fine node's coarse image — in place when this rank
+/// owns the image, pulled from the image's owner otherwise — mirrors the
+/// fine blocks over the ghost layer, and seeds the fine boundary-index shard
+/// from the image of the coarse boundary (no full build). Weights carry over
+/// (contraction preserves them); the partial cut is recomputed from the
+/// local shard.
 fn project_state<C: Comm>(
     comm: &mut C,
     fine: &DistGraph,
@@ -583,16 +585,24 @@ fn project_state<C: Comm>(
     coarse_of_owned: &[NodeId],
 ) -> CommResult<DistState> {
     debug_assert_eq!(coarse_of_owned.len(), fine.num_owned());
-    // Deduplicated coarse images of the owned fine nodes.
-    let mut images: Vec<NodeId> = coarse_of_owned.to_vec();
-    images.sort_unstable();
-    images.dedup();
-    let info: Vec<(BlockId, bool)> = coarse.pull(comm, &images, |l| {
-        (st.block_of_local(l), st.index().is_boundary(l))
-    })?;
+    let (lo, hi) = coarse.owned_range();
+    let coarse_info = |l: NodeId| (st.block_of_local(l), st.index().is_boundary(l));
+    // Deduplicated coarse images owned by other ranks — none at one rank,
+    // but the pull's collectives run at every rank count.
+    let mut remote: Vec<NodeId> = coarse_of_owned
+        .iter()
+        .copied()
+        .filter(|&cid| cid < lo || cid >= hi)
+        .collect();
+    remote.sort_unstable();
+    remote.dedup();
+    let pulled: Vec<(BlockId, bool)> = coarse.pull(comm, &remote, coarse_info)?;
     let lookup = |cid: NodeId| -> (BlockId, bool) {
-        // kappa-lint: allow(dist-no-panic) -- `images` is exactly the deduplicated set of `coarse_of_owned`, and lookup is only called with members of `coarse_of_owned`.
-        info[images.binary_search(&cid).expect("image present")]
+        if cid >= lo && cid < hi {
+            return coarse_info(cid - lo);
+        }
+        // kappa-lint: allow(dist-no-panic) -- `remote` is exactly the deduplicated set of the unowned members of `coarse_of_owned`, and lookup is only called with members of `coarse_of_owned`.
+        pulled[remote.binary_search(&cid).expect("image present")]
     };
 
     let (mut view, mut candidate): (Vec<BlockId>, Vec<bool>) =

@@ -623,25 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn collectives_agree_over_sockets() {
-        let results = cluster(4).run(|comm| {
-            let me = comm.rank() as u64;
-            let sum = comm.allreduce_sum(me + 1).unwrap();
-            let all = comm.allgather(me).unwrap();
-            let bc = comm
-                .broadcast(2, (comm.rank() == 2).then(|| String::from("hello")))
-                .unwrap();
-            comm.barrier().unwrap();
-            (sum, all, bc)
-        });
-        for (sum, all, bc) in results {
-            assert_eq!(sum, 10);
-            assert_eq!(all, vec![0, 1, 2, 3]);
-            assert_eq!(bc, "hello");
-        }
-    }
-
-    #[test]
     fn single_rank_needs_no_sockets() {
         let results = cluster(1).run(|comm| {
             comm.barrier().unwrap();

@@ -394,6 +394,20 @@ impl CsrRows {
         self.xadj.push(self.adjncy.len());
     }
 
+    /// Rewrites every pushed target in place: entry `(t, w)` of row `i`
+    /// becomes `(f(i, t, w), w)`, visited in row order. Rows keep their
+    /// lengths, weights and entry order — a renumbering into another id
+    /// space without a copy.
+    pub fn remap_targets(&mut self, mut f: impl FnMut(usize, NodeId, EdgeWeight) -> NodeId) {
+        for (i, ends) in self.xadj.windows(2).enumerate() {
+            let range = ends[0]..ends[1];
+            let weights = &self.adjwgt[range.clone()];
+            for (t, &w) in self.adjncy[range].iter_mut().zip(weights) {
+                *t = f(i, *t, w);
+            }
+        }
+    }
+
     /// Releases the edge-array capacity beyond the pushed entries: rows
     /// pushed without a size hint leave up to half of each array as growth
     /// slack, which a graph that lives on should not keep.
@@ -519,6 +533,42 @@ mod tests {
         let joined = joined.finish(g.vwgt().to_vec(), None);
         assert_eq!(joined, one.finish(g.vwgt().to_vec(), None));
         assert_eq!(joined, g);
+    }
+
+    #[test]
+    fn remap_targets_renumbers_in_place_and_keeps_rows() {
+        // The path 0 - 1 - 2 - 3 reversed: node v becomes 3 - v.
+        let g = path_graph(4);
+        let mut rows = CsrGraph::rows(4, g.num_half_edges());
+        for v in 0..4 {
+            rows.push_node(g.edges_of(v));
+        }
+        let mut seen = Vec::new();
+        rows.remap_targets(|i, t, w| {
+            seen.push((i, t, w));
+            3 - t
+        });
+        assert_eq!(
+            seen,
+            [
+                (0, 1, 1),
+                (1, 0, 1),
+                (1, 2, 1),
+                (2, 1, 1),
+                (2, 3, 1),
+                (3, 2, 1)
+            ]
+        );
+        let remapped: Vec<Vec<_>> = (0..4).map(|i| rows.row(i).collect()).collect();
+        assert_eq!(
+            remapped,
+            [
+                vec![(2, 1)],
+                vec![(3, 1), (1, 1)],
+                vec![(2, 1), (0, 1)],
+                vec![(1, 1)]
+            ]
+        );
     }
 
     #[test]
