@@ -3,12 +3,10 @@
 //! The Θ(m) part of the graph (the per-node edge segments, same encoding as
 //! [`CompactCsr`](crate::CompactCsr)) lives in a file; RAM holds only the
 //! Θ(n) per-node scalars — byte offsets, degrees, node weights — plus a
-//! **fixed-budget direct-mapped page cache**. A segment read that misses the
-//! cache reads the missing page with one positioned read — `pread`
-//! (`read_exact_at`) on unix, one system call per miss; `seek` + `read_exact`
-//! elsewhere. There is no `mmap` and no `unsafe`, so behaviour (and peak RSS)
-//! is fully deterministic: the cache never holds more than
-//! `page_size × cache_pages` bytes regardless of graph size.
+//! **fixed-budget direct-mapped page cache**. Every segment read goes through
+//! `seek` + `read_exact` on cache miss; there is no `mmap` and no `unsafe`,
+//! so behaviour (and peak RSS) is fully deterministic: the cache never holds
+//! more than `page_size × cache_pages` bytes regardless of graph size.
 //!
 //! Direct mapping (slot = `page mod slots`) instead of LRU is deliberate:
 //! the pipeline's hot loops are either sequential node sweeps (matching,
@@ -159,11 +157,8 @@ impl PageCache {
                 let len = (self.region_len - page_start).min(ps) as usize;
                 let slot = &mut self.slots[slot_idx];
                 slot.data.resize(len, 0);
-                read_at(
-                    &mut self.file,
-                    HEADER_LEN + page_start,
-                    &mut slot.data[..len],
-                )?;
+                self.file.seek(SeekFrom::Start(HEADER_LEN + page_start))?;
+                self.file.read_exact(&mut slot.data[..len])?;
                 slot.page = page;
             } else {
                 self.stats.hits += 1;
@@ -175,21 +170,6 @@ impl PageCache {
         }
         Ok(())
     }
-}
-
-/// Fills `buf` from `file` at byte `offset`. On unix this is one positioned
-/// read (`pread`, which leaves the file cursor alone); elsewhere a seek and a
-/// read.
-#[cfg(unix)]
-fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(buf)
 }
 
 /// The file store: a segment is copied out through the page cache into a
