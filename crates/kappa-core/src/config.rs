@@ -45,6 +45,16 @@ impl ConfigPreset {
         }
     }
 
+    /// Parses a `--preset` value.
+    pub fn parse(s: &str) -> Option<ConfigPreset> {
+        match s {
+            "minimal" => Some(ConfigPreset::Minimal),
+            "fast" => Some(ConfigPreset::Fast),
+            "strong" => Some(ConfigPreset::Strong),
+            _ => None,
+        }
+    }
+
     /// All presets in the order of Table 2.
     pub fn all() -> [ConfigPreset; 3] {
         [

@@ -24,8 +24,10 @@ use std::fmt;
 /// the frame layout or the [`Wire`] encodings of the pipeline's message types.
 /// Version 2 added coalesced pack frames (`::coal`); version 3 ships band
 /// shards as flat arrays (`band-recs` carries `kappa_refine::BandShard`);
-/// version 4 drops the never-read `done` flag from `class-reports`.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// version 4 drops the never-read `done` flag from `class-reports`;
+/// version 5 drops the `::coal` frame and ships a class's seeds with its band
+/// shards (`band-recs` carries `(seeds, shards)`).
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Frame magic, little-endian `b"KPF1"` on the wire.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"KPF1");

@@ -182,20 +182,14 @@ pub(crate) const ALLTOALLV_TAG: &str = "::alltoallv";
 /// pass through `send`).
 pub(crate) const COLLECTIVE_TAGS: &[&str] = &[BARRIER_TAG, BCAST_TAG, ALLGATHER_TAG, ALLTOALLV_TAG];
 
-/// Tag of a coalesced pack: one wire frame carrying every message a rank
-/// posted to the same peer inside a [`Comm::coalesce`] scope. The pack is a
-/// transport artefact — receivers never ask for this tag; the drain path
-/// unpacks it back into the ordinary per-message stream before tag matching.
-pub(crate) const COALESCE_TAG: &str = "::coal";
-
 /// Comm-volume counters of one phase (or of the whole run).
 ///
-/// *Frames* are wire frames leaving this endpoint (a coalesced pack counts
-/// once, however many messages it carries); *bytes* are the encoded frame
-/// bytes on transports that serialise (the in-process backend moves payloads
-/// unserialised and reports 0); *collectives* are primitive collective
-/// schedules entered (gather / broadcast / all-to-all-v) — compound ops
-/// (barrier, allgather, allreduce) count their constituent primitives.
+/// *Frames* are wire frames leaving this endpoint, one per message sent;
+/// *bytes* are the encoded frame bytes on transports that serialise (the
+/// in-process backend moves payloads unserialised and reports 0);
+/// *collectives* are primitive collective schedules entered (gather /
+/// broadcast / all-to-all-v) — compound ops (barrier, allgather, allreduce)
+/// count their constituent primitives.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCommStats {
     /// Wire frames sent by this endpoint.
@@ -307,56 +301,16 @@ pub trait Comm {
     /// it does not.
     fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T>;
 
-    /// Split-phase send: posts `value` to rank `to` under `tag` without
-    /// waiting. Outside a [`coalesce`](Comm::coalesce) scope this is exactly
-    /// [`send`](Comm::send); inside one, the message is buffered and packed
-    /// with every other same-peer post into a single wire frame at flush.
-    fn isend<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()>;
-
-    /// Split-phase completion: returns the next already-arrived message from
-    /// `from` carrying `tag`, or `Ok(None)` when nothing matching has arrived
-    /// yet. Drains the receive queue without blocking.
-    fn try_recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<Option<T>>;
-
-    /// Opens a coalesce scope: subsequent [`isend`](Comm::isend)s are
-    /// buffered per destination instead of hitting the wire. Plain `send`s
-    /// and collectives are *not* buffered — they keep their immediate
-    /// semantics even inside a scope. Scopes do not nest.
-    fn coalesce_begin(&mut self);
-
-    /// Closes the coalesce scope: packs each peer's buffered messages into
-    /// one frame (peers flushed in ascending rank order) and puts them on
-    /// the wire. A no-op when no scope is open.
-    fn coalesce_flush(&mut self) -> CommResult<()>;
-
-    /// Runs `f` inside a coalesce scope, flushing on the way out. The flush
-    /// always runs (so a partial superstep is never silently swallowed), but
-    /// an error from `f` takes precedence over a flush error.
-    fn coalesce<R, F>(&mut self, f: F) -> CommResult<R>
-    where
-        Self: Sized,
-        F: FnOnce(&mut Self) -> CommResult<R>,
-    {
-        self.coalesce_begin();
-        let out = f(self);
-        let flushed = self.coalesce_flush();
-        let out = out?;
-        flushed?;
-        Ok(out)
-    }
-
     /// Comm-volume counters of this endpoint.
-    fn stats(&self) -> Option<&CommStats>;
+    fn stats(&self) -> &CommStats;
 
     /// Mutable counters hook used by the default collectives and by
     /// [`set_phase`](Comm::set_phase).
-    fn stats_mut(&mut self) -> Option<&mut CommStats>;
+    fn stats_mut(&mut self) -> &mut CommStats;
 
     /// Labels subsequent traffic with `phase` in the stats.
     fn set_phase(&mut self, phase: &'static str) {
-        if let Some(stats) = self.stats_mut() {
-            stats.set_phase(phase);
-        }
+        self.stats_mut().set_phase(phase);
     }
 
     /// Synchronises all ranks. No pipeline step needs it — every collective
@@ -376,9 +330,7 @@ pub trait Comm {
         tag: &'static str,
         value: T,
     ) -> CommResult<Option<Vec<T>>> {
-        if let Some(stats) = self.stats_mut() {
-            stats.note_collective();
-        }
+        self.stats_mut().note_collective();
         if self.rank() == root {
             let mut all: Vec<T> = Vec::with_capacity(self.num_ranks());
             let mut own = Some(value);
@@ -402,9 +354,7 @@ pub trait Comm {
     /// — the non-root ranks would otherwise wait on a broadcast that never
     /// happens.
     fn broadcast<T: Message + Clone>(&mut self, root: usize, value: Option<T>) -> CommResult<T> {
-        if let Some(stats) = self.stats_mut() {
-            stats.note_collective();
-        }
+        self.stats_mut().note_collective();
         if self.rank() == root {
             let Some(value) = value else {
                 return Err(CommError::protocol(
@@ -435,9 +385,7 @@ pub trait Comm {
     /// one part per source rank (the own part is moved through untouched).
     /// Zero-length parts are legal and arrive as empty vectors.
     fn alltoallv<T: Message>(&mut self, mut parts: Vec<Vec<T>>) -> CommResult<Vec<Vec<T>>> {
-        if let Some(stats) = self.stats_mut() {
-            stats.note_collective();
-        }
+        self.stats_mut().note_collective();
         let (me, ranks) = (self.rank(), self.num_ranks());
         if parts.len() != ranks {
             return Err(CommError::protocol(
@@ -544,16 +492,6 @@ impl Link for ChannelLink {
             Ok(value) => Ok(*value),
             Err(_) => Err(CommErrorKind::TypeMismatch),
         }
-    }
-
-    fn bundle(inner: Vec<Packet<Boxed>>) -> Boxed {
-        Box::new(inner)
-    }
-
-    /// A pack's decoy twin (its payload is not a `Vec<Packet>`) carries
-    /// nothing.
-    fn unbundle(pack: Boxed) -> Result<Vec<Packet<Boxed>>, CommErrorKind> {
-        Ok(pack.downcast().map_or_else(|_| Vec::new(), |inner| *inner))
     }
 
     /// `Box<dyn Any>` is not `Clone`, and need not be: a decoy does.
@@ -800,136 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_isends_arrive_as_ordinary_messages_in_one_frame_per_peer() {
-        let results = cluster(3).run(|comm| {
-            let me = comm.rank();
-            let before = comm.stats().unwrap().total.frames;
-            comm.coalesce(|c| {
-                for dst in 0..c.num_ranks() {
-                    if dst != me {
-                        c.isend(dst, "coal-a", me as u64 * 10)?;
-                        c.isend(dst, "coal-b", me as u64 * 10 + 1)?;
-                    }
-                }
-                Ok(())
-            })
-            .unwrap();
-            let frames = comm.stats().unwrap().total.frames - before;
-            let mut got = Vec::new();
-            for src in 0..comm.num_ranks() {
-                if src != me {
-                    got.push(comm.recv::<u64>(src, "coal-a").unwrap());
-                    got.push(comm.recv::<u64>(src, "coal-b").unwrap());
-                }
-            }
-            (frames, got)
-        });
-        for (me, (frames, got)) in results.into_iter().enumerate() {
-            // Two isends per peer packed into one frame per peer.
-            assert_eq!(frames, 2, "rank {me} sent one pack per peer");
-            let expected: Vec<u64> = (0..3)
-                .filter(|&s| s != me)
-                .flat_map(|s| [s as u64 * 10, s as u64 * 10 + 1])
-                .collect();
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn plain_send_inside_a_scope_stays_in_posting_order() {
-        // A plain `send` inside a coalesce scope hits the wire before the
-        // pack flushes, but carries a later sequence number — the receiver's
-        // stream reassembly must restore posting order.
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.coalesce(|c| {
-                    c.isend(1, "mix", 1u64)?;
-                    c.send(1, "mix", 2u64)?;
-                    c.isend(1, "mix", 3u64)
-                })
-                .unwrap();
-                Vec::new()
-            } else {
-                (0..3)
-                    .map(|_| comm.recv::<u64>(0, "mix").unwrap())
-                    .collect()
-            }
-        });
-        assert_eq!(results[1], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn isend_outside_a_scope_is_an_ordinary_send() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.isend(1, "plain", 7u64).unwrap();
-                0
-            } else {
-                comm.recv::<u64>(0, "plain").unwrap()
-            }
-        });
-        assert_eq!(results[1], 7);
-    }
-
-    #[test]
-    fn try_recv_completes_without_blocking() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                // Nothing posted to rank 0 yet: must report None, not block.
-                assert_eq!(comm.try_recv::<u64>(1, "late").unwrap(), None);
-                comm.send(1, "go", ()).unwrap();
-                let mut spins = 0u64;
-                loop {
-                    if let Some(v) = comm.try_recv::<u64>(1, "late").unwrap() {
-                        return (v, spins);
-                    }
-                    spins += 1;
-                    std::thread::yield_now();
-                }
-            } else {
-                comm.recv::<()>(0, "go").unwrap();
-                comm.send(0, "late", 99u64).unwrap();
-                (0, 0)
-            }
-        });
-        assert_eq!(results[0].0, 99);
-    }
-
-    #[test]
-    fn coalesced_packs_survive_duplicate_and_reorder_faults() {
-        let cluster = LocalCluster::with_config(
-            2,
-            LocalClusterConfig {
-                recv_timeout: Duration::from_secs(10),
-                fault: FaultPlan::seeded(11, 0.0, 0.5, 0.0, 0.3),
-            },
-        );
-        let results = cluster.run(|comm| {
-            if comm.rank() == 0 {
-                for round in 0..10u64 {
-                    comm.coalesce(|c| {
-                        c.isend(1, "pk", round * 2)?;
-                        c.isend(1, "pk", round * 2 + 1)
-                    })
-                    .unwrap();
-                }
-                // Ten extra plain sends release any packs still held by the
-                // reorder window (the receiver only claims the packed 20).
-                for v in 0..10u64 {
-                    // kappa-lint: allow(tag-pairing) -- deliberately unreceived filler: it only pushes held packs out of the reorder window
-                    let _ = comm.send(1, "tail", v); // the receiver may have left already
-                }
-                Vec::new()
-            } else {
-                (0..20)
-                    .map(|_| comm.recv::<u64>(0, "pk").unwrap())
-                    .collect()
-            }
-        });
-        assert_eq!(results[1], (0..20).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn stats_track_frames_and_collectives_per_phase() {
         let results = cluster(2).run(|comm| {
             comm.set_phase("ping");
@@ -946,7 +754,7 @@ mod tests {
             } else {
                 comm.recv::<u64>(0, "st").unwrap();
             }
-            comm.stats().unwrap().clone()
+            comm.stats().clone()
         });
         let s0 = &results[0];
         assert_eq!(s0.phases.len(), 2, "re-entering a phase resumes its bucket");

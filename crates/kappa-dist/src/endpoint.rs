@@ -2,13 +2,12 @@
 //!
 //! Everything the message-passing protocol *is* lives here exactly once —
 //! per-peer sequence numbers, [`SeqInbox`] reassembly, tag-matched `recv`
-//! with a deadline, `try_recv`, coalesce scopes and their pack frames, the
-//! fault-injector hook, the frame/byte counters. A transport contributes only
-//! what genuinely differs between moving a message through a channel and
-//! through a socket, and that list is the whole [`Link`] trait: the payload
-//! form, the coalesced-pack form, the fault plan's duplicate, the byte
-//! counter, how one packet reaches a peer and how an arrival is read off the
-//! per-peer queue.
+//! with a deadline, the fault-injector hook, the frame/byte counters. A
+//! transport contributes only what genuinely differs between moving a
+//! message through a channel and through a socket, and that list is the
+//! whole [`Link`] trait: the payload form, the fault plan's duplicate, the
+//! byte counter, how one packet reaches a peer and how an arrival is read off
+//! the per-peer queue.
 //!
 //! The endpoint is generic over the payload rather than fixed to wire frames
 //! so that the in-process link keeps moving payloads as `Box<dyn Any>`:
@@ -21,7 +20,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use crate::comm::{
-    Comm, CommError, CommErrorKind, CommResult, CommStats, Message, COALESCE_TAG, COLLECTIVE_TAGS,
+    Comm, CommError, CommErrorKind, CommResult, CommStats, Message, COLLECTIVE_TAGS,
 };
 use crate::fault::{Emission, FaultInjector, FaultPlan};
 
@@ -50,12 +49,6 @@ pub trait Link {
 
     /// Takes a `T` back out; the kind says why it is not one.
     fn unpack<T: Message>(payload: Self::Payload) -> Result<T, CommErrorKind>;
-
-    /// The payload of a coalesced pack carrying `inner`.
-    fn bundle(inner: Vec<Packet<Self::Payload>>) -> Self::Payload;
-
-    /// The messages inside a coalesced pack's payload.
-    fn unbundle(pack: Self::Payload) -> Result<Vec<Packet<Self::Payload>>, CommErrorKind>;
 
     /// Payload of the duplicate the fault plan injects beside `orig`. The
     /// twin reuses the original's sequence number, so the receiver's dedup
@@ -136,9 +129,6 @@ pub struct Endpoint<L: Link> {
     send_seqs: Vec<u64>,
     injector: FaultInjector<Packet<L::Payload>>,
     recv_timeout: Duration,
-    /// `Some` while a coalesce scope is open: per-destination buffers of
-    /// posted-but-unflushed packets.
-    pending: Option<Vec<Vec<Packet<L::Payload>>>>,
     stats: CommStats,
 }
 
@@ -161,7 +151,6 @@ impl<L: Link> Endpoint<L> {
             send_seqs: vec![0; ranks],
             injector: FaultInjector::new(fault, rank, ranks),
             recv_timeout,
-            pending: None,
             stats: CommStats::default(),
         }
     }
@@ -170,8 +159,28 @@ impl<L: Link> Endpoint<L> {
         CommError::new(self.rank, peer, tag, kind)
     }
 
-    /// Gives `value` the next sequence number of the stream to `to`.
-    fn stamp<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> Packet<L::Payload> {
+    /// Pops the earliest reassembled message from `from` carrying `tag`.
+    fn claim<T: Message>(&mut self, from: usize, tag: &str) -> Option<CommResult<T>> {
+        let packet = self.inboxes[from].take(|p| p.tag == tag)?;
+        Some(L::unpack(packet.payload).map_err(|kind| self.error(from, tag, kind)))
+    }
+}
+
+impl<L: Link> Comm for Endpoint<L> {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn num_ranks(&self) -> usize {
+        self.rxs.len()
+    }
+
+    /// Stamps `value` with the next sequence number of the stream to `to`,
+    /// counts one frame, then routes it through the fault plan onto the
+    /// link. Frames are counted once per primary emission, before fault
+    /// injection: the count is a property of the schedule, not of the
+    /// injected fault pattern.
+    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
         // The `::` namespace belongs to the runtime: the collectives' own
         // tags pass, anything else is a user tag trespassing on control
         // traffic. The static side of this contract is the `tag-reserved`
@@ -182,21 +191,12 @@ impl<L: Link> Endpoint<L> {
         );
         let seq = self.send_seqs[to];
         self.send_seqs[to] += 1;
-        Packet {
+        let packet = Packet {
             seq,
             tag: Cow::Borrowed(tag),
             payload: L::pack(value),
-        }
-    }
-
-    /// Counts one frame, then routes it through the fault plan onto the link
-    /// — the shared tail of `send` and the coalesce flush. Frames are counted
-    /// once per primary emission, before fault injection: the count is a
-    /// property of the schedule, not of the injected fault pattern.
-    fn emit(&mut self, to: usize, packet: Packet<L::Payload>) -> CommResult<()> {
-        self.stats
-            .note_frame(L::wire_bytes(&packet.tag, &packet.payload));
-        let tag = packet.tag.clone(); // borrowed on the sending side: no allocation
+        };
+        self.stats.note_frame(L::wire_bytes(tag, &packet.payload));
         let link = &self.link;
         let mut failure = None;
         self.injector.dispatch(
@@ -224,81 +224,9 @@ impl<L: Link> Endpoint<L> {
             },
         );
         match failure {
-            Some(kind) => Err(self.error(to, &tag, kind)),
+            Some(kind) => Err(self.error(to, tag, kind)),
             None => Ok(()),
         }
-    }
-
-    /// Feeds one raw arrival into the per-peer inbox, unpacking coalesced
-    /// packs back into the ordinary per-message stream. Inner packets carry
-    /// their own stream sequence numbers, so dedup and reordering of whole
-    /// packs heal at the message level.
-    fn absorb(&mut self, from: usize, tag: &str, arrival: L::Arrival) -> CommResult<()> {
-        let packet = L::open(arrival).map_err(|kind| self.error(from, tag, kind))?;
-        if packet.tag != COALESCE_TAG {
-            self.inboxes[from].accept(packet.seq, packet);
-            return Ok(());
-        }
-        let inner = L::unbundle(packet.payload).map_err(|kind| self.error(from, tag, kind))?;
-        for packet in inner {
-            self.inboxes[from].accept(packet.seq, packet);
-        }
-        Ok(())
-    }
-
-    /// Pops the earliest reassembled message from `from` carrying `tag`.
-    fn claim<T: Message>(&mut self, from: usize, tag: &str) -> Option<CommResult<T>> {
-        let packet = self.inboxes[from].take(|p| p.tag == tag)?;
-        Some(L::unpack(packet.payload).map_err(|kind| self.error(from, tag, kind)))
-    }
-}
-
-impl<L: Link> Comm for Endpoint<L> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.rxs.len()
-    }
-
-    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        let packet = self.stamp(to, tag, value);
-        self.emit(to, packet)
-    }
-
-    fn isend<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        let packet = self.stamp(to, tag, value);
-        match &mut self.pending {
-            Some(buffers) => {
-                buffers[to].push(packet);
-                Ok(())
-            }
-            None => self.emit(to, packet),
-        }
-    }
-
-    fn coalesce_begin(&mut self) {
-        debug_assert!(self.pending.is_none(), "coalesce scopes do not nest");
-        self.pending = Some(self.rxs.iter().map(|_| Vec::new()).collect());
-    }
-
-    fn coalesce_flush(&mut self) -> CommResult<()> {
-        for (to, buffer) in self.pending.take().into_iter().flatten().enumerate() {
-            let Some(first) = buffer.first() else {
-                continue;
-            };
-            // One frame per peer, riding under the first inner seq. That seq
-            // never reaches the inbox (`absorb` unpacks before `accept`), so
-            // the inner packets' own seqs keep the stream gapless.
-            let pack = Packet {
-                seq: first.seq,
-                tag: Cow::Borrowed(COALESCE_TAG),
-                payload: L::bundle(buffer),
-            };
-            self.emit(to, pack)?;
-        }
-        Ok(())
     }
 
     fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T> {
@@ -319,25 +247,17 @@ impl<L: Link> Comm for Endpoint<L> {
                 };
                 self.error(from, tag, kind)
             })?;
-            self.absorb(from, tag, arrival)?;
+            let packet = L::open(arrival).map_err(|kind| self.error(from, tag, kind))?;
+            self.inboxes[from].accept(packet.seq, packet);
         }
     }
 
-    fn try_recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<Option<T>> {
-        // An empty and a closed queue both end the drain: messages already
-        // in the inbox must stay claimable after the peer has gone.
-        while let Ok(arrival) = self.rxs[from].try_recv() {
-            self.absorb(from, tag, arrival)?;
-        }
-        self.claim(from, tag).transpose()
+    fn stats(&self) -> &CommStats {
+        &self.stats
     }
 
-    fn stats(&self) -> Option<&CommStats> {
-        Some(&self.stats)
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut CommStats> {
-        Some(&mut self.stats)
+    fn stats_mut(&mut self) -> &mut CommStats {
+        &mut self.stats
     }
 }
 

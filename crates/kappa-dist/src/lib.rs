@@ -10,7 +10,7 @@
 //!   point-to-point send/recv plus deterministic collectives), its one
 //!   implementation [`Endpoint`] (sequence-numbered streams, tag matching,
 //!   timeout-guarded receives that fail loudly instead of deadlocking,
-//!   coalescing, fault injection — written once, over a crate-private link)
+//!   fault injection — written once, over a crate-private link)
 //!   and the [`LocalCluster`] harness (one thread per rank, FIFO channel
 //!   per rank pair, payloads never serialised).
 //! * [`tcp`] — the socket link under the same endpoint: [`TcpCluster`]
@@ -31,9 +31,9 @@
 //!   rows of `kappa-coarsen`'s `RowMerger`.
 //! * [`refine`] — pairwise distributed refinement scheduled over the
 //!   quotient-graph edge colouring: each block pair's boundary band is
-//!   gathered to a home rank, refined with the pooled FM of `kappa-refine`,
-//!   and the surviving delta-moves broadcast back into every rank's state
-//!   shard.
+//!   gathered to a home rank (seeds and shards in one message per peer),
+//!   refined with the pooled FM of `kappa-refine`, and the surviving
+//!   delta-moves sent back into every rank's state shard.
 //! * [`pipeline`] — the end-to-end driver: [`partition_distributed`] runs
 //!   coarsening → initial partitioning → uncoarsening over a cluster, keeping
 //!   its levels in the shared `MultilevelHierarchy` and walking it up as the

@@ -511,7 +511,7 @@ fn rank_main<C: Comm>(
         coarsest_nodes: coarsest.num_global_nodes(),
         refinement: stats,
         full_builds: st.full_builds(),
-        comm: comm.stats().cloned().unwrap_or_default(),
+        comm: comm.stats().clone(),
     })
 }
 

@@ -283,16 +283,14 @@ fn search_in_place(
 /// band), and exchanges the reports. Returns every report of the class, in
 /// pair order.
 ///
-/// Message frugality and overlap:
+/// Message frugality:
 /// * the band BFS costs one allgather per hop — `2(R-1)` frames rather than
 ///   an alltoallv's `R(R-1)` — and stops at the first hop every rank enters
 ///   with nothing left to expand;
-/// * seeds and band shards travel to each peer **coalesced into a single
-///   frame** (one pack per peer instead of two all-to-all rounds);
-/// * reports are posted with `isend` the moment a rank's own FM work is
-///   done, so the transfer overlaps the slower homes' compute, and
-///   completion drains arrivals in whatever order they land — the merge
-///   re-sorts by pair, so arrival order never touches the result.
+/// * seeds and band shards travel to each peer **in one message** (one
+///   frame per peer instead of two all-to-all rounds);
+/// * reports go to every peer once a rank's own FM work is done and are
+///   read back in rank order; the merge sorts them by pair.
 fn gather_and_search<C: Comm>(
     comm: &mut C,
     dg: &DistGraph,
@@ -355,17 +353,17 @@ fn gather_and_search<C: Comm>(
         frontier = next;
     }
 
-    // Band shards, shipped with the seeds: one coalesced frame per peer.
+    // Band shards, shipped with the seeds: one message per peer.
     let mut band_parts = band_shards(dg, st, pairs, bands, ranks);
-    comm.coalesce(|c| {
-        for dst in 0..ranks {
-            if dst != me {
-                c.isend(dst, "band-seeds", std::mem::take(&mut seed_parts[dst]))?;
-                c.isend(dst, "band-recs", std::mem::take(&mut band_parts[dst]))?;
-            }
+    for dst in 0..ranks {
+        if dst != me {
+            let part = (
+                std::mem::take(&mut seed_parts[dst]),
+                std::mem::take(&mut band_parts[dst]),
+            );
+            comm.send(dst, "band-recs", part)?;
         }
-        Ok(())
-    })?;
+    }
     // Rank-order receipt keeps per-pair seed concatenation globally
     // ascending (rank segments ascend and ownership ranges are ordered).
     // `pi` is a dense index into `pairs`, so plain Vecs — not hash maps —
@@ -379,10 +377,7 @@ fn gather_and_search<C: Comm>(
                 std::mem::take(&mut band_parts[me]),
             )
         } else {
-            (
-                comm.recv::<Vec<(u32, NodeId)>>(src, "band-seeds")?,
-                comm.recv::<Vec<(u32, BandShard)>>(src, "band-recs")?,
-            )
+            comm.recv::<(Vec<(u32, NodeId)>, Vec<(u32, BandShard)>)>(src, "band-recs")?
         };
         for (pi, gid) in seed_part {
             seeds_of[pi as usize].push(gid);
@@ -418,34 +413,19 @@ fn gather_and_search<C: Comm>(
         my_reports.push(report);
     }
 
-    // Batched move broadcast, split-phase: post now, complete in arrival
-    // order.
+    // Batched move broadcast: every peer gets this rank's reports, then
+    // every peer's reports are read in rank order.
     for dst in 0..ranks {
         if dst != me {
-            comm.isend(dst, "class-reports", my_reports.clone())?;
+            comm.send(dst, "class-reports", my_reports.clone())?;
         }
     }
-    let mut slots: Vec<Vec<PairReport>> = vec![Vec::new(); ranks];
-    slots[me] = my_reports;
-    let mut pending: Vec<usize> = (0..ranks).filter(|&s| s != me).collect();
-    while !pending.is_empty() {
-        let mut still = Vec::with_capacity(pending.len());
-        let mut progressed = false;
-        for src in pending {
-            match comm.try_recv::<Vec<PairReport>>(src, "class-reports")? {
-                Some(part) => {
-                    slots[src] = part;
-                    progressed = true;
-                }
-                None => still.push(src),
-            }
-        }
-        pending = still;
-        if !progressed && !pending.is_empty() {
-            // Nothing in flight has landed: block on the lowest pending rank
-            // instead of spinning.
-            let src = pending.remove(0);
-            slots[src] = comm.recv(src, "class-reports")?;
+    let mut slots: Vec<Vec<PairReport>> = Vec::with_capacity(ranks);
+    for src in 0..ranks {
+        if src == me {
+            slots.push(std::mem::take(&mut my_reports));
+        } else {
+            slots.push(comm.recv(src, "class-reports")?);
         }
     }
     merge_reports(me, pairs, slots)

@@ -18,7 +18,7 @@
 //! by a peer that is itself mid-send, because every peer always reads.
 //! Everything above the
 //! queue — per-peer `SeqInbox` reassembly, MPI-style tag matching, the
-//! timeout-guarded failure behaviour, coalescing, fault injection — is the
+//! timeout-guarded failure behaviour, fault injection — is the
 //! shared [`Endpoint`], the same code that runs a
 //! [`LocalCluster`](crate::LocalCluster); [`SocketLink`] only encodes
 //! payloads, counts wire bytes and writes frames.
@@ -333,9 +333,6 @@ impl TcpComm {
     }
 }
 
-/// The inner messages of a coalesced pack as they cross the wire.
-type WirePack = Vec<(String, u64, Vec<u8>)>;
-
 impl Link for SocketLink {
     type Payload = Vec<u8>;
     type Arrival = Arrival;
@@ -346,26 +343,6 @@ impl Link for SocketLink {
 
     fn unpack<T: Message>(payload: Vec<u8>) -> Result<T, CommErrorKind> {
         T::from_bytes(&payload).map_err(codec_kind)
-    }
-
-    fn bundle(inner: Vec<Packet<Vec<u8>>>) -> Vec<u8> {
-        let inner: WirePack = inner
-            .into_iter()
-            .map(|p| (p.tag.into_owned(), p.seq, p.payload))
-            .collect();
-        inner.to_bytes()
-    }
-
-    fn unbundle(pack: Vec<u8>) -> Result<Vec<Packet<Vec<u8>>>, CommErrorKind> {
-        let inner = WirePack::from_bytes(&pack).map_err(codec_kind)?;
-        Ok(inner
-            .into_iter()
-            .map(|(tag, seq, payload)| Packet {
-                seq,
-                tag: tag.into(),
-                payload,
-            })
-            .collect())
     }
 
     fn twin(orig: &Vec<u8>) -> Vec<u8> {
@@ -686,99 +663,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], (0..30).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn coalesced_isends_cross_real_sockets_as_one_frame_per_peer() {
-        let results = cluster(3).run(|comm| {
-            let me = comm.rank();
-            let before = comm.stats().unwrap().total.frames;
-            comm.coalesce(|c| {
-                for dst in 0..c.num_ranks() {
-                    if dst != me {
-                        c.isend(dst, "coal-a", me as u64 * 10)?;
-                        c.isend(dst, "coal-b", vec![me as u64; 3])?;
-                    }
-                }
-                Ok(())
-            })
-            .unwrap();
-            let frames = comm.stats().unwrap().total.frames - before;
-            let mut got = Vec::new();
-            for src in 0..comm.num_ranks() {
-                if src != me {
-                    got.push(comm.recv::<u64>(src, "coal-a").unwrap());
-                    assert_eq!(
-                        comm.recv::<Vec<u64>>(src, "coal-b").unwrap(),
-                        vec![src as u64; 3]
-                    );
-                }
-            }
-            (frames, got)
-        });
-        for (me, (frames, got)) in results.into_iter().enumerate() {
-            assert_eq!(frames, 2, "rank {me} sent one pack per peer");
-            let expected: Vec<u64> = (0..3).filter(|&s| s != me).map(|s| s as u64 * 10).collect();
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn coalesced_packs_survive_socket_level_faults() {
-        // Duplicate + reorder faults hit whole packs; the per-message seq
-        // numbers inside reassemble the stream exactly once, in order.
-        let cluster = TcpCluster::with_config(
-            2,
-            TcpClusterConfig {
-                recv_timeout: Duration::from_secs(10),
-                connect_timeout: Duration::from_secs(10),
-                fault: FaultPlan::seeded(23, 0.0, 0.4, 0.0, 0.4),
-            },
-        );
-        let results = cluster.run(|comm| {
-            if comm.rank() == 0 {
-                for round in 0..10u64 {
-                    comm.coalesce(|c| {
-                        c.isend(1, "pk", round * 2)?;
-                        c.isend(1, "pk", round * 2 + 1)
-                    })
-                    .unwrap();
-                }
-                for v in 0..10u64 {
-                    // kappa-lint: allow(tag-pairing) -- deliberately unreceived filler: it only pushes held packs out of the reorder window
-                    let _ = comm.send(1, "tail", v); // the receiver may have left already
-                }
-                Vec::new()
-            } else {
-                (0..20)
-                    .map(|_| comm.recv::<u64>(0, "pk").unwrap())
-                    .collect()
-            }
-        });
-        assert_eq!(results[1], (0..20).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn try_recv_drains_the_reader_queue_without_blocking() {
-        let results = cluster(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, "go", ()).unwrap();
-                0
-            } else {
-                // kappa-lint: allow(tag-pairing) -- the mismatch is the point: the probe must report "not yet" forever, never block
-                assert_eq!(comm.try_recv::<u64>(0, "missing").unwrap(), None);
-                comm.recv::<()>(0, "go").unwrap();
-                loop {
-                    // "go" has arrived; nothing else ever will on "missing",
-                    // and the probe must keep returning None, not block.
-                    if comm.try_recv::<u64>(0, "missing").unwrap().is_none() {
-                        break;
-                    }
-                }
-                1
-            }
-        });
-        assert_eq!(results, vec![0, 1]);
     }
 
     #[test]

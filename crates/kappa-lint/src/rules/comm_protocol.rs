@@ -11,8 +11,8 @@
 //!   keep each protocol exchange in one file, so an unpaired tag is either
 //!   a typo — two spellings of one tag — or a lost-message deadlock);
 //! * user tags stay out of the reserved `::` control namespace, which
-//!   belongs to the runtime (`comm.rs` collectives, `endpoint.rs` packs,
-//!   `tcp.rs` control frames) — the runtime's own send-path assertion only
+//!   belongs to the runtime (`comm.rs` collectives, `tcp.rs` control
+//!   frames) — the runtime's own send-path assertion only
 //!   runs in debug builds, and only once a message is actually sent;
 //! * no collective is called lexically inside a rank-conditioned branch —
 //!   a collective only completes when *every* rank reaches it, so a branch
@@ -29,7 +29,6 @@ use crate::source::{FileKind, SourceFile};
 /// Files allowed to use the reserved `::` tag namespace: the runtime itself.
 const RUNTIME_FILES: &[&str] = &[
     "crates/kappa-dist/src/comm.rs",
-    "crates/kappa-dist/src/endpoint.rs",
     "crates/kappa-dist/src/tcp.rs",
 ];
 
@@ -49,12 +48,8 @@ struct TagUse {
     role: Role,
 }
 
-/// Extracts every statically-resolvable tag passed to `.send(_, TAG, _)` /
-/// `.isend(_, TAG, _)`, `.recv(_, TAG)` / `.recv::<T>(_, TAG)` /
-/// `.try_recv(_, TAG)` or `.gather(_, TAG, _)`. The split-phase ops carry
-/// the tag at the same argument position as their blocking counterparts and
-/// pair with either side (an `isend` may be completed by a plain `recv` and
-/// vice versa), so they join the same roles.
+/// Extracts every statically-resolvable tag passed to `.send(_, TAG, _)`,
+/// `.recv(_, TAG)` / `.recv::<T>(_, TAG)` or `.gather(_, TAG, _)`.
 fn extract_tags(file: &SourceFile) -> Vec<TagUse> {
     let toks = &file.tokens;
     let mut out = Vec::new();
@@ -64,8 +59,8 @@ fn extract_tags(file: &SourceFile) -> Vec<TagUse> {
             continue;
         }
         let role = match t.text.as_str() {
-            "send" | "isend" => Role::Send,
-            "recv" | "try_recv" => Role::Recv,
+            "send" => Role::Send,
+            "recv" => Role::Recv,
             "gather" => Role::Both,
             _ => continue,
         };
@@ -344,26 +339,6 @@ fn f(comm: &mut C) {
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|f| f.message.contains("\"ping\"")));
         assert!(out.iter().any(|f| f.message.contains("\"pong\"")));
-    }
-
-    #[test]
-    fn split_phase_ops_join_the_pairing_relation() {
-        // An isend completed by a blocking recv, and a plain send completed
-        // by a try_recv poll, both pair up; an isend with no receiver fires.
-        let clean = "\
-fn f(comm: &mut C) {
-    comm.coalesce(|c| c.isend(1, \"shard\", 1u64)).unwrap();
-    let _: u64 = comm.recv::<u64>(0, \"shard\").unwrap();
-    comm.send(1, \"report\", 2u64);
-    let _ = comm.try_recv::<u64>(0, \"report\");
-}
-";
-        assert!(pairing(clean).is_empty());
-
-        let orphan = "fn f(comm: &mut C) { comm.isend(1, \"lost\", 1u64); }";
-        let out = pairing(orphan);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("\"lost\""));
     }
 
     #[test]

@@ -102,11 +102,13 @@ fn bad_commands_get_err_replies_and_eof_shuts_down() {
 #[test]
 fn cli_parse_errors_exit_2_with_usage() {
     for args in [
-        &["--k", "4"][..],                                // no graph source
-        &["--generate", "grid"][..],                      // no --k
-        &["--generate", "grid", "--k", "zebra"][..],      // bad value
-        &["--generate", "grid", "--k", "4", "--wat"][..], // unknown flag
-        &["--generate", "grid", "--k"][..],               // missing value
+        &["--k", "4"][..],                                           // no graph source
+        &["--generate", "grid"][..],                                 // no --k
+        &["--generate", "grid", "--k", "zebra"][..],                 // bad value
+        &["--generate", "grid", "--k", "4", "--wat"][..],            // unknown flag
+        &["--generate", "grid", "--k"][..],                          // missing value
+        &["--generate", "grid", "--k", "4", "--epsilon", "inf"][..], // not finite
+        &["--generate", "grid", "--k", "4", "--epsilon", "nan"][..], // not finite
     ] {
         let out = serve_cmd().args(args).output().expect("run kappa-serve");
         assert_eq!(

@@ -91,12 +91,9 @@ fn parse_args() -> Result<CliArgs, String> {
         match arg.as_str() {
             "--k" => cli.k = value("--k")?.parse().map_err(|e| format!("bad --k: {e}"))?,
             "--preset" => {
-                cli.preset = match value("--preset")?.as_str() {
-                    "minimal" => ConfigPreset::Minimal,
-                    "fast" => ConfigPreset::Fast,
-                    "strong" => ConfigPreset::Strong,
-                    other => return Err(format!("unknown preset {other:?}")),
-                }
+                let preset = value("--preset")?;
+                cli.preset = ConfigPreset::parse(&preset)
+                    .ok_or_else(|| format!("unknown preset {preset:?}"))?
             }
             "--epsilon" => {
                 cli.epsilon = value("--epsilon")?
@@ -165,6 +162,12 @@ fn parse_args() -> Result<CliArgs, String> {
     }
     if cli.k < 1 {
         return Err("--k is required and must be >= 1".to_string());
+    }
+    if !(cli.epsilon.is_finite() && cli.epsilon >= 0.0) {
+        return Err(format!(
+            "--epsilon must be finite and >= 0, got {}",
+            cli.epsilon
+        ));
     }
     if cli.graph_path.is_none() && cli.generate.is_none() {
         return Err("either a METIS graph file or --generate <family> is required".to_string());

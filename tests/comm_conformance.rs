@@ -162,75 +162,10 @@ fn allreduce_is_deterministic<C: Comm>(comm: &mut C) {
     assert_eq!(cat, expected);
 }
 
-/// Split-phase completion: `try_recv` reports "not yet" without blocking
-/// before a matching post exists, drains posted `isend`s in order once they
-/// arrive, and goes back to "not yet" when the stream is exhausted.
-fn try_recv_completes_isends_without_blocking<C: Comm>(comm: &mut C) {
-    if comm.rank() == 1 {
-        // Rank 0 posts nothing before the barrier, so this must be None.
-        assert!(comm.try_recv::<u64>(0, "later").unwrap().is_none());
-    }
-    comm.barrier().unwrap();
-    if comm.rank() == 0 {
-        for v in 0..5u64 {
-            comm.isend(1, "later", v).unwrap();
-        }
-    } else if comm.rank() == 1 {
-        let mut got = Vec::new();
-        while got.len() < 5 {
-            if let Some(v) = comm.try_recv::<u64>(0, "later").unwrap() {
-                got.push(v);
-            }
-        }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert!(comm.try_recv::<u64>(0, "later").unwrap().is_none());
-    }
-}
-
-/// A coalesce scope packs every same-peer post into one frame, and the
-/// receiver's ordinary `recv` sees the inner messages as if they had been
-/// sent individually: FIFO per tag, no tag stealing, self-sends included.
-fn coalesced_isends_unpack_into_ordinary_streams<C: Comm>(comm: &mut C) {
-    let (me, ranks) = (comm.rank(), comm.num_ranks());
-    comm.coalesce(|c| {
-        for dst in 0..ranks {
-            c.isend(dst, "ca", (me * 10) as u64)?;
-            c.isend(dst, "cb", format!("from-{me}"))?;
-            c.isend(dst, "ca", (me * 10 + 1) as u64)?;
-        }
-        Ok(())
-    })
-    .unwrap();
-    for src in 0..ranks {
-        assert_eq!(comm.recv::<u64>(src, "ca").unwrap(), (src * 10) as u64);
-        assert_eq!(
-            comm.recv::<String>(src, "cb").unwrap(),
-            format!("from-{src}")
-        );
-        assert_eq!(comm.recv::<u64>(src, "ca").unwrap(), (src * 10 + 1) as u64);
-    }
-}
-
-/// Plain `send`s keep their immediate semantics inside an open coalesce
-/// scope — only `isend`s are buffered — and both kinds are delivered.
-fn plain_sends_inside_a_coalesce_scope_stay_immediate<C: Comm>(comm: &mut C) {
-    if comm.rank() == 0 {
-        comm.coalesce(|c| {
-            c.isend(1, "packed", 7u64)?;
-            c.send(1, "eager", 1u64)?;
-            Ok(())
-        })
-        .unwrap();
-    } else if comm.rank() == 1 {
-        assert_eq!(comm.recv::<u64>(0, "eager").unwrap(), 1);
-        assert_eq!(comm.recv::<u64>(0, "packed").unwrap(), 7);
-    }
-}
-
 /// Both backends expose sender-side comm counters with the same frame and
 /// collective counts (bytes are transport-specific): point-to-point frames,
-/// one frame per coalesced pack, two primitive collectives per barrier, and
-/// phase buckets that sum to the totals.
+/// two primitive collectives per barrier, and phase buckets that sum to the
+/// totals.
 fn comm_stats_count_frames_and_collectives<C: Comm>(comm: &mut C) {
     let (me, ranks) = (comm.rank(), comm.num_ranks());
     comm.set_phase("p2p");
@@ -241,24 +176,9 @@ fn comm_stats_count_frames_and_collectives<C: Comm>(comm: &mut C) {
     } else {
         comm.recv::<u64>(0, "x").unwrap();
     }
-    comm.set_phase("packed");
-    comm.coalesce(|c| {
-        for dst in 0..ranks {
-            for i in 0..4u64 {
-                c.isend(dst, "y", i)?;
-            }
-        }
-        Ok(())
-    })
-    .unwrap();
-    for src in 0..ranks {
-        for i in 0..4u64 {
-            assert_eq!(comm.recv::<u64>(src, "y").unwrap(), i);
-        }
-    }
     comm.set_phase("sync");
     comm.barrier().unwrap();
-    let stats = comm.stats().expect("both backends track stats").clone();
+    let stats = comm.stats().clone();
     let phase = |name: &str| {
         stats
             .phases
@@ -269,12 +189,6 @@ fn comm_stats_count_frames_and_collectives<C: Comm>(comm: &mut C) {
     };
     let p2p_expected = if me == 0 { ranks as u64 - 1 } else { 0 };
     assert_eq!(phase("p2p").frames, p2p_expected, "rank {me} p2p frames");
-    // One frame per destination, however many messages were packed into it.
-    assert_eq!(
-        phase("packed").frames,
-        ranks as u64,
-        "rank {me} pack frames"
-    );
     // A barrier is a gather followed by a broadcast.
     assert_eq!(
         phase("sync").collectives,
@@ -310,9 +224,6 @@ conformance!(
     gather_and_allgather_preserve_rank_order @ 4,
     alltoallv_routes_zero_length_segments @ 4,
     allreduce_is_deterministic @ 4,
-    try_recv_completes_isends_without_blocking @ 2,
-    coalesced_isends_unpack_into_ordinary_streams @ 4,
-    plain_sends_inside_a_coalesce_scope_stay_immediate @ 2,
     comm_stats_count_frames_and_collectives @ 4,
 );
 
@@ -407,18 +318,14 @@ mod mismatched_tag_is_diagnosed_with_rank_peer_and_tag {
 }
 
 /// The `::` tag namespace is the runtime's: a user tag inside it trips the
-/// endpoint's send-path assertion on either link, on the plain and on the
-/// coalesced path (debug builds; the static side is the `tag-reserved` lint).
+/// endpoint's send-path assertion on either link (debug builds; the static
+/// side is the `tag-reserved` lint).
 #[cfg(debug_assertions)]
 mod reserved_user_tag_trips_the_debug_assertion {
     use super::*;
     fn trespass<C: Comm>(comm: &mut C) {
         // kappa-lint: allow(tag-reserved, tag-pairing) -- the trespass is the point: the send must die on the assertion before anything is sent
         let _ = comm.send(0, "::mine", 1u64);
-    }
-    fn trespass_coalesced<C: Comm>(comm: &mut C) {
-        // kappa-lint: allow(tag-reserved, tag-pairing) -- as above, through the buffered path
-        let _ = comm.coalesce(|c| c.isend(0, "::mine", 1u64));
     }
     #[test]
     #[should_panic(expected = "reserved for the runtime")]
@@ -427,83 +334,8 @@ mod reserved_user_tag_trips_the_debug_assertion {
     }
     #[test]
     #[should_panic(expected = "reserved for the runtime")]
-    fn local_coalesced() {
-        local_cluster(1).run(trespass_coalesced);
-    }
-    #[test]
-    #[should_panic(expected = "reserved for the runtime")]
     fn tcp() {
         tcp_cluster(1).run(trespass);
-    }
-    #[test]
-    #[should_panic(expected = "reserved for the runtime")]
-    fn tcp_coalesced() {
-        tcp_cluster(1).run(trespass_coalesced);
-    }
-}
-
-/// The superstep shape `dist_refine` emits: every superstep, every rank posts
-/// `MOVES` small move records to every peer, then drains its inbound queues.
-/// `coalesced` routes the posts through a [`Comm::coalesce`] scope — one pack
-/// frame per peer per superstep — instead of one frame per record. Returns
-/// this endpoint's total frame count.
-fn move_broadcast_frames<C: Comm>(comm: &mut C, coalesced: bool) -> u64 {
-    const SUPERSTEPS: usize = 8;
-    const MOVES: u64 = 24;
-    let (me, ranks) = (comm.rank(), comm.num_ranks());
-    let peers = move || (0..ranks).filter(move |&peer| peer != me);
-    for _ in 0..SUPERSTEPS {
-        let post_all = |comm: &mut C| {
-            for m in 0..MOVES {
-                for peer in peers() {
-                    if coalesced {
-                        comm.isend(peer, "mv", (me as u64, m))?;
-                    } else {
-                        comm.send(peer, "mv", (me as u64, m))?;
-                    }
-                }
-            }
-            Ok(())
-        };
-        if coalesced {
-            comm.coalesce(post_all).unwrap();
-        } else {
-            post_all(comm).unwrap();
-        }
-        for peer in peers() {
-            for m in 0..MOVES {
-                assert_eq!(
-                    comm.recv::<(u64, u64)>(peer, "mv").unwrap(),
-                    (peer as u64, m)
-                );
-            }
-        }
-    }
-    comm.stats()
-        .expect("both backends track stats")
-        .total
-        .frames
-}
-
-/// Exact cluster-wide frame totals of the 4-rank, 8-superstep × 24-move
-/// broadcast on both backends: 4 ranks × 3 peers × 8 supersteps = 96 packs
-/// against × 24 = 2 304 single frames. "Coalescing stopped packing" (or a
-/// protocol that grew chattier) fails here, whatever the runner's speed.
-#[test]
-fn coalescing_packs_each_superstep_into_one_frame_per_peer() {
-    for (coalesced, frames) in [(true, 96u64), (false, 2_304)] {
-        let local = local_cluster(4).run(|comm| move_broadcast_frames(comm, coalesced));
-        let tcp = tcp_cluster(4).run(|comm| move_broadcast_frames(comm, coalesced));
-        assert_eq!(
-            local.iter().sum::<u64>(),
-            frames,
-            "local, coalesced = {coalesced}"
-        );
-        assert_eq!(
-            tcp.iter().sum::<u64>(),
-            frames,
-            "tcp, coalesced = {coalesced}"
-        );
     }
 }
 
@@ -670,139 +502,6 @@ fn dropped_frame_over_tcp_is_diagnosed_not_hung() {
         err.kind,
         CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
     ));
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection on coalesced pack frames.
-// ---------------------------------------------------------------------------
-
-/// Rank 0 streams 20 coalesced packs (3 messages, 2 tags each) to rank 1;
-/// rank 1 receives them through the ordinary stream interface. Every frame
-/// on the 0 → 1 channel is a pack, so channel faults hit packs only.
-fn pack_stream_workload<C: Comm>(comm: &mut C) -> kappa::dist::CommResult<Vec<u64>> {
-    if comm.rank() == 0 {
-        for s in 0..20u64 {
-            comm.coalesce(|c| {
-                c.isend(1, "pa", s)?;
-                c.isend(1, "pb", s + 1000)?;
-                c.isend(1, "pa", s + 2000)?;
-                Ok(())
-            })?;
-        }
-        Ok(Vec::new())
-    } else {
-        let mut got = Vec::new();
-        for _ in 0..20 {
-            got.push(comm.recv::<u64>(0, "pa")?);
-            got.push(comm.recv::<u64>(0, "pb")?);
-            got.push(comm.recv::<u64>(0, "pa")?);
-        }
-        Ok(got)
-    }
-}
-
-fn expected_pack_stream() -> Vec<u64> {
-    (0..20u64).flat_map(|s| [s, s + 1000, s + 2000]).collect()
-}
-
-/// Duplicated and delayed packs are fully recovered on both backends: the
-/// inner messages carry their own sequence numbers, so a whole duplicated
-/// pack dedups message by message and the stream comes out exact.
-#[test]
-fn duplicated_and_delayed_coalesced_packs_are_recovered_on_both_backends() {
-    for seed in [3u64, 17] {
-        let fault = FaultPlan::seeded(seed, 0.0, 0.2, 0.1, 0.0);
-        let local = LocalCluster::with_config(
-            2,
-            LocalClusterConfig {
-                recv_timeout: Duration::from_secs(20),
-                fault,
-            },
-        )
-        .run(pack_stream_workload);
-        assert_eq!(
-            local[1].clone().unwrap(),
-            expected_pack_stream(),
-            "local seed {seed}"
-        );
-        let tcp = TcpCluster::with_config(
-            2,
-            TcpClusterConfig {
-                recv_timeout: Duration::from_secs(20),
-                connect_timeout: Duration::from_secs(20),
-                fault,
-            },
-        )
-        .run(pack_stream_workload);
-        assert_eq!(
-            tcp[1].clone().unwrap(),
-            expected_pack_stream(),
-            "tcp seed {seed}"
-        );
-    }
-}
-
-/// Dropping one pack loses every message inside it: the receiver must
-/// diagnose the stalled stream (naming rank, peer and an inner tag — packs
-/// are a transport artefact, so no user-facing error ever says `::coal`),
-/// not hang and not skip ahead.
-#[test]
-fn dropped_coalesced_pack_is_diagnosed_not_hung() {
-    let started = std::time::Instant::now();
-    let results = TcpCluster::with_config(
-        2,
-        TcpClusterConfig {
-            recv_timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(20),
-            // The third pack on the 0 -> 1 channel vanishes.
-            fault: FaultPlan::drop_nth(0, 1, 2),
-        },
-    )
-    .run(pack_stream_workload);
-    assert!(started.elapsed() < Duration::from_secs(30), "must not hang");
-    let err = results[1].clone().unwrap_err();
-    assert_eq!((err.rank, err.peer), (1, 0));
-    assert!(
-        err.tag == "pa" || err.tag == "pb",
-        "error must name the awaited inner tag, got {:?}",
-        err.tag
-    );
-    assert!(matches!(
-        err.kind,
-        CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
-    ));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Reordering (and occasionally dropping) whole packs obeys the global
-    /// fault contract: the stream either heals at the inner-sequence level —
-    /// bit-identical result — or fails diagnosed. Never a hang, never a
-    /// wrong or reordered delivery.
-    #[test]
-    fn reordered_coalesced_packs_are_exact_or_diagnosed(seed in any::<u64>()) {
-        let started = std::time::Instant::now();
-        let results = LocalCluster::with_config(
-            2,
-            LocalClusterConfig {
-                recv_timeout: Duration::from_secs(2),
-                fault: FaultPlan::seeded(seed, 0.002, 0.0, 0.0, 0.05),
-            },
-        )
-        .run(pack_stream_workload);
-        prop_assert!(started.elapsed() < Duration::from_secs(60), "must not hang");
-        match results[1].clone() {
-            Ok(got) => prop_assert_eq!(got, expected_pack_stream()),
-            Err(err) => {
-                prop_assert_eq!((err.rank, err.peer), (1, 0));
-                prop_assert!(matches!(
-                    err.kind,
-                    CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
-                ));
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

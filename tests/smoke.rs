@@ -2,9 +2,10 @@
 //! is wired together. Partitions a generated grid graph into k = 4 blocks and
 //! asserts the three properties every later PR must preserve: the cut is
 //! finite, the partition is feasible at the default 3 % tolerance, and every
-//! vertex is assigned to a valid block. Plus one error path of the
+//! vertex is assigned to a valid block. Plus two error paths of the
 //! `kappa-partition` binary itself: a `--generate` request the family cannot
-//! serve is a diagnosed `error:`, not a panic.
+//! serve and an `--epsilon` that is negative or not finite are diagnosed
+//! `error:`s, not panics.
 
 use kappa::prelude::*;
 
@@ -75,6 +76,28 @@ fn generate_with_too_few_nodes_is_an_error_not_a_panic() {
         assert!(
             stderr.contains("error: --generate") && stderr.contains("needs --nodes >="),
             "args {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn epsilon_that_is_negative_or_not_finite_is_an_error_not_a_panic() {
+    for epsilon in ["inf", "nan", "-1"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kappa-partition"))
+            .args(["--generate", "rgg", "--nodes", "4000", "--k", "4"])
+            .args(["--threads", "1", "--epsilon", epsilon])
+            .output()
+            .expect("run kappa-partition");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--epsilon {epsilon}: {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: --epsilon must be finite and >= 0"),
+            "--epsilon {epsilon}: {stderr}"
         );
     }
 }
