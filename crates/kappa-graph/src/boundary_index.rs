@@ -34,29 +34,39 @@
 //! The neighbour-count lists live in one flat arena shared by all nodes:
 //! node `v`'s counts occupy the slot range `start[v] .. start[v] + len[v]`
 //! inside a single `Vec<(BlockId, u32)>`, with per-node capacity `cap[v]`.
-//! A build sizes every segment to `deg(v)` (a node can never be adjacent to
-//! more blocks than it has neighbours, so a frozen graph's segments never
-//! overflow). Earlier revisions used `Vec<Vec<(BlockId, u32)>>` — one heap
-//! allocation per node, which made every [`build`](BoundaryIndex::build) /
+//! A build appends each segment as it scans and leaves it exactly full
+//! (`cap[v] = len[v]`): an interior node holds its one `(own block, deg)`
+//! entry, a boundary node its run-length list, an isolated node nothing.
+//! The arena therefore holds `Σ len(v)` slots — about `n` on a typical
+//! partition, where most nodes are interior — instead of the `2m` a
+//! segment of `deg(v)` slots per node would take (11.2 MiB per projection
+//! of rgg 2^17). When a later move gives a node a neighbour in a block it
+//! has no entry for, its full segment is relocated to the end of the arena
+//! with doubled capacity (see below); refinement touches few nodes, so few
+//! segments ever move. Earlier revisions used `Vec<Vec<(BlockId, u32)>>` —
+//! one heap allocation per node, which made every
+//! [`build`](BoundaryIndex::build) /
 //! [`build_seeded`](BoundaryIndex::build_seeded) (and therefore every
 //! [`PartitionState::project`](crate::PartitionState::project)) allocate `n`
-//! little vectors per hierarchy level. The arena replaces those with a
-//! constant number of allocations of the same total size as the adjacency
-//! array.
+//! little vectors per hierarchy level; the arena replaces those with a
+//! constant number of allocations.
 //!
-//! ## Streaming mutations
+//! ## Growth and streaming mutations
 //!
-//! A [`DynamicGraph`](crate::dynamic::DynamicGraph) mutation stream can push
-//! a node past its built capacity (edge inserts raise the degree). The index
-//! absorbs this with [`edge_inserted`](BoundaryIndex::edge_inserted) /
+//! Any new `(block, count)` entry can find its segment full: a move
+//! ([`apply_move`](BoundaryIndex::apply_move)) that brings a block next to
+//! a node for the first time, or a
+//! [`DynamicGraph`](crate::dynamic::DynamicGraph) mutation absorbed by
+//! [`edge_inserted`](BoundaryIndex::edge_inserted) /
 //! [`edge_deleted`](BoundaryIndex::edge_deleted) /
 //! [`node_inserted`](BoundaryIndex::node_inserted) /
-//! [`node_deleted`](BoundaryIndex::node_deleted): an insert that would
-//! overflow a segment relocates it to the end of the arena with doubled
-//! capacity (amortised `O(1)` per insert), leaving the old slots zeroed and
-//! dead. Equality ([`PartialEq`], [`equivalent`](BoundaryIndex::equivalent))
-//! compares live segments only, so a relocated layout and a fresh build
-//! still compare equal when their contents agree.
+//! [`node_deleted`](BoundaryIndex::node_deleted). Both take the one path:
+//! the insert relocates the segment to the end of the arena with doubled
+//! capacity (minimum 2; amortised `O(1)` per insert), leaving the old slots
+//! zeroed and dead. Equality ([`PartialEq`],
+//! [`equivalent`](BoundaryIndex::equivalent)) compares live segments only,
+//! so a relocated layout and a fresh build still compare equal when their
+//! contents agree.
 
 use crate::access::GraphAccess;
 use crate::partition::BlockAssignment;
@@ -87,8 +97,8 @@ pub struct BoundaryIndex {
     /// Arena segment start per node: node `v`'s count slots are
     /// `start[v]..start[v] + cap[v]`, of which the first `len[v]` are live.
     start: Vec<usize>,
-    /// Segment capacity per node (`deg(v)` after a build; doubled on
-    /// overflow under streaming edge inserts).
+    /// Segment capacity per node (`len[v]` after a build; doubled when an
+    /// insert finds the segment full).
     cap: Vec<u32>,
     /// Live entries per node segment.
     len: Vec<u32>,
@@ -143,11 +153,13 @@ impl BoundaryIndex {
     /// the same block, hence all fine neighbours too — so the fine boundary
     /// is a subset of the image of the coarse boundary.
     ///
-    /// For a non-candidate the neighbour-count list is written directly as
+    /// For a non-candidate the neighbour-count list is appended directly as
     /// `[(own block, deg)]` in `O(1)`; candidates get the same `O(deg · log)`
     /// treatment as in [`build`](Self::build). Under the precondition the
     /// result is **identical** to a full build (asserted in debug builds),
-    /// but costs `O(n + Σ_{candidates} deg)` instead of `O(n + m)`.
+    /// but costs `O(n + Σ_{candidates} deg)` instead of `O(n + m)`. Every
+    /// segment is built exactly full, so the arena holds `Σ len(v)` slots
+    /// (see the module's storage layout).
     pub fn build_seeded<G, A, F>(graph: &G, partition: &A, mut is_candidate: F) -> Self
     where
         G: GraphAccess,
@@ -155,21 +167,14 @@ impl BoundaryIndex {
         F: FnMut(NodeId) -> bool,
     {
         let n = graph.num_nodes();
-        // The arena layout is the degree prefix sum — identical to the CSR
-        // `xadj` array, but computable for any storage level.
-        let mut start_offsets = Vec::with_capacity(n);
-        let mut slots = 0usize;
-        for v in 0..n {
-            start_offsets.push(slots);
-            slots += graph.degree(v as NodeId);
-        }
         let mut index = BoundaryIndex {
             k: partition.k(),
             block: (0..n as NodeId).map(|v| partition.block_of(v)).collect(),
-            cap: (0..n).map(|v| graph.degree(v as NodeId) as u32).collect(),
-            start: start_offsets,
-            len: vec![0; n],
-            counts: vec![(0, 0); slots],
+            start: Vec::with_capacity(n),
+            cap: Vec::with_capacity(n),
+            len: Vec::with_capacity(n),
+            // Every node with a neighbour holds at least one entry.
+            counts: Vec::with_capacity(n),
             foreign: vec![0; n],
             in_boundary: vec![false; n],
             pos: vec![INVALID_NODE; n],
@@ -177,46 +182,39 @@ impl BoundaryIndex {
         };
         let mut scratch: Vec<BlockId> = Vec::new();
         for v in GraphAccess::nodes(graph) {
-            let start = index.start[v as usize];
+            let start = index.counts.len();
+            let own = index.block[v as usize];
+            let deg = graph.degree(v) as u32;
             if !is_candidate(v) {
                 // Interior by precondition: every neighbour shares v's block.
                 debug_assert!(
                     {
                         let mut interior = true;
-                        graph.for_each_edge(v, |u, _| {
-                            interior &= index.block[u as usize] == index.block[v as usize];
-                        });
+                        graph.for_each_edge(v, |u, _| interior &= index.block[u as usize] == own);
                         interior
                     },
                     "non-candidate node {v} has a foreign neighbour"
                 );
-                let deg = graph.degree(v) as u32;
                 if deg > 0 {
-                    index.counts[start] = (index.block[v as usize], deg);
-                    index.len[v as usize] = 1;
+                    index.counts.push((own, deg));
                 }
-                continue;
-            }
-            scratch.clear();
-            graph.for_each_edge(v, |u, _| scratch.push(index.block[u as usize]));
-            scratch.sort_unstable();
-            let mut entries = 0usize;
-            for &b in scratch.iter() {
-                if entries > 0 && index.counts[start + entries - 1].0 == b {
-                    index.counts[start + entries - 1].1 += 1;
-                } else {
-                    index.counts[start + entries] = (b, 1);
-                    entries += 1;
+            } else {
+                scratch.clear();
+                graph.for_each_edge(v, |u, _| scratch.push(index.block[u as usize]));
+                scratch.sort_unstable();
+                for &b in scratch.iter() {
+                    match index.counts[start..].last_mut() {
+                        Some(last) if last.0 == b => last.1 += 1,
+                        _ => index.counts.push((b, 1)),
+                    }
                 }
             }
-            index.len[v as usize] = entries as u32;
-            let own = index.block[v as usize];
-            let own_count = index.counts[start..start + entries]
-                .iter()
-                .find(|&&(b, _)| b == own)
-                .map(|&(_, c)| c)
-                .unwrap_or(0);
-            index.foreign[v as usize] = graph.degree(v) as u32 - own_count;
+            // The segment is exactly full: capacity = live entries.
+            let entries = (index.counts.len() - start) as u32;
+            index.start.push(start);
+            index.cap.push(entries);
+            index.len.push(entries);
+            index.foreign[v as usize] = deg - index.count(v, own);
             if index.foreign[v as usize] > 0 {
                 index.enter_boundary(v);
             }
@@ -435,10 +433,10 @@ impl BoundaryIndex {
     }
 
     /// Adds `delta` to `count(v, b)`, inserting or removing the run entry by
-    /// shifting within `v`'s arena segment. On a frozen graph the segment
-    /// cannot overflow (a node is adjacent to at most `deg(v)` distinct
-    /// blocks); streaming edge inserts can raise the degree past the built
-    /// capacity, in which case the segment is relocated with room to spare.
+    /// shifting within `v`'s arena segment. A build leaves every segment
+    /// exactly full, so the first new entry of a node — a block that a move
+    /// or a streaming edge insert brings next to it — relocates the segment
+    /// with room to spare ([`grow_segment`](Self::grow_segment)).
     fn adjust_count(&mut self, v: NodeId, b: BlockId, delta: i32) {
         let mut start = self.start[v as usize];
         let live = self.len[v as usize] as usize;
@@ -473,7 +471,7 @@ impl BoundaryIndex {
     /// Relocates node `v`'s segment to the end of the arena with doubled
     /// capacity (minimum 2) and returns the new start. The abandoned slots
     /// are zeroed; the arena never shrinks, but growth is amortised `O(1)`
-    /// per streaming insert and a fresh build restores the tight layout.
+    /// per insert and a fresh build restores the exact-fit layout.
     fn grow_segment(&mut self, v: NodeId) -> usize {
         let vi = v as usize;
         let old_start = self.start[vi];
@@ -523,6 +521,7 @@ mod tests {
     use crate::boundary::{boundary_nodes, pair_boundary_nodes};
     use crate::builder::{graph_from_edges, GraphBuilder};
     use crate::csr::CsrGraph;
+    use crate::dynamic::DynamicGraph;
     use crate::partition::Partition;
 
     fn assert_matches_fresh_scan(graph: &CsrGraph, partition: &Partition, index: &BoundaryIndex) {
@@ -668,6 +667,145 @@ mod tests {
                 "delete {u}"
             );
         }
+    }
+
+    /// Slots in the arena, live or dead.
+    fn arena_len(index: &BoundaryIndex) -> usize {
+        index.counts.len()
+    }
+
+    /// Builds `graph`'s index the way a projection does, for a partition
+    /// that a contraction of the `mate` pairs could carry: with a coarse node
+    /// per pair, the coarse image of `v` is boundary exactly when `v` or its
+    /// mate is, so that is the candidate rule. Returns the index after
+    /// checking it against a full build.
+    fn projected_index(graph: &CsrGraph, partition: &Partition, mate: &[NodeId]) -> BoundaryIndex {
+        let mut boundary = vec![false; graph.num_nodes()];
+        for v in boundary_nodes(graph, partition) {
+            boundary[v as usize] = true;
+        }
+        let index = BoundaryIndex::build_seeded(graph, partition, |v| {
+            boundary[v as usize] || boundary[mate[v as usize] as usize]
+        });
+        assert_eq!(index, BoundaryIndex::build(graph, partition));
+        index
+    }
+
+    /// Greedy matching in node order that pairs only nodes of one block;
+    /// an unmatched node is its own mate.
+    fn block_matching(graph: &CsrGraph, partition: &Partition) -> Vec<NodeId> {
+        let mut mate = vec![INVALID_NODE; graph.num_nodes()];
+        for v in graph.nodes() {
+            if mate[v as usize] != INVALID_NODE {
+                continue;
+            }
+            mate[v as usize] = v;
+            if let Some((u, _)) = graph.edges_of(v).find(|&(u, _)| {
+                mate[u as usize] == INVALID_NODE && partition.block_of(u) == partition.block_of(v)
+            }) {
+                mate[v as usize] = u;
+                mate[u as usize] = v;
+            }
+        }
+        mate
+    }
+
+    fn assert_arena_is_exact_fit(graph: &CsrGraph, partition: &Partition) {
+        let index = projected_index(graph, partition, &block_matching(graph, partition));
+        let live: usize = graph.nodes().map(|v| index.node_counts(v).len()).sum();
+        assert_eq!(arena_len(&index), live, "a built segment has spare slots");
+        assert!(
+            arena_len(&index) < graph.num_half_edges() / 2,
+            "arena of {} slots for {} half-edges",
+            arena_len(&index),
+            graph.num_half_edges()
+        );
+    }
+
+    #[test]
+    fn a_build_fills_the_arena_exactly_on_a_grid() {
+        let side = 64u32;
+        let mut b = GraphBuilder::new((side * side) as usize);
+        for y in 0..side {
+            for x in 0..side {
+                let v = y * side + x;
+                if x + 1 < side {
+                    b.add_edge(v, v + 1, 1);
+                }
+                if y + 1 < side {
+                    b.add_edge(v, v + side, 1);
+                }
+            }
+        }
+        let quadrant = |v: u32| (v % side) / (side / 2) + 2 * ((v / side) / (side / 2));
+        let p = Partition::from_assignment(4, (0..side * side).map(quadrant).collect());
+        assert_arena_is_exact_fit(&b.build(), &p);
+    }
+
+    #[test]
+    fn a_build_fills_the_arena_exactly_on_a_random_geometric_graph() {
+        // 2^12 points in the unit square from a fixed xorshift stream, joined
+        // within the radius of an expected degree of 8, cut into quadrants.
+        let n = 1usize << 12;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let points: Vec<(f64, f64)> = (0..n).map(|_| (unit(), unit())).collect();
+        let r2 = 8.0 / (std::f64::consts::PI * n as f64);
+        let mut edges = Vec::new();
+        for v in 0..n {
+            for u in v + 1..n {
+                let (dx, dy) = (points[v].0 - points[u].0, points[v].1 - points[u].1);
+                if dx * dx + dy * dy < r2 {
+                    edges.push((v as NodeId, u as NodeId, 1));
+                }
+            }
+        }
+        let g = graph_from_edges(n, edges);
+        let quadrant = |&(x, y): &(f64, f64)| (x >= 0.5) as BlockId + 2 * (y >= 0.5) as BlockId;
+        let p = Partition::from_assignment(4, points.iter().map(quadrant).collect());
+        assert_arena_is_exact_fit(&g, &p);
+    }
+
+    #[test]
+    fn full_segments_relocate_with_doubled_capacity() {
+        // Hub 0 with leaves 1..=8, all in block 0: every segment is built
+        // with capacity 1. Moving leaves 2..=8 into blocks 1..=7 (leaf 1
+        // stays) gives the hub its 2nd, 3rd and 5th entries with a full
+        // segment, which relocates it 1 -> 2 -> 4 -> 8.
+        let leaves = 8u32;
+        let g = graph_from_edges(leaves as usize + 1, (1..=leaves).map(|u| (0, u, 1)));
+        let mut p = Partition::from_assignment(8, vec![0; leaves as usize + 1]);
+        let mut index = BoundaryIndex::build(&g, &p);
+        assert_eq!(arena_len(&index), leaves as usize + 1);
+        assert_eq!(index.cap[0], 1);
+        for (leaf, cap) in (2..=leaves).zip([2, 4, 4, 8, 8, 8, 8]) {
+            let to = leaf - 1;
+            p.assign(leaf, to);
+            index.apply_move(&g, leaf, to);
+            assert_eq!(index.cap[0], cap, "hub capacity after moving leaf {leaf}");
+            for b in 0..p.k() {
+                let expected = (1..=leaves).filter(|&u| p.block_of(u) == b).count() as u32;
+                assert_eq!(index.count(0, b), expected, "count(hub, {b})");
+            }
+            assert!(index.equivalent(&BoundaryIndex::build(&g, &p)));
+            assert_matches_fresh_scan(&g, &p, &index);
+        }
+
+        // A streaming insert between leaves 2 and 3 (blocks 1 and 2) finds
+        // both exact-fit segments `[(0, 1)]` full.
+        let mut dg = DynamicGraph::new(g);
+        let mut index = BoundaryIndex::build(&dg, &p);
+        assert_eq!((index.cap[2], index.cap[3]), (1, 1));
+        dg.insert_edge(2, 3, 1).unwrap();
+        index.edge_inserted(2, 3);
+        assert_eq!((index.cap[2], index.cap[3]), (2, 2));
+        assert_eq!((index.count(2, 2), index.count(3, 1)), (1, 1));
+        assert!(index.equivalent(&BoundaryIndex::build(&dg, &p)));
     }
 
     #[test]

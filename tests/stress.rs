@@ -85,17 +85,19 @@ fn run_stress(name: &str, graph: &CsrGraph, k: u32, wall_budget: Duration, rss_b
 #[test]
 #[ignore = "release-profile stress: ≥ 2^20-node instance, run via the CI stress job"]
 fn stress_rgg_2e20_k16_within_budget() {
-    // Measured on a 2-vCPU shared x86-64 guest (2026-10-16): 3.4-3.6 s
-    // wall, 609-612 MiB peak RSS alone and 674 MiB after the other two runs
-    // of this file in one process (807-810 / 885 MiB while the run still
-    // copied its input graph).
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-18), release, with a
+    // benchmark run busy on the other vCPU: 6.6-9.1 s wall, 470 MiB peak RSS
+    // alone and 529-583 MiB after the other two runs of this file in one
+    // process (631-685 MiB while every boundary-index count segment had
+    // deg(v) slots; 807-810 / 885 MiB while the run still copied its input
+    // graph). Budget: 1.25 x 583 MiB.
     let graph = random_geometric_graph(1 << 20, 11);
     run_stress(
         "rgg 2^20 k=16",
         &graph,
         16,
         Duration::from_secs(45),
-        760 * 1024 * 1024,
+        725 * 1024 * 1024,
     );
 }
 
@@ -110,7 +112,9 @@ fn stress_rgg_2e20_k16_within_budget() {
 fn soak_dynamic_service_within_budget() {
     // Measured on a 2-vCPU shared x86-64 guest (2026-10-16): 0.6-0.9 s
     // bootstrap + 18.6-22.0 s serving 40k ops (~0.5 ms/op; the 28
-    // drift-triggered repairs are most of it), 97-103 MiB peak RSS.
+    // drift-triggered repairs are most of it), 97-103 MiB peak RSS; 73-75
+    // MiB since a build sizes each boundary-index count segment by its
+    // entries (2026-10-18, against 91-94 MiB for deg(v) slots, same box).
     let _guard = STRESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     reset_peak_rss();
     let graph = random_geometric_graph(1 << 17, 13);
@@ -206,15 +210,17 @@ fn soak_dynamic_service_within_budget() {
 #[test]
 #[ignore = "release-profile stress: ≥ 2^20-node instance, run via the CI stress job"]
 fn stress_grid_1024_k32_within_budget() {
-    // Measured on a 2-vCPU shared x86-64 guest (2026-10-16): 2.2-2.4 s
-    // wall, 346-384 MiB peak RSS (426-463 MiB while the run still copied
-    // its input graph).
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-18), release, with a
+    // benchmark run busy on the other vCPU: 2.9-5.4 s wall, 307-309 MiB peak
+    // RSS alone and 299-319 MiB after the soak in one process (335-340 MiB
+    // while every boundary-index count segment had deg(v) slots; 426-463 MiB
+    // while the run still copied its input graph). Budget: 1.25 x 319 MiB.
     let graph = grid2d(1024, 1024);
     run_stress(
         "grid 1024x1024 k=32",
         &graph,
         32,
         Duration::from_secs(45),
-        420 * 1024 * 1024,
+        395 * 1024 * 1024,
     );
 }
