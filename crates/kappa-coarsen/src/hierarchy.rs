@@ -214,20 +214,6 @@ impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
         Ok(hierarchy)
     }
 
-    /// Projects a full [`PartitionState`] one level down, onto the graph at
-    /// `level - 1`. Block weights and the cached cut carry over unchanged
-    /// (contraction preserves both); the fine boundary index is **seeded**
-    /// from the coarse one — only fine nodes whose coarse image is boundary
-    /// are edge-scanned — so no level below the coarsest ever pays a full
-    /// `O(n + m)` index build.
-    ///
-    /// # Panics
-    /// Panics if `level == 0`.
-    pub fn project_state_one_level(&self, level: usize, state: &PartitionState) -> PartitionState {
-        assert!(level > 0, "cannot project below the finest level");
-        state.project(self.graph_at(level - 1), &self.levels[level - 1].coarse_of)
-    }
-
     /// The upward half of the V-cycle on a [`PartitionState`]: derives the
     /// state of `coarsest` (a partition of the coarsest graph) on the
     /// coarsest level — the run's only full `O(n + m)` boundary-index build
@@ -333,8 +319,8 @@ mod tests {
         );
         let mut state = PartitionState::build(coarsest, p.clone());
         let mut partition = p;
-        for (level, (fine, _, coarse_of)) in (1..h.num_levels()).rev().zip(h.walk_up()) {
-            state = h.project_state_one_level(level, &state);
+        for (fine, _, coarse_of) in h.walk_up() {
+            state = state.project(fine, coarse_of);
             partition = partition.project(coarse_of);
             assert_eq!(state.partition().assignment(), partition.assignment());
             // Seeded projection never performs another full build…

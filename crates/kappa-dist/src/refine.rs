@@ -433,8 +433,9 @@ fn gather_and_search<C: Comm>(
 
 /// The class's reports in pair order, each checked against the rank it came
 /// from: a report must name a pair of this class that is homed on its
-/// sender. Anything else is that rank's protocol violation — not an index
-/// panic, and not a move list applied on a stranger's say-so.
+/// sender, and each of its moves must take a node from one block of that
+/// pair to the other. Anything else is that rank's protocol violation — not
+/// an index panic, and not a move list applied on a stranger's say-so.
 fn merge_reports(
     me: usize,
     pairs: &[PairRun],
@@ -442,20 +443,27 @@ fn merge_reports(
 ) -> CommResult<Vec<PairReport>> {
     let mut merged: Vec<PairReport> = Vec::new();
     for (src, part) in slots.into_iter().enumerate() {
-        if let Some(stray) = part
-            .iter()
-            .find(|r| pairs.get(r.pair).map(|p| p.home) != Some(src))
-        {
-            return Err(CommError::protocol(
-                me,
-                src,
-                "class-reports",
-                format!(
-                    "rank {src} reported pair {} of a {}-pair class, which is not homed on it",
-                    stray.pair,
+        for r in &part {
+            let detail = match pairs.get(r.pair).filter(|p| p.home == src) {
+                None => format!(
+                    "pair {} of a {}-pair class, which is not homed on it",
+                    r.pair,
                     pairs.len()
                 ),
-            ));
+                Some(p) => match r
+                    .moves
+                    .iter()
+                    .find(|m| ![(p.a, p.b), (p.b, p.a)].contains(&(m.from, m.to)))
+                {
+                    None => continue,
+                    Some(m) => format!(
+                        "pair {} ({}, {}) moving node {} from block {} to {}",
+                        r.pair, p.a, p.b, m.gid, m.from, m.to
+                    ),
+                },
+            };
+            let detail = format!("rank {src} reported {detail}");
+            return Err(CommError::protocol(me, src, "class-reports", detail));
         }
         merged.extend(part);
     }
@@ -486,7 +494,7 @@ impl PairRun {
         let ln = dg.num_owned();
         class
             .iter()
-            .zip(st.index().class_boundaries_sorted(class))
+            .zip(st.class_boundaries_sorted(class))
             .enumerate()
             .map(|(i, (&(a, b), mut candidates))| {
                 // Ghosts sort after every owned local id.
@@ -734,6 +742,14 @@ pub fn dist_rebalance<C: Comm>(
             }
         }
         let Some(cand) = best else { break };
+        let n = dg.num_global_nodes() as NodeId;
+        if cand.to >= k || cand.to == over_block || cand.gid >= n {
+            // An honest winner moves its owner's node out of `over_block`.
+            let (me, gid) = (comm.rank(), cand.gid);
+            let owner = if gid < n { dg.owner_of(gid) } else { me };
+            let detail = format!("rank {owner}'s node {gid} to block {} of {k}", cand.to);
+            return Err(CommError::protocol(me, owner, "rebalance", detail));
+        }
         let rec = MoveRec {
             gid: cand.gid,
             from: over_block,
@@ -860,10 +876,25 @@ mod tests {
         };
         let merged = merge_reports(1, &pairs, vec![vec![report(0)], vec![report(1)]]).unwrap();
         assert_eq!(merged.iter().map(|r| r.pair).collect::<Vec<_>>(), [0, 1]);
-        // A pair outside the class, and a pair of the class homed elsewhere.
-        for (stray, sender) in [(2usize, 0usize), (1, 0), (0, 1)] {
+        // A move of node 3 (block 1) to block 7 of k = 4, on its pair's home.
+        let mut off_pair = report(0);
+        off_pair.moves.push(MoveRec {
+            gid: 3,
+            from: 1,
+            to: 7,
+            weight: 1,
+        });
+        // A pair outside the class, a pair of the class homed elsewhere, and
+        // a move out of its pair's blocks.
+        for (bad, sender) in [
+            (report(2), 0usize),
+            (report(1), 0),
+            (report(0), 1),
+            (off_pair, 0),
+        ] {
+            let stray = bad.pair;
             let mut slots = vec![Vec::new(), Vec::new()];
-            slots[sender] = vec![report(stray)];
+            slots[sender] = vec![bad];
             let e = merge_reports(1, &pairs, slots).unwrap_err();
             assert_eq!(
                 (e.rank, e.peer, e.tag.as_str()),
@@ -873,6 +904,44 @@ mod tests {
             assert!(
                 matches!(&e.kind, CommErrorKind::Protocol(d)
                     if d.contains(&expected.0) && d.contains(&expected.1)),
+                "{e:?}"
+            );
+        }
+    }
+
+    /// A winning rebalance candidate that moves its node to no block, or
+    /// back into the overloaded block, is the protocol error of the rank
+    /// owning the node — not a panic in the replicated weights.
+    #[test]
+    fn rebalance_rejects_a_winner_outside_the_blocks() {
+        let g = grid2d(8, 8);
+        // Block 0 holds 48 of 64 nodes: overloaded at k = 4.
+        let assignment: Vec<BlockId> = (0..64).map(|i| (i % 8 / 2).min(i / 48) as u32).collect();
+        let partition = Partition::from_assignment(4, assignment);
+        let l_max = Partition::l_max(&g, 4, 0.03);
+        for to in [7, 0] {
+            let outcomes = LocalCluster::new(2).run(|comm| {
+                let dg = DistGraph::from_global(&g, 2, comm.rank());
+                if comm.rank() == 1 {
+                    // The bad peer: an unbeatable candidate of its own node.
+                    let cand = RebalanceCand {
+                        delta: i64::MIN,
+                        target_weight: 0,
+                        gid: 40,
+                        to,
+                        weight: 1,
+                    };
+                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgather meets the one inside rank 0's `dist_rebalance`, so both branches reach it
+                    comm.allgather(Some(cand)).unwrap();
+                    return None;
+                }
+                let mut st = shard(&dg, &partition, &g);
+                Some(dist_rebalance(comm, &dg, &mut st, l_max).unwrap_err())
+            });
+            let e = outcomes[0].as_ref().unwrap();
+            assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "rebalance"));
+            assert!(
+                matches!(&e.kind, CommErrorKind::Protocol(d) if d.contains(&format!("to block {to} of 4"))),
                 "{e:?}"
             );
         }

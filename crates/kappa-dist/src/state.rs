@@ -1,20 +1,21 @@
 //! Each rank's shard of the partition state.
 //!
 //! [`DistState`] is the distributed sibling of
-//! [`kappa_graph::PartitionState`]: the same four pieces of derived state,
+//! [`kappa_graph::PartitionState`]: the same pieces of derived state,
 //! sharded by the owner-computes rule —
 //!
 //! * the **live local assignment** (`view`): block of every owned and ghost
 //!   node. One rank's pair search writes it as it moves nodes, and every
 //!   rank's class replay writes every committed move (the distributed
 //!   analogue of the shared scheduler's `SharedAssignment` atomic mirror);
+//! * the **committed assignment**: the view as of the last committed move.
+//!   It lags at class start while a colour class's searches run ahead in the
+//!   view, and the class replay catches it up move by move;
 //! * a **boundary-index shard**: a [`BoundaryIndex`] over the local
-//!   (owned + ghost) graph. Ghost rows carry only their owned-side edges, so
-//!   ghost *membership* in the index is partial — but that is never read;
-//!   the index is authoritative exactly for owned nodes, whose rows are
-//!   complete. During a refinement colour class the index lags at
-//!   class-start state (like `PartitionState` in the shared scheduler) and
-//!   is caught up by replaying the committed moves;
+//!   (owned + ghost) graph and the committed assignment. Ghost rows carry
+//!   only their owned-side edges, so ghost *membership* in the index is
+//!   partial — but that is never read; the index is authoritative exactly
+//!   for owned nodes, whose rows are complete;
 //! * **replicated block weights** (`k` entries, identical on every rank);
 //! * an exact **partial edge cut**: every global cut edge is counted by
 //!   exactly one rank — the owner of its smaller endpoint — so
@@ -58,8 +59,9 @@ pub struct DistState {
     k: BlockId,
     /// Live blocks of owned + ghost nodes (the cluster-wide current view).
     view: Vec<BlockId>,
-    /// Boundary index over the local graph; lags at class-start during a
-    /// refinement colour class, caught up by [`apply_committed`](Self::apply_committed).
+    /// `view` as of the last committed move (class start mid-class).
+    committed: Vec<BlockId>,
+    /// Boundary index over the local graph and `committed`.
     index: BoundaryIndex,
     /// Replicated per-block weights (identical on every rank).
     weights: BlockWeights,
@@ -76,22 +78,12 @@ impl DistState {
     /// only the coarsest level calls it; finer levels arrive via the seeded
     /// projection in the pipeline.
     pub fn build(dg: &DistGraph, view: Vec<BlockId>, k: BlockId, weights: BlockWeights) -> Self {
-        debug_assert_eq!(view.len(), dg.local().num_nodes());
-        let index = BoundaryIndex::build(dg.local(), &LocalAssignment::new(&view, k));
-        let cut_partial = compute_cut_partial(dg, &view);
-        DistState {
-            k,
-            view,
-            index,
-            weights,
-            cut_partial,
-            full_builds: 1,
-        }
+        Self::build_seeded(dg, view, k, weights, |_| true, 1)
     }
 
     /// Builds the shard with a **seeded** index: only local nodes for which
     /// `is_candidate` holds are edge-scanned (the projection's "coarse image
-    /// is boundary" rule). Does not count as a full build.
+    /// is boundary" rule), carrying `inherited_full_builds` forward.
     pub fn build_seeded<F: FnMut(NodeId) -> bool>(
         dg: &DistGraph,
         view: Vec<BlockId>,
@@ -106,6 +98,7 @@ impl DistState {
         let cut_partial = compute_cut_partial(dg, &view);
         DistState {
             k,
+            committed: view.clone(),
             view,
             index,
             weights,
@@ -136,6 +129,12 @@ impl DistState {
     #[inline]
     pub fn index(&self) -> &BoundaryIndex {
         &self.index
+    }
+
+    /// [`BoundaryIndex::class_boundaries_sorted`] at class start.
+    pub fn class_boundaries_sorted(&self, class: &[(BlockId, BlockId)]) -> Vec<Vec<NodeId>> {
+        self.index
+            .class_boundaries_sorted(&LocalAssignment::new(&self.committed, self.k), class)
     }
 
     /// Replicated block weights.
@@ -188,8 +187,8 @@ impl DistState {
     /// view is set as well (idempotent when `observe_move` already ran).
     ///
     /// Every rank must apply every committed move **in the same global
-    /// order**; the index's own (lagging) block map supplies the pre-move
-    /// assignment, which keeps the replay exact on each shard.
+    /// order**; the lagging committed map supplies the pre-move assignment,
+    /// which keeps the replay exact on each shard.
     pub fn apply_committed(&mut self, dg: &DistGraph, rec: MoveRec) {
         self.weights.apply_move(rec.from, rec.to, rec.weight);
         let Some(l) = dg.local_of(rec.gid) else {
@@ -197,14 +196,13 @@ impl DistState {
         };
         self.view[l as usize] = rec.to;
         debug_assert_eq!(
-            self.index.block_of(l),
-            rec.from,
+            self.committed[l as usize], rec.from,
             "committed move of node {} out of the wrong block",
             rec.gid
         );
-        // Partial-cut delta over the local row, using the lagging index
-        // blocks (= pre-move state in replay order). Edge (l, t) is counted
-        // here iff the smaller global endpoint is owned here.
+        // Partial-cut delta over the local row, using the committed blocks
+        // (= pre-move state in replay order). Edge (l, t) is counted here
+        // iff the smaller global endpoint is owned here.
         let (lo, hi) = dg.owned_range();
         let g_l = dg.global_of(l);
         for (t, w) in dg.local().edges_of(l) {
@@ -213,7 +211,7 @@ impl DistState {
             if min_gid < lo || min_gid >= hi {
                 continue;
             }
-            let bt = self.index.block_of(t);
+            let bt = self.committed[t as usize];
             let was_cut = bt != rec.from;
             let is_cut = bt != rec.to;
             match (was_cut, is_cut) {
@@ -222,7 +220,10 @@ impl DistState {
                 _ => {}
             }
         }
-        self.index.apply_move(dg.local(), l, rec.to);
+        self.committed[l as usize] = rec.to;
+        let committed = LocalAssignment::new(&self.committed, self.k);
+        self.index
+            .apply_move(dg.local(), &committed, l, rec.from, rec.to);
     }
 
     /// This rank's share of the quotient-graph cut weights, boundary-priced:
@@ -256,12 +257,13 @@ impl DistState {
         shares
     }
 
-    /// Test oracle: checks the shard against fresh recomputation — index vs
-    /// a full local rebuild, partial cut vs a rescan, and (collectively)
-    /// replicated weights and global cut vs the allgathered assignment.
+    /// Test oracle: checks the shard against fresh recomputation — committed
+    /// map and index vs the view and a full local rebuild, partial cut vs a
+    /// rescan, and (collectively) replicated weights and global cut vs the
+    /// allgathered assignment.
     pub fn verify_exact<C: Comm>(&self, comm: &mut C, dg: &DistGraph) -> Result<(), String> {
         let fresh = BoundaryIndex::build(dg.local(), &LocalAssignment::new(&self.view, self.k));
-        if !fresh.equivalent(&self.index) {
+        if self.committed != self.view || !fresh.equivalent(&self.index) {
             return Err(format!("rank {}: boundary-index shard diverged", dg.rank()));
         }
         let cut = compute_cut_partial(dg, &self.view);
@@ -380,6 +382,54 @@ mod tests {
                 assert_eq!(st.edge_cut(comm).unwrap(), reference.edge_cut(&g));
             }
         });
+    }
+
+    /// The view a whole colour class ahead: every move of a batch is
+    /// observed before the first is committed, as one class's searches run
+    /// ahead of its replay. The batch moves a node, each of its neighbours
+    /// and then the node again, so adjacent movers and a twice-moved node
+    /// must read each other's committed (not live) blocks during the replay.
+    #[test]
+    fn replay_catches_up_a_view_a_whole_class_ahead() {
+        for (g, k) in [(random_geometric_graph(500, 3), 4u32), (grid2d(12, 12), 3)] {
+            let n = g.num_nodes() as NodeId;
+            let partition = Partition::from_assignment(k, (0..n).map(|i| (i * 7) % k).collect());
+            let v = n / 2 - 1;
+            let mut batch: Vec<NodeId> = vec![v, 0];
+            batch.extend(g.edges_of(v).map(|(u, _)| u));
+            batch.push(v);
+            let mut reference = partition.clone();
+            let recs: Vec<MoveRec> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &gid)| {
+                    let from = reference.block_of(gid);
+                    let to = (from + 1 + (i as u32 % (k - 1))) % k;
+                    reference.assign(gid, to);
+                    MoveRec {
+                        gid,
+                        from,
+                        to,
+                        weight: 1,
+                    }
+                })
+                .collect();
+            let expected = reference.edge_cut(&g);
+            for ranks in [1usize, 2, 3] {
+                LocalCluster::new(ranks).run(|comm| {
+                    let dg = DistGraph::from_global(&g, ranks, comm.rank());
+                    let mut st = shard_state(&dg, &partition);
+                    for rec in &recs {
+                        st.observe_move(&dg, rec.gid, rec.to);
+                    }
+                    for &rec in &recs {
+                        st.apply_committed(&dg, rec);
+                    }
+                    st.verify_exact(comm, &dg).unwrap();
+                    assert_eq!(st.edge_cut(comm).unwrap(), expected, "ranks {ranks}");
+                });
+            }
+        }
     }
 
     #[test]

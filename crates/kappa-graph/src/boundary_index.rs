@@ -11,10 +11,10 @@
 //!
 //! [`BoundaryIndex`] maintains, for every node, the number of neighbours it
 //! has in each adjacent block (a sorted run-length list, at most `deg(v)`
-//! entries) plus the count of *foreign* neighbours, and from that a membership
-//! set of all current boundary nodes. A single node move is absorbed in
-//! `O(deg(v) · log maxdeg)` by [`BoundaryIndex::apply_move`]; extracting the
-//! boundary of a block pair costs `O(|boundary| + |pair boundary| · log)` via
+//! entries), and from that a membership list of all current boundary nodes.
+//! A single node move is absorbed in `O(deg(v) · log maxdeg)` by
+//! [`BoundaryIndex::apply_move`]; extracting the boundary of a block pair
+//! costs `O(|boundary| + |pair boundary| · log)` via
 //! [`BoundaryIndex::pair_boundary_sorted`] — independent of `n` and `m`. The
 //! refinement schedulers extract the boundaries of a whole colour class at
 //! once with [`BoundaryIndex::class_boundaries_sorted`]: the class's pairs
@@ -22,34 +22,28 @@
 //! to its pair, and a class costs `O(|boundary|)` plus the bucket sorts
 //! instead of `O(|boundary|)` per pair.
 //!
-//! The index stores its own copy of the node → block map so that it is
-//! self-contained: consistency with a partition only requires replaying the
-//! same moves, which is what the refinement scheduler does with the committed
-//! per-pair deltas. The full-scan functions in [`crate::boundary`] are kept
-//! as the ground truth the index is checked against (unit tests here,
-//! property and parity tests at the workspace level).
+//! The index holds no node → block map. Its owner keeps one — a
+//! [`PartitionState`](crate::PartitionState) its partition, a distributed
+//! shard its committed blocks — and passes it, as a [`BlockAssignment`], to
+//! every method that needs a node's block; a mutation sees it *after* the
+//! change. Membership is computed: a node is on the boundary when its count
+//! segment holds a block other than its own, which the segment's length and
+//! first entry answer in `O(1)`. The full-scan functions in
+//! [`crate::boundary`] are the ground truth the index is checked against
+//! (unit tests here, property and parity tests at the workspace level).
 //!
 //! ## Storage layout
 //!
-//! The neighbour-count lists live in one flat arena shared by all nodes:
-//! node `v`'s counts occupy the slot range `start[v] .. start[v] + len[v]`
-//! inside a single `Vec<(BlockId, u32)>`, with per-node capacity `cap[v]`.
+//! Per node: the arena `start` (8 B), the segment's `cap` and `len` and the
+//! boundary-list position `pos` (4 B each) — 20 B. Node `v`'s counts occupy
+//! `start[v] .. start[v] + len[v]` of one flat `Vec<(BlockId, u32)>` arena.
 //! A build appends each segment as it scans and leaves it exactly full
 //! (`cap[v] = len[v]`): an interior node holds its one `(own block, deg)`
 //! entry, a boundary node its run-length list, an isolated node nothing.
 //! The arena therefore holds `Σ len(v)` slots — about `n` on a typical
-//! partition, where most nodes are interior — instead of the `2m` a
-//! segment of `deg(v)` slots per node would take (11.2 MiB per projection
-//! of rgg 2^17). When a later move gives a node a neighbour in a block it
-//! has no entry for, its full segment is relocated to the end of the arena
-//! with doubled capacity (see below); refinement touches few nodes, so few
-//! segments ever move. Earlier revisions used `Vec<Vec<(BlockId, u32)>>` —
-//! one heap allocation per node, which made every
-//! [`build`](BoundaryIndex::build) /
-//! [`build_seeded`](BoundaryIndex::build_seeded) (and therefore every
-//! [`PartitionState::project`](crate::PartitionState::project)) allocate `n`
-//! little vectors per hierarchy level; the arena replaces those with a
-//! constant number of allocations.
+//! partition — instead of the `2m` a segment of `deg(v)` slots per node
+//! would take (11.2 MiB per projection of rgg 2^17), and a build allocates
+//! a constant number of vectors, not one per node.
 //!
 //! ## Growth and streaming mutations
 //!
@@ -72,28 +66,26 @@ use crate::access::GraphAccess;
 use crate::partition::BlockAssignment;
 use crate::types::{BlockId, NodeId, INVALID_NODE};
 
-/// Incrementally maintained boundary information for one partition.
+/// Incrementally maintained boundary information for one partition, whose
+/// node → block map the caller keeps and passes in.
 ///
 /// ```
 /// use kappa_graph::{graph_from_edges, BoundaryIndex, Partition};
 ///
 /// // A path 0 - 1 - 2 - 3 split 2 | 2.
 /// let g = graph_from_edges(4, vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-/// let p = Partition::from_assignment(2, vec![0, 0, 1, 1]);
+/// let mut p = Partition::from_assignment(2, vec![0, 0, 1, 1]);
 /// let mut index = BoundaryIndex::build(&g, &p);
 /// assert_eq!(index.boundary_nodes_sorted(), vec![1, 2]);
 ///
 /// // Move node 2 across the cut: the boundary shifts to {2, 3}.
-/// index.apply_move(&g, 2, 0);
+/// p.assign(2, 0);
+/// index.apply_move(&g, &p, 2, 1, 0);
 /// assert_eq!(index.boundary_nodes_sorted(), vec![2, 3]);
-/// assert_eq!(index.pair_boundary_sorted(0, 1), vec![2, 3]);
+/// assert_eq!(index.pair_boundary_sorted(&p, 0, 1), vec![2, 3]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BoundaryIndex {
-    /// Number of blocks.
-    k: BlockId,
-    /// The index's own node → block map (kept in sync via `apply_move`).
-    block: Vec<BlockId>,
     /// Arena segment start per node: node `v`'s count slots are
     /// `start[v]..start[v] + cap[v]`, of which the first `len[v]` are live.
     start: Vec<usize>,
@@ -106,30 +98,18 @@ pub struct BoundaryIndex {
     /// at least one neighbour of the node, sorted by block id within the
     /// node's segment. Dead slots are zeroed.
     counts: Vec<(BlockId, u32)>,
-    /// Per node: number of neighbours in a block other than the node's own.
-    foreign: Vec<u32>,
-    /// Membership bitmap of the boundary set.
-    in_boundary: Vec<bool>,
     /// Position of each boundary node inside `list` (`INVALID_NODE` if absent).
     pos: Vec<NodeId>,
     /// The boundary set in unspecified order (swap-remove on leave).
     list: Vec<NodeId>,
 }
 
-/// Structural equality mirrors what the old derived implementation compared
-/// on the nested-`Vec` layout: assignment, **live** neighbour counts per
-/// node, foreign degrees, and the boundary membership list including its
-/// internal order. Dead arena slots are ignored.
+/// Structural equality: **live** neighbour counts per node and the boundary
+/// membership list including its internal order. Dead arena slots are
+/// ignored.
 impl PartialEq for BoundaryIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.k == other.k
-            && self.block == other.block
-            && self.foreign == other.foreign
-            && self.in_boundary == other.in_boundary
-            && self.pos == other.pos
-            && self.list == other.list
-            && self.block.len() == other.block.len()
-            && (0..self.block.len() as NodeId).all(|v| self.node_counts(v) == other.node_counts(v))
+        self.pos == other.pos && self.list == other.list && self.same_counts(other)
     }
 }
 
@@ -168,39 +148,35 @@ impl BoundaryIndex {
     {
         let n = graph.num_nodes();
         let mut index = BoundaryIndex {
-            k: partition.k(),
-            block: (0..n as NodeId).map(|v| partition.block_of(v)).collect(),
             start: Vec::with_capacity(n),
             cap: Vec::with_capacity(n),
             len: Vec::with_capacity(n),
             // Every node with a neighbour holds at least one entry.
             counts: Vec::with_capacity(n),
-            foreign: vec![0; n],
-            in_boundary: vec![false; n],
             pos: vec![INVALID_NODE; n],
             list: Vec::new(),
         };
         let mut scratch: Vec<BlockId> = Vec::new();
         for v in GraphAccess::nodes(graph) {
             let start = index.counts.len();
-            let own = index.block[v as usize];
-            let deg = graph.degree(v) as u32;
+            let own = partition.block_of(v);
             if !is_candidate(v) {
                 // Interior by precondition: every neighbour shares v's block.
                 debug_assert!(
                     {
                         let mut interior = true;
-                        graph.for_each_edge(v, |u, _| interior &= index.block[u as usize] == own);
+                        graph.for_each_edge(v, |u, _| interior &= partition.block_of(u) == own);
                         interior
                     },
                     "non-candidate node {v} has a foreign neighbour"
                 );
+                let deg = graph.degree(v) as u32;
                 if deg > 0 {
                     index.counts.push((own, deg));
                 }
             } else {
                 scratch.clear();
-                graph.for_each_edge(v, |u, _| scratch.push(index.block[u as usize]));
+                graph.for_each_edge(v, |u, _| scratch.push(partition.block_of(u)));
                 scratch.sort_unstable();
                 for &b in scratch.iter() {
                     match index.counts[start..].last_mut() {
@@ -214,8 +190,7 @@ impl BoundaryIndex {
             index.start.push(start);
             index.cap.push(entries);
             index.len.push(entries);
-            index.foreign[v as usize] = deg - index.count(v, own);
-            if index.foreign[v as usize] > 0 {
+            if index.has_foreign(v, own) {
                 index.enter_boundary(v);
             }
         }
@@ -229,32 +204,20 @@ impl BoundaryIndex {
         &self.counts[start..start + self.len[v as usize] as usize]
     }
 
-    /// Semantic equality: same assignment, neighbour counts, foreign degrees
-    /// and boundary *set*, ignoring the internal order of the membership list
-    /// (a maintained index accumulates swap-remove order, a fresh build is
-    /// ascending — no consumer observes the difference). The derived
-    /// `PartialEq` is stricter and additionally compares that order; freshly
-    /// built indices (full or seeded) agree under it.
+    /// Same node count and the same live neighbour counts at every node.
+    fn same_counts(&self, other: &Self) -> bool {
+        self.len.len() == other.len.len()
+            && (0..self.len.len() as NodeId).all(|v| self.node_counts(v) == other.node_counts(v))
+    }
+
+    /// Semantic equality: same neighbour counts and boundary *set*, ignoring
+    /// the internal order of the membership list (a maintained index
+    /// accumulates swap-remove order, a fresh build is ascending — no
+    /// consumer observes the difference). The derived `PartialEq` is
+    /// stricter and additionally compares that order; freshly built indices
+    /// (full or seeded) agree under it.
     pub fn equivalent(&self, other: &Self) -> bool {
-        self.k == other.k
-            && self.block == other.block
-            && self.foreign == other.foreign
-            && self.in_boundary == other.in_boundary
-            && self.block.len() == other.block.len()
-            && (0..self.block.len() as NodeId).all(|v| self.node_counts(v) == other.node_counts(v))
-            && self.boundary_nodes_sorted() == other.boundary_nodes_sorted()
-    }
-
-    /// Number of blocks of the underlying partition.
-    #[inline]
-    pub fn k(&self) -> BlockId {
-        self.k
-    }
-
-    /// The block the index believes `v` is in.
-    #[inline]
-    pub fn block_of(&self, v: NodeId) -> BlockId {
-        self.block[v as usize]
+        self.same_counts(other) && self.boundary_nodes_sorted() == other.boundary_nodes_sorted()
     }
 
     /// Number of neighbours of `v` currently in block `b`.
@@ -270,7 +233,18 @@ impl BoundaryIndex {
     /// True if `v` has at least one neighbour in a foreign block.
     #[inline]
     pub fn is_boundary(&self, v: NodeId) -> bool {
-        self.in_boundary[v as usize]
+        self.pos[v as usize] != INVALID_NODE
+    }
+
+    /// True if `v`'s count segment holds a block other than `own`, its own:
+    /// one entry is foreign unless it is `own`, two or more always hold one.
+    #[inline]
+    fn has_foreign(&self, v: NodeId, own: BlockId) -> bool {
+        match self.len[v as usize] {
+            0 => false,
+            1 => self.counts[self.start[v as usize]].0 != own,
+            _ => true,
+        }
     }
 
     /// The boundary set in unspecified (membership) order — `O(1)` access to
@@ -289,16 +263,22 @@ impl BoundaryIndex {
         nodes
     }
 
-    /// The boundary of the pair `{a, b}` sorted by node id — same output as a
-    /// fresh [`pair_boundary_nodes`](crate::boundary::pair_boundary_nodes)
-    /// scan, in `O(|boundary|)` plus the sort of the (smaller) result.
-    pub fn pair_boundary_sorted(&self, a: BlockId, b: BlockId) -> Vec<NodeId> {
+    /// The boundary of the pair `{a, b}` under `blocks` (the assignment the
+    /// index describes), sorted by node id — same output as a fresh
+    /// [`pair_boundary_nodes`](crate::boundary::pair_boundary_nodes) scan, in
+    /// `O(|boundary|)` plus the sort of the (smaller) result.
+    pub fn pair_boundary_sorted<A: BlockAssignment>(
+        &self,
+        blocks: &A,
+        a: BlockId,
+        b: BlockId,
+    ) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self
             .list
             .iter()
             .copied()
             .filter(|&v| {
-                let bv = self.block[v as usize];
+                let bv = blocks.block_of(v);
                 (bv == a && self.count(v, b) > 0) || (bv == b && self.count(v, a) > 0)
             })
             .collect();
@@ -306,15 +286,20 @@ impl BoundaryIndex {
         nodes
     }
 
-    /// The pair boundaries of a colour class, in class order, each sorted by
-    /// node id — one [`pair_boundary_sorted`](Self::pair_boundary_sorted)
-    /// per pair, from a single pass over the boundary list. The pairs of
-    /// `class` must be block-disjoint (the pairs of one colour of the
-    /// quotient's edge colouring are), so each boundary node belongs to the
-    /// bucket of at most one pair: the one holding its own block.
-    pub fn class_boundaries_sorted(&self, class: &[(BlockId, BlockId)]) -> Vec<Vec<NodeId>> {
+    /// The pair boundaries of a colour class under `blocks`, in class order,
+    /// each sorted by node id — one
+    /// [`pair_boundary_sorted`](Self::pair_boundary_sorted) per pair, from a
+    /// single pass over the boundary list. The pairs of `class` must be
+    /// block-disjoint (the pairs of one colour of the quotient's edge
+    /// colouring are), so each boundary node belongs to the bucket of at most
+    /// one pair: the one holding its own block.
+    pub fn class_boundaries_sorted<A: BlockAssignment>(
+        &self,
+        blocks: &A,
+        class: &[(BlockId, BlockId)],
+    ) -> Vec<Vec<NodeId>> {
         // Per block: the index of its pair in `class` and the partner block.
-        let mut pair_of = vec![(u32::MAX, 0); self.k as usize];
+        let mut pair_of = vec![(u32::MAX, 0); blocks.k() as usize];
         for (i, &(a, b)) in class.iter().enumerate() {
             debug_assert!(
                 pair_of[a as usize].0 == u32::MAX && pair_of[b as usize].0 == u32::MAX,
@@ -325,7 +310,7 @@ impl BoundaryIndex {
         }
         let mut buckets = vec![Vec::new(); class.len()];
         for &v in &self.list {
-            let (i, partner) = pair_of[self.block[v as usize] as usize];
+            let (i, partner) = pair_of[blocks.block_of(v) as usize];
             if i != u32::MAX && self.count(v, partner) > 0 {
                 buckets[i as usize].push(v);
             }
@@ -336,83 +321,72 @@ impl BoundaryIndex {
         buckets
     }
 
-    /// Moves `v` to block `to`, updating the neighbour counts, foreign-degree
-    /// counters and boundary membership of `v` and all its neighbours in
-    /// `O(deg(v) · log maxdeg)`. A no-op when `v` is already in `to`.
+    /// Absorbs the move of `v` from block `from` to block `to`, updating the
+    /// neighbour counts and boundary membership of `v` and all its
+    /// neighbours in `O(deg(v) · log maxdeg)`. `blocks` is the assignment
+    /// *after* the move: `v` in `to`, every other node where it was. A no-op
+    /// when `from == to`.
     ///
     /// Generic over [`GraphAccess`] so the same code path serves the frozen
     /// [`CsrGraph`](crate::csr::CsrGraph) and a mid-stream
     /// [`DynamicGraph`](crate::dynamic::DynamicGraph).
-    pub fn apply_move<G: GraphAccess>(&mut self, graph: &G, v: NodeId, to: BlockId) {
-        let from = self.block[v as usize];
+    pub fn apply_move<G: GraphAccess, A: BlockAssignment>(
+        &mut self,
+        graph: &G,
+        blocks: &A,
+        v: NodeId,
+        from: BlockId,
+        to: BlockId,
+    ) {
         if from == to {
             return;
         }
-        debug_assert!(to < self.k, "move of node {v} to out-of-range block {to}");
-        self.block[v as usize] = to;
-
+        debug_assert_eq!(
+            blocks.block_of(v),
+            to,
+            "node {v} is not in its target block"
+        );
         graph.for_each_edge(v, |u, _w| {
             // Neighbour `u` sees one neighbour (`v`) switch `from` → `to`.
             self.adjust_count(u, from, -1);
             self.adjust_count(u, to, 1);
-            let bu = self.block[u as usize];
-            if bu == from {
-                self.foreign[u as usize] += 1;
-            } else if bu == to {
-                self.foreign[u as usize] -= 1;
-            }
-            self.update_membership(u);
+            self.update_membership(u, blocks.block_of(u));
         });
-
         // `v`'s neighbour counts are unchanged, but its own block moved.
-        self.foreign[v as usize] = graph.degree(v) as u32 - self.count(v, to);
-        self.update_membership(v);
+        self.update_membership(v, to);
     }
 
-    /// Absorbs the insertion of a new edge `{v, u}` in
-    /// `O(log maxdeg)` amortised: each endpoint gains one neighbour in the
-    /// other's block. The edge weight is irrelevant to boundary structure.
-    pub fn edge_inserted(&mut self, v: NodeId, u: NodeId) {
+    /// Absorbs the insertion of a new edge `{v, u}` in `O(log maxdeg)`
+    /// amortised: each endpoint gains one neighbour in the other's block
+    /// under `blocks`. The edge weight is irrelevant to boundary structure.
+    pub fn edge_inserted<A: BlockAssignment>(&mut self, blocks: &A, v: NodeId, u: NodeId) {
         debug_assert_ne!(v, u, "self-loops cannot be inserted");
-        let bu = self.block[u as usize];
-        let bv = self.block[v as usize];
-        self.endpoint_delta(v, bu, 1);
-        self.endpoint_delta(u, bv, 1);
+        self.edge_delta(blocks, v, u, 1);
     }
 
     /// Absorbs the deletion of an existing edge `{v, u}` — the exact inverse
     /// of [`edge_inserted`](Self::edge_inserted).
-    pub fn edge_deleted(&mut self, v: NodeId, u: NodeId) {
-        let bu = self.block[u as usize];
-        let bv = self.block[v as usize];
-        self.endpoint_delta(v, bu, -1);
-        self.endpoint_delta(u, bv, -1);
+    pub fn edge_deleted<A: BlockAssignment>(&mut self, blocks: &A, v: NodeId, u: NodeId) {
+        self.edge_delta(blocks, v, u, -1);
     }
 
-    /// Endpoint `v` gained (`delta = 1`) or lost (`delta = -1`) one
-    /// neighbour in block `nb`.
-    fn endpoint_delta(&mut self, v: NodeId, nb: BlockId, delta: i32) {
-        self.adjust_count(v, nb, delta);
-        if nb != self.block[v as usize] {
-            let f = self.foreign[v as usize] as i64 + delta as i64;
-            debug_assert!(f >= 0, "negative foreign degree for node {v}");
-            self.foreign[v as usize] = f as u32;
-        }
-        self.update_membership(v);
+    /// Each endpoint of edge `{v, u}` gained (`delta = 1`) or lost
+    /// (`delta = -1`) one neighbour in the other's block.
+    fn edge_delta<A: BlockAssignment>(&mut self, blocks: &A, v: NodeId, u: NodeId, delta: i32) {
+        let (bv, bu) = (blocks.block_of(v), blocks.block_of(u));
+        self.adjust_count(v, bu, delta);
+        self.update_membership(v, bv);
+        self.adjust_count(u, bv, delta);
+        self.update_membership(u, bu);
     }
 
-    /// Appends a fresh isolated node assigned to block `b`, with a
-    /// zero-capacity count segment (the first incident
-    /// [`edge_inserted`](Self::edge_inserted) grows it). Its id is the
-    /// previous node count.
-    pub fn node_inserted(&mut self, b: BlockId) {
-        debug_assert!(b < self.k, "insert into out-of-range block {b}");
-        self.block.push(b);
+    /// Appends a fresh isolated node with a zero-capacity count segment (the
+    /// first incident [`edge_inserted`](Self::edge_inserted) grows it). Its
+    /// id is the previous node count.
+    pub fn node_inserted(&mut self) {
         self.start.push(self.counts.len());
         self.cap.push(0);
         self.len.push(0);
-        self.foreign.push(0);
-        self.in_boundary.push(false);
         self.pos.push(INVALID_NODE);
     }
 
@@ -422,14 +396,7 @@ impl BoundaryIndex {
     /// precondition that all incident edges were deleted first.
     pub fn node_deleted(&mut self, v: NodeId) {
         debug_assert_eq!(self.len[v as usize], 0, "node {v} still has incident edges");
-        debug_assert_eq!(
-            self.foreign[v as usize], 0,
-            "node {v} still foreign-adjacent"
-        );
-        debug_assert!(
-            !self.in_boundary[v as usize],
-            "deleted node {v} on boundary"
-        );
+        debug_assert!(!self.is_boundary(v), "deleted node {v} on boundary");
     }
 
     /// Adds `delta` to `count(v, b)`, inserting or removing the run entry by
@@ -488,23 +455,23 @@ impl BoundaryIndex {
         new_start
     }
 
-    fn update_membership(&mut self, v: NodeId) {
-        let should = self.foreign[v as usize] > 0;
-        if should && !self.in_boundary[v as usize] {
+    /// Brings `v`'s list membership in line with its counts, `own` being its
+    /// block.
+    fn update_membership(&mut self, v: NodeId, own: BlockId) {
+        let should = self.has_foreign(v, own);
+        if should && !self.is_boundary(v) {
             self.enter_boundary(v);
-        } else if !should && self.in_boundary[v as usize] {
+        } else if !should && self.is_boundary(v) {
             self.leave_boundary(v);
         }
     }
 
     fn enter_boundary(&mut self, v: NodeId) {
-        self.in_boundary[v as usize] = true;
         self.pos[v as usize] = self.list.len() as NodeId;
         self.list.push(v);
     }
 
     fn leave_boundary(&mut self, v: NodeId) {
-        self.in_boundary[v as usize] = false;
         let p = self.pos[v as usize] as usize;
         self.pos[v as usize] = INVALID_NODE;
         let last = *self.list.last().expect("leave from empty boundary list");
@@ -536,7 +503,7 @@ mod tests {
                     continue;
                 }
                 assert_eq!(
-                    index.pair_boundary_sorted(a, b),
+                    index.pair_boundary_sorted(partition, a, b),
                     pair_boundary_nodes(graph, partition, a, b),
                     "pair ({a}, {b}) boundary diverged"
                 );
@@ -586,9 +553,11 @@ mod tests {
         let mut index = BoundaryIndex::build(&g, &p);
         assert_matches_fresh_scan(&g, &p, &index);
         for (v, to) in [(2u32, 0u32), (3, 2), (0, 1), (5, 0), (2, 2), (2, 1)] {
+            let from = p.block_of(v);
             p.assign(v, to);
-            index.apply_move(&g, v, to);
-            assert_eq!(index.block_of(v), to);
+            index.apply_move(&g, &p, v, from, to);
+            let foreign = g.edges_of(v).any(|(u, _)| p.block_of(u) != to);
+            assert_eq!(index.is_boundary(v), foreign);
             assert_matches_fresh_scan(&g, &p, &index);
         }
     }
@@ -599,18 +568,20 @@ mod tests {
         let p = Partition::from_assignment(2, vec![0, 0, 1]);
         let mut index = BoundaryIndex::build(&g, &p);
         let before = index.boundary_nodes_sorted();
-        index.apply_move(&g, 1, 0);
+        index.apply_move(&g, &p, 1, 0, 0);
         assert_eq!(index.boundary_nodes_sorted(), before);
     }
 
     #[test]
     fn counts_track_neighbour_blocks() {
         let g = graph_from_edges(4, vec![(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
-        let mut index = BoundaryIndex::build(&g, &Partition::from_assignment(3, vec![0, 0, 1, 2]));
+        let mut p = Partition::from_assignment(3, vec![0, 0, 1, 2]);
+        let mut index = BoundaryIndex::build(&g, &p);
         assert_eq!(index.count(0, 0), 1);
         assert_eq!(index.count(0, 1), 1);
         assert_eq!(index.count(0, 2), 1);
-        index.apply_move(&g, 3, 1);
+        p.assign(3, 1);
+        index.apply_move(&g, &p, 3, 2, 1);
         assert_eq!(index.count(0, 2), 0);
         assert_eq!(index.count(0, 1), 2);
         assert_eq!(index.count(1, 0), 1);
@@ -625,18 +596,18 @@ mod tests {
         let g0 = graph_from_edges(4, vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
         let mut index = BoundaryIndex::build(&g0, &p);
 
-        index.edge_inserted(0, 3);
+        index.edge_inserted(&p, 0, 3);
         let g1 = graph_from_edges(4, vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]);
         assert!(index.equivalent(&BoundaryIndex::build(&g1, &p)));
 
-        index.edge_deleted(1, 2);
+        index.edge_deleted(&p, 1, 2);
         let g2 = graph_from_edges(4, vec![(0, 1, 1), (2, 3, 1), (0, 3, 1)]);
         assert!(index.equivalent(&BoundaryIndex::build(&g2, &p)));
 
-        index.node_inserted(1);
-        index.edge_inserted(4, 0);
-        let g3 = graph_from_edges(5, vec![(0, 1, 1), (2, 3, 1), (0, 3, 1), (0, 4, 1)]);
         let p3 = Partition::from_assignment(2, vec![0, 0, 1, 1, 1]);
+        index.node_inserted();
+        index.edge_inserted(&p3, 4, 0);
+        let g3 = graph_from_edges(5, vec![(0, 1, 1), (2, 3, 1), (0, 3, 1), (0, 4, 1)]);
         assert!(index.equivalent(&BoundaryIndex::build(&g3, &p3)));
     }
 
@@ -650,7 +621,7 @@ mod tests {
         let mut index = BoundaryIndex::build(&g0, &p);
         let mut edges = vec![(0u32, 1u32, 1u64)];
         for u in 2..6u32 {
-            index.edge_inserted(0, u);
+            index.edge_inserted(&p, 0, u);
             edges.push((0, u, 1));
             let g = graph_from_edges(6, edges.clone());
             assert!(
@@ -659,7 +630,7 @@ mod tests {
             );
         }
         for u in (2..6u32).rev() {
-            index.edge_deleted(0, u);
+            index.edge_deleted(&p, 0, u);
             edges.pop();
             let g = graph_from_edges(6, edges.clone());
             assert!(
@@ -786,7 +757,7 @@ mod tests {
         for (leaf, cap) in (2..=leaves).zip([2, 4, 4, 8, 8, 8, 8]) {
             let to = leaf - 1;
             p.assign(leaf, to);
-            index.apply_move(&g, leaf, to);
+            index.apply_move(&g, &p, leaf, 0, to);
             assert_eq!(index.cap[0], cap, "hub capacity after moving leaf {leaf}");
             for b in 0..p.k() {
                 let expected = (1..=leaves).filter(|&u| p.block_of(u) == b).count() as u32;
@@ -802,7 +773,7 @@ mod tests {
         let mut index = BoundaryIndex::build(&dg, &p);
         assert_eq!((index.cap[2], index.cap[3]), (1, 1));
         dg.insert_edge(2, 3, 1).unwrap();
-        index.edge_inserted(2, 3);
+        index.edge_inserted(&p, 2, 3);
         assert_eq!((index.cap[2], index.cap[3]), (2, 2));
         assert_eq!((index.count(2, 2), index.count(3, 1)), (1, 1));
         assert!(index.equivalent(&BoundaryIndex::build(&dg, &p)));
@@ -812,9 +783,10 @@ mod tests {
     fn interior_and_isolated_nodes_are_not_boundary() {
         let g = graph_from_edges(4, vec![(0, 1, 1), (1, 2, 1)]);
         // Node 3 is isolated; all nodes share one block.
-        let index = BoundaryIndex::build(&g, &Partition::trivial(2, 4));
+        let p = Partition::trivial(2, 4);
+        let index = BoundaryIndex::build(&g, &p);
         assert!(index.boundary_nodes_unordered().is_empty());
         assert!(!index.is_boundary(3));
-        assert!(index.pair_boundary_sorted(0, 1).is_empty());
+        assert!(index.pair_boundary_sorted(&p, 0, 1).is_empty());
     }
 }

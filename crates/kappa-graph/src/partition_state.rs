@@ -26,7 +26,8 @@
 //! `O(|E_Q|)` and reads no row. The only full `O(n + m)`
 //! [`BoundaryIndex::build`] in a run is the coarsest level's —
 //! [`full_builds`](PartitionState::full_builds) counts them so tests can
-//! prove it.
+//! prove it. The assignment is the state's one node → block map: the index
+//! holds none and is handed this one wherever it needs a node's block.
 
 use std::collections::BTreeMap;
 
@@ -146,7 +147,8 @@ impl PartitionState {
         &self.weights
     }
 
-    /// The incrementally maintained boundary index.
+    /// The incrementally maintained boundary index of
+    /// [`partition`](Self::partition), which its block queries take.
     #[inline]
     pub fn boundary(&self) -> &BoundaryIndex {
         &self.boundary
@@ -219,7 +221,8 @@ impl PartitionState {
         shift_cut(&mut self.pair_cuts, from, to, conn_from, conn_to);
         self.weights.apply_move(from, to, graph.node_weight(v));
         self.partition.assign(v, to);
-        self.boundary.apply_move(graph, v, to);
+        self.boundary
+            .apply_move(graph, &self.partition, v, from, to);
         true
     }
 
@@ -234,7 +237,7 @@ impl PartitionState {
             self.cut += w;
             shift_cut(&mut self.pair_cuts, bv, bu, w, 0);
         }
-        self.boundary.edge_inserted(v, u);
+        self.boundary.edge_inserted(&self.partition, v, u);
     }
 
     /// Absorbs the deletion of edge `{v, u}` whose weight was `w` — the exact
@@ -245,7 +248,7 @@ impl PartitionState {
             self.cut -= w;
             shift_cut(&mut self.pair_cuts, bv, bu, 0, w);
         }
-        self.boundary.edge_deleted(v, u);
+        self.boundary.edge_deleted(&self.partition, v, u);
     }
 
     /// Absorbs a reweight of edge `{v, u}` from `old_w` to `new_w`. Only the
@@ -271,7 +274,7 @@ impl PartitionState {
     pub fn apply_node_insert(&mut self, b: BlockId, weight: NodeWeight) {
         self.partition.push(b);
         self.weights.add(b, weight);
-        self.boundary.node_inserted(b);
+        self.boundary.node_inserted();
     }
 
     /// Absorbs the deletion of node `v`, whose incident edges must already be

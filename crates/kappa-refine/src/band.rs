@@ -660,8 +660,8 @@ pub(crate) mod tests {
         let index = BoundaryIndex::build(&graph, &partition);
         let n = graph.num_nodes() as u64;
         let (a, b) = (0u32, 1u32);
-        let mut with_index =
-            IndexSeeder::from_pair_boundary(&graph, a, b, index.pair_boundary_sorted(a, b));
+        let boundary = index.pair_boundary_sorted(&partition, a, b);
+        let mut with_index = IndexSeeder::from_pair_boundary(&graph, a, b, boundary);
         let mut full_scan = FullScanSeeder::new(&graph, a, b);
         // `view` plays the DeltaPairView: the pair's live state during the
         // worker's local iterations, diverging from the index by exactly the

@@ -405,9 +405,12 @@ pub fn refine_partition<G: GraphAccess + Sync>(
             // block weights; no clone, recompute or rebuild of anything.
             let weights = state.weights();
             stats.pairs_considered += class.len();
+            let boundaries = state
+                .boundary()
+                .class_boundaries_sorted(state.partition(), class);
             let jobs: Vec<_> = class
                 .iter()
-                .zip(state.boundary().class_boundaries_sorted(class))
+                .zip(boundaries)
                 .map(|(&(a, b), boundary)| (a, b, boundary, idle.first_band(a, b, keep)))
                 .collect();
             let deltas: Vec<PairDelta> = jobs
@@ -907,7 +910,9 @@ mod tests {
                     partition: partition.clone(),
                     assigns: &assigns,
                 };
-                let boundary = state.boundary().pair_boundary_sorted(a, b);
+                let boundary = state
+                    .boundary()
+                    .pair_boundary_sorted(state.partition(), a, b);
                 let mut seeder = IndexSeeder::from_pair_boundary(&counting, a, b, boundary);
                 let seeds = BandSeeder::<CountingView>::seeds(&mut seeder, &view);
                 let seeding: u32 = counting
@@ -917,7 +922,12 @@ mod tests {
                     .map(|&(before, _)| before)
                     .sum();
                 assert_eq!(seeding, 0, "pair ({a},{b}): the first seeding read rows");
-                assert_eq!(seeds, state.boundary().pair_boundary_sorted(a, b));
+                assert_eq!(
+                    seeds,
+                    state
+                        .boundary()
+                        .pair_boundary_sorted(state.partition(), a, b)
+                );
                 let search = PairSearch {
                     a,
                     b,

@@ -53,8 +53,8 @@ pub fn suite_instances() -> Vec<(&'static str, CsrGraph)> {
 pub fn assert_state_matches_rebuild(context: &str, graph: &CsrGraph, state: &PartitionState) {
     let partition = state.partition();
     // `equivalent` is the documented comparison between a *maintained* index
-    // and a fresh build: identical assignment, per-node neighbour counts,
-    // foreign degrees and boundary set; only the internal order of the
+    // and a fresh build over the same assignment: identical per-node
+    // neighbour counts and boundary set; only the internal order of the
     // membership list (swap-remove history vs. ascending scan) may differ,
     // and no consumer observes it.
     let fresh_index = BoundaryIndex::build(graph, partition);

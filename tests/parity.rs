@@ -74,9 +74,11 @@ proptest! {
         for step in 0..40 {
             let v = (next() % n) as u32;
             let to = (next() % k as u64) as u32;
+            let from = partition.block_of(v);
             partition.assign(v, to);
-            index.apply_move(&graph, v, to);
-            prop_assert_eq!(index.block_of(v), to);
+            index.apply_move(&graph, &partition, v, from, to);
+            let foreign = graph.edges_of(v).any(|(u, _)| partition.block_of(u) != to);
+            prop_assert_eq!(index.is_boundary(v), foreign);
             prop_assert_eq!(
                 index.boundary_nodes_sorted(),
                 boundary_nodes(&graph, &partition),
@@ -86,7 +88,7 @@ proptest! {
             for a in 0..k {
                 for b in (a + 1)..k {
                     prop_assert_eq!(
-                        index.pair_boundary_sorted(a, b),
+                        index.pair_boundary_sorted(&partition, a, b),
                         pair_boundary_nodes(&graph, &partition, a, b),
                         "pair ({}, {}) diverged at step {}",
                         a,
@@ -120,12 +122,12 @@ proptest! {
             }
             let pairs: Vec<(u32, u32)> = blocks.chunks_exact(2).map(|c| (c[0], c[1])).collect();
             let class = &pairs[..(next() % (pairs.len() as u64 + 1)) as usize];
-            let buckets = index.class_boundaries_sorted(class);
+            let buckets = index.class_boundaries_sorted(&partition, class);
             prop_assert_eq!(buckets.len(), class.len());
             for (&(a, b), bucket) in class.iter().zip(&buckets) {
                 prop_assert_eq!(
                     bucket,
-                    &index.pair_boundary_sorted(a, b),
+                    &index.pair_boundary_sorted(&partition, a, b),
                     "pair ({}, {}) at step {}",
                     a,
                     b,
@@ -134,8 +136,9 @@ proptest! {
             }
             for _ in 0..5 {
                 let (v, to) = ((next() % n) as u32, (next() % k as u64) as u32);
+                let from = partition.block_of(v);
                 partition.assign(v, to);
-                index.apply_move(&graph, v, to);
+                index.apply_move(&graph, &partition, v, from, to);
             }
         }
     }
@@ -197,9 +200,9 @@ proptest! {
         let coarsest = hierarchy.coarsest();
         let start = random_partition(coarsest, k, seed);
         let mut state = PartitionState::build(coarsest, start);
-        for level in (1..hierarchy.num_levels()).rev() {
-            state = hierarchy.project_state_one_level(level, &state);
-            let fine = hierarchy.graph_at(level - 1);
+        let levels = (1..hierarchy.num_levels()).rev();
+        for (level, (fine, _, coarse_of)) in levels.zip(hierarchy.walk_up()) {
+            state = state.project(fine, coarse_of);
             let full = BoundaryIndex::build(fine, state.partition());
             prop_assert!(
                 full == *state.boundary(),
