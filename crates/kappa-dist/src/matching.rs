@@ -87,7 +87,7 @@ pub fn distributed_matching<C: Comm>(
     seed: u64,
 ) -> CommResult<DistMatching> {
     let ln = dg.num_owned();
-    let (lo, _) = dg.owned_range();
+    let (lo, hi) = dg.owned_range();
 
     // --- Phase 1: sequential matching of the interior subgraph. ---
     // Rank 0's seed equals `seed` so a one-rank cluster reproduces the
@@ -201,9 +201,13 @@ pub fn distributed_matching<C: Comm>(
         }
         let incoming = comm.alltoallv(proposals)?;
         let mut matched_now = 0u64;
-        for part in incoming {
+        for (src, part) in incoming.into_iter().enumerate() {
             for (u_gid, t_gid) in part {
-                // Incoming proposal for edge {u_gid → t_gid}; we own t_gid.
+                // Incoming proposal for edge {u_gid → t_gid}; we must own t_gid.
+                if t_gid < lo || t_gid >= hi {
+                    let why = format!("rank {src} proposed {{{u_gid}, {t_gid}}} to a non-owner");
+                    return Err(CommError::protocol(comm.rank(), src, "gap-handshake", why));
+                }
                 let t_local = t_gid - lo;
                 let Some(my_best) = best.get(&t_local) else {
                     continue;
@@ -263,7 +267,7 @@ fn interior_subgraph(dg: &DistGraph) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::LocalCluster;
+    use crate::comm::{CommErrorKind, LocalCluster};
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
 
@@ -342,6 +346,44 @@ mod tests {
             assert!(
                 pairs * 2 >= 150,
                 "ranks {ranks}: only {pairs} pairs matched"
+            );
+        }
+    }
+
+    /// A gap proposal for a node the receiver does not own — below its range,
+    /// where the local id would underflow, or above it, where it would be
+    /// dropped — is the proposer's protocol violation.
+    #[test]
+    fn a_proposal_for_a_node_the_receiver_does_not_own_is_diagnosed() {
+        // Rank 0 owns rows 0..4 of an 8 × 8 grid (nodes 0..32), rank 1 the rest.
+        let g = grid2d(8, 8);
+        for (honest, bad, u_gid, t_gid) in [(1usize, 0usize, 27u32, 3u32), (0, 1, 35, 50)] {
+            let outcomes = LocalCluster::new(2).run(|comm| {
+                let dg = DistGraph::from_global(&g, 2, comm.rank());
+                if comm.rank() == bad {
+                    // The bad peer runs the handshake's first two exchanges.
+                    let unmatched = |_| GhostMatchState { matched: false };
+                    dg.exchange_ghosts(comm, unmatched).unwrap();
+                    let mut proposals = vec![Vec::new(), Vec::new()];
+                    proposals[honest].push((u_gid, t_gid));
+                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's exchanges meet the first two inside the honest rank's `distributed_matching`, so both branches reach them
+                    comm.alltoallv(proposals).unwrap();
+                    return None;
+                }
+                let algorithm = MatchingAlgorithm::Gpa;
+                let rating = EdgeRating::ExpansionStar2;
+                Some(distributed_matching(comm, &dg, algorithm, rating, 1).unwrap_err())
+            });
+            let e = outcomes[honest].as_ref().unwrap();
+            assert_eq!(
+                (e.rank, e.peer, e.tag.as_str()),
+                (honest, bad, "gap-handshake")
+            );
+            let expected = format!("rank {bad} proposed {{{u_gid}, ");
+            assert!(
+                matches!(&e.kind, CommErrorKind::Protocol(d)
+                    if d.contains(&expected) && d.contains(&format!("{t_gid}}} to a non-owner"))),
+                "{e:?}"
             );
         }
     }

@@ -502,7 +502,7 @@ fn rank_main<C: Comm>(
         .flatten()
         .collect();
     let partition = Partition::from_assignment(k, assignment);
-    let edge_cut = st.edge_cut(comm)?;
+    let edge_cut = st.edge_cut(comm, &finest)?;
 
     Ok(RankResult {
         partition,
@@ -575,8 +575,7 @@ fn level_l_max<C: Comm>(
 /// owns the image, pulled from the image's owner otherwise — mirrors the
 /// fine blocks over the ghost layer, and seeds the fine boundary-index shard
 /// from the image of the coarse boundary (no full build). Weights carry over
-/// (contraction preserves them); the partial cut is recomputed from the
-/// local shard.
+/// (contraction preserves them).
 fn project_state<C: Comm>(
     comm: &mut C,
     fine: &DistGraph,

@@ -19,8 +19,11 @@
 //!    regions **in parallel across ranks**, and the surviving moves are
 //!    exchanged.
 //! 3. Every rank replays the class's moves through its state — live view,
-//!    boundary-index shard, replicated weights, partial cut — once per
-//!    class, in deterministic pair order.
+//!    boundary-index shard, replicated weights — once per class, in
+//!    deterministic pair order; a rank holding a moved node vets the move.
+//!
+//! A level's gain is summed, not measured: a class's pairs share no block,
+//! so their exact gains add up, and a rebalancing move costs its cut delta.
 //!
 //! So every rank count runs one local-iteration loop and one stop rule
 //! (`RefinementConfig::converged`). One rank runs the shared scheduler's
@@ -130,10 +133,8 @@ pub fn dist_refine<C: Comm>(
     if k < 2 || dg.num_global_nodes() == 0 {
         return Ok(());
     }
-    let cut_before = st.edge_cut(comm)? as i64;
-
     if !st.is_balanced(l_max) {
-        stats.nodes_moved += dist_rebalance(comm, dg, st, l_max)?;
+        dist_rebalance(comm, dg, st, l_max, stats)?;
     }
 
     // One rank searches in place; only a gather needs band scratch.
@@ -173,15 +174,15 @@ pub fn dist_refine<C: Comm>(
         }
 
         stats.global_iterations += 1;
+        stats.total_gain += iteration_gain;
         if config.converged(&mut no_change_streak, iteration_gain) {
             break;
         }
     }
 
     if !st.is_balanced(l_max) {
-        stats.nodes_moved += dist_rebalance(comm, dg, st, l_max)?;
+        dist_rebalance(comm, dg, st, l_max, stats)?;
     }
-    stats.total_gain += cut_before - st.edge_cut(comm)? as i64;
     Ok(())
 }
 
@@ -203,11 +204,14 @@ fn refine_class<C: Comm>(
     scratch: &mut FmScratch,
     search: &mut ClassSearch,
 ) -> CommResult<i64> {
-    let pairs = PairRun::start_class(dg, st, coords.class, comm.num_ranks());
+    let mut pairs = PairRun::start_class(dg, st, coords.class, comm.num_ranks());
     let reports = match search {
-        ClassSearch::InPlace(idle) => search_in_place(dg, st, pairs, coords, scratch, idle, stats),
+        ClassSearch::InPlace(idle) => {
+            search_in_place(dg, st, &mut pairs, coords, scratch, idle, stats)
+        }
         ClassSearch::Gathered(bands) => {
-            let reports = gather_and_search(comm, dg, st, &pairs, coords, scratch, bands)?;
+            let mine = gather_and_search(comm, dg, st, &pairs, coords, scratch, bands)?;
+            let reports = exchange_reports(comm, &pairs, mine)?;
             // Every gathered search grows its band.
             stats.bands_built += reports.iter().map(|r| r.searches as usize).sum::<usize>();
             reports
@@ -221,8 +225,14 @@ fn refine_class<C: Comm>(
         stats.pair_searches += report.searches as usize;
         stats.nodes_moved += report.moves.len();
         class_gain += report.gain;
+        let (pi, pair) = (report.pair, &pairs[report.pair]);
         for rec in report.moves {
-            st.apply_committed(dg, rec);
+            // A move this rank refuses is its home's protocol violation.
+            st.apply_committed(dg, rec).map_err(|detail| {
+                let (home, a, b) = (pair.home, pair.a, pair.b);
+                let detail = format!("rank {home} reported pair {pi} ({a}, {b}) moving {detail}");
+                CommError::protocol(comm.rank(), home, "class-reports", detail)
+            })?;
         }
     }
     Ok(class_gain)
@@ -236,7 +246,7 @@ fn refine_class<C: Comm>(
 fn search_in_place(
     dg: &DistGraph,
     st: &mut DistState,
-    pairs: Vec<PairRun>,
+    pairs: &mut [PairRun],
     coords: &ClassCoords,
     scratch: &mut FmScratch,
     idle: &mut IdleBands,
@@ -246,9 +256,9 @@ fn search_in_place(
     let config = coords.config;
     let keep = coords.global_iter + 1 < config.max_global_iterations;
     let mut reports = Vec::with_capacity(pairs.len());
-    for (pi, mut pair) in pairs.into_iter().enumerate() {
+    for (pi, pair) in pairs.iter_mut().enumerate() {
         let (a, b) = (pair.a, pair.b);
-        let search = coords.search(&pair);
+        let search = coords.search(pair);
         let candidates = std::mem::take(&mut pair.candidates);
         let mut seeder = IndexSeeder::from_pair_boundary(graph, a, b, candidates);
         let first = idle.first_band(a, b, keep);
@@ -277,20 +287,17 @@ fn search_in_place(
 
 /// Across ranks: gathers every pair's band to its home — seeds revalidated
 /// in the live view, a level-synchronised band BFS, one shard per rank and
-/// pair — runs this rank's home searches, each one `search_pair` on its
+/// pair — and runs this rank's home searches, each one `search_pair` on its
 /// gathered region ([`GatheredRegion::search`]: follow-up iterations
 /// re-seed from the region's own shifted boundary, clipped to the gathered
-/// band), and exchanges the reports. Returns every report of the class, in
-/// pair order.
+/// band). Returns the reports of the pairs homed here, in pair order.
 ///
 /// Message frugality:
 /// * the band BFS costs one allgather per hop — `2(R-1)` frames rather than
 ///   an alltoallv's `R(R-1)` — and stops at the first hop every rank enters
 ///   with nothing left to expand;
 /// * seeds and band shards travel to each peer **in one message** (one
-///   frame per peer instead of two all-to-all rounds);
-/// * reports go to every peer once a rank's own FM work is done and are
-///   read back in rank order; the merge sorts them by pair.
+///   frame per peer instead of two all-to-all rounds).
 fn gather_and_search<C: Comm>(
     comm: &mut C,
     dg: &DistGraph,
@@ -412,9 +419,17 @@ fn gather_and_search<C: Comm>(
         }
         my_reports.push(report);
     }
+    Ok(my_reports)
+}
 
-    // Batched move broadcast: every peer gets this rank's reports, then
-    // every peer's reports are read in rank order.
+/// Batched move broadcast: this rank's home reports go to every peer, then
+/// every peer's are read in rank order and merged in pair order.
+fn exchange_reports<C: Comm>(
+    comm: &mut C,
+    pairs: &[PairRun],
+    mut my_reports: Vec<PairReport>,
+) -> CommResult<Vec<PairReport>> {
+    let (me, ranks) = (comm.rank(), comm.num_ranks());
     for dst in 0..ranks {
         if dst != me {
             comm.send(dst, "class-reports", my_reports.clone())?;
@@ -688,17 +703,19 @@ crate::impl_wire_struct!(RebalanceCand {
 /// every block obeys `l_max` or no move helps. Picks, per move, exactly the
 /// candidate `rebalance_state` would (each rank scores its owned boundary
 /// nodes with the shared scoring, an allreduce-min selects the global
-/// minimum tuple). Returns the number of nodes moved.
+/// minimum tuple). Adds the moves to `stats.nodes_moved` and minus each
+/// winner's cut delta to `stats.total_gain` (exact for a fallback winner
+/// too: a node bordering the lightest block would be a boundary winner).
 pub fn dist_rebalance<C: Comm>(
     comm: &mut C,
     dg: &DistGraph,
     st: &mut DistState,
     l_max: NodeWeight,
-) -> CommResult<usize> {
+    stats: &mut RefinementStats,
+) -> CommResult<()> {
     type Scored = Option<(i64, NodeWeight, BlockId)>;
     let k = st.k();
     let ln = dg.num_owned();
-    let mut moved = 0usize;
     let cap = dg.num_global_nodes().saturating_mul(2).max(8);
     for _ in 0..cap {
         let (graph, weights) = (dg.local(), st.weights());
@@ -742,25 +759,29 @@ pub fn dist_rebalance<C: Comm>(
             }
         }
         let Some(cand) = best else { break };
-        let n = dg.num_global_nodes() as NodeId;
-        if cand.to >= k || cand.to == over_block || cand.gid >= n {
-            // An honest winner moves its owner's node out of `over_block`.
-            let (me, gid) = (comm.rank(), cand.gid);
-            let owner = if gid < n { dg.owner_of(gid) } else { me };
-            let detail = format!("rank {owner}'s node {gid} to block {} of {k}", cand.to);
-            return Err(CommError::protocol(me, owner, "rebalance", detail));
-        }
         let rec = MoveRec {
             gid: cand.gid,
             from: over_block,
             to: cand.to,
             weight: cand.weight,
         };
-        st.observe_move(dg, rec.gid, rec.to);
-        st.apply_committed(dg, rec);
-        moved += 1;
+        let applied = if cand.to == over_block {
+            Err(format!("node {} back into block {over_block}", cand.gid))
+        } else {
+            st.apply_committed(dg, rec)
+        };
+        if let Err(detail) = applied {
+            // An honest winner moves its owner's node out of `over_block`.
+            let (me, gid) = (comm.rank(), cand.gid);
+            let named = (gid as usize) < dg.num_global_nodes();
+            let owner = if named { dg.owner_of(gid) } else { me };
+            let detail = format!("rank {owner}'s {detail}");
+            return Err(CommError::protocol(me, owner, "rebalance", detail));
+        }
+        stats.nodes_moved += 1;
+        stats.total_gain -= cand.delta;
     }
-    Ok(moved)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -768,6 +789,7 @@ mod tests {
     use super::*;
     use crate::comm::{CommErrorKind, LocalCluster};
     use kappa_gen::grid::grid2d;
+    use kappa_gen::rgg::random_geometric_graph;
     use kappa_graph::{BlockWeights, Partition, PartitionState};
     use kappa_refine::rebalance_state;
 
@@ -910,8 +932,9 @@ mod tests {
     }
 
     /// A winning rebalance candidate that moves its node to no block, or
-    /// back into the overloaded block, is the protocol error of the rank
-    /// owning the node — not a panic in the replicated weights.
+    /// back into the overloaded block, or that misstates the weight of a
+    /// node the other rank holds as a ghost, is the protocol error of the
+    /// rank owning the node — not a panic in the replicated weights.
     #[test]
     fn rebalance_rejects_a_winner_outside_the_blocks() {
         let g = grid2d(8, 8);
@@ -919,7 +942,17 @@ mod tests {
         let assignment: Vec<BlockId> = (0..64).map(|i| (i % 8 / 2).min(i / 48) as u32).collect();
         let partition = Partition::from_assignment(4, assignment);
         let l_max = Partition::l_max(&g, 4, 0.03);
-        for to in [7, 0] {
+        // Rank 0 owns rows 0..4; node 36 of row 4 is its ghost, 40 is not.
+        for (gid, to, weight, expected) in [
+            (40, 7, 1, "node 40 of weight 1 from block 0 to 7 of 4"),
+            (40, 0, 1, "node 40 back into block 0"),
+            (
+                36,
+                1,
+                2,
+                "node 36 of weight 2 from block 0 to 1 of 4; it weighs 1 in",
+            ),
+        ] {
             let outcomes = LocalCluster::new(2).run(|comm| {
                 let dg = DistGraph::from_global(&g, 2, comm.rank());
                 if comm.rank() == 1 {
@@ -927,23 +960,129 @@ mod tests {
                     let cand = RebalanceCand {
                         delta: i64::MIN,
                         target_weight: 0,
-                        gid: 40,
+                        gid,
                         to,
-                        weight: 1,
+                        weight,
                     };
                     // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgather meets the one inside rank 0's `dist_rebalance`, so both branches reach it
                     comm.allgather(Some(cand)).unwrap();
                     return None;
                 }
                 let mut st = shard(&dg, &partition, &g);
-                Some(dist_rebalance(comm, &dg, &mut st, l_max).unwrap_err())
+                let mut stats = RefinementStats::default();
+                Some(dist_rebalance(comm, &dg, &mut st, l_max, &mut stats).unwrap_err())
             });
             let e = outcomes[0].as_ref().unwrap();
             assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "rebalance"));
             assert!(
-                matches!(&e.kind, CommErrorKind::Protocol(d) if d.contains(&format!("to block {to} of 4"))),
+                matches!(&e.kind, CommErrorKind::Protocol(d)
+                    if d.contains(&format!("rank 1's {expected}"))),
                 "{e:?}"
             );
+        }
+    }
+
+    /// A home that reports a move of a node out of a block it is not in is
+    /// refused by the rank holding the node, which blames the home and the
+    /// pair before any replicated weight moves. Node 5 of a 12 × 12 grid
+    /// sits in block 1; the bad home of pair (0, 2) reports it moving from
+    /// block 2 to block 0, which `merge_reports` cannot tell from a move of
+    /// its pair.
+    #[test]
+    fn a_committed_move_out_of_the_wrong_block_blames_its_home() {
+        let g = grid2d(12, 12);
+        // Segments of four nodes cycle through the blocks; blocks 0 and 2
+        // (and 1 and 3) never touch, so the class itself moves nothing.
+        let partition = Partition::from_assignment(4, (0..144).map(|i| (i / 4) % 4).collect());
+        let l_max = Partition::l_max(&g, 4, 0.03);
+        let config = RefinementConfig::default();
+        // Pair 1 is homed on rank 1; rank 0 owns node 5.
+        let class = [(1, 3), (0, 2)];
+        let outcomes = LocalCluster::new(2).run(|comm| {
+            let dg = DistGraph::from_global(&g, 2, comm.rank());
+            let mut st = shard(&dg, &partition, &g);
+            let coords = ClassCoords {
+                class: &class,
+                global_iter: 0,
+                color_idx: 0,
+                config: &config,
+                l_max,
+            };
+            let mut scratch = FmScratch::new();
+            let mut bands = BandScratch::new(dg.num_owned());
+            if comm.rank() == 1 {
+                // The bad home: its own searches, then one move too many.
+                let pairs = PairRun::start_class(&dg, &st, &class, 2);
+                let mut mine =
+                    gather_and_search(comm, &dg, &st, &pairs, &coords, &mut scratch, &mut bands)
+                        .unwrap();
+                mine[0].moves.push(MoveRec {
+                    gid: 5,
+                    from: 2,
+                    to: 0,
+                    weight: 1,
+                });
+                exchange_reports(comm, &pairs, mine).unwrap();
+                return None;
+            }
+            let mut search = ClassSearch::Gathered(bands);
+            let mut stats = RefinementStats::default();
+            let e = refine_class(
+                comm,
+                &dg,
+                &mut st,
+                &coords,
+                &mut stats,
+                &mut scratch,
+                &mut search,
+            )
+            .unwrap_err();
+            Some((e, st.weights().as_slice().to_vec()))
+        });
+        let (e, weights) = outcomes[0].as_ref().unwrap();
+        assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "class-reports"));
+        assert!(
+            matches!(&e.kind, CommErrorKind::Protocol(d)
+                if d.contains("rank 1 reported pair 1 (0, 2) moving node 5 of weight 1 \
+                    from block 2 to 0 of 4; it weighs 1 in block 1 here")),
+            "{e:?}"
+        );
+        assert_eq!(weights, &[36; 4], "the refused move shifted no weight");
+    }
+
+    /// A level's gain is summed from its searches and its rebalancing moves,
+    /// never measured; it must still be the exact cut change. Every node
+    /// starts in block 0, so the level opens with a rebalance whose first
+    /// move is the interior fallback (block 0 has no boundary) and whose
+    /// later moves are boundary moves, before the pair searches run.
+    #[test]
+    fn level_gain_is_the_cut_change_from_an_infeasible_start() {
+        for (g, k) in [(grid2d(12, 12), 4u32), (random_geometric_graph(600, 7), 3)] {
+            let n = g.num_nodes();
+            let partition = Partition::from_assignment(k, vec![0; n]);
+            let l_max = Partition::l_max(&g, k, 0.03);
+            let config = RefinementConfig::default();
+            for ranks in [1usize, 2, 3] {
+                let outcomes = LocalCluster::new(ranks).run(|comm| {
+                    let dg = DistGraph::from_global(&g, ranks, comm.rank());
+                    let mut st = shard(&dg, &partition, &g);
+                    let mut stats = RefinementStats::default();
+                    dist_refine(comm, &dg, &mut st, &config, l_max, &mut stats).unwrap();
+                    (stats, st.view()[..dg.num_owned()].to_vec())
+                });
+                let stats = outcomes[0].0;
+                let refined = Partition::from_assignment(
+                    k,
+                    outcomes.into_iter().flat_map(|(_, owned)| owned).collect(),
+                );
+                assert!(stats.nodes_moved as f64 >= n as f64 * 0.5, "ranks {ranks}");
+                assert!(refined.is_balanced(&g, 0.03), "ranks {ranks}");
+                assert_eq!(
+                    stats.total_gain,
+                    partition.edge_cut(&g) as i64 - refined.edge_cut(&g) as i64,
+                    "ranks {ranks}, n {n}"
+                );
+            }
         }
     }
 
@@ -968,14 +1107,17 @@ mod tests {
                 let views = LocalCluster::new(ranks).run(|comm| {
                     let dg = DistGraph::from_global(&g, ranks, comm.rank());
                     let mut st = shard(&dg, &partition, &g);
-                    let moved = dist_rebalance(comm, &dg, &mut st, l_max).unwrap();
+                    let mut stats = RefinementStats::default();
+                    dist_rebalance(comm, &dg, &mut st, l_max, &mut stats).unwrap();
                     st.verify_exact(comm, &dg).unwrap();
                     let owned: Vec<BlockId> = st.view()[..dg.num_owned()].to_vec();
-                    (moved, owned)
+                    (stats, owned)
                 });
                 let mut global: Vec<BlockId> = Vec::new();
-                for (moved, owned) in views {
-                    assert_eq!(moved, moved_ref, "ranks {ranks} move count");
+                let cut_change = partition.edge_cut(&g) as i64 - reference.edge_cut() as i64;
+                for (stats, owned) in views {
+                    assert_eq!(stats.nodes_moved, moved_ref, "ranks {ranks} move count");
+                    assert_eq!(stats.total_gain, cut_change, "ranks {ranks} gain");
                     global.extend(owned);
                 }
                 assert_eq!(

@@ -16,11 +16,10 @@
 //!   only their owned-side edges, so ghost *membership* in the index is
 //!   partial — but that is never read; the index is authoritative exactly
 //!   for owned nodes, whose rows are complete;
-//! * **replicated block weights** (`k` entries, identical on every rank);
-//! * an exact **partial edge cut**: every global cut edge is counted by
-//!   exactly one rank — the owner of its smaller endpoint — so
-//!   `allreduce_sum` of the partials is the exact global cut at any commit
-//!   point.
+//! * **replicated block weights** (`k` entries, identical on every rank).
+//!
+//! The shard keeps no cut: refinement sums its searches' gains, and the
+//! run's cut is counted once, at finish, by [`DistState::edge_cut`].
 //!
 //! The per-rank count of full `O(n_local + m_local)` boundary-index builds is
 //! tracked just like in the shared pipeline: exactly one per rank per run
@@ -65,9 +64,6 @@ pub struct DistState {
     index: BoundaryIndex,
     /// Replicated per-block weights (identical on every rank).
     weights: BlockWeights,
-    /// This rank's share of the edge cut (edges whose smaller endpoint is
-    /// owned here).
-    cut_partial: EdgeWeight,
     /// Full boundary-index builds this shard has performed (1 per run).
     full_builds: usize,
 }
@@ -95,14 +91,12 @@ impl DistState {
         debug_assert_eq!(view.len(), dg.local().num_nodes());
         let index =
             BoundaryIndex::build_seeded(dg.local(), &LocalAssignment::new(&view, k), is_candidate);
-        let cut_partial = compute_cut_partial(dg, &view);
         DistState {
             k,
             committed: view.clone(),
             view,
             index,
             weights,
-            cut_partial,
             full_builds: inherited_full_builds,
         }
     }
@@ -143,15 +137,20 @@ impl DistState {
         &self.weights
     }
 
-    /// This rank's cut share; `allreduce_sum` over ranks is the exact cut.
-    #[inline]
-    pub fn cut_partial(&self) -> EdgeWeight {
-        self.cut_partial
-    }
-
-    /// The exact global edge cut (one allreduce).
-    pub fn edge_cut<C: Comm>(&self, comm: &mut C) -> CommResult<EdgeWeight> {
-        comm.allreduce_sum(self.cut_partial)
+    /// The exact global edge cut of the live view (collective): each rank
+    /// counts the cut edges of its owned rows whose other endpoint has the
+    /// larger global id, and one allreduce adds the counts.
+    pub fn edge_cut<C: Comm>(&self, comm: &mut C, dg: &DistGraph) -> CommResult<EdgeWeight> {
+        let mut cut = 0;
+        for l in 0..dg.num_owned() as NodeId {
+            let (g_l, b_l) = (dg.global_of(l), self.view[l as usize]);
+            for (t, w) in dg.local().edges_of(l) {
+                if dg.global_of(t) > g_l && self.view[t as usize] != b_l {
+                    cut += w;
+                }
+            }
+        }
+        comm.allreduce_sum(cut)
     }
 
     /// Full boundary-index builds performed by this shard (and the coarse
@@ -166,64 +165,42 @@ impl DistState {
         self.weights.as_slice().iter().all(|&w| w <= l_max)
     }
 
-    /// Records a move in the live view only (no index / weight / cut
-    /// update) — the mid-class path: seeds and bands read the current
-    /// assignment while the index stays at class start.
-    pub fn observe_move(&mut self, dg: &DistGraph, gid: NodeId, to: BlockId) {
-        if let Some(l) = dg.local_of(gid) {
-            self.view[l as usize] = to;
-        }
-    }
-
-    /// The live view by local id, writable with
-    /// [`observe_move`](Self::observe_move)'s mid-class meaning: the view
-    /// changes, the index stays at class start.
+    /// The live view by local id, writable with the mid-class meaning: a
+    /// running search's moves change the view, the index stays at class
+    /// start.
     pub(crate) fn live_view(&mut self) -> LocalAssignment<&mut [BlockId]> {
         LocalAssignment::new(&mut self.view, self.k)
     }
 
-    /// Applies a committed move to the derived state: boundary-index shard
-    /// (if the node is local), replicated weights, and the partial cut. The
-    /// view is set as well (idempotent when `observe_move` already ran).
+    /// Applies a committed move to the derived state: replicated weights
+    /// and, if the node is local, the view and the boundary-index shard.
+    /// Refuses (state untouched, with a description) a record that names no
+    /// node or block, or — on a rank holding the node — whose `from` or
+    /// `weight` are not the node's committed block and weight.
     ///
     /// Every rank must apply every committed move **in the same global
     /// order**; the lagging committed map supplies the pre-move assignment,
     /// which keeps the replay exact on each shard.
-    pub fn apply_committed(&mut self, dg: &DistGraph, rec: MoveRec) {
-        self.weights.apply_move(rec.from, rec.to, rec.weight);
-        let Some(l) = dg.local_of(rec.gid) else {
-            return;
-        };
-        self.view[l as usize] = rec.to;
-        debug_assert_eq!(
-            self.committed[l as usize], rec.from,
-            "committed move of node {} out of the wrong block",
-            rec.gid
-        );
-        // Partial-cut delta over the local row, using the committed blocks
-        // (= pre-move state in replay order). Edge (l, t) is counted here
-        // iff the smaller global endpoint is owned here.
-        let (lo, hi) = dg.owned_range();
-        let g_l = dg.global_of(l);
-        for (t, w) in dg.local().edges_of(l) {
-            let g_t = dg.global_of(t);
-            let min_gid = g_l.min(g_t);
-            if min_gid < lo || min_gid >= hi {
-                continue;
+    pub fn apply_committed(&mut self, dg: &DistGraph, rec: MoveRec) -> Result<(), String> {
+        let (gid, from, to, weight, k) = (rec.gid, rec.from, rec.to, rec.weight, self.k);
+        let local = dg.local_of(gid);
+        let held = local.map(|l| (self.committed[l as usize], dg.local().node_weight(l)));
+        let named = (gid as usize) < dg.num_global_nodes() && from.max(to) < k;
+        if !named || held.is_some_and(|held| held != (from, weight)) {
+            let mut why = format!("node {gid} of weight {weight} from block {from} to {to} of {k}");
+            if let Some((b, w)) = held {
+                why += &format!("; it weighs {w} in block {b} here");
             }
-            let bt = self.committed[t as usize];
-            let was_cut = bt != rec.from;
-            let is_cut = bt != rec.to;
-            match (was_cut, is_cut) {
-                (false, true) => self.cut_partial += w,
-                (true, false) => self.cut_partial -= w,
-                _ => {}
-            }
+            return Err(why);
         }
-        self.committed[l as usize] = rec.to;
-        let committed = LocalAssignment::new(&self.committed, self.k);
-        self.index
-            .apply_move(dg.local(), &committed, l, rec.from, rec.to);
+        self.weights.apply_move(from, to, weight);
+        if let Some(l) = local {
+            self.view[l as usize] = to;
+            self.committed[l as usize] = to;
+            let committed = LocalAssignment::new(&self.committed, k);
+            self.index.apply_move(dg.local(), &committed, l, from, to);
+        }
+        Ok(())
     }
 
     /// This rank's share of the quotient-graph cut weights, boundary-priced:
@@ -258,21 +235,13 @@ impl DistState {
     }
 
     /// Test oracle: checks the shard against fresh recomputation — committed
-    /// map and index vs the view and a full local rebuild, partial cut vs a
-    /// rescan, and (collectively) replicated weights and global cut vs the
-    /// allgathered assignment.
+    /// map and index vs the view and a full local rebuild, and
+    /// (collectively) the replicated weights vs the owned blocks of every
+    /// rank.
     pub fn verify_exact<C: Comm>(&self, comm: &mut C, dg: &DistGraph) -> Result<(), String> {
         let fresh = BoundaryIndex::build(dg.local(), &LocalAssignment::new(&self.view, self.k));
         if self.committed != self.view || !fresh.equivalent(&self.index) {
             return Err(format!("rank {}: boundary-index shard diverged", dg.rank()));
-        }
-        let cut = compute_cut_partial(dg, &self.view);
-        if cut != self.cut_partial {
-            return Err(format!(
-                "rank {}: partial cut diverged: cached {}, recomputed {cut}",
-                dg.rank(),
-                self.cut_partial
-            ));
         }
         // Replicated weights: recompute from owned nodes and allreduce.
         let mut local = vec![0u64; self.k as usize];
@@ -299,34 +268,13 @@ impl DistState {
     }
 }
 
-/// This rank's cut share from scratch: edges whose smaller global endpoint is
-/// owned here, with endpoints in different blocks.
-fn compute_cut_partial(dg: &DistGraph, view: &[BlockId]) -> EdgeWeight {
-    let mut cut = 0;
-    for l in 0..dg.num_owned() as NodeId {
-        let g_l = dg.global_of(l);
-        let b_l = view[l as usize];
-        for (t, w) in dg.local().edges_of(l) {
-            let g_t = dg.global_of(t);
-            // Count at the owner of the smaller endpoint: for owned l this
-            // means g_l < g_t; edges with a smaller ghost endpoint are
-            // counted at that ghost's owner (which sees the edge from its
-            // owned side).
-            if g_t > g_l && view[t as usize] != b_l {
-                cut += w;
-            }
-        }
-    }
-    cut
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::LocalCluster;
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
-    use kappa_graph::Partition;
+    use kappa_graph::{BlockAssignmentMut, Partition};
 
     fn shard_state(dg: &DistGraph, partition: &Partition) -> DistState {
         let view: Vec<BlockId> = (0..dg.local().num_nodes() as NodeId)
@@ -349,7 +297,7 @@ mod tests {
             let cuts = LocalCluster::new(ranks).run(|comm| {
                 let dg = DistGraph::from_global(&g, ranks, comm.rank());
                 let st = shard_state(&dg, &partition);
-                st.edge_cut(comm).unwrap()
+                st.edge_cut(comm, &dg).unwrap()
             });
             for cut in cuts {
                 assert_eq!(cut, expected, "ranks {ranks}");
@@ -375,11 +323,10 @@ mod tests {
                     to,
                     weight: 1,
                 };
-                st.observe_move(&dg, v, to);
-                st.apply_committed(&dg, rec);
+                st.apply_committed(&dg, rec).unwrap();
                 reference.assign(v, to);
                 st.verify_exact(comm, &dg).unwrap();
-                assert_eq!(st.edge_cut(comm).unwrap(), reference.edge_cut(&g));
+                assert_eq!(st.edge_cut(comm, &dg).unwrap(), reference.edge_cut(&g));
             }
         });
     }
@@ -420,13 +367,15 @@ mod tests {
                     let dg = DistGraph::from_global(&g, ranks, comm.rank());
                     let mut st = shard_state(&dg, &partition);
                     for rec in &recs {
-                        st.observe_move(&dg, rec.gid, rec.to);
+                        if let Some(l) = dg.local_of(rec.gid) {
+                            st.live_view().assign(l, rec.to);
+                        }
                     }
                     for &rec in &recs {
-                        st.apply_committed(&dg, rec);
+                        st.apply_committed(&dg, rec).unwrap();
                     }
                     st.verify_exact(comm, &dg).unwrap();
-                    assert_eq!(st.edge_cut(comm).unwrap(), expected, "ranks {ranks}");
+                    assert_eq!(st.edge_cut(comm, &dg).unwrap(), expected, "ranks {ranks}");
                 });
             }
         }
