@@ -9,7 +9,7 @@
 //! for* — the drift policy of the serving loop:
 //!
 //! - the **cut baseline** is the best cut the session has seen; when the
-//!   cached cut exceeds `baseline · (1 + cut_drift)`, a localized
+//!   maintained cut exceeds `baseline · (1 + cut_drift)`, a localized
 //!   re-refinement ([`refine_local`]) runs over the nodes touched since the
 //!   last repair;
 //! - the **balance trigger** fires when the maintained block weights violate
@@ -36,7 +36,7 @@ use crate::partitioner::KappaPartitioner;
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicConfig {
     /// Relative cut drift that triggers a localized repair: refine when the
-    /// cached cut exceeds `baseline · (1 + cut_drift)`.
+    /// maintained cut exceeds `baseline · (1 + cut_drift)`.
     pub cut_drift: f64,
     /// Check the drift/balance triggers after every mutation. Disable to
     /// drive repairs manually via [`DynamicSession::refine_now`].
@@ -215,7 +215,8 @@ impl DynamicSession {
         &self.stats
     }
 
-    /// The cached edge cut of the current partition.
+    /// The edge cut of the current partition, summed over the state's
+    /// maintained pair cut weights (`O(|E_Q|)`, no graph row read).
     #[inline]
     pub fn edge_cut(&self) -> EdgeWeight {
         self.state.edge_cut()
@@ -336,9 +337,9 @@ impl DynamicSession {
         self.l_max
     }
 
-    /// True when the drift policy wants a repair: the cached cut exceeds the
-    /// baseline by more than `cut_drift`, or the maintained weights violate
-    /// `L_max`.
+    /// True when the drift policy wants a repair: the maintained cut exceeds
+    /// the baseline by more than `cut_drift`, or the maintained weights
+    /// violate `L_max`.
     pub fn needs_refine(&mut self) -> bool {
         let cut = self.state.edge_cut();
         let threshold = self.baseline_cut as f64 * (1.0 + self.config.cut_drift);

@@ -4,9 +4,10 @@
 //! supersteps:
 //!
 //! 1. Per global iteration every rank contributes its boundary-priced share
-//!    of the quotient-graph cut weights; the merged quotient and its greedy
-//!    edge colouring are computed **replicated** (same seed, same result on
-//!    every rank) — no broadcast needed.
+//!    of the quotient-graph cut weights; the merged quotient (the shares
+//!    checked per sender, concatenated and summed by `sum_cut_weights`) and
+//!    its greedy edge colouring are computed **replicated** (same seed, same
+//!    result on every rank) — no broadcast needed.
 //! 2. The pairs of one colour class are block-disjoint, so they refine
 //!    concurrently: pair `i` of a class is assigned to **home rank**
 //!    `i mod R`. At one rank every pair runs kappa-refine's own `search_pair`
@@ -37,9 +38,7 @@
 //! `best_move_of` and an allreduce-min selects the unique global minimum
 //! candidate tuple.
 
-use std::collections::HashMap;
-
-use kappa_graph::{is_pair_boundary, BlockId, EdgeWeight, NodeId, NodeWeight, QuotientGraph};
+use kappa_graph::{is_pair_boundary, sum_cut_weights, BlockId, NodeId, NodeWeight, QuotientGraph};
 use kappa_refine::{
     best_move_of, color_quotient_edges, fallback_move_of, fallback_target, search_pair, BandShard,
     FmScratch, GatheredRegion, IdleBands, IndexSeeder, PairSearch, RefinementConfig,
@@ -148,11 +147,17 @@ pub fn dist_refine<C: Comm>(
     for global_iter in 0..config.max_global_iterations {
         // Replicated quotient from the allgathered boundary-priced shares.
         let shares = comm.allgather(st.quotient_partial(dg))?;
-        let mut cut_shares: HashMap<(BlockId, BlockId), EdgeWeight> = HashMap::new();
-        for (a, b, w) in shares.into_iter().flatten() {
-            *cut_shares.entry((a, b)).or_insert(0) += w;
+        // A pair outside `a < b < k` would index the colouring out of bounds.
+        for (src, share) in shares.iter().enumerate() {
+            if let Some(&(a, b, w)) = share.iter().find(|&&(a, b, _)| a >= b || b >= k) {
+                let why =
+                    format!("rank {src} reported cut weight {w} between blocks {a} and {b} of {k}");
+                return Err(CommError::protocol(comm.rank(), src, "quotient", why));
+            }
         }
-        let quotient = QuotientGraph::from_cut_weights(k, cut_shares);
+        let mut edges = shares.concat();
+        sum_cut_weights(&mut edges);
+        let quotient = QuotientGraph::from_sorted_edges(k, edges);
         if quotient.num_edges() == 0 {
             break;
         }
@@ -790,7 +795,7 @@ mod tests {
     use crate::comm::{CommErrorKind, LocalCluster};
     use kappa_gen::grid::grid2d;
     use kappa_gen::rgg::random_geometric_graph;
-    use kappa_graph::{BlockWeights, Partition, PartitionState};
+    use kappa_graph::{BlockWeights, EdgeWeight, Partition, PartitionState};
     use kappa_refine::rebalance_state;
 
     fn shard(dg: &DistGraph, partition: &Partition, g: &kappa_graph::CsrGraph) -> DistState {
@@ -977,6 +982,40 @@ mod tests {
             assert!(
                 matches!(&e.kind, CommErrorKind::Protocol(d)
                     if d.contains(&format!("rank 1's {expected}"))),
+                "{e:?}"
+            );
+        }
+    }
+
+    /// A quotient share naming a block past `k`, or a pair out of order, is
+    /// the protocol error of the rank that sent it — not an out-of-bounds
+    /// index in the replicated colouring.
+    #[test]
+    fn a_malformed_quotient_share_blames_its_sender() {
+        let g = grid2d(8, 8);
+        // Four vertical stripes of two columns: balanced, so the level opens
+        // with the quotient allgather.
+        let partition = Partition::from_assignment(4, (0..64).map(|i| i % 8 / 2).collect());
+        let l_max = Partition::l_max(&g, 4, 0.03);
+        let config = RefinementConfig::default();
+        for (a, b) in [(0, 4), (2, 1)] {
+            let outcomes = LocalCluster::new(2).run(|comm| {
+                if comm.rank() == 1 {
+                    let share: Vec<(BlockId, BlockId, EdgeWeight)> = vec![(a, b, 3)];
+                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgather meets the quotient allgather inside rank 0's `dist_refine`, so both branches reach it
+                    comm.allgather(share).unwrap();
+                    return None;
+                }
+                let dg = DistGraph::from_global(&g, 2, comm.rank());
+                let mut st = shard(&dg, &partition, &g);
+                let mut stats = RefinementStats::default();
+                Some(dist_refine(comm, &dg, &mut st, &config, l_max, &mut stats).unwrap_err())
+            });
+            let e = outcomes[0].as_ref().unwrap();
+            assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "quotient"));
+            let expected = format!("rank 1 reported cut weight 3 between blocks {a} and {b} of 4");
+            assert!(
+                matches!(&e.kind, CommErrorKind::Protocol(d) if *d == expected),
                 "{e:?}"
             );
         }

@@ -26,7 +26,9 @@
 //! (the coarsest level's); every finer level seeds its shard from the image
 //! of the coarse boundary.
 
-use kappa_graph::{BlockId, BlockWeights, BoundaryIndex, EdgeWeight, NodeId, NodeWeight};
+use kappa_graph::{
+    sum_cut_weights, BlockId, BlockWeights, BoundaryIndex, EdgeWeight, NodeId, NodeWeight,
+};
 
 use crate::comm::{Comm, CommResult};
 use crate::graph::{DistGraph, LocalAssignment};
@@ -205,12 +207,12 @@ impl DistState {
 
     /// This rank's share of the quotient-graph cut weights, boundary-priced:
     /// scans only owned boundary nodes from the index shard, counting each
-    /// cut edge at its smaller global endpoint. Allgathering and summing the
-    /// shares yields exactly the map `QuotientGraph::build` derives from the
-    /// full graph.
+    /// cut edge at its smaller global endpoint, and returns the pair sums
+    /// `(a, b, ω)`, `a < b`, ascending. Concatenating every rank's share and
+    /// summing it again with [`sum_cut_weights`] yields exactly the edge list
+    /// of `QuotientGraph::build` on the full graph.
     pub fn quotient_partial(&self, dg: &DistGraph) -> Vec<(BlockId, BlockId, EdgeWeight)> {
-        let mut cut: std::collections::HashMap<(BlockId, BlockId), EdgeWeight> =
-            std::collections::HashMap::new();
+        let mut cut = Vec::new();
         for &l in self.index.boundary_nodes_unordered() {
             if !dg.is_owned_local(l) {
                 continue;
@@ -222,16 +224,13 @@ impl DistState {
                 if g_t > g_l {
                     let b_t = self.view[t as usize];
                     if b_t != b_l {
-                        *cut.entry((b_l.min(b_t), b_l.max(b_t))).or_insert(0) += w;
+                        cut.push((b_l.min(b_t), b_l.max(b_t), w));
                     }
                 }
             }
         }
-        let mut shares: Vec<(BlockId, BlockId, EdgeWeight)> =
-            // kappa-lint: allow(hash-iter) -- drained into a Vec that is sorted immediately below, erasing the hash order.
-            cut.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-        shares.sort_unstable();
-        shares
+        sum_cut_weights(&mut cut);
+        cut
     }
 
     /// Test oracle: checks the shard against fresh recomputation — committed
@@ -310,7 +309,9 @@ mod tests {
         let g = grid2d(12, 12);
         let partition =
             Partition::from_assignment(3, (0..144).map(|i| ((i / 4) % 3) as u32).collect());
-        let moves: Vec<(NodeId, BlockId)> = vec![(5, 2), (50, 0), (100, 1), (7, 1), (5, 0)];
+        // Every move changes a block; at three ranks nodes 50 and 100 are
+        // also ghosts of a neighbouring rank.
+        let moves: Vec<(NodeId, BlockId)> = vec![(5, 2), (50, 1), (100, 0), (7, 2), (5, 0)];
         let ranks = 3;
         LocalCluster::new(ranks).run(|comm| {
             let dg = DistGraph::from_global(&g, ranks, comm.rank());
@@ -323,6 +324,7 @@ mod tests {
                     to,
                     weight: 1,
                 };
+                assert_ne!(rec.from, rec.to, "node {v} is already in block {to}");
                 st.apply_committed(&dg, rec).unwrap();
                 reference.assign(v, to);
                 st.verify_exact(comm, &dg).unwrap();
@@ -391,12 +393,9 @@ mod tests {
         let merged = LocalCluster::new(ranks).run(|comm| {
             let dg = DistGraph::from_global(&g, ranks, comm.rank());
             let st = shard_state(&dg, &partition);
-            let shares = comm.allgather(st.quotient_partial(&dg)).unwrap();
-            let mut map = std::collections::HashMap::new();
-            for (a, b, w) in shares.into_iter().flatten() {
-                *map.entry((a, b)).or_insert(0) += w;
-            }
-            kappa_graph::QuotientGraph::from_cut_weights(partition.k(), map)
+            let mut edges = comm.allgather(st.quotient_partial(&dg)).unwrap().concat();
+            sum_cut_weights(&mut edges);
+            kappa_graph::QuotientGraph::from_sorted_edges(partition.k(), edges)
         });
         for q in merged {
             assert_eq!(q.edges(), reference.edges());

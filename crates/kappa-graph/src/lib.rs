@@ -5,8 +5,8 @@
 //! parallel edges, partitions with balance accounting, quotient graphs,
 //! induced subgraphs with back-mappings, boundary/band utilities, an
 //! incrementally maintained [`BoundaryIndex`], the persistent
-//! [`PartitionState`] (assignment + weights + boundary index + cached cut
-//! behind one exact `apply_move`), the mutating [`DynamicGraph`] of the
+//! [`PartitionState`] (assignment + weights + boundary index + per-pair cut
+//! weights behind one exact `apply_move`), the mutating [`DynamicGraph`] of the
 //! dynamic service (vertex/edge insert-delete with stable ids, read through
 //! the same [`GraphAccess`] seam as every frozen graph) and METIS-style text
 //! I/O.
@@ -66,7 +66,7 @@ pub use io::{
 };
 pub use partition::{BlockAssignment, BlockAssignmentMut, BlockWeights, Partition};
 pub use partition_state::PartitionState;
-pub use quotient::QuotientGraph;
+pub use quotient::{sum_cut_weights, QuotientGraph};
 pub use stream::{EdgeSource, SliceEdgeSource};
 pub use subgraph::{extract_subgraph, ExtractedSubgraph};
 pub use types::{BlockId, EdgeWeight, NodeId, NodeWeight, INVALID_BLOCK, INVALID_NODE};

@@ -10,24 +10,27 @@
 //! iteration, and the rebalancer mutated the partition behind the index's
 //! back.
 //!
-//! [`PartitionState`] bundles five pieces of derived state — the block
-//! assignment, the per-block weights, the boundary index, the cached edge
-//! cut and the per-pair cut weights of the quotient graph — behind one
+//! [`PartitionState`] bundles four pieces of derived state — the block
+//! assignment, the per-block weights, the boundary index and the per-pair
+//! cut weights of the quotient graph — behind one
 //! [`apply_move`](PartitionState::apply_move) that keeps all of them exact
-//! in `O(deg(v))`, in the one pass over `v`'s row that the cut delta needs
-//! anyway. Layers *thread the state through* instead of rebuilding it: the
-//! refinement scheduler receives it current and returns it current, the
-//! rebalancer routes its moves through it, and the uncoarsening loop carries
-//! it across hierarchy levels via [`project`](PartitionState::project),
-//! which seeds the fine level's index from the coarse boundary (the fine
-//! boundary is a subset of the image of the coarse boundary) and keeps the
-//! weights, the cut and every pair's cut weight, which contraction
-//! preserves. [`quotient`](PartitionState::quotient) therefore costs
-//! `O(|E_Q|)` and reads no row. The only full `O(n + m)`
-//! [`BoundaryIndex::build`] in a run is the coarsest level's —
-//! [`full_builds`](PartitionState::full_builds) counts them so tests can
-//! prove it. The assignment is the state's one node → block map: the index
-//! holds none and is handed this one wherever it needs a node's block.
+//! in `O(deg(v))`, in the one pass over `v`'s row that the pair cuts need
+//! anyway. The pair cut weights are the only form of the cut it keeps: the
+//! edge cut is their sum, and the quotient is their list. Layers *thread
+//! the state through* instead of rebuilding it: the refinement scheduler
+//! receives it current and returns it current, the rebalancer routes its
+//! moves through it, and the uncoarsening loop carries it across hierarchy
+//! levels via [`project`](PartitionState::project), which seeds the fine
+//! level's index from the coarse boundary (the fine boundary is a subset of
+//! the image of the coarse boundary) and keeps the weights and every pair's
+//! cut weight, which contraction preserves.
+//! [`quotient`](PartitionState::quotient) and
+//! [`edge_cut`](PartitionState::edge_cut) therefore cost `O(|E_Q|)` and read
+//! no row. The only full `O(n + m)` [`BoundaryIndex::build`] in a run is the
+//! coarsest level's — [`full_builds`](PartitionState::full_builds) counts
+//! them so tests can prove it. The assignment is the state's one node →
+//! block map: the index holds none and is handed this one wherever it needs
+//! a node's block.
 
 use std::collections::BTreeMap;
 
@@ -38,12 +41,12 @@ use crate::quotient::QuotientGraph;
 use crate::types::{BlockId, EdgeWeight, NodeId, NodeWeight};
 
 /// A partition plus its incrementally maintained derived state: block
-/// weights, boundary index, cached edge cut and per-pair cut weights.
+/// weights, boundary index and per-pair cut weights.
 ///
-/// Invariant (after every public call): `weights`, `boundary`, `cut` and
+/// Invariant (after every public call): `weights`, `boundary` and
 /// `pair_cuts` are exactly what [`BlockWeights::compute`],
-/// [`BoundaryIndex::build`], [`Partition::edge_cut`] and
-/// [`QuotientGraph::build`] would recompute from `partition` — see
+/// [`BoundaryIndex::build`] and [`QuotientGraph::build`] would recompute
+/// from `partition`, so their sum is [`Partition::edge_cut`] — see
 /// [`verify_exact`](PartitionState::verify_exact), which tests use to assert
 /// it after arbitrary interleavings of moves and projections.
 ///
@@ -68,7 +71,6 @@ pub struct PartitionState {
     partition: Partition,
     weights: BlockWeights,
     boundary: BoundaryIndex,
-    cut: EdgeWeight,
     /// The cut weight `ω(E_ab)` of every adjacent block pair `a < b`. Edge
     /// weights are positive, so a pair is adjacent exactly while its weight
     /// is.
@@ -80,9 +82,9 @@ pub struct PartitionState {
 
 impl PartitionState {
     /// Builds the derived state from scratch: one `O(n + m)` pass each for
-    /// the weights, the boundary index and the quotient (whose total is the
-    /// cut). This is the *only* full build a partitioning run should perform
-    /// (at the coarsest level); every finer level arrives via
+    /// the weights, the boundary index and the pair cut weights. This is
+    /// the *only* full build a partitioning run should perform (at the
+    /// coarsest level); every finer level arrives via
     /// [`project`](PartitionState::project).
     ///
     /// `partition` must be a complete assignment for `graph`.
@@ -95,7 +97,6 @@ impl PartitionState {
             partition,
             weights,
             boundary,
-            cut: quotient.total_cut(),
             pair_cuts: quotient
                 .edges()
                 .iter()
@@ -109,8 +110,8 @@ impl PartitionState {
     /// given the `coarse_of` map (for every fine node, its coarse image).
     ///
     /// Contraction preserves block weights and the cut weight between every
-    /// two blocks, so the weights, the cut and the per-pair cut weights carry
-    /// over unchanged; the fine boundary index is seeded by scanning **only**
+    /// two blocks, so the weights and the per-pair cut weights carry over
+    /// unchanged; the fine boundary index is seeded by scanning **only**
     /// fine nodes whose coarse image is boundary (the fine boundary is a
     /// subset of the image of the coarse boundary), via
     /// [`BoundaryIndex::build_seeded`] — no full `O(n + m)` build.
@@ -121,7 +122,7 @@ impl PartitionState {
             self.boundary.is_boundary(coarse_of[v as usize])
         });
         debug_assert_eq!(
-            self.cut,
+            self.edge_cut(),
             partition.edge_cut(fine_graph),
             "projection changed the edge cut"
         );
@@ -129,7 +130,6 @@ impl PartitionState {
             partition,
             weights: self.weights.clone(),
             boundary,
-            cut: self.cut,
             pair_cuts: self.pair_cuts.clone(),
             full_builds: self.full_builds,
         }
@@ -154,10 +154,10 @@ impl PartitionState {
         &self.boundary
     }
 
-    /// The cached edge cut `Σ_{i<j} ω(E_ij)`.
-    #[inline]
+    /// The edge cut `Σ_{i<j} ω(E_ij)`, summed over the maintained pair cut
+    /// weights in `O(|E_Q|)`.
     pub fn edge_cut(&self) -> EdgeWeight {
-        self.cut
+        self.pair_cuts.values().sum()
     }
 
     /// Number of blocks `k`.
@@ -186,7 +186,7 @@ impl PartitionState {
     }
 
     /// Moves `v` to block `to`, updating the assignment, block weights,
-    /// boundary index, cached cut and per-pair cut weights in
+    /// boundary index and per-pair cut weights in
     /// `O(deg(v) · log maxdeg)`. Returns `false` (and does nothing) when `v`
     /// is already in `to`.
     ///
@@ -199,10 +199,10 @@ impl PartitionState {
         if from == to {
             return false;
         }
-        // Weighted connectivity of v to its old and new block decides the cut
-        // delta: edges into `from` become cut, edges into `to` stop being cut
-        // — both between `from` and `to`. An edge into a third block `c`
-        // stays cut but moves from the pair (from, c) to the pair (to, c).
+        // Weighted connectivity of v to its old and new block decides the
+        // change of the pair (from, to): edges into `from` become cut, edges
+        // into `to` stop being cut. An edge into a third block `c` stays cut
+        // but moves from the pair (from, c) to the pair (to, c).
         let mut conn_from: EdgeWeight = 0;
         let mut conn_to: EdgeWeight = 0;
         let (partition, pair_cuts) = (&self.partition, &mut self.pair_cuts);
@@ -217,7 +217,6 @@ impl PartitionState {
                 shift_cut(pair_cuts, to, b, w, 0);
             }
         });
-        self.cut = self.cut + conn_from - conn_to;
         shift_cut(&mut self.pair_cuts, from, to, conn_from, conn_to);
         self.weights.apply_move(from, to, graph.node_weight(v));
         self.partition.assign(v, to);
@@ -226,15 +225,14 @@ impl PartitionState {
         true
     }
 
-    /// Absorbs the insertion of edge `{v, u}` with weight `w`: the cached cut
-    /// and the endpoints' pair cut grow by `w` when the endpoints are in
-    /// different blocks, and the boundary index absorbs the new incidence.
-    /// Call *after* the graph mutation (ordering is irrelevant — no
-    /// adjacency scan is needed, the update is purely endpoint-local).
+    /// Absorbs the insertion of edge `{v, u}` with weight `w`: the endpoints'
+    /// pair cut grows by `w` when the endpoints are in different blocks, and
+    /// the boundary index absorbs the new incidence. Call *after* the graph
+    /// mutation (ordering is irrelevant — no adjacency scan is needed, the
+    /// update is purely endpoint-local).
     pub fn apply_edge_insert(&mut self, v: NodeId, u: NodeId, w: EdgeWeight) {
         let (bv, bu) = (self.partition.block_of(v), self.partition.block_of(u));
         if bv != bu {
-            self.cut += w;
             shift_cut(&mut self.pair_cuts, bv, bu, w, 0);
         }
         self.boundary.edge_inserted(&self.partition, v, u);
@@ -245,15 +243,14 @@ impl PartitionState {
     pub fn apply_edge_delete(&mut self, v: NodeId, u: NodeId, w: EdgeWeight) {
         let (bv, bu) = (self.partition.block_of(v), self.partition.block_of(u));
         if bv != bu {
-            self.cut -= w;
             shift_cut(&mut self.pair_cuts, bv, bu, 0, w);
         }
         self.boundary.edge_deleted(&self.partition, v, u);
     }
 
     /// Absorbs a reweight of edge `{v, u}` from `old_w` to `new_w`. Only the
-    /// cached cut and the endpoints' pair cut can change; boundary structure
-    /// and weights are untouched.
+    /// endpoints' pair cut can change; boundary structure and weights are
+    /// untouched.
     pub fn apply_edge_reweight(
         &mut self,
         v: NodeId,
@@ -263,7 +260,6 @@ impl PartitionState {
     ) {
         let (bv, bu) = (self.partition.block_of(v), self.partition.block_of(u));
         if bv != bu {
-            self.cut = self.cut - old_w + new_w;
             shift_cut(&mut self.pair_cuts, bv, bu, new_w, old_w);
         }
     }
@@ -296,7 +292,7 @@ impl PartitionState {
     }
 
     /// The quotient graph of the current partition, read off the maintained
-    /// per-pair cut weights in `O(k + |E_Q|)` — no graph row is read.
+    /// per-pair cut weights in `O(|E_Q|)` — no graph row is read.
     /// Equal to [`QuotientGraph::build`] (proptested in `tests/parity.rs`).
     pub fn quotient(&self) -> QuotientGraph {
         let edges = self.pair_cuts.iter().map(|(&(a, b), &w)| (a, b, w));
@@ -313,13 +309,6 @@ impl PartitionState {
                 "block weights diverged: cached {:?}, recomputed {:?}",
                 self.weights.as_slice(),
                 weights.as_slice()
-            ));
-        }
-        let cut = self.partition.edge_cut(graph);
-        if cut != self.cut {
-            return Err(format!(
-                "edge cut diverged: cached {}, recomputed {cut}",
-                self.cut
             ));
         }
         let boundary = BoundaryIndex::build(graph, &self.partition);

@@ -4,23 +4,35 @@
 //! indicates that the underlying graph `G` has at least one edge between blocks
 //! `A` and `B`, and its weight is the total weight of those cut edges. The
 //! parallel refinement algorithm schedules pairwise local searches along the
-//! edges of `Q`, grouped into matchings by an edge colouring.
-
-use std::collections::HashMap;
+//! edges of `Q`, grouped into matchings by an edge colouring — which is all
+//! it reads, so `Q` is stored as that edge list alone, which every producer
+//! reaches through [`sum_cut_weights`].
 
 use crate::access::GraphAccess;
 use crate::partition::Partition;
 use crate::types::{BlockId, EdgeWeight};
 
-/// Quotient graph of a partition: the block-level connectivity structure.
+/// Quotient graph of a partition: every adjacent block pair once, as
+/// `(a, b, cut_weight)` with `a < b`, ascending.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QuotientGraph {
     k: BlockId,
-    /// Adjacency: for every block, the (neighbor block, cut weight) pairs sorted
-    /// by neighbour id.
-    adj: Vec<Vec<(BlockId, EdgeWeight)>>,
-    /// Every quotient edge once, as `(a, b, cut_weight)` with `a < b`.
     edges: Vec<(BlockId, BlockId, EdgeWeight)>,
+}
+
+/// Sorts cut-weight entries `(a, b, ω)` (each pair normalised `a < b`) by
+/// pair and sums the entries of equal pairs into one — the quotient's edge
+/// list from any multiset of contributions: one entry per cut edge, or
+/// per-rank partial sums.
+pub fn sum_cut_weights(edges: &mut Vec<(BlockId, BlockId, EdgeWeight)>) {
+    edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    edges.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
+        }
+        same
+    });
 }
 
 impl QuotientGraph {
@@ -31,9 +43,9 @@ impl QuotientGraph {
     /// [`PartitionState`](crate::PartitionState) read the identical quotient
     /// off their maintained per-pair cut weights via
     /// [`PartitionState::quotient`](crate::PartitionState::quotient) in
-    /// `O(k + |E_Q|)` instead.
+    /// `O(|E_Q|)` instead.
     pub fn build<G: GraphAccess>(graph: &G, partition: &Partition) -> Self {
-        let mut cut_weights: HashMap<(BlockId, BlockId), EdgeWeight> = HashMap::new();
+        let mut edges = Vec::new();
         for u in GraphAccess::nodes(graph) {
             let bu = partition.block_of(u);
             // Count each undirected edge once, at its smaller endpoint.
@@ -41,49 +53,25 @@ impl QuotientGraph {
                 if u < v {
                     let bv = partition.block_of(v);
                     if bu != bv {
-                        let key = (bu.min(bv), bu.max(bv));
-                        *cut_weights.entry(key).or_insert(0) += w;
+                        edges.push((bu.min(bv), bu.max(bv), w));
                     }
                 }
             });
         }
-        Self::from_cut_weights(partition.k(), cut_weights)
-    }
-
-    /// Assembles a quotient graph from aggregated per-pair cut weights
-    /// (`(a, b) → Σ ω`, keys normalised `a < b`). Shared by the full-scan
-    /// [`build`](Self::build) and the distributed pipeline (which allgathers
-    /// per-rank partial weights), so both produce bit-identical edge lists
-    /// from equal weight maps.
-    pub fn from_cut_weights(
-        k: BlockId,
-        cut_weights: HashMap<(BlockId, BlockId), EdgeWeight>,
-    ) -> Self {
-        // kappa-lint: allow(hash-iter) -- drained into a Vec that is sorted immediately below, erasing the hash order.
-        let mut edges: Vec<(BlockId, BlockId, EdgeWeight)> = cut_weights
-            .into_iter()
-            .map(|((a, b), w)| (a, b, w))
-            .collect();
-        edges.sort_unstable();
-        Self::from_sorted_edges(k, edges)
+        sum_cut_weights(&mut edges);
+        Self::from_sorted_edges(partition.k(), edges)
     }
 
     /// Assembles a quotient graph from its edge list `(a, b, Σ ω)`, every
-    /// pair once with `a < b`, ascending — what
-    /// [`PartitionState::quotient`](crate::PartitionState::quotient) reads off
-    /// its maintained cut weights.
+    /// pair once with `a < b < k`, ascending — what [`sum_cut_weights`]
+    /// leaves behind.
     pub fn from_sorted_edges(k: BlockId, edges: Vec<(BlockId, BlockId, EdgeWeight)>) -> Self {
         debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "unsorted edges");
-        let mut adj = vec![Vec::new(); k as usize];
-        for &(a, b, w) in &edges {
-            debug_assert!(a < b && b < k, "malformed quotient edge ({a}, {b})");
-            adj[a as usize].push((b, w));
-            adj[b as usize].push((a, w));
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        QuotientGraph { k, adj, edges }
+        debug_assert!(
+            edges.iter().all(|&(a, b, _)| a < b && b < k),
+            "malformed quotient edge"
+        );
+        QuotientGraph { k, edges }
     }
 
     /// Number of blocks (nodes of `Q`).
@@ -104,26 +92,14 @@ impl QuotientGraph {
         &self.edges
     }
 
-    /// Neighbouring blocks of block `b` with the corresponding cut weights.
-    #[inline]
-    pub fn neighbors(&self, b: BlockId) -> &[(BlockId, EdgeWeight)] {
-        &self.adj[b as usize]
-    }
-
-    /// Degree of a block in `Q`.
-    #[inline]
-    pub fn degree(&self, b: BlockId) -> usize {
-        self.adj[b as usize].len()
-    }
-
     /// Maximum degree Δ(Q); the greedy edge colouring uses at most `2Δ − 1` colours.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(|l| l.len()).max().unwrap_or(0)
-    }
-
-    /// Total cut weight (must equal `partition.edge_cut(graph)`).
-    pub fn total_cut(&self) -> EdgeWeight {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
+        let mut degree = vec![0usize; self.k as usize];
+        for &(a, b, _) in &self.edges {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
+        }
+        degree.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -133,6 +109,10 @@ mod tests {
     use crate::builder::GraphBuilder;
     use crate::csr::CsrGraph;
     use crate::types::NodeId;
+
+    fn cut_of(q: &QuotientGraph) -> EdgeWeight {
+        q.edges().iter().map(|&(_, _, w)| w).sum()
+    }
 
     /// A 4x4 grid graph partitioned into 4 quadrant blocks, as in Figure 1.
     fn grid4() -> (CsrGraph, Partition) {
@@ -167,9 +147,8 @@ mod tests {
         // Quadrants: 0-1, 0-2, 1-3, 2-3 adjacent; 0-3 and 1-2 not (no diagonal edges).
         let pairs: Vec<_> = q.edges().iter().map(|&(a, b, _)| (a, b)).collect();
         assert_eq!(pairs, [(0, 1), (0, 2), (1, 3), (2, 3)]);
-        assert_eq!(q.total_cut(), p.edge_cut(&g));
+        assert_eq!(cut_of(&q), p.edge_cut(&g));
         assert_eq!(q.max_degree(), 2);
-        assert_eq!(q.degree(0), 2);
     }
 
     #[test]
@@ -184,7 +163,7 @@ mod tests {
         let q = QuotientGraph::build(&g, &p);
         assert_eq!(q.num_edges(), 1);
         assert_eq!(q.edges()[0], (0, 1, 5)); // edges 0-2 (3) and 1-3 (2) are cut
-        assert_eq!(q.total_cut(), 5);
+        assert_eq!(cut_of(&q), 5);
     }
 
     #[test]
@@ -203,6 +182,6 @@ mod tests {
         let q = QuotientGraph::build(&g, &p);
         assert_eq!(q.num_blocks(), 1);
         assert_eq!(q.num_edges(), 0);
-        assert_eq!(q.total_cut(), 0);
+        assert_eq!(cut_of(&q), 0);
     }
 }

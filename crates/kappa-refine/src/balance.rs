@@ -12,7 +12,7 @@
 //! [`PartitionState`]'s boundary index (only boundary nodes can move cheaply
 //! — an interior node has no adjacent block to move to) and routes every
 //! move through [`PartitionState::apply_move`], so the index, weights and
-//! cached cut stay exact. Its test-only full-scan twin `rebalance` scans
+//! pair cut weights stay exact. Its test-only full-scan twin `rebalance` scans
 //! every node per move and writes a bare `Partition`; both pick the minimum
 //! of the same candidate tuple set, so they are bit-identical (this module's
 //! tests and `scheduler::tests`).
@@ -139,7 +139,7 @@ fn fallback_candidate<G: GraphAccess>(
 ///
 /// Candidates come from the state's boundary index (`O(|boundary|)` per
 /// move) and every move goes through [`PartitionState::apply_move`], keeping
-/// the index, weights and cached cut exact.
+/// the index, weights and pair cut weights exact.
 pub fn rebalance_state<G: GraphAccess>(
     graph: &G,
     state: &mut PartitionState,

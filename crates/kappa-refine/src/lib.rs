@@ -41,7 +41,7 @@
 //!
 //! The scheduler and balancer operate on one persistent
 //! [`PartitionState`](kappa_graph::PartitionState) — assignment, incremental
-//! block weights, incremental boundary index and cached edge cut behind a
+//! block weights, incremental boundary index and per-pair cut weights behind a
 //! single exact `apply_move` — which the uncoarsening loop threads across
 //! hierarchy levels, so a whole run performs exactly one full boundary-index
 //! build (at the coarsest level).

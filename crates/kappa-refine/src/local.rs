@@ -225,7 +225,7 @@ pub fn refine_local<G: GraphAccess>(
     debug_assert_eq!(
         state.edge_cut(),
         state.partition().edge_cut(graph),
-        "cut cache diverged during localized refinement"
+        "pair cut weights diverged during localized refinement"
     );
     stats.total_gain = cut_before - state.edge_cut() as i64;
     stats

@@ -24,8 +24,8 @@
 //! blocks is adopted" exchange.
 //!
 //! The scheduler operates on one [`PartitionState`] — assignment,
-//! incremental block weights, incremental boundary index, cached cut and
-//! per-pair cut weights behind a single `apply_move` — that arrives current
+//! incremental block weights, incremental boundary index and per-pair cut
+//! weights behind a single `apply_move` — that arrives current
 //! and is returned current: nothing is rebuilt per call or per global
 //! iteration, and the rebalancer routes its moves through the same state.
 //! What a call does pay for is what changed:
@@ -319,15 +319,16 @@ pub fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
 /// Returns statistics.
 ///
 /// The state arrives **current** — its boundary index, block weights and
-/// cached cut already match the assignment (built once at the coarsest level,
-/// then carried across levels by [`PartitionState::project`]) — and is
-/// returned current, so this function builds the index **zero** times and
-/// recomputes neither the weights (previously `O(n)` per global iteration)
-/// nor the cut (previously `O(m)` per call). All block pairs of one
-/// quotient-colour class run concurrently, each against a [`DeltaPairView`]
-/// of the shared partition; the merged deltas are applied once per class
-/// through [`PartitionState::apply_move`], and the rebalancer routes its
-/// moves the same way, so nothing ever mutates the assignment behind the
+/// pair cut weights already match the assignment (built once at the
+/// coarsest level, then carried across levels by
+/// [`PartitionState::project`]) — and is returned current, so this function
+/// builds the index **zero** times and recomputes neither the weights
+/// (previously `O(n)` per global iteration) nor the cut (previously `O(m)`
+/// per call). All block pairs of one quotient-colour class run
+/// concurrently, each against a [`DeltaPairView`] of the shared partition;
+/// the merged deltas are applied once per class through
+/// [`PartitionState::apply_move`], and the rebalancer routes its moves the
+/// same way, so nothing ever mutates the assignment behind the
 /// index's back. The FM searches draw their buffers from a [`ScratchPool`],
 /// so neither boundary extraction nor FM performs per-search `O(n)` work,
 /// and an [`IdleBands`] store that lives for this call lets an unchanged
@@ -364,7 +365,7 @@ pub fn refine_partition<G: GraphAccess + Sync>(
     debug_assert_eq!(
         state.edge_cut(),
         state.partition().edge_cut(graph),
-        "stale cut cache on entry"
+        "stale pair cut weights on entry"
     );
 
     // Repair gross imbalance first so FM starts from a feasible state.
@@ -437,8 +438,8 @@ pub fn refine_partition<G: GraphAccess + Sync>(
                 .collect();
 
             // Apply the merged deltas once per class — one state call updates
-            // the partition, block weights, boundary index, cached cut and
-            // pair cut weights, so the next class seeds from the committed
+            // the partition, block weights, boundary index and pair cut
+            // weights, so the next class seeds from the committed
             // state.
             for (&(a, b), mut delta) in class.iter().zip(deltas) {
                 stats.count_pair(&delta);
@@ -462,13 +463,13 @@ pub fn refine_partition<G: GraphAccess + Sync>(
     if !state.is_balanced(l_max) {
         stats.nodes_moved += rebalance_state(graph, state, l_max);
     }
-    // Total gain is reported against the cached cut so rebalancing moves
-    // (which are not FM moves) are accounted for as well; the cache is exact
-    // (asserted against a recompute in debug builds).
+    // Total gain is reported against the maintained cut so rebalancing
+    // moves (which are not FM moves) are accounted for as well; the pair
+    // cut weights are exact (asserted against a recompute in debug builds).
     debug_assert_eq!(
         state.edge_cut(),
         state.partition().edge_cut(graph),
-        "cut cache diverged during refinement"
+        "pair cut weights diverged during refinement"
     );
     stats.total_gain = cut_before - state.edge_cut() as i64;
     stats
@@ -1021,7 +1022,7 @@ mod tests {
 
     // Tentpole property: arbitrary interleavings of FM delta-moves (through
     // the parallel scheduler), rebalance moves and level projections keep the
-    // PartitionState exact — weights, boundary index AND cached cut match a
+    // PartitionState exact — weights, boundary index AND pair cuts match a
     // fresh recomputation after every step, for every thread count — and the
     // whole interleaving stays bit-identical to the reference pipeline that
     // re-derives everything from scratch.

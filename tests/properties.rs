@@ -138,7 +138,7 @@ proptest! {
         prop_assert!(coloring.validate().is_ok());
         prop_assert_eq!(coloring.num_pairs(), q.num_edges());
         prop_assert!(coloring.num_colors() <= (2 * q.max_degree()).max(1));
-        prop_assert_eq!(q.total_cut(), p.edge_cut(&graph));
+        prop_assert_eq!(q.edges().iter().map(|&(_, _, w)| w).sum::<u64>(), p.edge_cut(&graph));
     }
 
     #[test]

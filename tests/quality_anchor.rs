@@ -8,14 +8,20 @@
 //! - Chains of k equal cliques joined by single unit edges, whose optimum
 //!   is the k − 1 joining edges: cutting into a clique of s nodes costs at
 //!   least s − 1 edges.
+//! - Every `generate` family at `--nodes 20` and graph seeds 1–3 (rgg 20,
+//!   delaunay 16, grid 16, road 6 or 9 and rmat 16 nodes) at k = 2,
+//!   against the optimum that the test enumerates over every balanced
+//!   bisection. Its bound is on the excess `cut − optimum`, so an optimum
+//!   of 0 counts like any other.
 //!
 //! The bounds are the worst ratio over the seeds below, measured when the
 //! test was written and rounded up to the next 0.05 (worst grid ratios:
 //! minimal 1.521, fast 1.236, strong 1.097; every clique chain is cut at
-//! exactly its joining edges), so a change that makes any preset's
+//! exactly its joining edges), and the worst excess for the generated
+//! family (minimal 4, fast 3, strong 3), so a change that makes any preset's
 //! partitions worse on these instances fails here first.
 
-use kappa::gen::grid2d;
+use kappa::gen::{generate, grid2d};
 use kappa::graph::graph_from_edges;
 use kappa::prelude::*;
 
@@ -124,4 +130,91 @@ fn clique_chains_are_cut_at_their_joining_edges() {
             (ConfigPreset::Strong, 1.0),
         ],
     );
+}
+
+/// The least cut over every assignment of `graph`'s nodes to two blocks
+/// that keeps both within `Partition::l_max(graph, 2, 0.03)`, with node 0
+/// in block 0. The assignments are visited in Gray-code order: step `i`
+/// flips node `1 + trailing_zeros(i)`, so each step costs that node's
+/// degree.
+fn exhaustive_bisection(graph: &CsrGraph) -> u64 {
+    let n = graph.num_nodes();
+    let l_max = Partition::l_max(graph, 2, 0.03);
+    let total: u64 = (0..n as u32).map(|v| graph.node_weight(v)).sum();
+    let mut in_one = vec![false; n];
+    let (mut cut, mut weight_one) = (0u64, 0u64);
+    let mut best = if total <= l_max { 0 } else { u64::MAX };
+    for step in 1u64..1 << (n - 1) {
+        let v = 1 + step.trailing_zeros();
+        let side = !in_one[v as usize];
+        in_one[v as usize] = side;
+        for (u, w) in graph.edges_of(v) {
+            if in_one[u as usize] == side {
+                cut -= w;
+            } else {
+                cut += w;
+            }
+        }
+        if side {
+            weight_one += graph.node_weight(v);
+        } else {
+            weight_one -= graph.node_weight(v);
+        }
+        if weight_one <= l_max && total - weight_one <= l_max {
+            best = best.min(cut);
+        }
+    }
+    assert_ne!(best, u64::MAX, "no balanced bisection of {n} nodes");
+    best
+}
+
+#[test]
+fn small_generated_graphs_stay_near_their_exhaustive_optimum() {
+    let mut instances = Vec::new();
+    for family in ["rgg", "delaunay", "grid", "road", "rmat"] {
+        for seed in 1..=3 {
+            let graph = generate(family, 20, seed).unwrap();
+            let name = format!("{family} of {} nodes, seed {seed}", graph.num_nodes());
+            let optimum = exhaustive_bisection(&graph);
+            instances.push((name, graph, optimum));
+        }
+    }
+    // The worst excess over these instances and the seeds below, measured
+    // when the family was added. Every miss is on rmat or on a disconnected
+    // rgg whose optimum is 0; delaunay, grid and road are cut optimally.
+    for (preset, bound) in [
+        (ConfigPreset::Minimal, 4),
+        (ConfigPreset::Fast, 3),
+        (ConfigPreset::Strong, 3),
+    ] {
+        let mut worst = 0;
+        for (name, graph, optimum) in &instances {
+            for seed in SEEDS {
+                let config = KappaConfig::preset(preset, 2).with_seed(seed);
+                let r = KappaPartitioner::new(config).partition(graph);
+                let (cut, preset) = (r.metrics.edge_cut, preset.name());
+                assert!(
+                    r.metrics.feasible,
+                    "{name}, {preset}, seed {seed}: infeasible"
+                );
+                let excess = cut.checked_sub(*optimum).unwrap_or_else(|| {
+                    panic!("{name}, {preset}, seed {seed}: cut {cut} below the optimum {optimum}")
+                });
+                let ratio = match optimum {
+                    0 => "-".to_string(),
+                    _ => format!("{:.3}", cut as f64 / *optimum as f64),
+                };
+                eprintln!(
+                    "{name}, k = 2, {preset}, seed {seed}: cut {cut}, optimum {optimum}, \
+                     excess {excess}, ratio {ratio}"
+                );
+                worst = worst.max(excess);
+            }
+        }
+        assert!(
+            worst <= bound,
+            "small generated graphs, {}: worst excess {worst} > {bound}",
+            preset.name()
+        );
+    }
 }
