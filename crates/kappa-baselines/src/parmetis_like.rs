@@ -67,8 +67,9 @@ impl BaselinePartitioner for ParMetisLike {
         // Single cheap pass per level against the relaxed bound, on every
         // level but the coarsest.
         let relaxed = epsilon + BALANCE_SLACK;
+        let mut coarsest_level = true;
         let mut state = hierarchy.uncoarsen(current, |fine, state| {
-            if !std::ptr::eq(fine, coarsest) {
+            if !std::mem::take(&mut coarsest_level) {
                 let l_max = Partition::l_max(fine, k, relaxed);
                 greedy_kway_refinement_indexed(fine, state, l_max, 1);
             }

@@ -16,8 +16,9 @@
 //!
 //! The paper runs contraction per PE; [`contract_matching`] mirrors that by
 //! partitioning the coarse-node id space into contiguous per-worker ranges,
-//! pushing each range's rows into a [`CsrRows`] of its own (plus node weights
-//! and coordinates) independently, with a row merger whose slots cover the
+//! pushing each range's rows into a [`CsrRows`] of its own, reserved once at
+//! the range's fine degree sum (plus node weights and coordinates),
+//! independently, with a row merger whose slots cover the
 //! worker's own range — `coarse_n` slots in all, at any thread count. The
 //! first range's arrays become the coarse graph, the others are joined onto
 //! them in range order with [`CsrRows::append`], and the sealed arrays are
@@ -221,8 +222,8 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
 
     // Phase 3: the first fragment becomes the coarse graph, grown once to
     // the exact total; the others are appended to it in coarse-id order, and
-    // the edge arrays are trimmed of their growth slack — so a single
-    // fragment is sealed without a copy.
+    // the edge arrays are trimmed to their length — so a single fragment is
+    // sealed without a copy.
     let mut fragments = fragments.into_iter();
     let (mut rows, mut vwgt, mut coords) = fragments
         .next()
@@ -249,10 +250,15 @@ pub fn contract_matching(graph: &CsrGraph, matching: &Matching) -> Contraction {
 
 /// Builds the fragment of one contiguous coarse-id range: for every coarse
 /// node, its [merged row](RowMerger::merged_row), its node weight and its
-/// averaged coordinates.
+/// averaged coordinates. Its edge arrays are reserved once at the range's
+/// fine degree sum, which bounds the coarse rows, so they never grow.
 fn build_fragment(graph: &CsrGraph, coarse_of: &[NodeId], range: &[Reps]) -> Fragment {
     let coords = graph.coords();
-    let mut rows = CsrGraph::rows(range.len(), 0);
+    let fine = range
+        .iter()
+        .flat_map(|&(u, p)| [u, p])
+        .filter(|&v| v != INVALID_NODE);
+    let mut rows = CsrGraph::rows(range.len(), fine.map(|v| graph.degree(v)).sum());
     let mut vwgt = Vec::with_capacity(range.len());
     let mut fragment_coords = coords.map(|_| Vec::with_capacity(range.len()));
     let first = range.first().map_or(0, |&(u, _)| coarse_of[u as usize]);

@@ -7,9 +7,10 @@
 //! fails to shrink the graph appreciably (e.g. on star-like graphs where
 //! matchings are tiny) — [`CoarseningConfig::MIN_SHRINK`].
 //!
-//! There is one hierarchy type and one upward walk,
-//! [`MultilevelHierarchy::walk_up`], for every graph store and caller — a
-//! whole graph or one rank's shard of it; [`MultilevelHierarchy::uncoarsen`]
+//! There is one hierarchy type for every graph store and caller — a whole
+//! graph or one rank's shard of it — walked up one way: take the top level
+//! off ([`pop`](MultilevelHierarchy::pop)), project through its `coarse_of`,
+//! drop it, then refine the finer graph. [`MultilevelHierarchy::uncoarsen`]
 //! is that walk carrying a [`PartitionState`]. Whole graphs coarsen in
 //! [`MultilevelHierarchy::build_with`], generic over [`GraphAccess`]; what a
 //! store contributes is *how a matching becomes the next level*, passed in
@@ -21,7 +22,7 @@
 
 use std::convert::Infallible;
 
-use kappa_graph::{CsrGraph, GraphAccess, NodeId, Partition, PartitionState};
+use kappa_graph::{CsrGraph, GraphAccess, Partition, PartitionState};
 use kappa_matching::{
     compute_matching, parallel_matching, EdgeRating, Matching, MatchingAlgorithm,
     ParallelMatchingConfig,
@@ -170,16 +171,13 @@ impl<'g, G> MultilevelHierarchy<'g, G> {
         (0..self.num_levels()).map(|level| self.graph_at(level))
     }
 
-    /// The upward half of the V-cycle as a walk: one `(fine, coarse,
-    /// coarse_of)` step per contraction, coarsest first, where `coarse_of`
-    /// maps `fine`'s nodes onto `coarse`'s. A state of the coarsest graph is
-    /// projected along every step and refined on `fine` — by
-    /// [`Self::uncoarsen`], or by a loop body where the steps are fallible.
-    pub fn walk_up(&self) -> impl Iterator<Item = (&G, &G, &[NodeId])> {
-        (1..self.num_levels()).rev().map(|level| {
-            let coarse_of = self.levels[level - 1].coarse_of.as_slice();
-            (self.graph_at(level - 1), self.graph_at(level), coarse_of)
-        })
+    /// Takes the coarsest level off the hierarchy: its graph and the
+    /// `coarse_of` that maps the next finer graph — the new
+    /// [`coarsest`](Self::coarsest) — onto it; `None` once only the finest
+    /// graph is left. One step of the upward walk: project through
+    /// `coarse_of`, drop the level, then refine the finer graph.
+    pub fn pop(&mut self) -> Option<Contraction<G>> {
+        self.levels.pop()
     }
 }
 
@@ -214,22 +212,25 @@ impl<'g, G: GraphAccess> MultilevelHierarchy<'g, G> {
         Ok(hierarchy)
     }
 
-    /// The upward half of the V-cycle on a [`PartitionState`]: derives the
-    /// state of `coarsest` (a partition of the coarsest graph) on the
-    /// coarsest level — the run's only full `O(n + m)` boundary-index build
-    /// — and hands it to `refine`, then follows [`Self::walk_up`], projecting
-    /// it one level down and refining again, until it describes the finest
-    /// graph. `refine` is told which graph the state describes; a no-op
-    /// `refine` makes this the plain projection to the finest level.
+    /// The upward half of the V-cycle on a [`PartitionState`], consuming
+    /// the hierarchy: derives the state of `coarsest` (a partition of the
+    /// coarsest graph) on the coarsest level — the run's only full
+    /// `O(n + m)` boundary-index build — and hands it to `refine`, then
+    /// [`pop`](Self::pop)s each level, projects the state through it and
+    /// drops it (a spilled level's file with it) before refining again.
+    /// `refine` is told which graph the state describes; a no-op `refine`
+    /// makes this the plain projection to the finest level.
     pub fn uncoarsen(
-        &self,
+        mut self,
         coarsest: Partition,
         mut refine: impl FnMut(&G, &mut PartitionState),
     ) -> PartitionState {
         let mut state = PartitionState::build(self.coarsest(), coarsest);
         refine(self.coarsest(), &mut state);
-        for (fine, _, coarse_of) in self.walk_up() {
-            state = state.project(fine, coarse_of);
+        while let Some(level) = self.pop() {
+            let fine = self.coarsest();
+            state = state.project(fine, &level.coarse_of);
+            drop(level);
             refine(fine, &mut state);
         }
         state
@@ -288,20 +289,21 @@ mod tests {
         );
         let cut_coarse = p.edge_cut(coarsest);
         let mut projected = p.clone();
-        for (_, _, coarse_of) in h.walk_up() {
-            projected = projected.project(coarse_of);
+        let mut levels = h.clone();
+        while let Some(level) = levels.pop() {
+            projected = projected.project(&level.coarse_of);
         }
+        let want: Vec<_> = h.graphs().map(|graph| graph.num_nodes()).collect();
         let mut visited = Vec::new();
         let state = h.uncoarsen(p, |graph, _| visited.push(graph.num_nodes()));
-        let levels = (0..h.num_levels()).rev();
-        let want: Vec<_> = levels.map(|l| h.graph_at(l).num_nodes()).collect();
+        visited.reverse();
         assert_eq!(visited, want);
         assert_eq!(state.full_builds(), 1);
-        state.verify_exact(h.finest()).unwrap();
+        state.verify_exact(&g).unwrap();
         let fine = state.into_partition();
         assert_eq!(fine.assignment(), projected.assignment());
-        assert_eq!(fine.edge_cut(h.finest()), cut_coarse);
-        assert!(fine.validate(h.finest()).is_ok());
+        assert_eq!(fine.edge_cut(&g), cut_coarse);
+        assert!(fine.validate(&g).is_ok());
     }
 
     #[test]
@@ -311,7 +313,7 @@ mod tests {
             stop_at_nodes: 30,
             ..Default::default()
         };
-        let h = build(&g, &config);
+        let mut h = build(&g, &config);
         let coarsest = h.coarsest();
         let p = Partition::from_assignment(
             3,
@@ -319,9 +321,10 @@ mod tests {
         );
         let mut state = PartitionState::build(coarsest, p.clone());
         let mut partition = p;
-        for (fine, _, coarse_of) in h.walk_up() {
-            state = state.project(fine, coarse_of);
-            partition = partition.project(coarse_of);
+        while let Some(level) = h.pop() {
+            let fine = h.coarsest();
+            state = state.project(fine, &level.coarse_of);
+            partition = partition.project(&level.coarse_of);
             assert_eq!(state.partition().assignment(), partition.assignment());
             // Seeded projection never performs another full build…
             assert_eq!(state.full_builds(), 1);

@@ -65,7 +65,7 @@ pub fn contract_to_tier<G: GraphAccess>(
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
     /// Directory for spill files (one `level-<i>.kpg` per paged level);
-    /// created if missing, files are deleted when the hierarchy drops.
+    /// created if missing, a level's file is deleted when the level drops.
     pub spill_dir: PathBuf,
     /// A coarse level is paged while its *fine* graph still has more than
     /// this many half-edges (the coarse size is bounded by the fine size);
@@ -115,6 +115,7 @@ mod tests {
     use super::*;
     use crate::contract::contract_matching;
     use crate::hierarchy::{CoarseningConfig, MultilevelHierarchy};
+    use kappa_graph::Partition;
     use kappa_matching::{compute_matching, EdgeRating, MatchingAlgorithm};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -228,6 +229,70 @@ mod tests {
             leftovers.is_empty(),
             "spill files left behind: {leftovers:?}"
         );
+        std::fs::remove_dir_all(&spill.spill_dir).unwrap();
+    }
+
+    /// The upward walk frees every level it leaves: when `refine` runs on
+    /// level l, no spill file of a coarser level is left on disk.
+    #[test]
+    fn uncoarsening_drops_each_level_before_refining_the_finer_one() {
+        let g = kappa_gen::grid::grid2d(40, 40);
+        let config = CoarseningConfig {
+            stop_at_nodes: 50,
+            ..Default::default()
+        };
+        let spill = SpillConfig {
+            spill_dir: tmpdir("walk"),
+            spill_above_half_edges: 500,
+            cache: PageCacheConfig {
+                page_size: 4096,
+                cache_pages: 16,
+            },
+        };
+        let finest = TierGraph::Compact(kappa_mem::CompactCsr::from_graph(&g));
+        let hierarchy = MultilevelHierarchy::build_with(
+            &finest,
+            &config,
+            |gr, seed| compute_matching(gr, MatchingAlgorithm::Gpa, EdgeRating::Weight, seed),
+            |gr, m, level| spill.contract(gr, m, level),
+        )
+        .unwrap();
+        // The levels on disk, by the `level-<l>.kpg` name of their file.
+        let spilled = || -> Vec<usize> {
+            let mut levels: Vec<usize> = std::fs::read_dir(&spill.spill_dir)
+                .unwrap()
+                .filter_map(|e| {
+                    let name = e.unwrap().file_name().into_string().unwrap();
+                    name.strip_prefix("level-")?
+                        .strip_suffix(".kpg")?
+                        .parse()
+                        .ok()
+                })
+                .collect();
+            levels.sort_unstable();
+            levels
+        };
+        let top = hierarchy.num_levels() - 1;
+        assert!(
+            spilled().len() >= 2,
+            "levels did not spill: {:?}",
+            spilled()
+        );
+        let n = hierarchy.coarsest().num_nodes();
+        let coarsest = Partition::from_assignment(2, (0..n).map(|i| (i % 2) as u32).collect());
+        let mut visited = Vec::new();
+        let state = hierarchy.uncoarsen(coarsest, |graph, _| {
+            let level = top - visited.len();
+            let left: Vec<_> = spilled().into_iter().filter(|&l| l > level).collect();
+            assert!(
+                left.is_empty(),
+                "refining level {level} while coarser levels {left:?} are on disk"
+            );
+            visited.push(graph.num_nodes());
+        });
+        assert_eq!(visited.len(), top + 1);
+        assert_eq!(state.partition().num_nodes(), g.num_nodes());
+        assert!(spilled().is_empty());
         std::fs::remove_dir_all(&spill.spill_dir).unwrap();
     }
 }

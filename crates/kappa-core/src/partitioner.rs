@@ -118,7 +118,7 @@ impl KappaPartitioner {
         let contract = |level_graph: &CsrGraph, matching: &Matching, _level| {
             Ok::<_, Infallible>(contract_matching(level_graph, matching))
         };
-        let Ok((result, _)) = multilevel(config, graph, num_parts, matcher, contract, |coarsest| {
+        let Ok(result) = multilevel(config, graph, num_parts, matcher, contract, |coarsest| {
             Cow::Borrowed(coarsest)
         });
         result
@@ -135,16 +135,16 @@ impl KappaPartitioner {
 /// matching becomes the next level on `G`), `pes` (the multiplier of the
 /// configured initial repeats) and `as_csr` (the coarsest graph as plain CSR
 /// for the initial partitioner — borrowed where `G` already is one). The
-/// hierarchy borrows `finest`, so no run copies its input. Returns the
-/// hierarchy beside the result so a caller can report on it.
-pub(crate) fn multilevel<'g, G: GraphAccess + Sync, E>(
+/// hierarchy borrows `finest`, so no run copies its input, and uncoarsening
+/// consumes it, so every coarse level is freed as the walk leaves it.
+pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     config: &KappaConfig,
-    finest: &'g G,
+    finest: &G,
     pes: usize,
     matcher: impl FnMut(&G, u64) -> Matching,
     contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
     as_csr: impl Fn(&G) -> Cow<'_, CsrGraph>,
-) -> Result<(PartitionResult, MultilevelHierarchy<'g, G>), E> {
+) -> Result<PartitionResult, E> {
     // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
     let start = Instant::now();
     let k = config.k.max(1);
@@ -162,7 +162,7 @@ pub(crate) fn multilevel<'g, G: GraphAccess + Sync, E>(
             refinement: RefinementStats::default(),
             boundary_full_builds: 0,
         };
-        return Ok((result, MultilevelHierarchy::flat(finest)));
+        return Ok(result);
     }
 
     // --- Phase 1: contraction (matching + contraction per level). ---
@@ -178,6 +178,8 @@ pub(crate) fn multilevel<'g, G: GraphAccess + Sync, E>(
     let coarsest = hierarchy.coarsest();
     let initial = best_of_repeats(&as_csr(coarsest), &config.initial_partitioning(pes, 0));
     let initial_partitioning = initial_start.elapsed();
+    let hierarchy_levels = hierarchy.num_levels();
+    let coarsest_nodes = coarsest.num_nodes();
 
     // --- Phase 3: uncoarsening with pairwise parallel refinement. ---
     // One persistent PartitionState, built in full once at the coarsest
@@ -202,12 +204,12 @@ pub(crate) fn multilevel<'g, G: GraphAccess + Sync, E>(
         metrics: PartitionMetrics::measure(finest, &partition, config.epsilon, start.elapsed()),
         partition,
         timings,
-        hierarchy_levels: hierarchy.num_levels(),
-        coarsest_nodes: coarsest.num_nodes(),
+        hierarchy_levels,
+        coarsest_nodes,
         refinement,
         boundary_full_builds,
     };
-    Ok((result, hierarchy))
+    Ok(result)
 }
 
 #[cfg(test)]

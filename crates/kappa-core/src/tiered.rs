@@ -96,17 +96,21 @@ pub fn partition_tiered(
     config: &KappaConfig,
     spill: &SpillConfig,
 ) -> io::Result<TieredPartitionResult> {
-    let (result, hierarchy) = multilevel(
+    let mut level_tiers = vec![finest.tier_name()];
+    let result = multilevel(
         config,
         &finest,
         1,
         |level_graph, seed| compute_matching(level_graph, config.matching, config.rating, seed),
-        |level_graph, matching, level| spill.contract(level_graph, matching, level),
+        |level_graph, matching, level| {
+            let contraction = spill.contract(level_graph, matching, level);
+            contraction.inspect(|coarse| level_tiers.push(coarse.coarse_graph.tier_name()))
+        },
         |coarsest| Cow::Owned(coarsest.to_csr()),
     )?;
     Ok(TieredPartitionResult {
         result,
-        level_tiers: hierarchy.graphs().map(TierGraph::tier_name).collect(),
+        level_tiers,
     })
 }
 

@@ -42,8 +42,8 @@ type ShippedRow = (NodeId, Vec<(NodeId, EdgeWeight)>, NodeWeight);
 /// Result of one distributed contraction step.
 #[derive(Clone, Debug)]
 pub struct DistContraction {
-    /// The coarse distributed graph.
-    pub coarse: DistGraph,
+    /// The coarse distributed graph, which owns its rows.
+    pub coarse: DistGraph<'static>,
     /// Global coarse id of every **owned** fine node.
     pub coarse_of_owned: Vec<NodeId>,
 }

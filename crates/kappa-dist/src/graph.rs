@@ -24,11 +24,15 @@
 //! is handed, in place ([`CsrRows::remap_targets`]): owned targets become
 //! `t − lo`, remote ones are recorded and become ghost ids once the sorted
 //! ghost set is known, and the ghost reverse rows are appended to the same
-//! rows. A shard therefore holds its edges once; at one rank, or on any rank
-//! whose rows name no remote node, there are no ghosts and the shard is the
-//! handed rows as they came. An owner checks every id a peer asks it about
+//! rows. A shard therefore holds its edges once; on any rank whose rows name
+//! no remote node there are no ghosts and the shard is the handed rows as
+//! they came. A level-0 shard that owns every node — every one-rank run — is
+//! not assembled at all: it borrows the caller's graph, so no run holds its
+//! input twice. An owner checks every id a peer asks it about
 //! ([`DistGraph::pull`], the ghost weights of `assemble_with`) against its
 //! own range and answers a foreign id with a protocol error.
+
+use std::borrow::Cow;
 
 use kappa_graph::{
     BlockAssignment, BlockAssignmentMut, BlockId, CsrGraph, CsrRows, EdgeWeight, NodeId,
@@ -37,16 +41,18 @@ use kappa_graph::{
 
 use crate::comm::{Comm, CommError, CommResult, Message};
 
-/// One rank's shard of a distributed graph.
+/// One rank's shard of a distributed graph. A shard that owns every node of
+/// a caller's graph borrows it for `'g`; every other shard — a slice, a fold,
+/// a coarse level — owns its rows and is a `DistGraph<'static>`.
 #[derive(Clone, Debug)]
-pub struct DistGraph {
+pub struct DistGraph<'g> {
     rank: usize,
     ranks: usize,
     /// Global ownership ranges: rank `r` owns `range_starts[r] ..
     /// range_starts[r + 1]`. Length `ranks + 1`.
     range_starts: Vec<NodeId>,
     /// Owned rows followed by ghost rows, local ids.
-    local: CsrGraph,
+    local: Cow<'g, CsrGraph>,
     /// Number of owned nodes.
     ln: usize,
     /// Global ids of the ghosts (ascending; ghost `g` is local `ln + g`).
@@ -77,36 +83,49 @@ pub fn owner_in(range_starts: &[NodeId], gid: NodeId) -> usize {
     range_starts.partition_point(|&s| s <= gid) - 1
 }
 
-impl DistGraph {
+impl<'g> DistGraph<'g> {
     /// Builds rank `rank`'s shard of `graph` under the even 1D block
     /// distribution. Requires no communication — every rank slices the same
     /// input deterministically.
-    pub fn from_global(graph: &CsrGraph, ranks: usize, rank: usize) -> DistGraph {
+    pub fn from_global(graph: &'g CsrGraph, ranks: usize, rank: usize) -> Self {
         Self::from_global_ranges(graph, even_ranges(graph.num_nodes(), ranks), rank)
     }
 
     /// [`Self::from_global`] with explicit ownership ranges (the pipeline's
-    /// locality-preserving spatial layout produces uneven ones).
-    pub fn from_global_ranges(
-        graph: &CsrGraph,
-        range_starts: Vec<NodeId>,
-        rank: usize,
-    ) -> DistGraph {
+    /// locality-preserving spatial layout produces uneven ones). A rank whose
+    /// range is `0..n` owns the whole graph, has no ghosts and renames no
+    /// target, so its shard borrows `graph` as it is; any other range is
+    /// copied out and assembled.
+    pub fn from_global_ranges(graph: &'g CsrGraph, range_starts: Vec<NodeId>, rank: usize) -> Self {
         let ranks = range_starts.len() - 1;
         let lo = range_starts[rank] as usize;
         let hi = range_starts[rank + 1] as usize;
+        if (lo, hi) == (0, graph.num_nodes()) {
+            return DistGraph {
+                rank,
+                ranks,
+                range_starts,
+                local: Cow::Borrowed(graph),
+                ln: hi,
+                ghost_global: Vec::new(),
+                send_lists: vec![Vec::new(); ranks],
+                ghost_of_rank: vec![0; ranks + 1],
+            };
+        }
         let mut rows = CsrGraph::rows(hi - lo, graph.xadj()[hi] - graph.xadj()[lo]);
         for v in lo..hi {
             rows.push_node(graph.edges_of(v as NodeId));
         }
         let vwgt = graph.vwgt()[lo..hi].to_vec();
-        Self::assemble(rank, ranks, range_starts, rows, vwgt, |gids, _| {
+        DistGraph::assemble(rank, ranks, range_starts, rows, vwgt, |gids, _| {
             Ok(gids.iter().map(|&g| graph.node_weight(g)).collect())
         })
         // kappa-lint: allow(dist-no-panic) -- the ghost-weight closure above always returns Ok and assemble's row count is ln by construction, so no error path exists
         .expect("local assembly does not communicate")
     }
+}
 
+impl DistGraph<'static> {
     /// Assembles a shard from the owned rows, one per owned node in
     /// ascending order with **global** targets, and their node weights `vwgt`.
     /// The rows are rewritten in place into the shard's local ids and the
@@ -122,7 +141,7 @@ impl DistGraph {
         mut rows: CsrRows,
         mut vwgt: Vec<NodeWeight>,
         ghost_weights: impl FnOnce(&[NodeId], &[NodeWeight]) -> CommResult<Vec<NodeWeight>>,
-    ) -> CommResult<DistGraph> {
+    ) -> CommResult<Self> {
         let lo = range_starts[rank];
         let hi = range_starts[rank + 1];
         let ln = (hi - lo) as usize;
@@ -215,7 +234,7 @@ impl DistGraph {
             rank,
             ranks,
             range_starts,
-            local: rows.finish(vwgt, None),
+            local: Cow::Owned(rows.finish(vwgt, None)),
             ln,
             ghost_global,
             send_lists,
@@ -233,7 +252,7 @@ impl DistGraph {
         range_starts: Vec<NodeId>,
         rows: CsrRows,
         vwgt: Vec<NodeWeight>,
-    ) -> CommResult<DistGraph> {
+    ) -> CommResult<Self> {
         let owners = range_starts.clone();
         let lo = range_starts[rank];
         Self::assemble(rank, ranks, range_starts, rows, vwgt, |ghosts, owned| {
@@ -250,7 +269,9 @@ impl DistGraph {
             Ok(comm.alltoallv(responses)?.into_iter().flatten().collect())
         })
     }
+}
 
+impl DistGraph<'_> {
     /// This shard's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -512,17 +533,24 @@ mod tests {
         }
     }
 
+    /// A shard that owns every node is the caller's graph, not a copy of it
+    /// — at one rank, and on a rank whose peers own empty ranges.
     #[test]
     fn single_rank_shard_is_the_graph_itself() {
         let g = grid2d(10, 10);
-        let dg = DistGraph::from_global(&g, 1, 0);
-        assert!(dg.ghosts().is_empty());
-        // Identical CSR structure; only the coordinates are dropped (the
-        // distributed pipeline partitions by ownership, not geometry).
-        assert_eq!(dg.local().xadj(), g.xadj());
-        assert_eq!(dg.local().adjncy(), g.adjncy());
-        assert_eq!(dg.local().adjwgt(), g.adjwgt());
-        assert_eq!(dg.local().vwgt(), g.vwgt());
+        let n = g.num_nodes() as NodeId;
+        for ranges in [vec![0, n], vec![0, n, n]] {
+            let dg = DistGraph::from_global_ranges(&g, ranges.clone(), 0);
+            assert!(std::ptr::eq(dg.local(), &g), "ranges {ranges:?}");
+            assert!(dg.ghosts().is_empty());
+            for rank in 0..ranges.len() - 1 {
+                check_shard(&g, &ranges, rank);
+            }
+        }
+        // Rank 1 of [0, n, n] owns nothing; its empty shard still assembles.
+        let empty = DistGraph::from_global_ranges(&g, vec![0, n, n], 1);
+        assert!(!std::ptr::eq(empty.local(), &g));
+        assert_eq!((empty.num_owned(), empty.local().num_nodes()), (0, 0));
     }
 
     /// The shard invariants of one rank of `graph` under `ranges`.

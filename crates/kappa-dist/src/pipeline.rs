@@ -20,8 +20,9 @@
 //!   assignment broadcast — the paper's "partition redundantly on every PE,
 //!   keep the best" step.
 //! * **Uncoarsening** — one [`DistState`] per rank threads through the
-//!   levels along [`MultilevelHierarchy::walk_up`], the walk of the shared
-//!   pipeline's `uncoarsen`: refined with [`dist_refine`], projected by
+//!   levels as the shared pipeline's `uncoarsen` walks them, each level
+//!   [popped](MultilevelHierarchy::pop) off the hierarchy and dropped once
+//!   the state is projected through it: refined with [`dist_refine`], projected by
 //!   reading each owned fine node's coarse block / boundary flag in place
 //!   (pulled only when another rank owns the image) and a **seeded** boundary-index
 //!   build (only fine nodes whose coarse image is boundary are edge-scanned),
@@ -344,12 +345,12 @@ type FoldRow = (NodeId, NodeWeight, Vec<(NodeId, EdgeWeight)>);
 /// ranks keep participating in every collective — they just own nothing,
 /// and since coarse ownership is derived from anchor counts, they own
 /// nothing on all coarser levels too.
-fn fold_graph<C: Comm>(
+fn fold_graph<'g, C: Comm>(
     comm: &mut C,
-    dg: DistGraph,
+    dg: DistGraph<'g>,
     active: &mut usize,
     threshold: usize,
-) -> CommResult<DistGraph> {
+) -> CommResult<DistGraph<'g>> {
     let n = dg.num_global_nodes();
     let target = fold_active(n, *active, threshold);
     if target == *active {
@@ -450,6 +451,8 @@ fn rank_main<C: Comm>(
         });
     }
     let coarsest = hierarchy.coarsest();
+    let hierarchy_levels = hierarchy.num_levels();
+    let coarsest_nodes = coarsest.num_global_nodes();
 
     // --- Phase 2: redundant initial partitioning of the coarsest graph. ---
     comm.set_phase("initial");
@@ -472,7 +475,8 @@ fn rank_main<C: Comm>(
 
     // --- Phase 3: uncoarsening with pairwise distributed refinement. ---
     // The walk `MultilevelHierarchy::uncoarsen` takes, with one shard of the
-    // state per rank and every step a fallible collective.
+    // state per rank and every step a fallible collective: pop the coarsest
+    // level, project through it, drop it, refine the finer shard.
     let refinement_config = base.refinement();
     let mut stats = RefinementStats::default();
     let mut refine = |comm: &mut C, dg: &DistGraph, st: &mut DistState| {
@@ -487,9 +491,11 @@ fn rank_main<C: Comm>(
     let weights = BlockWeights::compute(&coarsest_full, &winner);
     let mut st = DistState::build(coarsest, view, k, weights);
     refine(comm, coarsest, &mut st)?;
-    for (fine, coarse, coarse_of_owned) in hierarchy.walk_up() {
+    while let Some(level) = hierarchy.pop() {
         comm.set_phase("project");
-        st = project_state(comm, fine, coarse, &st, coarse_of_owned)?;
+        let fine = hierarchy.coarsest();
+        st = project_state(comm, fine, &level.coarse_graph, &st, &level.coarse_of)?;
+        drop(level);
         refine(comm, fine, &mut st)?;
     }
 
@@ -507,8 +513,8 @@ fn rank_main<C: Comm>(
     Ok(RankResult {
         partition,
         edge_cut,
-        hierarchy_levels: hierarchy.num_levels(),
-        coarsest_nodes: coarsest.num_global_nodes(),
+        hierarchy_levels,
+        coarsest_nodes,
         refinement: stats,
         full_builds: st.full_builds(),
         comm: comm.stats().clone(),

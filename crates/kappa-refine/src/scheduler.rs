@@ -1050,11 +1050,13 @@ mod tests {
             refine_partition_reference(coarsest, &mut reference, &refine_config);
             prop_assert!(state.verify_exact(coarsest).is_ok(), "after coarsest FM");
             prop_assert_eq!(state.partition().assignment(), reference.assignment());
-            for (fine, _, coarse_of) in hierarchy.walk_up() {
+            let mut levels = hierarchy.clone();
+            while let Some(level) = levels.pop() {
                 // …then, per level: project, rebalance against a tight bound
                 // (forcing repair moves), and run FM again.
-                state = state.project(fine, coarse_of);
-                reference = reference.project(coarse_of);
+                let fine = levels.coarsest();
+                state = state.project(fine, &level.coarse_of);
+                reference = reference.project(&level.coarse_of);
                 prop_assert!(state.verify_exact(fine).is_ok(), "after projection");
 
                 let l_max = Partition::l_max(fine, k, 0.0);

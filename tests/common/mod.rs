@@ -71,7 +71,7 @@ pub fn assert_state_matches_rebuild(context: &str, graph: &CsrGraph, state: &Par
     assert_eq!(
         state.edge_cut(),
         partition.edge_cut(graph),
-        "{context}: cached cut differs from a full rescan"
+        "{context}: the sum of the pair cuts differs from a full rescan"
     );
     if let Err(e) = state.verify_exact(graph) {
         panic!("{context}: verify_exact failed: {e}");

@@ -5,7 +5,8 @@
 //! inserts/deletes/reweights, node inserts/deletes, placement queries and
 //! localized re-refinements, the incrementally maintained
 //! [`PartitionState`] — assignment, block weights, boundary index and
-//! cached cut — is **field-for-field identical** to a from-scratch rebuild
+//! pair cut weights, whose sum is its edge cut — is **field-for-field
+//! identical** to a from-scratch rebuild
 //! (fresh `BoundaryIndex::build`, recomputed weights, full cut rescan) on
 //! the compacted graph. Checked over the rgg/grid/delaunay families and
 //! random graphs, at 1–8 rayon threads, and after every phase of the

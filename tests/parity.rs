@@ -198,18 +198,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = CoarseningConfig { stop_at_nodes: 24, ..Default::default() };
-        let hierarchy = MultilevelHierarchy::build(&graph, GPA, EdgeRating::ExpansionStar2, &config);
+        let mut hierarchy = MultilevelHierarchy::build(&graph, GPA, EdgeRating::ExpansionStar2, &config);
         let coarsest = hierarchy.coarsest();
         let start = random_partition(coarsest, k, seed);
         let mut state = PartitionState::build(coarsest, start);
-        let levels = (1..hierarchy.num_levels()).rev();
-        for (level, (fine, _, coarse_of)) in levels.zip(hierarchy.walk_up()) {
-            state = state.project(fine, coarse_of);
+        while let Some(level) = hierarchy.pop() {
+            let fine = hierarchy.coarsest();
+            state = state.project(fine, &level.coarse_of);
             let full = BoundaryIndex::build(fine, state.partition());
             prop_assert!(
                 full == *state.boundary(),
                 "seeded index diverged from full build at level {}",
-                level - 1
+                hierarchy.num_levels() - 1
             );
             prop_assert_eq!(state.full_builds(), 1);
         }

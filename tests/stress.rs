@@ -13,9 +13,10 @@
 //! currently measured values, which are recorded next to each test) so
 //! machine drift does not flake the job, while a genuine `O(n + m)`-per-level
 //! regression — the class of bug the persistent `PartitionState` removed —
-//! still trips them. The peak-RSS budgets of the two partitioner runs are
-//! tight (at most 1.25× the measurement): a run that copies its input again
-//! costs one more graph and trips them. In debug builds only the structural
+//! still trips them. The peak-RSS budgets of the three partitioner runs
+//! (shared memory on rgg and grid, one distributed rank on rgg) are tight
+//! (at most 1.25× the measurement): a run that copies its input again costs
+//! one more graph and trips them. In debug builds only the structural
 //! assertions run.
 
 use std::sync::Mutex;
@@ -33,31 +34,73 @@ use common::{peak_rss_bytes, reset_peak_rss, xorshift};
 /// passes `--test-threads=1`; this guards ad-hoc invocations).
 static STRESS_LOCK: Mutex<()> = Mutex::new(());
 
-fn run_stress(name: &str, graph: &CsrGraph, k: u32, wall_budget: Duration, rss_budget: u64) {
+/// What a budgeted run hands back: its partition and what the pipeline
+/// reports about it.
+struct Run {
+    partition: Partition,
+    edge_cut: u64,
+    levels: usize,
+    /// Full boundary-index builds, one count per rank (one for a
+    /// shared-memory run).
+    full_builds: Vec<usize>,
+}
+
+/// The shared-memory pipeline at its default thread count.
+fn shared_memory(graph: &CsrGraph, config: KappaConfig) -> Run {
+    let result = KappaPartitioner::new(config).partition(graph);
+    Run {
+        partition: result.partition,
+        edge_cut: result.metrics.edge_cut,
+        levels: result.hierarchy_levels,
+        full_builds: vec![result.boundary_full_builds],
+    }
+}
+
+/// The distributed pipeline at one rank.
+fn one_rank(graph: &CsrGraph, config: KappaConfig) -> Run {
+    let result = partition_distributed(graph, &DistConfig::new(config, 1)).expect("one-rank run");
+    Run {
+        partition: result.partition,
+        edge_cut: result.edge_cut,
+        levels: result.hierarchy_levels,
+        full_builds: result.boundary_full_builds_per_rank,
+    }
+}
+
+fn run_stress(
+    name: &str,
+    graph: &CsrGraph,
+    k: u32,
+    wall_budget: Duration,
+    rss_budget: u64,
+    partition: impl FnOnce(&CsrGraph, KappaConfig) -> Run,
+) {
     let _guard = STRESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let config = KappaConfig::fast(k).with_seed(7);
     reset_peak_rss();
     let start = Instant::now();
-    let result = KappaPartitioner::new(KappaConfig::fast(k).with_seed(7)).partition(graph);
+    let run = partition(graph, config);
     let elapsed = start.elapsed();
 
     // Structural acceptance, profile-independent.
-    assert!(result.partition.validate(graph).is_ok(), "{name}: invalid");
+    assert!(run.partition.validate(graph).is_ok(), "{name}: invalid");
     assert!(
-        result.metrics.feasible,
+        run.partition.is_balanced(graph, config.epsilon),
         "{name}: infeasible, balance {}",
-        result.metrics.balance
+        run.partition.balance(graph)
     );
-    assert_eq!(
-        result.boundary_full_builds, 1,
-        "{name}: more than one full boundary-index build"
+    assert!(
+        run.full_builds.iter().all(|&builds| builds == 1),
+        "{name}: not exactly one full boundary-index build: {:?}",
+        run.full_builds
     );
 
     eprintln!(
         "stress {name}: n = {}, m = {}, cut = {}, {} levels, {:.2?} wall, peak RSS {}",
         graph.num_nodes(),
         graph.num_edges(),
-        result.metrics.edge_cut,
-        result.hierarchy_levels,
+        run.edge_cut,
+        run.levels,
         elapsed,
         peak_rss_bytes()
             .map(|b| format!("{:.0} MiB", b as f64 / (1024.0 * 1024.0)))
@@ -90,7 +133,10 @@ fn stress_rgg_2e20_k16_within_budget() {
     // alone and 529-583 MiB after the other two runs of this file in one
     // process (631-685 MiB while every boundary-index count segment had
     // deg(v) slots; 807-810 / 885 MiB while the run still copied its input
-    // graph). Budget: 1.25 x 583 MiB.
+    // graph). Re-measured 2026-10-19 with the one-rank run ahead of it:
+    // 467 MiB alone, 554-580 MiB in CI order (472 / 555-576 before
+    // uncoarsening freed each level it leaves: this run peaks in
+    // coarsening). Budget: 1.25 x 580 MiB.
     let graph = random_geometric_graph(1 << 20, 11);
     run_stress(
         "rgg 2^20 k=16",
@@ -98,6 +144,26 @@ fn stress_rgg_2e20_k16_within_budget() {
         16,
         Duration::from_secs(45),
         725 * 1024 * 1024,
+        shared_memory,
+    );
+}
+
+#[test]
+#[ignore = "release-profile stress: ≥ 2^20-node instance, run via the CI stress job"]
+fn stress_dist_rgg_2e20_k16_one_rank_within_budget() {
+    // One rank owns every node, so its shard is the caller's graph.
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-19), release: 6.0-
+    // 7.3 s wall, 371 MiB peak RSS alone and 404-415 MiB after the soak in
+    // one process (587 alone and 625-632 after the soak while the shard
+    // copied every row of its input). Budget: 1.25 x 415 MiB.
+    let graph = random_geometric_graph(1 << 20, 11);
+    run_stress(
+        "dist rgg 2^20 k=16 r=1",
+        &graph,
+        16,
+        Duration::from_secs(45),
+        519 * 1024 * 1024,
+        one_rank,
     );
 }
 
@@ -214,7 +280,10 @@ fn stress_grid_1024_k32_within_budget() {
     // benchmark run busy on the other vCPU: 2.9-5.4 s wall, 307-309 MiB peak
     // RSS alone and 299-319 MiB after the soak in one process (335-340 MiB
     // while every boundary-index count segment had deg(v) slots; 426-463 MiB
-    // while the run still copied its input graph). Budget: 1.25 x 319 MiB.
+    // while the run still copied its input graph). Re-measured 2026-10-19
+    // with the one-rank run ahead of it: 289 MiB alone, 314-333 MiB in CI
+    // order (285 / 303-338 before uncoarsening freed each level it leaves).
+    // Budget: 1.25 x 319 MiB, 1.19 x 333.
     let graph = grid2d(1024, 1024);
     run_stress(
         "grid 1024x1024 k=32",
@@ -222,5 +291,6 @@ fn stress_grid_1024_k32_within_budget() {
         32,
         Duration::from_secs(45),
         395 * 1024 * 1024,
+        shared_memory,
     );
 }
