@@ -9,10 +9,12 @@
 //!   shared bound guarantees that any program running over threads also runs
 //!   over sockets.
 //! * **Frames** — the typed envelope the TCP transport writes to a stream:
-//!   magic, source rank, per-channel sequence number, tag, payload length,
-//!   payload, and an FNV-1a checksum over everything behind the magic. A
-//!   corrupted or truncated frame decodes to a [`CodecError`], never to a
-//!   wrong message and never to a panic ([`read_frame`] / [`decode_frame`]).
+//!   magic, source rank, tag length, payload length, tag, payload, and an
+//!   FNV-1a checksum over everything behind the magic. A corrupted or
+//!   truncated frame decodes to a [`CodecError`], never to a wrong message
+//!   and never to a panic ([`read_frame`] / [`decode_frame`]). A frame
+//!   carries no sequence number: a TCP stream delivers bytes once and in
+//!   order, so the frames of one connection arrive as they were written.
 //!
 //! The connection handshake (magic + [`PROTOCOL_VERSION`] + rank + cluster
 //! size) lives in [`crate::tcp`]; version bumps go through the constant here
@@ -26,8 +28,9 @@ use std::fmt;
 /// shards as flat arrays (`band-recs` carries `kappa_refine::BandShard`);
 /// version 4 drops the never-read `done` flag from `class-reports`;
 /// version 5 drops the `::coal` frame and ships a class's seeds with its band
-/// shards (`band-recs` carries `(seeds, shards)`).
-pub const PROTOCOL_VERSION: u16 = 5;
+/// shards (`band-recs` carries `(seeds, shards)`); version 6 drops the
+/// per-stream sequence number from the frame header.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Frame magic, little-endian `b"KPF1"` on the wire.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"KPF1");
@@ -297,6 +300,11 @@ impl Wire for kappa_graph::Partition {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let k = u32::decode(r)?;
         let assignment: Vec<u32> = Vec::decode(r)?;
+        // `from_assignment` asserts its blocks; decoding must not panic.
+        let unassigned = kappa_graph::INVALID_BLOCK;
+        if let Some(b) = assignment.iter().find(|&&b| b >= k && b != unassigned) {
+            return Err(CodecError(format!("partition block {b} is not one of {k}")));
+        }
         Ok(kappa_graph::Partition::from_assignment(k, assignment))
     }
 }
@@ -306,8 +314,6 @@ impl Wire for kappa_graph::Partition {
 pub struct Frame {
     /// Sending rank.
     pub src: u32,
-    /// Sequence number on the (src → dst) channel, starting at 0.
-    pub seq: u64,
     /// Message tag.
     pub tag: String,
     /// Encoded payload (decoded lazily, after tag matching).
@@ -327,13 +333,13 @@ fn checksum(parts: &[&[u8]]) -> u32 {
     hash
 }
 
-/// Encodes a frame: `magic | src | seq | tag_len | payload_len | tag |
-/// payload | checksum`, checksum covering everything behind the magic.
+/// Encodes a frame: `magic | src | tag_len | payload_len | tag | payload |
+/// checksum`, checksum covering everything behind the magic.
 ///
 /// An over-long tag or an oversized payload is a [`CodecError`] — payload
 /// size is runtime data (a big enough graph can legitimately exceed the
 /// cap), so the sender gets a diagnosis instead of a dead rank.
-pub fn encode_frame(src: u32, seq: u64, tag: &str, payload: &[u8]) -> Result<Vec<u8>, CodecError> {
+pub fn encode_frame(src: u32, tag: &str, payload: &[u8]) -> Result<Vec<u8>, CodecError> {
     if tag.len() > MAX_TAG_LEN {
         return Err(CodecError(format!(
             "tag {tag:?} is {} bytes, cap is {MAX_TAG_LEN}",
@@ -348,12 +354,11 @@ pub fn encode_frame(src: u32, seq: u64, tag: &str, payload: &[u8]) -> Result<Vec
     }
     let mut head = Vec::with_capacity(HEADER_LEN + tag.len());
     src.encode(&mut head);
-    seq.encode(&mut head);
     (tag.len() as u16).encode(&mut head);
     (payload.len() as u32).encode(&mut head);
     head.extend_from_slice(tag.as_bytes());
     let sum = checksum(&[&head, payload]);
-    let mut out = Vec::with_capacity(4 + head.len() + payload.len() + 4);
+    let mut out = Vec::with_capacity(frame_len(tag.len(), payload.len()));
     FRAME_MAGIC.encode(&mut out);
     out.extend_from_slice(&head);
     out.extend_from_slice(payload);
@@ -361,14 +366,19 @@ pub fn encode_frame(src: u32, seq: u64, tag: &str, payload: &[u8]) -> Result<Vec
     Ok(out)
 }
 
-/// Bytes of the fixed frame header: magic(4) src(4) seq(8) tag_len(2)
+/// Bytes of the fixed frame header: magic(4) src(4) tag_len(2)
 /// payload_len(4).
-const HEADER_LEN: usize = 22;
+const HEADER_LEN: usize = 14;
+
+/// Bytes of a whole frame with a `tag_len`-byte tag and a `payload_len`-byte
+/// payload: header, tag, payload and the 4-byte checksum.
+pub(crate) fn frame_len(tag_len: usize, payload_len: usize) -> usize {
+    HEADER_LEN + tag_len + payload_len + 4
+}
 
 /// The fields of a frame header, lengths already checked against the caps.
 struct FrameHeader {
     src: u32,
-    seq: u64,
     tag_len: usize,
     payload_len: usize,
 }
@@ -383,7 +393,6 @@ fn parse_header(r: &mut WireReader<'_>) -> Result<FrameHeader, CodecError> {
         )));
     }
     let src = u32::decode(r)?;
-    let seq = u64::decode(r)?;
     let tag_len = u16::decode(r)? as usize;
     let payload_len = u32::decode(r)? as usize;
     if tag_len > MAX_TAG_LEN {
@@ -396,7 +405,6 @@ fn parse_header(r: &mut WireReader<'_>) -> Result<FrameHeader, CodecError> {
     }
     Ok(FrameHeader {
         src,
-        seq,
         tag_len,
         payload_len,
     })
@@ -413,26 +421,21 @@ fn parse_body(h: FrameHeader, head: &[u8], body: &[u8]) -> Result<Frame, CodecEr
     let payload = r.take(h.payload_len)?.to_vec();
     let claimed = u32::decode(&mut r)?;
     let sum = checksum(&[&head[4..], &body[..h.tag_len + h.payload_len]]);
-    let (src, seq) = (h.src, h.seq);
+    let src = h.src;
     if claimed != sum {
         return Err(CodecError(format!(
             "frame checksum mismatch: stored {claimed:#010x}, computed {sum:#010x} \
-             (src {src}, seq {seq}, tag {tag:?})"
+             (src {src}, tag {tag:?})"
         )));
     }
-    Ok(Frame {
-        src,
-        seq,
-        tag,
-        payload,
-    })
+    Ok(Frame { src, tag, payload })
 }
 
 /// Decodes one frame from the front of `buf`, returning it and the number of
 /// bytes consumed. Truncated or corrupted input is a [`CodecError`].
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
     let header = parse_header(&mut WireReader::new(buf))?;
-    let consumed = HEADER_LEN + header.tag_len + header.payload_len + 4;
+    let consumed = frame_len(header.tag_len, header.payload_len);
     let frame = parse_body(header, &buf[..HEADER_LEN], &buf[HEADER_LEN..])?;
     Ok((frame, consumed))
 }
@@ -513,20 +516,28 @@ mod tests {
     }
 
     #[test]
+    fn a_partition_with_a_block_past_k_is_a_codec_error() {
+        let mut bytes = Vec::new();
+        2u32.encode(&mut bytes);
+        vec![0u32, 1, 5].encode(&mut bytes);
+        let err = kappa_graph::Partition::from_bytes(&bytes).unwrap_err();
+        assert!(err.0.contains("block 5 is not one of 2"), "{err}");
+    }
+
+    #[test]
     fn frames_round_trip() {
         let payload = vec![1u8, 2, 3, 250];
-        let bytes = encode_frame(3, 77, "alltoallv", &payload).unwrap();
+        let bytes = encode_frame(3, "alltoallv", &payload).unwrap();
         let (frame, consumed) = decode_frame(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(frame.src, 3);
-        assert_eq!(frame.seq, 77);
         assert_eq!(frame.tag, "alltoallv");
         assert_eq!(frame.payload, payload);
     }
 
     #[test]
     fn every_truncation_of_a_frame_is_rejected() {
-        let bytes = encode_frame(1, 5, "tag", b"payload").unwrap();
+        let bytes = encode_frame(1, "tag", b"payload").unwrap();
         for cut in 0..bytes.len() {
             assert!(decode_frame(&bytes[..cut]).is_err(), "prefix {cut} decoded");
         }
@@ -534,7 +545,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_corruption_is_rejected() {
-        let bytes = encode_frame(2, 9, "band", &(0..64u8).collect::<Vec<_>>()).unwrap();
+        let bytes = encode_frame(2, "band", &(0..64u8).collect::<Vec<_>>()).unwrap();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
@@ -548,14 +559,17 @@ mod tests {
     #[test]
     fn read_frame_handles_streams_and_clean_eof() {
         let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(0, 0, "a", b"first").unwrap());
-        stream.extend_from_slice(&encode_frame(0, 1, "b", b"second").unwrap());
+        stream.extend_from_slice(&encode_frame(0, "a", b"first").unwrap());
+        stream.extend_from_slice(&encode_frame(0, "b", b"second").unwrap());
         let mut r: &[u8] = &stream;
         assert_eq!(read_frame(&mut r).unwrap().unwrap().payload, b"first");
         assert_eq!(read_frame(&mut r).unwrap().unwrap().payload, b"second");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-        // EOF mid-frame is an error, not a silent None.
-        let mut cut: &[u8] = &stream[..30];
-        assert!(read_frame(&mut cut).is_err());
+        // EOF mid-frame, in the header or in the body, is an error, not a
+        // silent None.
+        for end in [HEADER_LEN / 2, HEADER_LEN + 2] {
+            let mut cut: &[u8] = &stream[..end];
+            assert!(read_frame(&mut cut).is_err(), "cut at {end} read");
+        }
     }
 }

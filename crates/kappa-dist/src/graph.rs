@@ -354,7 +354,8 @@ impl DistGraph<'_> {
     /// Refreshes the ghost mirrors of a per-node value: every rank evaluates
     /// `owned` for the owned nodes other ranks mirror, and receives its own
     /// ghosts' values (returned ghost-indexed, parallel to
-    /// [`ghosts`](Self::ghosts)). One `alltoallv`.
+    /// [`ghosts`](Self::ghosts)). One `alltoallv`. A rank that sends another
+    /// number of values than it has nodes mirrored here is a protocol error.
     pub fn exchange_ghosts<T, C, F>(&self, comm: &mut C, mut owned: F) -> CommResult<Vec<T>>
     where
         T: Message,
@@ -369,11 +370,15 @@ impl DistGraph<'_> {
         let received = comm.alltoallv(parts)?;
         let mut out: Vec<T> = Vec::with_capacity(self.ghost_global.len());
         for (r, part) in received.into_iter().enumerate() {
-            debug_assert_eq!(
-                part.len(),
-                self.ghost_of_rank[r + 1] - self.ghost_of_rank[r],
-                "ghost exchange size mismatch with rank {r}"
-            );
+            let mirrored = self.ghost_of_rank[r + 1] - self.ghost_of_rank[r];
+            if part.len() != mirrored {
+                let detail = format!(
+                    "rank {r} sent {} ghost values for the {mirrored} of its nodes rank {} mirrors",
+                    part.len(),
+                    self.rank
+                );
+                return Err(CommError::protocol(self.rank, r, "ghosts", detail));
+            }
             out.extend(part);
         }
         Ok(out)
@@ -762,6 +767,28 @@ mod tests {
             "{err}"
         );
         assert!(results[1].is_err(), "rank 1 gets no answer");
+    }
+
+    #[test]
+    fn a_ghost_exchange_part_of_the_wrong_length_is_diagnosed() {
+        // Rank 0 of a 4 × 4 grid mirrors rank 1's row 2 (four nodes); the bad
+        // rank 1 sends one value too few, then one too many.
+        let g = grid2d(4, 4);
+        for sent in [3usize, 5] {
+            let results = LocalCluster::new(2).run(|comm| {
+                let dg = DistGraph::from_global(&g, 2, comm.rank());
+                if comm.rank() == 1 {
+                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's alltoallv meets the one inside rank 0's `exchange_ghosts`, so both branches reach it
+                    comm.alltoallv(vec![vec![7u64; sent], Vec::new()]).unwrap();
+                    return None;
+                }
+                Some(dg.exchange_ghosts(comm, |l| l as u64).unwrap_err())
+            });
+            let e = results[0].as_ref().unwrap();
+            assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "ghosts"));
+            let expected = format!("rank 1 sent {sent} ghost values for the 4 of its nodes");
+            assert!(e.to_string().contains(&expected), "{e}");
+        }
     }
 
     #[test]

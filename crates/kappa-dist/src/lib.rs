@@ -8,11 +8,11 @@
 //!
 //! * [`comm`] — the rank/message-passing runtime: the [`Comm`] trait (typed
 //!   point-to-point send/recv plus deterministic collectives), its one
-//!   implementation [`Endpoint`] (sequence-numbered streams, tag matching,
-//!   timeout-guarded receives that fail loudly instead of deadlocking,
-//!   fault injection — written once, over a crate-private link)
-//!   and the [`LocalCluster`] harness (one thread per rank, FIFO channel
-//!   per rank pair, payloads never serialised).
+//!   implementation [`Endpoint`] (one in-order stream per peer, tag
+//!   matching, timeout-guarded receives that fail loudly instead of
+//!   deadlocking — written once, over a crate-private link) and the
+//!   [`LocalCluster`] harness (one thread per rank, FIFO channel per rank
+//!   pair, payloads never serialised).
 //! * [`tcp`] — the socket link under the same endpoint: [`TcpCluster`]
 //!   (threads over loopback) and [`TcpComm::connect_worker`] (one process
 //!   per rank), with the [`codec`] wire format, the versioned handshake and
@@ -21,8 +21,8 @@
 //!   (halo) vertices, owner-computes update rules, ghost exchange and pull
 //!   protocols.
 //! * [`state`] — [`DistState`]: each rank's shard of the partition state
-//!   (live local assignment, boundary-index shard, replicated block weights,
-//!   exact partial edge cut).
+//!   (live local assignment, boundary-index shard, replicated block
+//!   weights).
 //! * [`matching`] — two-phase distributed matching: sequential matching on
 //!   each rank's interior subgraph, then a propose/accept handshake
 //!   (locally-heaviest-edge pointing) across rank boundaries.
@@ -50,7 +50,6 @@ pub mod codec;
 pub mod comm;
 pub mod contract;
 mod endpoint;
-pub mod fault;
 pub mod graph;
 pub mod matching;
 pub mod pipeline;
@@ -65,13 +64,9 @@ pub use comm::{
 };
 pub use contract::distributed_contraction;
 pub use endpoint::Endpoint;
-pub use fault::{DropSpec, FaultAction, FaultPlan};
 pub use graph::{DistGraph, LocalAssignment};
 pub use matching::{distributed_matching, DistMatching};
-pub use pipeline::{
-    partition_distributed, partition_distributed_with, partition_with_comm, DistConfig,
-    DistRunResult,
-};
+pub use pipeline::{partition_distributed, partition_with_comm, DistConfig, DistRunResult};
 pub use refine::{dist_rebalance, dist_refine};
 pub use state::DistState;
 pub use tcp::{rendezvous_serve, TcpCluster, TcpClusterConfig, TcpComm};

@@ -40,9 +40,7 @@ use kappa_graph::{BlockId, BlockWeights, CsrGraph, EdgeWeight, NodeId, NodeWeigh
 use kappa_initial::{best_of_repeats, quality_key};
 use kappa_refine::RefinementStats;
 
-use crate::comm::{
-    Comm, CommError, CommErrorKind, CommResult, CommStats, LocalCluster, LocalClusterConfig,
-};
+use crate::comm::{Comm, CommError, CommErrorKind, CommResult, CommStats, LocalCluster};
 use crate::contract::distributed_contraction;
 use crate::graph::{even_ranges, owner_in, DistGraph};
 use crate::matching::distributed_matching;
@@ -105,26 +103,15 @@ pub struct DistRunResult {
 
 /// Partitions `graph` into `config.base.k` blocks over `config.ranks` ranks
 /// of an in-process [`LocalCluster`]. A communication failure on any rank
-/// (lost message, peer exit) surfaces as a diagnosed [`CommError`] naming
+/// (silent or exited peer) surfaces as a diagnosed [`CommError`] naming
 /// the stuck rank, peer and tag — never a hang.
 pub fn partition_distributed(graph: &CsrGraph, config: &DistConfig) -> CommResult<DistRunResult> {
-    partition_distributed_with(graph, config, LocalClusterConfig::default())
-}
-
-/// [`partition_distributed`] with explicit cluster configuration (receive
-/// timeout, fault injection) — the entry point the fault-injection suite
-/// drives.
-pub fn partition_distributed_with(
-    graph: &CsrGraph,
-    config: &DistConfig,
-    cluster_config: LocalClusterConfig,
-) -> CommResult<DistRunResult> {
     run_on_layout(
         graph,
         config.ranks,
         config.base.k,
         |work_graph, range_starts| {
-            let cluster = LocalCluster::with_config(config.ranks, cluster_config);
+            let cluster = LocalCluster::new(config.ranks);
             let outcomes = cluster.run(|comm| rank_main(comm, work_graph, range_starts, config));
             let mut rank_results = Vec::with_capacity(outcomes.len());
             let mut errors = Vec::new();

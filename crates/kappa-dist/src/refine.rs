@@ -346,19 +346,27 @@ fn gather_and_search<C: Comm>(
         if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
             break;
         }
-        for (_, part) in all {
+        for (src, (_, part)) in all.into_iter().enumerate() {
             for (pi, gid) in part {
+                let Some(pair) = pairs.get(pi as usize) else {
+                    return Err(unknown_pair(
+                        me,
+                        src,
+                        "band-bfs",
+                        "band crossing",
+                        pi,
+                        pairs.len(),
+                    ));
+                };
                 let Some(l) = dg.local_of(gid) else {
                     continue; // another owner's crossing; it keeps it
                 };
                 if !dg.is_owned_local(l) {
                     continue;
                 }
-                let pi = pi as usize;
-                let (a, b) = (pairs[pi].a, pairs[pi].b);
                 let bl = st.block_of_local(l);
-                if (bl == a || bl == b) && bands.insert(pi, l) {
-                    next.push((pi, l));
+                if (bl == pair.a || bl == pair.b) && bands.insert(pi as usize, l) {
+                    next.push((pi as usize, l));
                 }
             }
         }
@@ -392,7 +400,10 @@ fn gather_and_search<C: Comm>(
             comm.recv::<(Vec<(u32, NodeId)>, Vec<(u32, BandShard)>)>(src, "band-recs")?
         };
         for (pi, gid) in seed_part {
-            seeds_of[pi as usize].push(gid);
+            let Some(seeds) = seeds_of.get_mut(pi as usize) else {
+                return Err(unknown_pair(me, src, "band-recs", "seed", pi, pairs.len()));
+            };
+            seeds.push(gid);
         }
         gathered.receive(me, src, band_part)?;
     }
@@ -651,12 +662,7 @@ impl GatheredBands {
         for (pi, shard) in part {
             let pairs = self.shards.len();
             let Some(slot) = self.shards.get_mut(pi as usize) else {
-                return Err(CommError::protocol(
-                    me,
-                    src,
-                    "band-recs",
-                    format!("rank {src} sent a band shard for pair {pi} of a {pairs}-pair class"),
-                ));
+                return Err(unknown_pair(me, src, "band-recs", "band shard", pi, pairs));
             };
             slot.push(shard);
             self.senders[pi as usize].push(src);
@@ -680,6 +686,13 @@ impl GatheredBands {
         };
         CommError::protocol(me, sender.unwrap_or(me), "band-recs", detail)
     }
+}
+
+/// Rank `src`'s `what` names pair `pi`, which a class of `pairs` pairs does
+/// not have: its protocol violation, diagnosed by rank `me`.
+fn unknown_pair(me: usize, src: usize, tag: &str, what: &str, pi: u32, pairs: usize) -> CommError {
+    let detail = format!("rank {src} sent a {what} for pair {pi} of a {pairs}-pair class");
+    CommError::protocol(me, src, tag, detail)
 }
 
 /// Candidate tuple of the distributed rebalancer; ordered by
@@ -1016,6 +1029,59 @@ mod tests {
             let expected = format!("rank 1 reported cut weight 3 between blocks {a} and {b} of 4");
             assert!(
                 matches!(&e.kind, CommErrorKind::Protocol(d) if *d == expected),
+                "{e:?}"
+            );
+        }
+    }
+
+    /// A band crossing or a seed naming a pair the class does not have is
+    /// the protocol error of the rank that sent it — not an out-of-bounds
+    /// index at the rank that owns the crossing or homes the seed.
+    #[test]
+    fn a_band_message_for_a_pair_outside_the_class_blames_its_sender() {
+        let g = grid2d(8, 8);
+        let partition = Partition::from_assignment(4, (0..64).map(|i| i % 8 / 2).collect());
+        let l_max = Partition::l_max(&g, 4, 0.03);
+        let config = RefinementConfig::default();
+        for (tag, what) in [("band-bfs", "band crossing"), ("band-recs", "seed")] {
+            let outcomes = LocalCluster::new(2).run(|comm| {
+                let dg = DistGraph::from_global(&g, 2, comm.rank());
+                let mut st = shard(&dg, &partition, &g);
+                if comm.rank() == 1 {
+                    // The bad peer: its honest quotient share, then pair 99
+                    // with rank 0's node 0, as a crossing or as a seed.
+                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgathers meet the quotient allgather and the band hops inside rank 0's `dist_refine`, so both branches reach them
+                    comm.allgather(st.quotient_partial(&dg)).unwrap();
+                    let bogus: Vec<(u32, NodeId)> = vec![(99, 0)];
+                    if tag == "band-bfs" {
+                        // kappa-lint: allow(rank-branch-collective) -- as above
+                        comm.allgather((false, bogus)).unwrap();
+                        return None;
+                    }
+                    // Every hop with nothing to add, then the seed.
+                    for _ in 0..config.bfs_depth {
+                        let none: Vec<(u32, NodeId)> = Vec::new();
+                        // kappa-lint: allow(rank-branch-collective) -- as above
+                        let all = comm.allgather((true, none)).unwrap();
+                        if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
+                            break;
+                        }
+                    }
+                    let shards: Vec<(u32, BandShard)> = Vec::new();
+                    comm.send(0, "band-recs", (bogus, shards)).unwrap();
+                    // Stay until rank 0 has sent its own part.
+                    type Part = (Vec<(u32, NodeId)>, Vec<(u32, BandShard)>);
+                    comm.recv::<Part>(0, "band-recs").unwrap();
+                    return None;
+                }
+                let mut stats = RefinementStats::default();
+                Some(dist_refine(comm, &dg, &mut st, &config, l_max, &mut stats).unwrap_err())
+            });
+            let e = outcomes[0].as_ref().unwrap();
+            assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, tag));
+            let expected = format!("rank 1 sent a {what} for pair 99 of a ");
+            assert!(
+                matches!(&e.kind, CommErrorKind::Protocol(d) if d.starts_with(&expected)),
                 "{e:?}"
             );
         }

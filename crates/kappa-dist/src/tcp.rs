@@ -15,13 +15,14 @@
 //! in-process queue regardless of what the rank's main thread is doing — this
 //! is what makes the deterministic collective schedules of
 //! [`Comm`](crate::Comm) deadlock-free over TCP: a writer can never be blocked
-//! by a peer that is itself mid-send, because every peer always reads.
-//! Everything above the
-//! queue — per-peer `SeqInbox` reassembly, MPI-style tag matching, the
-//! timeout-guarded failure behaviour, fault injection — is the
-//! shared [`Endpoint`], the same code that runs a
-//! [`LocalCluster`](crate::LocalCluster); [`SocketLink`] only encodes
-//! payloads, counts wire bytes and writes frames.
+//! by a peer that is itself mid-send, because every peer always reads. The
+//! reader also checks that each frame names the rank the connection's
+//! handshake named. A connection is never re-established once the mesh
+//! stands, so each peer's frames reach the queue once and in order.
+//! Everything above the queue — MPI-style tag matching and the
+//! timeout-guarded failure behaviour — is the shared [`Endpoint`], the same
+//! code that runs a [`LocalCluster`](crate::LocalCluster); [`SocketLink`]
+//! only encodes payloads, counts wire bytes and writes frames.
 //!
 //! Shutdown is graceful: dropping a [`TcpComm`] sends a `::bye` control frame
 //! on every connection and half-closes it, so peers distinguish a drained,
@@ -44,10 +45,11 @@ use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::codec::{encode_frame, read_frame, CodecError, Wire, FRAME_MAGIC, PROTOCOL_VERSION};
+use crate::codec::{
+    encode_frame, frame_len, read_frame, CodecError, Wire, FRAME_MAGIC, PROTOCOL_VERSION,
+};
 use crate::comm::{CommError, CommErrorKind, CommResult, Message};
 use crate::endpoint::{run_ranks, Endpoint, Link, Packet};
-use crate::fault::FaultPlan;
 
 /// Control tag announcing a graceful shutdown; intercepted by the reader
 /// threads, never delivered to `recv`. User tags must not start with `::`.
@@ -59,15 +61,12 @@ const HANDSHAKE_TAG: &str = "::handshake";
 /// Configuration of a TCP cluster / worker endpoint.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpClusterConfig {
-    /// How long a `recv` waits before declaring the message lost (also the
+    /// How long a `recv` waits before declaring the peer silent (also the
     /// per-write timeout, so a send can never block forever either).
     pub recv_timeout: Duration,
     /// Overall deadline for establishing the mesh (dial retries and inbound
     /// accepts both give up past it).
     pub connect_timeout: Duration,
-    /// Seeded fault injection applied in every rank's send path, below
-    /// sequence numbering — exactly like the in-process backend.
-    pub fault: FaultPlan,
 }
 
 impl Default for TcpClusterConfig {
@@ -75,7 +74,6 @@ impl Default for TcpClusterConfig {
         TcpClusterConfig {
             recv_timeout: Duration::from_secs(60),
             connect_timeout: Duration::from_secs(10),
-            fault: FaultPlan::default(),
         }
     }
 }
@@ -95,7 +93,7 @@ impl TcpCluster {
         TcpCluster::with_config(ranks, TcpClusterConfig::default())
     }
 
-    /// A cluster with explicit timeout / fault-injection configuration.
+    /// A cluster with explicit timeouts.
     pub fn with_config(ranks: usize, config: TcpClusterConfig) -> Self {
         // kappa-lint: allow(dist-no-panic) -- construction-time misconfiguration on the launching process, before any rank exists; aborting here is the diagnosis
         assert!(ranks >= 1, "a cluster needs at least one rank");
@@ -318,18 +316,12 @@ impl TcpComm {
                         .map_err(|e| io_err(peer, e))?;
                     let reader = stream.try_clone().map_err(|e| io_err(peer, e))?;
                     link.readers
-                        .push(std::thread::spawn(move || reader_loop(reader, tx)));
+                        .push(std::thread::spawn(move || reader_loop(reader, peer, tx)));
                     link.peers.push(Peer::Remote(stream));
                 }
             }
         }
-        Ok(Endpoint::new(
-            rank,
-            link,
-            rxs,
-            config.recv_timeout,
-            config.fault,
-        ))
+        Ok(Endpoint::new(rank, link, rxs, config.recv_timeout))
     }
 }
 
@@ -345,14 +337,8 @@ impl Link for SocketLink {
         T::from_bytes(&payload).map_err(codec_kind)
     }
 
-    fn twin(orig: &Vec<u8>) -> Vec<u8> {
-        orig.clone()
-    }
-
-    /// Encoded size of a frame: fixed header (22 bytes) + tag + payload +
-    /// checksum.
     fn wire_bytes(tag: &str, payload: &Vec<u8>) -> u64 {
-        (22 + tag.len() + payload.len() + 4) as u64
+        frame_len(tag.len(), payload.len()) as u64
     }
 
     fn put(&self, to: usize, packet: Packet<Vec<u8>>) -> Result<(), CommErrorKind> {
@@ -363,8 +349,8 @@ impl Link for SocketLink {
                 Ok(())
             }
             Peer::Remote(stream) => {
-                let bytes = encode_frame(self.rank, packet.seq, &packet.tag, &packet.payload)
-                    .map_err(codec_kind)?;
+                let bytes =
+                    encode_frame(self.rank, &packet.tag, &packet.payload).map_err(codec_kind)?;
                 write_all(stream, &bytes).map_err(|e| CommErrorKind::Io(e.to_string()))
             }
         }
@@ -389,8 +375,7 @@ impl Drop for SocketLink {
             if let Peer::Remote(stream) = peer {
                 // Infallible in practice (short tag, empty payload); a drop
                 // path has nowhere to report anyway, so best-effort it is.
-                // Readers stop at the tag and never look at the seq.
-                if let Ok(bye) = encode_frame(self.rank, 0, BYE_TAG, &[]) {
+                if let Ok(bye) = encode_frame(self.rank, BYE_TAG, &[]) {
                     let _ = write_all(stream, &bye);
                 }
                 let _ = stream.shutdown(Shutdown::Both);
@@ -402,19 +387,28 @@ impl Drop for SocketLink {
     }
 }
 
-/// Drains one socket into the per-peer queue until bye, EOF, or error. A
-/// decode failure is forwarded as a diagnosed value (the receive path turns
+/// Drains the socket of `peer` into its queue until bye, EOF, or error. A
+/// decode failure, or a frame that names another sender than the
+/// handshake did, is forwarded as a diagnosed value (the receive path turns
 /// it into [`CommErrorKind::Codec`]) and ends the stream — after corruption
-/// the frame boundary is unknown.
-fn reader_loop(mut stream: TcpStream, tx: Sender<Arrival>) {
+/// the frame boundary is unknown, and a peer that lies about its rank is not
+/// read further.
+fn reader_loop(mut stream: TcpStream, peer: usize, tx: Sender<Arrival>) {
     loop {
         match read_frame(&mut stream) {
+            Ok(Some(frame)) if frame.src as usize != peer => {
+                let _ = tx.send(Err(CodecError(format!(
+                    "frame {:?} claims to come from rank {}, but the connection's \
+                     handshake named rank {peer}",
+                    frame.tag, frame.src
+                ))));
+                return;
+            }
             Ok(Some(frame)) => {
                 if frame.tag == BYE_TAG {
                     return;
                 }
                 let packet = Packet {
-                    seq: frame.seq,
                     tag: frame.tag.into(),
                     payload: frame.payload,
                 };
@@ -587,6 +581,7 @@ pub fn rendezvous_serve(listener: &TcpListener, ranks: usize) -> std::io::Result
 mod tests {
     use super::*;
     use crate::comm::Comm;
+    use std::thread::JoinHandle;
 
     fn cluster(ranks: usize) -> TcpCluster {
         TcpCluster::with_config(
@@ -594,9 +589,42 @@ mod tests {
             TcpClusterConfig {
                 recv_timeout: Duration::from_secs(10),
                 connect_timeout: Duration::from_secs(10),
-                fault: FaultPlan::default(),
             },
         )
+    }
+
+    /// A fake rank 0 of a two-rank cluster facing the real rank 1: it dials
+    /// rank 1's listener and does the hello handshake by hand, then writes
+    /// `bytes`. With `hold` it keeps the connection open until rank 1 says
+    /// goodbye; without, it closes right after writing.
+    fn fake_rank_0(
+        bytes: Vec<u8>,
+        hold: bool,
+        recv_timeout: Duration,
+    ) -> (TcpComm, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let stream = connect_with_retry(addr, deadline).unwrap();
+            send_hello(&stream, 0, 2).unwrap();
+            assert_eq!(read_hello(&stream, 2).unwrap(), 1);
+            write_all(&stream, &bytes).unwrap();
+            if hold {
+                let _ = (&stream).read_to_end(&mut Vec::new());
+            }
+        });
+        let comm = TcpComm::establish(
+            1,
+            &[SocketAddr::from(([127, 0, 0, 1], 1)), addr],
+            listener,
+            TcpClusterConfig {
+                recv_timeout,
+                connect_timeout: Duration::from_secs(5),
+            },
+        )
+        .unwrap();
+        (comm, fake)
     }
 
     #[test]
@@ -610,12 +638,12 @@ mod tests {
 
     #[test]
     fn dropped_frame_surfaces_as_diagnosed_timeout() {
+        // Rank 0 sends one frame and stops before its second.
         let cluster = TcpCluster::with_config(
             2,
             TcpClusterConfig {
                 recv_timeout: Duration::from_millis(300),
                 connect_timeout: Duration::from_secs(10),
-                fault: FaultPlan::drop_nth(0, 1, 0),
             },
         );
         let started = Instant::now();
@@ -623,13 +651,15 @@ mod tests {
             if comm.rank() == 0 {
                 comm.send(1, "payload", 7u64).map(|_| 0)
             } else {
+                comm.recv::<u64>(0, "payload")?;
                 comm.recv::<u64>(0, "payload")
             }
         });
         let err = results[1].clone().unwrap_err();
         assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
-        // Rank 0 drains and closes after its send, so the diagnosis may be
-        // Disconnected instead of Timeout; both name the lost message.
+        // Rank 0 says goodbye and closes after its send, so the diagnosis is
+        // usually Disconnected, a Timeout if the receive comes first; both
+        // name the missing message.
         assert!(matches!(
             err.kind,
             CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
@@ -638,31 +668,60 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_and_reorders_are_healed_by_the_seq_inbox() {
-        let cluster = TcpCluster::with_config(
-            2,
-            TcpClusterConfig {
-                recv_timeout: Duration::from_secs(10),
-                connect_timeout: Duration::from_secs(10),
-                fault: FaultPlan::seeded(11, 0.0, 0.3, 0.0, 0.3),
-            },
+    fn a_frame_that_claims_another_sender_is_refused() {
+        // The connection's handshake says rank 0; the frame says rank 1.
+        let frame = encode_frame(1, "payload", &7u64.to_bytes()).unwrap();
+        let (mut comm, fake) = fake_rank_0(frame, true, Duration::from_secs(10));
+        let err = comm.recv::<u64>(0, "payload").unwrap_err();
+        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
+        let CommErrorKind::Codec(detail) = &err.kind else {
+            panic!("expected a codec diagnosis, got {err}");
+        };
+        assert!(
+            detail.contains("rank 1") && detail.contains("named rank 0"),
+            "{detail}"
         );
-        let results = cluster.run(|comm| {
-            if comm.rank() == 0 {
-                for v in 0..40u64 {
-                    // The receiver leaves after the 30th message, so the
-                    // tail may bounce off a closed peer.
-                    let sent = comm.send(1, "seq", v);
-                    assert!(sent.is_ok() || v >= 30, "{sent:?}");
-                }
-                Vec::new()
-            } else {
-                (0..30)
-                    .map(|_| comm.recv::<u64>(0, "seq").unwrap())
-                    .collect()
-            }
-        });
-        assert_eq!(results[1], (0..30).collect::<Vec<u64>>());
+        drop(comm);
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_dies_inside_a_frame_is_diagnosed_promptly() {
+        let frame = encode_frame(0, "payload", &7u64.to_bytes()).unwrap();
+        let half = frame[..frame.len() / 2].to_vec();
+        let recv_timeout = Duration::from_secs(30);
+        let (mut comm, fake) = fake_rank_0(half, false, recv_timeout);
+        let started = Instant::now();
+        let err = comm.recv::<u64>(0, "payload").unwrap_err();
+        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
+        assert!(
+            matches!(&err.kind, CommErrorKind::Codec(d) if d.contains("EOF mid frame")),
+            "{err}"
+        );
+        assert!(
+            started.elapsed() < recv_timeout / 6,
+            "a cut frame must not wait out the deadline"
+        );
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn wire_bytes_is_the_encoded_frame_length() {
+        let cases = [
+            ("", Vec::new()),
+            (BYE_TAG, Vec::new()),
+            ("band-recs", vec![7u8; 300]),
+            ("class-reports", (0..=255u8).collect()),
+        ];
+        for (tag, payload) in cases {
+            let encoded = encode_frame(3, tag, &payload).unwrap();
+            assert_eq!(
+                SocketLink::wire_bytes(tag, &payload),
+                encoded.len() as u64,
+                "tag {tag:?}, {} payload bytes",
+                payload.len()
+            );
+        }
     }
 
     #[test]

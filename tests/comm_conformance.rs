@@ -1,4 +1,4 @@
-//! Backend-generic conformance and fault-injection suite for the `Comm`
+//! Backend-generic conformance and stopped-rank suite for the `Comm`
 //! abstraction (`kappa-dist`).
 //!
 //! Every conformance scenario is written once against the trait and executed
@@ -10,15 +10,13 @@
 //! self-sends, the diagnosis of a wrong payload type or a mismatched tag,
 //! the reserved `::` tag namespace.
 //!
-//! The fault-injection half pins the failure contract of the whole
-//! distributed pipeline under a seeded `FaultPlan`:
-//!
-//! * **recoverable faults** (duplicate, delay) — the run completes
-//!   bit-identical to a clean run;
-//! * **lossy faults** (drop, reorder past the end of a stream) — the run
-//!   either still completes bit-identical (the fault missed every live
-//!   channel) or fails with a diagnosed `CommError` naming a stuck rank, a
-//!   peer and a tag. It never hangs and never returns a wrong partition.
+//! Both links deliver each sender's messages once and in order, so the one
+//! fault injected here is the one a real cluster shows: a rank that stops
+//! (`common::StopAt` fails its n-th send to a peer, and the rank returns).
+//! Over either link the whole distributed pipeline then either completes
+//! bit-identical (the stop came after the rank's last message to that peer)
+//! or fails with a diagnosed `CommError` naming a stuck rank, a peer and a
+//! tag. It never hangs and never returns a wrong partition.
 //!
 //! Plus the wire-codec properties (round-trips, truncation and corruption
 //! rejection) and the local/tcp end-to-end parity required for
@@ -28,30 +26,34 @@ use std::time::Duration;
 
 use kappa::dist::codec::{decode_frame, encode_frame, Wire};
 use kappa::dist::{
-    partition_distributed, partition_distributed_with, partition_with_comm, Comm, CommErrorKind,
-    DistConfig, FaultPlan, LocalCluster, LocalClusterConfig, TcpCluster, TcpClusterConfig,
+    partition_distributed, partition_with_comm, Comm, CommErrorKind, CommResult, DistConfig,
+    DistRunResult, LocalCluster, LocalClusterConfig, TcpCluster, TcpClusterConfig,
 };
 use kappa::gen::{delaunay_like_graph, grid2d, random_geometric_graph};
 use kappa::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+use common::StopAt;
+
 fn local_cluster(ranks: usize) -> LocalCluster {
-    LocalCluster::with_config(
-        ranks,
-        LocalClusterConfig {
-            recv_timeout: Duration::from_secs(20),
-            fault: FaultPlan::default(),
-        },
-    )
+    local_cluster_waiting(ranks, Duration::from_secs(20))
 }
 
 fn tcp_cluster(ranks: usize) -> TcpCluster {
+    tcp_cluster_waiting(ranks, Duration::from_secs(20))
+}
+
+fn local_cluster_waiting(ranks: usize, recv_timeout: Duration) -> LocalCluster {
+    LocalCluster::with_config(ranks, LocalClusterConfig { recv_timeout })
+}
+
+fn tcp_cluster_waiting(ranks: usize, recv_timeout: Duration) -> TcpCluster {
     TcpCluster::with_config(
         ranks,
         TcpClusterConfig {
-            recv_timeout: Duration::from_secs(20),
+            recv_timeout,
             connect_timeout: Duration::from_secs(20),
-            fault: FaultPlan::default(),
         },
     )
 }
@@ -301,19 +303,11 @@ mod mismatched_tag_is_diagnosed_with_rank_peer_and_tag {
     const PATIENCE: Duration = Duration::from_millis(200);
     #[test]
     fn local() {
-        let config = LocalClusterConfig {
-            recv_timeout: PATIENCE,
-            fault: FaultPlan::default(),
-        };
-        LocalCluster::with_config(2, config).run(mismatched_tag);
+        local_cluster_waiting(2, PATIENCE).run(mismatched_tag);
     }
     #[test]
     fn tcp() {
-        let config = TcpClusterConfig {
-            recv_timeout: PATIENCE,
-            ..TcpClusterConfig::default()
-        };
-        TcpCluster::with_config(2, config).run(mismatched_tag);
+        tcp_cluster_waiting(2, PATIENCE).run(mismatched_tag);
     }
 }
 
@@ -340,148 +334,188 @@ mod reserved_user_tag_trips_the_debug_assertion {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection against the full distributed pipeline.
+// A stopped rank against the full distributed pipeline.
 // ---------------------------------------------------------------------------
 
-fn fault_workload() -> (CsrGraph, DistConfig) {
+fn stop_workload() -> (CsrGraph, DistConfig) {
     let graph = random_geometric_graph(800, 5);
     let config = DistConfig::new(KappaConfig::fast(4).with_seed(9), 4);
     (graph, config)
 }
 
+/// One rank's pipeline outcome, and the sends it made to the stop's target.
+type Stopped = (CommResult<Option<DistRunResult>>, u64);
+
+/// Runs the pipeline on one rank, rank `from` stopping at its `n`-th send to
+/// rank `to`.
+fn run_stopped<C: Comm>(
+    comm: &mut C,
+    graph: &CsrGraph,
+    config: &DistConfig,
+    (from, to, n): (usize, usize, u64),
+) -> Stopped {
+    let mut stop = StopAt::new(comm, from, to, n);
+    let outcome = partition_with_comm(&mut stop, graph, config);
+    (outcome, stop.sent())
+}
+
+/// The stop contract over one link. A stop at or past the number of
+/// messages rank `from` sends to its target (`past`) leaves the run
+/// bit-identical to `clean`: the partition, the cut and every rank's frame
+/// and collective counts. Any earlier stop fails the run. Every rank that
+/// fails besides `from` names itself, another rank and the tag in flight,
+/// and at least one of them reports the silent (`Timeout`) or gone
+/// (`Disconnected`) peer. Over sockets a send can also meet a peer that
+/// has already closed, which is an `Io` error.
+fn assert_stop_contract(
+    link: &str,
+    outcomes: Vec<Stopped>,
+    from: usize,
+    past: bool,
+    clean: &DistRunResult,
+) {
+    let ranks = outcomes.len();
+    if past {
+        let mut results = outcomes.into_iter().map(|(outcome, _)| outcome);
+        let result = results.next().unwrap().unwrap().expect("rank 0 assembles");
+        assert!(results.all(|r| r.is_ok()), "{link}: a late stop failed");
+        assert_eq!(result.partition.assignment(), clean.partition.assignment());
+        assert_eq!(result.edge_cut, clean.edge_cut);
+        for (rank, (got, want)) in result
+            .comm_per_rank
+            .iter()
+            .zip(&clean.comm_per_rank)
+            .enumerate()
+        {
+            assert_eq!(
+                got.total.frames, want.total.frames,
+                "{} rank {}",
+                link, rank
+            );
+            assert_eq!(got.total.collectives, want.total.collectives);
+        }
+        return;
+    }
+    assert!(
+        outcomes[from].0.is_err(),
+        "{link}: the stopped rank finished"
+    );
+    let mut diagnosed = false;
+    for (rank, (outcome, _)) in outcomes.into_iter().enumerate() {
+        let Err(err) = outcome else { continue };
+        if rank == from {
+            continue;
+        }
+        assert_eq!(err.rank, rank, "{}: {}", link, err);
+        assert!(err.peer < ranks && err.peer != rank, "{link}: {err}");
+        assert!(
+            !err.tag.is_empty(),
+            "{link}: error must name the tag in flight"
+        );
+        let rendered = err.to_string();
+        assert!(rendered.contains(&format!("rank {rank}")), "{rendered}");
+        assert!(rendered.contains(&err.tag), "{rendered}");
+        match err.kind {
+            CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected => diagnosed = true,
+            CommErrorKind::Io(_) if link == "tcp" => {}
+            _ => panic!("{link}: undiagnosed failure {err}"),
+        }
+    }
+    assert!(diagnosed, "{link}: no rank diagnosed the stopped peer");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Duplicates and delays are fully recoverable: the sequence-numbered
-    /// streams dedup and reassemble them, and the faulted run is
-    /// bit-identical to the clean one.
+    /// A rank stops at a random point `(from, to, n)` of an R = 4 run, over
+    /// both links. A stop past its last message to `to` gives the clean
+    /// partition bit for bit; any other stop gives a diagnosed error. Never a
+    /// hang, never a silently wrong partition.
     #[test]
-    fn recoverable_faults_leave_the_result_bit_identical(seed in any::<u64>()) {
-        let (graph, config) = fault_workload();
+    fn lossy_faults_are_bit_identical_or_diagnosed(
+        from in 0..4usize,
+        hop in 1..4usize,
+        past in any::<bool>(),
+        pick in any::<u64>(),
+    ) {
+        let (graph, config) = stop_workload();
+        let to = (from + hop) % config.ranks;
         let clean = partition_distributed(&graph, &config).unwrap();
-        let faulted = partition_distributed_with(
-            &graph,
-            &config,
-            LocalClusterConfig {
-                recv_timeout: Duration::from_secs(20),
-                fault: FaultPlan::seeded(seed, 0.0, 0.05, 0.002, 0.0),
-            },
-        )
-        .unwrap();
-        prop_assert_eq!(faulted.partition.assignment(), clean.partition.assignment());
-        prop_assert_eq!(faulted.edge_cut, clean.edge_cut);
-    }
-
-    /// Lossy plans (drops, plus reorders whose held message can fall off the
-    /// end of a stream) either miss every live channel — bit-identical result
-    /// — or surface as a diagnosed CommError. Never a hang, never a silently
-    /// wrong partition.
-    #[test]
-    fn lossy_faults_are_bit_identical_or_diagnosed(seed in any::<u64>()) {
-        let (graph, config) = fault_workload();
-        let clean = partition_distributed(&graph, &config).unwrap();
+        let counted = local_cluster(config.ranks)
+            .run(|comm| run_stopped(comm, &graph, &config, (from, to, u64::MAX)));
+        let sends = counted[from].1;
+        let n = if past || sends == 0 { sends + pick % 3 } else { pick % sends };
+        let past = n >= sends;
+        let wait = Duration::from_secs(2);
         let started = std::time::Instant::now();
-        let outcome = partition_distributed_with(
-            &graph,
-            &config,
-            LocalClusterConfig {
-                recv_timeout: Duration::from_secs(2),
-                fault: FaultPlan::seeded(seed, 0.0005, 0.01, 0.0, 0.003),
-            },
-        );
+        let local = local_cluster_waiting(config.ranks, wait)
+            .run(|comm| run_stopped(comm, &graph, &config, (from, to, n)));
+        assert_stop_contract("local", local, from, past, &clean);
+        let tcp = tcp_cluster_waiting(config.ranks, wait)
+            .run(|comm| run_stopped(comm, &graph, &config, (from, to, n)));
+        assert_stop_contract("tcp", tcp, from, past, &clean);
         prop_assert!(
             started.elapsed() < Duration::from_secs(60),
-            "faulted run must never hang"
+            "a stopped run must never hang"
         );
-        match outcome {
-            Ok(result) => {
-                prop_assert_eq!(
-                    result.partition.assignment(),
-                    clean.partition.assignment(),
-                    "a run that completes under faults must be bit-identical"
-                );
-                prop_assert_eq!(result.edge_cut, clean.edge_cut);
-            }
-            Err(err) => {
-                prop_assert!(err.rank < config.ranks);
-                prop_assert!(err.peer < config.ranks);
-                prop_assert!(!err.tag.is_empty(), "error must name the tag in flight");
-                prop_assert!(matches!(
-                    err.kind,
-                    CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
-                ));
-            }
-        }
     }
 }
 
-/// The regression shape from the issue: one targeted dropped message in an
-/// R = 4 run produces a clean, prompt error naming the stuck rank, the peer
-/// and the tag — not a deadlock, not a wrong partition.
+/// One rank stops at its very first frame to a peer in an R = 4 run: every
+/// other rank fails promptly with an error naming itself, a peer and the tag
+/// in flight — not a deadlock, not a wrong partition.
 #[test]
 fn dropped_message_at_four_ranks_is_diagnosed_with_rank_and_tag() {
     let graph = random_geometric_graph(1500, 3);
     let config = DistConfig::new(KappaConfig::fast(8).with_seed(1), 4);
     let started = std::time::Instant::now();
-    let err = partition_distributed_with(
-        &graph,
-        &config,
-        LocalClusterConfig {
-            recv_timeout: Duration::from_secs(2),
-            // The very first frame rank 1 sends to rank 2 vanishes.
-            fault: FaultPlan::drop_nth(1, 2, 0),
-        },
-    )
-    .unwrap_err();
+    // Rank 1 stops at the first frame it would send to rank 2.
+    let outcomes = local_cluster_waiting(4, Duration::from_secs(2))
+        .run(|comm| run_stopped(comm, &graph, &config, (1, 2, 0)));
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "the failure must surface promptly"
     );
-    // The diagnosis is the timeout of a stuck receiver, not the disconnect
-    // cascade it triggers. Usually that is rank 2 waiting on rank 1 (the
-    // dropped channel), but one drop stalls several ranks near-simultaneously
-    // (rank 2 mid-collective, its peers at their next receive from rank 2),
-    // and on a loaded single-core box any of those concurrent timers can
-    // expire first — so pin the contract, not the scheduling: a Timeout
-    // naming some stuck (rank, peer) pair and the tag in flight.
-    assert!(
-        matches!(err.kind, CommErrorKind::Timeout { .. }),
-        "expected a timeout diagnosis, got {:?}",
-        err.kind
-    );
-    assert!(err.rank < config.ranks, "stuck rank out of range: {err}");
-    assert!(err.peer < config.ranks, "peer out of range: {err}");
-    assert_ne!(
-        err.rank, err.peer,
-        "a rank cannot be stuck on itself: {err}"
-    );
-    assert!(!err.tag.is_empty(), "error must name the tag");
-    // The rendered message carries the full story for the CLI user.
-    let rendered = err.to_string();
-    assert!(
-        rendered.contains(&format!("rank {}", err.rank)),
-        "{rendered}"
-    );
-    assert!(
-        rendered.contains(&format!("rank {}", err.peer)),
-        "{rendered}"
-    );
-    assert!(rendered.contains(&err.tag), "{rendered}");
+    for (rank, (outcome, _)) in outcomes.into_iter().enumerate() {
+        let err = outcome.expect_err("no rank can finish without rank 1");
+        if rank == 1 {
+            continue;
+        }
+        assert_eq!(err.rank, rank, "{err}");
+        assert!(
+            matches!(
+                err.kind,
+                CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected
+            ),
+            "expected a timeout or disconnect diagnosis, got {err}"
+        );
+        assert!(err.peer < config.ranks, "peer out of range: {err}");
+        assert_ne!(
+            err.rank, err.peer,
+            "a rank cannot be stuck on itself: {err}"
+        );
+        assert!(!err.tag.is_empty(), "error must name the tag");
+        // The rendered message carries the full story for the CLI user.
+        let rendered = err.to_string();
+        assert!(
+            rendered.contains(&format!("rank {}", err.rank)),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains(&format!("rank {}", err.peer)),
+            "{rendered}"
+        );
+        assert!(rendered.contains(&err.tag), "{rendered}");
+    }
 }
 
-/// The same drop through the TCP backend: real sockets, same contract.
+/// A stop through the TCP backend: real sockets, same contract.
 #[test]
 fn dropped_frame_over_tcp_is_diagnosed_not_hung() {
-    let cluster = TcpCluster::with_config(
-        2,
-        TcpClusterConfig {
-            recv_timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(20),
-            fault: FaultPlan::drop_nth(0, 1, 2),
-        },
-    );
     let started = std::time::Instant::now();
-    let results = cluster.run(|comm| -> kappa::dist::CommResult<u64> {
+    let results = tcp_cluster_waiting(2, Duration::from_secs(2)).run(|comm| -> CommResult<u64> {
+        // Rank 0 stops at its third frame to rank 1.
+        let mut comm = StopAt::new(comm, 0, 1, 2);
         if comm.rank() == 0 {
             for v in 0..10u64 {
                 comm.send(1, "stream", v)?;
@@ -572,7 +606,7 @@ proptest! {
             x
         };
         let payload: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-        let bytes = encode_frame(next() as u32 % 64, next() % 1_000, "alltoallv", &payload).unwrap();
+        let bytes = encode_frame(next() as u32 % 64, "alltoallv", &payload).unwrap();
         let (frame, consumed) = decode_frame(&bytes).unwrap();
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(&frame.payload, &payload);

@@ -1,7 +1,8 @@
-//! Helpers shared by the integration suites (parity, dist, dynamic, stress):
-//! the seeded xorshift generator, the random-graph proptest strategy, the
-//! standard rgg/grid/delaunay instance trio, and the state-exactness and
-//! feasibility assertions that used to be duplicated per suite.
+//! Helpers shared by the integration suites (parity, dist, dynamic, stress,
+//! comm conformance): the seeded xorshift generator, the random-graph
+//! proptest strategy, the standard rgg/grid/delaunay instance trio, the
+//! state-exactness and feasibility assertions that used to be duplicated per
+//! suite, and the stopped-rank wrapper.
 
 #![allow(dead_code)] // each suite uses the subset it needs
 
@@ -12,6 +13,9 @@ use kappa::prelude::*;
 mod arbitrary_graph;
 #[allow(unused_imports)] // as above
 pub use arbitrary_graph::{arbitrary_graph, xorshift};
+mod stop_at;
+#[allow(unused_imports)] // as above
+pub use stop_at::StopAt;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable.
