@@ -15,7 +15,7 @@
 use std::io;
 use std::path::PathBuf;
 
-use kappa_graph::{GraphAccess, NodeWeight};
+use kappa_graph::{GraphAccess, NodeId, NodeOrder, NodeWeight};
 use kappa_matching::Matching;
 use kappa_mem::{PageCacheConfig, TierGraph, TierSpec};
 
@@ -29,6 +29,11 @@ use crate::contract::{assign_coarse_ids, merged_node, Contraction, RowMerger};
 /// parallel-edges-summed, self-loops-dropped) union of its fine nodes' lists,
 /// node weights are summed and coordinates averaged. The `Paged` tier drops
 /// coordinates by contract; everything else is representation-independent.
+///
+/// The coarse rows are stored in the order the fine storage order induces:
+/// each coarse node where its first fine node comes along it. So a fine
+/// level kept in a locality order hands its locality down, and one kept in
+/// id order induces ascending coarse ids — id order again.
 pub fn contract_to_tier<G: GraphAccess>(
     fine: &G,
     matching: &Matching,
@@ -37,16 +42,27 @@ pub fn contract_to_tier<G: GraphAccess>(
     let (coarse_of, reps) = assign_coarse_ids(fine, matching);
     let coarse_n = reps.len();
     let kept_coords = fine.coords().filter(|_| spec.keeps_coords());
+    let mut placed = vec![false; coarse_n];
+    let induced: Vec<NodeId> = fine
+        .stored_nodes()
+        .map(|v| coarse_of[v as usize])
+        .filter(|&c| !std::mem::replace(&mut placed[c as usize], true))
+        .collect();
+    drop(placed);
+    let order = NodeOrder::new(induced).expect("every coarse node has a fine node");
 
-    // Coarse nodes stream into the store in ascending id order. Coarse graphs
-    // are generically weighted (merged parallel edges), so their segments
-    // store weights explicitly.
-    let coarse_graph = spec.build(coarse_n, true, |push| {
+    // Coarse graphs are generically weighted (merged parallel edges), so
+    // their segments store weights explicitly. Node data is by id and reads
+    // no rows.
+    let coarse_graph = spec.build(coarse_n, true, order, |order, push| {
+        let mut merger = RowMerger::new(0, coarse_n);
+        for p in 0..coarse_n {
+            let c = order.map_or(p, |o| o.nodes()[p] as usize);
+            push(merger.merged_row(fine, &coarse_of, reps[c]))?;
+        }
         let mut vwgt: Vec<NodeWeight> = Vec::with_capacity(coarse_n);
         let mut coords = kept_coords.map(|_| Vec::with_capacity(coarse_n));
-        let mut merger = RowMerger::new(0, coarse_n);
         for &reps in &reps {
-            push(merger.merged_row(fine, &coarse_of, reps))?;
             let (weight, coord) = merged_node(fine, kept_coords, reps);
             vwgt.push(weight);
             if let (Some(out), Some(coord)) = (&mut coords, coord) {

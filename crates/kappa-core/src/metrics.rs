@@ -36,7 +36,7 @@ impl PartitionMetrics {
     ) -> Self {
         debug_assert_eq!(graph.num_nodes(), partition.num_nodes());
         let (mut cut, mut boundary_nodes) = (0, 0);
-        for u in GraphAccess::nodes(graph) {
+        for u in graph.stored_nodes() {
             let bu = partition.block_of(u);
             let mut on_boundary = false;
             graph.for_each_edge(u, |v, w| {

@@ -21,6 +21,8 @@
 //!    partners to their anchor's owner;
 //! 4. coarse ghost node weights pulled inside [`DistGraph::assemble_with`].
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use kappa_coarsen::RowMerger;
 use kappa_graph::{merge_row, CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
 
@@ -134,14 +136,27 @@ pub fn distributed_contraction<C: Comm>(
         outgoing[dg.owner_of(p)].push((p, mapped, dg.local().node_weight(l)));
     }
     let shipped = comm.alltoallv(outgoing)?;
-    // Index shipped rows by anchor gid.
-    let mut shipped_rows = std::collections::HashMap::new();
+    // Index shipped rows by anchor gid. A row is expected only for an owned
+    // anchor whose partner the sender owns, and only once.
+    let mut shipped_rows = HashMap::new();
     let mut shipped_half_edges = 0;
-    for part in shipped {
+    for (src, part) in shipped.into_iter().enumerate() {
         for (anchor, row, weight) in part {
-            shipped_half_edges += row.len();
-            let prev = shipped_rows.insert(anchor, (row, weight));
-            debug_assert!(prev.is_none(), "two partners shipped for one anchor");
+            let partner = anchor
+                .checked_sub(lo)
+                .and_then(|l| matching.partner_owned.get(l as usize))
+                .copied()
+                .filter(|&p| p != INVALID_NODE && p > anchor);
+            let detail = if partner.map(|p| dg.owner_of(p)) != Some(src) {
+                format!("rank {src} shipped a row for anchor {anchor}, which has no partner there")
+            } else if let Entry::Vacant(slot) = shipped_rows.entry(anchor) {
+                shipped_half_edges += row.len();
+                slot.insert((row, weight));
+                continue;
+            } else {
+                format!("rank {src} shipped a second row for anchor {anchor}")
+            };
+            return Err(CommError::protocol(comm.rank(), src, "contract", detail));
         }
     }
 
@@ -322,6 +337,47 @@ mod tests {
         for ranks in [2usize, 5] {
             let (coarse, _, _) = run_contraction(&g, ranks, 3);
             assert_eq!(coarse.total_node_weight(), g.total_node_weight());
+        }
+    }
+
+    #[test]
+    fn a_shipped_row_for_an_unknown_or_repeated_anchor_is_diagnosed() {
+        // A 4 × 4 grid over two ranks (rows 0–1 | rows 2–3). The bad rank 1
+        // matches its node 8 to rank 0's node 4, which rank 0 leaves
+        // unmatched; then it matches node 9 to node 4 as well, where rank 0
+        // pairs 4 with 8. Either way rank 1 ships a row rank 0 cannot place.
+        let g = grid2d(4, 4);
+        let unmatched = vec![INVALID_NODE; 8];
+        let mut paired = unmatched.clone();
+        paired[4] = 8;
+        let mut once = unmatched.clone();
+        once[0] = 4;
+        let mut twice = once.clone();
+        twice[1] = 4;
+        for (rank0, rank1, expected) in [
+            (
+                &unmatched,
+                &once,
+                "a row for anchor 4, which has no partner there",
+            ),
+            (&paired, &twice, "a second row for anchor 4"),
+        ] {
+            let results = LocalCluster::new(2).run(|comm| {
+                let dg = DistGraph::from_global(&g, 2, comm.rank());
+                let partner_owned = [rank0, rank1][comm.rank()].clone();
+                let matching = DistMatching {
+                    partner_owned,
+                    matched_pairs: 1,
+                };
+                distributed_contraction(comm, &dg, &matching).err()
+            });
+            let e = results[0].as_ref().expect("rank 0 rejects the row");
+            assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "contract"), "{e}");
+            assert!(
+                e.to_string()
+                    .contains(&format!("rank 1 shipped {expected}")),
+                "{e}"
+            );
         }
     }
 }

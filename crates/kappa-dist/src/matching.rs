@@ -31,13 +31,11 @@ use crate::comm::{Comm, CommError, CommResult};
 use crate::graph::DistGraph;
 
 /// A distributed matching: partner *global* ids under the owner-computes
-/// rule, with ghost mirrors for the contraction step.
+/// rule.
 #[derive(Clone, Debug)]
 pub struct DistMatching {
     /// Partner global id per owned node (`INVALID_NODE` = unmatched).
     pub partner_owned: Vec<NodeId>,
-    /// Partner global id per ghost (mirrored from the owners).
-    pub partner_ghost: Vec<NodeId>,
     /// Global number of matched pairs.
     pub matched_pairs: usize,
 }
@@ -233,9 +231,7 @@ pub fn distributed_matching<C: Comm>(
         })?;
     }
 
-    // Mirror partners onto ghosts and count pairs (at the smaller endpoint's
-    // owner, so each pair counts once).
-    let partner_ghost = dg.exchange_ghosts(comm, |l| partner_owned[l as usize])?;
+    // Count pairs at the smaller endpoint's owner, so each pair counts once.
     let local_pairs = partner_owned
         .iter()
         .enumerate()
@@ -245,7 +241,6 @@ pub fn distributed_matching<C: Comm>(
 
     Ok(DistMatching {
         partner_owned,
-        partner_ghost,
         matched_pairs,
     })
 }

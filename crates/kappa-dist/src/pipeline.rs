@@ -458,7 +458,8 @@ fn rank_main<C: Comm>(
         .map(|(r, _)| r)
         // kappa-lint: allow(dist-no-panic) -- allgather returns exactly one element per rank and clusters have at least one rank.
         .expect("at least one rank");
-    let winner = comm.broadcast(winner_rank, (comm.rank() == winner_rank).then_some(mine))?;
+    let mine = (comm.rank() == winner_rank).then_some(mine);
+    let winner = broadcast_winner(comm, winner_rank, mine, k, coarsest_full.num_nodes())?;
 
     // --- Phase 3: uncoarsening with pairwise distributed refinement. ---
     // The walk `MultilevelHierarchy::uncoarsen` takes, with one shard of the
@@ -489,12 +490,7 @@ fn rank_main<C: Comm>(
     // --- Gather the global assignment (replicated) and the exact cut. ---
     comm.set_phase("finish");
     let owned_blocks: Vec<BlockId> = st.view()[..finest.num_owned()].to_vec();
-    let assignment: Vec<BlockId> = comm
-        .allgather(owned_blocks)?
-        .into_iter()
-        .flatten()
-        .collect();
-    let partition = Partition::from_assignment(k, assignment);
+    let partition = gather_assignment(comm, owned_blocks, k, finest.range_starts())?;
     let edge_cut = st.edge_cut(comm, &finest)?;
 
     Ok(RankResult {
@@ -506,6 +502,72 @@ fn rank_main<C: Comm>(
         full_builds: st.full_builds(),
         comm: comm.stats().clone(),
     })
+}
+
+/// Broadcasts the winning initial partition from `root` (which passes it as
+/// `mine`) and checks that it splits the coarsest graph's `n` nodes into `k`
+/// blocks — its blocks are below its own `k` by construction.
+fn broadcast_winner<C: Comm>(
+    comm: &mut C,
+    root: usize,
+    mine: Option<Partition>,
+    k: BlockId,
+    n: usize,
+) -> CommResult<Partition> {
+    let winner = comm.broadcast(root, mine)?;
+    if winner.k() != k || winner.num_nodes() != n {
+        let detail = format!(
+            "rank {root}'s initial partition has {} blocks over {} nodes, expected {k} over {n}",
+            winner.k(),
+            winner.num_nodes()
+        );
+        return Err(CommError::protocol(comm.rank(), root, "initial", detail));
+    }
+    Ok(winner)
+}
+
+/// Allgathers every rank's owned blocks into the replicated partition of
+/// the finest graph, whose ownership ranges are `range_starts`: each rank
+/// must send one block below `k` per owned node.
+fn gather_assignment<C: Comm>(
+    comm: &mut C,
+    owned_blocks: Vec<BlockId>,
+    k: BlockId,
+    range_starts: &[NodeId],
+) -> CommResult<Partition> {
+    let parts = comm.allgather(owned_blocks)?;
+    for (r, part) in parts.iter().enumerate() {
+        let owned = (range_starts[r + 1] - range_starts[r]) as usize;
+        let detail = if part.len() != owned {
+            format!("rank {r} sent {} blocks for its {owned} nodes", part.len())
+        } else if let Some(i) = part.iter().position(|&b| b >= k) {
+            let gid = range_starts[r] as usize + i;
+            format!("rank {r} put node {gid} in block {} of {k}", part[i])
+        } else {
+            continue;
+        };
+        return Err(CommError::protocol(comm.rank(), r, "finish", detail));
+    }
+    Ok(Partition::from_assignment(k, parts.concat()))
+}
+
+/// The first of `blocks` (one per global node of `gids`, owned by
+/// `owner_of`) that is not below `k`, as the protocol error of its sender.
+fn check_projected_blocks(
+    rank: usize,
+    gids: impl Iterator<Item = NodeId>,
+    blocks: impl Iterator<Item = BlockId>,
+    k: BlockId,
+    owner_of: impl Fn(NodeId) -> usize,
+) -> CommResult<()> {
+    for (gid, b) in gids.zip(blocks) {
+        if b >= k {
+            let peer = owner_of(gid);
+            let detail = format!("rank {peer} put node {gid} in block {b} of {k}");
+            return Err(CommError::protocol(rank, peer, "project", detail));
+        }
+    }
+    Ok(())
 }
 
 /// Allgathers the (small) coarsest graph so every rank can partition it
@@ -589,6 +651,10 @@ fn project_state<C: Comm>(
     remote.sort_unstable();
     remote.dedup();
     let pulled: Vec<(BlockId, bool)> = coarse.pull(comm, &remote, coarse_info)?;
+    let blocks = pulled.iter().map(|&(b, _)| b);
+    check_projected_blocks(comm.rank(), remote.iter().copied(), blocks, st.k(), |gid| {
+        coarse.owner_of(gid)
+    })?;
     let lookup = |cid: NodeId| -> (BlockId, bool) {
         if cid >= lo && cid < hi {
             return coarse_info(cid - lo);
@@ -602,6 +668,14 @@ fn project_state<C: Comm>(
     // Ghost mirrors of block + candidate flag come from the fine owners
     // (which just computed them for their owned nodes).
     let ghost_info = fine.exchange_ghosts(comm, |l| (view[l as usize], candidate[l as usize]))?;
+    let blocks = ghost_info.iter().map(|&(b, _)| b);
+    check_projected_blocks(
+        comm.rank(),
+        fine.ghosts().iter().copied(),
+        blocks,
+        st.k(),
+        |gid| fine.owner_of(gid),
+    )?;
     view.extend(ghost_info.iter().map(|&(block, _)| block));
     candidate.extend(ghost_info.iter().map(|&(_, cand)| cand));
 
@@ -617,10 +691,105 @@ fn project_state<C: Comm>(
 
 #[cfg(test)]
 mod tests {
-    use super::{allgather_graph, fold_active};
-    use crate::comm::{Comm, LocalCluster};
+    use super::{allgather_graph, broadcast_winner, fold_active, gather_assignment, project_state};
+    use crate::comm::{Comm, CommError, LocalCluster};
     use crate::graph::DistGraph;
-    use kappa_graph::graph_from_edges;
+    use crate::state::DistState;
+    use kappa_gen::grid::grid2d;
+    use kappa_graph::{graph_from_edges, BlockId, BlockWeights, NodeId, Partition};
+
+    /// Rank 0's error of a two-rank run whose rank 1 is a bad peer, checked
+    /// to name rank 0, rank 1 and `tag` and to carry `detail`.
+    fn assert_blames_rank_1(results: &[Option<CommError>], tag: &str, detail: &str) {
+        let e = results[0].as_ref().expect("rank 0 reports the bad peer");
+        assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, tag), "{e}");
+        assert!(e.to_string().contains(detail), "{e}");
+    }
+
+    #[test]
+    fn a_winning_partition_of_another_shape_is_diagnosed() {
+        // The coarsest graph has 6 nodes and k = 4; rank 1 wins with a
+        // partition into 5 blocks, then with one over 5 nodes.
+        for (bad, detail) in [
+            (
+                Partition::from_assignment(5, vec![4; 6]),
+                "5 blocks over 6 nodes",
+            ),
+            (
+                Partition::from_assignment(4, vec![0; 5]),
+                "4 blocks over 5 nodes",
+            ),
+        ] {
+            let results = LocalCluster::new(2).run(|comm| {
+                let mine = (comm.rank() == 1).then(|| bad.clone());
+                broadcast_winner(comm, 1, mine, 4, 6).err()
+            });
+            let expected = format!("rank 1's initial partition has {detail}, expected 4 over 6");
+            assert_blames_rank_1(&results, "initial", &expected);
+        }
+    }
+
+    #[test]
+    fn finish_blocks_of_another_length_or_past_k_are_diagnosed() {
+        // Two ranks own 8 nodes each of a k = 2 partition.
+        let mut past_k = vec![0; 8];
+        past_k[7] = 5;
+        for (bad, detail) in [
+            (vec![0; 3], "rank 1 sent 3 blocks for its 8 nodes"),
+            (past_k, "rank 1 put node 15 in block 5 of 2"),
+        ] {
+            let results = LocalCluster::new(2).run(|comm| {
+                let owned = if comm.rank() == 1 {
+                    bad.clone()
+                } else {
+                    vec![0; 8]
+                };
+                gather_assignment(comm, owned, 2, &[0, 8, 16]).err()
+            });
+            assert_blames_rank_1(&results, "finish", detail);
+        }
+    }
+
+    #[test]
+    fn a_projected_block_past_k_is_diagnosed() {
+        // A 4 × 4 grid, fine ranges 0..8 | 8..16, coarse ranges 0..4 | 4..16
+        // and the identity contraction, k = 2 by halves: rank 0 pulls the
+        // images of its nodes 4..8 from rank 1 and mirrors nodes 8..12 of
+        // rank 1. The bad rank 1 answers the pull, or the ghost exchange,
+        // with block 7.
+        let g = grid2d(4, 4);
+        let partition = Partition::from_assignment(2, (0..16).map(|v| v / 8).collect());
+        for (lie_in_pull, detail) in [
+            (true, "rank 1 put node 4 in block 7 of 2"),
+            (false, "rank 1 put node 8 in block 7 of 2"),
+        ] {
+            let results = LocalCluster::new(2).run(|comm| {
+                let fine = DistGraph::from_global(&g, 2, comm.rank());
+                let coarse = DistGraph::from_global_ranges(&g, vec![0, 4, 16], comm.rank());
+                let view: Vec<BlockId> = (0..coarse.local().num_nodes() as NodeId)
+                    .map(|l| partition.block_of(coarse.global_of(l)))
+                    .collect();
+                let weights = BlockWeights::compute(&g, &partition);
+                let st = DistState::build(&coarse, view, 2, weights);
+                if comm.rank() == 1 {
+                    let lie = |b: BlockId| if lie_in_pull { 7 } else { b };
+                    // The bad peer's pull and ghost exchange meet the ones
+                    // inside rank 0's `project_state`.
+                    coarse
+                        .pull(comm, &[], |l| (lie(st.block_of_local(l)), false))
+                        .unwrap();
+                    if !lie_in_pull {
+                        fine.exchange_ghosts(comm, |_| (7 as BlockId, false))
+                            .unwrap();
+                    }
+                    return None;
+                }
+                let coarse_of: Vec<NodeId> = (0..8).collect();
+                project_state(comm, &fine, &coarse, &st, &coarse_of).err()
+            });
+            assert_blames_rank_1(&results, "project", detail);
+        }
+    }
 
     #[test]
     fn a_peer_row_past_the_coarsest_graph_is_diagnosed() {

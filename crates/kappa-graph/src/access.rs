@@ -26,6 +26,7 @@
 //! [`edges_of`](GraphAccess::edges_of) instead.
 
 use crate::csr::CsrGraph;
+use crate::order::NodeOrder;
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// Whole-graph read access: everything the multilevel pipeline (matching,
@@ -79,6 +80,22 @@ pub trait GraphAccess {
     /// Iterator over all node ids `0..n`.
     fn nodes(&self) -> std::ops::Range<NodeId> {
         0..(self.num_nodes() as NodeId)
+    }
+
+    /// The order the rows are stored in, where that is not id order: a
+    /// paged graph keeps a scattered input's rows in a
+    /// [`locality_order`](crate::locality_order). Ids mean the same either
+    /// way; only the cost of reading rows in a given order differs.
+    fn storage_order(&self) -> Option<&NodeOrder> {
+        None
+    }
+
+    /// Every node id once, in [`storage_order`](Self::storage_order): the
+    /// cheap way to read every row when the result does not depend on the
+    /// order the nodes are visited in.
+    fn stored_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let order = self.storage_order().map(NodeOrder::nodes);
+        (0..self.num_nodes()).map(move |p| order.map_or(p as NodeId, |o| o[p]))
     }
 
     /// Sum of the weights of `v`'s incident edges.

@@ -10,6 +10,7 @@
 use std::ops::Range;
 
 use crate::csr::{CsrGraph, CsrRows};
+use crate::order::{IdSpan, NodeOrder};
 use crate::stream::{EdgeSource, SliceEdgeSource};
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
@@ -92,21 +93,34 @@ impl GraphBuilder {
     /// On a zero-weight edge or an endpoint out of range.
     pub fn build(self) -> CsrGraph {
         let src = SliceEdgeSource::new(self.num_nodes, &self.edges);
-        let (degrees, _) = count_degrees(&src);
-        fill_rows(&src, &degrees, 0..self.num_nodes).finish(self.node_weights, self.coords)
+        let degrees = count_degrees(&src).degrees;
+        fill_rows(&src, &degrees, None, 0..self.num_nodes).finish(self.node_weights, self.coords)
     }
 }
 
-/// The degree pass of the counting build: every node's count of half-edges
-/// in `src` (parallel edges counted once per copy, self loops skipped), and
-/// whether every such edge has weight 1.
+/// What the degree pass of the counting build learns about a stream.
+#[derive(Clone, Debug)]
+pub struct DegreeCount {
+    /// Every node's count of half-edges (parallel edges counted once per
+    /// copy, self loops skipped).
+    pub degrees: Vec<u32>,
+    /// Whether every such edge has weight 1.
+    pub all_unit: bool,
+    /// |u − v| over the same edges: whether the ids are local.
+    pub span: IdSpan,
+}
+
+/// The degree pass of the counting build over `src`.
 ///
 /// # Panics
 /// On a zero weight or an endpoint `>= src.num_nodes()`.
-pub fn count_degrees<S: EdgeSource>(src: &S) -> (Vec<u32>, bool) {
+pub fn count_degrees<S: EdgeSource>(src: &S) -> DegreeCount {
     let n = src.num_nodes();
-    let mut degrees = vec![0u32; n];
-    let mut all_unit = true;
+    let mut count = DegreeCount {
+        degrees: vec![0u32; n],
+        all_unit: true,
+        span: IdSpan::default(),
+    };
     src.for_each_edge(|u, v, w| {
         assert!(w > 0, "edge weights must be positive");
         assert!(
@@ -114,28 +128,37 @@ pub fn count_degrees<S: EdgeSource>(src: &S) -> (Vec<u32>, bool) {
             "edge endpoint out of range: {{{u}, {v}}} with n = {n}"
         );
         if u != v {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
-            all_unit &= w == 1;
+            count.degrees[u as usize] += 1;
+            count.degrees[v as usize] += 1;
+            count.all_unit &= w == 1;
+            count.span.add(u, v);
         }
     });
-    (degrees, all_unit)
+    count
 }
 
-/// The fill and merge of the counting build: the rows of the nodes `range`
-/// of `src`, row `v` pushed `v - range.start`-th, self loops dropped and each
-/// row brought into form by [`merge_row`]. `degrees` is [`count_degrees`] of
+/// The fill and merge of the counting build: the rows of the nodes at the
+/// positions `range` of `order` (`None`: id order) in `src`, the row at
+/// position `p` pushed `p - range.start`-th, self loops dropped and each row
+/// brought into form by [`merge_row`]. `degrees` is [`count_degrees`] of
 /// the same stream. Replays `src` once and holds one slot (12 bytes) per
 /// counted half-edge of `range`.
 ///
 /// # Panics
 /// If the replay emits other half-edges into `range` than `degrees` counts.
-pub fn fill_rows<S: EdgeSource>(src: &S, degrees: &[u32], range: Range<usize>) -> CsrRows {
+pub fn fill_rows<S: EdgeSource>(
+    src: &S,
+    degrees: &[u32],
+    order: Option<&NodeOrder>,
+    range: Range<usize>,
+) -> CsrRows {
     let lo = range.start;
+    let node_at = |p: usize| order.map_or(p, |o| o.nodes()[p] as usize);
+    let position = |v: NodeId| order.map_or(v as usize, |o| o.position(v));
     let mut xadj = Vec::with_capacity(range.len() + 1);
     xadj.push(0usize);
-    for v in range {
-        xadj.push(xadj[v - lo] + degrees[v] as usize);
+    for p in range {
+        xadj.push(xadj[p - lo] + degrees[node_at(p)] as usize);
     }
     let rows = xadj.len() - 1;
     let mut cursor = xadj[..rows].to_vec();
@@ -146,7 +169,7 @@ pub fn fill_rows<S: EdgeSource>(src: &S, degrees: &[u32], range: Range<usize>) -
             return;
         }
         for (x, y) in [(u, v), (v, u)] {
-            let i = (x as usize).wrapping_sub(lo);
+            let i = position(x).wrapping_sub(lo);
             if i < rows {
                 let c = &mut cursor[i];
                 assert!(

@@ -8,8 +8,9 @@
 //! [`PartitionState`] (assignment + weights + boundary index + per-pair cut
 //! weights behind one exact `apply_move`), the mutating [`DynamicGraph`] of the
 //! dynamic service (vertex/edge insert-delete with stable ids, read through
-//! the same [`GraphAccess`] seam as every frozen graph) and METIS-style text
-//! I/O.
+//! the same [`GraphAccess`] seam as every frozen graph), the
+//! [`locality_order`] a store keeps a scattered graph's rows in, and
+//! METIS-style text I/O.
 //!
 //! The design follows Section 2 of Holtgrewe, Sanders and Schulz,
 //! *Engineering a Scalable High Quality Graph Partitioner* (2010): graphs are
@@ -47,6 +48,7 @@ pub mod builder;
 pub mod csr;
 pub mod dynamic;
 pub mod io;
+pub mod order;
 pub mod partition;
 pub mod partition_state;
 pub mod quotient;
@@ -64,6 +66,7 @@ pub use io::{
     parse_metis, read_metis, to_metis_string, to_metis_string_fmt, write_metis, MetisError,
     MetisFormat,
 };
+pub use order::{locality_order, IdSpan, NodeOrder};
 pub use partition::{BlockAssignment, BlockAssignmentMut, BlockWeights, Partition};
 pub use partition_state::PartitionState;
 pub use quotient::{sum_cut_weights, QuotientGraph};

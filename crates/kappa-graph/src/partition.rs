@@ -198,7 +198,7 @@ impl Partition {
     pub fn edge_cut<G: GraphAccess>(&self, graph: &G) -> EdgeWeight {
         debug_assert_eq!(graph.num_nodes(), self.num_nodes());
         let mut cut = 0;
-        for u in GraphAccess::nodes(graph) {
+        for u in graph.stored_nodes() {
             let bu = self.block_of(u);
             graph.for_each_edge(u, |v, w| {
                 if bu != self.block_of(v) {
@@ -211,7 +211,8 @@ impl Partition {
 
     /// Number of boundary nodes (nodes with at least one neighbour in another block).
     pub fn num_boundary_nodes<G: GraphAccess>(&self, graph: &G) -> usize {
-        GraphAccess::nodes(graph)
+        graph
+            .stored_nodes()
             .filter(|&v| {
                 let b = self.block_of(v);
                 graph.edges_of(v).any(|(u, _)| self.block_of(u) != b)

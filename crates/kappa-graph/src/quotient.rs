@@ -46,7 +46,7 @@ impl QuotientGraph {
     /// `O(|E_Q|)` instead.
     pub fn build<G: GraphAccess>(graph: &G, partition: &Partition) -> Self {
         let mut edges = Vec::new();
-        for u in GraphAccess::nodes(graph) {
+        for u in graph.stored_nodes() {
             let bu = partition.block_of(u);
             // Count each undirected edge once, at its smaller endpoint.
             graph.for_each_edge(u, |v, w| {

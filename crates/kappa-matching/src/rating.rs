@@ -106,34 +106,88 @@ pub fn rate_edge(
 
 /// Rates every undirected edge of `graph` once (`u < v`), in the order the
 /// CSR form enumerates them (ascending `u`, then ascending `v`).
+///
+/// The rows are read in the graph's
+/// [`storage_order`](GraphAccess::storage_order). Where that is not id
+/// order, a first pass counts each node's edges to larger ids (and sums its
+/// weighted degree for innerOuter), prefix sums place each node's edges, and
+/// a second pass rates them into place — the same list, bit for bit.
 pub fn rated_edges<G: GraphAccess>(graph: &G, rating: EdgeRating) -> Vec<RatedEdge> {
-    // Precompute weighted degrees once for innerOuter.
-    let out: Vec<EdgeWeight> = if rating == EdgeRating::InnerOuter {
-        GraphAccess::nodes(graph)
-            .map(|v| graph.weighted_degree(v))
-            .collect()
-    } else {
-        Vec::new()
+    let inner_outer = rating == EdgeRating::InnerOuter;
+    let Some(order) = graph.storage_order() else {
+        // Precompute weighted degrees once for innerOuter.
+        let out: Vec<EdgeWeight> = if inner_outer {
+            GraphAccess::nodes(graph)
+                .map(|v| graph.weighted_degree(v))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut edges = Vec::with_capacity(graph.num_edges());
+        for u in GraphAccess::nodes(graph) {
+            rate_row(graph, rating, &out, u, |e| edges.push(e));
+        }
+        return edges;
     };
-    let mut edges = Vec::with_capacity(graph.num_edges());
-    for u in GraphAccess::nodes(graph) {
-        let cu = graph.node_weight(u);
+    let n = graph.num_nodes();
+    let mut start = vec![0usize; n + 1];
+    let mut out: Vec<EdgeWeight> = vec![0; if inner_outer { n } else { 0 }];
+    for &u in order.nodes() {
+        let (mut upper, mut weighted_degree) = (0, 0);
         graph.for_each_edge(u, |v, w| {
-            if u < v {
-                let (ou, ov) = if rating == EdgeRating::InnerOuter {
-                    (out[u as usize], out[v as usize])
-                } else {
-                    (0, 0)
-                };
-                edges.push(RatedEdge {
-                    u,
-                    v,
-                    rating: rate_edge(rating, w, cu, graph.node_weight(v), ou, ov),
-                });
+            upper += usize::from(u < v);
+            if inner_outer {
+                weighted_degree += w;
             }
+        });
+        start[u as usize + 1] = upper;
+        if inner_outer {
+            out[u as usize] = weighted_degree;
+        }
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let placeholder = RatedEdge {
+        u: 0,
+        v: 0,
+        rating: 0.0,
+    };
+    let mut edges = vec![placeholder; start[n]];
+    for &u in order.nodes() {
+        let mut at = start[u as usize];
+        rate_row(graph, rating, &out, u, |e| {
+            edges[at] = e;
+            at += 1;
         });
     }
     edges
+}
+
+/// Rates the edges of `u`'s row to larger ids, in row order; `out` holds the
+/// weighted degrees where `rating` is innerOuter.
+fn rate_row<G: GraphAccess>(
+    graph: &G,
+    rating: EdgeRating,
+    out: &[EdgeWeight],
+    u: NodeId,
+    mut emit: impl FnMut(RatedEdge),
+) {
+    let cu = graph.node_weight(u);
+    graph.for_each_edge(u, |v, w| {
+        if u < v {
+            let (ou, ov) = if rating == EdgeRating::InnerOuter {
+                (out[u as usize], out[v as usize])
+            } else {
+                (0, 0)
+            };
+            emit(RatedEdge {
+                u,
+                v,
+                rating: rate_edge(rating, w, cu, graph.node_weight(v), ou, ov),
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -223,6 +277,65 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A CSR graph that claims to store its rows in `order`.
+    struct LaidOut<'a>(&'a kappa_graph::CsrGraph, kappa_graph::NodeOrder);
+
+    impl GraphAccess for LaidOut<'_> {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn num_half_edges(&self) -> usize {
+            self.0.num_half_edges()
+        }
+        fn total_node_weight(&self) -> u64 {
+            self.0.total_node_weight()
+        }
+        fn max_node_weight(&self) -> u64 {
+            self.0.max_node_weight()
+        }
+        fn degree(&self, v: NodeId) -> usize {
+            self.0.degree(v)
+        }
+        fn node_weight(&self, v: NodeId) -> u64 {
+            self.0.node_weight(v)
+        }
+        fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
+            self.0.edges_of(v)
+        }
+        fn storage_order(&self) -> Option<&kappa_graph::NodeOrder> {
+            Some(&self.1)
+        }
+    }
+
+    #[test]
+    fn rows_in_storage_order_rate_the_same_list() {
+        // A weighted 5-node graph with a hub, rows stored backwards.
+        let mut b = GraphBuilder::with_node_weights(vec![3, 1, 4, 1, 5]);
+        for (u, v, w) in [
+            (0, 1, 2),
+            (0, 2, 7),
+            (0, 4, 1),
+            (1, 2, 3),
+            (2, 3, 9),
+            (3, 4, 4),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let order = kappa_graph::NodeOrder::new(vec![4, 3, 2, 1, 0])
+            .unwrap()
+            .unwrap();
+        let laid = LaidOut(&g, order);
+        for rating in EdgeRating::all() {
+            assert_eq!(
+                rated_edges(&laid, rating),
+                rated_edges(&g, rating),
+                "{}",
+                rating.name()
+            );
         }
     }
 

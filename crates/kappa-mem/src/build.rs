@@ -4,12 +4,16 @@
 //! The rows come from kappa-graph's counting build, the same code behind
 //! `GraphBuilder::build`, run chunk by chunk:
 //!
-//! 1. one replay counts degrees ([`count_degrees`], Θ(n) `u32`s) and detects
-//!    whether any weight differs from 1;
-//! 2. the node range is split into chunks whose fill arrays (12 bytes per
-//!    counted half-edge) fit a fixed byte budget, and one replay *per chunk*
-//!    builds just that chunk's rows ([`fill_rows`]) before encoding them to
-//!    the sink.
+//! 1. one replay counts degrees ([`count_degrees`], Θ(n) `u32`s), detects
+//!    whether any weight differs from 1 and measures whether the ids are
+//!    local;
+//! 2. on the paged store, a source whose ids are scattered and which has
+//!    coordinates gets its rows stored in Morton order over them (a source
+//!    without coordinates keeps id order: BFS order would need the rows);
+//! 3. the positions of that order are split into chunks whose fill arrays
+//!    (12 bytes per counted half-edge) fit a fixed byte budget, and one
+//!    replay *per chunk* builds just that chunk's rows ([`fill_rows`])
+//!    before encoding them to the sink.
 //!
 //! Peak transient memory is `O(n + CHUNK_BYTES)` instead of `O(m)`; the cost
 //! is `1 + ⌈fill bytes / CHUNK_BYTES⌉` replays of the source, which is cheap
@@ -24,7 +28,8 @@
 use std::io;
 
 use kappa_graph::builder::{count_degrees, fill_rows};
-use kappa_graph::{EdgeSource, EdgeWeight, NodeId};
+use kappa_graph::order::morton_order;
+use kappa_graph::{EdgeSource, EdgeWeight, NodeId, NodeOrder};
 
 use crate::graph::{NodeData, PushRow};
 use crate::tier::{TierGraph, TierSpec};
@@ -34,14 +39,16 @@ use crate::tier::{TierGraph, TierSpec};
 const CHUNK_BYTES: usize = 128 << 20;
 
 /// Builds the rows of `src` chunk by chunk, handing each node's row to
-/// `emit` in ascending node order.
+/// `emit` in `order` (`None`: ascending node order).
 fn for_each_node_list<S: EdgeSource>(
     src: &S,
     degrees: &[u32],
+    order: Option<&NodeOrder>,
     weighted: bool,
     chunk_bytes: usize,
     emit: &mut PushRow<'_>,
 ) -> io::Result<()> {
+    let degree_at = |p: usize| degrees[order.map_or(p, |o| o.nodes()[p] as usize)];
     let n = src.num_nodes();
     // Fill-array cost of one half-edge: u32 target plus u64 weight.
     let chunk_budget = (chunk_bytes / 12).max(1) as u64;
@@ -52,17 +59,17 @@ fn for_each_node_list<S: EdgeSource>(
         // least one node so huge hubs still go through).
         let mut hi = lo;
         let mut slots = 0u64;
-        while hi < n && (hi == lo || slots + degrees[hi] as u64 <= chunk_budget) {
-            slots += degrees[hi] as u64;
+        while hi < n && (hi == lo || slots + degree_at(hi) as u64 <= chunk_budget) {
+            slots += degree_at(hi) as u64;
             hi += 1;
         }
-        let rows = fill_rows(src, degrees, lo..hi);
-        for v in lo..hi {
+        let rows = fill_rows(src, degrees, order, lo..hi);
+        for p in lo..hi {
             row.clear();
-            row.extend(rows.row(v - lo));
+            row.extend(rows.row(p - lo));
             assert!(
                 weighted || row.iter().all(|&(_, w)| w == 1),
-                "duplicate edge at node {v} in a unit-weight stream"
+                "duplicate edge at position {p} in a unit-weight stream"
             );
             emit(&row)?;
         }
@@ -89,7 +96,8 @@ impl TierGraph {
     ///
     /// Equivalent to [`from_graph`](TierGraph::from_graph) of the
     /// `GraphBuilder`-built graph — the conformance tests assert exact
-    /// equality on both stores.
+    /// equality on both stores — except that a paged source without
+    /// coordinates keeps its rows in id order.
     pub fn from_source<S: EdgeSource>(src: &S, spec: TierSpec<'_>) -> io::Result<TierGraph> {
         from_source_with_chunk_bytes(src, spec, CHUNK_BYTES)
     }
@@ -100,9 +108,18 @@ pub(crate) fn from_source_with_chunk_bytes<S: EdgeSource>(
     spec: TierSpec<'_>,
     chunk_bytes: usize,
 ) -> io::Result<TierGraph> {
-    let (degrees, all_unit) = count_degrees(src);
-    spec.build(src.num_nodes(), !all_unit, |push| {
-        for_each_node_list(src, &degrees, !all_unit, chunk_bytes, push)?;
+    let count = count_degrees(src);
+    let n = src.num_nodes();
+    let order = (spec.wants_locality() && count.span.is_scattered(n))
+        .then(|| src.coords())
+        .flatten()
+        .and_then(|coords| {
+            assert_eq!(coords.len(), n, "coords length mismatch");
+            NodeOrder::new(morton_order(&coords)).expect("a Morton order is a permutation")
+        });
+    let weighted = !count.all_unit;
+    spec.build(n, weighted, order, |order, push| {
+        for_each_node_list(src, &count.degrees, order, weighted, chunk_bytes, push)?;
         Ok(node_data(src, spec.keeps_coords()))
     })
 }

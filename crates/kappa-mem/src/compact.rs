@@ -77,8 +77,11 @@ impl SegmentGraph<Arena> {
     /// Re-encodes a plain CSR graph compactly. The result decodes to the
     /// exact same adjacency ([`to_csr`](SegmentGraph::to_csr) round-trips).
     pub fn from_graph(graph: &CsrGraph) -> Self {
-        CompactWriter::new(graph.num_nodes(), is_weighted(graph))
-            .fill(|push| csr_rows(graph, true, push))
+        let weighted = is_weighted(graph);
+        CompactWriter::new(graph.num_nodes(), weighted)
+            .fill(None, |order, push| {
+                csr_rows(graph, order, weighted, true, push)
+            })
             .expect("arena writes cannot fail")
     }
 }

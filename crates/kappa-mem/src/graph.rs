@@ -1,9 +1,16 @@
 //! The one segment-encoded graph: [`SegmentGraph`], generic over a [`Store`].
 //!
 //! Everything a delta-varint graph *is* lives here exactly once — the `n + 1`
-//! offset table, the `weighted` flag, unit-elided node weights, the cached
-//! totals, the writer that builds them row by row, `from_graph`'s row loop,
-//! `to_csr`, and the only [`GraphAccess`] impl. A store
+//! offset table, the row layout, the `weighted` flag, unit-elided node
+//! weights, the cached totals, the writer that builds them row by row,
+//! `from_graph`'s row loop, `to_csr`, and the only [`GraphAccess`] impl.
+//!
+//! The rows may be stored in an order other than id order — a
+//! [`NodeOrder`], chosen by the writer's caller and kept in the index — so
+//! that rows read together sit on the same pages. Node ids are not touched:
+//! the offset table is indexed by storage position and read through the
+//! order's inverse, while node weights (and a store's resident degrees) stay
+//! indexed by id. A store
 //! contributes only where keeping the segment bytes in a RAM arena and
 //! keeping them in a file behind a page cache really differ, and that list is
 //! the whole [`Store`] trait: how a row is appended and the graph sealed, how
@@ -17,7 +24,7 @@
 
 use std::io;
 
-use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
+use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeOrder, NodeWeight};
 
 use crate::segment::{decode_degree, decode_segment};
 
@@ -26,17 +33,20 @@ use crate::segment::{decode_degree, decode_segment};
 pub type NodeData = (Option<Vec<NodeWeight>>, Option<Vec<[f64; 2]>>);
 
 /// Where a row producer puts each node's final incidence list (sorted by
-/// target, parallel edges merged), in ascending node order.
+/// target, parallel edges merged), in the writer's storage order.
 pub type PushRow<'a> = dyn FnMut(&[(NodeId, EdgeWeight)]) -> io::Result<()> + 'a;
 
 /// Everything about a segment-encoded graph except the edge bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Index {
-    /// `offsets[v]..offsets[v + 1]` is `v`'s byte segment. Length `n + 1`.
+    /// `offsets[p]..offsets[p + 1]` is the byte segment of the row stored
+    /// at position `p`. Length `n + 1`.
     pub(crate) offsets: Vec<u64>,
+    /// The node stored at each position; `None` ⇒ id order.
+    pub(crate) order: Option<NodeOrder>,
     /// Whether segments carry explicit edge weights (`false` ⇒ all weight 1).
     pub(crate) weighted: bool,
-    /// Node weights; `None` ⇒ all weight 1.
+    /// Node weights by id; `None` ⇒ all weight 1.
     pub(crate) vwgt: Option<Vec<NodeWeight>>,
     pub(crate) num_half_edges: usize,
     pub(crate) total_node_weight: NodeWeight,
@@ -74,7 +84,8 @@ pub trait Store: Sized {
     ) -> io::Result<usize>;
 
     /// Seals the store under its finished `index`. A store that does not
-    /// keep coordinates drops them here.
+    /// keep coordinates drops them here; one that keeps degrees resident
+    /// turns the pushed ones from storage order into id order.
     fn seal(sink: Self::Sink, index: &Index, coords: Option<Vec<[f64; 2]>>) -> io::Result<Self>;
 
     /// Runs `f` on the segment bytes `[lo, hi)`.
@@ -137,10 +148,11 @@ impl<S: Store> SegmentGraph<S> {
 
     #[inline]
     fn range(&self, v: NodeId) -> (u64, u64) {
-        (
-            self.index.offsets[v as usize],
-            self.index.offsets[v as usize + 1],
-        )
+        let p = match &self.index.order {
+            Some(order) => order.position(v),
+            None => v as usize,
+        };
+        (self.index.offsets[p], self.index.offsets[p + 1])
     }
 }
 
@@ -199,14 +211,21 @@ impl<S: Store> GraphAccess for SegmentGraph<S> {
     fn coords(&self) -> Option<&[[f64; 2]]> {
         self.store.coords()
     }
+
+    #[inline]
+    fn storage_order(&self) -> Option<&NodeOrder> {
+        self.index.order.as_ref()
+    }
 }
 
-/// Incremental builder of a [`SegmentGraph`]: nodes are pushed in ascending
-/// id order with their final merged, sorted incidence lists; only the Θ(n)
-/// offset table is held here, the segments go where the store puts them.
+/// Incremental builder of a [`SegmentGraph`]: nodes are pushed in the
+/// writer's storage order (id order unless it was given a [`NodeOrder`])
+/// with their final merged, sorted incidence lists; only the Θ(n) offset
+/// table is held here, the segments go where the store puts them.
 pub struct SegmentWriter<S: Store> {
     sink: S::Sink,
     offsets: Vec<u64>,
+    order: Option<NodeOrder>,
     weighted: bool,
     num_half_edges: usize,
 }
@@ -219,12 +238,14 @@ impl<S: Store> SegmentWriter<S> {
         SegmentWriter {
             sink,
             offsets,
+            order: None,
             weighted,
             num_half_edges: 0,
         }
     }
 
-    /// Appends the next node's incidence list (sorted, merged).
+    /// Appends the next node's incidence list (sorted, merged): rows pushed
+    /// here are stored in id order.
     pub fn push_node(&mut self, edges: &[(NodeId, EdgeWeight)]) -> io::Result<()> {
         let len = S::push(&mut self.sink, edges, self.weighted)?;
         let end = self.offsets[self.offsets.len() - 1] + len as u64;
@@ -237,8 +258,8 @@ impl<S: Store> SegmentWriter<S> {
     /// survive only on a store that keeps them.
     ///
     /// # Panics
-    /// Panics if a provided `vwgt`/`coords` length disagrees with the number
-    /// of pushed nodes.
+    /// Panics if a provided `vwgt`/`coords` length or the storage order's
+    /// disagrees with the number of pushed nodes.
     pub fn finish(
         self,
         vwgt: Option<Vec<NodeWeight>>,
@@ -251,10 +272,14 @@ impl<S: Store> SegmentWriter<S> {
         if let Some(c) = &coords {
             assert_eq!(c.len(), n, "coords length mismatch");
         }
+        if let Some(o) = &self.order {
+            assert_eq!(o.nodes().len(), n, "storage order length mismatch");
+        }
         let (total_node_weight, max_node_weight) =
             weight_totals(vwgt.as_deref(), n).expect("total node weight overflows");
         let index = Index {
             offsets: self.offsets,
+            order: self.order,
             weighted: self.weighted,
             vwgt,
             num_half_edges: self.num_half_edges,
@@ -265,14 +290,18 @@ impl<S: Store> SegmentWriter<S> {
         Ok(SegmentGraph { index, store })
     }
 
-    /// Pushes every row `rows` produces and seals the graph with the node
-    /// data it returns — the one rows → graph path behind `from_graph`, the
-    /// streaming builder and tiered contraction.
+    /// Stores the rows in `order` (`None`: id order): `rows` is handed the
+    /// order and pushes the row of each node at its position, in turn; the
+    /// graph is sealed with the node data it returns, indexed by id. The one
+    /// rows → graph path behind `from_graph`, the streaming builder and
+    /// tiered contraction.
     pub(crate) fn fill(
         mut self,
-        rows: impl FnOnce(&mut PushRow<'_>) -> io::Result<NodeData>,
+        order: Option<NodeOrder>,
+        rows: impl FnOnce(Option<&NodeOrder>, &mut PushRow<'_>) -> io::Result<NodeData>,
     ) -> io::Result<SegmentGraph<S>> {
-        let (vwgt, coords) = rows(&mut |edges| self.push_node(edges))?;
+        let (vwgt, coords) = rows(order.as_ref(), &mut |edges| self.push_node(edges))?;
+        self.order = order;
         self.finish(vwgt, coords)
     }
 }
@@ -282,18 +311,26 @@ pub(crate) fn is_weighted(graph: &CsrGraph) -> bool {
     !graph.adjwgt().iter().all(|&w| w == 1)
 }
 
-/// Replays a plain CSR graph as rows: the body of every `from_graph`.
-/// All-unit node weights are elided; coordinates are copied only for a store
-/// that keeps them.
+/// Replays a plain CSR graph as rows in `order` (`None`: id order): the
+/// body of every `from_graph`. A unit-weight graph's rows are read without
+/// their weights. All-unit node weights are elided; coordinates are copied
+/// only for a store that keeps them.
 pub(crate) fn csr_rows(
     graph: &CsrGraph,
+    order: Option<&NodeOrder>,
+    weighted: bool,
     keep_coords: bool,
     push: &mut PushRow<'_>,
 ) -> io::Result<NodeData> {
     let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for v in graph.nodes() {
+    for p in 0..graph.num_nodes() {
+        let v = order.map_or(p as NodeId, |o| o.nodes()[p]);
         row.clear();
-        row.extend(graph.edges_of(v));
+        if weighted {
+            row.extend(graph.edges_of(v));
+        } else {
+            row.extend(graph.neighbors(v).iter().map(|&u| (u, 1)));
+        }
         push(&row)?;
     }
     let vwgt = graph.vwgt();
@@ -310,10 +347,12 @@ pub(crate) mod conformance {
     use std::path::PathBuf;
 
     use kappa_graph::{
-        graph_from_edges, CsrGraph, EdgeWeight, GraphAccess, GraphBuilder, NodeId, SliceEdgeSource,
+        graph_from_edges, CsrGraph, EdgeWeight, GraphAccess, GraphBuilder, NodeId, NodeOrder,
+        SliceEdgeSource,
     };
     use proptest::prelude::*;
 
+    use super::csr_rows;
     use crate::build::from_source_with_chunk_bytes;
     use crate::{TierGraph, TierSpec};
 
@@ -337,6 +376,7 @@ pub(crate) mod conformance {
                 weighted_coarse_graph_round_trips,
                 hub_segment_spans_several_pages,
                 from_graph_from_source_and_builder_agree,
+                explicit_layout_reads_by_id,
             );
         };
         ($spec:expr; $($case:ident),+ $(,)?) => {$(
@@ -457,6 +497,35 @@ pub(crate) mod conformance {
         assert_eq!(t.degree(0), leaves as usize);
         let last: Vec<_> = GraphAccess::edges_of(&t, leaves).collect();
         assert_eq!(last, [(0, 1000 + u64::from(leaves))]);
+    }
+
+    pub(crate) fn explicit_layout_reads_by_id(spec: TierSpec<'_>) {
+        // Degrees 1, 3, 2, 1, 2, 1 and node weights 1..=6: a store that
+        // indexed degrees or weights by position would give other answers.
+        let mut b = GraphBuilder::with_node_weights(vec![1, 2, 3, 4, 5, 6]);
+        for (u, v, w) in [(0, 1, 4), (1, 2, 1), (1, 4, 7), (2, 5, 2), (3, 4, 300)] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let order = NodeOrder::new(vec![4, 1, 5, 0, 3, 2]).unwrap();
+        let t = spec
+            .build(g.num_nodes(), true, order.clone(), |order, push| {
+                csr_rows(&g, order, true, spec.keeps_coords(), push)
+            })
+            .unwrap();
+        assert_eq!(t.storage_order(), order.as_ref());
+        for v in g.nodes() {
+            assert_eq!(t.degree(v), g.degree(v), "degree of node {v}");
+            assert_eq!(t.node_weight(v), g.node_weight(v), "weight of node {v}");
+            let want: Vec<_> = g.edges_of(v).collect();
+            assert_eq!(GraphAccess::edges_of(&t, v).collect::<Vec<_>>(), want);
+            let mut pushed = Vec::new();
+            t.for_each_edge(v, |u, w| pushed.push((u, w)));
+            assert_eq!(pushed, want, "for_each_edge node {v}");
+        }
+        let stored: Vec<_> = t.stored_nodes().collect();
+        assert_eq!(stored, [4, 1, 5, 0, 3, 2]);
+        assert_eq!(t.to_csr(), g);
     }
 
     /// Random edge lists with repeats (merged by summing) and, half the

@@ -17,6 +17,14 @@
 //!
 //! All three decode to the identical sorted, merged adjacency, so the
 //! partitioning pipeline produces bit-identical results on every level.
+//!
+//! A segment graph may keep its rows in a storage order other than id order
+//! (a [`NodeOrder`](kappa_graph::NodeOrder); ids are unchanged). The paged
+//! store writes a scattered input in its
+//! [`locality_order`](kappa_graph::locality_order), and tiered contraction
+//! hands each fine level's order down to its coarse level, so the rows a
+//! band search or a sweep reads together share pages. The file format is
+//! `KMEMPGv2` ([`paged`]).
 //! [`TierGraph`] holds either store at runtime and [`TierSpec`] is the one
 //! place a store is chosen: [`TierGraph::from_graph`] re-encodes a CSR,
 //! [`TierGraph::from_source`] ([`build`]) streams a replayable

@@ -18,20 +18,33 @@
 //! geometric pre-partition of the parallel matcher, which the tiered
 //! pipeline does not use (see `kappa-core::tiered`).
 //!
-//! # File format (`KMEMPGv1`, little-endian)
+//! # Row order
+//!
+//! The file keeps the rows in the graph's storage order, which the writer's
+//! caller chooses: a scattered input's
+//! [`locality_order`], and below it the order
+//! each coarse level inherits from its fine level. A band search then reads
+//! rows that sit on a few neighbouring pages instead of one page per row.
+//! Node ids are unchanged; only the offsets are indexed by position.
+//!
+//! # File format (`KMEMPGv2`, little-endian)
 //!
 //! ```text
-//! [0, 64)    header: magic "KMEMPGv1" | flags u32 (1 = edge weights stored,
-//!            2 = node weights stored) | 4 zero bytes | n | 2m | c(V) |
-//!            max c(v) | edge-region length (five u64) | 8 zero bytes
-//! [64, …)    edge region: one delta-varint segment per node
-//! then       offsets (n + 1) × u64, degrees n × u32, node weights n × u64
-//!            (only with flag 2)
+//! [0, 64)    header: magic "KMEMPGv2" | flags u32 (1 = edge weights stored,
+//!            2 = node weights stored, 4 = row order stored) | 4 zero bytes |
+//!            n | 2m | c(V) | max c(v) | edge-region length (five u64) |
+//!            8 zero bytes
+//! [64, …)    edge region: one delta-varint segment per row, in storage order
+//! then       offsets (n + 1) × u64 by position, degrees n × u32 by node,
+//!            node weights n × u64 by node (only with flag 2), the node at
+//!            each position n × u32 (only with flag 4; without it the rows
+//!            are in id order)
 //! ```
 //!
-//! [`open`](SegmentGraph::open) trusts none of it: flags, lengths, offsets and
-//! sums are checked against the file before anything is allocated, and a
-//! mismatch is `InvalidData` naming the field. What it cannot see without
+//! [`open`](SegmentGraph::open) trusts none of it: flags, lengths, offsets,
+//! sums and the order (a permutation of the nodes) are checked against the
+//! file before anything is allocated, and a mismatch is `InvalidData` naming
+//! the field. What it cannot see without
 //! per-page checksums (a later format) is damage *inside* the edge region,
 //! or a flipped edge-weights flag, which changes how segments are read but
 //! not how long they are.
@@ -62,17 +75,18 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use kappa_graph::{CsrGraph, EdgeWeight, NodeId};
+use kappa_graph::{locality_order, CsrGraph, EdgeWeight, NodeId, NodeOrder};
 
 use crate::graph::{
     csr_rows, is_weighted, weight_totals, Index, SegmentGraph, SegmentWriter, Store,
 };
 use crate::segment::{encode_segment, SegmentIter};
 
-const MAGIC: [u8; 8] = *b"KMEMPGv1";
+const MAGIC: [u8; 8] = *b"KMEMPGv2";
 const HEADER_LEN: u64 = 64;
 const FLAG_WEIGHTED: u32 = 1;
 const FLAG_HAS_VWGT: u32 = 2;
+const FLAG_HAS_ORDER: u32 = 4;
 /// Byte position of the first of the header's five consecutive `u64` fields.
 const HEADER_FIELDS_AT: usize = 16;
 
@@ -187,6 +201,7 @@ pub struct PageFile {
 pub struct PageFileSink {
     path: PathBuf,
     out: BufWriter<File>,
+    /// The degree of each pushed row, in storage order.
     degrees: Vec<u32>,
     segment: Vec<u8>,
     cache: PageCacheConfig,
@@ -222,16 +237,30 @@ impl Store for PageFile {
         index: &Index,
         _coords: Option<Vec<[f64; 2]>>,
     ) -> io::Result<PageFile> {
+        let n = sink.degrees.len();
+        let degrees = match &index.order {
+            Some(order) => {
+                let mut by_node = vec![0u32; n];
+                for (&v, &d) in order.nodes().iter().zip(&sink.degrees) {
+                    by_node[v as usize] = d;
+                }
+                by_node
+            }
+            None => std::mem::take(&mut sink.degrees),
+        };
         for &o in &index.offsets {
             sink.out.write_all(&o.to_le_bytes())?;
         }
-        for &d in &sink.degrees {
+        for &d in &degrees {
             sink.out.write_all(&d.to_le_bytes())?;
         }
         for &w in index.vwgt.iter().flatten() {
             sink.out.write_all(&w.to_le_bytes())?;
         }
-        let region_len = index.offsets[sink.degrees.len()];
+        for &v in index.order.iter().flat_map(NodeOrder::nodes) {
+            sink.out.write_all(&v.to_le_bytes())?;
+        }
+        let region_len = index.offsets[n];
         let mut flags = 0u32;
         if index.weighted {
             flags |= FLAG_WEIGHTED;
@@ -239,11 +268,14 @@ impl Store for PageFile {
         if index.vwgt.is_some() {
             flags |= FLAG_HAS_VWGT;
         }
+        if index.order.is_some() {
+            flags |= FLAG_HAS_ORDER;
+        }
         let mut header = [0u8; HEADER_LEN as usize];
         header[..8].copy_from_slice(&MAGIC);
         header[8..12].copy_from_slice(&flags.to_le_bytes());
         let fields = [
-            sink.degrees.len() as u64,
+            n as u64,
             index.num_half_edges as u64,
             index.total_node_weight,
             index.max_node_weight,
@@ -258,7 +290,7 @@ impl Store for PageFile {
         Ok(PageFile {
             path: sink.path,
             delete_on_drop: false,
-            degrees: sink.degrees,
+            degrees,
             cache: Mutex::new(PageCache::new(file, region_len, sink.cache)),
         })
     }
@@ -368,7 +400,7 @@ impl SegmentGraph<PageFile> {
     ///
     /// # Errors
     /// `InvalidData` naming the offending field for anything that is not a
-    /// complete `KMEMPGv1` file; other kinds are the I/O errors underneath.
+    /// complete `KMEMPGv2` file; other kinds are the I/O errors underneath.
     pub fn open(path: &Path, config: PageCacheConfig) -> io::Result<PagedGraph> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -381,7 +413,7 @@ impl SegmentGraph<PageFile> {
             return Err(invalid(path, "not a kappa-mem paged graph"));
         }
         let flags = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if flags & !(FLAG_WEIGHTED | FLAG_HAS_VWGT) != 0 {
+        if flags & !(FLAG_WEIGHTED | FLAG_HAS_VWGT | FLAG_HAS_ORDER) != 0 {
             return Err(invalid(path, format_args!("unknown flags {flags:#x}")));
         }
         let field = |i: usize| {
@@ -389,9 +421,12 @@ impl SegmentGraph<PageFile> {
             u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"))
         };
         let (num_nodes, num_half_edges, region_len) = (field(0), field(1), field(4));
-        // (n + 1) offsets, n degrees, n node weights if stored: nothing is
-        // allocated until these add up to the file's length.
-        let per_node = if flags & FLAG_HAS_VWGT != 0 { 20 } else { 12 };
+        // (n + 1) offsets, n degrees, n node weights and n order entries if
+        // stored: nothing is allocated until these add up to the file's
+        // length.
+        let per_node = 12
+            + if flags & FLAG_HAS_VWGT != 0 { 8 } else { 0 }
+            + if flags & FLAG_HAS_ORDER != 0 { 4 } else { 0 };
         let expected_len = num_nodes
             .checked_mul(per_node)
             .and_then(|index| index.checked_add(HEADER_LEN + 8))
@@ -416,6 +451,13 @@ impl SegmentGraph<PageFile> {
         } else {
             None
         };
+        let order = if flags & FLAG_HAS_ORDER != 0 {
+            let order = read_le_vec(&mut reader, n, u32::from_le_bytes)?;
+            NodeOrder::new(order)
+                .map_err(|e| invalid(path, format_args!("order is not a permutation: {e}")))?
+        } else {
+            None
+        };
         if offsets[0] != 0 || offsets[n] != region_len || offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(invalid(path, "offsets do not ascend from 0 to region_len"));
         }
@@ -432,6 +474,7 @@ impl SegmentGraph<PageFile> {
         Ok(SegmentGraph {
             index: Index {
                 offsets,
+                order,
                 weighted: flags & FLAG_WEIGHTED != 0,
                 vwgt,
                 num_half_edges: num_half_edges as usize,
@@ -451,13 +494,19 @@ impl SegmentGraph<PageFile> {
     /// tests and for spilling an in-RAM graph; large graphs should stream
     /// through [`TierGraph::from_source`](crate::TierGraph::from_source)
     /// instead of materialising the CSR first.
+    ///
+    /// A scattered graph's rows are stored in its
+    /// [`locality_order`].
     pub fn from_graph(
         graph: &CsrGraph,
         path: &Path,
         config: PageCacheConfig,
     ) -> io::Result<PagedGraph> {
-        PagedWriter::create(path, graph.num_nodes(), is_weighted(graph), config)?
-            .fill(|push| csr_rows(graph, false, push))
+        let weighted = is_weighted(graph);
+        PagedWriter::create(path, graph.num_nodes(), weighted, config)?
+            .fill(locality_order(graph), |order, push| {
+                csr_rows(graph, order, weighted, false, push)
+            })
     }
 
     /// When set, the backing file is removed when the graph is dropped —
@@ -557,43 +606,50 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The graph `LITERAL_FILE` spells: a weighted path 0 –5– 1 –300– 2 with
-    /// node weights 2, 1, 4.
+    /// The graph `LITERAL_FILE` spells: a weighted path 0 –5– 2 –300– 1 with
+    /// node weights 2, 1, 4. Its ids are scattered (mean span 1.5 of 3
+    /// nodes), so its rows are stored in BFS order 0, 2, 1.
     fn literal_graph() -> CsrGraph {
         let mut b = GraphBuilder::with_node_weights(vec![2, 1, 4]);
-        b.add_edge(0, 1, 5);
-        b.add_edge(1, 2, 300);
+        b.add_edge(0, 2, 5);
+        b.add_edge(2, 1, 300);
         b.build()
     }
 
-    /// `KMEMPGv1` byte by byte, written out by hand from the layout in the
+    /// Where the order section of `LITERAL_FILE` starts.
+    const LITERAL_ORDER_AT: usize = 145;
+
+    /// `KMEMPGv2` byte by byte, written out by hand from the layout in the
     /// module docs — not produced by the writer, so writer and reader cannot
     /// drift together.
     #[rustfmt::skip]
-    const LITERAL_FILE: [u8; 145] = [
-        // header: magic, flags = weighted | has_vwgt, padding
-        b'K', b'M', b'E', b'M', b'P', b'G', b'v', b'1',   3, 0, 0, 0,   0, 0, 0, 0,
+    const LITERAL_FILE: [u8; 157] = [
+        // header: magic, flags = weighted | has_vwgt | has_order, padding
+        b'K', b'M', b'E', b'M', b'P', b'G', b'v', b'2',   7, 0, 0, 0,   0, 0, 0, 0,
         3, 0, 0, 0, 0, 0, 0, 0, // n
         4, 0, 0, 0, 0, 0, 0, 0, // half-edges
         7, 0, 0, 0, 0, 0, 0, 0, // total node weight
         4, 0, 0, 0, 0, 0, 0, 0, // max node weight
         13, 0, 0, 0, 0, 0, 0, 0, // edge-region length
         0, 0, 0, 0, 0, 0, 0, 0, // padding
-        // edge region: degree, then (target delta, weight) pairs; 300 = AC 02
-        1,   1, 5,
-        2,   0, 5,   2, 0xAC, 0x02,
-        1,   1, 0xAC, 0x02,
-        // offsets (n + 1)
+        // edge region, rows of nodes 0, 2, 1: degree, then (target delta,
+        // weight) pairs; 300 = AC 02
+        1,   2, 5,
+        2,   0, 5,   1, 0xAC, 0x02,
+        1,   2, 0xAC, 0x02,
+        // offsets (n + 1), by position
         0, 0, 0, 0, 0, 0, 0, 0,
         3, 0, 0, 0, 0, 0, 0, 0,
         9, 0, 0, 0, 0, 0, 0, 0,
         13, 0, 0, 0, 0, 0, 0, 0,
-        // degrees
-        1, 0, 0, 0,   2, 0, 0, 0,   1, 0, 0, 0,
-        // node weights
+        // degrees, by node
+        1, 0, 0, 0,   1, 0, 0, 0,   2, 0, 0, 0,
+        // node weights, by node
         2, 0, 0, 0, 0, 0, 0, 0,
         1, 0, 0, 0, 0, 0, 0, 0,
         4, 0, 0, 0, 0, 0, 0, 0,
+        // the node at each position
+        0, 0, 0, 0,   2, 0, 0, 0,   1, 0, 0, 0,
     ];
 
     /// `open` on a scratch file holding `bytes` (unlinked again right away —
@@ -613,8 +669,12 @@ mod tests {
         assert_eq!(p.to_csr(), g);
         assert_eq!(p.total_node_weight(), 7);
         assert_eq!(p.max_node_weight(), 4);
-        assert_eq!(p.degree(1), 2);
+        assert_eq!(p.degree(2), 2);
         assert!(p.is_weighted());
+        assert_eq!(
+            p.storage_order().map(NodeOrder::nodes),
+            Some(&[0, 2, 1][..])
+        );
 
         let written = tmp("literal-written");
         let mut w = PagedGraph::from_graph(&g, &written, tiny_cache()).unwrap();
@@ -670,6 +730,21 @@ mod tests {
     }
 
     #[test]
+    fn every_order_bit_flip_is_rejected() {
+        // A flip turns one entry of a permutation into another node's id or
+        // past the last node: a repeat or an overrun either way.
+        for byte in LITERAL_ORDER_AT..LITERAL_FILE.len() {
+            for bit in 0..8 {
+                let mut bad = LITERAL_FILE;
+                bad[byte] ^= 1 << bit;
+                let what = format!("byte {byte} bit {bit}");
+                let message = rejected_or_exact(&bad, &what).expect(&what);
+                assert!(message.contains("order"), "{what}: {message}");
+            }
+        }
+    }
+
+    #[test]
     fn oversized_header_fields_do_not_allocate() {
         // A header-only file claiming 2^60 nodes used to die in
         // `Vec::with_capacity`; the largest counts must not overflow either.
@@ -692,6 +767,13 @@ mod tests {
             (offsets_at + 24, 12, "last offset", "offsets"),
             (offsets_at + 32, 2, "degree", "num_half_edges"),
             (offsets_at + 44, 3, "node weight", "total_node_weight"),
+            (LITERAL_ORDER_AT + 4, 0, "repeated node", "listed twice"),
+            (
+                LITERAL_ORDER_AT + 8,
+                3,
+                "node past the last",
+                "out of range",
+            ),
         ] {
             let mut bad = LITERAL_FILE;
             bad[at] = value;

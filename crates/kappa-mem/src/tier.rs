@@ -13,7 +13,9 @@
 use std::io;
 use std::path::Path;
 
-use kappa_graph::{CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight};
+use kappa_graph::{
+    locality_order, CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeOrder, NodeWeight,
+};
 
 use crate::compact::{CompactCsr, CompactWriter};
 use crate::graph::{csr_rows, is_weighted, NodeData, PushRow};
@@ -48,24 +50,32 @@ impl TierSpec<'_> {
         matches!(self, TierSpec::Compact)
     }
 
+    /// Whether a graph built on this store should keep its rows in a
+    /// locality order: only the paged store reads rows through pages.
+    pub(crate) fn wants_locality(&self) -> bool {
+        matches!(self, TierSpec::Paged { .. })
+    }
+
     /// Builds a graph on this store from the rows `rows` pushes — every
-    /// node's final incidence list (sorted, merged) in ascending node order —
-    /// and the node data it returns. `weighted` says whether any edge weight
-    /// differs from 1. This is the one spec → writer → [`TierGraph`] path:
+    /// node's final incidence list (sorted, merged), in `order` (`None`:
+    /// ascending node order), which `rows` is handed — and the node data it
+    /// returns. `weighted` says whether any edge weight differs from 1. This
+    /// is the one spec → writer → [`TierGraph`] path:
     /// [`TierGraph::from_graph`], [`TierGraph::from_source`] and tiered
     /// contraction all come through here.
     pub fn build(
         self,
         nodes_hint: usize,
         weighted: bool,
-        rows: impl FnOnce(&mut PushRow<'_>) -> io::Result<NodeData>,
+        order: Option<NodeOrder>,
+        rows: impl FnOnce(Option<&NodeOrder>, &mut PushRow<'_>) -> io::Result<NodeData>,
     ) -> io::Result<TierGraph> {
         Ok(match self {
             TierSpec::Compact => {
-                TierGraph::Compact(CompactWriter::new(nodes_hint, weighted).fill(rows)?)
+                TierGraph::Compact(CompactWriter::new(nodes_hint, weighted).fill(order, rows)?)
             }
             TierSpec::Paged { path, cache } => TierGraph::Paged(
-                PagedWriter::create(path, nodes_hint, weighted, cache)?.fill(rows)?,
+                PagedWriter::create(path, nodes_hint, weighted, cache)?.fill(order, rows)?,
             ),
         })
     }
@@ -83,10 +93,17 @@ macro_rules! on_tier {
 
 impl TierGraph {
     /// Re-encodes a plain CSR graph onto the store `spec` names — the route
-    /// for inputs without a streaming source; the CSR exists meanwhile.
+    /// for inputs without a streaming source; the CSR exists meanwhile. The
+    /// paged store keeps a scattered graph's rows in its
+    /// [`locality_order`].
     pub fn from_graph(graph: &CsrGraph, spec: TierSpec<'_>) -> io::Result<TierGraph> {
-        spec.build(graph.num_nodes(), is_weighted(graph), |push| {
-            csr_rows(graph, spec.keeps_coords(), push)
+        let weighted = is_weighted(graph);
+        let order = spec
+            .wants_locality()
+            .then(|| locality_order(graph))
+            .flatten();
+        spec.build(graph.num_nodes(), weighted, order, |order, push| {
+            csr_rows(graph, order, weighted, spec.keeps_coords(), push)
         })
     }
 
@@ -157,6 +174,11 @@ impl GraphAccess for TierGraph {
     #[inline]
     fn coords(&self) -> Option<&[[f64; 2]]> {
         on_tier!(self, g => g.coords())
+    }
+
+    #[inline]
+    fn storage_order(&self) -> Option<&NodeOrder> {
+        on_tier!(self, g => g.storage_order())
     }
 }
 

@@ -97,12 +97,14 @@ fn paged_matches_ram_on_small_instance() {
 /// The band BFS is the only pass of a pair search that reads the rows of
 /// unmoved nodes (`kappa_refine::PairBand`), the quotient and a first
 /// seeding read none, and an unchanged idle pair searches its kept band
-/// without a BFS: this step takes **45 856** misses (46 174 in a debug
-/// build, whose assertions recount the cut by sweeping the file). While the
-/// quotient re-read the boundary rows and every visit grew its band it took
-/// 51 020 (51 338); while the FM search also re-read every band row for its
-/// gain and again for its queue it took **134 403** (134 721), `PARENT`
-/// below. The ceiling is the debug count.
+/// without a BFS. The file keeps the rows in Morton order (rgg ids are
+/// spatially random), so a band's rows share pages: this step takes
+/// **985** misses (1 312 in a debug build, whose assertions recount the cut
+/// by sweeping the file). With the rows in id order it took **45 856**
+/// (46 174), `PARENT` below; while the quotient re-read the boundary rows
+/// and every visit grew its band 51 020 (51 338); while the FM search also
+/// re-read every band row for its gain and again for its queue 134 403
+/// (134 721). The ceiling is the debug count.
 #[test]
 fn paged_refinement_stays_under_the_page_miss_ceiling() {
     use kappa::coarsen::contract_matching;
@@ -111,8 +113,8 @@ fn paged_refinement_stays_under_the_page_miss_ceiling() {
     use kappa::mem::{PageCacheConfig, PagedGraph};
     use kappa::refine::refine_partition;
 
-    const CEILING: u64 = 46_174;
-    const PARENT: u64 = 134_403;
+    const CEILING: u64 = 1_312;
+    const PARENT: u64 = 45_856;
     const { assert!(2 * CEILING < PARENT) };
 
     let graph = random_geometric_graph(1 << 15, 11);

@@ -329,6 +329,42 @@ fn tiers_match_classic_on_rgg_2e15() {
     }
 }
 
+/// Paged ≡ RAM on the three row layouts a paged file can take: a scattered
+/// rgg stored in Morton order over its coordinates, an rmat (scattered, no
+/// coordinates) in BFS order, and a grid whose row-major ids are already
+/// local, stored in id order. Coarse levels inherit the order (and spill,
+/// the threshold is forced low), so every level is read through it.
+#[test]
+fn laid_out_paged_runs_match_classic() {
+    use kappa::graph::order::{bfs_order, morton_order};
+    use kappa::graph::{GraphAccess, NodeOrder};
+    use kappa::mem::PageCacheConfig;
+
+    let rgg = kappa::gen::random_geometric_graph(1 << 13, 5);
+    let rmat = kappa::gen::rmat_graph(12, 8, 5);
+    let grid = kappa::gen::grid2d(64, 64);
+    let morton = NodeOrder::new(morton_order(rgg.coords().unwrap())).unwrap();
+    let bfs = NodeOrder::new(bfs_order(&rmat)).unwrap();
+    for (name, graph, layout) in [
+        ("rgg-2^13", &rgg, morton.as_ref()),
+        ("rmat-2^12", &rmat, bfs.as_ref()),
+        ("grid-64x64", &grid, None),
+    ] {
+        assert_eq!(layout.is_some(), name != "grid-64x64", "{name}");
+        let dir = default_spill_dir(&format!("parity-layout-{name}"));
+        std::fs::create_dir_all(&dir).expect("spill dir");
+        let paged =
+            PagedGraph::from_graph(graph, &dir.join("finest.kpg"), PageCacheConfig::default())
+                .expect("paged build");
+        assert_eq!(paged.storage_order(), layout, "{name}: stored row order");
+        drop(paged);
+        let _ = std::fs::remove_dir_all(&dir);
+        for seed in [1u64, 4] {
+            assert_tier_matches_classic(name, graph, 8, seed, "paged");
+        }
+    }
+}
+
 /// Same invariant on the standard small suite trio (rgg, grid, delaunay) —
 /// including graphs with coordinates, which the paged tier drops.
 #[test]
