@@ -289,6 +289,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "compares the raw weight arrays of two coarse graphs"
+    )]
     fn distributed_contraction_matches_the_shared_reference() {
         // The distributed matching equals its own shared-memory replay (the
         // partners ARE the matching); contracting that matching with the

@@ -116,7 +116,7 @@ impl<'g> DistGraph<'g> {
         for v in lo..hi {
             rows.push_node(graph.edges_of(v as NodeId));
         }
-        let vwgt = graph.vwgt()[lo..hi].to_vec();
+        let vwgt = (lo..hi).map(|v| graph.node_weight(v as NodeId)).collect();
         DistGraph::assemble(rank, ranks, range_starts, rows, vwgt, |gids, _| {
             Ok(gids.iter().map(|&g| graph.node_weight(g)).collect())
         })
@@ -559,6 +559,10 @@ mod tests {
     }
 
     /// The shard invariants of one rank of `graph` under `ranges`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a one-rank shard must hand back the caller's raw arrays"
+    )]
     fn check_shard(graph: &CsrGraph, ranges: &[NodeId], rank: usize) {
         let ranks = ranges.len() - 1;
         let dg = DistGraph::from_global_ranges(graph, ranges.to_vec(), rank);

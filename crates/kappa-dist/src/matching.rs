@@ -256,7 +256,10 @@ fn interior_subgraph(dg: &DistGraph) -> CsrGraph {
     for u in 0..ln as NodeId {
         rows.push_node(local.edges_of(u).filter(|&(t, _)| dg.is_owned_local(t)));
     }
-    rows.finish(local.vwgt()[..ln].to_vec(), None)
+    rows.finish(
+        (0..ln as NodeId).map(|u| local.node_weight(u)).collect(),
+        None,
+    )
 }
 
 #[cfg(test)]

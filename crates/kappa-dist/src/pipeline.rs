@@ -614,11 +614,10 @@ fn level_l_max<C: Comm>(
     k: BlockId,
     epsilon: f64,
 ) -> CommResult<NodeWeight> {
-    let owned = &dg.local().vwgt()[..dg.num_owned()];
+    let owned = (0..dg.num_owned() as NodeId).map(|v| dg.local().node_weight(v));
     // One allgather carries both reductions — half the collective rounds of
     // a sum-allreduce followed by a max-allreduce, same folded values.
-    let local: (NodeWeight, NodeWeight) =
-        (owned.iter().sum(), owned.iter().copied().max().unwrap_or(0));
+    let local: (NodeWeight, NodeWeight) = (owned.clone().sum(), owned.max().unwrap_or(0));
     let both = comm.allgather(local)?;
     let total: NodeWeight = both.iter().map(|&(s, _)| s).sum();
     let max = both.iter().map(|&(_, m)| m).max().unwrap_or(0);

@@ -6,6 +6,8 @@
 //! graphs. The 3-D grid covers the volumetric meshes (`m14b`, `598a`), the
 //! 2-D grid the planar ones.
 
+use std::borrow::Cow;
+
 use kappa_graph::{CsrGraph, EdgeSource, EdgeWeight, GraphBuilder, NodeId};
 
 use crate::stream::build;
@@ -43,7 +45,7 @@ impl EdgeSource for Grid2dSource {
         }
     }
 
-    fn coords(&self) -> Option<Vec<[f64; 2]>> {
+    fn coords(&self) -> Option<Cow<'_, [[f64; 2]]>> {
         Some(
             (0..self.num_nodes())
                 .map(|i| [(i % self.width) as f64, (i / self.width) as f64])

@@ -10,6 +10,8 @@
 //! [`random_geometric_graph`] is one replay of it into `GraphBuilder`, so the
 //! tiered pipeline's bit-identity guarantee holds by construction.
 
+use std::borrow::Cow;
+
 use kappa_graph::{CsrGraph, EdgeSource, EdgeWeight, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,8 +128,8 @@ impl EdgeSource for RggSource {
         }
     }
 
-    fn coords(&self) -> Option<Vec<[f64; 2]>> {
-        Some(self.points.clone())
+    fn coords(&self) -> Option<Cow<'_, [[f64; 2]]>> {
+        Some(Cow::Borrowed(&self.points))
     }
 }
 

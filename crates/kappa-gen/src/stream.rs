@@ -20,7 +20,7 @@ pub(crate) fn build<S: EdgeSource>(src: &S) -> CsrGraph {
     let mut b = GraphBuilder::new(src.num_nodes());
     src.for_each_edge(|u, v, w| b.add_edge(u, v, w));
     if let Some(coords) = src.coords() {
-        b.set_coords(coords);
+        b.set_coords(coords.into_owned());
     }
     b.build()
 }

@@ -33,6 +33,7 @@ pub struct GraphBuilder {
     /// The undirected edges as added; [`build`](GraphBuilder::build) replays
     /// them through the counting build.
     edges: Vec<(NodeId, NodeId, EdgeWeight)>,
+    /// Empty while every node weighs 1.
     node_weights: Vec<NodeWeight>,
     coords: Option<Vec<[f64; 2]>>,
 }
@@ -40,7 +41,10 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a graph with `num_nodes` nodes, all of unit weight.
     pub fn new(num_nodes: usize) -> Self {
-        Self::with_node_weights(vec![1; num_nodes])
+        GraphBuilder {
+            num_nodes,
+            ..Self::with_node_weights(Vec::new())
+        }
     }
 
     /// Creates a builder with explicit node weights.
@@ -65,6 +69,9 @@ impl GraphBuilder {
 
     /// Sets the weight of a single node.
     pub fn set_node_weight(&mut self, v: NodeId, w: NodeWeight) {
+        if self.node_weights.is_empty() {
+            self.node_weights = vec![1; self.num_nodes];
+        }
         self.node_weights[v as usize] = w;
     }
 
@@ -93,8 +100,8 @@ impl GraphBuilder {
     /// On a zero-weight edge or an endpoint out of range.
     pub fn build(self) -> CsrGraph {
         let src = SliceEdgeSource::new(self.num_nodes, &self.edges);
-        let degrees = count_degrees(&src).degrees;
-        fill_rows(&src, &degrees, None, 0..self.num_nodes).finish(self.node_weights, self.coords)
+        let count = count_degrees(&src);
+        fill_rows(&src, &count, None, 0..self.num_nodes).finish(self.node_weights, self.coords)
     }
 }
 
@@ -140,19 +147,20 @@ pub fn count_degrees<S: EdgeSource>(src: &S) -> DegreeCount {
 /// The fill and merge of the counting build: the rows of the nodes at the
 /// positions `range` of `order` (`None`: id order) in `src`, the row at
 /// position `p` pushed `p - range.start`-th, self loops dropped and each row
-/// brought into form by [`merge_row`]. `degrees` is [`count_degrees`] of
-/// the same stream. Replays `src` once and holds one slot (12 bytes) per
-/// counted half-edge of `range`.
+/// brought into form by [`merge_row`]. `count` is [`count_degrees`] of the
+/// same stream. Replays `src` once and holds one slot (12 bytes; 4 in an
+/// all-unit stream, whose weights are stored only if a merge sums two
+/// edges) per counted half-edge of `range`.
 ///
 /// # Panics
 /// If the replay emits other half-edges into `range` than `degrees` counts.
 pub fn fill_rows<S: EdgeSource>(
     src: &S,
-    degrees: &[u32],
+    count: &DegreeCount,
     order: Option<&NodeOrder>,
     range: Range<usize>,
 ) -> CsrRows {
-    let lo = range.start;
+    let (lo, degrees) = (range.start, &count.degrees);
     let node_at = |p: usize| order.map_or(p, |o| o.nodes()[p] as usize);
     let position = |v: NodeId| order.map_or(v as usize, |o| o.position(v));
     let mut xadj = Vec::with_capacity(range.len() + 1);
@@ -163,7 +171,7 @@ pub fn fill_rows<S: EdgeSource>(
     let rows = xadj.len() - 1;
     let mut cursor = xadj[..rows].to_vec();
     let mut adjncy = vec![0 as NodeId; xadj[rows]];
-    let mut adjwgt = vec![0 as EdgeWeight; xadj[rows]];
+    let mut adjwgt = vec![0 as EdgeWeight; if count.all_unit { 0 } else { xadj[rows] }];
     src.for_each_edge(|u, v, w| {
         if u == v {
             return;
@@ -177,7 +185,9 @@ pub fn fill_rows<S: EdgeSource>(
                     "EdgeSource emitted more edges on replay than it counted"
                 );
                 adjncy[*c] = y;
-                adjwgt[*c] = w;
+                if let Some(slot) = adjwgt.get_mut(*c) {
+                    *slot = w;
+                }
                 *c += 1;
             }
         }
@@ -194,17 +204,17 @@ pub fn fill_rows<S: EdgeSource>(
             "EdgeSource emitted fewer edges on replay than it counted"
         );
         row.clear();
-        row.extend(
-            adjncy[start..end]
-                .iter()
-                .copied()
-                .zip(adjwgt[start..end].iter().copied()),
-        );
+        row.extend((start..end).map(|j| (adjncy[j], adjwgt.get(j).copied().unwrap_or(1))));
         let len = merge_row(&mut row);
         xadj[i] = out;
         for &(t, w) in &row[..len] {
+            if w != 1 && adjwgt.is_empty() {
+                adjwgt = vec![1; adjncy.len()];
+            }
             adjncy[out] = t;
-            adjwgt[out] = w;
+            if let Some(slot) = adjwgt.get_mut(out) {
+                *slot = w;
+            }
             out += 1;
         }
     }

@@ -6,34 +6,60 @@
 //! array. Every undirected edge `{u, v}` is stored twice, once in the adjacency
 //! list of `u` and once in that of `v`, with identical weight.
 //!
+//! Weights are implicit when all 1: every constructor drops an all-ones edge
+//! or node weight array (one canonical form), rows then read one shared run
+//! of ones, and only the raw [`CsrGraph::adjwgt`] / [`CsrGraph::vwgt`]
+//! materialize the ones, on first call.
+//!
 //! The mutating half is [`DynamicGraph`](crate::DynamicGraph): the same sorted
 //! rows, one growable row per node, folded back into this form by
 //! [`to_csr`](crate::DynamicGraph::to_csr). Generic code reads either through
 //! [`GraphAccess`](crate::GraphAccess).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// A weighted undirected graph in CSR form, optionally carrying 2-D coordinates
 /// (used by the geometric pre-partitioning of §3.3).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     /// `xadj[v]..xadj[v+1]` is the range of `v`'s incident half-edges. Length `n + 1`.
     xadj: Vec<usize>,
     /// Target node of every half-edge. Length `2m`.
     adjncy: Vec<NodeId>,
     /// Weight of every half-edge (the two copies of an undirected edge carry the
-    /// same weight). Length `2m`.
+    /// same weight). Length `2m`, or empty when every weight is 1.
     adjwgt: Vec<EdgeWeight>,
-    /// Node weights `c(v)`. Length `n`.
+    /// Node weights `c(v)`. Length `n`, or empty when every weight is 1.
     vwgt: Vec<NodeWeight>,
     /// Optional planar coordinates, one per node.
     coords: Option<Vec<[f64; 2]>>,
     /// Cached total node weight `c(V)`.
     total_node_weight: NodeWeight,
+    /// Without `adjwgt`: `max_degree` ones, the weight slice of every row.
+    unit_run: Vec<EdgeWeight>,
+    /// The ones the raw accessors hand out, filled on first call.
+    ones: OnceLock<Vec<u64>>,
 }
 
+/// Equal arrays; the two runs of ones are derived, so never compared.
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &CsrGraph) -> bool {
+        fn arrays(g: &CsrGraph) -> impl PartialEq + '_ {
+            (&g.xadj, &g.adjncy, &g.adjwgt, &g.vwgt, &g.coords)
+        }
+        arrays(self) == arrays(other)
+    }
+}
+
+/// How many implicit weight arrays this process has materialized.
+pub static ONES_MATERIALIZED: AtomicUsize = AtomicUsize::new(0);
+
 impl CsrGraph {
-    /// Assembles a graph from raw CSR arrays.
+    /// Assembles a graph from raw CSR arrays. An empty or all-ones `adjwgt`
+    /// (`vwgt`) means every edge (node) weighs 1 and is not stored.
     ///
     /// # Panics
     /// Panics if the arrays are structurally inconsistent (lengths, monotone
@@ -42,19 +68,25 @@ impl CsrGraph {
     pub fn from_parts(
         xadj: Vec<usize>,
         adjncy: Vec<NodeId>,
-        adjwgt: Vec<EdgeWeight>,
-        vwgt: Vec<NodeWeight>,
+        mut adjwgt: Vec<EdgeWeight>,
+        mut vwgt: Vec<NodeWeight>,
         coords: Option<Vec<[f64; 2]>>,
     ) -> Self {
-        let n = vwgt.len();
-        assert_eq!(xadj.len(), n + 1, "xadj must have n + 1 entries");
-        assert_eq!(*xadj.first().unwrap_or(&0), 0, "xadj[0] must be 0");
+        let n = xadj.len().checked_sub(1).expect("xadj must not be empty");
+        assert!(
+            vwgt.is_empty() || vwgt.len() == n,
+            "xadj must have n + 1 entries"
+        );
+        assert_eq!(xadj[0], 0, "xadj[0] must be 0");
         assert_eq!(
             *xadj.last().unwrap_or(&0),
             adjncy.len(),
             "xadj[n] must equal the number of half-edges"
         );
-        assert_eq!(adjncy.len(), adjwgt.len(), "adjncy/adjwgt length mismatch");
+        assert!(
+            adjwgt.is_empty() || adjwgt.len() == adjncy.len(),
+            "adjncy/adjwgt length mismatch"
+        );
         assert!(
             xadj.windows(2).all(|w| w[0] <= w[1]),
             "xadj must be non-decreasing"
@@ -66,15 +98,26 @@ impl CsrGraph {
         if let Some(c) = &coords {
             assert_eq!(c.len(), n, "coordinate array length mismatch");
         }
-        let total_node_weight = vwgt.iter().sum();
-        CsrGraph {
+        for weights in [&mut adjwgt, &mut vwgt] {
+            if weights.iter().all(|&w| w == 1) {
+                *weights = Vec::new();
+            }
+        }
+        let mut g = CsrGraph {
             xadj,
             adjncy,
             adjwgt,
             vwgt,
             coords,
-            total_node_weight,
+            total_node_weight: 0,
+            unit_run: Vec::new(),
+            ones: OnceLock::new(),
+        };
+        g.total_node_weight = g.nodes().map(|v| g.node_weight(v)).sum();
+        if g.adjwgt.is_empty() {
+            g.unit_run = vec![1; g.max_degree()];
         }
+        g
     }
 
     /// The empty graph (no nodes, no edges).
@@ -91,14 +134,14 @@ impl CsrGraph {
         CsrRows {
             xadj,
             adjncy: Vec::with_capacity(half_edges),
-            adjwgt: Vec::with_capacity(half_edges),
+            adjwgt: Vec::new(),
         }
     }
 
     /// Number of nodes `n = |V|`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.vwgt.len()
+        self.xadj.len() - 1
     }
 
     /// Number of undirected edges `m = |E|`.
@@ -123,7 +166,7 @@ impl CsrGraph {
     /// Node weight `c(v)`.
     #[inline]
     pub fn node_weight(&self, v: NodeId) -> NodeWeight {
-        self.vwgt[v as usize]
+        *self.vwgt.get(v as usize).unwrap_or(&1)
     }
 
     /// Total node weight `c(V)`.
@@ -134,7 +177,17 @@ impl CsrGraph {
 
     /// Total edge weight `ω(E)` (each undirected edge counted once).
     pub fn total_edge_weight(&self) -> EdgeWeight {
-        self.adjwgt.iter().sum::<EdgeWeight>() / 2
+        self.undirected_edges().map(|(_, _, w)| w).sum()
+    }
+
+    /// True when every edge weighs 1 (no edge weight array is stored).
+    pub fn has_unit_edge_weights(&self) -> bool {
+        self.adjwgt.is_empty()
+    }
+
+    /// True when every node weighs 1 (no node weight array is stored).
+    pub fn has_unit_node_weights(&self) -> bool {
+        self.vwgt.is_empty()
     }
 
     /// The neighbours of `v` as a slice of node ids.
@@ -146,17 +199,16 @@ impl CsrGraph {
     /// The weights of the half-edges incident to `v`, parallel to [`CsrGraph::neighbors`].
     #[inline]
     pub fn neighbor_weights(&self, v: NodeId) -> &[EdgeWeight] {
-        &self.adjwgt[self.xadj[v as usize]..self.xadj[v as usize + 1]]
+        let range = self.xadj[v as usize]..self.xadj[v as usize + 1];
+        let unit = || &self.unit_run[..range.len()];
+        self.adjwgt.get(range.clone()).unwrap_or_else(unit)
     }
 
     /// Iterate over `(neighbor, edge_weight)` pairs of `v`.
     #[inline]
     pub fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
-        let range = self.xadj[v as usize]..self.xadj[v as usize + 1];
-        self.adjncy[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[range].iter().copied())
+        let weights = self.neighbor_weights(v).iter().copied();
+        self.neighbors(v).iter().copied().zip(weights)
     }
 
     /// Iterate over all node ids `0..n`.
@@ -194,15 +246,13 @@ impl CsrGraph {
     /// Maximum node weight `max_v c(v)` (0 for the empty graph). Needed for the
     /// balance bound `L_max` of §2.
     pub fn max_node_weight(&self) -> NodeWeight {
-        self.vwgt.iter().copied().max().unwrap_or(0)
+        let unit = NodeWeight::from(self.num_nodes() > 0);
+        self.vwgt.iter().copied().max().unwrap_or(unit)
     }
 
     /// Maximum degree of any node (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
+        self.xadj.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 
     /// Planar coordinates, if the instance carries them.
@@ -241,16 +291,24 @@ impl CsrGraph {
         &self.adjncy
     }
 
-    /// Raw `adjwgt` array.
-    #[inline]
+    /// Raw `adjwgt` array (materializes `2m` ones on a unit-weight graph).
     pub fn adjwgt(&self) -> &[EdgeWeight] {
-        &self.adjwgt
+        self.raw(&self.adjwgt, self.adjncy.len())
     }
 
-    /// Raw node-weight array.
-    #[inline]
+    /// Raw node-weight array (materializes `n` ones on a unit-weight graph).
     pub fn vwgt(&self) -> &[NodeWeight] {
-        &self.vwgt
+        self.raw(&self.vwgt, self.num_nodes())
+    }
+
+    fn raw<'a>(&'a self, weights: &'a [u64], len: usize) -> &'a [u64] {
+        if !weights.is_empty() {
+            return weights;
+        }
+        &self.ones.get_or_init(|| {
+            ONES_MATERIALIZED.fetch_add(1, Ordering::Relaxed);
+            vec![1; self.adjncy.len().max(self.num_nodes())]
+        })[..len]
     }
 
     /// Checks the full set of structural invariants: no self loops, no parallel
@@ -281,35 +339,12 @@ impl CsrGraph {
                 }
             }
         }
-        let recomputed: NodeWeight = self.vwgt.iter().sum();
-        if recomputed != self.total_node_weight {
-            return Err("cached total node weight is stale".to_string());
-        }
         Ok(())
     }
 
-    /// True if the graph is connected (BFS from node 0). The empty graph counts
-    /// as connected.
+    /// True if the graph is connected. The empty graph counts as connected.
     pub fn is_connected(&self) -> bool {
-        let n = self.num_nodes();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[0] = true;
-        queue.push_back(0 as NodeId);
-        let mut count = 1usize;
-        while let Some(u) = queue.pop_front() {
-            for &v in self.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == n
+        self.num_components() <= 1
     }
 
     /// Number of connected components.
@@ -341,7 +376,9 @@ impl CsrGraph {
 /// The arrays of a [`CsrGraph`] under construction, one finished row at a
 /// time (see [`CsrGraph::rows`]). Rows arrive as the graph will hold them:
 /// merged by the one row rule [`merge_row`](crate::merge_row), in their
-/// final order, targets already in the graph's id space.
+/// final order, targets already in the graph's id space. Weights are
+/// stored from the first entry that does not weigh 1 on; until then
+/// `adjwgt` is empty.
 pub struct CsrRows {
     pub(crate) xadj: Vec<usize>,
     pub(crate) adjncy: Vec<NodeId>,
@@ -351,11 +388,19 @@ pub struct CsrRows {
 impl CsrRows {
     /// The `i`-th pushed row as `(target, weight)` pairs.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
-        let range = self.xadj[i]..self.xadj[i + 1];
-        self.adjncy[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[range].iter().copied())
+        (self.xadj[i]..self.xadj[i + 1]).map(|j| (self.adjncy[j], self.weight(j)))
+    }
+
+    /// The weight of entry `j`.
+    pub(crate) fn weight(&self, j: usize) -> EdgeWeight {
+        self.adjwgt.get(j).copied().unwrap_or(1)
+    }
+
+    /// Stores the implicit unit weights of the entries pushed so far.
+    fn store_weights(&mut self) {
+        let spare = self.adjncy.capacity() - self.adjwgt.len();
+        self.adjwgt.reserve_exact(spare);
+        self.adjwgt.resize(self.adjncy.len(), 1);
     }
 
     /// Number of pushed rows.
@@ -371,10 +416,16 @@ impl CsrRows {
     /// Appends every row of `other` after the rows pushed so far.
     pub fn append(&mut self, other: CsrRows) {
         let offset = self.adjncy.len();
+        if !(self.adjwgt.is_empty() && other.adjwgt.is_empty()) {
+            self.store_weights();
+            match other.adjwgt.is_empty() {
+                true => self.adjwgt.resize(offset + other.adjncy.len(), 1),
+                false => self.adjwgt.extend(other.adjwgt),
+            }
+        }
         self.xadj
             .extend(other.xadj[1..].iter().map(|&e| offset + e));
         self.adjncy.extend(other.adjncy);
-        self.adjwgt.extend(other.adjwgt);
     }
 
     /// Makes room for exactly `rows` more rows holding `half_edges` more
@@ -382,14 +433,21 @@ impl CsrRows {
     pub fn reserve_exact(&mut self, rows: usize, half_edges: usize) {
         self.xadj.reserve_exact(rows);
         self.adjncy.reserve_exact(half_edges);
-        self.adjwgt.reserve_exact(half_edges);
+        if !self.adjwgt.is_empty() {
+            self.adjwgt.reserve_exact(half_edges);
+        }
     }
 
     /// Appends the next node's `(target, weight)` row.
     pub fn push_node(&mut self, row: impl IntoIterator<Item = (NodeId, EdgeWeight)>) {
         for (t, w) in row {
+            if !self.adjwgt.is_empty() {
+                self.adjwgt.push(w);
+            } else if w != 1 {
+                self.store_weights();
+                self.adjwgt.push(w);
+            }
             self.adjncy.push(t);
-            self.adjwgt.push(w);
         }
         self.xadj.push(self.adjncy.len());
     }
@@ -400,10 +458,8 @@ impl CsrRows {
     /// space without a copy.
     pub fn remap_targets(&mut self, mut f: impl FnMut(usize, NodeId, EdgeWeight) -> NodeId) {
         for (i, ends) in self.xadj.windows(2).enumerate() {
-            let range = ends[0]..ends[1];
-            let weights = &self.adjwgt[range.clone()];
-            for (t, &w) in self.adjncy[range].iter_mut().zip(weights) {
-                *t = f(i, *t, w);
+            for j in ends[0]..ends[1] {
+                self.adjncy[j] = f(i, self.adjncy[j], self.weight(j));
             }
         }
     }
@@ -417,7 +473,7 @@ impl CsrRows {
     }
 
     /// Seals the graph with one weight (and optionally one coordinate) per
-    /// pushed node.
+    /// pushed node; an empty `vwgt` means every node weighs 1.
     ///
     /// # Panics
     /// As [`CsrGraph::from_parts`]: on a length mismatch or a target that is
@@ -530,8 +586,8 @@ mod tests {
         }
         assert_eq!(joined.num_rows(), 7);
         assert_eq!(joined.num_half_edges(), g.num_half_edges());
-        let joined = joined.finish(g.vwgt().to_vec(), None);
-        assert_eq!(joined, one.finish(g.vwgt().to_vec(), None));
+        let joined = joined.finish(Vec::new(), None);
+        assert_eq!(joined, one.finish(Vec::new(), None));
         assert_eq!(joined, g);
     }
 

@@ -339,7 +339,7 @@ where
         // u < v claims the next entry of row v, which must be (v → u, w). A
         // row departs at its first failed claim, else its first unclaimed
         // lower entry, else its first repeat; the first row to depart fails.
-        let (xadj, adjncy, adjwgt) = (&rows.xadj, &rows.adjncy, &rows.adjwgt);
+        let (xadj, adjncy) = (&rows.xadj, &rows.adjncy);
         let mut next = xadj[..found].to_vec();
         let mut departs = vec![NodeId::MAX; found];
         for u in 0..found {
@@ -357,7 +357,7 @@ where
             }
             for i in split..end {
                 let (v, j) = (adjncy[i] as usize, next[adjncy[i] as usize]);
-                if j < xadj[v + 1] && adjncy[j] as usize == u && adjwgt[j] == adjwgt[i] {
+                if j < xadj[v + 1] && adjncy[j] as usize == u && rows.weight(j) == rows.weight(i) {
                     next[v] += 1;
                 } else if departs[v] == NodeId::MAX {
                     let listed = if j < xadj[v + 1] {
@@ -369,8 +369,7 @@ where
                 }
             }
         }
-        rows.adjncy.shrink_to_fit();
-        rows.adjwgt.shrink_to_fit();
+        rows.shrink_to_fit();
         Ok(rows.finish(vwgt, None))
     } else if listed == m {
         // Once-listed convention: every entry is one edge, in either
@@ -420,35 +419,25 @@ pub struct MetisFormat {
 impl MetisFormat {
     /// All eight flag combinations, in ascending `fmt`-code order.
     pub fn all() -> [MetisFormat; 8] {
-        let f = |s, w, e| MetisFormat {
-            vertex_sizes: s,
-            vertex_weights: w,
-            edge_weights: e,
-        };
-        [
-            f(false, false, false),
-            f(false, false, true),
-            f(false, true, false),
-            f(false, true, true),
-            f(true, false, false),
-            f(true, false, true),
-            f(true, true, false),
-            f(true, true, true),
-        ]
+        std::array::from_fn(|code| MetisFormat {
+            vertex_sizes: code & 4 != 0,
+            vertex_weights: code & 2 != 0,
+            edge_weights: code & 1 != 0,
+        })
     }
 
     /// The smallest format that loses nothing of `graph`: vertex weights are
     /// written iff some node weight differs from 1, edge weights iff some
     /// edge weight differs from 1 (absent fields default to 1 on read).
     pub fn minimal_for(graph: &CsrGraph) -> MetisFormat {
-        let vertex_weights = graph.vwgt().iter().any(|&w| w != 1)
+        let vertex_weights = !graph.has_unit_node_weights()
             // An isolated vertex needs some token on its line (see
             // `lossless_for`); the weight prefix is the cheapest.
             || graph.nodes().any(|v| graph.degree(v) == 0);
         MetisFormat {
             vertex_sizes: false,
             vertex_weights,
-            edge_weights: graph.adjwgt().iter().any(|&w| w != 1),
+            edge_weights: !graph.has_unit_edge_weights(),
         }
     }
 
@@ -458,8 +447,8 @@ impl MetisFormat {
     /// at least one per-line token to keep its line non-empty — a format with
     /// no vertex prefix additionally requires every node to have an edge.
     pub fn lossless_for(&self, graph: &CsrGraph) -> bool {
-        (self.vertex_weights || graph.vwgt().iter().all(|&w| w == 1))
-            && (self.edge_weights || graph.adjwgt().iter().all(|&w| w == 1))
+        (self.vertex_weights || graph.has_unit_node_weights())
+            && (self.edge_weights || graph.has_unit_edge_weights())
             && (self.vertex_sizes
                 || self.vertex_weights
                 || graph.nodes().all(|v| graph.degree(v) > 0))
@@ -468,16 +457,10 @@ impl MetisFormat {
     /// The `fmt` field as written to the header, `None` when all flags are
     /// off (an absent field and `000` read identically).
     pub fn code(&self) -> Option<&'static str> {
-        match (self.vertex_sizes, self.vertex_weights, self.edge_weights) {
-            (false, false, false) => None,
-            (false, false, true) => Some("001"),
-            (false, true, false) => Some("010"),
-            (false, true, true) => Some("011"),
-            (true, false, false) => Some("100"),
-            (true, false, true) => Some("101"),
-            (true, true, false) => Some("110"),
-            (true, true, true) => Some("111"),
-        }
+        let code = [self.vertex_sizes, self.vertex_weights, self.edge_weights]
+            .iter()
+            .fold(0, |code, &flag| 2 * code + usize::from(flag));
+        (code > 0).then(|| ["000", "001", "010", "011", "100", "101", "110", "111"][code])
     }
 }
 
@@ -650,7 +633,7 @@ mod tests {
                 assert_eq!(g, g2, "fmt {fmt:?} should be lossless");
             }
             if fmt.vertex_weights {
-                assert_eq!(g2.vwgt(), g.vwgt());
+                assert!(g.nodes().all(|v| g2.node_weight(v) == g.node_weight(v)));
             }
             if fmt.edge_weights {
                 assert_eq!(g2.edge_weight_between(0, 1), Some(5));

@@ -35,9 +35,9 @@ pub trait EdgeSource {
         None
     }
 
-    /// Planar coordinates, or `None`. Called once; only in-RAM storage
-    /// levels retain them (the paged tier drops coordinates by design).
-    fn coords(&self) -> Option<Vec<[f64; 2]>> {
+    /// Planar coordinates (borrowed where the source holds them), or `None`.
+    /// Only in-RAM storage levels retain them; the paged tier orders by them.
+    fn coords(&self) -> Option<std::borrow::Cow<'_, [[f64; 2]]>> {
         None
     }
 }

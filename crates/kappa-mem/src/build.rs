@@ -25,9 +25,10 @@
 //! committed to — the build panics on that (generators never emit
 //! duplicates; weighted sources are unrestricted).
 
+use std::borrow::Cow;
 use std::io;
 
-use kappa_graph::builder::{count_degrees, fill_rows};
+use kappa_graph::builder::{count_degrees, fill_rows, DegreeCount};
 use kappa_graph::order::morton_order;
 use kappa_graph::{EdgeSource, EdgeWeight, NodeId, NodeOrder};
 
@@ -42,13 +43,12 @@ const CHUNK_BYTES: usize = 128 << 20;
 /// `emit` in `order` (`None`: ascending node order).
 fn for_each_node_list<S: EdgeSource>(
     src: &S,
-    degrees: &[u32],
+    count: &DegreeCount,
     order: Option<&NodeOrder>,
-    weighted: bool,
     chunk_bytes: usize,
     emit: &mut PushRow<'_>,
 ) -> io::Result<()> {
-    let degree_at = |p: usize| degrees[order.map_or(p, |o| o.nodes()[p] as usize)];
+    let degree_at = |p: usize| count.degrees[order.map_or(p, |o| o.nodes()[p] as usize)];
     let n = src.num_nodes();
     // Fill-array cost of one half-edge: u32 target plus u64 weight.
     let chunk_budget = (chunk_bytes / 12).max(1) as u64;
@@ -63,12 +63,12 @@ fn for_each_node_list<S: EdgeSource>(
             slots += degree_at(hi) as u64;
             hi += 1;
         }
-        let rows = fill_rows(src, degrees, order, lo..hi);
+        let rows = fill_rows(src, count, order, lo..hi);
         for p in lo..hi {
             row.clear();
             row.extend(rows.row(p - lo));
             assert!(
-                weighted || row.iter().all(|&(_, w)| w == 1),
+                !count.all_unit || row.iter().all(|&(_, w)| w == 1),
                 "duplicate edge at position {p} in a unit-weight stream"
             );
             emit(&row)?;
@@ -86,7 +86,8 @@ fn node_data<S: EdgeSource>(src: &S, keep_coords: bool) -> NodeData {
         assert_eq!(vwgt.len(), src.num_nodes(), "node_weights length mismatch");
         !vwgt.iter().all(|&c| c == 1)
     });
-    (vwgt, keep_coords.then(|| src.coords()).flatten())
+    let coords = keep_coords.then(|| src.coords()).flatten();
+    (vwgt, coords.map(Cow::into_owned))
 }
 
 impl TierGraph {
@@ -119,7 +120,7 @@ pub(crate) fn from_source_with_chunk_bytes<S: EdgeSource>(
         });
     let weighted = !count.all_unit;
     spec.build(n, weighted, order, |order, push| {
-        for_each_node_list(src, &count.degrees, order, weighted, chunk_bytes, push)?;
+        for_each_node_list(src, &count, order, chunk_bytes, push)?;
         Ok(node_data(src, spec.keeps_coords()))
     })
 }
@@ -154,6 +155,10 @@ mod tests {
         /// isolated nodes; a quarter of the cases is a unit-weight stream
         /// without repeats (the weightless encoding).
         #[test]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "compares the raw weight array with the summed edge map"
+        )]
         fn every_build_equals_the_summed_edge_map(
             n in 1usize..60,
             m in 0usize..150,

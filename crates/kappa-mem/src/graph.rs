@@ -308,7 +308,7 @@ impl<S: Store> SegmentWriter<S> {
 
 /// Whether `graph` needs explicit edge weights in its segments.
 pub(crate) fn is_weighted(graph: &CsrGraph) -> bool {
-    !graph.adjwgt().iter().all(|&w| w == 1)
+    !graph.has_unit_edge_weights()
 }
 
 /// Replays a plain CSR graph as rows in `order` (`None`: id order): the
@@ -333,8 +333,8 @@ pub(crate) fn csr_rows(
         }
         push(&row)?;
     }
-    let vwgt = graph.vwgt();
-    let vwgt = (!vwgt.iter().all(|&c| c == 1)).then(|| vwgt.to_vec());
+    let vwgt = (!graph.has_unit_node_weights())
+        .then(|| graph.nodes().map(|v| graph.node_weight(v)).collect());
     let coords = graph.coords().filter(|_| keep_coords);
     Ok((vwgt, coords.map(<[_]>::to_vec)))
 }

@@ -537,6 +537,10 @@ mod tests {
         (builder.build(), blocks, gids, membership)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "compares the raw weight arrays with the oracle's"
+    )]
     fn assert_matches_oracle(k: BlockId, shards: &[BandShard]) {
         let region = GatheredRegion::assemble(k, shards).unwrap();
         let (graph, blocks, gids, membership) = oracle(shards);

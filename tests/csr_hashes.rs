@@ -34,6 +34,10 @@ fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
 
 /// One hash over every array of `g`, each length-prefixed so that bytes
 /// cannot slide from one array into the next.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "hashes the raw weight arrays, implicit ones included"
+)]
 fn csr_hash(g: &CsrGraph) -> u64 {
     let mut bytes: Vec<u8> = Vec::new();
     let mut array = |len: usize, data: &mut dyn Iterator<Item = u8>| {

@@ -18,7 +18,13 @@
 //! (at most 1.25× the measurement): a run that copies its input again costs
 //! one more graph and trips them. In debug builds only the structural
 //! assertions run.
+//!
+//! Every budgeted run executes in a child process of its own (the test
+//! binary re-invoked with `--exact <name> --ignored`), so its peak RSS is
+//! measured alone: heap that earlier runs left resident in one process no
+//! longer counts against the later rows.
 
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -29,10 +35,47 @@ use kappa::prelude::*;
 mod common;
 use common::{peak_rss_bytes, reset_peak_rss, xorshift};
 
-/// Serialises the stress runs: wall time and peak RSS are process-wide
-/// measurements, so two budgeted runs must never overlap (the CI job also
+/// Serialises the child processes: wall time is a whole-machine
+/// measurement, so two budgeted runs must never overlap (the CI job also
 /// passes `--test-threads=1`; this guards ad-hoc invocations).
 static STRESS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Set in the environment of a child process started by [`in_child`].
+const CHILD_ENV: &str = "KAPPA_STRESS_CHILD";
+
+/// True inside the child process that runs `test` alone; in the parent it
+/// starts that child — this test binary, filtered to exactly `test` — waits
+/// for it and fails unless the child ran that one test and passed, then
+/// returns false.
+fn in_child(test: &str) -> bool {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        return true;
+    }
+    let _guard = STRESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let exe = std::env::current_exe().expect("path of the test binary");
+    let args = [
+        "--exact",
+        test,
+        "--ignored",
+        "--nocapture",
+        "--test-threads=1",
+    ];
+    let child = Command::new(exe)
+        .args(args)
+        .env(CHILD_ENV, "1")
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("start the child test process");
+    let output = child.wait_with_output().expect("wait for the child");
+    let summary = String::from_utf8_lossy(&output.stdout);
+    print!("{summary}");
+    assert!(
+        output.status.success() && summary.contains("test result: ok. 1 passed"),
+        "{test}: the child process did not run and pass it ({})",
+        output.status
+    );
+    false
+}
 
 /// What a budgeted run hands back: its partition and what the pipeline
 /// reports about it.
@@ -75,7 +118,6 @@ fn run_stress(
     rss_budget: u64,
     partition: impl FnOnce(&CsrGraph, KappaConfig) -> Run,
 ) {
-    let _guard = STRESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = KappaConfig::fast(k).with_seed(7);
     reset_peak_rss();
     let start = Instant::now();
@@ -128,22 +170,20 @@ fn run_stress(
 #[test]
 #[ignore = "release-profile stress: ≥ 2^20-node instance, run via the CI stress job"]
 fn stress_rgg_2e20_k16_within_budget() {
-    // Measured on a 2-vCPU shared x86-64 guest (2026-10-18), release, with a
-    // benchmark run busy on the other vCPU: 6.6-9.1 s wall, 470 MiB peak RSS
-    // alone and 529-583 MiB after the other two runs of this file in one
-    // process (631-685 MiB while every boundary-index count segment had
-    // deg(v) slots; 807-810 / 885 MiB while the run still copied its input
-    // graph). Re-measured 2026-10-19 with the one-rank run ahead of it:
-    // 467 MiB alone, 554-580 MiB in CI order (472 / 555-576 before
-    // uncoarsening freed each level it leaves: this run peaks in
-    // coarsening). Budget: 1.25 x 580 MiB.
+    if !in_child("stress_rgg_2e20_k16_within_budget") {
+        return;
+    }
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-20), release, in its
+    // own process: 2.7-3.0 s wall, 340-350 MiB peak RSS (467 MiB while the
+    // input stored its unit edge and node weights; 554-580 MiB in CI order
+    // while every run shared one process). Budget: 1.25 x 350 MiB.
     let graph = random_geometric_graph(1 << 20, 11);
     run_stress(
         "rgg 2^20 k=16",
         &graph,
         16,
         Duration::from_secs(45),
-        725 * 1024 * 1024,
+        438 * 1024 * 1024,
         shared_memory,
     );
 }
@@ -151,18 +191,21 @@ fn stress_rgg_2e20_k16_within_budget() {
 #[test]
 #[ignore = "release-profile stress: ≥ 2^20-node instance, run via the CI stress job"]
 fn stress_dist_rgg_2e20_k16_one_rank_within_budget() {
+    if !in_child("stress_dist_rgg_2e20_k16_one_rank_within_budget") {
+        return;
+    }
     // One rank owns every node, so its shard is the caller's graph.
-    // Measured on a 2-vCPU shared x86-64 guest (2026-10-19), release: 6.0-
-    // 7.3 s wall, 371 MiB peak RSS alone and 404-415 MiB after the soak in
-    // one process (587 alone and 625-632 after the soak while the shard
-    // copied every row of its input). Budget: 1.25 x 415 MiB.
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-20), release, in its
+    // own process: 3.5-3.8 s wall, 254-257 MiB peak RSS (367 MiB while the input
+    // stored its unit weights; 404-415 MiB after the soak in one process;
+    // 587 alone while the shard copied its input). Budget: 1.25 x 254 MiB.
     let graph = random_geometric_graph(1 << 20, 11);
     run_stress(
         "dist rgg 2^20 k=16 r=1",
         &graph,
         16,
         Duration::from_secs(45),
-        519 * 1024 * 1024,
+        318 * 1024 * 1024,
         one_rank,
     );
 }
@@ -181,7 +224,11 @@ fn soak_dynamic_service_within_budget() {
     // drift-triggered repairs are most of it), 97-103 MiB peak RSS; 73-75
     // MiB since a build sizes each boundary-index count segment by its
     // entries (2026-10-18, against 91-94 MiB for deg(v) slots, same box).
-    let _guard = STRESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // In its own process (2026-10-20): 75-76 MiB (79 MiB while the input
+    // stored its unit weights). Budget: 1.25 x 76 MiB.
+    if !in_child("soak_dynamic_service_within_budget") {
+        return;
+    }
     reset_peak_rss();
     let graph = random_geometric_graph(1 << 17, 13);
     let kappa = KappaConfig::fast(16).with_seed(7);
@@ -262,7 +309,7 @@ fn soak_dynamic_service_within_budget() {
             bootstrap_wall + serve_wall
         );
         if let Some(rss) = peak_rss_bytes() {
-            let rss_budget = 512u64 * 1024 * 1024;
+            let rss_budget = 95u64 * 1024 * 1024;
             assert!(
                 rss <= rss_budget,
                 "soak peak-RSS budget blown: {} MiB > {} MiB",
@@ -276,21 +323,20 @@ fn soak_dynamic_service_within_budget() {
 #[test]
 #[ignore = "release-profile stress: ≥ 2^20-node instance, run via the CI stress job"]
 fn stress_grid_1024_k32_within_budget() {
-    // Measured on a 2-vCPU shared x86-64 guest (2026-10-18), release, with a
-    // benchmark run busy on the other vCPU: 2.9-5.4 s wall, 307-309 MiB peak
-    // RSS alone and 299-319 MiB after the soak in one process (335-340 MiB
-    // while every boundary-index count segment had deg(v) slots; 426-463 MiB
-    // while the run still copied its input graph). Re-measured 2026-10-19
-    // with the one-rank run ahead of it: 289 MiB alone, 314-333 MiB in CI
-    // order (285 / 303-338 before uncoarsening freed each level it leaves).
-    // Budget: 1.25 x 319 MiB, 1.19 x 333.
+    if !in_child("stress_grid_1024_k32_within_budget") {
+        return;
+    }
+    // Measured on a 2-vCPU shared x86-64 guest (2026-10-20), release, in its
+    // own process: 1.5-1.6 s wall, 235-252 MiB peak RSS (283-289 MiB while
+    // the input stored its unit weights; 314-333 MiB in CI order while every
+    // run shared one process). Budget: 1.25 x 252 MiB.
     let graph = grid2d(1024, 1024);
     run_stress(
         "grid 1024x1024 k=32",
         &graph,
         32,
         Duration::from_secs(45),
-        395 * 1024 * 1024,
+        315 * 1024 * 1024,
         shared_memory,
     );
 }
