@@ -355,6 +355,47 @@ mod tests {
     }
 
     #[test]
+    fn a_graph_of_total_weight_u32_max_contracts_to_one_node() {
+        // An 8-cycle whose total edge weight and total node weight are
+        // exactly u32::MAX, nearly all of it on the two edges that survive
+        // to the 2-node level and on one node. Pairing neighbours halves it
+        // three times; every level's stored weights fit, the two surviving
+        // edges merge into one of weight u32::MAX − 6, and the last node
+        // weighs u32::MAX.
+        let max = kappa_graph::MAX_TOTAL_WEIGHT;
+        let heavy = |v: u32| match v {
+            3 => 1 << 31,
+            7 => max - (1 << 31) - 6,
+            _ => 1,
+        };
+        let mut b = GraphBuilder::with_node_weights(
+            (0..8).map(|v| if v == 0 { max - 7 } else { 1 }).collect(),
+        );
+        for v in 0..8u32 {
+            b.add_edge(v, (v + 1) % 8, heavy(v));
+        }
+        let mut g = b.build();
+        assert_eq!((g.total_edge_weight(), g.total_node_weight()), (max, max));
+        while g.num_nodes() > 1 {
+            let mut m = Matching::new(g.num_nodes());
+            for v in (0..g.num_nodes() as NodeId).step_by(2) {
+                m.try_match(v, v + 1);
+            }
+            let c = contract_matching(&g, &m);
+            assert_eq!(
+                c.coarse_graph,
+                contract_matching_reference(&g, &m).coarse_graph
+            );
+            if c.coarse_graph.num_nodes() == 2 {
+                assert_eq!(c.coarse_graph.edge_weight_between(0, 1), Some(max - 6));
+            }
+            g = c.coarse_graph;
+        }
+        assert_eq!(g.node_weight(0), max);
+        assert_eq!(g.num_edges(), 0);
+    }
+
+    #[test]
     fn parallel_edges_are_merged() {
         // Square 0-1-2-3-0; match {0,1} and {2,3}: the two cut edges {1,2} and
         // {3,0} become parallel and must merge into one edge of weight 2.

@@ -298,7 +298,7 @@ impl DynamicSession {
                     .expect("k >= 1")
             }
         };
-        let v = self.graph.insert_node(weight);
+        let v = self.graph.insert_node(weight)?;
         self.state.apply_node_insert(b, weight);
         self.stats.node_inserts += 1;
         self.touched.push(v);

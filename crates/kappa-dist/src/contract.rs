@@ -345,6 +345,38 @@ mod tests {
     }
 
     #[test]
+    fn shipped_weights_past_the_totals_rule_are_diagnosed() {
+        // The path 0 – 1 – 2 – 3 over two ranks, {1, 2} matched across the
+        // seam. Each rank holds a legal graph of total edge weight u32::MAX,
+        // but the bad rank 1 weighs its far edge {2, 3} at u32::MAX − 2
+        // where rank 0's graph has {0, 1} there. The row rank 1 ships for
+        // node 2 lifts rank 0's coarse shard to 2·u32::MAX − 4, which its
+        // 32-bit store cannot hold.
+        let max = kappa_graph::MAX_TOTAL_WEIGHT;
+        let heavy =
+            |w01, w23| kappa_graph::graph_from_edges(4, [(0, 1, w01), (1, 2, 1), (2, 3, w23)]);
+        let graphs = [heavy(max - 2, 1), heavy(1, max - 2)];
+        let results = LocalCluster::new(2).run(|comm| {
+            let dg = DistGraph::from_global(&graphs[comm.rank()], 2, comm.rank());
+            let partner_owned = match comm.rank() {
+                0 => vec![INVALID_NODE, 2],
+                _ => vec![1, INVALID_NODE],
+            };
+            let matching = DistMatching {
+                partner_owned,
+                matched_pairs: 1,
+            };
+            distributed_contraction(comm, &dg, &matching).err()
+        });
+        let e = results[0]
+            .as_ref()
+            .expect("rank 0 rejects the shipped weight");
+        assert_eq!((e.rank, e.tag.as_str()), (0, "assemble"), "{e}");
+        assert!(e.to_string().contains("total edge weight exceeds"), "{e}");
+        assert!(results[1].is_none(), "rank 1's own shard fits");
+    }
+
+    #[test]
     fn a_shipped_row_for_an_unknown_or_repeated_anchor_is_diagnosed() {
         // A 4 × 4 grid over two ranks (rows 0–1 | rows 2–3). The bad rank 1
         // matches its node 8 to rank 0's node 4, which rank 0 leaves

@@ -120,7 +120,7 @@ impl<'g> DistGraph<'g> {
         DistGraph::assemble(rank, ranks, range_starts, rows, vwgt, |gids, _| {
             Ok(gids.iter().map(|&g| graph.node_weight(g)).collect())
         })
-        // kappa-lint: allow(dist-no-panic) -- the ghost-weight closure above always returns Ok and assemble's row count is ln by construction, so no error path exists
+        // kappa-lint: allow(dist-no-panic) -- the ghost-weight closure above always returns Ok, assemble's row count is ln by construction and a slice of a sealed graph obeys its totals rule, so no error path exists
         .expect("local assembly does not communicate")
     }
 }
@@ -230,11 +230,17 @@ impl DistGraph<'static> {
             ));
         }
 
+        // Rows and weights may come from peers: weights past the totals
+        // rule do not fit the shard's 32-bit store.
+        let local = rows.try_finish(vwgt, None).map_err(|e| {
+            let detail = format!("shard weights do not fit: {e}");
+            CommError::protocol(rank, rank, "assemble", detail)
+        })?;
         Ok(DistGraph {
             rank,
             ranks,
             range_starts,
-            local: Cow::Owned(rows.finish(vwgt, None)),
+            local: Cow::Owned(local),
             ln,
             ghost_global,
             send_lists,

@@ -603,7 +603,10 @@ fn allgather_graph<C: Comm>(comm: &mut C, dg: &DistGraph) -> CommResult<CsrGraph
         rows.push_node(row);
         vwgt.push(w);
     }
-    Ok(rows.finish(vwgt, None))
+    rows.try_finish(vwgt, None).map_err(|e| {
+        let detail = format!("coarsest-graph weights do not fit: {e}");
+        CommError::protocol(comm.rank(), comm.rank(), "initial", detail)
+    })
 }
 
 /// The balance bound `L_max` of one level, from allreduced totals — exactly
@@ -808,6 +811,26 @@ mod tests {
         for result in results {
             let err = result.expect_err("target 6 is out of range");
             assert!(err.to_string().contains("global node 6 of 6"), "{err}");
+        }
+    }
+
+    #[test]
+    fn peer_weights_past_the_totals_rule_are_diagnosed() {
+        // Both ranks hold a legal 4-node path of total edge weight
+        // u32::MAX, but the bad rank 1 puts the heavy edge in its own half,
+        // where rank 0's path has it in rank 0's half. The gathered rows sum
+        // to 2·u32::MAX − 4, which the coarsest graph cannot store.
+        let max = kappa_graph::MAX_TOTAL_WEIGHT;
+        let heavy = |w01, w23| graph_from_edges(4, vec![(0, 1, w01), (1, 2, 1), (2, 3, w23)]);
+        let graphs = [heavy(max - 2, 1), heavy(1, max - 2)];
+        let results = LocalCluster::new(2).run(|comm| {
+            let dg = DistGraph::from_global(&graphs[comm.rank()], 2, comm.rank());
+            allgather_graph(comm, &dg).err()
+        });
+        for e in results {
+            let e = e.expect("no rank can store the gathered graph");
+            assert_eq!(e.tag, "initial", "{e}");
+            assert!(e.to_string().contains("total edge weight exceeds"), "{e}");
         }
     }
 

@@ -9,7 +9,7 @@
 
 use std::ops::Range;
 
-use crate::csr::{CsrGraph, CsrRows};
+use crate::csr::{CsrGraph, CsrRows, WeightOverflow, MAX_TOTAL_WEIGHT};
 use crate::order::{IdSpan, NodeOrder};
 use crate::stream::{EdgeSource, SliceEdgeSource};
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
@@ -97,7 +97,9 @@ impl GraphBuilder {
     /// Builds the CSR graph: the counting build over all nodes.
     ///
     /// # Panics
-    /// On a zero-weight edge or an endpoint out of range.
+    /// On a zero-weight edge, an endpoint out of range, or weights that
+    /// break the totals rule (a total edge or node weight above
+    /// [`MAX_TOTAL_WEIGHT`], see [`crate::csr`]).
     pub fn build(self) -> CsrGraph {
         let src = SliceEdgeSource::new(self.num_nodes, &self.edges);
         let count = count_degrees(&src);
@@ -120,7 +122,10 @@ pub struct DegreeCount {
 /// The degree pass of the counting build over `src`.
 ///
 /// # Panics
-/// On a zero weight or an endpoint `>= src.num_nodes()`.
+/// On a zero weight, an endpoint `>= src.num_nodes()`, or a total weight of
+/// the edges other than self loops above [`MAX_TOTAL_WEIGHT`] (the totals
+/// rule of [`crate::csr`]: the stream's weights would not fit the 32-bit
+/// store).
 pub fn count_degrees<S: EdgeSource>(src: &S) -> DegreeCount {
     let n = src.num_nodes();
     let mut count = DegreeCount {
@@ -128,6 +133,7 @@ pub fn count_degrees<S: EdgeSource>(src: &S) -> DegreeCount {
         all_unit: true,
         span: IdSpan::default(),
     };
+    let mut total: EdgeWeight = 0;
     src.for_each_edge(|u, v, w| {
         assert!(w > 0, "edge weights must be positive");
         assert!(
@@ -139,8 +145,10 @@ pub fn count_degrees<S: EdgeSource>(src: &S) -> DegreeCount {
             count.degrees[v as usize] += 1;
             count.all_unit &= w == 1;
             count.span.add(u, v);
+            total = total.saturating_add(w);
         }
     });
+    assert!(total <= MAX_TOTAL_WEIGHT, "{}", WeightOverflow::Edges);
     count
 }
 
@@ -148,9 +156,9 @@ pub fn count_degrees<S: EdgeSource>(src: &S) -> DegreeCount {
 /// positions `range` of `order` (`None`: id order) in `src`, the row at
 /// position `p` pushed `p - range.start`-th, self loops dropped and each row
 /// brought into form by [`merge_row`]. `count` is [`count_degrees`] of the
-/// same stream. Replays `src` once and holds one slot (12 bytes; 4 in an
-/// all-unit stream, whose weights are stored only if a merge sums two
-/// edges) per counted half-edge of `range`.
+/// same stream. Replays `src` once and holds one slot (8 bytes: a 4-byte
+/// target and a 4-byte weight; 4 in an all-unit stream, whose weights are
+/// stored only if a merge sums two edges) per counted half-edge of `range`.
 ///
 /// # Panics
 /// If the replay emits other half-edges into `range` than `degrees` counts.
@@ -171,7 +179,7 @@ pub fn fill_rows<S: EdgeSource>(
     let rows = xadj.len() - 1;
     let mut cursor = xadj[..rows].to_vec();
     let mut adjncy = vec![0 as NodeId; xadj[rows]];
-    let mut adjwgt = vec![0 as EdgeWeight; if count.all_unit { 0 } else { xadj[rows] }];
+    let mut adjwgt = vec![0u32; if count.all_unit { 0 } else { xadj[rows] }];
     src.for_each_edge(|u, v, w| {
         if u == v {
             return;
@@ -186,7 +194,7 @@ pub fn fill_rows<S: EdgeSource>(
                 );
                 adjncy[*c] = y;
                 if let Some(slot) = adjwgt.get_mut(*c) {
-                    *slot = w;
+                    *slot = u32::try_from(w).expect("the degree pass bounds every weight");
                 }
                 *c += 1;
             }
@@ -204,7 +212,7 @@ pub fn fill_rows<S: EdgeSource>(
             "EdgeSource emitted fewer edges on replay than it counted"
         );
         row.clear();
-        row.extend((start..end).map(|j| (adjncy[j], adjwgt.get(j).copied().unwrap_or(1))));
+        row.extend((start..end).map(|j| (adjncy[j], adjwgt.get(j).map_or(1, |&w| w.into()))));
         let len = merge_row(&mut row);
         xadj[i] = out;
         for &(t, w) in &row[..len] {
@@ -213,7 +221,7 @@ pub fn fill_rows<S: EdgeSource>(
             }
             adjncy[out] = t;
             if let Some(slot) = adjwgt.get_mut(out) {
-                *slot = w;
+                *slot = u32::try_from(w).expect("a merged weight is bounded by the stream's total");
             }
             out += 1;
         }
@@ -221,11 +229,7 @@ pub fn fill_rows<S: EdgeSource>(
     xadj[rows] = out;
     adjncy.truncate(out);
     adjwgt.truncate(out);
-    CsrRows {
-        xadj,
-        adjncy,
-        adjwgt,
-    }
+    CsrRows::new(xadj, adjncy, adjwgt)
 }
 
 /// The one row rule: sorts `row` by target and sums the weights of equal

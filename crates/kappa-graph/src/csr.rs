@@ -6,20 +6,78 @@
 //! array. Every undirected edge `{u, v}` is stored twice, once in the adjacency
 //! list of `u` and once in that of `v`, with identical weight.
 //!
+//! **32-bit storage, 64-bit arithmetic.** Edge and node weights are stored
+//! as `u32` (as in KaHIP and 32-bit METIS) and widen on every read: rows
+//! yield [`EdgeWeight`]s, node weights are [`NodeWeight`]s, and every sum,
+//! gain, cut, block weight and `L_max` is computed in those 64-bit types.
+//!
+//! **The totals rule.** A graph's total edge weight `ω(E)` and total node
+//! weight `c(V)` must each be at most [`MAX_TOTAL_WEIGHT`] (`u32::MAX`).
+//! Every coarse weight is a sum of input weights, bounded by the input's
+//! total, so once the input obeys the rule contraction, extraction and
+//! the distributed shards cannot overflow the store. Constructors check it:
+//! [`CsrGraph::from_parts`], [`CsrRows::finish`] and
+//! [`GraphBuilder::build`](crate::GraphBuilder::build) panic on an
+//! over-total input, [`CsrGraph::try_from_parts`] and
+//! [`CsrRows::try_finish`] return a [`WeightOverflow`] for data from an
+//! untrusted source.
+//!
 //! Weights are implicit when all 1: every constructor drops an all-ones edge
-//! or node weight array (one canonical form), rows then read one shared run
-//! of ones, and only the raw [`CsrGraph::adjwgt`] / [`CsrGraph::vwgt`]
-//! materialize the ones, on first call.
+//! or node weight array (one canonical form), and rows then read one shared
+//! run of ones. Only the raw [`CsrGraph::adjwgt`] / [`CsrGraph::vwgt`] hand
+//! out `u64` arrays; they materialize the ones or a widened copy on first
+//! call.
 //!
 //! The mutating half is [`DynamicGraph`](crate::DynamicGraph): the same sorted
 //! rows, one growable row per node, folded back into this form by
 //! [`to_csr`](crate::DynamicGraph::to_csr). Generic code reads either through
 //! [`GraphAccess`](crate::GraphAccess).
 
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
+
+/// The largest total edge weight `ω(E)` and total node weight `c(V)` a
+/// graph may have: every stored weight is at most its total, so each fits
+/// in 32 bits (see the module docs).
+pub const MAX_TOTAL_WEIGHT: u64 = u32::MAX as u64;
+
+/// A weight total that breaks the totals rule: the weights do not fit the
+/// 32-bit store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WeightOverflow {
+    /// The total edge weight `ω(E)` (or a single edge weight) exceeds
+    /// [`MAX_TOTAL_WEIGHT`].
+    Edges,
+    /// The total node weight `c(V)` (or a single node weight) exceeds
+    /// [`MAX_TOTAL_WEIGHT`].
+    Nodes,
+}
+
+impl fmt::Display for WeightOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let what = match self {
+            WeightOverflow::Edges => "edge",
+            WeightOverflow::Nodes => "node",
+        };
+        write!(
+            f,
+            "total {what} weight exceeds {MAX_TOTAL_WEIGHT} (u32::MAX)"
+        )
+    }
+}
+
+impl std::error::Error for WeightOverflow {}
+
+/// Narrows a weight array whose total must obey the totals rule.
+fn narrow_all(weights: Vec<u64>, overflow: WeightOverflow) -> Result<Vec<u32>, WeightOverflow> {
+    weights
+        .into_iter()
+        .map(|w| u32::try_from(w).map_err(|_| overflow))
+        .collect()
+}
 
 /// A weighted undirected graph in CSR form, optionally carrying 2-D coordinates
 /// (used by the geometric pre-partitioning of §3.3).
@@ -31,20 +89,26 @@ pub struct CsrGraph {
     adjncy: Vec<NodeId>,
     /// Weight of every half-edge (the two copies of an undirected edge carry the
     /// same weight). Length `2m`, or empty when every weight is 1.
-    adjwgt: Vec<EdgeWeight>,
+    adjwgt: Vec<u32>,
     /// Node weights `c(v)`. Length `n`, or empty when every weight is 1.
-    vwgt: Vec<NodeWeight>,
+    vwgt: Vec<u32>,
     /// Optional planar coordinates, one per node.
     coords: Option<Vec<[f64; 2]>>,
     /// Cached total node weight `c(V)`.
     total_node_weight: NodeWeight,
     /// Without `adjwgt`: `max_degree` ones, the weight slice of every row.
-    unit_run: Vec<EdgeWeight>,
-    /// The ones the raw accessors hand out, filled on first call.
+    unit_run: Vec<u32>,
+    /// The ones the raw accessors hand out for an implicit array, filled on
+    /// first call.
     ones: OnceLock<Vec<u64>>,
+    /// The widened copies the raw accessors hand out for a stored array,
+    /// filled on first call.
+    wide_adjwgt: OnceLock<Vec<u64>>,
+    wide_vwgt: OnceLock<Vec<u64>>,
 }
 
-/// Equal arrays; the two runs of ones are derived, so never compared.
+/// Equal arrays; the runs of ones and the widened copies are derived, so
+/// never compared.
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &CsrGraph) -> bool {
         fn arrays(g: &CsrGraph) -> impl PartialEq + '_ {
@@ -54,8 +118,10 @@ impl PartialEq for CsrGraph {
     }
 }
 
-/// How many implicit weight arrays this process has materialized.
-pub static ONES_MATERIALIZED: AtomicUsize = AtomicUsize::new(0);
+/// How many `u64` weight arrays (ones of an implicit array, or a widened
+/// copy of a stored one) the raw accessors have materialized in this
+/// process.
+pub static WEIGHTS_MATERIALIZED: AtomicUsize = AtomicUsize::new(0);
 
 impl CsrGraph {
     /// Assembles a graph from raw CSR arrays. An empty or all-ones `adjwgt`
@@ -63,15 +129,50 @@ impl CsrGraph {
     ///
     /// # Panics
     /// Panics if the arrays are structurally inconsistent (lengths, monotone
-    /// `xadj`, out-of-range targets). Symmetry is *not* checked here because it
-    /// is O(m log m); use [`CsrGraph::validate`] in tests.
+    /// `xadj`, out-of-range targets), or if the weights break the totals
+    /// rule: a total edge or node weight above [`MAX_TOTAL_WEIGHT`] (see
+    /// [`CsrGraph::try_from_parts`] for the fallible form). Symmetry is
+    /// *not* checked here because it is O(m log m); use
+    /// [`CsrGraph::validate`] in tests.
     pub fn from_parts(
         xadj: Vec<usize>,
         adjncy: Vec<NodeId>,
-        mut adjwgt: Vec<EdgeWeight>,
-        mut vwgt: Vec<NodeWeight>,
+        adjwgt: Vec<EdgeWeight>,
+        vwgt: Vec<NodeWeight>,
         coords: Option<Vec<[f64; 2]>>,
     ) -> Self {
+        CsrGraph::try_from_parts(xadj, adjncy, adjwgt, vwgt, coords)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CsrGraph::from_parts`] for weights from an untrusted source: a
+    /// weight total above [`MAX_TOTAL_WEIGHT`] is a [`WeightOverflow`], not
+    /// a panic.
+    ///
+    /// # Panics
+    /// On structurally inconsistent arrays, as [`CsrGraph::from_parts`].
+    pub fn try_from_parts(
+        xadj: Vec<usize>,
+        adjncy: Vec<NodeId>,
+        adjwgt: Vec<EdgeWeight>,
+        vwgt: Vec<NodeWeight>,
+        coords: Option<Vec<[f64; 2]>>,
+    ) -> Result<Self, WeightOverflow> {
+        let adjwgt = narrow_all(adjwgt, WeightOverflow::Edges)?;
+        let vwgt = narrow_all(vwgt, WeightOverflow::Nodes)?;
+        CsrGraph::from_stored(xadj, adjncy, adjwgt, vwgt, coords)
+    }
+
+    /// The one constructor over the stored (32-bit) arrays: checks the
+    /// structure (panics) and the totals rule (errs), and drops all-ones
+    /// weight arrays.
+    fn from_stored(
+        xadj: Vec<usize>,
+        adjncy: Vec<NodeId>,
+        mut adjwgt: Vec<u32>,
+        mut vwgt: Vec<u32>,
+        coords: Option<Vec<[f64; 2]>>,
+    ) -> Result<Self, WeightOverflow> {
         let n = xadj.len().checked_sub(1).expect("xadj must not be empty");
         assert!(
             vwgt.is_empty() || vwgt.len() == n,
@@ -98,6 +199,17 @@ impl CsrGraph {
         if let Some(c) = &coords {
             assert_eq!(c.len(), n, "coordinate array length mismatch");
         }
+        let total = |weights: &[u32], units: usize| match weights.is_empty() {
+            true => units as u64,
+            false => weights.iter().map(|&w| u64::from(w)).sum(),
+        };
+        let total_node_weight = total(&vwgt, n);
+        if total_node_weight > MAX_TOTAL_WEIGHT {
+            return Err(WeightOverflow::Nodes);
+        }
+        if total(&adjwgt, adjncy.len()) / 2 > MAX_TOTAL_WEIGHT {
+            return Err(WeightOverflow::Edges);
+        }
         for weights in [&mut adjwgt, &mut vwgt] {
             if weights.iter().all(|&w| w == 1) {
                 *weights = Vec::new();
@@ -109,15 +221,16 @@ impl CsrGraph {
             adjwgt,
             vwgt,
             coords,
-            total_node_weight: 0,
+            total_node_weight,
             unit_run: Vec::new(),
             ones: OnceLock::new(),
+            wide_adjwgt: OnceLock::new(),
+            wide_vwgt: OnceLock::new(),
         };
-        g.total_node_weight = g.nodes().map(|v| g.node_weight(v)).sum();
         if g.adjwgt.is_empty() {
             g.unit_run = vec![1; g.max_degree()];
         }
-        g
+        Ok(g)
     }
 
     /// The empty graph (no nodes, no edges).
@@ -131,11 +244,7 @@ impl CsrGraph {
     pub fn rows(nodes: usize, half_edges: usize) -> CsrRows {
         let mut xadj = Vec::with_capacity(nodes + 1);
         xadj.push(0);
-        CsrRows {
-            xadj,
-            adjncy: Vec::with_capacity(half_edges),
-            adjwgt: Vec::new(),
-        }
+        CsrRows::new(xadj, Vec::with_capacity(half_edges), Vec::new())
     }
 
     /// Number of nodes `n = |V|`.
@@ -166,7 +275,9 @@ impl CsrGraph {
     /// Node weight `c(v)`.
     #[inline]
     pub fn node_weight(&self, v: NodeId) -> NodeWeight {
-        *self.vwgt.get(v as usize).unwrap_or(&1)
+        self.vwgt
+            .get(v as usize)
+            .map_or(1, |&w| NodeWeight::from(w))
     }
 
     /// Total node weight `c(V)`.
@@ -196,9 +307,10 @@ impl CsrGraph {
         &self.adjncy[self.xadj[v as usize]..self.xadj[v as usize + 1]]
     }
 
-    /// The weights of the half-edges incident to `v`, parallel to [`CsrGraph::neighbors`].
+    /// The stored weights of the half-edges incident to `v`, parallel to
+    /// [`CsrGraph::neighbors`].
     #[inline]
-    pub fn neighbor_weights(&self, v: NodeId) -> &[EdgeWeight] {
+    fn row_weights(&self, v: NodeId) -> &[u32] {
         let range = self.xadj[v as usize]..self.xadj[v as usize + 1];
         let unit = || &self.unit_run[..range.len()];
         self.adjwgt.get(range.clone()).unwrap_or_else(unit)
@@ -207,7 +319,7 @@ impl CsrGraph {
     /// Iterate over `(neighbor, edge_weight)` pairs of `v`.
     #[inline]
     pub fn edges_of(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
-        let weights = self.neighbor_weights(v).iter().copied();
+        let weights = self.row_weights(v).iter().map(|&w| EdgeWeight::from(w));
         self.neighbors(v).iter().copied().zip(weights)
     }
 
@@ -229,7 +341,10 @@ impl CsrGraph {
     /// Weighted degree `Out(v) = Σ_{x ∈ Γ(v)} ω({v, x})`, as used by the
     /// `innerOuter` edge rating.
     pub fn weighted_degree(&self, v: NodeId) -> EdgeWeight {
-        self.neighbor_weights(v).iter().sum()
+        self.row_weights(v)
+            .iter()
+            .map(|&w| EdgeWeight::from(w))
+            .sum()
     }
 
     /// Returns the weight of edge `{u, v}` if it exists (linear scan of the
@@ -247,7 +362,10 @@ impl CsrGraph {
     /// balance bound `L_max` of §2.
     pub fn max_node_weight(&self) -> NodeWeight {
         let unit = NodeWeight::from(self.num_nodes() > 0);
-        self.vwgt.iter().copied().max().unwrap_or(unit)
+        self.vwgt
+            .iter()
+            .max()
+            .map_or(unit, |&w| NodeWeight::from(w))
     }
 
     /// Maximum degree of any node (0 for the empty graph).
@@ -291,22 +409,28 @@ impl CsrGraph {
         &self.adjncy
     }
 
-    /// Raw `adjwgt` array (materializes `2m` ones on a unit-weight graph).
+    /// Raw `adjwgt` array, widened to `u64`: materializes `2m` ones on a
+    /// unit-weight graph, else a widened copy of the stored array.
     pub fn adjwgt(&self) -> &[EdgeWeight] {
-        self.raw(&self.adjwgt, self.adjncy.len())
+        self.raw(&self.adjwgt, &self.wide_adjwgt, self.adjncy.len())
     }
 
-    /// Raw node-weight array (materializes `n` ones on a unit-weight graph).
+    /// Raw node-weight array, widened to `u64`: materializes `n` ones on a
+    /// unit-weight graph, else a widened copy of the stored array.
     pub fn vwgt(&self) -> &[NodeWeight] {
-        self.raw(&self.vwgt, self.num_nodes())
+        self.raw(&self.vwgt, &self.wide_vwgt, self.num_nodes())
     }
 
-    fn raw<'a>(&'a self, weights: &'a [u64], len: usize) -> &'a [u64] {
-        if !weights.is_empty() {
-            return weights;
+    fn raw<'a>(&'a self, stored: &[u32], wide: &'a OnceLock<Vec<u64>>, len: usize) -> &'a [u64] {
+        let count = || WEIGHTS_MATERIALIZED.fetch_add(1, Ordering::Relaxed);
+        if !stored.is_empty() {
+            return wide.get_or_init(|| {
+                count();
+                stored.iter().map(|&w| u64::from(w)).collect()
+            });
         }
         &self.ones.get_or_init(|| {
-            ONES_MATERIALIZED.fetch_add(1, Ordering::Relaxed);
+            count();
             vec![1; self.adjncy.len().max(self.num_nodes())]
         })[..len]
     }
@@ -377,15 +501,27 @@ impl CsrGraph {
 /// time (see [`CsrGraph::rows`]). Rows arrive as the graph will hold them:
 /// merged by the one row rule [`merge_row`](crate::merge_row), in their
 /// final order, targets already in the graph's id space. Weights are
-/// stored from the first entry that does not weigh 1 on; until then
-/// `adjwgt` is empty.
+/// stored (in 32 bits) from the first entry that does not weigh 1 on; until
+/// then `adjwgt` is empty.
 pub struct CsrRows {
     pub(crate) xadj: Vec<usize>,
     pub(crate) adjncy: Vec<NodeId>,
-    pub(crate) adjwgt: Vec<EdgeWeight>,
+    pub(crate) adjwgt: Vec<u32>,
+    /// Whether a pushed weight did not fit in 32 bits: sealing then fails
+    /// with [`WeightOverflow::Edges`].
+    wide: bool,
 }
 
 impl CsrRows {
+    pub(crate) fn new(xadj: Vec<usize>, adjncy: Vec<NodeId>, adjwgt: Vec<u32>) -> CsrRows {
+        CsrRows {
+            xadj,
+            adjncy,
+            adjwgt,
+            wide: false,
+        }
+    }
+
     /// The `i`-th pushed row as `(target, weight)` pairs.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
         (self.xadj[i]..self.xadj[i + 1]).map(|j| (self.adjncy[j], self.weight(j)))
@@ -393,7 +529,7 @@ impl CsrRows {
 
     /// The weight of entry `j`.
     pub(crate) fn weight(&self, j: usize) -> EdgeWeight {
-        self.adjwgt.get(j).copied().unwrap_or(1)
+        self.adjwgt.get(j).map_or(1, |&w| EdgeWeight::from(w))
     }
 
     /// Stores the implicit unit weights of the entries pushed so far.
@@ -423,6 +559,7 @@ impl CsrRows {
                 false => self.adjwgt.extend(other.adjwgt),
             }
         }
+        self.wide |= other.wide;
         self.xadj
             .extend(other.xadj[1..].iter().map(|&e| offset + e));
         self.adjncy.extend(other.adjncy);
@@ -438,9 +575,15 @@ impl CsrRows {
         }
     }
 
-    /// Appends the next node's `(target, weight)` row.
+    /// Appends the next node's `(target, weight)` row. A weight that does
+    /// not fit in 32 bits breaks the totals rule: it is remembered, and
+    /// [`CsrRows::finish`] panics ([`CsrRows::try_finish`] errs).
     pub fn push_node(&mut self, row: impl IntoIterator<Item = (NodeId, EdgeWeight)>) {
         for (t, w) in row {
+            let w = u32::try_from(w).unwrap_or_else(|_| {
+                self.wide = true;
+                u32::MAX
+            });
             if !self.adjwgt.is_empty() {
                 self.adjwgt.push(w);
             } else if w != 1 {
@@ -476,10 +619,30 @@ impl CsrRows {
     /// pushed node; an empty `vwgt` means every node weighs 1.
     ///
     /// # Panics
-    /// As [`CsrGraph::from_parts`]: on a length mismatch or a target that is
-    /// not a pushed node.
+    /// As [`CsrGraph::from_parts`]: on a length mismatch, a target that is
+    /// not a pushed node, or weights that break the totals rule (a total
+    /// edge or node weight above [`MAX_TOTAL_WEIGHT`]).
     pub fn finish(self, vwgt: Vec<NodeWeight>, coords: Option<Vec<[f64; 2]>>) -> CsrGraph {
-        CsrGraph::from_parts(self.xadj, self.adjncy, self.adjwgt, vwgt, coords)
+        self.try_finish(vwgt, coords)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CsrRows::finish`] for rows or weights from an untrusted source:
+    /// weights that break the totals rule are a [`WeightOverflow`], not a
+    /// panic.
+    ///
+    /// # Panics
+    /// On a length mismatch or a target that is not a pushed node.
+    pub fn try_finish(
+        self,
+        vwgt: Vec<NodeWeight>,
+        coords: Option<Vec<[f64; 2]>>,
+    ) -> Result<CsrGraph, WeightOverflow> {
+        if self.wide {
+            return Err(WeightOverflow::Edges);
+        }
+        let vwgt = narrow_all(vwgt, WeightOverflow::Nodes)?;
+        CsrGraph::from_stored(self.xadj, self.adjncy, self.adjwgt, vwgt, coords)
     }
 }
 
@@ -625,6 +788,93 @@ mod tests {
                 vec![(1, 1)]
             ]
         );
+    }
+
+    #[test]
+    fn weights_are_stored_narrow_and_read_wide() {
+        let max = MAX_TOTAL_WEIGHT;
+        // Both totals exactly u32::MAX: the widest graph the store holds.
+        let g = CsrGraph::from_parts(
+            vec![0, 1, 2],
+            vec![1, 0],
+            vec![max, max],
+            vec![max - 1, 1],
+            None,
+        );
+        assert_eq!(g.edges_of(0).collect::<Vec<_>>(), [(1, max)]);
+        assert_eq!((g.weighted_degree(1), g.total_edge_weight()), (max, max));
+        assert_eq!((g.max_node_weight(), g.total_node_weight()), (max - 1, max));
+        let before = WEIGHTS_MATERIALIZED.load(Ordering::Relaxed);
+        #[expect(clippy::disallowed_methods, reason = "checks the widened raw arrays")]
+        let raw = (g.adjwgt().to_vec(), g.vwgt().to_vec());
+        assert_eq!(raw, (vec![max, max], vec![max - 1, 1]));
+        assert_eq!(WEIGHTS_MATERIALIZED.load(Ordering::Relaxed), before + 2);
+    }
+
+    #[test]
+    fn totals_past_u32_max_are_refused_by_the_fallible_constructors() {
+        let max = MAX_TOTAL_WEIGHT;
+        let parts = |adjwgt: Vec<u64>, vwgt: Vec<u64>| {
+            CsrGraph::try_from_parts(vec![0, 2, 3, 4], vec![1, 2, 0, 0], adjwgt, vwgt, None)
+        };
+        let unit = vec![1; 3];
+        let over_edges = parts(
+            vec![max / 2 + 1, max / 2 + 1, max / 2 + 1, max / 2 + 1],
+            unit,
+        );
+        assert_eq!(over_edges.unwrap_err(), WeightOverflow::Edges);
+        let wide_edge = parts(vec![max + 1, 1, max + 1, 1], Vec::new());
+        assert_eq!(wide_edge.unwrap_err(), WeightOverflow::Edges);
+        let over_nodes = parts(Vec::new(), vec![max / 2, max / 2, 2]);
+        assert_eq!(over_nodes.unwrap_err(), WeightOverflow::Nodes);
+        assert!(parts(vec![max / 2, 1, max / 2, 1], vec![max / 2, max / 2, 1]).is_ok());
+
+        // Rows: one pushed weight past 32 bits, or a node total past it.
+        let mut rows = CsrGraph::rows(2, 2);
+        rows.push_node([(1, max + 1)]);
+        rows.push_node([(0, max + 1)]);
+        assert_eq!(
+            rows.try_finish(Vec::new(), None).unwrap_err(),
+            WeightOverflow::Edges
+        );
+        let mut rows = CsrGraph::rows(2, 2);
+        rows.push_node([(1, 5)]);
+        rows.push_node([(0, 5)]);
+        let err = rows.try_finish(vec![max, 1], None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "total node weight exceeds 4294967295 (u32::MAX)"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight exceeds 4294967295")]
+    fn from_parts_panics_past_the_edge_total() {
+        CsrGraph::from_parts(
+            vec![0, 1, 2],
+            vec![1, 0],
+            vec![1 << 32; 2],
+            Vec::new(),
+            None,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "total node weight exceeds 4294967295")]
+    fn finish_panics_past_the_node_total() {
+        let mut rows = CsrGraph::rows(2, 0);
+        rows.push_node([]);
+        rows.push_node([]);
+        rows.finish(vec![1 << 31, 1 << 31], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight exceeds 4294967295")]
+    fn build_panics_past_the_edge_total() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 1 << 31);
+        b.add_edge(1, 2, 1 << 31);
+        b.build();
     }
 
     #[test]

@@ -18,9 +18,13 @@
 //! The graph implements [`GraphAccess`] and its rows are exactly the rows
 //! `to_csr()` builds, so band BFS, FM, rebalancing and localized refinement
 //! run on it in place and make the moves they would make on the fold.
+//!
+//! Weights are stored in 32 bits under the totals rule of [`crate::csr`]: a
+//! mutation that would raise the total edge or node weight above
+//! [`MAX_TOTAL_WEIGHT`] is refused with an `Err`, so the fold always seals.
 
 use crate::access::GraphAccess;
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, WeightOverflow, MAX_TOTAL_WEIGHT};
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// A mutating weighted graph with stable node ids.
@@ -34,7 +38,7 @@ use crate::types::{EdgeWeight, NodeId, NodeWeight};
 /// assert_eq!(g.edge_weight(0, 2), Some(5));
 /// assert_eq!(g.edge_weight(1, 2), None);
 ///
-/// let v = g.insert_node(2); // new node id 3, weight 2
+/// let v = g.insert_node(2).unwrap(); // new node id 3, weight 2
 /// assert_eq!(v, 3);
 /// g.insert_edge(v, 0, 1).unwrap();
 ///
@@ -51,14 +55,15 @@ pub struct DynamicGraph {
     len: Vec<u32>,
     cap: Vec<u32>,
     targets: Vec<NodeId>,
-    weights: Vec<EdgeWeight>,
+    weights: Vec<u32>,
     // Per slot: node weight (0 once dead) and liveness; then the live node
-    // count, half-edge count (`2m`) and total node weight.
-    vwgt: Vec<NodeWeight>,
+    // count, half-edge count (`2m`), total node weight and total edge weight.
+    vwgt: Vec<u32>,
     alive: Vec<bool>,
     live_nodes: usize,
     half_edges: usize,
     total_node_weight: NodeWeight,
+    total_edge_weight: EdgeWeight,
 }
 
 impl DynamicGraph {
@@ -69,6 +74,7 @@ impl DynamicGraph {
             targets: Vec::with_capacity(half_edges),
             weights: Vec::with_capacity(half_edges),
             half_edges,
+            total_edge_weight: graph.total_edge_weight(),
             ..DynamicGraph::default()
         };
         let mut row = Vec::new();
@@ -81,19 +87,31 @@ impl DynamicGraph {
         g
     }
 
-    /// Appends a live node slot of weight `weight` whose row is `row`.
+    /// Appends a live node slot of weight `weight` whose row is `row`; the
+    /// weights obey the totals rule (they come from a sealed graph or were
+    /// checked by the caller).
     fn push_slot(&mut self, weight: NodeWeight, row: &[(NodeId, EdgeWeight)]) -> NodeId {
+        let stored = |w| u32::try_from(w).expect("weights within the totals rule fit the store");
         let v = self.vwgt.len() as NodeId;
         self.start.push(self.targets.len());
         self.len.push(row.len() as u32);
         self.cap.push(row.len() as u32);
         self.targets.extend(row.iter().map(|&(u, _)| u));
-        self.weights.extend(row.iter().map(|&(_, w)| w));
-        self.vwgt.push(weight);
+        self.weights.extend(row.iter().map(|&(_, w)| stored(w)));
+        self.vwgt.push(stored(weight));
         self.alive.push(true);
         self.live_nodes += 1;
         self.total_node_weight += weight;
         v
+    }
+
+    /// Refuses a change of the total edge weight from `old` to `new` that
+    /// breaks the totals rule.
+    fn check_edge_total(&self, old: EdgeWeight, new: EdgeWeight) -> Result<(), String> {
+        match (self.total_edge_weight - old).saturating_add(new) > MAX_TOTAL_WEIGHT {
+            true => Err(WeightOverflow::Edges.to_string()),
+            false => Ok(()),
+        }
     }
 
     /// Number of node slots (live and dead — ids are stable, so this only
@@ -147,7 +165,7 @@ impl DynamicGraph {
 
     /// Inserts `(t, w)` at position `i` of `v`'s row, first moving a full
     /// row to the end of the arrays with twice the room.
-    fn insert_at(&mut self, v: NodeId, i: usize, t: NodeId, w: EdgeWeight) {
+    fn insert_at(&mut self, v: NodeId, i: usize, t: NodeId, w: u32) {
         let (vi, row) = (v as usize, self.range(v));
         if row.len() == self.cap[vi] as usize {
             let cap = (2 * row.len()).max(4);
@@ -174,7 +192,7 @@ impl DynamicGraph {
         self.targets.copy_within(at + 1..row.end, at);
         self.weights.copy_within(at + 1..row.end, at);
         self.len[v as usize] -= 1;
-        w
+        w.into()
     }
 
     /// Weight of the live edge `{u, v}`, if present.
@@ -183,14 +201,15 @@ impl DynamicGraph {
             return None;
         }
         let i = self.find(u, v).ok()?;
-        Some(self.weights[self.start[u as usize] + i])
+        Some(self.weights[self.start[u as usize] + i].into())
     }
 
     /// Inserts the edge `{u, v}` of weight `w`.
     ///
     /// Errors on self loops, zero weights, dead or out-of-range endpoints,
-    /// and edges that already exist (use [`update_edge`](Self::update_edge)
-    /// to reweight).
+    /// edges that already exist (use [`update_edge`](Self::update_edge)
+    /// to reweight) and a total edge weight that would exceed
+    /// [`MAX_TOTAL_WEIGHT`].
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId, w: EdgeWeight) -> Result<(), String> {
         if u == v {
             return Err(format!("self loop on node {u}"));
@@ -203,9 +222,12 @@ impl DynamicGraph {
         let (Err(i), Err(j)) = (self.find(u, v), self.find(v, u)) else {
             return Err(format!("edge {{{u}, {v}}} already exists"));
         };
-        self.insert_at(u, i, v, w);
-        self.insert_at(v, j, u, w);
+        self.check_edge_total(0, w)?;
+        let stored = u32::try_from(w).expect("checked against the total");
+        self.insert_at(u, i, v, stored);
+        self.insert_at(v, j, u, stored);
         self.half_edges += 2;
+        self.total_edge_weight += w;
         Ok(())
     }
 
@@ -216,11 +238,13 @@ impl DynamicGraph {
         let w = self.remove_at(u, i);
         self.remove_at(v, j);
         self.half_edges -= 2;
+        self.total_edge_weight -= w;
         Ok(w)
     }
 
     /// Changes the weight of the existing edge `{u, v}` to `new_w`, returning
-    /// the previous weight.
+    /// the previous weight. Errors on a zero weight, an absent edge and a
+    /// total edge weight that would exceed [`MAX_TOTAL_WEIGHT`].
     pub fn update_edge(
         &mut self,
         u: NodeId,
@@ -231,15 +255,24 @@ impl DynamicGraph {
             return Err("edge weights must be positive".to_string());
         }
         let (i, j) = self.positions(u, v)?;
-        self.weights[self.start[v as usize] + j] = new_w;
         let at = self.start[u as usize] + i;
-        Ok(std::mem::replace(&mut self.weights[at], new_w))
+        let old = EdgeWeight::from(self.weights[at]);
+        self.check_edge_total(old, new_w)?;
+        let stored = u32::try_from(new_w).expect("checked against the total");
+        self.weights[self.start[v as usize] + j] = stored;
+        self.weights[at] = stored;
+        self.total_edge_weight = self.total_edge_weight - old + new_w;
+        Ok(old)
     }
 
     /// Appends a new isolated node of weight `weight` and returns its id (the
-    /// previous slot count).
-    pub fn insert_node(&mut self, weight: NodeWeight) -> NodeId {
-        self.push_slot(weight, &[])
+    /// previous slot count). Errors when the total node weight would exceed
+    /// [`MAX_TOTAL_WEIGHT`].
+    pub fn insert_node(&mut self, weight: NodeWeight) -> Result<NodeId, String> {
+        if self.total_node_weight.saturating_add(weight) > MAX_TOTAL_WEIGHT {
+            return Err(WeightOverflow::Nodes.to_string());
+        }
+        Ok(self.push_slot(weight, &[]))
     }
 
     /// Deletes node `v`, returning its weight. The node must be isolated —
@@ -251,7 +284,7 @@ impl DynamicGraph {
         if degree > 0 {
             return Err(format!("node {v} still has {degree} incident edges"));
         }
-        let weight = std::mem::take(&mut self.vwgt[v as usize]);
+        let weight = NodeWeight::from(std::mem::take(&mut self.vwgt[v as usize]));
         self.alive[v as usize] = false;
         self.live_nodes -= 1;
         self.total_node_weight -= weight;
@@ -273,7 +306,8 @@ impl DynamicGraph {
         for v in self.nodes() {
             csr.push_node(self.edges_of(v));
         }
-        csr.finish(self.vwgt.clone(), None)
+        let vwgt = self.vwgt.iter().map(|&w| NodeWeight::from(w)).collect();
+        csr.finish(vwgt, None)
     }
 }
 
@@ -296,7 +330,7 @@ impl GraphAccess for DynamicGraph {
     }
 
     fn max_node_weight(&self) -> NodeWeight {
-        self.vwgt.iter().copied().max().unwrap_or(0)
+        self.vwgt.iter().max().map_or(0, |&w| NodeWeight::from(w))
     }
 
     #[inline]
@@ -306,7 +340,7 @@ impl GraphAccess for DynamicGraph {
 
     #[inline]
     fn node_weight(&self, v: NodeId) -> NodeWeight {
-        self.vwgt[v as usize]
+        self.vwgt[v as usize].into()
     }
 
     #[inline]
@@ -315,7 +349,7 @@ impl GraphAccess for DynamicGraph {
         self.targets[row.clone()]
             .iter()
             .copied()
-            .zip(self.weights[row].iter().copied())
+            .zip(self.weights[row].iter().map(|&w| EdgeWeight::from(w)))
     }
 }
 
@@ -354,7 +388,7 @@ mod tests {
     #[test]
     fn node_lifecycle_keeps_ids_stable() {
         let mut g = DynamicGraph::new(graph_from_edges(3, vec![(0, 1, 1), (1, 2, 1)]));
-        let v = g.insert_node(5);
+        let v = g.insert_node(5).unwrap();
         assert_eq!(v, 3);
         g.insert_edge(v, 0, 2).unwrap();
         assert_eq!(g.total_node_weight(), 8);
@@ -385,11 +419,39 @@ mod tests {
     }
 
     #[test]
+    fn mutations_past_the_weight_totals_are_refused() {
+        let max = MAX_TOTAL_WEIGHT;
+        let mut g = DynamicGraph::new(graph_from_edges(3, vec![(0, 1, max - 10)]));
+        let over = "exceeds 4294967295";
+        // Inserts: the total edge weight may reach u32::MAX, not pass it.
+        assert!(g.insert_edge(1, 2, 11).unwrap_err().contains(over));
+        assert!(g.insert_edge(1, 2, u64::MAX).unwrap_err().contains(over));
+        g.insert_edge(1, 2, 10).unwrap();
+        // Updates count the weight they replace.
+        assert!(g.update_edge(1, 2, 11).unwrap_err().contains(over));
+        assert_eq!(g.update_edge(0, 1, max - 11).unwrap(), max - 10);
+        assert_eq!(g.update_edge(1, 2, 11).unwrap(), 10);
+        // A delete frees its weight.
+        assert_eq!(g.delete_edge(1, 2).unwrap(), 11);
+        g.insert_edge(0, 2, 11).unwrap();
+        // Node inserts: three unit nodes, so u32::MAX − 3 more fit.
+        assert!(g.insert_node(max - 2).unwrap_err().contains(over));
+        let v = g.insert_node(max - 3).unwrap();
+        assert_eq!(g.node_weight(v), max - 3);
+        assert!(g.insert_node(1).is_err());
+        // Refused mutations changed nothing: the fold seals.
+        let c = g.to_csr();
+        assert_eq!(c.total_edge_weight(), max);
+        assert_eq!(c.total_node_weight(), max);
+        assert_eq!(c.edge_weight_between(0, 2), Some(11));
+    }
+
+    #[test]
     fn compact_preserves_ids_and_contents() {
         let mut g = DynamicGraph::new(graph_from_edges(4, vec![(0, 1, 1), (1, 2, 2), (2, 3, 3)]));
         g.insert_edge(0, 2, 4).unwrap();
         g.delete_edge(0, 1).unwrap();
-        let v = g.insert_node(3);
+        let v = g.insert_node(3).unwrap();
         g.insert_edge(v, 3, 6).unwrap();
         g.update_edge(2, 3, 8).unwrap();
         // Kill node 1 (its last edge goes first).

@@ -23,11 +23,11 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{BufRead as _, Write as _};
+use std::io::{self, BufRead as _, Write};
 use std::path::{Path, PathBuf};
 
 use crate::builder::GraphBuilder;
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, WeightOverflow, MAX_TOTAL_WEIGHT};
 use crate::types::{EdgeWeight, NodeId, NodeWeight};
 
 /// Everything that can go wrong reading or writing METIS text.
@@ -181,6 +181,10 @@ fn parse_fmt(fmt: &str, line: usize) -> Result<FmtFlags, MetisError> {
 /// vertex cannot be written as an empty adjacency line — such a file is now
 /// reported as [`MetisError::Truncated`] instead of silently mis-attributing
 /// every following line to the wrong node, as earlier revisions did.
+///
+/// Weights must obey the totals rule of [`crate::csr`]: a total node or
+/// edge weight above [`MAX_TOTAL_WEIGHT`] is a [`MetisError::Line`] naming
+/// the line on which the total passed it.
 pub fn parse_metis(text: &str) -> Result<CsrGraph, MetisError> {
     parse_metis_lines(text.lines().map(Ok))
 }
@@ -262,6 +266,13 @@ where
     let mut vwgt: Vec<NodeWeight> = Vec::new();
     let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
     let mut found = 0usize;
+    // The totals rule, checked as lines arrive. The listed half-edges sum
+    // to `2ω(E)` in a symmetric file and to `ω(E)` in a once-listed one,
+    // which is known only at the end: a weight past the bound or a sum past
+    // twice the bound fails either way, a sum past the bound fails a
+    // once-listed file at `once_over`.
+    let (mut node_total, mut half_edge_total) = (0u64, 0u64);
+    let mut once_over: Option<(usize, usize)> = None;
     for u in 0..n {
         let Some((line_no, line)) = next_content(&mut lines)? else {
             break;
@@ -296,6 +307,10 @@ where
                 }
             }
         }
+        node_total = node_total.saturating_add(weight);
+        if node_total > MAX_TOTAL_WEIGHT {
+            return Err(err(WeightOverflow::Nodes.to_string()));
+        }
         vwgt.push(weight);
         let tokens: Vec<&str> = tokens.collect();
         row.clear();
@@ -323,6 +338,13 @@ where
                 return Err(err(format!(
                     "edge weight of neighbour {v} must be positive"
                 )));
+            }
+            half_edge_total = half_edge_total.saturating_add(w);
+            if w > MAX_TOTAL_WEIGHT || half_edge_total > 2 * MAX_TOTAL_WEIGHT {
+                return Err(err(WeightOverflow::Edges.to_string()));
+            }
+            if half_edge_total > MAX_TOTAL_WEIGHT {
+                once_over.get_or_insert((node, line_no));
             }
             i += 1;
             row.push(((v - 1) as NodeId, w));
@@ -376,6 +398,14 @@ where
         // direction. Reject duplicates — the builder would sum them, silently
         // corrupting the graph (a symmetric file with a miscounted header
         // looks exactly like this).
+        if let Some((node, line)) = once_over {
+            let message = WeightOverflow::Edges.to_string();
+            return Err(MetisError::Line {
+                node,
+                line,
+                message,
+            });
+        }
         let mut builder = GraphBuilder::with_node_weights(vwgt);
         let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(m);
         for u in 0..found {
@@ -464,18 +494,18 @@ impl MetisFormat {
     }
 }
 
+/// The historical default format: node and edge weights (fmt `011`).
+const WEIGHTED: MetisFormat = MetisFormat {
+    vertex_sizes: false,
+    vertex_weights: true,
+    edge_weights: true,
+};
+
 /// Serialises a graph to METIS text format with node and edge weights (fmt
 /// `011`), the historical default. Use [`to_metis_string_fmt`] to pick the
 /// fields explicitly.
 pub fn to_metis_string(graph: &CsrGraph) -> String {
-    to_metis_string_fmt(
-        graph,
-        MetisFormat {
-            vertex_sizes: false,
-            vertex_weights: true,
-            edge_weights: true,
-        },
-    )
+    to_metis_string_fmt(graph, WEIGHTED)
 }
 
 /// Serialises a graph to METIS text format with exactly the fields `fmt`
@@ -486,42 +516,39 @@ pub fn to_metis_string(graph: &CsrGraph) -> String {
 /// read, so the round trip is exact iff
 /// [`fmt.lossless_for(graph)`](MetisFormat::lossless_for).
 pub fn to_metis_string_fmt(graph: &CsrGraph, fmt: MetisFormat) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str(&format!("{} {}", graph.num_nodes(), graph.num_edges()));
+    let mut out = Vec::new();
+    write_metis_to(graph, fmt, &mut out).expect("writing into a Vec cannot fail");
+    String::from_utf8(out).expect("METIS text is ASCII")
+}
+
+/// The one METIS writer: streams `graph` into `out` line by line, with the
+/// fields `fmt` selects.
+fn write_metis_to(graph: &CsrGraph, fmt: MetisFormat, out: &mut impl Write) -> io::Result<()> {
+    write!(out, "{} {}", graph.num_nodes(), graph.num_edges())?;
     if let Some(code) = fmt.code() {
-        out.push(' ');
-        out.push_str(code);
+        write!(out, " {code}")?;
     }
-    out.push('\n');
+    writeln!(out)?;
     for v in graph.nodes() {
-        let mut first = true;
-        let mut sep = |line: &mut String| {
-            if !first {
-                line.push(' ');
-            }
-            first = false;
-        };
-        let mut line = String::new();
+        let mut sep = "";
         if fmt.vertex_sizes {
-            sep(&mut line);
-            line.push('1');
+            write!(out, "1")?;
+            sep = " ";
         }
         if fmt.vertex_weights {
-            sep(&mut line);
-            let _ = write!(line, "{}", graph.node_weight(v));
+            write!(out, "{sep}{}", graph.node_weight(v))?;
+            sep = " ";
         }
         for (u, w) in graph.edges_of(v) {
-            sep(&mut line);
-            let _ = write!(line, "{}", u + 1);
+            write!(out, "{sep}{}", u + 1)?;
             if fmt.edge_weights {
-                let _ = write!(line, " {w}");
+                write!(out, " {w}")?;
             }
+            sep = " ";
         }
-        line.push('\n');
-        out.push_str(&line);
+        writeln!(out)?;
     }
-    out
+    Ok(())
 }
 
 /// Reads a METIS graph from a file, streaming it line by line through a
@@ -529,23 +556,27 @@ pub fn to_metis_string_fmt(graph: &CsrGraph, fmt: MetisFormat) -> String {
 /// multi-gigabyte instances parse in `O(m)` graph memory plus one line of
 /// text. Errors keep the 1-based line number they were detected on.
 pub fn read_metis(path: &Path) -> Result<CsrGraph, MetisError> {
-    let io_err = |e: std::io::Error| MetisError::Io {
+    let io_err = |e: io::Error| MetisError::Io {
         path: path.to_path_buf(),
         message: e.to_string(),
     };
     let file = fs::File::open(path).map_err(&io_err)?;
-    let reader = std::io::BufReader::with_capacity(1 << 20, file);
+    let reader = io::BufReader::with_capacity(1 << 20, file);
     parse_metis_lines(reader.lines().map(|r| r.map_err(&io_err)))
 }
 
-/// Writes a graph to a file in METIS format.
+/// Writes a graph to a file in METIS format (the fields of
+/// [`to_metis_string`]), streamed through a buffered writer as
+/// [`read_metis`] reads: the text is never held in memory as a whole.
 pub fn write_metis(graph: &CsrGraph, path: &Path) -> Result<(), MetisError> {
-    let io_err = |e: std::io::Error| MetisError::Io {
+    let io_err = |e: io::Error| MetisError::Io {
         path: path.to_path_buf(),
         message: e.to_string(),
     };
-    let mut f = fs::File::create(path).map_err(io_err)?;
-    f.write_all(to_metis_string(graph).as_bytes())
+    let file = fs::File::create(path).map_err(io_err)?;
+    let mut out = io::BufWriter::with_capacity(1 << 20, file);
+    write_metis_to(graph, WEIGHTED, &mut out)
+        .and_then(|()| out.flush())
         .map_err(io_err)
 }
 
@@ -896,6 +927,38 @@ mod tests {
         };
         assert!(trunc.to_string().contains('7'));
         assert!(std::error::Error::source(&trunc).is_none());
+    }
+
+    #[test]
+    fn weight_totals_past_u32_max_name_their_line() {
+        let over = |text: &str| match parse_metis(text) {
+            Err(MetisError::Line {
+                node,
+                line,
+                message,
+            }) if message.contains("exceeds 4294967295") => (node, line, message),
+            other => panic!("{text:?} gave {other:?}"),
+        };
+        // Node weights 2^31 + 2^31 pass u32::MAX at node 2, file line 4.
+        let (node, line, message) = over("% c\n2 1 010\n2147483648 2\n2147483648 1\n");
+        assert_eq!((node, line), (2, 4));
+        assert!(message.contains("total node weight"), "{message}");
+        // One edge weight past u32::MAX, at its first listing.
+        let (node, line, message) = over("2 1 001\n2 4294967296\n1 4294967296\n");
+        assert_eq!((node, line), (1, 2));
+        assert!(message.contains("total edge weight"), "{message}");
+        // Symmetric: ω(E) = 2^31 + 2^31, listed twice, passes 2·u32::MAX
+        // at the second edge's mirror (node 3, line 4).
+        let symmetric = "3 2 001\n2 2147483648\n1 2147483648 3 2147483648\n2 2147483648\n";
+        assert_eq!(over(symmetric).0, 3);
+        // Once-listed: the same two edges listed once each; the sum passes
+        // u32::MAX at node 2 (line 3), which only the convention decides.
+        let once = "3 2 011\n1 2 2147483648\n1 3 2147483648\n1\n";
+        assert_eq!(over(once).0, 2);
+        // Exactly u32::MAX in both totals is inside the domain.
+        let g = parse_metis("2 1 011\n4294967294 2 4294967295\n1 1 4294967295\n").unwrap();
+        assert_eq!(g.total_edge_weight(), u64::from(u32::MAX));
+        assert_eq!(g.total_node_weight(), u64::from(u32::MAX));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use access::GraphAccess;
 pub use boundary::{band_around_boundary, boundary_nodes, is_pair_boundary, pair_boundary_nodes};
 pub use boundary_index::BoundaryIndex;
 pub use builder::{graph_from_edges, merge_row, GraphBuilder};
-pub use csr::{CsrGraph, CsrRows};
+pub use csr::{CsrGraph, CsrRows, WeightOverflow, MAX_TOTAL_WEIGHT};
 pub use dynamic::DynamicGraph;
 pub use io::{
     parse_metis, read_metis, to_metis_string, to_metis_string_fmt, write_metis, MetisError,

@@ -459,7 +459,7 @@ mod tests {
         state.apply_edge_delete(5, 6, w);
         let old = g.update_edge(7, 11, 9).unwrap();
         state.apply_edge_reweight(7, 11, old, 9);
-        let v = g.insert_node(2);
+        let v = g.insert_node(2).unwrap();
         state.apply_node_insert(1, 2);
         g.insert_edge(v, 0, 1).unwrap();
         state.apply_edge_insert(v, 0, 1);

@@ -10,12 +10,16 @@
 //!
 //! [`rebalance_state`] is the entry point: it enumerates candidates from the
 //! [`PartitionState`]'s boundary index (only boundary nodes can move cheaply
-//! — an interior node has no adjacent block to move to) and routes every
-//! move through [`PartitionState::apply_move`], so the index, weights and
-//! pair cut weights stay exact. Its test-only full-scan twin `rebalance` scans
-//! every node per move and writes a bare `Partition`; both pick the minimum
-//! of the same candidate tuple set, so they are bit-identical (this module's
-//! tests and `scheduler::tests`).
+//! — an interior node has no adjacent block to move to), keeps their
+//! connectivity while their block stays overloaded (a move updates only the
+//! moved node's neighbours) and routes every move through
+//! [`PartitionState::apply_move`], so the index, weights and pair cut
+//! weights stay exact. Its test-only full-scan twin `rebalance` scans every
+//! node per move and writes a bare `Partition`; both pick the minimum of the
+//! same candidate tuple set, so they are bit-identical (this module's tests
+//! and `scheduler::tests`).
+
+use std::collections::HashMap;
 
 use kappa_graph::{
     BlockAssignment, BlockId, BlockWeights, GraphAccess, NodeId, NodeWeight, Partition,
@@ -43,8 +47,18 @@ pub fn best_move_of<G: GraphAccess, A: BlockAssignment>(
     l_max: NodeWeight,
     v: NodeId,
 ) -> Option<(i64, NodeWeight, BlockId)> {
-    let vw = graph.node_weight(v);
-    // Gather connectivity to each neighbouring block.
+    let (to_own, per_block) = connectivity(graph, assignment, over_block, v);
+    best_option(to_own, &per_block, weights, graph.node_weight(v), l_max)
+}
+
+/// `v`'s connectivity: its edge weight into `over_block`, and `(block, edge
+/// weight)` for every other adjacent block.
+fn connectivity<G: GraphAccess, A: BlockAssignment>(
+    graph: &G,
+    assignment: &A,
+    over_block: BlockId,
+    v: NodeId,
+) -> (i64, Vec<(BlockId, i64)>) {
     let mut to_own = 0i64;
     let mut per_block: Vec<(BlockId, i64)> = Vec::new();
     for (u, w) in graph.edges_of(v) {
@@ -57,8 +71,20 @@ pub fn best_move_of<G: GraphAccess, A: BlockAssignment>(
             per_block.push((bu, w as i64));
         }
     }
+    (to_own, per_block)
+}
+
+/// The best feasible move of a node of weight `vw` with connectivity
+/// `to_own` / `per_block` (see [`connectivity`]).
+fn best_option(
+    to_own: i64,
+    per_block: &[(BlockId, i64)],
+    weights: &BlockWeights,
+    vw: NodeWeight,
+    l_max: NodeWeight,
+) -> Option<(i64, NodeWeight, BlockId)> {
     let mut best: Option<(i64, NodeWeight, BlockId)> = None;
-    for &(to, conn) in &per_block {
+    for &(to, conn) in per_block {
         if weights.weight(to) + vw > l_max {
             continue; // would just shift the overload
         }
@@ -134,12 +160,101 @@ fn fallback_candidate<G: GraphAccess>(
     best
 }
 
+/// The candidates of one overloaded block: every node of it with a
+/// neighbour in another block, with the connectivity [`best_move_of`]
+/// scores, kept exact across moves.
+struct Candidates {
+    block: BlockId,
+    nodes: Vec<Connected>,
+    /// Where each candidate sits in `nodes`.
+    at: HashMap<NodeId, usize>,
+}
+
+/// A node of the overloaded block and its connectivity.
+struct Connected {
+    v: NodeId,
+    weight: NodeWeight,
+    /// Edge weight into the overloaded block.
+    to_own: i64,
+    /// `(block, edge weight)` for every other adjacent block.
+    per_block: Vec<(BlockId, i64)>,
+}
+
+impl Candidates {
+    /// One row read per boundary node of `block`.
+    fn build<G: GraphAccess>(graph: &G, state: &PartitionState, block: BlockId) -> Self {
+        let mut candidates = Candidates {
+            block,
+            nodes: Vec::new(),
+            at: HashMap::new(),
+        };
+        for &v in state.boundary().boundary_nodes_unordered() {
+            if state.partition().block_of(v) == block {
+                candidates.add(graph, state, v);
+            }
+        }
+        candidates
+    }
+
+    fn add<G: GraphAccess>(&mut self, graph: &G, state: &PartitionState, v: NodeId) {
+        let (to_own, per_block) = connectivity(graph, state.partition(), self.block, v);
+        self.at.insert(v, self.nodes.len());
+        self.nodes.push(Connected {
+            v,
+            weight: graph.node_weight(v),
+            to_own,
+            per_block,
+        });
+    }
+
+    /// The full scan's choice: the minimum candidate tuple.
+    fn best(&self, weights: &BlockWeights, l_max: NodeWeight) -> Option<Candidate> {
+        let scored = self.nodes.iter().filter_map(|c| {
+            let (delta, tw, to) = best_option(c.to_own, &c.per_block, weights, c.weight, l_max)?;
+            Some((delta, tw, c.v, to))
+        });
+        scored.min()
+    }
+
+    /// Follows the move of `v` from the block to `to`: `v` leaves the
+    /// candidates, and each neighbour in the block moves the edge weight
+    /// it shares with `v` from the block to `to` (a neighbour that had no
+    /// other block becomes a candidate, from its row).
+    fn moved<G: GraphAccess>(&mut self, graph: &G, state: &PartitionState, v: NodeId, to: BlockId) {
+        if let Some(i) = self.at.remove(&v) {
+            self.nodes.swap_remove(i);
+            if let Some(swapped) = self.nodes.get(i) {
+                self.at.insert(swapped.v, i);
+            }
+        }
+        for (u, w) in graph.edges_of(v) {
+            if state.partition().block_of(u) != self.block {
+                continue;
+            }
+            let Some(&i) = self.at.get(&u) else {
+                self.add(graph, state, u);
+                continue;
+            };
+            let c = &mut self.nodes[i];
+            c.to_own -= w as i64;
+            match c.per_block.iter_mut().find(|(b, _)| *b == to) {
+                Some(entry) => entry.1 += w as i64,
+                None => c.per_block.push((to, w as i64)),
+            }
+        }
+    }
+}
+
 /// Moves nodes out of overloaded blocks until all blocks obey `l_max` or no
 /// further progress is possible. Returns the number of nodes moved.
 ///
-/// Candidates come from the state's boundary index (`O(|boundary|)` per
-/// move) and every move goes through [`PartitionState::apply_move`], keeping
-/// the index, weights and pair cut weights exact.
+/// Candidates come from the state's boundary index, read once per
+/// overloaded block: a move changes the connectivity of only the moved
+/// node's neighbours, which the candidate table updates from the moved node's
+/// row, so each move scores every candidate without reading its row and
+/// takes the minimum tuple, the full scan's choice. Every move goes
+/// through [`PartitionState::apply_move`], keeping the index, weights and
+/// pair cut weights exact.
 pub fn rebalance_state<G: GraphAccess>(
     graph: &G,
     state: &mut PartitionState,
@@ -147,33 +262,22 @@ pub fn rebalance_state<G: GraphAccess>(
 ) -> usize {
     let k = state.k();
     let mut moved = 0usize;
+    let mut candidates: Option<Candidates> = None;
 
     for _ in 0..graph.num_nodes().saturating_mul(2).max(8) {
         let Some(over_block) = (0..k).find(|&b| state.weights().weight(b) > l_max) else {
             break;
         };
-        let mut best: Option<Candidate> = None;
-        for &v in state.boundary().boundary_nodes_unordered() {
-            if state.partition().block_of(v) != over_block {
-                continue;
-            }
-            if let Some((delta, tw, to)) = best_move_of(
-                graph,
-                state.partition(),
-                state.weights(),
-                over_block,
-                l_max,
-                v,
-            ) {
-                fold_candidate(&mut best, (delta, tw, v, to));
-            }
-        }
-        if best.is_none() {
-            best = fallback_candidate(graph, state.partition(), state.weights(), over_block, l_max);
-        }
+        let cached = candidates.take().filter(|c| c.block == over_block);
+        let current = cached.unwrap_or_else(|| Candidates::build(graph, state, over_block));
+        let best = current.best(state.weights(), l_max).or_else(|| {
+            fallback_candidate(graph, state.partition(), state.weights(), over_block, l_max)
+        });
         let Some((_, _, v, to)) = best else { break };
         state.apply_move(graph, v, to);
         moved += 1;
+        let current = candidates.insert(current);
+        current.moved(graph, state, v, to);
     }
     moved
 }
@@ -305,6 +409,47 @@ mod tests {
             let mut state = PartitionState::build(&g, p);
             let moved_state = rebalance_state(&g, &mut state, l_max);
             assert_eq!(moved_state, moved_ref, "{w}x{h} k={k}");
+            assert_eq!(state.partition().assignment(), reference.assignment());
+            state.verify_exact(&g).unwrap();
+        }
+    }
+
+    #[test]
+    fn cached_rebalance_matches_the_full_scan_on_weighted_random_graphs() {
+        // Weighted nodes and edges, k up to 8, several overloaded blocks in
+        // turn: the cached candidates must pick the full scan's every move.
+        for seed in 1..=6u64 {
+            let base = kappa_gen::random_geometric_graph(600, seed);
+            let mut x = seed;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut b = kappa_graph::GraphBuilder::with_node_weights(
+                (0..600).map(|_| 1 + next() % 4).collect(),
+            );
+            for (u, v, _) in base.undirected_edges() {
+                b.add_edge(u, v, 1 + next() % 6);
+            }
+            let g = b.build();
+            let k = 2 + (seed % 7) as u32;
+            let assignment = (0..600)
+                .map(|i| match (next() % 3, i) {
+                    (0, _) | (_, 550..) => (i % k as usize) as u32,
+                    (_, 0..450) => seed as u32 % k,
+                    _ => (seed as u32 + 1) % k,
+                })
+                .collect();
+            let p = Partition::from_assignment(k, assignment);
+            let l_max = Partition::l_max(&g, k, 0.03);
+            let mut reference = p.clone();
+            let moved_ref = rebalance(&g, &mut reference, l_max);
+            let mut state = PartitionState::build(&g, p);
+            let moved_state = rebalance_state(&g, &mut state, l_max);
+            assert!(moved_ref > 0, "seed {seed}: nothing to rebalance");
+            assert_eq!(moved_state, moved_ref, "seed {seed}");
             assert_eq!(state.partition().assignment(), reference.assignment());
             state.verify_exact(&g).unwrap();
         }

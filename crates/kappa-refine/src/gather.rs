@@ -314,8 +314,15 @@ impl GatheredRegion {
             start = end;
         }
 
+        // Weights come from peers: past the totals rule they do not fit
+        // the region's 32-bit store.
+        let graph =
+            CsrGraph::try_from_parts(xadj, adjncy, adjwgt, vwgt, None).map_err(|e| ShardError {
+                shard: None,
+                reason: format!("region weights do not fit: {e}"),
+            })?;
         Ok(GatheredRegion {
-            graph: CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None),
+            graph,
             partition: Partition::from_assignment(k, blocks),
             gids,
             band_membership,
@@ -677,6 +684,26 @@ mod tests {
     fn out_of_range_blocks_are_errors() {
         let e = assembly_error(1, &[two_node_shard()]);
         assert!(e.reason.contains("block 1 out of range"), "{e}");
+    }
+
+    #[test]
+    fn region_weights_past_the_totals_rule_are_errors() {
+        // Each shard alone is a legal slice; together a peer's heavy edge
+        // and node weights pass u32::MAX, which the region cannot store.
+        let heavy = |w: u64| {
+            let mut shard = BandShard::with_capacity(0, 0);
+            shard.push_node(10, 1, 0, [(20, w, 1, 2)]);
+            shard.push_node(20, 2, 1, [(10, w, 0, 1), (30, w, 1, 1)]);
+            shard
+        };
+        let e = assembly_error(2, &[heavy(1 << 31)]);
+        assert_eq!(e.shard, None);
+        assert!(e.reason.contains("total edge weight exceeds"), "{e}");
+        let mut shard = two_node_shard();
+        shard.weights[1] = 1 << 32;
+        let e = assembly_error(2, &[shard]);
+        assert!(e.reason.contains("total node weight exceeds"), "{e}");
+        assert!(GatheredRegion::assemble(2, &[heavy(1 << 30)]).is_ok());
     }
 
     #[test]

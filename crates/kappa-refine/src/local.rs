@@ -341,7 +341,7 @@ mod tests {
                     g.update_edge(t, u, 1 + next() % 20).unwrap();
                 }
                 4 => {
-                    let id = g.insert_node(1 + next() % 3);
+                    let id = g.insert_node(1 + next() % 3).unwrap();
                     let _ = g.insert_edge(id, v, 1 + next() % 9);
                     touched.push(id);
                 }

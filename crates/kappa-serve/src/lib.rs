@@ -300,6 +300,12 @@ mod tests {
         assert!(reply(&mut e, "delete-edge 0 9999").starts_with("err "));
         assert!(reply(&mut e, "insert-node 1 99").starts_with("err "));
         assert!(reply(&mut e, "delete-node 100000").starts_with("err "));
+        // Weights past the 32-bit totals are refused, not wrapped.
+        let over = "err total edge weight exceeds 4294967295 (u32::MAX)";
+        assert_eq!(reply(&mut e, "insert-edge 0 143 4294967295"), over);
+        assert_eq!(reply(&mut e, "update-edge 0 1 18446744073709551615"), over);
+        let over = "err total node weight exceeds 4294967295 (u32::MAX)";
+        assert_eq!(reply(&mut e, "insert-node 4294967295"), over);
         // The session is still healthy and exact after all of that.
         assert_eq!(reply(&mut e, "verify"), "ok exact");
     }

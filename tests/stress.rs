@@ -174,16 +174,17 @@ fn stress_rgg_2e20_k16_within_budget() {
         return;
     }
     // Measured on a 2-vCPU shared x86-64 guest (2026-10-20), release, in its
-    // own process: 2.7-3.0 s wall, 340-350 MiB peak RSS (467 MiB while the
+    // own process: 2.3-2.4 s wall, 311-312 MiB peak RSS since coarse levels
+    // store 32-bit weights (340-350 MiB with 64-bit ones; 467 MiB while the
     // input stored its unit edge and node weights; 554-580 MiB in CI order
-    // while every run shared one process). Budget: 1.25 x 350 MiB.
+    // while every run shared one process). Budget: 1.25 x 312 MiB.
     let graph = random_geometric_graph(1 << 20, 11);
     run_stress(
         "rgg 2^20 k=16",
         &graph,
         16,
         Duration::from_secs(45),
-        438 * 1024 * 1024,
+        390 * 1024 * 1024,
         shared_memory,
     );
 }
@@ -196,16 +197,18 @@ fn stress_dist_rgg_2e20_k16_one_rank_within_budget() {
     }
     // One rank owns every node, so its shard is the caller's graph.
     // Measured on a 2-vCPU shared x86-64 guest (2026-10-20), release, in its
-    // own process: 3.5-3.8 s wall, 254-257 MiB peak RSS (367 MiB while the input
-    // stored its unit weights; 404-415 MiB after the soak in one process;
-    // 587 alone while the shard copied its input). Budget: 1.25 x 254 MiB.
+    // own process: 2.6-2.8 s wall, 229 MiB peak RSS since coarse shards
+    // store 32-bit weights (254-257 MiB with 64-bit ones; 367 MiB while the
+    // input stored its unit weights; 404-415 MiB after the soak in one
+    // process; 587 alone while the shard copied its input). Budget: 1.25 x
+    // 229 MiB.
     let graph = random_geometric_graph(1 << 20, 11);
     run_stress(
         "dist rgg 2^20 k=16 r=1",
         &graph,
         16,
         Duration::from_secs(45),
-        318 * 1024 * 1024,
+        287 * 1024 * 1024,
         one_rank,
     );
 }
@@ -224,8 +227,9 @@ fn soak_dynamic_service_within_budget() {
     // drift-triggered repairs are most of it), 97-103 MiB peak RSS; 73-75
     // MiB since a build sizes each boundary-index count segment by its
     // entries (2026-10-18, against 91-94 MiB for deg(v) slots, same box).
-    // In its own process (2026-10-20): 75-76 MiB (79 MiB while the input
-    // stored its unit weights). Budget: 1.25 x 76 MiB.
+    // In its own process (2026-10-20): 61 MiB since the live graph stores
+    // 32-bit weights (75-76 MiB with 64-bit ones; 79 MiB while the input
+    // stored its unit weights). Budget: 1.25 x 61 MiB.
     if !in_child("soak_dynamic_service_within_budget") {
         return;
     }
@@ -309,7 +313,7 @@ fn soak_dynamic_service_within_budget() {
             bootstrap_wall + serve_wall
         );
         if let Some(rss) = peak_rss_bytes() {
-            let rss_budget = 95u64 * 1024 * 1024;
+            let rss_budget = 77u64 * 1024 * 1024;
             assert!(
                 rss <= rss_budget,
                 "soak peak-RSS budget blown: {} MiB > {} MiB",
@@ -327,16 +331,17 @@ fn stress_grid_1024_k32_within_budget() {
         return;
     }
     // Measured on a 2-vCPU shared x86-64 guest (2026-10-20), release, in its
-    // own process: 1.5-1.6 s wall, 235-252 MiB peak RSS (283-289 MiB while
+    // own process: 1.2 s wall, 204-211 MiB peak RSS since coarse levels
+    // store 32-bit weights (235-252 MiB with 64-bit ones; 283-289 MiB while
     // the input stored its unit weights; 314-333 MiB in CI order while every
-    // run shared one process). Budget: 1.25 x 252 MiB.
+    // run shared one process). Budget: 1.25 x 211 MiB.
     let graph = grid2d(1024, 1024);
     run_stress(
         "grid 1024x1024 k=32",
         &graph,
         32,
         Duration::from_secs(45),
-        315 * 1024 * 1024,
+        264 * 1024 * 1024,
         shared_memory,
     );
 }
