@@ -22,7 +22,6 @@
 //! what matters for the experiment harness is that the *ordering* and rough
 //! magnitude of the quality and speed differences match the paper's tables.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kway_refine;

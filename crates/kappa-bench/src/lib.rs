@@ -12,7 +12,6 @@
 //! average/best cut, average balance and average runtime; [`args`] and
 //! [`table`] are the command line and the table formatting.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -89,6 +89,7 @@ impl Variant {
             Kind::Baseline(kind) => {
                 let tool = kind.build();
                 let run = |rep| {
+                    #[expect(clippy::disallowed_methods, reason = "measuring time is its job")]
                     let start = Instant::now();
                     let partition = tool.partition(graph, k, EPSILON, rep_seed(rep));
                     PartitionMetrics::measure(graph, &partition, EPSILON, start.elapsed())

@@ -24,7 +24,6 @@
 //! assert!(hierarchy.num_levels() >= 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod contract;

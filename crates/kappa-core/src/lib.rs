@@ -24,7 +24,6 @@
 //! println!("cut = {}", result.metrics.edge_cut);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

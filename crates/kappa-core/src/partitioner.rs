@@ -145,7 +145,7 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     contract: impl FnMut(&G, &Matching, usize) -> Result<Contraction<G>, E>,
     as_csr: impl Fn(&G) -> Cow<'_, CsrGraph>,
 ) -> Result<PartitionResult, E> {
-    // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
+    #[expect(clippy::disallowed_methods, reason = "timing for PartitionMetrics")]
     let start = Instant::now();
     let k = config.k.max(1);
     let n = finest.num_nodes();
@@ -166,14 +166,14 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     }
 
     // --- Phase 1: contraction (matching + contraction per level). ---
-    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
+    #[expect(clippy::disallowed_methods, reason = "timing for PhaseTimings")]
     let coarsen_start = Instant::now();
     let hierarchy =
         MultilevelHierarchy::build_with(finest, &config.coarsening(n), matcher, contract)?;
     let coarsening = coarsen_start.elapsed();
 
     // --- Phase 2: initial partitioning of the coarsest graph. ---
-    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
+    #[expect(clippy::disallowed_methods, reason = "timing for PhaseTimings")]
     let initial_start = Instant::now();
     let coarsest = hierarchy.coarsest();
     let initial = best_of_repeats(&as_csr(coarsest), &config.initial_partitioning(pes, 0));
@@ -185,7 +185,7 @@ pub(crate) fn multilevel<G: GraphAccess + Sync, E>(
     // One persistent PartitionState, built in full once at the coarsest
     // level and carried down by seeded projections; refinement and
     // rebalancing receive it current and return it current.
-    // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
+    #[expect(clippy::disallowed_methods, reason = "timing for PhaseTimings")]
     let refine_start = Instant::now();
     let refinement_config = config.refinement();
     let mut refinement = RefinementStats::default();

@@ -86,8 +86,8 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
+    #[expect(clippy::expect_used, reason = "take(N) returned N bytes")]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        // kappa-lint: allow(dist-no-panic) -- take(N) just returned exactly N bytes, so the slice-to-array conversion cannot fail
         Ok(self.take(N)?.try_into().expect("sized take"))
     }
 }

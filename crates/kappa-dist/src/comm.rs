@@ -165,21 +165,31 @@ pub trait Message: Wire + Send + 'static {}
 
 impl<T: Wire + Send + 'static> Message for T {}
 
-/// Collective tags live in the reserved `::` namespace — user tags never
-/// start with `::`, so a user exchange named "bcast" or "barrier" can never
-/// collide with (and misdeliver against) the collectives' own traffic. The
-/// transport's send-path assertion and the `tag-reserved` lint rule enforce
-/// the two sides of this split.
-pub(crate) const BARRIER_TAG: &str = "::barrier";
-pub(crate) const BCAST_TAG: &str = "::bcast";
-pub(crate) const ALLGATHER_TAG: &str = "::allgather";
-pub(crate) const ALLTOALLV_TAG: &str = "::alltoallv";
+/// A message tag: which exchange a message belongs to. Tags are constants
+/// of this type, so a misspelt tag does not compile, and every sent tag is
+/// one that some `recv` names. The collectives' own tags live in the
+/// reserved `::` namespace and are private to this crate (no `Tag` can be
+/// built outside this module), so no user exchange can collide with (and
+/// misdeliver against) their traffic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tag(&'static str);
 
-/// Every reserved tag a [`Comm`] default implementation puts on the wire.
-/// The endpoint's send-path check allows exactly these; anything else
-/// starting with `::` is rejected (the transport's own control frames never
-/// pass through `send`).
-pub(crate) const COLLECTIVE_TAGS: &[&str] = &[BARRIER_TAG, BCAST_TAG, ALLGATHER_TAG, ALLTOALLV_TAG];
+impl Tag {
+    /// Pairwise refinement: the seeds and band shards each rank sends a
+    /// pair's home rank, one message per peer.
+    pub const BAND_RECS: Tag = Tag("band-recs");
+    /// Pairwise refinement: every rank's reports of one colour class.
+    pub const CLASS_REPORTS: Tag = Tag("class-reports");
+    pub(crate) const BARRIER: Tag = Tag("::barrier");
+    pub(crate) const BCAST: Tag = Tag("::bcast");
+    pub(crate) const ALLGATHER: Tag = Tag("::allgather");
+    pub(crate) const ALLTOALLV: Tag = Tag("::alltoallv");
+
+    /// The tag as it goes on the wire.
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
 
 /// Comm-volume counters of one phase (or of the whole run).
 ///
@@ -292,13 +302,13 @@ pub trait Comm {
     fn num_ranks(&self) -> usize;
 
     /// Sends `value` to rank `to` under `tag`. Never blocks on the receiver.
-    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()>;
+    fn send<T: Message>(&mut self, to: usize, tag: Tag, value: T) -> CommResult<()>;
 
     /// Receives the next message from rank `from` carrying `tag` and type
     /// `T`. Messages from `from` with other tags stay queued. Blocks until
     /// it arrives; returns a diagnosed [`CommError`] (never deadlocks) when
     /// it does not.
-    fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T>;
+    fn recv<T: Message>(&mut self, from: usize, tag: Tag) -> CommResult<T>;
 
     /// Comm-volume counters of this endpoint.
     fn stats(&self) -> &CommStats;
@@ -316,7 +326,7 @@ pub trait Comm {
     /// already orders the ranks it involves — but it is public API and the
     /// synchroniser of the transport conformance suite.
     fn barrier(&mut self) -> CommResult<()> {
-        self.gather(0, BARRIER_TAG, ())?;
+        self.gather(0, Tag::BARRIER, ())?;
         self.broadcast::<()>(0, Some(()))?;
         Ok(())
     }
@@ -326,7 +336,7 @@ pub trait Comm {
     fn gather<T: Message>(
         &mut self,
         root: usize,
-        tag: &'static str,
+        tag: Tag,
         value: T,
     ) -> CommResult<Option<Vec<T>>> {
         self.stats_mut().note_collective();
@@ -335,7 +345,7 @@ pub trait Comm {
             let mut own = Some(value);
             for src in 0..self.num_ranks() {
                 if src == root {
-                    // kappa-lint: allow(dist-no-panic) -- the loop visits src == root exactly once, so the Option is always full here
+                    #[expect(clippy::expect_used, reason = "src == root is visited once")]
                     all.push(own.take().expect("own value consumed twice"));
                 } else {
                     all.push(self.recv(src, tag)?);
@@ -359,30 +369,35 @@ pub trait Comm {
                 return Err(CommError::protocol(
                     self.rank(),
                     root,
-                    BCAST_TAG,
+                    Tag::BCAST.as_str(),
                     "broadcast root called without a value",
                 ));
             };
             for dst in 0..self.num_ranks() {
                 if dst != root {
-                    self.send(dst, BCAST_TAG, value.clone())?;
+                    self.send(dst, Tag::BCAST, value.clone())?;
                 }
             }
             Ok(value)
         } else {
-            self.recv(root, BCAST_TAG)
+            self.recv(root, Tag::BCAST)
         }
     }
 
     /// Gathers one value per rank on **every** rank (in rank order). A root
     /// that broadcasts another number of values is a protocol violation.
     fn allgather<T: Message + Clone>(&mut self, value: T) -> CommResult<Vec<T>> {
-        let gathered = self.gather(0, ALLGATHER_TAG, value)?;
+        let gathered = self.gather(0, Tag::ALLGATHER, value)?;
         let all: Vec<T> = self.broadcast(0, gathered)?;
         let ranks = self.num_ranks();
         if all.len() != ranks {
             let detail = format!("rank 0 broadcast {} values for {ranks} ranks", all.len());
-            return Err(CommError::protocol(self.rank(), 0, ALLGATHER_TAG, detail));
+            return Err(CommError::protocol(
+                self.rank(),
+                0,
+                Tag::ALLGATHER.as_str(),
+                detail,
+            ));
         }
         Ok(all)
     }
@@ -397,7 +412,7 @@ pub trait Comm {
             return Err(CommError::protocol(
                 me,
                 me,
-                ALLTOALLV_TAG,
+                Tag::ALLTOALLV.as_str(),
                 format!(
                     "alltoallv needs one part per rank: got {} parts for {ranks} ranks",
                     parts.len()
@@ -409,16 +424,16 @@ pub trait Comm {
         let mut own = Some(std::mem::take(&mut parts[me]));
         for (dst, part) in parts.into_iter().enumerate() {
             if dst != me {
-                self.send(dst, ALLTOALLV_TAG, part)?;
+                self.send(dst, Tag::ALLTOALLV, part)?;
             }
         }
         let mut out = Vec::with_capacity(ranks);
         for src in 0..ranks {
             if src == me {
-                // kappa-lint: allow(dist-no-panic) -- the loop visits src == me exactly once, so the Option is always full here
+                #[expect(clippy::expect_used, reason = "src == me is visited once")]
                 out.push(own.take().expect("own part consumed twice"));
             } else {
-                out.push(self.recv(src, ALLTOALLV_TAG)?);
+                out.push(self.recv(src, Tag::ALLTOALLV)?);
             }
         }
         Ok(out)
@@ -432,7 +447,7 @@ pub trait Comm {
         F: Fn(T, T) -> T,
     {
         let mut all = self.allgather(value)?.into_iter();
-        // kappa-lint: allow(dist-no-panic) -- allgather returns exactly num_ranks() elements and a cluster has at least one rank
+        #[expect(clippy::expect_used, reason = "one value per rank, ranks >= 1")]
         let first = all.next().expect("at least one rank");
         Ok(all.fold(first, op))
     }
@@ -546,7 +561,8 @@ impl LocalCluster {
 
     /// A cluster with an explicit receive timeout.
     pub fn with_config(ranks: usize, config: LocalClusterConfig) -> Self {
-        // kappa-lint: allow(dist-no-panic) -- construction-time misconfiguration on the launching process, before any rank exists; aborting here is the diagnosis
+        // A misconfiguration on the launching process, before any rank
+        // exists: aborting here is the diagnosis.
         assert!(ranks >= 1, "a cluster needs at least one rank");
         LocalCluster { ranks, config }
     }
@@ -643,17 +659,24 @@ mod tests {
                 recv_timeout: Duration::from_millis(200),
             },
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds how long the diagnosis takes"
+        )]
         let started = std::time::Instant::now();
         let results = cluster.run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, "payload", 99u64).map(|_| 0)
+                comm.send(1, Tag::BAND_RECS, 99u64).map(|_| 0)
             } else {
-                comm.recv::<u64>(0, "payload")?;
-                comm.recv::<u64>(0, "payload")
+                comm.recv::<u64>(0, Tag::BAND_RECS)?;
+                comm.recv::<u64>(0, Tag::BAND_RECS)
             }
         });
         let err = results[1].clone().unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
+        assert_eq!(
+            (err.rank, err.peer, err.tag.as_str()),
+            (1, 0, Tag::BAND_RECS.as_str())
+        );
         // Usually rank 0 has exited and its channel is closed; if the
         // receive comes first it times out. Both name the missing message.
         assert!(matches!(
@@ -671,16 +694,17 @@ mod tests {
         let results = cluster(2).run(|comm| {
             if comm.rank() == 0 {
                 // The bad root: gathers honestly, then broadcasts three values.
-                // kappa-lint: allow(rank-branch-collective) -- the bad root's gather and broadcast meet the ones inside rank 1's `allgather`, so both branches reach them
-                comm.gather(0, ALLGATHER_TAG, 1u64).unwrap();
-                // kappa-lint: allow(rank-branch-collective) -- as above
+                comm.gather(0, Tag::ALLGATHER, 1u64).unwrap();
                 comm.broadcast(0, Some(vec![1u64, 2, 3])).unwrap();
                 return None;
             }
             Some(comm.allgather(2u64).unwrap_err())
         });
         let e = results[1].as_ref().unwrap();
-        assert_eq!((e.rank, e.peer, e.tag.as_str()), (1, 0, ALLGATHER_TAG));
+        assert_eq!(
+            (e.rank, e.peer, e.tag.as_str()),
+            (1, 0, Tag::ALLGATHER.as_str())
+        );
         assert!(
             e.to_string().contains("broadcast 3 values for 2 ranks"),
             "{e}"
@@ -692,17 +716,17 @@ mod tests {
         let results = cluster(2).run(|comm| {
             comm.set_phase("ping");
             if comm.rank() == 0 {
-                comm.send(1, "st", 1u64).unwrap();
+                comm.send(1, Tag::CLASS_REPORTS, 1u64).unwrap();
             } else {
-                comm.recv::<u64>(0, "st").unwrap();
+                comm.recv::<u64>(0, Tag::CLASS_REPORTS).unwrap();
             }
             comm.set_phase("sync");
             comm.barrier().unwrap();
             comm.set_phase("ping");
             if comm.rank() == 0 {
-                comm.send(1, "st", 2u64).unwrap();
+                comm.send(1, Tag::CLASS_REPORTS, 2u64).unwrap();
             } else {
-                comm.recv::<u64>(0, "st").unwrap();
+                comm.recv::<u64>(0, Tag::CLASS_REPORTS).unwrap();
             }
             comm.stats().clone()
         });

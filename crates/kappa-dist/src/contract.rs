@@ -24,7 +24,10 @@
 use std::collections::hash_map::{Entry, HashMap};
 
 use kappa_coarsen::RowMerger;
-use kappa_graph::{merge_row, CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
+use kappa_graph::{
+    merge_row, CsrGraph, EdgeWeight, NodeId, NodeWeight, WeightOverflow, INVALID_NODE,
+    MAX_TOTAL_WEIGHT,
+};
 
 use crate::comm::{Comm, CommError, CommResult};
 use crate::graph::DistGraph;
@@ -136,10 +139,20 @@ pub fn distributed_contraction<C: Comm>(
         outgoing[dg.owner_of(p)].push((p, mapped, dg.local().node_weight(l)));
     }
     let shipped = comm.alltoallv(outgoing)?;
+    // What a shipped entry adds to this rank's coarse shard's total edge
+    // weight, doubled: an edge inside the shard is listed from both ends,
+    // an edge out of it once (and mirrored by a ghost row).
+    let coarse_mine = my_offset..my_offset + my_anchors.len() as NodeId;
+    let load = |(ct, w): (NodeId, EdgeWeight)| match coarse_mine.contains(&ct) {
+        true => u128::from(w),
+        false => 2 * u128::from(w),
+    };
     // Index shipped rows by anchor gid. A row is expected only for an owned
-    // anchor whose partner the sender owns, and only once.
+    // anchor whose partner the sender owns, and only once. Per sender, what
+    // its rows add to the shard's (doubled) edge and node weight totals.
     let mut shipped_rows = HashMap::new();
     let mut shipped_half_edges = 0;
+    let mut shipped_loads = vec![(0u128, 0u128); ranks];
     for (src, part) in shipped.into_iter().enumerate() {
         for (anchor, row, weight) in part {
             let partner = anchor
@@ -150,6 +163,10 @@ pub fn distributed_contraction<C: Comm>(
             let detail = if partner.map(|p| dg.owner_of(p)) != Some(src) {
                 format!("rank {src} shipped a row for anchor {anchor}, which has no partner there")
             } else if let Entry::Vacant(slot) = shipped_rows.entry(anchor) {
+                let cid = coarse_of[(anchor - lo) as usize];
+                let edges = row.iter().filter(|&&(ct, _)| ct != cid);
+                shipped_loads[src].0 += edges.map(|&e| load(e)).sum::<u128>();
+                shipped_loads[src].1 += u128::from(weight);
                 shipped_half_edges += row.len();
                 slot.insert((row, weight));
                 continue;
@@ -212,8 +229,31 @@ pub fn distributed_contraction<C: Comm>(
         }
         vwgt.push(weight);
     }
-
-    let coarse = DistGraph::assemble_with(comm, comm.rank(), ranks, coarse_starts, rows, vwgt)?;
+    // The shard is this rank's rows and the shipped ones, and the totals
+    // rule bounds it. The sender whose rows lift it past the rule is blamed,
+    // once this rank has taken its part in the assembly's collectives.
+    let mut blame = None;
+    if shipped_loads.iter().any(|&l| l != (0, 0)) {
+        let all_rows = (0..rows.num_rows()).flat_map(|i| rows.row(i));
+        let mut edges = all_rows.map(load).sum::<u128>();
+        let mut nodes = vwgt.iter().map(|&w| u128::from(w)).sum::<u128>();
+        for &(e, n) in &shipped_loads {
+            edges = edges.saturating_sub(e);
+            nodes = nodes.saturating_sub(n);
+        }
+        blame = shipped_loads.iter().enumerate().find_map(|(src, &(e, n))| {
+            (edges, nodes) = (edges + e, nodes + n);
+            let overflow = match (edges / 2, nodes) {
+                (e, _) if e > u128::from(MAX_TOTAL_WEIGHT) => WeightOverflow::Edges,
+                (_, n) if n > u128::from(MAX_TOTAL_WEIGHT) => WeightOverflow::Nodes,
+                _ => return None,
+            };
+            let detail = format!("rank {src} shipped rows past the totals rule: {overflow}");
+            Some(CommError::protocol(comm.rank(), src, "contract", detail))
+        });
+    }
+    let coarse = DistGraph::assemble_with(comm, comm.rank(), ranks, coarse_starts, rows, vwgt);
+    let coarse = blame.map_or(coarse, Err)?;
     coarse_of.truncate(ln);
     Ok(DistContraction {
         coarse,
@@ -371,7 +411,7 @@ mod tests {
         let e = results[0]
             .as_ref()
             .expect("rank 0 rejects the shipped weight");
-        assert_eq!((e.rank, e.tag.as_str()), (0, "assemble"), "{e}");
+        assert_eq!((e.rank, e.peer, e.tag.as_str()), (0, 1, "contract"), "{e}");
         assert!(e.to_string().contains("total edge weight exceeds"), "{e}");
         assert!(results[1].is_none(), "rank 1's own shard fits");
     }

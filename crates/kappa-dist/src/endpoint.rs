@@ -19,9 +19,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-use crate::comm::{
-    Comm, CommError, CommErrorKind, CommResult, CommStats, Message, COLLECTIVE_TAGS,
-};
+use crate::comm::{Comm, CommError, CommErrorKind, CommResult, CommStats, Message, Tag};
 
 /// One message in flight on a (src → dst) stream. Tags are `'static` on the
 /// sending side and owned once they have crossed a socket.
@@ -114,15 +112,8 @@ impl<L: Link> Comm for Endpoint<L> {
     }
 
     /// Counts one frame and hands `value` to the link.
-    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
-        // The `::` namespace belongs to the runtime: the collectives' own
-        // tags pass, anything else is a user tag trespassing on control
-        // traffic. The static side of this contract is the `tag-reserved`
-        // lint rule.
-        debug_assert!(
-            !tag.starts_with("::") || COLLECTIVE_TAGS.contains(&tag),
-            "tags starting with :: are reserved for the runtime"
-        );
+    fn send<T: Message>(&mut self, to: usize, tag: Tag, value: T) -> CommResult<()> {
+        let tag = tag.as_str();
         let payload = L::pack(value);
         self.stats.note_frame(L::wire_bytes(tag, &payload));
         let packet = Packet {
@@ -136,14 +127,15 @@ impl<L: Link> Comm for Endpoint<L> {
             .map_err(|kind| self.error(to, tag, kind))
     }
 
-    fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T> {
-        // kappa-lint: allow(wall-clock) -- timeout bookkeeping only; the clock decides when to give up, never what a result contains
+    fn recv<T: Message>(&mut self, from: usize, tag: Tag) -> CommResult<T> {
+        let tag = tag.as_str();
+        #[expect(clippy::disallowed_methods, reason = "receive deadline only")]
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             if let Some(done) = self.claim(from, tag) {
                 return done;
             }
-            // kappa-lint: allow(wall-clock) -- remaining-timeout arithmetic, same as above
+            #[expect(clippy::disallowed_methods, reason = "time left to the deadline")]
             let remaining = deadline.saturating_duration_since(Instant::now());
             let arrival = self.rxs[from].recv_timeout(remaining).map_err(|e| {
                 let kind = match e {

@@ -78,8 +78,7 @@ pub fn even_ranges(n: usize, ranks: usize) -> Vec<NodeId> {
 /// The rank owning `gid` under `range_starts`. Ranges may be empty (more
 /// ranks than nodes); the owner is always a non-empty range containing `gid`.
 pub fn owner_in(range_starts: &[NodeId], gid: NodeId) -> usize {
-    // kappa-lint: allow(dist-no-panic) -- inside debug_assert!, compiled out in release; ranges always hold ranks + 1 >= 2 boundaries
-    debug_assert!(gid < *range_starts.last().expect("ranges"));
+    debug_assert!(range_starts.last().is_some_and(|&end| gid < end));
     range_starts.partition_point(|&s| s <= gid) - 1
 }
 
@@ -96,6 +95,7 @@ impl<'g> DistGraph<'g> {
     /// range is `0..n` owns the whole graph, has no ghosts and renames no
     /// target, so its shard borrows `graph` as it is; any other range is
     /// copied out and assembled.
+    #[expect(clippy::expect_used, reason = "a sealed graph's slice assembles")]
     pub fn from_global_ranges(graph: &'g CsrGraph, range_starts: Vec<NodeId>, rank: usize) -> Self {
         let ranks = range_starts.len() - 1;
         let lo = range_starts[rank] as usize;
@@ -120,7 +120,6 @@ impl<'g> DistGraph<'g> {
         DistGraph::assemble(rank, ranks, range_starts, rows, vwgt, |gids, _| {
             Ok(gids.iter().map(|&g| graph.node_weight(g)).collect())
         })
-        // kappa-lint: allow(dist-no-panic) -- the ghost-weight closure above always returns Ok, assemble's row count is ln by construction and a slice of a sealed graph obeys its totals rule, so no error path exists
         .expect("local assembly does not communicate")
     }
 }
@@ -290,8 +289,7 @@ impl DistGraph<'_> {
 
     /// Total number of global nodes.
     pub fn num_global_nodes(&self) -> usize {
-        // kappa-lint: allow(dist-no-panic) -- range_starts always holds ranks + 1 >= 2 boundaries by construction
-        *self.range_starts.last().expect("ranges") as usize
+        self.range_starts[self.ranks] as usize
     }
 
     /// Number of owned nodes.
@@ -788,7 +786,6 @@ mod tests {
             let results = LocalCluster::new(2).run(|comm| {
                 let dg = DistGraph::from_global(&g, 2, comm.rank());
                 if comm.rank() == 1 {
-                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's alltoallv meets the one inside rank 0's `exchange_ghosts`, so both branches reach it
                     comm.alltoallv(vec![vec![7u64; sent], Vec::new()]).unwrap();
                     return None;
                 }

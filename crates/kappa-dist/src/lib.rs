@@ -43,8 +43,19 @@
 //!
 //! [`KappaPartitioner`]: kappa_core::KappaPartitioner
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A panic kills a rank, and its peers then see only timeouts: every failure
+// on a communication path is a diagnosed `CommError`. Tests are exempt
+// (`clippy.toml`). An `assert!` outside a `Result` function is not flagged.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn
+)]
 
 pub mod codec;
 pub mod comm;
@@ -60,7 +71,7 @@ pub mod tcp;
 pub use codec::{Wire, PROTOCOL_VERSION};
 pub use comm::{
     allreduce_min_opt, Comm, CommError, CommErrorKind, CommResult, CommStats, LocalCluster,
-    LocalClusterConfig, LocalComm, Message, PhaseCommStats,
+    LocalClusterConfig, LocalComm, Message, PhaseCommStats, Tag,
 };
 pub use contract::distributed_contraction;
 pub use endpoint::Endpoint;

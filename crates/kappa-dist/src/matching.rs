@@ -364,7 +364,6 @@ mod tests {
                     dg.exchange_ghosts(comm, unmatched).unwrap();
                     let mut proposals = vec![Vec::new(), Vec::new()];
                     proposals[honest].push((u_gid, t_gid));
-                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's exchanges meet the first two inside the honest rank's `distributed_matching`, so both branches reach them
                     comm.alltoallv(proposals).unwrap();
                     return None;
                 }

@@ -66,7 +66,8 @@ pub struct DistConfig {
 impl DistConfig {
     /// A distributed configuration from a shared one.
     pub fn new(base: KappaConfig, ranks: usize) -> Self {
-        // kappa-lint: allow(dist-no-panic) -- constructor precondition, fires at configuration time before any rank or socket exists.
+        // A constructor precondition: it fires at configuration time,
+        // before any rank or socket exists.
         assert!(ranks >= 1, "at least one rank");
         DistConfig {
             base,
@@ -226,12 +227,12 @@ fn run_on_layout(
 
 /// The most diagnostic error of a failed run: a timeout pinpoints the stuck
 /// rank and tag, while the disconnects it cascades into merely echo it.
+#[expect(clippy::expect_used, reason = "a failed run has an error")]
 fn pick_diagnostic(errors: Vec<CommError>) -> CommError {
     errors
         .iter()
         .find(|e| matches!(e.kind, CommErrorKind::Timeout { .. }))
         .cloned()
-        // kappa-lint: allow(dist-no-panic) -- called only from the error path of a failed run, where at least one rank contributed an error.
         .unwrap_or_else(|| errors.into_iter().next().expect("at least one error"))
 }
 
@@ -451,12 +452,12 @@ fn rank_main<C: Comm>(
     // cross-rank selection cannot drift from the per-rank one.
     let my_key = quality_key(&coarsest_full, &mine, base.epsilon);
     let keys = comm.allgather(my_key)?;
+    #[expect(clippy::expect_used, reason = "one key per rank, ranks >= 1")]
     let winner_rank = keys
         .iter()
         .enumerate()
         .min_by_key(|&(_, key)| key)
         .map(|(r, _)| r)
-        // kappa-lint: allow(dist-no-panic) -- allgather returns exactly one element per rank and clusters have at least one rank.
         .expect("at least one rank");
     let mine = (comm.rank() == winner_rank).then_some(mine);
     let winner = broadcast_winner(comm, winner_rank, mine, k, coarsest_full.num_nodes())?;
@@ -657,11 +658,11 @@ fn project_state<C: Comm>(
     check_projected_blocks(comm.rank(), remote.iter().copied(), blocks, st.k(), |gid| {
         coarse.owner_of(gid)
     })?;
+    #[expect(clippy::expect_used, reason = "`remote` holds every unowned image")]
     let lookup = |cid: NodeId| -> (BlockId, bool) {
         if cid >= lo && cid < hi {
             return coarse_info(cid - lo);
         }
-        // kappa-lint: allow(dist-no-panic) -- `remote` is exactly the deduplicated set of the unowned members of `coarse_of_owned`, and lookup is only called with members of `coarse_of_owned`.
         pulled[remote.binary_search(&cid).expect("image present")]
     };
 

@@ -45,7 +45,7 @@ use kappa_refine::{
     RefinementStats, ShardError,
 };
 
-use crate::comm::{allreduce_min_opt, Comm, CommError, CommResult};
+use crate::comm::{allreduce_min_opt, Comm, CommError, CommResult, Tag};
 use crate::graph::{DistGraph, LocalAssignment};
 use crate::state::{DistState, MoveRec};
 
@@ -381,7 +381,7 @@ fn gather_and_search<C: Comm>(
                 std::mem::take(&mut seed_parts[dst]),
                 std::mem::take(&mut band_parts[dst]),
             );
-            comm.send(dst, "band-recs", part)?;
+            comm.send(dst, Tag::BAND_RECS, part)?;
         }
     }
     // Rank-order receipt keeps per-pair seed concatenation globally
@@ -397,7 +397,7 @@ fn gather_and_search<C: Comm>(
                 std::mem::take(&mut band_parts[me]),
             )
         } else {
-            comm.recv::<(Vec<(u32, NodeId)>, Vec<(u32, BandShard)>)>(src, "band-recs")?
+            comm.recv::<(Vec<(u32, NodeId)>, Vec<(u32, BandShard)>)>(src, Tag::BAND_RECS)?
         };
         for (pi, gid) in seed_part {
             let Some(seeds) = seeds_of.get_mut(pi as usize) else {
@@ -448,7 +448,7 @@ fn exchange_reports<C: Comm>(
     let (me, ranks) = (comm.rank(), comm.num_ranks());
     for dst in 0..ranks {
         if dst != me {
-            comm.send(dst, "class-reports", my_reports.clone())?;
+            comm.send(dst, Tag::CLASS_REPORTS, my_reports.clone())?;
         }
     }
     let mut slots: Vec<Vec<PairReport>> = Vec::with_capacity(ranks);
@@ -456,7 +456,7 @@ fn exchange_reports<C: Comm>(
         if src == me {
             slots.push(std::mem::take(&mut my_reports));
         } else {
-            slots.push(comm.recv(src, "class-reports")?);
+            slots.push(comm.recv(src, Tag::CLASS_REPORTS)?);
         }
     }
     merge_reports(me, pairs, slots)
@@ -583,7 +583,7 @@ impl BandScratch {
 /// `IndexSeeder::seeds`). Starts the band BFS — `bands` and the returned
 /// `(pair, owned local)` frontier hold exactly the seeds — and returns, per
 /// home rank, the seeds as `(pair, global id)`.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "frontier and seeds, one tuple")]
 fn live_seeds(
     dg: &DistGraph,
     st: &DistState,
@@ -982,7 +982,6 @@ mod tests {
                         to,
                         weight,
                     };
-                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgather meets the one inside rank 0's `dist_rebalance`, so both branches reach it
                     comm.allgather(Some(cand)).unwrap();
                     return None;
                 }
@@ -1015,7 +1014,6 @@ mod tests {
             let outcomes = LocalCluster::new(2).run(|comm| {
                 if comm.rank() == 1 {
                     let share: Vec<(BlockId, BlockId, EdgeWeight)> = vec![(a, b, 3)];
-                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgather meets the quotient allgather inside rank 0's `dist_refine`, so both branches reach it
                     comm.allgather(share).unwrap();
                     return None;
                 }
@@ -1050,28 +1048,25 @@ mod tests {
                 if comm.rank() == 1 {
                     // The bad peer: its honest quotient share, then pair 99
                     // with rank 0's node 0, as a crossing or as a seed.
-                    // kappa-lint: allow(rank-branch-collective) -- the bad peer's allgathers meet the quotient allgather and the band hops inside rank 0's `dist_refine`, so both branches reach them
                     comm.allgather(st.quotient_partial(&dg)).unwrap();
                     let bogus: Vec<(u32, NodeId)> = vec![(99, 0)];
                     if tag == "band-bfs" {
-                        // kappa-lint: allow(rank-branch-collective) -- as above
                         comm.allgather((false, bogus)).unwrap();
                         return None;
                     }
                     // Every hop with nothing to add, then the seed.
                     for _ in 0..config.bfs_depth {
                         let none: Vec<(u32, NodeId)> = Vec::new();
-                        // kappa-lint: allow(rank-branch-collective) -- as above
                         let all = comm.allgather((true, none)).unwrap();
                         if all.iter().all(|(empty, cross)| *empty && cross.is_empty()) {
                             break;
                         }
                     }
                     let shards: Vec<(u32, BandShard)> = Vec::new();
-                    comm.send(0, "band-recs", (bogus, shards)).unwrap();
+                    comm.send(0, Tag::BAND_RECS, (bogus, shards)).unwrap();
                     // Stay until rank 0 has sent its own part.
                     type Part = (Vec<(u32, NodeId)>, Vec<(u32, BandShard)>);
-                    comm.recv::<Part>(0, "band-recs").unwrap();
+                    comm.recv::<Part>(0, Tag::BAND_RECS).unwrap();
                     return None;
                 }
                 let mut stats = RefinementStats::default();

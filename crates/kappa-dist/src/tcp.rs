@@ -95,7 +95,8 @@ impl TcpCluster {
 
     /// A cluster with explicit timeouts.
     pub fn with_config(ranks: usize, config: TcpClusterConfig) -> Self {
-        // kappa-lint: allow(dist-no-panic) -- construction-time misconfiguration on the launching process, before any rank exists; aborting here is the diagnosis
+        // A misconfiguration on the launching process, before any rank
+        // exists: aborting here is the diagnosis.
         assert!(ranks >= 1, "a cluster needs at least one rank");
         TcpCluster { ranks, config }
     }
@@ -116,19 +117,19 @@ impl TcpCluster {
         R: Send,
         F: Fn(&mut TcpComm) -> R + Sync,
     {
+        #[expect(clippy::expect_used, reason = "harness setup panics (see the doc)")]
         let listeners: Vec<TcpListener> = (0..self.ranks)
-            // kappa-lint: allow(dist-no-panic) -- in-process test-harness setup on the launching thread; a loopback bind failure is an environment bug, not a runtime fault (see the doc comment)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
             .collect();
+        #[expect(clippy::expect_used, reason = "harness setup, as the bind above")]
         let addrs: Vec<SocketAddr> = listeners
             .iter()
-            // kappa-lint: allow(dist-no-panic) -- same harness-setup path as the bind above
             .map(|l| l.local_addr().expect("listener address"))
             .collect();
         let config = self.config;
         run_ranks(listeners, |rank, listener| {
+            #[expect(clippy::panic, reason = "harness boundary (see the doc comment)")]
             let mut comm = TcpComm::establish(rank, &addrs, listener, config)
-                // kappa-lint: allow(dist-no-panic) -- harness boundary by contract: establishment failures inside TcpCluster::run are harness bugs and abort the test run (see the doc comment); the multi-process path gets them as CommResult
                 .unwrap_or_else(|e| panic!("rank {rank}: mesh establishment: {e}"));
             f(&mut comm)
         })
@@ -178,7 +179,7 @@ impl TcpComm {
                 format!("rank {rank} out of range for {ranks} ranks"),
             ));
         }
-        // kappa-lint: allow(wall-clock) -- mesh-establishment deadline only; the clock bounds how long we dial and accept, never what a result contains
+        #[expect(clippy::disallowed_methods, reason = "mesh-establishment deadline")]
         let deadline = Instant::now() + config.connect_timeout;
         let mut streams: Vec<Option<TcpStream>> = (0..ranks).map(|_| None).collect();
         // Dial upwards: the lower rank of each pair is the connector.
@@ -249,7 +250,7 @@ impl TcpComm {
             .local_addr()
             .map_err(|e| err(CommErrorKind::Io(e.to_string())))?
             .port();
-        // kappa-lint: allow(wall-clock) -- rendezvous-connect deadline only, same as in establish
+        #[expect(clippy::disallowed_methods, reason = "rendezvous-connect deadline")]
         let deadline = Instant::now() + config.connect_timeout;
         let stream = connect_with_retry(addr, deadline)
             .map_err(|e| err(CommErrorKind::Io(e.to_string())))?;
@@ -430,7 +431,7 @@ fn reader_loop(mut stream: TcpStream, peer: usize, tx: Sender<Arrival>) {
 fn connect_with_retry(addr: SocketAddr, deadline: Instant) -> std::io::Result<TcpStream> {
     let mut backoff = Duration::from_millis(1);
     loop {
-        // kappa-lint: allow(wall-clock) -- dial-retry deadline arithmetic; establishment timing only
+        #[expect(clippy::disallowed_methods, reason = "dial-retry deadline")]
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(std::io::Error::new(
@@ -440,8 +441,8 @@ fn connect_with_retry(addr: SocketAddr, deadline: Instant) -> std::io::Result<Tc
         }
         match TcpStream::connect_timeout(&addr, remaining) {
             Ok(stream) => return Ok(stream),
+            #[expect(clippy::disallowed_methods, reason = "backoff vs the dial deadline")]
             Err(e) => {
-                // kappa-lint: allow(wall-clock) -- backoff-versus-deadline check; establishment timing only
                 if deadline.saturating_duration_since(Instant::now()) <= backoff {
                     return Err(e);
                 }
@@ -462,8 +463,8 @@ fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> std::io::R
                 stream.set_nonblocking(false)?;
                 return Ok(stream);
             }
+            #[expect(clippy::disallowed_methods, reason = "accept deadline")]
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // kappa-lint: allow(wall-clock) -- accept-deadline check; establishment timing only
                 if Instant::now() >= deadline {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
@@ -556,9 +557,9 @@ pub fn rendezvous_serve(listener: &TcpListener, ranks: usize) -> std::io::Result
         }
         registered[rank] = Some((stream, port));
     }
+    #[expect(clippy::expect_used, reason = "the loop above fills every slot")]
     let ports: Vec<u16> = registered
         .iter()
-        // kappa-lint: allow(dist-no-panic) -- the registration loop above either fills every slot or returns an error first
         .map(|slot| slot.as_ref().expect("all ranks registered").1)
         .collect();
     let mut reply = Vec::with_capacity(10 + 8 + 2 * ranks);
@@ -570,7 +571,7 @@ pub fn rendezvous_serve(listener: &TcpListener, ranks: usize) -> std::io::Result
         reply.extend_from_slice(&port.to_le_bytes());
     }
     for slot in registered {
-        // kappa-lint: allow(dist-no-panic) -- same registration invariant as above
+        #[expect(clippy::expect_used, reason = "same registration invariant as above")]
         let (stream, _) = slot.expect("all ranks registered");
         write_all(&stream, &reply)?;
     }
@@ -580,7 +581,7 @@ pub fn rendezvous_serve(listener: &TcpListener, ranks: usize) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::Comm;
+    use crate::comm::{Comm, Tag};
     use std::thread::JoinHandle;
 
     fn cluster(ranks: usize) -> TcpCluster {
@@ -605,6 +606,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
+            #[expect(clippy::disallowed_methods, reason = "the fake peer's dial deadline")]
             let deadline = Instant::now() + Duration::from_secs(5);
             let stream = connect_with_retry(addr, deadline).unwrap();
             send_hello(&stream, 0, 2).unwrap();
@@ -646,17 +648,24 @@ mod tests {
                 connect_timeout: Duration::from_secs(10),
             },
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds how long the diagnosis takes"
+        )]
         let started = Instant::now();
         let results = cluster.run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, "payload", 7u64).map(|_| 0)
+                comm.send(1, Tag::BAND_RECS, 7u64).map(|_| 0)
             } else {
-                comm.recv::<u64>(0, "payload")?;
-                comm.recv::<u64>(0, "payload")
+                comm.recv::<u64>(0, Tag::BAND_RECS)?;
+                comm.recv::<u64>(0, Tag::BAND_RECS)
             }
         });
         let err = results[1].clone().unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
+        assert_eq!(
+            (err.rank, err.peer, err.tag.as_str()),
+            (1, 0, Tag::BAND_RECS.as_str())
+        );
         // Rank 0 says goodbye and closes after its send, so the diagnosis is
         // usually Disconnected, a Timeout if the receive comes first; both
         // name the missing message.
@@ -670,10 +679,13 @@ mod tests {
     #[test]
     fn a_frame_that_claims_another_sender_is_refused() {
         // The connection's handshake says rank 0; the frame says rank 1.
-        let frame = encode_frame(1, "payload", &7u64.to_bytes()).unwrap();
+        let frame = encode_frame(1, Tag::BAND_RECS.as_str(), &7u64.to_bytes()).unwrap();
         let (mut comm, fake) = fake_rank_0(frame, true, Duration::from_secs(10));
-        let err = comm.recv::<u64>(0, "payload").unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
+        let err = comm.recv::<u64>(0, Tag::BAND_RECS).unwrap_err();
+        assert_eq!(
+            (err.rank, err.peer, err.tag.as_str()),
+            (1, 0, Tag::BAND_RECS.as_str())
+        );
         let CommErrorKind::Codec(detail) = &err.kind else {
             panic!("expected a codec diagnosis, got {err}");
         };
@@ -687,13 +699,20 @@ mod tests {
 
     #[test]
     fn a_peer_that_dies_inside_a_frame_is_diagnosed_promptly() {
-        let frame = encode_frame(0, "payload", &7u64.to_bytes()).unwrap();
+        let frame = encode_frame(0, Tag::BAND_RECS.as_str(), &7u64.to_bytes()).unwrap();
         let half = frame[..frame.len() / 2].to_vec();
         let recv_timeout = Duration::from_secs(30);
         let (mut comm, fake) = fake_rank_0(half, false, recv_timeout);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds how long the diagnosis takes"
+        )]
         let started = Instant::now();
-        let err = comm.recv::<u64>(0, "payload").unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "payload"));
+        let err = comm.recv::<u64>(0, Tag::BAND_RECS).unwrap_err();
+        assert_eq!(
+            (err.rank, err.peer, err.tag.as_str()),
+            (1, 0, Tag::BAND_RECS.as_str())
+        );
         assert!(
             matches!(&err.kind, CommErrorKind::Codec(d) if d.contains("EOF mid frame")),
             "{err}"

@@ -18,7 +18,6 @@
 //! assert!(g.coords().is_some());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delaunay;

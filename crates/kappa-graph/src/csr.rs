@@ -644,6 +644,13 @@ impl CsrRows {
         let vwgt = narrow_all(vwgt, WeightOverflow::Nodes)?;
         CsrGraph::from_stored(self.xadj, self.adjncy, self.adjwgt, vwgt, coords)
     }
+
+    /// [`CsrRows::finish`] over node weights already in their 32-bit store.
+    pub(crate) fn finish_stored(self, vwgt: Vec<u32>, coords: Option<Vec<[f64; 2]>>) -> CsrGraph {
+        assert!(!self.wide, "{}", WeightOverflow::Edges);
+        CsrGraph::from_stored(self.xadj, self.adjncy, self.adjwgt, vwgt, coords)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
 #[cfg(test)]

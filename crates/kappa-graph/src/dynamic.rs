@@ -306,8 +306,7 @@ impl DynamicGraph {
         for v in self.nodes() {
             csr.push_node(self.edges_of(v));
         }
-        let vwgt = self.vwgt.iter().map(|&w| NodeWeight::from(w)).collect();
-        csr.finish(vwgt, None)
+        csr.finish_stored(self.vwgt.clone(), None)
     }
 }
 

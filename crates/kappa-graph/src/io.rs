@@ -19,16 +19,17 @@
 //! Lines are rows: each adjacency line, sorted, is pushed in file order as its
 //! node's row of a [`CsrRows`](crate::CsrRows). A symmetric (`2m`-entry) file
 //! then costs the graph plus one line; a once-listed (`m`-entry) file also an
-//! edge list and a [`GraphBuilder`] build.
+//! edge list and the counting build ([`fill_rows`]).
 
 use std::fmt;
 use std::fs;
 use std::io::{self, BufRead as _, Write};
 use std::path::{Path, PathBuf};
 
-use crate::builder::GraphBuilder;
+use crate::builder::{count_degrees, fill_rows};
 use crate::csr::{CsrGraph, WeightOverflow, MAX_TOTAL_WEIGHT};
-use crate::types::{EdgeWeight, NodeId, NodeWeight};
+use crate::stream::SliceEdgeSource;
+use crate::types::{EdgeWeight, NodeId};
 
 /// Everything that can go wrong reading or writing METIS text.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -263,7 +264,7 @@ where
     // Lines are rows. Nothing is sized from the header, so a hostile header
     // allocates nothing.
     let mut rows = CsrGraph::rows(0, 0);
-    let mut vwgt: Vec<NodeWeight> = Vec::new();
+    let mut vwgt: Vec<u32> = Vec::new();
     let mut row: Vec<(NodeId, EdgeWeight)> = Vec::new();
     let mut found = 0usize;
     // The totals rule, checked as lines arrive. The listed half-edges sum
@@ -311,7 +312,8 @@ where
         if node_total > MAX_TOTAL_WEIGHT {
             return Err(err(WeightOverflow::Nodes.to_string()));
         }
-        vwgt.push(weight);
+        // Fits: the weight is at most the total, which is at most u32::MAX.
+        vwgt.push(weight as u32);
         let tokens: Vec<&str> = tokens.collect();
         row.clear();
         let mut i = 0usize;
@@ -392,12 +394,12 @@ where
             }
         }
         rows.shrink_to_fit();
-        Ok(rows.finish(vwgt, None))
+        Ok(rows.finish_stored(vwgt, None))
     } else if listed == m {
         // Once-listed convention: every entry is one edge, in either
-        // direction. Reject duplicates — the builder would sum them, silently
-        // corrupting the graph (a symmetric file with a miscounted header
-        // looks exactly like this).
+        // direction. Reject duplicates — the counting build would sum them,
+        // silently corrupting the graph (a symmetric file with a miscounted
+        // header looks exactly like this).
         if let Some((node, line)) = once_over {
             let message = WeightOverflow::Edges.to_string();
             return Err(MetisError::Line {
@@ -406,23 +408,23 @@ where
                 message,
             });
         }
-        let mut builder = GraphBuilder::with_node_weights(vwgt);
-        let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(m);
+        let mut edges: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::with_capacity(m);
         for u in 0..found {
-            for (v, w) in rows.row(u) {
-                let u = u as NodeId;
-                pairs.push((u.min(v), u.max(v)));
-                builder.add_edge(u, v, w);
-            }
+            let u = u as NodeId;
+            edges.extend(rows.row(u as usize).map(|(v, w)| (u.min(v), u.max(v), w)));
         }
-        pairs.sort_unstable();
-        if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        if let Some(w) = edges
+            .windows(2)
+            .find(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1)
+        {
             return Err(MetisError::Duplicate {
                 u: w[0].0 as usize + 1,
                 v: w[0].1 as usize + 1,
             });
         }
-        Ok(builder.build())
+        let src = SliceEdgeSource::new(found, &edges);
+        Ok(fill_rows(&src, &count_degrees(&src), None, 0..found).finish_stored(vwgt, None))
     } else {
         Err(MetisError::EdgeCount {
             declared: m,

@@ -38,7 +38,6 @@
 //! assert_eq!(p.edge_cut(&g), 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;

@@ -15,7 +15,6 @@
 //! `max(20, n/(α·k²))` nodes and the refinement phase fixes most imperfections;
 //! what matters is a feasible, reasonable starting point.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod best_of;

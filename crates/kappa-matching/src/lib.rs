@@ -30,7 +30,6 @@
 //! assert_eq!(m.partner_of(2), Some(3));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gpa;

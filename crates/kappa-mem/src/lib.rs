@@ -35,7 +35,6 @@
 //! [`PagedGraph::open`] validates a file's header and index before it
 //! allocates for them.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod build;

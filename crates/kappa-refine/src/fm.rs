@@ -207,7 +207,7 @@ impl LazyQueue {
 /// entries before returning, and the band's buffers are parked in `scratch`
 /// for the next band, so a reused scratch makes the whole search allocate
 /// `O(|band|)` instead of `O(n)`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "independent borrows of state")]
 pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
     graph: &G,
     partition: &mut P,
@@ -414,7 +414,7 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
 /// builds the [`PairBand`] with a depth-0 [`PairBand::around`] — one row
 /// visit per listed node (repeats and nodes outside the two blocks are
 /// skipped). What the unit tests below drive the search through.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "mirrors two_way_fm_in")]
 pub(crate) fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
     graph: &G,
     partition: &mut P,

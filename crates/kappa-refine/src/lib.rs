@@ -59,7 +59,6 @@
 //! assert!(state.edge_cut() <= before);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;

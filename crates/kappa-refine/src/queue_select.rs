@@ -65,7 +65,7 @@ impl QueueSelection {
     ///
     /// Returns `Some(true)` to move from A, `Some(false)` to move from B,
     /// `None` if both queues are exhausted.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the decision's inputs")]
     pub fn choose(
         &self,
         gain_a: Option<i64>,

@@ -33,7 +33,6 @@
 //! threshold or balance breaks, the engine repairs with a localized banded
 //! re-refinement instead of re-running the pipeline.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use kappa_core::DynamicSession;

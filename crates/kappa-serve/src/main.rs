@@ -10,8 +10,6 @@
 //!
 //! Exit codes: 0 clean shutdown (`quit` or EOF), 2 bad command line.
 
-#![forbid(unsafe_code)]
-
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 

@@ -28,6 +28,10 @@ fn main() {
 
     // Metis-like baseline for comparison.
     let metis = BaselineKind::MetisLike.build();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "prints the wall clock of each partitioner"
+    )]
     let start = std::time::Instant::now();
     let metis_partition = metis.partition(&roads, k, 0.03, 1);
     let metis_time = start.elapsed();

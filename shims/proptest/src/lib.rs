@@ -7,8 +7,6 @@
 //! message directly. Sampling is deterministic: case `i` of test `t` always
 //! sees the same inputs, so failures reproduce across runs.
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -183,7 +181,7 @@ macro_rules! impl_tuple_strategy {
     ($(($($name:ident),+))+) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple fields are bound to the type parameters' names")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

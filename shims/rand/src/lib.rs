@@ -7,8 +7,6 @@
 //! (KaPPa only requires determinism for a fixed seed, not byte-compatible
 //! sequences).
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 pub mod rngs;

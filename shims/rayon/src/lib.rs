@@ -17,8 +17,6 @@
 //! a fixed seed and thread count — the same guarantee real rayon gives KaPPa's
 //! map/collect pipelines.
 
-#![forbid(unsafe_code)]
-
 use std::cell::Cell;
 
 pub mod iter;

@@ -8,8 +8,6 @@
 //! structs with named fields and fieldless enums, which is exactly what the
 //! KaPPa crates derive.
 
-#![forbid(unsafe_code)]
-
 mod value;
 
 pub use serde_derive::{Deserialize, Serialize};

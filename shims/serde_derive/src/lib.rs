@@ -6,8 +6,6 @@
 //! `syn`/`quote`). Generic types, tuple structs and enums with payloads are
 //! rejected with a compile-time panic so misuse is loud, not silently wrong.
 
-#![forbid(unsafe_code)]
-
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Shape {

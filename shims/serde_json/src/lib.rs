@@ -7,8 +7,6 @@
 //! workspace. Nested `json!` object/array literals are not supported; build
 //! nested trees from [`Value`] variants directly.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 
 pub use serde::{Number, Value};

@@ -26,8 +26,6 @@
 //!   --nodes <N>           node count for --generate     [default: 100000]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -341,7 +339,7 @@ fn main() -> ExitCode {
                 cli.threads
             );
         }
-        // kappa-lint: allow(wall-clock) -- CLI runtime reporting only; never feeds the partition.
+        #[expect(clippy::disallowed_methods, reason = "runtime reporting only")]
         let start = std::time::Instant::now();
         let dist_config = DistConfig::new(config, ranks).with_fold_threshold(cli.fold_threshold);
         let result = match partition_distributed(&graph, &dist_config) {
@@ -547,7 +545,7 @@ fn run_tcp_worker(
     rendezvous: &str,
 ) -> ExitCode {
     use kappa::dist::{partition_with_comm, TcpClusterConfig, TcpComm};
-    // kappa-lint: allow(wall-clock) -- CLI runtime reporting only; never feeds the partition.
+    #[expect(clippy::disallowed_methods, reason = "runtime reporting only")]
     let start = std::time::Instant::now();
     let mut comm =
         match TcpComm::connect_worker(rendezvous, rank, ranks, TcpClusterConfig::default()) {

@@ -44,7 +44,6 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use kappa_baselines as baselines;

@@ -7,8 +7,9 @@
 //! transports cannot drift apart in semantics: point-to-point FIFO per
 //! (peer, tag), barrier, broadcast, gather/allgather rank order,
 //! all-to-all-v with zero-length segments, allreduce determinism,
-//! self-sends, the diagnosis of a wrong payload type or a mismatched tag,
-//! the reserved `::` tag namespace.
+//! self-sends, the diagnosis of a wrong payload type or a mismatched tag.
+//! Tags are `Tag` constants, so the reserved `::` namespace needs no test:
+//! a user tag inside it does not compile.
 //!
 //! Both links deliver each sender's messages once and in order, so the one
 //! fault injected here is the one a real cluster shows: a rank that stops
@@ -27,7 +28,7 @@ use std::time::Duration;
 use kappa::dist::codec::{decode_frame, encode_frame, Wire};
 use kappa::dist::{
     partition_distributed, partition_with_comm, Comm, CommErrorKind, CommResult, DistConfig,
-    DistRunResult, LocalCluster, LocalClusterConfig, TcpCluster, TcpClusterConfig,
+    DistRunResult, LocalCluster, LocalClusterConfig, Tag, TcpCluster, TcpClusterConfig,
 };
 use kappa::gen::{delaunay_like_graph, grid2d, random_geometric_graph};
 use kappa::prelude::*;
@@ -62,23 +63,23 @@ fn tcp_cluster_waiting(ranks: usize, recv_timeout: Duration) -> TcpCluster {
 // Conformance scenarios, written once against the Comm trait.
 // ---------------------------------------------------------------------------
 
+/// Two distinct tags; which exchange they belong to does not matter here.
+const EVEN: Tag = Tag::BAND_RECS;
+const ODD: Tag = Tag::CLASS_REPORTS;
+
 /// Messages from one peer stay FIFO within a tag, and tags do not steal each
 /// other's messages (MPI-style matching).
 fn p2p_fifo_per_peer_and_tag<C: Comm>(comm: &mut C) {
     if comm.rank() == 0 {
         for v in 0..8u64 {
-            comm.send(1, "even", v * 2).unwrap();
-            comm.send(1, "odd", v * 2 + 1).unwrap();
+            comm.send(1, EVEN, v * 2).unwrap();
+            comm.send(1, ODD, v * 2 + 1).unwrap();
         }
     } else if comm.rank() == 1 {
         // Claim all odd-tagged messages first: the interleaved even-tagged
         // ones must stay queued, then arrive in send order.
-        let odds: Vec<u64> = (0..8)
-            .map(|_| comm.recv::<u64>(0, "odd").unwrap())
-            .collect();
-        let evens: Vec<u64> = (0..8)
-            .map(|_| comm.recv::<u64>(0, "even").unwrap())
-            .collect();
+        let odds: Vec<u64> = (0..8).map(|_| comm.recv::<u64>(0, ODD).unwrap()).collect();
+        let evens: Vec<u64> = (0..8).map(|_| comm.recv::<u64>(0, EVEN).unwrap()).collect();
         assert_eq!(odds, vec![1, 3, 5, 7, 9, 11, 13, 15]);
         assert_eq!(evens, vec![0, 2, 4, 6, 8, 10, 12, 14]);
     }
@@ -87,10 +88,10 @@ fn p2p_fifo_per_peer_and_tag<C: Comm>(comm: &mut C) {
 /// A rank can send to itself; self-messages obey the same FIFO stream rules.
 fn self_sends_are_ordinary<C: Comm>(comm: &mut C) {
     let me = comm.rank();
-    comm.send(me, "self", me as u64).unwrap();
-    comm.send(me, "self", me as u64 + 100).unwrap();
-    assert_eq!(comm.recv::<u64>(me, "self").unwrap(), me as u64);
-    assert_eq!(comm.recv::<u64>(me, "self").unwrap(), me as u64 + 100);
+    comm.send(me, EVEN, me as u64).unwrap();
+    comm.send(me, EVEN, me as u64 + 100).unwrap();
+    assert_eq!(comm.recv::<u64>(me, EVEN).unwrap(), me as u64);
+    assert_eq!(comm.recv::<u64>(me, EVEN).unwrap(), me as u64 + 100);
 }
 
 /// No rank observes fewer than `ranks` pre-barrier increments after the
@@ -118,7 +119,7 @@ fn broadcast_from_every_root<C: Comm>(comm: &mut C) {
 /// allgather replicates that exact order everywhere.
 fn gather_and_allgather_preserve_rank_order<C: Comm>(comm: &mut C) {
     let me = comm.rank() as u64;
-    let gathered = comm.gather(2, "g", me * me).unwrap();
+    let gathered = comm.gather(2, EVEN, me * me).unwrap();
     if comm.rank() == 2 {
         let expected: Vec<u64> = (0..comm.num_ranks() as u64).map(|r| r * r).collect();
         assert_eq!(gathered.unwrap(), expected);
@@ -173,10 +174,10 @@ fn comm_stats_count_frames_and_collectives<C: Comm>(comm: &mut C) {
     comm.set_phase("p2p");
     if me == 0 {
         for dst in 1..ranks {
-            comm.send(dst, "x", 1u64).unwrap();
+            comm.send(dst, EVEN, 1u64).unwrap();
         }
     } else {
-        comm.recv::<u64>(0, "x").unwrap();
+        comm.recv::<u64>(0, EVEN).unwrap();
     }
     comm.set_phase("sync");
     comm.barrier().unwrap();
@@ -249,11 +250,14 @@ mod barrier_synchronises {
 /// the endpoint's.
 fn wrong_payload_type<C: Comm>(comm: &mut C) -> Option<CommErrorKind> {
     if comm.rank() == 0 {
-        comm.send(1, "typed", vec![1u64, 2, 3]).unwrap();
+        comm.send(1, EVEN, vec![1u64, 2, 3]).unwrap();
         None
     } else {
-        let err = comm.recv::<String>(0, "typed").unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "typed"));
+        let err = comm.recv::<String>(0, EVEN).unwrap_err();
+        assert_eq!(
+            (err.rank, err.peer, err.tag.as_str()),
+            (1, 0, EVEN.as_str())
+        );
         Some(err.kind)
     }
 }
@@ -275,17 +279,16 @@ mod wrong_payload_type_is_diagnosed {
     }
 }
 
-/// MPI tag matching: "alpha" stays queued, so a receive for "beta" must give
-/// up with an error naming the stuck rank, the peer and the tag — a timeout
-/// while rank 0 is alive, a disconnect once it has left — never "alpha".
+/// MPI tag matching: an `EVEN` message stays queued, so a receive for `ODD`
+/// must give up with an error naming the stuck rank, the peer and the tag —
+/// a timeout while rank 0 is alive, a disconnect once it has left — never
+/// `EVEN`.
 fn mismatched_tag<C: Comm>(comm: &mut C) {
     if comm.rank() == 0 {
-        // kappa-lint: allow(tag-pairing) -- the mismatch is the point: "alpha" must stay queued rather than satisfy the "beta" receive
-        comm.send(1, "alpha", 1u32).unwrap();
+        comm.send(1, EVEN, 1u32).unwrap();
     } else {
-        // kappa-lint: allow(tag-pairing) -- deliberately unmatched receive; it must end in a diagnosis
-        let err = comm.recv::<u32>(0, "beta").unwrap_err();
-        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "beta"));
+        let err = comm.recv::<u32>(0, ODD).unwrap_err();
+        assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, ODD.as_str()));
         assert!(
             matches!(
                 err.kind,
@@ -294,7 +297,8 @@ fn mismatched_tag<C: Comm>(comm: &mut C) {
             "{err}"
         );
         let rendered = err.to_string();
-        assert!(rendered.contains("rank 1") && rendered.contains("\"beta\""));
+        let quoted = format!("{:?}", ODD.as_str());
+        assert!(rendered.contains("rank 1") && rendered.contains(&quoted));
     }
 }
 
@@ -308,28 +312,6 @@ mod mismatched_tag_is_diagnosed_with_rank_peer_and_tag {
     #[test]
     fn tcp() {
         tcp_cluster_waiting(2, PATIENCE).run(mismatched_tag);
-    }
-}
-
-/// The `::` tag namespace is the runtime's: a user tag inside it trips the
-/// endpoint's send-path assertion on either link (debug builds; the static
-/// side is the `tag-reserved` lint).
-#[cfg(debug_assertions)]
-mod reserved_user_tag_trips_the_debug_assertion {
-    use super::*;
-    fn trespass<C: Comm>(comm: &mut C) {
-        // kappa-lint: allow(tag-reserved, tag-pairing) -- the trespass is the point: the send must die on the assertion before anything is sent
-        let _ = comm.send(0, "::mine", 1u64);
-    }
-    #[test]
-    #[should_panic(expected = "reserved for the runtime")]
-    fn local() {
-        local_cluster(1).run(trespass);
-    }
-    #[test]
-    #[should_panic(expected = "reserved for the runtime")]
-    fn tcp() {
-        tcp_cluster(1).run(trespass);
     }
 }
 
@@ -447,6 +429,7 @@ proptest! {
         let n = if past || sends == 0 { sends + pick % 3 } else { pick % sends };
         let past = n >= sends;
         let wait = Duration::from_secs(2);
+        #[expect(clippy::disallowed_methods, reason = "the test bounds how long the diagnosis takes")]
         let started = std::time::Instant::now();
         let local = local_cluster_waiting(config.ranks, wait)
             .run(|comm| run_stopped(comm, &graph, &config, (from, to, n)));
@@ -468,6 +451,10 @@ proptest! {
 fn dropped_message_at_four_ranks_is_diagnosed_with_rank_and_tag() {
     let graph = random_geometric_graph(1500, 3);
     let config = DistConfig::new(KappaConfig::fast(8).with_seed(1), 4);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test bounds how long the diagnosis takes"
+    )]
     let started = std::time::Instant::now();
     // Rank 1 stops at the first frame it would send to rank 2.
     let outcomes = local_cluster_waiting(4, Duration::from_secs(2))
@@ -512,26 +499,33 @@ fn dropped_message_at_four_ranks_is_diagnosed_with_rank_and_tag() {
 /// A stop through the TCP backend: real sockets, same contract.
 #[test]
 fn dropped_frame_over_tcp_is_diagnosed_not_hung() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test bounds how long the diagnosis takes"
+    )]
     let started = std::time::Instant::now();
     let results = tcp_cluster_waiting(2, Duration::from_secs(2)).run(|comm| -> CommResult<u64> {
         // Rank 0 stops at its third frame to rank 1.
         let mut comm = StopAt::new(comm, 0, 1, 2);
         if comm.rank() == 0 {
             for v in 0..10u64 {
-                comm.send(1, "stream", v)?;
+                comm.send(1, EVEN, v)?;
             }
             Ok(0)
         } else {
             let mut acc = 0;
             for _ in 0..10 {
-                acc += comm.recv::<u64>(0, "stream")?;
+                acc += comm.recv::<u64>(0, EVEN)?;
             }
             Ok(acc)
         }
     });
     assert!(started.elapsed() < Duration::from_secs(30), "must not hang");
     let err = results[1].clone().unwrap_err();
-    assert_eq!((err.rank, err.peer, err.tag.as_str()), (1, 0, "stream"));
+    assert_eq!(
+        (err.rank, err.peer, err.tag.as_str()),
+        (1, 0, EVEN.as_str())
+    );
     assert!(matches!(
         err.kind,
         CommErrorKind::Timeout { .. } | CommErrorKind::Disconnected

@@ -4,17 +4,17 @@
 //! state-exactness and feasibility assertions that used to be duplicated per
 //! suite, and the stopped-rank wrapper.
 
-#![allow(dead_code)] // each suite uses the subset it needs
+#![allow(dead_code, reason = "each suite uses the subset it needs")]
 
 use kappa::gen::{delaunay_like_graph, grid2d, random_geometric_graph};
 use kappa::graph::{BlockWeights, BoundaryIndex, PartitionState};
 use kappa::prelude::*;
 
 mod arbitrary_graph;
-#[allow(unused_imports)] // as above
+#[allow(unused_imports, reason = "each suite uses the subset it needs")]
 pub use arbitrary_graph::{arbitrary_graph, xorshift};
 mod stop_at;
-#[allow(unused_imports)] // as above
+#[allow(unused_imports, reason = "each suite uses the subset it needs")]
 pub use stop_at::StopAt;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from

@@ -1,6 +1,6 @@
 //! The one fault the conformance suite injects: a rank that stops.
 
-use kappa::dist::{Comm, CommError, CommErrorKind, CommResult, CommStats, Message};
+use kappa::dist::{Comm, CommError, CommErrorKind, CommResult, CommStats, Message, Tag};
 
 /// A [`Comm`] that stops rank `from`: its `n`-th send to `to` (0-based) and
 /// every later one fail instead of leaving, so the rank returns early, its
@@ -44,7 +44,7 @@ impl<C: Comm> Comm for StopAt<'_, C> {
         self.comm.num_ranks()
     }
 
-    fn send<T: Message>(&mut self, to: usize, tag: &'static str, value: T) -> CommResult<()> {
+    fn send<T: Message>(&mut self, to: usize, tag: Tag, value: T) -> CommResult<()> {
         if self.stops && to == self.to {
             self.sent += 1;
             if self.sent > self.n {
@@ -52,7 +52,7 @@ impl<C: Comm> Comm for StopAt<'_, C> {
                 return Err(CommError::new(
                     self.rank(),
                     to,
-                    tag,
+                    tag.as_str(),
                     CommErrorKind::Io(detail),
                 ));
             }
@@ -60,7 +60,7 @@ impl<C: Comm> Comm for StopAt<'_, C> {
         self.comm.send(to, tag, value)
     }
 
-    fn recv<T: Message>(&mut self, from: usize, tag: &'static str) -> CommResult<T> {
+    fn recv<T: Message>(&mut self, from: usize, tag: Tag) -> CommResult<T> {
         self.comm.recv(from, tag)
     }
 

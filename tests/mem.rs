@@ -47,6 +47,10 @@ fn run_paged_rgg(n: usize, gen_seed: u64, k: u32, part_seed: u64) -> TieredRun {
     let spill = SpillConfig::new(default_spill_dir(&format!("mem-{n}")));
     std::fs::create_dir_all(&spill.spill_dir).expect("spill dir");
     reset_peak_rss();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports the wall clock of the run"
+    )]
     let start = Instant::now();
     let src = RggSource::new(n, gen_seed);
     let spec = TierSpec::Paged {

@@ -120,6 +120,10 @@ fn run_stress(
 ) {
     let config = KappaConfig::fast(k).with_seed(7);
     reset_peak_rss();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall budget is what this test checks"
+    )]
     let start = Instant::now();
     let run = partition(graph, config);
     let elapsed = start.elapsed();
@@ -236,12 +240,20 @@ fn soak_dynamic_service_within_budget() {
     reset_peak_rss();
     let graph = random_geometric_graph(1 << 17, 13);
     let kappa = KappaConfig::fast(16).with_seed(7);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall budget is what this test checks"
+    )]
     let start = Instant::now();
     let mut session = DynamicSession::bootstrap(graph, &kappa, DynamicConfig::matching(&kappa));
     let bootstrap_wall = start.elapsed();
     let warmup_full_builds = session.state().full_builds();
     assert_eq!(warmup_full_builds, 1, "bootstrap must build the index once");
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall budget is what this test checks"
+    )]
     let serve_start = Instant::now();
     let mut next = xorshift(0x50a4_u64 ^ 0x0a5e);
     let ops: usize = 40_000;
